@@ -366,10 +366,14 @@ func benchKernel(b *testing.B, kernel string, rate float64) {
 
 func benchKernelPool(b *testing.B, kernel string, rate float64, disablePool bool) {
 	b.Helper()
-	kb, err := experiments.NewKernelBenchPool(kernel, rate, disablePool)
+	cfg := network.DefaultConfig()
+	cfg.Kernel = kernel
+	cfg.DisablePool = disablePool
+	kb, err := experiments.NewKernelBench(cfg, nil, experiments.UniformTraffic(rate))
 	if err != nil {
 		b.Fatal(err)
 	}
+	kb.Run(2000) // steady-state occupancy, not a cold, empty network
 	b.ReportAllocs()
 	b.ResetTimer()
 	kb.Run(b.N)
@@ -390,8 +394,8 @@ func BenchmarkKernelNaiveSaturation(b *testing.B) {
 // single-CPU machine the benchmark self-skips: the two-phase kernel can
 // only lose there (same work plus handoff overhead), and a committed
 // number from such a box would read as a parallel regression when it is
-// really a hardware limitation — BENCH_parallel.json records num_cpu for
-// the same reason.
+// really a hardware limitation — bench/ records num_cpu in its result
+// file for the same reason.
 func benchKernelParallel(b *testing.B, rate float64) {
 	b.Helper()
 	if runtime.NumCPU() == 1 {
@@ -406,8 +410,7 @@ func BenchmarkKernelParallelLowLoad(b *testing.B)    { benchKernelParallel(b, 0.
 func BenchmarkKernelParallelMidLoad(b *testing.B)    { benchKernelParallel(b, 0.05) }
 func BenchmarkKernelParallelSaturation(b *testing.B) { benchKernelParallel(b, 0.20) }
 
-// The unpooled variants are the "before" leg of the allocation story
-// (cmd/benchjson -alloc records the same axis into BENCH_alloc.json).
+// The unpooled variants are the "before" leg of the allocation story.
 func BenchmarkKernelActiveMidLoadNoPool(b *testing.B) {
 	benchKernelPool(b, network.KernelActive, 0.05, true)
 }

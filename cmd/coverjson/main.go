@@ -1,6 +1,5 @@
 // Command coverjson records the repository's per-package test coverage
-// as a diffable JSON artifact and diffs two such artifacts, mirroring
-// benchjson's baseline/compare workflow for the coverage axis.
+// as a diffable JSON artifact and diffs two such artifacts.
 //
 // With -extract it parses `go test -cover ./...` output (from a file
 // argument or stdin) into COVER_baseline.json: one row per package with

@@ -18,7 +18,8 @@
 //
 // Simulation points fan out across a worker pool (-jobs, or UPP_JOBS,
 // defaulting to GOMAXPROCS); the output is bit-identical at any worker
-// count.
+// count. UPP_ROUTER=oq|voq selects the router microarchitecture for the
+// experiments that do not sweep it.
 package main
 
 import (
@@ -39,15 +40,8 @@ func main() {
 		csv   = flag.String("csv", "", "directory to also write CSV files into")
 		quiet = flag.Bool("q", false, "suppress progress output")
 		jobs  = flag.Int("jobs", 0, "parallel simulation workers (0 = UPP_JOBS env or GOMAXPROCS); results are bit-identical at any value")
-		arch  = flag.String("router", "", "router microarchitecture for experiments that don't sweep it: iq, oq or voq (default: UPP_ROUTER env, then iq)")
 	)
 	flag.Parse()
-	if *arch != "" {
-		// Flag beats env: experiments build their configs with RouterArch
-		// unset, so routing the flag through the env gives every run the
-		// same flag > env > default resolution the library applies.
-		os.Setenv("UPP_ROUTER", *arch)
-	}
 
 	dur := experiments.QuickDurations()
 	if *full {

@@ -40,7 +40,7 @@ func main() {
 	memOut := flag.String("mem", "profiles/mem.pprof", "heap profile output path")
 	rate := flag.Float64("rate", 0.20, "offered load (flits/node/cycle); default is saturation")
 	cycles := flag.Int("cycles", 200000, "profiled simulation window in cycles")
-	warmup := flag.Int("warmup", 20000, "extra warmup cycles before profiling starts")
+	warmup := flag.Int("warmup", 20000, "warmup cycles before profiling starts")
 	nopool := flag.Bool("nopool", false, "disable packet pooling (profile the before state)")
 	kernel := flag.String("kernel", network.KernelActive, "cycle kernel: active | naive | parallel")
 	shards := flag.Int("shards", 0, "with -kernel parallel: shard count (0 = GOMAXPROCS)")
@@ -57,8 +57,11 @@ func main() {
 	// default rate. Must be set before the profiled allocations happen.
 	runtime.MemProfileRate = 1
 
-	var kb *experiments.KernelBench
-	var err error
+	cfg := network.DefaultConfig()
+	cfg.Kernel = *kernel
+	cfg.Shards = *shards
+	cfg.DisablePool = *nopool
+	var sc *topology.ScaleConfig
 	if *scale != "" {
 		// The scale systems saturate near 0.015 flits/cycle/node
 		// (bisection-limited) and simulate orders of magnitude slower per
@@ -73,7 +76,6 @@ func main() {
 		if !flagSet("warmup") {
 			*warmup = 5000
 		}
-		var sc *topology.ScaleConfig
 		for _, sys := range experiments.ScaleSystems() {
 			if sys.Label == *scale {
 				c := sys.Config
@@ -83,13 +85,8 @@ func main() {
 		if sc == nil {
 			fail(fmt.Errorf("unknown -scale preset %q (want small, large or huge)", *scale))
 		}
-		if *nopool {
-			fail(fmt.Errorf("-nopool does not combine with -scale"))
-		}
-		kb, err = experiments.NewScaleBench(*kernel, *sc, *shards, *rate)
-	} else {
-		kb, err = experiments.NewKernelBenchPool(*kernel, *rate, *nopool)
 	}
+	kb, err := experiments.NewKernelBench(cfg, sc, experiments.UniformTraffic(*rate))
 	if err != nil {
 		fail(err)
 	}

@@ -10,9 +10,9 @@
 //	uppsim -scheme upp -fault-plan "kill=3@5000,kill=9@5000" -rate 0.03
 //
 // Persistent events in a fault plan (kill/add/killchiplet, see
-// EXPERIMENTS.md) automatically attach the reconfiguration engine
-// (internal/reconfig) instead of the plain injector and force up*/down*
-// routing so the tables can be rebuilt mid-run (DESIGN.md §15).
+// EXPERIMENTS.md) bring in the reconfiguration engine (internal/reconfig)
+// on top of the plain injector and force up*/down* routing so the tables
+// can be rebuilt mid-run (DESIGN.md §15).
 //
 //	uppsim -scheme none -rate 0.10       # watch a deadlock wedge the network
 //	uppsim -scale large -rate 0.01       # 2048-router scale-out preset
@@ -37,8 +37,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"uppnoc/internal/experiments"
@@ -49,33 +51,56 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Getenv, os.Stdout, os.Stderr))
+}
+
+// run is main with its process state passed in: the exit status is the
+// return value (0 ok, 1 failed run, 2 bad flags). getenv supplies the
+// -fault-plan default; the host variables (UPP_KERNEL, UPP_SHARDS,
+// UPP_ROUTER, UPP_NOPOOL) are not read here but by internal/experiments,
+// from the process environment, when it builds each network.
+func run(args []string, getenv func(string) string, stdout, stderr io.Writer) int {
+	status := func(err error) int {
+		if err == nil {
+			return 0
+		}
+		fmt.Fprintf(stderr, "uppsim: %v\n", err)
+		return 1
+	}
+	fs := flag.NewFlagSet("uppsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		schemeName = flag.String("scheme", "upp", "upp | composable | remote_control | none")
-		patName    = flag.String("pattern", "uniform_random", "uniform_random | bit_complement | bit_rotation | transpose")
-		rate       = flag.Float64("rate", 0.03, "offered load, flits/cycle/node")
-		vcs        = flag.Int("vcs", 1, "VCs per virtual network (1 or 4)")
-		warmup     = flag.Int("warmup", 10000, "warmup cycles")
-		cycles     = flag.Int("cycles", 100000, "measured cycles")
-		faults     = flag.Int("faults", 0, "faulty links (forces up*/down* routing)")
-		faultPlan  = flag.String("fault-plan", os.Getenv("UPP_FAULTS"), "runtime fault-injection spec, e.g. \"flaps=4,drop=0.2\" (default $UPP_FAULTS; see EXPERIMENTS.md)")
-		large      = flag.Bool("large", false, "use the 128-core system (fig. 9)")
-		boundaries = flag.Int("boundaries", 4, "boundary routers per chiplet")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		trace      = flag.Int("trace", 0, "print the first N simulator events (0 = off)")
-		adaptive   = flag.Bool("adaptive", false, "minimal-adaptive odd-even local routing")
-		vct        = flag.Bool("vct", false, "virtual cut-through flow control")
-		asJSON     = flag.Bool("json", false, "emit the result as JSON")
-		wl         = flag.String("workload", "", "closed-loop collective workload spec, e.g. \"ring_allreduce\" or \"training_step:gap=500,iters=4\" (replaces -pattern/-rate)")
-		maxCycles  = flag.Int("max-cycles", 400000, "workload completion horizon")
-		record     = flag.String("record", "", "with -workload: write the run's binary message trace to this file")
-		replay     = flag.String("replay", "", "replay a recorded trace open-loop instead of running a workload")
-		routerArch = flag.String("router", "", "router microarchitecture: iq | oq | voq (default $UPP_ROUTER, then iq)")
-		scale      = flag.String("scale", "", "scale-out preset: small (512 routers) | large (2048) | huge (8192); replaces -large/-boundaries")
-		snapshot   = flag.String("snapshot", "", "write a checkpoint of the run's state to this file when it reaches -at, then continue")
-		snapAt     = flag.Int64("at", 0, "with -snapshot: absolute cycle to checkpoint at (warmup starts the timeline at 0)")
-		restore    = flag.String("restore", "", "resume a checkpoint written by -snapshot and run it to its schedule's end")
+		schemeName = fs.String("scheme", "upp", "upp | composable | remote_control | none")
+		patName    = fs.String("pattern", "uniform_random", "uniform_random | bit_complement | bit_rotation | transpose")
+		rate       = fs.Float64("rate", 0.03, "offered load, flits/cycle/node")
+		vcs        = fs.Int("vcs", 1, "VCs per virtual network (1 or 4)")
+		warmup     = fs.Int("warmup", 10000, "warmup cycles")
+		cycles     = fs.Int("cycles", 100000, "measured cycles")
+		faults     = fs.Int("faults", 0, "faulty links (forces up*/down* routing)")
+		faultPlan  = fs.String("fault-plan", getenv("UPP_FAULTS"), "runtime fault-injection spec, e.g. \"flaps=4,drop=0.2\" (default $UPP_FAULTS; see EXPERIMENTS.md)")
+		large      = fs.Bool("large", false, "use the 128-core system (fig. 9)")
+		boundaries = fs.Int("boundaries", 4, "boundary routers per chiplet")
+		seed       = fs.Uint64("seed", 1, "simulation seed")
+		trace      = fs.Int("trace", 0, "print the first N simulator events (0 = off)")
+		adaptive   = fs.Bool("adaptive", false, "minimal-adaptive odd-even local routing")
+		vct        = fs.Bool("vct", false, "virtual cut-through flow control")
+		asJSON     = fs.Bool("json", false, "emit the result as JSON")
+		wl         = fs.String("workload", "", "closed-loop collective workload spec, e.g. \"ring_allreduce\" or \"training_step:gap=500,iters=4\" (replaces -pattern/-rate)")
+		maxCycles  = fs.Int("max-cycles", 400000, "workload completion horizon")
+		record     = fs.String("record", "", "with -workload: write the run's binary message trace to this file")
+		replay     = fs.String("replay", "", "replay a recorded trace open-loop instead of running a workload")
+		routerArch = fs.String("router", "", "router microarchitecture: iq | oq | voq (default $UPP_ROUTER, then iq)")
+		scale      = fs.String("scale", "", "scale-out preset: small (512 routers) | large (2048) | huge (8192); replaces -large/-boundaries")
+		snapshot   = fs.String("snapshot", "", "write a checkpoint of the run's state to this file when it reaches -at, then continue")
+		snapAt     = fs.Int64("at", 0, "with -snapshot: absolute cycle to checkpoint at (warmup starts the timeline at 0)")
+		restore    = fs.String("restore", "", "resume a checkpoint written by -snapshot and run it to its schedule's end")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package already printed the problem and the usage
+	}
 
 	sysCfg := topology.BaselineConfig()
 	if *large {
@@ -85,53 +110,48 @@ func main() {
 
 	var scaleCfg *topology.ScaleConfig
 	if *scale != "" {
-		found := false
 		for _, sys := range experiments.ScaleSystems() {
 			if sys.Label == *scale {
 				sc := sys.Config
 				scaleCfg = &sc
-				found = true
 			}
 		}
-		if !found {
-			fatal(fmt.Errorf("unknown -scale preset %q (want small, large or huge)", *scale))
+		if scaleCfg == nil {
+			return status(fmt.Errorf("unknown -scale preset %q (want small, large or huge)", *scale))
 		}
 		if *replay != "" || *wl != "" {
-			fatal(fmt.Errorf("-scale does not combine with -replay/-workload"))
+			return status(fmt.Errorf("-scale does not combine with -replay/-workload"))
 		}
 	}
 
 	if (*snapshot != "" || *restore != "") && (*wl != "" || *replay != "") {
-		fatal(fmt.Errorf("-snapshot/-restore checkpoint rate-driven runs, not -workload/-replay"))
+		return status(fmt.Errorf("-snapshot/-restore checkpoint rate-driven runs, not -workload/-replay"))
 	}
 	if *restore != "" {
 		if *snapshot != "" {
-			fatal(fmt.Errorf("-restore does not combine with -snapshot"))
+			return status(fmt.Errorf("-restore does not combine with -snapshot"))
 		}
 		data, err := os.ReadFile(*restore)
 		if err != nil {
-			fatal(err)
+			return status(err)
 		}
 		pt, spec, err := experiments.RunRestored(data)
 		if err != nil {
-			fatal(err)
+			return status(err)
 		}
-		printPoint(string(spec.Scheme), spec.Pattern.Name(), pt, *asJSON)
-		return
+		return status(printPoint(stdout, string(spec.Scheme), spec.Pattern.Name(), pt, *asJSON))
 	}
 
 	if *replay != "" {
-		runReplay(sysCfg, *schemeName, *routerArch, *vcs, *seed, *maxCycles, *replay)
-		return
+		return status(runReplay(stdout, sysCfg, *schemeName, *routerArch, *vcs, *seed, *maxCycles, *replay))
 	}
 	if *wl != "" {
-		runWorkload(sysCfg, *schemeName, *routerArch, *vcs, *seed, *maxCycles, *wl, *record, *asJSON)
-		return
+		return status(runWorkload(stdout, stderr, sysCfg, *schemeName, *routerArch, *vcs, *seed, *maxCycles, *wl, *record, *asJSON))
 	}
 
 	pat, err := traffic.PatternByName(*patName)
 	if err != nil {
-		fatal(err)
+		return status(err)
 	}
 	spec := experiments.RunSpec{
 		Topo:       sysCfg,
@@ -154,27 +174,27 @@ func main() {
 	if *snapshot != "" {
 		f, cerr := os.Create(*snapshot)
 		if cerr != nil {
-			fatal(cerr)
+			return status(cerr)
 		}
 		pt, err = experiments.RunCheckpointed(spec, *snapAt, f)
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 		if err == nil {
-			fmt.Fprintf(os.Stderr, "uppsim: checkpoint at cycle %d written to %s\n", *snapAt, *snapshot)
+			fmt.Fprintf(stderr, "uppsim: checkpoint at cycle %d written to %s\n", *snapAt, *snapshot)
 		}
 	} else {
 		pt, err = experiments.Run(spec)
 	}
 	if err != nil {
-		fatal(err)
+		return status(err)
 	}
-	printPoint(*schemeName, *patName, pt, *asJSON)
+	return status(printPoint(stdout, *schemeName, *patName, pt, *asJSON))
 }
 
 // printPoint renders a rate-driven run's outcome, as JSON or the aligned
 // text block.
-func printPoint(schemeName, patName string, pt experiments.Point, asJSON bool) {
+func printPoint(stdout io.Writer, schemeName, patName string, pt experiments.Point, asJSON bool) error {
 	if asJSON {
 		out, err := json.MarshalIndent(struct {
 			Scheme  string
@@ -182,29 +202,30 @@ func printPoint(schemeName, patName string, pt experiments.Point, asJSON bool) {
 			experiments.Point
 		}{schemeName, patName, pt}, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(string(out))
-		return
+		fmt.Fprintln(stdout, string(out))
+		return nil
 	}
-	fmt.Printf("scheme            %s\n", schemeName)
-	fmt.Printf("pattern           %s\n", patName)
-	fmt.Printf("offered load      %.4f flits/cycle/node\n", pt.Rate)
-	fmt.Printf("accepted load     %.4f flits/cycle/node\n", pt.Throughput)
-	fmt.Printf("avg latency       %.2f cycles (network %.2f + queueing %.2f)\n", pt.TotalLat, pt.NetLat, pt.QueueLat)
-	fmt.Printf("p50/p99/max       %d / %d / %d cycles\n", pt.LatP50, pt.LatP99, pt.LatMax)
-	fmt.Printf("packets measured  %d\n", pt.Packets)
-	fmt.Printf("saturated         %v\n", pt.Saturated)
+	fmt.Fprintf(stdout, "scheme            %s\n", schemeName)
+	fmt.Fprintf(stdout, "pattern           %s\n", patName)
+	fmt.Fprintf(stdout, "offered load      %.4f flits/cycle/node\n", pt.Rate)
+	fmt.Fprintf(stdout, "accepted load     %.4f flits/cycle/node\n", pt.Throughput)
+	fmt.Fprintf(stdout, "avg latency       %.2f cycles (network %.2f + queueing %.2f)\n", pt.TotalLat, pt.NetLat, pt.QueueLat)
+	fmt.Fprintf(stdout, "p50/p99/max       %d / %d / %d cycles\n", pt.LatP50, pt.LatP99, pt.LatMax)
+	fmt.Fprintf(stdout, "packets measured  %d\n", pt.Packets)
+	fmt.Fprintf(stdout, "saturated         %v\n", pt.Saturated)
 	if schemeName == "upp" {
-		fmt.Printf("upward packets    %d\n", pt.Upward)
-		fmt.Printf("popups completed  %d\n", pt.Popups)
-		fmt.Printf("signal hops       %d\n", pt.Signals)
+		fmt.Fprintf(stdout, "upward packets    %d\n", pt.Upward)
+		fmt.Fprintf(stdout, "popups completed  %d\n", pt.Popups)
+		fmt.Fprintf(stdout, "signal hops       %d\n", pt.Signals)
 	}
+	return nil
 }
 
 // runWorkload drives a closed-loop collective to completion (or the
 // horizon) and prints completion time plus scheme counters.
-func runWorkload(sysCfg topology.SystemConfig, schemeName, routerArch string, vcs int, seed uint64, maxCycles int, wl, record string, asJSON bool) {
+func runWorkload(stdout, stderr io.Writer, sysCfg topology.SystemConfig, schemeName, routerArch string, vcs int, seed uint64, maxCycles int, wl, record string, asJSON bool) error {
 	spec := experiments.WorkloadSpec{
 		Topo:       sysCfg,
 		Scheme:     experiments.SchemeName(schemeName),
@@ -218,73 +239,74 @@ func runWorkload(sysCfg topology.SystemConfig, schemeName, routerArch string, vc
 	if record != "" {
 		topo, err := topology.Build(sysCfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rec = workload.NewTraceRecorder(len(topo.Cores()))
 		spec.Recorder = rec
 	}
 	pt, err := experiments.RunWorkload(spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if record != "" {
 		f, err := os.Create(record)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := rec.Write(f); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "uppsim: recorded %d messages to %s\n", len(rec.Trace().Records), record)
+		fmt.Fprintf(stderr, "uppsim: recorded %d messages to %s\n", len(rec.Trace().Records), record)
 	}
 	if asJSON {
 		out, err := json.MarshalIndent(pt, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(string(out))
-		return
+		fmt.Fprintln(stdout, string(out))
+		return nil
 	}
-	fmt.Printf("scheme            %s\n", schemeName)
-	fmt.Printf("workload          %s\n", wl)
-	fmt.Printf("completed         %v (%d/%d ops)\n", pt.Completed, pt.OpsFired, pt.OpsTotal)
+	fmt.Fprintf(stdout, "scheme            %s\n", schemeName)
+	fmt.Fprintf(stdout, "workload          %s\n", wl)
+	fmt.Fprintf(stdout, "completed         %v (%d/%d ops)\n", pt.Completed, pt.OpsFired, pt.OpsTotal)
 	if pt.Completed {
-		fmt.Printf("finish cycle      %d\n", pt.FinishCycle)
+		fmt.Fprintf(stdout, "finish cycle      %d\n", pt.FinishCycle)
 	}
-	fmt.Printf("messages          %d\n", pt.Messages)
-	fmt.Printf("avg latency       %.2f cycles (network %.2f + queueing %.2f)\n", pt.TotalLat, pt.NetLat, pt.QueueLat)
+	fmt.Fprintf(stdout, "messages          %d\n", pt.Messages)
+	fmt.Fprintf(stdout, "avg latency       %.2f cycles (network %.2f + queueing %.2f)\n", pt.TotalLat, pt.NetLat, pt.QueueLat)
 	if schemeName == "upp" {
-		fmt.Printf("upward packets    %d\n", pt.Upward)
-		fmt.Printf("popups completed  %d\n", pt.Popups)
-		fmt.Printf("signal hops       %d\n", pt.Signals)
+		fmt.Fprintf(stdout, "upward packets    %d\n", pt.Upward)
+		fmt.Fprintf(stdout, "popups completed  %d\n", pt.Popups)
+		fmt.Fprintf(stdout, "signal hops       %d\n", pt.Signals)
 	}
 	if schemeName == "remote_control" {
-		fmt.Printf("injection holds   %d\n", pt.InjectionHolds)
+		fmt.Fprintf(stdout, "injection holds   %d\n", pt.InjectionHolds)
 	}
+	return nil
 }
 
 // runReplay re-injects a recorded trace open-loop until every record is
 // in flight or delivered, then drains and prints the final statistics.
-func runReplay(sysCfg topology.SystemConfig, schemeName, routerArch string, vcs int, seed uint64, maxCycles int, path string) {
+func runReplay(stdout io.Writer, sysCfg topology.SystemConfig, schemeName, routerArch string, vcs int, seed uint64, maxCycles int, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	trace, err := workload.ReadTrace(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	topo, err := topology.Build(sysCfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	scheme, err := experiments.MakeScheme(experiments.SchemeName(schemeName), topo)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := network.DefaultConfig()
 	if vcs > 0 {
@@ -292,39 +314,35 @@ func runReplay(sysCfg topology.SystemConfig, schemeName, routerArch string, vcs 
 	}
 	cfg.Seed = seed + 1
 	cfg.RouterArch = routerArch
-	n, err := network.New(topo, cfg, scheme)
+	n, err := experiments.NewNetwork(topo, cfg, scheme)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rp, err := workload.NewReplayer(n, trace)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for i := 0; i < maxCycles && !rp.Done(); i++ {
 		rp.Tick(n.Cycle())
 		n.Step()
 	}
 	if !rp.Done() {
-		fatal(fmt.Errorf("replay of %s still injecting after %d cycles", path, maxCycles))
+		return fmt.Errorf("replay of %s still injecting after %d cycles", path, maxCycles)
 	}
 	if err := n.Drain(maxCycles, 5000); err != nil {
-		fatal(fmt.Errorf("replay drain: %w", err))
+		return fmt.Errorf("replay drain: %w", err)
 	}
-	fmt.Printf("scheme            %s\n", schemeName)
-	fmt.Printf("trace             %s (%d ranks, %d records)\n", path, trace.Ranks, len(trace.Records))
-	fmt.Printf("final cycle       %d\n", n.Cycle())
-	fmt.Printf("packets born      %d\n", n.Stats.BornPackets)
-	fmt.Printf("packets consumed  %d\n", n.Stats.ConsumedPackets)
-	fmt.Printf("avg latency       %.2f cycles (network %.2f + queueing %.2f)\n",
+	fmt.Fprintf(stdout, "scheme            %s\n", schemeName)
+	fmt.Fprintf(stdout, "trace             %s (%d ranks, %d records)\n", path, trace.Ranks, len(trace.Records))
+	fmt.Fprintf(stdout, "final cycle       %d\n", n.Cycle())
+	fmt.Fprintf(stdout, "packets born      %d\n", n.Stats.BornPackets)
+	fmt.Fprintf(stdout, "packets consumed  %d\n", n.Stats.ConsumedPackets)
+	fmt.Fprintf(stdout, "avg latency       %.2f cycles (network %.2f + queueing %.2f)\n",
 		n.AvgTotalLatency(), n.AvgNetLatency(), n.AvgQueueLatency())
 	if schemeName == "upp" {
-		fmt.Printf("upward packets    %d\n", n.Stats.UpwardPackets)
-		fmt.Printf("popups completed  %d\n", n.Stats.PopupsCompleted)
-		fmt.Printf("signal hops       %d\n", n.Stats.SignalsSent)
+		fmt.Fprintf(stdout, "upward packets    %d\n", n.Stats.UpwardPackets)
+		fmt.Fprintf(stdout, "popups completed  %d\n", n.Stats.PopupsCompleted)
+		fmt.Fprintf(stdout, "signal hops       %d\n", n.Stats.SignalsSent)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "uppsim: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -40,7 +40,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		for _, arch := range RouterArchs() {
 			t.Run(kernel+"_"+arch, func(t *testing.T) {
-				kb, err := NewKernelBenchArch(kernel, arch, rates[arch])
+				cfg := network.DefaultConfig()
+				cfg.Kernel = kernel
+				cfg.RouterArch = arch
+				kb, err := NewKernelBench(cfg, nil, UniformTraffic(rates[arch]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,7 +84,11 @@ func TestSteadyStateZeroAllocScale(t *testing.T) {
 	}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
-			kb, err := NewScaleBench(kernel, topology.ScaleLargeConfig(), 4, 0.01)
+			cfg := network.DefaultConfig()
+			cfg.Kernel = kernel
+			cfg.Shards = 4
+			sc := topology.ScaleLargeConfig()
+			kb, err := NewKernelBench(cfg, &sc, UniformTraffic(0.01))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +123,9 @@ func TestSteadyStateZeroAllocCollective(t *testing.T) {
 	}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
-			wb, err := NewWorkloadBench(kernel)
+			cfg := network.DefaultConfig()
+			cfg.Kernel = kernel
+			wb, err := NewKernelBench(cfg, nil, TrainingStepTraffic)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"uppnoc/internal/network"
-	"uppnoc/internal/router"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -64,8 +63,8 @@ var cacheHits, cacheMisses, warmHits, warmMisses atomic.Uint64
 
 // CacheCounters reports the process-wide cache statistics: result-cache
 // hits and misses, and warm-start checkpoint hits and misses among the
-// result misses. The figures and benchjson binaries print these so CI
-// can assert a re-run was served from cache.
+// result misses. The figures binary prints these so CI can assert a
+// re-run was served from cache.
 func CacheCounters() (hits, misses, warmStartHits, warmStartMisses uint64) {
 	return cacheHits.Load(), cacheMisses.Load(), warmHits.Load(), warmMisses.Load()
 }
@@ -96,24 +95,17 @@ type specEnvelope struct {
 	RouterArch     string                `json:"router"`
 }
 
-// resolvedRouterArch mirrors network.New's resolution of the router
-// microarchitecture so the cache key captures what actually runs.
-func resolvedRouterArch(arch string) string {
-	if arch != "" {
-		return arch
-	}
-	if env := os.Getenv("UPP_ROUTER"); env != "" {
-		return env
-	}
-	return router.ArchIQ
-}
-
 // canonicalSpec canonicalizes a spec for caching. ok is false when the
 // spec cannot be addressed by content: a SchemeOverride or a traffic
-// pattern outside the registered set has no canonical name, and a traced
-// run's side effects cannot come from a cache.
+// pattern outside the registered set has no canonical name, a traced
+// run's side effects cannot come from a cache, and under malformed host
+// settings the router architecture is unknown (BuildRun reports those).
 func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 	if spec.SchemeOverride != nil || spec.TraceLimit > 0 || spec.Pattern == nil {
+		return specEnvelope{}, nil, false
+	}
+	host, err := hostEnv()
+	if err != nil {
 		return specEnvelope{}, nil, false
 	}
 	if _, err := traffic.PatternByName(spec.Pattern.Name()); err != nil {
@@ -138,9 +130,9 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		UseUpDown:      spec.UseUpDown,
 		Adaptive:       spec.Adaptive,
 		VCT:            spec.VCT,
-		RouterArch:     resolvedRouterArch(spec.RouterArch),
+		RouterArch:     host.arch(spec.RouterArch),
 	}
-	canonical, err := json.Marshal(env)
+	canonical, err = json.Marshal(env)
 	if err != nil {
 		return specEnvelope{}, nil, false
 	}
@@ -333,13 +325,13 @@ func ReadCheckpoint(data []byte) (*network.Network, *traffic.Generator, RunSpec,
 // a pure observation. The result cache is bypassed (a cache hit would
 // skip the cycles the checkpoint must observe).
 func RunCheckpointed(spec RunSpec, at int64, out io.Writer) (Point, error) {
-	_, canonical, ok := canonicalSpec(spec)
-	if !ok {
-		return Point{}, fmt.Errorf("experiments: spec is not checkpointable (custom scheme, unregistered pattern or tracing)")
-	}
 	n, g, err := BuildRun(spec)
 	if err != nil {
 		return Point{}, err
+	}
+	_, canonical, ok := canonicalSpec(spec)
+	if !ok {
+		return Point{}, fmt.Errorf("experiments: spec is not checkpointable (custom scheme, unregistered pattern or tracing)")
 	}
 	return finishRun(spec, n, g, at, func() error {
 		return writeCheckpointTo(out, canonical, n, g)

@@ -35,7 +35,7 @@ func TestResultCacheBitIdentity(t *testing.T) {
 	rates := []float64{0.02, 0.05, 0.08}
 	sweep := func() Curve {
 		t.Helper()
-		c, err := SweepRates(spec, rates, "cache-test")
+		c, err := SweepRatesWith(spec, rates, "cache-test", PoolOptions{Jobs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

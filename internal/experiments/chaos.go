@@ -7,10 +7,10 @@ import (
 	"uppnoc/internal/core"
 	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
+	"uppnoc/internal/reconfig"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
-	"uppnoc/internal/workload"
 )
 
 // ChaosSpec describes one chaos-soak run: traffic under an active fault
@@ -75,23 +75,15 @@ func RunChaos(spec ChaosSpec) (ChaosOutcome, error) {
 	cfg.RouterArch = spec.RouterArch
 	cfg.Seed = spec.Seed + 1
 	cfg.UseUpDown = true // link flaps must not strand XY-routed traffic conceptually; up*/down* tolerates faults
-	n, err := network.New(topo, cfg, scheme)
+	n, err := NewNetwork(topo, cfg, scheme)
 	if err != nil {
 		return ChaosOutcome{}, err
 	}
-	if _, err := faults.Attach(n, spec.Plan); err != nil {
+	if _, err := reconfig.Attach(n, reconfig.Config{Plan: spec.Plan}); err != nil {
 		return ChaosOutcome{}, err
 	}
 	if spec.Workload != "" {
-		ws, werr := workload.ParseSpec(spec.Workload)
-		if werr != nil {
-			return ChaosOutcome{}, werr
-		}
-		prog, werr := ws.Build(len(topo.Cores()))
-		if werr != nil {
-			return ChaosOutcome{}, werr
-		}
-		eng, werr := workload.NewEngine(n, prog)
+		eng, _, werr := workloadEngine(n, spec.Workload)
 		if werr != nil {
 			return ChaosOutcome{}, werr
 		}

@@ -52,6 +52,21 @@ type WorkloadPoint struct {
 	InjectionHolds     uint64
 }
 
+// workloadEngine parses a workload spec, builds its program for n's cores
+// and attaches the closed-loop engine that drives it.
+func workloadEngine(n *network.Network, spec string) (*workload.Engine, workload.Spec, error) {
+	ws, err := workload.ParseSpec(spec)
+	if err != nil {
+		return nil, ws, err
+	}
+	prog, err := ws.Build(len(n.Topo.Cores()))
+	if err != nil {
+		return nil, ws, err
+	}
+	eng, err := workload.NewEngine(n, prog)
+	return eng, ws, err
+}
+
 // RunWorkload executes one collective run. Workload completion implies
 // every injected message was consumed (Program.Validate proves the
 // closed loop is closed), so a completed run needs no drain: the network
@@ -71,19 +86,11 @@ func RunWorkload(spec WorkloadSpec) (WorkloadPoint, error) {
 	}
 	cfg.Seed = spec.Seed + 1
 	cfg.RouterArch = spec.RouterArch
-	n, err := network.New(topo, cfg, scheme)
+	n, err := NewNetwork(topo, cfg, scheme)
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
-	ws, err := workload.ParseSpec(spec.Workload)
-	if err != nil {
-		return WorkloadPoint{}, err
-	}
-	prog, err := ws.Build(len(topo.Cores()))
-	if err != nil {
-		return WorkloadPoint{}, err
-	}
-	eng, err := workload.NewEngine(n, prog)
+	eng, ws, err := workloadEngine(n, spec.Workload)
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
@@ -126,9 +133,11 @@ func RunWorkload(spec WorkloadSpec) (WorkloadPoint, error) {
 func RunWorkloads(specs []WorkloadSpec, opts PoolOptions) ([]WorkloadPoint, error) {
 	points := make([]WorkloadPoint, len(specs))
 	errs := make([]error, len(specs))
-	forEachIndex(len(specs), opts.jobs(), func(i int) {
+	if err := forEachIndex(len(specs), opts, func(i int) {
 		points[i], errs[i] = RunWorkload(specs[i])
-	})
+	}); err != nil {
+		return nil, err
+	}
 	var failed []*RunError
 	for i, err := range errs {
 		if err != nil {
@@ -189,53 +198,4 @@ func Collectives(opts PoolOptions) ([]Table, error) {
 			pt.TotalLat, pt.NetLat, pt.QueueLat, pt.Upward, pt.Popups, pt.Signals, pt.InjectionHolds)
 	}
 	return []Table{table}, nil
-}
-
-// WorkloadBench is the collective analogue of KernelBench: a baseline
-// UPP system running a long closed-loop training workload, prepared for
-// zero-allocation and kernel benchmarking of the workload engine path.
-type WorkloadBench struct {
-	eng *workload.Engine
-	net *network.Network
-}
-
-// NewWorkloadBench builds a training-step workload (many iterations, a
-// short compute gap so the network stays busy) on a fresh baseline UPP
-// system under the given kernel.
-func NewWorkloadBench(kernel string) (*WorkloadBench, error) {
-	topo, err := topology.Build(topology.BaselineConfig())
-	if err != nil {
-		return nil, err
-	}
-	scheme, err := MakeScheme(SchemeUPP, topo)
-	if err != nil {
-		return nil, err
-	}
-	cfg := network.DefaultConfig()
-	cfg.Kernel = kernel
-	n, err := network.New(topo, cfg, scheme)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := workload.TrainingStep(len(topo.Cores()), 5, 50)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := workload.NewEngine(n, prog)
-	if err != nil {
-		return nil, err
-	}
-	eng.Iterations = 1 << 30 // effectively unbounded: benches never finish
-	return &WorkloadBench{eng: eng, net: n}, nil
-}
-
-// Network exposes the benched network (pool preallocation).
-func (wb *WorkloadBench) Network() *network.Network { return wb.net }
-
-// Run advances the closed loop the given number of cycles.
-func (wb *WorkloadBench) Run(cycles int) {
-	for i := 0; i < cycles; i++ {
-		wb.eng.Tick(wb.net.Cycle())
-		wb.net.Step()
-	}
 }

@@ -165,7 +165,7 @@ func TestSweepStopsPastSaturation(t *testing.T) {
 		Seed:       1,
 		Dur:        Durations{Warmup: 1000, Measure: 4000},
 	}
-	c, err := SweepRates(spec, []float64{0.02, 0.30, 0.35, 0.40, 0.45}, "probe")
+	c, err := SweepRatesWith(spec, []float64{0.02, 0.30, 0.35, 0.40, 0.45}, "probe", PoolOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

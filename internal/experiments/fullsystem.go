@@ -34,7 +34,7 @@ func RunFullSystem(bench coherence.Workload, sch SchemeName, vcs int, seed uint6
 	cfg := network.DefaultConfig()
 	cfg.Router.VCsPerVNet = vcs
 	cfg.Seed = seed
-	n, err := network.New(topo, cfg, scheme)
+	n, err := NewNetwork(topo, cfg, scheme)
 	if err != nil {
 		return FullSystemResult{}, err
 	}
@@ -142,11 +142,13 @@ func fullSystemOver(benchmarks []coherence.Workload, scale float64, opts PoolOpt
 	}
 	results := make([]FullSystemResult, len(grid))
 	errs := make([]error, len(grid))
-	forEachIndex(len(grid), opts.jobs(), func(i int) {
+	if err := forEachIndex(len(grid), opts, func(i int) {
 		j := grid[i]
 		opts.Progress.log("fullsystem: %s vcs=%d %s", j.bench.Name, j.vcs, j.sch)
 		results[i], errs[i] = RunFullSystem(j.bench, j.sch, j.vcs, 71)
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -3,86 +3,75 @@ package experiments
 import (
 	"uppnoc/internal/core"
 	"uppnoc/internal/network"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
 
-// KernelBench is a warmed-up baseline-system UPP simulation prepared for
-// cycle-kernel benchmarking: Run advances whole cycles, so a benchmark
-// that maps b.N to cycles reads ns/op directly as ns per simulated cycle.
-// cmd/benchjson and the BenchmarkKernel* benchmarks share it so the
-// recorded perf trajectory measures exactly what the benchmarks do.
+// KernelBench is a UPP simulation prepared for cycle-kernel measurement:
+// Run advances whole cycles, so a benchmark that maps b.N to cycles reads
+// ns/op directly as ns per simulated cycle. The BenchmarkKernel*
+// benchmarks, cmd/profile and the zero-allocation pins share it so they
+// all measure the same loop.
 type KernelBench struct {
-	g   *traffic.Generator
+	src TrafficSource
 	net *network.Network
 }
 
-// NewKernelBench builds a baseline system under the given cycle kernel
-// and offered load, then runs a warmup so the measured window sees
-// steady-state occupancy rather than a cold, empty network (which would
-// flatter the active-set kernel).
-func NewKernelBench(kernel string, rate float64) (*KernelBench, error) {
-	return NewKernelBenchPool(kernel, rate, false)
+// TrafficSource is the injection side of a benched simulation, ticked
+// once per cycle before Network.Step: a rate-driven traffic.Generator or
+// a closed-loop workload.Engine.
+type TrafficSource interface {
+	Tick(cycle sim.Cycle)
 }
 
-// NewKernelBenchPool is NewKernelBench with explicit control over packet
-// pooling — the before/after axis of the allocation benchmarks
-// (cmd/benchjson's BENCH_alloc.json) and the pooled-vs-unpooled
-// equivalence tests.
-func NewKernelBenchPool(kernel string, rate float64, disablePool bool) (*KernelBench, error) {
-	return newKernelBench(kernel, "", rate, disablePool)
-}
-
-// NewKernelBenchArch is NewKernelBench with an explicit router
-// microarchitecture ("iq", "oq", "voq") — the router axis of
-// cmd/benchjson's BENCH_router.json and the per-arch steady-state
-// allocation pins.
-func NewKernelBenchArch(kernel, arch string, rate float64) (*KernelBench, error) {
-	return newKernelBench(kernel, arch, rate, false)
-}
-
-func newKernelBench(kernel, arch string, rate float64, disablePool bool) (*KernelBench, error) {
-	topo, err := topology.Build(topology.BaselineConfig())
+// NewKernelBench builds a UPP system under cfg — the baseline system, or
+// the scale-out preset when scale is non-nil — and attaches the traffic
+// source that source builds on it. Host settings (UPP_KERNEL and friends)
+// fill the fields cfg leaves unset, as for every experiments run. No
+// cycle is simulated: callers Run their own warmup, long enough that the
+// measured window sees steady-state occupancy rather than a cold, empty
+// network (which would flatter the active-set kernel).
+func NewKernelBench(cfg network.Config, scale *topology.ScaleConfig, source func(*network.Network) (TrafficSource, error)) (*KernelBench, error) {
+	var topo *topology.Topology
+	var err error
+	if scale != nil {
+		topo, err = topology.BuildScale(*scale)
+	} else {
+		topo, err = topology.Build(topology.BaselineConfig())
+	}
 	if err != nil {
 		return nil, err
 	}
-	cfg := network.DefaultConfig()
-	cfg.Kernel = kernel
-	cfg.RouterArch = arch
-	cfg.DisablePool = disablePool
-	n, err := network.New(topo, cfg, core.New(core.DefaultConfig()))
+	n, err := NewNetwork(topo, cfg, core.New(core.DefaultConfig()))
 	if err != nil {
 		return nil, err
 	}
-	kb := &KernelBench{g: traffic.NewGenerator(n, traffic.UniformRandom{}, rate, 99), net: n}
-	kb.g.Run(2000)
-	return kb, nil
+	src, err := source(n)
+	if err != nil {
+		return nil, err
+	}
+	return &KernelBench{src: src, net: n}, nil
 }
 
-// NewScaleBench builds a scale-out system (topology.BuildScale) under the
-// given cycle kernel, shard count and offered load — the measurement
-// behind cmd/benchjson's BENCH_scale.json shard-scaling curves. Shards is
-// passed straight to network.Config.Shards (0 = UPP_SHARDS, then
-// GOMAXPROCS) and is ignored by the non-parallel kernels. The warmup is
-// shorter than the baseline bench's (the per-cycle cost of a 2k-8k router
-// system makes 2000 warmup cycles dominate the run) but long enough for
-// several zero-load traversals of the largest mesh, so the measured
-// window still sees steady-state occupancy.
-func NewScaleBench(kernel string, sc topology.ScaleConfig, shards int, rate float64) (*KernelBench, error) {
-	topo, err := topology.BuildScale(sc)
+// UniformTraffic is the open-loop source of the kernel benchmarks:
+// uniform random traffic at the given offered load.
+func UniformTraffic(rate float64) func(*network.Network) (TrafficSource, error) {
+	return func(n *network.Network) (TrafficSource, error) {
+		return traffic.NewGenerator(n, traffic.UniformRandom{}, rate, 99), nil
+	}
+}
+
+// TrainingStepTraffic is the closed-loop source: a training-step
+// collective (many iterations, a short compute gap so the network stays
+// busy) through the workload engine.
+func TrainingStepTraffic(n *network.Network) (TrafficSource, error) {
+	eng, _, err := workloadEngine(n, "training_step:flits=5,gap=50")
 	if err != nil {
 		return nil, err
 	}
-	cfg := network.DefaultConfig()
-	cfg.Kernel = kernel
-	cfg.Shards = shards
-	n, err := network.New(topo, cfg, core.New(core.DefaultConfig()))
-	if err != nil {
-		return nil, err
-	}
-	kb := &KernelBench{g: traffic.NewGenerator(n, traffic.UniformRandom{}, rate, 99), net: n}
-	kb.g.Run(1000)
-	return kb, nil
+	eng.Iterations = 1 << 30 // effectively unbounded: benches never finish
+	return eng, nil
 }
 
 // Network exposes the benched network (pool preallocation and stats for
@@ -90,4 +79,9 @@ func NewScaleBench(kernel string, sc topology.ScaleConfig, shards int, rate floa
 func (kb *KernelBench) Network() *network.Network { return kb.net }
 
 // Run advances the simulation the given number of cycles.
-func (kb *KernelBench) Run(cycles int) { kb.g.Run(cycles) }
+func (kb *KernelBench) Run(cycles int) {
+	for i := 0; i < cycles; i++ {
+		kb.src.Tick(kb.net.Cycle())
+		kb.net.Step()
+	}
+}

@@ -41,7 +41,7 @@ func LoadBalance(dur Durations, opts PoolOptions) ([]Table, error) {
 	const vcs = 1
 	schemes := ComparedSchemes()
 	results := make([]result, len(schemes))
-	forEachIndex(len(schemes), opts.jobs(), func(si int) {
+	err := forEachIndex(len(schemes), opts, func(si int) {
 		sch := schemes[si]
 		opts.Progress.log("load_balance: %s", sch)
 		r := &results[si]
@@ -58,7 +58,7 @@ func LoadBalance(dur Durations, opts PoolOptions) ([]Table, error) {
 		cfg := network.DefaultConfig()
 		cfg.Router.VCsPerVNet = vcs
 		cfg.Seed = 5
-		n, err := network.New(topo, cfg, scheme)
+		n, err := NewNetwork(topo, cfg, scheme)
 		if err != nil {
 			r.err = err
 			return
@@ -99,6 +99,9 @@ func LoadBalance(dur Durations, opts PoolOptions) ([]Table, error) {
 		r.summary = []interface{}{string(sch), vcs, total,
 			fmt.Sprintf("%.2f", imbalance), fmt.Sprintf("%.0f%%", 100*worstShare)}
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range results {
 		if r.err != nil {
 			return nil, r.err

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -30,7 +28,7 @@ func (p Progress) log(format string, args ...interface{}) {
 
 // PoolOptions configures RunAll and the runners built on it.
 type PoolOptions struct {
-	// Jobs is the worker count; <= 0 selects DefaultJobs().
+	// Jobs is the worker count; <= 0 selects UPP_JOBS, then GOMAXPROCS.
 	Jobs int
 	// Progress receives the runners' status lines (may be nil). Runners
 	// may call it from worker goroutines, so implementations must be safe
@@ -41,24 +39,20 @@ type PoolOptions struct {
 	OnRun func(done, total int)
 }
 
-// jobs resolves the effective worker count.
-func (o PoolOptions) jobs() int {
+// jobs resolves the effective worker count: Jobs, else the UPP_JOBS host
+// setting, else GOMAXPROCS.
+func (o PoolOptions) jobs() (int, error) {
 	if o.Jobs > 0 {
-		return o.Jobs
+		return o.Jobs, nil
 	}
-	return DefaultJobs()
-}
-
-// DefaultJobs returns the worker count used when PoolOptions.Jobs is
-// unset: the UPP_JOBS environment variable if it parses as a positive
-// integer, otherwise GOMAXPROCS.
-func DefaultJobs() int {
-	if s := os.Getenv("UPP_JOBS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
+	h, err := hostEnv()
+	if err != nil {
+		return 0, err
 	}
-	return runtime.GOMAXPROCS(0)
+	if h.jobs > 0 {
+		return h.jobs, nil
+	}
+	return runtime.GOMAXPROCS(0), nil
 }
 
 // RunError records one failed spec within a batch.
@@ -104,12 +98,14 @@ func (e *BatchError) Unwrap() []error {
 	return errs
 }
 
-// forEachIndex runs fn(0..n-1) across at most jobs concurrent workers and
-// waits for all of them. fn must confine its writes to index-addressed
-// slots (no two workers share an index).
-func forEachIndex(n, jobs int, fn func(i int)) {
-	if n == 0 {
-		return
+// forEachIndex runs fn(0..n-1) across at most opts.jobs() concurrent
+// workers and waits for all of them. fn must confine its writes to
+// index-addressed slots (no two workers share an index). The only error
+// is an unresolvable worker count, reported before any fn runs.
+func forEachIndex(n int, opts PoolOptions, fn func(i int)) error {
+	jobs, err := opts.jobs()
+	if err != nil || n == 0 {
+		return err
 	}
 	if jobs > n {
 		jobs = n
@@ -118,7 +114,7 @@ func forEachIndex(n, jobs int, fn func(i int)) {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		return
+		return nil
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -136,6 +132,7 @@ func forEachIndex(n, jobs int, fn func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
+	return nil
 }
 
 // RunAll executes every spec across a bounded worker pool and returns the
@@ -150,7 +147,7 @@ func RunAll(specs []RunSpec, opts PoolOptions) ([]Point, error) {
 		mu   sync.Mutex
 		done int
 	)
-	forEachIndex(len(specs), opts.jobs(), func(i int) {
+	if err := forEachIndex(len(specs), opts, func(i int) {
 		points[i], errs[i] = Run(specs[i])
 		if opts.OnRun != nil {
 			mu.Lock()
@@ -158,7 +155,9 @@ func RunAll(specs []RunSpec, opts PoolOptions) ([]Point, error) {
 			opts.OnRun(done, len(specs))
 			mu.Unlock()
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	var failed []*RunError
 	for i, err := range errs {
 		if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestSweepRatesWithMatchesSerial(t *testing.T) {
 		Dur:        Durations{Warmup: 500, Measure: 2000},
 	}
 	rates := []float64{0.02, 0.03, 0.30, 0.35, 0.40, 0.45}
-	want, err := SweepRates(spec, rates, "serial")
+	want, err := SweepRatesWith(spec, rates, "serial", PoolOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,24 +217,28 @@ func TestRunAllProgress(t *testing.T) {
 	}
 }
 
-// TestDefaultJobs covers the UPP_JOBS override and its fallbacks.
+// TestDefaultJobs covers the worker-count chain: explicit Jobs, then
+// UPP_JOBS, then GOMAXPROCS. An unparsable UPP_JOBS is an error that
+// reaches RunAll's caller (TestHostEnv has the parsing table), except
+// under an explicit Jobs, which never consults the environment.
 func TestDefaultJobs(t *testing.T) {
 	t.Setenv("UPP_JOBS", "3")
-	if got := DefaultJobs(); got != 3 {
-		t.Fatalf("UPP_JOBS=3 -> %d", got)
+	if got, err := (PoolOptions{}).jobs(); err != nil || got != 3 {
+		t.Fatalf("UPP_JOBS=3 -> %d, %v", got, err)
 	}
-	for _, bogus := range []string{"0", "-2", "many"} {
-		t.Setenv("UPP_JOBS", bogus)
-		if got := DefaultJobs(); got < 1 {
-			t.Fatalf("UPP_JOBS=%q -> %d, want GOMAXPROCS fallback", bogus, got)
-		}
+	if got, err := (PoolOptions{Jobs: 5}).jobs(); err != nil || got != 5 {
+		t.Fatalf("explicit Jobs ignored: %d, %v", got, err)
 	}
 	t.Setenv("UPP_JOBS", "")
-	if got := DefaultJobs(); got < 1 {
-		t.Fatalf("unset UPP_JOBS -> %d", got)
+	if got, err := (PoolOptions{}).jobs(); err != nil || got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("unset UPP_JOBS -> %d, %v", got, err)
 	}
-	if got := (PoolOptions{Jobs: 5}).jobs(); got != 5 {
-		t.Fatalf("explicit Jobs ignored: %d", got)
+	t.Setenv("UPP_JOBS", "many")
+	if _, err := RunAll(nil, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "UPP_JOBS") {
+		t.Fatalf("RunAll under UPP_JOBS=many: err = %v, want one naming UPP_JOBS", err)
+	}
+	if got, err := (PoolOptions{Jobs: 2}).jobs(); err != nil || got != 2 {
+		t.Fatalf("explicit Jobs under a bad UPP_JOBS -> %d, %v", got, err)
 	}
 }
 

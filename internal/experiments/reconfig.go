@@ -12,7 +12,6 @@ import (
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
-	"uppnoc/internal/workload"
 )
 
 // ReconfigSpec describes one dynamic-reconfiguration soak: load, a
@@ -99,7 +98,7 @@ func RunReconfig(spec ReconfigSpec) (ReconfigOutcome, error) {
 	cfg.RouterArch = spec.RouterArch
 	cfg.Seed = spec.Seed + 1
 	cfg.UseUpDown = true // persistent kills require a fault-indexed local
-	n, err := network.New(topo, cfg, HardenedUPP())
+	n, err := NewNetwork(topo, cfg, HardenedUPP())
 	if err != nil {
 		return ReconfigOutcome{}, err
 	}
@@ -108,19 +107,14 @@ func RunReconfig(spec ReconfigSpec) (ReconfigOutcome, error) {
 	if err != nil {
 		return ReconfigOutcome{}, err
 	}
+	if eng == nil {
+		return ReconfigOutcome{}, fmt.Errorf("reconfig: soak plan has no persistent event (kill, add or killchiplet)")
+	}
 	alive := func(id topology.NodeID) bool {
 		return eng.ChipletAlive(topo.Node(id).Chiplet)
 	}
 	if spec.Workload != "" {
-		ws, werr := workload.ParseSpec(spec.Workload)
-		if werr != nil {
-			return ReconfigOutcome{}, werr
-		}
-		prog, werr := ws.Build(len(topo.Cores()))
-		if werr != nil {
-			return ReconfigOutcome{}, werr
-		}
-		weng, werr := workload.NewEngine(n, prog)
+		weng, _, werr := workloadEngine(n, spec.Workload)
 		if werr != nil {
 			return ReconfigOutcome{}, werr
 		}
@@ -258,7 +252,7 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 		err error
 	}
 	cells := make([]cell, len(modes)*len(rates))
-	forEachIndex(len(cells), opts.jobs(), func(i int) {
+	err = forEachIndex(len(cells), opts, func(i int) {
 		mode := modes[i/len(rates)]
 		rate := rates[i%len(rates)]
 		opts.Progress.log("reconfig: mode=%s rate=%.2f", mode, rate)
@@ -272,6 +266,9 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 			StallLimit: 20000,
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, c := range cells {
 		if c.err != nil {
 			return nil, c.err

@@ -8,8 +8,8 @@ import (
 )
 
 // ScaleSystem pairs a label with a scale-out topology configuration. The
-// three presets are shared by the `figures -exp scale` runner, the
-// cmd/benchjson -scale shard curves and the CI scale-smoke job, so every
+// three presets are shared by the `figures -exp scale` runner, uppsim
+// and cmd/profile's -scale flags and the CI scale-smoke job, so every
 // scale artifact talks about the same systems.
 type ScaleSystem struct {
 	Label  string
@@ -40,7 +40,7 @@ func scaleRates() []float64 {
 // Scale compares UPP against remote control on the scale-out systems
 // under uniform random traffic: latency-vs-rate curves and a saturation
 // summary for the small and large presets (the huge preset is exercised
-// by the shard-scaling benchmarks and CI smoke, where a single
+// by the benchmark's mesh8192_sharded workload and CI smoke, where a single
 // configuration suffices — a full sweep of an 8192-router system is a
 // multi-hour run). Run via `figures -exp scale`.
 func Scale(dur Durations, opts PoolOptions) ([]Table, error) {
@@ -55,7 +55,7 @@ func Scale(dur Durations, opts PoolOptions) ([]Table, error) {
 		Header: []string{"system", "routers", "scheme", "sat_rate", "sat_throughput", "zero_load_latency"},
 		Notes: []string{
 			"UPP's recovery stays event-driven at scale; remote control polls every boundary it has held",
-			"huge (8192 routers) is covered by BENCH_scale.json and the CI scale-smoke job",
+			"huge (8192 routers) is covered by the mesh8192_sharded benchmark workload and the CI scale-smoke job",
 		},
 	}
 	for _, sys := range ScaleSystems() {

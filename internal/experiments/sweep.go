@@ -173,17 +173,13 @@ func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
 	// time and would wedge on a mid-run kill).
 	cfg.UseUpDown = spec.UseUpDown || spec.Faults > 0 || spec.FaultsPerLayer > 0 || plan.Persistent()
 	cfg.Adaptive = spec.Adaptive
-	n, err := network.New(topo, cfg, scheme)
+	n, err := NewNetwork(topo, cfg, scheme)
 	if err != nil {
 		return nil, nil, err
 	}
 	if spec.FaultPlan != "" {
-		if plan.Persistent() {
-			if _, perr := reconfig.Attach(n, reconfig.Config{Plan: plan}); perr != nil {
-				return nil, nil, perr
-			}
-		} else if _, perr := faults.Attach(n, plan); perr != nil {
-			return nil, nil, perr
+		if _, err := reconfig.Attach(n, reconfig.Config{Plan: plan}); err != nil {
+			return nil, nil, err
 		}
 	}
 	if spec.TraceLimit > 0 {
@@ -298,25 +294,20 @@ type Curve struct {
 	ZeroLoadLatency float64
 }
 
-// SweepRates runs spec across the given offered rates serially and
-// summarizes the curve. The sweep stops two points after saturation (the
-// paper's plots end shortly past the knee).
-func SweepRates(spec RunSpec, rates []float64, label string) (Curve, error) {
-	return SweepRatesWith(spec, rates, label, PoolOptions{Jobs: 1})
-}
-
-// SweepRatesWith is SweepRates on the worker pool: the rates run through
-// RunAll in waves of opts.Jobs, and the serial stopping rule is applied to
-// the wave's points in rate order. Because every point is an independent
-// deterministic run and the truncation walks points in the same order the
-// serial sweep visits them, the resulting Curve is bit-identical at any
-// worker count (points a jobs>1 wave computes beyond the serial stopping
-// index are discarded, trading some redundant work for wall-clock).
+// SweepRatesWith runs spec across the given offered rates and summarizes
+// the curve. The sweep stops two points after saturation (the paper's
+// plots end shortly past the knee). The rates run through RunAll in waves
+// of opts.Jobs, and the stopping rule is applied to each wave's points in
+// rate order. Because every point is an independent deterministic run and
+// the truncation walks points in the order a one-worker sweep visits
+// them, the resulting Curve is bit-identical at any worker count (points
+// a jobs>1 wave computes beyond the serial stopping index are discarded,
+// trading some redundant work for wall-clock).
 func SweepRatesWith(spec RunSpec, rates []float64, label string, opts PoolOptions) (Curve, error) {
 	c := Curve{Label: label}
-	wave := opts.jobs()
-	if wave < 1 {
-		wave = 1
+	wave, err := opts.jobs()
+	if err != nil {
+		return c, err
 	}
 	past := 0
 sweep:

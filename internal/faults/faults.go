@@ -93,7 +93,8 @@ func (p *Plan) Empty() bool {
 }
 
 // Persistent reports whether the plan contains topology-changing events
-// (kills, hot-adds, chiplet fail-stops) that need reconfig.Attach.
+// (kills, hot-adds, chiplet fail-stops), which the reconfiguration engine
+// carries out.
 func (p *Plan) Persistent() bool {
 	return len(p.Kills) > 0 || len(p.Adds) > 0 || len(p.ChipletKills) > 0
 }
@@ -107,28 +108,14 @@ type Injector struct {
 	down  []bool           // current applied state, parallel to plan.Flaps
 }
 
-// Attach validates the plan against the network's topology, installs an
-// Injector on the network and returns it. Flap targets must be in-range
-// mesh links (vertical links never flap: the paper's fault model keeps
-// the TSV/bump layer out of scope, and UPP's correctness leans on the up
-// link existing).
-func Attach(n *network.Network, plan Plan) (*Injector, error) {
-	if plan.Persistent() {
-		return nil, fmt.Errorf("faults: plan has persistent topology events (%d kills, %d adds, %d chiplet kills); attach it with reconfig.Attach",
-			len(plan.Kills), len(plan.Adds), len(plan.ChipletKills))
-	}
-	in, err := NewInjector(n, plan)
-	if err != nil {
-		return nil, err
-	}
-	n.SetFaultInjector(in)
-	return in, nil
-}
-
 // NewInjector validates the transient portion of plan (flaps, stalls,
-// signal fates) and builds an Injector without installing it on the
-// network. The reconfiguration engine embeds one this way, delegating
-// transient faults while it owns the network's injector slot itself.
+// signal fates) against the network's topology and builds an Injector
+// without installing it; reconfig.Attach is the one entry point that
+// installs a plan, running this injector bare when the plan has nothing
+// persistent and embedding it in its engine otherwise. Flap targets must
+// be in-range mesh links (vertical links never flap: the paper's fault
+// model keeps the TSV/bump layer out of scope, and UPP's correctness
+// leans on the up link existing).
 func NewInjector(n *network.Network, plan Plan) (*Injector, error) {
 	topo := n.Topo
 	links := make([]*topology.Link, len(plan.Flaps))
@@ -155,9 +142,6 @@ func NewInjector(n *network.Network, plan Plan) (*Injector, error) {
 	}
 	return &Injector{net: n, plan: plan, links: links, down: make([]bool, len(plan.Flaps))}, nil
 }
-
-// Plan returns the attached plan (read-only copy).
-func (in *Injector) Plan() Plan { return in.plan }
 
 // BeginCycle applies flap-window edges. It runs before event delivery
 // each cycle on the coordinator goroutine, so link state is stable for
@@ -310,8 +294,8 @@ func Generate(topo *topology.Topology, seed uint64, g GenConfig) Plan {
 //	add=L@C       hot-add: Faulty link L heals at cycle C (repeatable)
 //	killchiplet=K@C  fail-stop chiplet K's compute at cycle C (repeatable)
 //
-// Example: "seed=7,flaps=4,drop=0.2,delayprob=0.1".
-// Persistent events (kill/add/killchiplet) require reconfig.Attach.
+// Example: "seed=7,flaps=4,drop=0.2,delayprob=0.1". Install the plan
+// with reconfig.Attach.
 // Every window in the resulting plan is validated to be non-empty: a
 // degenerate parameter combination (e.g. flapevery=1, whose duration
 // clamp collapses the window) is an error here, not a silent no-op fault.

@@ -26,9 +26,9 @@ func TestSignalFateDeterminism(t *testing.T) {
 	plan := Generate(topo, 42, GenConfig{DropReq: 0.3, DropAck: 0.2, DropStop: 0.25, DelayProb: 0.2, DelayMax: 6})
 	mk := func() *Injector {
 		n := network.MustNew(topo, network.DefaultConfig(), network.None{})
-		in, err := Attach(n, plan)
+		in, err := NewInjector(n, plan)
 		if err != nil {
-			t.Fatalf("Attach: %v", err)
+			t.Fatalf("NewInjector: %v", err)
 		}
 		return in
 	}
@@ -135,7 +135,8 @@ func TestParseSpec(t *testing.T) {
 }
 
 // TestAttachValidation: vertical links, out-of-range links/nodes and
-// empty windows are rejected before the injector is installed.
+// empty windows are rejected by NewInjector, which reconfig.Attach runs
+// before it installs anything.
 func TestAttachValidation(t *testing.T) {
 	topo := testTopo(t)
 	var vertical int = -1
@@ -157,8 +158,8 @@ func TestAttachValidation(t *testing.T) {
 	}
 	for i, plan := range cases {
 		n := network.MustNew(topo, network.DefaultConfig(), network.None{})
-		if _, err := Attach(n, plan); err == nil {
-			t.Fatalf("case %d: Attach should reject %+v", i, plan)
+		if _, err := NewInjector(n, plan); err == nil {
+			t.Fatalf("case %d: NewInjector should reject %+v", i, plan)
 		}
 	}
 }
@@ -176,9 +177,9 @@ func TestFlapWindowsApplied(t *testing.T) {
 	}
 	n := network.MustNew(topo, network.DefaultConfig(), network.None{})
 	plan := Plan{Flaps: []LinkFlap{{Link: mesh.ID, Start: 10, End: 20}, {Link: mesh.ID, Start: 30, End: 35}}}
-	in, err := Attach(n, plan)
+	in, err := NewInjector(n, plan)
 	if err != nil {
-		t.Fatalf("Attach: %v", err)
+		t.Fatalf("NewInjector: %v", err)
 	}
 	for c := sim.Cycle(0); c < 50; c++ {
 		in.BeginCycle(c)
@@ -247,11 +248,5 @@ func TestParseSpecPersistentEvents(t *testing.T) {
 		if _, err := ParseSpec(topo, bad); err == nil {
 			t.Fatalf("ParseSpec(%q) should fail", bad)
 		}
-	}
-	// The plain injector refuses persistent plans: they change topology
-	// and need the reconfiguration engine.
-	n := network.MustNew(topo, network.DefaultConfig(), network.None{})
-	if _, err := Attach(n, plan); err == nil || !strings.Contains(err.Error(), "reconfig.Attach") {
-		t.Fatalf("Attach of persistent plan: err=%v, want reconfig.Attach hint", err)
 	}
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 // TestValidateWheelHorizon: link latency + pipeline depth combinations the
 // event wheel cannot cover must be rejected at config time, not by
-// Schedule's runtime panic mid-simulation.
+// ScheduleCall's runtime panic mid-simulation.
 func TestValidateWheelHorizon(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Router.LinkLatency = wheelSize - router.PipelineDepth - 1
@@ -43,7 +44,7 @@ func TestValidateKernelName(t *testing.T) {
 }
 
 // TestValidateShards: negative shard counts are a config error; zero means
-// "resolve at New" and any positive count is legal (clamped later).
+// GOMAXPROCS and any positive count is legal (clamped later).
 func TestValidateShards(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, s := range []int{0, 1, 7, 1024} {
@@ -58,124 +59,92 @@ func TestValidateShards(t *testing.T) {
 	}
 }
 
-// TestKernelResolution covers the Config.Kernel -> UPP_KERNEL -> default
-// resolution chain in New.
-func TestKernelResolution(t *testing.T) {
+// TestNewRejectsBadConfig: New reports a bad Config through Validate, in
+// Validate's words — in particular without blaming an environment
+// variable for a value that came from the Config.
+func TestNewRejectsBadConfig(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
-	build := func(cfgKernel string) (*Network, error) {
-		cfg := DefaultConfig()
-		cfg.Kernel = cfgKernel
-		return New(topo, cfg, None{})
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"kernel", func(c *Config) { c.Kernel = "turbo" }, `unknown kernel "turbo"`},
+		{"router arch", func(c *Config) { c.RouterArch = "banyan" }, `unknown arch "banyan"`},
+		{"shards", func(c *Config) { c.Kernel = KernelParallel; c.Shards = -1 }, "Shards must be >= 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.edit(&cfg)
+			_, err := New(topo, cfg, None{})
+			if err == nil {
+				t.Fatal("bad config accepted")
+			}
+			if verr := cfg.Validate(); verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("New says %q, Validate says %v", err, verr)
+			}
+			if !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "UPP_") {
+				t.Fatalf("error %q: want it to contain %q and name no environment variable", err, tc.want)
+			}
+		})
 	}
-
-	t.Run("default", func(t *testing.T) {
-		t.Setenv("UPP_KERNEL", "")
-		n, err := build("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Kernel() != KernelActive {
-			t.Fatalf("default kernel %q, want %q", n.Kernel(), KernelActive)
-		}
-	})
-	t.Run("env", func(t *testing.T) {
-		t.Setenv("UPP_KERNEL", KernelNaive)
-		n, err := build("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Kernel() != KernelNaive {
-			t.Fatalf("kernel %q, want %q from UPP_KERNEL", n.Kernel(), KernelNaive)
-		}
-	})
-	t.Run("config beats env", func(t *testing.T) {
-		t.Setenv("UPP_KERNEL", KernelNaive)
-		n, err := build(KernelActive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Kernel() != KernelActive {
-			t.Fatalf("kernel %q, want explicit config to win over env", n.Kernel())
-		}
-	})
-	t.Run("bad env", func(t *testing.T) {
-		t.Setenv("UPP_KERNEL", "turbo")
-		if _, err := build(""); err == nil {
-			t.Fatal("invalid UPP_KERNEL accepted")
-		}
-	})
-	t.Run("parallel env", func(t *testing.T) {
-		t.Setenv("UPP_KERNEL", KernelParallel)
-		n, err := build("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Kernel() != KernelParallel {
-			t.Fatalf("kernel %q, want %q from UPP_KERNEL", n.Kernel(), KernelParallel)
-		}
-	})
 }
 
-// TestShardResolution covers the Config.Shards -> UPP_SHARDS -> GOMAXPROCS
-// resolution chain of the parallel kernel, including the clamp to the node
-// count and rejection of malformed env values.
+// TestKernelResolution: Config.Kernel is New's only input — empty means
+// the active-set kernel, and UPP_KERNEL (resolved by internal/experiments
+// for the binaries) is not consulted at this layer, malformed or not.
+func TestKernelResolution(t *testing.T) {
+	topo := topology.MustBuild(topology.BaselineConfig())
+	for _, tc := range []struct{ name, env, cfg, want string }{
+		{"default", "", "", KernelActive},
+		{"env", KernelNaive, "", KernelActive},
+		{"config beats env", KernelNaive, KernelParallel, KernelParallel},
+		{"bad env", "turbo", "", KernelActive},
+		{"parallel env", KernelParallel, "", KernelActive},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Setenv("UPP_KERNEL", tc.env)
+			cfg := DefaultConfig()
+			cfg.Kernel = tc.cfg
+			n, err := New(topo, cfg, None{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Kernel() != tc.want {
+				t.Fatalf("kernel %q, want %q", n.Kernel(), tc.want)
+			}
+		})
+	}
+}
+
+// TestShardResolution: Config.Shards is the parallel kernel's only input
+// — 0 means GOMAXPROCS, the value is clamped to the node count, and
+// UPP_SHARDS is not consulted at this layer.
 func TestShardResolution(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
-	build := func(shards int) (*Network, error) {
-		cfg := DefaultConfig()
-		cfg.Kernel = KernelParallel
-		cfg.Shards = shards
-		return New(topo, cfg, None{})
-	}
-
-	t.Run("config wins", func(t *testing.T) {
-		t.Setenv("UPP_SHARDS", "2")
-		n, err := build(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != 3 {
-			t.Fatalf("got %d shards, want explicit config value 3", n.Shards())
-		}
-	})
-	t.Run("env", func(t *testing.T) {
-		t.Setenv("UPP_SHARDS", "5")
-		n, err := build(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != 5 {
-			t.Fatalf("got %d shards, want 5 from UPP_SHARDS", n.Shards())
-		}
-	})
-	t.Run("clamped to node count", func(t *testing.T) {
-		t.Setenv("UPP_SHARDS", "")
-		n, err := build(10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != topo.NumNodes() {
-			t.Fatalf("got %d shards, want clamp to %d nodes", n.Shards(), topo.NumNodes())
-		}
-	})
-	t.Run("bad env", func(t *testing.T) {
-		for _, bad := range []string{"zero", "0", "-3"} {
-			t.Setenv("UPP_SHARDS", bad)
-			if _, err := build(0); err == nil {
-				t.Fatalf("UPP_SHARDS=%q accepted", bad)
+	auto := min(runtime.GOMAXPROCS(0), topo.NumNodes())
+	for _, tc := range []struct {
+		name, env, kernel string
+		cfg, want         int
+	}{
+		{"config wins", "2", KernelParallel, 3, 3},
+		{"env", "5", KernelParallel, 0, auto},
+		{"clamped to node count", "", KernelParallel, 10_000, topo.NumNodes()},
+		{"bad env", "zero", KernelParallel, 0, auto},
+		{"other kernels ignore shards", "", KernelActive, 4, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Setenv("UPP_SHARDS", tc.env)
+			cfg := DefaultConfig()
+			cfg.Kernel = tc.kernel
+			cfg.Shards = tc.cfg
+			n, err := New(topo, cfg, None{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	t.Run("other kernels ignore shards", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Kernel = KernelActive
-		cfg.Shards = 4
-		n, err := New(topo, cfg, None{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != 0 {
-			t.Fatalf("active kernel reports %d shards, want 0", n.Shards())
-		}
-	})
+			if n.Shards() != tc.want {
+				t.Fatalf("got %d shards, want %d", n.Shards(), tc.want)
+			}
+		})
+	}
 }

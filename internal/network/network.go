@@ -6,7 +6,6 @@ package network
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,14 +17,14 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// Kernel names for Config.Kernel and the UPP_KERNEL environment variable.
+// Kernel names for Config.Kernel.
 const (
 	// KernelActive is the active-set scheduler: only routers and NIs with
 	// pending work are stepped each cycle. The default.
 	KernelActive = "active"
 	// KernelNaive is the exhaustive every-component-every-cycle walk, kept
-	// as a debug escape hatch (UPP_KERNEL=naive). Both kernels produce
-	// bit-identical simulations.
+	// as the reference the equality tests compare against. Both kernels
+	// produce bit-identical simulations.
 	KernelNaive = "naive"
 	// KernelParallel shards the active-set router walk across a bounded
 	// worker pool with a two-phase compute/commit cycle (see parallel.go
@@ -34,14 +33,15 @@ const (
 	KernelParallel = "parallel"
 )
 
-// Config parameterizes a network instance.
+// Config parameterizes a network instance. It is the package's only
+// input: the UPP_* environment variables are resolved into it by
+// experiments.NewNetwork, and nothing at or below this layer reads them.
 type Config struct {
 	Router router.Config
 	// RouterArch selects the router microarchitecture: router.ArchIQ (the
-	// default when empty), router.ArchOQ or router.ArchVOQ. When empty,
-	// the UPP_ROUTER environment variable is consulted before falling
-	// back to the input-queued router. All variants are normalized to the
-	// same per-port buffer budget (router.BufferBudget).
+	// default when empty), router.ArchOQ or router.ArchVOQ. All variants
+	// are normalized to the same per-port buffer budget
+	// (router.BufferBudget).
 	RouterArch string
 	// EjectionDepth is the per-VNet ejection queue capacity in packets.
 	EjectionDepth int
@@ -57,22 +57,19 @@ type Config struct {
 	// scheme). Mutually exclusive with UseUpDown.
 	Adaptive bool
 	// Kernel selects the cycle kernel: KernelActive (the default when
-	// empty), KernelNaive or KernelParallel. When empty, the UPP_KERNEL
-	// environment variable is consulted before falling back to the
-	// active-set kernel.
+	// empty), KernelNaive or KernelParallel.
 	Kernel string
 	// Shards is the static NodeID-range shard count of the parallel
-	// kernel. 0 consults UPP_SHARDS and then defaults to GOMAXPROCS;
-	// the value is clamped to the node count. The simulation is
-	// bit-identical at every shard count — shards only trade sync
-	// overhead against compute overlap. Ignored by the other kernels.
+	// kernel. 0 means GOMAXPROCS; the value is clamped to the node
+	// count. The simulation is bit-identical at every shard count —
+	// shards only trade sync overhead against compute overlap. Ignored
+	// by the other kernels.
 	Shards int
 	// DisablePool turns off packet recycling: AllocPacket falls back to
 	// plain heap allocation and nothing is released. The simulation is
 	// bit-identical either way (the golden equivalence tests prove it);
 	// the switch exists as a debug escape hatch and for before/after
-	// allocation measurements. The UPP_NOPOOL environment variable (any
-	// non-empty value) disables pooling the same way.
+	// allocation measurements.
 	DisablePool bool
 }
 
@@ -97,24 +94,18 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("network: unknown kernel %q (want %q, %q or %q)", c.Kernel, KernelActive, KernelNaive, KernelParallel)
 	}
-	switch c.RouterArch {
-	case "", router.ArchIQ, router.ArchOQ, router.ArchVOQ:
-		if c.RouterArch != "" {
-			// Arch-specific feasibility (oq needs a splittable depth and
-			// no VCT) surfaces here rather than mid-construction.
-			if _, err := router.LayoutFor(c.RouterArch, c.Router); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("network: unknown router arch %q (want %q, %q or %q)", c.RouterArch, router.ArchIQ, router.ArchOQ, router.ArchVOQ)
+	// An unknown arch name and arch-specific infeasibility (oq needs a
+	// splittable depth and no VCT) both surface here rather than
+	// mid-construction.
+	if _, err := router.LayoutFor(c.arch(), c.Router); err != nil {
+		return err
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("network: Shards must be >= 0")
 	}
 	// The event wheel must cover the longest schedulable delay: a flit's
 	// pipeline traversal plus its link flight. Surfacing the bound here
-	// turns Schedule's runtime panic into a configuration error.
+	// turns ScheduleCall's runtime panic into a configuration error.
 	if c.Router.LinkLatency+router.PipelineDepth >= wheelSize {
 		return fmt.Errorf("network: LinkLatency %d + pipeline depth %d reaches the %d-cycle event wheel horizon",
 			c.Router.LinkLatency, router.PipelineDepth, wheelSize)
@@ -122,12 +113,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// event kinds in the delivery wheel.
+// arch resolves RouterArch's empty default.
+func (c Config) arch() string {
+	if c.RouterArch == "" {
+		return router.ArchIQ
+	}
+	return c.RouterArch
+}
+
+// event kinds in the delivery wheel. The values are the UPWS wire
+// encoding: 2 was the retired closure event and stays reserved so
+// snapshots written before its removal still decode.
 const (
-	evFlit = iota
-	evCredit
-	evCall
-	evSchemeCall
+	evFlit       = 0
+	evCredit     = 1
+	evSchemeCall = 3
 )
 
 type event struct {
@@ -138,7 +138,6 @@ type event struct {
 	delta int8
 	free  bool
 	flit  message.Flit
-	fn    func(cycle sim.Cycle)
 	// callIdx indexes callWheel[slot] for evSchemeCall events. Keeping the
 	// SchemeCall payload out of event keeps the struct small so wheel slot
 	// capacities stabilise (see TestSteadyStateZeroAlloc).
@@ -168,11 +167,9 @@ type Network struct {
 	nextID    uint64
 	tracer    Tracer
 
-	// pool recycles packets (see internal/message.Pool for the ownership
-	// protocol); pooling caches the resolved DisablePool/UPP_NOPOOL
-	// switch.
-	pool    message.Pool
-	pooling bool
+	// pool recycles packets unless Cfg.DisablePool (see
+	// internal/message.Pool for the ownership protocol).
+	pool message.Pool
 
 	// Active-set scheduling state (KernelActive): a component is awake
 	// from the wake event that gave it work until the retirement pass
@@ -189,7 +186,6 @@ type Network struct {
 	// walk); niList is a sorted prefix plus a tail of mid-cycle wakes, and
 	// the NI walk merges same-pass wakes in through niHeap (see walkNIs).
 	kernel      string
-	arch        string
 	routerAwake []bool
 	niAwake     []bool
 	routerList  []int32
@@ -256,32 +252,8 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	}
 	n.kernel = cfg.Kernel
 	if n.kernel == "" {
-		n.kernel = os.Getenv("UPP_KERNEL")
-	}
-	switch n.kernel {
-	case "":
 		n.kernel = KernelActive
-	case KernelActive, KernelNaive, KernelParallel:
-	default:
-		return nil, fmt.Errorf("network: unknown kernel %q (from UPP_KERNEL; want %q, %q or %q)",
-			n.kernel, KernelActive, KernelNaive, KernelParallel)
 	}
-	n.arch = cfg.RouterArch
-	if n.arch == "" {
-		n.arch = os.Getenv("UPP_ROUTER")
-	}
-	switch n.arch {
-	case "":
-		n.arch = router.ArchIQ
-	case router.ArchIQ, router.ArchOQ, router.ArchVOQ:
-		if _, err := router.LayoutFor(n.arch, cfg.Router); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("network: unknown router arch %q (from UPP_ROUTER; want %q, %q or %q)",
-			n.arch, router.ArchIQ, router.ArchOQ, router.ArchVOQ)
-	}
-	n.pooling = !cfg.DisablePool && os.Getenv("UPP_NOPOOL") == ""
 	n.routerAwake = make([]bool, t.NumNodes())
 	n.niAwake = make([]bool, t.NumNodes())
 	// Full-capacity awake lists: the flag arrays bound their length, so
@@ -339,7 +311,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	n.NIs = make([]*NI, t.NumNodes())
 	for i := range t.Nodes {
 		node := &t.Nodes[i]
-		r, err := router.NewMicroarch(n.arch, node, cfg.Router, n, nil, route, n.rng.Split(uint64(i)))
+		r, err := router.NewMicroarch(cfg.arch(), node, cfg.Router, n, nil, route, n.rng.Split(uint64(i)))
 		if err != nil {
 			return nil, err
 		}
@@ -352,9 +324,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 		n.NIs[i] = ni
 	}
 	if n.kernel == KernelParallel {
-		if err := n.initParallel(cfg.Shards); err != nil {
-			return nil, err
-		}
+		n.initParallel(cfg.Shards)
 	}
 	scheme.Attach(n)
 	return n, nil
@@ -456,7 +426,7 @@ func (n *Network) NewPacketID() uint64 {
 // packet pointer past consumption must snapshot what they need or hold
 // a generation-stamped message.PacketRef.
 func (n *Network) AllocPacket() *message.Packet {
-	if !n.pooling {
+	if n.Cfg.DisablePool {
 		return &message.Packet{}
 	}
 	return n.pool.Get()
@@ -466,7 +436,7 @@ func (n *Network) AllocPacket() *message.Packet {
 // is NI.consumeStep — the single release point of the ownership
 // protocol.
 func (n *Network) releasePacket(p *message.Packet) {
-	if !n.pooling {
+	if n.Cfg.DisablePool {
 		return
 	}
 	n.pool.Put(p)
@@ -477,8 +447,8 @@ func (n *Network) releasePacket(p *message.Packet) {
 func (n *Network) PacketPool() *message.Pool { return &n.pool }
 
 // Pooling reports whether packet recycling is enabled (Config.DisablePool
-// and the UPP_NOPOOL environment variable both turn it off).
-func (n *Network) Pooling() bool { return n.pooling }
+// turns it off).
+func (n *Network) Pooling() bool { return !n.Cfg.DisablePool }
 
 // prepare stamps routing state on a freshly enqueued packet.
 func (n *Network) prepare(p *message.Packet) {
@@ -488,27 +458,11 @@ func (n *Network) prepare(p *message.Packet) {
 	routing.Prepare(n.Topo, p, n.scheme.Policy())
 }
 
-// Schedule runs fn at the given future cycle (plugins use this for signal
-// and popup-flit timing). Prefer ScheduleCall: a pending closure cannot
-// be serialized, so WriteSnapshot refuses to checkpoint while any
-// Schedule-scheduled event is in the wheel.
-func (n *Network) Schedule(cycle sim.Cycle, fn func(cycle sim.Cycle)) {
-	if cycle <= n.cycle {
-		panic("network: Schedule in the past or present")
-	}
-	if cycle-n.cycle >= wheelSize {
-		panic("network: Schedule beyond event wheel horizon")
-	}
-	slot := cycle % wheelSize
-	n.wheel[slot] = append(n.wheel[slot], event{kind: evCall, fn: fn})
-	n.wheelPending++
-}
-
 // ScheduleCall delivers c to the scheme's OnScheduledCall hook at the
-// given future cycle — the serializable form of Schedule. Delivery
-// order within a cycle matches Schedule exactly (one wheel slot, append
-// order), so a scheme migrating from closures to calls stays
-// bit-identical.
+// given future cycle (plugins use this for signal and popup-flit
+// timing). Calls are plain data, so a snapshot can carry the pending
+// ones; delivery order within a cycle is append order in the one wheel
+// slot shared with flit and credit events.
 func (n *Network) ScheduleCall(cycle sim.Cycle, c SchemeCall) {
 	if cycle <= n.cycle {
 		panic("network: ScheduleCall in the past or present")
@@ -554,7 +508,7 @@ func (n *Network) Kernel() string { return n.kernel }
 
 // RouterArch returns the resolved router microarchitecture name
 // (router.ArchIQ, router.ArchOQ or router.ArchVOQ).
-func (n *Network) RouterArch() string { return n.arch }
+func (n *Network) RouterArch() string { return n.Cfg.arch() }
 
 // RouterActive reports whether the router at id is in the active set this
 // cycle (always true under the naive kernel). Schemes use it to skip
@@ -753,17 +707,15 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 				}
 				n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
 			}
-		case evCall:
-			e.fn(cycle)
 		case evSchemeCall:
 			n.scheme.OnScheduledCall(calls[e.callIdx], cycle)
 		}
-		// Drop the processed event's references (flit packet pointer,
-		// call closure): the slot array is reused at its grown capacity,
-		// and a retained entry would pin a released packet until the
-		// slot next overwrites it. Safe to clear in place — Schedule and
-		// the Deliver* sinks bound deltas to [1, wheelSize), so nothing
-		// appends to the slot being drained.
+		// Drop the processed event's flit packet pointer: the slot array
+		// is reused at its grown capacity, and a retained entry would pin
+		// a released packet until the slot next overwrites it. Safe to
+		// clear in place — ScheduleCall and the Deliver* sinks bound
+		// deltas to [1, wheelSize), so nothing appends to the slot being
+		// drained.
 		*e = event{}
 	}
 	// Clear the drained call payloads too — they carry flit packet refs.

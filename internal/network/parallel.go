@@ -27,11 +27,8 @@
 package network
 
 import (
-	"fmt"
-	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 
 	"uppnoc/internal/message"
@@ -134,26 +131,16 @@ func (l *shardLocal) AcceptFlit(f message.Flit, arrival sim.Cycle) {
 	l.sh.log = append(l.sh.log, commitOp{kind: opEject, to: l.ni.Node, flit: f, at: arrival})
 }
 
-// initParallel resolves the shard count, partitions the nodes into static
-// contiguous NodeID ranges and installs the recording sinks.
-func (n *Network) initParallel(shardCount int) error {
+// initParallel resolves the shard count (0 = GOMAXPROCS, clamped to the
+// node count), partitions the nodes into static contiguous NodeID ranges
+// and installs the recording sinks.
+func (n *Network) initParallel(shardCount int) {
 	if shardCount == 0 {
-		if env := os.Getenv("UPP_SHARDS"); env != "" {
-			v, err := strconv.Atoi(env)
-			if err != nil || v < 1 {
-				return fmt.Errorf("network: invalid UPP_SHARDS %q (want a positive integer)", env)
-			}
-			shardCount = v
-		} else {
-			shardCount = runtime.GOMAXPROCS(0)
-		}
+		shardCount = runtime.GOMAXPROCS(0)
 	}
 	nodes := n.Topo.NumNodes()
 	if shardCount > nodes {
 		shardCount = nodes
-	}
-	if shardCount < 1 {
-		shardCount = 1
 	}
 	n.shards = make([]shard, shardCount)
 	base, rem := nodes/shardCount, nodes%shardCount
@@ -177,7 +164,6 @@ func (n *Network) initParallel(shardCount int) error {
 		}
 	}
 	startComputePool()
-	return nil
 }
 
 // Shards returns the resolved shard count of the parallel kernel (0 for

@@ -119,35 +119,31 @@ func TestPktRing(t *testing.T) {
 	}
 }
 
+// TestPoolingConfigResolution: Config.DisablePool is the only pooling
+// switch at this layer; UPP_NOPOOL is resolved into it by
+// internal/experiments and not consulted here.
 func TestPoolingConfigResolution(t *testing.T) {
-	t.Run("default_on", func(t *testing.T) {
-		t.Setenv("UPP_NOPOOL", "")
-		n := testNet(t)
-		if !n.Pooling() {
-			t.Fatal("pooling off by default")
-		}
-		if p := n.AllocPacket(); !p.Pooled() {
-			t.Fatal("AllocPacket returned a foreign packet with pooling on")
-		}
-	})
-	t.Run("config_off", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.DisablePool = true
-		n := MustNew(topology.MustBuild(topology.BaselineConfig()), cfg, None{})
-		if n.Pooling() {
-			t.Fatal("DisablePool ignored")
-		}
-		if p := n.AllocPacket(); p.Pooled() {
-			t.Fatal("AllocPacket returned a pooled packet with pooling off")
-		}
-	})
-	t.Run("env_off", func(t *testing.T) {
-		t.Setenv("UPP_NOPOOL", "1")
-		n := testNet(t)
-		if n.Pooling() {
-			t.Fatal("UPP_NOPOOL ignored")
-		}
-	})
+	for _, tc := range []struct {
+		name, env string
+		disable   bool
+	}{
+		{"default_on", "", false},
+		{"config_off", "", true},
+		{"env_off", "1", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Setenv("UPP_NOPOOL", tc.env)
+			cfg := DefaultConfig()
+			cfg.DisablePool = tc.disable
+			n := MustNew(topology.MustBuild(topology.BaselineConfig()), cfg, None{})
+			if n.Pooling() == tc.disable {
+				t.Fatalf("Pooling() = %v with DisablePool = %v", n.Pooling(), tc.disable)
+			}
+			if p := n.AllocPacket(); p.Pooled() == tc.disable {
+				t.Fatalf("AllocPacket returned Pooled() = %v with DisablePool = %v", p.Pooled(), tc.disable)
+			}
+		})
+	}
 }
 
 // TestReleasedPacketCaughtInFlight: the debug walker and the NI's

@@ -8,12 +8,11 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// SchemeCall is a deferred scheme action in the event wheel — the
-// serializable replacement for closure-based Network.Schedule calls.
-// The scheme defines its own Kind space and decodes the payload in
-// OnScheduledCall; the network only stores and redelivers the struct,
-// which is what lets a snapshot capture pending protocol timing (a
-// closure cannot be serialized; this can).
+// SchemeCall is a deferred scheme action in the event wheel, scheduled
+// with Network.ScheduleCall. The scheme defines its own Kind space and
+// decodes the payload in OnScheduledCall; the network only stores and
+// redelivers the struct, which is what lets a snapshot capture pending
+// protocol timing (a closure could not be serialized; this can).
 type SchemeCall struct {
 	// Kind is scheme-private (see core's uppCall* constants).
 	Kind uint8

@@ -46,19 +46,9 @@ type SnapshotExtra interface {
 
 // WriteSnapshot serializes the network's full state to w, between
 // cycles (call it after Step/Run returns, never from inside a hook).
-// It fails if any closure-based Schedule event is pending — schemes
-// must use ScheduleCall for anything that can be in flight at a
-// checkpoint.
 func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 	if n.inCompute || n.inNIWalk {
 		return fmt.Errorf("network: snapshot mid-cycle (call between Steps)")
-	}
-	for si := range n.wheel {
-		for ei := range n.wheel[si] {
-			if n.wheel[si][ei].kind == evCall {
-				return fmt.Errorf("network: snapshot with a pending closure event (scheme must use ScheduleCall)")
-			}
-		}
 	}
 	w := snap.NewWriter()
 	// Header: magic, version, and a configuration fingerprint so a
@@ -66,8 +56,8 @@ func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 	w.String(snapMagic)
 	w.Uvarint(snapVersion)
 	w.Int(n.Topo.NumNodes())
-	w.String(n.arch)
-	w.Bool(n.pooling)
+	w.String(n.RouterArch())
+	w.Bool(n.Pooling())
 	w.Int(n.Cfg.Router.NumVCs())
 	w.Int(n.Cfg.Router.BufferDepth)
 	w.Int(n.Cfg.EjectionDepth)
@@ -193,11 +183,11 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 	if nn := r.Int("num nodes", 0, math.MaxInt32); r.Err() == nil && nn != n.Topo.NumNodes() {
 		return fmt.Errorf("network: snapshot is for %d nodes, network has %d", nn, n.Topo.NumNodes())
 	}
-	if a := r.String("arch", 8); r.Err() == nil && a != n.arch {
-		return fmt.Errorf("network: snapshot router arch %q, network has %q", a, n.arch)
+	if a := r.String("arch", 8); r.Err() == nil && a != n.RouterArch() {
+		return fmt.Errorf("network: snapshot router arch %q, network has %q", a, n.RouterArch())
 	}
-	if p := r.Bool("pooling"); r.Err() == nil && p != n.pooling {
-		return fmt.Errorf("network: snapshot pooling=%v, network has %v", p, n.pooling)
+	if p := r.Bool("pooling"); r.Err() == nil && p != n.Pooling() {
+		return fmt.Errorf("network: snapshot pooling=%v, network has %v", p, n.Pooling())
 	}
 	if v := r.Int("num vcs", 0, 1024); r.Err() == nil && v != n.Cfg.Router.NumVCs() {
 		return fmt.Errorf("network: snapshot has %d VCs, network has %d", v, n.Cfg.Router.NumVCs())
@@ -235,7 +225,9 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 		for ei := 0; ei < cnt; ei++ {
 			var e event
 			k := r.Uvarint("event kind")
-			if r.Err() == nil && (k > evSchemeCall || k == evCall) {
+			switch k {
+			case evFlit, evCredit, evSchemeCall:
+			default:
 				r.Fail("event kind %d invalid in a snapshot", k)
 			}
 			e.kind = uint8(k)

@@ -153,18 +153,26 @@ type popupPather interface {
 	PopupPathsAvoid(l *topology.Link) bool
 }
 
-// Attach builds a reconfiguration engine for n from cfg and installs it
-// as n's fault injector. It validates the plan up front: event targets
-// must exist, killed links must be non-vertical mesh links (vertical
-// links are UPP's drain path and may not be reconfigured away), and —
-// by dry-running every batch's Faulty flips against Rebuild — no batch
-// may partition a layer. A partitioning plan fails here with the
-// routing package's structured *DisconnectedError in the chain, never
-// at cycle N of a soak.
+// Attach installs cfg.Plan on n — the one way a fault plan reaches a
+// network. A plan with persistent events gets a reconfiguration engine
+// as n's fault injector. A plan without any has nothing to reconfigure:
+// its plain faults.Injector is installed alone and the returned Engine
+// is nil, so such a run's snapshots and Stats carry no engine state.
+//
+// The plan is validated up front: event targets must exist, killed links
+// must be non-vertical mesh links (vertical links are UPP's drain path
+// and may not be reconfigured away), and — by dry-running every batch's
+// Faulty flips against Rebuild — no batch may partition a layer. A
+// partitioning plan fails here with the routing package's structured
+// *DisconnectedError in the chain, never at cycle N of a soak.
 func Attach(n *network.Network, cfg Config) (*Engine, error) {
 	inner, err := faults.NewInjector(n, cfg.Plan)
 	if err != nil {
 		return nil, err
+	}
+	if !cfg.Plan.Persistent() {
+		n.SetFaultInjector(inner)
+		return nil, nil
 	}
 	rebuild := cfg.Rebuild
 	if rebuild == nil {

@@ -419,3 +419,46 @@ func TestReconfigSnapshotMidTransition(t *testing.T) {
 		})
 	}
 }
+
+// TestAttachTransientPlan: a plan with no persistent event gets the plain
+// faults.Injector and no engine — nothing to reconfigure, and no engine
+// section in the run's snapshots — while its transient windows are still
+// validated and applied.
+func TestAttachTransientPlan(t *testing.T) {
+	topo := topology.MustBuild(topology.BaselineConfig())
+	n, err := network.New(topo, network.DefaultConfig(), core.New(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mesh *topology.Link
+	for _, l := range topo.Links {
+		if !l.Vertical {
+			mesh = l
+			break
+		}
+	}
+	if _, err := reconfig.Attach(n, reconfig.Config{Plan: faults.Plan{
+		Flaps: []faults.LinkFlap{{Link: mesh.ID, Start: 5, End: 5}},
+	}}); err == nil {
+		t.Fatal("Attach accepted an empty flap window")
+	}
+	if n.FaultInjector() != nil {
+		t.Fatal("a rejected plan left an injector installed")
+	}
+	eng, err := reconfig.Attach(n, reconfig.Config{Plan: faults.Plan{
+		Flaps: []faults.LinkFlap{{Link: mesh.ID, Start: 2, End: 4}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng != nil {
+		t.Fatal("transient plan built a reconfiguration engine")
+	}
+	if _, ok := n.FaultInjector().(*faults.Injector); !ok {
+		t.Fatalf("installed injector is %T, want the plain *faults.Injector", n.FaultInjector())
+	}
+	n.Run(3)
+	if !mesh.Down {
+		t.Fatal("flap window not applied through the installed injector")
+	}
+}

@@ -291,14 +291,15 @@ func (r *Reader) Packet() *message.Packet {
 	if r.err != nil || ref == 0 {
 		return nil
 	}
-	idx := int(ref - 1)
-	if uint64(idx) != ref-1 || idx > len(r.data) {
+	if ref-1 > uint64(len(r.data)) {
 		// A reference can never exceed the number of encoded packets,
 		// and the table body needs at least one byte per packet — any
-		// index past the input length is corrupt.
+		// index past the input length is corrupt. Compared unsigned: a
+		// reference above MaxInt64 would wrap to a negative index.
 		r.Fail("packet ref %d out of range", ref)
 		return nil
 	}
+	idx := int(ref - 1)
 	for idx >= len(r.pkts) {
 		if len(r.pkts) >= maxPrealloc && idx >= 2*len(r.pkts) {
 			// Grow geometrically past the prealloc cap, but refuse a
