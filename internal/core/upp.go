@@ -436,7 +436,7 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 			ns.counters[v] = 0
 			continue
 		}
-		port, vcIdx, f := u.findStalledUpward(r, vnet, ns.rr[v], cycle)
+		port, vcIdx, f := r.StalledHead(vnet, ns.rr[v], cycle, false)
 		if port == topology.InvalidPort && u.net.TransitionActive() {
 			// During a routing-epoch transition, old- and new-epoch
 			// traffic coexist and an incompatible pair can form a
@@ -447,7 +447,7 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 			// Widen detection to mesh-stalled packets while the
 			// transition lasts (DESIGN.md §15): the popup mechanics are
 			// path-agnostic, so recovery works unchanged.
-			port, vcIdx, f = u.findStalledMesh(r, vnet, ns.rr[v], cycle)
+			port, vcIdx, f = r.StalledHead(vnet, ns.rr[v], cycle, true)
 		}
 		if port == topology.InvalidPort {
 			ns.counters[v] = 0
@@ -465,70 +465,6 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 		}
 		u.startPopup(r, ns, vnet, port, vcIdx, f, cycle)
 	}
-}
-
-// findStalledUpward scans r's input VCs round-robin for a stalled packet
-// whose next hop is an Up port, returning its location and front flit.
-func (u *UPP) findStalledUpward(r router.Microarch, vnet message.VNet, rrStart int, cycle sim.Cycle) (topology.PortID, int, message.Flit) {
-	nports := r.NumPorts()
-	nvc := r.Config().NumVCs()
-	total := nports * nvc
-	for k := 1; k <= total; k++ {
-		idx := (rrStart + k) % total
-		port := topology.PortID(idx / nvc)
-		vcIdx := idx % nvc
-		if r.Config().VCVNet(vcIdx) != vnet {
-			continue
-		}
-		vc := r.VCAt(port, vcIdx)
-		if vc.Hold || vc.State == router.VCIdle {
-			continue
-		}
-		if vc.OutPort == topology.InvalidPort || r.TopoNode().Ports[vc.OutPort].Dir != topology.Up {
-			continue
-		}
-		f, ok := vc.FrontReady(cycle)
-		if !ok || f.Pkt.Popup {
-			continue
-		}
-		return port, vcIdx, f
-	}
-	return topology.InvalidPort, -1, message.Flit{}
-}
-
-// findStalledMesh is findStalledUpward's transition-time companion: it
-// scans for a stalled packet whose next hop is an intra-layer mesh port.
-// Only consulted while a routing-epoch transition is active.
-func (u *UPP) findStalledMesh(r router.Microarch, vnet message.VNet, rrStart int, cycle sim.Cycle) (topology.PortID, int, message.Flit) {
-	nports := r.NumPorts()
-	nvc := r.Config().NumVCs()
-	total := nports * nvc
-	for k := 1; k <= total; k++ {
-		idx := (rrStart + k) % total
-		port := topology.PortID(idx / nvc)
-		vcIdx := idx % nvc
-		if r.Config().VCVNet(vcIdx) != vnet {
-			continue
-		}
-		vc := r.VCAt(port, vcIdx)
-		if vc.Hold || vc.State == router.VCIdle {
-			continue
-		}
-		if vc.OutPort == topology.InvalidPort || vc.OutPort == topology.LocalPort {
-			continue
-		}
-		switch r.TopoNode().Ports[vc.OutPort].Dir {
-		case topology.East, topology.West, topology.North, topology.South:
-		default:
-			continue
-		}
-		f, ok := vc.FrontReady(cycle)
-		if !ok || f.Pkt.Popup {
-			continue
-		}
-		return port, vcIdx, f
-	}
-	return topology.InvalidPort, -1, message.Flit{}
 }
 
 // startPopup creates a popup instance for the selected upward packet and
@@ -841,8 +777,8 @@ func (u *UPP) releaseOrigin(p *popup) {
 // OnRouterIdle implements network.Scheme: when the active-set kernel
 // retires a router, its timeout counters reset for VNets with no popup in
 // flight — exactly what the naive kernel's per-cycle detect would do (an
-// empty router has no stalled upward packet, so findStalledUpward misses
-// and the counter zeroes). Counters of VNets with an active popup are left
+// empty router has no stalled upward packet, so StalledHead misses and
+// the counter zeroes). Counters of VNets with an active popup are left
 // alone: detection pauses for those in both kernels.
 func (u *UPP) OnRouterIdle(node topology.NodeID, _ sim.Cycle) {
 	ns := &u.nodes[node]

@@ -22,6 +22,8 @@ import (
 // staged counts, NI queue depths, ejection bookkeeping and global flit
 // conservation — which still catch any leaked flit or queue entry, though
 // not a silently miscounted credit. uppdebug restores the exhaustive walk.
+// The upward census is one of the O(1) aggregates: a VC routed upward is
+// a VC not idle, so it must read zero at any size.
 func (n *Network) CheckQuiescent() error {
 	deep := diagDeepAlways || len(n.Topo.Nodes) <= diagDeepMaxNodes
 	for i := range n.Topo.Nodes {
@@ -32,6 +34,9 @@ func (n *Network) CheckQuiescent() error {
 		depth := int16(r.Config().BufferDepth)
 		if r.Buffered() != 0 {
 			return fmt.Errorf("network: node %d still buffers %d flits", node.ID, r.Buffered())
+		}
+		if c := r.(censused).UpRouted(); c != [message.NumVNets]int32{} {
+			return fmt.Errorf("network: node %d upward census %v not zero", node.ID, c)
 		}
 		for pi := range node.Ports {
 			if staged := r.StagedCount(topology.PortID(pi)); staged != 0 {
@@ -76,4 +81,11 @@ func (n *Network) CheckQuiescent() error {
 		return fmt.Errorf("network: flit conservation violated: injected %d, ejected %d", n.Stats.InjectedFlits, n.Stats.EjectedFlits)
 	}
 	return nil
+}
+
+// censused is the checkers' view of a router's upward census
+// (router.Router's; every Microarch variant embeds it).
+type censused interface {
+	UpRouted() [message.NumVNets]int32
+	RecountUpRouted() [message.NumVNets]int32
 }

@@ -33,7 +33,8 @@ import (
 // The scoped scan still catches every violation involving live traffic,
 // but can miss a stale imbalance parked between two long-retired routers
 // (e.g. a credit dropped many cycles ago on a now-idle link); uppdebug
-// restores the exhaustive walk at any size.
+// restores the exhaustive walk at any size. The exhaustive walk also holds
+// every router's upward census to a recount from its VCs.
 // diagDeepMaxNodes is the system-size threshold above which the state
 // diagnostics (CheckConservation, CheckQuiescent) drop their exhaustive
 // every-port-every-VC walks in favour of scoped or reduced scans. The
@@ -115,6 +116,10 @@ func (n *Network) CheckConservation() error {
 		for i := range n.Topo.Nodes {
 			if err := checkNode(&n.Topo.Nodes[i]); err != nil {
 				return err
+			}
+			c := n.Routers[i].(censused)
+			if got, want := c.UpRouted(), c.RecountUpRouted(); got != want {
+				return fmt.Errorf("network: node %d upward census %v, recount from its VCs %v", i, got, want)
 			}
 		}
 		return nil

@@ -2,12 +2,46 @@ package network
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"uppnoc/internal/router"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
+
+// TestAwakeMergeMatchesSort: sortAwake on a sorted prefix plus an unsorted
+// tail of distinct IDs yields exactly what sorting the whole list does —
+// on random splits, an empty tail, an empty prefix, a tail wholly above
+// the prefix (the no-merge exit) and one wholly below it.
+func TestAwakeMergeMatchesSort(t *testing.T) {
+	g := sim.NewRNG(3)
+	check := func(name string, prefix, tail []int32) {
+		t.Helper()
+		list := append(slices.Clone(prefix), tail...)
+		want := slices.Clone(list)
+		slices.Sort(want)
+		sortAwake(list, len(prefix), make([]int32, 0, len(list)))
+		if !slices.Equal(list, want) {
+			t.Fatalf("%s: prefix %v + tail %v merged to %v, want %v", name, prefix, tail, list, want)
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		ids := make([]int32, g.Intn(40))
+		for i, v := range g.Perm(4 * (len(ids) + 1))[:len(ids)] {
+			ids[i] = int32(v)
+		}
+		split := g.Intn(len(ids) + 1)
+		slices.Sort(ids[:split])
+		check("random", ids[:split], ids[split:])
+	}
+	check("empty tail", []int32{1, 4, 9}, nil)
+	check("empty prefix", nil, []int32{9, 1, 4})
+	check("both empty", nil, nil)
+	check("tail above", []int32{1, 2, 3}, []int32{7, 5, 6})
+	check("tail below", []int32{7, 8, 9}, []int32{2, 0, 1})
+}
 
 // TestValidateWheelHorizon: link latency + pipeline depth combinations the
 // event wheel cannot cover must be rejected at config time, not by

@@ -181,18 +181,24 @@ type Network struct {
 	// flags, so the per-cycle walk is O(awake) instead of an O(total-nodes)
 	// flag scan — on a 8k-router scale system at low load that is the
 	// difference between touching 16 KiB of bools four times a cycle and
-	// touching a handful of list entries. routerList is sorted ascending at
-	// walk time (router wakes only happen at event delivery, before the
-	// walk); niList is a sorted prefix plus a tail of mid-cycle wakes, and
-	// the NI walk merges same-pass wakes in through niHeap (see walkNIs).
-	kernel      string
-	routerAwake []bool
-	niAwake     []bool
-	routerList  []int32
-	niList      []int32
-	niHeap      []int32
-	niWalkPos   int32
-	inNIWalk    bool
+	// touching a handful of list entries. Each list is an ascending prefix
+	// of routerSorted/niSorted entries (the last walk's survivors, order-
+	// preserved by retirement) plus a tail of wakes since; the walks order
+	// it with sortAwake, which sorts only the tail and merges it in. Router
+	// wakes only happen at event delivery, before the walk; NIs can also be
+	// woken mid-walk, and the NI walk merges those same-pass wakes in
+	// through niHeap (see walkNIs).
+	kernel       string
+	routerAwake  []bool
+	niAwake      []bool
+	routerList   []int32
+	niList       []int32
+	routerSorted int
+	niSorted     int
+	awakeScratch []int32
+	niHeap       []int32
+	niWalkPos    int32
+	inNIWalk     bool
 
 	// wheelPending counts events resident in the wheel; when it is zero and
 	// nothing is awake, whole cycles are provably no-ops and Run/Drain skip
@@ -261,6 +267,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	n.routerList = make([]int32, 0, t.NumNodes())
 	n.niList = make([]int32, 0, t.NumNodes())
 	n.niHeap = make([]int32, 0, t.NumNodes())
+	n.awakeScratch = make([]int32, 0, t.NumNodes())
 	// Pre-size the event wheel slots: steady state never grows them, so
 	// the per-cycle append in DeliverFlit/DeliverCredit stays in place.
 	// Capacity beyond the initial guess is grown once and then reused —
@@ -521,7 +528,7 @@ func (n *Network) RouterActive(id topology.NodeID) bool {
 
 // wakeRouter puts a router into the active set. Routers are only woken at
 // event delivery — before the router walk of the same cycle — so the list
-// needs sorting once per cycle and never mid-walk maintenance.
+// needs ordering once per cycle and never mid-walk maintenance.
 func (n *Network) wakeRouter(id topology.NodeID) {
 	if !n.routerAwake[id] {
 		n.routerAwake[id] = true
@@ -599,15 +606,36 @@ func (n *Network) niHeapPop() int32 {
 	return top
 }
 
-// walkRouters sorts the awake-router list and steps each router in
-// ascending NodeID order — the naive kernel's visit order. The list is a
-// sorted prefix (last cycle's survivors, order-preserved by retirement)
-// plus this cycle's wake tail, so the sort is near-linear.
-func (n *Network) walkRouters(cycle sim.Cycle) {
-	if len(n.routerList) == 0 {
+// sortAwake puts an awake list in ascending order given that its first
+// sorted entries already are: the tail of wakes is sorted on its own and
+// merged in from the back through scratch (capacity >= len(list)), so a
+// cycle pays for the routers that woke, not for re-sorting the survivors.
+func sortAwake(list []int32, sorted int, scratch []int32) {
+	tail := list[sorted:]
+	if len(tail) == 0 {
 		return
 	}
-	slices.Sort(n.routerList)
+	slices.Sort(tail)
+	if sorted == 0 || list[sorted-1] < tail[0] {
+		return
+	}
+	scratch = append(scratch[:0], tail...)
+	i, j := sorted-1, len(scratch)-1
+	for k := len(list) - 1; j >= 0; k-- {
+		if i >= 0 && list[i] > scratch[j] {
+			list[k] = list[i]
+			i--
+		} else {
+			list[k] = scratch[j]
+			j--
+		}
+	}
+}
+
+// walkRouters steps the awake routers in ascending NodeID order — the
+// naive kernel's visit order.
+func (n *Network) walkRouters(cycle sim.Cycle) {
+	sortAwake(n.routerList, n.routerSorted, n.awakeScratch)
 	for _, id := range n.routerList {
 		n.Routers[id].Step(cycle)
 	}
@@ -623,8 +651,9 @@ func (n *Network) walkNIs(cycle sim.Cycle) {
 	if len(n.niList) == 0 {
 		return
 	}
-	slices.Sort(n.niList)
+	sortAwake(n.niList, n.niSorted, n.awakeScratch)
 	prefix := len(n.niList)
+	n.niSorted = prefix
 	n.inNIWalk = true
 	i := 0
 	for i < prefix || len(n.niHeap) > 0 {
@@ -657,22 +686,29 @@ func (n *Network) retireRouters(cycle sim.Cycle) {
 		}
 	}
 	n.routerList = kept
+	n.routerSorted = len(kept)
 }
 
 // retireNIs removes idle NIs from the active set. NI retirement has no
 // scheme callback, so only the surviving set matters, not the visit order;
 // the list may end with an unsorted tail of mid-cycle wakes, which the
-// next walk's sort folds in.
+// next walk's sortAwake folds in — niSorted shrinks to the walked
+// prefix's survivors.
 func (n *Network) retireNIs() {
 	kept := n.niList[:0]
-	for _, id := range n.niList {
+	sorted := 0
+	for i, id := range n.niList {
 		if n.NIs[id].Idle() {
 			n.niAwake[id] = false
-		} else {
-			kept = append(kept, id)
+			continue
+		}
+		kept = append(kept, id)
+		if i < n.niSorted {
+			sorted++
 		}
 	}
 	n.niList = kept
+	n.niSorted = sorted
 }
 
 // deliverEvents drains the current wheel slot, waking the component each

@@ -28,7 +28,6 @@ package network
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 
 	"uppnoc/internal/message"
@@ -188,7 +187,7 @@ func (n *Network) stepParallel() {
 	n.scheme.StartOfCycle(cycle)
 	if len(n.routerList) >= parallelMinAwake {
 		n.computePhases++
-		slices.Sort(n.routerList)
+		sortAwake(n.routerList, n.routerSorted, n.awakeScratch)
 		n.computeShards(cycle)
 		n.commitShards()
 	} else if len(n.routerList) > 0 {
@@ -211,7 +210,7 @@ func (n *Network) stepParallel() {
 // happens-before edge that publishes every worker's router mutations and
 // log appends back to the coordinator.
 func (n *Network) computeShards(cycle sim.Cycle) {
-	list := n.routerList // sorted by stepParallel
+	list := n.routerList // ordered by stepParallel
 	start := 0
 	for i := range n.shards {
 		sh := &n.shards[i]

@@ -294,7 +294,9 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	n.routerList = n.routerList[:0]
+	// The lists are restored verbatim with no ordered prefix claimed: the
+	// next walk's sortAwake orders each one whole.
+	n.routerList, n.routerSorted = n.routerList[:0], 0
 	for i := range n.routerAwake {
 		n.routerAwake[i] = false
 		n.niAwake[i] = false
@@ -314,7 +316,7 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	n.niList = n.niList[:0]
+	n.niList, n.niSorted = n.niList[:0], 0
 	for i := 0; i < nni; i++ {
 		id := int32(r.Int("awake ni id", 0, int64(n.Topo.NumNodes())-1))
 		if r.Err() != nil {

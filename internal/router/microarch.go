@@ -81,6 +81,11 @@ type Microarch interface {
 
 	// VCAt returns an input VC for inspection by plugins and tests.
 	VCAt(port topology.PortID, vc int) *VC
+	// StalledHead finds, round-robin after rrStart, a packet of vnet
+	// stalled at the front of an input VC with its route computed through
+	// an Up output — or, with mesh set, an intra-layer mesh output (UPP's
+	// detection scan; O(1) on a router with nothing routed upward).
+	StalledHead(vnet message.VNet, rrStart int, cycle sim.Cycle, mesh bool) (topology.PortID, int, message.Flit)
 	// PopFront forcibly dequeues the front flit of (port, vc) on behalf
 	// of a scheme plugin; upstream credit bookkeeping matches a normal
 	// send.
@@ -265,6 +270,9 @@ func NewMicroarch(arch string, n *topology.Node, cfg Config, sink EventSink, loc
 	lay, err := LayoutFor(arch, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if len(n.Ports) > maxPorts {
+		return nil, fmt.Errorf("router: node %d has %d ports; the port masks hold at most %d", n.ID, len(n.Ports), maxPorts)
 	}
 	switch arch {
 	case ArchVOQ:

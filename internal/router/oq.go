@@ -1,8 +1,6 @@
 package router
 
 import (
-	"fmt"
-
 	"uppnoc/internal/message"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
@@ -181,14 +179,7 @@ func (q *OQ) Step(cycle sim.Cycle) {
 				continue
 			}
 			if f.IsHead() && !vc.routed {
-				op, err := q.route(q.ID, topology.PortID(pi), f.Pkt)
-				if err != nil {
-					panic(fmt.Sprintf("router %d (x=%d y=%d chiplet %d) cycle %d: route computation failed for pkt %d (%s %d->%d) at input port %d: %v",
-						q.ID, q.Node.X, q.Node.Y, q.Node.Chiplet, cycle, f.Pkt.ID, f.Pkt.VNet, f.Pkt.Src, f.Pkt.Dst, pi, err))
-				}
-				vc.OutPort = op
-				vc.State = VCWaiting
-				vc.routed = true
+				q.routeHead(topology.PortID(pi), vi, vc, f, cycle)
 			}
 			if vc.OutPort == topology.InvalidPort {
 				continue
@@ -258,7 +249,7 @@ func (q *OQ) ejectFront(pi topology.PortID, vi int, cycle sim.Cycle) {
 	q.Stats.CrossbarTravs++
 	tail := f.IsTail()
 	if tail {
-		vc.reset()
+		q.releaseVC(vc, vi)
 	}
 	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
 	q.PortSent[topology.LocalPort]++
@@ -277,7 +268,7 @@ func (q *OQ) stageFront(pi topology.PortID, vi int, cycle sim.Cycle) {
 	out, outVC := vc.OutPort, vc.OutVC
 	tail := f.IsTail()
 	if tail {
-		vc.reset()
+		q.releaseVC(vc, vi)
 	}
 	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
 	o := &q.Out[out]

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/sim"
@@ -100,6 +101,16 @@ type Router struct {
 	upSent   uint8
 	upSentAt sim.Cycle
 
+	// upRouted is the upward census: per VNet, the number of input VCs
+	// whose computed route is an Up output (upPorts is the mask of those
+	// outputs, fixed at construction). UPP's detector rejects a router in
+	// O(1) on a zero count instead of rescanning its VCs every cycle. It
+	// moves only where a VC's OutPort does — route computation (routeHead),
+	// releaseVC and UnrouteFencedHeads — and is derived state: Restore
+	// recounts it, the snapshot does not carry it.
+	upRouted [message.NumVNets]int32
+	upPorts  uint32
+
 	// buffered counts flits currently held in this router's VCs; idle
 	// routers are skipped by the simulation loop.
 	buffered int
@@ -119,36 +130,51 @@ type Router struct {
 	Stats Stats
 }
 
-// New constructs a router for node n.
+// maxPorts bounds the router radix: switch allocation's request masks and
+// the downOut/fencedOut/upPorts port masks are 32 bits wide.
+const maxPorts = 32
+
+// New constructs a router for node n. The per-port state is carved from
+// one backing slice per kind (VCs, flit rings, credits, busy bits, claim
+// stamps), so a router's working set sits in a few contiguous runs
+// instead of one allocation per VC.
 func New(n *topology.Node, cfg Config, sink EventSink, local LocalSink, route RouteFunc, rng *sim.RNG) *Router {
+	nports, nvc := len(n.Ports), cfg.NumVCs()
+	stamps := make([]sim.Cycle, 2*nports)
 	r := &Router{
 		ID:   n.ID,
 		Node: n,
 		Cfg:  cfg,
-		In:   make([]InPort, len(n.Ports)),
-		Out:  make([]OutPort, len(n.Ports)),
+		In:   make([]InPort, nports),
+		Out:  make([]OutPort, nports),
 
 		sink:  sink,
 		local: local,
 		route: route,
 		rng:   rng,
 
-		outClaimedAt: make([]sim.Cycle, len(n.Ports)),
-		inClaimedAt:  make([]sim.Cycle, len(n.Ports)),
-		inRR:         make([]int, len(n.Ports)),
-		PortSent:     make([]uint64, len(n.Ports)),
+		outClaimedAt: stamps[:nports:nports],
+		inClaimedAt:  stamps[nports:],
+		inRR:         make([]int, nports),
+		PortSent:     make([]uint64, nports),
 	}
-	nvc := cfg.NumVCs()
+	vcs := make([]VC, nports*nvc)
+	rings := make([]bufFlit, len(vcs)*cfg.BufferDepth)
+	credits := make([]int16, len(vcs))
+	busy := make([]bool, len(vcs))
+	for i := range vcs {
+		lo, hi := i*cfg.BufferDepth, (i+1)*cfg.BufferDepth
+		vcs[i].buf = rings[lo:hi:hi]
+		vcs[i].reset()
+		credits[i] = int16(cfg.BufferDepth)
+	}
 	for pi := range r.In {
-		r.In[pi].VCs = make([]VC, nvc)
-		for vi := range r.In[pi].VCs {
-			r.In[pi].VCs[vi].init(cfg.BufferDepth)
-		}
-		out := &r.Out[pi]
-		out.Credits = make([]int16, nvc)
-		out.Busy = make([]bool, nvc)
-		for vi := range out.Credits {
-			out.Credits[vi] = int16(cfg.BufferDepth)
+		lo, hi := pi*nvc, (pi+1)*nvc
+		r.In[pi].VCs = vcs[lo:hi:hi]
+		r.Out[pi].Credits = credits[lo:hi:hi]
+		r.Out[pi].Busy = busy[lo:hi:hi]
+		if n.Ports[pi].Dir == topology.Up {
+			r.upPorts |= 1 << uint(pi)
 		}
 	}
 	return r
@@ -297,6 +323,7 @@ func (r *Router) UnrouteFencedHeads() int {
 			if r.fencedOut&(1<<uint(vc.OutPort)) == 0 {
 				continue
 			}
+			r.censusDrop(vc, vi)
 			vc.State = VCIdle
 			vc.OutPort = topology.InvalidPort
 			vc.routed = false
@@ -323,6 +350,76 @@ func (r *Router) PortQuiet(p topology.PortID) bool {
 	return true
 }
 
+// StalledHead scans the input VCs of vnet, round-robin after the dense
+// index rrStart (port*NumVCs + vc), for a packet stalled at the front of
+// its VC with a computed route through an Up output — or, with mesh set,
+// through an intra-layer mesh output (UPP's transition-time widening,
+// DESIGN.md §15). It returns the VC's location and front flit, or
+// InvalidPort. A zero upward census answers the Up form without a scan.
+func (r *Router) StalledHead(vnet message.VNet, rrStart int, cycle sim.Cycle, mesh bool) (topology.PortID, int, message.Flit) {
+	censusEmpty := !mesh && r.upRouted[vnet] == 0
+	if censusEmpty && !censusDebug {
+		return topology.InvalidPort, -1, message.Flit{}
+	}
+	want := r.upPorts
+	if mesh {
+		want = 0
+		for pi := range r.Node.Ports {
+			switch r.Node.Ports[pi].Dir {
+			case topology.East, topology.West, topology.North, topology.South:
+				want |= 1 << uint(pi)
+			}
+		}
+	}
+	nvc := r.Cfg.NumVCs()
+	lo := r.Cfg.VCIndex(vnet, 0)
+	hi := lo + r.Cfg.VCsPerVNet
+	total := len(r.In) * nvc
+	rrStart %= total
+	pi, vi := rrStart/nvc, rrStart%nvc
+	for k := 0; k < total; k++ {
+		if vi++; vi == nvc {
+			vi = 0
+			if pi++; pi == len(r.In) {
+				pi = 0
+			}
+		}
+		if vi < lo || vi >= hi {
+			continue
+		}
+		vc := &r.In[pi].VCs[vi]
+		if vc.Hold || vc.State == VCIdle || want&(1<<uint(vc.OutPort)) == 0 {
+			continue
+		}
+		f, ok := vc.FrontReady(cycle)
+		if !ok || f.Pkt.Popup {
+			continue
+		}
+		if censusEmpty {
+			panic(fmt.Sprintf("router %d: upward census of %s is zero but in[%d] vc%d is routed to Up port %d", r.ID, vnet, pi, vi, vc.OutPort))
+		}
+		return topology.PortID(pi), vi, f
+	}
+	return topology.InvalidPort, -1, message.Flit{}
+}
+
+// UpRouted returns the upward census (see the upRouted field) for the
+// invariant checkers.
+func (r *Router) UpRouted() [message.NumVNets]int32 { return r.upRouted }
+
+// RecountUpRouted derives the upward census from the VCs themselves —
+// what Restore rebuilds it with and what the checkers hold it to.
+func (r *Router) RecountUpRouted() (n [message.NumVNets]int32) {
+	for pi := range r.In {
+		for vi := range r.In[pi].VCs {
+			if r.upPorts&(1<<uint(r.In[pi].VCs[vi].OutPort)) != 0 {
+				n[vi/r.Cfg.VCsPerVNet]++
+			}
+		}
+	}
+	return n
+}
+
 // Neighbor returns the (node, port) on the far side of output port p.
 func (r *Router) Neighbor(p topology.PortID) (topology.NodeID, topology.PortID) {
 	pt := &r.Node.Ports[p]
@@ -334,74 +431,89 @@ func (r *Router) Neighbor(p topology.PortID) (topology.NodeID, topology.PortID) 
 // allocation with VC selection, and switch traversal for the winners.
 //
 // Concurrency contract (the parallel cycle kernel depends on it): Step
-// mutates only this router's own state (VCs, claims, credits, stats, its
-// split RNG) and emits every cross-component effect through r.sink
-// (DeliverFlit/DeliverCredit) or r.local (AcceptFlit). Its only reads of
-// other components are the attached NI's ejection occupancy
+// mutates only this router's own state (VCs, claims, credits, stats, the
+// upward census, its split RNG) and emits every cross-component effect
+// through r.sink (DeliverFlit/DeliverCredit) or r.local (AcceptFlit). Its
+// only reads of other components are the attached NI's ejection occupancy
 // (CanAcceptHead) and immutable topology/route tables — it never reads
 // another router. Any new datapath feature that needs cross-router state
 // during Step must instead be staged through the sinks or moved into the
-// scheme's StartOfCycle/EndOfCycle hooks, which run on the coordinator.
+// scheme's StartOfCycle/EndOfCycle hooks, which run on the coordinator
+// (that is where UPP reads the census, after the compute phase joined).
 func (r *Router) Step(cycle sim.Cycle) {
 	if r.buffered == 0 {
 		return
 	}
-	nports := len(r.In)
-
-	// Input arbitration: each unclaimed input port nominates one VC.
-	type nominee struct {
-		port topology.PortID
-		vc   int
-	}
-	var nominees [16]nominee // radix is small; avoid allocation
-	nn := 0
-	for pi := 0; pi < nports; pi++ {
+	// Input arbitration: each unclaimed input port nominates one VC and
+	// files a request bit with that VC's output. An input nominates once,
+	// so the per-output request masks are disjoint.
+	var (
+		req   [maxPorts]uint32 // per output: the input ports requesting it
+		nomVC [maxPorts]int8   // per input: its nominated VC
+		outs  uint32           // outputs with at least one request
+	)
+	for pi := range r.In {
 		if r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
 			continue
 		}
 		if vi := r.pickInputVC(topology.PortID(pi), cycle); vi >= 0 {
-			nominees[nn] = nominee{topology.PortID(pi), vi}
-			nn++
+			oi := uint(r.In[pi].VCs[vi].OutPort)
+			nomVC[pi] = int8(vi)
+			req[oi] |= 1 << uint(pi)
+			outs |= 1 << oi
 			r.Stats.SARequests++
 		}
 	}
-	if nn == 0 {
-		return
+	// Output arbitration, ascending output order (grant's RNG draws keep
+	// that order): each requested output grants one input. pickInputVC
+	// never nominates toward a claimed output, so every set bit is live.
+	for ; outs != 0; outs &= outs - 1 {
+		oi := bits.TrailingZeros32(outs)
+		pi := rrPick(req[oi], r.Out[oi].rr)
+		r.Out[oi].rr = pi
+		r.grant(topology.PortID(pi), int(nomVC[pi]), cycle)
 	}
-	// Output arbitration: for each output port, grant one nominee.
-	for oi := 0; oi < nports; oi++ {
-		if r.outClaimedAt[oi] > cycle {
-			continue
-		}
-		out := &r.Out[oi]
-		granted := -1
-		// Round-robin over input ports starting after the last grant.
-		for k := 1; k <= nports; k++ {
-			pi := (out.rr + k) % nports
-			for ni := 0; ni < nn; ni++ {
-				if int(nominees[ni].port) == pi &&
-					r.In[pi].VCs[nominees[ni].vc].OutPort == topology.PortID(oi) {
-					granted = ni
-					break
-				}
-			}
-			if granted >= 0 {
-				out.rr = pi
-				break
-			}
-		}
-		if granted < 0 {
-			continue
-		}
-		nom := nominees[granted]
-		r.grant(nom.port, nom.vc, cycle)
-		// The winning input port leaves the race for other outputs.
-		nominees[granted] = nominees[nn-1]
-		nn--
-		if nn == 0 {
-			break
-		}
+}
+
+// rrPick returns the lowest set bit of m above position rr, wrapping to
+// m's lowest set bit — round-robin over input ports starting after the
+// last grant, ending on rr itself. m must be non-zero.
+func rrPick(m uint32, rr int) int {
+	if above := m &^ (2<<uint(rr) - 1); above != 0 {
+		return bits.TrailingZeros32(above)
 	}
+	return bits.TrailingZeros32(m)
+}
+
+// routeHead runs route computation — once per packet per router — for the
+// fresh head f at the front of VC vi of input port pi, and enters the VC
+// in the upward census when the route leaves through an Up port.
+func (r *Router) routeHead(pi topology.PortID, vi int, vc *VC, f message.Flit, cycle sim.Cycle) {
+	op, err := r.route(r.ID, pi, f.Pkt)
+	if err != nil {
+		panic(fmt.Sprintf("router %d (x=%d y=%d chiplet %d) cycle %d: route computation failed for pkt %d (%s %d->%d) at input port %d: %v",
+			r.ID, r.Node.X, r.Node.Y, r.Node.Chiplet, cycle, f.Pkt.ID, f.Pkt.VNet, f.Pkt.Src, f.Pkt.Dst, pi, err))
+	}
+	vc.OutPort = op
+	vc.State = VCWaiting
+	vc.routed = true
+	if r.upPorts&(1<<uint(op)) != 0 {
+		r.upRouted[vi/r.Cfg.VCsPerVNet]++
+	}
+}
+
+// censusDrop removes VC vi from the upward census ahead of its OutPort
+// being cleared.
+func (r *Router) censusDrop(vc *VC, vi int) {
+	if r.upPorts&(1<<uint(vc.OutPort)) != 0 {
+		r.upRouted[vi/r.Cfg.VCsPerVNet]--
+	}
+}
+
+// releaseVC returns VC vi to Idle once its packet has left.
+func (r *Router) releaseVC(vc *VC, vi int) {
+	r.censusDrop(vc, vi)
+	vc.reset()
 }
 
 // pickInputVC selects, round-robin, one VC of input port pi that can use
@@ -409,11 +521,11 @@ func (r *Router) Step(cycle sim.Cycle) {
 // Returns -1 when no VC is eligible.
 func (r *Router) pickInputVC(pi topology.PortID, cycle sim.Cycle) int {
 	vcs := r.In[pi].VCs
-	n := len(vcs)
-	start := r.inRR[pi]
-	chosen := -1
-	for k := 1; k <= n; k++ {
-		vi := (start + k) % n
+	vi := r.inRR[pi]
+	for range vcs {
+		if vi++; vi >= len(vcs) {
+			vi = 0
+		}
 		vc := &vcs[vi]
 		if vc.Hold {
 			// A scheme plugin owns this VC's draining.
@@ -431,16 +543,8 @@ func (r *Router) pickInputVC(pi topology.PortID, cycle sim.Cycle) int {
 			// origin interposer router.
 			continue
 		}
-		// Route computation once per packet per router.
 		if f.IsHead() && !vc.routed {
-			op, err := r.route(r.ID, pi, f.Pkt)
-			if err != nil {
-				panic(fmt.Sprintf("router %d (x=%d y=%d chiplet %d) cycle %d: route computation failed for pkt %d (%s %d->%d) at input port %d: %v",
-					r.ID, r.Node.X, r.Node.Y, r.Node.Chiplet, cycle, f.Pkt.ID, f.Pkt.VNet, f.Pkt.Src, f.Pkt.Dst, pi, err))
-			}
-			vc.OutPort = op
-			vc.State = VCWaiting
-			vc.routed = true
+			r.routeHead(pi, vi, vc, f, cycle)
 		}
 		if vc.OutPort == topology.InvalidPort || r.outClaimedAt[vc.OutPort] > cycle ||
 			r.downOut&(1<<uint(vc.OutPort)) != 0 {
@@ -464,11 +568,10 @@ func (r *Router) pickInputVC(pi topology.PortID, cycle sim.Cycle) int {
 		default:
 			continue
 		}
-		chosen = vi
 		r.inRR[pi] = vi
-		break
+		return vi
 	}
-	return chosen
+	return -1
 }
 
 // headCanAdvance reports whether a Waiting head flit could be granted:
@@ -546,7 +649,7 @@ func (r *Router) sendFront(pi topology.PortID, vi int, cycle sim.Cycle) {
 		// All flits of the packet passed through; the VC is reusable. The
 		// downstream allocation is freed by the downstream router's own
 		// tail departure (free credit), not here.
-		vc.reset()
+		r.releaseVC(vc, vi)
 	}
 	r.creditUpstream(pi, int8(vi), 1, tail, cycle)
 	r.PortSent[out]++
@@ -594,7 +697,7 @@ func (r *Router) PopFront(port topology.PortID, vcIdx int, cycle sim.Cycle) mess
 	r.Stats.BufferReads++
 	tail := f.IsTail()
 	if tail {
-		vc.reset()
+		r.releaseVC(vc, vcIdx)
 	}
 	r.creditUpstream(port, int8(vcIdx), 1, tail, cycle)
 	return f
@@ -613,7 +716,7 @@ func (r *Router) ForceReleaseVC(port topology.PortID, vcIdx int, cycle sim.Cycle
 	if !vc.Empty() {
 		panic("router: ForceReleaseVC on non-empty VC")
 	}
-	vc.reset()
+	r.releaseVC(vc, vcIdx)
 	r.creditUpstream(port, int8(vcIdx), 0, true, cycle)
 }
 

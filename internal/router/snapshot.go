@@ -61,7 +61,8 @@ func (r *Router) Snapshot(w *snap.Writer) {
 // Restore overwrites the router's mutable state from a snapshot written
 // by Snapshot on an identically-configured router. Flits are re-pushed
 // into freshly reset VCs — the ring's head position is unobservable, so
-// only FIFO order matters.
+// only FIFO order matters. The upward census is derived state and is
+// recounted from the restored VCs rather than read.
 func (r *Router) Restore(rd *snap.Reader) error {
 	nports := len(r.In)
 	r.buffered = 0
@@ -101,10 +102,10 @@ func (r *Router) Restore(rd *snap.Reader) error {
 			out.Credits[vi] = int16(rd.Int("out credits", 0, int64(r.Cfg.BufferDepth)))
 			out.Busy[vi] = rd.Bool("out busy")
 		}
-		out.rr = rd.Int("out rr", 0, int64(nports))
+		out.rr = rd.Int("out rr", 0, int64(nports)-1)
 		r.outClaimedAt[pi] = rd.Varint("out claim")
 		r.inClaimedAt[pi] = rd.Varint("in claim")
-		r.inRR[pi] = rd.Int("in rr", 0, int64(len(in.VCs)))
+		r.inRR[pi] = rd.Int("in rr", 0, int64(len(in.VCs))-1)
 		r.PortSent[pi] = rd.Uvarint("port sent")
 	}
 	up := rd.Uvarint("upsent mask")
@@ -138,6 +139,7 @@ func (r *Router) Restore(rd *snap.Reader) error {
 		return rd.Err()
 	}
 	r.rng.SetState(st)
+	r.upRouted = r.RecountUpRouted()
 	return nil
 }
 

@@ -47,11 +47,6 @@ type VC struct {
 	Hold bool
 }
 
-func (v *VC) init(depth int) {
-	v.buf = make([]bufFlit, depth)
-	v.reset()
-}
-
 func (v *VC) reset() {
 	v.head, v.count = 0, 0
 	v.State = VCIdle
@@ -94,8 +89,11 @@ func (v *VC) FrontReady(cycle sim.Cycle) (message.Flit, bool) {
 // (Network.CheckNoReleasedInFlight) use it to audit buffer contents
 // without exposing the ring internals.
 func (v *VC) Scan(fn func(message.Flit)) {
-	for i := 0; i < v.count; i++ {
-		fn(v.buf[(v.head+i)%len(v.buf)].flit)
+	for i, at := 0, v.head; i < v.count; i++ {
+		fn(v.buf[at].flit)
+		if at++; at == len(v.buf) {
+			at = 0
+		}
 	}
 }
 
@@ -108,7 +106,11 @@ func (v *VC) push(f message.Flit, ready sim.Cycle) {
 	if v.count == len(v.buf) {
 		panic("router: VC buffer overflow (credit protocol violated)")
 	}
-	v.buf[(v.head+v.count)%len(v.buf)] = bufFlit{flit: f, ready: ready}
+	at := v.head + v.count
+	if at >= len(v.buf) {
+		at -= len(v.buf)
+	}
+	v.buf[at] = bufFlit{flit: f, ready: ready}
 	v.count++
 }
 
@@ -119,7 +121,9 @@ func (v *VC) pop() message.Flit {
 	}
 	f := v.buf[v.head].flit
 	v.buf[v.head] = bufFlit{}
-	v.head = (v.head + 1) % len(v.buf)
+	if v.head++; v.head == len(v.buf) {
+		v.head = 0
+	}
 	v.count--
 	return f
 }

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"fmt"
-
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -49,8 +47,11 @@ func (q *VOQ) Step(cycle sim.Cycle) {
 			continue
 		}
 		out := &q.Out[oi]
-		for k := 1; k <= nports; k++ {
-			pi := (out.rr + k) % nports
+		pi := out.rr
+		for k := 0; k < nports; k++ {
+			if pi++; pi >= nports {
+				pi = 0
+			}
 			if inputUsed&(1<<uint(pi)) != 0 || q.inClaimedAt[pi] > cycle || q.In[pi].buffered == 0 {
 				continue
 			}
@@ -74,10 +75,11 @@ func (q *VOQ) Step(cycle sim.Cycle) {
 // new.
 func (q *VOQ) pickVCFor(pi, oi topology.PortID, cycle sim.Cycle) int {
 	vcs := q.In[pi].VCs
-	n := len(vcs)
-	start := q.inRR[pi]
-	for k := 1; k <= n; k++ {
-		vi := (start + k) % n
+	vi := q.inRR[pi]
+	for range vcs {
+		if vi++; vi >= len(vcs) {
+			vi = 0
+		}
 		vc := &vcs[vi]
 		if vc.Hold {
 			// A scheme plugin owns this VC's draining.
@@ -93,14 +95,7 @@ func (q *VOQ) pickVCFor(pi, oi topology.PortID, cycle sim.Cycle) int {
 			continue
 		}
 		if f.IsHead() && !vc.routed {
-			op, err := q.route(q.ID, pi, f.Pkt)
-			if err != nil {
-				panic(fmt.Sprintf("router %d (x=%d y=%d chiplet %d) cycle %d: route computation failed for pkt %d (%s %d->%d) at input port %d: %v",
-					q.ID, q.Node.X, q.Node.Y, q.Node.Chiplet, cycle, f.Pkt.ID, f.Pkt.VNet, f.Pkt.Src, f.Pkt.Dst, pi, err))
-			}
-			vc.OutPort = op
-			vc.State = VCWaiting
-			vc.routed = true
+			q.routeHead(pi, vi, vc, f, cycle)
 		}
 		if vc.OutPort != oi {
 			continue
