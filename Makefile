@@ -40,9 +40,11 @@ bench-pairs:
 	sh scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # Non-test lines of Go in internal/ and cmd/ — the tracked size of the
-# simulator (ROADMAP aim 2).
+# simulator (ROADMAP aim 2) — per package, then the total.
 loc:
-	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@for d in internal/* cmd 'internal cmd'; do \
+		printf '%-22s %6d\n' "$$d" $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done | sed 's/^internal cmd /total        /'
 
 # Record per-package statement coverage as a diffable artifact
 # (COVER_baseline.json).

@@ -48,13 +48,13 @@ func main() {
 	upward := 0
 	for _, id := range topo.Interposer {
 		r := n.Router(id)
-		for pi := 0; pi < r.NumPorts(); pi++ {
+		for pi := 0; pi < len(r.In); pi++ {
 			for vi := 0; vi < n.Cfg.Router.NumVCs(); vi++ {
 				vc := r.VCAt(topology.PortID(pi), vi)
 				if vc.State == router.VCIdle || vc.OutPort == topology.InvalidPort {
 					continue
 				}
-				if r.TopoNode().Ports[vc.OutPort].Dir != topology.Up {
+				if r.Node.Ports[vc.OutPort].Dir != topology.Up {
 					continue
 				}
 				f, _, ok := vc.Front()

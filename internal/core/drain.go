@@ -41,7 +41,7 @@ func (u *UPP) drainChipletHop(p *popup, i int, cycle sim.Cycle) {
 	moved := false
 
 	// 1. Buffered flits of the packet in the circuit's input port.
-	for vcIdx := 0; vcIdx < r.Config().NumVCs(); vcIdx++ {
+	for vcIdx := 0; vcIdx < r.Cfg.NumVCs(); vcIdx++ {
 		vc := r.VCAt(ce.inPort, vcIdx)
 		f, ok := vc.FrontReady(cycle)
 		if !ok || !p.holds(f.Pkt) {
@@ -86,7 +86,7 @@ func (u *UPP) drainChipletHop(p *popup, i int, cycle sim.Cycle) {
 // forwardPopupFlit moves one flit of popup p out of router r at hop i,
 // either popping it from VC vcIdx of the circuit input port (fromVC) or
 // taking it from the latch. Returns whether the flit moved.
-func (u *UPP) forwardPopupFlit(p *popup, i int, r router.Microarch, cycle sim.Cycle, fromVC bool, vcIdx int) bool {
+func (u *UPP) forwardPopupFlit(p *popup, i int, r *router.Router, cycle sim.Cycle, fromVC bool, vcIdx int) bool {
 	h := &p.path[i]
 	out := h.outPort
 	last := i == len(p.path)-1

@@ -17,18 +17,18 @@ func findBusyLeaks(n *network.Network) []string {
 	var leaks []string
 	for _, node := range n.Topo.Nodes {
 		r := n.Router(node.ID)
-		nvc := r.Config().NumVCs()
+		nvc := r.Cfg.NumVCs()
 		for pi := 1; pi < len(node.Ports); pi++ {
 			p := topology.PortID(pi)
 			nb := node.Ports[pi].Neighbor
 			nbPort := node.Ports[pi].NeighborPort
 			dr := n.Router(nb)
 			for vi := 0; vi < nvc; vi++ {
-				if !r.OutBusy(p, vi) {
+				if !r.Out[p].Busy[vi] {
 					continue
 				}
 				dvc := dr.VCAt(nbPort, vi)
-				if dvc.State == router.VCIdle && dvc.Empty() && r.OutCredits(p, vi) == int16(dr.Config().BufferDepth) {
+				if dvc.State == router.VCIdle && dvc.Empty() && r.Out[p].Credits[vi] == int16(dr.Cfg.BufferDepth) {
 					leaks = append(leaks, fmt.Sprintf("node%d out[%d](%s)->node%d vc%d", node.ID, pi, node.Ports[pi].Dir, nb, vi))
 				}
 			}

@@ -471,7 +471,7 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 // queues its UPP_req. It may decline (returning without creating one)
 // when the packet's route is momentarily unsettled — the counter stays
 // above threshold and selection retries next cycle.
-func (u *UPP) startPopup(r router.Microarch, ns *nodeState, vnet message.VNet, port topology.PortID, vcIdx int, f message.Flit, cycle sim.Cycle) {
+func (u *UPP) startPopup(r *router.Router, ns *nodeState, vnet message.VNet, port topology.PortID, vcIdx int, f message.Flit, cycle sim.Cycle) {
 	path, settled, err := u.chasePath(r, port, vcIdx, f.Pkt)
 	if err != nil {
 		panic(fmt.Sprintf("upp: path for popup of pkt %d: %v", f.Pkt.ID, err))
@@ -502,7 +502,7 @@ func (u *UPP) startPopup(r router.Microarch, ns *nodeState, vnet message.VNet, p
 	p := &popup{
 		id:         u.nextID,
 		vnet:       vnet,
-		origin:     r.NodeID(),
+		origin:     r.ID,
 		pkt:        f.Pkt,
 		pktGen:     f.Pkt.Generation(),
 		dst:        f.Pkt.Dst,
@@ -515,12 +515,12 @@ func (u *UPP) startPopup(r router.Microarch, ns *nodeState, vnet message.VNet, p
 		stage:      stageReq,
 	}
 	ns.entry[vnet] = p
-	ns.rr[vnet] = int(port)*r.Config().NumVCs() + vcIdx
+	ns.rr[vnet] = int(port)*r.Cfg.NumVCs() + vcIdx
 	chiplet := u.net.Topo.Node(f.Pkt.Dst).Chiplet
 	u.tokens[chiplet][vnet] = p.id
 	u.popups[p.id] = p
 	u.net.Stats.UpwardPackets++
-	u.net.Trace("upp", r.NodeID(), "popup %d: selected upward pkt%d (%s) toward %d",
+	u.net.Trace("upp", r.ID, "popup %d: selected upward pkt%d (%s) toward %d",
 		p.id, f.Pkt.ID, vnet, f.Pkt.Dst)
 }
 
@@ -534,17 +534,17 @@ func (u *UPP) startPopup(r router.Microarch, ns *nodeState, vnet message.VNet, p
 // settled is false when the chain is momentarily indeterminate (a head in
 // flight or not yet route-computed); the caller retries next cycle — a
 // genuinely deadlocked packet settles and stays settled.
-func (u *UPP) chasePath(r router.Microarch, port topology.PortID, vcIdx int, pkt *message.Packet) (path []hop, settled bool, err error) {
+func (u *UPP) chasePath(r *router.Router, port topology.PortID, vcIdx int, pkt *message.Packet) (path []hop, settled bool, err error) {
 	topo := u.net.Topo
 	tracked := r.VCAt(port, vcIdx)
-	path = []hop{{node: r.NodeID(), inPort: topology.InvalidPort, outPort: tracked.OutPort}}
+	path = []hop{{node: r.ID, inPort: topology.InvalidPort, outPort: tracked.OutPort}}
 	cur, curIn := r.Neighbor(tracked.OutPort)
 	curVC := tracked.OutVC // -1 when the packet is Waiting (nothing transmitted)
 
 	// Phase 1: follow the allocation chain through the chiplet.
 	for curVC >= 0 {
 		if len(path) > topo.NumNodes() {
-			return nil, false, fmt.Errorf("allocation chain loop from %d to %d", r.NodeID(), pkt.Dst)
+			return nil, false, fmt.Errorf("allocation chain loop from %d to %d", r.ID, pkt.Dst)
 		}
 		rr := u.net.Router(cur)
 		vc := rr.VCAt(curIn, int(curVC))
@@ -582,7 +582,7 @@ func (u *UPP) chasePath(r router.Microarch, port topology.PortID, vcIdx int, pkt
 		IngressInterposer: pkt.IngressInterposer,
 		EgressBoundary:    pkt.EgressBoundary,
 		RouteLayer:        int16(topology.InterposerChiplet),
-		LayerEntryX:       int16(topo.Node(r.NodeID()).X),
+		LayerEntryX:       int16(topo.Node(r.ID).X),
 		// Pin the pseudo packet to the CURRENT routing epoch regardless
 		// of the real packet's stamp: during a reconfiguration the
 		// untransmitted remainder of the chase must follow live tables
@@ -593,7 +593,7 @@ func (u *UPP) chasePath(r router.Microarch, port topology.PortID, vcIdx int, pkt
 	}
 	for i := 0; ; i++ {
 		if i > topo.NumNodes() {
-			return nil, false, fmt.Errorf("routing loop from %d to %d", r.NodeID(), pkt.Dst)
+			return nil, false, fmt.Errorf("routing loop from %d to %d", r.ID, pkt.Dst)
 		}
 		out, rerr := u.net.Route(cur, curIn, pseudo)
 		if rerr != nil {
@@ -887,7 +887,7 @@ func (u *UPP) makeGrant(ni *network.NI, id uint64, vnet message.VNet) func(grant
 
 // OnPacketEjected implements network.Scheme: a fully ejected popup packet
 // completes its recovery. Popup packets never eject through the normal
-// router datapath (pickInputVC skips popup flits in the destination
+// router datapath (requestOf skips popup flits in the destination
 // chiplet; popup ejection is EjectDirect from StartOfCycle), so under
 // the parallel kernel this hook only ever fires from the coordinator —
 // either directly or via the commit-phase replay of a deferred

@@ -125,7 +125,6 @@ func latencyFigure(id string, sysCfg topology.SystemConfig, patterns []traffic.P
 		for _, pat := range patterns {
 			comp := results[key{pat.Name(), vcs, SchemeComposable}]
 			rc := results[key{pat.Name(), vcs, SchemeRemoteControl}]
-			upp := results[key{pat.Name(), vcs, SchemeUPP}]
 			for _, sch := range ComparedSchemes() {
 				c := results[key{pat.Name(), vcs, sch}]
 				vsComp := ratioPct(c.SaturationThroughput, comp.SaturationThroughput)
@@ -134,7 +133,6 @@ func latencyFigure(id string, sysCfg topology.SystemConfig, patterns []traffic.P
 				summary.AddRowf(pat.Name(), vcs, string(sch),
 					c.SaturationThroughput, fmtPct(vsComp), c.ZeroLoadLatency, fmtPct(latVsComp), fmtPct(latVsRC))
 			}
-			_ = upp
 		}
 	}
 	return []Table{curves, summary, charts}, nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -140,5 +141,46 @@ func TestCheckpointRestoreFaulted(t *testing.T) {
 	}
 	if plain != cold {
 		t.Fatalf("faulted checkpoint perturbed the run:\nplain:        %+v\ncheckpointed: %+v", plain, cold)
+	}
+}
+
+// TestSnapshotBytesPinned pins the on-disk checkpoint encoding (the UPWR
+// container around a UPWS snapshot) for every router microarchitecture:
+// the result cache keeps warm-start checkpoints across builds and
+// snapVersion only moves when the format does, so a refactor of the
+// datapath must keep writing these bytes. The digests were computed at
+// commit 944f7a7 (the last one with separate OQ/VOQ router types). The oq
+// run is checked to hold staged flits at the checkpoint cycle, so its
+// staging section is non-trivially covered.
+func TestSnapshotBytesPinned(t *testing.T) {
+	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_NOPOOL", "UPP_CACHE_DIR"} {
+		t.Setenv(env, "")
+	}
+	for _, pin := range [][2]string{
+		{"iq", "5dde431da56de246e5a50bf50fa918f3431e1d70ea5081b62f55768da625d897"},
+		{"oq", "e1e5bcebdcb0af8e7230c08666b78961dcb0066b800618ea3fbe282e465073a7"},
+		{"voq", "0e8419d25570333887312a4469240a331e557046f079b303b3c8946e7c0aa76f"},
+	} {
+		arch, want := pin[0], pin[1]
+		var buf bytes.Buffer
+		if _, err := RunCheckpointed(snapSpec(SchemeUPP, arch), 700, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+			t.Errorf("%s: checkpoint at cycle 700 (%d bytes) has sha256 %s, want %s", arch, buf.Len(), got, want)
+		}
+		n, _, _, err := ReadCheckpoint(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged := 0
+		for i, r := range n.Routers {
+			for pi := range n.Topo.Nodes[i].Ports {
+				staged += r.StagedCount(topology.PortID(pi))
+			}
+		}
+		if (arch == "oq") != (staged > 0) {
+			t.Errorf("%s: %d flits staged at the checkpoint cycle", arch, staged)
+		}
 	}
 }

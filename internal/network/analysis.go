@@ -51,7 +51,7 @@ func (c *DependencyCycle) InvolvesUpwardPacket() bool {
 		if vc.OutPort == topology.InvalidPort {
 			continue
 		}
-		if r.TopoNode().Ports[vc.OutPort].Dir == topology.Up {
+		if r.Node.Ports[vc.OutPort].Dir == topology.Up {
 			return true
 		}
 	}
@@ -83,7 +83,7 @@ func (c *DependencyCycle) String() string {
 		if f, _, ok := vc.Front(); ok {
 			dir := "?"
 			if vc.OutPort != topology.InvalidPort {
-				dir = r.TopoNode().Ports[vc.OutPort].Dir.String()
+				dir = r.Node.Ports[vc.OutPort].Dir.String()
 			}
 			desc = fmt.Sprintf("pkt%d(%s)->%s", f.Pkt.ID, f.Pkt.VNet, dir)
 		}
@@ -112,9 +112,14 @@ func (c *DependencyCycle) String() string {
 // router system the graph construction therefore costs O(blocked routers),
 // not O(total nodes). The naive kernel keeps no awake list and scans
 // everything.
+//
+// The search starts from the blocked VCs in scan order (ascending node,
+// port, VC) and follows edges in the order they were found, so a wedged
+// network with several cycles always yields the same certificate.
 func (n *Network) FindDependencyCycle() *DependencyCycle {
 	type key = VCRef
 	adj := map[key][]key{}
+	var roots []key // the keys of adj, in scan order
 	nvc := n.Cfg.Router.NumVCs()
 	scan := func(node *topology.Node) {
 		r := n.Routers[node.ID]
@@ -127,18 +132,23 @@ func (n *Network) FindDependencyCycle() *DependencyCycle {
 				}
 				from := key{node.ID, topology.PortID(pi), vi}
 				nb, nbPort := r.Neighbor(vc.OutPort)
+				var waitsOn []key
 				switch vc.State {
 				case router.VCActive:
-					if r.OutCredits(vc.OutPort, int(vc.OutVC)) <= 0 {
-						adj[from] = append(adj[from], key{nb, nbPort, int(vc.OutVC)})
+					if r.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+						waitsOn = append(waitsOn, key{nb, nbPort, int(vc.OutVC)})
 					}
 				case router.VCWaiting:
 					for k := 0; k < n.Cfg.Router.VCsPerVNet; k++ {
 						dv := n.Cfg.Router.VCIndex(f.Pkt.VNet, k)
-						if r.OutBusy(vc.OutPort, dv) || r.OutCredits(vc.OutPort, dv) <= 0 {
-							adj[from] = append(adj[from], key{nb, nbPort, dv})
+						if r.Out[vc.OutPort].Busy[dv] || r.Out[vc.OutPort].Credits[dv] <= 0 {
+							waitsOn = append(waitsOn, key{nb, nbPort, dv})
 						}
 					}
+				}
+				if len(waitsOn) > 0 {
+					adj[from] = waitsOn
+					roots = append(roots, from)
 				}
 			}
 		}
@@ -185,7 +195,7 @@ func (n *Network) FindDependencyCycle() *DependencyCycle {
 		color[u] = black
 		return false
 	}
-	for u := range adj {
+	for _, u := range roots {
 		if color[u] == white && dfs(u) {
 			break
 		}

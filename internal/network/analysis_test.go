@@ -58,3 +58,34 @@ func TestNoCycleAtLowLoad(t *testing.T) {
 		t.Fatalf("cycle on an empty network: %s", c)
 	}
 }
+
+// TestDependencyCycleDeterministic: a wedged network holds several
+// dependency cycles (the cmd/deadlock workload: three runs used to print
+// three different chains), and the certificate must not depend on map
+// iteration order — 20 extractions from one network agree, and so do two
+// networks built independently at the same seed.
+func TestDependencyCycleDeterministic(t *testing.T) {
+	wedged := func() *network.Network {
+		n := network.MustNew(topology.MustBuild(topology.BaselineConfig()), network.DefaultConfig(), network.None{})
+		g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.10, 42)
+		g.Run(30000)
+		g.SetRate(0)
+		if err := n.Drain(50000, 3000); err == nil {
+			t.Fatal("the cmd/deadlock workload no longer wedges")
+		}
+		return n
+	}
+	a, b := wedged(), wedged()
+	want := a.FindDependencyCycle()
+	if want == nil {
+		t.Fatal("wedged but no dependency cycle found")
+	}
+	for i := 0; i < 20; i++ {
+		if got := a.FindDependencyCycle().String(); got != want.String() {
+			t.Fatalf("call %d returned a different certificate:\n%s\nfirst:\n%s", i, got, want)
+		}
+	}
+	if got := b.FindDependencyCycle().String(); got != want.String() {
+		t.Fatalf("a second network at the same seed returned a different certificate:\n%s\nfirst:\n%s", got, want)
+	}
+}

@@ -30,12 +30,12 @@ func (n *Network) CheckQuiescent() error {
 		node := &n.Topo.Nodes[i]
 		r := n.Routers[node.ID]
 		// The effective per-VC depth is what credits count against —
-		// smaller than the budget depth for buffer-splitting variants.
-		depth := int16(r.Config().BufferDepth)
+		// smaller than the budget depth under oq.
+		depth := int16(r.Cfg.BufferDepth)
 		if r.Buffered() != 0 {
 			return fmt.Errorf("network: node %d still buffers %d flits", node.ID, r.Buffered())
 		}
-		if c := r.(censused).UpRouted(); c != [message.NumVNets]int32{} {
+		if c := r.UpRouted(); c != [message.NumVNets]int32{} {
 			return fmt.Errorf("network: node %d upward census %v not zero", node.ID, c)
 		}
 		for pi := range node.Ports {
@@ -56,10 +56,10 @@ func (n *Network) CheckQuiescent() error {
 				if pi == 0 {
 					continue
 				}
-				if c := r.OutCredits(topology.PortID(pi), vi); c != depth {
+				if c := r.Out[pi].Credits[vi]; c != depth {
 					return fmt.Errorf("network: node %d out[%d] vc%d credits %d != %d", node.ID, pi, vi, c, depth)
 				}
-				if r.OutBusy(topology.PortID(pi), vi) {
+				if r.Out[pi].Busy[vi] {
 					return fmt.Errorf("network: node %d out[%d] vc%d allocation leaked", node.ID, pi, vi)
 				}
 			}
@@ -81,11 +81,4 @@ func (n *Network) CheckQuiescent() error {
 		return fmt.Errorf("network: flit conservation violated: injected %d, ejected %d", n.Stats.InjectedFlits, n.Stats.EjectedFlits)
 	}
 	return nil
-}
-
-// censused is the checkers' view of a router's upward census
-// (router.Router's; every Microarch variant embeds it).
-type censused interface {
-	UpRouted() [message.NumVNets]int32
-	RecountUpRouted() [message.NumVNets]int32
 }

@@ -93,9 +93,9 @@ func (n *Network) CheckConservation() error {
 			down := n.Routers[pt.Neighbor]
 			// The law balances against the downstream input VC's actual
 			// depth (the effective config, not the budget config).
-			depth := down.Config().BufferDepth
+			depth := down.Cfg.BufferDepth
 			for vi := 0; vi < nvc; vi++ {
-				credits := int(r.OutCredits(topology.PortID(pi), vi))
+				credits := int(r.Out[pi].Credits[vi])
 				staged := r.StagedFor(topology.PortID(pi), vi)
 				buffered := down.VCAt(pt.NeighborPort, vi).Len()
 				inFlight := flitsInFlight[key{pt.Neighbor, pt.NeighborPort, int8(vi)}]
@@ -117,8 +117,7 @@ func (n *Network) CheckConservation() error {
 			if err := checkNode(&n.Topo.Nodes[i]); err != nil {
 				return err
 			}
-			c := n.Routers[i].(censused)
-			if got, want := c.UpRouted(), c.RecountUpRouted(); got != want {
+			if got, want := n.Routers[i].UpRouted(), n.Routers[i].RecountUpRouted(); got != want {
 				return fmt.Errorf("network: node %d upward census %v, recount from its VCs %v", i, got, want)
 			}
 		}

@@ -82,7 +82,7 @@ func (n *Network) stallDiagnostic(stallLimit sim.Cycle) *StallDiagnostic {
 	}
 	nvc := n.Cfg.Router.NumVCs()
 	for _, r := range n.Routers {
-		for pi := range r.TopoNode().Ports {
+		for pi := range r.Node.Ports {
 			for vi := 0; vi < nvc; vi++ {
 				vc := r.VCAt(topology.PortID(pi), vi)
 				if l := vc.Len(); l > 0 {

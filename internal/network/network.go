@@ -149,9 +149,13 @@ const wheelSize = 128
 
 // Network is a complete simulated system.
 type Network struct {
-	Topo    *topology.Topology
-	Cfg     Config
-	Routers []router.Microarch
+	Topo *topology.Topology
+	Cfg  Config
+	// Routers holds the router of every node, indexed by NodeID. There is
+	// one router type whatever Cfg.RouterArch says; schemes, checkers and
+	// tools read its exported state (ID, Node, Cfg, Stats, In, Out,
+	// PortSent) directly.
+	Routers []*router.Router
 	NIs     []*NI
 
 	scheme        Scheme
@@ -296,8 +300,8 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 				credits := 0
 				for k := 0; k < cfg.Router.VCsPerVNet; k++ {
 					dv := cfg.Router.VCIndex(p.VNet, k)
-					if !r.OutBusy(cand, dv) {
-						credits += int(r.OutCredits(cand, dv))
+					if !r.Out[cand].Busy[dv] {
+						credits += int(r.Out[cand].Credits[dv])
 					}
 				}
 				if credits > bestCredits {
@@ -314,18 +318,18 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	route := func(cur topology.NodeID, inPort topology.PortID, p *message.Packet) (topology.PortID, error) {
 		return n.Route(cur, inPort, p)
 	}
-	n.Routers = make([]router.Microarch, t.NumNodes())
+	n.Routers = make([]*router.Router, t.NumNodes())
 	n.NIs = make([]*NI, t.NumNodes())
 	for i := range t.Nodes {
 		node := &t.Nodes[i]
-		r, err := router.NewMicroarch(cfg.arch(), node, cfg.Router, n, nil, route, n.rng.Split(uint64(i)))
+		r, err := router.New(cfg.arch(), node, cfg.Router, n, nil, route, n.rng.Split(uint64(i)))
 		if err != nil {
 			return nil, err
 		}
 		// The NI mirrors the router's effective input-side config: its
 		// credit counters must match the local port's actual VC depth,
-		// which buffer-splitting variants reduce below the budget depth.
-		ni := newNI(n, node.ID, r, r.Config(), cfg.EjectionDepth)
+		// which oq reduces below the budget depth.
+		ni := newNI(n, node.ID, r, r.Cfg, cfg.EjectionDepth)
 		r.SetLocal(ni)
 		n.Routers[i] = r
 		n.NIs[i] = ni
@@ -506,8 +510,8 @@ func (n *Network) deliverLocalFlit(node topology.NodeID, vc int8, f message.Flit
 // NI returns the network interface at node id.
 func (n *Network) NI(id topology.NodeID) *NI { return n.NIs[id] }
 
-// Router returns the router at node id.
-func (n *Network) Router(id topology.NodeID) router.Microarch { return n.Routers[id] }
+// Router returns the router at node id (Routers[id]).
+func (n *Network) Router(id topology.NodeID) *router.Router { return n.Routers[id] }
 
 // Kernel returns the resolved cycle-kernel name (KernelActive,
 // KernelNaive or KernelParallel).

@@ -36,7 +36,7 @@ type reservationWaiter struct {
 type NI struct {
 	Node topology.NodeID
 	net  *Network
-	r    router.Microarch
+	r    *router.Router
 	cfg  router.Config
 
 	// Injection side.
@@ -77,7 +77,7 @@ type completed struct {
 	ready sim.Cycle
 }
 
-func newNI(net *Network, node topology.NodeID, r router.Microarch, cfg router.Config, ejCap int) *NI {
+func newNI(net *Network, node topology.NodeID, r *router.Router, cfg router.Config, ejCap int) *NI {
 	ni := &NI{
 		Node:    node,
 		net:     net,
@@ -423,7 +423,7 @@ func (ni *NI) CancelReservation(vnet message.VNet, popupID uint64) {
 }
 
 // Router returns the router this NI is attached to.
-func (ni *NI) Router() router.Microarch { return ni.r }
+func (ni *NI) Router() *router.Router { return ni.r }
 
 // Pending reports in-flight work at this NI: queued, streaming or
 // reassembling packets (used by drain loops and the watchdog).

@@ -22,12 +22,12 @@ func (n *Network) CheckNoReleasedInFlight() error {
 			p.ID, p.Generation(), where)
 	}
 	for _, r := range n.Routers {
-		for port := range r.TopoNode().Ports {
+		for port := range r.Node.Ports {
 			for vcIdx := 0; vcIdx < n.Cfg.Router.NumVCs(); vcIdx++ {
 				var err error
 				r.VCAt(topology.PortID(port), vcIdx).Scan(func(f message.Flit) {
 					if err == nil && f.Pkt.Released() {
-						err = bad(fmt.Sprintf("router %d port %d vc %d", r.NodeID(), port, vcIdx), f.Pkt)
+						err = bad(fmt.Sprintf("router %d port %d vc %d", r.ID, port, vcIdx), f.Pkt)
 					}
 				})
 				if err != nil {
@@ -38,7 +38,7 @@ func (n *Network) CheckNoReleasedInFlight() error {
 		var err error
 		r.ScanStaged(func(f message.Flit) {
 			if err == nil && f.Pkt.Released() {
-				err = bad(fmt.Sprintf("router %d staging", r.NodeID()), f.Pkt)
+				err = bad(fmt.Sprintf("router %d staging", r.ID), f.Pkt)
 			}
 		})
 		if err != nil {

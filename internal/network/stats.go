@@ -107,7 +107,7 @@ func (n *Network) Throughput() float64 {
 func (n *Network) RouterStats() router.Stats {
 	var s router.Stats
 	for _, r := range n.Routers {
-		rs := r.StatsSnapshot()
+		rs := r.Stats
 		s.BufferWrites += rs.BufferWrites
 		s.BufferReads += rs.BufferReads
 		s.CrossbarTravs += rs.CrossbarTravs

@@ -67,7 +67,7 @@ type Event struct {
 
 // CutInfo records a permanent link cut: the cycle it was applied and the
 // endpoints' cumulative sent-flit counters at that moment. A post-run
-// assertion that PortSentOn still equals SentA/SentB proves no flit
+// assertion that PortSent still equals SentA/SentB proves no flit
 // crossed the link after the cut.
 type CutInfo struct {
 	Link         int
@@ -462,8 +462,8 @@ func (e *Engine) stepFencing(cycle sim.Cycle) {
 		e.cuts = append(e.cuts, CutInfo{
 			Link:  ev.Link,
 			Cycle: cycle,
-			SentA: e.net.Routers[l.A].PortSentOn(l.APort),
-			SentB: e.net.Routers[l.B].PortSentOn(l.BPort),
+			SentA: e.net.Routers[l.A].PortSent[l.APort],
+			SentB: e.net.Routers[l.B].PortSent[l.BPort],
 		})
 		// The fence stays up past the cut: stale old-epoch lookups must
 		// keep migrating off the dead port instead of wedging on it.

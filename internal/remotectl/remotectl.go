@@ -242,7 +242,7 @@ func (s *Scheme) refreshHolds(b *boundary, _ sim.Cycle) {
 	}
 	b.held = b.held[:0]
 	nvc := s.net.Cfg.Router.NumVCs()
-	for pi := 0; pi < r.NumPorts(); pi++ {
+	for pi := 0; pi < len(r.In); pi++ {
 		for vi := 0; vi < nvc; vi++ {
 			vc := r.VCAt(topology.PortID(pi), vi)
 			f, _, ok := vc.Front()
@@ -265,7 +265,7 @@ func (s *Scheme) isEgressHere(b *boundary, p *message.Packet) bool {
 func (s *Scheme) absorb(b *boundary, cycle sim.Cycle) {
 	r := s.net.Router(b.node)
 	nvc := s.net.Cfg.Router.NumVCs()
-	for pi := 0; pi < r.NumPorts(); pi++ {
+	for pi := 0; pi < len(r.In); pi++ {
 		port := topology.PortID(pi)
 		for vi := 0; vi < nvc; vi++ {
 			vc := r.VCAt(port, vi)
@@ -293,7 +293,7 @@ func (s *Scheme) absorb(b *boundary, cycle sim.Cycle) {
 // down vertical link, keeping wormhole ordering per VNet.
 func (s *Scheme) sendDown(b *boundary, cycle sim.Cycle) {
 	r := s.net.Router(b.node)
-	down := r.TopoNode().PortTo(topology.Down)
+	down := r.Node.PortTo(topology.Down)
 	if down == topology.InvalidPort || r.OutputClaimed(down, cycle) {
 		return
 	}

@@ -15,6 +15,8 @@ import (
 // request masks: a ports × ports × nominees scan in ascending output
 // order, round-robin over inputs starting after the last grant. Kept as
 // the reference FuzzSwitchAllocEquivalence holds the mask allocator to.
+// Like every oracle below it calls only the pre-merge copies of the
+// eligibility rule, VC selection and dequeue/transmit kept in this file.
 func oracleStep(r *Router, cycle sim.Cycle) {
 	if r.buffered == 0 {
 		return
@@ -30,7 +32,7 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 		if r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
 			continue
 		}
-		if vi := r.pickInputVC(topology.PortID(pi), cycle); vi >= 0 {
+		if vi := oraclePickInputVC(r, topology.PortID(pi), cycle); vi >= 0 {
 			nominees[nn] = nominee{topology.PortID(pi), vi}
 			nn++
 			r.Stats.SARequests++
@@ -63,13 +65,389 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 			continue
 		}
 		nom := nominees[granted]
-		r.grant(nom.port, nom.vc, cycle)
+		oracleGrant(r, nom.port, nom.vc, cycle)
 		nominees[granted] = nominees[nn-1]
 		nn--
 		if nn == 0 {
 			break
 		}
 	}
+}
+
+// The functions from here to oracleStageFront are the switch-allocation
+// bodies as they stood before the router variants were folded into one
+// type (commit 944f7a7), verbatim but for their receivers: iq's
+// pickInputVC, grant and sendFront, VOQ.Step with pickVCFor, and OQ.Step
+// with firstFreeOutVC, ejectFront and stageFront. They are references the
+// merged requestOf/pickVC/grant/PopFront/transmit path is compared
+// against, not a second shipped path; the helpers they share with it
+// (routeHead, headCanAdvance, releaseVC, creditUpstream, MarkUpSent) did
+// not change in the merge.
+
+func oraclePickInputVC(r *Router, pi topology.PortID, cycle sim.Cycle) int {
+	vcs := r.In[pi].VCs
+	vi := r.inRR[pi]
+	for range vcs {
+		if vi++; vi >= len(vcs) {
+			vi = 0
+		}
+		vc := &vcs[vi]
+		if vc.Hold {
+			// A scheme plugin owns this VC's draining.
+			continue
+		}
+		f, ok := vc.FrontReady(cycle)
+		if !ok {
+			continue
+		}
+		if f.Pkt.Popup && int16(r.Node.Chiplet) == f.Pkt.DstChiplet {
+			// Inside the destination chiplet, popup flits bypass switch
+			// allocation and drain through the circuit (Sec. V-C).
+			// Upstream — the interposer mesh and the source chiplet — the
+			// packet's trailing flits still flow normally toward the
+			// origin interposer router.
+			continue
+		}
+		if f.IsHead() && !vc.routed {
+			r.routeHead(pi, vi, vc, f, cycle)
+		}
+		if vc.OutPort == topology.InvalidPort || r.outClaimedAt[vc.OutPort] > cycle ||
+			r.downOut&(1<<uint(vc.OutPort)) != 0 {
+			continue
+		}
+		switch vc.State {
+		case VCWaiting:
+			if r.fencedOut&(1<<uint(vc.OutPort)) != 0 {
+				// The port is draining toward a permanent cut: no new
+				// wormhole may start crossing (the head is migrated onto
+				// the new routing by UnrouteFencedHeads).
+				continue
+			}
+			if !r.headCanAdvance(vc, f, cycle) {
+				continue
+			}
+		case VCActive:
+			if vc.OutPort != topology.LocalPort && r.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+				continue
+			}
+		default:
+			continue
+		}
+		r.inRR[pi] = vi
+		return vi
+	}
+	return -1
+}
+
+func oracleGrant(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
+	vc := &r.In[pi].VCs[vi]
+	f, _, _ := vc.Front()
+	if vc.State == VCWaiting {
+		if vc.OutPort != topology.LocalPort {
+			// VC selection: pick a random free downstream VC of the
+			// packet's VNet (the paper's randomized VCS stage).
+			out := &r.Out[vc.OutPort]
+			vnet := f.Pkt.VNet
+			need := int16(1)
+			if r.Cfg.VCT {
+				need = int16(f.Pkt.Size)
+			}
+			// Fixed-size candidate array (VCsPerVNet is bounded by
+			// Config.Validate): a make() here would allocate on every
+			// head grant.
+			var free [maxVCsPerVNet]int8
+			nf := 0
+			for k := 0; k < r.Cfg.VCsPerVNet; k++ {
+				dv := int8(r.Cfg.VCIndex(vnet, k))
+				if !out.Busy[dv] && out.Credits[dv] >= need {
+					free[nf] = dv
+					nf++
+				}
+			}
+			vc.OutVC = free[r.rng.Intn(nf)]
+			out.Busy[vc.OutVC] = true
+		}
+		vc.State = VCActive
+	}
+	r.Stats.SAGrants++
+	oracleSendFront(r, pi, vi, cycle)
+}
+
+// sendFront dequeues the front flit of (pi, vi) and sends it through the
+// crossbar to the VC's allocated output. Credits flow upstream; tail flits
+// release the VC.
+func oracleSendFront(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
+	vc := &r.In[pi].VCs[vi]
+	f := vc.pop()
+	r.In[pi].buffered--
+	r.buffered--
+	r.Stats.BufferReads++
+	r.Stats.CrossbarTravs++
+	out := vc.OutPort
+	outVC := vc.OutVC
+	tail := f.IsTail()
+	if tail {
+		// All flits of the packet passed through; the VC is reusable. The
+		// downstream allocation is freed by the downstream router's own
+		// tail departure (free credit), not here.
+		r.releaseVC(vc, vi)
+	}
+	r.creditUpstream(pi, int8(vi), 1, tail, cycle)
+	r.PortSent[out]++
+	if out == topology.LocalPort {
+		r.local.AcceptFlit(f, cycle+1)
+		return
+	}
+	r.Stats.LinkTravs++
+	if r.Node.Ports[out].Dir == topology.Up {
+		r.Stats.UpFlits++
+		r.MarkUpSent(f.Pkt.VNet, cycle)
+	}
+	o := &r.Out[out]
+	o.Credits[outVC]--
+	if o.Credits[outVC] < 0 {
+		panic("router: sent flit without credit")
+	}
+	nb, nbPort := r.Neighbor(out)
+	r.sink.DeliverFlit(nb, nbPort, outVC, f, cycle+1+sim.Cycle(r.Cfg.LinkLatency))
+}
+
+func oracleStepVOQ(q *Router, cycle sim.Cycle) {
+	if q.buffered == 0 {
+		return
+	}
+	nports := len(q.In)
+	var inputUsed uint32
+	for oi := 0; oi < nports; oi++ {
+		if q.outClaimedAt[oi] > cycle || q.downOut&(1<<uint(oi)) != 0 {
+			continue
+		}
+		out := &q.Out[oi]
+		pi := out.rr
+		for k := 0; k < nports; k++ {
+			if pi++; pi >= nports {
+				pi = 0
+			}
+			if inputUsed&(1<<uint(pi)) != 0 || q.inClaimedAt[pi] > cycle || q.In[pi].buffered == 0 {
+				continue
+			}
+			vi := oraclePickVCFor(q, topology.PortID(pi), topology.PortID(oi), cycle)
+			if vi < 0 {
+				continue
+			}
+			q.Stats.SARequests++
+			oracleGrant(q, topology.PortID(pi), vi, cycle)
+			out.rr = pi
+			inputUsed |= 1 << uint(pi)
+			break
+		}
+	}
+}
+
+func oraclePickVCFor(q *Router, pi, oi topology.PortID, cycle sim.Cycle) int {
+	vcs := q.In[pi].VCs
+	vi := q.inRR[pi]
+	for range vcs {
+		if vi++; vi >= len(vcs) {
+			vi = 0
+		}
+		vc := &vcs[vi]
+		if vc.Hold {
+			// A scheme plugin owns this VC's draining.
+			continue
+		}
+		f, ok := vc.FrontReady(cycle)
+		if !ok {
+			continue
+		}
+		if f.Pkt.Popup && int16(q.Node.Chiplet) == f.Pkt.DstChiplet {
+			// Popup flits drain through the circuit inside the destination
+			// chiplet (Sec. V-C), exactly as in the input-queued router.
+			continue
+		}
+		if f.IsHead() && !vc.routed {
+			q.routeHead(pi, vi, vc, f, cycle)
+		}
+		if vc.OutPort != oi {
+			continue
+		}
+		switch vc.State {
+		case VCWaiting:
+			if q.fencedOut&(1<<uint(vc.OutPort)) != 0 {
+				// The port is draining toward a permanent cut: no new
+				// wormhole may start crossing (the head is migrated onto
+				// the new routing by UnrouteFencedHeads).
+				continue
+			}
+			if !q.headCanAdvance(vc, f, cycle) {
+				continue
+			}
+		case VCActive:
+			if vc.OutPort != topology.LocalPort && q.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+				continue
+			}
+		default:
+			continue
+		}
+		q.inRR[pi] = vi
+		return vi
+	}
+	return -1
+}
+
+func oracleStepOQ(q *Router, cycle sim.Cycle) {
+	if q.buffered == 0 && q.staged == 0 {
+		return
+	}
+	nports := len(q.In)
+	// Output drain. Plugin claims (UPP popup circuits, signal hops) and
+	// down links pause the port; claiming it ourselves keeps the link at
+	// one flit per cycle against same-cycle out-of-band senders.
+	if q.staged > 0 {
+		for oi := 1; oi < nports; oi++ {
+			st := &q.stage[oi]
+			if st.count == 0 || q.outClaimedAt[oi] > cycle || q.downOut&(1<<uint(oi)) != 0 {
+				continue
+			}
+			q.outClaimedAt[oi] = cycle + 1
+			sf := st.pop()
+			q.staged--
+			q.Stats.BufferReads++
+			q.Stats.LinkTravs++
+			q.PortSent[oi]++
+			if q.Node.Ports[oi].Dir == topology.Up {
+				q.Stats.UpFlits++
+				q.MarkUpSent(sf.f.Pkt.VNet, cycle)
+			}
+			nb, nbPort := q.Neighbor(topology.PortID(oi))
+			q.sink.DeliverFlit(nb, nbPort, sf.outVC, sf.f, cycle+1+sim.Cycle(q.Cfg.LinkLatency))
+		}
+	}
+	if q.buffered == 0 {
+		return
+	}
+	// Input stage: full crossbar speedup — every eligible VC front moves.
+	for pi := 0; pi < nports; pi++ {
+		if q.inClaimedAt[pi] > cycle || q.In[pi].buffered == 0 {
+			continue
+		}
+		vcs := q.In[pi].VCs
+		for vi := range vcs {
+			vc := &vcs[vi]
+			if vc.Hold {
+				// A scheme plugin owns this VC's draining.
+				continue
+			}
+			f, ok := vc.FrontReady(cycle)
+			if !ok {
+				continue
+			}
+			if f.Pkt.Popup && int16(q.Node.Chiplet) == f.Pkt.DstChiplet {
+				// Popup flits drain through the circuit inside the
+				// destination chiplet (Sec. V-C).
+				continue
+			}
+			if f.IsHead() && !vc.routed {
+				q.routeHead(topology.PortID(pi), vi, vc, f, cycle)
+			}
+			if vc.OutPort == topology.InvalidPort {
+				continue
+			}
+			q.Stats.SARequests++
+			if vc.OutPort == topology.LocalPort {
+				if vc.State == VCWaiting {
+					if !q.local.CanAcceptHead(f.Pkt, cycle) {
+						continue
+					}
+					vc.State = VCActive
+				}
+				q.Stats.SAGrants++
+				oracleEjectFront(q, topology.PortID(pi), vi, cycle)
+				continue
+			}
+			st := &q.stage[vc.OutPort]
+			if st.count == len(st.buf) {
+				continue
+			}
+			if vc.State == VCWaiting && q.fencedOut&(1<<uint(vc.OutPort)) != 0 {
+				// The port is draining toward a permanent cut: no new
+				// wormhole may start crossing (UnrouteFencedHeads migrates
+				// the head onto the new routing).
+				continue
+			}
+			if vc.State == VCWaiting {
+				// Deterministic VC selection: the first free downstream
+				// VC of the packet's VNet with a credit.
+				dv := oracleFirstFreeOutVC(q, vc.OutPort, f.Pkt.VNet)
+				if dv < 0 {
+					continue
+				}
+				vc.OutVC = int8(dv)
+				q.Out[vc.OutPort].Busy[dv] = true
+				vc.State = VCActive
+			} else if q.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+				continue
+			}
+			q.Stats.SAGrants++
+			oracleStageFront(q, topology.PortID(pi), vi, cycle)
+		}
+	}
+}
+
+// firstFreeOutVC returns the first unallocated downstream VC of vnet on
+// output out that holds a credit, or -1.
+func oracleFirstFreeOutVC(q *Router, out topology.PortID, vnet message.VNet) int {
+	o := &q.Out[out]
+	for k := 0; k < q.Cfg.VCsPerVNet; k++ {
+		dv := q.Cfg.VCIndex(vnet, k)
+		if !o.Busy[dv] && o.Credits[dv] > 0 {
+			return dv
+		}
+	}
+	return -1
+}
+
+// ejectFront pops the front flit of (pi, vi) and hands it to the NI —
+// the local port has no staging FIFO.
+func oracleEjectFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
+	vc := &q.In[pi].VCs[vi]
+	f := vc.pop()
+	q.In[pi].buffered--
+	q.buffered--
+	q.Stats.BufferReads++
+	q.Stats.CrossbarTravs++
+	tail := f.IsTail()
+	if tail {
+		q.releaseVC(vc, vi)
+	}
+	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
+	q.PortSent[topology.LocalPort]++
+	q.local.AcceptFlit(f, cycle+1)
+}
+
+// stageFront pops the front flit of (pi, vi), consumes its downstream
+// credit and writes it into the output's staging FIFO.
+func oracleStageFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
+	vc := &q.In[pi].VCs[vi]
+	f := vc.pop()
+	q.In[pi].buffered--
+	q.buffered--
+	q.Stats.BufferReads++
+	q.Stats.CrossbarTravs++
+	out, outVC := vc.OutPort, vc.OutVC
+	tail := f.IsTail()
+	if tail {
+		q.releaseVC(vc, vi)
+	}
+	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
+	o := &q.Out[out]
+	o.Credits[outVC]--
+	if o.Credits[outVC] < 0 {
+		panic("router: staged flit without credit")
+	}
+	q.stage[out].push(stagedFlit{f: f, outVC: outVC})
+	q.staged++
+	q.Stats.BufferWrites++
 }
 
 // eventLog records everything a router emits, in order, as text.
@@ -107,11 +485,12 @@ func widestNode(t testing.TB) *topology.Node {
 	return best
 }
 
-// randomRouter builds a router at cycle 100 whose whole allocation state
-// — VC contents and wormhole state, credits, busy bits, both round-robin
-// pointer sets, the claimed/down/fenced masks — is drawn from seed. Equal
-// seeds build equal routers.
-func randomRouter(node *topology.Node, seed uint64) (*Router, *eventLog) {
+// randomRouter builds an arch router at cycle 100 whose whole allocation
+// state — VC contents and wormhole state, credits, busy bits, both
+// round-robin pointer sets, the claimed/down/fenced masks and, for oq, the
+// staging FIFOs' contents — is drawn from seed. Equal seeds build equal
+// routers.
+func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (*Router, *eventLog) {
 	const cycle = 100
 	g := sim.NewRNG(seed)
 	cfg := Config{VCsPerVNet: 1 + g.Intn(4), BufferDepth: 4, LinkLatency: 1}
@@ -121,7 +500,11 @@ func randomRouter(node *topology.Node, seed uint64) (*Router, *eventLog) {
 	route := func(_ topology.NodeID, _ topology.PortID, p *message.Packet) (topology.PortID, error) {
 		return routes[p.ID], nil
 	}
-	r := New(node, cfg, log, log, route, sim.NewRNG(seed^0x9e3779b9))
+	r, err := New(arch, node, cfg, log, log, route, sim.NewRNG(seed^0x9e3779b9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = r.Cfg // oq's input VCs are shallower than the budget depth
 	id := uint64(0)
 	for pi := 0; pi < nports; pi++ {
 		out := &r.Out[pi]
@@ -163,6 +546,16 @@ func randomRouter(node *topology.Node, seed uint64) (*Router, *eventLog) {
 			}
 		}
 	}
+	for oi := range r.stage {
+		st := &r.stage[oi]
+		for n := g.Intn(len(st.buf) + 1); n > 0; n-- {
+			id++
+			p := &message.Packet{ID: id, Size: 1 + g.Intn(5), VNet: message.VNet(g.Intn(message.NumVNets))}
+			outVC := int8(cfg.VCIndex(p.VNet, g.Intn(cfg.VCsPerVNet)))
+			st.push(stagedFlit{f: message.Flit{Pkt: p, Seq: int32(g.Intn(p.Size))}, outVC: outVC})
+			r.staged++
+		}
+	}
 	r.upRouted = r.RecountUpRouted()
 	return r, log
 }
@@ -177,40 +570,59 @@ func allocState(r *Router) string {
 			fmt.Fprintf(&b, " %d:%d/%d/%d/%d c%d b%v", vi, vc.count, vc.State, vc.OutPort, vc.OutVC,
 				r.Out[pi].Credits[vi], r.Out[pi].Busy[vi])
 		}
+		if r.stage != nil {
+			b.WriteString(" staged")
+			for i := 0; i < r.stage[pi].count; i++ {
+				sf := r.stage[pi].at(i)
+				fmt.Fprintf(&b, " pkt%d/%d>vc%d", sf.f.Pkt.ID, sf.f.Seq, sf.outVC)
+			}
+		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "stats=%+v census=%v rng=%v", r.Stats, r.upRouted, r.rng.State())
+	fmt.Fprintf(&b, "buffered=%d staged=%d claims=%v upsent=%d@%d stats=%+v census=%v rng=%v",
+		r.buffered, r.staged, r.outClaimedAt, r.upSent, r.upSentAt, r.Stats, r.upRouted, r.rng.State())
 	return b.String()
 }
 
-// FuzzSwitchAllocEquivalence: on any allocation state the request-mask
-// Step and the nested-loop oracle emit the same flits, credits and
-// ejections in the same order (so grant's RNG draws line up too) and leave
-// the same round-robin pointers, VC state, credits and counters — over
-// three consecutive cycles, so the second and third start from pointers
-// the first one moved.
+// FuzzSwitchAllocEquivalence: on any allocation state and under every
+// arch, Step and that arch's oracle — the nested-loop allocator for iq, the
+// pre-merge VOQ.Step and OQ.Step for the other two — emit the same flits,
+// credits and ejections in the same order (so grant's RNG draws line up
+// too) and leave the same round-robin pointers, VC state, credits, staged
+// flits, claims and counters — over three consecutive cycles, so the
+// second and third start from pointers the first one moved.
 func FuzzSwitchAllocEquivalence(f *testing.F) {
 	for seed := uint64(0); seed < 32; seed++ {
 		f.Add(seed)
 	}
 	node := widestNode(f)
+	oracles := []struct {
+		arch string
+		step func(*Router, sim.Cycle)
+	}{{ArchIQ, oracleStep}, {ArchVOQ, oracleStepVOQ}, {ArchOQ, oracleStepOQ}}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		a, alog := randomRouter(node, seed)
-		b, blog := randomRouter(node, seed)
-		if allocState(a) != allocState(b) {
-			t.Fatal("randomRouter is not deterministic")
-		}
-		for cycle := sim.Cycle(100); cycle < 103; cycle++ {
-			a.Step(cycle)
-			oracleStep(b, cycle)
-			if !reflect.DeepEqual(alog.log, blog.log) {
-				t.Fatalf("cycle %d: emissions differ\nmask:   %q\noracle: %q", cycle, alog.log, blog.log)
+	archs:
+		for _, o := range oracles {
+			a, alog := randomRouter(t, o.arch, node, seed)
+			b, blog := randomRouter(t, o.arch, node, seed)
+			if allocState(a) != allocState(b) {
+				t.Fatalf("%s: randomRouter is not deterministic", o.arch)
 			}
-			if sa, sb := allocState(a), allocState(b); sa != sb {
-				t.Fatalf("cycle %d: state differs\nmask:\n%s\noracle:\n%s", cycle, sa, sb)
-			}
-			if got, want := a.upRouted, a.RecountUpRouted(); got != want {
-				t.Fatalf("cycle %d: census %v, recount %v", cycle, got, want)
+			for cycle := sim.Cycle(100); cycle < 103; cycle++ {
+				a.Step(cycle)
+				o.step(b, cycle)
+				if !reflect.DeepEqual(alog.log, blog.log) {
+					t.Errorf("%s cycle %d: emissions differ\nstep:   %q\noracle: %q", o.arch, cycle, alog.log, blog.log)
+					continue archs
+				}
+				if sa, sb := allocState(a), allocState(b); sa != sb {
+					t.Errorf("%s cycle %d: state differs\nstep:\n%s\noracle:\n%s", o.arch, cycle, sa, sb)
+					continue archs
+				}
+				if got, want := a.upRouted, a.RecountUpRouted(); got != want {
+					t.Errorf("%s cycle %d: census %v, recount %v", o.arch, cycle, got, want)
+					continue archs
+				}
 			}
 		}
 	})
@@ -241,7 +653,10 @@ func TestCensusFollowsRouteAndRelease(t *testing.T) {
 	up := node.PortTo(topology.Up)
 	log := &eventLog{accept: true}
 	route := func(topology.NodeID, topology.PortID, *message.Packet) (topology.PortID, error) { return up, nil }
-	r := New(node, DefaultConfig(), log, log, route, sim.NewRNG(1))
+	r, err := New(ArchIQ, node, DefaultConfig(), log, log, route, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := &message.Packet{ID: 1, Size: 1, VNet: message.VNetResponse}
 	vi := int8(r.Cfg.VCIndex(p.VNet, 0))
 	want := func(step string, n int32) {
@@ -280,13 +695,13 @@ func TestCensusFollowsRouteAndRelease(t *testing.T) {
 func TestRadixBound(t *testing.T) {
 	node := &topology.Node{ID: 7, Ports: make([]topology.Port, maxPorts+1)}
 	for _, arch := range []string{ArchIQ, ArchOQ, ArchVOQ} {
-		_, err := NewMicroarch(arch, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1))
+		_, err := New(arch, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1))
 		if err == nil || !strings.Contains(err.Error(), "node 7 has 33 ports") {
-			t.Errorf("%s: NewMicroarch on a %d-port node: err = %v, want a radix error naming node 7 and 33 ports", arch, maxPorts+1, err)
+			t.Errorf("%s: New on a %d-port node: err = %v, want a radix error naming node 7 and 33 ports", arch, maxPorts+1, err)
 		}
 	}
 	node.Ports = node.Ports[:maxPorts]
-	if _, err := NewMicroarch(ArchIQ, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1)); err != nil {
+	if _, err := New(ArchIQ, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1)); err != nil {
 		t.Errorf("a %d-port node must be accepted: %v", maxPorts, err)
 	}
 }

@@ -18,7 +18,7 @@ func TestSwitchAllocationFairness(t *testing.T) {
 	route := func(topology.NodeID, topology.PortID, *message.Packet) (topology.PortID, error) {
 		return 1, nil
 	}
-	r := router.New(topo.Node(0), router.DefaultConfig(), sink, &mockLocal{accept: true}, route, sim.NewRNG(1))
+	r := mustNew(t, router.ArchIQ, topo.Node(0), router.DefaultConfig(), sink, &mockLocal{accept: true}, route)
 
 	sent := map[uint64]int{1: 0, 2: 0}
 	id := uint64(0)
@@ -68,7 +68,7 @@ func TestVNetVCIsolation(t *testing.T) {
 	}
 	cfg := router.DefaultConfig()
 	cfg.VCsPerVNet = 4
-	r := router.New(topo.Node(0), cfg, sink, &mockLocal{accept: true}, route, sim.NewRNG(1))
+	r := mustNew(t, router.ArchIQ, topo.Node(0), cfg, sink, &mockLocal{accept: true}, route)
 	p := &message.Packet{ID: 9, Dst: 5, VNet: message.VNetForward, Size: 1}
 	r.ReceiveFlit(2, int8(cfg.VCIndex(message.VNetForward, 1)), message.Flit{Pkt: p}, 10)
 	r.Step(11)
@@ -92,7 +92,7 @@ func TestVCTHeadGating(t *testing.T) {
 	cfg := router.DefaultConfig()
 	cfg.VCT = true
 	cfg.BufferDepth = 5
-	r := router.New(topo.Node(0), cfg, sink, &mockLocal{accept: true}, route, sim.NewRNG(1))
+	r := mustNew(t, router.ArchIQ, topo.Node(0), cfg, sink, &mockLocal{accept: true}, route)
 	p := &message.Packet{ID: 1, Dst: 5, VNet: 0, Size: 5}
 	for i := int32(0); i < 5; i++ {
 		r.ReceiveFlit(2, 0, message.Flit{Pkt: p, Seq: i}, 10)

@@ -12,7 +12,7 @@ import (
 
 // testMicroarch builds the named router variant on the baseline topology's
 // node 0 with a fixed route to the given port.
-func testMicroarch(t *testing.T, arch string, out topology.PortID) (router.Microarch, *mockSink, *mockLocal) {
+func testMicroarch(t *testing.T, arch string, out topology.PortID) (*router.Router, *mockSink, *mockLocal) {
 	t.Helper()
 	topo := topology.MustBuild(topology.BaselineConfig())
 	sink := &mockSink{}
@@ -20,32 +20,28 @@ func testMicroarch(t *testing.T, arch string, out topology.PortID) (router.Micro
 	route := func(cur topology.NodeID, in topology.PortID, p *message.Packet) (topology.PortID, error) {
 		return out, nil
 	}
-	m, err := router.NewMicroarch(arch, topo.Node(0), router.DefaultConfig(), sink, local, route, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, sink, local
+	return mustNew(t, arch, topo.Node(0), router.DefaultConfig(), sink, local, route), sink, local
 }
 
 func TestNewMicroarchDispatch(t *testing.T) {
 	for _, arch := range []string{router.ArchIQ, router.ArchOQ, router.ArchVOQ} {
 		m, _, _ := testMicroarch(t, arch, 1)
-		if m.Arch() != arch {
-			t.Errorf("NewMicroarch(%q).Arch() = %q", arch, m.Arch())
+		if m.Arch != arch {
+			t.Errorf("New(%q).Arch = %q", arch, m.Arch)
 		}
-		if m.NodeID() != 0 {
-			t.Errorf("%s: NodeID %d, want 0", arch, m.NodeID())
+		if m.ID != 0 {
+			t.Errorf("%s: ID %d, want 0", arch, m.ID)
 		}
-		if m.NumPorts() != len(m.TopoNode().Ports) {
-			t.Errorf("%s: NumPorts %d != len(TopoNode().Ports) %d", arch, m.NumPorts(), len(m.TopoNode().Ports))
+		if len(m.In) != len(m.Node.Ports) || len(m.Out) != len(m.Node.Ports) {
+			t.Errorf("%s: %d inputs, %d outputs, want %d of each", arch, len(m.In), len(m.Out), len(m.Node.Ports))
 		}
-		// Config() reports the effective (credit-counted) input depth: the
+		// Cfg reports the effective (credit-counted) input depth: the
 		// full budget depth for iq/voq, the split depth for oq.
 		want := router.DefaultConfig().BufferDepth
 		if arch == router.ArchOQ {
 			want /= 2
 		}
-		if got := m.Config().BufferDepth; got != want {
+		if got := m.Cfg.BufferDepth; got != want {
 			t.Errorf("%s: effective BufferDepth %d, want %d", arch, got, want)
 		}
 		if !m.Idle() || m.Buffered() != 0 {
@@ -53,7 +49,7 @@ func TestNewMicroarchDispatch(t *testing.T) {
 		}
 	}
 	topo := topology.MustBuild(topology.BaselineConfig())
-	_, err := router.NewMicroarch("banyan", topo.Node(0), router.DefaultConfig(), &mockSink{}, &mockLocal{}, nil, sim.NewRNG(1))
+	_, err := router.New("banyan", topo.Node(0), router.DefaultConfig(), &mockSink{}, &mockLocal{}, nil, sim.NewRNG(1))
 	if err == nil || !strings.Contains(err.Error(), `unknown arch "banyan"`) {
 		t.Fatalf("unknown arch error = %v", err)
 	}
@@ -80,7 +76,7 @@ func TestOQStageAndDrainTiming(t *testing.T) {
 	}
 	// The staging write is the credit consumption: 1 of the effective
 	// depth-2 downstream credits remains.
-	if got := m.OutCredits(1, 0); got != 1 {
+	if got := m.Out[1].Credits[0]; got != 1 {
 		t.Fatalf("credits %d after staging, want 1", got)
 	}
 	if m.Idle() || m.Buffered() != 1 {
@@ -101,7 +97,7 @@ func TestOQStageAndDrainTiming(t *testing.T) {
 	if m.StagedCount(1) != 0 || !m.Idle() {
 		t.Fatal("staging FIFO not drained")
 	}
-	if m.PortSentOn(1) != 1 {
+	if m.PortSent[1] != 1 {
 		t.Fatal("link-side PortSent not counted at drain")
 	}
 	// Upstream credit flowed at the staging pop (tail flit -> free).
@@ -115,7 +111,7 @@ func TestOQStageAndDrainTiming(t *testing.T) {
 // then the output serializes them onto the link at one flit per cycle.
 func TestOQFullSpeedup(t *testing.T) {
 	m, sink, _ := testMicroarch(t, router.ArchOQ, 1)
-	cfg := m.Config()
+	cfg := m.Cfg
 	p1 := &message.Packet{ID: 1, Dst: 5, VNet: 0, Size: 1}
 	p2 := &message.Packet{ID: 2, Dst: 5, VNet: 1, Size: 1}
 	m.ReceiveFlit(2, 0, message.Flit{Pkt: p1}, 10)
@@ -160,8 +156,7 @@ func TestOQWormholeBody(t *testing.T) {
 // input VC (where UPP's stall detection can see it) instead of staging.
 func TestOQNoCreditNoStage(t *testing.T) {
 	m, sink, _ := testMicroarch(t, router.ArchOQ, 1)
-	q := m.(*router.OQ)
-	q.Out[1].Credits[0] = 0
+	m.Out[1].Credits[0] = 0
 	p := pkt(1)
 	m.ReceiveFlit(2, 0, message.Flit{Pkt: p}, 10)
 	for c := sim.Cycle(10); c < 20; c++ {
@@ -196,7 +191,7 @@ func TestOQLocalEjection(t *testing.T) {
 	if len(local.got) != 1 {
 		t.Fatal("flit not ejected after queue freed")
 	}
-	if m.PortSentOn(topology.LocalPort) != 1 {
+	if m.PortSent[topology.LocalPort] != 1 {
 		t.Fatal("ejection not counted on the local port")
 	}
 }
@@ -231,11 +226,8 @@ func TestVOQEjectionFirst(t *testing.T) {
 		}
 		return topology.LocalPort, nil
 	}
-	m, err := router.NewMicroarch(router.ArchVOQ, topo.Node(0), router.DefaultConfig(), sink, local, route, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := m.Config()
+	m := mustNew(t, router.ArchVOQ, topo.Node(0), router.DefaultConfig(), sink, local, route)
+	cfg := m.Cfg
 	through := &message.Packet{ID: 1, Dst: 5, VNet: message.VNetRequest, Size: 1}
 	eject := &message.Packet{ID: 2, Dst: 0, VNet: message.VNetResponse, Size: 1}
 	m.ReceiveFlit(2, 0, message.Flit{Pkt: through}, 10)

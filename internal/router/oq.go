@@ -6,11 +6,11 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// OQ is the output-queued router variant. Half of every input VC's depth
-// (LayoutFor) moves to a per-output staging FIFO that the crossbar fills
-// with full speedup: every input VC whose front flit is eligible advances
-// in the same cycle, so a flit bound for a free output is never blocked
-// behind one bound for a congested output (the switch-level HoL-blocking
+// The output-queued variant. Half of every input VC's depth (LayoutFor)
+// moves to a per-output staging FIFO that the crossbar fills with full
+// speedup: every input VC whose front flit is eligible advances in the
+// same cycle, so a flit bound for a free output is never blocked behind
+// one bound for a congested output (the switch-level HoL-blocking
 // elimination of arXiv 2303.10526's OQ router class). Each output then
 // drains its FIFO onto the link at one flit per cycle.
 //
@@ -25,13 +25,6 @@ import (
 // detection, popup circuit (PopFront/ForceReleaseVC) and remote control's
 // boundary absorption operate unchanged. Out-of-band plugin sends
 // (SendOnOutput, SendDirect) bypass the staging FIFO by design.
-type OQ struct {
-	*Router
-	stage []stageFIFO
-	// staged counts flits across all staging FIFOs; Idle/Buffered fold it
-	// in so the kernels keep stepping a router that only has output work.
-	staged int
-}
 
 // stagedFlit is one output-queued flit plus the downstream VC whose
 // credit it already holds.
@@ -64,219 +57,95 @@ func (s *stageFIFO) pop() stagedFlit {
 	return sf
 }
 
-// NewOQ constructs an output-queued router for node n. cfg is the budget
-// configuration; lay (from LayoutFor) gives the reduced input depth and
-// the per-output staging capacity carved out of the same budget.
-func NewOQ(n *topology.Node, cfg Config, lay BufferLayout, sink EventSink, local LocalSink, route RouteFunc, rng *sim.RNG) *OQ {
-	eff := cfg
-	eff.BufferDepth = lay.InputDepth
-	q := &OQ{
-		Router: New(n, eff, sink, local, route, rng),
-		stage:  make([]stageFIFO, len(n.Ports)),
-	}
-	// The local port ejects directly to the NI (no link to drain onto),
-	// so only real outputs get staging storage.
-	for pi := 1; pi < len(n.Ports); pi++ {
-		q.stage[pi].buf = make([]stagedFlit, lay.StageSlots)
-	}
-	return q
-}
+// at returns the i-th staged flit in FIFO order.
+func (s *stageFIFO) at(i int) *stagedFlit { return &s.buf[(s.head+i)%len(s.buf)] }
 
-// Arch implements Microarch.
-func (q *OQ) Arch() string { return ArchOQ }
-
-// Idle implements Microarch: output staging counts as pending work.
-func (q *OQ) Idle() bool { return q.buffered == 0 && q.staged == 0 }
-
-// Buffered implements Microarch: flits in input VCs plus staged flits.
-func (q *OQ) Buffered() int { return q.buffered + q.staged }
-
-// StagedFor implements Microarch.
-func (q *OQ) StagedFor(p topology.PortID, vc int) int {
-	s := &q.stage[p]
+// StagedFor counts flits staged at output p bound for downstream VC vc —
+// their credit is already consumed, so conservation checks add this term.
+// Zero for variants without output staging.
+func (r *Router) StagedFor(p topology.PortID, vc int) int {
 	cnt := 0
-	for i := 0; i < s.count; i++ {
-		if int(s.buf[(s.head+i)%len(s.buf)].outVC) == vc {
+	for i := 0; i < r.StagedCount(p); i++ {
+		if int(r.stage[p].at(i).outVC) == vc {
 			cnt++
 		}
 	}
 	return cnt
 }
 
-// StagedCount implements Microarch.
-func (q *OQ) StagedCount(p topology.PortID) int { return q.stage[p].count }
-
-// PortQuiet implements Microarch: staged flits still need the link, so a
-// fenced output is only quiet once its staging FIFO drained too.
-func (q *OQ) PortQuiet(p topology.PortID) bool {
-	return q.stage[p].count == 0 && q.Router.PortQuiet(p)
+// StagedCount counts all flits staged at output p.
+func (r *Router) StagedCount(p topology.PortID) int {
+	if r.stage == nil {
+		return 0
+	}
+	return r.stage[p].count
 }
 
-// ScanStaged implements Microarch.
-func (q *OQ) ScanStaged(fn func(message.Flit)) {
-	for pi := range q.stage {
-		s := &q.stage[pi]
+// ScanStaged calls fn for every staged flit (debug audits).
+func (r *Router) ScanStaged(fn func(message.Flit)) {
+	for pi := range r.stage {
+		s := &r.stage[pi]
 		for i := 0; i < s.count; i++ {
-			fn(s.buf[(s.head+i)%len(s.buf)].f)
+			fn(s.at(i).f)
 		}
 	}
 }
 
-// Step runs one output-queued cycle: drain one staged flit per output
+// stageFlit is oq's crossbar traversal: it consumes f's downstream credit
+// and writes it into the staging FIFO of output out.
+func (r *Router) stageFlit(out topology.PortID, outVC int8, f message.Flit) {
+	r.takeCredit(out, outVC)
+	r.stage[out].push(stagedFlit{f: f, outVC: outVC})
+	r.staged++
+	r.Stats.BufferWrites++
+}
+
+// allocOQ runs one output-queued cycle: drain one staged flit per output
 // onto its link, then move every eligible input-VC front through the
 // crossbar into its output's FIFO (full speedup; local ejections go
 // straight to the NI).
-func (q *OQ) Step(cycle sim.Cycle) {
-	if q.buffered == 0 && q.staged == 0 {
-		return
-	}
-	nports := len(q.In)
+func (r *Router) allocOQ(cycle sim.Cycle) {
 	// Output drain. Plugin claims (UPP popup circuits, signal hops) and
 	// down links pause the port; claiming it ourselves keeps the link at
-	// one flit per cycle against same-cycle out-of-band senders.
-	if q.staged > 0 {
-		for oi := 1; oi < nports; oi++ {
-			st := &q.stage[oi]
-			if st.count == 0 || q.outClaimedAt[oi] > cycle || q.downOut&(1<<uint(oi)) != 0 {
-				continue
-			}
-			q.outClaimedAt[oi] = cycle + 1
+	// one flit per cycle against same-cycle out-of-band senders. room
+	// collects the outputs the crossbar may write this cycle: the local
+	// port, which has no FIFO, and every output whose FIFO has a free slot.
+	room := uint32(1) << topology.LocalPort
+	for oi := 1; oi < len(r.stage); oi++ {
+		st := &r.stage[oi]
+		if st.count > 0 && r.downOut&(1<<uint(oi)) == 0 && r.ClaimOutput(topology.PortID(oi), cycle) {
 			sf := st.pop()
-			q.staged--
-			q.Stats.BufferReads++
-			q.Stats.LinkTravs++
-			q.PortSent[oi]++
-			if q.Node.Ports[oi].Dir == topology.Up {
-				q.Stats.UpFlits++
-				q.MarkUpSent(sf.f.Pkt.VNet, cycle)
-			}
-			nb, nbPort := q.Neighbor(topology.PortID(oi))
-			q.sink.DeliverFlit(nb, nbPort, sf.outVC, sf.f, cycle+1+sim.Cycle(q.Cfg.LinkLatency))
+			r.staged--
+			r.Stats.BufferReads++
+			r.transmit(topology.PortID(oi), sf.outVC, sf.f, cycle)
+		}
+		if st.count < len(st.buf) {
+			room |= 1 << uint(oi)
 		}
 	}
-	if q.buffered == 0 {
+	if r.buffered == 0 {
 		return
 	}
-	// Input stage: full crossbar speedup — every eligible VC front moves.
-	for pi := 0; pi < nports; pi++ {
-		if q.inClaimedAt[pi] > cycle || q.In[pi].buffered == 0 {
+	// Input stage: every eligible VC front moves, and every routed front
+	// counts as a request whether or not it can.
+	for pi := range r.In {
+		if r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
 			continue
 		}
-		vcs := q.In[pi].VCs
-		for vi := range vcs {
-			vc := &vcs[vi]
-			if vc.Hold {
-				// A scheme plugin owns this VC's draining.
+		for vi := range r.In[pi].VCs {
+			req := r.requestOf(topology.PortID(pi), vi, room, cycle)
+			if req == noRequest {
 				continue
 			}
-			f, ok := vc.FrontReady(cycle)
-			if !ok {
+			r.Stats.SARequests++
+			if req != eligible {
 				continue
 			}
-			if f.Pkt.Popup && int16(q.Node.Chiplet) == f.Pkt.DstChiplet {
-				// Popup flits drain through the circuit inside the
-				// destination chiplet (Sec. V-C).
-				continue
+			out := r.In[pi].VCs[vi].OutPort
+			r.grant(topology.PortID(pi), vi, cycle)
+			if st := &r.stage[out]; out != topology.LocalPort && st.count == len(st.buf) {
+				room &^= 1 << uint(out)
 			}
-			if f.IsHead() && !vc.routed {
-				q.routeHead(topology.PortID(pi), vi, vc, f, cycle)
-			}
-			if vc.OutPort == topology.InvalidPort {
-				continue
-			}
-			q.Stats.SARequests++
-			if vc.OutPort == topology.LocalPort {
-				if vc.State == VCWaiting {
-					if !q.local.CanAcceptHead(f.Pkt, cycle) {
-						continue
-					}
-					vc.State = VCActive
-				}
-				q.Stats.SAGrants++
-				q.ejectFront(topology.PortID(pi), vi, cycle)
-				continue
-			}
-			st := &q.stage[vc.OutPort]
-			if st.count == len(st.buf) {
-				continue
-			}
-			if vc.State == VCWaiting && q.fencedOut&(1<<uint(vc.OutPort)) != 0 {
-				// The port is draining toward a permanent cut: no new
-				// wormhole may start crossing (UnrouteFencedHeads migrates
-				// the head onto the new routing).
-				continue
-			}
-			if vc.State == VCWaiting {
-				// Deterministic VC selection: the first free downstream
-				// VC of the packet's VNet with a credit.
-				dv := q.firstFreeOutVC(vc.OutPort, f.Pkt.VNet)
-				if dv < 0 {
-					continue
-				}
-				vc.OutVC = int8(dv)
-				q.Out[vc.OutPort].Busy[dv] = true
-				vc.State = VCActive
-			} else if q.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
-				continue
-			}
-			q.Stats.SAGrants++
-			q.stageFront(topology.PortID(pi), vi, cycle)
 		}
 	}
-}
-
-// firstFreeOutVC returns the first unallocated downstream VC of vnet on
-// output out that holds a credit, or -1.
-func (q *OQ) firstFreeOutVC(out topology.PortID, vnet message.VNet) int {
-	o := &q.Out[out]
-	for k := 0; k < q.Cfg.VCsPerVNet; k++ {
-		dv := q.Cfg.VCIndex(vnet, k)
-		if !o.Busy[dv] && o.Credits[dv] > 0 {
-			return dv
-		}
-	}
-	return -1
-}
-
-// ejectFront pops the front flit of (pi, vi) and hands it to the NI —
-// the local port has no staging FIFO.
-func (q *OQ) ejectFront(pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &q.In[pi].VCs[vi]
-	f := vc.pop()
-	q.In[pi].buffered--
-	q.buffered--
-	q.Stats.BufferReads++
-	q.Stats.CrossbarTravs++
-	tail := f.IsTail()
-	if tail {
-		q.releaseVC(vc, vi)
-	}
-	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
-	q.PortSent[topology.LocalPort]++
-	q.local.AcceptFlit(f, cycle+1)
-}
-
-// stageFront pops the front flit of (pi, vi), consumes its downstream
-// credit and writes it into the output's staging FIFO.
-func (q *OQ) stageFront(pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &q.In[pi].VCs[vi]
-	f := vc.pop()
-	q.In[pi].buffered--
-	q.buffered--
-	q.Stats.BufferReads++
-	q.Stats.CrossbarTravs++
-	out, outVC := vc.OutPort, vc.OutVC
-	tail := f.IsTail()
-	if tail {
-		q.releaseVC(vc, vi)
-	}
-	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
-	o := &q.Out[out]
-	o.Credits[outVC]--
-	if o.Credits[outVC] < 0 {
-		panic("router: staged flit without credit")
-	}
-	q.stage[out].push(stagedFlit{f: f, outVC: outVC})
-	q.staged++
-	q.Stats.BufferWrites++
 }

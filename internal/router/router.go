@@ -69,11 +69,18 @@ type OutPort struct {
 	rr   int // round-robin pointer over input ports for switch allocation
 }
 
-// Router is one router instance.
+// Router is one router instance — the only router type. Arch, fixed at
+// construction, selects the switch allocator Step runs and whether the
+// output staging FIFOs exist; everything else is shared.
 type Router struct {
 	ID   topology.NodeID
 	Node *topology.Node
-	Cfg  Config
+	// Cfg is the effective input-side configuration: BufferDepth is the
+	// per-input-VC depth credits are counted against, which for oq is
+	// smaller than the configured budget depth (see LayoutFor).
+	Cfg Config
+	// Arch names the microarchitecture (ArchIQ, ArchOQ or ArchVOQ).
+	Arch string
 
 	In  []InPort
 	Out []OutPort
@@ -110,10 +117,19 @@ type Router struct {
 	// recounts it, the snapshot does not carry it.
 	upRouted [message.NumVNets]int32
 	upPorts  uint32
+	// meshPorts is the mask of intra-layer mesh outputs (StalledHead's
+	// transition-time widening), fixed at construction like upPorts.
+	meshPorts uint32
 
 	// buffered counts flits currently held in this router's VCs; idle
 	// routers are skipped by the simulation loop.
 	buffered int
+
+	// stage holds oq's per-output staging FIFOs (nil for iq and voq, which
+	// send from the input VCs straight onto the link) and staged counts
+	// the flits across them; see oq.go.
+	stage  []stageFIFO
+	staged int
 
 	// downOut is a bitmask of output ports whose link is transiently down
 	// (runtime fault injection). Switch allocation skips them; the mask is
@@ -131,20 +147,32 @@ type Router struct {
 }
 
 // maxPorts bounds the router radix: switch allocation's request masks and
-// the downOut/fencedOut/upPorts port masks are 32 bits wide.
+// the downOut/fencedOut/upPorts/meshPorts port masks are 32 bits wide.
 const maxPorts = 32
 
-// New constructs a router for node n. The per-port state is carved from
-// one backing slice per kind (VCs, flit rings, credits, busy bits, claim
-// stamps), so a router's working set sits in a few contiguous runs
-// instead of one allocation per VC.
-func New(n *topology.Node, cfg Config, sink EventSink, local LocalSink, route RouteFunc, rng *sim.RNG) *Router {
+// New constructs the arch variant of the router for node n. Every variant
+// receives the same budget configuration; oq derives its effective per-VC
+// depth and its staging capacity from LayoutFor so the total matches
+// BufferBudget(cfg) exactly. The per-port state is carved from one backing
+// slice per kind (VCs, flit rings, credits, busy bits, claim stamps), so a
+// router's working set sits in a few contiguous runs instead of one
+// allocation per VC.
+func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalSink, route RouteFunc, rng *sim.RNG) (*Router, error) {
+	lay, err := LayoutFor(arch, cfg)
+	if err != nil {
+		return nil, err
+	}
 	nports, nvc := len(n.Ports), cfg.NumVCs()
+	if nports > maxPorts {
+		return nil, fmt.Errorf("router: node %d has %d ports; the port masks hold at most %d", n.ID, nports, maxPorts)
+	}
+	cfg.BufferDepth = lay.InputDepth
 	stamps := make([]sim.Cycle, 2*nports)
 	r := &Router{
 		ID:   n.ID,
 		Node: n,
 		Cfg:  cfg,
+		Arch: arch,
 		In:   make([]InPort, nports),
 		Out:  make([]OutPort, nports),
 
@@ -173,11 +201,22 @@ func New(n *topology.Node, cfg Config, sink EventSink, local LocalSink, route Ro
 		r.In[pi].VCs = vcs[lo:hi:hi]
 		r.Out[pi].Credits = credits[lo:hi:hi]
 		r.Out[pi].Busy = busy[lo:hi:hi]
-		if n.Ports[pi].Dir == topology.Up {
+		switch n.Ports[pi].Dir {
+		case topology.Up:
 			r.upPorts |= 1 << uint(pi)
+		case topology.East, topology.West, topology.North, topology.South:
+			r.meshPorts |= 1 << uint(pi)
 		}
 	}
-	return r
+	if lay.StageSlots > 0 {
+		// The local port ejects directly to the NI (no link to drain
+		// onto), so only real outputs get staging storage.
+		r.stage = make([]stageFIFO, nports)
+		for pi := 1; pi < nports; pi++ {
+			r.stage[pi].buf = make([]stagedFlit, lay.StageSlots)
+		}
+	}
+	return r, nil
 }
 
 // SetLocal attaches the NI-facing sink. The router and its NI reference
@@ -190,8 +229,9 @@ func (r *Router) SetLocal(l LocalSink) { r.local = l }
 // compute phase and replayed in NodeID order by the commit phase.
 func (r *Router) SetSink(s EventSink) { r.sink = s }
 
-// Buffered returns the number of flits currently buffered in the router.
-func (r *Router) Buffered() int { return r.buffered }
+// Buffered returns the number of flits currently held anywhere in the
+// router: input VCs plus output staging.
+func (r *Router) Buffered() int { return r.buffered + r.staged }
 
 // VCAt returns the VC for inspection by plugins and tests.
 func (r *Router) VCAt(port topology.PortID, vc int) *VC { return &r.In[port].VCs[vc] }
@@ -217,10 +257,10 @@ func (r *Router) ReceiveCredit(port topology.PortID, vc int8, delta int, free bo
 	}
 }
 
-// Idle reports whether the router has no buffered flits — nothing for
-// Step to do. The active-set kernel retires idle routers from its
-// per-cycle walk until a flit arrival wakes them again.
-func (r *Router) Idle() bool { return r.buffered == 0 }
+// Idle reports whether the router holds no flits, buffered or staged —
+// nothing for Step to do. The active-set kernel retires idle routers from
+// its per-cycle walk until a flit arrival wakes them again.
+func (r *Router) Idle() bool { return r.buffered == 0 && r.staged == 0 }
 
 // UpSentMask returns the bitmask of VNets that sent a flit through an Up
 // output during the given cycle; the mask expires with the cycle.
@@ -334,11 +374,14 @@ func (r *Router) UnrouteFencedHeads() int {
 }
 
 // PortQuiet reports whether output port p has no allocation in flight:
-// no input VC is Waiting on or Actively streaming through it, and (in
-// staged microarchitectures) nothing staged for it. The reconfiguration
-// engine polls it on a fenced port to learn when the link may be cut
-// without splitting a wormhole.
+// no input VC is Waiting on or Actively streaming through it, and nothing
+// is staged for it (staged flits still need the link). The
+// reconfiguration engine polls it on a fenced port to learn when the link
+// may be cut without splitting a wormhole.
 func (r *Router) PortQuiet(p topology.PortID) bool {
+	if r.StagedCount(p) != 0 {
+		return false
+	}
 	for pi := range r.In {
 		for vi := range r.In[pi].VCs {
 			vc := &r.In[pi].VCs[vi]
@@ -363,13 +406,7 @@ func (r *Router) StalledHead(vnet message.VNet, rrStart int, cycle sim.Cycle, me
 	}
 	want := r.upPorts
 	if mesh {
-		want = 0
-		for pi := range r.Node.Ports {
-			switch r.Node.Ports[pi].Dir {
-			case topology.East, topology.West, topology.North, topology.South:
-				want |= 1 << uint(pi)
-			}
-		}
+		want = r.meshPorts
 	}
 	nvc := r.Cfg.NumVCs()
 	lo := r.Cfg.VCIndex(vnet, 0)
@@ -427,8 +464,9 @@ func (r *Router) Neighbor(p topology.PortID) (topology.NodeID, topology.PortID) 
 }
 
 // Step runs one cycle of the router pipeline: route computation for fresh
-// head flits, separable (input-first then output) round-robin switch
-// allocation with VC selection, and switch traversal for the winners.
+// head flits, switch allocation with VC selection, and switch traversal
+// for the winners. Arch picks the allocator — where the queues sit and how
+// inputs are matched to outputs is all that differs between the variants.
 //
 // Concurrency contract (the parallel cycle kernel depends on it): Step
 // mutates only this router's own state (VCs, claims, credits, stats, the
@@ -441,8 +479,30 @@ func (r *Router) Neighbor(p topology.PortID) (topology.NodeID, topology.PortID) 
 // scheme's StartOfCycle/EndOfCycle hooks, which run on the coordinator
 // (that is where UPP reads the census, after the compute phase joined).
 func (r *Router) Step(cycle sim.Cycle) {
-	if r.buffered == 0 {
+	if r.Idle() {
 		return
+	}
+	switch r.Arch {
+	case ArchIQ:
+		r.allocIQ(cycle)
+	case ArchVOQ:
+		r.allocVOQ(cycle)
+	default:
+		r.allocOQ(cycle)
+	}
+}
+
+// allocIQ is the paper's separable (input-first then output) round-robin
+// switch allocator: each input port nominates one VC, each requested
+// output grants one input.
+func (r *Router) allocIQ(cycle sim.Cycle) {
+	// An input may only nominate toward an output that is neither claimed
+	// by a plugin nor down; nothing in Step changes either during a cycle.
+	free := ^r.downOut
+	for oi, at := range r.outClaimedAt {
+		if at > cycle {
+			free &^= 1 << uint(oi)
+		}
 	}
 	// Input arbitration: each unclaimed input port nominates one VC and
 	// files a request bit with that VC's output. An input nominates once,
@@ -456,7 +516,7 @@ func (r *Router) Step(cycle sim.Cycle) {
 		if r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
 			continue
 		}
-		if vi := r.pickInputVC(topology.PortID(pi), cycle); vi >= 0 {
+		if vi := r.pickVC(topology.PortID(pi), free, cycle); vi >= 0 {
 			oi := uint(r.In[pi].VCs[vi].OutPort)
 			nomVC[pi] = int8(vi)
 			req[oi] |= 1 << uint(pi)
@@ -465,8 +525,7 @@ func (r *Router) Step(cycle sim.Cycle) {
 		}
 	}
 	// Output arbitration, ascending output order (grant's RNG draws keep
-	// that order): each requested output grants one input. pickInputVC
-	// never nominates toward a claimed output, so every set bit is live.
+	// that order): each requested output grants one input.
 	for ; outs != 0; outs &= outs - 1 {
 		oi := bits.TrailingZeros32(outs)
 		pi := rrPick(req[oi], r.Out[oi].rr)
@@ -516,60 +575,84 @@ func (r *Router) releaseVC(vc *VC, vi int) {
 	vc.reset()
 }
 
-// pickInputVC selects, round-robin, one VC of input port pi that can use
-// the crossbar this cycle; it also runs route computation for fresh heads.
-// Returns -1 when no VC is eligible.
-func (r *Router) pickInputVC(pi topology.PortID, cycle sim.Cycle) int {
+// request is what switch allocation learns about one input VC.
+type request uint8
+
+const (
+	// noRequest: nothing at the front that wants the crossbar this cycle.
+	noRequest request = iota
+	// blocked: a routed front flit that cannot advance this cycle.
+	blocked
+	// eligible: the front flit may cross to its output now.
+	eligible
+)
+
+// requestOf is the one head-eligibility rule all three allocators share:
+// can the front flit of VC vi of input port pi cross the switch this cycle
+// toward one of the outputs in outs? It also runs route computation for a
+// fresh head. The allocators differ only in the mask they pass — iq every
+// output that is neither claimed nor down, voq the single output being
+// matched, oq every output whose staging FIFO has room.
+func (r *Router) requestOf(pi topology.PortID, vi int, outs uint32, cycle sim.Cycle) request {
+	vc := &r.In[pi].VCs[vi]
+	if vc.Hold {
+		// A scheme plugin owns this VC's draining.
+		return noRequest
+	}
+	f, ok := vc.FrontReady(cycle)
+	if !ok {
+		return noRequest
+	}
+	if f.Pkt.Popup && int16(r.Node.Chiplet) == f.Pkt.DstChiplet {
+		// Inside the destination chiplet, popup flits bypass switch
+		// allocation and drain through the circuit (Sec. V-C). Upstream —
+		// the interposer mesh and the source chiplet — the packet's
+		// trailing flits still flow normally toward the origin interposer
+		// router.
+		return noRequest
+	}
+	if f.IsHead() && !vc.routed {
+		r.routeHead(pi, vi, vc, f, cycle)
+	}
+	if vc.OutPort == topology.InvalidPort {
+		return noRequest
+	}
+	out := uint32(1) << uint(vc.OutPort)
+	if outs&out == 0 {
+		return blocked
+	}
+	switch vc.State {
+	case VCWaiting:
+		// A fenced port is draining toward a permanent cut: no new
+		// wormhole may start crossing (the head is migrated onto the new
+		// routing by UnrouteFencedHeads).
+		if r.fencedOut&out == 0 && r.headCanAdvance(vc, f, cycle) {
+			return eligible
+		}
+	case VCActive:
+		if vc.OutPort == topology.LocalPort || r.Out[vc.OutPort].Credits[vc.OutVC] > 0 {
+			return eligible
+		}
+	}
+	return blocked
+}
+
+// pickVC selects, round-robin, one VC of input port pi that can use the
+// crossbar this cycle toward an output in outs. Returns -1 when no VC is
+// eligible.
+func (r *Router) pickVC(pi topology.PortID, outs uint32, cycle sim.Cycle) int {
 	vcs := r.In[pi].VCs
 	vi := r.inRR[pi]
 	for range vcs {
 		if vi++; vi >= len(vcs) {
 			vi = 0
 		}
-		vc := &vcs[vi]
-		if vc.Hold {
-			// A scheme plugin owns this VC's draining.
-			continue
+		// Most VCs of a port are empty most cycles; skip them without the
+		// call.
+		if vcs[vi].count != 0 && r.requestOf(pi, vi, outs, cycle) == eligible {
+			r.inRR[pi] = vi
+			return vi
 		}
-		f, ok := vc.FrontReady(cycle)
-		if !ok {
-			continue
-		}
-		if f.Pkt.Popup && int16(r.Node.Chiplet) == f.Pkt.DstChiplet {
-			// Inside the destination chiplet, popup flits bypass switch
-			// allocation and drain through the circuit (Sec. V-C).
-			// Upstream — the interposer mesh and the source chiplet — the
-			// packet's trailing flits still flow normally toward the
-			// origin interposer router.
-			continue
-		}
-		if f.IsHead() && !vc.routed {
-			r.routeHead(pi, vi, vc, f, cycle)
-		}
-		if vc.OutPort == topology.InvalidPort || r.outClaimedAt[vc.OutPort] > cycle ||
-			r.downOut&(1<<uint(vc.OutPort)) != 0 {
-			continue
-		}
-		switch vc.State {
-		case VCWaiting:
-			if r.fencedOut&(1<<uint(vc.OutPort)) != 0 {
-				// The port is draining toward a permanent cut: no new
-				// wormhole may start crossing (the head is migrated onto
-				// the new routing by UnrouteFencedHeads).
-				continue
-			}
-			if !r.headCanAdvance(vc, f, cycle) {
-				continue
-			}
-		case VCActive:
-			if vc.OutPort != topology.LocalPort && r.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
-				continue
-			}
-		default:
-			continue
-		}
-		r.inRR[pi] = vi
-		return vi
 	}
 	return -1
 }
@@ -603,8 +686,6 @@ func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
 	f, _, _ := vc.Front()
 	if vc.State == VCWaiting {
 		if vc.OutPort != topology.LocalPort {
-			// VC selection: pick a random free downstream VC of the
-			// packet's VNet (the paper's randomized VCS stage).
 			out := &r.Out[vc.OutPort]
 			vnet := f.Pkt.VNet
 			need := int16(1)
@@ -623,49 +704,52 @@ func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
 					nf++
 				}
 			}
-			vc.OutVC = free[r.rng.Intn(nf)]
+			// VC selection: a random free downstream VC of the packet's
+			// VNet (the paper's randomized VCS stage) — except under oq,
+			// whose crossbar moves many heads a cycle and takes the first.
+			k := 0
+			if r.Arch != ArchOQ {
+				k = r.rng.Intn(nf)
+			}
+			vc.OutVC = free[k]
 			out.Busy[vc.OutVC] = true
 		}
 		vc.State = VCActive
 	}
 	r.Stats.SAGrants++
-	r.sendFront(pi, vi, cycle)
+	out, outVC := vc.OutPort, vc.OutVC
+	f = r.PopFront(pi, vi, cycle)
+	r.Stats.CrossbarTravs++
+	switch {
+	case out == topology.LocalPort:
+		r.PortSent[out]++
+		r.local.AcceptFlit(f, cycle+1)
+	case r.stage != nil:
+		r.stageFlit(out, outVC, f)
+	default:
+		r.takeCredit(out, outVC)
+		r.transmit(out, outVC, f, cycle)
+	}
 }
 
-// sendFront dequeues the front flit of (pi, vi) and sends it through the
-// crossbar to the VC's allocated output. Credits flow upstream; tail flits
-// release the VC.
-func (r *Router) sendFront(pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &r.In[pi].VCs[vi]
-	f := vc.pop()
-	r.In[pi].buffered--
-	r.buffered--
-	r.Stats.BufferReads++
-	r.Stats.CrossbarTravs++
-	out := vc.OutPort
-	outVC := vc.OutVC
-	tail := f.IsTail()
-	if tail {
-		// All flits of the packet passed through; the VC is reusable. The
-		// downstream allocation is freed by the downstream router's own
-		// tail departure (free credit), not here.
-		r.releaseVC(vc, vi)
-	}
-	r.creditUpstream(pi, int8(vi), 1, tail, cycle)
-	r.PortSent[out]++
-	if out == topology.LocalPort {
-		r.local.AcceptFlit(f, cycle+1)
-		return
-	}
-	r.Stats.LinkTravs++
-	if r.Node.Ports[out].Dir == topology.Up {
-		r.Stats.UpFlits++
-		r.MarkUpSent(f.Pkt.VNet, cycle)
-	}
+// takeCredit consumes one credit of downstream VC outVC behind output out.
+func (r *Router) takeCredit(out topology.PortID, outVC int8) {
 	o := &r.Out[out]
 	o.Credits[outVC]--
 	if o.Credits[outVC] < 0 {
 		panic("router: sent flit without credit")
+	}
+}
+
+// transmit puts f on the link behind output out, bound for downstream VC
+// outVC: the link-side counters, the up-sent mark UPP's timeouts reset
+// on, and the delivery itself. The caller holds the flit's credit.
+func (r *Router) transmit(out topology.PortID, outVC int8, f message.Flit, cycle sim.Cycle) {
+	r.Stats.LinkTravs++
+	r.PortSent[out]++
+	if r.upPorts&(1<<uint(out)) != 0 {
+		r.Stats.UpFlits++
+		r.MarkUpSent(f.Pkt.VNet, cycle)
 	}
 	nb, nbPort := r.Neighbor(out)
 	r.sink.DeliverFlit(nb, nbPort, outVC, f, cycle+1+sim.Cycle(r.Cfg.LinkLatency))
@@ -685,10 +769,12 @@ func (r *Router) creditUpstream(pi topology.PortID, vc int8, delta int, free boo
 
 // --- Plugin API ------------------------------------------------------------
 
-// PopFront forcibly dequeues the front flit of (port, vc) on behalf of a
-// scheme plugin (popup circuit drain, boundary-buffer absorption). Credit
-// bookkeeping toward upstream is identical to a normal send; if the flit
-// is the tail the VC resets.
+// PopFront is the one dequeue: it removes the front flit of (port, vc),
+// returns the buffer slot upstream and, on a tail, releases the VC (the
+// downstream allocation is freed by the downstream router's own tail
+// departure, not here). Switch traversal calls it for every granted flit;
+// scheme plugins call it to drain a VC out of band (popup circuit,
+// boundary-buffer absorption) with identical credit bookkeeping.
 func (r *Router) PopFront(port topology.PortID, vcIdx int, cycle sim.Cycle) message.Flit {
 	vc := &r.In[port].VCs[vcIdx]
 	f := vc.pop()
@@ -742,23 +828,12 @@ func (r *Router) CreditsAvailable(out topology.PortID, outVC int8) bool {
 }
 
 // SendOnOutput sends f through output out into downstream VC outVC,
-// consuming one credit. The caller must have claimed the output and hold
-// the allocation from AllocateOutputVC.
+// consuming one credit and bypassing any output staging. The caller must
+// have claimed the output and hold the allocation from AllocateOutputVC.
 func (r *Router) SendOnOutput(out topology.PortID, outVC int8, f message.Flit, cycle sim.Cycle) {
-	o := &r.Out[out]
-	o.Credits[outVC]--
-	if o.Credits[outVC] < 0 {
-		panic("router: SendOnOutput without credit")
-	}
+	r.takeCredit(out, outVC)
 	r.Stats.CrossbarTravs++
-	r.Stats.LinkTravs++
-	r.PortSent[out]++
-	if r.Node.Ports[out].Dir == topology.Up {
-		r.Stats.UpFlits++
-		r.MarkUpSent(f.Pkt.VNet, cycle)
-	}
-	nb, nbPort := r.Neighbor(out)
-	r.sink.DeliverFlit(nb, nbPort, outVC, f, cycle+1+sim.Cycle(r.Cfg.LinkLatency))
+	r.transmit(out, outVC, f, cycle)
 }
 
 // SendDirect sends f through output out bypassing buffers, credits and

@@ -47,6 +47,16 @@ type mockLocal struct {
 func (m *mockLocal) CanAcceptHead(*message.Packet, sim.Cycle) bool { return m.accept }
 func (m *mockLocal) AcceptFlit(f message.Flit, _ sim.Cycle)        { m.got = append(m.got, f) }
 
+// mustNew is router.New for configurations the test knows are valid.
+func mustNew(t testing.TB, arch string, n *topology.Node, cfg router.Config, sink router.EventSink, local router.LocalSink, route router.RouteFunc) *router.Router {
+	t.Helper()
+	r, err := router.New(arch, n, cfg, sink, local, route, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // testRouter builds a router on the baseline topology's node 0 (an
 // interposer corner router: local + east + north + up ports) with a fixed
 // route to the given port.
@@ -58,7 +68,7 @@ func testRouter(t *testing.T, out topology.PortID) (*router.Router, *mockSink, *
 	route := func(cur topology.NodeID, in topology.PortID, p *message.Packet) (topology.PortID, error) {
 		return out, nil
 	}
-	r := router.New(topo.Node(0), router.DefaultConfig(), sink, local, route, sim.NewRNG(1))
+	r := mustNew(t, router.ArchIQ, topo.Node(0), router.DefaultConfig(), sink, local, route)
 	return r, sink, local
 }
 
@@ -326,7 +336,7 @@ func TestUpSentMask(t *testing.T) {
 	route := func(topology.NodeID, topology.PortID, *message.Packet) (topology.PortID, error) {
 		return up, nil
 	}
-	r := router.New(topo.Node(0), router.DefaultConfig(), sink, &mockLocal{accept: true}, route, sim.NewRNG(1))
+	r := mustNew(t, router.ArchIQ, topo.Node(0), router.DefaultConfig(), sink, &mockLocal{accept: true}, route)
 	p := &message.Packet{ID: 1, Dst: 20, VNet: message.VNetResponse, Size: 1}
 	r.ReceiveFlit(1, int8(r.Cfg.VCIndex(message.VNetResponse, 0)), message.Flit{Pkt: p}, 10)
 	r.Step(11)
@@ -390,7 +400,7 @@ func TestClaimsAreExclusive(t *testing.T) {
 
 func TestNeighborLookup(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
-	r := router.New(topo.Node(0), router.DefaultConfig(), &mockSink{}, &mockLocal{}, nil, sim.NewRNG(1))
+	r := mustNew(t, router.ArchIQ, topo.Node(0), router.DefaultConfig(), &mockSink{}, &mockLocal{}, nil)
 	nb, port := r.Neighbor(1)
 	back := topo.Node(nb)
 	if back.Ports[port].Neighbor != 0 {

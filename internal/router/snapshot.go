@@ -56,10 +56,18 @@ func (r *Router) Snapshot(w *snap.Writer) {
 	for _, s := range st {
 		w.Uvarint(s)
 	}
+	for pi := range r.stage {
+		s := &r.stage[pi]
+		w.Uvarint(uint64(s.count))
+		for i := 0; i < s.count; i++ {
+			w.Flit(s.at(i).f)
+			w.Varint(int64(s.at(i).outVC))
+		}
+	}
 }
 
 // Restore overwrites the router's mutable state from a snapshot written
-// by Snapshot on an identically-configured router. Flits are re-pushed
+// by Snapshot on an identically-configured router of the same arch. Flits are re-pushed
 // into freshly reset VCs — the ring's head position is unobservable, so
 // only FIFO order matters. The upward census is derived state and is
 // recounted from the restored VCs rather than read.
@@ -140,48 +148,24 @@ func (r *Router) Restore(rd *snap.Reader) error {
 	}
 	r.rng.SetState(st)
 	r.upRouted = r.RecountUpRouted()
-	return nil
-}
-
-// Snapshot appends the output staging FIFOs to the base router state.
-func (q *OQ) Snapshot(w *snap.Writer) {
-	q.Router.Snapshot(w)
-	for pi := range q.stage {
-		s := &q.stage[pi]
-		w.Uvarint(uint64(s.count))
-		for i := 0; i < s.count; i++ {
-			sf := &s.buf[(s.head+i)%len(s.buf)]
-			w.Flit(sf.f)
-			w.Varint(int64(sf.outVC))
-		}
-	}
-}
-
-// Restore mirrors Snapshot for the output-queued variant.
-func (q *OQ) Restore(rd *snap.Reader) error {
-	if err := q.Router.Restore(rd); err != nil {
-		return err
-	}
-	q.staged = 0
-	for pi := range q.stage {
-		s := &q.stage[pi]
+	r.staged = 0
+	for pi := range r.stage {
+		s := &r.stage[pi]
 		s.head, s.count = 0, 0
-		for i := range s.buf {
-			s.buf[i] = stagedFlit{}
-		}
+		clear(s.buf)
 		n := rd.Len("stage flit count", len(s.buf))
 		if rd.Err() != nil {
 			return rd.Err()
 		}
 		for i := 0; i < n; i++ {
 			f := rd.Flit()
-			outVC := int8(rd.Int("stage outvc", 0, int64(q.Cfg.NumVCs())-1))
+			outVC := int8(rd.Int("stage outvc", 0, int64(r.Cfg.NumVCs())-1))
 			if rd.Err() != nil {
 				return rd.Err()
 			}
 			s.push(stagedFlit{f: f, outVC: outVC})
 		}
-		q.staged += n
+		r.staged += n
 	}
 	return rd.Err()
 }
