@@ -8,6 +8,8 @@
 // in the simulated window is attributed — this is how the remaining
 // steady-state allocators were found and eliminated, and how new ones
 // show up.
+// With -kernel parallel it also prints where a cycle's host time went,
+// phase by phase and worker by worker (network.PhaseClock).
 package main
 
 import (
@@ -17,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"uppnoc/internal/experiments"
 	"uppnoc/internal/network"
@@ -43,7 +46,7 @@ func main() {
 	warmup := flag.Int("warmup", 20000, "warmup cycles before profiling starts")
 	nopool := flag.Bool("nopool", false, "disable packet pooling (profile the before state)")
 	kernel := flag.String("kernel", network.KernelActive, "cycle kernel: active | naive | parallel")
-	shards := flag.Int("shards", 0, "with -kernel parallel: shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "with -kernel parallel: worker count (0 = GOMAXPROCS)")
 	scale := flag.String("scale", "", "profile a scale-out preset instead of the baseline: small | large | huge (lowers -rate/-cycles defaults)")
 	flag.Parse()
 
@@ -112,6 +115,8 @@ func main() {
 	if err := pprof.StartCPUProfile(cpuF); err != nil {
 		fail(err)
 	}
+	var clock network.PhaseClock
+	kb.Network().SetPhaseClock(&clock) // only the parallel kernel fills it
 	kb.Run(*cycles)
 	pprof.StopCPUProfile()
 	if err := cpuF.Close(); err != nil {
@@ -137,6 +142,25 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "profile: %s/%s: %d cycles at rate %.3f (pooling=%v); pool gets=%d reuses=%d live=%d\n",
 		sys, *kernel, *cycles, *rate, !*nopool, st.Gets, st.Reuses, st.Live())
+	if *kernel == network.KernelParallel {
+		printPhases(&clock, *cycles)
+	}
 	fmt.Fprintf(os.Stderr, "profile: wrote %s and %s\n", *cpuOut, *memOut)
 	fmt.Fprintf(os.Stderr, "profile: try `go tool pprof -sample_index=alloc_objects %s`\n", *memOut)
+}
+
+// printPhases reports the parallel kernel's phase split in us/cycle: the
+// coordinator's wall time per phase, then each worker's time inside its
+// share of the two concurrent phases against its wait for the others.
+func printPhases(c *network.PhaseClock, cycles int) {
+	us := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(cycles) }
+	fmt.Fprintf(os.Stderr, "profile: parallel kernel, us/cycle over %d cycles:\n", cycles)
+	for ph, name := range [network.NumPhases]string{"pre-pass", "deliver", "StartOfCycle", "compute", "commit", "NI walk + retirement", "EndOfCycle"} {
+		fmt.Fprintf(os.Stderr, "profile:   %-22s %8.1f\n", name, us(c.Wall[ph]))
+	}
+	for w, d := range c.DeliverBusy {
+		s := c.StepBusy[w]
+		fmt.Fprintf(os.Stderr, "profile:   worker %d: deliver busy %.1f wait %.1f, compute busy %.1f wait %.1f\n",
+			w, us(d), us(c.Wall[network.PhaseDeliver]-d), us(s), us(c.Wall[network.PhaseCompute]-s))
+	}
 }

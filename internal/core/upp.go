@@ -789,6 +789,18 @@ func (u *UPP) OnRouterIdle(node topology.NodeID, _ sim.Cycle) {
 	}
 }
 
+// CheckRetired is the scheme side of network.CheckWakeInvariant: OnRouterIdle
+// and releaseOrigin leave no counter at a retired router without a popup.
+func (u *UPP) CheckRetired(id topology.NodeID) error {
+	ns := &u.nodes[id]
+	for v, c := range ns.counters {
+		if c != 0 && ns.entry[v] == nil {
+			return fmt.Errorf("upp: retired node %d keeps timeout counter %d on %s with no popup in flight", id, c, message.VNet(v))
+		}
+	}
+	return nil
+}
+
 // Inert implements network.Scheme. With no live popup there is no signal,
 // latch, ack, drain FSM, armed retry deadline or held token anywhere
 // (every one of those belongs to a popup, which is only deleted after its

@@ -18,10 +18,10 @@ import (
 // allocate at all — any regression (a map rebuilt per cycle, a slice
 // regrown from zero, a closure capture in the hot path) fails this test
 // with a nonzero count.
-// The parallel kernel is held to the same bar: its per-shard commit logs
-// are reused buffers, so once warmup has established each log's
-// high-water mark the compute/commit cycle must not allocate either
-// (goroutine handoff through the worker pool's channel is by value).
+// The parallel kernel is held to the same bar: its per-block commit logs
+// and the wheel's slot buffers are reused, so once warmup has established
+// their high-water marks the cycle must not allocate either (the hand-off
+// to the pool workers is an atomic word and a one-token channel).
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warmup")
@@ -66,8 +66,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 // TestSteadyStateZeroAllocScale holds the scale-out systems to the same
 // zero-allocation bar: on the hierarchical 2048-router preset, the awake
-// lists, the NI wake heap, the parallel kernel's shard partitions and
-// commit logs, and the idle-cycle fast-forward must all run out of
+// lists, the NI wake heap, the parallel kernel's commit logs, and the
+// idle-cycle fast-forward must all run out of
 // preallocated storage once warmup has established high-water marks. The
 // pool preallocation is larger than the baseline test's because the live
 // packet population scales with cores x latency. The offered rate sits

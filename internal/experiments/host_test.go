@@ -62,7 +62,9 @@ func TestHostEnv(t *testing.T) {
 // NewNetwork, an explicit Config field beats its variable, and a
 // malformed variable fails the construction by name.
 func TestNewNetworkAppliesHost(t *testing.T) {
-	topo := topology.MustBuild(topology.BaselineConfig())
+	// 512 routers: eight 64-router blocks, so the worker counts below are
+	// not clamped.
+	topo := topology.MustBuildScale(topology.ScaleSmallConfig())
 	t.Setenv("UPP_KERNEL", "parallel")
 	t.Setenv("UPP_SHARDS", "5")
 	t.Setenv("UPP_ROUTER", "oq")

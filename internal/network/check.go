@@ -82,3 +82,34 @@ func (n *Network) CheckQuiescent() error {
 	}
 	return nil
 }
+
+// CheckWakeInvariant verifies, between cycles, what the flit-only wake
+// rule rests on (DESIGN.md §7): the routers left awake by retirement are
+// exactly the ones holding flits, and a scheme with per-router detection
+// state (UPP, through an optional CheckRetired method) has it reset at
+// every retired router. uppdebug builds run it after every cycle.
+func (n *Network) CheckWakeInvariant() error {
+	if n.kernel == KernelNaive {
+		return nil
+	}
+	rc, _ := n.scheme.(interface {
+		CheckRetired(id topology.NodeID) error
+	})
+	awake := 0
+	for id, r := range n.Routers {
+		if n.routerAwake[id] == r.Idle() {
+			return fmt.Errorf("network: node %d awake=%v after retirement but buffers %d flits", id, n.routerAwake[id], r.Buffered())
+		}
+		if n.routerAwake[id] {
+			awake++
+		} else if rc != nil {
+			if err := rc.CheckRetired(topology.NodeID(id)); err != nil {
+				return err
+			}
+		}
+	}
+	if awake != len(n.routerList) {
+		return fmt.Errorf("network: %d routers flagged awake, %d on the awake list", awake, len(n.routerList))
+	}
+	return nil
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"uppnoc/internal/core"
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
 	"uppnoc/internal/topology"
@@ -190,4 +191,31 @@ func TestSchedulePast(t *testing.T) {
 		}
 	}()
 	n.ScheduleCall(n.Cycle(), network.SchemeCall{})
+}
+
+// TestWakeInvariant: what the flit-only wake rule rests on holds after
+// every cycle of a UPP run past the knee, under adaptive routing so that
+// origin routers drain and retire while their popup is still in flight:
+// the awake routers are exactly the ones holding flits, and no retired
+// router keeps a timeout counter without a popup in flight (drop the
+// counter reset from UPP.releaseOrigin and this fails within a few hundred
+// cycles). uppdebug builds assert the same inside Step, for every test.
+func TestWakeInvariant(t *testing.T) {
+	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
+		cfg := network.DefaultConfig()
+		cfg.Kernel = kernel
+		cfg.Adaptive = true
+		n := network.MustNew(topology.MustBuild(topology.BaselineConfig()), cfg, core.New(core.DefaultConfig()))
+		g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.12, 33)
+		for i := 0; i < 6000; i++ {
+			g.Tick(n.Cycle())
+			n.Step()
+			if err := n.CheckWakeInvariant(); err != nil {
+				t.Fatalf("%s, cycle %d: %v", kernel, n.Cycle(), err)
+			}
+		}
+		if n.Stats.PopupsCompleted == 0 {
+			t.Fatalf("%s: no popup completed; the counter half of the invariant was not exercised", kernel)
+		}
+	}
 }

@@ -77,7 +77,7 @@ func TestValidateKernelName(t *testing.T) {
 	}
 }
 
-// TestValidateShards: negative shard counts are a config error; zero means
+// TestValidateShards: a negative worker count is a config error; zero means
 // GOMAXPROCS and any positive count is legal (clamped later).
 func TestValidateShards(t *testing.T) {
 	cfg := DefaultConfig()
@@ -152,18 +152,19 @@ func TestKernelResolution(t *testing.T) {
 }
 
 // TestShardResolution: Config.Shards is the parallel kernel's only input
-// — 0 means GOMAXPROCS, the value is clamped to the node count, and
+// — 0 means GOMAXPROCS, the value is clamped to the block count, and
 // UPP_SHARDS is not consulted at this layer.
 func TestShardResolution(t *testing.T) {
-	topo := topology.MustBuild(topology.BaselineConfig())
-	auto := min(runtime.GOMAXPROCS(0), topo.NumNodes())
+	topo := topology.MustBuildScale(topology.ScaleSmallConfig())
+	blocks := topo.NumNodes() >> blockShift // 512 routers: 8 blocks
+	auto := min(runtime.GOMAXPROCS(0), blocks)
 	for _, tc := range []struct {
 		name, env, kernel string
 		cfg, want         int
 	}{
 		{"config wins", "2", KernelParallel, 3, 3},
 		{"env", "5", KernelParallel, 0, auto},
-		{"clamped to node count", "", KernelParallel, 10_000, topo.NumNodes()},
+		{"clamped to block count", "", KernelParallel, 10_000, blocks},
 		{"bad env", "zero", KernelParallel, 0, auto},
 		{"other kernels ignore shards", "", KernelActive, 4, 0},
 	} {
@@ -180,5 +181,26 @@ func TestShardResolution(t *testing.T) {
 				t.Fatalf("got %d shards, want %d", n.Shards(), tc.want)
 			}
 		})
+	}
+}
+
+// TestCreditDoesNotWakeRouter: a credit gives an idle router nothing to
+// do, so delivering one leaves the active set empty and the following
+// cycles skippable.
+func TestCreditDoesNotWakeRouter(t *testing.T) {
+	for _, kernel := range []string{KernelActive, KernelParallel} {
+		cfg := DefaultConfig()
+		cfg.Kernel = kernel
+		n := MustNew(topology.MustBuild(topology.BaselineConfig()), cfg, None{})
+		// A zero-delta free credit, as ForceReleaseVC sends.
+		n.Routers[3].Out[1].Busy[0] = true
+		n.DeliverCredit(3, 1, 0, 0, true, n.Cycle()+1)
+		n.Run(2)
+		if n.Routers[3].Out[1].Busy[0] {
+			t.Fatalf("%s: credit not delivered", kernel)
+		}
+		if len(n.routerList) != 0 || n.routerAwake[3] || !n.canSkipIdleCycles() {
+			t.Fatalf("%s: credit woke a router: awake list %v, skippable %v", kernel, n.routerList, n.canSkipIdleCycles())
+		}
 	}
 }

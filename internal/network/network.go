@@ -7,7 +7,6 @@ package network
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"uppnoc/internal/message"
@@ -26,10 +25,11 @@ const (
 	// as the reference the equality tests compare against. Both kernels
 	// produce bit-identical simulations.
 	KernelNaive = "naive"
-	// KernelParallel shards the active-set router walk across a bounded
-	// worker pool with a two-phase compute/commit cycle (see parallel.go
-	// and DESIGN.md §9). Bit-identical to the other kernels at any shard
-	// count and GOMAXPROCS.
+	// KernelParallel runs event delivery and the active-set router walk
+	// across a bounded worker pool, with a serial commit of the walk's
+	// cross-component effects (see parallel.go and DESIGN.md §9).
+	// Bit-identical to the other kernels at any worker count and
+	// GOMAXPROCS.
 	KernelParallel = "parallel"
 )
 
@@ -59,11 +59,12 @@ type Config struct {
 	// Kernel selects the cycle kernel: KernelActive (the default when
 	// empty), KernelNaive or KernelParallel.
 	Kernel string
-	// Shards is the static NodeID-range shard count of the parallel
-	// kernel. 0 means GOMAXPROCS; the value is clamped to the node
-	// count. The simulation is bit-identical at every shard count —
-	// shards only trade sync overhead against compute overlap. Ignored
-	// by the other kernels.
+	// Shards is the parallel kernel's worker count: the 64-router blocks
+	// of the node space are dealt round-robin to that many workers, the
+	// coordinating goroutine being one of them. 0 means GOMAXPROCS; the
+	// value is clamped to the block count. The simulation is bit-identical
+	// at every count — workers only trade sync overhead against compute
+	// overlap. Ignored by the other kernels.
 	Shards int
 	// DisablePool turns off packet recycling: AllocPacket falls back to
 	// plain heap allocation and nothing is released. The simulation is
@@ -137,11 +138,11 @@ type event struct {
 	vc    int8
 	delta int8
 	free  bool
-	flit  message.Flit
-	// callIdx indexes callWheel[slot] for evSchemeCall events. Keeping the
-	// SchemeCall payload out of event keeps the struct small so wheel slot
-	// capacities stabilise (see TestSteadyStateZeroAlloc).
-	callIdx int32
+	// aux indexes callWheel[slot] for an evSchemeCall event (the payload
+	// stays out so the struct is 32 bytes); for an evFlit event the
+	// parallel kernel's pre-pass parks the OnFlitArrived delay in it.
+	aux  int32
+	flit message.Flit
 }
 
 // wheelSize bounds the maximum event latency (link latency + pipeline).
@@ -164,9 +165,15 @@ type Network struct {
 	rng           *sim.RNG
 
 	cycle sim.Cycle
-	wheel [wheelSize][]event
+	// wheel holds the pending events by delivery cycle. A slot owns a
+	// buffer only while it holds events: draining pushes it on wheelFree
+	// and an empty slot's first append pops the most recently drained
+	// one, so a few cache-hot buffers rotate instead of every slot
+	// keeping one grown to the high-water mark.
+	wheel     [wheelSize][]event
+	wheelFree [][]event
 	// callWheel carries the SchemeCall payloads for evSchemeCall events in
-	// the matching wheel slot; event.callIdx points into it.
+	// the matching wheel slot; event.aux points into it.
 	callWheel [wheelSize][]SchemeCall
 	nextID    uint64
 	tracer    Tracer
@@ -209,14 +216,8 @@ type Network struct {
 	// them in one jump (see skipIdleCycles).
 	wheelPending int
 
-	// Parallel-kernel state (KernelParallel, see parallel.go): static
-	// NodeID-range shards with reusable commit logs, the in-compute flag
-	// the recording sinks branch on, and engagement counters for tests.
-	shards        []shard
-	inCompute     bool
-	computeWG     sync.WaitGroup
-	computePhases uint64
-	inlinePhases  uint64
+	// Parallel-kernel state (see parallel.go); zero under the other kernels.
+	par parallel
 
 	Stats   Stats
 	latHist LatencyHistogram
@@ -272,12 +273,9 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	n.niList = make([]int32, 0, t.NumNodes())
 	n.niHeap = make([]int32, 0, t.NumNodes())
 	n.awakeScratch = make([]int32, 0, t.NumNodes())
-	// Pre-size the event wheel slots: steady state never grows them, so
-	// the per-cycle append in DeliverFlit/DeliverCredit stays in place.
-	// Capacity beyond the initial guess is grown once and then reused —
-	// deliverEvents truncates to length 0 without freeing the array.
-	for i := range n.wheel {
-		n.wheel[i] = make([]event, 0, 16)
+	// The free stack can hold every slot's buffer: a push never allocates.
+	n.wheelFree = make([][]event, 0, wheelSize)
+	for i := range n.callWheel {
 		n.callWheel[i] = make([]SchemeCall, 0, 4)
 	}
 	var local routing.Local
@@ -483,22 +481,49 @@ func (n *Network) ScheduleCall(cycle sim.Cycle, c SchemeCall) {
 	}
 	slot := cycle % wheelSize
 	n.callWheel[slot] = append(n.callWheel[slot], c)
-	n.wheel[slot] = append(n.wheel[slot], event{kind: evSchemeCall, callIdx: int32(len(n.callWheel[slot]) - 1)})
+	n.schedule(cycle, event{kind: evSchemeCall, aux: int32(len(n.callWheel[slot]) - 1)})
+}
+
+// schedule appends e to the wheel slot of its delivery cycle.
+func (n *Network) schedule(cycle sim.Cycle, e event) {
+	slot := cycle % wheelSize
+	buf := n.wheel[slot]
+	if buf == nil {
+		if k := len(n.wheelFree); k > 0 {
+			buf, n.wheelFree = n.wheelFree[k-1], n.wheelFree[:k-1]
+		} else {
+			buf = make([]event, 0, 16)
+		}
+	}
+	n.wheel[slot] = append(buf, e)
 	n.wheelPending++
+}
+
+// takeSlot empties the wheel slot of cycle and returns its events; the
+// caller hands the buffer back through recycleSlot once they are applied.
+func (n *Network) takeSlot(cycle sim.Cycle) []event {
+	slot := cycle % wheelSize
+	events := n.wheel[slot]
+	n.wheel[slot] = nil
+	n.wheelPending -= len(events)
+	return events
+}
+
+// recycleSlot puts a drained slot buffer on the free stack.
+func (n *Network) recycleSlot(events []event) {
+	if events != nil {
+		n.wheelFree = append(n.wheelFree, events[:0])
+	}
 }
 
 // DeliverFlit implements router.EventSink.
 func (n *Network) DeliverFlit(to topology.NodeID, port topology.PortID, vc int8, f message.Flit, cycle sim.Cycle) {
-	slot := cycle % wheelSize
-	n.wheel[slot] = append(n.wheel[slot], event{kind: evFlit, to: to, port: port, vc: vc, flit: f})
-	n.wheelPending++
+	n.schedule(cycle, event{kind: evFlit, to: to, port: port, vc: vc, flit: f})
 }
 
 // DeliverCredit implements router.EventSink.
 func (n *Network) DeliverCredit(to topology.NodeID, port topology.PortID, vc int8, delta int, free bool, cycle sim.Cycle) {
-	slot := cycle % wheelSize
-	n.wheel[slot] = append(n.wheel[slot], event{kind: evCredit, to: to, port: port, vc: vc, delta: int8(delta), free: free})
-	n.wheelPending++
+	n.schedule(cycle, event{kind: evCredit, to: to, port: port, vc: vc, delta: int8(delta), free: free})
 }
 
 // deliverLocalFlit carries an NI-injected flit to its router's local input
@@ -530,9 +555,9 @@ func (n *Network) RouterActive(id topology.NodeID) bool {
 	return n.kernel == KernelNaive || n.routerAwake[id]
 }
 
-// wakeRouter puts a router into the active set. Routers are only woken at
-// event delivery — before the router walk of the same cycle — so the list
-// needs ordering once per cycle and never mid-walk maintenance.
+// wakeRouter puts a router into the active set. Routers are only woken by
+// a flit at event delivery — before the router walk of the same cycle — so
+// the list needs ordering once per cycle and never mid-walk maintenance.
 func (n *Network) wakeRouter(id topology.NodeID) {
 	if !n.routerAwake[id] {
 		n.routerAwake[id] = true
@@ -715,17 +740,17 @@ func (n *Network) retireNIs() {
 	n.niSorted = sorted
 }
 
-// deliverEvents drains the current wheel slot, waking the component each
-// event lands on. Waking on credits as well as flits is conservative — a
-// component with nothing buffered re-retires the same cycle — and keeps the
-// wake rule a property of delivery, not of component internals.
+// deliverEvents drains the current wheel slot. A flit wakes the router it
+// lands on and a local-port credit the NI. A credit to a router wakes
+// nothing: one with buffered flits is already awake (only ReceiveFlit
+// adds flits, and delivery wakes first), and an empty one would step to
+// an immediate return and retire with scheme state that retirement
+// already reset (DESIGN.md §7).
 func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
+	events := n.takeSlot(cycle)
 	slot := cycle % wheelSize
-	events := n.wheel[slot]
-	n.wheel[slot] = events[:0]
 	calls := n.callWheel[slot]
 	n.callWheel[slot] = calls[:0]
-	n.wheelPending -= len(events)
 	for i := range events {
 		e := &events[i]
 		switch e.kind {
@@ -735,6 +760,9 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 				n.wakeRouter(e.to)
 			}
 			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+delay)
+			// Drop the packet pointer: the buffer is reused at its grown
+			// capacity, and a retained entry would pin a released packet.
+			e.flit.Pkt = nil
 		case evCredit:
 			if e.port == topology.LocalPort {
 				if wake {
@@ -742,22 +770,13 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 				}
 				n.NIs[e.to].receiveCredit(e.vc, int(e.delta), e.free)
 			} else {
-				if wake {
-					n.wakeRouter(e.to)
-				}
 				n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
 			}
 		case evSchemeCall:
-			n.scheme.OnScheduledCall(calls[e.callIdx], cycle)
+			n.scheme.OnScheduledCall(calls[e.aux], cycle)
 		}
-		// Drop the processed event's flit packet pointer: the slot array
-		// is reused at its grown capacity, and a retained entry would pin
-		// a released packet until the slot next overwrites it. Safe to
-		// clear in place — ScheduleCall and the Deliver* sinks bound
-		// deltas to [1, wheelSize), so nothing appends to the slot being
-		// drained.
-		*e = event{}
 	}
+	n.recycleSlot(events)
 	// Clear the drained call payloads too — they carry flit packet refs.
 	for i := range calls {
 		calls[i] = SchemeCall{}
@@ -773,6 +792,11 @@ func (n *Network) Step() {
 		n.stepParallel()
 	default:
 		n.stepActive()
+	}
+	if diagDeepAlways {
+		if err := n.CheckWakeInvariant(); err != nil {
+			panic(err)
+		}
 	}
 }
 

@@ -309,8 +309,16 @@ func (ni *NI) CanAcceptHead(p *message.Packet, _ sim.Cycle) bool {
 
 // AcceptFlit implements router.LocalSink. Head flits claim their ejection
 // entry (popup heads consume the UPP reservation); tail flits complete
-// reassembly and hand the message to the PE.
+// reassembly and hand the message to the PE. During the parallel kernel's
+// step phase the call is only logged, and its global effects run when the
+// commit replays it; CanAcceptHead stays exact, as ejection state is only
+// written on the coordinator or by this router's own later AcceptFlit.
 func (ni *NI) AcceptFlit(f message.Flit, arrival sim.Cycle) {
+	if par := &ni.net.par; par.inStep {
+		b := &par.blocks[ni.Node>>blockShift]
+		b.log = append(b.log, commitOp{kind: opEject, to: ni.Node, flit: f, at: arrival})
+		return
+	}
 	p := f.Pkt
 	if p.Released() {
 		// A flit of a released packet reached an NI: some holder kept a

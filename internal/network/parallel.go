@@ -1,57 +1,47 @@
-// Parallel cycle kernel (KernelParallel): a two-phase compute/commit step
-// that shards the active-set router walk across a bounded worker pool
-// while staying bit-identical to the sequential kernels.
+// Parallel cycle kernel (KernelParallel); DESIGN.md §9 has the argument.
 //
-// Phase 1 (compute, concurrent): awake routers are partitioned into
-// static NodeID-range shards; each shard steps its routers in ascending
-// NodeID order. Router.Step's concurrency contract (see its doc comment)
-// guarantees a step mutates only the router's own state; every
-// cross-component effect — scheduled flit and credit events, local
-// ejections and the scheme/stat/wake work AcceptFlit triggers — is
-// captured in the shard's ordered commit log by the recording sinks
-// installed at construction.
-//
-// Phase 2 (commit, coordinator): the logs are replayed in ascending shard
-// order, which is ascending NodeID order — exactly the order in which the
-// sequential walk would have produced the same effects. Event-wheel
-// contents, NI ejection state, scheme callbacks (OnPacketEjected), stats
-// and wakes therefore end up byte-identical to the active-set kernel.
-// The NI walk, scheme hooks, event delivery and retirement all stay on
-// the coordinator: PE Consume callbacks allocate packet IDs, release
-// packets to the pool and may enqueue replies — inherently order-
-// dependent global effects that the commit phase is the right place for.
-//
-// Determinism does not depend on the shard count, GOMAXPROCS or OS
-// scheduling: the compute phase is pure per-router work and the commit
-// order is fixed. TestParallelShardDeterminism proves it.
+// The node space is cut into fixed 64-router blocks, block b owned by
+// worker b mod Config.Shards for the life of the network; worker 0 is the
+// coordinating goroutine, the others come from a package-level pool. A
+// cycle has two concurrent phases. Deliver: after a serial pre-pass over
+// the wheel slot (wakes, OnFlitArrived, NI credits) every worker applies
+// the slot's ReceiveFlit/ReceiveCredit calls to its own routers, in slot
+// order. Step: after the scheme's StartOfCycle every worker steps its
+// awake routers in ascending NodeID order; Router.Step's concurrency
+// contract keeps a step to the router's own state, and what else it
+// causes goes to the block's commit log. The commit replays the logs in
+// ascending block order — ascending NodeID order, the order the sequential
+// walk produces the same effects in, whatever the worker count.
 package network
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
 
-// parallelMinAwake is the engagement threshold: below it the kernel steps
-// the awake routers inline on the coordinator (still bit-identical — the
-// recording sinks forward directly outside the compute phase), because
-// waking workers costs more than a handful of router steps. The decision
-// depends only on the deterministic awake count, so it is identical at
-// every shard count.
-const parallelMinAwake = 16
-
-// commit-op kinds of a shard's log.
 const (
-	opFlit   = iota // DeliverFlit to the event wheel
-	opCredit        // DeliverCredit to the event wheel
-	opEject         // AcceptFlit at the emitting router's own NI
+	// Engagement thresholds: fewer awake routers (slot events) are
+	// stepped (delivered) inline — a hand-off would cost more.
+	parallelMinAwake  = 16
+	parallelMinEvents = 64
+	// blockShift sizes the blocks: 64 NodeIDs, small enough that dealing
+	// them round-robin balances the workers whatever region is busy.
+	blockShift = 6
+	// spinBound is how long a waiter polls before it parks: longer than
+	// the serial stretch between two phases of a large system's cycle
+	// (~200 us on 8192 routers), so a dedicated run never parks mid-cycle.
+	spinBound = time.Millisecond
 )
 
-// commitOp is one deferred cross-component effect, replayed by the commit
-// phase in emission order.
+// commitOp is one deferred cross-component effect of a router step: an
+// evFlit or evCredit bound for the wheel, or an opEject (NI.AcceptFlit at
+// the emitting router).
 type commitOp struct {
 	kind  uint8
 	vc    int8
@@ -63,237 +53,392 @@ type commitOp struct {
 	flit  message.Flit
 }
 
-// shard is one static NodeID range [lo, hi) plus its reusable commit log.
-// It implements router.EventSink for its routers: during the compute
-// phase emissions are buffered; outside it (scheme plugin API, inline
-// fallback) they forward straight to the network.
-type shard struct {
-	n      *Network
-	lo, hi int
-	log    []commitOp
-	// ids is this cycle's segment of the sorted awake-router list falling
-	// in [lo, hi) — sliced out by computeShards on the coordinator before
-	// dispatch, so compute is O(awake in shard), not O(shard width).
-	ids []int32
+const opEject = evSchemeCall + 1
+
+// block is the reusable commit log of 64 consecutive NodeIDs. It is its
+// routers' EventSink: emissions are logged during the step phase and go
+// straight to the network outside it (scheme plugin API, inline
+// fallback). NI.AcceptFlit logs ejections the same way.
+type block struct {
+	p   *parallel
+	log []commitOp
 }
 
-// DeliverFlit implements router.EventSink for the shard's routers.
-func (sh *shard) DeliverFlit(to topology.NodeID, port topology.PortID, vc int8, f message.Flit, cycle sim.Cycle) {
-	if !sh.n.inCompute {
-		sh.n.DeliverFlit(to, port, vc, f, cycle)
+// DeliverFlit implements router.EventSink.
+func (b *block) DeliverFlit(to topology.NodeID, port topology.PortID, vc int8, f message.Flit, cycle sim.Cycle) {
+	if !b.p.inStep {
+		b.p.net.DeliverFlit(to, port, vc, f, cycle)
 		return
 	}
-	sh.log = append(sh.log, commitOp{kind: opFlit, to: to, port: port, vc: vc, flit: f, at: cycle})
+	b.log = append(b.log, commitOp{kind: evFlit, to: to, port: port, vc: vc, flit: f, at: cycle})
 }
 
-// DeliverCredit implements router.EventSink for the shard's routers.
-func (sh *shard) DeliverCredit(to topology.NodeID, port topology.PortID, vc int8, delta int, free bool, cycle sim.Cycle) {
-	if !sh.n.inCompute {
-		sh.n.DeliverCredit(to, port, vc, delta, free, cycle)
+// DeliverCredit implements router.EventSink.
+func (b *block) DeliverCredit(to topology.NodeID, port topology.PortID, vc int8, delta int, free bool, cycle sim.Cycle) {
+	if !b.p.inStep {
+		b.p.net.DeliverCredit(to, port, vc, delta, free, cycle)
 		return
 	}
-	sh.log = append(sh.log, commitOp{kind: opCredit, to: to, port: port, vc: vc, delta: int8(delta), free: free, at: cycle})
+	b.log = append(b.log, commitOp{kind: evCredit, to: to, port: port, vc: vc, delta: int8(delta), free: free, at: cycle})
 }
 
-// compute steps the shard's awake routers in ascending NodeID order —
-// the same relative order the sequential walk visits them in.
-func (sh *shard) compute(cycle sim.Cycle) {
-	routers := sh.n.Routers
-	for _, id := range sh.ids {
-		routers[id].Step(cycle)
+// parallel is the kernel's per-network state.
+type parallel struct {
+	net     *Network
+	workers int
+	blocks  []block
+	owner   []int32 // block -> worker: b mod workers, asked once per event
+	// helpers are the pool goroutines behind workers 1..workers-1; nil
+	// when the network was built with one worker or on one P, where every
+	// share runs on the coordinator.
+	helpers []*poolWorker
+	offered []bool // per worker: its share of this phase went to the helper
+
+	// The current phase's inputs, written before the hand-off publishes
+	// them: the phase (step, where the sinks record, or deliver) and the
+	// wheel slot being delivered. The step phase reads the awake list.
+	inStep bool
+	events []event
+	// pending counts the shares on offer to or running on helpers; the
+	// coordinator waits for zero, blocked on wake past spinBound.
+	pending atomic.Int32
+	wake    chan struct{} // capacity 1
+
+	// Telemetry for tests, benchmarks and profiles; not part of Stats,
+	// which is compared bit for bit across kernels.
+	stepPhases, inlinePhases uint64
+	workerPhases             []uint64
+	clock                    *PhaseClock
+}
+
+// initParallel resolves the worker count (0 = GOMAXPROCS, clamped to the
+// block count), deals the blocks and installs the recording sinks.
+func (n *Network) initParallel(workers int) {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	nb := (n.Topo.NumNodes() + 1<<blockShift - 1) >> blockShift
+	workers = min(workers, nb)
+	p := &n.par
+	p.net, p.workers = n, workers
+	p.blocks = make([]block, nb)
+	p.owner = make([]int32, nb)
+	p.offered = make([]bool, workers)
+	p.workerPhases = make([]uint64, workers)
+	p.wake = make(chan struct{}, 1)
+	for b := range p.blocks {
+		p.blocks[b].p = p
+		p.owner[b] = int32(b % workers)
+	}
+	for id, r := range n.Routers {
+		r.SetSink(&p.blocks[id>>blockShift])
+	}
+	if workers > 1 && runtime.GOMAXPROCS(0) > 1 {
+		p.helpers = poolWorkers(workers - 1)
 	}
 }
 
-// shardLocal wraps an NI as its router's LocalSink. CanAcceptHead always
-// reads through (NI ejection state is only written on the coordinator or
-// by this router's own later AcceptFlit, which sequential order also puts
-// after the reads); AcceptFlit is deferred during the compute phase so
-// its global effects — n.Stats, the latency histogram, the trace, the
-// scheme's OnPacketEjected and the NI wake — run on the coordinator in
-// NodeID order.
-type shardLocal struct {
-	sh *shard
-	ni *NI
-}
+// Shards returns the parallel kernel's resolved worker count (else 0).
+func (n *Network) Shards() int { return n.par.workers }
 
-// CanAcceptHead implements router.LocalSink.
-func (l *shardLocal) CanAcceptHead(p *message.Packet, cycle sim.Cycle) bool {
-	return l.ni.CanAcceptHead(p, cycle)
-}
-
-// AcceptFlit implements router.LocalSink.
-func (l *shardLocal) AcceptFlit(f message.Flit, arrival sim.Cycle) {
-	if !l.sh.n.inCompute {
-		l.ni.AcceptFlit(f, arrival)
-		return
-	}
-	l.sh.log = append(l.sh.log, commitOp{kind: opEject, to: l.ni.Node, flit: f, at: arrival})
-}
-
-// initParallel resolves the shard count (0 = GOMAXPROCS, clamped to the
-// node count), partitions the nodes into static contiguous NodeID ranges
-// and installs the recording sinks.
-func (n *Network) initParallel(shardCount int) {
-	if shardCount == 0 {
-		shardCount = runtime.GOMAXPROCS(0)
-	}
-	nodes := n.Topo.NumNodes()
-	if shardCount > nodes {
-		shardCount = nodes
-	}
-	n.shards = make([]shard, shardCount)
-	base, rem := nodes/shardCount, nodes%shardCount
-	lo := 0
-	for i := range n.shards {
-		size := base
-		if i < rem {
-			size++
-		}
-		sh := &n.shards[i]
-		sh.n = n
-		sh.lo, sh.hi = lo, lo+size
-		// Pre-size the log: steady state truncates and reuses it, so the
-		// per-emission append stays allocation-free once the high-water
-		// mark is reached.
-		sh.log = make([]commitOp, 0, 64)
-		lo = sh.hi
-		for id := sh.lo; id < sh.hi; id++ {
-			n.Routers[id].SetSink(sh)
-			n.Routers[id].SetLocal(&shardLocal{sh: sh, ni: n.NIs[id]})
-		}
-	}
-	startComputePool()
-}
-
-// Shards returns the resolved shard count of the parallel kernel (0 for
-// the other kernels).
-func (n *Network) Shards() int { return len(n.shards) }
-
-// ParallelPhases reports how many cycles engaged the concurrent compute
-// path versus fell back to the inline walk (engagement telemetry for
-// tests and benchmarks; deliberately not part of Stats, which is compared
-// bit-for-bit across kernels).
+// ParallelPhases counts the cycles that engaged the concurrent step phase
+// and the ones that fell back to the inline walk.
 func (n *Network) ParallelPhases() (compute, inline uint64) {
-	return n.computePhases, n.inlinePhases
+	return n.par.stepPhases, n.par.inlinePhases
 }
 
-// stepParallel advances one cycle under the parallel kernel. Everything
-// except the shard compute phase runs on the coordinating goroutine and
-// is code-identical to stepActive.
+// WorkerPhases counts the phase shares each worker executed: [0] is the
+// coordinator (its own plus any it kept or took back), [w] pool worker w.
+func (n *Network) WorkerPhases() []uint64 { return n.par.workerPhases }
+
+// stepParallel advances one cycle; outside the two phases it is stepActive
+// on the coordinating goroutine.
 func (n *Network) stepParallel() {
-	cycle := n.cycle
+	p, cycle := &n.par, n.cycle
+	p.clock.lap(-1)
 	n.beginCycleFaults(cycle)
-	n.deliverEvents(cycle, true)
+	slot := cycle % wheelSize
+	if len(n.callWheel[slot]) > 0 || len(n.wheel[slot]) < parallelMinEvents {
+		n.deliverEvents(cycle, true)
+	} else {
+		p.deliver(cycle)
+	}
+	p.clock.lap(PhaseDeliver)
 	n.scheme.StartOfCycle(cycle)
+	p.clock.lap(PhaseStartOfCycle)
 	if len(n.routerList) >= parallelMinAwake {
-		n.computePhases++
+		p.stepPhases++
 		sortAwake(n.routerList, n.routerSorted, n.awakeScratch)
-		n.computeShards(cycle)
-		n.commitShards()
+		p.inStep = true
+		p.run()
+		p.inStep = false
+		p.clock.lap(PhaseCompute)
+		p.commit()
+		p.clock.lap(PhaseCommit)
 	} else if len(n.routerList) > 0 {
-		n.inlinePhases++
+		p.inlinePhases++
 		n.walkRouters(cycle)
+		p.clock.lap(PhaseCompute)
 	}
 	n.walkNIs(cycle)
 	n.retireRouters(cycle)
 	n.retireNIs()
+	p.clock.lap(PhaseNIRetire)
 	n.scheme.EndOfCycle(cycle)
 	n.foldReconfigStats()
+	p.clock.lap(PhaseEndOfCycle)
 	n.cycle++
 }
 
-// computeShards runs phase 1: shard 0 on the coordinator (saves one
-// handoff and keeps single-shard configurations pool-free), the rest on
-// the shared compute pool. Each shard receives its contiguous segment of
-// the sorted awake-router list (so per-cycle work is proportional to the
-// awake count, not the node count); the WaitGroup join is the
-// happens-before edge that publishes every worker's router mutations and
-// log appends back to the coordinator.
-func (n *Network) computeShards(cycle sim.Cycle) {
-	list := n.routerList // ordered by stepParallel
-	start := 0
-	for i := range n.shards {
-		sh := &n.shards[i]
-		end := start
-		for end < len(list) && int(list[end]) < sh.hi {
-			end++
-		}
-		sh.ids = list[start:end]
-		start = end
-	}
-	n.inCompute = true
-	if len(n.shards) > 1 {
-		n.computeWG.Add(len(n.shards) - 1)
-		for i := 1; i < len(n.shards); i++ {
-			computeQueue <- shardTask{sh: &n.shards[i], cycle: cycle, wg: &n.computeWG}
+// deliver drains a wheel slot that holds no SchemeCall (those may touch
+// anything: deliverEvents takes the slot). The serial pre-pass does what
+// touches shared state, the deliver phase the buffer writes.
+func (p *parallel) deliver(cycle sim.Cycle) {
+	n := p.net
+	events := n.takeSlot(cycle)
+	for i := range events {
+		e := &events[i]
+		if e.kind == evFlit {
+			e.aux = int32(n.scheme.OnFlitArrived(e.to, e.port, e.flit, cycle))
+			n.wakeRouter(e.to)
+		} else if e.port == topology.LocalPort {
+			n.wakeNI(e.to)
+			n.NIs[e.to].receiveCredit(e.vc, int(e.delta), e.free)
 		}
 	}
-	n.shards[0].compute(cycle)
-	if len(n.shards) > 1 {
-		n.computeWG.Wait()
+	p.clock.lap(PhasePrePass)
+	p.events = events
+	p.run()
+	p.events = nil
+	// The coordinator drops the packet pointers (see deliverEvents): a
+	// worker writing into the slot would bounce the lines the others read.
+	for i := range events {
+		events[i].flit.Pkt = nil
 	}
-	n.inCompute = false
+	n.recycleSlot(events)
 }
 
-// commitShards runs phase 2: replay every shard's log in ascending shard
-// order — ascending NodeID order — reproducing the exact interleaving of
-// wheel appends, ejections, scheme callbacks and wakes the sequential
-// walk would have produced. Entries are zeroed as they are applied so the
-// reused log array does not pin packet pointers past release.
-func (n *Network) commitShards() {
-	for i := range n.shards {
-		sh := &n.shards[i]
-		log := sh.log
-		for j := range log {
-			op := &log[j]
+// run executes the current phase. Every share whose helper is free is
+// offered to it; the coordinator runs share 0, the shares it could not
+// offer (another network of an oversubscribed sweep holds the helper) and
+// the offered ones no helper has begun by then (parked, or no P to run
+// on), so it only ever waits for work in progress. The atomic hand-off
+// and join publish the phase inputs to the helpers and their writes back.
+func (p *parallel) run() {
+	for w := 1; w < p.workers; w++ {
+		p.offered[w] = p.helpers != nil && p.helpers[w-1].offer(p)
+	}
+	for w := 0; w < p.workers; w++ {
+		if !p.offered[w] || p.helpers[w-1].reclaim(p) {
+			p.runShare(w)
+			p.workerPhases[0]++
+		}
+	}
+	spinWait(p.wake, func() bool { return p.pending.Load() == 0 })
+}
+
+// runShare does worker w's part of the current phase.
+func (p *parallel) runShare(w int) {
+	n := p.net
+	cycle := n.cycle
+	if c := p.clock; c != nil {
+		busy := c.DeliverBusy
+		if p.inStep {
+			busy = c.StepBusy
+		}
+		defer func(t0 time.Time) { busy[w] += time.Since(t0) }(time.Now())
+	}
+	if p.inStep {
+		for _, id := range n.routerList {
+			if int(p.owner[id>>blockShift]) == w {
+				n.Routers[id].Step(cycle)
+			}
+		}
+		return
+	}
+	for i := range p.events {
+		e := &p.events[i]
+		if int(p.owner[e.to>>blockShift]) != w {
+			continue
+		}
+		if e.kind == evFlit {
+			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+sim.Cycle(e.aux))
+		} else if e.port != topology.LocalPort {
+			n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
+		}
+	}
+}
+
+// commit replays the blocks' logs in ascending block order: the sequential
+// walk's exact interleaving of wheel appends, ejections, scheme callbacks
+// and wakes. Packet pointers are dropped so the reused log does not pin
+// packets past release.
+func (p *parallel) commit() {
+	n := p.net
+	for b := range p.blocks {
+		blk := &p.blocks[b]
+		for j := range blk.log {
+			op := &blk.log[j]
 			switch op.kind {
-			case opFlit:
+			case evFlit:
 				n.DeliverFlit(op.to, op.port, op.vc, op.flit, op.at)
-			case opCredit:
+			case evCredit:
 				n.DeliverCredit(op.to, op.port, op.vc, int(op.delta), op.free, op.at)
 			case opEject:
 				n.NIs[op.to].AcceptFlit(op.flit, op.at)
 			}
-			*op = commitOp{}
+			op.flit.Pkt = nil
 		}
-		sh.log = log[:0]
+		blk.log = blk.log[:0]
 	}
 }
 
-// --- Shared compute pool ----------------------------------------------------
+// --- Hand-off ---------------------------------------------------------------
 
-// shardTask is one shard's compute-phase work order.
-type shardTask struct {
-	sh    *shard
-	cycle sim.Cycle
-	wg    *sync.WaitGroup
+// spinWait returns once ready() holds. It polls for spinBound — a hand-off
+// then costs a cache-line transfer, not a futex round trip — and after
+// that blocks on wake between looks. Whoever makes ready() true calls
+// signal afterwards; a token nobody was blocked on stays in the channel
+// and costs a later waiter one more look.
+func spinWait(wake chan struct{}, ready func() bool) {
+	var start time.Time
+	for i := 1; !ready(); i++ {
+		if i%1024 != 0 {
+			continue
+		}
+		if start.IsZero() {
+			start = time.Now()
+		} else if time.Since(start) > spinBound {
+			<-wake
+		}
+	}
+}
+
+func signal(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
+}
+
+// poolWorker is one persistent goroutine of the pool all parallel-kernel
+// networks share; pool worker i runs share i+1 of whoever gets it. job is
+// nil while it is free, the network whose share is on offer, or &running
+// while it works: between jobs it keeps no network from being collected.
+type poolWorker struct {
+	job   atomic.Pointer[parallel]
+	wake  chan struct{} // capacity 1
+	share int
 }
 
 var (
-	computeOnce  sync.Once
-	computeQueue chan shardTask
+	running parallel // the poolWorker.job sentinel
+	poolMu  sync.Mutex
+	pool    []*poolWorker
 )
 
-// startComputePool lazily starts the package-level worker pool all
-// parallel-kernel networks share. A shared pool keeps the goroutine count
-// bounded at GOMAXPROCS regardless of how many networks a sweep creates,
-// and — unlike per-network workers — owns no network references, so
-// finished networks remain collectable. Tasks never block on other tasks
-// (compute does not submit), so the pool cannot deadlock; when sweeps
-// oversubscribe it (UPP_JOBS × shards > workers) tasks simply queue,
-// which costs speed, never correctness (see EXPERIMENTS.md on combining
-// the two parallelism levels).
-func startComputePool() {
-	computeOnce.Do(func() {
-		workers := runtime.GOMAXPROCS(0)
-		computeQueue = make(chan shardTask, 8*workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for t := range computeQueue {
-					t.sh.compute(t.cycle)
-					t.wg.Done()
-				}
-			}()
-		}
-	})
+// poolWorkers returns the first k pool workers, starting the ones that do
+// not exist yet: the pool grows to the largest helper count any network
+// has asked for and is never sized by who came first.
+func poolWorkers(k int) []*poolWorker {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	for len(pool) < k {
+		w := &poolWorker{wake: make(chan struct{}, 1), share: len(pool) + 1}
+		pool = append(pool, w)
+		go func() {
+			for {
+				spinWait(w.wake, func() bool { return w.job.Load() != nil })
+				w.work()
+			}
+		}()
+	}
+	return pool[:k:k]
+}
+
+// offer puts w's share of p's current phase on offer if w is free.
+func (w *poolWorker) offer(p *parallel) bool {
+	p.pending.Add(1)
+	if !w.job.CompareAndSwap(nil, p) {
+		p.pending.Add(-1)
+		return false
+	}
+	signal(w.wake)
+	return true
+}
+
+// reclaim takes p's offer back unless w has begun it (or finished it and
+// moved on to another network's).
+func (w *poolWorker) reclaim(p *parallel) bool {
+	if !w.job.CompareAndSwap(p, nil) {
+		return false
+	}
+	p.pending.Add(-1)
+	return true
+}
+
+// work takes the share on offer, unless its owner just took it back, runs
+// it and frees the worker before it reports to the coordinator, whose next
+// phase would otherwise find the worker busy.
+func (w *poolWorker) work() {
+	p := w.job.Load()
+	if p == nil || !w.job.CompareAndSwap(p, &running) {
+		return
+	}
+	p.runShare(w.share)
+	p.workerPhases[w.share]++
+	w.job.Store(nil)
+	if p.pending.Add(-1) == 0 {
+		signal(p.wake)
+	}
+}
+
+// --- Phase clock ------------------------------------------------------------
+
+// Phases of one stepParallel cycle, as PhaseClock splits it.
+const (
+	PhasePrePass = iota
+	PhaseDeliver
+	PhaseStartOfCycle
+	PhaseCompute // awake-list sort and the step phase (or the inline walk)
+	PhaseCommit
+	PhaseNIRetire // NI walk and both retirement passes
+	PhaseEndOfCycle
+	NumPhases
+)
+
+// PhaseClock accumulates where the host time of the parallel kernel's
+// cycles goes. A network has none unless a profiler installs one: the
+// kernel otherwise pays one nil check per phase boundary.
+type PhaseClock struct {
+	// Wall is the coordinator's time per phase, hand-off and join included.
+	Wall [NumPhases]time.Duration
+	// DeliverBusy and StepBusy are each worker's time inside its share of
+	// the two concurrent phases; the rest of the phase's Wall is the
+	// worker waiting for the hand-off or at the barrier.
+	DeliverBusy, StepBusy []time.Duration
+	last                  time.Time
+}
+
+// SetPhaseClock installs c (nil removes it); only the parallel kernel
+// reads it.
+func (n *Network) SetPhaseClock(c *PhaseClock) {
+	if c != nil {
+		c.DeliverBusy = make([]time.Duration, n.par.workers)
+		c.StepBusy = make([]time.Duration, n.par.workers)
+	}
+	n.par.clock = c
+}
+
+// lap charges the time since the last lap to phase; a negative phase
+// only opens a cycle.
+func (c *PhaseClock) lap(phase int) {
+	if c == nil {
+		return
+	}
+	now := time.Now()
+	if phase >= 0 {
+		c.Wall[phase] += now.Sub(c.last)
+	}
+	c.last = now
 }

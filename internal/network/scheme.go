@@ -39,13 +39,15 @@ type SchemeCall struct {
 // across schemes, which is what makes the paper's comparisons meaningful.
 //
 // Concurrency contract (parallel kernel): every hook runs on the
-// coordinating goroutine, never during the concurrent compute phase —
-// StartOfCycle/EndOfCycle/OnRouterIdle bracket or follow the router
-// walk, OnFlitArrived fires at event delivery, CanStartPacket during
-// the sequential NI walk, and OnPacketEjected from the commit-phase
-// replay of deferred ejections. Hooks may therefore freely touch global
-// state, but a future scheme must not add router-initiated scheme calls
-// to Router.Step without routing them through the commit log (see
+// coordinating goroutine, never during a concurrent phase — StartOfCycle
+// between the deliver and step phases, EndOfCycle/OnRouterIdle after the
+// router walk, CanStartPacket during the sequential NI walk,
+// OnPacketEjected from the commit replay of deferred ejections. Hooks may
+// therefore freely touch global state, with one exception: OnFlitArrived
+// fires for every flit of a slot before any of the slot's buffer writes,
+// so it may look at the flit and at static state but not at router
+// occupancy. A future scheme must not add router-initiated scheme calls to
+// Router.Step without routing them through the commit log (see
 // parallel.go and DESIGN.md §9).
 type Scheme interface {
 	// Name identifies the scheme in reports.

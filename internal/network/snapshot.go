@@ -47,7 +47,7 @@ type SnapshotExtra interface {
 // WriteSnapshot serializes the network's full state to w, between
 // cycles (call it after Step/Run returns, never from inside a hook).
 func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
-	if n.inCompute || n.inNIWalk {
+	if n.inNIWalk {
 		return fmt.Errorf("network: snapshot mid-cycle (call between Steps)")
 	}
 	w := snap.NewWriter()
@@ -86,7 +86,7 @@ func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 			w.Bool(e.free)
 			w.Flit(e.flit)
 			if e.kind == evSchemeCall {
-				c := &n.callWheel[si][e.callIdx]
+				c := &n.callWheel[si][e.aux]
 				w.Uvarint(uint64(c.Kind))
 				w.Varint(int64(c.Node))
 				w.Uvarint(c.A)
@@ -214,9 +214,8 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 		}
 	}
 
-	n.wheelPending = 0
 	for si := range n.wheel {
-		n.wheel[si] = n.wheel[si][:0]
+		n.recycleSlot(n.takeSlot(sim.Cycle(si)))
 		n.callWheel[si] = n.callWheel[si][:0]
 		cnt := r.Len("wheel slot count", len(data))
 		if r.Err() != nil {
@@ -253,13 +252,12 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 					c.Flit = r.Flit()
 				}
 				n.callWheel[si] = append(n.callWheel[si], c)
-				e.callIdx = int32(len(n.callWheel[si]) - 1)
+				e.aux = int32(len(n.callWheel[si]) - 1)
 			}
 			if r.Err() != nil {
 				return r.Err()
 			}
-			n.wheel[si] = append(n.wheel[si], e)
-			n.wheelPending++
+			n.schedule(sim.Cycle(si), e)
 		}
 	}
 

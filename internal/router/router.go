@@ -79,8 +79,10 @@ type Router struct {
 	// per-input-VC depth credits are counted against, which for oq is
 	// smaller than the configured budget depth (see LayoutFor).
 	Cfg Config
-	// Arch names the microarchitecture (ArchIQ, ArchOQ or ArchVOQ).
-	Arch string
+	// Arch names the microarchitecture (ArchIQ, ArchOQ or ArchVOQ); alloc
+	// is its switch allocator's index in allocators, resolved once.
+	Arch  string
+	alloc uint8
 
 	In  []InPort
 	Out []OutPort
@@ -146,6 +148,12 @@ type Router struct {
 	Stats Stats
 }
 
+// allocators are the three switch allocators Step chooses between.
+var (
+	allocators = [...]func(*Router, sim.Cycle){(*Router).allocIQ, (*Router).allocVOQ, (*Router).allocOQ}
+	archAlloc  = map[string]uint8{ArchIQ: 0, ArchVOQ: 1, ArchOQ: 2}
+)
+
 // maxPorts bounds the router radix: switch allocation's request masks and
 // the downOut/fencedOut/upPorts/meshPorts port masks are 32 bits wide.
 const maxPorts = 32
@@ -169,12 +177,13 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 	cfg.BufferDepth = lay.InputDepth
 	stamps := make([]sim.Cycle, 2*nports)
 	r := &Router{
-		ID:   n.ID,
-		Node: n,
-		Cfg:  cfg,
-		Arch: arch,
-		In:   make([]InPort, nports),
-		Out:  make([]OutPort, nports),
+		ID:    n.ID,
+		Node:  n,
+		Cfg:   cfg,
+		Arch:  arch,
+		alloc: archAlloc[arch],
+		In:    make([]InPort, nports),
+		Out:   make([]OutPort, nports),
 
 		sink:  sink,
 		local: local,
@@ -224,9 +233,9 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 func (r *Router) SetLocal(l LocalSink) { r.local = l }
 
 // SetSink replaces the event sink. The parallel cycle kernel installs a
-// per-shard recording sink here so that Step's cross-component effects
+// per-block recording sink here so that Step's cross-component effects
 // (scheduled flits and credits) can be buffered during the concurrent
-// compute phase and replayed in NodeID order by the commit phase.
+// step phase and replayed in NodeID order by the commit.
 func (r *Router) SetSink(s EventSink) { r.sink = s }
 
 // Buffered returns the number of flits currently held anywhere in the
@@ -477,19 +486,14 @@ func (r *Router) Neighbor(p topology.PortID) (topology.NodeID, topology.PortID) 
 // another router. Any new datapath feature that needs cross-router state
 // during Step must instead be staged through the sinks or moved into the
 // scheme's StartOfCycle/EndOfCycle hooks, which run on the coordinator
-// (that is where UPP reads the census, after the compute phase joined).
+// (that is where UPP reads the census, after the step phase joined).
+// ReceiveFlit and ReceiveCredit keep the same contract — they touch this
+// router only — for the kernel's concurrent deliver phase.
 func (r *Router) Step(cycle sim.Cycle) {
 	if r.Idle() {
 		return
 	}
-	switch r.Arch {
-	case ArchIQ:
-		r.allocIQ(cycle)
-	case ArchVOQ:
-		r.allocVOQ(cycle)
-	default:
-		r.allocOQ(cycle)
-	}
+	allocators[r.alloc](r, cycle)
 }
 
 // allocIQ is the paper's separable (input-first then output) round-robin
@@ -708,7 +712,7 @@ func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
 			// VNet (the paper's randomized VCS stage) — except under oq,
 			// whose crossbar moves many heads a cycle and takes the first.
 			k := 0
-			if r.Arch != ArchOQ {
+			if r.stage == nil {
 				k = r.rng.Intn(nf)
 			}
 			vc.OutVC = free[k]
