@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-smoke bench-pairs loc cover-json cover-compare collectives-golden router-golden profile figures figures-full demo fmt vet clean
+.PHONY: all build test test-short race bench bench-smoke bench-pairs loc collectives-golden router-golden profile figures figures-full demo fmt vet clean
 
 all: build test
 
@@ -45,21 +45,6 @@ loc:
 	@for d in internal/* cmd 'internal cmd'; do \
 		printf '%-22s %6d\n' "$$d" $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done | sed 's/^internal cmd /total        /'
-
-# Record per-package statement coverage as a diffable artifact
-# (COVER_baseline.json).
-cover-json:
-	$(GO) test -cover ./... | tee /tmp/cover_out.txt
-	$(GO) run ./cmd/coverjson -extract -out COVER_baseline.json /tmp/cover_out.txt
-
-# Re-measure coverage and diff against the committed baseline; fails when
-# any package lost more than 1 coverage point (tune with
-# `go run ./cmd/coverjson -compare -tolerance 2 old new`). CI runs this
-# warn-only.
-cover-compare:
-	$(GO) test -cover ./... > /tmp/cover_fresh.txt
-	$(GO) run ./cmd/coverjson -extract -out /tmp/COVER_fresh.json /tmp/cover_fresh.txt
-	$(GO) run ./cmd/coverjson -compare COVER_baseline.json /tmp/COVER_fresh.json
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact

@@ -116,7 +116,7 @@ func main() {
 		fail(err)
 	}
 	var clock network.PhaseClock
-	kb.Network().SetPhaseClock(&clock) // only the parallel kernel fills it
+	kb.Network().SetPhaseClock(&clock) // printed for the parallel kernel only
 	kb.Run(*cycles)
 	pprof.StopCPUProfile()
 	if err := cpuF.Close(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
 	"uppnoc/internal/reconfig"
+	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
@@ -57,75 +58,103 @@ type ChaosOutcome struct {
 //   - a stalled run must surface *network.StallDiagnostic — any other
 //     drain failure is a harness error.
 func RunChaos(spec ChaosSpec) (ChaosOutcome, error) {
+	run, err := runSoak("chaos", spec, reconfig.ModeAuto)
+	out := ChaosOutcome{Stall: run.stall, FinalCycle: run.finalCycle, Stats: run.stats}
+	out.Quiesced = err == nil && run.stall == ""
+	return out, err
+}
+
+// soakRun is a soak after its drain: the network, the reconfiguration
+// engine (nil for a plan with no persistent event), the local routing the
+// network was built with, and the drain's outcome — stall is the stall
+// diagnostic's rendering, "" when the network quiesced and passed the
+// audit. finalCycle and stats are zero if the run failed before draining.
+type soakRun struct {
+	net        *network.Network
+	eng        *reconfig.Engine
+	oldLocal   routing.Local
+	stall      string
+	finalCycle sim.Cycle
+	stats      network.Stats
+}
+
+// runSoak is the one soak path, a chaos run whose plan may also be
+// persistent (mode then picks the reconfiguration engine's transitions):
+// a fresh baseline system under up*/down* routing (faults must not strand
+// traffic), the plan attached, LoadCycles of the workload or of
+// uniform-random traffic at Rate, then a drain that must end in a
+// diagnosed stall or in a network that is quiesced, passes CheckQuiescent,
+// has consumed every born packet and (for UPP) holds no stale protocol
+// state. name prefixes the audit's errors.
+func runSoak(name string, s ChaosSpec, mode reconfig.Mode) (soakRun, error) {
+	var run soakRun
 	topo, err := topology.Build(topology.BaselineConfig())
 	if err != nil {
-		return ChaosOutcome{}, err
+		return run, err
 	}
 	var scheme network.Scheme
-	if spec.Scheme == SchemeUPP {
+	if s.Scheme == SchemeUPP {
 		scheme = HardenedUPP()
-	} else {
-		scheme, err = MakeScheme(spec.Scheme, topo)
-		if err != nil {
-			return ChaosOutcome{}, err
-		}
+	} else if scheme, err = MakeScheme(s.Scheme, topo); err != nil {
+		return run, err
 	}
 	cfg := network.DefaultConfig()
-	cfg.Kernel = spec.Kernel
-	cfg.RouterArch = spec.RouterArch
-	cfg.Seed = spec.Seed + 1
-	cfg.UseUpDown = true // link flaps must not strand XY-routed traffic conceptually; up*/down* tolerates faults
+	cfg.Kernel = s.Kernel
+	cfg.RouterArch = s.RouterArch
+	cfg.Seed = s.Seed + 1
+	cfg.UseUpDown = true
 	n, err := NewNetwork(topo, cfg, scheme)
 	if err != nil {
-		return ChaosOutcome{}, err
+		return run, err
 	}
-	if _, err := reconfig.Attach(n, reconfig.Config{Plan: spec.Plan}); err != nil {
-		return ChaosOutcome{}, err
+	run.net, run.oldLocal = n, n.Hier().Local
+	if run.eng, err = reconfig.Attach(n, reconfig.Config{Plan: s.Plan, Mode: mode}); err != nil {
+		return run, err
 	}
-	if spec.Workload != "" {
-		eng, _, werr := workloadEngine(n, spec.Workload)
+	if s.Workload != "" {
+		eng, _, werr := workloadEngine(n, s.Workload)
 		if werr != nil {
-			return ChaosOutcome{}, werr
+			return run, werr
 		}
 		// Loop the collective for the whole load window; stopping the
 		// Ticks afterwards strands the current iteration's in-flight
 		// chunks, which the drain below must deliver.
 		eng.Iterations = 1 << 20
-		for i := 0; i < spec.LoadCycles; i++ {
+		for i := 0; i < s.LoadCycles; i++ {
 			eng.Tick(n.Cycle())
 			n.Step()
 		}
 	} else {
-		g := traffic.NewGenerator(n, traffic.UniformRandom{}, spec.Rate, spec.Seed+7777)
-		g.Run(spec.LoadCycles)
+		g := traffic.NewGenerator(n, traffic.UniformRandom{}, s.Rate, s.Seed+7777)
+		if eng := run.eng; eng != nil {
+			g.CoreAlive = func(id topology.NodeID) bool { return eng.ChipletAlive(topo.Node(id).Chiplet) }
+		}
+		g.Run(s.LoadCycles)
 		g.SetRate(0)
 	}
-	out := ChaosOutcome{}
-	derr := n.Drain(spec.DrainMax, sim.Cycle(spec.StallLimit))
-	out.FinalCycle = n.Cycle()
-	out.Stats = n.Stats
-	if derr == nil {
-		if !n.Quiesced() {
-			return out, fmt.Errorf("chaos: Drain returned nil with %d packets in flight (drainmax %d too small?)", n.InFlight(), spec.DrainMax)
+	derr := n.Drain(s.DrainMax, sim.Cycle(s.StallLimit))
+	run.finalCycle, run.stats = n.Cycle(), n.Stats
+	if derr != nil {
+		var diag *network.StallDiagnostic
+		if !errors.As(derr, &diag) {
+			return run, fmt.Errorf("%s: drain failed without a stall diagnostic: %w", name, derr)
 		}
-		if err := n.CheckQuiescent(); err != nil {
-			return out, fmt.Errorf("chaos: quiesced network fails the resource audit: %w", err)
-		}
-		if n.Stats.BornPackets != n.Stats.ConsumedPackets {
-			return out, fmt.Errorf("chaos: packet accounting broken: born %d consumed %d", n.Stats.BornPackets, n.Stats.ConsumedPackets)
-		}
-		if u, ok := scheme.(*core.UPP); ok {
-			if err := u.UPPStateOK(); err != nil {
-				return out, fmt.Errorf("chaos: stale UPP state after quiescing: %w", err)
-			}
-		}
-		out.Quiesced = true
-		return out, nil
+		run.stall = diag.Error()
+		return run, nil
 	}
-	var diag *network.StallDiagnostic
-	if !errors.As(derr, &diag) {
-		return out, fmt.Errorf("chaos: drain failed without a stall diagnostic: %w", derr)
+	if !n.Quiesced() {
+		return run, fmt.Errorf("%s: Drain returned nil with %d packets in flight (drainmax %d too small?)", name, n.InFlight(), s.DrainMax)
 	}
-	out.Stall = diag.Error()
-	return out, nil
+	if err := n.CheckQuiescent(); err != nil {
+		return run, fmt.Errorf("%s: quiesced network fails the resource audit: %w", name, err)
+	}
+	if n.Stats.BornPackets != n.Stats.ConsumedPackets {
+		return run, fmt.Errorf("%s: packet accounting broken: born %d consumed %d", name, n.Stats.BornPackets, n.Stats.ConsumedPackets)
+	}
+	if u, ok := scheme.(*core.UPP); ok {
+		if err := u.UPPStateOK(); err != nil {
+			return run, fmt.Errorf("%s: stale UPP state after quiescing: %w", name, err)
+		}
+	}
+	return run, nil
 }

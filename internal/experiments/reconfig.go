@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
-	"uppnoc/internal/core"
 	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
 	"uppnoc/internal/reconfig"
 	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
-	"uppnoc/internal/traffic"
 )
 
 // ReconfigSpec describes one dynamic-reconfiguration soak: load, a
@@ -89,74 +86,26 @@ func KillableInterposerLinks(cfg topology.SystemConfig, n int) ([]int, error) {
 //   - surviving routes must avoid every dead link, and at least one
 //     route must actually have changed when links were killed.
 func RunReconfig(spec ReconfigSpec) (ReconfigOutcome, error) {
-	topo, err := topology.Build(topology.BaselineConfig())
-	if err != nil {
-		return ReconfigOutcome{}, err
-	}
-	cfg := network.DefaultConfig()
-	cfg.Kernel = spec.Kernel
-	cfg.RouterArch = spec.RouterArch
-	cfg.Seed = spec.Seed + 1
-	cfg.UseUpDown = true // persistent kills require a fault-indexed local
-	n, err := NewNetwork(topo, cfg, HardenedUPP())
-	if err != nil {
-		return ReconfigOutcome{}, err
-	}
-	oldLocal := n.Hier().Local
-	eng, err := reconfig.Attach(n, reconfig.Config{Plan: spec.Plan, Mode: spec.Mode})
-	if err != nil {
-		return ReconfigOutcome{}, err
-	}
-	if eng == nil {
+	if !spec.Plan.Persistent() {
 		return ReconfigOutcome{}, fmt.Errorf("reconfig: soak plan has no persistent event (kill, add or killchiplet)")
 	}
-	alive := func(id topology.NodeID) bool {
-		return eng.ChipletAlive(topo.Node(id).Chiplet)
+	run, err := runSoak("reconfig", ChaosSpec{
+		Scheme: SchemeUPP, Kernel: spec.Kernel, RouterArch: spec.RouterArch, Plan: spec.Plan, Seed: spec.Seed,
+		Workload: spec.Workload, Rate: spec.Rate, LoadCycles: spec.LoadCycles, DrainMax: spec.DrainMax, StallLimit: spec.StallLimit,
+	}, spec.Mode)
+	out := ReconfigOutcome{Stall: run.stall, FinalCycle: run.finalCycle, Stats: run.stats}
+	n, eng, oldLocal := run.net, run.eng, run.oldLocal
+	if eng != nil {
+		out.Transitions = append(out.Transitions, eng.Transitions()...)
+		out.Cuts = append(out.Cuts, eng.Cuts()...)
 	}
-	if spec.Workload != "" {
-		weng, _, werr := workloadEngine(n, spec.Workload)
-		if werr != nil {
-			return ReconfigOutcome{}, werr
-		}
-		weng.Iterations = 1 << 20
-		for i := 0; i < spec.LoadCycles; i++ {
-			weng.Tick(n.Cycle())
-			n.Step()
-		}
-	} else {
-		g := traffic.NewGenerator(n, traffic.UniformRandom{}, spec.Rate, spec.Seed+7777)
-		g.CoreAlive = alive
-		g.Run(spec.LoadCycles)
-		g.SetRate(0)
-	}
-	out := ReconfigOutcome{}
-	derr := n.Drain(spec.DrainMax, sim.Cycle(spec.StallLimit))
-	out.FinalCycle = n.Cycle()
-	out.Stats = n.Stats
-	out.Transitions = append(out.Transitions, eng.Transitions()...)
-	out.Cuts = append(out.Cuts, eng.Cuts()...)
-	if derr != nil {
-		var diag *network.StallDiagnostic
-		if !errors.As(derr, &diag) {
-			return out, fmt.Errorf("reconfig: drain failed without a stall diagnostic: %w", derr)
-		}
-		out.Stall = diag.Error()
-		return out, nil
-	}
-	if !n.Quiesced() {
-		return out, fmt.Errorf("reconfig: Drain returned nil with %d packets in flight", n.InFlight())
-	}
-	if err := n.CheckQuiescent(); err != nil {
-		return out, fmt.Errorf("reconfig: quiesced network fails the resource audit: %w", err)
+	if err != nil || out.Stall != "" {
+		return out, err
 	}
 	if !eng.Done() {
 		return out, fmt.Errorf("reconfig: engine still mid-plan after drain (cursor or transition stuck)")
 	}
-	if u, ok := n.Scheme().(*core.UPP); ok {
-		if err := u.UPPStateOK(); err != nil {
-			return out, fmt.Errorf("reconfig: stale UPP state after quiescing: %w", err)
-		}
-	}
+	topo := n.Topo
 	for _, c := range out.Cuts {
 		l := topo.Links[c.Link]
 		if !l.Faulty {

@@ -110,7 +110,7 @@ func (c *DependencyCycle) String() string {
 // retired router has no buffered flits, so none of its VCs can hold a
 // blocked packet or appear in a wait-for edge. On a wedged multi-thousand-
 // router system the graph construction therefore costs O(blocked routers),
-// not O(total nodes). The naive kernel keeps no awake list and scans
+// not O(total nodes). The naive kernel keeps no awake set and scans
 // everything.
 //
 // The search starts from the blocked VCs in scan order (ascending node,
@@ -158,7 +158,7 @@ func (n *Network) FindDependencyCycle() *DependencyCycle {
 			scan(&n.Topo.Nodes[i])
 		}
 	} else {
-		for _, id := range n.routerList {
+		for id := n.routers.next(-1); id >= 0; id = n.routers.next(id) {
 			scan(&n.Topo.Nodes[id])
 		}
 	}

@@ -85,7 +85,8 @@ func (n *Network) CheckQuiescent() error {
 
 // CheckWakeInvariant verifies, between cycles, what the flit-only wake
 // rule rests on (DESIGN.md §7): the routers left awake by retirement are
-// exactly the ones holding flits, and a scheme with per-router detection
+// exactly the ones holding flits, the set's population count, its set
+// bits and AwakeRouterIDs agree, and a scheme with per-router detection
 // state (UPP, through an optional CheckRetired method) has it reset at
 // every retired router. uppdebug builds run it after every cycle.
 func (n *Network) CheckWakeInvariant() error {
@@ -96,20 +97,21 @@ func (n *Network) CheckWakeInvariant() error {
 		CheckRetired(id topology.NodeID) error
 	})
 	awake := 0
-	for id, r := range n.Routers {
-		if n.routerAwake[id] == r.Idle() {
-			return fmt.Errorf("network: node %d awake=%v after retirement but buffers %d flits", id, n.routerAwake[id], r.Buffered())
+	for i, r := range n.Routers {
+		id := topology.NodeID(i)
+		if n.routers.has(id) == r.Idle() {
+			return fmt.Errorf("network: node %d awake=%v after retirement but buffers %d flits", id, n.routers.has(id), r.Buffered())
 		}
-		if n.routerAwake[id] {
+		if n.routers.has(id) {
 			awake++
 		} else if rc != nil {
-			if err := rc.CheckRetired(topology.NodeID(id)); err != nil {
+			if err := rc.CheckRetired(id); err != nil {
 				return err
 			}
 		}
 	}
-	if awake != len(n.routerList) {
-		return fmt.Errorf("network: %d routers flagged awake, %d on the awake list", awake, len(n.routerList))
+	if awake != n.routers.count || awake != len(n.AwakeRouterIDs()) {
+		return fmt.Errorf("network: %d router bits set, population count %d, %d awake router IDs", awake, n.routers.count, len(n.AwakeRouterIDs()))
 	}
 	return nil
 }

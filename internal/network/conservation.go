@@ -27,7 +27,7 @@ import (
 // do not appear in the equation.
 //
 // Scaling: up to diagDeepMaxNodes nodes (or always under -tags uppdebug,
-// or under the naive kernel, which keeps no awake list) every link is
+// or under the naive kernel, which keeps no awake set) every link is
 // checked. Above that the scan is scoped to links with at least one
 // engaged endpoint — an awake router or an in-flight event destination.
 // The scoped scan still catches every violation involving live traffic,
@@ -69,9 +69,9 @@ func (n *Network) CheckConservation() error {
 	full := diagDeepAlways || n.kernel == KernelNaive || len(n.Topo.Nodes) <= diagDeepMaxNodes
 	var engaged map[topology.NodeID]bool
 	if !full {
-		engaged = make(map[topology.NodeID]bool, 2*len(n.routerList))
-		for _, id := range n.routerList {
-			engaged[topology.NodeID(id)] = true
+		engaged = make(map[topology.NodeID]bool, 2*n.routers.count)
+		for id := n.routers.next(-1); id >= 0; id = n.routers.next(id) {
+			engaged[id] = true
 		}
 		for s := range n.wheel {
 			for i := range n.wheel[s] {

@@ -11,36 +11,80 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// TestAwakeMergeMatchesSort: sortAwake on a sorted prefix plus an unsorted
-// tail of distinct IDs yields exactly what sorting the whole list does —
-// on random splits, an empty tail, an empty prefix, a tail wholly above
-// the prefix (the no-merge exit) and one wholly below it.
-func TestAwakeMergeMatchesSort(t *testing.T) {
+// TestAwakeSet: random adds and removes keep the bitmap, its population
+// count and its ascending walk equal to a map reference; a member added
+// during a walk above the cursor is visited in the same pass, one added at
+// or below it (the cursor's own ID, removed and re-added, included) in the
+// next.
+func TestAwakeSet(t *testing.T) {
+	const nodes = 200 // four words, the last one partial
 	g := sim.NewRNG(3)
-	check := func(name string, prefix, tail []int32) {
+	s := newAwakeSet(nodes)
+	ref := map[topology.NodeID]bool{}
+	walk := func() []topology.NodeID {
+		var got []topology.NodeID
+		for id := s.next(-1); id >= 0; id = s.next(id) {
+			got = append(got, id)
+		}
+		return got
+	}
+	check := func(step int) {
 		t.Helper()
-		list := append(slices.Clone(prefix), tail...)
-		want := slices.Clone(list)
+		var want []topology.NodeID
+		for id := range ref {
+			want = append(want, id)
+		}
 		slices.Sort(want)
-		sortAwake(list, len(prefix), make([]int32, 0, len(list)))
-		if !slices.Equal(list, want) {
-			t.Fatalf("%s: prefix %v + tail %v merged to %v, want %v", name, prefix, tail, list, want)
+		if got := walk(); !slices.Equal(got, want) || s.count != len(want) {
+			t.Fatalf("step %d: walk %v (count %d), want %v", step, got, s.count, want)
+		}
+		for id := topology.NodeID(0); id < nodes; id++ {
+			if s.has(id) != ref[id] {
+				t.Fatalf("step %d: has(%d) = %v, want %v", step, id, s.has(id), ref[id])
+			}
 		}
 	}
-	for trial := 0; trial < 500; trial++ {
-		ids := make([]int32, g.Intn(40))
-		for i, v := range g.Perm(4 * (len(ids) + 1))[:len(ids)] {
-			ids[i] = int32(v)
+	for step := 0; step < 2000; step++ {
+		id := topology.NodeID(g.Intn(nodes))
+		if g.Intn(3) == 0 {
+			s.remove(id)
+			delete(ref, id)
+		} else {
+			s.add(id)
+			ref[id] = true
 		}
-		split := g.Intn(len(ids) + 1)
-		slices.Sort(ids[:split])
-		check("random", ids[:split], ids[split:])
+		if step%50 == 0 {
+			check(step)
+		}
 	}
-	check("empty tail", []int32{1, 4, 9}, nil)
-	check("empty prefix", nil, []int32{9, 1, 4})
-	check("both empty", nil, nil)
-	check("tail above", []int32{1, 2, 3}, []int32{7, 5, 6})
-	check("tail below", []int32{7, 8, 9}, []int32{2, 0, 1})
+	check(2000)
+
+	s.clear()
+	if got := walk(); len(got) != 0 || s.count != 0 {
+		t.Fatalf("cleared set walks %v (count %d)", got, s.count)
+	}
+	// Wakes during a walk, within the cursor's word and across words.
+	for _, id := range []topology.NodeID{5, 70, 130} {
+		s.add(id)
+	}
+	var pass []topology.NodeID
+	for id := s.next(-1); id >= 0; id = s.next(id) {
+		pass = append(pass, id)
+		if id == 70 {
+			s.add(71)  // above, same word
+			s.add(199) // above, a later word
+			s.add(69)  // below, same word
+			s.add(3)   // below, an earlier word
+			s.remove(70)
+			s.add(70) // the cursor itself
+		}
+	}
+	if want := []topology.NodeID{5, 70, 71, 130, 199}; !slices.Equal(pass, want) {
+		t.Fatalf("pass with mid-walk wakes visited %v, want %v", pass, want)
+	}
+	if got, want := walk(), []topology.NodeID{3, 5, 69, 70, 71, 130, 199}; !slices.Equal(got, want) {
+		t.Fatalf("next pass visits %v, want %v", got, want)
+	}
 }
 
 // TestValidateWheelHorizon: link latency + pipeline depth combinations the
@@ -106,6 +150,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"kernel", func(c *Config) { c.Kernel = "turbo" }, `unknown kernel "turbo"`},
 		{"router arch", func(c *Config) { c.RouterArch = "banyan" }, `unknown arch "banyan"`},
 		{"shards", func(c *Config) { c.Kernel = KernelParallel; c.Shards = -1 }, "Shards must be >= 0"},
+		// One past what the int16 credit counters hold.
+		{"buffer depth", func(c *Config) { c.Router.BufferDepth = 1 << 15 }, "BufferDepth must be <= 32767"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -199,8 +245,8 @@ func TestCreditDoesNotWakeRouter(t *testing.T) {
 		if n.Routers[3].Out[1].Busy[0] {
 			t.Fatalf("%s: credit not delivered", kernel)
 		}
-		if len(n.routerList) != 0 || n.routerAwake[3] || !n.canSkipIdleCycles() {
-			t.Fatalf("%s: credit woke a router: awake list %v, skippable %v", kernel, n.routerList, n.canSkipIdleCycles())
+		if n.routers.count != 0 || n.routers.has(3) || !n.canSkipIdleCycles() {
+			t.Fatalf("%s: credit woke a router: %d awake, skippable %v", kernel, n.routers.count, n.canSkipIdleCycles())
 		}
 	}
 }

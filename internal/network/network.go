@@ -6,7 +6,7 @@ package network
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync/atomic"
 
 	"uppnoc/internal/message"
@@ -25,11 +25,11 @@ const (
 	// as the reference the equality tests compare against. Both kernels
 	// produce bit-identical simulations.
 	KernelNaive = "naive"
-	// KernelParallel runs event delivery and the active-set router walk
-	// across a bounded worker pool, with a serial commit of the walk's
-	// cross-component effects (see parallel.go and DESIGN.md §9).
-	// Bit-identical to the other kernels at any worker count and
-	// GOMAXPROCS.
+	// KernelParallel is the active kernel with blocks: the same step
+	// function, whose event delivery and router walk run across a bounded
+	// worker pool, with a serial commit of the walk's cross-component
+	// effects (see parallel.go and DESIGN.md §9). Bit-identical to the
+	// other kernels at any worker count and GOMAXPROCS.
 	KernelParallel = "parallel"
 )
 
@@ -57,14 +57,16 @@ type Config struct {
 	// scheme). Mutually exclusive with UseUpDown.
 	Adaptive bool
 	// Kernel selects the cycle kernel: KernelActive (the default when
-	// empty), KernelNaive or KernelParallel.
+	// empty), KernelNaive — the reference loop — or KernelParallel, which
+	// is KernelActive's step function with its two concurrent phases on.
 	Kernel string
 	// Shards is the parallel kernel's worker count: the 64-router blocks
-	// of the node space are dealt round-robin to that many workers, the
-	// coordinating goroutine being one of them. 0 means GOMAXPROCS; the
-	// value is clamped to the block count. The simulation is bit-identical
-	// at every count — workers only trade sync overhead against compute
-	// overlap. Ignored by the other kernels.
+	// of the node space (the words of the awake bitmap) are dealt
+	// round-robin to that many workers, the coordinating goroutine being
+	// one of them. 0 means GOMAXPROCS; the value is clamped to the block
+	// count. The simulation is bit-identical at every count — workers only
+	// trade sync overhead against compute overlap. Ignored by the other
+	// kernels, which build no blocks.
 	Shards int
 	// DisablePool turns off packet recycling: AllocPacket falls back to
 	// plain heap allocation and nothing is released. The simulation is
@@ -182,41 +184,26 @@ type Network struct {
 	// internal/message.Pool for the ownership protocol).
 	pool message.Pool
 
-	// Active-set scheduling state (KernelActive): a component is awake
-	// from the wake event that gave it work until the retirement pass
-	// finds it idle. The per-cycle walk visits awake components in
-	// ascending NodeID order — the naive kernel's order — so the two
-	// kernels are bit-identical.
-	//
-	// The awake sets are held as explicit ID lists next to the membership
-	// flags, so the per-cycle walk is O(awake) instead of an O(total-nodes)
-	// flag scan — on a 8k-router scale system at low load that is the
-	// difference between touching 16 KiB of bools four times a cycle and
-	// touching a handful of list entries. Each list is an ascending prefix
-	// of routerSorted/niSorted entries (the last walk's survivors, order-
-	// preserved by retirement) plus a tail of wakes since; the walks order
-	// it with sortAwake, which sorts only the tail and merges it in. Router
-	// wakes only happen at event delivery, before the walk; NIs can also be
-	// woken mid-walk, and the NI walk merges those same-pass wakes in
-	// through niHeap (see walkNIs).
-	kernel       string
-	routerAwake  []bool
-	niAwake      []bool
-	routerList   []int32
-	niList       []int32
-	routerSorted int
-	niSorted     int
-	awakeScratch []int32
-	niHeap       []int32
-	niWalkPos    int32
-	inNIWalk     bool
+	// Active-set scheduling state (KernelActive, KernelParallel): a
+	// component is awake from the wake event that gave it work until the
+	// retirement pass finds it idle. Each set is one bitmap (awakeSet), so
+	// the per-cycle walk visits the awake components in ascending NodeID
+	// order — the naive kernel's order — and the kernels are bit-identical.
+	// awakeIDs is what AwakeRouterIDs hands the scheme: the routers that
+	// survived this cycle's retirement, written by retireRouters.
+	kernel   string
+	routers  awakeSet
+	nis      awakeSet
+	awakeIDs []int32
+	inNIWalk bool
 
 	// wheelPending counts events resident in the wheel; when it is zero and
 	// nothing is awake, whole cycles are provably no-ops and Run/Drain skip
 	// them in one jump (see skipIdleCycles).
 	wheelPending int
 
-	// Parallel-kernel state (see parallel.go); zero under the other kernels.
+	// The concurrent phases' state (see parallel.go): blocks and workers
+	// under KernelParallel, only telemetry under the other kernels.
 	par parallel
 
 	Stats   Stats
@@ -265,14 +252,10 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	if n.kernel == "" {
 		n.kernel = KernelActive
 	}
-	n.routerAwake = make([]bool, t.NumNodes())
-	n.niAwake = make([]bool, t.NumNodes())
-	// Full-capacity awake lists: the flag arrays bound their length, so
-	// appends in the wake paths never allocate.
-	n.routerList = make([]int32, 0, t.NumNodes())
-	n.niList = make([]int32, 0, t.NumNodes())
-	n.niHeap = make([]int32, 0, t.NumNodes())
-	n.awakeScratch = make([]int32, 0, t.NumNodes())
+	n.routers = newAwakeSet(t.NumNodes())
+	n.nis = newAwakeSet(t.NumNodes())
+	// Full capacity: retirement's appends never allocate.
+	n.awakeIDs = make([]int32, 0, t.NumNodes())
 	// The free stack can hold every slot's buffer: a push never allocates.
 	n.wheelFree = make([][]event, 0, wheelSize)
 	for i := range n.callWheel {
@@ -546,39 +529,79 @@ func (n *Network) Kernel() string { return n.kernel }
 // (router.ArchIQ, router.ArchOQ or router.ArchVOQ).
 func (n *Network) RouterArch() string { return n.Cfg.arch() }
 
+// awakeSet is a set of NodeIDs held as a bitmap. Word b covers NodeIDs
+// 64b to 64b+63 — the parallel kernel's block b — and the members come out
+// in ascending order by TrailingZeros64, so no walk ever sorts. The
+// per-cycle walks that nothing adds to (the router walk, both retirement
+// passes) consume a copy of each word; next is the walk for a set that
+// grows under it (the NI walk) and for everything off the cycle's path.
+type awakeSet struct {
+	words []uint64
+	count int
+}
+
+func newAwakeSet(nodes int) awakeSet {
+	return awakeSet{words: make([]uint64, (nodes+63)>>blockShift)}
+}
+
+func (s *awakeSet) has(id topology.NodeID) bool {
+	return s.words[id>>blockShift]&(1<<(id&63)) != 0
+}
+
+func (s *awakeSet) add(id topology.NodeID) {
+	if !s.has(id) {
+		s.words[id>>blockShift] |= 1 << (id & 63)
+		s.count++
+	}
+}
+
+func (s *awakeSet) remove(id topology.NodeID) {
+	if s.has(id) {
+		s.words[id>>blockShift] &^= 1 << (id & 63)
+		s.count--
+	}
+}
+
+func (s *awakeSet) clear() {
+	clear(s.words)
+	s.count = 0
+}
+
+// next returns the smallest member above after, or -1 when there is none;
+// a walk starts from -1. Every call reads the words afresh, so a walk
+// that adds a member above its cursor visits it in the same pass and one
+// that adds at or below the cursor leaves it set for the next pass — what
+// a scan over per-node flags does, and so what the naive kernel does.
+// Removing the member the cursor is on is safe for the same reason.
+func (s *awakeSet) next(after topology.NodeID) topology.NodeID {
+	from := after + 1
+	b := int(from >> blockShift)
+	if b >= len(s.words) {
+		return -1
+	}
+	m := s.words[b] &^ (1<<(from&63) - 1)
+	for m == 0 {
+		if b++; b == len(s.words) {
+			return -1
+		}
+		m = s.words[b]
+	}
+	return topology.NodeID(b<<blockShift | bits.TrailingZeros64(m))
+}
+
 // RouterActive reports whether the router at id is in the active set this
 // cycle (always true under the naive kernel). Schemes use it to skip
 // detection work at provably idle routers: a router outside the set holds
 // no buffered flits, and its scheme-side per-router state was reset by the
 // OnRouterIdle hook when it retired.
 func (n *Network) RouterActive(id topology.NodeID) bool {
-	return n.kernel == KernelNaive || n.routerAwake[id]
+	return n.kernel == KernelNaive || n.routers.has(id)
 }
 
-// wakeRouter puts a router into the active set. Routers are only woken by
-// a flit at event delivery — before the router walk of the same cycle — so
-// the list needs ordering once per cycle and never mid-walk maintenance.
-func (n *Network) wakeRouter(id topology.NodeID) {
-	if !n.routerAwake[id] {
-		n.routerAwake[id] = true
-		n.routerList = append(n.routerList, int32(id))
-	}
-}
-
-// wakeNI puts an NI into the active set. NIs can be woken mid-NI-walk (a
-// PE Consume callback enqueueing a reply); a wake at an ID past the walk
-// cursor joins the current pass through the merge heap, matching the flag
-// scan's semantics of visiting every awake ID in ascending order.
-func (n *Network) wakeNI(id topology.NodeID) {
-	if n.niAwake[id] {
-		return
-	}
-	n.niAwake[id] = true
-	n.niList = append(n.niList, int32(id))
-	if n.inNIWalk && int32(id) > n.niWalkPos {
-		n.niHeapPush(int32(id))
-	}
-}
+// wakeNI puts an NI into the active set: a local-port credit at event
+// delivery, or — from outside the cycle or from inside the NI walk — an
+// Enqueue, a completed ejection or a reservation request.
+func (n *Network) wakeNI(id topology.NodeID) { n.nis.add(id) }
 
 // AwakeRouterIDs returns the ascending IDs of the routers left awake after
 // this cycle's retirement pass, or nil under the naive kernel (where every
@@ -590,154 +613,64 @@ func (n *Network) AwakeRouterIDs() []int32 {
 	if n.kernel == KernelNaive {
 		return nil
 	}
-	return n.routerList
+	return n.awakeIDs
 }
 
-// niHeapPush adds id to the mid-walk wake heap (a plain binary min-heap
-// over a reused slice; no container/heap interface boxing).
-func (n *Network) niHeapPush(id int32) {
-	h := append(n.niHeap, id)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	n.niHeap = h
-}
-
-// niHeapPop removes and returns the smallest pending mid-walk wake.
-func (n *Network) niHeapPop() int32 {
-	h := n.niHeap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	n.niHeap = h
-	return top
-}
-
-// sortAwake puts an awake list in ascending order given that its first
-// sorted entries already are: the tail of wakes is sorted on its own and
-// merged in from the back through scratch (capacity >= len(list)), so a
-// cycle pays for the routers that woke, not for re-sorting the survivors.
-func sortAwake(list []int32, sorted int, scratch []int32) {
-	tail := list[sorted:]
-	if len(tail) == 0 {
-		return
-	}
-	slices.Sort(tail)
-	if sorted == 0 || list[sorted-1] < tail[0] {
-		return
-	}
-	scratch = append(scratch[:0], tail...)
-	i, j := sorted-1, len(scratch)-1
-	for k := len(list) - 1; j >= 0; k-- {
-		if i >= 0 && list[i] > scratch[j] {
-			list[k] = list[i]
-			i--
-		} else {
-			list[k] = scratch[j]
-			j--
+// walkRouters steps the awake routers of blocks first, first+stride, …
+// in ascending NodeID order: every awake router — the naive kernel's visit
+// order — from (0, 1), one worker's share of the concurrent step phase
+// from (w, workers). Routers are only woken by a flit at event delivery,
+// before the walk, so the set does not change under it.
+func (n *Network) walkRouters(first, stride int, cycle sim.Cycle) {
+	words := n.routers.words
+	for b := first; b < len(words); b += stride {
+		for m := words[b]; m != 0; m &= m - 1 {
+			n.Routers[b<<blockShift|bits.TrailingZeros64(m)].Step(cycle)
 		}
 	}
 }
 
-// walkRouters steps the awake routers in ascending NodeID order — the
-// naive kernel's visit order.
-func (n *Network) walkRouters(cycle sim.Cycle) {
-	sortAwake(n.routerList, n.routerSorted, n.awakeScratch)
-	for _, id := range n.routerList {
-		n.Routers[id].Step(cycle)
-	}
-}
-
-// walkNIs steps the awake NIs in ascending NodeID order, merging in NIs
-// woken mid-pass at IDs beyond the cursor (they are visited in their
-// sorted position, exactly as the flag scan would visit them); wakes at or
-// before the cursor stay on the list for next cycle, again matching the
-// scan. The prefix length is captured before stepping because same-pass
-// wakes also append to the list for retirement bookkeeping.
+// walkNIs steps the awake NIs in ascending NodeID order. An NI can be
+// woken mid-walk (a PE Consume callback enqueueing a reply): above the
+// cursor it is stepped in this pass, at or below it in the next cycle's —
+// awakeSet.next gives both, as the naive walk over all NIs does.
 func (n *Network) walkNIs(cycle sim.Cycle) {
-	if len(n.niList) == 0 {
-		return
-	}
-	sortAwake(n.niList, n.niSorted, n.awakeScratch)
-	prefix := len(n.niList)
-	n.niSorted = prefix
 	n.inNIWalk = true
-	i := 0
-	for i < prefix || len(n.niHeap) > 0 {
-		var id int32
-		if i < prefix && (len(n.niHeap) == 0 || n.niList[i] < n.niHeap[0]) {
-			id = n.niList[i]
-			i++
-		} else {
-			id = n.niHeapPop()
-		}
-		n.niWalkPos = id
+	for id := n.nis.next(-1); id >= 0; id = n.nis.next(id) {
 		n.NIs[id].step(cycle)
 	}
 	n.inNIWalk = false
-	n.niWalkPos = 0
 }
 
 // retireRouters removes routers with no remaining work from the active
-// set, notifying the scheme in ascending NodeID order — identical to the
-// flag scan's retirement order, which OnRouterIdle consumers observe. The
-// in-place filter keeps the survivor list sorted.
+// set, notifying the scheme in ascending NodeID order — the order
+// OnRouterIdle consumers observe — and lists the survivors for
+// AwakeRouterIDs.
 func (n *Network) retireRouters(cycle sim.Cycle) {
-	kept := n.routerList[:0]
-	for _, id := range n.routerList {
-		if n.Routers[id].Idle() {
-			n.routerAwake[id] = false
-			n.scheme.OnRouterIdle(topology.NodeID(id), cycle)
-		} else {
-			kept = append(kept, id)
+	kept := n.awakeIDs[:0]
+	for b, m := range n.routers.words {
+		for ; m != 0; m &= m - 1 {
+			id := topology.NodeID(b<<blockShift | bits.TrailingZeros64(m))
+			if n.Routers[id].Idle() {
+				n.routers.remove(id)
+				n.scheme.OnRouterIdle(id, cycle)
+			} else {
+				kept = append(kept, int32(id))
+			}
 		}
 	}
-	n.routerList = kept
-	n.routerSorted = len(kept)
+	n.awakeIDs = kept
 }
 
-// retireNIs removes idle NIs from the active set. NI retirement has no
-// scheme callback, so only the surviving set matters, not the visit order;
-// the list may end with an unsorted tail of mid-cycle wakes, which the
-// next walk's sortAwake folds in — niSorted shrinks to the walked
-// prefix's survivors.
+// retireNIs removes idle NIs from the active set.
 func (n *Network) retireNIs() {
-	kept := n.niList[:0]
-	sorted := 0
-	for i, id := range n.niList {
-		if n.NIs[id].Idle() {
-			n.niAwake[id] = false
-			continue
-		}
-		kept = append(kept, id)
-		if i < n.niSorted {
-			sorted++
+	for b, m := range n.nis.words {
+		for ; m != 0; m &= m - 1 {
+			if id := topology.NodeID(b<<blockShift | bits.TrailingZeros64(m)); n.NIs[id].Idle() {
+				n.nis.remove(id)
+			}
 		}
 	}
-	n.niList = kept
-	n.niSorted = sorted
 }
 
 // deliverEvents drains the current wheel slot. A flit wakes the router it
@@ -757,7 +690,7 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 		case evFlit:
 			delay := n.scheme.OnFlitArrived(e.to, e.port, e.flit, cycle)
 			if wake {
-				n.wakeRouter(e.to)
+				n.routers.add(e.to)
 			}
 			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+delay)
 			// Drop the packet pointer: the buffer is reused at its grown
@@ -783,15 +716,13 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 	}
 }
 
-// Step advances the system by one cycle.
+// Step advances the system by one cycle: the reference loop under the
+// naive kernel, step under the other two.
 func (n *Network) Step() {
-	switch n.kernel {
-	case KernelNaive:
+	if n.kernel == KernelNaive {
 		n.stepNaive()
-	case KernelParallel:
-		n.stepParallel()
-	default:
-		n.stepActive()
+	} else {
+		n.step()
 	}
 	if diagDeepAlways {
 		if err := n.CheckWakeInvariant(); err != nil {
@@ -821,31 +752,53 @@ func (n *Network) stepNaive() {
 	n.cycle++
 }
 
-// stepActive advances one cycle stepping only awake components. Event
-// delivery wakes the receiver; the walk visits awake components in
-// ascending NodeID order — identical to the naive kernel's order — and a
-// component woken mid-walk by an earlier one (an NI consuming a message
-// and enqueueing a reply at a higher ID) is picked up in the same pass,
-// exactly as the naive walk would. Components woken at an ID the pass
-// already visited keep their wake flag and step next cycle, again matching
-// naive semantics. After the walk, components with no remaining work
-// retire; a retiring router notifies the scheme through OnRouterIdle so
-// per-router timeout state resets once instead of being re-polled every
-// cycle.
-func (n *Network) stepActive() {
-	cycle := n.cycle
+// step advances one cycle stepping only awake components. Event delivery
+// wakes the receiver; the walks visit awake components in ascending NodeID
+// order, mid-walk NI wakes included (walkNIs) — the naive kernel's order.
+// After the walks, components with no remaining work retire; a retiring
+// router notifies the scheme through OnRouterIdle so per-router timeout
+// state resets once instead of being re-polled every cycle.
+//
+// A network built with blocks (KernelParallel) runs event delivery and the
+// router walk as concurrent phases when the cycle has enough of either to
+// pay for the hand-off (parallel.go); KernelActive builds none, and both
+// fall through to deliverEvents and the inline walk.
+func (n *Network) step() {
+	p, cycle := &n.par, n.cycle
+	p.clock.lap(-1)
 	n.beginCycleFaults(cycle)
-	n.deliverEvents(cycle, true)
+	slot := cycle % wheelSize
+	if p.blocks == nil || len(n.callWheel[slot]) > 0 || len(n.wheel[slot]) < parallelMinEvents {
+		n.deliverEvents(cycle, true)
+	} else {
+		p.deliver(cycle)
+	}
+	p.clock.lap(PhaseDeliver)
 	n.scheme.StartOfCycle(cycle)
-	n.walkRouters(cycle)
+	p.clock.lap(PhaseStartOfCycle)
+	if p.blocks != nil && n.routers.count >= parallelMinAwake {
+		p.stepPhases++
+		p.inStep = true
+		p.run()
+		p.inStep = false
+		p.clock.lap(PhaseCompute)
+		p.commit()
+		p.clock.lap(PhaseCommit)
+	} else if n.routers.count > 0 {
+		p.inlinePhases++
+		n.walkRouters(0, 1, cycle)
+		p.clock.lap(PhaseCompute)
+	}
 	n.walkNIs(cycle)
 	// Retirement pass: afterwards the awake sets hold exactly the
 	// components with pending work, which EndOfCycle detection (UPP's
 	// RouterActive check and AwakeRouterIDs walk) relies on.
 	n.retireRouters(cycle)
 	n.retireNIs()
+	p.clock.lap(PhaseNIRetire)
 	n.scheme.EndOfCycle(cycle)
 	n.foldReconfigStats()
+	p.clock.lap(PhaseEndOfCycle)
 	n.cycle++
 }
 
@@ -875,7 +828,7 @@ func (n *Network) Run(cycles int) {
 // non-empty slot.
 func (n *Network) canSkipIdleCycles() bool {
 	return n.kernel != KernelNaive && n.faults == nil &&
-		len(n.routerList) == 0 && len(n.niList) == 0 && n.scheme.Inert()
+		n.routers.count == 0 && n.nis.count == 0 && n.scheme.Inert()
 }
 
 // skipIdleCycles advances the clock to the next cycle with a pending wheel

@@ -1,17 +1,18 @@
-// Parallel cycle kernel (KernelParallel); DESIGN.md §9 has the argument.
+// The two concurrent phases of Network.step, engaged on a network built
+// with blocks (KernelParallel); DESIGN.md §9 has the argument.
 //
-// The node space is cut into fixed 64-router blocks, block b owned by
-// worker b mod Config.Shards for the life of the network; worker 0 is the
-// coordinating goroutine, the others come from a package-level pool. A
-// cycle has two concurrent phases. Deliver: after a serial pre-pass over
-// the wheel slot (wakes, OnFlitArrived, NI credits) every worker applies
-// the slot's ReceiveFlit/ReceiveCredit calls to its own routers, in slot
-// order. Step: after the scheme's StartOfCycle every worker steps its
-// awake routers in ascending NodeID order; Router.Step's concurrency
-// contract keeps a step to the router's own state, and what else it
-// causes goes to the block's commit log. The commit replays the logs in
-// ascending block order — ascending NodeID order, the order the sequential
-// walk produces the same effects in, whatever the worker count.
+// The node space is cut into fixed 64-router blocks — block b is word b of
+// the awake bitmap — owned by worker b mod Config.Shards for the life of
+// the network; worker 0 is the coordinating goroutine, the others come
+// from a package-level pool. Deliver: after a serial pre-pass over the
+// wheel slot (wakes, OnFlitArrived, NI credits) every worker applies the
+// slot's ReceiveFlit/ReceiveCredit calls to its own routers, in slot
+// order. Step: after the scheme's StartOfCycle every worker steps the
+// awake routers of its blocks in ascending NodeID order; Router.Step's
+// concurrency contract keeps a step to the router's own state, and what
+// else it causes goes to the block's commit log. The commit replays the
+// logs in ascending block order — ascending NodeID order, the order the
+// sequential walk produces the same effects in, whatever the worker count.
 package network
 
 import (
@@ -30,8 +31,9 @@ const (
 	// stepped (delivered) inline — a hand-off would cost more.
 	parallelMinAwake  = 16
 	parallelMinEvents = 64
-	// blockShift sizes the blocks: 64 NodeIDs, small enough that dealing
-	// them round-robin balances the workers whatever region is busy.
+	// blockShift sizes the blocks: 64 NodeIDs, one awakeSet word, small
+	// enough that dealing them round-robin balances the workers whatever
+	// region is busy.
 	blockShift = 6
 	// spinBound is how long a waiter polls before it parks: longer than
 	// the serial stretch between two phases of a large system's cycle
@@ -96,7 +98,7 @@ type parallel struct {
 
 	// The current phase's inputs, written before the hand-off publishes
 	// them: the phase (step, where the sinks record, or deliver) and the
-	// wheel slot being delivered. The step phase reads the awake list.
+	// wheel slot being delivered. The step phase reads the awake bitmap.
 	inStep bool
 	events []event
 	// pending counts the shares on offer to or running on helpers; the
@@ -142,7 +144,8 @@ func (n *Network) initParallel(workers int) {
 func (n *Network) Shards() int { return n.par.workers }
 
 // ParallelPhases counts the cycles that engaged the concurrent step phase
-// and the ones that fell back to the inline walk.
+// and the ones that walked their awake routers inline (all of them on a
+// network without blocks).
 func (n *Network) ParallelPhases() (compute, inline uint64) {
 	return n.par.stepPhases, n.par.inlinePhases
 }
@@ -150,45 +153,6 @@ func (n *Network) ParallelPhases() (compute, inline uint64) {
 // WorkerPhases counts the phase shares each worker executed: [0] is the
 // coordinator (its own plus any it kept or took back), [w] pool worker w.
 func (n *Network) WorkerPhases() []uint64 { return n.par.workerPhases }
-
-// stepParallel advances one cycle; outside the two phases it is stepActive
-// on the coordinating goroutine.
-func (n *Network) stepParallel() {
-	p, cycle := &n.par, n.cycle
-	p.clock.lap(-1)
-	n.beginCycleFaults(cycle)
-	slot := cycle % wheelSize
-	if len(n.callWheel[slot]) > 0 || len(n.wheel[slot]) < parallelMinEvents {
-		n.deliverEvents(cycle, true)
-	} else {
-		p.deliver(cycle)
-	}
-	p.clock.lap(PhaseDeliver)
-	n.scheme.StartOfCycle(cycle)
-	p.clock.lap(PhaseStartOfCycle)
-	if len(n.routerList) >= parallelMinAwake {
-		p.stepPhases++
-		sortAwake(n.routerList, n.routerSorted, n.awakeScratch)
-		p.inStep = true
-		p.run()
-		p.inStep = false
-		p.clock.lap(PhaseCompute)
-		p.commit()
-		p.clock.lap(PhaseCommit)
-	} else if len(n.routerList) > 0 {
-		p.inlinePhases++
-		n.walkRouters(cycle)
-		p.clock.lap(PhaseCompute)
-	}
-	n.walkNIs(cycle)
-	n.retireRouters(cycle)
-	n.retireNIs()
-	p.clock.lap(PhaseNIRetire)
-	n.scheme.EndOfCycle(cycle)
-	n.foldReconfigStats()
-	p.clock.lap(PhaseEndOfCycle)
-	n.cycle++
-}
 
 // deliver drains a wheel slot that holds no SchemeCall (those may touch
 // anything: deliverEvents takes the slot). The serial pre-pass does what
@@ -200,7 +164,7 @@ func (p *parallel) deliver(cycle sim.Cycle) {
 		e := &events[i]
 		if e.kind == evFlit {
 			e.aux = int32(n.scheme.OnFlitArrived(e.to, e.port, e.flit, cycle))
-			n.wakeRouter(e.to)
+			n.routers.add(e.to)
 		} else if e.port == topology.LocalPort {
 			n.wakeNI(e.to)
 			n.NIs[e.to].receiveCredit(e.vc, int(e.delta), e.free)
@@ -249,11 +213,7 @@ func (p *parallel) runShare(w int) {
 		defer func(t0 time.Time) { busy[w] += time.Since(t0) }(time.Now())
 	}
 	if p.inStep {
-		for _, id := range n.routerList {
-			if int(p.owner[id>>blockShift]) == w {
-				n.Routers[id].Step(cycle)
-			}
-		}
+		n.walkRouters(w, p.workers, cycle)
 		return
 	}
 	for i := range p.events {
@@ -395,21 +355,21 @@ func (w *poolWorker) work() {
 
 // --- Phase clock ------------------------------------------------------------
 
-// Phases of one stepParallel cycle, as PhaseClock splits it.
+// Phases of one step cycle, as PhaseClock splits it.
 const (
 	PhasePrePass = iota
 	PhaseDeliver
 	PhaseStartOfCycle
-	PhaseCompute // awake-list sort and the step phase (or the inline walk)
+	PhaseCompute // the step phase (or the inline walk)
 	PhaseCommit
 	PhaseNIRetire // NI walk and both retirement passes
 	PhaseEndOfCycle
 	NumPhases
 )
 
-// PhaseClock accumulates where the host time of the parallel kernel's
-// cycles goes. A network has none unless a profiler installs one: the
-// kernel otherwise pays one nil check per phase boundary.
+// PhaseClock accumulates where the host time of step's cycles goes. A
+// network has none unless a profiler installs one: step otherwise pays
+// one nil check per phase boundary.
 type PhaseClock struct {
 	// Wall is the coordinator's time per phase, hand-off and join included.
 	Wall [NumPhases]time.Duration
@@ -420,8 +380,8 @@ type PhaseClock struct {
 	last                  time.Time
 }
 
-// SetPhaseClock installs c (nil removes it); only the parallel kernel
-// reads it.
+// SetPhaseClock installs c (nil removes it); the naive kernel does not
+// fill it, and the busy times stay empty without workers.
 func (n *Network) SetPhaseClock(c *PhaseClock) {
 	if c != nil {
 		c.DeliverBusy = make([]time.Duration, n.par.workers)

@@ -2,12 +2,14 @@ package network_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"uppnoc/internal/core"
 	"uppnoc/internal/faults"
+	"uppnoc/internal/message"
 	"uppnoc/internal/network"
 	"uppnoc/internal/remotectl"
 	"uppnoc/internal/sim"
@@ -198,6 +200,60 @@ func TestParallelOversubscribed(t *testing.T) {
 			t.Errorf("network %d: stats diverge from active kernel:\nactive:   %+v\nparallel: %+v", i, refStats, n.Stats)
 		}
 		diffTraces(t, "oversubscribed", refTrace, traces[i].String())
+	}
+}
+
+// TestNIWakeMidWalk: an NI's Consume hook that enqueues at another NI
+// wakes it in the middle of the NI walk. The naive walk reaches a higher
+// ID later in the same cycle and a lower ID in the next one; the awake
+// bitmap's walk must do the same, so the flit trace — where one cycle's
+// difference in an injection shows — is identical under every kernel.
+func TestNIWakeMidWalk(t *testing.T) {
+	run := func(kernel string, shards int) (string, network.Stats) {
+		c := parallelCase{topo: smallTopo, scheme: func() network.Scheme { return network.None{} },
+			pattern: traffic.UniformRandom{}, rate: 0.03}
+		n, g, buf := c.build(t, kernel, shards)
+		cores := n.Topo.Cores()
+		hub := len(cores) / 2
+		replies := 0
+		n.NI(cores[hub]).Consume = func(p *message.Packet, cycle sim.Cycle) bool {
+			if p.Class != message.ClassGetS {
+				return true
+			}
+			for _, from := range []topology.NodeID{cores[hub+1], cores[hub-1]} {
+				r := n.AllocPacket()
+				r.Src, r.Dst = from, p.Src
+				r.VNet, r.Class, r.Size = message.VNetResponse, message.ClassData, message.DataPacketFlits
+				n.NI(from).Enqueue(r, cycle)
+				replies++
+			}
+			return true
+		}
+		for cycle := 0; cycle < 1200; cycle++ {
+			if cycle%25 == 0 {
+				p := n.AllocPacket()
+				p.Src, p.Dst = cores[(cycle*7)%hub], cores[hub]
+				p.VNet, p.Class, p.Size = message.VNetRequest, message.ClassGetS, message.ControlPacketFlits
+				n.NI(p.Src).Enqueue(p, n.Cycle())
+			}
+			g.Tick(n.Cycle())
+			n.Step()
+		}
+		if replies < 40 {
+			t.Fatalf("%s: the hub's hook replied %d times; the mid-walk wake path is barely exercised", kernel, replies)
+		}
+		return buf.String(), n.Stats
+	}
+	refTrace, refStats := run(network.KernelNaive, 0)
+	for _, l := range []struct {
+		kernel string
+		shards int
+	}{{network.KernelActive, 0}, {network.KernelParallel, 1}, {network.KernelParallel, 3}} {
+		trace, stats := run(l.kernel, l.shards)
+		if stats != refStats {
+			t.Errorf("%s/%d: stats diverge from the naive kernel:\nnaive: %+v\ngot:   %+v", l.kernel, l.shards, refStats, stats)
+		}
+		diffTraces(t, fmt.Sprintf("%s/%d", l.kernel, l.shards), refTrace, trace)
 	}
 }
 

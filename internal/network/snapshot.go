@@ -112,19 +112,15 @@ func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 	w.Uvarint(ps.Reuses)
 	w.Uvarint(ps.Puts)
 
-	// Network scalars and active sets. The lists are serialized verbatim
-	// (routerList is a sorted prefix; niList may carry an unsorted tail
-	// of mid-cycle wakes) because the next walk's sort must see the same
-	// input; the membership flags are rebuilt from them.
+	// Network scalars and active sets, each set as a count and its IDs
+	// ascending.
 	w.Uvarint(n.nextID)
 	w.Varint(n.lastEject)
-	w.Uvarint(uint64(len(n.routerList)))
-	for _, id := range n.routerList {
-		w.Varint(int64(id))
-	}
-	w.Uvarint(uint64(len(n.niList)))
-	for _, id := range n.niList {
-		w.Varint(int64(id))
+	for _, set := range []*awakeSet{&n.routers, &n.nis} {
+		w.Uvarint(uint64(set.count))
+		for id := set.next(-1); id >= 0; id = set.next(id) {
+			w.Varint(int64(id))
+		}
 	}
 	w.Uvarint(n.rng.State()[0])
 	w.Uvarint(n.rng.State()[1])
@@ -288,43 +284,29 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 
 	n.nextID = r.Uvarint("next packet id")
 	n.lastEject = r.Varint("last eject")
-	nr := r.Len("router awake count", n.Topo.NumNodes())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	// The lists are restored verbatim with no ordered prefix claimed: the
-	// next walk's sortAwake orders each one whole.
-	n.routerList, n.routerSorted = n.routerList[:0], 0
-	for i := range n.routerAwake {
-		n.routerAwake[i] = false
-		n.niAwake[i] = false
-	}
-	for i := 0; i < nr; i++ {
-		id := int32(r.Int("awake router id", 0, int64(n.Topo.NumNodes())-1))
-		if r.Err() != nil {
-			return r.Err()
+	// The IDs may come in any order; a repeated one is corrupt input.
+	for _, set := range []struct {
+		s    *awakeSet
+		what string
+	}{{&n.routers, "router"}, {&n.nis, "NI"}} {
+		count := r.Len(set.what+" awake count", n.Topo.NumNodes())
+		label := "awake " + set.what + " id"
+		set.s.clear()
+		for i := 0; i < count; i++ {
+			id := topology.NodeID(r.Int(label, 0, int64(n.Topo.NumNodes())-1))
+			if r.Err() != nil {
+				return r.Err()
+			}
+			if set.s.has(id) {
+				return fmt.Errorf("network: duplicate awake %s %d in snapshot", set.what, id)
+			}
+			set.s.add(id)
 		}
-		if n.routerAwake[id] {
-			return fmt.Errorf("network: duplicate awake router %d in snapshot", id)
-		}
-		n.routerAwake[id] = true
-		n.routerList = append(n.routerList, id)
 	}
-	nni := r.Len("ni awake count", n.Topo.NumNodes())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	n.niList, n.niSorted = n.niList[:0], 0
-	for i := 0; i < nni; i++ {
-		id := int32(r.Int("awake ni id", 0, int64(n.Topo.NumNodes())-1))
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if n.niAwake[id] {
-			return fmt.Errorf("network: duplicate awake NI %d in snapshot", id)
-		}
-		n.niAwake[id] = true
-		n.niList = append(n.niList, id)
+	// AwakeRouterIDs keeps matching the set until the next retirement.
+	n.awakeIDs = n.awakeIDs[:0]
+	for id := n.routers.next(-1); id >= 0; id = n.routers.next(id) {
+		n.awakeIDs = append(n.awakeIDs, int32(id))
 	}
 	var st [4]uint64
 	for i := range st {

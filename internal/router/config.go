@@ -16,6 +16,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"uppnoc/internal/message"
 )
@@ -25,6 +26,10 @@ import (
 // (Fig. 5). The network's event wheel must cover PipelineDepth plus the
 // link latency; network.Config.Validate enforces it.
 const PipelineDepth = 3
+
+// maxBufferDepth is the largest BufferDepth the int16 credit counters
+// (Out.Credits, the NI's copy) can hold.
+const maxBufferDepth = math.MaxInt16
 
 // maxVCsPerVNet bounds VCsPerVNet so hot-path scratch arrays (the VC
 // selection candidate list in grant) can be fixed-size instead of
@@ -63,6 +68,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: VCsPerVNet must be <= %d", maxVCsPerVNet)
 	case c.BufferDepth < 1:
 		return fmt.Errorf("router: BufferDepth must be >= 1")
+	case c.BufferDepth > maxBufferDepth:
+		return fmt.Errorf("router: BufferDepth must be <= %d (the credit counters are 16-bit)", maxBufferDepth)
 	case c.LinkLatency < 1:
 		return fmt.Errorf("router: LinkLatency must be >= 1")
 	case c.VCT && c.BufferDepth < message.DataPacketFlits:

@@ -130,12 +130,13 @@ func (c ScaleConfig) Validate() error {
 	return nil
 }
 
-// BuildScale constructs the scale-out system described by c.
+// BuildScale constructs the scale-out system described by c — the one
+// builder of uniform systems (Build converts and calls it).
 //
-// Unlike Build, it is memory-lean: node, port and link storage are counted
-// exactly up front and carved out of three contiguous arenas, so building
-// never reallocates mid-construction and an 8k-router system builds in a
-// few milliseconds with no per-node map allocations.
+// It is memory-lean: node, port and link storage are counted exactly up
+// front and carved out of three contiguous arenas, so building never
+// reallocates mid-construction and an 8k-router system builds in a few
+// milliseconds with no per-node map allocations.
 func BuildScale(c ScaleConfig) (*Topology, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -263,8 +264,8 @@ func BuildScale(c ScaleConfig) (*Topology, error) {
 		}
 	}
 
-	// Chiplets, in global chiplet-grid row-major order so chiplet index ci
-	// maps to grid position (ci%gridW, ci/gridW) exactly as in Build.
+	// Chiplets, in global chiplet-grid row-major order: chiplet index ci
+	// sits at grid position (ci%gridW, ci/gridW).
 	t.Chiplets = make([]Chiplet, 0, numChiplets)
 	for ci := 0; ci < numChiplets; ci++ {
 		gx, gy := ci%gridW, ci/gridW

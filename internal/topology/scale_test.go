@@ -145,34 +145,45 @@ func TestBuildScaleInterTileLatency(t *testing.T) {
 	}
 }
 
-// TestBuildScaleMatchesBuild pins that a 1x1-tile scale config builds a
-// system structurally identical to the equivalent SystemConfig build.
+// TestBuildScaleMatchesBuild: Build is BuildScale on one tile, so the
+// uniform builder is held to an independent one — the same system spelled
+// as uniform ChipletSpecs and built by BuildHetero must match it node for
+// node and port for port, boundary counts above the region size (the
+// round-robin attachment) included.
 func TestBuildScaleMatchesBuild(t *testing.T) {
-	sc := ScaleConfig{
-		TilesX: 1, TilesY: 1,
-		TileW: 4, TileH: 4,
-		ChipletsX: 2, ChipletsY: 2,
-		ChipletW: 4, ChipletH: 4,
-		BoundaryPerChiplet: 4,
-		LinkLatency:        1,
-		Seed:               1,
-	}
-	a := MustBuildScale(sc)
-	b := MustBuild(BaselineConfig())
-	if a.NumNodes() != b.NumNodes() || len(a.Links) != len(b.Links) {
-		t.Fatalf("scale build %d nodes/%d links, baseline %d/%d",
-			a.NumNodes(), len(a.Links), b.NumNodes(), len(b.Links))
-	}
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
-		if na.Kind != nb.Kind || na.Chiplet != nb.Chiplet || na.X != nb.X || na.Y != nb.Y ||
-			na.BoundBoundary != nb.BoundBoundary || len(na.Ports) != len(nb.Ports) {
-			t.Fatalf("node %d differs: %+v vs %+v", i, na, nb)
+	crowded := StarConfig()
+	crowded.BoundaryPerChiplet = 4 // four up links onto a one-router region
+	for _, sys := range []SystemConfig{BaselineConfig(), LargeConfig(), StarConfig(), crowded} {
+		het := HeteroConfig{InterposerW: sys.InterposerW, InterposerH: sys.InterposerH, LinkLatency: sys.LinkLatency, Seed: sys.Seed}
+		regionW, regionH := sys.InterposerW/sys.ChipletsX, sys.InterposerH/sys.ChipletsY
+		for gy := 0; gy < sys.ChipletsY; gy++ {
+			for gx := 0; gx < sys.ChipletsX; gx++ {
+				het.Chiplets = append(het.Chiplets, ChipletSpec{
+					W: sys.ChipletW, H: sys.ChipletH, Boundary: sys.BoundaryPerChiplet,
+					RegionX: gx * regionW, RegionY: gy * regionH, RegionW: regionW, RegionH: regionH,
+				})
+			}
 		}
-		for pi := range na.Ports {
-			pa, pb := &na.Ports[pi], &nb.Ports[pi]
-			if pa.Dir != pb.Dir || pa.Neighbor != pb.Neighbor || pa.NeighborPort != pb.NeighborPort {
-				t.Fatalf("node %d port %d differs: %+v vs %+v", i, pi, pa, pb)
+		a := MustBuild(sys)
+		b, err := BuildHetero(het)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.NumNodes() != b.NumNodes() || len(a.Links) != len(b.Links) {
+			t.Fatalf("%+v: uniform build %d nodes/%d links, hetero %d/%d",
+				sys, a.NumNodes(), len(a.Links), b.NumNodes(), len(b.Links))
+		}
+		for i := range a.Nodes {
+			na, nb := &a.Nodes[i], &b.Nodes[i]
+			if na.Kind != nb.Kind || na.Chiplet != nb.Chiplet || na.X != nb.X || na.Y != nb.Y ||
+				na.BoundBoundary != nb.BoundBoundary || len(na.Ports) != len(nb.Ports) {
+				t.Fatalf("%+v: node %d differs: %+v vs %+v", sys, i, na, nb)
+			}
+			for pi := range na.Ports {
+				pa, pb := &na.Ports[pi], &nb.Ports[pi]
+				if pa.Dir != pb.Dir || pa.Neighbor != pb.Neighbor || pa.NeighborPort != pb.NeighborPort {
+					t.Fatalf("%+v: node %d port %d differs: %+v vs %+v", sys, i, pi, pa, pb)
+				}
 			}
 		}
 	}

@@ -92,81 +92,21 @@ func (c SystemConfig) Validate() error {
 	return nil
 }
 
-// Build constructs the chiplet system described by c.
+// Build constructs the chiplet system described by c: BuildScale's system
+// of one interposer tile.
 func Build(c SystemConfig) (*Topology, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{InterposerW: c.InterposerW, InterposerH: c.InterposerH}
-	rng := sim.NewRNG(c.Seed)
-
-	newNode := func(kind NodeKind, chiplet, x, y int) NodeID {
-		id := NodeID(len(t.Nodes))
-		t.Nodes = append(t.Nodes, Node{
-			ID: id, Kind: kind, Chiplet: chiplet, X: x, Y: y,
-			Ports:         []Port{{Dir: Local, Neighbor: InvalidNode, NeighborPort: InvalidPort}},
-			BoundBoundary: InvalidNode,
-		})
-		return id
-	}
-
-	// Interposer mesh.
-	t.Interposer = make([]NodeID, 0, c.InterposerW*c.InterposerH)
-	for y := 0; y < c.InterposerH; y++ {
-		for x := 0; x < c.InterposerW; x++ {
-			t.Interposer = append(t.Interposer, newNode(InterposerRouter, InterposerChiplet, x, y))
-		}
-	}
-	meshLinks(t, t.Interposer, c.InterposerW, c.InterposerH, c.LinkLatency)
-
-	// Chiplets.
-	numChiplets := c.ChipletsX * c.ChipletsY
-	regionW := c.InterposerW / c.ChipletsX
-	regionH := c.InterposerH / c.ChipletsY
-	boundaryLocal := boundaryPositions(c.ChipletW, c.ChipletH, c.BoundaryPerChiplet)
-	for ci := 0; ci < numChiplets; ci++ {
-		gx, gy := ci%c.ChipletsX, ci/c.ChipletsX
-		ch := Chiplet{Index: ci, Width: c.ChipletW, Height: c.ChipletH, GridX: gx, GridY: gy}
-		for y := 0; y < c.ChipletH; y++ {
-			for x := 0; x < c.ChipletW; x++ {
-				ch.Routers = append(ch.Routers, newNode(ChipletRouter, ci, x, y))
-			}
-		}
-		meshLinks(t, ch.Routers, c.ChipletW, c.ChipletH, c.LinkLatency)
-
-		// Vertical links: boundary router i attaches to the i-th (evenly
-		// spread) interposer router of the chiplet's region; if there are
-		// more boundary routers than region routers, attachments wrap
-		// round-robin so some interposer routers carry several up links.
-		region := make([]NodeID, 0, regionW*regionH)
-		for ry := 0; ry < regionH; ry++ {
-			for rx := 0; rx < regionW; rx++ {
-				region = append(region, t.InterposerAt(gx*regionW+rx, gy*regionH+ry))
-			}
-		}
-		for bi, pos := range boundaryLocal {
-			b := ch.RouterAt(pos.x, pos.y)
-			t.Nodes[b].Kind = BoundaryRouter
-			ch.Boundary = append(ch.Boundary, b)
-			var ip NodeID
-			if len(boundaryLocal) <= len(region) {
-				// Spread evenly across the region.
-				ip = region[bi*len(region)/len(boundaryLocal)]
-			} else {
-				ip = region[bi%len(region)]
-			}
-			t.addLink(ip, b, Up, c.LinkLatency, true)
-			t.Nodes[ip].BoundBoundary = b
-		}
-		t.Chiplets = append(t.Chiplets, ch)
-	}
-
-	bindChipletRouters(t, rng)
-	t.finish()
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("topology: built system fails validation: %w", err)
-	}
-	return t, nil
+	return BuildScale(ScaleConfig{
+		TilesX: 1, TilesY: 1,
+		TileW: c.InterposerW, TileH: c.InterposerH,
+		ChipletsX: c.ChipletsX, ChipletsY: c.ChipletsY,
+		ChipletW: c.ChipletW, ChipletH: c.ChipletH,
+		BoundaryPerChiplet: c.BoundaryPerChiplet,
+		LinkLatency:        c.LinkLatency,
+		Seed:               c.Seed,
+	})
 }
 
 // MustBuild is Build for known-good configurations (tests, examples).
