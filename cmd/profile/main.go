@@ -115,8 +115,11 @@ func main() {
 	if err := pprof.StartCPUProfile(cpuF); err != nil {
 		fail(err)
 	}
+	// The clock costs eight time.Now() a cycle: only the run that prints it pays.
 	var clock network.PhaseClock
-	kb.Network().SetPhaseClock(&clock) // printed for the parallel kernel only
+	if *kernel == network.KernelParallel {
+		kb.Network().SetPhaseClock(&clock)
+	}
 	kb.Run(*cycles)
 	pprof.StopCPUProfile()
 	if err := cpuF.Close(); err != nil {

@@ -239,8 +239,11 @@ type UPP struct {
 	network.BaseScheme
 	cfg Config
 
-	net    *network.Network
-	nodes  []nodeState
+	net   *network.Network
+	nodes []nodeState
+	// hosts is the bitset of interposer routers with an Up port: the only
+	// ones detection visits and whose timeout counters ever move.
+	hosts  []uint64
 	tokens [][message.NumVNets]uint64 // holder popup ID per (chiplet, vnet); 0 = free
 	// destBits is the signal destination-field width the attached system
 	// needs (message.DestBits of its node count): 8 bits on the paper's
@@ -290,6 +293,12 @@ func (u *UPP) Attach(n *network.Network) {
 	u.destBits = message.DestBits(n.Topo.NumNodes())
 	u.nodes = make([]nodeState, n.Topo.NumNodes())
 	u.tokens = make([][message.NumVNets]uint64, len(n.Topo.Chiplets))
+	u.hosts = make([]uint64, (n.Topo.NumNodes()+63)/64)
+	for _, id := range n.Topo.Interposer {
+		if n.Topo.Node(id).PortTo(topology.Up) != topology.InvalidPort {
+			u.hosts[id>>6] |= 1 << (id & 63)
+		}
+	}
 	for i := range u.nodes {
 		ns := &u.nodes[i]
 		for v := range ns.circuit {
@@ -381,47 +390,41 @@ func (u *UPP) sortedPopups() []*popup {
 
 // --- Detection (Sec. V-A) ---------------------------------------------------
 
-// detect runs the per-interposer-router timeout counters. Under the
+// host reports whether router id can hold an upward packet.
+func (u *UPP) host(id topology.NodeID) bool { return u.hosts[id>>6]&(1<<(id&63)) != 0 }
+
+// detect runs the timeout counters of the host routers. Under the
 // active-set kernels it walks the network's awake-router list (ascending
-// NodeIDs) filtered down to interposer routers instead of the full
-// topo.Interposer slice: a retired router has no buffered flits — so no
-// stalled upward packet — and OnRouterIdle zeroed its counters, which is
-// exactly the set the RouterActive skip used to drop. Both walks visit
-// the same routers in the same (ascending-ID) order, so token claims and
-// popup creation stay bit-identical; the awake walk just makes detection
-// O(awake) instead of O(interposer) per cycle on mostly-idle large
-// systems. The naive kernel keeps no awake list and scans everything.
+// NodeIDs) filtered down to hosts instead of the full topo.Interposer
+// slice: a retired router has no buffered flits — so no stalled upward
+// packet — and OnRouterIdle zeroed its counters, which is exactly the set
+// the RouterActive skip used to drop. Both walks visit the same routers in
+// the same (ascending-ID) order, so token claims and popup creation stay
+// bit-identical; the awake walk just makes detection O(awake) instead of
+// O(interposer) per cycle on mostly-idle large systems. The naive kernel
+// keeps no awake list and scans everything.
 func (u *UPP) detect(cycle sim.Cycle) {
-	topo := u.net.Topo
 	if awake := u.net.AwakeRouterIDs(); awake != nil {
 		for _, id32 := range awake {
-			id := topology.NodeID(id32)
-			if topo.Node(id).Chiplet != topology.InterposerChiplet {
-				continue
+			if id := topology.NodeID(id32); u.host(id) {
+				u.detectAt(id, cycle)
 			}
-			u.detectAt(id, cycle)
 		}
 		return
 	}
-	for _, id := range topo.Interposer {
-		if !u.net.RouterActive(id) {
-			// Idle under the active-set kernel: no buffered flit, so no
-			// stalled upward packet; OnRouterIdle zeroed the counters when
-			// the router retired.
-			continue
+	for _, id := range u.net.Topo.Interposer {
+		// Idle under the active-set kernel means no buffered flit, so no
+		// stalled upward packet; OnRouterIdle zeroed the counters when the
+		// router retired.
+		if u.host(id) && u.net.RouterActive(id) {
+			u.detectAt(id, cycle)
 		}
-		u.detectAt(id, cycle)
 	}
 }
 
-// detectAt advances the timeout counters of one interposer router — the
-// body of the detection walk, shared by the awake-list and full scans.
+// detectAt advances the timeout counters of one host router — the body of
+// the detection walk, shared by the awake-list and full scans.
 func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
-	topo := u.net.Topo
-	node := topo.Node(id)
-	if node.PortTo(topology.Up) == topology.InvalidPort {
-		return // no vertical link: never hosts an upward packet
-	}
 	r := u.net.Router(id)
 	ns := &u.nodes[id]
 	upMask := r.UpSentMask(cycle)
@@ -459,7 +462,7 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 		}
 		// Deadlock declared: serialize with the per-(chiplet, VNet)
 		// popup token before selecting.
-		chiplet := topo.Node(f.Pkt.Dst).Chiplet
+		chiplet := u.net.Topo.Node(f.Pkt.Dst).Chiplet
 		if u.tokens[chiplet][v] != 0 {
 			continue // token busy; retry next cycle
 		}
@@ -779,8 +782,12 @@ func (u *UPP) releaseOrigin(p *popup) {
 // flight — exactly what the naive kernel's per-cycle detect would do (an
 // empty router has no stalled upward packet, so StalledHead misses and
 // the counter zeroes). Counters of VNets with an active popup are left
-// alone: detection pauses for those in both kernels.
+// alone: detection pauses for those in both kernels. Only a host's counters
+// ever move, so every other router returns before its state is touched.
 func (u *UPP) OnRouterIdle(node topology.NodeID, _ sim.Cycle) {
+	if !u.host(node) {
+		return
+	}
 	ns := &u.nodes[node]
 	for v := range ns.counters {
 		if ns.entry[v] == nil {

@@ -75,7 +75,7 @@ func LoadBalance(dur Durations, opts PoolOptions) ([]Table, error) {
 			for _, b := range ch.Boundary {
 				router := n.Router(b)
 				down := topo.Node(b).PortTo(topology.Down)
-				c := router.PortSent[down]
+				c := router.PortSent(down)
 				counts = append(counts, c)
 				chTotal += c
 				if c > chMax {

@@ -111,8 +111,8 @@ func RunReconfig(spec ReconfigSpec) (ReconfigOutcome, error) {
 		if !l.Faulty {
 			continue // revived by a later hot-add
 		}
-		sa := n.Routers[l.A].PortSent[l.APort]
-		sb := n.Routers[l.B].PortSent[l.BPort]
+		sa := n.Routers[l.A].PortSent(l.APort)
+		sb := n.Routers[l.B].PortSent(l.BPort)
 		if sa != c.SentA || sb != c.SentB {
 			return out, fmt.Errorf("reconfig: link %d carried traffic after its cut at cycle %d (sent A %d->%d, B %d->%d)",
 				c.Link, c.Cycle, c.SentA, sa, c.SentB, sb)

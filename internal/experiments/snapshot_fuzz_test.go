@@ -3,6 +3,9 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"uppnoc/internal/message"
+	"uppnoc/internal/network"
 )
 
 // FuzzSnapshotDecode feeds corrupted, truncated and mutated snapshot
@@ -10,7 +13,9 @@ import (
 // fixed, freshly-built environment returns a structured error (or nil for
 // the pristine bytes) and never panics — the decoder's bounds checks plus
 // its recover backstop must absorb anything the fuzzer constructs. The
-// seed corpus is a real mid-measurement checkpoint of a loaded UPP run.
+// seed corpus is a real mid-measurement checkpoint of a loaded UPP run,
+// damaged copies of it, and the same state with one wheel event its target
+// router cannot take (TestSnapshotRejectsUndeliverableEvents' cases).
 func FuzzSnapshotDecode(f *testing.F) {
 	spec := snapSpec(SchemeUPP, "iq")
 	var buf bytes.Buffer
@@ -29,6 +34,31 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), snapshot...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
+	pkt := &message.Packet{ID: 1 << 40, Size: 1}
+	for _, schedule := range []func(n *network.Network){
+		func(n *network.Network) { n.DeliverCredit(-1, 1, 0, 1, false, n.Cycle()+1) },
+		func(n *network.Network) { n.DeliverCredit(5, 31, 0, 1, false, n.Cycle()+1) },
+		func(n *network.Network) { n.DeliverCredit(5, -1, 0, 1, false, n.Cycle()+1) },
+		func(n *network.Network) { n.DeliverCredit(5, 1, 3, 1, false, n.Cycle()+1) },
+		func(n *network.Network) { n.DeliverCredit(5, 1, -1, 1, false, n.Cycle()+1) },
+		func(n *network.Network) { n.DeliverCredit(5, 1, 0, 2, false, n.Cycle()+1) },
+		func(n *network.Network) { n.DeliverFlit(5, 1, 3, message.Flit{Pkt: pkt}, n.Cycle()+1) },
+		func(n *network.Network) { n.DeliverFlit(5, 1, 0, message.Flit{}, n.Cycle()+1) },
+	} {
+		n, g, err := BuildRun(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := n.ReadSnapshot(snapshot, g); err != nil {
+			f.Fatal(err)
+		}
+		schedule(n)
+		var crafted bytes.Buffer
+		if err := n.WriteSnapshot(&crafted, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(crafted.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, g, err := BuildRun(spec)

@@ -75,23 +75,16 @@ func (c Class) IsTerminating() bool {
 
 // Packet is a multi-flit message in flight. Routers and NIs share one
 // Packet value per message; flits carry a pointer to it.
+//
+// Field order is layout: everything a router or a route function reads per
+// hop sits in the first 64 bytes, so a hop touches one cache line of the
+// header; what only the endpoints, UPP's recovery and the pool read comes
+// after (TestLayoutPins holds the split).
 type Packet struct {
-	ID   uint64
-	Src  topology.NodeID
-	Dst  topology.NodeID
-	VNet VNet
+	Src topology.NodeID
+	Dst topology.NodeID
 	// Size is the packet length in flits (>= 1).
-	Size  int
-	Class Class
-
-	// BirthCycle is when the message entered the NI injection queue;
-	// InjectCycle when its head flit entered the network; EjectCycle when
-	// its tail flit was ejected at the destination NI. Queueing latency =
-	// Inject-Birth, network latency = Eject-Inject (the split of Fig. 7's
-	// source data).
-	BirthCycle  sim.Cycle
-	InjectCycle sim.Cycle
-	EjectCycle  sim.Cycle
+	Size int
 
 	// EgressBoundary is the boundary router through which this packet
 	// leaves its source chiplet (chosen at injection; Sec. V-D static
@@ -110,31 +103,45 @@ type Packet struct {
 	// are migrated onto the current table (see internal/reconfig).
 	Epoch uint32
 
+	// DstChiplet caches the destination's chiplet index (or
+	// topology.InterposerChiplet); routers use it to tell whether a popup
+	// flit is inside the destination chiplet (circuit territory) or still
+	// upstream flowing normally.
+	DstChiplet int16
 	// DownPhase and RouteLayer carry per-layer up*/down* routing state in
 	// the head flit: once a packet takes a "down" tree link it may not go
 	// "up" again within the same layer. RouteLayer tracks the layer the
 	// packet was last routed in so the phase resets after a vertical hop.
 	// LayerEntryX records the column where the packet entered its current
 	// layer (odd-even adaptive routing's source-column rule).
-	DownPhase   bool
 	RouteLayer  int16
 	LayerEntryX int16
+	DownPhase   bool
 
+	VNet  VNet
+	Class Class
 	// Popup is set while the packet is being popped up by UPP: its flits
 	// bypass buffers via the circuit installed by the UPP_req and take
 	// absolute switch priority (Sec. V-C).
 	Popup bool
+
+	ID uint64
+
+	// BirthCycle is when the message entered the NI injection queue;
+	// InjectCycle when its head flit entered the network; EjectCycle when
+	// its tail flit was ejected at the destination NI. Queueing latency =
+	// Inject-Birth, network latency = Eject-Inject (the split of Fig. 7's
+	// source data).
+	BirthCycle  sim.Cycle
+	InjectCycle sim.Cycle
+	EjectCycle  sim.Cycle
+
 	// PopupID identifies the popup instance that claimed this packet.
 	PopupID uint64
 	// PopupResUsed marks that the packet consumed its UPP ejection-queue
 	// reservation (set by the NI on the first popup-mode flit it accepts;
 	// the head may already have ejected normally before the popup began).
 	PopupResUsed bool
-	// DstChiplet caches the destination's chiplet index (or
-	// topology.InterposerChiplet); routers use it to tell whether a popup
-	// flit is inside the destination chiplet (circuit territory) or still
-	// upstream flowing normally.
-	DstChiplet int16
 
 	// Coherence bookkeeping (zero for synthetic traffic).
 	Addr uint64

@@ -88,7 +88,9 @@ func (n *Network) CheckQuiescent() error {
 // exactly the ones holding flits, the set's population count, its set
 // bits and AwakeRouterIDs agree, and a scheme with per-router detection
 // state (UPP, through an optional CheckRetired method) has it reset at
-// every retired router. uppdebug builds run it after every cycle.
+// every retired router. It also holds every router's occupancy masks to a
+// recount from its VCs (Router.CheckDerived): allocation trusts them as the
+// kernel trusts the awake set. uppdebug builds run it after every cycle.
 func (n *Network) CheckWakeInvariant() error {
 	if n.kernel == KernelNaive {
 		return nil
@@ -99,6 +101,9 @@ func (n *Network) CheckWakeInvariant() error {
 	awake := 0
 	for i, r := range n.Routers {
 		id := topology.NodeID(i)
+		if err := r.CheckDerived(); err != nil {
+			return err
+		}
 		if n.routers.has(id) == r.Idle() {
 			return fmt.Errorf("network: node %d awake=%v after retirement but buffers %d flits", id, n.routers.has(id), r.Buffered())
 		}

@@ -156,8 +156,8 @@ type Network struct {
 	Cfg  Config
 	// Routers holds the router of every node, indexed by NodeID. There is
 	// one router type whatever Cfg.RouterArch says; schemes, checkers and
-	// tools read its exported state (ID, Node, Cfg, Stats, In, Out,
-	// PortSent) directly.
+	// tools read its exported state (ID, Node, Cfg, Stats, In, Out)
+	// directly.
 	Routers []*router.Router
 	NIs     []*NI
 
@@ -301,9 +301,14 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	}
 	n.Routers = make([]*router.Router, t.NumNodes())
 	n.NIs = make([]*NI, t.NumNodes())
+	// One slab per kind of router state for the system (DESIGN.md §8).
+	arena, err := router.NewArena(cfg.arch(), cfg.Router, t.Nodes)
+	if err != nil {
+		return nil, err
+	}
 	for i := range t.Nodes {
 		node := &t.Nodes[i]
-		r, err := router.New(cfg.arch(), node, cfg.Router, n, nil, route, n.rng.Split(uint64(i)))
+		r, err := router.New(cfg.arch(), node, cfg.Router, n, nil, route, n.rng.Split(uint64(i)), arena)
 		if err != nil {
 			return nil, err
 		}

@@ -232,6 +232,21 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 			e.delta = int8(r.Int("event delta", -128, 127))
 			e.free = r.Bool("event free")
 			e.flit = r.Flit()
+			if r.Err() == nil && e.kind != evSchemeCall {
+				// Delivery indexes the target's flat storage unchecked.
+				switch {
+				case e.to < 0:
+					r.Fail("event to %d: a flit or credit needs a target router", e.to)
+				case e.port < 0 || int(e.port) >= len(n.Routers[e.to].In):
+					r.Fail("event port %d: router %d has %d ports", e.port, e.to, len(n.Routers[e.to].In))
+				case e.vc < 0 || int(e.vc) >= n.Cfg.Router.NumVCs():
+					r.Fail("event vc %d: ports have %d VCs", e.vc, n.Cfg.Router.NumVCs())
+				case e.delta < 0 || e.delta > 1:
+					r.Fail("event delta %d: a credit returns 0 or 1 slots", e.delta)
+				case e.kind == evFlit && e.flit.Pkt == nil:
+					r.Fail("event flit: a flit event carries no packet")
+				}
+			}
 			if e.kind == evSchemeCall {
 				var c SchemeCall
 				ck := r.Uvarint("call kind")

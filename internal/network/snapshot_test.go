@@ -142,3 +142,54 @@ func TestSnapshotRejectsRetiredEventKind(t *testing.T) {
 		t.Fatalf("err = %v, want the retired event kind rejected", err)
 	}
 }
+
+// TestSnapshotRejectsUndeliverableEvents: a flit or credit event its target
+// router cannot take — no target, a port or VC the router does not have, a
+// credit of more than one slot, a flit event without a packet — is corrupt
+// input. Delivery indexes the routers' flat storage unchecked, so the
+// decoder is where it has to fail, naming the field.
+func TestSnapshotRejectsUndeliverableEvents(t *testing.T) {
+	nvc := int8(DefaultConfig().Router.NumVCs())
+	for _, c := range []struct {
+		name   string
+		kind   uint8
+		mutate func(e *event, ports int)
+		want   string
+	}{
+		{"flit without target", evFlit, func(e *event, _ int) { e.to = -1 }, "event to"},
+		{"credit without target", evCredit, func(e *event, _ int) { e.to = -1 }, "event to"},
+		{"flit port past the router's", evFlit, func(e *event, ports int) { e.port = topology.PortID(ports) }, "event port"},
+		{"credit port negative", evCredit, func(e *event, _ int) { e.port = -1 }, "event port"},
+		{"flit vc in the next port", evFlit, func(e *event, _ int) { e.vc = nvc }, "event vc"},
+		{"credit vc negative", evCredit, func(e *event, _ int) { e.vc = -1 }, "event vc"},
+		{"credit of two slots", evCredit, func(e *event, _ int) { e.delta = 2 }, "event delta"},
+		{"credit of minus one", evCredit, func(e *event, _ int) { e.delta = -1 }, "event delta"},
+		{"flit without packet", evFlit, func(e *event, _ int) { e.flit.Pkt = nil }, "event flit"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n, _ := loadedWheelNet(t)
+			e := firstEvent(n, c.kind)
+			c.mutate(e, len(n.Routers[e.to].In))
+			var buf bytes.Buffer
+			if err := n.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			m := MustNew(topology.MustBuild(topology.BaselineConfig()), DefaultConfig(), &callLog{})
+			if err := m.ReadSnapshot(buf.Bytes()); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want the %s rejected", err, c.want)
+			}
+		})
+	}
+}
+
+// firstEvent returns the first wheel event of the given kind.
+func firstEvent(n *Network, kind uint8) *event {
+	for si := range n.wheel {
+		for ei := range n.wheel[si] {
+			if n.wheel[si][ei].kind == kind {
+				return &n.wheel[si][ei]
+			}
+		}
+	}
+	return nil
+}

@@ -462,8 +462,8 @@ func (e *Engine) stepFencing(cycle sim.Cycle) {
 		e.cuts = append(e.cuts, CutInfo{
 			Link:  ev.Link,
 			Cycle: cycle,
-			SentA: e.net.Routers[l.A].PortSent[l.APort],
-			SentB: e.net.Routers[l.B].PortSent[l.BPort],
+			SentA: e.net.Routers[l.A].PortSent(l.APort),
+			SentB: e.net.Routers[l.B].PortSent(l.BPort),
 		})
 		// The fence stays up past the cut: stale old-epoch lookups must
 		// keep migrating off the dead port instead of wedging on it.

@@ -112,8 +112,8 @@ func runReconfigSoak(t *testing.T, kernel string, plan faults.Plan, mode reconfi
 		if !l.Faulty {
 			continue
 		}
-		sa := n.Routers[l.A].PortSent[l.APort]
-		sb := n.Routers[l.B].PortSent[l.BPort]
+		sa := n.Routers[l.A].PortSent(l.APort)
+		sb := n.Routers[l.B].PortSent(l.BPort)
 		if sa != c.SentA || sb != c.SentB {
 			t.Fatalf("%s: link %d carried traffic after its cut at cycle %d: sent A %d->%d, B %d->%d",
 				kernel, c.Link, c.Cycle, c.SentA, sa, c.SentB, sb)

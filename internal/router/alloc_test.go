@@ -29,7 +29,7 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 	var nominees [maxPorts]nominee
 	nn := 0
 	for pi := 0; pi < nports; pi++ {
-		if r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
+		if r.ports[pi].inClaimedAt > cycle || r.ports[pi].buffered == 0 {
 			continue
 		}
 		if vi := oraclePickInputVC(r, topology.PortID(pi), cycle); vi >= 0 {
@@ -42,13 +42,13 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 		return
 	}
 	for oi := 0; oi < nports; oi++ {
-		if r.outClaimedAt[oi] > cycle {
+		if r.ports[oi].outClaimedAt > cycle {
 			continue
 		}
-		out := &r.Out[oi]
+		out := &r.ports[oi]
 		granted := -1
 		for k := 1; k <= nports; k++ {
-			pi := (out.rr + k) % nports
+			pi := (int(out.outRR) + k) % nports
 			for ni := 0; ni < nn; ni++ {
 				if int(nominees[ni].port) == pi &&
 					r.In[pi].VCs[nominees[ni].vc].OutPort == topology.PortID(oi) {
@@ -57,7 +57,7 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 				}
 			}
 			if granted >= 0 {
-				out.rr = pi
+				out.outRR = int8(pi)
 				break
 			}
 		}
@@ -86,7 +86,7 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 
 func oraclePickInputVC(r *Router, pi topology.PortID, cycle sim.Cycle) int {
 	vcs := r.In[pi].VCs
-	vi := r.inRR[pi]
+	vi := int(r.ports[pi].inRR)
 	for range vcs {
 		if vi++; vi >= len(vcs) {
 			vi = 0
@@ -111,7 +111,7 @@ func oraclePickInputVC(r *Router, pi topology.PortID, cycle sim.Cycle) int {
 		if f.IsHead() && !vc.routed {
 			r.routeHead(pi, vi, vc, f, cycle)
 		}
-		if vc.OutPort == topology.InvalidPort || r.outClaimedAt[vc.OutPort] > cycle ||
+		if vc.OutPort == topology.InvalidPort || r.ports[vc.OutPort].outClaimedAt > cycle ||
 			r.downOut&(1<<uint(vc.OutPort)) != 0 {
 			continue
 		}
@@ -133,7 +133,7 @@ func oraclePickInputVC(r *Router, pi topology.PortID, cycle sim.Cycle) int {
 		default:
 			continue
 		}
-		r.inRR[pi] = vi
+		r.ports[pi].inRR = int8(vi)
 		return vi
 	}
 	return -1
@@ -179,7 +179,7 @@ func oracleGrant(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 func oracleSendFront(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 	vc := &r.In[pi].VCs[vi]
 	f := vc.pop()
-	r.In[pi].buffered--
+	r.ports[pi].buffered--
 	r.buffered--
 	r.Stats.BufferReads++
 	r.Stats.CrossbarTravs++
@@ -193,7 +193,7 @@ func oracleSendFront(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 		r.releaseVC(vc, vi)
 	}
 	r.creditUpstream(pi, int8(vi), 1, tail, cycle)
-	r.PortSent[out]++
+	r.ports[out].sent++
 	if out == topology.LocalPort {
 		r.local.AcceptFlit(f, cycle+1)
 		return
@@ -219,16 +219,16 @@ func oracleStepVOQ(q *Router, cycle sim.Cycle) {
 	nports := len(q.In)
 	var inputUsed uint32
 	for oi := 0; oi < nports; oi++ {
-		if q.outClaimedAt[oi] > cycle || q.downOut&(1<<uint(oi)) != 0 {
+		if q.ports[oi].outClaimedAt > cycle || q.downOut&(1<<uint(oi)) != 0 {
 			continue
 		}
-		out := &q.Out[oi]
-		pi := out.rr
+		out := &q.ports[oi]
+		pi := int(out.outRR)
 		for k := 0; k < nports; k++ {
 			if pi++; pi >= nports {
 				pi = 0
 			}
-			if inputUsed&(1<<uint(pi)) != 0 || q.inClaimedAt[pi] > cycle || q.In[pi].buffered == 0 {
+			if inputUsed&(1<<uint(pi)) != 0 || q.ports[pi].inClaimedAt > cycle || q.ports[pi].buffered == 0 {
 				continue
 			}
 			vi := oraclePickVCFor(q, topology.PortID(pi), topology.PortID(oi), cycle)
@@ -237,7 +237,7 @@ func oracleStepVOQ(q *Router, cycle sim.Cycle) {
 			}
 			q.Stats.SARequests++
 			oracleGrant(q, topology.PortID(pi), vi, cycle)
-			out.rr = pi
+			out.outRR = int8(pi)
 			inputUsed |= 1 << uint(pi)
 			break
 		}
@@ -246,7 +246,7 @@ func oracleStepVOQ(q *Router, cycle sim.Cycle) {
 
 func oraclePickVCFor(q *Router, pi, oi topology.PortID, cycle sim.Cycle) int {
 	vcs := q.In[pi].VCs
-	vi := q.inRR[pi]
+	vi := int(q.ports[pi].inRR)
 	for range vcs {
 		if vi++; vi >= len(vcs) {
 			vi = 0
@@ -289,7 +289,7 @@ func oraclePickVCFor(q *Router, pi, oi topology.PortID, cycle sim.Cycle) int {
 		default:
 			continue
 		}
-		q.inRR[pi] = vi
+		q.ports[pi].inRR = int8(vi)
 		return vi
 	}
 	return -1
@@ -306,15 +306,15 @@ func oracleStepOQ(q *Router, cycle sim.Cycle) {
 	if q.staged > 0 {
 		for oi := 1; oi < nports; oi++ {
 			st := &q.stage[oi]
-			if st.count == 0 || q.outClaimedAt[oi] > cycle || q.downOut&(1<<uint(oi)) != 0 {
+			if st.count == 0 || q.ports[oi].outClaimedAt > cycle || q.downOut&(1<<uint(oi)) != 0 {
 				continue
 			}
-			q.outClaimedAt[oi] = cycle + 1
+			q.ports[oi].outClaimedAt = cycle + 1
 			sf := st.pop()
 			q.staged--
 			q.Stats.BufferReads++
 			q.Stats.LinkTravs++
-			q.PortSent[oi]++
+			q.ports[oi].sent++
 			if q.Node.Ports[oi].Dir == topology.Up {
 				q.Stats.UpFlits++
 				q.MarkUpSent(sf.f.Pkt.VNet, cycle)
@@ -328,7 +328,7 @@ func oracleStepOQ(q *Router, cycle sim.Cycle) {
 	}
 	// Input stage: full crossbar speedup — every eligible VC front moves.
 	for pi := 0; pi < nports; pi++ {
-		if q.inClaimedAt[pi] > cycle || q.In[pi].buffered == 0 {
+		if q.ports[pi].inClaimedAt > cycle || q.ports[pi].buffered == 0 {
 			continue
 		}
 		vcs := q.In[pi].VCs
@@ -412,7 +412,7 @@ func oracleFirstFreeOutVC(q *Router, out topology.PortID, vnet message.VNet) int
 func oracleEjectFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 	vc := &q.In[pi].VCs[vi]
 	f := vc.pop()
-	q.In[pi].buffered--
+	q.ports[pi].buffered--
 	q.buffered--
 	q.Stats.BufferReads++
 	q.Stats.CrossbarTravs++
@@ -421,7 +421,7 @@ func oracleEjectFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 		q.releaseVC(vc, vi)
 	}
 	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
-	q.PortSent[topology.LocalPort]++
+	q.ports[topology.LocalPort].sent++
 	q.local.AcceptFlit(f, cycle+1)
 }
 
@@ -430,7 +430,7 @@ func oracleEjectFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 func oracleStageFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 	vc := &q.In[pi].VCs[vi]
 	f := vc.pop()
-	q.In[pi].buffered--
+	q.ports[pi].buffered--
 	q.buffered--
 	q.Stats.BufferReads++
 	q.Stats.CrossbarTravs++
@@ -500,7 +500,7 @@ func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (
 	route := func(_ topology.NodeID, _ topology.PortID, p *message.Packet) (topology.PortID, error) {
 		return routes[p.ID], nil
 	}
-	r, err := New(arch, node, cfg, log, log, route, sim.NewRNG(seed^0x9e3779b9))
+	r, err := New(arch, node, cfg, log, log, route, sim.NewRNG(seed^0x9e3779b9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,13 +508,15 @@ func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (
 	id := uint64(0)
 	for pi := 0; pi < nports; pi++ {
 		out := &r.Out[pi]
-		out.rr = g.Intn(nports)
-		r.inRR[pi] = g.Intn(nvc)
+		r.ports[pi].outRR = int8(g.Intn(nports))
+		r.ports[pi].inRR = int8(g.Intn(nvc))
 		if g.Intn(5) == 0 {
-			r.outClaimedAt[pi] = cycle + 1
+			r.ports[pi].outClaimedAt = cycle + 1
+			r.claimedAt = cycle + 1
 		}
 		if g.Intn(8) == 0 {
-			r.inClaimedAt[pi] = cycle + 1
+			r.ports[pi].inClaimedAt = cycle + 1
+			r.claimedAt = cycle + 1
 		}
 		if pi > 0 && g.Intn(10) == 0 {
 			r.downOut |= 1 << uint(pi)
@@ -564,7 +566,8 @@ func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (
 func allocState(r *Router) string {
 	var b strings.Builder
 	for pi := range r.In {
-		fmt.Fprintf(&b, "p%d rr=%d inRR=%d sent=%d |", pi, r.Out[pi].rr, r.inRR[pi], r.PortSent[pi])
+		p := &r.ports[pi]
+		fmt.Fprintf(&b, "p%d rr=%d inRR=%d sent=%d claims=%d/%d |", pi, p.outRR, p.inRR, p.sent, p.outClaimedAt, p.inClaimedAt)
 		for vi := range r.In[pi].VCs {
 			vc := &r.In[pi].VCs[vi]
 			fmt.Fprintf(&b, " %d:%d/%d/%d/%d c%d b%v", vi, vc.count, vc.State, vc.OutPort, vc.OutVC,
@@ -579,8 +582,8 @@ func allocState(r *Router) string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "buffered=%d staged=%d claims=%v upsent=%d@%d stats=%+v census=%v rng=%v",
-		r.buffered, r.staged, r.outClaimedAt, r.upSent, r.upSentAt, r.Stats, r.upRouted, r.rng.State())
+	fmt.Fprintf(&b, "buffered=%d staged=%d upsent=%d@%d stats=%+v census=%v rng=%v",
+		r.buffered, r.staged, r.upSent, r.upSentAt, r.Stats, r.upRouted, r.rng.State())
 	return b.String()
 }
 
@@ -629,14 +632,16 @@ func FuzzSwitchAllocEquivalence(f *testing.F) {
 }
 
 // TestRRPick pins the round-robin pick on its edges: strictly above rr
-// first, wrapping to the lowest bit, rr itself last, bit 31 reachable.
+// first, wrapping to the lowest bit, rr itself last, bits 31 (ports) and 47
+// (VCs) reachable.
 func TestRRPick(t *testing.T) {
 	for _, c := range []struct {
-		m        uint32
+		m        uint64
 		rr, want int
 	}{
 		{0b0001, 0, 0}, {0b0110, 0, 1}, {0b0110, 1, 2}, {0b0110, 2, 1},
 		{0b1001, 3, 0}, {1 << 31, 5, 31}, {1<<31 | 1, 31, 0}, {1 << 31, 31, 31},
+		{1<<47 | 1<<2, 2, 47}, {1<<63 | 1, 63, 0},
 	} {
 		if got := rrPick(c.m, c.rr); got != c.want {
 			t.Errorf("rrPick(%b, %d) = %d, want %d", c.m, c.rr, got, c.want)
@@ -653,7 +658,7 @@ func TestCensusFollowsRouteAndRelease(t *testing.T) {
 	up := node.PortTo(topology.Up)
 	log := &eventLog{accept: true}
 	route := func(topology.NodeID, topology.PortID, *message.Packet) (topology.PortID, error) { return up, nil }
-	r, err := New(ArchIQ, node, DefaultConfig(), log, log, route, sim.NewRNG(1))
+	r, err := New(ArchIQ, node, DefaultConfig(), log, log, route, sim.NewRNG(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,13 +700,13 @@ func TestCensusFollowsRouteAndRelease(t *testing.T) {
 func TestRadixBound(t *testing.T) {
 	node := &topology.Node{ID: 7, Ports: make([]topology.Port, maxPorts+1)}
 	for _, arch := range []string{ArchIQ, ArchOQ, ArchVOQ} {
-		_, err := New(arch, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1))
+		_, err := New(arch, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1), nil)
 		if err == nil || !strings.Contains(err.Error(), "node 7 has 33 ports") {
 			t.Errorf("%s: New on a %d-port node: err = %v, want a radix error naming node 7 and 33 ports", arch, maxPorts+1, err)
 		}
 	}
 	node.Ports = node.Ports[:maxPorts]
-	if _, err := New(ArchIQ, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1)); err != nil {
+	if _, err := New(ArchIQ, node, DefaultConfig(), nil, nil, nil, sim.NewRNG(1), nil); err != nil {
 		t.Errorf("a %d-port node must be accepted: %v", maxPorts, err)
 	}
 }

@@ -49,7 +49,7 @@ func TestNewMicroarchDispatch(t *testing.T) {
 		}
 	}
 	topo := topology.MustBuild(topology.BaselineConfig())
-	_, err := router.New("banyan", topo.Node(0), router.DefaultConfig(), &mockSink{}, &mockLocal{}, nil, sim.NewRNG(1))
+	_, err := router.New("banyan", topo.Node(0), router.DefaultConfig(), &mockSink{}, &mockLocal{}, nil, sim.NewRNG(1), nil)
 	if err == nil || !strings.Contains(err.Error(), `unknown arch "banyan"`) {
 		t.Fatalf("unknown arch error = %v", err)
 	}
@@ -97,7 +97,7 @@ func TestOQStageAndDrainTiming(t *testing.T) {
 	if m.StagedCount(1) != 0 || !m.Idle() {
 		t.Fatal("staging FIFO not drained")
 	}
-	if m.PortSent[1] != 1 {
+	if m.PortSent(1) != 1 {
 		t.Fatal("link-side PortSent not counted at drain")
 	}
 	// Upstream credit flowed at the staging pop (tail flit -> free).
@@ -191,7 +191,7 @@ func TestOQLocalEjection(t *testing.T) {
 	if len(local.got) != 1 {
 		t.Fatal("flit not ejected after queue freed")
 	}
-	if m.PortSent[topology.LocalPort] != 1 {
+	if m.PortSent(topology.LocalPort) != 1 {
 		t.Fatal("ejection not counted on the local port")
 	}
 }

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"uppnoc/internal/message"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
@@ -110,6 +112,8 @@ func (r *Router) allocOQ(cycle sim.Cycle) {
 	// one flit per cycle against same-cycle out-of-band senders. room
 	// collects the outputs the crossbar may write this cycle: the local
 	// port, which has no FIFO, and every output whose FIFO has a free slot.
+	// Input claims are read before the drain raises claimedAt with its own.
+	inClaimed, _ := r.claimed(cycle)
 	room := uint32(1) << topology.LocalPort
 	for oi := 1; oi < len(r.stage); oi++ {
 		st := &r.stage[oi]
@@ -127,12 +131,12 @@ func (r *Router) allocOQ(cycle sim.Cycle) {
 		return
 	}
 	// Input stage: every eligible VC front moves, and every routed front
-	// counts as a request whether or not it can.
-	for pi := range r.In {
-		if r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
-			continue
-		}
-		for vi := range r.In[pi].VCs {
+	// counts as a request whether or not it can. A grant clears at most the
+	// mask bits of the port and VC it serves, which both walks have passed.
+	for in := r.occ &^ inClaimed; in != 0; in &= in - 1 {
+		pi := bits.TrailingZeros32(in)
+		for m := r.ports[pi].vcMask; m != 0; m &= m - 1 {
+			vi := bits.TrailingZeros64(m)
 			req := r.requestOf(topology.PortID(pi), vi, room, cycle)
 			if req == noRequest {
 				continue
@@ -141,7 +145,7 @@ func (r *Router) allocOQ(cycle sim.Cycle) {
 			if req != eligible {
 				continue
 			}
-			out := r.In[pi].VCs[vi].OutPort
+			out := r.VCAt(topology.PortID(pi), vi).OutPort
 			r.grant(topology.PortID(pi), vi, cycle)
 			if st := &r.stage[out]; out != topology.LocalPort && st.count == len(st.buf) {
 				room &^= 1 << uint(out)

@@ -51,101 +51,135 @@ type Stats struct {
 	UpFlits uint64
 }
 
-// InPort is one input port: a set of virtual channels.
+// InPort is one input port's virtual channels: a view of the router's
+// port-major VC storage for schemes, checkers and tests. The datapath
+// indexes the flat storage itself.
 type InPort struct {
 	VCs []VC
-	// buffered counts flits across the port's VCs so allocation can skip
-	// empty ports.
-	buffered int
 }
 
-// OutPort tracks the credit and allocation state of the downstream input
-// port this output feeds.
+// OutPort is the credit and allocation state of the downstream input port
+// an output feeds — views of the router's flat credit and busy storage.
 type OutPort struct {
 	// Credits per downstream VC.
 	Credits []int16
 	// Busy marks downstream VCs currently allocated to a packet.
 	Busy []bool
-	rr   int // round-robin pointer over input ports for switch allocation
+}
+
+// port is everything else the datapath keeps per port, both directions of
+// it in one record so a hop reads one line for its input and one for its
+// output.
+type port struct {
+	// Per-cycle crossbar claims are epoch-stamped (cycle+1 = "claimed
+	// through that cycle") rather than cleared by a start-of-cycle reset,
+	// so a router the active-set kernel skips for thousands of idle cycles
+	// needs no per-cycle bookkeeping to keep its claim state consistent.
+	outClaimedAt sim.Cycle
+	inClaimedAt  sim.Cycle
+	// sent counts flits sent through the output (link utilization and
+	// load-balance analysis).
+	sent uint64
+	// vcMask has bit v set while input VC v holds a flit; buffered counts
+	// the flits across them (the checkers' and the reference allocators'
+	// view of the same fact). Derived state, like Router.occ.
+	vcMask   uint64
+	buffered int32
+	// nb and nbPort are the far side of the link — where the output's flits
+	// and the input's credits go — copied from the topology node, whose
+	// ports never change after build. The local port's credits go to this
+	// router's own NI.
+	nb     topology.NodeID
+	nbPort topology.PortID
+	inRR   int8 // round-robin pointer over the input's VCs
+	outRR  int8 // round-robin pointer over input ports for switch allocation
 }
 
 // Router is one router instance — the only router type. Arch, fixed at
 // construction, selects the switch allocator Step runs and whether the
 // output staging FIFOs exist; everything else is shared.
+//
+// Field order is layout (DESIGN.md §8): what event delivery and Step touch
+// on every hop comes first so it shares the struct's leading cache lines.
 type Router struct {
-	ID   topology.NodeID
-	Node *topology.Node
+	// The flat port-major storage: VC vc of input port p is vcs[p*nvc+vc],
+	// its upstream credit and busy bit credits[p*nvc+vc] and busy[p*nvc+vc].
+	// In and Out are per-port views of the same memory. What a flit's
+	// delivery touches — vcs, ports, the counters and masks below, the head
+	// of Stats — is declared together.
+	vcs   []VC
+	ports []port
+	// nvc is Cfg.NumVCs(), the stride of the flat storage.
+	nvc int
+	// buffered counts flits currently held in this router's VCs and staged
+	// the flits across oq's staging FIFOs; a router with neither is idle
+	// and skipped by the simulation loop.
+	buffered int32
+	staged   int32
+	// occ has bit p set while input port p holds a flit. With the per-port
+	// vcMask and buffered it is derived state: maintained by ReceiveFlit and
+	// PopFront only, rebuilt by Restore, never serialized.
+	occ uint32
+	// alloc indexes allocators by Arch.
+	alloc uint8
+
+	Stats Stats
+
+	credits []int16
+	busy    []bool
 	// Cfg is the effective input-side configuration: BufferDepth is the
 	// per-input-VC depth credits are counted against, which for oq is
 	// smaller than the configured budget depth (see LayoutFor).
 	Cfg Config
-	// Arch names the microarchitecture (ArchIQ, ArchOQ or ArchVOQ); alloc
-	// is its switch allocator's index in allocators, resolved once.
-	Arch  string
-	alloc uint8
 
-	In  []InPort
-	Out []OutPort
-
-	sink  EventSink
-	local LocalSink
-	route RouteFunc
-	rng   *sim.RNG
-
-	// Per-cycle crossbar claims are epoch-stamped (cycle+1 = "claimed
-	// through that cycle") rather than cleared by a start-of-cycle reset,
-	// so a router the active-set kernel skips for thousands of idle cycles
-	// needs no per-cycle bookkeeping to keep its claim state consistent.
-	outClaimedAt []sim.Cycle
-	inClaimedAt  []sim.Cycle
-	inRR         []int // per input port: round-robin pointer over VCs
-
-	// PortSent counts flits sent through each output port (link
-	// utilization and load-balance analysis).
-	PortSent []uint64
-
-	// upSent records which VNets sent a flit through an Up output port
-	// during cycle upSentAt-1 (UPP's timeout counters reset on it); the
-	// epoch stamp expires it without a per-cycle reset.
-	upSent   uint8
-	upSentAt sim.Cycle
-
-	// upRouted is the upward census: per VNet, the number of input VCs
-	// whose computed route is an Up output (upPorts is the mask of those
-	// outputs, fixed at construction). UPP's detector rejects a router in
-	// O(1) on a zero count instead of rescanning its VCs every cycle. It
-	// moves only where a VC's OutPort does — route computation (routeHead),
-	// releaseVC and UnrouteFencedHeads — and is derived state: Restore
-	// recounts it, the snapshot does not carry it.
-	upRouted [message.NumVNets]int32
-	upPorts  uint32
-	// meshPorts is the mask of intra-layer mesh outputs (StalledHead's
-	// transition-time widening), fixed at construction like upPorts.
-	meshPorts uint32
-
-	// buffered counts flits currently held in this router's VCs; idle
-	// routers are skipped by the simulation loop.
-	buffered int
-
-	// stage holds oq's per-output staging FIFOs (nil for iq and voq, which
-	// send from the input VCs straight onto the link) and staged counts
-	// the flits across them; see oq.go.
-	stage  []stageFIFO
-	staged int
-
+	// claimedAt is the latest claim stamp on any port, either direction:
+	// allocation reads the per-port stamps only on a cycle it covers.
+	claimedAt sim.Cycle
 	// downOut is a bitmask of output ports whose link is transiently down
 	// (runtime fault injection). Switch allocation skips them; the mask is
 	// zero in fault-free runs, so the hot-path check never fires.
 	downOut uint32
-
 	// fencedOut is a bitmask of output ports being drained ahead of a
 	// permanent link removal (dynamic reconfiguration). Unlike downOut it
 	// blocks only new wormholes: Waiting heads are never granted a fenced
 	// port (and are migrated onto the new routing by UnrouteFencedHeads),
 	// while Active packets finish crossing so the cut never splits a worm.
 	fencedOut uint32
+	// upPorts is the mask of Up outputs and meshPorts of intra-layer mesh
+	// outputs (StalledHead's transition-time widening), fixed at
+	// construction.
+	upPorts   uint32
+	meshPorts uint32
 
-	Stats Stats
+	// upRouted is the upward census: per VNet, the number of input VCs
+	// whose computed route is an Up output. UPP's detector rejects a router
+	// in O(1) on a zero count instead of rescanning its VCs every cycle. It
+	// moves only where a VC's OutPort does — route computation (routeHead),
+	// releaseVC and UnrouteFencedHeads — and is derived state: Restore
+	// recounts it, the snapshot does not carry it.
+	upRouted [message.NumVNets]int32
+	// upSent records which VNets sent a flit through an Up output port
+	// during cycle upSentAt-1 (UPP's timeout counters reset on it); the
+	// epoch stamp expires it without a per-cycle reset.
+	upSent   uint8
+	upSentAt sim.Cycle
+
+	sink  EventSink
+	local LocalSink
+	route RouteFunc
+	rng   sim.RNG
+
+	// stage holds oq's per-output staging FIFOs (nil for iq and voq, which
+	// send from the input VCs straight onto the link); see oq.go.
+	stage []stageFIFO
+
+	ID   topology.NodeID
+	Node *topology.Node
+	// Arch names the microarchitecture (ArchIQ, ArchOQ or ArchVOQ).
+	Arch string
+
+	In  []InPort
+	Out []OutPort
 }
 
 // allocators are the three switch allocators Step chooses between.
@@ -155,17 +189,65 @@ var (
 )
 
 // maxPorts bounds the router radix: switch allocation's request masks and
-// the downOut/fencedOut/upPorts/meshPorts port masks are 32 bits wide.
+// the occ/downOut/fencedOut/upPorts/meshPorts port masks are 32 bits wide.
 const maxPorts = 32
 
-// New constructs the arch variant of the router for node n. Every variant
-// receives the same budget configuration; oq derives its effective per-VC
-// depth and its staging capacity from LayoutFor so the total matches
-// BufferBudget(cfg) exactly. The per-port state is carved from one backing
-// slice per kind (VCs, flit rings, credits, busy bits, claim stamps), so a
-// router's working set sits in a few contiguous runs instead of one
-// allocation per VC.
-func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalSink, route RouteFunc, rng *sim.RNG) (*Router, error) {
+// Arena is the backing storage of many routers, one slab per kind, so a
+// router's state is a handful of runs adjacent to its neighbours' rather
+// than a dozen objects in as many size-class spans. New carves from it and
+// falls back to plain allocation when a slab is short or the arena is nil
+// (standalone routers).
+type Arena struct {
+	routers []Router
+	ports   []port
+	in      []InPort
+	out     []OutPort
+	vcs     []VC
+	rings   []bufFlit
+	credits []int16
+	busy    []bool
+}
+
+// NewArena sizes the slabs for one arch router per node.
+func NewArena(arch string, cfg Config, nodes []topology.Node) (*Arena, error) {
+	lay, err := LayoutFor(arch, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ports := 0
+	for i := range nodes {
+		ports += len(nodes[i].Ports)
+	}
+	vcs := ports * cfg.NumVCs()
+	return &Arena{
+		routers: make([]Router, len(nodes)),
+		ports:   make([]port, ports),
+		in:      make([]InPort, ports),
+		out:     make([]OutPort, ports),
+		vcs:     make([]VC, vcs),
+		rings:   make([]bufFlit, vcs*(lay.InputDepth-1)),
+		credits: make([]int16, vcs),
+		busy:    make([]bool, vcs),
+	}, nil
+}
+
+// carve takes n elements off the front of slab, or allocates them when the
+// slab cannot supply that many.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		return make([]T, n)
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// New constructs the arch variant of the router for node n, its storage
+// carved from a (nil for a standalone router). Every variant receives the
+// same budget configuration; oq derives its effective per-VC depth and its
+// staging capacity from LayoutFor so the total matches BufferBudget(cfg)
+// exactly.
+func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalSink, route RouteFunc, rng *sim.RNG, a *Arena) (*Router, error) {
 	lay, err := LayoutFor(arch, cfg)
 	if err != nil {
 		return nil, err
@@ -174,49 +256,53 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 	if nports > maxPorts {
 		return nil, fmt.Errorf("router: node %d has %d ports; the port masks hold at most %d", n.ID, nports, maxPorts)
 	}
+	if a == nil {
+		a = &Arena{}
+	}
 	cfg.BufferDepth = lay.InputDepth
-	stamps := make([]sim.Cycle, 2*nports)
-	r := &Router{
-		ID:    n.ID,
-		Node:  n,
-		Cfg:   cfg,
-		Arch:  arch,
+	r := &carve(&a.routers, 1)[0]
+	*r = Router{
+		vcs:     carve(&a.vcs, nports*nvc),
+		ports:   carve(&a.ports, nports),
+		credits: carve(&a.credits, nports*nvc),
+		busy:    carve(&a.busy, nports*nvc),
+
+		nvc:   nvc,
 		alloc: archAlloc[arch],
-		In:    make([]InPort, nports),
-		Out:   make([]OutPort, nports),
 
 		sink:  sink,
 		local: local,
 		route: route,
-		rng:   rng,
+		rng:   *rng,
 
-		outClaimedAt: stamps[:nports:nports],
-		inClaimedAt:  stamps[nports:],
-		inRR:         make([]int, nports),
-		PortSent:     make([]uint64, nports),
+		ID:   n.ID,
+		Node: n,
+		Cfg:  cfg,
+		Arch: arch,
+		In:   carve(&a.in, nports),
+		Out:  carve(&a.out, nports),
 	}
-	vcs := make([]VC, nports*nvc)
-	rings := make([]bufFlit, len(vcs)*cfg.BufferDepth)
-	credits := make([]int16, len(vcs))
-	busy := make([]bool, len(vcs))
-	for i := range vcs {
-		lo, hi := i*cfg.BufferDepth, (i+1)*cfg.BufferDepth
-		vcs[i].buf = rings[lo:hi:hi]
-		vcs[i].reset()
-		credits[i] = int16(cfg.BufferDepth)
+	rings := carve(&a.rings, len(r.vcs)*(cfg.BufferDepth-1))
+	for i := range r.vcs {
+		lo, hi := i*(cfg.BufferDepth-1), (i+1)*(cfg.BufferDepth-1)
+		r.vcs[i].ring = rings[lo:hi:hi]
+		r.vcs[i].reset()
+		r.credits[i] = int16(cfg.BufferDepth)
 	}
-	for pi := range r.In {
+	for pi := range r.ports {
 		lo, hi := pi*nvc, (pi+1)*nvc
-		r.In[pi].VCs = vcs[lo:hi:hi]
-		r.Out[pi].Credits = credits[lo:hi:hi]
-		r.Out[pi].Busy = busy[lo:hi:hi]
-		switch n.Ports[pi].Dir {
+		r.In[pi].VCs = r.vcs[lo:hi:hi]
+		r.Out[pi] = OutPort{Credits: r.credits[lo:hi:hi], Busy: r.busy[lo:hi:hi]}
+		pt := &n.Ports[pi]
+		r.ports[pi] = port{nb: pt.Neighbor, nbPort: pt.NeighborPort}
+		switch pt.Dir {
 		case topology.Up:
 			r.upPorts |= 1 << uint(pi)
 		case topology.East, topology.West, topology.North, topology.South:
 			r.meshPorts |= 1 << uint(pi)
 		}
 	}
+	r.ports[topology.LocalPort].nb, r.ports[topology.LocalPort].nbPort = n.ID, topology.LocalPort
 	if lay.StageSlots > 0 {
 		// The local port ejects directly to the NI (no link to drain
 		// onto), so only real outputs get staging storage.
@@ -240,29 +326,35 @@ func (r *Router) SetSink(s EventSink) { r.sink = s }
 
 // Buffered returns the number of flits currently held anywhere in the
 // router: input VCs plus output staging.
-func (r *Router) Buffered() int { return r.buffered + r.staged }
+func (r *Router) Buffered() int { return int(r.buffered + r.staged) }
 
 // VCAt returns the VC for inspection by plugins and tests.
-func (r *Router) VCAt(port topology.PortID, vc int) *VC { return &r.In[port].VCs[vc] }
+func (r *Router) VCAt(port topology.PortID, vc int) *VC { return &r.vcs[int(port)*r.nvc+vc] }
+
+// PortSent returns the number of flits sent through output port p.
+func (r *Router) PortSent(p topology.PortID) uint64 { return r.ports[p].sent }
 
 // ReceiveFlit performs the buffer write of a flit arriving on (port, vc).
 // The flit becomes pipeline-eligible the following cycle.
 func (r *Router) ReceiveFlit(port topology.PortID, vc int8, f message.Flit, cycle sim.Cycle) {
-	r.In[port].VCs[vc].push(f, cycle+1)
-	r.In[port].buffered++
+	r.VCAt(port, int(vc)).push(f, cycle+1)
+	p := &r.ports[port]
+	p.buffered++
+	p.vcMask |= 1 << uint(vc)
+	r.occ |= 1 << uint(port)
 	r.buffered++
 	r.Stats.BufferWrites++
 }
 
 // ReceiveCredit applies a credit arriving at output port port.
 func (r *Router) ReceiveCredit(port topology.PortID, vc int8, delta int, free bool) {
-	out := &r.Out[port]
-	out.Credits[vc] += int16(delta)
-	if out.Credits[vc] > int16(r.Cfg.BufferDepth) {
+	i := int(port)*r.nvc + int(vc)
+	r.credits[i] += int16(delta)
+	if r.credits[i] > int16(r.Cfg.BufferDepth) {
 		panic("router: credit overflow (flow control bug)")
 	}
 	if free {
-		out.Busy[vc] = false
+		r.busy[i] = false
 	}
 }
 
@@ -294,25 +386,45 @@ func (r *Router) MarkUpSent(v message.VNet, cycle sim.Cycle) {
 // flit or protocol signal) during the given cycle. It reports whether the
 // claim succeeded; claims expire with the cycle.
 func (r *Router) ClaimOutput(p topology.PortID, cycle sim.Cycle) bool {
-	if r.outClaimedAt[p] > cycle {
+	if r.ports[p].outClaimedAt > cycle {
 		return false
 	}
-	r.outClaimedAt[p] = cycle + 1
+	r.ports[p].outClaimedAt = cycle + 1
+	r.claimedAt = max(r.claimedAt, cycle+1)
 	return true
 }
 
 // ClaimInput reserves input port p's crossbar slot for the given cycle.
 func (r *Router) ClaimInput(p topology.PortID, cycle sim.Cycle) bool {
-	if r.inClaimedAt[p] > cycle {
+	if r.ports[p].inClaimedAt > cycle {
 		return false
 	}
-	r.inClaimedAt[p] = cycle + 1
+	r.ports[p].inClaimedAt = cycle + 1
+	r.claimedAt = max(r.claimedAt, cycle+1)
 	return true
 }
 
 // OutputClaimed reports whether output p is claimed during the given cycle.
 func (r *Router) OutputClaimed(p topology.PortID, cycle sim.Cycle) bool {
-	return r.outClaimedAt[p] > cycle
+	return r.ports[p].outClaimedAt > cycle
+}
+
+// claimed returns the input and output ports a plugin holds a claim on
+// during the given cycle. claimedAt answers for the whole router, so the
+// per-port stamps are read only on a cycle some claim covers.
+func (r *Router) claimed(cycle sim.Cycle) (in, out uint32) {
+	if r.claimedAt <= cycle {
+		return 0, 0
+	}
+	for pi := range r.ports {
+		if r.ports[pi].inClaimedAt > cycle {
+			in |= 1 << uint(pi)
+		}
+		if r.ports[pi].outClaimedAt > cycle {
+			out |= 1 << uint(pi)
+		}
+	}
+	return in, out
 }
 
 // SetPortDown marks output port p as crossing a transiently-down link
@@ -363,21 +475,19 @@ func (r *Router) UnrouteFencedHeads() int {
 		return 0
 	}
 	n := 0
-	for pi := range r.In {
-		for vi := range r.In[pi].VCs {
-			vc := &r.In[pi].VCs[vi]
-			if vc.Hold || vc.State != VCWaiting || vc.OutPort == topology.InvalidPort {
-				continue
-			}
-			if r.fencedOut&(1<<uint(vc.OutPort)) == 0 {
-				continue
-			}
-			r.censusDrop(vc, vi)
-			vc.State = VCIdle
-			vc.OutPort = topology.InvalidPort
-			vc.routed = false
-			n++
+	for i := range r.vcs {
+		vc := &r.vcs[i]
+		if vc.Hold || vc.State != VCWaiting || vc.OutPort == topology.InvalidPort {
+			continue
 		}
+		if r.fencedOut&(1<<uint(vc.OutPort)) == 0 {
+			continue
+		}
+		r.censusDrop(vc, i%r.nvc)
+		vc.State = VCIdle
+		vc.OutPort = topology.InvalidPort
+		vc.routed = false
+		n++
 	}
 	return n
 }
@@ -391,12 +501,9 @@ func (r *Router) PortQuiet(p topology.PortID) bool {
 	if r.StagedCount(p) != 0 {
 		return false
 	}
-	for pi := range r.In {
-		for vi := range r.In[pi].VCs {
-			vc := &r.In[pi].VCs[vi]
-			if vc.State != VCIdle && vc.OutPort == p {
-				return false
-			}
+	for i := range r.vcs {
+		if vc := &r.vcs[i]; vc.State != VCIdle && vc.OutPort == p {
+			return false
 		}
 	}
 	return true
@@ -417,23 +524,23 @@ func (r *Router) StalledHead(vnet message.VNet, rrStart int, cycle sim.Cycle, me
 	if mesh {
 		want = r.meshPorts
 	}
-	nvc := r.Cfg.NumVCs()
+	nvc := r.nvc
 	lo := r.Cfg.VCIndex(vnet, 0)
 	hi := lo + r.Cfg.VCsPerVNet
-	total := len(r.In) * nvc
+	total := len(r.ports) * nvc
 	rrStart %= total
 	pi, vi := rrStart/nvc, rrStart%nvc
 	for k := 0; k < total; k++ {
 		if vi++; vi == nvc {
 			vi = 0
-			if pi++; pi == len(r.In) {
+			if pi++; pi == len(r.ports) {
 				pi = 0
 			}
 		}
 		if vi < lo || vi >= hi {
 			continue
 		}
-		vc := &r.In[pi].VCs[vi]
+		vc := &r.vcs[pi*nvc+vi]
 		if vc.Hold || vc.State == VCIdle || want&(1<<uint(vc.OutPort)) == 0 {
 			continue
 		}
@@ -456,14 +563,49 @@ func (r *Router) UpRouted() [message.NumVNets]int32 { return r.upRouted }
 // RecountUpRouted derives the upward census from the VCs themselves —
 // what Restore rebuilds it with and what the checkers hold it to.
 func (r *Router) RecountUpRouted() (n [message.NumVNets]int32) {
-	for pi := range r.In {
-		for vi := range r.In[pi].VCs {
-			if r.upPorts&(1<<uint(r.In[pi].VCs[vi].OutPort)) != 0 {
-				n[vi/r.Cfg.VCsPerVNet]++
-			}
+	for i := range r.vcs {
+		if r.upPorts&(1<<uint(r.vcs[i].OutPort)) != 0 {
+			n[i%r.nvc/r.Cfg.VCsPerVNet]++
 		}
 	}
 	return n
+}
+
+// CheckDerived holds the derived occupancy state to a recount: occ, the
+// per-port VC masks and flit counts and the router's total from the VCs,
+// claimedAt from the per-port stamps.
+func (r *Router) CheckDerived() error {
+	var (
+		occ       uint32
+		buffered  int32
+		claimedAt sim.Cycle
+	)
+	for pi := range r.ports {
+		p := &r.ports[pi]
+		var mask uint64
+		var n int32
+		for vi := range r.In[pi].VCs {
+			if c := r.In[pi].VCs[vi].count; c != 0 {
+				mask |= 1 << uint(vi)
+				n += int32(c)
+			}
+		}
+		if mask != p.vcMask || n != p.buffered {
+			return fmt.Errorf("router %d in[%d]: VC mask %#x with %d flits, its VCs hold mask %#x with %d", r.ID, pi, p.vcMask, p.buffered, mask, n)
+		}
+		if mask != 0 {
+			occ |= 1 << uint(pi)
+		}
+		buffered += n
+		claimedAt = max(claimedAt, p.inClaimedAt, p.outClaimedAt)
+	}
+	if occ != r.occ || buffered != r.buffered {
+		return fmt.Errorf("router %d: occupancy mask %#x with %d flits, its ports hold mask %#x with %d", r.ID, r.occ, r.buffered, occ, buffered)
+	}
+	if claimedAt != r.claimedAt {
+		return fmt.Errorf("router %d: claimedAt %d, latest port claim %d", r.ID, r.claimedAt, claimedAt)
+	}
+	return nil
 }
 
 // Neighbor returns the (node, port) on the far side of output port p.
@@ -502,26 +644,20 @@ func (r *Router) Step(cycle sim.Cycle) {
 func (r *Router) allocIQ(cycle sim.Cycle) {
 	// An input may only nominate toward an output that is neither claimed
 	// by a plugin nor down; nothing in Step changes either during a cycle.
-	free := ^r.downOut
-	for oi, at := range r.outClaimedAt {
-		if at > cycle {
-			free &^= 1 << uint(oi)
-		}
-	}
-	// Input arbitration: each unclaimed input port nominates one VC and
-	// files a request bit with that VC's output. An input nominates once,
-	// so the per-output request masks are disjoint.
+	inClaimed, outClaimed := r.claimed(cycle)
+	free := ^(r.downOut | outClaimed)
+	// Input arbitration: each unclaimed input port holding a flit nominates
+	// one VC and files a request bit with that VC's output. An input
+	// nominates once, so the per-output request masks are disjoint.
 	var (
 		req   [maxPorts]uint32 // per output: the input ports requesting it
 		nomVC [maxPorts]int8   // per input: its nominated VC
 		outs  uint32           // outputs with at least one request
 	)
-	for pi := range r.In {
-		if r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
-			continue
-		}
+	for in := r.occ &^ inClaimed; in != 0; in &= in - 1 {
+		pi := bits.TrailingZeros32(in)
 		if vi := r.pickVC(topology.PortID(pi), free, cycle); vi >= 0 {
-			oi := uint(r.In[pi].VCs[vi].OutPort)
+			oi := uint(r.VCAt(topology.PortID(pi), vi).OutPort)
 			nomVC[pi] = int8(vi)
 			req[oi] |= 1 << uint(pi)
 			outs |= 1 << oi
@@ -532,20 +668,21 @@ func (r *Router) allocIQ(cycle sim.Cycle) {
 	// that order): each requested output grants one input.
 	for ; outs != 0; outs &= outs - 1 {
 		oi := bits.TrailingZeros32(outs)
-		pi := rrPick(req[oi], r.Out[oi].rr)
-		r.Out[oi].rr = pi
+		pi := rrPick(uint64(req[oi]), int(r.ports[oi].outRR))
+		r.ports[oi].outRR = int8(pi)
 		r.grant(topology.PortID(pi), int(nomVC[pi]), cycle)
 	}
 }
 
 // rrPick returns the lowest set bit of m above position rr, wrapping to
-// m's lowest set bit — round-robin over input ports starting after the
-// last grant, ending on rr itself. m must be non-zero.
-func rrPick(m uint32, rr int) int {
+// m's lowest set bit. Picking and clearing until m is empty visits the set
+// bits above rr in ascending order, then those at or below it — round-robin
+// starting after the last grant and ending on rr itself. m must be non-zero.
+func rrPick(m uint64, rr int) int {
 	if above := m &^ (2<<uint(rr) - 1); above != 0 {
-		return bits.TrailingZeros32(above)
+		return bits.TrailingZeros64(above)
 	}
-	return bits.TrailingZeros32(m)
+	return bits.TrailingZeros64(m)
 }
 
 // routeHead runs route computation — once per packet per router — for the
@@ -598,7 +735,7 @@ const (
 // output that is neither claimed nor down, voq the single output being
 // matched, oq every output whose staging FIFO has room.
 func (r *Router) requestOf(pi topology.PortID, vi int, outs uint32, cycle sim.Cycle) request {
-	vc := &r.In[pi].VCs[vi]
+	vc := r.VCAt(pi, vi)
 	if vc.Hold {
 		// A scheme plugin owns this VC's draining.
 		return noRequest
@@ -634,7 +771,7 @@ func (r *Router) requestOf(pi topology.PortID, vi int, outs uint32, cycle sim.Cy
 			return eligible
 		}
 	case VCActive:
-		if vc.OutPort == topology.LocalPort || r.Out[vc.OutPort].Credits[vc.OutVC] > 0 {
+		if vc.OutPort == topology.LocalPort || r.credits[int(vc.OutPort)*r.nvc+int(vc.OutVC)] > 0 {
 			return eligible
 		}
 	}
@@ -642,19 +779,17 @@ func (r *Router) requestOf(pi topology.PortID, vi int, outs uint32, cycle sim.Cy
 }
 
 // pickVC selects, round-robin, one VC of input port pi that can use the
-// crossbar this cycle toward an output in outs. Returns -1 when no VC is
-// eligible.
+// crossbar this cycle toward an output in outs: the non-empty VCs above the
+// round-robin pointer in ascending order, then those at or below it — the
+// wrap-around walk over every VC, without reading the empty ones. Returns
+// -1 when no VC is eligible.
 func (r *Router) pickVC(pi topology.PortID, outs uint32, cycle sim.Cycle) int {
-	vcs := r.In[pi].VCs
-	vi := r.inRR[pi]
-	for range vcs {
-		if vi++; vi >= len(vcs) {
-			vi = 0
-		}
-		// Most VCs of a port are empty most cycles; skip them without the
-		// call.
-		if vcs[vi].count != 0 && r.requestOf(pi, vi, outs, cycle) == eligible {
-			r.inRR[pi] = vi
+	p := &r.ports[pi]
+	for m := p.vcMask; m != 0; {
+		vi := rrPick(m, int(p.inRR))
+		m &^= 1 << uint(vi)
+		if r.requestOf(pi, vi, outs, cycle) == eligible {
+			p.inRR = int8(vi)
 			return vi
 		}
 	}
@@ -667,31 +802,33 @@ func (r *Router) headCanAdvance(vc *VC, f message.Flit, cycle sim.Cycle) bool {
 	if vc.OutPort == topology.LocalPort {
 		return r.local.CanAcceptHead(f.Pkt, cycle)
 	}
-	out := &r.Out[vc.OutPort]
-	vnet := f.Pkt.VNet
 	need := int16(1)
 	if r.Cfg.VCT {
 		// Virtual cut-through: the downstream buffer must hold the whole
 		// packet before the head moves.
 		need = int16(f.Pkt.Size)
 	}
-	for k := 0; k < r.Cfg.VCsPerVNet; k++ {
-		dv := r.Cfg.VCIndex(vnet, k)
-		if !out.Busy[dv] && out.Credits[dv] >= need {
+	lo := r.outVCs(vc.OutPort, f.Pkt.VNet)
+	for dv := lo; dv < lo+r.Cfg.VCsPerVNet; dv++ {
+		if !r.busy[dv] && r.credits[dv] >= need {
 			return true
 		}
 	}
 	return false
 }
 
+// outVCs returns the flat index of the first downstream VC of vnet behind
+// output out; the VNet's VCsPerVNet VCs are consecutive from there.
+func (r *Router) outVCs(out topology.PortID, vnet message.VNet) int {
+	return int(out)*r.nvc + r.Cfg.VCIndex(vnet, 0)
+}
+
 // grant performs VC selection (heads) and switch traversal for the winner.
 func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &r.In[pi].VCs[vi]
+	vc := r.VCAt(pi, vi)
 	f, _, _ := vc.Front()
 	if vc.State == VCWaiting {
 		if vc.OutPort != topology.LocalPort {
-			out := &r.Out[vc.OutPort]
-			vnet := f.Pkt.VNet
 			need := int16(1)
 			if r.Cfg.VCT {
 				need = int16(f.Pkt.Size)
@@ -701,10 +838,11 @@ func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
 			// head grant.
 			var free [maxVCsPerVNet]int8
 			nf := 0
-			for k := 0; k < r.Cfg.VCsPerVNet; k++ {
-				dv := int8(r.Cfg.VCIndex(vnet, k))
-				if !out.Busy[dv] && out.Credits[dv] >= need {
-					free[nf] = dv
+			base := int(vc.OutPort) * r.nvc
+			lo := r.outVCs(vc.OutPort, f.Pkt.VNet)
+			for dv := lo; dv < lo+r.Cfg.VCsPerVNet; dv++ {
+				if !r.busy[dv] && r.credits[dv] >= need {
+					free[nf] = int8(dv - base)
 					nf++
 				}
 			}
@@ -716,7 +854,7 @@ func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
 				k = r.rng.Intn(nf)
 			}
 			vc.OutVC = free[k]
-			out.Busy[vc.OutVC] = true
+			r.busy[base+int(vc.OutVC)] = true
 		}
 		vc.State = VCActive
 	}
@@ -726,7 +864,7 @@ func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
 	r.Stats.CrossbarTravs++
 	switch {
 	case out == topology.LocalPort:
-		r.PortSent[out]++
+		r.ports[out].sent++
 		r.local.AcceptFlit(f, cycle+1)
 	case r.stage != nil:
 		r.stageFlit(out, outVC, f)
@@ -738,9 +876,9 @@ func (r *Router) grant(pi topology.PortID, vi int, cycle sim.Cycle) {
 
 // takeCredit consumes one credit of downstream VC outVC behind output out.
 func (r *Router) takeCredit(out topology.PortID, outVC int8) {
-	o := &r.Out[out]
-	o.Credits[outVC]--
-	if o.Credits[outVC] < 0 {
+	i := int(out)*r.nvc + int(outVC)
+	r.credits[i]--
+	if r.credits[i] < 0 {
 		panic("router: sent flit without credit")
 	}
 }
@@ -750,25 +888,21 @@ func (r *Router) takeCredit(out topology.PortID, outVC int8) {
 // on, and the delivery itself. The caller holds the flit's credit.
 func (r *Router) transmit(out topology.PortID, outVC int8, f message.Flit, cycle sim.Cycle) {
 	r.Stats.LinkTravs++
-	r.PortSent[out]++
+	p := &r.ports[out]
+	p.sent++
 	if r.upPorts&(1<<uint(out)) != 0 {
 		r.Stats.UpFlits++
 		r.MarkUpSent(f.Pkt.VNet, cycle)
 	}
-	nb, nbPort := r.Neighbor(out)
-	r.sink.DeliverFlit(nb, nbPort, outVC, f, cycle+1+sim.Cycle(r.Cfg.LinkLatency))
+	r.sink.DeliverFlit(p.nb, p.nbPort, outVC, f, cycle+1+sim.Cycle(r.Cfg.LinkLatency))
 }
 
 // creditUpstream returns a buffer slot (and optionally the whole VC) to
 // whoever feeds input port pi — the upstream router, or the NI for the
 // local port.
 func (r *Router) creditUpstream(pi topology.PortID, vc int8, delta int, free bool, cycle sim.Cycle) {
-	pt := &r.Node.Ports[pi]
-	if pi == topology.LocalPort {
-		r.sink.DeliverCredit(r.ID, topology.LocalPort, vc, delta, free, cycle+1)
-		return
-	}
-	r.sink.DeliverCredit(pt.Neighbor, pt.NeighborPort, vc, delta, free, cycle+1)
+	p := &r.ports[pi]
+	r.sink.DeliverCredit(p.nb, p.nbPort, vc, delta, free, cycle+1)
 }
 
 // --- Plugin API ------------------------------------------------------------
@@ -780,9 +914,15 @@ func (r *Router) creditUpstream(pi topology.PortID, vc int8, delta int, free boo
 // scheme plugins call it to drain a VC out of band (popup circuit,
 // boundary-buffer absorption) with identical credit bookkeeping.
 func (r *Router) PopFront(port topology.PortID, vcIdx int, cycle sim.Cycle) message.Flit {
-	vc := &r.In[port].VCs[vcIdx]
+	vc := r.VCAt(port, vcIdx)
 	f := vc.pop()
-	r.In[port].buffered--
+	p := &r.ports[port]
+	p.buffered--
+	if vc.count == 0 {
+		if p.vcMask &^= 1 << uint(vcIdx); p.vcMask == 0 {
+			r.occ &^= 1 << uint(port)
+		}
+	}
 	r.buffered--
 	r.Stats.BufferReads++
 	tail := f.IsTail()
@@ -802,7 +942,7 @@ func (r *Router) PopFront(port topology.PortID, vcIdx int, cycle sim.Cycle) mess
 // free credit is sent unconditionally; the caller asserts the upstream
 // allocation exists.
 func (r *Router) ForceReleaseVC(port topology.PortID, vcIdx int, cycle sim.Cycle) {
-	vc := &r.In[port].VCs[vcIdx]
+	vc := r.VCAt(port, vcIdx)
 	if !vc.Empty() {
 		panic("router: ForceReleaseVC on non-empty VC")
 	}
@@ -814,12 +954,11 @@ func (r *Router) ForceReleaseVC(port topology.PortID, vcIdx int, cycle sim.Cycle
 // output out for an out-of-band sender (e.g. remote control's boundary
 // buffer). Returns -1 if none is free.
 func (r *Router) AllocateOutputVC(out topology.PortID, vnet message.VNet) int8 {
-	o := &r.Out[out]
-	for k := 0; k < r.Cfg.VCsPerVNet; k++ {
-		dv := int8(r.Cfg.VCIndex(vnet, k))
-		if !o.Busy[dv] && o.Credits[dv] > 0 {
-			o.Busy[dv] = true
-			return dv
+	lo := r.outVCs(out, vnet)
+	for dv := lo; dv < lo+r.Cfg.VCsPerVNet; dv++ {
+		if !r.busy[dv] && r.credits[dv] > 0 {
+			r.busy[dv] = true
+			return int8(dv - int(out)*r.nvc)
 		}
 	}
 	return -1
@@ -849,7 +988,7 @@ func (r *Router) SendDirect(out topology.PortID) {
 	r.Stats.CrossbarTravs++
 	if out != topology.LocalPort {
 		r.Stats.LinkTravs++
-		if r.Node.Ports[out].Dir == topology.Up {
+		if r.upPorts&(1<<uint(out)) != 0 {
 			r.Stats.UpFlits++
 		}
 	}

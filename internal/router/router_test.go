@@ -50,7 +50,7 @@ func (m *mockLocal) AcceptFlit(f message.Flit, _ sim.Cycle)        { m.got = app
 // mustNew is router.New for configurations the test knows are valid.
 func mustNew(t testing.TB, arch string, n *topology.Node, cfg router.Config, sink router.EventSink, local router.LocalSink, route router.RouteFunc) *router.Router {
 	t.Helper()
-	r, err := router.New(arch, n, cfg, sink, local, route, sim.NewRNG(1))
+	r, err := router.New(arch, n, cfg, sink, local, route, sim.NewRNG(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +189,34 @@ func TestClaimedOutputBlocksSA(t *testing.T) {
 	r.Step(12) // the claim expired with cycle 11
 	if len(sink.flits) != 1 {
 		t.Fatal("flit stuck after claim expired")
+	}
+}
+
+// TestClaimedInputBlocksSA: a plugin's claim on an input port's crossbar
+// slot keeps switch allocation off that port for the cycle — under every
+// allocator, which all learn of claims through claimedAt — and leaves the
+// derived state consistent.
+func TestClaimedInputBlocksSA(t *testing.T) {
+	topo := topology.MustBuild(topology.BaselineConfig())
+	route := func(topology.NodeID, topology.PortID, *message.Packet) (topology.PortID, error) { return 1, nil }
+	for _, arch := range []string{router.ArchIQ, router.ArchVOQ, router.ArchOQ} {
+		sink := &mockSink{}
+		r := mustNew(t, arch, topo.Node(0), router.DefaultConfig(), sink, &mockLocal{accept: true}, route)
+		r.ReceiveFlit(2, 0, message.Flit{Pkt: pkt(1)}, 10)
+		if !r.ClaimInput(2, 11) {
+			t.Fatal("claim failed")
+		}
+		if err := r.CheckDerived(); err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		r.Step(11)
+		if r.Buffered() != 1 || len(sink.credits) != 0 {
+			t.Fatalf("%s: SA used a claimed input", arch)
+		}
+		r.Step(12) // the claim expired with cycle 11
+		if len(sink.credits) != 1 {
+			t.Fatalf("%s: flit stuck after claim expired", arch)
+		}
 	}
 }
 

@@ -19,8 +19,8 @@ func (r *Router) Snapshot(w *snap.Writer) {
 		for vi := range in.VCs {
 			vc := &in.VCs[vi]
 			w.Uvarint(uint64(vc.count))
-			for i := 0; i < vc.count; i++ {
-				b := &vc.buf[(vc.head+i)%len(vc.buf)]
+			for i := 0; i < int(vc.count); i++ {
+				b := vc.at(i)
 				w.Flit(b.flit)
 				w.Varint(b.ready)
 			}
@@ -35,11 +35,12 @@ func (r *Router) Snapshot(w *snap.Writer) {
 			w.Varint(int64(out.Credits[vi]))
 			w.Bool(out.Busy[vi])
 		}
-		w.Int(out.rr)
-		w.Varint(r.outClaimedAt[pi])
-		w.Varint(r.inClaimedAt[pi])
-		w.Int(r.inRR[pi])
-		w.Uvarint(r.PortSent[pi])
+		p := &r.ports[pi]
+		w.Int(int(p.outRR))
+		w.Varint(p.outClaimedAt)
+		w.Varint(p.inClaimedAt)
+		w.Int(int(p.inRR))
+		w.Uvarint(p.sent)
 	}
 	w.Uvarint(uint64(r.upSent))
 	w.Varint(r.upSentAt)
@@ -67,20 +68,21 @@ func (r *Router) Snapshot(w *snap.Writer) {
 }
 
 // Restore overwrites the router's mutable state from a snapshot written
-// by Snapshot on an identically-configured router of the same arch. Flits are re-pushed
-// into freshly reset VCs — the ring's head position is unobservable, so
-// only FIFO order matters. The upward census is derived state and is
-// recounted from the restored VCs rather than read.
+// by Snapshot on an identically-configured router of the same arch. Flits
+// are re-pushed into freshly reset VCs — the ring's head position is
+// unobservable, so only FIFO order matters. The occupancy masks, claimedAt
+// and the upward census are derived state, rebuilt from what was read.
 func (r *Router) Restore(rd *snap.Reader) error {
 	nports := len(r.In)
-	r.buffered = 0
+	r.buffered, r.occ, r.claimedAt = 0, 0, 0
 	for pi := 0; pi < nports; pi++ {
 		in := &r.In[pi]
-		in.buffered = 0
+		p := &r.ports[pi]
+		p.buffered, p.vcMask = 0, 0
 		for vi := range in.VCs {
 			vc := &in.VCs[vi]
 			vc.reset()
-			n := rd.Len("vc flit count", len(vc.buf))
+			n := rd.Len("vc flit count", r.Cfg.BufferDepth)
 			if rd.Err() != nil {
 				return rd.Err()
 			}
@@ -90,11 +92,14 @@ func (r *Router) Restore(rd *snap.Reader) error {
 				if rd.Err() != nil {
 					return rd.Err()
 				}
-				vc.buf[(vc.head+vc.count)%len(vc.buf)] = bufFlit{flit: f, ready: ready}
-				vc.count++
+				vc.push(f, ready)
 			}
-			in.buffered += n
-			r.buffered += n
+			if n > 0 {
+				p.buffered += int32(n)
+				p.vcMask |= 1 << uint(vi)
+				r.occ |= 1 << uint(pi)
+				r.buffered += int32(n)
+			}
 			st := rd.Uvarint("vc state")
 			if rd.Err() == nil && st > uint64(VCActive) {
 				rd.Fail("vc state %d out of range", st)
@@ -110,11 +115,12 @@ func (r *Router) Restore(rd *snap.Reader) error {
 			out.Credits[vi] = int16(rd.Int("out credits", 0, int64(r.Cfg.BufferDepth)))
 			out.Busy[vi] = rd.Bool("out busy")
 		}
-		out.rr = rd.Int("out rr", 0, int64(nports)-1)
-		r.outClaimedAt[pi] = rd.Varint("out claim")
-		r.inClaimedAt[pi] = rd.Varint("in claim")
-		r.inRR[pi] = rd.Int("in rr", 0, int64(len(in.VCs))-1)
-		r.PortSent[pi] = rd.Uvarint("port sent")
+		p.outRR = int8(rd.Int("out rr", 0, int64(nports)-1))
+		p.outClaimedAt = rd.Varint("out claim")
+		p.inClaimedAt = rd.Varint("in claim")
+		r.claimedAt = max(r.claimedAt, p.outClaimedAt, p.inClaimedAt)
+		p.inRR = int8(rd.Int("in rr", 0, int64(len(in.VCs))-1))
+		p.sent = rd.Uvarint("port sent")
 	}
 	up := rd.Uvarint("upsent mask")
 	if rd.Err() == nil && up > math.MaxUint8 {
@@ -165,7 +171,7 @@ func (r *Router) Restore(rd *snap.Reader) error {
 			}
 			s.push(stagedFlit{f: f, outVC: outVC})
 		}
-		r.staged += n
+		r.staged += int32(n)
 	}
 	return rd.Err()
 }

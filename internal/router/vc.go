@@ -29,11 +29,16 @@ type bufFlit struct {
 }
 
 // VC is one virtual channel of an input port: a fixed-depth FIFO plus
-// wormhole state.
+// wormhole state, in exactly one cache line (TestLayoutPins). The front flit
+// lives in the record itself, because almost every VC that holds anything
+// holds one flit: delivery writes the line allocation reads a cycle later.
+// Only the flits behind the front go to the ring, which therefore has
+// BufferDepth-1 slots (none at depth 1) and is untouched until a VC holds two.
 type VC struct {
-	buf   []bufFlit
-	head  int
-	count int
+	front bufFlit
+	ring  []bufFlit
+	head  uint32 // ring index of the flit behind the front
+	count uint32 // flits held, the front included
 
 	State   VCState
 	OutPort topology.PortID
@@ -47,20 +52,16 @@ type VC struct {
 	Hold bool
 }
 
+// reset empties the VC and returns it to Idle; the ring storage stays.
 func (v *VC) reset() {
-	v.head, v.count = 0, 0
-	v.State = VCIdle
-	v.OutPort = topology.InvalidPort
-	v.OutVC = -1
-	v.routed = false
-	v.Hold = false
+	*v = VC{ring: v.ring, OutPort: topology.InvalidPort, OutVC: -1}
 }
 
 // Len returns the number of buffered flits.
-func (v *VC) Len() int { return v.count }
+func (v *VC) Len() int { return int(v.count) }
 
 // Free returns the remaining buffer capacity.
-func (v *VC) Free() int { return len(v.buf) - v.count }
+func (v *VC) Free() int { return len(v.ring) + 1 - int(v.count) }
 
 // Empty reports whether the buffer holds no flits.
 func (v *VC) Empty() bool { return v.count == 0 }
@@ -71,8 +72,7 @@ func (v *VC) Front() (f message.Flit, ready sim.Cycle, ok bool) {
 	if v.count == 0 {
 		return message.Flit{}, 0, false
 	}
-	b := v.buf[v.head]
-	return b.flit, b.ready, true
+	return v.front.flit, v.front.ready, true
 }
 
 // FrontReady reports whether a flit is at the front and pipeline-eligible
@@ -85,15 +85,24 @@ func (v *VC) FrontReady(cycle sim.Cycle) (message.Flit, bool) {
 	return f, true
 }
 
+// at returns the i-th buffered flit in FIFO order: the front, then the ring.
+func (v *VC) at(i int) *bufFlit {
+	if i == 0 {
+		return &v.front
+	}
+	j := int(v.head) + i - 1
+	if j >= len(v.ring) {
+		j -= len(v.ring)
+	}
+	return &v.ring[j]
+}
+
 // Scan calls fn for each buffered flit in FIFO order. Debug walkers
 // (Network.CheckNoReleasedInFlight) use it to audit buffer contents
 // without exposing the ring internals.
 func (v *VC) Scan(fn func(message.Flit)) {
-	for i, at := 0, v.head; i < v.count; i++ {
-		fn(v.buf[at].flit)
-		if at++; at == len(v.buf) {
-			at = 0
-		}
+	for i := 0; i < int(v.count); i++ {
+		fn(v.at(i).flit)
 	}
 }
 
@@ -103,27 +112,32 @@ func (v *VC) push(f message.Flit, ready sim.Cycle) {
 	if message.PoolDebug && f.Pkt.Released() {
 		panic("router: buffering flit of released packet (stale-generation access)")
 	}
-	if v.count == len(v.buf) {
+	if int(v.count) > len(v.ring) {
 		panic("router: VC buffer overflow (credit protocol violated)")
 	}
-	at := v.head + v.count
-	if at >= len(v.buf) {
-		at -= len(v.buf)
+	if v.count == 0 {
+		v.front = bufFlit{flit: f, ready: ready}
+	} else {
+		*v.at(int(v.count)) = bufFlit{flit: f, ready: ready}
 	}
-	v.buf[at] = bufFlit{flit: f, ready: ready}
 	v.count++
 }
 
-// pop removes and returns the front flit.
+// pop removes and returns the front flit, refilling the front from the ring
+// when flits remain.
 func (v *VC) pop() message.Flit {
 	if v.count == 0 {
 		panic("router: pop from empty VC")
 	}
-	f := v.buf[v.head].flit
-	v.buf[v.head] = bufFlit{}
-	if v.head++; v.head == len(v.buf) {
+	f := v.front.flit
+	if v.count--; v.count == 0 {
+		v.front = bufFlit{}
+		return f
+	}
+	v.front = v.ring[v.head]
+	v.ring[v.head] = bufFlit{}
+	if v.head++; int(v.head) == len(v.ring) {
 		v.head = 0
 	}
-	v.count--
 	return f
 }

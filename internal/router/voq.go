@@ -16,37 +16,34 @@ import (
 // ejection can proceed it is never starved by through-traffic contending
 // for the same input port.
 //
-// Per output, inputs are tried round-robin after the last grant, each
-// offering the VC pickVC finds bound for that output. One grant per output
+// Per output, the unclaimed, unmatched inputs holding a flit are tried
+// round-robin after the last grant, each offering the VC pickVC finds bound
+// for that output. One grant per output
 // and per input port per cycle keeps the crossbar model identical to the
 // input-queued router; only the matching differs.
 func (r *Router) allocVOQ(cycle sim.Cycle) {
 	if r.buffered == 0 {
 		return
 	}
-	nports := len(r.In)
-	var inputUsed uint32
-	for oi := 0; oi < nports; oi++ {
-		if r.outClaimedAt[oi] > cycle || r.downOut&(1<<uint(oi)) != 0 {
+	inClaimed, outClaimed := r.claimed(cycle)
+	// unmatched is the inputs that may still be granted this cycle.
+	unmatched := ^inClaimed
+	for oi := range r.ports {
+		if (outClaimed|r.downOut)&(1<<uint(oi)) != 0 {
 			continue
 		}
-		out := &r.Out[oi]
-		pi := out.rr
-		for k := 0; k < nports; k++ {
-			if pi++; pi >= nports {
-				pi = 0
-			}
-			if inputUsed&(1<<uint(pi)) != 0 || r.inClaimedAt[pi] > cycle || r.In[pi].buffered == 0 {
-				continue
-			}
+		out := &r.ports[oi]
+		for in := uint64(r.occ & unmatched); in != 0; {
+			pi := rrPick(in, int(out.outRR))
+			in &^= 1 << uint(pi)
 			vi := r.pickVC(topology.PortID(pi), 1<<uint(oi), cycle)
 			if vi < 0 {
 				continue
 			}
 			r.Stats.SARequests++
 			r.grant(topology.PortID(pi), vi, cycle)
-			out.rr = pi
-			inputUsed |= 1 << uint(pi)
+			out.outRR = int8(pi)
+			unmatched &^= 1 << uint(pi)
 			break
 		}
 	}

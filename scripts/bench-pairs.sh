@@ -5,12 +5,15 @@
 #
 # Builds ./bench once from BASE (a temporary checkout of that revision)
 # and once from the working tree, then runs N pairs of `-workload WORKLOAD
-# -trace 0`, alternating which side goes first, and prints each side's
-# median and quartiles of METRIC (default cycles_per_s) and the pairs the
-# working tree won. Which way is better comes from BENCHMARK.json. A gain
-# may be claimed when the tree wins at least 9 pairs in 10 and the medians
-# differ by more than the base's own interquartile distance. SEED (11) and
-# SECS (10) pass through to -seed and -seconds.
+# -trace 0`, alternating which side goes first. From that one set of pairs
+# it prints each side's q1 / median / q3 of all five end-to-end metrics —
+# so "nothing else got worse" costs no more runs than the claim — and the
+# pairs the working tree won on METRIC (default cycles_per_s). Which way is
+# better comes from BENCHMARK.json. A gain may be claimed when the tree
+# wins at least 9 pairs in 10 and the medians differ by more than the
+# base's own interquartile distance. A run that reports correct:false or a
+# failed operation on either side fails the script. SEED (11) and SECS
+# (10) pass through to -seed and -seconds.
 set -eu
 base=${1:?usage: bench-pairs.sh BASE WORKLOAD [N] [METRIC]}
 workload=${2:?usage: bench-pairs.sh BASE WORKLOAD [N] [METRIC]}
@@ -30,10 +33,28 @@ if grep -q "\"name\": \"$metric\".*\"better\": \"lower\"" "$root/BENCHMARK.json"
 	lower=1
 fi
 
-# run SIDE DIR: one measurement; the metric's value from the final JSON line.
+metrics="cycles_per_s setup_s peak_rss_mb sim_latency_cycles sim_throughput"
+
+# value NAME LINE: one metric's value out of a result line.
+value() {
+	echo "$2" | sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"
+}
+
+# run SIDE DIR: one measurement. The result line's metrics go to
+# $tmp/SIDE.METRIC.txt; the value of $metric is printed.
 run() {
-	(cd "$2" && "$tmp/bench-$1" -workload "$workload" -seed "${SEED:-11}" -seconds "${SECS:-10}" -trace 0) |
-		tail -n 1 | sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p"
+	line=$(cd "$2" && "$tmp/bench-$1" -workload "$workload" -seed "${SEED:-11}" -seconds "${SECS:-10}" -trace 0 | tail -n 1)
+	case $line in
+	*'"correct":true'*'"failed":0,'*) ;;
+	*)
+		echo "bench-pairs: $1 run of $workload is not correct with 0 failed: $line" >&2
+		return 1
+		;;
+	esac
+	for m in $metrics; do
+		value "$m" "$line" >>"$tmp/$1.$m.txt"
+	done
+	value "$metric" "$line"
 }
 
 won=0
@@ -47,8 +68,6 @@ while [ "$i" -le "$pairs" ]; do
 		b=$(run base "$tmp/base")
 	fi
 	[ -n "$b" ] && [ -n "$t" ] || { echo "bench-pairs: pair $i produced no $metric (workload failed?)" >&2; exit 1; }
-	echo "$b" >>"$tmp/base.txt"
-	echo "$t" >>"$tmp/tree.txt"
 	win=$(awk -v b="$b" -v t="$t" -v lower="$lower" 'BEGIN { print ((lower ? t < b : t > b) ? 1 : 0) }')
 	won=$((won + win))
 	printf 'pair %2d  base %-14s tree %-14s %s\n' "$i" "$b" "$t" "$([ "$win" -eq 1 ] && echo tree || echo base)"
@@ -60,9 +79,11 @@ quartiles() {
 	sort -g "$1" | awk '
 		{ v[NR] = $1 }
 		function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
-		END { printf "q1 %g  median %g  q3 %g", q(0.25), q(0.5), q(0.75) }'
+		END { printf "q1 %-10g median %-10g q3 %g", q(0.25), q(0.5), q(0.75) }'
 }
-echo "$workload $metric ($([ "$lower" -eq 1 ] && echo lower || echo higher) is better), $pairs pairs"
-echo "  base ($base): $(quartiles "$tmp/base.txt")"
-echo "  tree:         $(quartiles "$tmp/tree.txt")"
-echo "  tree won $won of $pairs pairs"
+echo "$workload, $pairs pairs, seed ${SEED:-11}: q1 / median / q3 per side"
+for m in $metrics; do
+	printf '  %-19s base (%s): %s\n' "$m" "$base" "$(quartiles "$tmp/base.$m.txt")"
+	printf '  %-19s tree:%*s %s\n' "" $((${#base} + 3)) "" "$(quartiles "$tmp/tree.$m.txt")"
+done
+echo "  tree won $won of $pairs pairs on $metric ($([ "$lower" -eq 1 ] && echo lower || echo higher) is better)"
