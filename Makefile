@@ -40,11 +40,21 @@ bench-pairs:
 	sh scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # Non-test lines of Go in internal/ and cmd/ — the tracked size of the
-# simulator (ROADMAP aim 2) — per package, then the total.
+# simulator (ROADMAP aim 2) — per package, then the total. Then the lines
+# that assemble a simulation in the non-test files of internal/experiments,
+# cmd/uppsim and cmd/profile: experiments.Assemble is the one place (its
+# topology.Build / BuildScale pair, plus KillableInterposerLinks' scratch
+# topology), so a second hand-rolled assembly shows up as a number. The
+# target fails when a count exceeds its ceiling; CI's test job runs it.
 loc:
 	@for d in internal/* cmd 'internal cmd'; do \
 		printf '%-22s %6d\n' "$$d" $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done | sed 's/^internal cmd /total        /'
+	@set -- 1 1 3; for pat in 'network\.New(\|NewNetwork(' 'reconfig\.Attach(' 'topology\.Build'; do \
+		n=$$(find internal/experiments cmd/uppsim cmd/profile -name '*.go' ! -name '*_test.go' | xargs cat | grep -c "$$pat"); \
+		printf 'calls %-28s %d (ceiling %d)\n' "$$pat" $$n $$1; \
+		[ $$n -le $$1 ] || fail=1; shift; \
+	done; [ -z "$$fail" ]
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact

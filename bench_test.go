@@ -366,10 +366,9 @@ func benchKernel(b *testing.B, kernel string, rate float64) {
 
 func benchKernelPool(b *testing.B, kernel string, rate float64, disablePool bool) {
 	b.Helper()
-	cfg := network.DefaultConfig()
-	cfg.Kernel = kernel
-	cfg.DisablePool = disablePool
-	kb, err := experiments.NewKernelBench(cfg, nil, experiments.UniformTraffic(rate))
+	kb, err := experiments.NewKernelBench(experiments.RunSpec{
+		Topo: topology.BaselineConfig(), Scheme: experiments.SchemeUPP, Kernel: kernel, DisablePool: disablePool,
+	}, experiments.UniformTraffic(rate))
 	if err != nil {
 		b.Fatal(err)
 	}

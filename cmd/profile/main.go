@@ -60,11 +60,13 @@ func main() {
 	// default rate. Must be set before the profiled allocations happen.
 	runtime.MemProfileRate = 1
 
-	cfg := network.DefaultConfig()
-	cfg.Kernel = *kernel
-	cfg.Shards = *shards
-	cfg.DisablePool = *nopool
-	var sc *topology.ScaleConfig
+	spec := experiments.RunSpec{
+		Topo:        topology.BaselineConfig(),
+		Scheme:      experiments.SchemeUPP,
+		Kernel:      *kernel,
+		Shards:      *shards,
+		DisablePool: *nopool,
+	}
 	if *scale != "" {
 		// The scale systems saturate near 0.015 flits/cycle/node
 		// (bisection-limited) and simulate orders of magnitude slower per
@@ -87,14 +89,14 @@ func main() {
 		for _, sys := range experiments.ScaleSystems() {
 			if sys.Label == *scale {
 				c := sys.Config
-				sc = &c
+				spec.Scale = &c
 			}
 		}
-		if sc == nil {
+		if spec.Scale == nil {
 			fail(fmt.Errorf("unknown -scale preset %q (want small, large or huge)", *scale))
 		}
 	}
-	kb, err := experiments.NewKernelBench(cfg, sc, experiments.UniformTraffic(*rate))
+	kb, err := experiments.NewKernelBench(spec, experiments.UniformTraffic(*rate))
 	if err != nil {
 		fail(err)
 	}

@@ -20,7 +20,10 @@
 //
 // Closed-loop collective workloads (see EXPERIMENTS.md for the spec
 // syntax) replace the rate-driven generator; a run can be recorded to a
-// binary trace and replayed open-loop:
+// binary trace and replayed open-loop. The machine flags (-scheme, -vcs,
+// -router, -faults, -fault-plan, -adaptive, -vct, -large, -boundaries,
+// -scale, -trace) describe the system whatever the source; a flag that
+// only configures another source is refused, not ignored:
 //
 //	uppsim -scheme upp -workload ring_allreduce
 //	uppsim -scheme upp -workload "training_step:gap=500,iters=4"
@@ -42,9 +45,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"uppnoc/internal/experiments"
-	"uppnoc/internal/network"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 	"uppnoc/internal/workload"
@@ -85,12 +89,12 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		adaptive   = fs.Bool("adaptive", false, "minimal-adaptive odd-even local routing")
 		vct        = fs.Bool("vct", false, "virtual cut-through flow control")
 		asJSON     = fs.Bool("json", false, "emit the result as JSON")
-		wl         = fs.String("workload", "", "closed-loop collective workload spec, e.g. \"ring_allreduce\" or \"training_step:gap=500,iters=4\" (replaces -pattern/-rate)")
+		wl         = fs.String("workload", "", "closed-loop collective workload spec, e.g. \"ring_allreduce\" or \"training_step:gap=500,iters=4\" (excludes -pattern/-rate/-warmup/-cycles)")
 		maxCycles  = fs.Int("max-cycles", 400000, "workload completion horizon")
 		record     = fs.String("record", "", "with -workload: write the run's binary message trace to this file")
 		replay     = fs.String("replay", "", "replay a recorded trace open-loop instead of running a workload")
 		routerArch = fs.String("router", "", "router microarchitecture: iq | oq | voq (default $UPP_ROUTER, then iq)")
-		scale      = fs.String("scale", "", "scale-out preset: small (512 routers) | large (2048) | huge (8192); replaces -large/-boundaries")
+		scale      = fs.String("scale", "", "scale-out preset: small (512 routers) | large (2048) | huge (8192); excludes -large/-boundaries")
 		snapshot   = fs.String("snapshot", "", "write a checkpoint of the run's state to this file when it reaches -at, then continue")
 		snapAt     = fs.Int64("at", 0, "with -snapshot: absolute cycle to checkpoint at (warmup starts the timeline at 0)")
 		restore    = fs.String("restore", "", "resume a checkpoint written by -snapshot and run it to its schedule's end")
@@ -102,35 +106,31 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		return 2 // the flag package already printed the problem and the usage
 	}
 
-	sysCfg := topology.BaselineConfig()
-	if *large {
-		sysCfg = topology.LargeConfig()
+	// Each source has flags only it reads; given to another source they
+	// would do nothing, so they are refused.
+	source := "rate"
+	switch {
+	case *replay != "":
+		source = "replay"
+	case *wl != "":
+		source = "workload"
 	}
-	sysCfg.BoundaryPerChiplet = *boundaries
-
-	var scaleCfg *topology.ScaleConfig
-	if *scale != "" {
-		for _, sys := range experiments.ScaleSystems() {
-			if sys.Label == *scale {
-				sc := sys.Config
-				scaleCfg = &sc
-			}
+	var misplaced error
+	fs.Visit(func(f *flag.Flag) {
+		switch of, ok := sourceFlags[f.Name]; {
+		case misplaced != nil:
+		case *restore != "" && f.Name != "restore" && f.Name != "json":
+			misplaced = fmt.Errorf("-restore resumes the run its checkpoint describes; -%s does not apply", f.Name)
+		case *scale != "" && (f.Name == "large" || f.Name == "boundaries"):
+			misplaced = fmt.Errorf("-scale picks the whole system; -%s does not apply", f.Name)
+		case ok && !strings.Contains(of, source):
+			misplaced = fmt.Errorf("-%s configures a %s run and does not apply to this %s run", f.Name, strings.ReplaceAll(of, " ", " or "), source)
 		}
-		if scaleCfg == nil {
-			return status(fmt.Errorf("unknown -scale preset %q (want small, large or huge)", *scale))
-		}
-		if *replay != "" || *wl != "" {
-			return status(fmt.Errorf("-scale does not combine with -replay/-workload"))
-		}
-	}
-
-	if (*snapshot != "" || *restore != "") && (*wl != "" || *replay != "") {
-		return status(fmt.Errorf("-snapshot/-restore checkpoint rate-driven runs, not -workload/-replay"))
+	})
+	if misplaced != nil {
+		return status(misplaced)
 	}
 	if *restore != "" {
-		if *snapshot != "" {
-			return status(fmt.Errorf("-restore does not combine with -snapshot"))
-		}
 		data, err := os.ReadFile(*restore)
 		if err != nil {
 			return status(err)
@@ -142,34 +142,51 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		return status(printPoint(stdout, string(spec.Scheme), spec.Pattern.Name(), pt, *asJSON))
 	}
 
-	if *replay != "" {
-		return status(runReplay(stdout, sysCfg, *schemeName, *routerArch, *vcs, *seed, *maxCycles, *replay))
+	// The machine, from the flags, before the source is chosen: every
+	// source runs on the same RunSpec.
+	spec := experiments.RunSpec{
+		Topo:       topology.BaselineConfig(),
+		Scheme:     experiments.SchemeName(*schemeName),
+		VCsPerVNet: *vcs,
+		Seed:       *seed,
+		Faults:     *faults,
+		FaultSeed:  *seed * 31,
+		FaultPlan:  *faultPlan,
+		RouterArch: *routerArch,
+		TraceLimit: *trace,
+		Adaptive:   *adaptive,
+		VCT:        *vct,
 	}
-	if *wl != "" {
-		return status(runWorkload(stdout, stderr, sysCfg, *schemeName, *routerArch, *vcs, *seed, *maxCycles, *wl, *record, *asJSON))
+	if *large {
+		spec.Topo = topology.LargeConfig()
+	}
+	spec.Topo.BoundaryPerChiplet = *boundaries
+	if *scale != "" {
+		for _, sys := range experiments.ScaleSystems() {
+			if sys.Label == *scale {
+				sc := sys.Config
+				spec.Scale = &sc
+			}
+		}
+		if spec.Scale == nil {
+			return status(fmt.Errorf("unknown -scale preset %q (want small, large or huge)", *scale))
+		}
+	}
+
+	switch source {
+	case "replay":
+		return status(runReplay(stdout, spec, *maxCycles, *replay))
+	case "workload":
+		spec.Workload = *wl
+		return status(runWorkload(stdout, stderr, spec, *maxCycles, *record, *asJSON))
 	}
 
 	pat, err := traffic.PatternByName(*patName)
 	if err != nil {
 		return status(err)
 	}
-	spec := experiments.RunSpec{
-		Topo:       sysCfg,
-		Scale:      scaleCfg,
-		Scheme:     experiments.SchemeName(*schemeName),
-		VCsPerVNet: *vcs,
-		Pattern:    pat,
-		Rate:       *rate,
-		Seed:       *seed,
-		Dur:        experiments.Durations{Warmup: *warmup, Measure: *cycles},
-		Faults:     *faults,
-		FaultSeed:  *seed * 31,
-		FaultPlan:  *faultPlan,
-		RouterArch: *routerArch,
-	}
-	spec.TraceLimit = *trace
-	spec.Adaptive = *adaptive
-	spec.VCT = *vct
+	spec.Pattern, spec.Rate = pat, *rate
+	spec.Dur = experiments.Durations{Warmup: *warmup, Measure: *cycles}
 	var pt experiments.Point
 	if *snapshot != "" {
 		f, cerr := os.Create(*snapshot)
@@ -190,6 +207,24 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		return status(err)
 	}
 	return status(printPoint(stdout, *schemeName, *patName, pt, *asJSON))
+}
+
+// sourceFlags maps each flag that configures one kind of traffic source
+// to the sources (rate, workload, replay) that read it. Flags not listed
+// describe the machine and reach every source.
+var sourceFlags = map[string]string{
+	"pattern":    "rate",
+	"rate":       "rate",
+	"warmup":     "rate",
+	"cycles":     "rate",
+	"snapshot":   "rate",
+	"at":         "rate",
+	"restore":    "rate",
+	"workload":   "workload",
+	"replay":     "replay",
+	"max-cycles": "workload replay",
+	"record":     "workload",
+	"json":       "rate workload",
 }
 
 // printPoint renders a rate-driven run's outcome, as JSON or the aligned
@@ -225,26 +260,8 @@ func printPoint(stdout io.Writer, schemeName, patName string, pt experiments.Poi
 
 // runWorkload drives a closed-loop collective to completion (or the
 // horizon) and prints completion time plus scheme counters.
-func runWorkload(stdout, stderr io.Writer, sysCfg topology.SystemConfig, schemeName, routerArch string, vcs int, seed uint64, maxCycles int, wl, record string, asJSON bool) error {
-	spec := experiments.WorkloadSpec{
-		Topo:       sysCfg,
-		Scheme:     experiments.SchemeName(schemeName),
-		Workload:   wl,
-		VCsPerVNet: vcs,
-		Seed:       seed,
-		MaxCycles:  maxCycles,
-		RouterArch: routerArch,
-	}
-	var rec *workload.TraceRecorder
-	if record != "" {
-		topo, err := topology.Build(sysCfg)
-		if err != nil {
-			return err
-		}
-		rec = workload.NewTraceRecorder(len(topo.Cores()))
-		spec.Recorder = rec
-	}
-	pt, err := experiments.RunWorkload(spec)
+func runWorkload(stdout, stderr io.Writer, spec experiments.RunSpec, maxCycles int, record string, asJSON bool) error {
+	pt, err := experiments.RunWorkload(experiments.WorkloadSpec{RunSpec: spec, MaxCycles: maxCycles, Record: record != ""})
 	if err != nil {
 		return err
 	}
@@ -253,13 +270,13 @@ func runWorkload(stdout, stderr io.Writer, sysCfg topology.SystemConfig, schemeN
 		if err != nil {
 			return err
 		}
-		if err := rec.Write(f); err != nil {
+		if err := workload.WriteTrace(f, pt.Trace); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "uppsim: recorded %d messages to %s\n", len(rec.Trace().Records), record)
+		fmt.Fprintf(stderr, "uppsim: recorded %d messages to %s\n", len(pt.Trace.Records), record)
 	}
 	if asJSON {
 		out, err := json.MarshalIndent(pt, "", "  ")
@@ -269,8 +286,9 @@ func runWorkload(stdout, stderr io.Writer, sysCfg topology.SystemConfig, schemeN
 		fmt.Fprintln(stdout, string(out))
 		return nil
 	}
+	schemeName := string(spec.Scheme)
 	fmt.Fprintf(stdout, "scheme            %s\n", schemeName)
-	fmt.Fprintf(stdout, "workload          %s\n", wl)
+	fmt.Fprintf(stdout, "workload          %s\n", spec.Workload)
 	fmt.Fprintf(stdout, "completed         %v (%d/%d ops)\n", pt.Completed, pt.OpsFired, pt.OpsTotal)
 	if pt.Completed {
 		fmt.Fprintf(stdout, "finish cycle      %d\n", pt.FinishCycle)
@@ -290,7 +308,7 @@ func runWorkload(stdout, stderr io.Writer, sysCfg topology.SystemConfig, schemeN
 
 // runReplay re-injects a recorded trace open-loop until every record is
 // in flight or delivered, then drains and prints the final statistics.
-func runReplay(stdout io.Writer, sysCfg topology.SystemConfig, schemeName, routerArch string, vcs int, seed uint64, maxCycles int, path string) error {
+func runReplay(stdout io.Writer, spec experiments.RunSpec, maxCycles int, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -300,38 +318,23 @@ func runReplay(stdout io.Writer, sysCfg topology.SystemConfig, schemeName, route
 	if err != nil {
 		return err
 	}
-	topo, err := topology.Build(sysCfg)
+	sm, err := experiments.Assemble(spec)
 	if err != nil {
 		return err
 	}
-	scheme, err := experiments.MakeScheme(experiments.SchemeName(schemeName), topo)
-	if err != nil {
-		return err
-	}
-	cfg := network.DefaultConfig()
-	if vcs > 0 {
-		cfg.Router.VCsPerVNet = vcs
-	}
-	cfg.Seed = seed + 1
-	cfg.RouterArch = routerArch
-	n, err := experiments.NewNetwork(topo, cfg, scheme)
-	if err != nil {
-		return err
-	}
+	n := sm.Net
 	rp, err := workload.NewReplayer(n, trace)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < maxCycles && !rp.Done(); i++ {
-		rp.Tick(n.Cycle())
-		n.Step()
-	}
+	experiments.Drive(n, rp, sim.Cycle(maxCycles), rp.Done)
 	if !rp.Done() {
 		return fmt.Errorf("replay of %s still injecting after %d cycles", path, maxCycles)
 	}
 	if err := n.Drain(maxCycles, 5000); err != nil {
 		return fmt.Errorf("replay drain: %w", err)
 	}
+	schemeName := string(spec.Scheme)
 	fmt.Fprintf(stdout, "scheme            %s\n", schemeName)
 	fmt.Fprintf(stdout, "trace             %s (%d ranks, %d records)\n", path, trace.Ranks, len(trace.Records))
 	fmt.Fprintf(stdout, "final cycle       %d\n", n.Cycle())

@@ -26,7 +26,6 @@ import (
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
 	"uppnoc/internal/routing"
-	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
 
@@ -446,11 +445,6 @@ func (s *Scheme) Policy() routing.BoundaryPolicy { return routing.DefaultPolicy{
 
 // Attach implements network.Scheme.
 func (s *Scheme) Attach(n *network.Network) { n.SetRouteOverride(s.tables.Route) }
-
-// OnRouterIdle implements network.Scheme. Composable routing's runtime
-// state is the immutable route tables — there is nothing per-router to
-// reset when the active-set kernel retires one.
-func (s *Scheme) OnRouterIdle(topology.NodeID, sim.Cycle) {}
 
 // Tables exposes the built tables (reports and tests).
 func (s *Scheme) Tables() *Tables { return s.tables }

@@ -91,17 +91,14 @@ func AblationAdaptive(dur Durations, opts PoolOptions) ([]Table, error) {
 				name = "odd_even"
 			}
 			opts.Progress.log("ablation_adaptive: %s %s", pat.Name(), name)
-			a := adaptive
 			spec := RunSpec{
-				Topo: topology.BaselineConfig(),
-				SchemeOverride: func(*topology.Topology) (network.Scheme, error) {
-					return core.New(core.DefaultConfig()), nil
-				},
+				Topo:       topology.BaselineConfig(),
+				Scheme:     SchemeUPP,
 				VCsPerVNet: 1,
 				Pattern:    pat,
 				Seed:       83,
 				Dur:        dur,
-				Adaptive:   a,
+				Adaptive:   adaptive,
 			}
 			c, err := SweepRatesWith(spec, DefaultRates(), pat.Name()+"/"+name, opts)
 			if err != nil {

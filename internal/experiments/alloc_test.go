@@ -40,10 +40,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		for _, arch := range RouterArchs() {
 			t.Run(kernel+"_"+arch, func(t *testing.T) {
-				cfg := network.DefaultConfig()
-				cfg.Kernel = kernel
-				cfg.RouterArch = arch
-				kb, err := NewKernelBench(cfg, nil, UniformTraffic(rates[arch]))
+				spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: kernel, RouterArch: arch}
+				kb, err := NewKernelBench(spec, UniformTraffic(rates[arch]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,11 +82,8 @@ func TestSteadyStateZeroAllocScale(t *testing.T) {
 	}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
-			cfg := network.DefaultConfig()
-			cfg.Kernel = kernel
-			cfg.Shards = 4
 			sc := topology.ScaleLargeConfig()
-			kb, err := NewKernelBench(cfg, &sc, UniformTraffic(0.01))
+			kb, err := NewKernelBench(RunSpec{Scale: &sc, Scheme: SchemeUPP, Kernel: kernel, Shards: 4}, UniformTraffic(0.01))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,9 +118,8 @@ func TestSteadyStateZeroAllocCollective(t *testing.T) {
 	}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
-			cfg := network.DefaultConfig()
-			cfg.Kernel = kernel
-			wb, err := NewKernelBench(cfg, nil, TrainingStepTraffic)
+			spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: kernel}
+			wb, err := NewKernelBench(spec, TrainingStepTraffic)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,8 @@ package experiments
 
 // This file is the content-addressed run cache (DESIGN.md §14). A RunSpec
 // whose inputs are fully canonicalizable — a named scheme, one of the
-// registered traffic patterns, no tracer — maps to a canonical JSON
+// registered traffic patterns, no workload, no parsed plan or
+// reconfiguration mode, no tracer — maps to a canonical JSON
 // envelope; the SHA-256 of those bytes addresses two on-disk artifacts
 // under UPP_CACHE_DIR:
 //
@@ -34,9 +35,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 
 	"uppnoc/internal/network"
+	"uppnoc/internal/reconfig"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -93,15 +96,23 @@ type specEnvelope struct {
 	Adaptive       bool                  `json:"adaptive,omitempty"`
 	VCT            bool                  `json:"vct,omitempty"`
 	RouterArch     string                `json:"router"`
+	// ChipletGate marks a plan with a killchiplet event. Entries written
+	// before the generator of a RunSpec run honoured chiplet fail-stops
+	// lack it and so miss. (cacheFormatVersion could not be bumped for
+	// this: it is part of every checkpoint's pinned bytes.)
+	ChipletGate bool `json:"chiplet_gate,omitempty"`
 }
 
 // canonicalSpec canonicalizes a spec for caching. ok is false when the
 // spec cannot be addressed by content: a SchemeOverride or a traffic
-// pattern outside the registered set has no canonical name, a traced
-// run's side effects cannot come from a cache, and under malformed host
-// settings the router architecture is unknown (BuildRun reports those).
+// pattern outside the registered set has no canonical name, a workload, a
+// parsed plan and a reconfiguration mode have no place in the envelope, a
+// traced run's side effects cannot come from a cache, and under malformed
+// host settings the router architecture is unknown (Assemble reports
+// those).
 func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
-	if spec.SchemeOverride != nil || spec.TraceLimit > 0 || spec.Pattern == nil {
+	if spec.SchemeOverride != nil || spec.TraceLimit > 0 || spec.Pattern == nil ||
+		spec.Workload != "" || !spec.Plan.Empty() || spec.Mode != reconfig.ModeAuto {
 		return specEnvelope{}, nil, false
 	}
 	host, err := hostEnv()
@@ -131,6 +142,7 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		Adaptive:       spec.Adaptive,
 		VCT:            spec.VCT,
 		RouterArch:     host.arch(spec.RouterArch),
+		ChipletGate:    strings.Contains(spec.FaultPlan, "killchiplet="),
 	}
 	canonical, err = json.Marshal(env)
 	if err != nil {
@@ -278,18 +290,6 @@ func splitCheckpoint(data []byte) (spec, snapshot []byte, err error) {
 		return nil, nil, fmt.Errorf("experiments: checkpoint truncated (spec claims %d bytes, %d remain)", n, len(rest))
 	}
 	return rest[:n], rest[n:], nil
-}
-
-// WriteCheckpoint serializes a running simulation built by BuildRun into
-// a self-describing container: the spec travels with the state, so
-// ReadCheckpoint can rebuild the environment without re-supplying flags.
-// Only canonicalizable specs (see canonicalSpec) can be checkpointed.
-func WriteCheckpoint(w io.Writer, spec RunSpec, n *network.Network, g *traffic.Generator) error {
-	_, canonical, ok := canonicalSpec(spec)
-	if !ok {
-		return fmt.Errorf("experiments: spec is not checkpointable (custom scheme, unregistered pattern or tracing)")
-	}
-	return writeCheckpointTo(w, canonical, n, g)
 }
 
 // ReadCheckpoint rebuilds the environment a checkpoint describes and

@@ -4,8 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"uppnoc/internal/network"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -114,7 +117,7 @@ func TestCacheUncacheableSpecs(t *testing.T) {
 		Seed:       11,
 		Dur:        Durations{Warmup: 200, Measure: 300},
 	}
-	spec.SchemeOverride = cachedScheme(spec.Topo, SchemeUPP)
+	spec.SchemeOverride = func(t *topology.Topology) (network.Scheme, error) { return MakeScheme(SchemeUPP, t) }
 	hits, misses, warmHits, warmMisses := cacheDelta(func() {
 		if _, err := Run(spec); err != nil {
 			t.Fatal(err)
@@ -159,5 +162,73 @@ func TestCacheRejectsMismatchedEntry(t *testing.T) {
 	storeCachedPoint(dir, hash, canonical, Point{Rate: 0.02})
 	if pt, ok := loadCachedPoint(dir, hash, canonical); !ok || pt.Rate != 0.02 {
 		t.Fatalf("exact-match entry not served back: ok=%v pt=%+v", ok, pt)
+	}
+}
+
+// TestCachedFiguresAreCacheable: every spec these runners build has a
+// content address, so a re-run of the figure is served from the cache. A
+// SchemeOverride that only restates a named scheme would fail here.
+func TestCachedFiguresAreCacheable(t *testing.T) {
+	for _, fig := range []struct {
+		name string
+		run  func(Durations, PoolOptions) ([]Table, error)
+	}{
+		{"fig7", Fig7}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11}, {"fault_sweep", FaultSweep},
+		{"tail_latency", TailLatency}, {"ablation_adaptive", AblationAdaptive}, {"ablation_depth", AblationBufferDepth},
+		{"scale", Scale},
+	} {
+		t.Run(fig.name, func(t *testing.T) {
+			var mu sync.Mutex
+			seen, refused := 0, 0
+			opts := PoolOptions{Jobs: 2, run: func(spec RunSpec) (Point, error) {
+				_, _, ok := canonicalSpec(spec)
+				mu.Lock()
+				defer mu.Unlock()
+				seen++
+				if !ok {
+					refused++
+				}
+				return Point{Rate: spec.Rate, TotalLat: 1, Throughput: spec.Rate}, nil
+			}}
+			if _, err := fig.run(microDur, opts); err != nil {
+				t.Fatal(err)
+			}
+			if seen == 0 || refused != 0 {
+				t.Fatalf("canonicalSpec refused %d of the %d specs the runner built", refused, seen)
+			}
+		})
+	}
+}
+
+// TestTailLatencyServedFromCache runs the figure cold and again against
+// one cache directory: the re-run is twelve hits and no miss, and both
+// print the uncached run's tables byte for byte.
+func TestTailLatencyServedFromCache(t *testing.T) {
+	dur := Durations{Warmup: 200, Measure: 400}
+	render := func() string {
+		ts, err := TailLatency(dur, poolOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tb := range ts {
+			b.WriteString(tb.Render())
+		}
+		return b.String()
+	}
+	t.Setenv("UPP_CACHE_DIR", "")
+	want := render()
+	t.Setenv("UPP_CACHE_DIR", t.TempDir())
+	var cold, again string
+	_, misses, _, _ := cacheDelta(func() { cold = render() })
+	if misses != 12 {
+		t.Fatalf("cold run: %d misses, want 12", misses)
+	}
+	hits, misses, _, _ := cacheDelta(func() { again = render() })
+	if hits != 12 || misses != 0 {
+		t.Fatalf("re-run: %d hits / %d misses, want 12 / 0", hits, misses)
+	}
+	if cold != want || again != want {
+		t.Fatalf("cached tables differ from the uncached run:\nuncached:\n%s\ncold:\n%s\nre-run:\n%s", want, cold, again)
 	}
 }

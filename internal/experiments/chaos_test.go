@@ -6,6 +6,7 @@ import (
 	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
 	"uppnoc/internal/topology"
+	"uppnoc/internal/traffic"
 )
 
 // TestChaosSoak is the robustness acceptance gate: fault plans × schemes
@@ -66,13 +67,18 @@ func TestChaosSoak(t *testing.T) {
 			var ref ChaosOutcome
 			for i, kernel := range kernels {
 				spec := ChaosSpec{
-					Scheme:     tc.scheme,
-					Kernel:     kernel,
-					Plan:       tc.plan,
-					Rate:       tc.rate,
-					Workload:   tc.workload,
-					RouterArch: tc.arch,
-					Seed:       97,
+					RunSpec: RunSpec{
+						Topo:       topology.BaselineConfig(),
+						Scheme:     tc.scheme,
+						Kernel:     kernel,
+						Plan:       tc.plan,
+						Pattern:    traffic.UniformRandom{},
+						Rate:       tc.rate,
+						Workload:   tc.workload,
+						RouterArch: tc.arch,
+						Seed:       97,
+						UseUpDown:  true,
+					},
 					LoadCycles: 2500,
 					DrainMax:   15000,
 					StallLimit: 2000,
@@ -128,8 +134,11 @@ func TestChaosRunDeterminismSameKernel(t *testing.T) {
 		DropReq: 0.2, DropAck: 0.2, DropStop: 0.2,
 	})
 	spec := ChaosSpec{
-		Scheme: SchemeUPP, Kernel: network.KernelActive, Plan: plan,
-		Rate: 0.05, Seed: 11, LoadCycles: 1500, DrainMax: 12000, StallLimit: 2000,
+		RunSpec: RunSpec{
+			Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: network.KernelActive, Plan: plan,
+			Pattern: traffic.UniformRandom{}, Rate: 0.05, Seed: 11, UseUpDown: true,
+		},
+		LoadCycles: 1500, DrainMax: 12000, StallLimit: 2000,
 	}
 	a, err := RunChaos(spec)
 	if err != nil {

@@ -9,28 +9,21 @@ import (
 	"uppnoc/internal/workload"
 )
 
-// WorkloadSpec describes one closed-loop collective run: a workload
-// program (workload.ParseSpec syntax) driven to completion against one
-// scheme. Unlike RunSpec there is no offered rate — the workload's
+// WorkloadSpec describes one closed-loop collective run: the machine and
+// the workload program (RunSpec.Workload) driven to completion on it.
+// Unlike a rate-driven run there is no offered rate — the workload's
 // dependency structure sets the load, and the figure of merit is
 // completion time, not saturation throughput.
 type WorkloadSpec struct {
-	Topo       topology.SystemConfig
-	Scheme     SchemeName
-	Workload   string
-	VCsPerVNet int
-	Seed       uint64
+	RunSpec
 	// MaxCycles bounds the run; a workload still unfinished then is
 	// reported as Completed=false (under a scheme without recovery a
 	// closed loop can genuinely deadlock — that is a result, not an
 	// error).
 	MaxCycles int
-	// Recorder, when non-nil, observes every injected message (the trace
-	// record frontend).
-	Recorder workload.Recorder
-	// RouterArch selects the router microarchitecture ("iq", "oq",
-	// "voq"); empty defers to UPP_ROUTER and then the iq default.
-	RouterArch string
+	// Record captures every injected message into WorkloadPoint.Trace
+	// (the trace record frontend).
+	Record bool
 }
 
 // WorkloadPoint is the measured outcome of one collective run.
@@ -50,6 +43,9 @@ type WorkloadPoint struct {
 	Popups             uint64
 	Signals            uint64
 	InjectionHolds     uint64
+	// Trace is the recorded message trace; nil unless the spec asked for
+	// one.
+	Trace *workload.Trace `json:"-"`
 }
 
 // workloadEngine parses a workload spec, builds its program for n's cores
@@ -72,38 +68,26 @@ func workloadEngine(n *network.Network, spec string) (*workload.Engine, workload
 // closed loop is closed), so a completed run needs no drain: the network
 // is empty at FinishCycle.
 func RunWorkload(spec WorkloadSpec) (WorkloadPoint, error) {
-	topo, err := topology.Build(spec.Topo)
+	sm, err := Assemble(spec.RunSpec)
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
-	scheme, err := cachedScheme(spec.Topo, spec.Scheme)(topo)
-	if err != nil {
-		return WorkloadPoint{}, err
-	}
-	cfg := network.DefaultConfig()
-	if spec.VCsPerVNet > 0 {
-		cfg.Router.VCsPerVNet = spec.VCsPerVNet
-	}
-	cfg.Seed = spec.Seed + 1
-	cfg.RouterArch = spec.RouterArch
-	n, err := NewNetwork(topo, cfg, scheme)
-	if err != nil {
-		return WorkloadPoint{}, err
-	}
+	n := sm.Net
 	eng, ws, err := workloadEngine(n, spec.Workload)
 	if err != nil {
 		return WorkloadPoint{}, err
 	}
 	eng.Iterations = ws.EngineIterations()
-	eng.SetRecorder(spec.Recorder)
+	var rec *workload.TraceRecorder
+	if spec.Record {
+		rec = workload.NewTraceRecorder(len(n.Topo.Cores()))
+		eng.SetRecorder(rec)
+	}
 	maxCycles := spec.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = 400000
 	}
-	for i := 0; i < maxCycles && !eng.Done(); i++ {
-		eng.Tick(n.Cycle())
-		n.Step()
-	}
+	Drive(n, eng, sim.Cycle(maxCycles), eng.Done)
 	pt := WorkloadPoint{
 		Workload:       spec.Workload,
 		Scheme:         spec.Scheme,
@@ -116,6 +100,9 @@ func RunWorkload(spec WorkloadSpec) (WorkloadPoint, error) {
 		Popups:         n.Stats.PopupsCompleted,
 		Signals:        n.Stats.SignalsSent,
 		InjectionHolds: n.Stats.InjectionHolds,
+	}
+	if rec != nil {
+		pt.Trace = rec.Trace()
 	}
 	pt.OpsFired, pt.OpsTotal = eng.Progress()
 	if eng.Done() {
@@ -179,12 +166,12 @@ func Collectives(opts PoolOptions) ([]Table, error) {
 	var specs []WorkloadSpec
 	for _, wl := range CollectiveWorkloads() {
 		for _, sch := range ComparedSchemes() {
-			specs = append(specs, WorkloadSpec{
+			specs = append(specs, WorkloadSpec{RunSpec: RunSpec{
 				Topo:     topology.BaselineConfig(),
 				Scheme:   sch,
 				Workload: wl,
 				Seed:     11,
-			})
+			}})
 		}
 	}
 	opts.Progress.log("collectives: %d runs (%d workloads x %d schemes)",

@@ -60,12 +60,12 @@ func TestCollectivesCompleteUnderAllSchemes(t *testing.T) {
 	}
 	run := func(wl string, sch SchemeName) WorkloadPoint {
 		t.Helper()
-		pt, err := RunWorkload(WorkloadSpec{
+		pt, err := RunWorkload(WorkloadSpec{RunSpec: RunSpec{
 			Topo:     topology.BaselineConfig(),
 			Scheme:   sch,
 			Workload: wl,
 			Seed:     11,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

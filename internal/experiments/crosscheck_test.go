@@ -20,7 +20,7 @@ func TestEverySchemeEveryPatternDrains(t *testing.T) {
 	for _, sch := range ComparedSchemes() {
 		for _, pat := range traffic.Patterns() {
 			topo := topology.MustBuild(topology.BaselineConfig())
-			scheme, err := cachedScheme(topology.BaselineConfig(), sch)(topo)
+			scheme, err := cachedScheme(topology.BaselineConfig(), sch, topo)
 			if err != nil {
 				t.Fatal(err)
 			}

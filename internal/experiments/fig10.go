@@ -34,12 +34,12 @@ func Fig10(dur Durations, opts PoolOptions) ([]Table, error) {
 			for _, sch := range ComparedSchemes() {
 				opts.Progress.log("fig10: boundaries=%d vcs=%d %s", b, vcs, sch)
 				spec := RunSpec{
-					Topo:           cfg,
-					SchemeOverride: cachedScheme(cfg, sch),
-					VCsPerVNet:     vcs,
-					Pattern:        traffic.UniformRandom{},
-					Seed:           23,
-					Dur:            dur,
+					Topo:       cfg,
+					Scheme:     sch,
+					VCsPerVNet: vcs,
+					Pattern:    traffic.UniformRandom{},
+					Seed:       23,
+					Dur:        dur,
 				}
 				c, err := SweepRatesWith(spec, DefaultRates(), keyOf(b, vcs, sch), opts)
 				if err != nil {

@@ -19,24 +19,23 @@ var (
 	composableCache = map[topology.SystemConfig]*composable.Scheme{}
 )
 
-// cachedScheme wires caching into RunSpec.
-func cachedScheme(cfg topology.SystemConfig, name SchemeName) func(*topology.Topology) (network.Scheme, error) {
+// cachedScheme is MakeScheme for a topology built from cfg with nothing
+// done to it: composable's scheme is built once per configuration.
+func cachedScheme(cfg topology.SystemConfig, name SchemeName, topo *topology.Topology) (network.Scheme, error) {
 	if name != SchemeComposable {
-		return func(t *topology.Topology) (network.Scheme, error) { return MakeScheme(name, t) }
+		return MakeScheme(name, topo)
 	}
-	return func(t *topology.Topology) (network.Scheme, error) {
-		composableMu.Lock()
-		defer composableMu.Unlock()
-		if s, ok := composableCache[cfg]; ok {
-			return s, nil
-		}
-		s, err := composable.NewScheme(t)
-		if err != nil {
-			return nil, err
-		}
-		composableCache[cfg] = s
+	composableMu.Lock()
+	defer composableMu.Unlock()
+	if s, ok := composableCache[cfg]; ok {
 		return s, nil
 	}
+	s, err := composable.NewScheme(topo)
+	if err != nil {
+		return nil, err
+	}
+	composableCache[cfg] = s
+	return s, nil
 }
 
 // Fig7 reproduces the baseline-system latency/throughput comparison:
@@ -78,10 +77,6 @@ func latencyFigure(id string, sysCfg topology.SystemConfig, patterns []traffic.P
 	for _, vcs := range []int{1, 4} {
 		for _, pat := range patterns {
 			for _, sch := range ComparedSchemes() {
-				// Named scheme, not a SchemeOverride closure: Run's default
-				// path reuses the composable routing tables anyway, and a
-				// canonicalizable spec lets the result cache serve these
-				// sweeps (see cache.go).
 				spec := RunSpec{
 					Topo:       sysCfg,
 					Scheme:     sch,

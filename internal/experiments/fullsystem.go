@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"uppnoc/internal/coherence"
-	"uppnoc/internal/network"
 	"uppnoc/internal/power"
 	"uppnoc/internal/topology"
 )
@@ -22,22 +21,12 @@ type FullSystemResult struct {
 
 // RunFullSystem executes one benchmark profile under one scheme.
 func RunFullSystem(bench coherence.Workload, sch SchemeName, vcs int, seed uint64) (FullSystemResult, error) {
-	sysCfg := topology.BaselineConfig()
-	topo, err := topology.Build(sysCfg)
+	// Seed seed-1 seeds the network seed, what this runner has always used.
+	sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: sch, VCsPerVNet: vcs, Seed: seed - 1})
 	if err != nil {
 		return FullSystemResult{}, err
 	}
-	scheme, err := cachedScheme(sysCfg, sch)(topo)
-	if err != nil {
-		return FullSystemResult{}, err
-	}
-	cfg := network.DefaultConfig()
-	cfg.Router.VCsPerVNet = vcs
-	cfg.Seed = seed
-	n, err := NewNetwork(topo, cfg, scheme)
-	if err != nil {
-		return FullSystemResult{}, err
-	}
+	n, topo := sm.Net, sm.Net.Topo
 	sys, err := coherence.New(n, coherence.DefaultConfig(), bench, seed+13)
 	if err != nil {
 		return FullSystemResult{}, err

@@ -7,7 +7,6 @@ import (
 
 	"uppnoc/internal/network"
 	"uppnoc/internal/router"
-	"uppnoc/internal/topology"
 )
 
 // hostSettings is what the process environment asks of every simulation
@@ -24,7 +23,7 @@ type hostSettings struct {
 
 // hostEnv is the only reader of the UPP_* host variables: the libraries
 // below experiments take a network.Config, the binaries above it go
-// through NewNetwork and PoolOptions. It reads the environment on every
+// through Assemble and PoolOptions. It reads the environment on every
 // call so a test's t.Setenv takes effect. Every malformed value is an
 // error that names its variable.
 func hostEnv() (hostSettings, error) {
@@ -75,23 +74,4 @@ func (h hostSettings) arch(explicit string) string {
 		return h.routerArch
 	}
 	return router.ArchIQ
-}
-
-// NewNetwork is network.New with the host settings filling the fields cfg
-// leaves at their zero value (an explicit field beats the environment).
-// Every network the experiments and uppsim build goes through it.
-func NewNetwork(topo *topology.Topology, cfg network.Config, scheme network.Scheme) (*network.Network, error) {
-	h, err := hostEnv()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Kernel == "" {
-		cfg.Kernel = h.kernel
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = h.shards
-	}
-	cfg.RouterArch = h.arch(cfg.RouterArch)
-	cfg.DisablePool = cfg.DisablePool || h.noPool
-	return network.New(topo, cfg, scheme)
 }

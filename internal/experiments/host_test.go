@@ -58,34 +58,35 @@ func TestHostEnv(t *testing.T) {
 	}
 }
 
-// TestNewNetworkAppliesHost: the host settings reach the network through
-// NewNetwork, an explicit Config field beats its variable, and a
-// malformed variable fails the construction by name.
-func TestNewNetworkAppliesHost(t *testing.T) {
+// TestAssembleAppliesHost: the host settings reach the network through
+// Assemble, an explicit RunSpec field beats its variable, and a malformed
+// variable fails the construction by name.
+func TestAssembleAppliesHost(t *testing.T) {
 	// 512 routers: eight 64-router blocks, so the worker counts below are
 	// not clamped.
-	topo := topology.MustBuildScale(topology.ScaleSmallConfig())
+	sc := topology.ScaleSmallConfig()
+	spec := RunSpec{Scale: &sc, Scheme: SchemeNone}
 	t.Setenv("UPP_KERNEL", "parallel")
 	t.Setenv("UPP_SHARDS", "5")
 	t.Setenv("UPP_ROUTER", "oq")
 	t.Setenv("UPP_NOPOOL", "1")
-	n, err := NewNetwork(topo, network.DefaultConfig(), network.None{})
+	s, err := Assemble(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Kernel() != network.KernelParallel || n.Shards() != 5 || n.RouterArch() != router.ArchOQ || n.Pooling() {
+	if n := s.Net; n.Kernel() != network.KernelParallel || n.Shards() != 5 || n.RouterArch() != router.ArchOQ || n.Pooling() {
 		t.Fatalf("env not applied: kernel %q shards %d arch %q pooling %v", n.Kernel(), n.Shards(), n.RouterArch(), n.Pooling())
 	}
-	cfg := network.DefaultConfig()
-	cfg.Kernel, cfg.Shards, cfg.RouterArch = network.KernelParallel, 3, router.ArchVOQ
-	if n, err = NewNetwork(topo, cfg, network.None{}); err != nil {
+	explicit := spec
+	explicit.Kernel, explicit.Shards, explicit.RouterArch = network.KernelParallel, 3, router.ArchVOQ
+	if s, err = Assemble(explicit); err != nil {
 		t.Fatal(err)
 	}
-	if n.Shards() != 3 || n.RouterArch() != router.ArchVOQ {
-		t.Fatalf("explicit config lost to env: shards %d arch %q", n.Shards(), n.RouterArch())
+	if n := s.Net; n.Shards() != 3 || n.RouterArch() != router.ArchVOQ {
+		t.Fatalf("explicit spec lost to env: shards %d arch %q", n.Shards(), n.RouterArch())
 	}
 	t.Setenv("UPP_SHARDS", "lots")
-	if _, err := NewNetwork(topo, network.DefaultConfig(), network.None{}); err == nil || !strings.Contains(err.Error(), "UPP_SHARDS") {
+	if _, err := Assemble(spec); err == nil || !strings.Contains(err.Error(), "UPP_SHARDS") {
 		t.Fatalf("err = %v, want one naming UPP_SHARDS", err)
 	}
 }

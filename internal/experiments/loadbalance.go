@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"uppnoc/internal/network"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -45,26 +45,16 @@ func LoadBalance(dur Durations, opts PoolOptions) ([]Table, error) {
 		sch := schemes[si]
 		opts.Progress.log("load_balance: %s", sch)
 		r := &results[si]
-		topo, err := topology.Build(topology.BaselineConfig())
+		// Seed 4 seeds the network 5, the seed this table has always
+		// used for network and generator alike.
+		sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: sch, VCsPerVNet: vcs, Seed: 4})
 		if err != nil {
 			r.err = err
 			return
 		}
-		scheme, err := cachedScheme(topology.BaselineConfig(), sch)(topo)
-		if err != nil {
-			r.err = err
-			return
-		}
-		cfg := network.DefaultConfig()
-		cfg.Router.VCsPerVNet = vcs
-		cfg.Seed = 5
-		n, err := NewNetwork(topo, cfg, scheme)
-		if err != nil {
-			r.err = err
-			return
-		}
-		g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.04, 5)
-		g.Run(dur.Warmup + dur.Measure)
+		n, topo := sm.Net, sm.Net.Topo
+		g := sm.Generator(traffic.UniformRandom{}, 0.04, 5)
+		Drive(n, g, sim.Cycle(dur.Warmup+dur.Measure), nil)
 
 		var total uint64
 		var imbalanceSum float64

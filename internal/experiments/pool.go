@@ -37,6 +37,9 @@ type PoolOptions struct {
 	// OnRun, when non-nil, is called after each run completes with the
 	// number of finished runs and the batch size. Calls are serialized.
 	OnRun func(done, total int)
+	// run stands in for Run when set: a test collects the specs a runner
+	// would simulate without simulating them.
+	run func(RunSpec) (Point, error)
 }
 
 // jobs resolves the effective worker count: Jobs, else the UPP_JOBS host
@@ -147,8 +150,12 @@ func RunAll(specs []RunSpec, opts PoolOptions) ([]Point, error) {
 		mu   sync.Mutex
 		done int
 	)
+	run := opts.run
+	if run == nil {
+		run = Run
+	}
 	if err := forEachIndex(len(specs), opts, func(i int) {
-		points[i], errs[i] = Run(specs[i])
+		points[i], errs[i] = run(specs[i])
 		if opts.OnRun != nil {
 			mu.Lock()
 			done++

@@ -9,28 +9,8 @@ import (
 	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
+	"uppnoc/internal/traffic"
 )
-
-// ReconfigSpec describes one dynamic-reconfiguration soak: load, a
-// persistent fault plan (link kills, hot-adds, chiplet fail-stops)
-// driven by the reconfiguration engine, then a drain that must quiesce.
-type ReconfigSpec struct {
-	Kernel     string
-	RouterArch string
-	Mode       reconfig.Mode
-	Plan       faults.Plan
-	Seed       uint64
-	// Workload selects the closed-loop collective engine
-	// (workload.ParseSpec syntax, e.g. "all_to_all"); empty uses the
-	// rate-driven uniform-random generator at Rate.
-	Workload string
-	Rate     float64
-	// LoadCycles of offered traffic, then injection stops and the
-	// network drains (DrainMax cycles, StallLimit watchdog).
-	LoadCycles int
-	DrainMax   int
-	StallLimit int
-}
 
 // ReconfigOutcome is the observable result of a reconfiguration soak.
 // Identical specs must produce identical outcomes under every kernel.
@@ -76,8 +56,10 @@ func KillableInterposerLinks(cfg topology.SystemConfig, n int) ([]int, error) {
 	return ids, nil
 }
 
-// RunReconfig executes one reconfiguration soak on a fresh baseline
-// topology and validates the outcome:
+// RunReconfig executes one dynamic-reconfiguration soak — load, a
+// persistent fault plan (link kills, hot-adds, chiplet fail-stops) driven
+// by the reconfiguration engine, then a drain that must quiesce — and
+// validates the outcome:
 //
 //   - every planned transition must have finished (no wedged epoch);
 //   - a quiesced run must pass the resource audit and packet accounting;
@@ -85,14 +67,11 @@ func KillableInterposerLinks(cfg topology.SystemConfig, n int) ([]int, error) {
 //     against the CutInfo sent counters, skipping later-revived links);
 //   - surviving routes must avoid every dead link, and at least one
 //     route must actually have changed when links were killed.
-func RunReconfig(spec ReconfigSpec) (ReconfigOutcome, error) {
+func RunReconfig(spec ChaosSpec) (ReconfigOutcome, error) {
 	if !spec.Plan.Persistent() {
 		return ReconfigOutcome{}, fmt.Errorf("reconfig: soak plan has no persistent event (kill, add or killchiplet)")
 	}
-	run, err := runSoak("reconfig", ChaosSpec{
-		Scheme: SchemeUPP, Kernel: spec.Kernel, RouterArch: spec.RouterArch, Plan: spec.Plan, Seed: spec.Seed,
-		Workload: spec.Workload, Rate: spec.Rate, LoadCycles: spec.LoadCycles, DrainMax: spec.DrainMax, StallLimit: spec.StallLimit,
-	}, spec.Mode)
+	run, err := runSoak("reconfig", spec)
 	out := ReconfigOutcome{Stall: run.stall, FinalCycle: run.finalCycle, Stats: run.stats}
 	n, eng, oldLocal := run.net, run.eng, run.oldLocal
 	if eng != nil {
@@ -205,11 +184,16 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 		mode := modes[i/len(rates)]
 		rate := rates[i%len(rates)]
 		opts.Progress.log("reconfig: mode=%s rate=%.2f", mode, rate)
-		cells[i].out, cells[i].err = RunReconfig(ReconfigSpec{
-			Mode:       mode,
-			Plan:       plan,
-			Seed:       5,
-			Rate:       rate,
+		cells[i].out, cells[i].err = RunReconfig(ChaosSpec{
+			RunSpec: RunSpec{
+				Topo:    topology.BaselineConfig(),
+				Scheme:  SchemeUPP,
+				Mode:    mode,
+				Plan:    plan,
+				Seed:    5,
+				Pattern: traffic.UniformRandom{},
+				Rate:    rate,
+			},
 			LoadCycles: int(killCycle) + dur.Measure,
 			DrainMax:   200000,
 			StallLimit: 20000,

@@ -29,11 +29,15 @@ func TestRunReconfigAllToAllSoak(t *testing.T) {
 	kernels := []string{network.KernelNaive, network.KernelActive, network.KernelParallel}
 	var ref ReconfigOutcome
 	for i, k := range kernels {
-		out, err := RunReconfig(ReconfigSpec{
-			Kernel:     k,
-			Plan:       plan,
-			Seed:       11,
-			Workload:   "all_to_all:flits=2",
+		out, err := RunReconfig(ChaosSpec{
+			RunSpec: RunSpec{
+				Topo:     topology.BaselineConfig(),
+				Scheme:   SchemeUPP,
+				Kernel:   k,
+				Plan:     plan,
+				Seed:     11,
+				Workload: "all_to_all:flits=2",
+			},
 			LoadCycles: 1600,
 			DrainMax:   200000,
 			StallLimit: 20000,

@@ -45,13 +45,13 @@ func RouterCompare(opts PoolOptions) ([]Table, error) {
 	for _, wl := range routerCompareWorkloads() {
 		for _, sch := range ComparedSchemes() {
 			for _, arch := range RouterArchs() {
-				specs = append(specs, WorkloadSpec{
+				specs = append(specs, WorkloadSpec{RunSpec: RunSpec{
 					Topo:       topology.BaselineConfig(),
 					Scheme:     sch,
 					Workload:   wl,
 					Seed:       11,
 					RouterArch: arch,
-				})
+				}})
 			}
 		}
 	}

@@ -2,61 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
-	"uppnoc/internal/message"
-
-	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
-	"uppnoc/internal/reconfig"
 	"uppnoc/internal/sim"
-	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
-
-// RunSpec describes one simulation point.
-type RunSpec struct {
-	Topo topology.SystemConfig
-	// Scale, when non-nil, builds the system with topology.BuildScale
-	// instead of Topo — the scale-out experiments. Scale runs don't use
-	// the composable-scheme cache (keyed on SystemConfig), so pair Scale
-	// with Scheme, not SchemeOverride, for upp/remote_control/none.
-	Scale     *topology.ScaleConfig
-	Faults    int
-	FaultSeed uint64
-	// FaultsPerLayer faults that many mesh links in every layer
-	// (InjectFaultsPerLayer) instead of Faults' global count — the
-	// fault-sweep robustness figure.
-	FaultsPerLayer int
-	// FaultPlan, when non-empty, attaches a runtime fault-injection plan
-	// (faults.ParseSpec syntax: "flaps=4,drop=0.2,..."). UPP runs it with
-	// the hardened config (signal timeout + retry) so injected signal loss
-	// is recovered rather than fatal.
-	FaultPlan string
-	Scheme    SchemeName
-	// SchemeOverride, when non-nil, is used instead of Scheme (threshold
-	// sweeps).
-	SchemeOverride func(t *topology.Topology) (network.Scheme, error)
-	VCsPerVNet     int
-	// BufferDepth overrides the per-VC buffer depth when > 0 (ablation).
-	BufferDepth int
-	Pattern     traffic.Pattern
-	Rate        float64 // flits/cycle/node offered
-	Seed        uint64
-	Dur         Durations
-	UseUpDown   bool
-	// Adaptive selects odd-even minimal-adaptive local routing.
-	Adaptive bool
-	// VCT selects virtual cut-through flow control (forces BufferDepth to
-	// hold a whole data packet when unset).
-	VCT bool
-	// TraceLimit, when > 0, prints the first N simulator events to
-	// stderr.
-	TraceLimit int
-	// RouterArch selects the router microarchitecture ("iq", "oq",
-	// "voq"); empty defers to UPP_ROUTER and then the iq default.
-	RouterArch string
-}
 
 // Point is the measured outcome of one run.
 type Point struct {
@@ -102,91 +52,19 @@ func Run(spec RunSpec) (Point, error) {
 	return pt, err
 }
 
-// BuildRun constructs the simulation environment for one spec — the
-// topology (with any static faults), the scheme, the network (with any
-// runtime fault plan attached) and the traffic generator — without
-// running a cycle. Run drives this; uppsim's checkpoint flags and the
-// warm-start machinery rebuild identical environments from it.
+// BuildRun assembles the machine of one rate-driven spec and attaches its
+// generator (seeded Seed+7777), without running a cycle. Run drives this;
+// uppsim's checkpoint flags and the warm-start machinery rebuild identical
+// environments from it.
 func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
-	var topo *topology.Topology
-	var err error
-	if spec.Scale != nil {
-		topo, err = topology.BuildScale(*spec.Scale)
-	} else {
-		topo, err = topology.Build(spec.Topo)
+	if spec.Workload != "" {
+		return nil, nil, fmt.Errorf("experiments: spec names workload %q; a rate-driven run takes Pattern and Rate (RunWorkload runs workloads)", spec.Workload)
 	}
+	s, err := Assemble(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	if spec.Faults > 0 {
-		if _, err := topo.InjectFaults(spec.Faults, spec.FaultSeed); err != nil {
-			return nil, nil, err
-		}
-	}
-	if spec.FaultsPerLayer > 0 {
-		if _, err := topo.InjectFaultsPerLayer(spec.FaultsPerLayer, spec.FaultSeed); err != nil {
-			return nil, nil, err
-		}
-	}
-	var scheme network.Scheme
-	switch {
-	case spec.SchemeOverride != nil:
-		scheme, err = spec.SchemeOverride(topo)
-	case spec.FaultPlan != "" && spec.Scheme == SchemeUPP:
-		// Runtime signal faults need the retry machinery.
-		scheme = HardenedUPP()
-	case spec.Scale == nil && spec.Faults == 0 && spec.FaultsPerLayer == 0:
-		// Cacheable: composable's design-time search is reused across
-		// runs of the same configuration. (Scale runs skip the cache —
-		// it is keyed on SystemConfig, which a Scale spec leaves zero.)
-		scheme, err = cachedScheme(spec.Topo, spec.Scheme)(topo)
-	default:
-		scheme, err = MakeScheme(spec.Scheme, topo)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := network.DefaultConfig()
-	if spec.VCsPerVNet > 0 {
-		cfg.Router.VCsPerVNet = spec.VCsPerVNet
-	}
-	if spec.BufferDepth > 0 {
-		cfg.Router.BufferDepth = spec.BufferDepth
-	}
-	if spec.VCT {
-		cfg.Router.VCT = true
-		if cfg.Router.BufferDepth < message.DataPacketFlits {
-			cfg.Router.BufferDepth = message.DataPacketFlits
-		}
-	}
-	var plan faults.Plan
-	if spec.FaultPlan != "" {
-		plan, err = faults.ParseSpec(topo, spec.FaultPlan)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	cfg.Seed = spec.Seed + 1
-	cfg.RouterArch = spec.RouterArch
-	// Persistent topology events rebuild routing at runtime, which needs
-	// the fault-indexed up*/down* local (XY consults Link.Faulty at route
-	// time and would wedge on a mid-run kill).
-	cfg.UseUpDown = spec.UseUpDown || spec.Faults > 0 || spec.FaultsPerLayer > 0 || plan.Persistent()
-	cfg.Adaptive = spec.Adaptive
-	n, err := NewNetwork(topo, cfg, scheme)
-	if err != nil {
-		return nil, nil, err
-	}
-	if spec.FaultPlan != "" {
-		if _, err := reconfig.Attach(n, reconfig.Config{Plan: plan}); err != nil {
-			return nil, nil, err
-		}
-	}
-	if spec.TraceLimit > 0 {
-		n.SetTracer(network.WriteTracer(os.Stderr, spec.TraceLimit))
-	}
-	g := traffic.NewGenerator(n, spec.Pattern, spec.Rate, spec.Seed+7777)
-	return n, g, nil
+	return s.Net, s.Generator(spec.Pattern, spec.Rate, spec.Seed+7777), nil
 }
 
 // runMeasured is the cold path of Run: build the environment, warm up
@@ -220,16 +98,6 @@ func runMeasured(spec RunSpec, warm *warmState) (Point, error) {
 	return finishRun(spec, n, g, at, checkpoint)
 }
 
-// stepTo advances the simulation to the target cycle with injection —
-// the same Tick-then-Step loop as Generator.Run, but addressed by
-// absolute cycle so it composes with restored starting points.
-func stepTo(n *network.Network, g *traffic.Generator, target sim.Cycle) {
-	for n.Cycle() < target {
-		g.Tick(n.Cycle())
-		n.Step()
-	}
-}
-
 // finishRun advances a simulation from its current cycle (0 for a cold
 // run, the checkpoint cycle for a restored one) to the end of the spec's
 // warmup+measurement schedule and assembles the Point. checkpoint, when
@@ -242,13 +110,13 @@ func finishRun(spec RunSpec, n *network.Network, g *traffic.Generator, at sim.Cy
 	fired := checkpoint == nil
 	step := func(target sim.Cycle) error {
 		if !fired && at >= n.Cycle() && at <= target {
-			stepTo(n, g, at)
+			Drive(n, g, at, nil)
 			fired = true
 			if err := checkpoint(); err != nil {
 				return err
 			}
 		}
-		stepTo(n, g, target)
+		Drive(n, g, target, nil)
 		return nil
 	}
 	if n.Cycle() <= warmEnd {

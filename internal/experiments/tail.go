@@ -33,13 +33,13 @@ func TailLatency(dur Durations, opts PoolOptions) ([]Table, error) {
 				opts.Progress.log("tail_latency: %s vcs=%d rate=%.2f", sch, vcs, rate)
 				jobs = append(jobs, job{sch, vcs, rate})
 				specs = append(specs, RunSpec{
-					Topo:           topology.BaselineConfig(),
-					SchemeOverride: cachedScheme(topology.BaselineConfig(), sch),
-					VCsPerVNet:     vcs,
-					Pattern:        traffic.UniformRandom{},
-					Rate:           rate,
-					Seed:           17,
-					Dur:            dur,
+					Topo:       topology.BaselineConfig(),
+					Scheme:     sch,
+					VCsPerVNet: vcs,
+					Pattern:    traffic.UniformRandom{},
+					Rate:       rate,
+					Seed:       17,
+					Dur:        dur,
 				})
 			}
 		}

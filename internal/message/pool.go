@@ -138,10 +138,6 @@ func MakeRef(p *Packet) PacketRef {
 	return PacketRef{p: p, gen: p.gen}
 }
 
-// Ptr returns the referenced packet without a liveness check (callers
-// must have established Alive, or accept a possibly-recycled packet).
-func (r PacketRef) Ptr() *Packet { return r.p }
-
 // Alive reports whether the referenced packet still is the incarnation
 // captured by MakeRef.
 func (r PacketRef) Alive() bool { return r.p != nil && !r.p.released && r.p.gen == r.gen }

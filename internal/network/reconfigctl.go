@@ -24,20 +24,11 @@ func (n *Network) RouteEpoch() uint32 { return n.routeEpoch }
 // progress (the previous epoch's tables are still installed).
 func (n *Network) TransitionActive() bool { return n.prevHier != nil }
 
-// InjectHold reports whether new packet streams are currently held (the
-// epoch-based transition's injection fence).
-func (n *Network) InjectHold() bool { return n.injectHold }
-
 // OldEpochLive returns the number of live packets still stamped with the
 // previous routing epoch. Zero means the old epoch has drained and
 // FinishRouteTransition may run. Only meaningful while TransitionActive.
 func (n *Network) OldEpochLive() int64 {
 	return n.epochLive[(n.routeEpoch-1)&1].Load()
-}
-
-// EpochLive returns the live-packet count of the current routing epoch.
-func (n *Network) EpochLive() int64 {
-	return n.epochLive[n.routeEpoch&1].Load()
 }
 
 // BeginRouteTransition installs local as the new per-layer routing
@@ -77,11 +68,6 @@ func (n *Network) FinishRouteTransition() {
 	n.prevHier = nil
 	n.injectHold = false
 }
-
-// PrevHier returns the previous routing epoch's hierarchical tables while
-// a transition is active (nil otherwise). The reconfiguration engine and
-// path-divergence assertions consult it.
-func (n *Network) PrevHier() *routing.Hierarchical { return n.prevHier }
 
 // SetLinkFenced raises or clears the fence on l: both endpoint output
 // ports stop granting new wormholes (in-flight worms finish — wormhole

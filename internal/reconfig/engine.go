@@ -94,13 +94,6 @@ type Config struct {
 	Plan faults.Plan
 	// Mode selects the transition strategy (default ModeAuto).
 	Mode Mode
-	// Rebuild computes a fresh per-layer routing function for the
-	// surviving topology after each batch. Defaults to routing.NewUpDown
-	// (an up*/down* search on the surviving graph). The function must
-	// not consult Link.Faulty dynamically at route time the way XY does:
-	// old-epoch packets keep routing under pre-kill tables after the
-	// flags flip, which only a precomputed local supports.
-	Rebuild func(*topology.Topology) (routing.Local, error)
 }
 
 // Engine drives deadlock-free dynamic reconfiguration. It implements
@@ -110,7 +103,10 @@ type Config struct {
 //
 //  1. Walk the CDG of the old routing function (before any flag flips),
 //     apply the batch's Faulty flips, rebuild routing on the surviving
-//     graph, walk the new CDG, and check old∪new acyclicity.
+//     graph (routing.NewUpDown: XY consults Link.Faulty at route time,
+//     but old-epoch packets keep routing under pre-kill tables after the
+//     flags flip, which only a precomputed local supports), walk the new
+//     CDG, and check old∪new acyclicity.
 //  2. BeginRouteTransition: packets already in flight keep the old
 //     epoch's tables; compatible pairs switch drainlessly (injection
 //     never stops), incompatible pairs raise the injection hold.
@@ -124,11 +120,10 @@ type Config struct {
 //     pair can form transient cycles, and popup recovery — not the
 //     compatibility proof — is what guarantees forward progress.
 type Engine struct {
-	net     *network.Network
-	inner   *faults.Injector // transient faults (flaps, stalls, drops)
-	mode    Mode
-	rebuild func(*topology.Topology) (routing.Local, error)
-	events  []Event
+	net    *network.Network
+	inner  *faults.Injector // transient faults (flaps, stalls, drops)
+	mode   Mode
+	events []Event
 
 	cursor     int   // first event not yet applied
 	phase      uint8 // phaseIdle, phaseFencing, phaseDraining
@@ -162,7 +157,7 @@ type popupPather interface {
 // The plan is validated up front: event targets must exist, killed links
 // must be non-vertical mesh links (vertical links are UPP's drain path
 // and may not be reconfigured away), and — by dry-running every batch's
-// Faulty flips against Rebuild — no batch may partition a layer. A
+// Faulty flips against routing.NewUpDown — no batch may partition a layer. A
 // partitioning plan fails here with the routing package's structured
 // *DisconnectedError in the chain, never at cycle N of a soak.
 func Attach(n *network.Network, cfg Config) (*Engine, error) {
@@ -174,18 +169,11 @@ func Attach(n *network.Network, cfg Config) (*Engine, error) {
 		n.SetFaultInjector(inner)
 		return nil, nil
 	}
-	rebuild := cfg.Rebuild
-	if rebuild == nil {
-		rebuild = func(t *topology.Topology) (routing.Local, error) {
-			return routing.NewUpDown(t)
-		}
-	}
 	e := &Engine{
-		net:     n,
-		inner:   inner,
-		mode:    cfg.Mode,
-		rebuild: rebuild,
-		dead:    make([]bool, len(n.Topo.Chiplets)),
+		net:   n,
+		inner: inner,
+		mode:  cfg.Mode,
+		dead:  make([]bool, len(n.Topo.Chiplets)),
 	}
 	t := n.Topo
 	// Only interposer mesh links are reconfigurable: vertical links are
@@ -278,7 +266,7 @@ func (e *Engine) dryRun() error {
 			}
 		}
 		if topoChange {
-			if _, err := e.rebuild(t); err != nil {
+			if _, err := routing.NewUpDown(t); err != nil {
 				return fmt.Errorf("reconfig: batch at cycle %d leaves no valid routing: %w",
 					e.events[s].Cycle, err)
 			}
@@ -301,9 +289,6 @@ func (e *Engine) Transitions() []Transition { return e.transitions }
 // Done reports that every event has been applied and no transition is
 // still in flight.
 func (e *Engine) Done() bool { return e.cursor == len(e.events) && e.phase == phaseIdle }
-
-// Inner returns the embedded transient-fault injector.
-func (e *Engine) Inner() *faults.Injector { return e.inner }
 
 // BeginCycle implements network.FaultInjector: transient faults are
 // delegated to the embedded injector, then the reconfiguration state
@@ -381,7 +366,7 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 		}
 	}
 
-	newLocal, err := e.rebuild(t)
+	newLocal, err := routing.NewUpDown(t)
 	if err != nil {
 		// Unreachable: Attach dry-ran every batch. A failure here means
 		// something else mutated the topology mid-run.
@@ -604,10 +589,10 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 
 	if !topoApplied {
 		// No transition has run: the construction-time tables (which
-		// need not come from Rebuild at all) are still installed.
+		// need not come from NewUpDown at all) are still installed.
 		return nil
 	}
-	cur, err := e.rebuild(t)
+	cur, err := routing.NewUpDown(t)
 	if err != nil {
 		return fmt.Errorf("reconfig: restore rebuild: %w", err)
 	}
@@ -616,7 +601,7 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		// The previous epoch's tables are the ones built before the
 		// active batch: un-flip it, rebuild, re-flip.
 		e.flipBatch(true)
-		prev, err := e.rebuild(t)
+		prev, err := routing.NewUpDown(t)
 		e.flipBatch(false)
 		if err != nil {
 			return fmt.Errorf("reconfig: restore prev-epoch rebuild: %w", err)

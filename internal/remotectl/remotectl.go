@@ -330,12 +330,6 @@ func (s *Scheme) sendDown(b *boundary, cycle sim.Cycle) {
 	}
 }
 
-// OnRouterIdle implements network.Scheme. Remote control keeps no
-// per-cycle counters: boundary state (reqQ, slots, holds) is event-driven
-// and the StartOfCycle quiescence skip re-derives it from queue lengths,
-// so retirement needs no reset here.
-func (s *Scheme) OnRouterIdle(topology.NodeID, sim.Cycle) {}
-
 // Inert implements network.Scheme. StartOfCycle does work only at a
 // boundary with a non-empty request queue, live holds, slots still
 // absorbing/streaming, or buffered flits — and the kernel's idle-skip

@@ -131,14 +131,6 @@ type Link struct {
 	Down bool
 }
 
-// Other returns the endpoint of l that is not n.
-func (l *Link) Other(n NodeID) NodeID {
-	if l.A == n {
-		return l.B
-	}
-	return l.A
-}
-
 // Port is one side of a link (or the local NI attachment, which has no
 // link).
 type Port struct {
@@ -183,9 +175,6 @@ func (n *Node) PortToNeighbor(neighbor NodeID) PortID {
 	}
 	return InvalidPort
 }
-
-// Degree returns the number of non-local ports.
-func (n *Node) Degree() int { return len(n.Ports) - 1 }
 
 // Chiplet describes one chiplet stacked on the interposer.
 type Chiplet struct {
