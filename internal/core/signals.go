@@ -220,7 +220,7 @@ func (u *UPP) deliverReqStop(p *popup, kind sigKind, cycle sim.Cycle) {
 	}
 	p.resRequested = true
 	u.net.Trace("upp", p.dst, "popup %d: UPP_req at destination NI (vnet %s)", p.id, p.vnet)
-	ni.RequestReservation(p.vnet, p.id, cycle, u.makeGrant(ni, p.id, p.vnet))
+	ni.RequestReservation(p.vnet, p.id, cycle)
 }
 
 // assertEncodable checks that the signal state being transmitted fits the

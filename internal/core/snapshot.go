@@ -5,247 +5,144 @@ import (
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/snap"
-	"uppnoc/internal/topology"
 )
 
-// Snapshot serializes UPP's full protocol state into a UPWS section
-// (DESIGN.md §14): the popup FSMs, every router's signal latches, ack
-// buffers and circuit entries, the per-(chiplet, VNet) tokens and the
-// ID allocator. Pending deferred actions (signals and popup flits in
-// flight) live in the network's event wheel as SchemeCalls and are
-// serialized there; pending reservation waiters live at the NIs and
-// are rebound by Restore.
-func (u *UPP) Snapshot(w *snap.Writer) {
-	w.Uvarint(u.nextID)
-	ps := u.sortedPopups()
-	w.Uvarint(uint64(len(ps)))
-	for _, p := range ps {
-		w.Uvarint(p.id)
-		w.Varint(int64(p.vnet))
-		w.Varint(int64(p.origin))
-		w.Packet(p.pkt)
-		w.Uvarint(uint64(p.pktGen))
-		w.Varint(int64(p.dst))
-		w.Int(p.dstChiplet)
-		w.Uvarint(p.pktID)
-		w.Varint(int64(p.port))
-		w.Int(p.vcIdx)
-		w.Varint(int64(p.frontSeq))
-		w.Uvarint(uint64(len(p.path)))
-		for _, h := range p.path {
-			w.Varint(int64(h.node))
-			w.Varint(int64(h.inPort))
-			w.Varint(int64(h.outPort))
+// Snapshot describes UPP's full protocol state as one UPWS section
+// (DESIGN.md §14), written or — on an identically-configured system —
+// overwritten by the codec: the popup FSMs, every router's signal
+// latches, ack buffers and circuit entries, the per-(chiplet, VNet)
+// tokens and the ID allocator. Pending deferred actions (signals and
+// popup flits in flight) live in the network's event wheel as
+// SchemeCalls and pending reservation waiters at the NIs as (vnet,
+// popup ID) pairs; both are serialized there.
+func (u *UPP) Snapshot(c *snap.Codec) error {
+	numNodes := int64(len(u.nodes))
+	nvc := int64(u.net.Cfg.Router.NumVCs())
+	maxPath := 2*len(u.nodes) + 2 // chasePath bounds each phase by NumNodes
+
+	c.U64("upp next id", &u.nextID)
+	var ps []*popup
+	if c.Decoding() {
+		u.popups = make(map[uint64]*popup)
+		u.sorted = nil
+	} else {
+		ps = u.sortedPopups()
+	}
+	snap.Slice(c, "upp popup count", &ps, len(u.nodes)*message.NumVNets, func(pp **popup) {
+		if c.Decoding() {
+			*pp = &popup{}
 		}
-		w.Uvarint(uint64(p.stage))
-		w.Varint(p.drainStart)
-		w.Bool(p.reqSent)
-		w.Bool(p.cancelled)
-		w.Bool(p.stopPending)
-		w.Bool(p.stopDelivered)
-		w.Bool(p.ackLaunched)
-		w.Bool(p.ackDone)
-		w.Bool(p.tailLeftOrigin)
-		w.Varint(p.deadline)
-		w.Int(int(p.retries))
-		w.Bool(p.resendReq)
-		w.Bool(p.resRequested)
+		p := *pp
+		c.U64("popup id", &p.id)
+		snap.Int(c, "popup vnet", &p.vnet, 0, message.NumVNets-1)
+		snap.Int(c, "popup origin", &p.origin, 0, numNodes-1)
+		c.Packet(&p.pkt)
+		snap.Uint(c, "popup pkt gen", &p.pktGen, math.MaxUint32)
+		snap.Int(c, "popup dst", &p.dst, 0, numNodes-1)
+		snap.Int(c, "popup dst chiplet", &p.dstChiplet, 0, int64(len(u.tokens))-1)
+		c.U64("popup pkt id", &p.pktID)
+		snap.Int(c, "popup port", &p.port, 0, 127)
+		snap.Int(c, "popup vc", &p.vcIdx, 0, nvc-1)
+		snap.Int(c, "popup front seq", &p.frontSeq, 0, math.MaxInt32)
+		snap.Slice(c, "popup path len", &p.path, maxPath, func(h *hop) {
+			snap.Int(c, "hop node", &h.node, 0, numNodes-1)
+			snap.Int(c, "hop in", &h.inPort, -1, 127)
+			snap.Int(c, "hop out", &h.outPort, -1, 127)
+		})
+		if c.Decoding() && c.Err() == nil && len(p.path) < 2 {
+			c.Fail("popup path of %d hops (need origin and destination)", len(p.path))
+		}
+		snap.Uint(c, "popup stage", &p.stage, uint64(stageDrain))
+		c.I64("popup drain start", &p.drainStart)
+		c.Bool("popup req sent", &p.reqSent)
+		c.Bool("popup cancelled", &p.cancelled)
+		c.Bool("popup stop pending", &p.stopPending)
+		c.Bool("popup stop delivered", &p.stopDelivered)
+		c.Bool("popup ack launched", &p.ackLaunched)
+		c.Bool("popup ack done", &p.ackDone)
+		c.Bool("popup tail left", &p.tailLeftOrigin)
+		c.I64("popup deadline", &p.deadline)
+		snap.Int(c, "popup retries", &p.retries, 0, math.MaxUint8)
+		c.Bool("popup resend req", &p.resendReq)
+		c.Bool("popup res requested", &p.resRequested)
+		if c.Decoding() && c.Err() == nil {
+			switch {
+			case p.pkt == nil:
+				c.Fail("popup %d without a packet reference", p.id)
+			case u.popups[p.id] != nil:
+				c.Fail("duplicate popup id %d", p.id)
+			default:
+				u.popups[p.id] = p
+			}
+		}
+	})
+	if c.Err() != nil {
+		return c.Err()
 	}
 	for i := range u.nodes {
 		ns := &u.nodes[i]
+		if c.Decoding() {
+			*ns = nodeState{}
+		}
 		for v := 0; v < message.NumVNets; v++ {
-			w.Varint(int64(ns.counters[v]))
+			snap.Int(c, "upp counter", &ns.counters[v], 0, math.MaxInt32)
+			var id uint64
 			if ns.entry[v] != nil {
-				w.Uvarint(ns.entry[v].id)
-			} else {
-				w.Uvarint(0)
+				id = ns.entry[v].id
 			}
-			w.Int(ns.rr[v])
-		}
-		w.Varint(ns.nextSignal)
-		for v := 0; v < message.NumVNets; v++ {
-			ce := &ns.circuit[v]
-			w.Bool(ce.active)
-			w.Uvarint(ce.popupID)
-			w.Varint(int64(ce.inPort))
-			w.Varint(int64(ce.outPort))
-			w.Varint(int64(ce.vcIdx))
-			w.Bool(ce.released)
-		}
-		w.Bool(ns.reqStop.valid)
-		w.Bool(ns.reqStop.reserved)
-		w.Uvarint(uint64(ns.reqStop.kind))
-		w.Uvarint(ns.reqStop.popupID)
-		w.Int(ns.reqStop.hopIdx)
-		w.Varint(ns.reqStop.ready)
-		w.Uvarint(uint64(len(ns.acks)))
-		for _, a := range ns.acks {
-			w.Uvarint(a.popupID)
-			w.Int(a.hopIdx)
-			w.Varint(a.ready)
-		}
-		w.Int(ns.ackRes)
-		for v := 0; v < message.NumVNets; v++ {
-			l := &ns.popupLatch[v]
-			w.Bool(l.valid)
-			w.Bool(l.reserved)
-			w.Flit(l.flit)
-			w.Varint(l.ready)
-		}
-	}
-	for ci := range u.tokens {
-		for v := 0; v < message.NumVNets; v++ {
-			w.Uvarint(u.tokens[ci][v])
-		}
-	}
-}
-
-// Restore overwrites the scheme's state from a snapshot written by
-// Snapshot on an identically-configured system, then rebinds the grant
-// callbacks of reservation waiters the NIs deserialized earlier in the
-// restore sequence.
-func (u *UPP) Restore(r *snap.Reader) error {
-	numNodes := len(u.nodes)
-	nvc := u.net.Cfg.Router.NumVCs()
-	maxPath := 2*numNodes + 2 // chasePath bounds each phase by NumNodes
-
-	u.nextID = r.Uvarint("upp next id")
-	u.popups = make(map[uint64]*popup)
-	u.sorted = nil
-	np := r.Len("upp popup count", numNodes*message.NumVNets)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < np; i++ {
-		p := &popup{}
-		p.id = r.Uvarint("popup id")
-		p.vnet = message.VNet(r.Int("popup vnet", 0, message.NumVNets-1))
-		p.origin = topology.NodeID(r.Int("popup origin", 0, int64(numNodes)-1))
-		p.pkt = r.Packet()
-		gen := r.Uvarint("popup pkt gen")
-		if r.Err() == nil && gen > math.MaxUint32 {
-			r.Fail("popup pkt gen %d out of range", gen)
-		}
-		p.pktGen = uint32(gen)
-		p.dst = topology.NodeID(r.Int("popup dst", 0, int64(numNodes)-1))
-		p.dstChiplet = r.Int("popup dst chiplet", 0, int64(len(u.tokens))-1)
-		p.pktID = r.Uvarint("popup pkt id")
-		p.port = topology.PortID(r.Int("popup port", 0, 127))
-		p.vcIdx = r.Int("popup vc", 0, int64(nvc)-1)
-		p.frontSeq = int32(r.Int("popup front seq", 0, math.MaxInt32))
-		nh := r.Len("popup path len", maxPath)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if nh < 2 {
-			r.Fail("popup path of %d hops (need origin and destination)", nh)
-			return r.Err()
-		}
-		p.path = make([]hop, nh)
-		for j := 0; j < nh; j++ {
-			p.path[j].node = topology.NodeID(r.Int("hop node", 0, int64(numNodes)-1))
-			p.path[j].inPort = topology.PortID(r.Int("hop in", -1, 127))
-			p.path[j].outPort = topology.PortID(r.Int("hop out", -1, 127))
-		}
-		st := r.Uvarint("popup stage")
-		if r.Err() == nil && st > uint64(stageDrain) {
-			r.Fail("popup stage %d out of range", st)
-		}
-		p.stage = popupStage(st)
-		p.drainStart = r.Varint("popup drain start")
-		p.reqSent = r.Bool("popup req sent")
-		p.cancelled = r.Bool("popup cancelled")
-		p.stopPending = r.Bool("popup stop pending")
-		p.stopDelivered = r.Bool("popup stop delivered")
-		p.ackLaunched = r.Bool("popup ack launched")
-		p.ackDone = r.Bool("popup ack done")
-		p.tailLeftOrigin = r.Bool("popup tail left")
-		p.deadline = r.Varint("popup deadline")
-		p.retries = uint8(r.Int("popup retries", 0, math.MaxUint8))
-		p.resendReq = r.Bool("popup resend req")
-		p.resRequested = r.Bool("popup res requested")
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if p.pkt == nil {
-			r.Fail("popup %d without a packet reference", p.id)
-			return r.Err()
-		}
-		if _, dup := u.popups[p.id]; dup {
-			r.Fail("duplicate popup id %d", p.id)
-			return r.Err()
-		}
-		u.popups[p.id] = p
-	}
-	for i := range u.nodes {
-		ns := &u.nodes[i]
-		*ns = nodeState{}
-		for v := 0; v < message.NumVNets; v++ {
-			ns.counters[v] = int32(r.Int("upp counter", 0, math.MaxInt32))
-			if id := r.Uvarint("upp entry popup"); id != 0 {
-				p := u.popups[id]
-				if p == nil {
-					r.Fail("node %d entry references unknown popup %d", i, id)
-					return r.Err()
+			c.U64("upp entry popup", &id)
+			if c.Decoding() && id != 0 {
+				if ns.entry[v] = u.popups[id]; ns.entry[v] == nil {
+					c.Fail("node %d entry references unknown popup %d", i, id)
+					return c.Err()
 				}
-				ns.entry[v] = p
 			}
-			ns.rr[v] = r.Int("upp rr", 0, int64(128*nvc))
+			snap.Int(c, "upp rr", &ns.rr[v], 0, 128*nvc)
 		}
-		ns.nextSignal = r.Varint("upp next signal")
-		for v := 0; v < message.NumVNets; v++ {
+		c.I64("upp next signal", &ns.nextSignal)
+		for v := range ns.circuit {
 			ce := &ns.circuit[v]
-			ce.active = r.Bool("circuit active")
-			ce.popupID = r.Uvarint("circuit popup")
-			ce.inPort = topology.PortID(r.Int("circuit in", -1, 127))
-			ce.outPort = topology.PortID(r.Int("circuit out", -1, 127))
-			ce.vcIdx = int8(r.Int("circuit vc", -1, int64(nvc)-1))
-			ce.released = r.Bool("circuit released")
+			c.Bool("circuit active", &ce.active)
+			c.U64("circuit popup", &ce.popupID)
+			snap.Int(c, "circuit in", &ce.inPort, -1, 127)
+			snap.Int(c, "circuit out", &ce.outPort, -1, 127)
+			snap.Int(c, "circuit vc", &ce.vcIdx, -1, nvc-1)
+			c.Bool("circuit released", &ce.released)
 		}
-		ns.reqStop.valid = r.Bool("latch valid")
-		ns.reqStop.reserved = r.Bool("latch reserved")
-		k := r.Uvarint("latch kind")
-		if r.Err() == nil && k > uint64(sigStop) {
-			r.Fail("latch kind %d out of range", k)
-		}
-		ns.reqStop.kind = sigKind(k)
-		ns.reqStop.popupID = r.Uvarint("latch popup")
-		ns.reqStop.hopIdx = r.Int("latch hop", 0, int64(maxPath))
-		ns.reqStop.ready = r.Varint("latch ready")
-		na := r.Len("ack count", message.NumVNets)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for j := 0; j < na; j++ {
-			a := ackEntry{}
-			a.popupID = r.Uvarint("ack popup")
-			a.hopIdx = r.Int("ack hop", 0, int64(maxPath))
-			a.ready = r.Varint("ack ready")
-			ns.acks = append(ns.acks, a)
-		}
-		ns.ackRes = r.Int("ack reserved", 0, message.NumVNets)
-		for v := 0; v < message.NumVNets; v++ {
+		c.Bool("latch valid", &ns.reqStop.valid)
+		c.Bool("latch reserved", &ns.reqStop.reserved)
+		snap.Uint(c, "latch kind", &ns.reqStop.kind, uint64(sigStop))
+		c.U64("latch popup", &ns.reqStop.popupID)
+		snap.Int(c, "latch hop", &ns.reqStop.hopIdx, 0, int64(maxPath))
+		c.I64("latch ready", &ns.reqStop.ready)
+		snap.Slice(c, "ack count", &ns.acks, message.NumVNets, func(a *ackEntry) {
+			c.U64("ack popup", &a.popupID)
+			snap.Int(c, "ack hop", &a.hopIdx, 0, int64(maxPath))
+			c.I64("ack ready", &a.ready)
+		})
+		snap.Int(c, "ack reserved", &ns.ackRes, 0, message.NumVNets)
+		for v := range ns.popupLatch {
 			l := &ns.popupLatch[v]
-			l.valid = r.Bool("popup latch valid")
-			l.reserved = r.Bool("popup latch reserved")
-			l.flit = r.Flit()
-			l.ready = r.Varint("popup latch ready")
+			c.Bool("popup latch valid", &l.valid)
+			c.Bool("popup latch reserved", &l.reserved)
+			c.Flit(&l.flit)
+			c.I64("popup latch ready", &l.ready)
 		}
-		if r.Err() != nil {
-			return r.Err()
+		if c.Err() != nil {
+			return c.Err()
 		}
 	}
 	for ci := range u.tokens {
-		for v := 0; v < message.NumVNets; v++ {
-			id := r.Uvarint("token holder")
-			if r.Err() == nil && id != 0 && u.popups[id] == nil {
-				r.Fail("token (chiplet %d, vnet %d) held by unknown popup %d", ci, v, id)
+		for v := range u.tokens[ci] {
+			id := &u.tokens[ci][v]
+			c.U64("token holder", id)
+			if c.Decoding() && c.Err() == nil && *id != 0 && u.popups[*id] == nil {
+				c.Fail("token (chiplet %d, vnet %d) held by unknown popup %d", ci, v, *id)
 			}
-			u.tokens[ci][v] = id
 		}
 	}
-	if r.Err() != nil {
-		return r.Err()
+	if c.Err() != nil || !c.Decoding() {
+		return c.Err()
 	}
 	// Hop-index sanity now that every path length is known: a latched
 	// signal or buffered ack with an index past its popup's path would
@@ -254,28 +151,18 @@ func (u *UPP) Restore(r *snap.Reader) error {
 		ns := &u.nodes[i]
 		if ns.reqStop.valid {
 			if p := u.popups[ns.reqStop.popupID]; p != nil && ns.reqStop.hopIdx >= len(p.path) {
-				r.Fail("node %d signal latch hop %d past popup %d path (%d hops)",
+				c.Fail("node %d signal latch hop %d past popup %d path (%d hops)",
 					i, ns.reqStop.hopIdx, p.id, len(p.path))
-				return r.Err()
+				return c.Err()
 			}
 		}
 		for _, a := range ns.acks {
 			if p := u.popups[a.popupID]; p != nil && a.hopIdx >= len(p.path) {
-				r.Fail("node %d ack hop %d past popup %d path (%d hops)",
+				c.Fail("node %d ack hop %d past popup %d path (%d hops)",
 					i, a.hopIdx, p.id, len(p.path))
-				return r.Err()
+				return c.Err()
 			}
 		}
 	}
-	// Re-install the grant callbacks of reservation waiters the NIs
-	// restored earlier in the sequence (serialized as (vnet, popupID)
-	// pairs — the closure itself cannot be serialized, but makeGrant
-	// rebuilds an identical one).
-	for _, ni := range u.net.NIs {
-		ni := ni
-		ni.ReservationWaiters(func(vnet message.VNet, popupID uint64) {
-			ni.RebindReservation(popupID, u.makeGrant(ni, popupID, vnet))
-		})
-	}
-	return r.Err()
+	return nil
 }

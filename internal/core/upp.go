@@ -880,28 +880,27 @@ func (u *UPP) OnScheduledCall(c network.SchemeCall, cycle sim.Cycle) {
 		l.valid = true
 		l.flit = c.Flit
 		l.ready = cycle // circuit switching: movable the cycle it lands
+	case network.CallReservationGranted:
+		u.reservationGranted(c.Node, c.A, message.VNet(c.B), cycle)
 	default:
 		panic(fmt.Sprintf("upp: unknown scheduled call kind %d", c.Kind))
 	}
 }
 
-// makeGrant builds the reservation-grant callback for popup id at ni.
-// Factored out of deliverReqStop so Restore can rebind the callback of
-// a deserialized reservation waiter to an identical closure.
-func (u *UPP) makeGrant(ni *network.NI, id uint64, vnet message.VNet) func(grantCycle sim.Cycle) {
-	return func(grantCycle sim.Cycle) {
-		u.net.Stats.ReservationsGranted++
-		pp := u.popups[id]
-		if pp == nil {
-			// Granted for a force-retired popup (abortPopup removes its
-			// waiter, so this should be unreachable): recycle the entry.
-			ni.CancelReservation(vnet, id)
-			u.net.Stats.LateSignals++
-			return
-		}
-		pp.ackLaunched = true
-		u.launchAck(pp, grantCycle)
+// reservationGranted is the destination NI's answer to a UPP_req: the
+// ejection entry for popup id is reserved, so its ack can leave.
+func (u *UPP) reservationGranted(node topology.NodeID, id uint64, vnet message.VNet, cycle sim.Cycle) {
+	u.net.Stats.ReservationsGranted++
+	pp := u.popups[id]
+	if pp == nil {
+		// Granted for a force-retired popup (abortPopup removes its
+		// waiter, so this should be unreachable): recycle the entry.
+		u.net.NI(node).CancelReservation(vnet, id)
+		u.net.Stats.LateSignals++
+		return
 	}
+	pp.ackLaunched = true
+	u.launchAck(pp, cycle)
 }
 
 // OnPacketEjected implements network.Scheme: a fully ejected popup packet

@@ -10,14 +10,20 @@ import (
 
 // FuzzSnapshotDecode feeds corrupted, truncated and mutated snapshot
 // bytes to the UPWS decoder. The contract under test: ReadSnapshot on a
-// fixed, freshly-built environment returns a structured error (or nil for
-// the pristine bytes) and never panics — the decoder's bounds checks plus
-// its recover backstop must absorb anything the fuzzer constructs. The
-// seed corpus is a real mid-measurement checkpoint of a loaded UPP run,
-// damaged copies of it, and the same state with one wheel event its target
-// router cannot take (TestSnapshotRejectsUndeliverableEvents' cases).
+// freshly-built environment returns a structured error (or nil for the
+// pristine bytes) and never panics — the decoder's bounds checks plus its
+// recover backstop must absorb anything the fuzzer constructs. The input
+// names its environment, so every section has a decoder the fuzzer
+// reaches: 0 is a loaded UPP run, 1 remote control, 2 UPP under a
+// collective workload engine, 3 UPP with a reconfiguration engine. The
+// seed corpus is a real mid-measurement checkpoint of environment 0,
+// damaged copies of it, the same state with one wheel event its target
+// router cannot take (TestSnapshotRejectsUndeliverableEvents' cases), and
+// one loaded snapshot of each other environment (the reconfiguration one
+// taken mid-transition).
 func FuzzSnapshotDecode(f *testing.F) {
 	spec := snapSpec(SchemeUPP, "iq")
+	envs := []RunSpec{spec, snapSpec(SchemeRemoteControl, "iq"), snapWorkloadSpec(), snapReconfigSpec()}
 	var buf bytes.Buffer
 	if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
 		f.Fatal(err)
@@ -26,14 +32,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(snapshot)
-	f.Add(snapshot[:len(snapshot)/2])
-	f.Add(snapshot[:8])
-	f.Add([]byte{})
-	f.Add([]byte("UPWS"))
+	f.Add(uint8(0), snapshot)
+	f.Add(uint8(0), snapshot[:len(snapshot)/2])
+	f.Add(uint8(0), snapshot[:8])
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), []byte("UPWS"))
 	flipped := append([]byte(nil), snapshot...)
 	flipped[len(flipped)/3] ^= 0x40
-	f.Add(flipped)
+	f.Add(uint8(0), flipped)
+	for _, seed := range []struct {
+		env uint8
+		at  int64
+	}{{1, 700}, {2, 300}, {3, 410}} {
+		_, loaded := loadedSnapshot(f, envs[seed.env], seed.at)
+		f.Add(seed.env, loaded)
+	}
 	pkt := &message.Packet{ID: 1 << 40, Size: 1}
 	for _, schedule := range []func(n *network.Network){
 		func(n *network.Network) { n.DeliverCredit(-1, 1, 0, 1, false, n.Cycle()+1) },
@@ -57,16 +70,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := n.WriteSnapshot(&crafted, g); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(crafted.Bytes())
+		f.Add(uint8(0), crafted.Bytes())
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n, g, err := BuildRun(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	f.Fuzz(func(t *testing.T, env uint8, data []byte) {
+		e := assembleSnapEnv(t, envs[int(env)%len(envs)])
 		// Error or nil are both fine; a panic escaping fails the fuzz.
-		_ = n.ReadSnapshot(data, g)
+		_ = e.net.ReadSnapshot(data, e.extras...)
 	})
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 
+	"uppnoc/internal/network"
+	"uppnoc/internal/reconfig"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -182,5 +184,116 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if (arch == "oq") != (staged > 0) {
 			t.Errorf("%s: %d flits staged at the checkpoint cycle", arch, staged)
 		}
+	}
+}
+
+// snapEnv is one assembled simulation with its traffic source and the
+// extras its snapshots carry.
+type snapEnv struct {
+	net    *network.Network
+	src    TrafficSource
+	extras []network.SnapshotExtra
+}
+
+// assembleSnapEnv builds spec's machine at cycle 0: the collective engine
+// when the spec names a workload, the rate generator (plus the
+// reconfiguration engine, when the plan attaches one) otherwise.
+func assembleSnapEnv(tb testing.TB, spec RunSpec) snapEnv {
+	tb.Helper()
+	if spec.Workload == "" {
+		n, g, err := BuildRun(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return snapEnv{n, g, snapshotExtras(n, g)}
+	}
+	sm, err := Assemble(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, _, err := workloadEngine(sm.Net, spec.Workload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snapEnv{sm.Net, eng, []network.SnapshotExtra{eng}}
+}
+
+// loadedSnapshot drives a fresh environment of spec to cycle at and
+// returns it with its snapshot.
+func loadedSnapshot(tb testing.TB, spec RunSpec, at int64) (snapEnv, []byte) {
+	tb.Helper()
+	e := assembleSnapEnv(tb, spec)
+	Drive(e.net, e.src, at, nil)
+	var buf bytes.Buffer
+	if err := e.net.WriteSnapshot(&buf, e.extras...); err != nil {
+		tb.Fatal(err)
+	}
+	return e, buf.Bytes()
+}
+
+// snapWorkloadSpec is snapSpec's machine under a closed-loop collective;
+// snapReconfigSpec the same machine losing two interposer links at cycle
+// 400 in one epoch transition, which is still draining at cycle 410.
+func snapWorkloadSpec() RunSpec {
+	spec := snapSpec(SchemeUPP, "iq")
+	spec.Pattern, spec.Rate, spec.Workload = nil, 0, "all_to_all:iters=4"
+	return spec
+}
+
+func snapReconfigSpec() RunSpec {
+	spec := snapSpec(SchemeUPP, "iq")
+	spec.FaultPlan, spec.Mode = "kill=3@400,kill=9@400", reconfig.ModeEpoch
+	return spec
+}
+
+// TestSnapshotEverySectionReencodes: on every scheme and router
+// implementation, and with each kind of extra, a loaded snapshot restores
+// into a freshly assembled twin that writes the identical bytes back, and
+// the two then run on to equal statistics. Each section is one description
+// walked in both directions, so this is the check that the decode
+// direction rebuilds everything the encode direction reads.
+func TestSnapshotEverySectionReencodes(t *testing.T) {
+	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_NOPOOL", "UPP_CACHE_DIR"} {
+		t.Setenv(env, "")
+	}
+	type tcase struct {
+		name   string
+		spec   RunSpec
+		at     int64
+		loaded func(e snapEnv) bool
+	}
+	busy := func(e snapEnv) bool { return e.net.InFlight() > 0 }
+	var cases []tcase
+	for _, sch := range []SchemeName{SchemeUPP, SchemeRemoteControl, SchemeComposable} {
+		for _, arch := range []string{"iq", "oq", "voq"} {
+			cases = append(cases, tcase{fmt.Sprintf("%s/%s", sch, arch), snapSpec(sch, arch), 700, busy})
+		}
+	}
+	cases = append(cases,
+		tcase{"upp/workload", snapWorkloadSpec(), 300, busy},
+		tcase{"upp/reconfig mid-transition", snapReconfigSpec(), 410, func(e snapEnv) bool { return e.net.TransitionActive() }})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			orig, first := loadedSnapshot(t, c.spec, c.at)
+			if !c.loaded(orig) {
+				t.Fatalf("cycle %d is not a loaded cycle for this case", c.at)
+			}
+			twin := assembleSnapEnv(t, c.spec)
+			if err := twin.net.ReadSnapshot(first, twin.extras...); err != nil {
+				t.Fatal(err)
+			}
+			var second bytes.Buffer
+			if err := twin.net.WriteSnapshot(&second, twin.extras...); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, second.Bytes()) {
+				t.Fatalf("re-written snapshot differs from the one restored (%d vs %d bytes)", second.Len(), len(first))
+			}
+			Drive(orig.net, orig.src, c.at+500, nil)
+			Drive(twin.net, twin.src, c.at+500, nil)
+			if orig.net.Stats != twin.net.Stats {
+				t.Fatalf("runs diverged after the restore:\noriginal %+v\nrestored %+v", orig.net.Stats, twin.net.Stats)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/router"
@@ -23,11 +24,12 @@ type stream struct {
 	next int32
 }
 
-// reservationWaiter is a pending UPP_req waiting for a free ejection entry.
+// reservationWaiter is a pending UPP_req waiting for a free ejection
+// entry. It is plain data — the grant goes back to the scheme as a
+// SchemeCall (see RequestReservation) — so a snapshot holds it whole.
 type reservationWaiter struct {
 	vnet    message.VNet
 	popupID uint64
-	grant   func(cycle sim.Cycle)
 }
 
 // NI is a network interface: per-VNet injection queues that segment
@@ -198,19 +200,21 @@ func (ni *NI) grantWaiters(cycle sim.Cycle) {
 	kept := ni.waiters[:0]
 	for _, w := range ni.waiters {
 		if ni.freeEj(w.vnet) > 0 {
-			ni.ejReserved[w.vnet]++
-			w.grant(cycle)
+			ni.grantReservation(w, cycle)
 		} else {
 			kept = append(kept, w)
 		}
 	}
-	// Same tail hygiene as consumeStep: a granted waiter left in the
-	// slack capacity retains its grant closure and everything it
-	// captured.
-	for i := len(kept); i < len(ni.waiters); i++ {
-		ni.waiters[i] = reservationWaiter{}
-	}
+	clear(ni.waiters[len(kept):])
 	ni.waiters = kept
+}
+
+// grantReservation reserves an ejection entry for w and tells the scheme.
+func (ni *NI) grantReservation(w reservationWaiter, cycle sim.Cycle) {
+	ni.ejReserved[w.vnet]++
+	ni.net.scheme.OnScheduledCall(SchemeCall{
+		Kind: CallReservationGranted, Node: ni.Node, A: w.popupID, B: uint64(w.vnet),
+	}, cycle)
 }
 
 func (ni *NI) injectStep(cycle sim.Cycle) {
@@ -395,16 +399,17 @@ func (ni *NI) asmRemove(p *message.Packet) {
 }
 
 // RequestReservation implements the NI side of UPP_req (Sec. V-B): reserve
-// an ejection entry for vnet, calling grant when done — immediately if an
-// entry is free, otherwise as soon as one frees up (guaranteed to happen;
-// see the Sec. V-B4 proof cases enforced by Consumer semantics).
-func (ni *NI) RequestReservation(vnet message.VNet, popupID uint64, cycle sim.Cycle, grant func(cycle sim.Cycle)) {
+// an ejection entry for vnet and hand the scheme a CallReservationGranted
+// through OnScheduledCall when done — immediately if an entry is free,
+// otherwise as soon as one frees up (guaranteed to happen; see the
+// Sec. V-B4 proof cases enforced by Consumer semantics).
+func (ni *NI) RequestReservation(vnet message.VNet, popupID uint64, cycle sim.Cycle) {
+	w := reservationWaiter{vnet: vnet, popupID: popupID}
 	if ni.freeEj(vnet) > 0 {
-		ni.ejReserved[vnet]++
-		grant(cycle)
+		ni.grantReservation(w, cycle)
 		return
 	}
-	ni.waiters = append(ni.waiters, reservationWaiter{vnet: vnet, popupID: popupID, grant: grant})
+	ni.waiters = append(ni.waiters, w)
 	ni.net.wakeNI(ni.Node)
 }
 
@@ -413,14 +418,7 @@ func (ni *NI) RequestReservation(vnet message.VNet, popupID uint64, cycle sim.Cy
 func (ni *NI) CancelReservation(vnet message.VNet, popupID uint64) {
 	for i, w := range ni.waiters {
 		if w.popupID == popupID {
-			// Splice i out, then zero the vacated tail slot: the plain
-			// append-splice leaves the last element duplicated in the
-			// slack capacity, retaining its grant closure (and whatever
-			// popup state it captured) until the slice regrows.
-			last := len(ni.waiters) - 1
-			copy(ni.waiters[i:], ni.waiters[i+1:])
-			ni.waiters[last] = reservationWaiter{}
-			ni.waiters = ni.waiters[:last]
+			ni.waiters = slices.Delete(ni.waiters, i, i+1)
 			return
 		}
 	}

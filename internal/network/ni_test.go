@@ -5,6 +5,7 @@ import (
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
 
@@ -14,14 +15,40 @@ func newIdleNet(t *testing.T) *network.Network {
 	return network.MustNew(topo, network.DefaultConfig(), network.None{})
 }
 
+// grantLog is a scheme that records the reservation grants NIs hand back
+// through OnScheduledCall.
+type grantLog struct {
+	network.BaseScheme
+	grants []network.SchemeCall
+}
+
+func (*grantLog) Name() string { return "grant_log" }
+func (g *grantLog) OnScheduledCall(c network.SchemeCall, _ sim.Cycle) {
+	if c.Kind == network.CallReservationGranted {
+		g.grants = append(g.grants, c)
+	}
+}
+
+// granted reports whether exactly the reservation (ni, vnet, popupID) was
+// granted, and nothing else.
+func (g *grantLog) granted(ni *network.NI, vnet message.VNet, popupID uint64) bool {
+	want := network.SchemeCall{Kind: network.CallReservationGranted, Node: ni.Node, A: popupID, B: uint64(vnet)}
+	return len(g.grants) == 1 && g.grants[0] == want
+}
+
+func newGrantLogNet(t *testing.T) (*network.Network, *grantLog) {
+	t.Helper()
+	log := &grantLog{}
+	return network.MustNew(topology.MustBuild(topology.BaselineConfig()), network.DefaultConfig(), log), log
+}
+
 // TestReservationImmediateGrant: with free entries the reservation grants
 // in the same call (the NI side of UPP_req, Sec. V-B).
 func TestReservationImmediateGrant(t *testing.T) {
-	n := newIdleNet(t)
+	n, log := newGrantLogNet(t)
 	ni := n.NI(n.Topo.Cores()[0])
-	granted := false
-	ni.RequestReservation(message.VNetResponse, 1, 0, func(int64) { granted = true })
-	if !granted {
+	ni.RequestReservation(message.VNetResponse, 1, 0)
+	if !log.granted(ni, message.VNetResponse, 1) {
 		t.Fatal("reservation not granted immediately with a free queue")
 	}
 	if got := ni.ReservedEntries(message.VNetResponse); got != 1 {
@@ -40,7 +67,7 @@ func TestReservationImmediateGrant(t *testing.T) {
 // until a consume frees an entry — the waiter path the Sec. V-B4 proof
 // guarantees terminates.
 func TestReservationWaitsOnFullQueue(t *testing.T) {
-	n := newIdleNet(t)
+	n, log := newGrantLogNet(t)
 	dst := n.Topo.Cores()[5]
 	ni := n.NI(dst)
 	// Fill the response ejection queue with unconsumed packets.
@@ -55,15 +82,14 @@ func TestReservationWaitsOnFullQueue(t *testing.T) {
 	if ni.FreeEjectionEntries(message.VNetResponse) != 0 {
 		t.Fatal("queue not full")
 	}
-	granted := false
-	ni.RequestReservation(message.VNetResponse, 9, n.Cycle(), func(int64) { granted = true })
+	ni.RequestReservation(message.VNetResponse, 9, n.Cycle())
 	n.Run(50)
-	if granted {
+	if len(log.grants) != 0 {
 		t.Fatal("granted against a full queue")
 	}
 	blocked = false
 	n.Run(50)
-	if !granted {
+	if !log.granted(ni, message.VNetResponse, 9) {
 		t.Fatal("reservation never granted after the queue drained")
 	}
 }
@@ -71,7 +97,7 @@ func TestReservationWaitsOnFullQueue(t *testing.T) {
 // TestCancelPendingWaiter: cancelling a reservation that is still waiting
 // removes the waiter without touching the reserved count.
 func TestCancelPendingWaiter(t *testing.T) {
-	n := newIdleNet(t)
+	n, log := newGrantLogNet(t)
 	dst := n.Topo.Cores()[5]
 	ni := n.NI(dst)
 	ni.Consume = func(*message.Packet, int64) bool { return false }
@@ -80,12 +106,11 @@ func TestCancelPendingWaiter(t *testing.T) {
 		n.NI(p.Src).Enqueue(p, n.Cycle())
 	}
 	n.Run(2000)
-	granted := false
-	ni.RequestReservation(message.VNetRequest, 77, n.Cycle(), func(int64) { granted = true })
+	ni.RequestReservation(message.VNetRequest, 77, n.Cycle())
 	ni.CancelReservation(message.VNetRequest, 77)
 	ni.Consume = func(*message.Packet, int64) bool { return true }
 	n.Run(200)
-	if granted {
+	if len(log.grants) != 0 {
 		t.Fatal("cancelled waiter was granted")
 	}
 	if got := ni.ReservedEntries(message.VNetRequest); got != 0 {
@@ -100,7 +125,7 @@ func TestCanAcceptHeadRespectsReservations(t *testing.T) {
 	ni := n.NI(n.Topo.Cores()[0])
 	pkt := &message.Packet{VNet: message.VNetForward, Size: 1}
 	for i := 0; i < n.Cfg.EjectionDepth; i++ {
-		ni.RequestReservation(message.VNetForward, uint64(i+1), 0, func(int64) {})
+		ni.RequestReservation(message.VNetForward, uint64(i+1), 0)
 	}
 	if ni.CanAcceptHead(pkt, 0) {
 		t.Fatal("head admitted into a fully reserved queue")
@@ -116,7 +141,7 @@ func TestCanAcceptHeadRespectsReservations(t *testing.T) {
 func TestPopupFlitConsumesReservation(t *testing.T) {
 	n := newIdleNet(t)
 	ni := n.NI(n.Topo.Cores()[0])
-	ni.RequestReservation(message.VNetResponse, 5, 0, func(int64) {})
+	ni.RequestReservation(message.VNetResponse, 5, 0)
 	pkt := &message.Packet{ID: 1, VNet: message.VNetResponse, Size: 2, Popup: true, PopupID: 5}
 	ni.AcceptFlit(message.Flit{Pkt: pkt, Seq: 0}, 1)
 	if got := ni.ReservedEntries(message.VNetResponse); got != 0 {

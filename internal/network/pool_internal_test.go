@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"uppnoc/internal/message"
-	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
 
@@ -15,16 +14,14 @@ func testNet(t *testing.T) *Network {
 
 // TestCancelReservationZerosVacatedTail: the CancelReservation splice
 // must not leave a stale duplicate of the last waiter in the slice's
-// slack capacity — the duplicate retains the grant closure and whatever
-// popup state it captured.
+// slack capacity.
 func TestCancelReservationZerosVacatedTail(t *testing.T) {
 	n := testNet(t)
 	ni := n.NI(n.Topo.Cores()[0])
 	const vnet = message.VNetRequest
 	ni.ejOccupied[vnet] = ni.ejCap // no free entries: reservations must wait
-	grant := func(sim.Cycle) {}
 	for id := uint64(1); id <= 3; id++ {
-		ni.RequestReservation(vnet, id, 0, grant)
+		ni.RequestReservation(vnet, id, 0)
 	}
 	if len(ni.waiters) != 3 {
 		t.Fatalf("expected 3 queued waiters, got %d", len(ni.waiters))
@@ -38,8 +35,8 @@ func TestCancelReservationZerosVacatedTail(t *testing.T) {
 	}
 	// Inspect the vacated slot beyond len: it must be zeroed.
 	tail := ni.waiters[:3][2]
-	if tail.grant != nil || tail.popupID != 0 {
-		t.Fatalf("vacated waiter slot retains state: popupID=%d grant=%p", tail.popupID, tail.grant)
+	if tail != (reservationWaiter{}) {
+		t.Fatalf("vacated waiter slot retains state: %+v", tail)
 	}
 }
 
@@ -66,21 +63,28 @@ func TestConsumeStepZerosVacatedTail(t *testing.T) {
 // TestGrantWaitersZerosVacatedTail: granting waiters filters the slice
 // in place; granted entries must not survive in the slack capacity.
 func TestGrantWaitersZerosVacatedTail(t *testing.T) {
-	n := testNet(t)
+	// Grants come back to the scheme as CallReservationGranted calls.
+	log := &callLog{}
+	n := MustNew(topology.MustBuild(topology.BaselineConfig()), DefaultConfig(), log)
 	ni := n.NI(n.Topo.Cores()[0])
 	const vnet = message.VNetRequest
 	ni.ejOccupied[vnet] = ni.ejCap
-	granted := 0
 	for id := uint64(1); id <= 2; id++ {
-		ni.RequestReservation(vnet, id, 0, func(sim.Cycle) { granted++ })
+		ni.RequestReservation(vnet, id, 0)
 	}
 	ni.ejOccupied[vnet] = 0 // room appears: both waiters grant this step
 	ni.grantWaiters(1)
-	if granted != 2 || len(ni.waiters) != 0 {
+	if granted := len(log.got); granted != 2 || len(ni.waiters) != 0 {
 		t.Fatalf("granted=%d waiters=%d; want 2 and 0", granted, len(ni.waiters))
 	}
+	for i, d := range log.got {
+		want := SchemeCall{Kind: CallReservationGranted, Node: ni.Node, A: uint64(i + 1), B: uint64(vnet)}
+		if d.at != 1 || d.call != want {
+			t.Fatalf("grant %d delivered as %+v at cycle %d, want %+v at 1", i, d.call, d.at, want)
+		}
+	}
 	for i, w := range ni.waiters[:2] {
-		if w.grant != nil || w.popupID != 0 {
+		if w != (reservationWaiter{}) {
 			t.Fatalf("slack slot %d retains granted waiter %d", i, w.popupID)
 		}
 	}

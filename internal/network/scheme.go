@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math"
+
 	"uppnoc/internal/message"
 	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
@@ -14,7 +16,8 @@ import (
 // redelivers the struct, which is what lets a snapshot capture pending
 // protocol timing (a closure could not be serialized; this can).
 type SchemeCall struct {
-	// Kind is scheme-private (see core's uppCall* constants).
+	// Kind is scheme-private (see core's uppCall* constants), except
+	// for CallReservationGranted.
 	Kind uint8
 	// Node is the landing node, when the action targets one.
 	Node topology.NodeID
@@ -28,6 +31,14 @@ type SchemeCall struct {
 	Flit    message.Flit
 	HasFlit bool
 }
+
+// CallReservationGranted is the one Kind the network defines itself: the
+// call an NI hands straight to OnScheduledCall when a reservation made
+// with NI.RequestReservation is granted, with Node the NI's node, A the
+// popup ID and B the VNet. A pending reservation is therefore data the NI
+// can snapshot whole, not a callback the scheme would have to rebind
+// after a restore. Scheme-private kinds stay below it.
+const CallReservationGranted uint8 = math.MaxUint8
 
 // Scheme is a deadlock-freedom approach plugged into the network: UPP
 // (internal/core), composable routing (internal/composable), remote
@@ -98,13 +109,13 @@ type Scheme interface {
 	// to Network.ScheduleCall, at its scheduled cycle. Schemes that never
 	// call ScheduleCall keep the no-op default.
 	OnScheduledCall(c SchemeCall, cycle sim.Cycle)
-	// Snapshot serializes the scheme's live protocol state (popup FSMs,
-	// tokens, control-plane buffers) into a UPWS section; Restore
-	// overwrites it from one written by the same scheme attached to an
-	// identically-configured network. Stateless schemes keep the no-op
-	// defaults. See DESIGN.md §14.
-	Snapshot(w *snap.Writer)
-	Restore(r *snap.Reader) error
+	// Snapshot describes the scheme's live protocol state (popup FSMs,
+	// tokens, control-plane buffers) as one UPWS section to the codec,
+	// which appends it or — on the same scheme attached to an
+	// identically-configured network — overwrites it from a snapshot;
+	// restore-only work hangs off c.Decoding(). Stateless schemes keep the
+	// no-op default. See DESIGN.md §14.
+	Snapshot(c *snap.Codec) error
 }
 
 // BaseScheme is a no-op Scheme for embedding; concrete schemes override
@@ -148,11 +159,8 @@ func (BaseScheme) Inert() bool { return true }
 // OnScheduledCall is a no-op (only schemes that use ScheduleCall see it).
 func (BaseScheme) OnScheduledCall(SchemeCall, sim.Cycle) {}
 
-// Snapshot writes nothing: the base scheme carries no mutable state.
-func (BaseScheme) Snapshot(*snap.Writer) {}
-
-// Restore reads nothing, mirroring Snapshot.
-func (BaseScheme) Restore(*snap.Reader) error { return nil }
+// Snapshot walks nothing: the base scheme carries no mutable state.
+func (BaseScheme) Snapshot(*snap.Codec) error { return nil }
 
 // None is the recovery-free fully-adaptive configuration: static-binding
 // routing with no deadlock handling at all. Integration-induced deadlocks

@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"uppnoc/internal/faults"
@@ -293,7 +294,7 @@ func (e *Engine) Done() bool { return e.cursor == len(e.events) && e.phase == ph
 // BeginCycle implements network.FaultInjector: transient faults are
 // delegated to the embedded injector, then the reconfiguration state
 // machine advances. During a snapshot restore's cursor resync the state
-// machine is skipped — RestoreState rebuilds it exactly.
+// machine is skipped — decoding the engine's section rebuilds it exactly.
 func (e *Engine) BeginCycle(cycle sim.Cycle) {
 	e.inner.BeginCycle(cycle)
 	if e.net.Restoring() {
@@ -481,73 +482,35 @@ func (e *Engine) SnapshotLabel() string { return "reconfig" }
 
 // SnapshotState implements network.SnapshotExtra. Only cursor state is
 // serialized: the routing tables of both epochs are pure functions of
-// the topology's Faulty set at the replayed cursor, and RestoreState
+// the topology's Faulty set at the replayed cursor, and decoding
 // re-derives them (so a snapshot stays compact and a restore is
-// bit-identical by construction).
-func (e *Engine) SnapshotState(w *snap.Writer) {
-	w.Int(e.cursor)
-	w.Uvarint(uint64(e.phase))
-	w.Int(e.batchStart)
-	w.Int(e.batchEnd)
-	w.Uvarint(uint64(len(e.cuts)))
-	for _, c := range e.cuts {
-		w.Int(c.Link)
-		w.Varint(c.Cycle)
-		w.Uvarint(c.SentA)
-		w.Uvarint(c.SentB)
-	}
-	w.Uvarint(uint64(len(e.transitions)))
-	for _, tr := range e.transitions {
-		w.Uvarint(uint64(tr.Epoch))
-		w.Varint(tr.Begin)
-		w.Varint(tr.Cut)
-		w.Varint(tr.Finish)
-		w.Bool(tr.Compatible)
-		w.Bool(tr.Hold)
-	}
-}
-
-// RestoreState implements network.SnapshotExtra: it reads the cursor
-// state, replays every applied event's Faulty/Down flips onto the fresh
-// topology, re-derives the routing tables of the current epoch (and of
-// the previous epoch when a transition is mid-flight) and installs them
-// in the network. Router port masks and the network's epoch scalars were
-// already restored from their own snapshot sections.
-func (e *Engine) RestoreState(r *snap.Reader) error {
+// bit-identical by construction): it replays every applied event's
+// Faulty/Down flips onto the fresh topology, rebuilds the routing tables
+// of the current epoch (and of the previous epoch when a transition is
+// mid-flight) and installs them in the network. Router port masks and the
+// network's epoch scalars were already restored from their own sections.
+func (e *Engine) SnapshotState(c *snap.Codec) error {
 	ne := int64(len(e.events))
-	e.cursor = r.Int("reconfig cursor", 0, ne)
-	e.phase = uint8(r.Uvarint("reconfig phase"))
-	e.batchStart = r.Int("reconfig batch start", 0, ne)
-	e.batchEnd = r.Int("reconfig batch end", 0, ne)
-	nc := r.Len("reconfig cuts", len(e.events))
-	e.cuts = e.cuts[:0]
-	for i := 0; i < nc; i++ {
-		c := CutInfo{
-			Link:  r.Int("cut link", 0, int64(len(e.net.Topo.Links)-1)),
-			Cycle: r.Varint("cut cycle"),
-			SentA: r.Uvarint("cut sent A"),
-			SentB: r.Uvarint("cut sent B"),
-		}
-		e.cuts = append(e.cuts, c)
-	}
-	nt := r.Len("reconfig transitions", len(e.events)+1)
-	e.transitions = e.transitions[:0]
-	for i := 0; i < nt; i++ {
-		tr := Transition{
-			Epoch:      uint32(r.Uvarint("transition epoch")),
-			Begin:      r.Varint("transition begin"),
-			Cut:        r.Varint("transition cut"),
-			Finish:     r.Varint("transition finish"),
-			Compatible: r.Bool("transition compatible"),
-			Hold:       r.Bool("transition hold"),
-		}
-		e.transitions = append(e.transitions, tr)
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if e.phase > phaseDraining {
-		return fmt.Errorf("reconfig: snapshot phase %d out of range", e.phase)
+	snap.Int(c, "reconfig cursor", &e.cursor, 0, ne)
+	snap.Uint(c, "reconfig phase", &e.phase, uint64(phaseDraining))
+	snap.Int(c, "reconfig batch start", &e.batchStart, 0, ne)
+	snap.Int(c, "reconfig batch end", &e.batchEnd, 0, ne)
+	snap.Slice(c, "reconfig cuts", &e.cuts, len(e.events), func(cut *CutInfo) {
+		snap.Int(c, "cut link", &cut.Link, 0, int64(len(e.net.Topo.Links)-1))
+		c.I64("cut cycle", &cut.Cycle)
+		c.U64("cut sent A", &cut.SentA)
+		c.U64("cut sent B", &cut.SentB)
+	})
+	snap.Slice(c, "reconfig transitions", &e.transitions, len(e.events)+1, func(tr *Transition) {
+		snap.Uint(c, "transition epoch", &tr.Epoch, math.MaxUint32)
+		c.I64("transition begin", &tr.Begin)
+		c.I64("transition cut", &tr.Cut)
+		c.I64("transition finish", &tr.Finish)
+		c.Bool("transition compatible", &tr.Compatible)
+		c.Bool("transition hold", &tr.Hold)
+	})
+	if c.Err() != nil || !c.Decoding() {
+		return c.Err()
 	}
 	if e.phase != phaseIdle && (e.batchEnd != e.cursor || e.batchStart >= e.batchEnd) {
 		return fmt.Errorf("reconfig: snapshot batch [%d,%d) inconsistent with cursor %d",

@@ -2,7 +2,9 @@ package reconfig_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -415,6 +417,65 @@ func TestReconfigSnapshotMidTransition(t *testing.T) {
 				if c != cold.cuts[i] {
 					t.Fatalf("restored cut %d: %+v != %+v", i, c, cold.cuts[i])
 				}
+			}
+		})
+	}
+}
+
+// TestReconfigSnapshotRejectsOutOfRangeFields: a phase or a transition
+// epoch too wide for its field must fail the decode naming the field, not
+// be truncated into a valid-looking value first (phase 256 restored as
+// idle, 257 as fencing; an epoch above MaxUint32 wrapped). The varints
+// are patched in the engine section of the mid-transition snapshot that
+// TestReconfigSnapshotMidTransition takes.
+func TestReconfigSnapshotRejectsOutOfRangeFields(t *testing.T) {
+	links := pickKillable(t, 2)
+	plan := faults.Plan{Kills: []faults.LinkKill{{Link: links[0], Cycle: 400}, {Link: links[1], Cycle: 400}}}
+	snapshot := runReconfigSoak(t, network.KernelActive, plan, reconfig.ModeEpoch, 1500, 410).checkpoint
+	// The engine is the last extra: label, cursor, phase, batch start and
+	// end, the cuts (link, cycle, two sent counters each), the transition
+	// count, then the first transition's epoch.
+	section := bytes.LastIndex(snapshot, []byte("\x08reconfig"))
+	if section < 0 {
+		t.Fatal("no reconfig section in the snapshot")
+	}
+	pos := section + len("\x08reconfig")
+	skip := func(fields int) {
+		for ; fields > 0; fields-- {
+			_, n := binary.Uvarint(snapshot[pos:]) // a zigzag varint spans the same bytes
+			pos += n
+		}
+	}
+	skip(1)
+	phaseAt := pos
+	skip(3)
+	cuts, n := binary.Uvarint(snapshot[pos:])
+	pos += n
+	skip(4 * int(cuts))
+	skip(1)
+	epochAt := pos
+	if phase, _ := binary.Uvarint(snapshot[phaseAt:]); phase == 0 {
+		t.Fatal("snapshot is not mid-transition")
+	}
+	for _, tc := range []struct {
+		name  string
+		at    int
+		value uint64
+		want  string
+	}{
+		{"phase 256 (idle once truncated)", phaseAt, 256, "reconfig phase"},
+		{"phase 257 (fencing once truncated)", phaseAt, 257, "reconfig phase"},
+		{"phase 3", phaseAt, 3, "reconfig phase"},
+		{"epoch past uint32", epochAt, math.MaxUint32 + 1, "transition epoch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, old := binary.Uvarint(snapshot[tc.at:])
+			patched := binary.AppendUvarint(append([]byte(nil), snapshot[:tc.at]...), tc.value)
+			patched = append(patched, snapshot[tc.at+old:]...)
+			n2, eng2, g2 := buildReconfigNet(t, network.KernelActive, plan, reconfig.ModeEpoch, 5)
+			err := n2.ReadSnapshot(patched, g2, eng2)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}

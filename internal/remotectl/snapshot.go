@@ -6,164 +6,97 @@ import (
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/snap"
-	"uppnoc/internal/topology"
 )
 
-// Snapshot serializes the scheme's injection-control state (DESIGN.md
-// §14): per-boundary slot occupancy, pending reservation requests,
-// grants, absorbed packets mid-stream and VC holds, plus the global
-// requested set. Boundaries are visited in Attach's construction order
-// (chiplet order, then boundary order), which both sides share; the
-// permission trees are immutable and rebuilt by Attach.
-func (s *Scheme) Snapshot(w *snap.Writer) {
-	ids := make([]uint64, 0, len(s.requested))
-	for id := range s.requested {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		w.Uvarint(id)
-	}
+// Snapshot describes the scheme's injection-control state as one UPWS
+// section (DESIGN.md §14), written or — on an identically-configured
+// system — overwritten by the codec: per-boundary slot occupancy, pending
+// reservation requests, grants, absorbed packets mid-stream and VC holds,
+// plus the global requested set. Boundaries are visited in Attach's
+// construction order (chiplet order, then boundary order), which both
+// directions share; the permission trees are immutable and rebuilt by
+// Attach.
+func (s *Scheme) Snapshot(c *snap.Codec) error {
+	nvc := int64(s.net.Cfg.Router.NumVCs())
+	idSet(c, "rc requested", &s.requested)
 	for _, ch := range s.net.Topo.Chiplets {
 		for _, bn := range ch.Boundary {
 			b := s.boundaries[bn]
-			w.Int(b.free)
-			w.Uvarint(uint64(len(b.reqQ)))
-			for _, req := range b.reqQ {
-				w.Packet(req.pkt)
-				w.Varint(req.ready)
-			}
-			ids = ids[:0]
-			for id := range b.granted {
-				ids = append(ids, id)
-			}
-			slices.Sort(ids)
-			w.Uvarint(uint64(len(ids)))
-			for _, id := range ids {
-				w.Uvarint(id)
-			}
+			snap.Int(c, "rc free slots", &b.free, 0, int64(s.cfg.SlotsPerBoundary))
+			snap.Slice(c, "rc req queue len", &b.reqQ, 1<<20, func(req *request) {
+				c.Packet(&req.pkt)
+				c.I64("rc req ready", &req.ready)
+				if c.Decoding() && c.Err() == nil && req.pkt == nil {
+					c.Fail("rc request without a packet")
+				}
+			})
+			idSet(c, "rc granted", &b.granted)
 			// The absorbing map's entries are exactly the slots queued in
 			// sendQ (created and retired together), so only sendQ is
-			// serialized and Restore rebuilds the map from it.
-			for v := 0; v < message.NumVNets; v++ {
-				w.Uvarint(uint64(len(b.sendQ[v])))
-				for _, sl := range b.sendQ[v] {
-					w.Packet(sl.pkt)
+			// serialized and decoding rebuilds the map from it.
+			if c.Decoding() {
+				b.absorbing = make(map[uint64]*slot)
+			}
+			for v := range b.sendQ {
+				snap.Slice(c, "rc send queue len", &b.sendQ[v], s.cfg.SlotsPerBoundary, func(pp **slot) {
+					if c.Decoding() {
+						*pp = &slot{}
+					}
+					sl := *pp
+					c.Packet(&sl.pkt)
 					// The packet's ID rides along explicitly: at restore
 					// time the reference is still an unfilled placeholder
 					// (the packet table decodes last), but the absorbing
 					// map needs its key now.
-					w.Uvarint(sl.pkt.ID)
-					w.Uvarint(uint64(len(sl.flits)))
-					for _, f := range sl.flits {
-						w.Flit(f)
+					var pktID uint64
+					if !c.Decoding() {
+						pktID = sl.pkt.ID
 					}
-					w.Int(sl.next)
-					w.Varint(int64(sl.outVC))
-				}
+					c.U64("rc slot pkt id", &pktID)
+					snap.Slice(c, "rc slot flit count", &sl.flits, 1<<20, func(f *message.Flit) { c.Flit(f) })
+					snap.Int(c, "rc slot next", &sl.next, 0, math.MaxInt32)
+					snap.Int(c, "rc slot outvc", &sl.outVC, -1, nvc-1)
+					if c.Decoding() && c.Err() == nil {
+						switch {
+						case sl.pkt == nil:
+							c.Fail("rc slot without a packet")
+						case sl.next > len(sl.flits):
+							c.Fail("rc slot next %d past %d absorbed flits", sl.next, len(sl.flits))
+						default:
+							b.absorbing[pktID] = sl
+						}
+					}
+				})
 			}
-			w.Int(b.vnetRR)
-			w.Uvarint(uint64(len(b.held)))
-			for _, h := range b.held {
-				w.Varint(int64(h.port))
-				w.Int(h.vc)
+			snap.Int(c, "rc vnet rr", &b.vnetRR, 0, message.NumVNets-1)
+			snap.Slice(c, "rc held count", &b.held, 1<<20, func(h *heldVC) {
+				snap.Int(c, "rc held port", &h.port, 0, 127)
+				snap.Int(c, "rc held vc", &h.vc, 0, nvc-1)
+			})
+			if c.Err() != nil {
+				return c.Err()
 			}
 		}
 	}
+	return nil
 }
 
-// Restore overwrites the scheme's state from a snapshot written by
-// Snapshot on an identically-configured system.
-func (s *Scheme) Restore(r *snap.Reader) error {
-	nvc := s.net.Cfg.Router.NumVCs()
-	s.requested = make(map[uint64]bool)
-	nr := r.Len("rc requested count", 1<<20)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nr; i++ {
-		s.requested[r.Uvarint("rc requested id")] = true
-	}
-	for _, ch := range s.net.Topo.Chiplets {
-		for _, bn := range ch.Boundary {
-			b := s.boundaries[bn]
-			b.free = r.Int("rc free slots", 0, int64(s.cfg.SlotsPerBoundary))
-			nq := r.Len("rc req queue len", 1<<20)
-			if r.Err() != nil {
-				return r.Err()
-			}
-			b.reqQ = nil
-			for i := 0; i < nq; i++ {
-				p := r.Packet()
-				ready := r.Varint("rc req ready")
-				if r.Err() != nil {
-					return r.Err()
-				}
-				if p == nil {
-					r.Fail("rc request without a packet")
-					return r.Err()
-				}
-				b.reqQ = append(b.reqQ, request{pkt: p, ready: ready})
-			}
-			b.granted = make(map[uint64]bool)
-			ng := r.Len("rc granted count", 1<<20)
-			if r.Err() != nil {
-				return r.Err()
-			}
-			for i := 0; i < ng; i++ {
-				b.granted[r.Uvarint("rc granted id")] = true
-			}
-			b.absorbing = make(map[uint64]*slot)
-			for v := 0; v < message.NumVNets; v++ {
-				b.sendQ[v] = nil
-				ns := r.Len("rc send queue len", s.cfg.SlotsPerBoundary)
-				if r.Err() != nil {
-					return r.Err()
-				}
-				for i := 0; i < ns; i++ {
-					sl := &slot{}
-					sl.pkt = r.Packet()
-					pktID := r.Uvarint("rc slot pkt id")
-					nf := r.Len("rc slot flit count", 1<<20)
-					if r.Err() != nil {
-						return r.Err()
-					}
-					for j := 0; j < nf; j++ {
-						sl.flits = append(sl.flits, r.Flit())
-					}
-					sl.next = r.Int("rc slot next", 0, math.MaxInt32)
-					sl.outVC = int8(r.Int("rc slot outvc", -1, int64(nvc)-1))
-					if r.Err() != nil {
-						return r.Err()
-					}
-					if sl.pkt == nil {
-						r.Fail("rc slot without a packet")
-						return r.Err()
-					}
-					if sl.next > len(sl.flits) {
-						r.Fail("rc slot next %d past %d absorbed flits", sl.next, len(sl.flits))
-						return r.Err()
-					}
-					b.sendQ[v] = append(b.sendQ[v], sl)
-					b.absorbing[pktID] = sl
-				}
-			}
-			b.vnetRR = r.Int("rc vnet rr", 0, message.NumVNets-1)
-			nh := r.Len("rc held count", 1<<20)
-			if r.Err() != nil {
-				return r.Err()
-			}
-			b.held = b.held[:0]
-			for i := 0; i < nh; i++ {
-				port := topology.PortID(r.Int("rc held port", 0, 127))
-				vc := r.Int("rc held vc", 0, int64(nvc)-1)
-				if r.Err() != nil {
-					return r.Err()
-				}
-				b.held = append(b.held, heldVC{port: port, vc: vc})
-			}
+// idSet walks a set of packet IDs as a count and the IDs, written
+// ascending; decoding replaces the set.
+func idSet(c *snap.Codec, what string, set *map[uint64]bool) {
+	var ids []uint64
+	if c.Decoding() {
+		*set = make(map[uint64]bool)
+	} else {
+		for id := range *set {
+			ids = append(ids, id)
 		}
+		slices.Sort(ids)
 	}
-	return r.Err()
+	label := what + " id"
+	snap.Slice(c, what+" count", &ids, 1<<20, func(id *uint64) {
+		if c.U64(label, id); c.Decoding() {
+			(*set)[*id] = true
+		}
+	})
 }

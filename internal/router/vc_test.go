@@ -76,11 +76,13 @@ func TestVCFIFOModel(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				if step == steps/3 {
 					w := snap.NewWriter()
-					r.Snapshot(w)
+					if err := r.Snapshot(w.Codec()); err != nil {
+						t.Fatal(err)
+					}
 					w.WritePacketTable()
 					rd := snap.NewReader(w.Bytes())
 					r = build()
-					if err := r.Restore(rd); err != nil {
+					if err := r.Snapshot(rd.Codec()); err != nil {
 						t.Fatal(err)
 					}
 					rd.ReadPacketTable()

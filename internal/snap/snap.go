@@ -1,8 +1,10 @@
-// Package snap provides the binary primitives shared by the UPWS
-// snapshot format (DESIGN.md §14): a sticky-error Writer/Reader pair
-// over varint-encoded scalars, plus a packet table that serializes the
-// pointer graph of in-flight (and freelisted) message.Packet values
-// while preserving pointer identity across a restore.
+// Package snap is the binary layer of the UPWS snapshot format
+// (DESIGN.md §14): a Writer and a sticky-error Reader over
+// varint-encoded scalars, a packet table that serializes the pointer
+// graph of in-flight (and freelisted) message.Packet values while
+// preserving pointer identity across a restore, and the Codec (codec.go),
+// the one cursor over either through which every snapshot section is
+// described once and walked in both directions.
 //
 // The encoding follows the UPWT trace conventions: unsigned values are
 // uvarints, signed values are zigzag varints, floats are the IEEE-754
@@ -25,20 +27,14 @@ import (
 	"math"
 
 	"uppnoc/internal/message"
-	"uppnoc/internal/topology"
 )
-
-func topoNode(r *Reader, what string) topology.NodeID {
-	return topology.NodeID(r.Int(what, math.MinInt32, math.MaxInt32))
-}
 
 // maxPrealloc caps slice preallocation driven by untrusted length
 // prefixes; larger collections grow as records actually arrive.
 const maxPrealloc = 4096
 
-// Writer accumulates a snapshot section stream. Errors are sticky but
-// the write side is in-memory and cannot fail; the type exists to
-// mirror Reader and own the packet table.
+// Writer accumulates a snapshot stream and owns the write side of the
+// packet table. It is in-memory and cannot fail.
 type Writer struct {
 	buf   []byte
 	index map[*message.Packet]uint64
@@ -53,21 +49,16 @@ func NewWriter() *Writer {
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Uvarint appends an unsigned varint.
-func (w *Writer) Uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
+// Codec returns a cursor that appends to w.
+func (w *Writer) Codec() *Codec { return &Codec{w: w} }
 
-// Varint appends a zigzag-encoded signed varint.
-func (w *Writer) Varint(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
+func (w *Writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
-// Int appends a signed int (zigzag varint).
-func (w *Writer) Int(v int) { w.Varint(int64(v)) }
+// varint appends a zigzag-encoded signed varint.
+func (w *Writer) varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
-// Bool appends a boolean as one byte.
-func (w *Writer) Bool(v bool) {
+// boolean appends a boolean as one byte.
+func (w *Writer) boolean(v bool) {
 	if v {
 		w.buf = append(w.buf, 1)
 	} else {
@@ -75,24 +66,24 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// F64 appends the IEEE-754 bit pattern as a fixed 8-byte LE word —
+// f64 appends the IEEE-754 bit pattern as a fixed 8-byte LE word —
 // bit-exact round-tripping, independent of formatting.
-func (w *Writer) F64(v float64) {
+func (w *Writer) f64(v float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.Uvarint(uint64(len(s)))
+// str appends a length-prefixed string.
+func (w *Writer) str(s string) {
+	w.uvarint(uint64(len(s)))
 	w.buf = append(w.buf, s...)
 }
 
-// Packet appends a table reference for p (0 for nil), assigning the
+// packet appends a table reference for p (0 for nil), assigning the
 // next index on first encounter. The packet's fields are written later
 // by WritePacketTable.
-func (w *Writer) Packet(p *message.Packet) {
+func (w *Writer) packet(p *message.Packet) {
 	if p == nil {
-		w.Uvarint(0)
+		w.uvarint(0)
 		return
 	}
 	ref, ok := w.index[p]
@@ -101,13 +92,13 @@ func (w *Writer) Packet(p *message.Packet) {
 		w.index[p] = ref
 		w.order = append(w.order, p)
 	}
-	w.Uvarint(ref)
+	w.uvarint(ref)
 }
 
-// Flit appends a flit: packet reference plus sequence number.
-func (w *Writer) Flit(f message.Flit) {
-	w.Packet(f.Pkt)
-	w.Varint(int64(f.Seq))
+// flit appends a flit: packet reference plus sequence number.
+func (w *Writer) flit(f message.Flit) {
+	w.packet(f.Pkt)
+	w.varint(int64(f.Seq))
 }
 
 // WritePacketTable appends the table body: the count of distinct
@@ -116,50 +107,21 @@ func (w *Writer) Flit(f message.Flit) {
 // this call would be lost, so the container writes it last (before
 // packet-free trailing sections).
 func (w *Writer) WritePacketTable() {
-	w.Uvarint(uint64(len(w.order)))
+	w.uvarint(uint64(len(w.order)))
+	c := w.Codec()
 	// The body may not add new table entries; iterate by index so an
 	// (impossible) append during the loop is still safe.
 	for i := 0; i < len(w.order); i++ {
-		w.writePacketBody(w.order[i])
+		c.packetBody(w.order[i])
 	}
 }
 
 // PacketCount returns the number of distinct packets referenced so far.
 func (w *Writer) PacketCount() int { return len(w.order) }
 
-func (w *Writer) writePacketBody(p *message.Packet) {
-	w.Uvarint(p.ID)
-	w.Varint(int64(p.Src))
-	w.Varint(int64(p.Dst))
-	w.Varint(int64(p.VNet))
-	w.Int(p.Size)
-	w.Varint(int64(p.Class))
-	w.Varint(p.BirthCycle)
-	w.Varint(p.InjectCycle)
-	w.Varint(p.EjectCycle)
-	w.Varint(int64(p.EgressBoundary))
-	w.Varint(int64(p.IngressInterposer))
-	w.Uvarint(uint64(p.Epoch))
-	w.Bool(p.DownPhase)
-	w.Varint(int64(p.RouteLayer))
-	w.Varint(int64(p.LayerEntryX))
-	w.Bool(p.Popup)
-	w.Uvarint(p.PopupID)
-	w.Bool(p.PopupResUsed)
-	w.Varint(int64(p.DstChiplet))
-	w.Uvarint(p.Addr)
-	w.Uvarint(p.Txn)
-	w.Varint(int64(p.AuxNode))
-	w.Varint(int64(p.AuxCount))
-	gen, pooled, released := p.SnapMeta()
-	w.Uvarint(uint64(gen))
-	w.Bool(pooled)
-	w.Bool(released)
-}
-
-// Reader decodes a snapshot section stream with a sticky error: after
-// the first failure every getter returns the zero value and Err()
-// reports what went wrong and where.
+// Reader decodes a snapshot stream with a sticky error: after the first
+// failure every read returns the zero value and Err() reports what went
+// wrong and where.
 type Reader struct {
 	data []byte
 	pos  int
@@ -169,6 +131,9 @@ type Reader struct {
 
 // NewReader wraps data for decoding.
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Codec returns a cursor that reads from r.
+func (r *Reader) Codec() *Codec { return &Codec{r: r} }
 
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -188,8 +153,8 @@ func (r *Reader) Fail(format string, args ...any) {
 	}
 }
 
-// Uvarint reads an unsigned varint; what names the field in errors.
-func (r *Reader) Uvarint(what string) uint64 {
+// uvarint reads an unsigned varint; what names the field in errors.
+func (r *Reader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -202,8 +167,8 @@ func (r *Reader) Uvarint(what string) uint64 {
 	return v
 }
 
-// Varint reads a zigzag-encoded signed varint.
-func (r *Reader) Varint(what string) int64 {
+// varint reads a zigzag-encoded signed varint.
+func (r *Reader) varint(what string) int64 {
 	if r.err != nil {
 		return 0
 	}
@@ -216,9 +181,9 @@ func (r *Reader) Varint(what string) int64 {
 	return v
 }
 
-// Int reads a signed int and validates it against [min, max].
-func (r *Reader) Int(what string, min, max int64) int {
-	v := r.Varint(what)
+// intIn reads a signed int and validates it against [min, max].
+func (r *Reader) intIn(what string, min, max int64) int {
+	v := r.varint(what)
 	if r.err == nil && (v < min || v > max) {
 		r.Fail("%s = %d outside [%d, %d]", what, v, min, max)
 		return 0
@@ -226,18 +191,23 @@ func (r *Reader) Int(what string, min, max int64) int {
 	return int(v)
 }
 
-// Len reads a collection length and validates it against max.
-func (r *Reader) Len(what string, max int) int {
-	v := r.Uvarint(what)
-	if r.err == nil && v > uint64(max) {
+// uintTo reads an unsigned value and validates it against max.
+func (r *Reader) uintTo(what string, max uint64) uint64 {
+	v := r.uvarint(what)
+	if r.err == nil && v > max {
 		r.Fail("%s = %d exceeds limit %d", what, v, max)
 		return 0
 	}
-	return int(v)
+	return v
 }
 
-// Bool reads a boolean byte (must be 0 or 1).
-func (r *Reader) Bool(what string) bool {
+// length reads a collection length and validates it against max.
+func (r *Reader) length(what string, max int) int {
+	return int(r.uintTo(what, uint64(max)))
+}
+
+// boolean reads a boolean byte (must be 0 or 1).
+func (r *Reader) boolean(what string) bool {
 	if r.err != nil {
 		return false
 	}
@@ -254,8 +224,8 @@ func (r *Reader) Bool(what string) bool {
 	return b == 1
 }
 
-// F64 reads a fixed 8-byte IEEE-754 bit pattern.
-func (r *Reader) F64(what string) float64 {
+// f64 reads a fixed 8-byte IEEE-754 bit pattern.
+func (r *Reader) f64(what string) float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -268,9 +238,9 @@ func (r *Reader) F64(what string) float64 {
 	return v
 }
 
-// String reads a length-prefixed string (capped at max bytes).
-func (r *Reader) String(what string, max int) string {
-	n := r.Len(what, max)
+// str reads a length-prefixed string (capped at max bytes).
+func (r *Reader) str(what string, max int) string {
+	n := r.length(what, max)
 	if r.err != nil {
 		return ""
 	}
@@ -283,11 +253,11 @@ func (r *Reader) String(what string, max int) string {
 	return s
 }
 
-// Packet reads a table reference, materializing a placeholder packet on
+// packet reads a table reference, materializing a placeholder packet on
 // first sight of an index so shared pointers restore to shared
 // pointers. ReadPacketTable later fills the bodies in.
-func (r *Reader) Packet() *message.Packet {
-	ref := r.Uvarint("packet ref")
+func (r *Reader) packet() *message.Packet {
+	ref := r.uvarint("packet ref")
 	if r.err != nil || ref == 0 {
 		return nil
 	}
@@ -312,10 +282,10 @@ func (r *Reader) Packet() *message.Packet {
 	return r.pkts[idx]
 }
 
-// Flit reads a flit reference.
-func (r *Reader) Flit() message.Flit {
-	p := r.Packet()
-	seq := r.Varint("flit seq")
+// flit reads a flit reference.
+func (r *Reader) flit() message.Flit {
+	p := r.packet()
+	seq := r.varint("flit seq")
 	if r.err != nil {
 		return message.Flit{}
 	}
@@ -338,11 +308,11 @@ func (r *Reader) PacketAt(i int) *message.Packet {
 }
 
 // ReadPacketTable decodes the table body into the placeholder packets
-// materialized by earlier Packet calls. The encoded count must cover
-// every reference seen so far (a reference without a body would leave a
-// zero packet in live state).
+// materialized by earlier packet references. The encoded count must
+// cover every reference seen so far (a reference without a body would
+// leave a zero packet in live state).
 func (r *Reader) ReadPacketTable() {
-	n := r.Len("packet table count", len(r.data))
+	n := r.length("packet table count", len(r.data))
 	if r.err != nil {
 		return
 	}
@@ -350,57 +320,16 @@ func (r *Reader) ReadPacketTable() {
 		r.Fail("packet table has %d entries but %d were referenced", n, len(r.pkts))
 		return
 	}
+	c := r.Codec()
 	for i := 0; i < n; i++ {
 		for i >= len(r.pkts) {
 			// Entries only reachable through the freelist or table
 			// order still need their identity materialized.
 			r.pkts = append(r.pkts, &message.Packet{})
 		}
-		r.readPacketBody(r.pkts[i])
+		c.packetBody(r.pkts[i])
 		if r.err != nil {
 			return
 		}
 	}
-}
-
-func (r *Reader) readPacketBody(p *message.Packet) {
-	p.ID = r.Uvarint("pkt id")
-	p.Src = topoNode(r, "pkt src")
-	p.Dst = topoNode(r, "pkt dst")
-	p.VNet = message.VNet(r.Int("pkt vnet", -1, message.NumVNets-1))
-	p.Size = r.Int("pkt size", 0, 1<<20)
-	p.Class = message.Class(r.Int("pkt class", 0, 32))
-	p.BirthCycle = r.Varint("pkt birth")
-	p.InjectCycle = r.Varint("pkt inject")
-	p.EjectCycle = r.Varint("pkt eject")
-	p.EgressBoundary = topoNode(r, "pkt egress")
-	p.IngressInterposer = topoNode(r, "pkt ingress")
-	epoch := r.Uvarint("pkt epoch")
-	if r.err == nil && epoch > math.MaxUint32 {
-		r.Fail("pkt epoch %d out of range", epoch)
-		return
-	}
-	p.Epoch = uint32(epoch)
-	p.DownPhase = r.Bool("pkt downphase")
-	p.RouteLayer = int16(r.Int("pkt routelayer", math.MinInt16, math.MaxInt16))
-	p.LayerEntryX = int16(r.Int("pkt layerentryx", math.MinInt16, math.MaxInt16))
-	p.Popup = r.Bool("pkt popup")
-	p.PopupID = r.Uvarint("pkt popup id")
-	p.PopupResUsed = r.Bool("pkt popup res")
-	p.DstChiplet = int16(r.Int("pkt dstchiplet", math.MinInt16, math.MaxInt16))
-	p.Addr = r.Uvarint("pkt addr")
-	p.Txn = r.Uvarint("pkt txn")
-	p.AuxNode = topoNode(r, "pkt auxnode")
-	p.AuxCount = int32(r.Int("pkt auxcount", math.MinInt32, math.MaxInt32))
-	gen := r.Uvarint("pkt gen")
-	pooled := r.Bool("pkt pooled")
-	released := r.Bool("pkt released")
-	if r.err != nil {
-		return
-	}
-	if gen > math.MaxUint32 {
-		r.Fail("pkt gen %d out of range", gen)
-		return
-	}
-	p.SetSnapMeta(uint32(gen), pooled, released)
 }

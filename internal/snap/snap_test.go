@@ -21,52 +21,52 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	var steps []step
 	for _, v := range []uint64{0, 1, 127, 128, math.MaxUint32, math.MaxUint64} {
 		steps = append(steps, step{"uvarint",
-			func(w *Writer) { w.Uvarint(v) },
-			func(r *Reader) any { return r.Uvarint("u") }, v})
+			func(w *Writer) { w.uvarint(v) },
+			func(r *Reader) any { return r.uvarint("u") }, v})
 	}
 	for _, v := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64} {
 		steps = append(steps, step{"varint",
-			func(w *Writer) { w.Varint(v) },
-			func(r *Reader) any { return r.Varint("v") }, v})
+			func(w *Writer) { w.varint(v) },
+			func(r *Reader) any { return r.varint("v") }, v})
 	}
 	for _, v := range []int{0, -7, 1 << 20} {
 		steps = append(steps, step{"int",
-			func(w *Writer) { w.Int(v) },
-			func(r *Reader) any { return r.Int("i", -7, 1<<20) }, v})
+			func(w *Writer) { w.varint(int64(v)) },
+			func(r *Reader) any { return r.intIn("i", -7, 1<<20) }, v})
 	}
 	for _, v := range []int{0, 9} {
 		steps = append(steps, step{"len",
-			func(w *Writer) { w.Uvarint(uint64(v)) },
-			func(r *Reader) any { return r.Len("n", 9) }, v})
+			func(w *Writer) { w.uvarint(uint64(v)) },
+			func(r *Reader) any { return r.length("n", 9) }, v})
 	}
 	for _, v := range []bool{true, false} {
 		steps = append(steps, step{"bool",
-			func(w *Writer) { w.Bool(v) },
-			func(r *Reader) any { return r.Bool("b") }, v})
+			func(w *Writer) { w.boolean(v) },
+			func(r *Reader) any { return r.boolean("b") }, v})
 	}
 	for _, v := range []float64{0, -0.5, math.Pi, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(-1)} {
 		steps = append(steps, step{"f64",
-			func(w *Writer) { w.F64(v) },
-			func(r *Reader) any { return r.F64("f") }, v})
+			func(w *Writer) { w.f64(v) },
+			func(r *Reader) any { return r.f64("f") }, v})
 	}
 	for _, v := range []string{"", "UPWS", strings.Repeat("x", 300)} {
 		steps = append(steps, step{"string",
-			func(w *Writer) { w.String(v) },
-			func(r *Reader) any { return r.String("s", 300) }, v})
+			func(w *Writer) { w.str(v) },
+			func(r *Reader) any { return r.str("s", 300) }, v})
 	}
 
 	w := NewWriter()
 	for _, s := range steps {
 		s.write(w)
 	}
-	w.F64(math.NaN()) // NaN != NaN: compared by bit pattern below
+	w.f64(math.NaN()) // NaN != NaN: compared by bit pattern below
 	r := NewReader(w.Bytes())
 	for i, s := range steps {
 		if got := s.read(r); got != s.want {
 			t.Fatalf("step %d (%s): read %v, want %v", i, s.name, got, s.want)
 		}
 	}
-	if got := r.F64("nan"); math.Float64bits(got) != math.Float64bits(math.NaN()) {
+	if got := r.f64("nan"); math.Float64bits(got) != math.Float64bits(math.NaN()) {
 		t.Fatalf("NaN bit pattern %x not preserved", math.Float64bits(got))
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
@@ -95,28 +95,28 @@ func samplePacket(id uint64) *message.Packet {
 func TestPacketInterning(t *testing.T) {
 	a, b, tableOnly := samplePacket(1), samplePacket(2), samplePacket(3)
 	w := NewWriter()
-	w.Packet(a)
-	w.Packet(nil)
-	w.Flit(message.Flit{Pkt: b, Seq: 4})
-	w.Flit(message.Flit{Pkt: a, Seq: 0})
-	w.Packet(b)
+	w.packet(a)
+	w.packet(nil)
+	w.flit(message.Flit{Pkt: b, Seq: 4})
+	w.flit(message.Flit{Pkt: a, Seq: 0})
+	w.packet(b)
 	if w.PacketCount() != 2 {
 		t.Fatalf("writer interned %d packets, want 2", w.PacketCount())
 	}
 	// A packet referenced by no section still gets a body when something
 	// (the pool freelist, in a real snapshot) references it last.
-	w.Packet(tableOnly)
+	w.packet(tableOnly)
 	w.WritePacketTable()
 
 	r := NewReader(w.Bytes())
-	ra := r.Packet()
-	if r.Packet() != nil {
+	ra := r.packet()
+	if r.packet() != nil {
 		t.Fatal("nil packet did not restore to nil")
 	}
-	fb := r.Flit()
-	fa := r.Flit()
-	rb := r.Packet()
-	rt := r.Packet()
+	fb := r.flit()
+	fa := r.flit()
+	rb := r.packet()
+	rt := r.packet()
 	r.ReadPacketTable()
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("err %v, %d bytes remaining", r.Err(), r.Remaining())
@@ -153,29 +153,29 @@ func TestReaderRejects(t *testing.T) {
 		read func(r *Reader)
 		want string
 	}{
-		{"uvarint empty", nil, func(r *Reader) { r.Uvarint("count") }, "count"},
-		{"uvarint truncated", []byte{0x80}, func(r *Reader) { r.Uvarint("count") }, "count"},
-		{"uvarint overlong", overlong, func(r *Reader) { r.Uvarint("count") }, "count"},
-		{"varint truncated", []byte{0xff}, func(r *Reader) { r.Varint("delta") }, "delta"},
-		{"varint overlong", overlong, func(r *Reader) { r.Varint("delta") }, "delta"},
-		{"int below min", enc(func(w *Writer) { w.Int(-2) }), func(r *Reader) { r.Int("port", -1, 7) }, "port"},
-		{"int above max", enc(func(w *Writer) { w.Int(8) }), func(r *Reader) { r.Int("port", -1, 7) }, "port"},
-		{"len above max", enc(func(w *Writer) { w.Uvarint(10) }), func(r *Reader) { r.Len("slots", 9) }, "slots"},
-		{"len huge", enc(func(w *Writer) { w.Uvarint(math.MaxUint64) }), func(r *Reader) { r.Len("slots", 9) }, "slots"},
-		{"bool empty", nil, func(r *Reader) { r.Bool("flag") }, "flag"},
-		{"bool byte 2", []byte{2}, func(r *Reader) { r.Bool("flag") }, "flag"},
-		{"f64 truncated", make([]byte, 7), func(r *Reader) { r.F64("rate") }, "rate"},
-		{"string over limit", enc(func(w *Writer) { w.String("toolong") }), func(r *Reader) { r.String("label", 3) }, "label"},
-		{"string body truncated", enc(func(w *Writer) { w.String("abcdef") })[:4], func(r *Reader) { r.String("label", 16) }, "label"},
-		{"packet ref past input", enc(func(w *Writer) { w.Uvarint(1 << 40) }), func(r *Reader) { r.Packet() }, "packet ref"},
-		{"packet ref overflowing int", enc(func(w *Writer) { w.Uvarint(math.MaxUint64) }), func(r *Reader) { r.Packet() }, "packet ref"},
-		{"flit seq negative", enc(func(w *Writer) { w.Uvarint(0); w.Varint(-1) }), func(r *Reader) { r.Flit() }, "flit seq"},
-		{"flit seq above int32", enc(func(w *Writer) { w.Uvarint(0); w.Varint(math.MaxInt32 + 1) }), func(r *Reader) { r.Flit() }, "flit seq"},
-		{"flit truncated", enc(func(w *Writer) { w.Uvarint(0) }), func(r *Reader) { r.Flit() }, "flit seq"},
-		{"table shorter than references", enc(func(w *Writer) { w.Uvarint(1); w.Uvarint(2); w.Uvarint(1) }),
-			func(r *Reader) { r.Packet(); r.Packet(); r.ReadPacketTable() }, "were referenced"},
-		{"table count past input", enc(func(w *Writer) { w.Uvarint(1000) }), func(r *Reader) { r.ReadPacketTable() }, "packet table count"},
-		{"table body truncated", enc(func(w *Writer) { w.Uvarint(1); w.Uvarint(5) }), func(r *Reader) { r.ReadPacketTable() }, "pkt src"},
+		{"uvarint empty", nil, func(r *Reader) { r.uvarint("count") }, "count"},
+		{"uvarint truncated", []byte{0x80}, func(r *Reader) { r.uvarint("count") }, "count"},
+		{"uvarint overlong", overlong, func(r *Reader) { r.uvarint("count") }, "count"},
+		{"varint truncated", []byte{0xff}, func(r *Reader) { r.varint("delta") }, "delta"},
+		{"varint overlong", overlong, func(r *Reader) { r.varint("delta") }, "delta"},
+		{"int below min", enc(func(w *Writer) { w.varint(int64(-2)) }), func(r *Reader) { r.intIn("port", -1, 7) }, "port"},
+		{"int above max", enc(func(w *Writer) { w.varint(int64(8)) }), func(r *Reader) { r.intIn("port", -1, 7) }, "port"},
+		{"len above max", enc(func(w *Writer) { w.uvarint(10) }), func(r *Reader) { r.length("slots", 9) }, "slots"},
+		{"len huge", enc(func(w *Writer) { w.uvarint(math.MaxUint64) }), func(r *Reader) { r.length("slots", 9) }, "slots"},
+		{"bool empty", nil, func(r *Reader) { r.boolean("flag") }, "flag"},
+		{"bool byte 2", []byte{2}, func(r *Reader) { r.boolean("flag") }, "flag"},
+		{"f64 truncated", make([]byte, 7), func(r *Reader) { r.f64("rate") }, "rate"},
+		{"string over limit", enc(func(w *Writer) { w.str("toolong") }), func(r *Reader) { r.str("label", 3) }, "label"},
+		{"string body truncated", enc(func(w *Writer) { w.str("abcdef") })[:4], func(r *Reader) { r.str("label", 16) }, "label"},
+		{"packet ref past input", enc(func(w *Writer) { w.uvarint(1 << 40) }), func(r *Reader) { r.packet() }, "packet ref"},
+		{"packet ref overflowing int", enc(func(w *Writer) { w.uvarint(math.MaxUint64) }), func(r *Reader) { r.packet() }, "packet ref"},
+		{"flit seq negative", enc(func(w *Writer) { w.uvarint(0); w.varint(-1) }), func(r *Reader) { r.flit() }, "flit seq"},
+		{"flit seq above int32", enc(func(w *Writer) { w.uvarint(0); w.varint(math.MaxInt32 + 1) }), func(r *Reader) { r.flit() }, "flit seq"},
+		{"flit truncated", enc(func(w *Writer) { w.uvarint(0) }), func(r *Reader) { r.flit() }, "flit seq"},
+		{"table shorter than references", enc(func(w *Writer) { w.uvarint(1); w.uvarint(2); w.uvarint(1) }),
+			func(r *Reader) { r.packet(); r.packet(); r.ReadPacketTable() }, "were referenced"},
+		{"table count past input", enc(func(w *Writer) { w.uvarint(1000) }), func(r *Reader) { r.ReadPacketTable() }, "packet table count"},
+		{"table body truncated", enc(func(w *Writer) { w.uvarint(1); w.uvarint(5) }), func(r *Reader) { r.ReadPacketTable() }, "pkt src"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewReader(tc.data)
@@ -186,8 +186,8 @@ func TestReaderRejects(t *testing.T) {
 			first := r.Err()
 			// Sticky: every later read is a zero value and the first
 			// error stands.
-			if r.Uvarint("x") != 0 || r.Varint("x") != 0 || r.Bool("x") || r.F64("x") != 0 ||
-				r.String("x", 8) != "" || r.Packet() != nil || r.Flit() != (message.Flit{}) || r.Remaining() != 0 {
+			if r.uvarint("x") != 0 || r.varint("x") != 0 || r.boolean("x") || r.f64("x") != 0 ||
+				r.str("x", 8) != "" || r.packet() != nil || r.flit() != (message.Flit{}) || r.Remaining() != 0 {
 				t.Fatal("reads after an error returned non-zero values")
 			}
 			r.Fail("a later failure")
@@ -214,10 +214,10 @@ func TestPacketBodyRejectsOutOfRangeFields(t *testing.T) {
 			p := samplePacket(9)
 			tc.spoil(p)
 			w := NewWriter()
-			w.Packet(p)
+			w.packet(p)
 			w.WritePacketTable()
 			r := NewReader(w.Bytes())
-			r.Packet()
+			r.packet()
 			r.ReadPacketTable()
 			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
 				t.Fatalf("err = %v, want one mentioning %q", r.Err(), tc.want)
@@ -231,22 +231,22 @@ func TestPacketBodyRejectsOutOfRangeFields(t *testing.T) {
 func TestPacketTableGrowthIsBounded(t *testing.T) {
 	w := NewWriter()
 	for i := 0; i < maxPrealloc; i++ {
-		w.Uvarint(uint64(i) + 1)
+		w.uvarint(uint64(i) + 1)
 	}
-	w.Uvarint(3 * maxPrealloc) // a jump past double the table
+	w.uvarint(3 * maxPrealloc) // a jump past double the table
 	// Pad so the reference is not rejected merely for exceeding the input
 	// length.
 	for i := 0; i < 3*maxPrealloc; i++ {
-		w.Bool(false)
+		w.boolean(false)
 	}
 	r := NewReader(w.Bytes())
 	for i := 0; i < maxPrealloc; i++ {
-		r.Packet()
+		r.packet()
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if r.Packet() != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "grows table too fast") {
+	if r.packet() != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "grows table too fast") {
 		t.Fatalf("jumping reference accepted: err %v, table %d", r.Err(), r.PacketCount())
 	}
 	if r.PacketCount() != maxPrealloc {

@@ -9,52 +9,36 @@ import (
 // SnapshotLabel implements network.SnapshotExtra.
 func (g *Generator) SnapshotLabel() string { return "traffic" }
 
-// SnapshotState serializes the generator's cursor state: the offered
-// load, the control/data mix and every per-core Bernoulli stream, so a
-// restored run draws the exact injection sequence the uninterrupted run
-// would have (DESIGN.md §14).
-func (g *Generator) SnapshotState(w *snap.Writer) {
-	w.F64(g.Rate)
-	w.F64(g.CtrlFraction)
-	w.Uvarint(uint64(len(g.rngs)))
-	for _, rng := range g.rngs {
-		st := rng.State()
-		for _, s := range st {
-			w.Uvarint(s)
-		}
+// SnapshotState implements network.SnapshotExtra over the generator's
+// cursor state: the offered load, the control/data mix and every per-core
+// Bernoulli stream, so a restored run draws the exact injection sequence
+// the uninterrupted run would have (DESIGN.md §14).
+func (g *Generator) SnapshotState(c *snap.Codec) error {
+	rate, ctrl := g.Rate, g.CtrlFraction
+	c.F64("traffic rate", &rate)
+	c.F64("traffic ctrl fraction", &ctrl)
+	if c.Decoding() && c.Err() == nil && (math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0) {
+		c.Fail("traffic rate %v invalid", rate)
 	}
-}
-
-// RestoreState implements network.SnapshotExtra.
-func (g *Generator) RestoreState(r *snap.Reader) error {
-	rate := r.F64("traffic rate")
-	ctrl := r.F64("traffic ctrl fraction")
-	if r.Err() == nil && (math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0) {
-		r.Fail("traffic rate %v invalid", rate)
+	if c.Decoding() && c.Err() == nil && (math.IsNaN(ctrl) || ctrl < 0 || ctrl > 1) {
+		c.Fail("traffic ctrl fraction %v invalid", ctrl)
 	}
-	if r.Err() == nil && (math.IsNaN(ctrl) || ctrl < 0 || ctrl > 1) {
-		r.Fail("traffic ctrl fraction %v invalid", ctrl)
-	}
-	n := r.Len("traffic rng count", len(g.rngs))
-	if r.Err() != nil {
-		return r.Err()
+	n := c.Len("traffic rng count", len(g.rngs), len(g.rngs))
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if n != len(g.rngs) {
-		r.Fail("traffic snapshot has %d core streams, generator has %d", n, len(g.rngs))
-		return r.Err()
+		c.Fail("traffic snapshot has %d core streams, generator has %d", n, len(g.rngs))
+		return c.Err()
 	}
-	for i := 0; i < n; i++ {
-		var st [4]uint64
-		for j := range st {
-			st[j] = r.Uvarint("traffic rng word")
+	for _, rng := range g.rngs {
+		if c.RNG("traffic rng word", rng); c.Err() != nil {
+			return c.Err()
 		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		g.rngs[i].SetState(st)
 	}
-	g.Rate = rate
-	g.CtrlFraction = ctrl
-	g.updateProb()
-	return r.Err()
+	if c.Decoding() {
+		g.Rate, g.CtrlFraction = rate, ctrl
+		g.updateProb()
+	}
+	return nil
 }

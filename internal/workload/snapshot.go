@@ -10,75 +10,44 @@ import (
 // SnapshotLabel implements network.SnapshotExtra.
 func (e *Engine) SnapshotLabel() string { return "workload" }
 
-// SnapshotState serializes the engine's per-rank state machines and
-// iteration cursors so a restored closed-loop run resumes mid-program
-// (DESIGN.md §14). The program itself is immutable and must match on
-// both sides (rank count and op shapes are validated structurally).
-func (e *Engine) SnapshotState(w *snap.Writer) {
-	w.Int(e.Iterations)
-	w.Uvarint(uint64(len(e.pc)))
-	for r := range e.pc {
-		w.Varint(int64(e.pc[r]))
-		w.Varint(int64(e.computeLeft[r]))
-		w.Bool(e.computeSet[r])
-	}
-	w.Uvarint(uint64(len(e.received)))
-	for _, got := range e.received {
-		w.Bool(got)
-	}
-	w.Int(e.doneRanks)
-	w.Int(e.iter)
-	w.Bool(e.finished)
-	w.Varint(e.finishCycle)
-	w.Uvarint(uint64(len(e.iterCycles)))
-	for _, c := range e.iterCycles {
-		w.Varint(c)
-	}
-	w.Uvarint(e.MessagesDelivered)
-}
-
-// RestoreState implements network.SnapshotExtra.
-func (e *Engine) RestoreState(r *snap.Reader) error {
-	e.Iterations = r.Int("workload iterations", 1, math.MaxInt32)
-	nr := r.Len("workload rank count", len(e.pc))
-	if r.Err() != nil {
-		return r.Err()
+// SnapshotState implements network.SnapshotExtra over the engine's
+// per-rank state machines and iteration cursors, so a restored
+// closed-loop run resumes mid-program (DESIGN.md §14). The program itself
+// is immutable and must match on both sides (rank count and op shapes are
+// validated structurally).
+func (e *Engine) SnapshotState(c *snap.Codec) error {
+	snap.Int(c, "workload iterations", &e.Iterations, 1, math.MaxInt32)
+	nr := c.Len("workload rank count", len(e.pc), len(e.pc))
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if nr != len(e.pc) {
-		r.Fail("workload snapshot has %d ranks, program has %d", nr, len(e.pc))
-		return r.Err()
+		c.Fail("workload snapshot has %d ranks, program has %d", nr, len(e.pc))
+		return c.Err()
 	}
-	for i := 0; i < nr; i++ {
-		e.pc[i] = int32(r.Int("workload pc", 0, int64(len(e.prog.Ops[i]))))
-		e.computeLeft[i] = int32(r.Int("workload compute left", 0, math.MaxInt32))
-		e.computeSet[i] = r.Bool("workload compute set")
+	for i := range e.pc {
+		snap.Int(c, "workload pc", &e.pc[i], 0, int64(len(e.prog.Ops[i])))
+		snap.Int(c, "workload compute left", &e.computeLeft[i], 0, math.MaxInt32)
+		c.Bool("workload compute set", &e.computeSet[i])
 	}
-	nt := r.Len("workload tag count", len(e.received))
-	if r.Err() != nil {
-		return r.Err()
+	nt := c.Len("workload tag count", len(e.received), len(e.received))
+	if c.Err() != nil {
+		return c.Err()
 	}
 	if nt != len(e.received) {
-		r.Fail("workload snapshot has %d tags, program has %d", nt, len(e.received))
-		return r.Err()
+		c.Fail("workload snapshot has %d tags, program has %d", nt, len(e.received))
+		return c.Err()
 	}
-	for i := 0; i < nt; i++ {
-		e.received[i] = r.Bool("workload received")
+	for i := range e.received {
+		c.Bool("workload received", &e.received[i])
 	}
-	e.doneRanks = r.Int("workload done ranks", 0, int64(nr))
-	e.iter = r.Int("workload iter", 0, math.MaxInt32)
-	e.finished = r.Bool("workload finished")
-	e.finishCycle = r.Varint("workload finish cycle")
-	ni := r.Len("workload iter cycles", math.MaxInt32)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	e.iterCycles = make([]sim.Cycle, 0, min(ni, 4096))
-	for i := 0; i < ni; i++ {
-		e.iterCycles = append(e.iterCycles, r.Varint("workload iter cycle"))
-		if r.Err() != nil {
-			return r.Err()
-		}
-	}
-	e.MessagesDelivered = r.Uvarint("workload delivered")
-	return r.Err()
+	snap.Int(c, "workload done ranks", &e.doneRanks, 0, int64(nr))
+	snap.Int(c, "workload iter", &e.iter, 0, math.MaxInt32)
+	c.Bool("workload finished", &e.finished)
+	c.I64("workload finish cycle", &e.finishCycle)
+	snap.Slice(c, "workload iter cycles", &e.iterCycles, math.MaxInt32, func(at *sim.Cycle) {
+		c.I64("workload iter cycle", at)
+	})
+	c.U64("workload delivered", &e.MessagesDelivered)
+	return c.Err()
 }
