@@ -357,17 +357,12 @@ func BenchmarkComposableSearch(b *testing.B) {
 // simulated cycle. Active/naive pairs at the same rate quantify the
 // active-set kernel's win (large at low load, where most components are
 // idle; ~neutral at saturation, where everything is awake anyway).
-// allocs/op and B/op are reported per cycle: with pooling on, stable
-// loads settle at ~0 once buffers reach their high-water marks.
+// allocs/op and B/op are reported per cycle: stable loads settle at ~0
+// once buffers reach their high-water marks.
 func benchKernel(b *testing.B, kernel string, rate float64) {
 	b.Helper()
-	benchKernelPool(b, kernel, rate, false)
-}
-
-func benchKernelPool(b *testing.B, kernel string, rate float64, disablePool bool) {
-	b.Helper()
 	kb, err := experiments.NewKernelBench(experiments.RunSpec{
-		Topo: topology.BaselineConfig(), Scheme: experiments.SchemeUPP, Kernel: kernel, DisablePool: disablePool,
+		Topo: topology.BaselineConfig(), Scheme: experiments.SchemeUPP, Kernel: kernel,
 	}, experiments.UniformTraffic(rate))
 	if err != nil {
 		b.Fatal(err)
@@ -408,11 +403,3 @@ func benchKernelParallel(b *testing.B, rate float64) {
 func BenchmarkKernelParallelLowLoad(b *testing.B)    { benchKernelParallel(b, 0.02) }
 func BenchmarkKernelParallelMidLoad(b *testing.B)    { benchKernelParallel(b, 0.05) }
 func BenchmarkKernelParallelSaturation(b *testing.B) { benchKernelParallel(b, 0.20) }
-
-// The unpooled variants are the "before" leg of the allocation story.
-func BenchmarkKernelActiveMidLoadNoPool(b *testing.B) {
-	benchKernelPool(b, network.KernelActive, 0.05, true)
-}
-func BenchmarkKernelActiveSaturationNoPool(b *testing.B) {
-	benchKernelPool(b, network.KernelActive, 0.20, true)
-}

@@ -44,7 +44,6 @@ func main() {
 	rate := flag.Float64("rate", 0.20, "offered load (flits/node/cycle); default is saturation")
 	cycles := flag.Int("cycles", 200000, "profiled simulation window in cycles")
 	warmup := flag.Int("warmup", 20000, "warmup cycles before profiling starts")
-	nopool := flag.Bool("nopool", false, "disable packet pooling (profile the before state)")
 	kernel := flag.String("kernel", network.KernelActive, "cycle kernel: active | naive | parallel")
 	shards := flag.Int("shards", 0, "with -kernel parallel: worker count (0 = GOMAXPROCS)")
 	scale := flag.String("scale", "", "profile a scale-out preset instead of the baseline: small | large | huge (lowers -rate/-cycles defaults)")
@@ -61,11 +60,10 @@ func main() {
 	runtime.MemProfileRate = 1
 
 	spec := experiments.RunSpec{
-		Topo:        topology.BaselineConfig(),
-		Scheme:      experiments.SchemeUPP,
-		Kernel:      *kernel,
-		Shards:      *shards,
-		DisablePool: *nopool,
+		Topo:   topology.BaselineConfig(),
+		Scheme: experiments.SchemeUPP,
+		Kernel: *kernel,
+		Shards: *shards,
 	}
 	if *scale != "" {
 		// The scale systems saturate near 0.015 flits/cycle/node
@@ -145,8 +143,8 @@ func main() {
 	if *scale != "" {
 		sys = *scale
 	}
-	fmt.Fprintf(os.Stderr, "profile: %s/%s: %d cycles at rate %.3f (pooling=%v); pool gets=%d reuses=%d live=%d\n",
-		sys, *kernel, *cycles, *rate, !*nopool, st.Gets, st.Reuses, st.Live())
+	fmt.Fprintf(os.Stderr, "profile: %s/%s: %d cycles at rate %.3f; pool gets=%d reuses=%d live=%d\n",
+		sys, *kernel, *cycles, *rate, st.Gets, st.Reuses, st.Live())
 	if *kernel == network.KernelParallel {
 		printPhases(&clock, *cycles)
 	}

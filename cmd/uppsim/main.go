@@ -61,7 +61,7 @@ func main() {
 // run is main with its process state passed in: the exit status is the
 // return value (0 ok, 1 failed run, 2 bad flags). getenv supplies the
 // -fault-plan default; the host variables (UPP_KERNEL, UPP_SHARDS,
-// UPP_ROUTER, UPP_NOPOOL) are not read here but by internal/experiments,
+// UPP_ROUTER) are not read here but by internal/experiments,
 // from the process environment, when it builds each network.
 func run(args []string, getenv func(string) string, stdout, stderr io.Writer) int {
 	status := func(err error) int {
@@ -197,7 +197,11 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
-		if err == nil {
+		if err != nil {
+			// A failed run leaves no half-written or empty checkpoint
+			// behind for -restore to trip over.
+			os.Remove(*snapshot)
+		} else {
 			fmt.Fprintf(stderr, "uppsim: checkpoint at cycle %d written to %s\n", *snapAt, *snapshot)
 		}
 	} else {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -150,5 +151,22 @@ func TestSourceFlagsRefusedElsewhere(t *testing.T) {
 		if code != 1 || stdout != "" || !strings.Contains(stderr, args[2]) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q: want exit 1 naming %s", args, code, stdout, stderr, args[2])
 		}
+	}
+}
+
+// TestSnapshotCycleOutOfRange: a -snapshot cycle past the schedule fails
+// up front, exit 1, with an error naming the schedule, and leaves no
+// checkpoint file behind for -restore to reject.
+func TestSnapshotCycleOutOfRange(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "ckpt.upws")
+	code, stdout, stderr := uppsim(t, "", "-snapshot", f, "-at", "1000000", "-warmup", "10", "-cycles", "10")
+	if code != 1 || stdout != "" {
+		t.Fatalf("exit %d, stdout %q: want exit 1 and no result", code, stdout)
+	}
+	if !strings.Contains(stderr, "outside the run's schedule (0..20)") {
+		t.Fatalf("stderr %q does not name the schedule", stderr)
+	}
+	if _, err := os.Stat(f); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint file left behind (stat: %v)", err)
 	}
 }

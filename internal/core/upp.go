@@ -393,37 +393,22 @@ func (u *UPP) sortedPopups() []*popup {
 // host reports whether router id can hold an upward packet.
 func (u *UPP) host(id topology.NodeID) bool { return u.hosts[id>>6]&(1<<(id&63)) != 0 }
 
-// detect runs the timeout counters of the host routers. Under the
-// active-set kernels it walks the network's awake-router list (ascending
-// NodeIDs) filtered down to hosts instead of the full topo.Interposer
-// slice: a retired router has no buffered flits — so no stalled upward
-// packet — and OnRouterIdle zeroed its counters, which is exactly the set
-// the RouterActive skip used to drop. Both walks visit the same routers in
-// the same (ascending-ID) order, so token claims and popup creation stay
-// bit-identical; the awake walk just makes detection O(awake) instead of
-// O(interposer) per cycle on mostly-idle large systems. The naive kernel
-// keeps no awake list and scans everything.
+// detect runs the timeout counters of the host routers: the network's
+// awake-router list (ascending NodeIDs) filtered down to hosts. A retired
+// router has no buffered flits — so no stalled upward packet — and
+// OnRouterIdle zeroed its counters; under the oracle the list is every
+// router. The ascending order keeps token claims and popup creation
+// bit-identical across kernels, and the walk costs O(awake) instead of
+// O(interposer) per cycle on mostly-idle large systems.
 func (u *UPP) detect(cycle sim.Cycle) {
-	if awake := u.net.AwakeRouterIDs(); awake != nil {
-		for _, id32 := range awake {
-			if id := topology.NodeID(id32); u.host(id) {
-				u.detectAt(id, cycle)
-			}
-		}
-		return
-	}
-	for _, id := range u.net.Topo.Interposer {
-		// Idle under the active-set kernel means no buffered flit, so no
-		// stalled upward packet; OnRouterIdle zeroed the counters when the
-		// router retired.
-		if u.host(id) && u.net.RouterActive(id) {
+	for _, id32 := range u.net.AwakeRouterIDs() {
+		if id := topology.NodeID(id32); u.host(id) {
 			u.detectAt(id, cycle)
 		}
 	}
 }
 
-// detectAt advances the timeout counters of one host router — the body of
-// the detection walk, shared by the awake-list and full scans.
+// detectAt advances the timeout counters of one host router.
 func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 	r := u.net.Router(id)
 	ns := &u.nodes[id]
@@ -779,7 +764,7 @@ func (u *UPP) releaseOrigin(p *popup) {
 
 // OnRouterIdle implements network.Scheme: when the active-set kernel
 // retires a router, its timeout counters reset for VNets with no popup in
-// flight — exactly what the naive kernel's per-cycle detect would do (an
+// flight — exactly what the oracle's per-cycle detect would do (an
 // empty router has no stalled upward packet, so StalledHead misses and
 // the counter zeroes). Counters of VNets with an active popup are left
 // alone: detection pauses for those in both kernels. Only a host's counters

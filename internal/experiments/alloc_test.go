@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"testing"
 
 	"uppnoc/internal/network"
@@ -25,9 +24,6 @@ import (
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warmup")
-	}
-	if os.Getenv("UPP_NOPOOL") != "" {
-		t.Skip("pooling disabled via UPP_NOPOOL")
 	}
 	// Every router microarchitecture is held to the bar, not just the
 	// default iq pipeline: oq's staging FIFOs and voq's per-output
@@ -77,9 +73,6 @@ func TestSteadyStateZeroAllocScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warmup")
 	}
-	if os.Getenv("UPP_NOPOOL") != "" {
-		t.Skip("pooling disabled via UPP_NOPOOL")
-	}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
 			sc := topology.ScaleLargeConfig()
@@ -112,9 +105,6 @@ func TestSteadyStateZeroAllocScale(t *testing.T) {
 func TestSteadyStateZeroAllocCollective(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warmup")
-	}
-	if os.Getenv("UPP_NOPOOL") != "" {
-		t.Skip("pooling disabled via UPP_NOPOOL")
 	}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {

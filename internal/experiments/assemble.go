@@ -68,13 +68,11 @@ type RunSpec struct {
 	// RouterArch selects the router microarchitecture ("iq", "oq",
 	// "voq"); empty defers to UPP_ROUTER and then the iq default.
 	RouterArch string
-	// Kernel, Shards and DisablePool are network.Config's execution
-	// strategy; a zero value defers to the host settings (UPP_KERNEL,
-	// UPP_SHARDS, UPP_NOPOOL). They never change a result, so the cache
-	// key leaves them out.
-	Kernel      string
-	Shards      int
-	DisablePool bool
+	// Kernel and Shards are network.Config's execution strategy; a zero
+	// value defers to the host settings (UPP_KERNEL, UPP_SHARDS). They
+	// never change a result, so the cache key leaves them out.
+	Kernel string
+	Shards int
 }
 
 // Sim is an assembled simulation at cycle 0 with no traffic source yet.
@@ -184,7 +182,6 @@ func Assemble(spec RunSpec) (*Sim, error) {
 		cfg.Shards = host.shards
 	}
 	cfg.RouterArch = host.arch(spec.RouterArch)
-	cfg.DisablePool = spec.DisablePool || host.noPool
 	n, err := network.New(topo, cfg, scheme)
 	if err != nil {
 		return nil, err

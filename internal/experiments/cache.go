@@ -15,12 +15,11 @@ package experiments
 //	                     only in measurement length share warmups
 //
 // The cache key deliberately excludes the execution strategy — cycle
-// kernel, shard count and packet pooling — because all of them are
-// bit-identical by construction (enforced by the kernel/pool equivalence
-// tests), so a Point computed under any of them is valid for all. It
-// deliberately includes the resolved router architecture (UPP_ROUTER
-// applies when the spec leaves RouterArch empty) because that does change
-// results. Entries are written atomically (temp file + rename), so
+// kernel and shard count — because every choice is bit-identical by
+// construction (enforced by the kernel equivalence tests), so a Point
+// computed under any of them is valid for all. It deliberately includes
+// the resolved router architecture (UPP_ROUTER applies when the spec
+// leaves RouterArch empty) because that does change results. Entries are written atomically (temp file + rename), so
 // concurrent sweep workers and concurrent processes sharing a cache
 // directory never observe torn files; a corrupt or stale entry is treated
 // as a miss, never an error.
@@ -323,8 +322,12 @@ func ReadCheckpoint(data []byte) (*network.Network, *traffic.Generator, RunSpec,
 // starting at 0), its state is written to out, and the run then continues
 // to completion. The Point is bit-identical to Run's — the checkpoint is
 // a pure observation. The result cache is bypassed (a cache hit would
-// skip the cycles the checkpoint must observe).
+// skip the cycles the checkpoint must observe). An at outside the
+// schedule fails before anything is built or simulated.
 func RunCheckpointed(spec RunSpec, at int64, out io.Writer) (Point, error) {
+	if end := int64(spec.Dur.Warmup + spec.Dur.Measure); at < 0 || at > end {
+		return Point{}, fmt.Errorf("experiments: checkpoint cycle %d outside the run's schedule (0..%d)", at, end)
+	}
 	n, g, err := BuildRun(spec)
 	if err != nil {
 		return Point{}, err

@@ -17,7 +17,6 @@ type hostSettings struct {
 	kernel     string // UPP_KERNEL
 	shards     int    // UPP_SHARDS
 	routerArch string // UPP_ROUTER
-	noPool     bool   // UPP_NOPOOL (any non-empty value)
 	jobs       int    // UPP_JOBS
 }
 
@@ -30,7 +29,6 @@ func hostEnv() (hostSettings, error) {
 	h := hostSettings{
 		kernel:     os.Getenv("UPP_KERNEL"),
 		routerArch: os.Getenv("UPP_ROUTER"),
-		noPool:     os.Getenv("UPP_NOPOOL") != "",
 	}
 	// network.Config.Validate owns the sets of legal names.
 	cfg := network.DefaultConfig()

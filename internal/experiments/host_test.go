@@ -14,7 +14,7 @@ import (
 // malformed one — unknown names and unparsable or non-positive counts
 // alike — is an error that names the variable.
 func TestHostEnv(t *testing.T) {
-	vars := []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_NOPOOL", "UPP_JOBS"}
+	vars := []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_JOBS"}
 	for _, tc := range []struct {
 		name    string
 		env     map[string]string
@@ -23,11 +23,10 @@ func TestHostEnv(t *testing.T) {
 	}{
 		{name: "unset", want: hostSettings{}},
 		{name: "all set",
-			env:  map[string]string{"UPP_KERNEL": "parallel", "UPP_SHARDS": "4", "UPP_ROUTER": "voq", "UPP_NOPOOL": "1", "UPP_JOBS": "3"},
-			want: hostSettings{kernel: network.KernelParallel, shards: 4, routerArch: router.ArchVOQ, noPool: true, jobs: 3}},
+			env:  map[string]string{"UPP_KERNEL": "parallel", "UPP_SHARDS": "4", "UPP_ROUTER": "voq", "UPP_JOBS": "3"},
+			want: hostSettings{kernel: network.KernelParallel, shards: 4, routerArch: router.ArchVOQ, jobs: 3}},
 		{name: "naive kernel", env: map[string]string{"UPP_KERNEL": "naive"}, want: hostSettings{kernel: network.KernelNaive}},
 		{name: "oq router", env: map[string]string{"UPP_ROUTER": "oq"}, want: hostSettings{routerArch: router.ArchOQ}},
-		{name: "nopool any value", env: map[string]string{"UPP_NOPOOL": "0"}, want: hostSettings{noPool: true}},
 		{name: "unknown kernel", env: map[string]string{"UPP_KERNEL": "turbo"}, wantErr: "UPP_KERNEL"},
 		{name: "unknown router", env: map[string]string{"UPP_ROUTER": "banyan"}, wantErr: "UPP_ROUTER"},
 		{name: "shards not a number", env: map[string]string{"UPP_SHARDS": "four"}, wantErr: "UPP_SHARDS"},
@@ -69,13 +68,12 @@ func TestAssembleAppliesHost(t *testing.T) {
 	t.Setenv("UPP_KERNEL", "parallel")
 	t.Setenv("UPP_SHARDS", "5")
 	t.Setenv("UPP_ROUTER", "oq")
-	t.Setenv("UPP_NOPOOL", "1")
 	s, err := Assemble(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Net; n.Kernel() != network.KernelParallel || n.Shards() != 5 || n.RouterArch() != router.ArchOQ || n.Pooling() {
-		t.Fatalf("env not applied: kernel %q shards %d arch %q pooling %v", n.Kernel(), n.Shards(), n.RouterArch(), n.Pooling())
+	if n := s.Net; n.Kernel() != network.KernelParallel || n.Shards() != 5 || n.RouterArch() != router.ArchOQ {
+		t.Fatalf("env not applied: kernel %q shards %d arch %q", n.Kernel(), n.Shards(), n.RouterArch())
 	}
 	explicit := spec
 	explicit.Kernel, explicit.Shards, explicit.RouterArch = network.KernelParallel, 3, router.ArchVOQ

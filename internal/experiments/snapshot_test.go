@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"uppnoc/internal/core"
 	"uppnoc/internal/network"
 	"uppnoc/internal/reconfig"
 	"uppnoc/internal/topology"
@@ -143,6 +144,60 @@ func TestCheckpointRestoreFaulted(t *testing.T) {
 	}
 	if plain != cold {
 		t.Fatalf("faulted checkpoint perturbed the run:\nplain:        %+v\ncheckpointed: %+v", plain, cold)
+	}
+}
+
+// TestCheckpointRestoreAcrossKernels: the kernel is not part of the cache
+// key, so a warm checkpoint written under one kernel is resumed under
+// another. A UPP checkpoint at cycle 700 on oq routers (which need the
+// most popups: three are in flight there), written under the active
+// kernel resumes under the oracle and under the parallel
+// kernel, and one written under the oracle resumes under the active
+// kernel, each to the uninterrupted run's Point. The oracle restores
+// correctly because it wakes every router and NI at the top of the next
+// cycle, whatever awake sets the writer left.
+func TestCheckpointRestoreAcrossKernels(t *testing.T) {
+	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_CACHE_DIR"} {
+		t.Setenv(env, "")
+	}
+	spec := snapSpec(SchemeUPP, "oq")
+	plain, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct{ write, read, shards string }{
+		{network.KernelActive, network.KernelNaive, ""},
+		{network.KernelActive, network.KernelParallel, "2"},
+		{network.KernelNaive, network.KernelActive, ""},
+	} {
+		t.Run(leg.write+"_to_"+leg.read, func(t *testing.T) {
+			t.Setenv("UPP_KERNEL", leg.write)
+			t.Setenv("UPP_SHARDS", "")
+			var buf bytes.Buffer
+			if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
+				t.Fatal(err)
+			}
+			t.Setenv("UPP_KERNEL", leg.read)
+			t.Setenv("UPP_SHARDS", leg.shards)
+			n, _, _, err := ReadCheckpoint(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Kernel() != leg.read {
+				t.Fatalf("restored under kernel %q, want %q", n.Kernel(), leg.read)
+			}
+			if live := n.Scheme().(*core.UPP).ActivePopups(); live == 0 {
+				t.Fatal("no popup in flight at the checkpoint: the restore does not cover popup state")
+			}
+			restored, _, err := RunRestored(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored != plain {
+				t.Fatalf("written under %s, resumed under %s: diverged from the uninterrupted run:\nplain:    %+v\nrestored: %+v",
+					leg.write, leg.read, plain, restored)
+			}
+		})
 	}
 }
 

@@ -106,12 +106,11 @@ func (c *DependencyCycle) String() string {
 // It returns nil when no cycle exists (e.g. transient congestion). Call it
 // on a wedged network to extract the deadlock certificate.
 //
-// Under the active-set kernels only the awake routers are scanned: a
+// Only the awake routers are scanned (all of them under the oracle): a
 // retired router has no buffered flits, so none of its VCs can hold a
 // blocked packet or appear in a wait-for edge. On a wedged multi-thousand-
 // router system the graph construction therefore costs O(blocked routers),
-// not O(total nodes). The naive kernel keeps no awake set and scans
-// everything.
+// not O(total nodes).
 //
 // The search starts from the blocked VCs in scan order (ascending node,
 // port, VC) and follows edges in the order they were found, so a wedged
@@ -121,8 +120,8 @@ func (n *Network) FindDependencyCycle() *DependencyCycle {
 	adj := map[key][]key{}
 	var roots []key // the keys of adj, in scan order
 	nvc := n.Cfg.Router.NumVCs()
-	scan := func(node *topology.Node) {
-		r := n.Routers[node.ID]
+	for id := n.routers.next(-1); id >= 0; id = n.routers.next(id) {
+		node, r := &n.Topo.Nodes[id], n.Routers[id]
 		for pi := range node.Ports {
 			for vi := 0; vi < nvc; vi++ {
 				vc := r.VCAt(topology.PortID(pi), vi)
@@ -151,15 +150,6 @@ func (n *Network) FindDependencyCycle() *DependencyCycle {
 					roots = append(roots, from)
 				}
 			}
-		}
-	}
-	if n.kernel == KernelNaive {
-		for i := range n.Topo.Nodes {
-			scan(&n.Topo.Nodes[i])
-		}
-	} else {
-		for id := n.routers.next(-1); id >= 0; id = n.routers.next(id) {
-			scan(&n.Topo.Nodes[id])
 		}
 	}
 	// DFS cycle detection.

@@ -6,6 +6,14 @@ import (
 	"uppnoc/internal/topology"
 )
 
+// diagDeepMaxNodes is the system-size threshold above which the state
+// diagnostics (CheckConservation, CheckQuiescent) drop their exhaustive
+// every-port-every-VC walks in favour of scoped or reduced scans. The
+// uppdebug build tag (diagDeepAlways) forces the exhaustive walks at any
+// size; see each check's doc comment for what the reduced mode still
+// guarantees.
+const diagDeepMaxNodes = 1024
+
 // CheckConservation verifies the credit/buffer conservation law on every
 // link at any instant, not just at quiescence:
 //
@@ -26,23 +34,15 @@ import (
 // have already returned their buffer slot via PopFront's credit, so they
 // do not appear in the equation.
 //
-// Scaling: up to diagDeepMaxNodes nodes (or always under -tags uppdebug,
-// or under the naive kernel, which keeps no awake set) every link is
-// checked. Above that the scan is scoped to links with at least one
-// engaged endpoint — an awake router or an in-flight event destination.
+// Scaling: up to diagDeepMaxNodes nodes (or always under -tags uppdebug)
+// every link is checked. Above that the scan is scoped to links with at
+// least one engaged endpoint — an awake router (every router under the
+// oracle) or an in-flight event destination.
 // The scoped scan still catches every violation involving live traffic,
 // but can miss a stale imbalance parked between two long-retired routers
 // (e.g. a credit dropped many cycles ago on a now-idle link); uppdebug
 // restores the exhaustive walk at any size. The exhaustive walk also holds
 // every router's upward census to a recount from its VCs.
-// diagDeepMaxNodes is the system-size threshold above which the state
-// diagnostics (CheckConservation, CheckQuiescent) drop their exhaustive
-// every-port-every-VC walks in favour of scoped or reduced scans. The
-// uppdebug build tag (diagDeepAlways) forces the exhaustive walks at any
-// size; see each check's doc comment for what the reduced mode still
-// guarantees.
-const diagDeepMaxNodes = 1024
-
 func (n *Network) CheckConservation() error {
 	nvc := n.Cfg.Router.NumVCs()
 
@@ -66,7 +66,7 @@ func (n *Network) CheckConservation() error {
 		}
 	}
 
-	full := diagDeepAlways || n.kernel == KernelNaive || len(n.Topo.Nodes) <= diagDeepMaxNodes
+	full := diagDeepAlways || len(n.Topo.Nodes) <= diagDeepMaxNodes
 	var engaged map[topology.NodeID]bool
 	if !full {
 		engaged = make(map[topology.NodeID]bool, 2*n.routers.count)

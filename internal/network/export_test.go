@@ -1,5 +1,7 @@
 package network
 
+import "uppnoc/internal/topology"
+
 // WheelBuffers counts the event buffers the wheel owns: one per slot that
 // holds events plus the drained ones on the free stack.
 func (n *Network) WheelBuffers() int {
@@ -10,4 +12,15 @@ func (n *Network) WheelBuffers() int {
 		}
 	}
 	return held
+}
+
+// NewUnpooled is New with packet recycling off: every packet is allocated
+// fresh and never released — the reference the pooled run is compared
+// against (TestPoolTraceEquality, TestPoolingConfigResolution).
+func NewUnpooled(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
+	n, err := New(t, cfg, scheme)
+	if err == nil {
+		n.noPool = true
+	}
+	return n, err
 }

@@ -21,9 +21,10 @@ const (
 	// KernelActive is the active-set scheduler: only routers and NIs with
 	// pending work are stepped each cycle. The default.
 	KernelActive = "active"
-	// KernelNaive is the exhaustive every-component-every-cycle walk, kept
-	// as the reference the equality tests compare against. Both kernels
-	// produce bit-identical simulations.
+	// KernelNaive is the oracle the equality tests compare against: the
+	// same step function with every router and NI woken at the top of each
+	// cycle and nothing ever retired or skipped, so every component steps
+	// every cycle. All kernels produce bit-identical simulations.
 	KernelNaive = "naive"
 	// KernelParallel is the active kernel with blocks: the same step
 	// function, whose event delivery and router walk run across a bounded
@@ -57,7 +58,7 @@ type Config struct {
 	// scheme). Mutually exclusive with UseUpDown.
 	Adaptive bool
 	// Kernel selects the cycle kernel: KernelActive (the default when
-	// empty), KernelNaive — the reference loop — or KernelParallel, which
+	// empty), KernelNaive — the oracle — or KernelParallel, which
 	// is KernelActive's step function with its two concurrent phases on.
 	Kernel string
 	// Shards is the parallel kernel's worker count: the 64-router blocks
@@ -68,12 +69,6 @@ type Config struct {
 	// trade sync overhead against compute overlap. Ignored by the other
 	// kernels, which build no blocks.
 	Shards int
-	// DisablePool turns off packet recycling: AllocPacket falls back to
-	// plain heap allocation and nothing is released. The simulation is
-	// bit-identical either way (the golden equivalence tests prove it);
-	// the switch exists as a debug escape hatch and for before/after
-	// allocation measurements.
-	DisablePool bool
 }
 
 // DefaultConfig mirrors Table II with 1 VC per VNet.
@@ -180,18 +175,22 @@ type Network struct {
 	nextID    uint64
 	tracer    Tracer
 
-	// pool recycles packets unless Cfg.DisablePool (see
-	// internal/message.Pool for the ownership protocol).
-	pool message.Pool
+	// pool recycles packets (see internal/message.Pool for the ownership
+	// protocol). noPool allocates every packet fresh instead: the reference
+	// the pooled run is compared against, which only this package's tests
+	// set (export_test.go).
+	pool   message.Pool
+	noPool bool
 
-	// Active-set scheduling state (KernelActive, KernelParallel): a
-	// component is awake from the wake event that gave it work until the
-	// retirement pass finds it idle. Each set is one bitmap (awakeSet), so
-	// the per-cycle walk visits the awake components in ascending NodeID
-	// order — the naive kernel's order — and the kernels are bit-identical.
-	// awakeIDs is what AwakeRouterIDs hands the scheme: the routers that
-	// survived this cycle's retirement, written by retireRouters.
+	// Active-set scheduling state: a component is awake from the wake
+	// event that gave it work until the retirement pass finds it idle. Each
+	// set is one bitmap (awakeSet), so the per-cycle walk visits the awake
+	// components in ascending NodeID order. awakeIDs is what AwakeRouterIDs
+	// hands the scheme: the routers that survived this cycle's retirement,
+	// written by retireRouters. The oracle (KernelNaive) wakes everything
+	// at the top of every cycle and retires nothing.
 	kernel   string
+	oracle   bool
 	routers  awakeSet
 	nis      awakeSet
 	awakeIDs []int32
@@ -252,6 +251,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	if n.kernel == "" {
 		n.kernel = KernelActive
 	}
+	n.oracle = n.kernel == KernelNaive
 	n.routers = newAwakeSet(t.NumNodes())
 	n.nis = newAwakeSet(t.NumNodes())
 	// Full capacity: retirement's appends never allocate.
@@ -415,15 +415,14 @@ func (n *Network) NewPacketID() uint64 {
 	return n.nextID
 }
 
-// AllocPacket returns a zeroed packet for injection into this network —
-// recycled from the pool when pooling is enabled, freshly allocated
-// otherwise. Packet producers (the traffic generator, the coherence
-// PEs) allocate through it; the destination NI releases the packet
-// after the PE consumes the reassembled message. Callers that keep a
+// AllocPacket returns a zeroed packet for injection into this network,
+// recycled from the pool. Packet producers (the traffic generator, the
+// coherence PEs) allocate through it; the destination NI releases the
+// packet after the PE consumes the reassembled message. Callers that keep a
 // packet pointer past consumption must snapshot what they need or hold
 // a generation-stamped message.PacketRef.
 func (n *Network) AllocPacket() *message.Packet {
-	if n.Cfg.DisablePool {
+	if n.noPool {
 		return &message.Packet{}
 	}
 	return n.pool.Get()
@@ -433,7 +432,7 @@ func (n *Network) AllocPacket() *message.Packet {
 // is NI.consumeStep — the single release point of the ownership
 // protocol.
 func (n *Network) releasePacket(p *message.Packet) {
-	if n.Cfg.DisablePool {
+	if n.noPool {
 		return
 	}
 	n.pool.Put(p)
@@ -442,10 +441,6 @@ func (n *Network) releasePacket(p *message.Packet) {
 // PacketPool exposes the network's pool for preallocation and stats
 // (benchmarks, soak tests).
 func (n *Network) PacketPool() *message.Pool { return &n.pool }
-
-// Pooling reports whether packet recycling is enabled (Config.DisablePool
-// turns it off).
-func (n *Network) Pooling() bool { return !n.Cfg.DisablePool }
 
 // prepare stamps routing state on a freshly enqueued packet.
 func (n *Network) prepare(p *message.Packet) {
@@ -572,12 +567,23 @@ func (s *awakeSet) clear() {
 	s.count = 0
 }
 
+// fill makes every NodeID below nodes a member.
+func (s *awakeSet) fill(nodes int) {
+	for b := range s.words {
+		s.words[b] = ^uint64(0)
+	}
+	if r := nodes & 63; r != 0 {
+		s.words[len(s.words)-1] = 1<<r - 1
+	}
+	s.count = nodes
+}
+
 // next returns the smallest member above after, or -1 when there is none;
 // a walk starts from -1. Every call reads the words afresh, so a walk
 // that adds a member above its cursor visits it in the same pass and one
 // that adds at or below the cursor leaves it set for the next pass — what
-// a scan over per-node flags does, and so what the naive kernel does.
-// Removing the member the cursor is on is safe for the same reason.
+// a scan over per-node flags does. Removing the member the cursor is on
+// is safe for the same reason.
 func (s *awakeSet) next(after topology.NodeID) topology.NodeID {
 	from := after + 1
 	b := int(from >> blockShift)
@@ -594,38 +600,39 @@ func (s *awakeSet) next(after topology.NodeID) topology.NodeID {
 	return topology.NodeID(b<<blockShift | bits.TrailingZeros64(m))
 }
 
-// RouterActive reports whether the router at id is in the active set this
-// cycle (always true under the naive kernel). Schemes use it to skip
-// detection work at provably idle routers: a router outside the set holds
-// no buffered flits, and its scheme-side per-router state was reset by the
-// OnRouterIdle hook when it retired.
-func (n *Network) RouterActive(id topology.NodeID) bool {
-	return n.kernel == KernelNaive || n.routers.has(id)
-}
-
 // wakeNI puts an NI into the active set: a local-port credit at event
 // delivery, or — from outside the cycle or from inside the NI walk — an
 // Enqueue, a completed ejection or a reservation request.
 func (n *Network) wakeNI(id topology.NodeID) { n.nis.add(id) }
 
 // AwakeRouterIDs returns the ascending IDs of the routers left awake after
-// this cycle's retirement pass, or nil under the naive kernel (where every
-// router is implicitly active). It is valid during the scheme's EndOfCycle
-// hook only — schemes drive detection walks with it so a mostly-idle
-// large system costs O(awake), not O(total-nodes), per cycle. Callers must
-// not modify the slice.
-func (n *Network) AwakeRouterIDs() []int32 {
-	if n.kernel == KernelNaive {
-		return nil
+// this cycle's retirement pass — every router under the oracle. A router
+// not listed holds no buffered flits, and the OnRouterIdle hook reset its
+// scheme-side state when it retired. It is valid during the scheme's
+// EndOfCycle hook only — schemes drive detection walks with it so a
+// mostly-idle large system costs O(awake), not O(total-nodes), per cycle.
+// Callers must not modify the slice.
+func (n *Network) AwakeRouterIDs() []int32 { return n.awakeIDs }
+
+// wakeAll is the oracle's top of cycle: every router and NI joins the
+// active set and AwakeRouterIDs lists every router.
+func (n *Network) wakeAll() {
+	n.routers.fill(len(n.Routers))
+	n.nis.fill(len(n.NIs))
+	// The list is ascending and duplicate-free: full length is every ID.
+	if len(n.awakeIDs) < len(n.Routers) {
+		n.awakeIDs = n.awakeIDs[:len(n.Routers)]
+		for i := range n.awakeIDs {
+			n.awakeIDs[i] = int32(i)
+		}
 	}
-	return n.awakeIDs
 }
 
 // walkRouters steps the awake routers of blocks first, first+stride, …
-// in ascending NodeID order: every awake router — the naive kernel's visit
-// order — from (0, 1), one worker's share of the concurrent step phase
-// from (w, workers). Routers are only woken by a flit at event delivery,
-// before the walk, so the set does not change under it.
+// in ascending NodeID order: every awake router from (0, 1), one worker's
+// share of the concurrent step phase from (w, workers). Routers are only
+// woken by a flit at event delivery (or by the oracle's wake-all), before
+// the walk, so the set does not change under it.
 func (n *Network) walkRouters(first, stride int, cycle sim.Cycle) {
 	words := n.routers.words
 	for b := first; b < len(words); b += stride {
@@ -638,7 +645,7 @@ func (n *Network) walkRouters(first, stride int, cycle sim.Cycle) {
 // walkNIs steps the awake NIs in ascending NodeID order. An NI can be
 // woken mid-walk (a PE Consume callback enqueueing a reply): above the
 // cursor it is stepped in this pass, at or below it in the next cycle's —
-// awakeSet.next gives both, as the naive walk over all NIs does.
+// awakeSet.next gives both.
 func (n *Network) walkNIs(cycle sim.Cycle) {
 	n.inNIWalk = true
 	for id := n.nis.next(-1); id >= 0; id = n.nis.next(id) {
@@ -684,7 +691,7 @@ func (n *Network) retireNIs() {
 // adds flits, and delivery wakes first), and an empty one would step to
 // an immediate return and retire with scheme state that retirement
 // already reset (DESIGN.md §7).
-func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
+func (n *Network) deliverEvents(cycle sim.Cycle) {
 	events := n.takeSlot(cycle)
 	slot := cycle % wheelSize
 	calls := n.callWheel[slot]
@@ -694,18 +701,14 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 		switch e.kind {
 		case evFlit:
 			delay := n.scheme.OnFlitArrived(e.to, e.port, e.flit, cycle)
-			if wake {
-				n.routers.add(e.to)
-			}
+			n.routers.add(e.to)
 			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+delay)
 			// Drop the packet pointer: the buffer is reused at its grown
 			// capacity, and a retained entry would pin a released packet.
 			e.flit.Pkt = nil
 		case evCredit:
 			if e.port == topology.LocalPort {
-				if wake {
-					n.wakeNI(e.to)
-				}
+				n.wakeNI(e.to)
 				n.NIs[e.to].receiveCredit(e.vc, int(e.delta), e.free)
 			} else {
 				n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
@@ -721,60 +724,32 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 	}
 }
 
-// Step advances the system by one cycle: the reference loop under the
-// naive kernel, step under the other two.
-func (n *Network) Step() {
-	if n.kernel == KernelNaive {
-		n.stepNaive()
-	} else {
-		n.step()
-	}
-	if diagDeepAlways {
-		if err := n.CheckWakeInvariant(); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// stepNaive is the exhaustive walk: every router and NI steps every cycle.
-// Idle components no-op (Step early-returns on an empty router), so the
-// walk is wasted work at low load — which is what the active-set kernel
-// removes — but its simplicity makes it the reference the golden tests
-// compare against.
-func (n *Network) stepNaive() {
-	cycle := n.cycle
-	n.beginCycleFaults(cycle)
-	n.deliverEvents(cycle, false)
-	n.scheme.StartOfCycle(cycle)
-	for _, r := range n.Routers {
-		r.Step(cycle)
-	}
-	for _, ni := range n.NIs {
-		ni.step(cycle)
-	}
-	n.scheme.EndOfCycle(cycle)
-	n.foldReconfigStats()
-	n.cycle++
-}
-
-// step advances one cycle stepping only awake components. Event delivery
-// wakes the receiver; the walks visit awake components in ascending NodeID
-// order, mid-walk NI wakes included (walkNIs) — the naive kernel's order.
-// After the walks, components with no remaining work retire; a retiring
-// router notifies the scheme through OnRouterIdle so per-router timeout
-// state resets once instead of being re-polled every cycle.
+// Step advances the system by one cycle, stepping only awake components.
+// Event delivery wakes the receiver; the walks visit awake components in
+// ascending NodeID order, mid-walk NI wakes included (walkNIs). After the
+// walks, components with no remaining work retire; a retiring router
+// notifies the scheme through OnRouterIdle so per-router timeout state
+// resets once instead of being re-polled every cycle.
+//
+// The oracle (KernelNaive) is this function with every router and NI woken
+// at the top of the cycle and the retirement passes skipped: it steps every
+// component every cycle and never calls OnRouterIdle, so it does not depend
+// on the wake rule, retirement or idle fast-forward it checks.
 //
 // A network built with blocks (KernelParallel) runs event delivery and the
 // router walk as concurrent phases when the cycle has enough of either to
-// pay for the hand-off (parallel.go); KernelActive builds none, and both
-// fall through to deliverEvents and the inline walk.
-func (n *Network) step() {
+// pay for the hand-off (parallel.go); the other kernels build none and fall
+// through to deliverEvents and the inline walk.
+func (n *Network) Step() {
 	p, cycle := &n.par, n.cycle
 	p.clock.lap(-1)
+	if n.oracle {
+		n.wakeAll()
+	}
 	n.beginCycleFaults(cycle)
 	slot := cycle % wheelSize
 	if p.blocks == nil || len(n.callWheel[slot]) > 0 || len(n.wheel[slot]) < parallelMinEvents {
-		n.deliverEvents(cycle, true)
+		n.deliverEvents(cycle)
 	} else {
 		p.deliver(cycle)
 	}
@@ -796,15 +771,22 @@ func (n *Network) step() {
 	}
 	n.walkNIs(cycle)
 	// Retirement pass: afterwards the awake sets hold exactly the
-	// components with pending work, which EndOfCycle detection (UPP's
-	// RouterActive check and AwakeRouterIDs walk) relies on.
-	n.retireRouters(cycle)
-	n.retireNIs()
+	// components with pending work — all of them under the oracle — which
+	// EndOfCycle detection (UPP's AwakeRouterIDs walk) relies on.
+	if !n.oracle {
+		n.retireRouters(cycle)
+		n.retireNIs()
+	}
 	p.clock.lap(PhaseNIRetire)
 	n.scheme.EndOfCycle(cycle)
 	n.foldReconfigStats()
 	p.clock.lap(PhaseEndOfCycle)
 	n.cycle++
+	if diagDeepAlways {
+		if err := n.CheckWakeInvariant(); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // Run advances the network by cycles steps, batching event-wheel
@@ -827,12 +809,11 @@ func (n *Network) Run(cycles int) {
 // retirement passes would do nothing), the scheme inert (so its per-cycle
 // hooks are no-ops — the scheme certifies this itself via Inert), no fault
 // injector (fault plans fire on absolute cycles regardless of activity),
-// and not the naive kernel (which by definition steps everything every
-// cycle and is the golden reference for that behavior). Events already in
-// the wheel don't block skipping — skipIdleCycles stops at the first
-// non-empty slot.
+// and not the oracle (which steps everything every cycle, so that the
+// skip is checked against it). Events already in the wheel don't block
+// skipping — skipIdleCycles stops at the first non-empty slot.
 func (n *Network) canSkipIdleCycles() bool {
-	return n.kernel != KernelNaive && n.faults == nil &&
+	return !n.oracle && n.faults == nil &&
 		n.routers.count == 0 && n.nis.count == 0 && n.scheme.Inert()
 }
 

@@ -1,4 +1,4 @@
-// The two concurrent phases of Network.step, engaged on a network built
+// The two concurrent phases of Network.Step, engaged on a network built
 // with blocks (KernelParallel); DESIGN.md §9 has the argument.
 //
 // The node space is cut into fixed 64-router blocks — block b is word b of
@@ -367,9 +367,9 @@ const (
 	NumPhases
 )
 
-// PhaseClock accumulates where the host time of step's cycles goes. A
-// network has none unless a profiler installs one: step otherwise pays
-// one nil check per phase boundary.
+// PhaseClock accumulates where the host time of Step's cycles goes, under
+// every kernel. A network has none unless a profiler installs one: Step
+// otherwise pays one nil check per phase boundary.
 type PhaseClock struct {
 	// Wall is the coordinator's time per phase, hand-off and join included.
 	Wall [NumPhases]time.Duration
@@ -380,8 +380,8 @@ type PhaseClock struct {
 	last                  time.Time
 }
 
-// SetPhaseClock installs c (nil removes it); the naive kernel does not
-// fill it, and the busy times stay empty without workers.
+// SetPhaseClock installs c (nil removes it); the busy times stay empty
+// without workers.
 func (n *Network) SetPhaseClock(c *PhaseClock) {
 	if c != nil {
 		c.DeliverBusy = make([]time.Duration, n.par.workers)

@@ -4,29 +4,44 @@ import (
 	"bytes"
 	"testing"
 
+	"uppnoc/internal/composable"
 	"uppnoc/internal/core"
 	"uppnoc/internal/network"
+	"uppnoc/internal/remotectl"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
 
-// poolRun drives one fixed workload with pooling on or off and returns
-// the full flit-level trace plus the final statistics.
-func poolRun(t *testing.T, scheme string, disablePool bool, rate float64, cycles int, seed uint64) (string, network.Stats) {
+// poolRun drives one fixed workload on a pooled network or on the
+// unpooled reference and returns the full flit-level trace plus the final
+// statistics.
+func poolRun(t *testing.T, scheme string, unpooled bool, rate float64, cycles int, seed uint64) (string, network.Stats) {
 	t.Helper()
 	topo := topology.MustBuild(topology.BaselineConfig())
-	var sch network.Scheme
+	var (
+		sch network.Scheme
+		err error
+	)
 	switch scheme {
 	case "upp":
 		sch = core.New(core.DefaultConfig())
+	case "remote_control":
+		sch = remotectl.New(remotectl.DefaultConfig())
+	case "composable":
+		sch, err = composable.NewScheme(topo)
 	case "none":
 		sch = network.None{}
 	default:
 		t.Fatalf("unknown scheme %q", scheme)
 	}
-	cfg := network.DefaultConfig()
-	cfg.DisablePool = disablePool
-	n, err := network.New(topo, cfg, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := network.New
+	if unpooled {
+		build = network.NewUnpooled
+	}
+	n, err := build(topo, network.DefaultConfig(), sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +54,12 @@ func poolRun(t *testing.T, scheme string, disablePool bool, rate float64, cycles
 
 // TestPoolTraceEquality: packet recycling must be behaviorally invisible
 // — the flit-level event trace and every statistic must be bit-identical
-// with pooling on and off. The UPP run uses an overload rate so the full
-// popup protocol (detection, signals, circuit drain, release) executes
-// over recycled packets.
+// to the unpooled reference, for every scheme. The UPP run uses an
+// overload rate so the full popup protocol (detection, signals, circuit
+// drain, release) executes over recycled packets; remote control's
+// injection holds keep packets queued at the NI while others are recycled
+// around them, and composable routing steers every packet through its own
+// route tables.
 func TestPoolTraceEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
@@ -52,6 +70,8 @@ func TestPoolTraceEquality(t *testing.T) {
 		cycles int
 	}{
 		{"none", 0.05, 6000},
+		{"remote_control", 0.05, 6000},
+		{"composable", 0.05, 6000},
 		{"upp", 0.12, 10000}, // past the knee: popups fire
 	}
 	for _, tc := range cases {
@@ -63,6 +83,9 @@ func TestPoolTraceEquality(t *testing.T) {
 			}
 			if tc.scheme == "upp" && pooledStats.UpwardPackets == 0 {
 				t.Error("UPP case never detected an upward packet; raise the rate so the popup path is exercised")
+			}
+			if tc.scheme == "remote_control" && pooledStats.InjectionHolds == 0 {
+				t.Error("remote control never held an injection; raise the rate so packets queue behind a hold")
 			}
 			if pooledTrace != plainTrace {
 				i := 0

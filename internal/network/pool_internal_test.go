@@ -123,13 +123,14 @@ func TestPktRing(t *testing.T) {
 	}
 }
 
-// TestPoolingConfigResolution: Config.DisablePool is the only pooling
-// switch at this layer; UPP_NOPOOL is resolved into it by
-// internal/experiments and not consulted here.
+// TestPoolingConfigResolution: every network recycles packets — no Config
+// field or host variable (UPP_NOPOOL is gone) turns that off — and the
+// unpooled reference is reachable only through NewUnpooled, this package's
+// test constructor.
 func TestPoolingConfigResolution(t *testing.T) {
 	for _, tc := range []struct {
 		name, env string
-		disable   bool
+		unpooled  bool
 	}{
 		{"default_on", "", false},
 		{"config_off", "", true},
@@ -137,14 +138,16 @@ func TestPoolingConfigResolution(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Setenv("UPP_NOPOOL", tc.env)
-			cfg := DefaultConfig()
-			cfg.DisablePool = tc.disable
-			n := MustNew(topology.MustBuild(topology.BaselineConfig()), cfg, None{})
-			if n.Pooling() == tc.disable {
-				t.Fatalf("Pooling() = %v with DisablePool = %v", n.Pooling(), tc.disable)
+			build := New
+			if tc.unpooled {
+				build = NewUnpooled
 			}
-			if p := n.AllocPacket(); p.Pooled() == tc.disable {
-				t.Fatalf("AllocPacket returned Pooled() = %v with DisablePool = %v", p.Pooled(), tc.disable)
+			n, err := build(topology.MustBuild(topology.BaselineConfig()), DefaultConfig(), None{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := n.AllocPacket(); p.Pooled() == tc.unpooled {
+				t.Fatalf("AllocPacket returned Pooled() = %v on an unpooled=%v network", p.Pooled(), tc.unpooled)
 			}
 		})
 	}

@@ -59,10 +59,10 @@ func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 }
 
 // ReadSnapshot overwrites the state of a freshly constructed network —
-// same topology, config, scheme type and pooling setting as the writer
-// — from snapshot bytes. Corrupt or truncated input yields a structured
-// error, never a panic. If a fault injector is attached, its flap state
-// is resynced to the restored cycle.
+// same topology, config and scheme type as the writer — from snapshot
+// bytes. Corrupt or truncated input yields a structured error, never a
+// panic. If a fault injector is attached, its flap state is resynced to
+// the restored cycle.
 func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error) {
 	defer func() {
 		// Backstop: the readers bounds-check everything, but a decode
@@ -247,7 +247,7 @@ func (n *Network) snapshot(c *snap.Codec, extras []SnapshotExtra) error {
 // field is written from this network and, when read, must equal it.
 func (n *Network) snapshotHeader(c *snap.Codec, cycle *sim.Cycle) error {
 	magic, version := snapMagic, uint64(snapVersion)
-	nodes, arch, pooling := n.Topo.NumNodes(), n.RouterArch(), n.Pooling()
+	nodes, arch, pooling := n.Topo.NumNodes(), n.RouterArch(), !n.noPool
 	vcs, depth, ejDepth := n.Cfg.Router.NumVCs(), n.Cfg.Router.BufferDepth, n.Cfg.EjectionDepth
 	if c.String("magic", &magic, 8); c.Err() == nil && magic != snapMagic {
 		return fmt.Errorf("network: bad snapshot magic %q", magic)
@@ -261,8 +261,8 @@ func (n *Network) snapshotHeader(c *snap.Codec, cycle *sim.Cycle) error {
 	if c.String("arch", &arch, 8); c.Err() == nil && arch != n.RouterArch() {
 		return fmt.Errorf("network: snapshot router arch %q, network has %q", arch, n.RouterArch())
 	}
-	if c.Bool("pooling", &pooling); c.Err() == nil && pooling != n.Pooling() {
-		return fmt.Errorf("network: snapshot pooling=%v, network has %v", pooling, n.Pooling())
+	if c.Bool("pooling", &pooling); c.Err() == nil && pooling == n.noPool {
+		return fmt.Errorf("network: snapshot pooling=%v, network has %v", pooling, !n.noPool)
 	}
 	if snap.Int(c, "num vcs", &vcs, 0, 1024); c.Err() == nil && vcs != n.Cfg.Router.NumVCs() {
 		return fmt.Errorf("network: snapshot has %d VCs, network has %d", vcs, n.Cfg.Router.NumVCs())
