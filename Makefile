@@ -44,14 +44,17 @@ bench-pairs:
 # that assemble a simulation in the non-test files of internal/experiments,
 # cmd/uppsim and cmd/profile: experiments.Assemble is the one place (its
 # topology.Build / BuildScale pair, plus KillableInterposerLinks' scratch
-# topology), so a second hand-rolled assembly shows up as a number. Last,
+# topology), so a second hand-rolled assembly shows up as a number. Then
 # the non-test lines of internal/snap and every internal/*/snapshot.go:
 # each snapshot section is one description walked in both directions
 # (snap.Codec), so a section written twice shows up as a number too. Then
 # the non-test lines outside internal/network that name the oracle kernel
 # or a per-router activity test: the oracle is a mode of Network.Step, so
-# no scheme or checker forks on it. The target fails when a count exceeds
-# its ceiling; CI's test job runs it.
+# no scheme or checker forks on it. Last, the non-test lines of internal/
+# and cmd/ that name SchemeOverride, UPPWithThreshold or HardenedUPP: a
+# scheme is data on RunSpec (RunSpec.UPP), never a closure or a named
+# constructor, so every spec has a content address. The target fails when
+# a count exceeds its ceiling; CI's test job runs it.
 SNAPSHOT_LINES = 1544
 loc:
 	@for d in internal/* cmd 'internal cmd'; do \
@@ -67,6 +70,9 @@ loc:
 		[ $$n -le $(SNAPSHOT_LINES) ]
 	@n=$$(find internal cmd -path internal/network -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | grep -c 'KernelNaive\|RouterActive'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'KernelNaive|RouterActive' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'SchemeOverride\|UPPWithThreshold\|HardenedUPP'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'SchemeOverride|UPPWithThreshold|HardenedUPP' $$n 0; \
 		[ $$n -le 0 ]
 
 # Regenerate the committed collective-workload golden CSV

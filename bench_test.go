@@ -12,6 +12,7 @@ import (
 
 	"uppnoc/internal/coherence"
 	"uppnoc/internal/composable"
+	"uppnoc/internal/core"
 	"uppnoc/internal/experiments"
 	"uppnoc/internal/network"
 	"uppnoc/internal/power"
@@ -207,10 +208,9 @@ func benchThreshold(b *testing.B, th int) {
 	var last experiments.Point
 	for i := 0; i < b.N; i++ {
 		pt, err := experiments.Run(experiments.RunSpec{
-			Topo: topology.BaselineConfig(),
-			SchemeOverride: func(t *topology.Topology) (network.Scheme, error) {
-				return experiments.UPPWithThreshold(th), nil
-			},
+			Topo:       topology.BaselineConfig(),
+			Scheme:     experiments.SchemeUPP,
+			UPP:        core.Config{Threshold: th},
 			VCsPerVNet: 1,
 			Pattern:    traffic.UniformRandom{},
 			Rate:       0.07,

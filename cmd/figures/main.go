@@ -35,54 +35,9 @@ import (
 	"uppnoc/internal/experiments"
 )
 
-// settings is what the flags hand every experiment.
-type settings struct {
-	dur   experiments.Durations
-	scale float64
-	opts  experiments.PoolOptions
-}
-
-type tables = []experiments.Table
-
-// registry is every name -exp accepts with whether "all" includes it and
-// how to run it: the dispatch, the output order and the usage list.
-var registry = []struct {
-	name  string
-	inAll bool
-	run   func(s settings) (tables, error)
-}{
-	{"table1", true, func(settings) (tables, error) { return tables{experiments.Table1()}, nil }},
-	{"table2", true, func(settings) (tables, error) { return tables{experiments.Table2()}, nil }},
-	{"fig2", true, func(s settings) (tables, error) { return experiments.Fig2(s.opts) }},
-	{"fig7", true, func(s settings) (tables, error) { return experiments.Fig7(s.dur, s.opts) }},
-	{"fullsystem", true, func(s settings) (tables, error) { return experiments.FullSystem(s.scale, s.opts) }},
-	{"fig9", true, func(s settings) (tables, error) { return experiments.Fig9(s.dur, s.opts) }},
-	{"fig10", true, func(s settings) (tables, error) { return experiments.Fig10(s.dur, s.opts) }},
-	{"fig11", true, func(s settings) (tables, error) { return experiments.Fig11(s.dur, s.opts) }},
-	{"fig13", true, func(s settings) (tables, error) { return experiments.Fig13(s.dur, s.opts) }},
-	{"fault_sweep", true, func(s settings) (tables, error) { return experiments.FaultSweep(s.dur, s.opts) }},
-	{"fig14", true, func(settings) (tables, error) { return tables{experiments.Fig14()}, nil }},
-	{"load_balance", true, func(s settings) (tables, error) { return experiments.LoadBalance(s.dur, s.opts) }},
-	{"tail_latency", true, func(s settings) (tables, error) { return experiments.TailLatency(s.dur, s.opts) }},
-	{"collectives", true, func(s settings) (tables, error) { return experiments.Collectives(s.opts) }},
-	{"router_compare", true, func(s settings) (tables, error) { return experiments.RouterCompare(s.opts) }},
-	{"reconfig", true, func(s settings) (tables, error) { return experiments.Reconfig(s.dur, s.opts) }},
-	// Not part of -exp all: the scale systems are orders of magnitude
-	// larger than the paper's, so the sweep is opt-in.
-	{"scale", false, func(s settings) (tables, error) { return experiments.Scale(s.dur, s.opts) }},
-	{"ablation", true, func(s settings) (all tables, err error) {
-		for _, run := range []func(experiments.Durations, experiments.PoolOptions) (tables, error){
-			experiments.AblationBinding, experiments.AblationAdaptive, experiments.AblationBufferDepth, experiments.AblationSignalGap,
-		} {
-			ts, err := run(s.dur, s.opts)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, ts...)
-		}
-		return all, nil
-	}},
-}
+// entries is every experiment -exp names, in output order: the dispatch and
+// the usage list.
+var entries = experiments.Experiments()
 
 // fullSystemFigures come out of one set of simulations: each name selects
 // the "fullsystem" entry.
@@ -91,15 +46,15 @@ var fullSystemFigures = []string{"fig8", "fig12", "fig15"}
 // known lists every name -exp accepts.
 func known() []string {
 	names := []string{"all"}
-	for _, e := range registry {
-		names = append(names, e.name)
+	for _, e := range entries {
+		names = append(names, e.ID)
 	}
 	return append(names, fullSystemFigures...)
 }
 
-// selectExperiments resolves an -exp list to registry indices, each at
-// most once and in registry order. A name it does not know is an error —
-// a typo must not silently shrink a paper-length run.
+// selectExperiments resolves an -exp list to indices into entries, each
+// at most once and in their order. A name it does not know is an error — a
+// typo must not silently shrink a paper-length run.
 func selectExperiments(list string) ([]int, error) {
 	want := map[string]bool{}
 	for _, name := range strings.Split(list, ",") {
@@ -113,11 +68,11 @@ func selectExperiments(list string) ([]int, error) {
 	all := want["all"]
 	delete(want, "all")
 	var picked []int
-	for i, e := range registry {
-		if want[e.name] || all && e.inAll {
+	for i, e := range entries {
+		if want[e.ID] || all && e.InAll {
 			picked = append(picked, i)
 		}
-		delete(want, e.name)
+		delete(want, e.ID)
 	}
 	if len(want) > 0 {
 		var unknown []string
@@ -161,18 +116,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	s := settings{dur: experiments.QuickDurations(), scale: *scale, opts: experiments.PoolOptions{Jobs: *jobs}}
+	s := experiments.Settings{Dur: experiments.QuickDurations(), Scale: *scale, Opts: experiments.PoolOptions{Jobs: *jobs}}
 	if *full {
-		s.dur = experiments.PaperDurations()
+		s.Dur = experiments.PaperDurations()
 	}
 	if !*quiet {
-		s.opts.Progress = func(format string, args ...interface{}) {
+		s.Opts.Progress = func(format string, args ...interface{}) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
-	var out tables
+	var out []experiments.Table
 	for _, i := range picked {
-		ts, err := registry[i].run(s)
+		ts, err := entries[i].Run(s)
 		if err != nil {
 			fmt.Fprintf(stderr, "figures: %v\n", err)
 			return 1

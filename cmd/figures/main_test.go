@@ -15,7 +15,7 @@ func names(t *testing.T, list string) []string {
 	}
 	var out []string
 	for _, i := range picked {
-		out = append(out, registry[i].name)
+		out = append(out, entries[i].ID)
 	}
 	return out
 }
@@ -66,10 +66,10 @@ func TestSelection(t *testing.T) {
 		}
 	}
 	all := names(t, "all")
-	if slices.Contains(all, "scale") || len(all) != len(registry)-1 {
+	if slices.Contains(all, "scale") || len(all) != len(entries)-1 {
 		t.Errorf("-exp all selects %v: want every experiment but scale", all)
 	}
-	if got := names(t, "all,scale"); len(got) != len(registry) {
+	if got := names(t, "all,scale"); len(got) != len(entries) {
 		t.Errorf("-exp all,scale selects %v, want everything", got)
 	}
 	if got := names(t, "fig7,table1"); !slices.Equal(got, []string{"table1", "fig7"}) {

@@ -50,10 +50,10 @@ type Config struct {
 	// signals sent by one interposer router
 	// (Size_of_Data_Packet + 1, Sec. V-B5).
 	SignalGap int
-	// Policy overrides the egress-boundary selection (nil = the paper's
-	// static closest-boundary binding). The ablation experiments swap in
-	// the alternatives of Sec. V-D's design discussion.
-	Policy routing.BoundaryPolicy
+	// Binding names the egress-boundary selection (routing.BindingPolicy:
+	// "" = the paper's static closest-boundary binding). The ablation
+	// experiments swap in the alternatives of Sec. V-D's design discussion.
+	Binding string
 	// SignalTimeout, when > 0, arms a per-popup watchdog on every
 	// outstanding protocol signal: a popup whose req (or a cancelled
 	// popup whose stop or discarded ack) has produced no progress for
@@ -237,7 +237,8 @@ type nodeState struct {
 // UPP is the scheme. Create with New and pass to network.New.
 type UPP struct {
 	network.BaseScheme
-	cfg Config
+	cfg    Config
+	policy routing.BoundaryPolicy // cfg.Binding resolved
 
 	net   *network.Network
 	nodes []nodeState
@@ -257,8 +258,14 @@ type UPP struct {
 	sorted []*popup
 }
 
-// New returns a UPP scheme instance.
+// New returns a UPP scheme instance. It panics on a Binding that
+// routing.BindingPolicy does not know; callers that take the name from
+// outside check it there first.
 func New(cfg Config) *UPP {
+	policy, err := routing.BindingPolicy(cfg.Binding)
+	if err != nil {
+		panic(err)
+	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 20
 	}
@@ -268,7 +275,7 @@ func New(cfg Config) *UPP {
 	if cfg.SignalTimeout > 0 && cfg.MaxSignalRetries <= 0 {
 		cfg.MaxSignalRetries = 3
 	}
-	return &UPP{cfg: cfg, popups: make(map[uint64]*popup)}
+	return &UPP{cfg: cfg, policy: policy, popups: make(map[uint64]*popup)}
 }
 
 // Name implements network.Scheme.
@@ -279,13 +286,8 @@ func (u *UPP) Name() string { return "upp" }
 func (u *UPP) Config() Config { return u.cfg }
 
 // Policy implements network.Scheme — UPP uses the static binding unless
-// an ablation policy was configured.
-func (u *UPP) Policy() routing.BoundaryPolicy {
-	if u.cfg.Policy != nil {
-		return u.cfg.Policy
-	}
-	return routing.DefaultPolicy{}
-}
+// an ablation binding was configured.
+func (u *UPP) Policy() routing.BoundaryPolicy { return u.policy }
 
 // Attach implements network.Scheme.
 func (u *UPP) Attach(n *network.Network) {

@@ -3,11 +3,15 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"sync"
 
+	"uppnoc/internal/composable"
+	"uppnoc/internal/core"
 	"uppnoc/internal/faults"
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
 	"uppnoc/internal/reconfig"
+	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
@@ -41,11 +45,12 @@ type RunSpec struct {
 	// has a persistent event (default ModeAuto).
 	Mode   reconfig.Mode
 	Scheme SchemeName
-	// SchemeOverride, when non-nil, is used instead of Scheme: for a
-	// scheme no name describes (a threshold, a binding policy). Such a
-	// run cannot be served from the result cache.
-	SchemeOverride func(t *topology.Topology) (network.Scheme, error)
-	VCsPerVNet     int
+	// UPP sets UPP's parameters (Fig. 13's threshold, the binding and
+	// signal-gap ablations); the zero value is the paper's configuration.
+	// Valid only under Scheme upp. Signal hardening is not set here: it
+	// follows the fault plan.
+	UPP        core.Config
+	VCsPerVNet int
 	// BufferDepth overrides the per-VC buffer depth when > 0 (ablation).
 	BufferDepth int
 	Pattern     traffic.Pattern
@@ -96,14 +101,23 @@ type TrafficSource interface {
 // static faults), scheme, network.Config, host settings, network, fault
 // plan — and is the only place in this package, uppsim and cmd/profile
 // that does. Three things follow from the spec rather than from the
-// caller: UPP is the hardened config exactly when a plan is attached,
-// up*/down* local routing is forced by static faults or a persistent plan,
-// and the network is seeded Seed+1. The caller attaches the traffic source
-// (Sim.Generator, workloadEngine, a replayer, a coherence system) and
-// measures.
+// caller: UPP is hardened (signal timeout + retry) exactly when a plan is
+// attached, up*/down* local routing is forced by static faults or a
+// persistent plan, and the network is seeded Seed+1. The caller attaches
+// the traffic source (Sim.Generator, workloadEngine, a replayer, a
+// coherence system) and measures.
 func Assemble(spec RunSpec) (*Sim, error) {
 	if spec.FaultPlan != "" && !spec.Plan.Empty() {
 		return nil, fmt.Errorf("experiments: spec carries both FaultPlan %q and a parsed Plan", spec.FaultPlan)
+	}
+	if spec.UPP != (core.Config{}) && spec.Scheme != SchemeUPP {
+		return nil, fmt.Errorf("experiments: UPP settings %+v under scheme %q", spec.UPP, spec.Scheme)
+	}
+	if spec.UPP.SignalTimeout != 0 || spec.UPP.MaxSignalRetries != 0 {
+		return nil, fmt.Errorf("experiments: UPP signal hardening is set by the fault plan, not by RunSpec.UPP")
+	}
+	if _, err := routing.BindingPolicy(spec.UPP.Binding); err != nil {
+		return nil, err
 	}
 	planned := spec.FaultPlan != "" || !spec.Plan.Empty()
 	var topo *topology.Topology
@@ -128,11 +142,14 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	}
 	var scheme network.Scheme
 	switch {
-	case spec.SchemeOverride != nil:
-		scheme, err = spec.SchemeOverride(topo)
-	case planned && spec.Scheme == SchemeUPP:
-		// Runtime signal faults need the retry machinery.
-		scheme = HardenedUPP()
+	case spec.Scheme == SchemeUPP:
+		cfg := spec.UPP
+		if planned {
+			// Runtime signal faults need the retry machinery (DESIGN.md
+			// §10): a lost signal is re-sent, then the popup force-retired.
+			cfg.SignalTimeout, cfg.MaxSignalRetries = 256, 3
+		}
+		scheme = core.New(cfg)
 	case spec.Scale == nil && spec.Faults == 0 && spec.FaultsPerLayer == 0:
 		// topo is exactly what spec.Topo builds, so composable's
 		// design-time search can be reused across runs.
@@ -195,6 +212,33 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	if spec.TraceLimit > 0 {
 		n.SetTracer(network.WriteTracer(os.Stderr, spec.TraceLimit))
 	}
+	return s, nil
+}
+
+// composableCache reuses the design-time restriction search across runs of
+// the same topology configuration (the tables are immutable and the
+// structure is identical for equal configs).
+var (
+	composableMu    sync.Mutex
+	composableCache = map[topology.SystemConfig]*composable.Scheme{}
+)
+
+// cachedScheme is MakeScheme for a topology built from cfg with nothing
+// done to it: composable's scheme is built once per configuration.
+func cachedScheme(cfg topology.SystemConfig, name SchemeName, topo *topology.Topology) (network.Scheme, error) {
+	if name != SchemeComposable {
+		return MakeScheme(name, topo)
+	}
+	composableMu.Lock()
+	defer composableMu.Unlock()
+	if s, ok := composableCache[cfg]; ok {
+		return s, nil
+	}
+	s, err := composable.NewScheme(topo)
+	if err != nil {
+		return nil, err
+	}
+	composableCache[cfg] = s
 	return s, nil
 }
 

@@ -1,8 +1,8 @@
 package experiments
 
 // This file is the content-addressed run cache (DESIGN.md §14). A RunSpec
-// whose inputs are fully canonicalizable — a named scheme, one of the
-// registered traffic patterns, no workload, no parsed plan or
+// whose inputs are fully canonicalizable — one of the registered traffic
+// patterns, no random binding, no workload, no parsed plan or
 // reconfiguration mode, no tracer — maps to a canonical JSON
 // envelope; the SHA-256 of those bytes addresses two on-disk artifacts
 // under UPP_CACHE_DIR:
@@ -37,6 +37,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"uppnoc/internal/core"
 	"uppnoc/internal/network"
 	"uppnoc/internal/reconfig"
 	"uppnoc/internal/topology"
@@ -74,7 +75,9 @@ func CacheCounters() (hits, misses, warmStartHits, warmStartMisses uint64) {
 // specEnvelope is the canonical form of a RunSpec: plain data, fixed
 // field order, every result-relevant input made explicit (the router
 // architecture is stored resolved). json.Marshal of this struct is the
-// cache's canonical byte string.
+// cache's canonical byte string. RunSpec.UPP's parameters are omitted at
+// zero, so a spec that leaves them at the paper's values hashes as it did
+// before a spec could set them.
 type specEnvelope struct {
 	Format         int                   `json:"format"`
 	Topo           topology.SystemConfig `json:"topo"`
@@ -84,6 +87,9 @@ type specEnvelope struct {
 	FaultsPerLayer int                   `json:"faults_per_layer,omitempty"`
 	FaultPlan      string                `json:"fault_plan,omitempty"`
 	Scheme         SchemeName            `json:"scheme"`
+	Threshold      int                   `json:"threshold,omitempty"`
+	SignalGap      int                   `json:"signal_gap,omitempty"`
+	Binding        string                `json:"binding,omitempty"`
 	VCsPerVNet     int                   `json:"vcs,omitempty"`
 	BufferDepth    int                   `json:"buffer_depth,omitempty"`
 	Pattern        string                `json:"pattern"`
@@ -103,15 +109,16 @@ type specEnvelope struct {
 }
 
 // canonicalSpec canonicalizes a spec for caching. ok is false when the
-// spec cannot be addressed by content: a SchemeOverride or a traffic
-// pattern outside the registered set has no canonical name, a workload, a
-// parsed plan and a reconfiguration mode have no place in the envelope, a
-// traced run's side effects cannot come from a cache, and under malformed
-// host settings the router architecture is unknown (Assemble reports
-// those).
+// spec cannot be addressed by content: a traffic pattern outside the
+// registered set has no canonical name, a workload, a parsed plan and a
+// reconfiguration mode have no place in the envelope, a traced run's side
+// effects cannot come from a cache, and under malformed host settings the
+// router architecture is unknown (Assemble reports those). The random
+// binding's stream is in no snapshot, so a warm start would restart it
+// and diverge from the cold run: its runs are refused too.
 func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
-	if spec.SchemeOverride != nil || spec.TraceLimit > 0 || spec.Pattern == nil ||
-		spec.Workload != "" || !spec.Plan.Empty() || spec.Mode != reconfig.ModeAuto {
+	if spec.TraceLimit > 0 || spec.Pattern == nil || spec.Workload != "" || !spec.Plan.Empty() ||
+		spec.Mode != reconfig.ModeAuto || spec.UPP.Binding == "random" {
 		return specEnvelope{}, nil, false
 	}
 	host, err := hostEnv()
@@ -130,6 +137,9 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		FaultsPerLayer: spec.FaultsPerLayer,
 		FaultPlan:      spec.FaultPlan,
 		Scheme:         spec.Scheme,
+		Threshold:      spec.UPP.Threshold,
+		SignalGap:      spec.UPP.SignalGap,
+		Binding:        spec.UPP.Binding,
 		VCsPerVNet:     spec.VCsPerVNet,
 		BufferDepth:    spec.BufferDepth,
 		Pattern:        spec.Pattern.Name(),
@@ -168,6 +178,7 @@ func (e specEnvelope) runSpec() (RunSpec, error) {
 		FaultsPerLayer: e.FaultsPerLayer,
 		FaultPlan:      e.FaultPlan,
 		Scheme:         e.Scheme,
+		UPP:            core.Config{Threshold: e.Threshold, SignalGap: e.SignalGap, Binding: e.Binding},
 		VCsPerVNet:     e.VCsPerVNet,
 		BufferDepth:    e.BufferDepth,
 		Pattern:        pat,
@@ -233,16 +244,8 @@ func writeAtomic(path string, data []byte) {
 	if err != nil {
 		return
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if os.Rename(tmp.Name(), path) != nil {
+	_, werr := tmp.Write(data)
+	if cerr := tmp.Close(); werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
 		os.Remove(tmp.Name())
 	}
 }
@@ -334,7 +337,7 @@ func RunCheckpointed(spec RunSpec, at int64, out io.Writer) (Point, error) {
 	}
 	_, canonical, ok := canonicalSpec(spec)
 	if !ok {
-		return Point{}, fmt.Errorf("experiments: spec is not checkpointable (custom scheme, unregistered pattern or tracing)")
+		return Point{}, fmt.Errorf("experiments: spec is not checkpointable (random binding, unregistered pattern or tracing)")
 	}
 	return finishRun(spec, n, g, at, func() error {
 		return writeCheckpointTo(out, canonical, n, g)

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"uppnoc/internal/network"
+	"uppnoc/internal/core"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -25,9 +25,11 @@ func cacheDelta(f func()) (hits, misses, warmHits, warmMisses uint64) {
 // UPP_CACHE_DIR set, a cold sweep populates the cache, a repeat sweep is
 // served entirely from it, and a warm-started sweep (results evicted,
 // post-warmup checkpoints kept) re-measures from the checkpoints — all
-// three producing the exact Curve an uncached sweep produces.
+// three producing the exact Curve an uncached sweep produces. It runs for
+// the paper's UPP and for one with RunSpec.UPP set, whose warm key must
+// differ from the default's.
 func TestResultCacheBitIdentity(t *testing.T) {
-	spec := RunSpec{
+	base := RunSpec{
 		Topo:       topology.BaselineConfig(),
 		Scheme:     SchemeUPP,
 		VCsPerVNet: 1,
@@ -35,80 +37,99 @@ func TestResultCacheBitIdentity(t *testing.T) {
 		Seed:       11,
 		Dur:        Durations{Warmup: 300, Measure: 600},
 	}
+	tuned := base
+	tuned.UPP = core.Config{Threshold: 100, SignalGap: 12}
+	t.Setenv("UPP_CACHE_WARM", "1")
+	defEnv, _, _ := canonicalSpec(base)
+	tunedEnv, _, ok := canonicalSpec(tuned)
+	if !ok || newWarmState("", defEnv).hash == newWarmState("", tunedEnv).hash {
+		t.Fatalf("UPP settings do not reach the warm key (canonicalizable %v)", ok)
+	}
 	rates := []float64{0.02, 0.05, 0.08}
-	sweep := func() Curve {
-		t.Helper()
-		c, err := SweepRatesWith(spec, rates, "cache-test", PoolOptions{Jobs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
+	for _, tc := range []struct {
+		name string
+		spec RunSpec
+	}{{"default", base}, {"upp_config", tuned}} {
+		spec := tc.spec
+		t.Run(tc.name, func(t *testing.T) {
+			sweep := func() Curve {
+				t.Helper()
+				c, err := SweepRatesWith(spec, rates, "cache-test", PoolOptions{Jobs: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
 
-	t.Setenv("UPP_CACHE_DIR", "")
-	ref := sweep()
-	if len(ref.Points) != len(rates) {
-		t.Fatalf("reference sweep returned %d points, want %d", len(ref.Points), len(rates))
-	}
+			t.Setenv("UPP_CACHE_DIR", "")
+			ref := sweep()
+			if len(ref.Points) != len(rates) {
+				t.Fatalf("reference sweep returned %d points, want %d", len(ref.Points), len(rates))
+			}
 
-	dir := t.TempDir()
-	t.Setenv("UPP_CACHE_DIR", dir)
+			dir := t.TempDir()
+			t.Setenv("UPP_CACHE_DIR", dir)
 
-	var cold Curve
-	_, misses, _, warmMisses := cacheDelta(func() { cold = sweep() })
-	if !reflect.DeepEqual(cold, ref) {
-		t.Fatalf("cold cached sweep diverged from uncached reference:\nref:  %+v\ncold: %+v", ref, cold)
-	}
-	if misses != uint64(len(rates)) || warmMisses != uint64(len(rates)) {
-		t.Fatalf("cold sweep: %d misses / %d warm misses, want %d of each", misses, warmMisses, len(rates))
-	}
+			var cold Curve
+			_, misses, _, warmMisses := cacheDelta(func() { cold = sweep() })
+			if !reflect.DeepEqual(cold, ref) {
+				t.Fatalf("cold cached sweep diverged from uncached reference:\nref:  %+v\ncold: %+v", ref, cold)
+			}
+			if misses != uint64(len(rates)) || warmMisses != uint64(len(rates)) {
+				t.Fatalf("cold sweep: %d misses / %d warm misses, want %d of each", misses, warmMisses, len(rates))
+			}
 
-	var hit Curve
-	hits, misses, _, _ := cacheDelta(func() { hit = sweep() })
-	if !reflect.DeepEqual(hit, ref) {
-		t.Fatalf("cache-hit sweep diverged from uncached reference:\nref: %+v\nhit: %+v", ref, hit)
-	}
-	if hits != uint64(len(rates)) || misses != 0 {
-		t.Fatalf("repeat sweep: %d hits / %d misses, want %d / 0", hits, misses, len(rates))
-	}
+			var hit Curve
+			hits, misses, _, _ := cacheDelta(func() { hit = sweep() })
+			if !reflect.DeepEqual(hit, ref) {
+				t.Fatalf("cache-hit sweep diverged from uncached reference:\nref: %+v\nhit: %+v", ref, hit)
+			}
+			if hits != uint64(len(rates)) || misses != 0 {
+				t.Fatalf("repeat sweep: %d hits / %d misses, want %d / 0", hits, misses, len(rates))
+			}
 
-	// Evict the results but keep the warm-start checkpoints: the sweep
-	// must re-measure from the post-warmup snapshots and still match.
-	if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
-		t.Fatal(err)
-	}
-	var warm Curve
-	_, misses, warmHits, _ := cacheDelta(func() { warm = sweep() })
-	if !reflect.DeepEqual(warm, ref) {
-		t.Fatalf("warm-started sweep diverged from uncached reference:\nref:  %+v\nwarm: %+v", ref, warm)
-	}
-	if misses != uint64(len(rates)) || warmHits != uint64(len(rates)) {
-		t.Fatalf("warm sweep: %d misses / %d warm hits, want %d of each", misses, warmHits, len(rates))
-	}
+			// Evict the results but keep the warm-start checkpoints: the sweep
+			// must re-measure from the post-warmup snapshots and still match.
+			if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
+				t.Fatal(err)
+			}
+			var warm Curve
+			_, misses, warmHits, _ := cacheDelta(func() { warm = sweep() })
+			if !reflect.DeepEqual(warm, ref) {
+				t.Fatalf("warm-started sweep diverged from uncached reference:\nref:  %+v\nwarm: %+v", ref, warm)
+			}
+			if misses != uint64(len(rates)) || warmHits != uint64(len(rates)) {
+				t.Fatalf("warm sweep: %d misses / %d warm hits, want %d of each", misses, warmHits, len(rates))
+			}
 
-	// UPP_CACHE_WARM=0 opts out of warm-starting but keeps result caching:
-	// evict again and the sweep must run fully cold, still bit-identical.
-	if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("UPP_CACHE_WARM", "0")
-	var optOut Curve
-	_, misses, warmHits, warmMisses = cacheDelta(func() { optOut = sweep() })
-	if !reflect.DeepEqual(optOut, ref) {
-		t.Fatalf("warm-disabled sweep diverged from uncached reference:\nref: %+v\ngot: %+v", ref, optOut)
-	}
-	if misses != uint64(len(rates)) || warmHits != 0 || warmMisses != 0 {
-		t.Fatalf("warm-disabled sweep: %d misses / %d warm hits / %d warm misses, want %d / 0 / 0",
-			misses, warmHits, warmMisses, len(rates))
+			// UPP_CACHE_WARM=0 opts out of warm-starting but keeps result caching:
+			// evict again and the sweep must run fully cold, still bit-identical.
+			if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
+				t.Fatal(err)
+			}
+			t.Setenv("UPP_CACHE_WARM", "0")
+			var optOut Curve
+			_, misses, warmHits, warmMisses = cacheDelta(func() { optOut = sweep() })
+			if !reflect.DeepEqual(optOut, ref) {
+				t.Fatalf("warm-disabled sweep diverged from uncached reference:\nref: %+v\ngot: %+v", ref, optOut)
+			}
+			if misses != uint64(len(rates)) || warmHits != 0 || warmMisses != 0 {
+				t.Fatalf("warm-disabled sweep: %d misses / %d warm hits / %d warm misses, want %d / 0 / 0",
+					misses, warmHits, warmMisses, len(rates))
+			}
+		})
 	}
 }
 
 // TestCacheUncacheableSpecs pins the canonicalization refusals: a spec
-// with a SchemeOverride closure, a tracer or an unregistered pattern has
-// no content address, so Run must simulate and leave the cache untouched.
+// with the random binding (its stream is in no snapshot), a tracer or an
+// unregistered pattern has no content address, so Run must simulate and
+// leave the cache untouched. A spec Assemble rejects — UPP settings under
+// another scheme — fails naming both and stores nothing.
 func TestCacheUncacheableSpecs(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", t.TempDir())
-	spec := RunSpec{
+	dir := t.TempDir()
+	t.Setenv("UPP_CACHE_DIR", dir)
+	base := RunSpec{
 		Topo:       topology.BaselineConfig(),
 		Scheme:     SchemeUPP,
 		VCsPerVNet: 1,
@@ -117,22 +138,41 @@ func TestCacheUncacheableSpecs(t *testing.T) {
 		Seed:       11,
 		Dur:        Durations{Warmup: 200, Measure: 300},
 	}
-	spec.SchemeOverride = func(t *topology.Topology) (network.Scheme, error) { return MakeScheme(SchemeUPP, t) }
-	hits, misses, warmHits, warmMisses := cacheDelta(func() {
-		if _, err := Run(spec); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		edit    func(*RunSpec)
+		wantErr []string // Run's error names each; nil: Run succeeds uncached
+	}{
+		{"random binding", func(s *RunSpec) { s.UPP.Binding = "random" }, nil},
+		{"UPP settings under remote_control", func(s *RunSpec) { s.Scheme, s.UPP.Threshold = SchemeRemoteControl, 100 },
+			[]string{`"remote_control"`, "Threshold:100"}},
+	} {
+		spec := base
+		tc.edit(&spec)
+		var err error
+		hits, _, warmHits, warmMisses := cacheDelta(func() { _, err = Run(spec) })
+		if tc.wantErr == nil {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if _, _, ok := canonicalSpec(spec); ok {
+				t.Fatalf("%s: canonicalSpec accepted the spec", tc.name)
+			}
 		}
-	})
-	if hits != 0 || misses != 0 || warmHits != 0 || warmMisses != 0 {
-		t.Fatalf("uncacheable spec touched the cache: hits=%d misses=%d warmHits=%d warmMisses=%d",
-			hits, misses, warmHits, warmMisses)
+		for _, want := range tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: Run error %v does not name %s", tc.name, err, want)
+			}
+		}
+		if hits != 0 || warmHits != 0 || warmMisses != 0 {
+			t.Fatalf("%s touched the cache: hits=%d warmHits=%d warmMisses=%d", tc.name, hits, warmHits, warmMisses)
+		}
 	}
-	if _, _, ok := canonicalSpec(spec); ok {
-		t.Fatal("canonicalSpec accepted a SchemeOverride spec")
+	if entries, _ := os.ReadDir(filepath.Join(dir, "results")); len(entries) != 0 {
+		t.Fatalf("uncacheable specs stored %d results", len(entries))
 	}
-	spec.SchemeOverride = nil
-	spec.TraceLimit = 1
-	if _, _, ok := canonicalSpec(spec); ok {
+	base.TraceLimit = 1
+	if _, _, ok := canonicalSpec(base); ok {
 		t.Fatal("canonicalSpec accepted a traced spec")
 	}
 }
@@ -165,36 +205,34 @@ func TestCacheRejectsMismatchedEntry(t *testing.T) {
 	}
 }
 
-// TestCachedFiguresAreCacheable: every spec these runners build has a
-// content address, so a re-run of the figure is served from the cache. A
-// SchemeOverride that only restates a named scheme would fail here.
+// TestCachedFiguresAreCacheable: every spec the sweep figures build has a
+// content address, so a re-run of the figure is served from the cache —
+// all but the random binding's curve of ablation_binding, and exactly
+// its specs.
 func TestCachedFiguresAreCacheable(t *testing.T) {
-	for _, fig := range []struct {
-		name string
-		run  func(Durations, PoolOptions) ([]Table, error)
-	}{
-		{"fig7", Fig7}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11}, {"fault_sweep", FaultSweep},
-		{"tail_latency", TailLatency}, {"ablation_adaptive", AblationAdaptive}, {"ablation_depth", AblationBufferDepth},
-		{"scale", Scale},
-	} {
-		t.Run(fig.name, func(t *testing.T) {
+	for _, fig := range sweepFigures() {
+		t.Run(fig.id, func(t *testing.T) {
 			var mu sync.Mutex
 			seen, refused := 0, 0
 			opts := PoolOptions{Jobs: 2, run: func(spec RunSpec) (Point, error) {
 				_, _, ok := canonicalSpec(spec)
+				random := fig.id == "ablation_binding" && spec.UPP.Binding == "random"
 				mu.Lock()
 				defer mu.Unlock()
 				seen++
 				if !ok {
 					refused++
 				}
+				if ok == random {
+					t.Errorf("binding %q rate %v: canonicalSpec ok = %v", spec.UPP.Binding, spec.Rate, ok)
+				}
 				return Point{Rate: spec.Rate, TotalLat: 1, Throughput: spec.Rate}, nil
 			}}
-			if _, err := fig.run(microDur, opts); err != nil {
+			if _, err := fig.sweep(fig.curves(microDur), opts); err != nil {
 				t.Fatal(err)
 			}
-			if seen == 0 || refused != 0 {
-				t.Fatalf("canonicalSpec refused %d of the %d specs the runner built", refused, seen)
+			if seen == 0 || fig.id == "ablation_binding" && refused == 0 {
+				t.Fatalf("%d specs, %d refused", seen, refused)
 			}
 		})
 	}
@@ -206,7 +244,8 @@ func TestCachedFiguresAreCacheable(t *testing.T) {
 func TestTailLatencyServedFromCache(t *testing.T) {
 	dur := Durations{Warmup: 200, Measure: 400}
 	render := func() string {
-		ts, err := TailLatency(dur, poolOpts)
+		fig := sweepFigure(t, "tail_latency")
+		ts, err := fig.sweep(fig.curves(dur), poolOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -17,26 +18,15 @@ func AsciiChart(title string, curves []Curve, symbols string) string {
 		return ""
 	}
 	// X axis: union of all rates, in order.
-	rateSet := map[float64]bool{}
 	var rates []float64
 	for _, c := range curves {
 		for _, pt := range c.Points {
-			if !rateSet[pt.Rate] {
-				rateSet[pt.Rate] = true
-				rates = append(rates, pt.Rate)
-			}
+			rates = append(rates, pt.Rate)
 		}
 	}
-	sortFloats(rates)
+	slices.Sort(rates)
+	rates = slices.Compact(rates)
 	cols := len(rates)
-	colOf := func(rate float64) int {
-		for i, r := range rates {
-			if r == rate {
-				return i
-			}
-		}
-		return -1
-	}
 
 	grid := make([][]byte, rows)
 	for y := range grid {
@@ -48,10 +38,7 @@ func AsciiChart(title string, curves []Curve, symbols string) string {
 			sym = symbols[ci]
 		}
 		for _, pt := range c.Points {
-			x := colOf(pt.Rate)
-			if x < 0 {
-				continue
-			}
+			x := slices.Index(rates, pt.Rate)
 			lat := pt.TotalLat
 			if lat > maxY {
 				lat = maxY
@@ -95,19 +82,4 @@ func AsciiChart(title string, curves []Curve, symbols string) string {
 	}
 	fmt.Fprintf(&b, "       %s\n", strings.Join(legend, "  "))
 	return b.String()
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

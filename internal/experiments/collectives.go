@@ -125,16 +125,7 @@ func RunWorkloads(specs []WorkloadSpec, opts PoolOptions) ([]WorkloadPoint, erro
 	}); err != nil {
 		return nil, err
 	}
-	var failed []*RunError
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, &RunError{Index: i, Err: err})
-		}
-	}
-	if failed != nil {
-		return points, &BatchError{Failed: failed, Total: len(specs)}
-	}
-	return points, nil
+	return points, batchError(errs)
 }
 
 // CollectiveWorkloads returns the workload specs of the collectives

@@ -1,8 +1,8 @@
 // Package experiments reproduces the evaluation of the UPP paper: one
-// runner per table and figure, built on parameter sweeps of the simulator.
-// The cmd/figures binary and the repository-level benchmarks call into
-// this package; DESIGN.md's experiment index maps each paper artifact to
-// its runner.
+// list of experiments (Experiments), whose sweep figures are data — a
+// RunSpec template, its axes and a reducer to tables. The cmd/figures
+// binary and the repository-level benchmarks call into this package;
+// DESIGN.md's experiment index maps each paper artifact to its entry.
 package experiments
 
 import (
@@ -46,27 +46,6 @@ func MakeScheme(name SchemeName, topo *topology.Topology) (network.Scheme, error
 		return network.None{}, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown scheme %q", name)
-}
-
-// UPPWithThreshold builds a UPP instance with a custom detection threshold
-// (Fig. 13's sensitivity study).
-func UPPWithThreshold(threshold int) network.Scheme {
-	cfg := core.DefaultConfig()
-	cfg.Threshold = threshold
-	return core.New(cfg)
-}
-
-// HardenedUPP builds a UPP instance with the signal-retry machinery armed
-// (Sec. "robustness" of DESIGN.md §10): lost or delayed protocol signals
-// time out and are re-sent a bounded number of times before the popup is
-// force-retired and normal re-detection takes over. Fault-free behavior
-// is unchanged, but the chaos runs use this so injected signal loss is a
-// counted recovery, not a hang.
-func HardenedUPP() network.Scheme {
-	cfg := core.DefaultConfig()
-	cfg.SignalTimeout = 256
-	cfg.MaxSignalRetries = 3
-	return core.New(cfg)
 }
 
 // Durations controls warmup and measurement lengths. The paper uses 10k

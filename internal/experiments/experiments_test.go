@@ -97,30 +97,45 @@ func TestMakeScheme(t *testing.T) {
 	}
 }
 
+// TestUPPWithThresholdPropagation: RunSpec.UPP reaches the scheme Assemble
+// builds, each field alone, zero fields at the paper's values, and the
+// signal hardening follows the fault plan.
 func TestUPPWithThresholdPropagation(t *testing.T) {
-	defaultGap := core.DefaultConfig().SignalGap
-	cases := []struct {
-		in, want int
+	def := core.DefaultConfig()
+	hardened := def
+	hardened.SignalTimeout, hardened.MaxSignalRetries = 256, 3
+	for _, tc := range []struct {
+		in   core.Config
+		plan string
+		want core.Config
 	}{
-		{20, 20},
-		{100, 100},
-		{1000, 1000},
-		{0, 20}, // non-positive thresholds fall back to the Table II value
-		{-5, 20},
-	}
-	for _, tc := range cases {
-		s := UPPWithThreshold(tc.in)
-		u, ok := s.(*core.UPP)
+		{core.Config{}, "", def},
+		{core.Config{Threshold: 20}, "", def},
+		{core.Config{Threshold: 100}, "", core.Config{Threshold: 100, SignalGap: def.SignalGap}},
+		{core.Config{Threshold: 1000}, "", core.Config{Threshold: 1000, SignalGap: def.SignalGap}},
+		{core.Config{Threshold: -5}, "", def}, // non-positive thresholds fall back to the Table II value
+		{core.Config{SignalGap: 12}, "", core.Config{Threshold: def.Threshold, SignalGap: 12}},
+		{core.Config{Binding: "farthest"}, "", core.Config{Threshold: def.Threshold, SignalGap: def.SignalGap, Binding: "farthest"}},
+		{core.Config{}, "seed=9,flaps=4", hardened},
+	} {
+		sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: tc.in, FaultPlan: tc.plan})
+		if err != nil {
+			t.Fatalf("UPP %+v: %v", tc.in, err)
+		}
+		u, ok := sm.Net.Scheme().(*core.UPP)
 		if !ok {
-			t.Fatalf("UPPWithThreshold returned %T, want *core.UPP", s)
+			t.Fatalf("UPP %+v: Assemble built %T, want *core.UPP", tc.in, sm.Net.Scheme())
 		}
-		cfg := u.Config()
-		if cfg.Threshold != tc.want {
-			t.Fatalf("UPPWithThreshold(%d): threshold %d, want %d", tc.in, cfg.Threshold, tc.want)
+		if got := u.Config(); got != tc.want {
+			t.Fatalf("UPP %+v plan %q: scheme config %+v, want %+v", tc.in, tc.plan, got, tc.want)
 		}
-		if cfg.SignalGap != defaultGap {
-			t.Fatalf("UPPWithThreshold(%d) disturbed SignalGap: %d, want %d", tc.in, cfg.SignalGap, defaultGap)
-		}
+	}
+	if _, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: core.Config{Binding: "nearest"}}); err == nil ||
+		!strings.Contains(err.Error(), `"nearest"`) {
+		t.Fatalf("unknown binding: err %v, want one naming it", err)
+	}
+	if _, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: core.Config{SignalTimeout: 64}}); err == nil {
+		t.Fatal("Assemble accepted signal hardening set on RunSpec.UPP")
 	}
 }
 

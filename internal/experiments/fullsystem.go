@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"uppnoc/internal/coherence"
 	"uppnoc/internal/power"
@@ -103,29 +104,20 @@ func fullSystemOver(benchmarks []coherence.Workload, scale float64, opts PoolOpt
 			"paper: leakage dominates, so normalized energy tracks normalized runtime; UPP lowest on average",
 		},
 	}
-	var geoRuntime, geoEnergy [2]struct {
-		logSum map[SchemeName]float64
-		n      int
-	}
-	for i := range geoRuntime {
-		geoRuntime[i].logSum = map[SchemeName]float64{}
-		geoEnergy[i].logSum = map[SchemeName]float64{}
-	}
-
 	// Every (benchmark, vcs, scheme) run is self-contained, so the grid
-	// fans across the pool; the tables are then assembled serially in the
-	// original order.
+	// fans across the pool; the tables are then assembled in grid order,
+	// one row per (benchmark, vcs) from its schemes' consecutive results.
 	type job struct {
 		bench coherence.Workload
 		vcs   int
 		sch   SchemeName
 	}
+	vcsList, schemes := []int{1, 4}, ComparedSchemes()
 	var grid []job
 	for _, bench := range benchmarks {
-		b := bench.Scale(scale)
-		for _, vcs := range []int{1, 4} {
-			for _, sch := range ComparedSchemes() {
-				grid = append(grid, job{b, vcs, sch})
+		for _, vcs := range vcsList {
+			for _, sch := range schemes {
+				grid = append(grid, job{bench.Scale(scale), vcs, sch})
 			}
 		}
 	}
@@ -143,47 +135,31 @@ func fullSystemOver(benchmarks []coherence.Workload, scale float64, opts PoolOpt
 			return nil, err
 		}
 	}
-	// grid and the assembly loops below enumerate (benchmark, vcs, scheme)
-	// in the same order, so results are consumed by a running index.
-	gi := 0
-	for _, bench := range benchmarks {
-		b := bench.Scale(scale)
-		for vi, vcs := range []int{1, 4} {
-			res := map[SchemeName]FullSystemResult{}
-			for _, sch := range ComparedSchemes() {
-				res[sch] = results[gi]
-				gi++
-			}
-			comp := float64(res[SchemeComposable].Runtime)
-			normRC := float64(res[SchemeRemoteControl].Runtime) / comp
-			normUPP := float64(res[SchemeUPP].Runtime) / comp
-			fig8.AddRowf(b.Name, vcs, 1.0, normRC, normUPP, fmtPct(100*(normUPP-1)))
-			up := res[SchemeUPP]
-			frac := 0.0
-			if up.Packets > 0 {
-				frac = float64(up.Upward) / float64(up.Packets)
-			}
-			fig12.AddRowf(b.Name, vcs, up.Upward, up.Packets, fmt.Sprintf("%.6f%%", 100*frac))
-			compE := res[SchemeComposable].EnergyJ
-			fig15.AddRowf(b.Name, vcs, 1.0, res[SchemeRemoteControl].EnergyJ/compE, res[SchemeUPP].EnergyJ/compE)
-
-			for _, sch := range ComparedSchemes() {
-				geoRuntime[vi].logSum[sch] += ln(float64(res[sch].Runtime) / comp)
-				geoEnergy[vi].logSum[sch] += ln(res[sch].EnergyJ / compE)
-			}
-			geoRuntime[vi].n++
-			geoEnergy[vi].n++
+	// Per VC count and scheme (composable, remote control, UPP), the sums
+	// of log runtime and log energy normalized to composable.
+	var logRuntime, logEnergy [2][3]float64
+	for g := 0; g < len(grid); g += len(schemes) {
+		res, name, vcs := results[g:g+len(schemes)], grid[g].bench.Name, grid[g].vcs
+		vi := g / len(schemes) % len(vcsList)
+		comp, compE := float64(res[0].Runtime), res[0].EnergyJ
+		normUPP := float64(res[2].Runtime) / comp
+		fig8.AddRowf(name, vcs, 1.0, float64(res[1].Runtime)/comp, normUPP, fmtPct(100*(normUPP-1)))
+		up := res[2]
+		frac := 0.0
+		if up.Packets > 0 {
+			frac = float64(up.Upward) / float64(up.Packets)
+		}
+		fig12.AddRowf(name, vcs, up.Upward, up.Packets, fmt.Sprintf("%.6f%%", 100*frac))
+		fig15.AddRowf(name, vcs, 1.0, res[1].EnergyJ/compE, res[2].EnergyJ/compE)
+		for si, r := range res {
+			logRuntime[vi][si] += math.Log(float64(r.Runtime) / comp)
+			logEnergy[vi][si] += math.Log(r.EnergyJ / compE)
 		}
 	}
-	for vi, vcs := range []int{1, 4} {
-		rt := geoRuntime[vi]
-		en := geoEnergy[vi]
-		fig8.AddRowf("geomean", vcs, 1.0,
-			exp(rt.logSum[SchemeRemoteControl]/float64(rt.n)),
-			exp(rt.logSum[SchemeUPP]/float64(rt.n)), "")
-		fig15.AddRowf("geomean", vcs, 1.0,
-			exp(en.logSum[SchemeRemoteControl]/float64(en.n)),
-			exp(en.logSum[SchemeUPP]/float64(en.n)))
+	n := float64(len(benchmarks))
+	for vi, vcs := range vcsList {
+		fig8.AddRowf("geomean", vcs, 1.0, math.Exp(logRuntime[vi][1]/n), math.Exp(logRuntime[vi][2]/n), "")
+		fig15.AddRowf("geomean", vcs, 1.0, math.Exp(logEnergy[vi][1]/n), math.Exp(logEnergy[vi][2]/n))
 	}
 	return []Table{fig8, fig12, fig15}, nil
 }

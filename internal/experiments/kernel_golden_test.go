@@ -5,16 +5,14 @@ import (
 	"testing"
 
 	"uppnoc/internal/network"
-	"uppnoc/internal/topology"
-	"uppnoc/internal/traffic"
 )
 
 // TestKernelCSVGolden: the CSV artifacts of the figure pipeline must be
 // byte-identical under the active-set, naive and parallel kernels. Fig2
 // runs in full (the design-time search is simulation-free but belongs to
-// the artifact set); fig7 runs the real latencyFigure code path trimmed
-// to a single traffic pattern with short windows, so every sweep,
-// truncation and summary computation executes on every kernel. The CI
+// the artifact set); fig7 runs its entry of the figure list trimmed to a
+// single traffic pattern with short windows, so every sweep, truncation
+// and summary computation executes on every kernel. The CI
 // smoke step diffs the untrimmed fig7 quick run the same way.
 func TestKernelCSVGolden(t *testing.T) {
 	if testing.Short() {
@@ -27,8 +25,14 @@ func TestKernelCSVGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig7, err := latencyFigure("fig7", topology.BaselineConfig(),
-			[]traffic.Pattern{traffic.UniformRandom{}}, dur, PoolOptions{Jobs: 1})
+		fig := sweepFigure(t, "fig7")
+		var uniform []swept
+		for _, c := range fig.curves(dur) {
+			if c.Spec.Pattern.Name() == "uniform_random" {
+				uniform = append(uniform, c)
+			}
+		}
+		fig7, err := fig.sweep(uniform, PoolOptions{Jobs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

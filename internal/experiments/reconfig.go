@@ -211,19 +211,9 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 		if len(c.out.Transitions) != 1 {
 			return nil, fmt.Errorf("reconfig: mode=%s rate=%.2f ran %d transitions, want 1", mode, rate, len(c.out.Transitions))
 		}
-		tr := c.out.Transitions[0]
-		t.Rows = append(t.Rows, []string{
-			mode.String(),
-			fmt.Sprintf("%.2f", rate),
-			fmt.Sprintf("%t", tr.Compatible),
-			fmt.Sprintf("%d", tr.Finish-tr.Begin),
-			fmt.Sprintf("%d", tr.Cut-tr.Begin),
-			fmt.Sprintf("%d", c.out.Stats.RouteMigrations),
-			fmt.Sprintf("%d", c.out.Stats.HeadsMigrated),
-			fmt.Sprintf("%d", c.out.Stats.ReconfigHeldStreams),
-			fmt.Sprintf("%d", c.out.Stats.PopupsCompleted),
-			fmt.Sprintf("%t", c.out.Quiesced),
-		})
+		tr, st := c.out.Transitions[0], c.out.Stats
+		t.AddRowf(mode, fmt.Sprintf("%.2f", rate), tr.Compatible, tr.Finish-tr.Begin, tr.Cut-tr.Begin,
+			st.RouteMigrations, st.HeadsMigrated, st.ReconfigHeldStreams, st.PopupsCompleted, c.out.Quiesced)
 	}
 	return []Table{t}, nil
 }

@@ -49,44 +49,52 @@ func keysOf(m map[string]bool) []string {
 	return ks
 }
 
-func TestFig7RunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second smoke")
+// sweepFigures is every sweep figure of the experiment list, in order.
+func sweepFigures() []figure {
+	var figs []figure
+	for _, e := range Experiments() {
+		figs = append(figs, e.figs...)
 	}
-	ts, err := Fig7(microDur, poolOpts)
-	requireTables(t, ts, err, "fig7", "fig7_summary", "fig7_charts")
+	return figs
 }
 
-func TestFig9RunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second smoke")
+// sweepFigure is the sweep figure id of the experiment list.
+func sweepFigure(t *testing.T, id string) figure {
+	t.Helper()
+	for _, f := range sweepFigures() {
+		if f.id == id {
+			return f
+		}
 	}
-	ts, err := Fig9(microDur, poolOpts)
-	requireTables(t, ts, err, "fig9", "fig9_summary")
+	t.Fatalf("no sweep figure %s", id)
+	return figure{}
 }
 
-func TestFig10RunnerSmoke(t *testing.T) {
+// TestSweepFigureSmoke runs a subset of the sweep figures through the
+// pool at microDur and checks the tables each makes.
+func TestSweepFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second smoke")
 	}
-	ts, err := Fig10(microDur, poolOpts)
-	requireTables(t, ts, err, "fig10")
-}
-
-func TestFig11RunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second smoke")
+	for _, tc := range []struct {
+		id     string
+		tables []string
+	}{
+		{"fig7", []string{"fig7", "fig7_summary", "fig7_charts"}},
+		{"fig9", []string{"fig9", "fig9_summary"}},
+		{"fig10", []string{"fig10"}},
+		{"fig11", []string{"fig11", "fig11_summary"}},
+		{"fig13", []string{"fig13", "fig13_summary"}},
+		{"tail_latency", []string{"tail_latency"}},
+		{"ablation_depth", []string{"ablation_depth"}},
+		{"ablation_gap", []string{"ablation_gap"}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			fig := sweepFigure(t, tc.id)
+			ts, err := fig.sweep(fig.curves(microDur), poolOpts)
+			requireTables(t, ts, err, tc.tables...)
+		})
 	}
-	ts, err := Fig11(microDur, poolOpts)
-	requireTables(t, ts, err, "fig11", "fig11_summary")
-}
-
-func TestFig13RunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second smoke")
-	}
-	ts, err := Fig13(microDur, poolOpts)
-	requireTables(t, ts, err, "fig13", "fig13_summary")
 }
 
 func TestFig2RunnerSmoke(t *testing.T) {
@@ -100,24 +108,6 @@ func TestLoadBalanceRunnerSmoke(t *testing.T) {
 	}
 	ts, err := LoadBalance(microDur, poolOpts)
 	requireTables(t, ts, err, "load_balance", "load_balance_detail")
-}
-
-func TestTailLatencyRunnerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second smoke")
-	}
-	ts, err := TailLatency(microDur, poolOpts)
-	requireTables(t, ts, err, "tail_latency")
-}
-
-func TestAblationRunnersSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second smoke")
-	}
-	ts, err := AblationBufferDepth(microDur, poolOpts)
-	requireTables(t, ts, err, "ablation_depth")
-	ts, err = AblationSignalGap(microDur, poolOpts)
-	requireTables(t, ts, err, "ablation_gap")
 }
 
 func TestFullSystemRunnerSmoke(t *testing.T) {

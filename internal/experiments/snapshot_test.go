@@ -115,6 +115,38 @@ func TestCheckpointIsPureObservation(t *testing.T) {
 	}
 }
 
+// TestCheckpointCarriesUPPConfig: a checkpoint of a run with RunSpec.UPP
+// set embeds the setting, so the restored run rebuilds the same scheme
+// and returns Run's Point — which differs from the default threshold's,
+// so a container that dropped the field would fail here.
+func TestCheckpointCarriesUPPConfig(t *testing.T) {
+	t.Setenv("UPP_CACHE_DIR", "")
+	spec := snapSpec(SchemeUPP, "iq")
+	def, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.UPP.Threshold = 1000
+	plain, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain == def {
+		t.Fatalf("threshold 1000 runs as the default does (%+v): the test cannot see the field", plain)
+	}
+	var buf bytes.Buffer
+	if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, rspec, err := RunRestored(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != plain || rspec.UPP != spec.UPP {
+		t.Fatalf("restore of a threshold-1000 checkpoint: UPP %+v\nrestored: %+v\nwant:     %+v", rspec.UPP, restored, plain)
+	}
+}
+
 // TestCheckpointRestoreFaulted checkpoints a run with the runtime fault
 // engine active — link flaps in progress, signal drops and delays armed —
 // in the middle of a flap window, and requires bit-identical resumption.

@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"uppnoc/internal/power"
 )
-
-func ln(v float64) float64  { return math.Log(v) }
-func exp(v float64) float64 { return math.Exp(v) }
 
 // Table1 reproduces the qualitative comparison of deadlock-freedom
 // approaches (design modularity / performance / flexibility) — for the

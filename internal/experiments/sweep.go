@@ -178,10 +178,7 @@ func SweepRatesWith(spec RunSpec, rates []float64, label string, opts PoolOption
 	past := 0
 sweep:
 	for start := 0; start < len(rates); start += wave {
-		end := start + wave
-		if end > len(rates) {
-			end = len(rates)
-		}
+		end := min(start+wave, len(rates))
 		specs := make([]RunSpec, 0, end-start)
 		for _, r := range rates[start:end] {
 			s := spec

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -12,6 +14,25 @@ import (
 // lengthening paths and reducing throughput. The ablations quantify that
 // argument by swapping only this policy while keeping everything else
 // fixed.
+
+// BindingPolicy resolves an egress-binding name to a fresh policy: "" is
+// the paper's static closest binding (DefaultPolicy), "random", "farthest"
+// and "single_boundary" the alternatives below. Every "random" policy
+// draws from its own stream seeded 99, so each network that resolves the
+// name starts the same sequence.
+func BindingPolicy(name string) (BoundaryPolicy, error) {
+	switch name {
+	case "":
+		return DefaultPolicy{}, nil
+	case "random":
+		return NewRandomEgressPolicy(99), nil
+	case "farthest":
+		return FarthestEgressPolicy{}, nil
+	case "single_boundary":
+		return SingleEgressPolicy{}, nil
+	}
+	return nil, fmt.Errorf("routing: unknown boundary binding %q (known: \"\" for static closest, random, farthest, single_boundary)", name)
+}
 
 // RandomEgressPolicy picks a uniformly random boundary router of the
 // source chiplet per packet — the "dynamic binding" strawman of Sec. V-D.
