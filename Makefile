@@ -50,11 +50,14 @@ bench-pairs:
 # (snap.Codec), so a section written twice shows up as a number too. Then
 # the non-test lines outside internal/network that name the oracle kernel
 # or a per-router activity test: the oracle is a mode of Network.Step, so
-# no scheme or checker forks on it. Last, the non-test lines of internal/
+# no scheme or checker forks on it. Then the non-test lines of internal/
 # and cmd/ that name SchemeOverride, UPPWithThreshold or HardenedUPP: a
 # scheme is data on RunSpec (RunSpec.UPP), never a closure or a named
-# constructor, so every spec has a content address. The target fails when
-# a count exceeds its ceiling; CI's test job runs it.
+# constructor, so every spec has a content address. Last, the lines that
+# name WorkloadSpec, WorkloadPoint or RunWorkload: a closed-loop run is a
+# RunSpec with Workload set, run by experiments.Run into a Point, not a
+# second run path. The target fails when a count exceeds its ceiling; CI's
+# test job runs it.
 SNAPSHOT_LINES = 1544
 loc:
 	@for d in internal/* cmd 'internal cmd'; do \
@@ -73,6 +76,9 @@ loc:
 		[ $$n -le 0 ]
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'SchemeOverride\|UPPWithThreshold\|HardenedUPP'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'SchemeOverride|UPPWithThreshold|HardenedUPP' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'WorkloadSpec\|WorkloadPoint\|RunWorkload'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'WorkloadSpec|WorkloadPoint|RunWorkload' $$n 0; \
 		[ $$n -le 0 ]
 
 # Regenerate the committed collective-workload golden CSV

@@ -177,8 +177,8 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 	case "replay":
 		return status(runReplay(stdout, spec, *maxCycles, *replay))
 	case "workload":
-		spec.Workload = *wl
-		return status(runWorkload(stdout, stderr, spec, *maxCycles, *record, *asJSON))
+		spec.Workload, spec.MaxCycles, spec.Record = *wl, *maxCycles, *record != ""
+		return status(runWorkload(stdout, stderr, spec, *record, *asJSON))
 	}
 
 	pat, err := traffic.PatternByName(*patName)
@@ -264,8 +264,8 @@ func printPoint(stdout io.Writer, schemeName, patName string, pt experiments.Poi
 
 // runWorkload drives a closed-loop collective to completion (or the
 // horizon) and prints completion time plus scheme counters.
-func runWorkload(stdout, stderr io.Writer, spec experiments.RunSpec, maxCycles int, record string, asJSON bool) error {
-	pt, err := experiments.RunWorkload(experiments.WorkloadSpec{RunSpec: spec, MaxCycles: maxCycles, Record: record != ""})
+func runWorkload(stdout, stderr io.Writer, spec experiments.RunSpec, record string, asJSON bool) error {
+	pt, err := experiments.Run(spec)
 	if err != nil {
 		return err
 	}
@@ -283,7 +283,19 @@ func runWorkload(stdout, stderr io.Writer, spec experiments.RunSpec, maxCycles i
 		fmt.Fprintf(stderr, "uppsim: recorded %d messages to %s\n", len(pt.Trace.Records), record)
 	}
 	if asJSON {
-		out, err := json.MarshalIndent(pt, "", "  ")
+		// A closed-loop run's fields, zero values included (the Point
+		// omits them at zero so a rate-driven run's JSON is unchanged).
+		out, err := json.MarshalIndent(struct {
+			Workload                                string
+			Scheme                                  experiments.SchemeName
+			Completed                               bool
+			FinishCycle                             sim.Cycle
+			Messages                                uint64
+			OpsFired, OpsTotal                      int
+			NetLat, QueueLat, TotalLat              float64
+			Upward, Popups, Signals, InjectionHolds uint64
+		}{spec.Workload, spec.Scheme, pt.Completed, pt.FinishCycle, pt.Messages, pt.OpsFired, pt.OpsTotal,
+			pt.NetLat, pt.QueueLat, pt.TotalLat, pt.Upward, pt.Popups, pt.Signals, pt.InjectionHolds}, "", "  ")
 		if err != nil {
 			return err
 		}

@@ -34,7 +34,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// bound and "steady state" does not exist.
 	rates := map[string]float64{router.ArchIQ: 0.05, router.ArchOQ: 0.035, router.ArchVOQ: 0.05}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
-		for _, arch := range RouterArchs() {
+		for _, arch := range []string{router.ArchIQ, router.ArchOQ, router.ArchVOQ} {
 			t.Run(kernel+"_"+arch, func(t *testing.T) {
 				spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: kernel, RouterArch: arch}
 				kb, err := NewKernelBench(spec, UniformTraffic(rates[arch]))

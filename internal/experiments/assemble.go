@@ -57,8 +57,16 @@ type RunSpec struct {
 	Rate        float64 // flits/cycle/node offered
 	// Workload, when non-empty (workload.ParseSpec syntax), names the
 	// closed-loop collective that is the traffic source in place of the
-	// Pattern/Rate generator (RunWorkload, the soaks).
+	// Pattern/Rate generator. Run then ignores Dur: the workload runs to
+	// completion or for MaxCycles cycles (0 = 400 000), and one still
+	// unfinished then is reported as Point.Completed=false — under a scheme
+	// without recovery a closed loop can genuinely deadlock, which is a
+	// result, not an error.
 	Workload  string
+	MaxCycles int
+	// Record captures every message the workload injects into Point.Trace
+	// (the trace record frontend). A recorded run is never cached.
+	Record    bool
 	Seed      uint64
 	Dur       Durations
 	UseUpDown bool
@@ -78,6 +86,14 @@ type RunSpec struct {
 	// never change a result, so the cache key leaves them out.
 	Kernel string
 	Shards int
+}
+
+// horizon is a workload run's cycle bound.
+func (s RunSpec) horizon() int {
+	if s.MaxCycles > 0 {
+		return s.MaxCycles
+	}
+	return 400000
 }
 
 // Sim is an assembled simulation at cycle 0 with no traffic source yet.

@@ -2,17 +2,18 @@ package experiments
 
 // This file is the content-addressed run cache (DESIGN.md §14). A RunSpec
 // whose inputs are fully canonicalizable — one of the registered traffic
-// patterns, no random binding, no workload, no parsed plan or
-// reconfiguration mode, no tracer — maps to a canonical JSON
-// envelope; the SHA-256 of those bytes addresses two on-disk artifacts
-// under UPP_CACHE_DIR:
+// patterns or a workload, no random binding, no parsed plan or
+// reconfiguration mode, no tracer or trace recorder — maps to a canonical
+// JSON envelope; the SHA-256 of those bytes addresses two on-disk
+// artifacts under UPP_CACHE_DIR:
 //
 //	results/<hash>.json  the finished Point (exact-match verified
 //	                     against the stored spec, not just the hash)
-//	warm/<hash>.upws     a warm-start checkpoint: the full simulation
-//	                     state after the warmup phase, keyed on the
-//	                     envelope with Measure zeroed so runs that differ
-//	                     only in measurement length share warmups
+//	warm/<hash>.upws     a warm-start checkpoint of a rate-driven run:
+//	                     the full simulation state after the warmup
+//	                     phase, keyed on the envelope with Measure zeroed
+//	                     so runs that differ only in measurement length
+//	                     share warmups (a workload run has no warmup)
 //
 // The cache key deliberately excludes the execution strategy — cycle
 // kernel and shard count — because every choice is bit-identical by
@@ -75,9 +76,11 @@ func CacheCounters() (hits, misses, warmStartHits, warmStartMisses uint64) {
 // specEnvelope is the canonical form of a RunSpec: plain data, fixed
 // field order, every result-relevant input made explicit (the router
 // architecture is stored resolved). json.Marshal of this struct is the
-// cache's canonical byte string. RunSpec.UPP's parameters are omitted at
-// zero, so a spec that leaves them at the paper's values hashes as it did
-// before a spec could set them.
+// cache's canonical byte string. RunSpec.UPP's parameters and the
+// workload fields are omitted at zero, so a spec that leaves them unset
+// hashes as it did before a spec could set them. A workload spec's
+// envelope carries the workload and its resolved horizon in place of the
+// pattern, rate and durations, which its run never reads.
 type specEnvelope struct {
 	Format         int                   `json:"format"`
 	Topo           topology.SystemConfig `json:"topo"`
@@ -94,9 +97,11 @@ type specEnvelope struct {
 	BufferDepth    int                   `json:"buffer_depth,omitempty"`
 	Pattern        string                `json:"pattern"`
 	Rate           float64               `json:"rate"`
+	Workload       string                `json:"workload,omitempty"`
 	Seed           uint64                `json:"seed"`
 	Warmup         int                   `json:"warmup"`
 	Measure        int                   `json:"measure"`
+	Horizon        int                   `json:"horizon,omitempty"`
 	UseUpDown      bool                  `json:"up_down,omitempty"`
 	Adaptive       bool                  `json:"adaptive,omitempty"`
 	VCT            bool                  `json:"vct,omitempty"`
@@ -110,22 +115,20 @@ type specEnvelope struct {
 
 // canonicalSpec canonicalizes a spec for caching. ok is false when the
 // spec cannot be addressed by content: a traffic pattern outside the
-// registered set has no canonical name, a workload, a parsed plan and a
-// reconfiguration mode have no place in the envelope, a traced run's side
-// effects cannot come from a cache, and under malformed host settings the
-// router architecture is unknown (Assemble reports those). The random
-// binding's stream is in no snapshot, so a warm start would restart it
-// and diverge from the cold run: its runs are refused too.
+// registered set has no canonical name, a parsed plan and a
+// reconfiguration mode have no place in the envelope, the side effects of
+// a traced or recorded run cannot come from a cache, and under malformed
+// host settings the router architecture is unknown (Assemble reports
+// those). The random binding's stream is in no snapshot, so a warm start
+// would restart it and diverge from the cold run: its runs are refused
+// too.
 func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
-	if spec.TraceLimit > 0 || spec.Pattern == nil || spec.Workload != "" || !spec.Plan.Empty() ||
+	if spec.TraceLimit > 0 || spec.Record || !spec.Plan.Empty() ||
 		spec.Mode != reconfig.ModeAuto || spec.UPP.Binding == "random" {
 		return specEnvelope{}, nil, false
 	}
 	host, err := hostEnv()
 	if err != nil {
-		return specEnvelope{}, nil, false
-	}
-	if _, err := traffic.PatternByName(spec.Pattern.Name()); err != nil {
 		return specEnvelope{}, nil, false
 	}
 	env = specEnvelope{
@@ -142,16 +145,23 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		Binding:        spec.UPP.Binding,
 		VCsPerVNet:     spec.VCsPerVNet,
 		BufferDepth:    spec.BufferDepth,
-		Pattern:        spec.Pattern.Name(),
-		Rate:           spec.Rate,
 		Seed:           spec.Seed,
-		Warmup:         spec.Dur.Warmup,
-		Measure:        spec.Dur.Measure,
 		UseUpDown:      spec.UseUpDown,
 		Adaptive:       spec.Adaptive,
 		VCT:            spec.VCT,
 		RouterArch:     host.arch(spec.RouterArch),
 		ChipletGate:    strings.Contains(spec.FaultPlan, "killchiplet="),
+	}
+	if spec.Workload != "" {
+		env.Workload, env.Horizon = spec.Workload, spec.horizon()
+	} else {
+		if spec.Pattern == nil {
+			return specEnvelope{}, nil, false
+		}
+		if _, err := traffic.PatternByName(spec.Pattern.Name()); err != nil {
+			return specEnvelope{}, nil, false
+		}
+		env.Pattern, env.Rate, env.Warmup, env.Measure = spec.Pattern.Name(), spec.Rate, spec.Dur.Warmup, spec.Dur.Measure
 	}
 	canonical, err = json.Marshal(env)
 	if err != nil {
@@ -367,9 +377,10 @@ type warmState struct {
 }
 
 // newWarmState derives the warm key for a cacheable spec; nil when
-// warm-starting is disabled.
+// warm-starting is disabled or the spec is a workload's, which has no
+// warmup to skip.
 func newWarmState(dir string, env specEnvelope) *warmState {
-	if !warmStartEnabled() {
+	if !warmStartEnabled() || env.Workload != "" {
 		return nil
 	}
 	env.Measure = 0

@@ -205,10 +205,10 @@ func TestCacheRejectsMismatchedEntry(t *testing.T) {
 	}
 }
 
-// TestCachedFiguresAreCacheable: every spec the sweep figures build has a
-// content address, so a re-run of the figure is served from the cache —
-// all but the random binding's curve of ablation_binding, and exactly
-// its specs.
+// TestCachedFiguresAreCacheable: every spec the sweep figures build, the
+// closed-loop tables' included, has a content address, so a re-run of the
+// figure is served from the cache — all but the random binding's curve of
+// ablation_binding, and exactly its specs.
 func TestCachedFiguresAreCacheable(t *testing.T) {
 	for _, fig := range sweepFigures() {
 		t.Run(fig.id, func(t *testing.T) {
@@ -235,6 +235,55 @@ func TestCachedFiguresAreCacheable(t *testing.T) {
 				t.Fatalf("%d specs, %d refused", seen, refused)
 			}
 		})
+	}
+}
+
+// TestWorkloadServedFromCache: a closed-loop spec has a content address
+// like a rate-driven one. The re-run, with durations a workload run never
+// reads, is one hit returning the cold run's Point, which is the uncached
+// run's; neither warm-starts (a workload has no warmup to skip). A
+// recorded run's trace cannot come from a cache, so it is never cached.
+func TestWorkloadServedFromCache(t *testing.T) {
+	spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Workload: "all_to_all", Seed: 11}
+	run := func(spec RunSpec) Point {
+		t.Helper()
+		pt, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	t.Setenv("UPP_CACHE_DIR", "")
+	want := run(spec)
+	if !want.Completed || want.FinishCycle == 0 {
+		t.Fatalf("reference run did not complete: %+v", want)
+	}
+	t.Setenv("UPP_CACHE_DIR", t.TempDir())
+	t.Setenv("UPP_CACHE_WARM", "1")
+	var cold, hit Point
+	_, misses, warmHits, warmMisses := cacheDelta(func() { cold = run(spec) })
+	if misses != 1 || warmHits != 0 || warmMisses != 0 {
+		t.Fatalf("cold run: %d misses / %d warm hits / %d warm misses, want 1 / 0 / 0", misses, warmHits, warmMisses)
+	}
+	timed := spec
+	timed.Dur = QuickDurations()
+	hits, misses, warmHits, warmMisses := cacheDelta(func() { hit = run(timed) })
+	if hits != 1 || misses != 0 || warmHits != 0 || warmMisses != 0 {
+		t.Fatalf("re-run: %d hits / %d misses / %d warm hits / %d warm misses, want 1 / 0 / 0 / 0", hits, misses, warmHits, warmMisses)
+	}
+	if !reflect.DeepEqual(cold, want) || !reflect.DeepEqual(hit, want) {
+		t.Fatalf("cached runs differ from the uncached one:\nuncached: %+v\ncold:     %+v\nhit:      %+v", want, cold, hit)
+	}
+
+	spec.Record = true
+	var rec Point
+	hits, misses, _, _ = cacheDelta(func() { rec = run(spec) })
+	if hits != 0 || misses != 0 || rec.Trace == nil || len(rec.Trace.Records) == 0 {
+		t.Fatalf("recorded run: %d hits / %d misses, trace %v: want an uncached run with its trace", hits, misses, rec.Trace)
+	}
+	rec.Trace = nil
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("recording changed the run:\nplain:    %+v\nrecorded: %+v", want, rec)
 	}
 }
 

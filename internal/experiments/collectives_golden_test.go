@@ -3,11 +3,11 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"uppnoc/internal/network"
-	"uppnoc/internal/topology"
 )
 
 // TestCollectivesGolden is the acceptance gate for the workload engine:
@@ -29,11 +29,9 @@ func TestCollectivesGolden(t *testing.T) {
 		for _, jobs := range []int{1, 4} {
 			t.Run(kernel+"_jobs"+string(rune('0'+jobs)), func(t *testing.T) {
 				t.Setenv("UPP_KERNEL", kernel)
-				tables, err := Collectives(PoolOptions{Jobs: jobs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := tables[0].CSV()
+				t.Setenv("UPP_CACHE_DIR", "") // simulate under the kernel, not read a result
+				tb := tableByID(t, "collectives", PoolOptions{Jobs: jobs})
+				got := tb.CSV()
 				if got == want {
 					return
 				}
@@ -58,34 +56,35 @@ func TestCollectivesCompleteUnderAllSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	run := func(wl string, sch SchemeName) WorkloadPoint {
-		t.Helper()
-		pt, err := RunWorkload(WorkloadSpec{RunSpec: RunSpec{
-			Topo:     topology.BaselineConfig(),
-			Scheme:   sch,
-			Workload: wl,
-			Seed:     11,
-		}})
-		if err != nil {
-			t.Fatal(err)
+	rows := map[[2]string][]string{}
+	for _, row := range tableByID(t, "collectives", PoolOptions{Jobs: 4}).Rows {
+		if row[2] != "true" {
+			t.Fatalf("%s under %s did not complete", row[0], row[1])
 		}
-		if !pt.Completed {
-			t.Fatalf("%s under %s did not complete (%d/%d ops)", wl, sch, pt.OpsFired, pt.OpsTotal)
-		}
-		return pt
+		rows[[2]string{row[0], row[1]}] = row
 	}
-	for _, wl := range []string{"ring_allreduce", "all_to_all"} {
-		upp := run(wl, SchemeUPP)
-		comp := run(wl, SchemeComposable)
-		rc := run(wl, SchemeRemoteControl)
-		if upp.FinishCycle > comp.FinishCycle {
-			t.Errorf("%s: UPP finishes at %d, after composable's %d", wl, upp.FinishCycle, comp.FinishCycle)
+	cell := func(wl string, sch SchemeName, col int) int {
+		t.Helper()
+		row, ok := rows[[2]string{wl, string(sch)}]
+		if !ok {
+			t.Fatalf("no row for %s under %s", wl, sch)
 		}
-		if rc.InjectionHolds == 0 {
+		v, err := strconv.Atoi(row[col])
+		if err != nil {
+			t.Fatalf("%s under %s, column %d: %v", wl, sch, col, err)
+		}
+		return v
+	}
+	const finish, upward, injHolds = 3, 8, 11
+	for _, wl := range []string{"ring_allreduce", "all_to_all"} {
+		if upp, comp := cell(wl, SchemeUPP, finish), cell(wl, SchemeComposable, finish); upp > comp {
+			t.Errorf("%s: UPP finishes at %d, after composable's %d", wl, upp, comp)
+		}
+		if cell(wl, SchemeRemoteControl, injHolds) == 0 {
 			t.Errorf("%s: remote control reports zero injection holds — the gate is not engaging", wl)
 		}
 	}
-	if a2a := run("all_to_all:flits=10", SchemeUPP); a2a.Upward == 0 {
+	if cell("all_to_all:flits=10", SchemeUPP, upward) == 0 {
 		t.Error("large all-to-all under UPP never selected an upward packet — the closed loop is not stressing recovery")
 	}
 }

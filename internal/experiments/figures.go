@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"strings"
 
+	"uppnoc/internal/network"
+	"uppnoc/internal/router"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
+	"uppnoc/internal/workload"
 )
 
 // Settings is what the figures binary hands every experiment.
@@ -47,7 +50,8 @@ func (e Experiment) Run(s Settings) ([]Table, error) {
 
 // A figure is a sweep figure as data. The template at every point of the
 // axes' product (first axis outermost) is one curve, swept over rates or,
-// when rates is nil, run once at its own Rate. Each of tables has a row
+// when rates is nil, run once: at its own Rate, or its Workload to
+// completion. Each of tables has a row
 // per curve or per measured point that opens with the curve's key;
 // reduce, when set, makes further tables from the whole list of curves
 // (a figure that compares across them).
@@ -105,6 +109,10 @@ var (
 
 func patternAxis(ps ...traffic.Pattern) axis {
 	return along("pattern", func(s *RunSpec, p traffic.Pattern) { s.Pattern = p }, ps...)
+}
+
+func workloadAxis(ws ...string) axis {
+	return along("workload", func(s *RunSpec, w string) { s.Workload = w }, ws...)
 }
 
 // curves lists the figure's curves at dur, each labelled by its axis
@@ -307,8 +315,52 @@ func Experiments() []Experiment {
 				point: func(p Point) []any { return []any{p.Rate, p.LatP50, p.LatP99, p.LatMax, p.TotalLat} },
 			}},
 		}),
-		{ID: "collectives", InAll: true, run: func(s Settings) ([]Table, error) { return Collectives(s.Opts) }},
-		{ID: "router_compare", InAll: true, run: func(s Settings) ([]Table, error) { return RouterCompare(s.Opts) }},
+		// collectives: every workload closed-loop under the paper's three
+		// schemes, completion time the figure of merit. UPP tracks the
+		// unconstrained baseline while composable pays its path
+		// restrictions and remote control its injection holds.
+		one(true, figure{
+			id:       "collectives",
+			template: RunSpec{Topo: base, Seed: 11},
+			axes:     []axis{workloadAxis(append(workload.Names(), "ring_allreduce:flits=10", "all_to_all:flits=10")...), schemeAxis},
+			key:      func(s RunSpec) []any { return []any{s.Workload, s.Scheme} },
+			tables: []figTable{{
+				Table: Table{ID: "collectives", Title: "Collective workload completion: UPP vs remote control vs composable",
+					Header: []string{"workload", "scheme", "completed", "finish_cycle", "messages",
+						"avg_lat", "net_lat", "queue_lat", "upward", "popups", "signals", "inj_holds"},
+					Notes: []string{"closed-loop dependency-driven traffic (DESIGN.md sec. 11): completion time is the figure of merit",
+						"a workload that cannot finish within the horizon reports completed=false"}},
+				point: func(p Point) []any {
+					return []any{p.Completed, p.FinishCycle, p.Messages, p.TotalLat, p.NetLat, p.QueueLat, p.Upward, p.Popups, p.Signals, p.InjectionHolds}
+				},
+			}},
+		}),
+		// router_compare: the iq, oq and voq routers at equal total buffer
+		// budget per port (router.BufferBudget: oq moves half of each input
+		// VC's depth into output staging, voq re-disciplines allocation over
+		// the same buffers), on the collectives that stress all-to-all
+		// pressure and the vertical links.
+		one(true, figure{
+			id:       "router_compare",
+			template: RunSpec{Topo: base, Seed: 11},
+			axes: []axis{
+				workloadAxis("ring_allreduce", "ring_allreduce:flits=10", "all_to_all:flits=10"), schemeAxis,
+				along("router", func(s *RunSpec, a string) { s.RouterArch = a }, router.ArchIQ, router.ArchOQ, router.ArchVOQ),
+			},
+			key: func(s RunSpec) []any {
+				return []any{s.Workload, s.Scheme, s.RouterArch, router.BufferBudget(network.DefaultConfig().Router)}
+			},
+			tables: []figTable{{
+				Table: Table{ID: "router_compare", Title: "Router microarchitecture comparison at equal buffer budget",
+					Header: []string{"workload", "scheme", "router", "budget", "completed",
+						"finish_cycle", "messages", "avg_lat", "upward", "popups", "inj_holds"},
+					Notes: []string{"iq/oq/voq at identical per-port flit-slot budgets (DESIGN.md sec. 12)",
+						"closed-loop collectives: completion time is the figure of merit"}},
+				point: func(p Point) []any {
+					return []any{p.Completed, p.FinishCycle, p.Messages, p.TotalLat, p.Upward, p.Popups, p.InjectionHolds}
+				},
+			}},
+		}),
 		{ID: "reconfig", InAll: true, run: timed(Reconfig)},
 		// scale: UPP against remote control on the small and large
 		// scale-out presets. Not in -exp all: they are 10-100x the paper's

@@ -165,12 +165,6 @@ func RunAll(specs []RunSpec, opts PoolOptions) ([]Point, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return points, batchError(errs)
-}
-
-// batchError collects a batch's failed runs: nil when every run
-// succeeded, else a *BatchError over errs' non-nil entries.
-func batchError(errs []error) error {
 	var failed []*RunError
 	for i, err := range errs {
 		if err != nil {
@@ -178,7 +172,7 @@ func batchError(errs []error) error {
 		}
 	}
 	if failed == nil {
-		return nil
+		return points, nil
 	}
-	return &BatchError{Failed: failed, Total: len(errs)}
+	return points, &BatchError{Failed: failed, Total: len(specs)}
 }

@@ -30,11 +30,9 @@ func TestRouterCompareGolden(t *testing.T) {
 		for _, jobs := range []int{1, 4} {
 			t.Run(kernel+"_jobs"+string(rune('0'+jobs)), func(t *testing.T) {
 				t.Setenv("UPP_KERNEL", kernel)
-				tables, err := RouterCompare(PoolOptions{Jobs: jobs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := tables[0].CSV()
+				t.Setenv("UPP_CACHE_DIR", "") // simulate under the kernel, not read a result
+				tb := tableByID(t, "router_compare", PoolOptions{Jobs: jobs})
+				got := tb.CSV()
 				if got == want {
 					return
 				}
@@ -60,12 +58,8 @@ func TestRouterCompareCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	tables, err := RouterCompare(PoolOptions{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var uppOQPopups string
-	for _, row := range tables[0].Rows {
+	for _, row := range tableByID(t, "router_compare", PoolOptions{Jobs: 4}).Rows {
 		if row[4] != "true" {
 			t.Errorf("%s under %s on %s did not complete", row[0], row[1], row[2])
 		}

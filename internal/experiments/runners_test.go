@@ -70,6 +70,29 @@ func sweepFigure(t *testing.T, id string) figure {
 	return figure{}
 }
 
+// tableByID runs the Experiments() entry id at quick durations and
+// returns its table of the same ID: tests read results by table ID, as
+// `figures -exp` names them, not through a runner of their own.
+func tableByID(t *testing.T, id string, opts PoolOptions) Table {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.ID != id {
+			continue
+		}
+		ts, err := e.Run(Settings{Dur: QuickDurations(), Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range ts {
+			if tb.ID == id {
+				return tb
+			}
+		}
+	}
+	t.Fatalf("no table %s", id)
+	return Table{}
+}
+
 // TestSweepFigureSmoke runs a subset of the sweep figures through the
 // pool at microDur and checks the tables each makes.
 func TestSweepFigureSmoke(t *testing.T) {

@@ -242,7 +242,7 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 // run is checked to hold staged flits at the checkpoint cycle, so its
 // staging section is non-trivially covered.
 func TestSnapshotBytesPinned(t *testing.T) {
-	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_NOPOOL", "UPP_CACHE_DIR"} {
+	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_CACHE_DIR"} {
 		t.Setenv(env, "")
 	}
 	for _, pin := range [][2]string{
@@ -340,7 +340,7 @@ func snapReconfigSpec() RunSpec {
 // walked in both directions, so this is the check that the decode
 // direction rebuilds everything the encode direction reads.
 func TestSnapshotEverySectionReencodes(t *testing.T) {
-	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_NOPOOL", "UPP_CACHE_DIR"} {
+	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_CACHE_DIR"} {
 		t.Setenv(env, "")
 	}
 	type tcase struct {

@@ -6,6 +6,7 @@ import (
 	"uppnoc/internal/network"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/traffic"
+	"uppnoc/internal/workload"
 )
 
 // Point is the measured outcome of one run.
@@ -22,17 +23,31 @@ type Point struct {
 	Popups                 uint64
 	Signals                uint64
 	Saturated              bool
+	// A closed-loop run (RunSpec.Workload) has no offered rate; it reports
+	// whether the workload finished within the horizon and when, the
+	// chunks delivered (all iterations), op progress at the horizon and
+	// remote control's injection holds. A rate-driven run leaves them zero.
+	Completed      bool      `json:",omitempty"`
+	FinishCycle    sim.Cycle `json:",omitempty"`
+	Messages       uint64    `json:",omitempty"`
+	OpsFired       int       `json:",omitempty"`
+	OpsTotal       int       `json:",omitempty"`
+	InjectionHolds uint64    `json:",omitempty"`
+	// Trace is the recorded message trace; nil unless RunSpec.Record.
+	Trace *workload.Trace `json:"-"`
 }
 
 // latencyCap marks a run as saturated when average total latency exceeds
 // it (the paper's Fig. 7 y-axis tops out at 100 cycles).
 const latencyCap = 100.0
 
-// Run executes one simulation point. When the result cache is enabled
-// (UPP_CACHE_DIR, see cache.go) and the spec is canonicalizable, a cached
-// Point is returned without simulating, and a cold run may restore a
-// warm-start checkpoint to skip the warmup phase; both reproduce the
-// uncached run bit-identically.
+// Run executes one simulation point: Pattern at Rate over the spec's
+// warmup and measurement, or the closed-loop Workload to completion or
+// the horizon. When the result cache is enabled (UPP_CACHE_DIR, see
+// cache.go) and the spec is canonicalizable, a cached Point is returned
+// without simulating, and a cold rate-driven run may restore a warm-start
+// checkpoint to skip the warmup phase; both reproduce the uncached run
+// bit-identically.
 func Run(spec RunSpec) (Point, error) {
 	dir := CacheDir()
 	env, canonical, cacheable := canonicalSpec(spec)
@@ -58,7 +73,7 @@ func Run(spec RunSpec) (Point, error) {
 // environments from it.
 func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
 	if spec.Workload != "" {
-		return nil, nil, fmt.Errorf("experiments: spec names workload %q; a rate-driven run takes Pattern and Rate (RunWorkload runs workloads)", spec.Workload)
+		return nil, nil, fmt.Errorf("experiments: spec names workload %q; a rate-driven run takes Pattern and Rate", spec.Workload)
 	}
 	s, err := Assemble(spec)
 	if err != nil {
@@ -69,8 +84,11 @@ func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
 
 // runMeasured is the cold path of Run: build the environment, warm up
 // (or restore a warm-start checkpoint), measure, summarize. warm may be
-// nil (warm-start disabled or spec not canonicalizable).
+// nil (warm-start disabled, a workload spec or one not canonicalizable).
 func runMeasured(spec RunSpec, warm *warmState) (Point, error) {
+	if spec.Workload != "" {
+		return runWorkload(spec)
+	}
 	n, g, err := BuildRun(spec)
 	if err != nil {
 		return Point{}, err
@@ -129,22 +147,78 @@ func finishRun(spec RunSpec, n *network.Network, g *traffic.Generator, at sim.Cy
 	if err := step(end); err != nil {
 		return Point{}, err
 	}
-	p := Point{
-		Rate:       spec.Rate,
-		NetLat:     n.AvgNetLatency(),
-		QueueLat:   n.AvgQueueLatency(),
-		TotalLat:   n.AvgTotalLatency(),
-		Throughput: n.Throughput(),
-		LatP50:     n.LatencyPercentile(0.50),
-		LatP99:     n.LatencyPercentile(0.99),
-		LatMax:     n.MaxLatency(),
-		Packets:    n.Stats.MeasuredPackets,
-		Upward:     n.Stats.UpwardPackets,
-		Popups:     n.Stats.PopupsCompleted,
-		Signals:    n.Stats.SignalsSent,
-	}
+	p := measure(n)
+	p.Rate, p.Throughput = spec.Rate, n.Throughput()
 	p.Saturated = p.TotalLat > latencyCap || p.TotalLat == 0
 	return p, nil
+}
+
+// measure reads the latency and recovery statistics every run reports.
+func measure(n *network.Network) Point {
+	return Point{
+		NetLat:   n.AvgNetLatency(),
+		QueueLat: n.AvgQueueLatency(),
+		TotalLat: n.AvgTotalLatency(),
+		LatP50:   n.LatencyPercentile(0.50),
+		LatP99:   n.LatencyPercentile(0.99),
+		LatMax:   n.MaxLatency(),
+		Packets:  n.Stats.MeasuredPackets,
+		Upward:   n.Stats.UpwardPackets,
+		Popups:   n.Stats.PopupsCompleted,
+		Signals:  n.Stats.SignalsSent,
+	}
+}
+
+// runWorkload is the cold path of Run for a closed-loop spec: the
+// workload driven to completion or to the horizon. Completion implies
+// every injected message was consumed (Program.Validate proves the closed
+// loop is closed), so a completed run needs no drain: the network is
+// empty at FinishCycle, and a packet still in flight is an error.
+func runWorkload(spec RunSpec) (Point, error) {
+	sm, err := Assemble(spec)
+	if err != nil {
+		return Point{}, err
+	}
+	n := sm.Net
+	eng, ws, err := workloadEngine(n, spec.Workload)
+	if err != nil {
+		return Point{}, err
+	}
+	eng.Iterations = ws.EngineIterations()
+	var rec *workload.TraceRecorder
+	if spec.Record {
+		rec = workload.NewTraceRecorder(len(n.Topo.Cores()))
+		eng.SetRecorder(rec)
+	}
+	Drive(n, eng, sim.Cycle(spec.horizon()), eng.Done)
+	p := measure(n)
+	p.Completed, p.Messages, p.InjectionHolds = eng.Done(), eng.MessagesDelivered, n.Stats.InjectionHolds
+	p.OpsFired, p.OpsTotal = eng.Progress()
+	if rec != nil {
+		p.Trace = rec.Trace()
+	}
+	if p.Completed {
+		p.FinishCycle = eng.FinishCycle()
+		if n.InFlight() != 0 {
+			return p, fmt.Errorf("experiments: %s finished with %d packets in flight — the closed loop did not close", spec.Workload, n.InFlight())
+		}
+	}
+	return p, nil
+}
+
+// workloadEngine parses a workload spec, builds its program for n's cores
+// and attaches the closed-loop engine that drives it.
+func workloadEngine(n *network.Network, spec string) (*workload.Engine, workload.Spec, error) {
+	ws, err := workload.ParseSpec(spec)
+	if err != nil {
+		return nil, ws, err
+	}
+	prog, err := ws.Build(len(n.Topo.Cores()))
+	if err != nil {
+		return nil, ws, err
+	}
+	eng, err := workload.NewEngine(n, prog)
+	return eng, ws, err
 }
 
 // Curve is a latency-vs-injection-rate series for one configuration.
