@@ -56,8 +56,11 @@ bench-pairs:
 # constructor, so every spec has a content address. Last, the lines that
 # name WorkloadSpec, WorkloadPoint or RunWorkload: a closed-loop run is a
 # RunSpec with Workload set, run by experiments.Run into a Point, not a
-# second run path. The target fails when a count exceeds its ceiling; CI's
-# test job runs it.
+# second run path. Last, the lines that name GenConfig, LinkKill, LinkAdd,
+# ChipletKill, RunChaos, RunReconfig or reconfig.Config: a fault plan is
+# one faults.ParseSpec string whose persistent events are one list, and
+# every soak runs through experiments.Soak. The target fails when a count
+# exceeds its ceiling; CI's test job runs it.
 SNAPSHOT_LINES = 1544
 loc:
 	@for d in internal/* cmd 'internal cmd'; do \
@@ -79,6 +82,9 @@ loc:
 		[ $$n -le 0 ]
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'WorkloadSpec\|WorkloadPoint\|RunWorkload'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'WorkloadSpec|WorkloadPoint|RunWorkload' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'GenConfig\|LinkKill\|LinkAdd\|ChipletKill\|RunChaos\|RunReconfig\|reconfig\.Config'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'GenConfig|LinkKill|LinkAdd|ChipletKill|RunChaos|RunReconfig|reconfig.Config' $$n 0; \
 		[ $$n -le 0 ]
 
 # Regenerate the committed collective-workload golden CSV

@@ -12,7 +12,8 @@
 // Persistent events in a fault plan (kill/add/killchiplet, see
 // EXPERIMENTS.md) bring in the reconfiguration engine (internal/reconfig)
 // on top of the plain injector and force up*/down* routing so the tables
-// can be rebuilt mid-run (DESIGN.md §15).
+// can be rebuilt mid-run (DESIGN.md §15); mode=auto|drainless|epoch in
+// the same spec picks its transitions.
 //
 //	uppsim -scheme none -rate 0.10       # watch a deadlock wedge the network
 //	uppsim -scale large -rate 0.01       # 2048-router scale-out preset

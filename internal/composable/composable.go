@@ -25,7 +25,6 @@ import (
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
-	"uppnoc/internal/routing"
 	"uppnoc/internal/topology"
 )
 
@@ -437,11 +436,6 @@ func NewScheme(t *topology.Topology) (*Scheme, error) {
 
 // Name implements network.Scheme.
 func (s *Scheme) Name() string { return "composable" }
-
-// Policy implements network.Scheme. Routing is table-driven, so the
-// boundary policy fields are unused; the static binding keeps packet
-// metadata consistent.
-func (s *Scheme) Policy() routing.BoundaryPolicy { return routing.DefaultPolicy{} }
 
 // Attach implements network.Scheme.
 func (s *Scheme) Attach(n *network.Network) { n.SetRouteOverride(s.tables.Route) }

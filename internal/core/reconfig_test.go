@@ -31,7 +31,9 @@ func TestDynamicReconfiguration(t *testing.T) {
 	phase1 := n.Stats.ConsumedPackets
 
 	// Reconfiguration: links fail; rebuild routing as up*/down* on the
-	// degraded topology.
+	// degraded topology and install it as a new routing epoch. The network
+	// is quiesced, so no old-epoch packet is left and the transition
+	// finishes at once.
 	if _, err := topo.InjectFaults(8, 77); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,8 @@ func TestDynamicReconfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebuild routing: %v", err)
 	}
-	n.SetLocalRouting(ud)
+	n.BeginRouteTransition(ud, false)
+	n.FinishRouteTransition()
 
 	// Phase 2: operation continues on the degraded system.
 	g.SetRate(0.05)

@@ -34,17 +34,12 @@ type RunSpec struct {
 	// fault-sweep robustness figure.
 	FaultsPerLayer int
 	// FaultPlan, when non-empty, attaches a runtime fault-injection plan
-	// (faults.ParseSpec syntax: "flaps=4,drop=0.2,..."). UPP runs it with
-	// the hardened config (signal timeout + retry) so injected signal loss
-	// is recovered rather than fatal.
+	// (faults.ParseSpec syntax: "flaps=4,drop=0.2,...", with mode= picking
+	// the reconfiguration engine's transitions). UPP runs it with the
+	// hardened config (signal timeout + retry) so injected signal loss is
+	// recovered rather than fatal.
 	FaultPlan string
-	// Plan is a plan already built against the topology (the soaks
-	// generate theirs); set FaultPlan or Plan, not both.
-	Plan faults.Plan
-	// Mode picks the reconfiguration engine's transitions when the plan
-	// has a persistent event (default ModeAuto).
-	Mode   reconfig.Mode
-	Scheme SchemeName
+	Scheme    SchemeName
 	// UPP sets UPP's parameters (Fig. 13's threshold, the binding and
 	// signal-gap ablations); the zero value is the paper's configuration.
 	// Valid only under Scheme upp. Signal hardening is not set here: it
@@ -123,9 +118,6 @@ type TrafficSource interface {
 // the traffic source (Sim.Generator, workloadEngine, a replayer, a
 // coherence system) and measures.
 func Assemble(spec RunSpec) (*Sim, error) {
-	if spec.FaultPlan != "" && !spec.Plan.Empty() {
-		return nil, fmt.Errorf("experiments: spec carries both FaultPlan %q and a parsed Plan", spec.FaultPlan)
-	}
 	if spec.UPP != (core.Config{}) && spec.Scheme != SchemeUPP {
 		return nil, fmt.Errorf("experiments: UPP settings %+v under scheme %q", spec.UPP, spec.Scheme)
 	}
@@ -135,7 +127,6 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	if _, err := routing.BindingPolicy(spec.UPP.Binding); err != nil {
 		return nil, err
 	}
-	planned := spec.FaultPlan != "" || !spec.Plan.Empty()
 	var topo *topology.Topology
 	var err error
 	if spec.Scale != nil {
@@ -160,7 +151,7 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	switch {
 	case spec.Scheme == SchemeUPP:
 		cfg := spec.UPP
-		if planned {
+		if spec.FaultPlan != "" {
 			// Runtime signal faults need the retry machinery (DESIGN.md
 			// §10): a lost signal is re-sent, then the popup force-retired.
 			cfg.SignalTimeout, cfg.MaxSignalRetries = 256, 3
@@ -176,7 +167,7 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := spec.Plan
+	var plan faults.Plan
 	if spec.FaultPlan != "" {
 		if plan, err = faults.ParseSpec(topo, spec.FaultPlan); err != nil {
 			return nil, err
@@ -220,8 +211,8 @@ func Assemble(spec RunSpec) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{Net: n}
-	if planned {
-		if s.Engine, err = reconfig.Attach(n, reconfig.Config{Plan: plan, Mode: spec.Mode}); err != nil {
+	if spec.FaultPlan != "" {
+		if s.Engine, err = reconfig.Attach(n, plan); err != nil {
 			return nil, err
 		}
 	}

@@ -2,10 +2,9 @@ package experiments
 
 // This file is the content-addressed run cache (DESIGN.md §14). A RunSpec
 // whose inputs are fully canonicalizable — one of the registered traffic
-// patterns or a workload, no random binding, no parsed plan or
-// reconfiguration mode, no tracer or trace recorder — maps to a canonical
-// JSON envelope; the SHA-256 of those bytes addresses two on-disk
-// artifacts under UPP_CACHE_DIR:
+// patterns or a workload, no random binding, no tracer or trace recorder —
+// maps to a canonical JSON envelope; the SHA-256 of those bytes addresses
+// two on-disk artifacts under UPP_CACHE_DIR:
 //
 //	results/<hash>.json  the finished Point (exact-match verified
 //	                     against the stored spec, not just the hash)
@@ -20,10 +19,12 @@ package experiments
 // construction (enforced by the kernel equivalence tests), so a Point
 // computed under any of them is valid for all. It deliberately includes
 // the resolved router architecture (UPP_ROUTER applies when the spec
-// leaves RouterArch empty) because that does change results. Entries are written atomically (temp file + rename), so
-// concurrent sweep workers and concurrent processes sharing a cache
-// directory never observe torn files; a corrupt or stale entry is treated
-// as a miss, never an error.
+// leaves RouterArch empty) because that does change results.
+//
+// Entries are written atomically (temp file + rename), so concurrent sweep
+// workers and concurrent processes sharing a cache directory never observe
+// torn files; a corrupt or stale entry is treated as a miss, never an
+// error.
 
 import (
 	"bytes"
@@ -40,7 +41,6 @@ import (
 
 	"uppnoc/internal/core"
 	"uppnoc/internal/network"
-	"uppnoc/internal/reconfig"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -115,16 +115,13 @@ type specEnvelope struct {
 
 // canonicalSpec canonicalizes a spec for caching. ok is false when the
 // spec cannot be addressed by content: a traffic pattern outside the
-// registered set has no canonical name, a parsed plan and a
-// reconfiguration mode have no place in the envelope, the side effects of
-// a traced or recorded run cannot come from a cache, and under malformed
-// host settings the router architecture is unknown (Assemble reports
-// those). The random binding's stream is in no snapshot, so a warm start
+// registered set has no canonical name, the side effects of a traced or
+// recorded run cannot come from a cache, and under malformed host settings
+// the router architecture is unknown (Assemble reports those). The random binding's stream is in no snapshot, so a warm start
 // would restart it and diverge from the cold run: its runs are refused
 // too.
 func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
-	if spec.TraceLimit > 0 || spec.Record || !spec.Plan.Empty() ||
-		spec.Mode != reconfig.ModeAuto || spec.UPP.Binding == "random" {
+	if spec.TraceLimit > 0 || spec.Record || spec.UPP.Binding == "random" {
 		return specEnvelope{}, nil, false
 	}
 	host, err := hostEnv()

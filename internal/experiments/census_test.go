@@ -27,10 +27,7 @@ func TestUpwardCensusTracksVCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const killAt, snapAt, total = 400, 410, 2400
-	plan := faults.Plan{Kills: []faults.LinkKill{
-		{Link: links[0], Cycle: killAt},
-		{Link: links[1], Cycle: killAt},
-	}}
+	spec := fmt.Sprintf("kill=%d@%d,kill=%d@%d", links[0], killAt, links[1], killAt)
 	type system struct {
 		n    *network.Network
 		eng  *reconfig.Engine
@@ -43,11 +40,16 @@ func TestUpwardCensusTracksVCs(t *testing.T) {
 		cfg.RouterArch = arch
 		cfg.UseUpDown = true
 		cfg.Seed = 12
-		n, err := network.New(topology.MustBuild(topology.BaselineConfig()), cfg, core.New(core.DefaultConfig()))
+		topo := topology.MustBuild(topology.BaselineConfig())
+		n, err := network.New(topo, cfg, core.New(core.DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := reconfig.Attach(n, reconfig.Config{Plan: plan})
+		plan, err := faults.ParseSpec(topo, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := reconfig.Attach(n, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
-	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
@@ -16,26 +17,21 @@ import (
 // outcomes (Stats compared as a struct) across the three kernels at a
 // fixed seed.
 func TestChaosSoak(t *testing.T) {
-	topo, err := topology.Build(topology.BaselineConfig())
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	flapsPlan := faults.Generate(topo, 21, faults.GenConfig{Flaps: 4, FlapEvery: 600, FlapDur: 150})
-	lossPlan := faults.Generate(topo, 22, faults.GenConfig{DropReq: 0.25, DropAck: 0.25, DropStop: 0.25, DelayProb: 0.2, DelayMax: 6})
-	stallsPlan := faults.Generate(topo, 23, faults.GenConfig{Stalls: 4, StallEvery: 700, StallDur: 200})
-	mayhemPlan := faults.Generate(topo, 24, faults.GenConfig{
-		Flaps: 3, FlapEvery: 800, FlapDur: 150,
-		Stalls: 2, StallEvery: 900, StallDur: 150,
-		DropReq: 0.15, DropAck: 0.15, DropStop: 0.15, DelayProb: 0.15, DelayMax: 4,
-	})
-	// heavyLossPlan loses so many signals that retry exhaustion outpaces
-	// the watchdog: the expected outcome is a diagnosed stall, exercising
-	// the StallDiagnostic path (which must also be kernel-identical).
-	heavyLossPlan := faults.Generate(topo, 22, faults.GenConfig{DropReq: 0.4, DropAck: 0.4, DropStop: 0.4})
+	const (
+		flapsPlan  = "seed=21,flaps=4,flapevery=600,flapdur=150"
+		lossPlan   = "seed=22,drop=0.25,delayprob=0.2,delaymax=6"
+		stallsPlan = "seed=23,stalls=4,stallevery=700,stalldur=200"
+		mayhemPlan = "seed=24,flaps=3,flapevery=800,flapdur=150,stalls=2,stallevery=900,stalldur=150,drop=0.15,delayprob=0.15,delaymax=4"
+		// heavyLossPlan loses so many signals that retry exhaustion
+		// outpaces the watchdog: the expected outcome is a diagnosed stall,
+		// exercising the StallDiagnostic path (which must also be
+		// kernel-identical).
+		heavyLossPlan = "seed=22,drop=0.4"
+	)
 	cases := []struct {
 		name     string
 		scheme   SchemeName
-		plan     faults.Plan
+		plan     string
 		rate     float64
 		workload string
 		arch     string
@@ -64,14 +60,14 @@ func TestChaosSoak(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			var ref ChaosOutcome
+			var ref SoakOutcome
 			for i, kernel := range kernels {
-				spec := ChaosSpec{
+				spec := SoakSpec{
 					RunSpec: RunSpec{
 						Topo:       topology.BaselineConfig(),
 						Scheme:     tc.scheme,
 						Kernel:     kernel,
-						Plan:       tc.plan,
+						FaultPlan:  tc.plan,
 						Pattern:    traffic.UniformRandom{},
 						Rate:       tc.rate,
 						Workload:   tc.workload,
@@ -83,7 +79,7 @@ func TestChaosSoak(t *testing.T) {
 					DrainMax:   15000,
 					StallLimit: 2000,
 				}
-				out, err := RunChaos(spec)
+				out, err := Soak(spec)
 				if err != nil {
 					t.Fatalf("kernel %s: %v", kernel, err)
 				}
@@ -109,7 +105,7 @@ func TestChaosSoak(t *testing.T) {
 					t.Fatalf("kernel %s stats diverge from %s:\n%+v\nvs\n%+v", kernel, kernels[0], out.Stats, ref.Stats)
 				}
 			}
-			if tc.scheme == SchemeUPP && tc.plan.Drop != [network.NumSignalKinds]float64{} {
+			if tc.scheme == SchemeUPP && strings.Contains(tc.plan, "drop=") {
 				if ref.Stats.SignalsDropped == 0 {
 					t.Error("signal-loss plan dropped nothing — fault injection not engaged?")
 				}
@@ -125,30 +121,23 @@ func TestChaosSoak(t *testing.T) {
 // the exact same spec twice on one kernel — catches any hidden RNG or
 // map-order dependence in the fault path itself.
 func TestChaosRunDeterminismSameKernel(t *testing.T) {
-	topo, err := topology.Build(topology.BaselineConfig())
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	plan := faults.Generate(topo, 33, faults.GenConfig{
-		Flaps: 2, FlapEvery: 700, FlapDur: 120,
-		DropReq: 0.2, DropAck: 0.2, DropStop: 0.2,
-	})
-	spec := ChaosSpec{
+	spec := SoakSpec{
 		RunSpec: RunSpec{
-			Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: network.KernelActive, Plan: plan,
-			Pattern: traffic.UniformRandom{}, Rate: 0.05, Seed: 11, UseUpDown: true,
+			Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: network.KernelActive,
+			FaultPlan: "seed=33,flaps=2,flapevery=700,flapdur=120,drop=0.2",
+			Pattern:   traffic.UniformRandom{}, Rate: 0.05, Seed: 11, UseUpDown: true,
 		},
 		LoadCycles: 1500, DrainMax: 12000, StallLimit: 2000,
 	}
-	a, err := RunChaos(spec)
+	a, err := Soak(spec)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	b, err := RunChaos(spec)
+	b, err := Soak(spec)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same spec, different outcomes:\n%+v\nvs\n%+v", a, b)
 	}
 }

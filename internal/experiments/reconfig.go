@@ -3,29 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"uppnoc/internal/faults"
-	"uppnoc/internal/network"
-	"uppnoc/internal/reconfig"
 	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
-
-// ReconfigOutcome is the observable result of a reconfiguration soak.
-// Identical specs must produce identical outcomes under every kernel.
-type ReconfigOutcome struct {
-	Quiesced    bool
-	Stall       string
-	FinalCycle  sim.Cycle
-	Stats       network.Stats
-	Transitions []reconfig.Transition
-	Cuts        []reconfig.CutInfo
-	// RoutesChanged counts interposer (src, dst) pairs whose route under
-	// the final tables differs from the construction-time tables' — the
-	// delivered-path evidence that reconfiguration actually rerouted.
-	RoutesChanged int
-}
 
 // KillableInterposerLinks returns n interposer mesh link IDs whose
 // cumulative removal keeps every layer connected — the standard victims
@@ -56,97 +38,6 @@ func KillableInterposerLinks(cfg topology.SystemConfig, n int) ([]int, error) {
 	return ids, nil
 }
 
-// RunReconfig executes one dynamic-reconfiguration soak — load, a
-// persistent fault plan (link kills, hot-adds, chiplet fail-stops) driven
-// by the reconfiguration engine, then a drain that must quiesce — and
-// validates the outcome:
-//
-//   - every planned transition must have finished (no wedged epoch);
-//   - a quiesced run must pass the resource audit and packet accounting;
-//   - no flit may have crossed a killed link after its cut (checked
-//     against the CutInfo sent counters, skipping later-revived links);
-//   - surviving routes must avoid every dead link, and at least one
-//     route must actually have changed when links were killed.
-func RunReconfig(spec ChaosSpec) (ReconfigOutcome, error) {
-	if !spec.Plan.Persistent() {
-		return ReconfigOutcome{}, fmt.Errorf("reconfig: soak plan has no persistent event (kill, add or killchiplet)")
-	}
-	run, err := runSoak("reconfig", spec)
-	out := ReconfigOutcome{Stall: run.stall, FinalCycle: run.finalCycle, Stats: run.stats}
-	n, eng, oldLocal := run.net, run.eng, run.oldLocal
-	if eng != nil {
-		out.Transitions = append(out.Transitions, eng.Transitions()...)
-		out.Cuts = append(out.Cuts, eng.Cuts()...)
-	}
-	if err != nil || out.Stall != "" {
-		return out, err
-	}
-	if !eng.Done() {
-		return out, fmt.Errorf("reconfig: engine still mid-plan after drain (cursor or transition stuck)")
-	}
-	topo := n.Topo
-	for _, c := range out.Cuts {
-		l := topo.Links[c.Link]
-		if !l.Faulty {
-			continue // revived by a later hot-add
-		}
-		sa := n.Routers[l.A].PortSent(l.APort)
-		sb := n.Routers[l.B].PortSent(l.BPort)
-		if sa != c.SentA || sb != c.SentB {
-			return out, fmt.Errorf("reconfig: link %d carried traffic after its cut at cycle %d (sent A %d->%d, B %d->%d)",
-				c.Link, c.Cycle, c.SentA, sa, c.SentB, sb)
-		}
-	}
-	// Delivered-path evidence: walk every interposer pair under the
-	// final tables; no route may cross a dead link, and when links died
-	// at least one route must differ from the construction-time tables'.
-	newLocal := n.Hier().Local
-	dead := map[int]bool{}
-	for _, l := range topo.Links {
-		if l.Faulty && !l.Vertical {
-			dead[l.ID] = true
-		}
-	}
-	nodes := topo.LayerNodes(topology.InterposerChiplet)
-	for _, src := range nodes {
-		for _, dst := range nodes {
-			if src == dst {
-				continue
-			}
-			pa, err := reconfig.WalkRoute(topo, newLocal, topology.InterposerChiplet, src, dst)
-			if err != nil {
-				return out, fmt.Errorf("reconfig: final tables cannot route %d -> %d: %w", src, dst, err)
-			}
-			for i := 0; i+1 < len(pa); i++ {
-				p := topo.Node(pa[i]).PortToNeighbor(pa[i+1])
-				if l := topo.Node(pa[i]).Ports[p].Link; l != nil && dead[l.ID] {
-					return out, fmt.Errorf("reconfig: surviving route %d -> %d crosses dead link %d", src, dst, l.ID)
-				}
-			}
-			pb, err := reconfig.WalkRoute(topo, oldLocal, topology.InterposerChiplet, src, dst)
-			if err != nil {
-				out.RoutesChanged++ // old tables fail across dead links
-				continue
-			}
-			if len(pa) != len(pb) {
-				out.RoutesChanged++
-				continue
-			}
-			for i := range pa {
-				if pa[i] != pb[i] {
-					out.RoutesChanged++
-					break
-				}
-			}
-		}
-	}
-	if len(dead) > 0 && out.RoutesChanged == 0 {
-		return out, fmt.Errorf("reconfig: %d links dead yet no interposer route changed", len(dead))
-	}
-	out.Quiesced = true
-	return out, nil
-}
-
 // Reconfig is the -exp reconfig figure: the migration cost of killing
 // two interposer links under load, drainless vs epoch-fenced, at three
 // offered loads. Transition cycles are Begin→Finish wall-clock; cut
@@ -169,14 +60,10 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 	if killCycle < 200 {
 		killCycle = 200
 	}
-	plan := faults.Plan{Kills: []faults.LinkKill{
-		{Link: links[0], Cycle: killCycle},
-		{Link: links[1], Cycle: killCycle},
-	}}
-	modes := []reconfig.Mode{reconfig.ModeAuto, reconfig.ModeDrainless, reconfig.ModeEpoch}
+	modes := []string{"auto", "drainless", "epoch"}
 	rates := []float64{0.05, 0.10, 0.15}
 	type cell struct {
-		out ReconfigOutcome
+		out SoakOutcome
 		err error
 	}
 	cells := make([]cell, len(modes)*len(rates))
@@ -184,15 +71,14 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 		mode := modes[i/len(rates)]
 		rate := rates[i%len(rates)]
 		opts.Progress.log("reconfig: mode=%s rate=%.2f", mode, rate)
-		cells[i].out, cells[i].err = RunReconfig(ChaosSpec{
+		cells[i].out, cells[i].err = Soak(SoakSpec{
 			RunSpec: RunSpec{
-				Topo:    topology.BaselineConfig(),
-				Scheme:  SchemeUPP,
-				Mode:    mode,
-				Plan:    plan,
-				Seed:    5,
-				Pattern: traffic.UniformRandom{},
-				Rate:    rate,
+				Topo:      topology.BaselineConfig(),
+				Scheme:    SchemeUPP,
+				FaultPlan: fmt.Sprintf("kill=%d@%d,kill=%d@%d,mode=%s", links[0], killCycle, links[1], killCycle, mode),
+				Seed:      5,
+				Pattern:   traffic.UniformRandom{},
+				Rate:      rate,
 			},
 			LoadCycles: int(killCycle) + dur.Measure,
 			DrainMax:   200000,

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
-	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
 	"uppnoc/internal/topology"
 )
@@ -12,7 +12,7 @@ import (
 // TestRunReconfigAllToAllSoak is the acceptance soak: persistently kill
 // two interposer links under closed-loop all-to-all load; the run must
 // complete deadlock-free via reconfiguration, with delivered-path
-// assertions (RunReconfig enforces them), and the outcome must be
+// assertions (Soak enforces them for a persistent plan), and the outcome must be
 // bit-identical under every UPP detection kernel.
 func TestRunReconfigAllToAllSoak(t *testing.T) {
 	if testing.Short() {
@@ -22,21 +22,17 @@ func TestRunReconfigAllToAllSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := faults.Plan{Kills: []faults.LinkKill{
-		{Link: links[0], Cycle: 400},
-		{Link: links[1], Cycle: 400},
-	}}
 	kernels := []string{network.KernelNaive, network.KernelActive, network.KernelParallel}
-	var ref ReconfigOutcome
+	var ref SoakOutcome
 	for i, k := range kernels {
-		out, err := RunReconfig(ChaosSpec{
+		out, err := Soak(SoakSpec{
 			RunSpec: RunSpec{
-				Topo:     topology.BaselineConfig(),
-				Scheme:   SchemeUPP,
-				Kernel:   k,
-				Plan:     plan,
-				Seed:     11,
-				Workload: "all_to_all:flits=2",
+				Topo:      topology.BaselineConfig(),
+				Scheme:    SchemeUPP,
+				Kernel:    k,
+				FaultPlan: fmt.Sprintf("kill=%d@400,kill=%d@400", links[0], links[1]),
+				Seed:      11,
+				Workload:  "all_to_all:flits=2",
 			},
 			LoadCycles: 1600,
 			DrainMax:   200000,

@@ -8,7 +8,6 @@ import (
 
 	"uppnoc/internal/core"
 	"uppnoc/internal/network"
-	"uppnoc/internal/reconfig"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -329,7 +328,7 @@ func snapWorkloadSpec() RunSpec {
 
 func snapReconfigSpec() RunSpec {
 	spec := snapSpec(SchemeUPP, "iq")
-	spec.FaultPlan, spec.Mode = "kill=3@400,kill=9@400", reconfig.ModeEpoch
+	spec.FaultPlan = "kill=3@400,kill=9@400,mode=epoch"
 	return spec
 }
 

@@ -11,8 +11,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -36,35 +38,63 @@ type EjectStall struct {
 	Start, End sim.Cycle
 }
 
-// LinkKill is a persistent link failure: at Cycle the link is announced
-// dead and never heals on its own. Unlike a LinkFlap — which only pauses
-// traffic — a kill changes the topology, so the reconfiguration engine
-// (internal/reconfig) must rebuild routing around it; the plain Injector
-// refuses plans that contain one.
-type LinkKill struct {
-	Link  int // index into Topology.Links; must be a mesh (non-vertical) link
-	Cycle sim.Cycle
+// EventKind classifies a persistent topology event.
+type EventKind uint8
+
+const (
+	// KillLink is a persistent link failure: at its cycle the link is
+	// announced dead and never heals on its own. Unlike a LinkFlap — which
+	// only pauses traffic — a kill changes the topology, so the
+	// reconfiguration engine (internal/reconfig) rebuilds routing around it.
+	KillLink EventKind = iota
+	// AddLink heals a construction-time Faulty link — the hot-add / repair
+	// event. Routing starts using the link once the reconfiguration engine
+	// installs tables that include it.
+	AddLink
+	// KillChiplet fail-stops one chiplet's compute: its cores stop sourcing
+	// traffic and other cores stop targeting it. The chiplet's routers stay
+	// powered so in-flight packets drain (the fail-stop model of modular
+	// systems — a dead compute die, not a dead interposer region), so no
+	// routing transition runs.
+	KillChiplet
+)
+
+// Event is one persistent topology event. Events sharing a cycle form one
+// batch: a single routing transition covers all of them.
+type Event struct {
+	Cycle  sim.Cycle
+	Kind   EventKind
+	Target int // link index (KillLink, AddLink) or chiplet index (KillChiplet)
 }
 
-// LinkAdd heals a construction-time Faulty link at Cycle — the hot-add /
-// repair event. Routing starts using the link once the reconfiguration
-// engine installs tables that include it.
-type LinkAdd struct {
-	Link  int
-	Cycle sim.Cycle
+// CompareEvents is batch order: by cycle, then kills before adds before
+// chiplet kills, then by target.
+func CompareEvents(a, b Event) int {
+	return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Target, b.Target))
 }
 
-// ChipletKill fail-stops one chiplet's compute at Cycle: its cores stop
-// sourcing traffic and other cores stop targeting it. The chiplet's
-// routers stay powered so in-flight packets drain (the fail-stop model of
-// modular systems — a dead compute die, not a dead interposer region).
-type ChipletKill struct {
-	Chiplet int
-	Cycle   sim.Cycle
-}
+// Mode selects how the reconfiguration engine transitions between routing
+// functions (the spec key mode=).
+type Mode uint8
 
-// Plan is a complete, replayable fault schedule. The zero Plan injects
-// nothing.
+const (
+	// ModeAuto picks drainless when the old∪new CDG is acyclic
+	// (CompatibleUnion), epoch-based otherwise. The default.
+	ModeAuto Mode = iota
+	// ModeDrainless forces the drainless switch even for incompatible
+	// pairs — injection never stops, and UPP is the only thing standing
+	// between a transient mixed-epoch cycle and a wedge. Useful for
+	// measuring what the compatibility check buys.
+	ModeDrainless
+	// ModeEpoch forces the conservative epoch fence even for provably
+	// compatible pairs.
+	ModeEpoch
+)
+
+var modeNames = []string{ModeAuto: "auto", ModeDrainless: "drainless", ModeEpoch: "epoch"}
+
+// Plan is a complete, replayable fault schedule, built by ParseSpec. The
+// zero Plan injects nothing.
 type Plan struct {
 	// Seed keys the stateless signal-fate hash; two plans with different
 	// seeds drop/delay different signal instances at the same probabilities.
@@ -73,10 +103,11 @@ type Plan struct {
 	Flaps  []LinkFlap
 	Stalls []EjectStall
 
-	// Persistent topology events; require the reconfiguration engine.
-	Kills        []LinkKill
-	Adds         []LinkAdd
-	ChipletKills []ChipletKill
+	// Events are the persistent topology events in batch order
+	// (CompareEvents); they require the reconfiguration engine, whose
+	// transitions Mode picks.
+	Events []Event
+	Mode   Mode
 
 	// Drop is the per-kind loss probability for UPP protocol signals
 	// (indexed by network.SignalReq/SignalAck/SignalStop).
@@ -86,18 +117,10 @@ type Plan struct {
 	DelayMax  int
 }
 
-// Empty reports whether the plan injects nothing at all.
-func (p *Plan) Empty() bool {
-	return len(p.Flaps) == 0 && len(p.Stalls) == 0 && !p.Persistent() &&
-		p.Drop == [network.NumSignalKinds]float64{} && p.DelayProb == 0
-}
-
 // Persistent reports whether the plan contains topology-changing events
 // (kills, hot-adds, chiplet fail-stops), which the reconfiguration engine
 // carries out.
-func (p *Plan) Persistent() bool {
-	return len(p.Kills) > 0 || len(p.Adds) > 0 || len(p.ChipletKills) > 0
-}
+func (p *Plan) Persistent() bool { return len(p.Events) > 0 }
 
 // Injector applies a Plan to one Network. It implements
 // network.FaultInjector.
@@ -203,87 +226,63 @@ func (in *Injector) EjectionStalled(node topology.NodeID, cycle sim.Cycle) bool 
 	return false
 }
 
-// GenConfig shapes Generate's output. Zero values take the documented
-// defaults; probabilities default to zero (off).
-type GenConfig struct {
-	Flaps     int // number of link-flap windows (default 0)
-	FlapEvery int // cycles between flap starts (default 1500)
-	FlapDur   int // flap length; clamped to FlapEvery/2 (default 300)
+// maxWindows caps a window series: a spec is command-line or $UPP_FAULTS
+// input, and the injector scans every window each cycle.
+const maxWindows = 10000
 
-	Stalls     int // number of ejection-stall windows (default 0)
-	StallEvery int // cycles between stall starts (default 2000)
-	StallDur   int // stall length; clamped to StallEvery/2 (default 250)
-
-	DropReq, DropAck, DropStop float64
-	DelayProb                  float64
-	DelayMax                   int // default 8 when DelayProb > 0
-
-	Start sim.Cycle // first window start (default 100)
+// series is one kind of transient window as a spec describes it: n windows
+// of dur cycles, the i-th starting i*every cycles after the plan's start
+// plus a jitter of at most every/4. keys are its three spec keys.
+type series struct {
+	n, every, dur int
+	keys          [3]string
 }
 
-// Generate builds a reproducible Plan for a topology: flaps target
-// pseudo-randomly chosen mesh links, stalls pseudo-randomly chosen cores,
-// with starts staggered so windows on one target never overlap.
-func Generate(topo *topology.Topology, seed uint64, g GenConfig) Plan {
-	if g.FlapEvery <= 0 {
-		g.FlapEvery = 1500
+// resolve fills the unset (zero) every and dur with the defaults given and
+// clamps dur to every/2, so windows on one target never overlap. It then
+// rejects a series longer than maxWindows, one whose windows are empty (a
+// degenerate spec such as flapevery=1 would otherwise inject nothing) and
+// one whose last window would end past the last representable cycle.
+func (s *series) resolve(every, dur int, start sim.Cycle) error {
+	if s.every <= 0 {
+		s.every = every
 	}
-	if g.FlapDur <= 0 {
-		g.FlapDur = 300
+	if s.dur <= 0 {
+		s.dur = dur
 	}
-	if g.FlapDur > g.FlapEvery/2 {
-		g.FlapDur = g.FlapEvery / 2
+	s.dur = min(s.dur, s.every/2)
+	if s.n == 0 {
+		return nil
 	}
-	if g.StallEvery <= 0 {
-		g.StallEvery = 2000
+	if s.n > maxWindows {
+		return fmt.Errorf("faults: %s=%d exceeds the limit of %d windows", s.keys[0], s.n, maxWindows)
 	}
-	if g.StallDur <= 0 {
-		g.StallDur = 250
+	if s.dur == 0 {
+		return fmt.Errorf("faults: %s=%d gives empty windows, want start<end (check %s/%s)", s.keys[1], s.every, s.keys[1], s.keys[2])
 	}
-	if g.StallDur > g.StallEvery/2 {
-		g.StallDur = g.StallEvery / 2
+	// The last window ends by start + (n-1)*every + every/4 + dur; with dur
+	// at most every/2 the subtraction below cannot overflow.
+	room := math.MaxInt64 - start - sim.Cycle(s.dur+s.every/4)
+	if room < 0 || sim.Cycle(s.n-1) > room/sim.Cycle(s.every) {
+		return fmt.Errorf("faults: %s=%d with %s=%d and start=%d ends past the last cycle", s.keys[0], s.n, s.keys[1], s.every, start)
 	}
-	if g.Start <= 0 {
-		g.Start = 100
+	return nil
+}
+
+// place draws the series' windows over targets candidates, each window's
+// jitter and then its target from rng, and hands them to add.
+func (s *series) place(rng *sim.RNG, start sim.Cycle, targets int, add func(target int, start, end sim.Cycle)) {
+	for i := 0; i < s.n && targets > 0; i++ {
+		at := start + sim.Cycle(i*s.every+rng.Intn(s.every/4+1))
+		add(rng.Intn(targets), at, at+sim.Cycle(s.dur))
 	}
-	if g.DelayProb > 0 && g.DelayMax <= 0 {
-		g.DelayMax = 8
-	}
-	rng := sim.NewRNG(seed)
-	var mesh []int
-	for _, l := range topo.Links {
-		if !l.Vertical {
-			mesh = append(mesh, l.ID)
-		}
-	}
-	plan := Plan{Seed: seed, DelayProb: g.DelayProb, DelayMax: g.DelayMax}
-	plan.Drop[network.SignalReq] = g.DropReq
-	plan.Drop[network.SignalAck] = g.DropAck
-	plan.Drop[network.SignalStop] = g.DropStop
-	for i := 0; i < g.Flaps && len(mesh) > 0; i++ {
-		start := g.Start + sim.Cycle(i*g.FlapEvery+rng.Intn(g.FlapEvery/4+1))
-		plan.Flaps = append(plan.Flaps, LinkFlap{
-			Link:  mesh[rng.Intn(len(mesh))],
-			Start: start,
-			End:   start + sim.Cycle(g.FlapDur),
-		})
-	}
-	cores := topo.Cores()
-	for i := 0; i < g.Stalls && len(cores) > 0; i++ {
-		start := g.Start + sim.Cycle(i*g.StallEvery+rng.Intn(g.StallEvery/4+1))
-		plan.Stalls = append(plan.Stalls, EjectStall{
-			Node:  cores[rng.Intn(len(cores))],
-			Start: start,
-			End:   start + sim.Cycle(g.StallDur),
-		})
-	}
-	return plan
 }
 
 // ParseSpec builds a Plan from a compact comma-separated key=value spec —
-// the UPP_FAULTS / -faults command-line syntax. Keys:
+// the UPP_FAULTS / -fault-plan command-line syntax and RunSpec.FaultPlan,
+// the one way a run names its faults. Keys:
 //
-//	seed=N        hash seed and Generate seed (default 1)
+//	seed=N        hash seed and window-placement seed (default 1)
 //	flaps=N       link-flap windows       flapevery=N  flapdur=N
 //	stalls=N      ejection-stall windows  stallevery=N stalldur=N
 //	dropreq=P dropack=P dropstop=P  per-kind signal-loss probabilities
@@ -293,18 +292,32 @@ func Generate(topo *topology.Topology, seed uint64, g GenConfig) Plan {
 //	kill=L@C      persistent link kill: link L dies at cycle C (repeatable)
 //	add=L@C       hot-add: Faulty link L heals at cycle C (repeatable)
 //	killchiplet=K@C  fail-stop chiplet K's compute at cycle C (repeatable)
+//	mode=M        auto | drainless | epoch: the reconfiguration engine's
+//	              transitions; only with a kill, add or killchiplet event
 //
-// Example: "seed=7,flaps=4,drop=0.2,delayprob=0.1". Install the plan
-// with reconfig.Attach.
-// Every window in the resulting plan is validated to be non-empty: a
-// degenerate parameter combination (e.g. flapevery=1, whose duration
-// clamp collapses the window) is an error here, not a silent no-op fault.
+// Example: "seed=7,flaps=4,drop=0.2,delayprob=0.1". Flaps target
+// pseudo-randomly chosen mesh links and stalls cores, staggered so that
+// windows on one target never overlap; the persistent events come back in
+// batch order. Install the plan with reconfig.Attach. A spec whose windows
+// would be empty (e.g. flapevery=1, whose duration clamp collapses the
+// window), too many or past the last cycle is an error here, not a silent
+// no-op fault.
 func ParseSpec(topo *topology.Topology, spec string) (Plan, error) {
-	g := GenConfig{}
-	var seed uint64 = 1
-	var kills []LinkKill
-	var adds []LinkAdd
-	var chipKills []ChipletKill
+	var plan Plan
+	seed, start, modeSet := 1, 0, false
+	flaps := series{keys: [3]string{"flaps", "flapevery", "flapdur"}}
+	stalls := series{keys: [3]string{"stalls", "stallevery", "stalldur"}}
+	ints := map[string]*int{
+		"seed": &seed, "start": &start, "delaymax": &plan.DelayMax,
+		"flaps": &flaps.n, "flapevery": &flaps.every, "flapdur": &flaps.dur,
+		"stalls": &stalls.n, "stallevery": &stalls.every, "stalldur": &stalls.dur,
+	}
+	req, ack, stop := &plan.Drop[network.SignalReq], &plan.Drop[network.SignalAck], &plan.Drop[network.SignalStop]
+	probs := map[string][]*float64{
+		"drop": {req, ack, stop}, "dropreq": {req}, "dropack": {ack}, "dropstop": {stop},
+		"delayprob": {&plan.DelayProb},
+	}
+	events := map[string]EventKind{"kill": KillLink, "add": AddLink, "killchiplet": KillChiplet}
 	for _, kv := range strings.Split(spec, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -314,108 +327,69 @@ func ParseSpec(topo *topology.Topology, spec string) (Plan, error) {
 		if !ok {
 			return Plan{}, fmt.Errorf("faults: bad spec element %q (want key=value)", kv)
 		}
-		switch k {
-		case "seed", "flaps", "flapevery", "flapdur", "stalls", "stallevery", "stalldur", "delaymax", "start":
+		if p, ok := ints[k]; ok {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
 				return Plan{}, fmt.Errorf("faults: bad value %q for %s (want a non-negative integer)", v, k)
 			}
-			switch k {
-			case "seed":
-				seed = uint64(n)
-			case "flaps":
-				g.Flaps = n
-			case "flapevery":
-				g.FlapEvery = n
-			case "flapdur":
-				g.FlapDur = n
-			case "stalls":
-				g.Stalls = n
-			case "stallevery":
-				g.StallEvery = n
-			case "stalldur":
-				g.StallDur = n
-			case "delaymax":
-				g.DelayMax = n
-			case "start":
-				g.Start = sim.Cycle(n)
-			}
-		case "drop", "dropreq", "dropack", "dropstop", "delayprob":
+			*p = n
+		} else if ps, ok := probs[k]; ok {
 			p, err := strconv.ParseFloat(v, 64)
 			if err != nil || p < 0 || p > 1 {
 				return Plan{}, fmt.Errorf("faults: bad value %q for %s (want a probability in [0, 1])", v, k)
 			}
-			switch k {
-			case "drop":
-				g.DropReq, g.DropAck, g.DropStop = p, p, p
-			case "dropreq":
-				g.DropReq = p
-			case "dropack":
-				g.DropAck = p
-			case "dropstop":
-				g.DropStop = p
-			case "delayprob":
-				g.DelayProb = p
+			for _, dst := range ps {
+				*dst = p
 			}
-		case "kill", "add", "killchiplet":
-			ts, cs, ok := strings.Cut(v, "@")
-			if !ok {
-				return Plan{}, fmt.Errorf("faults: bad value %q for %s (want TARGET@CYCLE)", v, k)
-			}
+		} else if kind, ok := events[k]; ok {
+			ts, cs, _ := strings.Cut(v, "@")
 			target, err1 := strconv.Atoi(ts)
 			cyc, err2 := strconv.Atoi(cs)
 			if err1 != nil || err2 != nil || target < 0 || cyc < 0 {
 				return Plan{}, fmt.Errorf("faults: bad value %q for %s (want non-negative TARGET@CYCLE)", v, k)
 			}
-			switch k {
-			case "kill":
-				kills = append(kills, LinkKill{Link: target, Cycle: sim.Cycle(cyc)})
-			case "add":
-				adds = append(adds, LinkAdd{Link: target, Cycle: sim.Cycle(cyc)})
-			case "killchiplet":
-				chipKills = append(chipKills, ChipletKill{Chiplet: target, Cycle: sim.Cycle(cyc)})
+			plan.Events = append(plan.Events, Event{Cycle: sim.Cycle(cyc), Kind: kind, Target: target})
+		} else if k == "mode" {
+			m := slices.Index(modeNames, v)
+			if m < 0 {
+				return Plan{}, fmt.Errorf("faults: bad value %q for mode (want auto, drainless or epoch)", v)
 			}
-		default:
+			plan.Mode, modeSet = Mode(m), true
+		} else {
 			return Plan{}, fmt.Errorf("faults: unknown spec key %q", k)
 		}
 	}
-	plan := Generate(topo, seed, g)
-	plan.Kills = kills
-	plan.Adds = adds
-	plan.ChipletKills = chipKills
-	// Reject degenerate windows instead of passing them through: a flap
-	// or stall whose end does not follow its start would silently inject
-	// nothing (or, worse, a miscomputed window could invert).
-	for i, fl := range plan.Flaps {
-		if fl.End <= fl.Start {
-			return Plan{}, fmt.Errorf("faults: flap %d has window [%d, %d), want start<end (check flapevery/flapdur)", i, fl.Start, fl.End)
+	if modeSet && !plan.Persistent() {
+		return Plan{}, fmt.Errorf("faults: mode=%s without a kill, add or killchiplet event", modeNames[plan.Mode])
+	}
+	slices.SortFunc(plan.Events, CompareEvents)
+	if start <= 0 {
+		start = 100
+	}
+	if plan.DelayProb > 0 && plan.DelayMax <= 0 {
+		plan.DelayMax = 8
+	}
+	first := sim.Cycle(start)
+	if err := flaps.resolve(1500, 300, first); err != nil {
+		return Plan{}, err
+	}
+	if err := stalls.resolve(2000, 250, first); err != nil {
+		return Plan{}, err
+	}
+	plan.Seed = uint64(seed)
+	rng := sim.NewRNG(plan.Seed)
+	var mesh []int
+	for _, l := range topo.Links {
+		if !l.Vertical {
+			mesh = append(mesh, l.ID)
 		}
 	}
-	for i, st := range plan.Stalls {
-		if st.End <= st.Start {
-			return Plan{}, fmt.Errorf("faults: stall %d has window [%d, %d), want start<end (check stallevery/stalldur)", i, st.Start, st.End)
-		}
-	}
+	flaps.place(rng, first, len(mesh), func(i int, s, e sim.Cycle) {
+		plan.Flaps = append(plan.Flaps, LinkFlap{Link: mesh[i], Start: s, End: e})
+	})
+	cores := topo.Cores()
+	stalls.place(rng, first, len(cores), func(i int, s, e sim.Cycle) {
+		plan.Stalls = append(plan.Stalls, EjectStall{Node: cores[i], Start: s, End: e})
+	})
 	return plan, nil
-}
-
-// String renders a plan summary for logs and diagnostics.
-func (p Plan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan seed=%d flaps=%d stalls=%d drop=[req %.3g ack %.3g stop %.3g] delay=%.3g/max%d",
-		p.Seed, len(p.Flaps), len(p.Stalls),
-		p.Drop[network.SignalReq], p.Drop[network.SignalAck], p.Drop[network.SignalStop],
-		p.DelayProb, p.DelayMax)
-	if len(p.Flaps) > 0 {
-		links := make([]int, 0, len(p.Flaps))
-		for _, fl := range p.Flaps {
-			links = append(links, fl.Link)
-		}
-		sort.Ints(links)
-		fmt.Fprintf(&b, " flap-links=%v", links)
-	}
-	if p.Persistent() {
-		fmt.Fprintf(&b, " kills=%d adds=%d chiplet-kills=%d", len(p.Kills), len(p.Adds), len(p.ChipletKills))
-	}
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,7 +24,10 @@ func testTopo(t *testing.T) *topology.Topology {
 // order, from independently-constructed injectors.
 func TestSignalFateDeterminism(t *testing.T) {
 	topo := testTopo(t)
-	plan := Generate(topo, 42, GenConfig{DropReq: 0.3, DropAck: 0.2, DropStop: 0.25, DelayProb: 0.2, DelayMax: 6})
+	plan, err := ParseSpec(topo, "seed=42,dropreq=0.3,dropack=0.2,dropstop=0.25,delayprob=0.2,delaymax=6")
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
 	mk := func() *Injector {
 		n := network.MustNew(topo, network.DefaultConfig(), network.None{})
 		in, err := NewInjector(n, plan)
@@ -66,24 +70,27 @@ func TestSignalFateDeterminism(t *testing.T) {
 // never target vertical links; windows on one link never overlap.
 func TestGenerateReproducibleAndMeshOnly(t *testing.T) {
 	topo := testTopo(t)
-	g := GenConfig{Flaps: 8, Stalls: 4, DropReq: 0.1}
-	p1 := Generate(topo, 99, g)
-	p2 := Generate(topo, 99, g)
-	if p1.String() != p2.String() || len(p1.Flaps) != len(p2.Flaps) {
-		t.Fatalf("same seed produced different plans:\n%s\n%s", p1, p2)
-	}
-	for i := range p1.Flaps {
-		if p1.Flaps[i] != p2.Flaps[i] {
-			t.Fatalf("flap %d differs: %+v vs %+v", i, p1.Flaps[i], p2.Flaps[i])
+	parse := func(spec string) Plan {
+		t.Helper()
+		p, err := ParseSpec(topo, spec)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", spec, err)
 		}
-		l := topo.Links[p1.Flaps[i].Link]
-		if l.Vertical {
+		return p
+	}
+	p1 := parse("seed=99,flaps=8,stalls=4,dropreq=0.1")
+	p2 := parse("seed=99,flaps=8,stalls=4,dropreq=0.1")
+	if !reflect.DeepEqual(p1, p2) || len(p1.Flaps) != 8 || len(p1.Stalls) != 4 {
+		t.Fatalf("same seed produced different plans:\n%+v\n%+v", p1, p2)
+	}
+	for i, fl := range p1.Flaps {
+		if l := topo.Links[fl.Link]; l.Vertical {
 			t.Fatalf("flap %d targets vertical link %d", i, l.ID)
 		}
 	}
-	p3 := Generate(topo, 100, g)
-	if p1.String() == p3.String() {
-		t.Fatalf("different seeds produced identical plans: %s", p1)
+	p3 := parse("seed=100,flaps=8,stalls=4,dropreq=0.1")
+	if reflect.DeepEqual(p1.Flaps, p3.Flaps) && reflect.DeepEqual(p1.Stalls, p3.Stalls) {
+		t.Fatalf("different seeds produced identical windows: %+v", p1)
 	}
 	// Overlap check per link.
 	type win struct{ s, e sim.Cycle }
@@ -106,7 +113,7 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("ParseSpec: %v", err)
 	}
 	if plan.Seed != 7 || len(plan.Flaps) != 3 || len(plan.Stalls) != 2 {
-		t.Fatalf("unexpected plan: %s", plan)
+		t.Fatalf("unexpected plan: %+v", plan)
 	}
 	for _, k := range []network.SignalKind{network.SignalReq, network.SignalAck, network.SignalStop} {
 		if plan.Drop[k] != 0.2 {
@@ -114,7 +121,7 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 	if plan.DelayProb != 0.1 || plan.DelayMax != 5 {
-		t.Fatalf("delay knobs lost: %s", plan)
+		t.Fatalf("delay knobs lost: %+v", plan)
 	}
 	if plan.Flaps[0].Start < 50 {
 		t.Fatalf("start=50 ignored: %+v", plan.Flaps[0])
@@ -127,9 +134,27 @@ func TestParseSpec(t *testing.T) {
 	if p2.Drop[network.SignalReq] != 0.4 || p2.Drop[network.SignalAck] != 0 || p2.Drop[network.SignalStop] != 0 {
 		t.Fatalf("dropreq leaked: %v", p2.Drop)
 	}
-	for _, bad := range []string{"bogus=1", "flaps", "flaps=-1", "drop=1.5", "drop=x"} {
-		if _, err := ParseSpec(topo, bad); err == nil {
-			t.Fatalf("ParseSpec(%q) should fail", bad)
+	// Each bad spec fails with an error naming the offending key.
+	for _, bad := range []struct{ spec, key string }{
+		{"bogus=1", "bogus"},
+		{"flaps", "flaps"},
+		{"flaps=-1", "flaps"},
+		{"drop=1.5", "drop"},
+		{"drop=x", "drop"},
+		// A count from command-line input is capped: a billion windows
+		// would be a billion appends and a per-cycle scan of each.
+		{"flaps=1000000000", "flaps"},
+		{"stalls=10001", "stalls"},
+		// i*every past the int64 range would wrap to windows before cycle
+		// 0, which inject nothing.
+		{"flaps=3,flapevery=4611686018427387904", "flapevery"},
+		{"stalls=2,start=9223372036854775000", "start"},
+		{"mode=epoch", "mode"},
+		{"flaps=2,mode=auto", "mode"},
+		{"kill=3@500,mode=fast", "mode"},
+	} {
+		if _, err := ParseSpec(topo, bad.spec); err == nil || !strings.Contains(err.Error(), bad.key) {
+			t.Fatalf("ParseSpec(%q) = %v, want an error naming %s", bad.spec, err, bad.key)
 		}
 	}
 }
@@ -225,24 +250,25 @@ func TestParseSpecRejectsDegenerateWindows(t *testing.T) {
 }
 
 // TestParseSpecPersistentEvents: kill/add/killchiplet parse into the
-// persistent-event lists, and bad forms are rejected.
+// persistent-event list in batch order, mode= rides along, and bad forms
+// are rejected.
 func TestParseSpecPersistentEvents(t *testing.T) {
 	topo := testTopo(t)
-	plan, err := ParseSpec(topo, "kill=3@500,kill=7@500,add=3@2000,killchiplet=1@900")
+	plan, err := ParseSpec(topo, "add=3@2000,killchiplet=1@900,kill=7@500,kill=3@500,mode=epoch")
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	if len(plan.Kills) != 2 || plan.Kills[0] != (LinkKill{Link: 3, Cycle: 500}) || plan.Kills[1] != (LinkKill{Link: 7, Cycle: 500}) {
-		t.Fatalf("kills: %+v", plan.Kills)
+	want := []Event{
+		{Cycle: 500, Kind: KillLink, Target: 3},
+		{Cycle: 500, Kind: KillLink, Target: 7},
+		{Cycle: 900, Kind: KillChiplet, Target: 1},
+		{Cycle: 2000, Kind: AddLink, Target: 3},
 	}
-	if len(plan.Adds) != 1 || plan.Adds[0] != (LinkAdd{Link: 3, Cycle: 2000}) {
-		t.Fatalf("adds: %+v", plan.Adds)
+	if !reflect.DeepEqual(plan.Events, want) {
+		t.Fatalf("events %+v, want %+v in batch order", plan.Events, want)
 	}
-	if len(plan.ChipletKills) != 1 || plan.ChipletKills[0] != (ChipletKill{Chiplet: 1, Cycle: 900}) {
-		t.Fatalf("chiplet kills: %+v", plan.ChipletKills)
-	}
-	if !plan.Persistent() || plan.Empty() {
-		t.Fatalf("plan with persistent events: Persistent=%v Empty=%v", plan.Persistent(), plan.Empty())
+	if !plan.Persistent() || plan.Mode != ModeEpoch {
+		t.Fatalf("plan with persistent events: Persistent=%v Mode=%d", plan.Persistent(), plan.Mode)
 	}
 	for _, bad := range []string{"kill=3", "kill=@5", "kill=3@", "kill=-1@5", "kill=3@-5", "add=x@5", "killchiplet=1@y"} {
 		if _, err := ParseSpec(topo, bad); err == nil {

@@ -349,15 +349,6 @@ func (n *Network) Hier() *routing.Hierarchical { return n.hier }
 // tables). Schemes call it from Attach.
 func (n *Network) SetRouteOverride(f router.RouteFunc) { n.routeOverride = f }
 
-// SetLocalRouting swaps the per-layer routing algorithm at run time — the
-// dynamic-reconfiguration scenario of Sec. III-C (hardware faults or power
-// gating change the topology; a topology-independent scheme rebuilds its
-// routing and carries on). Call it on a quiesced network: in-flight
-// packets routed under the old algorithm would otherwise mix turn rules.
-func (n *Network) SetLocalRouting(local routing.Local) {
-	n.hier = routing.NewHierarchical(n.Topo, local)
-}
-
 // Route computes the output port for p at router cur with input port
 // inPort — the same function the routers' route-computation stage uses.
 // Scheme plugins route protocol signals and popup paths with it.
@@ -404,10 +395,6 @@ func (n *Network) foldReconfigStats() {
 
 // Cycle returns the current simulation time.
 func (n *Network) Cycle() sim.Cycle { return n.cycle }
-
-// RNG exposes the network's deterministic generator for components that
-// need auxiliary randomness.
-func (n *Network) RNG() *sim.RNG { return n.rng }
 
 // NewPacketID allocates a unique packet ID.
 func (n *Network) NewPacketID() uint64 {

@@ -74,7 +74,11 @@ func (c parallelCase) build(t testing.TB, kernel string, shards int) (*network.N
 		t.Fatal(err)
 	}
 	if c.flaps > 0 {
-		inj, err := faults.NewInjector(n, faults.Generate(n.Topo, 21, faults.GenConfig{Flaps: c.flaps, FlapEvery: 400, FlapDur: 150}))
+		plan, err := faults.ParseSpec(n.Topo, fmt.Sprintf("seed=21,flaps=%d,flapevery=400,flapdur=150", c.flaps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := faults.NewInjector(n, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

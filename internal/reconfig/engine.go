@@ -3,7 +3,7 @@ package reconfig
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"uppnoc/internal/faults"
 	"uppnoc/internal/network"
@@ -12,59 +12,6 @@ import (
 	"uppnoc/internal/snap"
 	"uppnoc/internal/topology"
 )
-
-// Mode selects how the engine transitions between routing functions.
-type Mode uint8
-
-const (
-	// ModeAuto picks drainless when the old∪new CDG is acyclic
-	// (CompatibleUnion), epoch-based otherwise. The default.
-	ModeAuto Mode = iota
-	// ModeDrainless forces the drainless switch even for incompatible
-	// pairs — injection never stops, and UPP is the only thing standing
-	// between a transient mixed-epoch cycle and a wedge. Useful for
-	// measuring what the compatibility check buys.
-	ModeDrainless
-	// ModeEpoch forces the conservative epoch fence even for provably
-	// compatible pairs.
-	ModeEpoch
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeDrainless:
-		return "drainless"
-	case ModeEpoch:
-		return "epoch"
-	}
-	return fmt.Sprintf("mode(%d)", uint8(m))
-}
-
-// EventKind classifies a persistent topology event.
-type EventKind uint8
-
-const (
-	// EvKillLink permanently fails a mesh link.
-	EvKillLink EventKind = iota
-	// EvAddLink heals a faulty mesh link (hot-add).
-	EvAddLink
-	// EvKillChiplet fail-stops a chiplet's compute: its cores neither
-	// source nor sink traffic, but its routers keep forwarding — a
-	// compute failure is not a routing change, so no transition runs.
-	EvKillChiplet
-)
-
-// Event is one persistent topology event, normalized from the fault
-// plan. Events sharing a cycle form one batch: a single transition
-// covers all of them.
-type Event struct {
-	Cycle   sim.Cycle
-	Kind    EventKind
-	Link    int // EvKillLink, EvAddLink
-	Chiplet int // EvKillChiplet
-}
 
 // CutInfo records a permanent link cut: the cycle it was applied and the
 // endpoints' cumulative sent-flit counters at that moment. A post-run
@@ -85,16 +32,6 @@ type Transition struct {
 	Finish     sim.Cycle
 	Compatible bool // CDG verdict (old∪new acyclic)
 	Hold       bool // epoch fence used (injection stopped)
-}
-
-// Config parameterizes Attach.
-type Config struct {
-	// Plan supplies both the persistent events (Kills, Adds,
-	// ChipletKills) and any transient faults (flaps, stalls, signal
-	// drops), which the engine delegates to an embedded faults.Injector.
-	Plan faults.Plan
-	// Mode selects the transition strategy (default ModeAuto).
-	Mode Mode
 }
 
 // Engine drives deadlock-free dynamic reconfiguration. It implements
@@ -123,8 +60,8 @@ type Config struct {
 type Engine struct {
 	net    *network.Network
 	inner  *faults.Injector // transient faults (flaps, stalls, drops)
-	mode   Mode
-	events []Event
+	mode   faults.Mode
+	events []faults.Event // the plan's persistent events, in batch order
 
 	cursor     int   // first event not yet applied
 	phase      uint8 // phaseIdle, phaseFencing, phaseDraining
@@ -149,31 +86,32 @@ type popupPather interface {
 	PopupPathsAvoid(l *topology.Link) bool
 }
 
-// Attach installs cfg.Plan on n — the one way a fault plan reaches a
+// Attach installs plan on n — the one way a fault plan reaches a
 // network. A plan with persistent events gets a reconfiguration engine
 // as n's fault injector. A plan without any has nothing to reconfigure:
 // its plain faults.Injector is installed alone and the returned Engine
 // is nil, so such a run's snapshots and Stats carry no engine state.
 //
-// The plan is validated up front: event targets must exist, killed links
+// The plan's events are put in batch order (faults.CompareEvents) and
+// validated up front: event targets must exist, killed links
 // must be non-vertical mesh links (vertical links are UPP's drain path
 // and may not be reconfigured away), and — by dry-running every batch's
 // Faulty flips against routing.NewUpDown — no batch may partition a layer. A
 // partitioning plan fails here with the routing package's structured
 // *DisconnectedError in the chain, never at cycle N of a soak.
-func Attach(n *network.Network, cfg Config) (*Engine, error) {
-	inner, err := faults.NewInjector(n, cfg.Plan)
+func Attach(n *network.Network, plan faults.Plan) (*Engine, error) {
+	inner, err := faults.NewInjector(n, plan)
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.Plan.Persistent() {
+	if !plan.Persistent() {
 		n.SetFaultInjector(inner)
 		return nil, nil
 	}
 	e := &Engine{
 		net:   n,
 		inner: inner,
-		mode:  cfg.Mode,
+		mode:  plan.Mode,
 		dead:  make([]bool, len(n.Topo.Chiplets)),
 	}
 	t := n.Topo
@@ -196,39 +134,24 @@ func Attach(n *network.Network, cfg Config) (*Engine, error) {
 		}
 		return nil
 	}
-	for _, k := range cfg.Plan.Kills {
-		if err := checkLink("kill", k.Link); err != nil {
+	e.events = slices.Clone(plan.Events)
+	slices.SortFunc(e.events, faults.CompareEvents)
+	for _, ev := range e.events {
+		var err error
+		switch ev.Kind {
+		case faults.KillLink:
+			err = checkLink("kill", ev.Target)
+		case faults.AddLink:
+			err = checkLink("add", ev.Target)
+		default:
+			if ev.Target < 0 || ev.Target >= len(t.Chiplets) {
+				err = fmt.Errorf("reconfig: kill of chiplet %d, topology has %d", ev.Target, len(t.Chiplets))
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
-		e.events = append(e.events, Event{Cycle: k.Cycle, Kind: EvKillLink, Link: k.Link})
 	}
-	for _, a := range cfg.Plan.Adds {
-		if err := checkLink("add", a.Link); err != nil {
-			return nil, err
-		}
-		e.events = append(e.events, Event{Cycle: a.Cycle, Kind: EvAddLink, Link: a.Link})
-	}
-	for _, c := range cfg.Plan.ChipletKills {
-		if c.Chiplet < 0 || c.Chiplet >= len(t.Chiplets) {
-			return nil, fmt.Errorf("reconfig: kill of chiplet %d, topology has %d", c.Chiplet, len(t.Chiplets))
-		}
-		e.events = append(e.events, Event{Cycle: c.Cycle, Kind: EvKillChiplet, Chiplet: c.Chiplet})
-	}
-	// Deterministic batch order: by cycle, then kills before adds before
-	// chiplet kills, then by target.
-	sort.SliceStable(e.events, func(i, j int) bool {
-		a, b := e.events[i], e.events[j]
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Kind == EvKillChiplet {
-			return a.Chiplet < b.Chiplet
-		}
-		return a.Link < b.Link
-	})
 	if err := e.dryRun(); err != nil {
 		return nil, err
 	}
@@ -258,11 +181,11 @@ func (e *Engine) dryRun() error {
 		topoChange := false
 		for _, ev := range e.events[s:end] {
 			switch ev.Kind {
-			case EvKillLink:
-				t.Links[ev.Link].Faulty = true
+			case faults.KillLink:
+				t.Links[ev.Target].Faulty = true
 				topoChange = true
-			case EvAddLink:
-				t.Links[ev.Link].Faulty = false
+			case faults.AddLink:
+				t.Links[ev.Target].Faulty = false
 				topoChange = true
 			}
 		}
@@ -342,10 +265,10 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 
 	topoChange := false
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
-		if ev.Kind == EvKillChiplet {
+		if ev.Kind == faults.KillChiplet {
 			// Fail-stop of compute only: applied immediately, no
 			// routing change, no transition.
-			e.dead[ev.Chiplet] = true
+			e.dead[ev.Target] = true
 		} else {
 			topoChange = true
 		}
@@ -360,10 +283,10 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
 		switch ev.Kind {
-		case EvKillLink:
-			t.Links[ev.Link].Faulty = true
-		case EvAddLink:
-			e.net.ReviveLink(t.Links[ev.Link])
+		case faults.KillLink:
+			t.Links[ev.Target].Faulty = true
+		case faults.AddLink:
+			e.net.ReviveLink(t.Links[ev.Target])
 		}
 	}
 
@@ -383,9 +306,9 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 	// epoch transition.
 	hold := !compatible
 	switch e.mode {
-	case ModeDrainless:
+	case faults.ModeDrainless:
 		hold = false
-	case ModeEpoch:
+	case faults.ModeEpoch:
 		hold = true
 	}
 
@@ -399,8 +322,8 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 
 	fencing := false
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
-		if ev.Kind == EvKillLink {
-			e.net.SetLinkFenced(t.Links[ev.Link], true)
+		if ev.Kind == faults.KillLink {
+			e.net.SetLinkFenced(t.Links[ev.Target], true)
 			fencing = true
 		}
 	}
@@ -420,10 +343,10 @@ func (e *Engine) stepFencing(cycle sim.Cycle) {
 	migrated := 0
 	quiet := true
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
-		if ev.Kind != EvKillLink {
+		if ev.Kind != faults.KillLink {
 			continue
 		}
-		l := t.Links[ev.Link]
+		l := t.Links[ev.Target]
 		migrated += e.net.UnrouteFencedHeads(l)
 		if !e.net.LinkQuiet(l) {
 			quiet = false
@@ -441,12 +364,12 @@ func (e *Engine) stepFencing(cycle sim.Cycle) {
 	}
 	ti := len(e.transitions) - 1
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
-		if ev.Kind != EvKillLink {
+		if ev.Kind != faults.KillLink {
 			continue
 		}
-		l := t.Links[ev.Link]
+		l := t.Links[ev.Target]
 		e.cuts = append(e.cuts, CutInfo{
-			Link:  ev.Link,
+			Link:  ev.Target,
 			Cycle: cycle,
 			SentA: e.net.Routers[l.A].PortSent(l.APort),
 			SentB: e.net.Routers[l.B].PortSent(l.BPort),
@@ -469,8 +392,8 @@ func (e *Engine) stepDraining(cycle sim.Cycle) {
 	e.net.FinishRouteTransition()
 	t := e.net.Topo
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
-		if ev.Kind == EvKillLink {
-			e.net.SetLinkFenced(t.Links[ev.Link], false)
+		if ev.Kind == faults.KillLink {
+			e.net.SetLinkFenced(t.Links[ev.Target], false)
 		}
 	}
 	e.transitions[len(e.transitions)-1].Finish = cycle
@@ -531,22 +454,22 @@ func (e *Engine) SnapshotState(c *snap.Codec) error {
 	for i := 0; i < e.cursor; i++ {
 		ev := e.events[i]
 		switch ev.Kind {
-		case EvKillLink:
-			l := t.Links[ev.Link]
+		case faults.KillLink:
+			l := t.Links[ev.Target]
 			l.Faulty = true
 			// The Down flag follows the cut, not the batch: a kill
 			// mid-fencing is Faulty (tables exclude it) but not yet cut.
-			if cutSet[ev.Link] {
+			if cutSet[ev.Target] {
 				l.Down = true
 			}
 			topoApplied = true
-		case EvAddLink:
-			l := t.Links[ev.Link]
+		case faults.AddLink:
+			l := t.Links[ev.Target]
 			l.Faulty = false
 			l.Down = false
 			topoApplied = true
-		case EvKillChiplet:
-			e.dead[ev.Chiplet] = true
+		case faults.KillChiplet:
+			e.dead[ev.Target] = true
 		}
 	}
 
@@ -581,10 +504,10 @@ func (e *Engine) flipBatch(invert bool) {
 	t := e.net.Topo
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
 		switch ev.Kind {
-		case EvKillLink:
-			t.Links[ev.Link].Faulty = !invert
-		case EvAddLink:
-			t.Links[ev.Link].Faulty = invert
+		case faults.KillLink:
+			t.Links[ev.Target].Faulty = !invert
+		case faults.AddLink:
+			t.Links[ev.Target].Faulty = invert
 		}
 	}
 }

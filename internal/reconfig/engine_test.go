@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -56,9 +57,26 @@ type reconfigRun struct {
 	checkpoint  []byte
 }
 
-func buildReconfigNet(t *testing.T, kernel string, plan faults.Plan, mode reconfig.Mode, seed uint64) (*network.Network, *reconfig.Engine, *traffic.Generator) {
+// killSpec is the fault spec that kills every link of links at cycle at,
+// followed by extra (more keys, or "").
+func killSpec(links []int, at int, extra string) string {
+	var keys []string
+	for _, l := range links {
+		keys = append(keys, fmt.Sprintf("kill=%d@%d", l, at))
+	}
+	if extra != "" {
+		keys = append(keys, extra)
+	}
+	return strings.Join(keys, ",")
+}
+
+func buildReconfigNet(t *testing.T, kernel, spec string, seed uint64) (*network.Network, *reconfig.Engine, *traffic.Generator) {
 	t.Helper()
 	topo := topology.MustBuild(topology.BaselineConfig())
+	plan, err := faults.ParseSpec(topo, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := network.DefaultConfig()
 	cfg.Kernel = kernel
 	cfg.UseUpDown = true
@@ -67,7 +85,7 @@ func buildReconfigNet(t *testing.T, kernel string, plan faults.Plan, mode reconf
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := reconfig.Attach(n, reconfig.Config{Plan: plan, Mode: mode})
+	eng, err := reconfig.Attach(n, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +96,9 @@ func buildReconfigNet(t *testing.T, kernel string, plan faults.Plan, mode reconf
 	return n, eng, g
 }
 
-func runReconfigSoak(t *testing.T, kernel string, plan faults.Plan, mode reconfig.Mode, loadCycles int, snapshotAt sim.Cycle) reconfigRun {
+func runReconfigSoak(t *testing.T, kernel, spec string, loadCycles int, snapshotAt sim.Cycle) reconfigRun {
 	t.Helper()
-	n, eng, g := buildReconfigNet(t, kernel, plan, mode, 5)
+	n, eng, g := buildReconfigNet(t, kernel, spec, 5)
 	out := reconfigRun{}
 	for i := 0; i < loadCycles; i++ {
 		g.Tick(n.Cycle())
@@ -134,15 +152,9 @@ func runReconfigSoak(t *testing.T, kernel string, plan faults.Plan, mode reconfi
 // bit-identical across all three cycle kernels.
 func TestReconfigKillSoak(t *testing.T) {
 	links := pickKillable(t, 2)
-	plan := faults.Plan{
-		Kills: []faults.LinkKill{
-			{Link: links[0], Cycle: 400},
-			{Link: links[1], Cycle: 400},
-		},
-	}
 	var base reconfigRun
 	for i, kernel := range []string{network.KernelNaive, network.KernelActive, network.KernelParallel} {
-		out := runReconfigSoak(t, kernel, plan, reconfig.ModeAuto, 1500, 0)
+		out := runReconfigSoak(t, kernel, killSpec(links, 400, ""), 1500, 0)
 		if out.stats.Reconfigs != 1 {
 			t.Fatalf("%s: Reconfigs = %d, want 1 (one batch)", kernel, out.stats.Reconfigs)
 		}
@@ -220,25 +232,19 @@ func TestReconfigKillSoak(t *testing.T) {
 	}
 }
 
-// TestReconfigModeForcing pins the Mode overrides: the same plan runs as
-// an epoch transition under ModeEpoch (injection held, heads migrated
-// accounting possible) and drainlessly under ModeDrainless.
+// TestReconfigModeForcing pins the mode= overrides: the same kills run as
+// an epoch transition under mode=epoch (injection held, heads migrated
+// accounting possible) and drainlessly under mode=drainless.
 func TestReconfigModeForcing(t *testing.T) {
 	links := pickKillable(t, 2)
-	plan := faults.Plan{
-		Kills: []faults.LinkKill{
-			{Link: links[0], Cycle: 300},
-			{Link: links[1], Cycle: 300},
-		},
-	}
-	epoch := runReconfigSoak(t, network.KernelActive, plan, reconfig.ModeEpoch, 1200, 0)
+	epoch := runReconfigSoak(t, network.KernelActive, killSpec(links, 300, "mode=epoch"), 1200, 0)
 	if epoch.stats.ReconfigsEpoch != 1 || epoch.stats.ReconfigsDrainless != 0 {
 		t.Fatalf("ModeEpoch: epoch=%d drainless=%d", epoch.stats.ReconfigsEpoch, epoch.stats.ReconfigsDrainless)
 	}
 	if !epoch.transitions[0].Hold {
 		t.Fatal("ModeEpoch transition did not hold injection")
 	}
-	drainless := runReconfigSoak(t, network.KernelActive, plan, reconfig.ModeDrainless, 1200, 0)
+	drainless := runReconfigSoak(t, network.KernelActive, killSpec(links, 300, "mode=drainless"), 1200, 0)
 	if drainless.stats.ReconfigsDrainless != 1 || drainless.stats.ReconfigsEpoch != 0 {
 		t.Fatalf("ModeDrainless: epoch=%d drainless=%d", drainless.stats.ReconfigsEpoch, drainless.stats.ReconfigsDrainless)
 	}
@@ -254,11 +260,7 @@ func TestReconfigModeForcing(t *testing.T) {
 // transition must put it back into service.
 func TestReconfigHotAdd(t *testing.T) {
 	links := pickKillable(t, 1)
-	plan := faults.Plan{
-		Kills: []faults.LinkKill{{Link: links[0], Cycle: 300}},
-		Adds:  []faults.LinkAdd{{Link: links[0], Cycle: 1200}},
-	}
-	out := runReconfigSoak(t, network.KernelActive, plan, reconfig.ModeAuto, 2400, 0)
+	out := runReconfigSoak(t, network.KernelActive, killSpec(links, 300, fmt.Sprintf("add=%d@1200", links[0])), 2400, 0)
 	if out.stats.Reconfigs != 2 {
 		t.Fatalf("Reconfigs = %d, want 2 (kill batch + add batch)", out.stats.Reconfigs)
 	}
@@ -271,10 +273,7 @@ func TestReconfigHotAdd(t *testing.T) {
 // routing event — no transition runs, the surviving cores keep going,
 // and the network quiesces.
 func TestReconfigChipletKill(t *testing.T) {
-	plan := faults.Plan{
-		ChipletKills: []faults.ChipletKill{{Chiplet: 1, Cycle: 250}},
-	}
-	n, eng, g := buildReconfigNet(t, network.KernelActive, plan, reconfig.ModeAuto, 5)
+	n, eng, g := buildReconfigNet(t, network.KernelActive, "killchiplet=1@250", 5)
 	for i := 0; i < 1000; i++ {
 		g.Tick(n.Cycle())
 		n.Step()
@@ -318,17 +317,24 @@ func TestReconfigAttachRejects(t *testing.T) {
 	if vertical < 0 {
 		t.Fatal("no vertical link in baseline topology")
 	}
+	attach := func(spec string) error {
+		t.Helper()
+		plan, err := faults.ParseSpec(topo, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = reconfig.Attach(n, plan)
+		return err
+	}
 	cases := []struct {
-		name string
-		plan faults.Plan
-		want string
+		name, spec, want string
 	}{
-		{"vertical kill", faults.Plan{Kills: []faults.LinkKill{{Link: vertical, Cycle: 10}}}, "vertical"},
-		{"out of range", faults.Plan{Kills: []faults.LinkKill{{Link: len(topo.Links), Cycle: 10}}}, "topology has"},
-		{"bad chiplet", faults.Plan{ChipletKills: []faults.ChipletKill{{Chiplet: 99, Cycle: 10}}}, "chiplet"},
+		{"vertical kill", fmt.Sprintf("kill=%d@10", vertical), "vertical"},
+		{"out of range", fmt.Sprintf("kill=%d@10", len(topo.Links)), "topology has"},
+		{"bad chiplet", "killchiplet=99@10", "chiplet"},
 	}
 	for _, tc := range cases {
-		if _, err := reconfig.Attach(n, reconfig.Config{Plan: tc.plan}); err == nil {
+		if err := attach(tc.spec); err == nil {
 			t.Fatalf("%s: Attach accepted the plan", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
@@ -337,16 +343,16 @@ func TestReconfigAttachRejects(t *testing.T) {
 
 	// Partitioning plan: kill every mesh link at one interposer node.
 	victim := topo.LayerNodes(topology.InterposerChiplet)[0]
-	var part faults.Plan
+	var part []int
 	for _, p := range topo.Node(victim).Ports {
 		if p.Link != nil && !p.Link.Vertical {
-			part.Kills = append(part.Kills, faults.LinkKill{Link: p.Link.ID, Cycle: 50})
+			part = append(part, p.Link.ID)
 		}
 	}
-	if len(part.Kills) == 0 {
+	if len(part) == 0 {
 		t.Fatal("victim has no mesh links")
 	}
-	_, err = reconfig.Attach(n, reconfig.Config{Plan: part})
+	err = attach(killSpec(part, 50, ""))
 	if err == nil {
 		t.Fatal("Attach accepted a partitioning plan")
 	}
@@ -355,9 +361,9 @@ func TestReconfigAttachRejects(t *testing.T) {
 		t.Fatalf("partition error %v (%T) lacks a *routing.DisconnectedError", err, err)
 	}
 	// The dry run must have restored the construction-time Faulty set.
-	for _, k := range part.Kills {
-		if topo.Links[k.Link].Faulty {
-			t.Fatalf("dry run leaked Faulty flag on link %d", k.Link)
+	for _, id := range part {
+		if topo.Links[id].Faulty {
+			t.Fatalf("dry run leaked Faulty flag on link %d", id)
 		}
 	}
 }
@@ -367,18 +373,12 @@ func TestReconfigAttachRejects(t *testing.T) {
 // restore into a run that finishes bit-identically to the uninterrupted
 // one.
 func TestReconfigSnapshotMidTransition(t *testing.T) {
-	links := pickKillable(t, 2)
-	plan := faults.Plan{
-		Kills: []faults.LinkKill{
-			{Link: links[0], Cycle: 400},
-			{Link: links[1], Cycle: 400},
-		},
-	}
+	spec := killSpec(pickKillable(t, 2), 400, "mode=epoch")
 	for _, kernel := range []string{network.KernelNaive, network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
-			// ModeEpoch maximizes mid-transition state: injection hold,
+			// mode=epoch maximizes mid-transition state: injection hold,
 			// fences, and an old epoch still draining at the checkpoint.
-			cold := runReconfigSoak(t, kernel, plan, reconfig.ModeEpoch, 1500, 410)
+			cold := runReconfigSoak(t, kernel, spec, 1500, 410)
 			if cold.checkpoint == nil {
 				t.Fatal("no checkpoint captured")
 			}
@@ -386,7 +386,7 @@ func TestReconfigSnapshotMidTransition(t *testing.T) {
 				t.Fatalf("transition did not begin at the kill cycle: %+v", cold.transitions)
 			}
 
-			n2, eng2, g2 := buildReconfigNet(t, kernel, plan, reconfig.ModeEpoch, 5)
+			n2, eng2, g2 := buildReconfigNet(t, kernel, spec, 5)
 			if err := n2.ReadSnapshot(cold.checkpoint, g2, eng2); err != nil {
 				t.Fatalf("ReadSnapshot: %v", err)
 			}
@@ -429,9 +429,8 @@ func TestReconfigSnapshotMidTransition(t *testing.T) {
 // are patched in the engine section of the mid-transition snapshot that
 // TestReconfigSnapshotMidTransition takes.
 func TestReconfigSnapshotRejectsOutOfRangeFields(t *testing.T) {
-	links := pickKillable(t, 2)
-	plan := faults.Plan{Kills: []faults.LinkKill{{Link: links[0], Cycle: 400}, {Link: links[1], Cycle: 400}}}
-	snapshot := runReconfigSoak(t, network.KernelActive, plan, reconfig.ModeEpoch, 1500, 410).checkpoint
+	spec := killSpec(pickKillable(t, 2), 400, "mode=epoch")
+	snapshot := runReconfigSoak(t, network.KernelActive, spec, 1500, 410).checkpoint
 	// The engine is the last extra: label, cursor, phase, batch start and
 	// end, the cuts (link, cycle, two sent counters each), the transition
 	// count, then the first transition's epoch.
@@ -472,7 +471,7 @@ func TestReconfigSnapshotRejectsOutOfRangeFields(t *testing.T) {
 			_, old := binary.Uvarint(snapshot[tc.at:])
 			patched := binary.AppendUvarint(append([]byte(nil), snapshot[:tc.at]...), tc.value)
 			patched = append(patched, snapshot[tc.at+old:]...)
-			n2, eng2, g2 := buildReconfigNet(t, network.KernelActive, plan, reconfig.ModeEpoch, 5)
+			n2, eng2, g2 := buildReconfigNet(t, network.KernelActive, spec, 5)
 			err := n2.ReadSnapshot(patched, g2, eng2)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one naming %q", err, tc.want)
@@ -498,17 +497,17 @@ func TestAttachTransientPlan(t *testing.T) {
 			break
 		}
 	}
-	if _, err := reconfig.Attach(n, reconfig.Config{Plan: faults.Plan{
+	if _, err := reconfig.Attach(n, faults.Plan{
 		Flaps: []faults.LinkFlap{{Link: mesh.ID, Start: 5, End: 5}},
-	}}); err == nil {
+	}); err == nil {
 		t.Fatal("Attach accepted an empty flap window")
 	}
 	if n.FaultInjector() != nil {
 		t.Fatal("a rejected plan left an injector installed")
 	}
-	eng, err := reconfig.Attach(n, reconfig.Config{Plan: faults.Plan{
+	eng, err := reconfig.Attach(n, faults.Plan{
 		Flaps: []faults.LinkFlap{{Link: mesh.ID, Start: 2, End: 4}},
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

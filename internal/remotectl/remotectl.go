@@ -25,7 +25,6 @@ package remotectl
 import (
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
-	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -113,9 +112,6 @@ func New(cfg Config) *Scheme {
 
 // Name implements network.Scheme.
 func (s *Scheme) Name() string { return "remote_control" }
-
-// Policy implements network.Scheme — the same static binding as UPP.
-func (s *Scheme) Policy() routing.BoundaryPolicy { return routing.DefaultPolicy{} }
 
 // Attach implements network.Scheme.
 func (s *Scheme) Attach(n *network.Network) {
