@@ -16,6 +16,7 @@ import (
 	"uppnoc/internal/experiments"
 	"uppnoc/internal/network"
 	"uppnoc/internal/power"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -361,16 +362,17 @@ func BenchmarkComposableSearch(b *testing.B) {
 // once buffers reach their high-water marks.
 func benchKernel(b *testing.B, kernel string, rate float64) {
 	b.Helper()
-	kb, err := experiments.NewKernelBench(experiments.RunSpec{
+	s, err := experiments.Assemble(experiments.RunSpec{
 		Topo: topology.BaselineConfig(), Scheme: experiments.SchemeUPP, Kernel: kernel,
-	}, experiments.UniformTraffic(rate))
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	kb.Run(2000) // steady-state occupancy, not a cold, empty network
+	n, g := s.Net, s.Generator(traffic.UniformRandom{}, rate, 99)
+	experiments.Drive(n, g, 2000, nil) // steady-state occupancy, not a cold, empty network
 	b.ReportAllocs()
 	b.ResetTimer()
-	kb.Run(b.N)
+	experiments.Drive(n, g, n.Cycle()+sim.Cycle(b.N), nil)
 }
 
 func BenchmarkKernelActiveLowLoad(b *testing.B) { benchKernel(b, network.KernelActive, 0.02) }

@@ -1,6 +1,7 @@
-// Command profile runs the kernel-bench workload under CPU and heap
-// profiling and writes pprof files for `go tool pprof`. Run via
-// `make profile`; inspect allocations with
+// Command profile runs uniform random traffic on the UPP system (the
+// kernel benchmarks' loop) under CPU and heap profiling and writes pprof
+// files for `go tool pprof`. Run via `make profile`; inspect allocations
+// with
 //
 //	go tool pprof -sample_index=alloc_objects profiles/mem.pprof
 //
@@ -23,7 +24,9 @@ import (
 
 	"uppnoc/internal/experiments"
 	"uppnoc/internal/network"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
+	"uppnoc/internal/traffic"
 )
 
 // flagSet reports whether the named flag was given explicitly on the
@@ -94,12 +97,14 @@ func main() {
 			fail(fmt.Errorf("unknown -scale preset %q (want small, large or huge)", *scale))
 		}
 	}
-	kb, err := experiments.NewKernelBench(spec, experiments.UniformTraffic(*rate))
+	s, err := experiments.Assemble(spec)
 	if err != nil {
 		fail(err)
 	}
-	kb.Network().PacketPool().Preallocate(4096)
-	kb.Run(*warmup)
+	n, g := s.Net, s.Generator(traffic.UniformRandom{}, *rate, 99)
+	run := func(cycles int) { experiments.Drive(n, g, n.Cycle()+sim.Cycle(cycles), nil) }
+	n.PacketPool().Preallocate(4096)
+	run(*warmup)
 
 	for _, p := range []string{*cpuOut, *memOut} {
 		if dir := filepath.Dir(p); dir != "." {
@@ -118,9 +123,9 @@ func main() {
 	// The clock costs eight time.Now() a cycle: only the run that prints it pays.
 	var clock network.PhaseClock
 	if *kernel == network.KernelParallel {
-		kb.Network().SetPhaseClock(&clock)
+		n.SetPhaseClock(&clock)
 	}
-	kb.Run(*cycles)
+	run(*cycles)
 	pprof.StopCPUProfile()
 	if err := cpuF.Close(); err != nil {
 		fail(err)
@@ -138,7 +143,7 @@ func main() {
 		fail(err)
 	}
 
-	st := kb.Network().PacketPool().Stats
+	st := n.PacketPool().Stats
 	sys := "baseline"
 	if *scale != "" {
 		sys = *scale

@@ -154,6 +154,25 @@ func TestSourceFlagsRefusedElsewhere(t *testing.T) {
 	}
 }
 
+// TestNegativeFlagsRejected: a negative count or load fails the run, exit
+// 1, naming the field — it is not read as the default that zero means.
+func TestNegativeFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-vcs", "-2"}, "VCsPerVNet"},
+		{[]string{"-rate", "-1"}, "Rate"},
+		{[]string{"-warmup", "-5"}, "Dur.Warmup"},
+		{[]string{"-workload", "ring_allreduce", "-max-cycles", "-3"}, "MaxCycles"},
+	} {
+		code, stdout, stderr := uppsim(t, "", tc.args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.field) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q: want exit 1 naming %s", tc.args, code, stdout, stderr, tc.field)
+		}
+	}
+}
+
 // TestSnapshotCycleOutOfRange: a -snapshot cycle past the schedule fails
 // up front, exit 1, with an error naming the schedule, and leaves no
 // checkpoint file behind for -restore to reject.

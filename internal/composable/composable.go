@@ -25,6 +25,7 @@ import (
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
+	"uppnoc/internal/routing"
 	"uppnoc/internal/topology"
 )
 
@@ -59,7 +60,7 @@ func BuildTables(t *topology.Topology) (*Tables, error) {
 		if err != nil {
 			return nil, fmt.Errorf("composable: routes under current restrictions: %w", err)
 		}
-		cycle := tb.findCDGCycle()
+		cycle := tb.dependencyCycle()
 		if cycle == nil {
 			tb.Restrictions = placed
 			return tb, nil
@@ -315,10 +316,10 @@ func (tb *Tables) PathLength(src, dst topology.NodeID) (int, error) {
 	return hops, nil
 }
 
-// findCDGCycle builds the channel dependency graph from the turns the
+// dependencyCycle builds the channel dependency graph from the turns the
 // routes actually use and returns one cycle (as turns), or nil when the
 // CDG is acyclic.
-func (tb *Tables) findCDGCycle() []Turn {
+func (tb *Tables) dependencyCycle() []Turn {
 	t := tb.topo
 	numNodes := t.NumNodes()
 	// Link channels = non-local (node, inPort) channels; a dependency goes
@@ -344,62 +345,12 @@ func (tb *Tables) findCDGCycle() []Turn {
 			adj[c][nc] = true
 		}
 	}
-	// Deterministic DFS cycle detection.
-	keysOf := func(m map[int32]bool) []int32 {
-		ks := make([]int32, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-		return ks
-	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[int32]int, len(adj))
-	parent := make(map[int32]int32)
-	var cycleChans []int32
-	var dfs func(c int32) bool
-	dfs = func(c int32) bool {
-		color[c] = grey
-		for _, nc := range keysOf(adj[c]) {
-			switch color[nc] {
-			case white:
-				parent[nc] = c
-				if dfs(nc) {
-					return true
-				}
-			case grey:
-				// Found a cycle: unwind from c back to nc.
-				cycleChans = []int32{nc}
-				for x := c; x != nc; x = parent[x] {
-					cycleChans = append(cycleChans, x)
-				}
-				// Reverse into forward order.
-				for i, j := 0, len(cycleChans)-1; i < j; i, j = i+1, j-1 {
-					cycleChans[i], cycleChans[j] = cycleChans[j], cycleChans[i]
-				}
-				return true
-			}
-		}
-		color[c] = black
-		return false
-	}
-	roots := make([]int32, 0, len(adj))
-	for c := range adj {
-		roots = append(roots, c)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, c := range roots {
-		if color[c] == white && dfs(c) {
-			break
-		}
-	}
+	cycleChans := routing.FindCycle(routing.SortedKeys(adj), func(c int32) []int32 { return routing.SortedKeys(adj[c]) })
 	if cycleChans == nil {
 		return nil
 	}
+	// The chain starts after the channel the search closed it on.
+	cycleChans = append(cycleChans[1:], cycleChans[0])
 	// Convert consecutive channel pairs into the turns connecting them.
 	turns := make([]Turn, 0, len(cycleChans))
 	for i := range cycleChans {

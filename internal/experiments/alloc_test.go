@@ -6,6 +6,7 @@ import (
 	"uppnoc/internal/network"
 	"uppnoc/internal/router"
 	"uppnoc/internal/topology"
+	"uppnoc/internal/traffic"
 )
 
 // TestSteadyStateZeroAlloc pins the steady-state simulation loop at
@@ -37,19 +38,20 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		for _, arch := range []string{router.ArchIQ, router.ArchOQ, router.ArchVOQ} {
 			t.Run(kernel+"_"+arch, func(t *testing.T) {
 				spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: kernel, RouterArch: arch}
-				kb, err := NewKernelBench(spec, UniformTraffic(rates[arch]))
+				s, err := Assemble(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kb.Network().PacketPool().Preallocate(4096)
-				kb.Run(20000) // reach steady-state occupancy and buffer high-water marks
+				n, g := s.Net, s.Generator(traffic.UniformRandom{}, rates[arch], 99)
+				n.PacketPool().Preallocate(4096)
+				Drive(n, g, 20000, nil) // reach steady-state occupancy and buffer high-water marks
 				allocs := testing.AllocsPerRun(10, func() {
-					kb.Run(500)
+					Drive(n, g, n.Cycle()+500, nil)
 				})
 				if allocs != 0 {
 					t.Fatalf("steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
 				}
-				st := kb.Network().PacketPool().Stats
+				st := n.PacketPool().Stats
 				if st.Reuses == 0 {
 					t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
 				}
@@ -76,19 +78,20 @@ func TestSteadyStateZeroAllocScale(t *testing.T) {
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
 			sc := topology.ScaleLargeConfig()
-			kb, err := NewKernelBench(RunSpec{Scale: &sc, Scheme: SchemeUPP, Kernel: kernel, Shards: 4}, UniformTraffic(0.01))
+			s, err := Assemble(RunSpec{Scale: &sc, Scheme: SchemeUPP, Kernel: kernel, Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			kb.Network().PacketPool().Preallocate(32768)
-			kb.Run(10000) // reach steady-state occupancy and buffer high-water marks
+			n, g := s.Net, s.Generator(traffic.UniformRandom{}, 0.01, 99)
+			n.PacketPool().Preallocate(32768)
+			Drive(n, g, 10000, nil) // reach steady-state occupancy and buffer high-water marks
 			allocs := testing.AllocsPerRun(5, func() {
-				kb.Run(200)
+				Drive(n, g, n.Cycle()+200, nil)
 			})
 			if allocs != 0 {
 				t.Fatalf("scale steady-state window allocated %.2f objects per 200 cycles; want exactly 0", allocs)
 			}
-			st := kb.Network().PacketPool().Stats
+			st := n.PacketPool().Stats
 			if st.Reuses == 0 {
 				t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
 			}
@@ -109,19 +112,25 @@ func TestSteadyStateZeroAllocCollective(t *testing.T) {
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		t.Run(kernel, func(t *testing.T) {
 			spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: kernel}
-			wb, err := NewKernelBench(spec, TrainingStepTraffic)
+			s, err := Assemble(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wb.Network().PacketPool().Preallocate(4096)
-			wb.Run(20000) // several training iterations: all buffers at high-water marks
+			n := s.Net
+			eng, _, err := workloadEngine(n, "training_step:flits=5,gap=50")
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Iterations = 1 << 30 // effectively unbounded: the loop never finishes
+			n.PacketPool().Preallocate(4096)
+			Drive(n, eng, 20000, nil) // several training iterations: all buffers at high-water marks
 			allocs := testing.AllocsPerRun(10, func() {
-				wb.Run(500)
+				Drive(n, eng, n.Cycle()+500, nil)
 			})
 			if allocs != 0 {
 				t.Fatalf("collective steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
 			}
-			st := wb.Network().PacketPool().Stats
+			st := n.PacketPool().Stats
 			if st.Reuses == 0 {
 				t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
 			}

@@ -118,6 +118,23 @@ type TrafficSource interface {
 // the traffic source (Sim.Generator, workloadEngine, a replayer, a
 // coherence system) and measures.
 func Assemble(spec RunSpec) (*Sim, error) {
+	// Zero means "the default" for every count below; a negative one is a
+	// mistake, never a request for the default.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"VCsPerVNet", spec.VCsPerVNet}, {"BufferDepth", spec.BufferDepth},
+		{"Dur.Warmup", spec.Dur.Warmup}, {"Dur.Measure", spec.Dur.Measure}, {"MaxCycles", spec.MaxCycles},
+		{"Faults", spec.Faults}, {"FaultsPerLayer", spec.FaultsPerLayer},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("experiments: RunSpec.%s is %d; want >= 0 (0 = default)", f.name, f.v)
+		}
+	}
+	if !(spec.Rate >= 0) { // negative or NaN
+		return nil, fmt.Errorf("experiments: RunSpec.Rate is %v; want a load >= 0", spec.Rate)
+	}
 	if spec.UPP != (core.Config{}) && spec.Scheme != SchemeUPP {
 		return nil, fmt.Errorf("experiments: UPP settings %+v under scheme %q", spec.UPP, spec.Scheme)
 	}

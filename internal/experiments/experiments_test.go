@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -136,6 +137,28 @@ func TestUPPWithThresholdPropagation(t *testing.T) {
 	}
 	if _, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: core.Config{SignalTimeout: 64}}); err == nil {
 		t.Fatal("Assemble accepted signal hardening set on RunSpec.UPP")
+	}
+	// A negative count or load is refused by name, never read as the
+	// default that zero stands for.
+	for _, tc := range []struct {
+		field string
+		set   func(*RunSpec)
+	}{
+		{"VCsPerVNet", func(s *RunSpec) { s.VCsPerVNet = -2 }},
+		{"BufferDepth", func(s *RunSpec) { s.BufferDepth = -1 }},
+		{"Dur.Warmup", func(s *RunSpec) { s.Dur.Warmup = -5 }},
+		{"Dur.Measure", func(s *RunSpec) { s.Dur.Measure = -1 }},
+		{"MaxCycles", func(s *RunSpec) { s.MaxCycles = -3 }},
+		{"Faults", func(s *RunSpec) { s.Faults = -1 }},
+		{"FaultsPerLayer", func(s *RunSpec) { s.FaultsPerLayer = -1 }},
+		{"Rate", func(s *RunSpec) { s.Rate = -1 }},
+		{"Rate", func(s *RunSpec) { s.Rate = math.NaN() }},
+	} {
+		spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP}
+		tc.set(&spec)
+		if _, err := Assemble(spec); err == nil || !strings.Contains(err.Error(), "RunSpec."+tc.field+" ") {
+			t.Errorf("%s out of range: err %v, want one naming the field", tc.field, err)
+		}
 	}
 }
 

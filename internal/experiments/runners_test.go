@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -120,9 +122,18 @@ func TestSweepFigureSmoke(t *testing.T) {
 	}
 }
 
+// TestFig2RunnerSmoke also pins composable's restriction search: the
+// table must byte-match the committed results/fig2.csv.
 func TestFig2RunnerSmoke(t *testing.T) {
 	ts, err := Fig2(PoolOptions{})
 	requireTables(t, ts, err, "fig2")
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "fig2.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ts[0].CSV(); got != string(want) {
+		t.Fatalf("fig2 diverges from results/fig2.csv:\n%s\ncommitted:\n%s", got, want)
+	}
 }
 
 func TestLoadBalanceRunnerSmoke(t *testing.T) {

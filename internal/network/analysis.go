@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"uppnoc/internal/router"
+	"uppnoc/internal/routing"
 	"uppnoc/internal/topology"
 )
 
@@ -112,9 +113,10 @@ func (c *DependencyCycle) String() string {
 // router system the graph construction therefore costs O(blocked routers),
 // not O(total nodes).
 //
-// The search starts from the blocked VCs in scan order (ascending node,
-// port, VC) and follows edges in the order they were found, so a wedged
-// network with several cycles always yields the same certificate.
+// The search (routing.FindCycle) starts from the blocked VCs in scan order
+// (ascending node, port, VC) and follows edges in the order they were
+// found, so a wedged network with several cycles always yields the same
+// certificate.
 func (n *Network) FindDependencyCycle() *DependencyCycle {
 	type key = VCRef
 	adj := map[key][]key{}
@@ -152,46 +154,10 @@ func (n *Network) FindDependencyCycle() *DependencyCycle {
 			}
 		}
 	}
-	// DFS cycle detection.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := map[key]int{}
-	parent := map[key]key{}
-	var cycle []key
-	var dfs func(u key) bool
-	dfs = func(u key) bool {
-		color[u] = grey
-		for _, v := range adj[u] {
-			switch color[v] {
-			case white:
-				parent[v] = u
-				if dfs(v) {
-					return true
-				}
-			case grey:
-				cycle = []key{v}
-				for x := u; x != v; x = parent[x] {
-					cycle = append(cycle, x)
-				}
-				for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-					cycle[i], cycle[j] = cycle[j], cycle[i]
-				}
-				return true
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for _, u := range roots {
-		if color[u] == white && dfs(u) {
-			break
-		}
-	}
+	cycle := routing.FindCycle(roots, func(u key) []key { return adj[u] })
 	if cycle == nil {
 		return nil
 	}
-	return &DependencyCycle{VCs: cycle, net: n}
+	// The chain starts after the vertex the search closed it on.
+	return &DependencyCycle{VCs: append(cycle[1:], cycle[0]), net: n}
 }

@@ -10,7 +10,6 @@ package reconfig
 
 import (
 	"fmt"
-	"sort"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/routing"
@@ -94,71 +93,21 @@ func Union(a, b *CDG) *CDG {
 
 // FindCycle returns one dependency cycle as a channel sequence (first
 // element repeated at the end), or nil when the graph is acyclic. The
-// search is deterministic: nodes and successors are visited in ascending
-// ChannelID order.
+// search (routing.FindCycle) is deterministic: nodes and successors are
+// visited in ascending ChannelID order.
 func (g *CDG) FindCycle() []ChannelID {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := map[ChannelID]int{}
-	nodes := make([]ChannelID, 0, len(g.adj))
-	for c := range g.adj {
-		nodes = append(nodes, c)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	sortedSucc := func(c ChannelID) []ChannelID {
-		s := g.adj[c]
-		out := make([]ChannelID, 0, len(s))
-		for t := range s {
-			out = append(out, t)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	var stack []ChannelID
-	var dfs func(c ChannelID) []ChannelID
-	dfs = func(c ChannelID) []ChannelID {
-		color[c] = grey
-		stack = append(stack, c)
-		for _, t := range sortedSucc(c) {
-			switch color[t] {
-			case grey:
-				// Extract the cycle from the stack.
-				i := len(stack) - 1
-				for i >= 0 && stack[i] != t {
-					i--
-				}
-				cyc := append([]ChannelID{}, stack[i:]...)
-				return append(cyc, t)
-			case white:
-				if cyc := dfs(t); cyc != nil {
-					return cyc
-				}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[c] = black
+	cyc := routing.FindCycle(routing.SortedKeys(g.adj), func(c ChannelID) []ChannelID { return routing.SortedKeys(g.adj[c]) })
+	if cyc == nil {
 		return nil
 	}
-	for _, c := range nodes {
-		if color[c] == white {
-			if cyc := dfs(c); cyc != nil {
-				return cyc
-			}
-		}
-	}
-	return nil
+	return append(cyc, cyc[0])
 }
 
 // BuildCDG walks every ordered same-layer (src, dst) pair of every layer
-// under local and collects the channel-dependency edges of the resulting
-// routes. The walk uses a scratch packet initialized exactly as an
-// injection at src would be (layer, entry column, up*/down* phase), so
-// phase-dependent routing functions contribute their true edge sets. It
-// fails if any walk errors or loops — an unroutable pair means the
-// routing function itself is broken on this topology, which callers
+// under local (WalkRoute) and collects the channel-dependency edges of the
+// resulting routes: each pair of consecutive channels on a route is an
+// edge. It fails if any walk errors or loops — an unroutable pair means
+// the routing function itself is broken on this topology, which callers
 // treat as "not provably compatible".
 func BuildCDG(t *topology.Topology, local routing.Local) (*CDG, error) {
 	g := NewCDG()
@@ -174,8 +123,18 @@ func BuildCDG(t *topology.Topology, local routing.Local) (*CDG, error) {
 				if src == dst {
 					continue
 				}
-				if err := walkPair(t, local, layer, src, dst, g); err != nil {
+				path, err := WalkRoute(t, local, layer, src, dst)
+				if err != nil {
 					return nil, err
+				}
+				prev := ChannelID(-1)
+				for i, cur := range path[:len(path)-1] {
+					n := t.Node(cur)
+					ch := Channel(n.Ports[n.PortToNeighbor(path[i+1])].Link, cur)
+					if prev >= 0 {
+						g.addEdge(prev, ch)
+					}
+					prev = ch
 				}
 			}
 		}
@@ -183,45 +142,14 @@ func BuildCDG(t *topology.Topology, local routing.Local) (*CDG, error) {
 	return g, nil
 }
 
-// walkPair follows local from src to dst, recording consecutive channel
-// pairs as dependency edges.
-func walkPair(t *topology.Topology, local routing.Local, layer int, src, dst topology.NodeID, g *CDG) error {
-	p := &message.Packet{
-		Src:         src,
-		Dst:         dst,
-		RouteLayer:  int16(layer),
-		LayerEntryX: int16(t.Node(src).X),
-		DstChiplet:  int16(layer),
-	}
-	cur := src
-	prev := ChannelID(-1)
-	for steps := 0; cur != dst; steps++ {
-		if steps > 2*t.NumNodes() {
-			return fmt.Errorf("reconfig: routing loop %d -> %d in layer %d", src, dst, layer)
-		}
-		port, err := local.NextPort(cur, dst, p)
-		if err != nil {
-			return fmt.Errorf("reconfig: cdg walk %d -> %d in layer %d: %w", src, dst, layer, err)
-		}
-		if port == topology.LocalPort || port == topology.InvalidPort {
-			return fmt.Errorf("reconfig: cdg walk %d -> %d in layer %d ejects early at %d", src, dst, layer, cur)
-		}
-		n := t.Node(cur)
-		pt := &n.Ports[port]
-		ch := Channel(pt.Link, cur)
-		if prev >= 0 {
-			g.addEdge(prev, ch)
-		}
-		prev = ch
-		cur = pt.Neighbor
-	}
-	return nil
-}
-
 // WalkRoute returns the node sequence (src first, dst last) a packet
-// injected at src takes to dst within layer under local. Experiments use
-// it to prove that routes actually changed after a reconfiguration and
-// that no surviving route crosses a killed link.
+// injected at src takes to dst within layer under local. The walk uses a
+// scratch packet initialized exactly as an injection at src would be
+// (layer, entry column, up*/down* phase), so phase-dependent routing
+// functions take their true routes. BuildCDG collects its dependency
+// edges from it, and experiments use it to prove that routes actually
+// changed after a reconfiguration and that no surviving route crosses a
+// killed link.
 func WalkRoute(t *topology.Topology, local routing.Local, layer int, src, dst topology.NodeID) ([]topology.NodeID, error) {
 	p := &message.Packet{
 		Src:         src,

@@ -94,7 +94,7 @@ func BuildHetero(c HeteroConfig) (*Topology, error) {
 	meshLinks(t, t.Interposer, c.InterposerW, c.InterposerH, c.LinkLatency)
 
 	for ci, sp := range c.Chiplets {
-		ch := Chiplet{Index: ci, Width: sp.W, Height: sp.H, GridX: sp.RegionX, GridY: sp.RegionY}
+		ch := Chiplet{Index: ci, Width: sp.W, Height: sp.H}
 		for y := 0; y < sp.H; y++ {
 			for x := 0; x < sp.W; x++ {
 				ch.Routers = append(ch.Routers, newNode(ChipletRouter, ci, x, y))

@@ -269,7 +269,7 @@ func BuildScale(c ScaleConfig) (*Topology, error) {
 	t.Chiplets = make([]Chiplet, 0, numChiplets)
 	for ci := 0; ci < numChiplets; ci++ {
 		gx, gy := ci%gridW, ci/gridW
-		ch := Chiplet{Index: ci, Width: c.ChipletW, Height: c.ChipletH, GridX: gx, GridY: gy}
+		ch := Chiplet{Index: ci, Width: c.ChipletW, Height: c.ChipletH}
 		ch.Routers = make([]NodeID, 0, routersPerChiplet)
 		for y := 0; y < c.ChipletH; y++ {
 			for x := 0; x < c.ChipletW; x++ {

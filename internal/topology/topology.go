@@ -184,8 +184,6 @@ type Chiplet struct {
 	Routers []NodeID
 	// Boundary lists the chiplet's boundary routers in placement order.
 	Boundary []NodeID
-	// GridX, GridY locate the chiplet in the chiplet grid.
-	GridX, GridY int
 }
 
 // RouterAt returns the chiplet router at local coordinates (x, y).

@@ -17,6 +17,7 @@ import (
 // servers (param_server, default 4), iters (param_server inner
 // iterations / Engine.Iterations for the others, default 1; training_step
 // default 2), gap (training_step compute gap in cycles, default 200).
+// An option the named workload does not read is refused, not ignored.
 type Spec struct {
 	Name    string
 	Flits   int
@@ -31,6 +32,10 @@ func Names() []string {
 	return []string{"ring_allreduce", "tree_allreduce", "broadcast",
 		"reduce_scatter", "all_to_all", "param_server", "training_step"}
 }
+
+// optionOwner names the one workload that reads each workload-specific
+// option; flits and iters apply to every workload.
+var optionOwner = map[string]string{"root": "broadcast", "servers": "param_server", "gap": "training_step"}
 
 // ParseSpec parses the workload spec syntax above.
 func ParseSpec(s string) (Spec, error) {
@@ -59,6 +64,9 @@ func ParseSpec(s string) (Spec, error) {
 		v, err := strconv.Atoi(val)
 		if err != nil {
 			return Spec{}, fmt.Errorf("workload: option %s=%q is not an integer", key, val)
+		}
+		if only, ok := optionOwner[key]; ok && only != spec.Name {
+			return Spec{}, fmt.Errorf("workload: option %s applies only to %s, not %s", key, only, spec.Name)
 		}
 		switch key {
 		case "flits":

@@ -283,4 +283,14 @@ func TestParseSpec(t *testing.T) {
 			}
 		}
 	}
+	// An option the named workload never reads is refused, naming both.
+	for _, bad := range []string{
+		"tree_allreduce:root=3", "ring_allreduce:servers=2", "broadcast:gap=10", "training_step:root=1",
+	} {
+		name, opt, _ := strings.Cut(bad, ":")
+		key, _, _ := strings.Cut(opt, "=")
+		if _, err := workload.ParseSpec(bad); err == nil || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), name) {
+			t.Errorf("spec %q: err %v, want one naming %s and %s", bad, err, key, name)
+		}
+	}
 }
