@@ -37,12 +37,12 @@ func main() {
 			}
 			scheme = s
 		case "remote_control":
-			scheme = remotectl.New(remotectl.DefaultConfig())
+			scheme = remotectl.New()
 		case "upp":
 			scheme = core.New(core.DefaultConfig())
 		}
 		net := network.MustNew(topo, network.DefaultConfig(), scheme)
-		sys, err := coherence.New(net, coherence.DefaultConfig(), bench, 3)
+		sys, err := coherence.New(net, bench, 3)
 		if err != nil {
 			panic(err)
 		}

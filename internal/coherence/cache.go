@@ -18,6 +18,11 @@
 //	block. Responses are terminating messages consumed unconditionally;
 //	request processing is gated on output-queue space — the two proof
 //	cases of Sec. V-B4.
+//
+// The cache geometry, directory count, queue limits and L2/DRAM latencies
+// are Table II's, constants every run shares (system.go), and each core
+// blocks on one outstanding miss; only the topology, the scheme and the
+// workload profile vary between runs.
 package coherence
 
 import "uppnoc/internal/topology"

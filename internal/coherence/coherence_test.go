@@ -18,7 +18,7 @@ func cohSystem(t *testing.T, scheme network.Scheme, w coherence.Workload, vcs in
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	s, err := coherence.New(n, coherence.DefaultConfig(), w, 99)
+	s, err := coherence.New(n, w, 99)
 	if err != nil {
 		t.Fatalf("coherence: %v", err)
 	}

@@ -14,10 +14,10 @@ type mshrEntry struct {
 	invalidated bool
 }
 
-// Core models one processing element: a core with a private L1 sustaining
-// up to Config.MSHRs outstanding misses (Table II's cores are 8-wide
-// out-of-order with a 192-entry reorder buffer — memory-level parallelism,
-// not a single blocking miss, is what loads the NoC).
+// Core models one processing element: a blocking core with a private L1
+// and one outstanding miss. The synthetic profiles' miss rates are far
+// above real PARSEC's, so deeper MSHRs would push the NoC into saturation
+// — a regime the paper's full-system runs never enter.
 type Core struct {
 	sys   *System
 	node  topology.NodeID
@@ -37,15 +37,15 @@ func (c *Core) done() bool {
 }
 
 // tick issues at most one memory access per cycle according to the
-// workload profile, as long as an MSHR is free.
+// workload profile, as long as no miss is outstanding.
 func (c *Core) tick(cycle sim.Cycle) {
 	if c.completed+len(c.mshr) >= c.sys.Work.AccessesPerCore {
 		return // quota covered by completed + in-flight accesses
 	}
-	if len(c.mshr) >= c.sys.Cfg.MSHRs {
-		return
+	if len(c.mshr) != 0 {
+		return // blocked on the outstanding miss
 	}
-	if len(c.outQ) >= c.sys.Cfg.OutQueueGate {
+	if len(c.outQ) >= outQueueGate {
 		return // eviction backlog; let it drain first
 	}
 	if !c.rng.Bernoulli(c.sys.Work.AccessProb) {
@@ -53,15 +53,6 @@ func (c *Core) tick(cycle sim.Cycle) {
 	}
 	addr := c.sys.Work.address(c.index, c.rng)
 	write := c.rng.Bernoulli(c.sys.Work.WriteFrac)
-	if e, inflight := c.mshr[addr]; inflight {
-		// Access to a line already being fetched: merge into the MSHR
-		// (write-upgrades of read misses are folded — a modeling
-		// simplification; real MSHRs reissue a GetM on the fill).
-		_ = e
-		c.sys.L1Hits++
-		c.completed++
-		return
-	}
 	l := c.l1.lookup(addr)
 	switch {
 	case l != nil && (!write || l.state == modified || l.state == exclusive):
@@ -102,7 +93,7 @@ func (c *Core) drainOut(cycle sim.Cycle) {
 	ni := c.sys.Net.NI(c.node)
 	kept := c.outQ[:0]
 	for _, p := range c.outQ {
-		if ni.InjSpace(p.VNet, c.sys.Cfg.InjQueueCap) {
+		if ni.InjSpace(p.VNet, injQueueCap) {
 			ni.Enqueue(p, cycle)
 		} else {
 			kept = append(kept, p)
@@ -129,7 +120,7 @@ func (c *Core) consume(p *message.Packet, cycle sim.Cycle) bool {
 		// queued at the directory behind the very transaction this Inv
 		// serves (deferring would deadlock the protocol). Instead, note
 		// the race and drop the stale line at fill time.
-		if len(c.outQ) >= c.sys.Cfg.OutQueueGate {
+		if len(c.outQ) >= outQueueGate {
 			return false
 		}
 		if e, ok := c.mshr[p.Addr]; ok && !e.write {
@@ -146,7 +137,7 @@ func (c *Core) consume(p *message.Packet, cycle sim.Cycle) bool {
 			// forwards, so this cannot deadlock).
 			return false
 		}
-		if len(c.outQ) >= c.sys.Cfg.OutQueueGate {
+		if len(c.outQ) >= outQueueGate {
 			return false
 		}
 		if l := c.l1.lookup(p.Addr); l != nil && (l.state == modified || l.state == exclusive) {
@@ -161,7 +152,7 @@ func (c *Core) consume(p *message.Packet, cycle sim.Cycle) bool {
 		if _, ok := c.mshr[p.Addr]; ok {
 			return false // raced ahead of our fill; see FwdGetS
 		}
-		if len(c.outQ) >= c.sys.Cfg.OutQueueGate {
+		if len(c.outQ) >= outQueueGate {
 			return false
 		}
 		if l := c.l1.lookup(p.Addr); l != nil && (l.state == modified || l.state == exclusive) {

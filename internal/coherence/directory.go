@@ -50,7 +50,7 @@ func (d *Directory) drainOut(cycle sim.Cycle) {
 	ni := d.sys.Net.NI(d.node)
 	kept := d.outQ[:0]
 	for _, dp := range d.outQ {
-		if dp.ready <= cycle && ni.InjSpace(dp.pkt.VNet, d.sys.Cfg.InjQueueCap) {
+		if dp.ready <= cycle && ni.InjSpace(dp.pkt.VNet, injQueueCap) {
 			ni.Enqueue(dp.pkt, cycle)
 		} else {
 			kept = append(kept, dp)
@@ -66,13 +66,13 @@ func (d *Directory) drainOut(cycle sim.Cycle) {
 func (d *Directory) consume(p *message.Packet, cycle sim.Cycle) bool {
 	switch p.Class {
 	case message.ClassGetS, message.ClassGetM:
-		if len(d.outQ) >= d.sys.Cfg.OutQueueGate {
+		if len(d.outQ) >= outQueueGate {
 			return false
 		}
 		d.request(p.Addr, pendingReq{requester: p.Src, write: p.Class == message.ClassGetM}, cycle)
 		return true
 	case message.ClassPutM:
-		if len(d.outQ) >= d.sys.Cfg.OutQueueGate {
+		if len(d.outQ) >= outQueueGate {
 			return false
 		}
 		d.putM(p.Addr, p.Src, cycle)
@@ -172,9 +172,9 @@ func (d *Directory) grant(addr uint64, req pendingReq, exclusive int32, cycle si
 	if !req.write {
 		data.AuxCount = exclusive
 	}
-	delay := d.sys.Cfg.L2HitLatency
+	delay := l2HitLatency
 	if d.l2.lookup(addr) == nil {
-		delay = d.sys.Cfg.DRAMLatency
+		delay = dramLatency
 		d.l2.install(addr, shared)
 		d.sys.L2Misses++
 	} else {

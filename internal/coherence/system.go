@@ -9,52 +9,34 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// Config parameterizes the coherence substrate.
-type Config struct {
-	// L1Sets and L1Ways fix the private cache geometry (Table II's 32KB
-	// L1 at 64B lines ~ 512 blocks; we default to 128x4 = 512).
-	L1Sets, L1Ways int
-	// Directories is the number of interposer-resident directories
+// The substrate's geometry and timing, after Table II; every run uses
+// them.
+const (
+	// l1Sets x l1Ways is the private cache (Table II's 32KB L1 at 64B
+	// lines ~ 512 blocks: 128x4).
+	l1Sets, l1Ways = 128, 4
+	// directories is the number of interposer-resident directories
 	// (Table II: 8).
-	Directories int
-	// InjQueueCap bounds NI injection queues; PEs hold messages in their
+	directories = 8
+	// injQueueCap bounds NI injection queues; PEs hold messages in their
 	// internal output queues when full.
-	InjQueueCap int
-	// OutQueueGate defers request processing while a PE's output queue is
+	injQueueCap = 8
+	// outQueueGate defers request processing while a PE's output queue is
 	// this long (the proof-case-2 back-pressure).
-	OutQueueGate int
-	// L2Sets/L2Ways size the shared L2 bank co-located with each directory
-	// (Table II: 1MB shared L2; modeled as the directory-side cache that
-	// decides between L2-hit and DRAM-miss response latency).
-	L2Sets, L2Ways int
-	// L2HitLatency and DRAMLatency delay the directory's data responses
+	outQueueGate = 12
+	// l2Sets x l2Ways sizes the shared L2 bank co-located with each
+	// directory (Table II: 1MB shared L2; modeled as the directory-side
+	// cache that decides between L2-hit and DRAM-miss response latency).
+	l2Sets, l2Ways = 1024, 8
+	// l2HitLatency and dramLatency delay the directory's data responses
 	// (cycles) depending on whether the block hits the L2 bank.
-	L2HitLatency, DRAMLatency int
-	// MSHRs is the number of outstanding misses each core sustains.
-	// The evaluation default is 1 (a blocking core): the synthetic
-	// profiles' miss rates are far above real PARSEC's, and deeper MSHRs
-	// would push the NoC into saturation — a regime the paper's
-	// full-system runs never enter. Raise it (e.g. to 8) to study
-	// memory-level parallelism; correctness is MSHR-independent.
-	MSHRs int
-}
-
-// DefaultConfig mirrors Table II.
-func DefaultConfig() Config {
-	return Config{
-		L1Sets: 128, L1Ways: 4,
-		Directories: 8, InjQueueCap: 8, OutQueueGate: 12,
-		L2Sets: 1024, L2Ways: 8,
-		L2HitLatency: 8, DRAMLatency: 60,
-		MSHRs: 1,
-	}
-}
+	l2HitLatency, dramLatency = 8, 60
+)
 
 // System couples a network with cores and directories running the MESI
 // protocol under a workload profile.
 type System struct {
 	Net  *network.Network
-	Cfg  Config
 	Work Workload
 
 	cores []*Core
@@ -77,21 +59,18 @@ type System struct {
 
 // New builds a coherence system over net. The workload's RNG streams are
 // seeded from seed.
-func New(net *network.Network, cfg Config, work Workload, seed uint64) (*System, error) {
-	if cfg.L1Sets&(cfg.L1Sets-1) != 0 {
-		return nil, fmt.Errorf("coherence: L1Sets must be a power of two")
-	}
-	s := &System{Net: net, Cfg: cfg, Work: work, dirs: make(map[topology.NodeID]*Directory)}
+func New(net *network.Network, work Workload, seed uint64) (*System, error) {
+	s := &System{Net: net, Work: work, dirs: make(map[topology.NodeID]*Directory)}
 
 	// Directories live on the interposer, spread evenly (Table II: 8
 	// directories on the interposer).
 	interposer := net.Topo.Interposer
-	if cfg.Directories > len(interposer) {
-		return nil, fmt.Errorf("coherence: %d directories exceed %d interposer routers", cfg.Directories, len(interposer))
+	if directories > len(interposer) {
+		return nil, fmt.Errorf("coherence: %d directories exceed %d interposer routers", directories, len(interposer))
 	}
-	for i := 0; i < cfg.Directories; i++ {
-		node := interposer[i*len(interposer)/cfg.Directories]
-		d := &Directory{sys: s, node: node, blocks: make(map[uint64]*dirEntry), l2: newL1(cfg.L2Sets, cfg.L2Ways)}
+	for i := 0; i < directories; i++ {
+		node := interposer[i*len(interposer)/directories]
+		d := &Directory{sys: s, node: node, blocks: make(map[uint64]*dirEntry), l2: newL1(l2Sets, l2Ways)}
 		s.dirs[node] = d
 		s.dirNodes = append(s.dirNodes, node)
 		ni := net.NI(node)
@@ -104,7 +83,7 @@ func New(net *network.Network, cfg Config, work Workload, seed uint64) (*System,
 			sys:   s,
 			node:  cn,
 			index: i,
-			l1:    newL1(cfg.L1Sets, cfg.L1Ways),
+			l1:    newL1(l1Sets, l1Ways),
 			rng:   master.Split(uint64(i)),
 		}
 		s.cores = append(s.cores, c)

@@ -119,7 +119,7 @@ func (u *UPP) forwardPopupFlit(p *popup, i int, r *router.Router, cycle sim.Cycl
 	}
 	r.SendDirect(out)
 	nextLatch.reserved = true
-	u.net.ScheduleCall(cycle+1+u.linkLat(), network.SchemeCall{
+	u.net.ScheduleCall(cycle+1+router.LinkDelay, network.SchemeCall{
 		Kind: uppCallLatch, Node: p.path[i+1].node, B: uint64(p.vnet), Flit: f, HasFlit: true,
 	})
 	return true
@@ -155,7 +155,7 @@ func (u *UPP) drainOrigin(p *popup, cycle sim.Cycle) {
 		p.tailLeftOrigin = true
 	}
 	nextLatch.reserved = true
-	u.net.ScheduleCall(cycle+1+u.linkLat(), network.SchemeCall{
+	u.net.ScheduleCall(cycle+1+router.LinkDelay, network.SchemeCall{
 		Kind: uppCallLatch, Node: p.path[1].node, B: uint64(p.vnet), Flit: f, HasFlit: true,
 	})
 }

@@ -34,7 +34,7 @@ func TestHeterogeneousSystemAllSchemes(t *testing.T) {
 			return composable.NewScheme(tp)
 		}},
 		{"remote_control", func(*topology.Topology) (network.Scheme, error) {
-			return remotectl.New(remotectl.DefaultConfig()), nil
+			return remotectl.New(), nil
 		}},
 	}
 	for _, sc := range schemes {

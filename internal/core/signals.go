@@ -5,6 +5,7 @@ import (
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
+	"uppnoc/internal/router"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -67,7 +68,7 @@ func (u *UPP) trySendFromOrigin(p *popup, kind sigKind, cycle sim.Cycle) {
 		return
 	}
 	first.reqStop.reserved = true
-	u.net.ScheduleCall(cycle+1+u.linkLat()+fate.Delay, network.SchemeCall{
+	u.net.ScheduleCall(cycle+1+router.LinkDelay+fate.Delay, network.SchemeCall{
 		Kind: uppCallSignal, Node: p.path[1].node, A: p.id, B: uint64(kind), Hop: 1,
 	})
 }
@@ -174,7 +175,7 @@ func (u *UPP) moveReqStop(node topology.NodeID, cycle sim.Cycle) {
 		return
 	}
 	next.reqStop.reserved = true
-	u.net.ScheduleCall(cycle+1+u.linkLat()+fate.Delay, network.SchemeCall{
+	u.net.ScheduleCall(cycle+1+router.LinkDelay+fate.Delay, network.SchemeCall{
 		Kind: uppCallSignal, Node: p.path[hopIdx].node, A: id, B: uint64(kind), Hop: int32(hopIdx),
 	})
 }
@@ -305,7 +306,7 @@ func (u *UPP) moveAck(node topology.NodeID, a ackEntry, cycle sim.Cycle) bool {
 		if fate.Drop {
 			return true
 		}
-		u.net.ScheduleCall(cycle+1+u.linkLat()+fate.Delay, network.SchemeCall{
+		u.net.ScheduleCall(cycle+1+router.LinkDelay+fate.Delay, network.SchemeCall{
 			Kind: uppCallAckOrigin, A: id,
 		})
 		return true
@@ -323,7 +324,7 @@ func (u *UPP) moveAck(node topology.NodeID, a ackEntry, cycle sim.Cycle) bool {
 		return true
 	}
 	prev.ackRes++
-	u.net.ScheduleCall(cycle+1+u.linkLat()+fate.Delay, network.SchemeCall{
+	u.net.ScheduleCall(cycle+1+router.LinkDelay+fate.Delay, network.SchemeCall{
 		Kind: uppCallAckRelay, Node: p.path[hopIdx].node, A: id, Hop: int32(hopIdx),
 	})
 	return true

@@ -54,26 +54,31 @@ type Config struct {
 	// "" = the paper's static closest-boundary binding). The ablation
 	// experiments swap in the alternatives of Sec. V-D's design discussion.
 	Binding string
-	// SignalTimeout, when > 0, arms a per-popup watchdog on every
-	// outstanding protocol signal: a popup whose req (or a cancelled
-	// popup whose stop or discarded ack) has produced no progress for
-	// SignalTimeout cycles re-sends with exponential backoff, and after
-	// MaxSignalRetries attempts the popup is force-retired — its path
-	// swept clean, its reservation recycled — and the still-stalled
-	// packet falls back to normal timeout re-detection. 0 (the default)
-	// disables the machinery entirely: the healthy path is byte-identical
-	// to a build without it. Enable under runtime fault injection, where
-	// a dropped signal would otherwise wedge recovery forever.
-	SignalTimeout int
-	// MaxSignalRetries bounds re-sends per signal phase (default 3 when
-	// SignalTimeout > 0).
-	MaxSignalRetries int
 }
 
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
 	return Config{Threshold: 20, SignalGap: message.DataPacketFlits + 1}
 }
+
+// Signal hardening (DESIGN.md §10). Under runtime fault injection a
+// dropped signal would otherwise wedge recovery forever, so while a fault
+// injector is attached every outstanding protocol signal has a per-popup
+// watchdog: a popup whose req (or a cancelled popup whose stop or
+// discarded ack) has produced no progress for signalTimeout cycles
+// re-sends with exponential backoff, and after maxSignalRetries attempts
+// the popup is force-retired — its path swept clean, its reservation
+// recycled — and the still-stalled packet falls back to normal timeout
+// re-detection. Without an injector the machinery is off and the healthy
+// path is byte-identical to a build without it.
+const (
+	signalTimeout    = 256
+	maxSignalRetries = 3
+)
+
+// hardened reports whether the signal watchdog runs: exactly when the
+// network has a fault injector attached.
+func (u *UPP) hardened() bool { return u.net.FaultInjector() != nil }
 
 // stage of a popup instance.
 type popupStage uint8
@@ -134,7 +139,7 @@ type popup struct {
 	ackDone        bool
 	tailLeftOrigin bool
 
-	// Signal-retry state (Config.SignalTimeout > 0; all zero otherwise).
+	// Signal-retry state (hardened only; all zero otherwise).
 	// deadline is the cycle at which the outstanding signal phase is
 	// declared lost (0 = unarmed); retries counts re-sends in the current
 	// phase; resendReq re-queues a req without clearing reqSent
@@ -272,9 +277,6 @@ func New(cfg Config) *UPP {
 	if cfg.SignalGap <= 0 {
 		cfg.SignalGap = message.DataPacketFlits + 1
 	}
-	if cfg.SignalTimeout > 0 && cfg.MaxSignalRetries <= 0 {
-		cfg.MaxSignalRetries = 3
-	}
 	return &UPP{cfg: cfg, policy: policy, popups: make(map[uint64]*popup)}
 }
 
@@ -329,9 +331,6 @@ func (u *UPP) PopupPathsAvoid(l *topology.Link) bool {
 	return true
 }
 
-// linkLat returns the configured link latency.
-func (u *UPP) linkLat() sim.Cycle { return sim.Cycle(u.net.Cfg.Router.LinkLatency) }
-
 // StartOfCycle implements network.Scheme: popup flits move first (highest
 // crossbar priority, Sec. V-C1), then protocol signals, then pending
 // req/stop transmissions from interposer routers.
@@ -358,7 +357,7 @@ func (u *UPP) StartOfCycle(cycle sim.Cycle) {
 func (u *UPP) EndOfCycle(cycle sim.Cycle) {
 	u.detect(cycle)
 	u.checkProceeded(cycle)
-	if u.cfg.SignalTimeout > 0 {
+	if u.hardened() {
 		u.checkSignalTimeouts(cycle)
 	}
 }
@@ -623,28 +622,26 @@ func (u *UPP) checkProceeded(cycle sim.Cycle) {
 			continue
 		}
 		p.stopPending = true
-		if u.cfg.SignalTimeout > 0 {
-			p.retries = 0 // fresh retry budget for the stop phase
-		}
+		p.retries = 0 // fresh retry budget for the stop phase
 	}
 }
 
 // armDeadline (re)arms the signal watchdog for p's current phase with
 // exponential backoff on the retry count. No-op with the watchdog off.
 func (u *UPP) armDeadline(p *popup, cycle sim.Cycle) {
-	if u.cfg.SignalTimeout <= 0 {
+	if !u.hardened() {
 		return
 	}
 	shift := p.retries
 	if shift > 6 {
 		shift = 6
 	}
-	p.deadline = cycle + sim.Cycle(u.cfg.SignalTimeout)<<shift
+	p.deadline = cycle + sim.Cycle(signalTimeout)<<shift
 }
 
-// checkSignalTimeouts is the per-popup signal watchdog (Config.
-// SignalTimeout > 0): re-send a lost req, re-arm a lost stop, and after
-// MaxSignalRetries force-retire the popup via abortPopup. Every decision
+// checkSignalTimeouts is the per-popup signal watchdog (hardened only):
+// re-send a lost req, re-arm a lost stop, and after maxSignalRetries
+// force-retire the popup via abortPopup. Every decision
 // derives from origin-local knowledge only — the origin cannot tell a
 // lost signal from a slow one, so a retry may race its predecessor; the
 // receiver side (signalArrive, deliverReqStop, launchAck, ackAtOrigin)
@@ -653,7 +650,6 @@ func (u *UPP) checkSignalTimeouts(cycle sim.Cycle) {
 	if len(u.popups) == 0 {
 		return
 	}
-	maxR := uint8(u.cfg.MaxSignalRetries)
 	for _, p := range u.sortedPopups() {
 		if p.deadline == 0 || cycle < p.deadline || p.stage == stageDrain {
 			continue
@@ -661,7 +657,7 @@ func (u *UPP) checkSignalTimeouts(cycle sim.Cycle) {
 		switch {
 		case !p.cancelled:
 			// The req — or the ack it should produce — went missing.
-			if p.retries >= maxR {
+			if p.retries >= maxSignalRetries {
 				u.abortPopup(p)
 				continue
 			}
@@ -672,7 +668,7 @@ func (u *UPP) checkSignalTimeouts(cycle sim.Cycle) {
 			u.net.Trace("upp", p.origin, "popup %d: signal timeout; re-sending UPP_req (retry %d)", p.id, p.retries)
 		case !p.stopDelivered:
 			// Cancelled, and the stop went missing on its way down.
-			if p.retries >= maxR {
+			if p.retries >= maxSignalRetries {
 				u.abortPopup(p)
 				continue
 			}

@@ -35,9 +35,9 @@ type RunSpec struct {
 	FaultsPerLayer int
 	// FaultPlan, when non-empty, attaches a runtime fault-injection plan
 	// (faults.ParseSpec syntax: "flaps=4,drop=0.2,...", with mode= picking
-	// the reconfiguration engine's transitions). UPP runs it with the
-	// hardened config (signal timeout + retry) so injected signal loss is
-	// recovered rather than fatal.
+	// the reconfiguration engine's transitions). UPP hardens its signals
+	// (timeout + retry) whenever a plan is attached, so injected signal
+	// loss is recovered rather than fatal.
 	FaultPlan string
 	Scheme    SchemeName
 	// UPP sets UPP's parameters (Fig. 13's threshold, the binding and
@@ -111,10 +111,10 @@ type TrafficSource interface {
 // Assemble builds the machine spec describes — topology (Topo or Scale,
 // static faults), scheme, network.Config, host settings, network, fault
 // plan — and is the only place in this package, uppsim and cmd/profile
-// that does. Three things follow from the spec rather than from the
-// caller: UPP is hardened (signal timeout + retry) exactly when a plan is
-// attached, up*/down* local routing is forced by static faults or a
-// persistent plan, and the network is seeded Seed+1. The caller attaches
+// that does. Two things follow from the spec rather than from the caller:
+// up*/down* local routing is forced by static faults or a persistent
+// plan, and the network is seeded Seed+1. (UPP hardens its signals
+// itself, exactly when a plan is attached.) The caller attaches
 // the traffic source (Sim.Generator, workloadEngine, a replayer, a
 // coherence system) and measures.
 func Assemble(spec RunSpec) (*Sim, error) {
@@ -137,9 +137,6 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	}
 	if spec.UPP != (core.Config{}) && spec.Scheme != SchemeUPP {
 		return nil, fmt.Errorf("experiments: UPP settings %+v under scheme %q", spec.UPP, spec.Scheme)
-	}
-	if spec.UPP.SignalTimeout != 0 || spec.UPP.MaxSignalRetries != 0 {
-		return nil, fmt.Errorf("experiments: UPP signal hardening is set by the fault plan, not by RunSpec.UPP")
 	}
 	if _, err := routing.BindingPolicy(spec.UPP.Binding); err != nil {
 		return nil, err
@@ -167,13 +164,7 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	var scheme network.Scheme
 	switch {
 	case spec.Scheme == SchemeUPP:
-		cfg := spec.UPP
-		if spec.FaultPlan != "" {
-			// Runtime signal faults need the retry machinery (DESIGN.md
-			// §10): a lost signal is re-sent, then the popup force-retired.
-			cfg.SignalTimeout, cfg.MaxSignalRetries = 256, 3
-		}
-		scheme = core.New(cfg)
+		scheme = core.New(spec.UPP)
 	case spec.Scale == nil && spec.Faults == 0 && spec.FaultsPerLayer == 0:
 		// topo is exactly what spec.Topo builds, so composable's
 		// design-time search can be reused across runs.

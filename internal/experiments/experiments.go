@@ -39,7 +39,7 @@ func MakeScheme(name SchemeName, topo *topology.Topology) (network.Scheme, error
 	case SchemeComposable:
 		return composable.NewScheme(topo)
 	case SchemeRemoteControl:
-		return remotectl.New(remotectl.DefaultConfig()), nil
+		return remotectl.New(), nil
 	case SchemeUPP:
 		return core.New(core.DefaultConfig()), nil
 	case SchemeNone:

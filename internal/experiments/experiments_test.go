@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"uppnoc/internal/coherence"
 	"uppnoc/internal/core"
+	"uppnoc/internal/faults"
+	"uppnoc/internal/network"
+	"uppnoc/internal/reconfig"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -61,6 +66,20 @@ func TestStaticTables(t *testing.T) {
 	}
 }
 
+// TestStaticTablesMatchResults: the tables that run no simulation must
+// byte-match their committed results/*.csv.
+func TestStaticTablesMatchResults(t *testing.T) {
+	for _, tb := range []Table{Table1(), Table2(), Fig14()} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", tb.ID+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tb.CSV(); got != string(want) {
+			t.Errorf("%s diverges from results/%s.csv:\n%s\ncommitted:\n%s", tb.ID, tb.ID, got, want)
+		}
+	}
+}
+
 func TestMakeScheme(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
 	cases := []struct {
@@ -99,27 +118,22 @@ func TestMakeScheme(t *testing.T) {
 }
 
 // TestUPPWithThresholdPropagation: RunSpec.UPP reaches the scheme Assemble
-// builds, each field alone, zero fields at the paper's values, and the
-// signal hardening follows the fault plan.
+// builds, each field alone, zero fields at the paper's values.
 func TestUPPWithThresholdPropagation(t *testing.T) {
 	def := core.DefaultConfig()
-	hardened := def
-	hardened.SignalTimeout, hardened.MaxSignalRetries = 256, 3
 	for _, tc := range []struct {
 		in   core.Config
-		plan string
 		want core.Config
 	}{
-		{core.Config{}, "", def},
-		{core.Config{Threshold: 20}, "", def},
-		{core.Config{Threshold: 100}, "", core.Config{Threshold: 100, SignalGap: def.SignalGap}},
-		{core.Config{Threshold: 1000}, "", core.Config{Threshold: 1000, SignalGap: def.SignalGap}},
-		{core.Config{Threshold: -5}, "", def}, // non-positive thresholds fall back to the Table II value
-		{core.Config{SignalGap: 12}, "", core.Config{Threshold: def.Threshold, SignalGap: 12}},
-		{core.Config{Binding: "farthest"}, "", core.Config{Threshold: def.Threshold, SignalGap: def.SignalGap, Binding: "farthest"}},
-		{core.Config{}, "seed=9,flaps=4", hardened},
+		{core.Config{}, def},
+		{core.Config{Threshold: 20}, def},
+		{core.Config{Threshold: 100}, core.Config{Threshold: 100, SignalGap: def.SignalGap}},
+		{core.Config{Threshold: 1000}, core.Config{Threshold: 1000, SignalGap: def.SignalGap}},
+		{core.Config{Threshold: -5}, def}, // non-positive thresholds fall back to the Table II value
+		{core.Config{SignalGap: 12}, core.Config{Threshold: def.Threshold, SignalGap: 12}},
+		{core.Config{Binding: "farthest"}, core.Config{Threshold: def.Threshold, SignalGap: def.SignalGap, Binding: "farthest"}},
 	} {
-		sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: tc.in, FaultPlan: tc.plan})
+		sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: tc.in})
 		if err != nil {
 			t.Fatalf("UPP %+v: %v", tc.in, err)
 		}
@@ -128,15 +142,12 @@ func TestUPPWithThresholdPropagation(t *testing.T) {
 			t.Fatalf("UPP %+v: Assemble built %T, want *core.UPP", tc.in, sm.Net.Scheme())
 		}
 		if got := u.Config(); got != tc.want {
-			t.Fatalf("UPP %+v plan %q: scheme config %+v, want %+v", tc.in, tc.plan, got, tc.want)
+			t.Fatalf("UPP %+v: scheme config %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
 	if _, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: core.Config{Binding: "nearest"}}); err == nil ||
 		!strings.Contains(err.Error(), `"nearest"`) {
 		t.Fatalf("unknown binding: err %v, want one naming it", err)
-	}
-	if _, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, UPP: core.Config{SignalTimeout: 64}}); err == nil {
-		t.Fatal("Assemble accepted signal hardening set on RunSpec.UPP")
 	}
 	// A negative count or load is refused by name, never read as the
 	// default that zero stands for.
@@ -158,6 +169,50 @@ func TestUPPWithThresholdPropagation(t *testing.T) {
 		tc.set(&spec)
 		if _, err := Assemble(spec); err == nil || !strings.Contains(err.Error(), "RunSpec."+tc.field+" ") {
 			t.Errorf("%s out of range: err %v, want one naming the field", tc.field, err)
+		}
+	}
+}
+
+// TestUPPHardensUnderFaultPlan: UPP's signal watchdog runs exactly when a
+// fault plan is attached, however the network was built — by Assemble or
+// by network.New plus reconfig.Attach — so dropped signals are re-sent;
+// without a plan nothing is ever retried.
+func TestUPPHardensUnderFaultPlan(t *testing.T) {
+	const cycles = 4000
+	viaAssemble := func(plan string) network.Stats {
+		sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, FaultPlan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		Drive(sm.Net, sm.Generator(traffic.UniformRandom{}, 0.10, 42), cycles, nil)
+		return sm.Net.Stats
+	}
+	viaAttach := func(plan string) network.Stats {
+		n, err := network.New(topology.MustBuild(topology.BaselineConfig()), network.DefaultConfig(), core.New(core.DefaultConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan != "" {
+			p, err := faults.ParseSpec(n.Topo, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reconfig.Attach(n, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		Drive(n, traffic.NewGenerator(n, traffic.UniformRandom{}, 0.10, 42), cycles, nil)
+		return n.Stats
+	}
+	for _, build := range []struct {
+		name string
+		run  func(plan string) network.Stats
+	}{{"Assemble", viaAssemble}, {"reconfig.Attach", viaAttach}} {
+		if st := build.run("seed=22,drop=0.25"); st.SignalsDropped == 0 || st.SignalRetries == 0 {
+			t.Errorf("%s under a drop plan: %d signals dropped, %d retries; want both > 0", build.name, st.SignalsDropped, st.SignalRetries)
+		}
+		if st := build.run(""); st.PopupsStarted == 0 || st.SignalRetries != 0 {
+			t.Errorf("%s without a plan: %d popups, %d retries; want popups and no retry", build.name, st.PopupsStarted, st.SignalRetries)
 		}
 	}
 }

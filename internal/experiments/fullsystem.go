@@ -28,7 +28,7 @@ func RunFullSystem(bench coherence.Workload, sch SchemeName, vcs int, seed uint6
 		return FullSystemResult{}, err
 	}
 	n, topo := sm.Net, sm.Net.Topo
-	sys, err := coherence.New(n, coherence.DefaultConfig(), bench, seed+13)
+	sys, err := coherence.New(n, bench, seed+13)
 	if err != nil {
 		return FullSystemResult{}, err
 	}

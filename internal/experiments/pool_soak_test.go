@@ -94,7 +94,7 @@ func TestPoolSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := coherence.New(n, coherence.DefaultConfig(), w.Scale(scale), 99)
+		s, err := coherence.New(n, w.Scale(scale), 99)
 		if err != nil {
 			t.Fatal(err)
 		}

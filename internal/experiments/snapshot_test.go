@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"uppnoc/internal/core"
@@ -236,8 +238,10 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 // container around a UPWS snapshot) for every router microarchitecture:
 // the result cache keeps warm-start checkpoints across builds and
 // snapVersion only moves when the format does, so a refactor of the
-// datapath must keep writing these bytes. The digests were computed at
-// commit 944f7a7 (the last one with separate OQ/VOQ router types). The oq
+// datapath must keep writing these bytes. The UPWS payloads are those of
+// commit 944f7a7 (the last one with separate OQ/VOQ router types); the
+// digests last moved when the canonical spec in the header lost the
+// deleted link-latency fields, with the payloads byte-identical. The oq
 // run is checked to hold staged flits at the checkpoint cycle, so its
 // staging section is non-trivially covered.
 func TestSnapshotBytesPinned(t *testing.T) {
@@ -245,9 +249,9 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		t.Setenv(env, "")
 	}
 	for _, pin := range [][2]string{
-		{"iq", "5dde431da56de246e5a50bf50fa918f3431e1d70ea5081b62f55768da625d897"},
-		{"oq", "e1e5bcebdcb0af8e7230c08666b78961dcb0066b800618ea3fbe282e465073a7"},
-		{"voq", "0e8419d25570333887312a4469240a331e557046f079b303b3c8946e7c0aa76f"},
+		{"iq", "ba2e731c82bdf629341806c55de76b87e52985d1c7c04940214fce6e47e43f50"},
+		{"oq", "c4bf09e2a4b5d5c59932a3ff65f86d83a2f296080341ce85ccfb08cd935a4ccc"},
+		{"voq", "f1319b51e204b1918a0b623f4ed0a69ffdadf1f0874afd63055489c60a2890b7"},
 	} {
 		arch, want := pin[0], pin[1]
 		var buf bytes.Buffer
@@ -270,6 +274,68 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if (arch == "oq") != (staged > 0) {
 			t.Errorf("%s: %d flits staged at the checkpoint cycle", arch, staged)
 		}
+	}
+}
+
+// TestCheckpointReadsLinkLatencyKeys: containers written while the
+// topology configs still had link-latency fields carry "LinkLatency" (and,
+// for a scale-out spec, "InterTileLatency") in their canonical spec. Such a
+// container must still restore through ReadCheckpoint and finish to the
+// uninterrupted run's Point.
+func TestCheckpointReadsLinkLatencyKeys(t *testing.T) {
+	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_CACHE_DIR"} {
+		t.Setenv(env, "")
+	}
+	tiled := snapSpec(SchemeUPP, "iq")
+	tiled.Topo = topology.SystemConfig{}
+	tiled.Scale = &topology.ScaleConfig{TilesX: 2, TilesY: 1, TileW: 4, TileH: 4, ChipletsX: 2, ChipletsY: 2,
+		ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 1, Seed: 1}
+	// withKeys splices keys in front of the "Seed" field of the named
+	// object, where encoding/json put the deleted fields.
+	withKeys := func(spec []byte, obj, keys string) []byte {
+		i := bytes.Index(spec, []byte(`"`+obj+`":{`))
+		j := i + bytes.Index(spec[i:], []byte(`"Seed":`))
+		return slices.Concat(spec[:j], []byte(keys), spec[j:])
+	}
+	for _, tc := range []struct {
+		name string
+		spec RunSpec
+		old  func([]byte) []byte
+	}{
+		{"flat", snapSpec(SchemeUPP, "iq"), func(s []byte) []byte { return withKeys(s, "topo", `"LinkLatency":1,`) }},
+		{"tiled", tiled, func(s []byte) []byte {
+			return withKeys(withKeys(s, "topo", `"LinkLatency":0,`), "scale", `"LinkLatency":1,"InterTileLatency":4,`)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, err := Run(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := RunCheckpointed(tc.spec, 700, &buf); err != nil {
+				t.Fatal(err)
+			}
+			spec, payload, err := splitCheckpoint(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec = tc.old(spec)
+			container := binary.LittleEndian.AppendUint32([]byte(checkpointMagic), uint32(len(spec)))
+			container = slices.Concat(container, spec, payload)
+			if _, _, rspec, err := ReadCheckpoint(container); err != nil {
+				t.Fatalf("container with header %s: %v", spec, err)
+			} else if rspec.Topo != tc.spec.Topo || (rspec.Scale == nil) != (tc.spec.Scale == nil) {
+				t.Fatalf("header %s read back as topo %+v scale %v", spec, rspec.Topo, rspec.Scale)
+			}
+			restored, _, err := RunRestored(container)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored != plain {
+				t.Fatalf("header %s: restored run diverged:\nplain:    %+v\nrestored: %+v", spec, plain, restored)
+			}
+		})
 	}
 }
 

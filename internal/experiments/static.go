@@ -52,7 +52,7 @@ func Table2() Table {
 		{"packet sizes", "control 1 flit, data 5 flits"},
 		{"synthetic traffic", "uniform random, bit complement, bit rotation, transpose"},
 		{"full-system substitute", "MESI directory protocol + 18 PARSEC/SPLASH-2 profiles (internal/coherence)"},
-		{"coherence", "private L1 per core (128 sets x 4 ways), blocking cores (MSHRs configurable), 8 interposer directories with shared L2 banks (8-cycle hit) and DRAM (60-cycle fill)"},
+		{"coherence", "private L1 per core (128 sets x 4 ways), blocking cores (one miss in flight), 8 interposer directories with shared L2 banks (8-cycle hit) and DRAM (60-cycle fill)"},
 		{"UPP detection threshold", "20 cycles (fig13 sweeps 20/100/1000)"},
 		{"UPP signal gap", "data packet size + 1 = 6 cycles"},
 		{"remote control", "4 boundary slots, 2-cycle handshake, +1 cycle boundary crossing"},

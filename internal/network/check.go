@@ -69,8 +69,8 @@ func (n *Network) CheckQuiescent() error {
 			return fmt.Errorf("network: NI %d has %d pending items", node.ID, ni.Pending())
 		}
 		for v := 0; v < message.NumVNets; v++ {
-			if got := ni.FreeEjectionEntries(message.VNet(v)); got != n.Cfg.EjectionDepth {
-				return fmt.Errorf("network: NI %d vnet %d has %d free ejection entries, want %d", node.ID, v, got, n.Cfg.EjectionDepth)
+			if got := ni.FreeEjectionEntries(message.VNet(v)); got != ejectionDepth {
+				return fmt.Errorf("network: NI %d vnet %d has %d free ejection entries, want %d", node.ID, v, got, ejectionDepth)
 			}
 			if ni.ReservedEntries(message.VNet(v)) != 0 {
 				return fmt.Errorf("network: NI %d vnet %d leaked a reservation", node.ID, v)

@@ -24,3 +24,6 @@ func NewUnpooled(t *topology.Topology, cfg Config, scheme Scheme) (*Network, err
 	}
 	return n, err
 }
+
+// EjectionDepth is the per-VNet ejection queue capacity in packets.
+const EjectionDepth = ejectionDepth

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"uppnoc/internal/router"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -66,7 +67,7 @@ func (n *Network) SignalFate(kind SignalKind, popupID uint64, hop int, cycle sim
 		return f
 	}
 	if f.Delay > 0 {
-		if max := sim.Cycle(wheelSize - 2 - n.Cfg.Router.LinkLatency); f.Delay > max {
+		if max := sim.Cycle(wheelSize - 2 - router.LinkDelay); f.Delay > max {
 			f.Delay = max
 		}
 		n.Stats.SignalsDelayed++

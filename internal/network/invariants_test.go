@@ -156,11 +156,6 @@ func TestRandomBurstsDrain(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
 	cfg := network.DefaultConfig()
-	cfg.EjectionDepth = 0
-	if _, err := network.New(topo, cfg, network.None{}); err == nil {
-		t.Fatal("accepted zero ejection depth")
-	}
-	cfg = network.DefaultConfig()
 	cfg.Router.BufferDepth = 0
 	if _, err := network.New(topo, cfg, network.None{}); err == nil {
 		t.Fatal("accepted zero buffer depth")

@@ -30,7 +30,7 @@ func kernelRun(t *testing.T, kernel, arch, scheme string, rate float64, cycles i
 	case "upp":
 		sch = core.New(core.DefaultConfig())
 	case "remote_control":
-		sch = remotectl.New(remotectl.DefaultConfig())
+		sch = remotectl.New()
 	case "composable":
 		sch, err = composable.NewScheme(topo)
 	case "none":

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"uppnoc/internal/router"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -84,25 +83,6 @@ func TestAwakeSet(t *testing.T) {
 	}
 	if got, want := walk(), []topology.NodeID{3, 5, 69, 70, 71, 130, 199}; !slices.Equal(got, want) {
 		t.Fatalf("next pass visits %v, want %v", got, want)
-	}
-}
-
-// TestValidateWheelHorizon: link latency + pipeline depth combinations the
-// event wheel cannot cover must be rejected at config time, not by
-// ScheduleCall's runtime panic mid-simulation.
-func TestValidateWheelHorizon(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Router.LinkLatency = wheelSize - router.PipelineDepth - 1
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("latency just inside the horizon rejected: %v", err)
-	}
-	cfg.Router.LinkLatency = wheelSize - router.PipelineDepth
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatalf("latency %d reaching the %d-cycle wheel horizon accepted", cfg.Router.LinkLatency, wheelSize)
-	}
-	if !strings.Contains(err.Error(), "wheel") {
-		t.Fatalf("horizon error does not name the wheel: %v", err)
 	}
 }
 

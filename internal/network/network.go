@@ -44,8 +44,6 @@ type Config struct {
 	// are normalized to the same per-port buffer budget
 	// (router.BufferBudget).
 	RouterArch string
-	// EjectionDepth is the per-VNet ejection queue capacity in packets.
-	EjectionDepth int
 	// Seed drives all randomized decisions (VC selection, traffic).
 	Seed uint64
 	// UseUpDown selects up*/down* local routing instead of XY (needed on
@@ -73,16 +71,13 @@ type Config struct {
 
 // DefaultConfig mirrors Table II with 1 VC per VNet.
 func DefaultConfig() Config {
-	return Config{Router: router.DefaultConfig(), EjectionDepth: 4, Seed: 1}
+	return Config{Router: router.DefaultConfig(), Seed: 1}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.Router.Validate(); err != nil {
 		return err
-	}
-	if c.EjectionDepth < 1 {
-		return fmt.Errorf("network: EjectionDepth must be >= 1")
 	}
 	if c.UseUpDown && c.Adaptive {
 		return fmt.Errorf("network: UseUpDown and Adaptive are mutually exclusive")
@@ -100,13 +95,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("network: Shards must be >= 0")
-	}
-	// The event wheel must cover the longest schedulable delay: a flit's
-	// pipeline traversal plus its link flight. Surfacing the bound here
-	// turns ScheduleCall's runtime panic into a configuration error.
-	if c.Router.LinkLatency+router.PipelineDepth >= wheelSize {
-		return fmt.Errorf("network: LinkLatency %d + pipeline depth %d reaches the %d-cycle event wheel horizon",
-			c.Router.LinkLatency, router.PipelineDepth, wheelSize)
 	}
 	return nil
 }
@@ -144,6 +132,14 @@ type event struct {
 
 // wheelSize bounds the maximum event latency (link latency + pipeline).
 const wheelSize = 128
+
+// The wheel must cover the longest schedulable delay, a flit's pipeline
+// traversal plus its link flight: this array length is negative, and the
+// package does not compile, if it does not.
+var _ [wheelSize - router.PipelineDepth - router.LinkDelay - 1]struct{}
+
+// ejectionDepth is the per-VNet ejection queue capacity in packets.
+const ejectionDepth = 4
 
 // Network is a complete simulated system.
 type Network struct {
@@ -315,7 +311,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 		// The NI mirrors the router's effective input-side config: its
 		// credit counters must match the local port's actual VC depth,
 		// which oq reduces below the budget depth.
-		ni := newNI(n, node.ID, r, r.Cfg, cfg.EjectionDepth)
+		ni := newNI(n, node.ID, r, r.Cfg, ejectionDepth)
 		r.SetLocal(ni)
 		n.Routers[i] = r
 		n.NIs[i] = ni

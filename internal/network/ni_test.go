@@ -54,7 +54,7 @@ func TestReservationImmediateGrant(t *testing.T) {
 	if got := ni.ReservedEntries(message.VNetResponse); got != 1 {
 		t.Fatalf("reserved entries %d", got)
 	}
-	if got := ni.FreeEjectionEntries(message.VNetResponse); got != n.Cfg.EjectionDepth-1 {
+	if got := ni.FreeEjectionEntries(message.VNetResponse); got != network.EjectionDepth-1 {
 		t.Fatalf("free entries %d", got)
 	}
 	ni.CancelReservation(message.VNetResponse, 1)
@@ -73,7 +73,7 @@ func TestReservationWaitsOnFullQueue(t *testing.T) {
 	// Fill the response ejection queue with unconsumed packets.
 	blocked := true
 	ni.Consume = func(*message.Packet, int64) bool { return !blocked }
-	for i := 0; i < n.Cfg.EjectionDepth; i++ {
+	for i := 0; i < network.EjectionDepth; i++ {
 		p := &message.Packet{ID: uint64(100 + i), Src: n.Topo.Cores()[10+i], Dst: dst,
 			VNet: message.VNetResponse, Size: 1}
 		n.NI(p.Src).Enqueue(p, n.Cycle())
@@ -101,7 +101,7 @@ func TestCancelPendingWaiter(t *testing.T) {
 	dst := n.Topo.Cores()[5]
 	ni := n.NI(dst)
 	ni.Consume = func(*message.Packet, int64) bool { return false }
-	for i := 0; i < n.Cfg.EjectionDepth; i++ {
+	for i := 0; i < network.EjectionDepth; i++ {
 		p := &message.Packet{Src: n.Topo.Cores()[10+i], Dst: dst, VNet: message.VNetRequest, Size: 1}
 		n.NI(p.Src).Enqueue(p, n.Cycle())
 	}
@@ -124,7 +124,7 @@ func TestCanAcceptHeadRespectsReservations(t *testing.T) {
 	n := newIdleNet(t)
 	ni := n.NI(n.Topo.Cores()[0])
 	pkt := &message.Packet{VNet: message.VNetForward, Size: 1}
-	for i := 0; i < n.Cfg.EjectionDepth; i++ {
+	for i := 0; i < network.EjectionDepth; i++ {
 		ni.RequestReservation(message.VNetForward, uint64(i+1), 0)
 	}
 	if ni.CanAcceptHead(pkt, 0) {

@@ -54,7 +54,7 @@ var parallelCases = []parallelCase{
 	{name: "upp", topo: baselineTopo, scheme: uppScheme, pattern: traffic.UniformRandom{}, rate: 0.12, cycles: 4000, popups: true},
 	// Remote control's StartOfCycle reads router occupancy between the
 	// deliver and step phases, and its OnFlitArrived delay rides the event.
-	{name: "remote_control", topo: baselineTopo, scheme: func() network.Scheme { return remotectl.New(remotectl.DefaultConfig()) },
+	{name: "remote_control", topo: baselineTopo, scheme: func() network.Scheme { return remotectl.New() },
 		pattern: traffic.UniformRandom{}, rate: 0.05, cycles: 2500},
 	// Eight blocks, most of them empty, some cycles under parallelMinAwake.
 	{name: "small_corner", topo: smallTopo, scheme: uppScheme, pattern: cornerTraffic{}, rate: 0.3, cycles: 1500},

@@ -26,7 +26,7 @@ func poolRun(t *testing.T, scheme string, unpooled bool, rate float64, cycles in
 	case "upp":
 		sch = core.New(core.DefaultConfig())
 	case "remote_control":
-		sch = remotectl.New(remotectl.DefaultConfig())
+		sch = remotectl.New()
 	case "composable":
 		sch, err = composable.NewScheme(topo)
 	case "none":

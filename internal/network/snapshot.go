@@ -248,7 +248,7 @@ func (n *Network) snapshot(c *snap.Codec, extras []SnapshotExtra) error {
 func (n *Network) snapshotHeader(c *snap.Codec, cycle *sim.Cycle) error {
 	magic, version := snapMagic, uint64(snapVersion)
 	nodes, arch, pooling := n.Topo.NumNodes(), n.RouterArch(), !n.noPool
-	vcs, depth, ejDepth := n.Cfg.Router.NumVCs(), n.Cfg.Router.BufferDepth, n.Cfg.EjectionDepth
+	vcs, depth, ejDepth := n.Cfg.Router.NumVCs(), n.Cfg.Router.BufferDepth, ejectionDepth
 	if c.String("magic", &magic, 8); c.Err() == nil && magic != snapMagic {
 		return fmt.Errorf("network: bad snapshot magic %q", magic)
 	}
@@ -270,8 +270,8 @@ func (n *Network) snapshotHeader(c *snap.Codec, cycle *sim.Cycle) error {
 	if snap.Int(c, "buffer depth", &depth, 0, 1<<20); c.Err() == nil && depth != n.Cfg.Router.BufferDepth {
 		return fmt.Errorf("network: snapshot buffer depth %d, network has %d", depth, n.Cfg.Router.BufferDepth)
 	}
-	if snap.Int(c, "ejection depth", &ejDepth, 0, 1<<20); c.Err() == nil && ejDepth != n.Cfg.EjectionDepth {
-		return fmt.Errorf("network: snapshot ejection depth %d, network has %d", ejDepth, n.Cfg.EjectionDepth)
+	if snap.Int(c, "ejection depth", &ejDepth, 0, 1<<20); c.Err() == nil && ejDepth != ejectionDepth {
+		return fmt.Errorf("network: snapshot ejection depth %d, network has %d", ejDepth, ejectionDepth)
 	}
 	c.I64("cycle", cycle)
 	return c.Err()

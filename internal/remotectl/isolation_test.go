@@ -17,7 +17,7 @@ import (
 // still flow with bounded latency.
 func TestIsolationOfIntraChipletTraffic(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
-	s := remotectl.New(remotectl.DefaultConfig())
+	s := remotectl.New()
 	n := network.MustNew(topo, network.DefaultConfig(), s)
 	ch0 := topo.Chiplets[0].Routers
 	ch3 := topo.Chiplets[3].Routers

@@ -17,9 +17,10 @@
 //   - inter-chiplet packets crossing a boundary router pay one extra
 //     pipeline cycle (VC allocation runs as a separate stage there).
 //
-// Routing is identical to UPP's (static binding, full path diversity), so
-// the performance difference against UPP is purely the injection-control
-// latency — matching the paper's analysis.
+// The three numbers above are the paper's evaluation setup and hold for
+// every run. Routing is identical to UPP's (static binding, full path
+// diversity), so the performance difference against UPP is purely the
+// injection-control latency — matching the paper's analysis.
 package remotectl
 
 import (
@@ -29,24 +30,18 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// Config parameterizes remote control.
-type Config struct {
-	// SlotsPerBoundary is the number of data-packet-sized boundary buffers
+const (
+	// boundarySlots is the number of data-packet-sized boundary buffers
 	// per boundary router (the paper evaluates 4).
-	SlotsPerBoundary int
-	// HandshakeRTT is the minimum reservation round-trip in cycles (>= 2).
-	// The actual round trip is 2 x the source's depth in the boundary
-	// router's hard-wired permission tree (Fig. 2(b)), floored at this.
-	HandshakeRTT int
-	// BoundaryCrossingDelay is the extra pipeline latency charged to
-	// inter-chiplet flits at boundary routers.
-	BoundaryCrossingDelay int
-}
-
-// DefaultConfig matches the paper's evaluation setup.
-func DefaultConfig() Config {
-	return Config{SlotsPerBoundary: 4, HandshakeRTT: 2, BoundaryCrossingDelay: 1}
-}
+	boundarySlots = 4
+	// minRoundTrip is the minimum reservation round trip in cycles. The
+	// actual round trip is 2 x the source's depth in the boundary router's
+	// hard-wired permission tree (Fig. 2(b)), floored at this.
+	minRoundTrip = 2
+	// crossingDelay is the extra pipeline latency charged to inter-chiplet
+	// flits at boundary routers.
+	crossingDelay = 1
+)
 
 // slot buffers one absorbed inter-chiplet packet at a boundary router.
 type slot struct {
@@ -91,7 +86,6 @@ type heldVC struct {
 // Scheme plugs remote control into the network.
 type Scheme struct {
 	network.BaseScheme
-	cfg Config
 	net *network.Network
 
 	boundaries map[topology.NodeID]*boundary
@@ -100,14 +94,8 @@ type Scheme struct {
 }
 
 // New returns a remote-control scheme.
-func New(cfg Config) *Scheme {
-	if cfg.SlotsPerBoundary <= 0 {
-		cfg.SlotsPerBoundary = 4
-	}
-	if cfg.HandshakeRTT < 2 {
-		cfg.HandshakeRTT = 2
-	}
-	return &Scheme{cfg: cfg, requested: make(map[uint64]bool)}
+func New() *Scheme {
+	return &Scheme{requested: make(map[uint64]bool)}
 }
 
 // Name implements network.Scheme.
@@ -122,7 +110,7 @@ func (s *Scheme) Attach(n *network.Network) {
 			s.boundaries[b] = &boundary{
 				node:      b,
 				treeDepth: permissionTree(n.Topo, b, ch.Routers),
-				free:      s.cfg.SlotsPerBoundary,
+				free:      boundarySlots,
 				granted:   make(map[uint64]bool),
 				absorbing: make(map[uint64]*slot),
 			}
@@ -174,10 +162,7 @@ func (s *Scheme) CanStartPacket(_ *network.NI, p *message.Packet, cycle sim.Cycl
 	}
 	if !s.requested[p.ID] {
 		s.requested[p.ID] = true
-		rtt := 2 * b.treeDepth[p.Src]
-		if rtt < s.cfg.HandshakeRTT {
-			rtt = s.cfg.HandshakeRTT
-		}
+		rtt := max(2*b.treeDepth[p.Src], minRoundTrip)
 		b.reqQ = append(b.reqQ, request{pkt: p, ready: cycle + sim.Cycle(rtt)})
 	}
 	s.net.Stats.InjectionHolds++
@@ -187,11 +172,8 @@ func (s *Scheme) CanStartPacket(_ *network.NI, p *message.Packet, cycle sim.Cycl
 // OnFlitArrived charges the extra boundary-crossing cycle to inter-chiplet
 // flits.
 func (s *Scheme) OnFlitArrived(node topology.NodeID, _ topology.PortID, f message.Flit, _ sim.Cycle) sim.Cycle {
-	if s.cfg.BoundaryCrossingDelay == 0 {
-		return 0
-	}
 	if s.net.Topo.Node(node).Kind == topology.BoundaryRouter && s.interChiplet(f.Pkt) {
-		return sim.Cycle(s.cfg.BoundaryCrossingDelay)
+		return crossingDelay
 	}
 	return 0
 }

@@ -15,7 +15,7 @@ func rcNet(t *testing.T, vcs int) (*network.Network, *remotectl.Scheme) {
 	topo := topology.MustBuild(topology.BaselineConfig())
 	cfg := network.DefaultConfig()
 	cfg.Router.VCsPerVNet = vcs
-	s := remotectl.New(remotectl.DefaultConfig())
+	s := remotectl.New()
 	n, err := network.New(topo, cfg, s)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -63,7 +63,8 @@ func TestHandshakeLatency(t *testing.T) {
 	}
 }
 
-// TestSlotsReturn: all boundary slots are free after the network drains.
+// TestSlotsReturn: all four slots of every boundary router are free after
+// the network drains.
 func TestSlotsReturn(t *testing.T) {
 	n, s := rcNet(t, 4)
 	g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.08, 3)
@@ -74,7 +75,7 @@ func TestSlotsReturn(t *testing.T) {
 	}
 	for _, ch := range n.Topo.Chiplets {
 		for _, b := range ch.Boundary {
-			if got := s.SlotsFree(b); got != remotectl.DefaultConfig().SlotsPerBoundary {
+			if got := s.SlotsFree(b); got != 4 {
 				t.Fatalf("boundary %d: %d slots free after drain", b, got)
 			}
 		}
@@ -85,7 +86,7 @@ func TestSlotsReturn(t *testing.T) {
 // source's distance from its egress boundary in the hard-wired tree.
 func TestPermissionTreeRTT(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
-	s := remotectl.New(remotectl.DefaultConfig())
+	s := remotectl.New()
 	n := network.MustNew(topo, network.DefaultConfig(), s)
 	// Two sources in chiplet 0 bound to the same boundary at different
 	// distances; same destination in chiplet 3.

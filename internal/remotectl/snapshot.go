@@ -22,7 +22,7 @@ func (s *Scheme) Snapshot(c *snap.Codec) error {
 	for _, ch := range s.net.Topo.Chiplets {
 		for _, bn := range ch.Boundary {
 			b := s.boundaries[bn]
-			snap.Int(c, "rc free slots", &b.free, 0, int64(s.cfg.SlotsPerBoundary))
+			snap.Int(c, "rc free slots", &b.free, 0, boundarySlots)
 			snap.Slice(c, "rc req queue len", &b.reqQ, 1<<20, func(req *request) {
 				c.Packet(&req.pkt)
 				c.I64("rc req ready", &req.ready)
@@ -38,7 +38,7 @@ func (s *Scheme) Snapshot(c *snap.Codec) error {
 				b.absorbing = make(map[uint64]*slot)
 			}
 			for v := range b.sendQ {
-				snap.Slice(c, "rc send queue len", &b.sendQ[v], s.cfg.SlotsPerBoundary, func(pp **slot) {
+				snap.Slice(c, "rc send queue len", &b.sendQ[v], boundarySlots, func(pp **slot) {
 					if c.Decoding() {
 						*pp = &slot{}
 					}

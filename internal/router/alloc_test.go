@@ -209,7 +209,7 @@ func oracleSendFront(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 		panic("router: sent flit without credit")
 	}
 	nb, nbPort := r.Neighbor(out)
-	r.sink.DeliverFlit(nb, nbPort, outVC, f, cycle+1+sim.Cycle(r.Cfg.LinkLatency))
+	r.sink.DeliverFlit(nb, nbPort, outVC, f, cycle+1+LinkDelay)
 }
 
 func oracleStepVOQ(q *Router, cycle sim.Cycle) {
@@ -320,7 +320,7 @@ func oracleStepOQ(q *Router, cycle sim.Cycle) {
 				q.MarkUpSent(sf.f.Pkt.VNet, cycle)
 			}
 			nb, nbPort := q.Neighbor(topology.PortID(oi))
-			q.sink.DeliverFlit(nb, nbPort, sf.outVC, sf.f, cycle+1+sim.Cycle(q.Cfg.LinkLatency))
+			q.sink.DeliverFlit(nb, nbPort, sf.outVC, sf.f, cycle+1+LinkDelay)
 		}
 	}
 	if q.buffered == 0 {
@@ -493,7 +493,7 @@ func widestNode(t testing.TB) *topology.Node {
 func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (*Router, *eventLog) {
 	const cycle = 100
 	g := sim.NewRNG(seed)
-	cfg := Config{VCsPerVNet: 1 + g.Intn(4), BufferDepth: 4, LinkLatency: 1}
+	cfg := Config{VCsPerVNet: 1 + g.Intn(4), BufferDepth: 4}
 	nports, nvc := len(node.Ports), cfg.NumVCs()
 	log := &eventLog{accept: g.Intn(4) != 0}
 	routes := map[uint64]topology.PortID{}

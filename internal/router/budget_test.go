@@ -12,11 +12,11 @@ func TestBufferBudgetEqualAcrossArchs(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"paper_1vc", Config{VCsPerVNet: 1, BufferDepth: 4, LinkLatency: 1}},
-		{"paper_4vc", Config{VCsPerVNet: 4, BufferDepth: 4, LinkLatency: 1}},
-		{"deep_buffers", Config{VCsPerVNet: 1, BufferDepth: 8, LinkLatency: 1}},
-		{"ablation_depth2", Config{VCsPerVNet: 1, BufferDepth: 2, LinkLatency: 1}},
-		{"ablation_depth6", Config{VCsPerVNet: 2, BufferDepth: 6, LinkLatency: 1}},
+		{"paper_1vc", Config{VCsPerVNet: 1, BufferDepth: 4}},
+		{"paper_4vc", Config{VCsPerVNet: 4, BufferDepth: 4}},
+		{"deep_buffers", Config{VCsPerVNet: 1, BufferDepth: 8}},
+		{"ablation_depth2", Config{VCsPerVNet: 1, BufferDepth: 2}},
+		{"ablation_depth6", Config{VCsPerVNet: 2, BufferDepth: 6}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,9 +23,13 @@ import (
 
 // PipelineDepth is the router pipeline length in cycles — buffer write +
 // route computation, switch allocation + VC selection, switch traversal
-// (Fig. 5). The network's event wheel must cover PipelineDepth plus the
-// link latency; network.Config.Validate enforces it.
+// (Fig. 5). The network's event wheel must cover PipelineDepth plus
+// LinkDelay; the network package asserts it at compile time.
 const PipelineDepth = 3
+
+// LinkDelay is the link traversal latency in cycles of every link, mesh,
+// vertical and inter-tile alike (Table II: 1).
+const LinkDelay = 1
 
 // maxBufferDepth is the largest BufferDepth the int16 credit counters
 // (Out.Credits, the NI's copy) can hold.
@@ -43,8 +47,6 @@ type Config struct {
 	VCsPerVNet int
 	// BufferDepth is the flit capacity of each VC buffer (Table II: 4).
 	BufferDepth int
-	// LinkLatency in cycles (Table II: 1).
-	LinkLatency int
 	// VCT selects virtual cut-through flow control: a head flit advances
 	// only when the downstream VC can hold the whole packet, so a packet
 	// never straddles a buffer boundary mid-allocation. The paper's
@@ -56,7 +58,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's 1-VC-per-VNet configuration.
 func DefaultConfig() Config {
-	return Config{VCsPerVNet: 1, BufferDepth: 4, LinkLatency: 1}
+	return Config{VCsPerVNet: 1, BufferDepth: 4}
 }
 
 // Validate reports configuration errors.
@@ -70,8 +72,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: BufferDepth must be >= 1")
 	case c.BufferDepth > maxBufferDepth:
 		return fmt.Errorf("router: BufferDepth must be <= %d (the credit counters are 16-bit)", maxBufferDepth)
-	case c.LinkLatency < 1:
-		return fmt.Errorf("router: LinkLatency must be >= 1")
 	case c.VCT && c.BufferDepth < message.DataPacketFlits:
 		return fmt.Errorf("router: virtual cut-through needs BufferDepth >= %d (largest packet)", message.DataPacketFlits)
 	}

@@ -894,7 +894,7 @@ func (r *Router) transmit(out topology.PortID, outVC int8, f message.Flit, cycle
 		r.Stats.UpFlits++
 		r.MarkUpSent(f.Pkt.VNet, cycle)
 	}
-	r.sink.DeliverFlit(p.nb, p.nbPort, outVC, f, cycle+1+sim.Cycle(r.Cfg.LinkLatency))
+	r.sink.DeliverFlit(p.nb, p.nbPort, outVC, f, cycle+1+LinkDelay)
 }
 
 // creditUpstream returns a buffer slot (and optionally the whole VC) to

@@ -88,7 +88,7 @@ func TestPipelineTiming(t *testing.T) {
 	if len(sink.flits) != 1 {
 		t.Fatalf("flit not sent at cycle 11: %v", sink.flits)
 	}
-	// ST at 11, LT, arrival at 11+1+linkLatency.
+	// ST at 11, LT, arrival at 11+1+LinkDelay.
 	if got := sink.flits[0].cycle; got != 13 {
 		t.Fatalf("arrival cycle %d, want 13", got)
 	}

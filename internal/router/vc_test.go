@@ -21,7 +21,7 @@ func TestVCFIFOModel(t *testing.T) {
 	node := widestNode(t)
 	for depth := 1; depth <= 8; depth++ {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
-			cfg := Config{VCsPerVNet: 1, BufferDepth: depth, LinkLatency: 1}
+			cfg := Config{VCsPerVNet: 1, BufferDepth: depth}
 			build := func() *Router {
 				log := &eventLog{}
 				r, err := New(ArchIQ, node, cfg, log, log, nil, sim.NewRNG(1), nil)

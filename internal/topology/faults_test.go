@@ -10,7 +10,7 @@ func smallTopo(t *testing.T) *Topology {
 	topo, err := Build(SystemConfig{
 		ChipletW: 2, ChipletH: 2, ChipletsX: 2, ChipletsY: 2,
 		InterposerW: 2, InterposerH: 2,
-		BoundaryPerChiplet: 1, LinkLatency: 1, Seed: 1,
+		BoundaryPerChiplet: 1, Seed: 1,
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)

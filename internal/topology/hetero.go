@@ -26,7 +26,6 @@ type ChipletSpec struct {
 type HeteroConfig struct {
 	InterposerW, InterposerH int
 	Chiplets                 []ChipletSpec
-	LinkLatency              int
 	Seed                     uint64
 }
 
@@ -34,9 +33,6 @@ type HeteroConfig struct {
 func (c HeteroConfig) Validate() error {
 	if c.InterposerW < 1 || c.InterposerH < 1 {
 		return fmt.Errorf("topology: interposer %dx%d invalid", c.InterposerW, c.InterposerH)
-	}
-	if c.LinkLatency < 1 {
-		return fmt.Errorf("topology: link latency must be >= 1")
 	}
 	if len(c.Chiplets) == 0 {
 		return fmt.Errorf("topology: no chiplets")
@@ -91,7 +87,7 @@ func BuildHetero(c HeteroConfig) (*Topology, error) {
 			t.Interposer = append(t.Interposer, newNode(InterposerRouter, InterposerChiplet, x, y))
 		}
 	}
-	meshLinks(t, t.Interposer, c.InterposerW, c.InterposerH, c.LinkLatency)
+	meshLinks(t, t.Interposer, c.InterposerW, c.InterposerH)
 
 	for ci, sp := range c.Chiplets {
 		ch := Chiplet{Index: ci, Width: sp.W, Height: sp.H}
@@ -100,7 +96,7 @@ func BuildHetero(c HeteroConfig) (*Topology, error) {
 				ch.Routers = append(ch.Routers, newNode(ChipletRouter, ci, x, y))
 			}
 		}
-		meshLinks(t, ch.Routers, sp.W, sp.H, c.LinkLatency)
+		meshLinks(t, ch.Routers, sp.W, sp.H)
 
 		region := make([]NodeID, 0, sp.RegionW*sp.RegionH)
 		for ry := 0; ry < sp.RegionH; ry++ {
@@ -118,7 +114,7 @@ func BuildHetero(c HeteroConfig) (*Topology, error) {
 			} else {
 				ip = region[bi%len(region)]
 			}
-			t.addLink(ip, b, Up, c.LinkLatency, true)
+			t.addLink(ip, b, Up, true)
 			t.Nodes[ip].BoundBoundary = b
 		}
 		t.Chiplets = append(t.Chiplets, ch)
@@ -139,8 +135,7 @@ func BuildHetero(c HeteroConfig) (*Topology, error) {
 func HeteroExampleConfig() HeteroConfig {
 	return HeteroConfig{
 		InterposerW: 4, InterposerH: 4,
-		LinkLatency: 1,
-		Seed:        1,
+		Seed: 1,
 		Chiplets: []ChipletSpec{
 			{W: 6, H: 4, Boundary: 4, RegionX: 0, RegionY: 0, RegionW: 2, RegionH: 2},
 			{W: 4, H: 4, Boundary: 4, RegionX: 2, RegionY: 0, RegionW: 2, RegionH: 2},

@@ -15,9 +15,9 @@ import (
 //
 // The bridged tiles form one global interposer mesh with global
 // coordinates, so the existing XY layer routing applies unchanged; the
-// hierarchy shows up only as the longer InterTileLatency on the bridging
-// links (a 2.5D-of-2.5D package crossing) and in how chiplet regions are
-// laid out (regions never straddle a tile border).
+// hierarchy shows up only in how chiplet regions are laid out (regions
+// never straddle a tile border). Every link, bridges included, has the
+// one link latency of Table II.
 type ScaleConfig struct {
 	// Tile grid dimensions (interposer tiles).
 	TilesX, TilesY int
@@ -31,11 +31,6 @@ type ScaleConfig struct {
 	// BoundaryPerChiplet is the number of boundary routers (and vertical
 	// links) per chiplet.
 	BoundaryPerChiplet int
-	// LinkLatency in cycles for intra-tile and chiplet links.
-	LinkLatency int
-	// InterTileLatency in cycles for the links bridging adjacent tiles.
-	// Ignored (may be zero) for a 1x1 tile grid.
-	InterTileLatency int
 	// Seed drives random tie-breaking in the static binding (Sec. V-D).
 	Seed uint64
 }
@@ -49,7 +44,6 @@ func ScaleSmallConfig() ScaleConfig {
 		ChipletsX: 4, ChipletsY: 4,
 		ChipletW: 4, ChipletH: 4,
 		BoundaryPerChiplet: 4,
-		LinkLatency:        1,
 		Seed:               1,
 	}
 }
@@ -59,7 +53,6 @@ func ScaleSmallConfig() ScaleConfig {
 func ScaleLargeConfig() ScaleConfig {
 	c := ScaleSmallConfig()
 	c.TilesX, c.TilesY = 2, 2
-	c.InterTileLatency = 4
 	return c
 }
 
@@ -68,7 +61,6 @@ func ScaleLargeConfig() ScaleConfig {
 func ScaleHugeConfig() ScaleConfig {
 	c := ScaleSmallConfig()
 	c.TilesX, c.TilesY = 4, 4
-	c.InterTileLatency = 4
 	return c
 }
 
@@ -121,11 +113,6 @@ func (c ScaleConfig) Validate() error {
 		return fmt.Errorf("topology: need at least one boundary router per chiplet")
 	case c.BoundaryPerChiplet > 2*(c.ChipletW+c.ChipletH)-4:
 		return fmt.Errorf("topology: %d boundary routers exceed chiplet perimeter", c.BoundaryPerChiplet)
-	case c.LinkLatency < 1:
-		return fmt.Errorf("topology: link latency must be >= 1")
-	case (c.TilesX > 1 || c.TilesY > 1) && c.InterTileLatency < 1:
-		return fmt.Errorf("topology: inter-tile latency must be >= 1 for a %dx%d tile grid",
-			c.TilesX, c.TilesY)
 	}
 	return nil
 }
@@ -236,33 +223,14 @@ func BuildScale(c ScaleConfig) (*Topology, error) {
 	}
 
 	// Global interposer mesh, row-major in global coordinates. Mesh edges
-	// that cross a tile border are the inter-tile bridges and carry
-	// InterTileLatency.
+	// that cross a tile border are the inter-tile bridges.
 	t.Interposer = make([]NodeID, 0, numInterposer)
 	for y := 0; y < gh; y++ {
 		for x := 0; x < gw; x++ {
 			t.Interposer = append(t.Interposer, newNode(InterposerRouter, InterposerChiplet, x, y))
 		}
 	}
-	latencyOf := func(sameTile bool) int {
-		if sameTile {
-			return c.LinkLatency
-		}
-		return c.InterTileLatency
-	}
-	for y := 0; y < gh; y++ {
-		for x := 0; x < gw; x++ {
-			n := t.Interposer[y*gw+x]
-			if x+1 < gw {
-				t.addLink(n, t.Interposer[y*gw+x+1], East,
-					latencyOf(x/c.TileW == (x+1)/c.TileW), false)
-			}
-			if y+1 < gh {
-				t.addLink(n, t.Interposer[(y+1)*gw+x], North,
-					latencyOf(y/c.TileH == (y+1)/c.TileH), false)
-			}
-		}
-	}
+	meshLinks(t, t.Interposer, gw, gh)
 
 	// Chiplets, in global chiplet-grid row-major order: chiplet index ci
 	// sits at grid position (ci%gridW, ci/gridW).
@@ -276,7 +244,7 @@ func BuildScale(c ScaleConfig) (*Topology, error) {
 				ch.Routers = append(ch.Routers, newNode(ChipletRouter, ci, x, y))
 			}
 		}
-		meshLinks(t, ch.Routers, c.ChipletW, c.ChipletH, c.LinkLatency)
+		meshLinks(t, ch.Routers, c.ChipletW, c.ChipletH)
 
 		ch.Boundary = make([]NodeID, 0, c.BoundaryPerChiplet)
 		for bi, pos := range boundaryLocal {
@@ -285,7 +253,7 @@ func BuildScale(c ScaleConfig) (*Topology, error) {
 			ch.Boundary = append(ch.Boundary, b)
 			ix, iy := upAt(gx, gy, bi)
 			ip := t.InterposerAt(ix, iy)
-			t.addLink(ip, b, Up, c.LinkLatency, true)
+			t.addLink(ip, b, Up, true)
 			t.Nodes[ip].BoundBoundary = b
 		}
 		t.Chiplets = append(t.Chiplets, ch)

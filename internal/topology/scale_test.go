@@ -22,8 +22,6 @@ func TestBuildScaleTable(t *testing.T) {
 			ChipletsX: 4, ChipletsY: 2,
 			ChipletW: 4, ChipletH: 4,
 			BoundaryPerChiplet: 2,
-			LinkLatency:        1,
-			InterTileLatency:   3,
 			Seed:               7,
 		}},
 	}
@@ -116,35 +114,6 @@ func TestBuildScaleTable(t *testing.T) {
 	}
 }
 
-// TestBuildScaleInterTileLatency pins that exactly the mesh edges crossing
-// a tile border carry InterTileLatency and everything else LinkLatency.
-func TestBuildScaleInterTileLatency(t *testing.T) {
-	cfg := ScaleLargeConfig()
-	topo := MustBuildScale(cfg)
-	gw, _ := cfg.InterposerDims()
-	bridges := 0
-	for _, l := range topo.Links {
-		a, b := topo.Node(l.A), topo.Node(l.B)
-		cross := false
-		if !l.Vertical && a.Chiplet == InterposerChiplet && b.Chiplet == InterposerChiplet {
-			cross = a.X/cfg.TileW != b.X/cfg.TileW || a.Y/cfg.TileH != b.Y/cfg.TileH
-		}
-		want := cfg.LinkLatency
-		if cross {
-			want = cfg.InterTileLatency
-			bridges++
-		}
-		if l.Latency != want {
-			t.Fatalf("link %d (%d-%d) latency %d, want %d", l.ID, l.A, l.B, l.Latency, want)
-		}
-	}
-	// 2x2 tiles of 16x16: one vertical border of height 32 plus one
-	// horizontal border of width 32.
-	if want := gw + gw; bridges != want {
-		t.Errorf("inter-tile bridge links = %d, want %d", bridges, want)
-	}
-}
-
 // TestBuildScaleMatchesBuild: Build is BuildScale on one tile, so the
 // uniform builder is held to an independent one — the same system spelled
 // as uniform ChipletSpecs and built by BuildHetero must match it node for
@@ -154,7 +123,7 @@ func TestBuildScaleMatchesBuild(t *testing.T) {
 	crowded := StarConfig()
 	crowded.BoundaryPerChiplet = 4 // four up links onto a one-router region
 	for _, sys := range []SystemConfig{BaselineConfig(), LargeConfig(), StarConfig(), crowded} {
-		het := HeteroConfig{InterposerW: sys.InterposerW, InterposerH: sys.InterposerH, LinkLatency: sys.LinkLatency, Seed: sys.Seed}
+		het := HeteroConfig{InterposerW: sys.InterposerW, InterposerH: sys.InterposerH, Seed: sys.Seed}
 		regionW, regionH := sys.InterposerW/sys.ChipletsX, sys.InterposerH/sys.ChipletsY
 		for gy := 0; gy < sys.ChipletsY; gy++ {
 			for gx := 0; gx < sys.ChipletsX; gx++ {
@@ -207,10 +176,9 @@ func TestBuildScaleFast(t *testing.T) {
 // TestBuildScaleErrors pins config validation.
 func TestBuildScaleErrors(t *testing.T) {
 	bad := []ScaleConfig{
-		{TilesX: 0, TilesY: 1, TileW: 4, TileH: 4, ChipletsX: 1, ChipletsY: 1, ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 1, LinkLatency: 1},
-		{TilesX: 1, TilesY: 1, TileW: 5, TileH: 4, ChipletsX: 2, ChipletsY: 1, ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 1, LinkLatency: 1},
-		{TilesX: 2, TilesY: 2, TileW: 4, TileH: 4, ChipletsX: 1, ChipletsY: 1, ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 1, LinkLatency: 1, InterTileLatency: 0},
-		{TilesX: 1, TilesY: 1, TileW: 4, TileH: 4, ChipletsX: 1, ChipletsY: 1, ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 9, LinkLatency: 1},
+		{TilesX: 0, TilesY: 1, TileW: 4, TileH: 4, ChipletsX: 1, ChipletsY: 1, ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 1},
+		{TilesX: 1, TilesY: 1, TileW: 5, TileH: 4, ChipletsX: 2, ChipletsY: 1, ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 1},
+		{TilesX: 1, TilesY: 1, TileW: 4, TileH: 4, ChipletsX: 1, ChipletsY: 1, ChipletW: 2, ChipletH: 2, BoundaryPerChiplet: 9},
 	}
 	for i, cfg := range bad {
 		if _, err := BuildScale(cfg); err == nil {

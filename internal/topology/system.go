@@ -21,8 +21,6 @@ type SystemConfig struct {
 	// BoundaryPerChiplet is the number of boundary routers (and vertical
 	// links) per chiplet. Fig. 10 sweeps this over {2, 4, 8}.
 	BoundaryPerChiplet int
-	// LinkLatency in cycles for every link (Table II: 1).
-	LinkLatency int
 	// Seed drives random tie-breaking in the static binding (Sec. V-D).
 	Seed uint64
 }
@@ -36,7 +34,6 @@ func BaselineConfig() SystemConfig {
 		ChipletW: 4, ChipletH: 4,
 		ChipletsX: 2, ChipletsY: 2,
 		BoundaryPerChiplet: 4,
-		LinkLatency:        1,
 		Seed:               1,
 	}
 }
@@ -49,7 +46,6 @@ func LargeConfig() SystemConfig {
 		ChipletW: 4, ChipletH: 4,
 		ChipletsX: 4, ChipletsY: 2,
 		BoundaryPerChiplet: 4,
-		LinkLatency:        1,
 		Seed:               1,
 	}
 }
@@ -65,7 +61,6 @@ func StarConfig() SystemConfig {
 		ChipletW: 4, ChipletH: 4,
 		ChipletsX: 2, ChipletsY: 2,
 		BoundaryPerChiplet: 1, // one link from each chiplet to the hub
-		LinkLatency:        1,
 		Seed:               1,
 	}
 }
@@ -86,8 +81,6 @@ func (c SystemConfig) Validate() error {
 		return fmt.Errorf("topology: need at least one boundary router per chiplet")
 	case c.BoundaryPerChiplet > 2*(c.ChipletW+c.ChipletH)-4:
 		return fmt.Errorf("topology: %d boundary routers exceed chiplet perimeter", c.BoundaryPerChiplet)
-	case c.LinkLatency < 1:
-		return fmt.Errorf("topology: link latency must be >= 1")
 	}
 	return nil
 }
@@ -104,7 +97,6 @@ func Build(c SystemConfig) (*Topology, error) {
 		ChipletsX: c.ChipletsX, ChipletsY: c.ChipletsY,
 		ChipletW: c.ChipletW, ChipletH: c.ChipletH,
 		BoundaryPerChiplet: c.BoundaryPerChiplet,
-		LinkLatency:        c.LinkLatency,
 		Seed:               c.Seed,
 	})
 }
@@ -120,16 +112,16 @@ func MustBuild(c SystemConfig) *Topology {
 }
 
 // meshLinks wires a W x H mesh over nodes (row-major).
-func meshLinks(t *Topology, nodes []NodeID, w, h, latency int) {
+func meshLinks(t *Topology, nodes []NodeID, w, h int) {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			n := nodes[y*w+x]
 			if x+1 < w {
-				t.addLink(n, nodes[y*w+x+1], East, latency, false)
+				t.addLink(n, nodes[y*w+x+1], East, false)
 			}
 			if y+1 < h {
 				// Larger y is "north" of smaller y in our convention.
-				t.addLink(n, nodes[(y+1)*w+x], North, latency, false)
+				t.addLink(n, nodes[(y+1)*w+x], North, false)
 			}
 		}
 	}

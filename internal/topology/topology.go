@@ -121,7 +121,6 @@ type Link struct {
 	A, B     NodeID
 	APort    PortID
 	BPort    PortID
-	Latency  int
 	Vertical bool
 	Faulty   bool
 	// Down marks a transient outage (fault injection): the link exists in
@@ -266,7 +265,7 @@ func (t *Topology) InterposerUnder(b NodeID) NodeID {
 
 // addLink wires a bidirectional link between a and b with the given
 // directions as seen from a.
-func (t *Topology) addLink(a, b NodeID, dirFromA Direction, latency int, vertical bool) *Link {
+func (t *Topology) addLink(a, b NodeID, dirFromA Direction, vertical bool) *Link {
 	var l *Link
 	if cap(t.linkArena) > len(t.linkArena) {
 		// Arena-backed (BuildScale): the pointer stays valid because the
@@ -280,7 +279,6 @@ func (t *Topology) addLink(a, b NodeID, dirFromA Direction, latency int, vertica
 		ID:       len(t.Links),
 		A:        a,
 		B:        b,
-		Latency:  latency,
 		Vertical: vertical,
 	}
 	na, nb := t.Node(a), t.Node(b)

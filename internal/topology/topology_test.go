@@ -75,7 +75,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *topology.SystemConfig) { c.ChipletsX = 3 }, // 4 % 3 != 0
 		func(c *topology.SystemConfig) { c.BoundaryPerChiplet = 0 },
 		func(c *topology.SystemConfig) { c.BoundaryPerChiplet = 100 },
-		func(c *topology.SystemConfig) { c.LinkLatency = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := topology.BaselineConfig()
@@ -220,7 +219,6 @@ func TestArbitraryConfigs(t *testing.T) {
 			ChipletH:    int(chh%3) + 2,
 			ChipletsX:   2,
 			ChipletsY:   2,
-			LinkLatency: 1,
 			Seed:        seed,
 		}
 		if cfg.InterposerW%cfg.ChipletsX != 0 || cfg.InterposerH%cfg.ChipletsY != 0 {

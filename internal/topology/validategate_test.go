@@ -10,7 +10,7 @@ import "testing"
 func injectDuplicateVerticalLink(t *Topology) {
 	b := t.Chiplets[0].Boundary[0]
 	ip := t.InterposerUnder(b)
-	t.addLink(ip, b, Up, 1, true)
+	t.addLink(ip, b, Up, true)
 	t.finish()
 }
 
