@@ -64,12 +64,18 @@ bench-pairs:
 # colour grey: every dependency graph (the deadlock certificate,
 # composable's CDG, the reconfiguration union CDG) is searched by the one
 # routing.FindCycle, whose three grey lines are the ceiling, so a second
-# cycle search shows up as a number. Last, the lines that select a deleted
+# cycle search shows up as a number. Then the lines that select a deleted
 # setting: link latency (router.LinkDelay), the ejection depth, UPP's
 # signal hardening (on exactly when a fault injector is attached) and the
 # remote-control and coherence parameters are constants that no run varies,
-# so a knob grown back shows up as a number. The target fails when a count
-# exceeds its ceiling; CI's test job runs it.
+# so a knob grown back shows up as a number. Then the non-test lines of
+# internal/, cmd/ and examples/ that name a deleted one-scheme hook
+# (OnFlitArrived, OnPacketEjected, a Policy method, composable's
+# NewScheme): what only one scheme varies is data it installs in Attach or
+# a network-defined SchemeCall, not a Scheme method. Last, BaseScheme's
+# no-op stubs in scheme.go: the methods every scheme without that hook
+# pads out. The target fails when a count exceeds its ceiling; CI's test
+# job runs it.
 SNAPSHOT_LINES = 1544
 DELETED_SETTINGS = \.LinkLatency\b|\.InterTileLatency|\.EjectionDepth|\.SignalTimeout|\.MaxSignalRetries|SlotsPerBoundary|HandshakeRTT|\.MSHRs|remotectl\.Config|coherence\.Config
 loc:
@@ -105,6 +111,12 @@ loc:
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '$(DELETED_SETTINGS)'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'deleted settings' $$n 0; \
 		[ $$n -le 0 ]
+	@n=$$(find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'OnFlitArrived\|OnPacketEjected\|) Policy() routing\|NewScheme('); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'one-scheme hooks' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(grep -c '^func (BaseScheme)' internal/network/scheme.go); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'BaseScheme stubs' $$n 7; \
+		[ $$n -le 7 ]
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact

@@ -7,10 +7,8 @@ import (
 	"fmt"
 
 	"uppnoc/internal/coherence"
-	"uppnoc/internal/composable"
-	"uppnoc/internal/core"
+	"uppnoc/internal/experiments"
 	"uppnoc/internal/network"
-	"uppnoc/internal/remotectl"
 	"uppnoc/internal/topology"
 )
 
@@ -22,24 +20,15 @@ func main() {
 	bench = bench.Scale(0.25) // shrink the access quota for a quick demo
 
 	type result struct {
-		name    string
+		name    experiments.SchemeName
 		runtime int64
 	}
 	var results []result
-	for _, name := range []string{"composable", "remote_control", "upp"} {
+	for _, name := range experiments.ComparedSchemes() {
 		topo := topology.MustBuild(topology.BaselineConfig())
-		var scheme network.Scheme
-		switch name {
-		case "composable":
-			s, err := composable.NewScheme(topo)
-			if err != nil {
-				panic(err)
-			}
-			scheme = s
-		case "remote_control":
-			scheme = remotectl.New()
-		case "upp":
-			scheme = core.New(core.DefaultConfig())
+		scheme, err := experiments.MakeScheme(name, topo)
+		if err != nil {
+			panic(err)
 		}
 		net := network.MustNew(topo, network.DefaultConfig(), scheme)
 		sys, err := coherence.New(net, bench, 3)

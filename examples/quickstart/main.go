@@ -20,7 +20,8 @@ func main() {
 		topo.NumNodes(), len(topo.Cores()), len(topo.Interposer), len(topo.VerticalLinks()))
 
 	// 2. A network with UPP attached. Swap core.New for
-	// composable.NewScheme or remotectl.New to compare approaches.
+	// composable.BuildTables (composable routing's tables are its scheme)
+	// or remotectl.New to compare approaches.
 	cfg := network.DefaultConfig() // 3 VNets, 1 VC each, 4-flit buffers
 	upp := core.New(core.DefaultConfig())
 	net := network.MustNew(topo, cfg, upp)

@@ -221,7 +221,7 @@ func TestSchemeRuntimeOrdering(t *testing.T) {
 	}
 	uppRT := run(func(*topology.Topology) network.Scheme { return upp.New(upp.DefaultConfig()) })
 	compRT := run(func(tp *topology.Topology) network.Scheme {
-		s, err := composable.NewScheme(tp)
+		s, err := composable.BuildTables(tp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,8 +37,12 @@ type Turn struct {
 }
 
 // Tables holds the channel-indexed routing tables and the restriction set
-// that makes them deadlock-free.
+// that makes them deadlock-free. It is composable routing's network.Scheme:
+// at run time the scheme is nothing but these tables as the route override.
+// The tables are immutable, so one value serves every network built over an
+// identical topology.
 type Tables struct {
+	network.BaseScheme
 	topo     *topology.Topology
 	chanBase []int32
 	numChan  int
@@ -370,26 +374,9 @@ func (tb *Tables) dependencyCycle() []Turn {
 	return turns
 }
 
-// Scheme plugs composable routing into the network.
-type Scheme struct {
-	network.BaseScheme
-	tables *Tables
-}
-
-// NewScheme builds the restriction set and routing tables for t.
-func NewScheme(t *topology.Topology) (*Scheme, error) {
-	tb, err := BuildTables(t)
-	if err != nil {
-		return nil, err
-	}
-	return &Scheme{tables: tb}, nil
-}
-
 // Name implements network.Scheme.
-func (s *Scheme) Name() string { return "composable" }
+func (tb *Tables) Name() string { return "composable" }
 
-// Attach implements network.Scheme.
-func (s *Scheme) Attach(n *network.Network) { n.SetRouteOverride(s.tables.Route) }
-
-// Tables exposes the built tables (reports and tests).
-func (s *Scheme) Tables() *Tables { return s.tables }
+// Attach implements network.Scheme: the tables replace the network's
+// routing.
+func (tb *Tables) Attach(n *network.Network) { n.SetRouteOverride(tb.Route) }

@@ -39,9 +39,9 @@ func TestBuildTablesBaseline(t *testing.T) {
 
 func TestComposableDeadlockFreeUnderLoad(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
-	s, err := composable.NewScheme(topo)
+	s, err := composable.BuildTables(topo)
 	if err != nil {
-		t.Fatalf("NewScheme: %v", err)
+		t.Fatalf("BuildTables: %v", err)
 	}
 	n := network.MustNew(topo, network.DefaultConfig(), s)
 	g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.10, 42)

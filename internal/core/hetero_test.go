@@ -31,7 +31,7 @@ func TestHeterogeneousSystemAllSchemes(t *testing.T) {
 			return core.New(core.DefaultConfig()), nil
 		}},
 		{"composable", func(tp *topology.Topology) (network.Scheme, error) {
-			return composable.NewScheme(tp)
+			return composable.BuildTables(tp)
 		}},
 		{"remote_control", func(*topology.Topology) (network.Scheme, error) {
 			return remotectl.New(), nil

@@ -287,13 +287,11 @@ func (u *UPP) Name() string { return "upp" }
 // (threshold sweeps and configuration-propagation tests).
 func (u *UPP) Config() Config { return u.cfg }
 
-// Policy implements network.Scheme — UPP uses the static binding unless
-// an ablation binding was configured.
-func (u *UPP) Policy() routing.BoundaryPolicy { return u.policy }
-
-// Attach implements network.Scheme.
+// Attach implements network.Scheme. UPP installs its boundary policy: the
+// static binding unless an ablation binding was configured.
 func (u *UPP) Attach(n *network.Network) {
 	u.net = n
+	n.SetBoundaryPolicy(u.policy)
 	u.destBits = message.DestBits(n.Topo.NumNodes())
 	u.nodes = make([]nodeState, n.Topo.NumNodes())
 	u.tokens = make([][message.NumVNets]uint64, len(n.Topo.Chiplets))
@@ -801,9 +799,11 @@ func (u *UPP) CheckRetired(id topology.NodeID) error {
 // no-op until some event wakes a router.
 func (u *UPP) Inert() bool { return len(u.popups) == 0 }
 
-// Diagnostic implements network.Scheme: the deadlock watchdog's view of
-// live popup FSMs and held tokens (embedded in Network.Drain's
-// StallDiagnostic).
+// UPP offers the deadlock watchdog its protocol state.
+var _ interface{ Diagnostic() string } = (*UPP)(nil)
+
+// Diagnostic is the deadlock watchdog's view of live popup FSMs and held
+// tokens (embedded in Network.Drain's StallDiagnostic).
 func (u *UPP) Diagnostic() string {
 	if len(u.popups) == 0 {
 		return ""
@@ -865,6 +865,15 @@ func (u *UPP) OnScheduledCall(c network.SchemeCall, cycle sim.Cycle) {
 		l.ready = cycle // circuit switching: movable the cycle it lands
 	case network.CallReservationGranted:
 		u.reservationGranted(c.Node, c.A, message.VNet(c.B), cycle)
+	case network.CallPopupEjected:
+		// A fully ejected popup packet completes its recovery. Popup packets
+		// never eject through the normal router datapath (requestOf skips
+		// popup flits in the destination chiplet; popup ejection is
+		// EjectDirect from StartOfCycle), so this call only ever comes from
+		// the coordinator.
+		if p := u.popups[c.A]; p != nil && p.holds(c.Flit.Pkt) {
+			u.completePopup(p, cycle)
+		}
 	default:
 		panic(fmt.Sprintf("upp: unknown scheduled call kind %d", c.Kind))
 	}
@@ -884,24 +893,6 @@ func (u *UPP) reservationGranted(node topology.NodeID, id uint64, vnet message.V
 	}
 	pp.ackLaunched = true
 	u.launchAck(pp, cycle)
-}
-
-// OnPacketEjected implements network.Scheme: a fully ejected popup packet
-// completes its recovery. Popup packets never eject through the normal
-// router datapath (requestOf skips popup flits in the destination
-// chiplet; popup ejection is EjectDirect from StartOfCycle), so under
-// the parallel kernel this hook only ever fires from the coordinator —
-// either directly or via the commit-phase replay of a deferred
-// non-popup ejection, which returns immediately here.
-func (u *UPP) OnPacketEjected(_ *network.NI, pkt *message.Packet, cycle sim.Cycle) {
-	if !pkt.Popup {
-		return
-	}
-	p := u.popups[pkt.PopupID]
-	if p == nil || !p.holds(pkt) {
-		return
-	}
-	u.completePopup(p, cycle)
 }
 
 // completePopup tears down circuit state, releases stranded VCs, frees the

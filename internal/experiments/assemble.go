@@ -235,7 +235,7 @@ func Assemble(spec RunSpec) (*Sim, error) {
 // structure is identical for equal configs).
 var (
 	composableMu    sync.Mutex
-	composableCache = map[topology.SystemConfig]*composable.Scheme{}
+	composableCache = map[topology.SystemConfig]*composable.Tables{}
 )
 
 // cachedScheme is MakeScheme for a topology built from cfg with nothing
@@ -249,7 +249,7 @@ func cachedScheme(cfg topology.SystemConfig, name SchemeName, topo *topology.Top
 	if s, ok := composableCache[cfg]; ok {
 		return s, nil
 	}
-	s, err := composable.NewScheme(topo)
+	s, err := composable.BuildTables(topo)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func ComparedSchemes() []SchemeName {
 func MakeScheme(name SchemeName, topo *topology.Topology) (network.Scheme, error) {
 	switch name {
 	case SchemeComposable:
-		return composable.NewScheme(topo)
+		return composable.BuildTables(topo)
 	case SchemeRemoteControl:
 		return remotectl.New(), nil
 	case SchemeUPP:

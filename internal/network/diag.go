@@ -14,9 +14,9 @@ import (
 // everything needed to understand the wedge without re-running: where the
 // flits sit (per-VNet counts and the occupancy render), what the vertical
 // links see (the quantity UPP's detection watches), and the attached
-// scheme's live protocol state via the Diagnostic hook. All fields derive
-// purely from simulation state, so fixed-seed runs produce bit-identical
-// diagnostics across the three cycle kernels.
+// scheme's live protocol state via its optional Diagnostic method. All
+// fields derive purely from simulation state, so fixed-seed runs produce
+// bit-identical diagnostics across the three cycle kernels.
 type StallDiagnostic struct {
 	Cycle      sim.Cycle
 	StallLimit sim.Cycle
@@ -29,9 +29,9 @@ type StallDiagnostic struct {
 	// Occupancy and UpPorts are the render.go snapshots.
 	Occupancy string
 	UpPorts   string
-	// SchemeName/SchemeState are the attached scheme and its Diagnostic
-	// output (live popup FSMs for UPP; empty for schemes with no
-	// protocol state).
+	// SchemeName/SchemeState are the attached scheme and the output of its
+	// optional `Diagnostic() string` method (live popup FSMs for UPP; empty
+	// for schemes without one or with no protocol state).
 	SchemeName  string
 	SchemeState string
 	// RouteEpoch is the current routing epoch; ReconfigPending marks a
@@ -75,10 +75,12 @@ func (n *Network) stallDiagnostic(stallLimit sim.Cycle) *StallDiagnostic {
 		Occupancy:       n.RenderOccupancy(),
 		UpPorts:         n.RenderUpPorts(),
 		SchemeName:      n.scheme.Name(),
-		SchemeState:     n.scheme.Diagnostic(),
 		RouteEpoch:      n.routeEpoch,
 		ReconfigPending: n.prevHier != nil || n.injectHold || n.fencedLinks > 0,
 		OldEpochLive:    n.OldEpochLive(),
+	}
+	if sd, ok := n.scheme.(interface{ Diagnostic() string }); ok {
+		d.SchemeState = sd.Diagnostic()
 	}
 	nvc := n.Cfg.Router.NumVCs()
 	for _, r := range n.Routers {

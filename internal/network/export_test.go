@@ -1,6 +1,9 @@
 package network
 
-import "uppnoc/internal/topology"
+import (
+	"uppnoc/internal/sim"
+	"uppnoc/internal/topology"
+)
 
 // WheelBuffers counts the event buffers the wheel owns: one per slot that
 // holds events plus the drained ones on the free stack.
@@ -27,3 +30,9 @@ func NewUnpooled(t *topology.Topology, cfg Config, scheme Scheme) (*Network, err
 
 // EjectionDepth is the per-VNet ejection queue capacity in packets.
 const EjectionDepth = ejectionDepth
+
+// StallDiagnosticNow is the watchdog report Drain would return for the
+// current state after stallLimit cycles without an ejection.
+func (n *Network) StallDiagnosticNow(stallLimit sim.Cycle) *StallDiagnostic {
+	return n.stallDiagnostic(stallLimit)
+}

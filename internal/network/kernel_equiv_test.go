@@ -32,7 +32,7 @@ func kernelRun(t *testing.T, kernel, arch, scheme string, rate float64, cycles i
 	case "remote_control":
 		sch = remotectl.New()
 	case "composable":
-		sch, err = composable.NewScheme(topo)
+		sch, err = composable.BuildTables(topo)
 	case "none":
 		sch = network.None{}
 	default:

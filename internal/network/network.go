@@ -124,8 +124,7 @@ type event struct {
 	delta int8
 	free  bool
 	// aux indexes callWheel[slot] for an evSchemeCall event (the payload
-	// stays out so the struct is 32 bytes); for an evFlit event the
-	// parallel kernel's pre-pass parks the OnFlitArrived delay in it.
+	// stays out so the struct is 32 bytes).
 	aux  int32
 	flit message.Flit
 }
@@ -156,6 +155,14 @@ type Network struct {
 	hier          *routing.Hierarchical
 	routeOverride router.RouteFunc
 	rng           *sim.RNG
+	// What a scheme installs in Attach besides routeOverride: the egress
+	// boundary selection stamped on every enqueued packet, the extra
+	// buffer-write delay of an inter-chiplet flit entering a boundary
+	// router, and the gate on starting a packet's injection (nil admits
+	// every packet).
+	policy        routing.BoundaryPolicy
+	crossingDelay sim.Cycle
+	injectGate    func(p *message.Packet, cycle sim.Cycle) bool
 
 	cycle sim.Cycle
 	// wheel holds the pending events by delivery cycle. A slot owns a
@@ -231,8 +238,10 @@ type Network struct {
 	restoring bool
 }
 
-// New builds a network over t with the given scheme. The scheme's boundary
-// policy governs egress selection; its hooks are wired into the cycle loop.
+// New builds a network over t with the given scheme: its hooks are wired
+// into the cycle loop, and its Attach installs what it varies of the
+// datapath (the egress boundary policy defaults to the paper's static
+// binding).
 func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -242,6 +251,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 		Cfg:    cfg,
 		scheme: scheme,
 		rng:    sim.NewRNG(cfg.Seed),
+		policy: routing.DefaultPolicy{},
 	}
 	n.kernel = cfg.Kernel
 	if n.kernel == "" {
@@ -345,6 +355,35 @@ func (n *Network) Hier() *routing.Hierarchical { return n.hier }
 // tables). Schemes call it from Attach.
 func (n *Network) SetRouteOverride(f router.RouteFunc) { n.routeOverride = f }
 
+// SetBoundaryPolicy replaces the static binding as the egress boundary
+// selection of packets enqueued from now on (UPP's ablation bindings).
+// Schemes call it from Attach.
+func (n *Network) SetBoundaryPolicy(p routing.BoundaryPolicy) { n.policy = p }
+
+// SetCrossingDelay charges d extra cycles to the buffer write of every
+// flit of an inter-chiplet packet that enters a boundary router (remote
+// control's separate VC-allocation stage there). Schemes call it from
+// Attach.
+func (n *Network) SetCrossingDelay(d sim.Cycle) { n.crossingDelay = d }
+
+// SetInjectionGate makes an NI start injecting the packet at the front of
+// an injection queue only once gate returns true; it is asked once per
+// cycle until then (remote control's injection control). Schemes call it
+// from Attach.
+func (n *Network) SetInjectionGate(gate func(p *message.Packet, cycle sim.Cycle) bool) {
+	n.injectGate = gate
+}
+
+// arrivalDelay is the extra buffer-write delay of a flit of p at node: the
+// crossing delay when an inter-chiplet packet enters a boundary router.
+func (n *Network) arrivalDelay(node topology.NodeID, p *message.Packet) sim.Cycle {
+	if n.crossingDelay != 0 && p.EgressBoundary != topology.InvalidNode &&
+		n.Topo.Nodes[node].Kind == topology.BoundaryRouter {
+		return n.crossingDelay
+	}
+	return 0
+}
+
 // Route computes the output port for p at router cur with input port
 // inPort — the same function the routers' route-computation stage uses.
 // Scheme plugins route protocol signals and popup paths with it.
@@ -430,7 +469,7 @@ func (n *Network) prepare(p *message.Packet) {
 	if p.ID == 0 {
 		p.ID = n.NewPacketID()
 	}
-	routing.Prepare(n.Topo, p, n.scheme.Policy())
+	routing.Prepare(n.Topo, p, n.policy)
 }
 
 // ScheduleCall delivers c to the scheme's OnScheduledCall hook at the
@@ -683,9 +722,8 @@ func (n *Network) deliverEvents(cycle sim.Cycle) {
 		e := &events[i]
 		switch e.kind {
 		case evFlit:
-			delay := n.scheme.OnFlitArrived(e.to, e.port, e.flit, cycle)
 			n.routers.add(e.to)
-			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+delay)
+			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+n.arrivalDelay(e.to, e.flit.Pkt))
 			// Drop the packet pointer: the buffer is reused at its grown
 			// capacity, and a retained entry would pin a released packet.
 			e.flit.Pkt = nil

@@ -231,7 +231,7 @@ func (ni *NI) injectStep(cycle sim.Cycle) {
 			continue
 		}
 		p := ni.injQ[v].Front()
-		if !ni.net.scheme.CanStartPacket(ni, p, cycle) {
+		if gate := ni.net.injectGate; gate != nil && !gate(p, cycle) {
 			continue
 		}
 		vc := ni.pickFreeVC(message.VNet(v))
@@ -356,7 +356,11 @@ func (ni *NI) AcceptFlit(f message.Flit, arrival sim.Cycle) {
 	ni.complete = append(ni.complete, completed{pkt: p, ready: arrival})
 	ni.net.wakeNI(ni.Node)
 	ni.net.recordEjected(p, arrival)
-	ni.net.scheme.OnPacketEjected(ni, p, arrival)
+	if p.Popup {
+		ni.net.scheme.OnScheduledCall(SchemeCall{
+			Kind: CallPopupEjected, Node: ni.Node, A: p.PopupID, Flit: f, HasFlit: true,
+		}, arrival)
+	}
 }
 
 // asmAdd records one arrived flit of p, claiming a reassembly slot on

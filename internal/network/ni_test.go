@@ -15,25 +15,23 @@ func newIdleNet(t *testing.T) *network.Network {
 	return network.MustNew(topo, network.DefaultConfig(), network.None{})
 }
 
-// grantLog is a scheme that records the reservation grants NIs hand back
-// through OnScheduledCall.
+// grantLog is a scheme that records every call NIs hand back through
+// OnScheduledCall (it schedules none itself).
 type grantLog struct {
 	network.BaseScheme
-	grants []network.SchemeCall
+	calls []network.SchemeCall
 }
 
 func (*grantLog) Name() string { return "grant_log" }
 func (g *grantLog) OnScheduledCall(c network.SchemeCall, _ sim.Cycle) {
-	if c.Kind == network.CallReservationGranted {
-		g.grants = append(g.grants, c)
-	}
+	g.calls = append(g.calls, c)
 }
 
 // granted reports whether exactly the reservation (ni, vnet, popupID) was
-// granted, and nothing else.
+// granted, and nothing else was handed to the scheme.
 func (g *grantLog) granted(ni *network.NI, vnet message.VNet, popupID uint64) bool {
 	want := network.SchemeCall{Kind: network.CallReservationGranted, Node: ni.Node, A: popupID, B: uint64(vnet)}
-	return len(g.grants) == 1 && g.grants[0] == want
+	return len(g.calls) == 1 && g.calls[0] == want
 }
 
 func newGrantLogNet(t *testing.T) (*network.Network, *grantLog) {
@@ -84,7 +82,7 @@ func TestReservationWaitsOnFullQueue(t *testing.T) {
 	}
 	ni.RequestReservation(message.VNetResponse, 9, n.Cycle())
 	n.Run(50)
-	if len(log.grants) != 0 {
+	if len(log.calls) != 0 {
 		t.Fatal("granted against a full queue")
 	}
 	blocked = false
@@ -110,7 +108,7 @@ func TestCancelPendingWaiter(t *testing.T) {
 	ni.CancelReservation(message.VNetRequest, 77)
 	ni.Consume = func(*message.Packet, int64) bool { return true }
 	n.Run(200)
-	if len(log.grants) != 0 {
+	if len(log.calls) != 0 {
 		t.Fatal("cancelled waiter was granted")
 	}
 	if got := ni.ReservedEntries(message.VNetRequest); got != 0 {
@@ -152,6 +150,35 @@ func TestPopupFlitConsumesReservation(t *testing.T) {
 	ni.AcceptFlit(message.Flit{Pkt: pkt, Seq: 1}, 2)
 	if got := ni.FreeEjectionEntries(message.VNetResponse); got != before {
 		t.Fatalf("tail flit changed free entries: %d -> %d", before, got)
+	}
+}
+
+// TestOnlyPopupEjectionReachesScheme: a normal packet ejects without a
+// call to the scheme; a popup packet's last flit hands it CallPopupEjected.
+func TestOnlyPopupEjectionReachesScheme(t *testing.T) {
+	n, log := newGrantLogNet(t)
+	cores := n.Topo.Cores()
+	normal := &message.Packet{Src: cores[0], Dst: cores[len(cores)-1], VNet: message.VNetResponse, Size: 5}
+	n.NI(normal.Src).Enqueue(normal, 0)
+	if err := n.Drain(2000, 500); err != nil {
+		t.Fatal(err)
+	}
+	if n.Stats.EjectedPackets != 1 || len(log.calls) != 0 {
+		t.Fatalf("%d packets ejected, scheme handed %+v", n.Stats.EjectedPackets, log.calls)
+	}
+	ni := n.NI(cores[3])
+	ni.RequestReservation(message.VNetResponse, 5, n.Cycle())
+	log.calls = nil
+	pkt := &message.Packet{ID: 99, VNet: message.VNetResponse, Size: 2, Popup: true, PopupID: 5}
+	ni.AcceptFlit(message.Flit{Pkt: pkt, Seq: 0}, 10)
+	if len(log.calls) != 0 {
+		t.Fatalf("popup head handed %+v", log.calls)
+	}
+	tail := message.Flit{Pkt: pkt, Seq: 1}
+	ni.AcceptFlit(tail, 11)
+	want := network.SchemeCall{Kind: network.CallPopupEjected, Node: ni.Node, A: 5, Flit: tail, HasFlit: true}
+	if len(log.calls) != 1 || log.calls[0] != want {
+		t.Fatalf("popup ejection handed %+v, want %+v", log.calls, want)
 	}
 }
 

@@ -5,14 +5,14 @@
 // the awake bitmap — owned by worker b mod Config.Shards for the life of
 // the network; worker 0 is the coordinating goroutine, the others come
 // from a package-level pool. Deliver: after a serial pre-pass over the
-// wheel slot (wakes, OnFlitArrived, NI credits) every worker applies the
-// slot's ReceiveFlit/ReceiveCredit calls to its own routers, in slot
-// order. Step: after the scheme's StartOfCycle every worker steps the
-// awake routers of its blocks in ascending NodeID order; Router.Step's
-// concurrency contract keeps a step to the router's own state, and what
-// else it causes goes to the block's commit log. The commit replays the
-// logs in ascending block order — ascending NodeID order, the order the
-// sequential walk produces the same effects in, whatever the worker count.
+// wheel slot (wakes, NI credits) every worker applies the slot's
+// ReceiveFlit/ReceiveCredit calls to its own routers, in slot order. Step:
+// after the scheme's StartOfCycle every worker steps the awake routers of
+// its blocks in ascending NodeID order; Router.Step's concurrency contract
+// keeps a step to the router's own state, and what else it causes goes to
+// the block's commit log. The commit replays the logs in ascending block
+// order — ascending NodeID order, the order the sequential walk produces
+// the same effects in, whatever the worker count.
 package network
 
 import (
@@ -163,7 +163,6 @@ func (p *parallel) deliver(cycle sim.Cycle) {
 	for i := range events {
 		e := &events[i]
 		if e.kind == evFlit {
-			e.aux = int32(n.scheme.OnFlitArrived(e.to, e.port, e.flit, cycle))
 			n.routers.add(e.to)
 		} else if e.port == topology.LocalPort {
 			n.wakeNI(e.to)
@@ -222,7 +221,7 @@ func (p *parallel) runShare(w int) {
 			continue
 		}
 		if e.kind == evFlit {
-			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+sim.Cycle(e.aux))
+			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+n.arrivalDelay(e.to, e.flit.Pkt))
 		} else if e.port != topology.LocalPort {
 			n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
 		}

@@ -49,11 +49,12 @@ func uppScheme() network.Scheme        { return core.New(core.DefaultConfig()) }
 
 var parallelCases = []parallelCase{
 	// UPP past the saturation knee: detection, signals, circuit drain and
-	// OnPacketEjected completions (slots with SchemeCalls fall back to
+	// CallPopupEjected completions (slots with SchemeCalls fall back to
 	// serial delivery in the middle of parallel ones).
 	{name: "upp", topo: baselineTopo, scheme: uppScheme, pattern: traffic.UniformRandom{}, rate: 0.12, cycles: 4000, popups: true},
 	// Remote control's StartOfCycle reads router occupancy between the
-	// deliver and step phases, and its OnFlitArrived delay rides the event.
+	// deliver and step phases, and the deliver phase's workers charge its
+	// boundary-crossing delay.
 	{name: "remote_control", topo: baselineTopo, scheme: func() network.Scheme { return remotectl.New() },
 		pattern: traffic.UniformRandom{}, rate: 0.05, cycles: 2500},
 	// Eight blocks, most of them empty, some cycles under parallelMinAwake.

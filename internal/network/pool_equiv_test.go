@@ -28,7 +28,7 @@ func poolRun(t *testing.T, scheme string, unpooled bool, rate float64, cycles in
 	case "remote_control":
 		sch = remotectl.New()
 	case "composable":
-		sch, err = composable.NewScheme(topo)
+		sch, err = composable.BuildTables(topo)
 	case "none":
 		sch = network.None{}
 	default:

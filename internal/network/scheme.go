@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"uppnoc/internal/message"
-	"uppnoc/internal/routing"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/snap"
 	"uppnoc/internal/topology"
@@ -17,7 +16,7 @@ import (
 // protocol timing (a closure could not be serialized; this can).
 type SchemeCall struct {
 	// Kind is scheme-private (see core's uppCall* constants), except
-	// for CallReservationGranted.
+	// for the network-defined CallReservationGranted and CallPopupEjected.
 	Kind uint8
 	// Node is the landing node, when the action targets one.
 	Node topology.NodeID
@@ -26,19 +25,26 @@ type SchemeCall struct {
 	A, B uint64
 	// Hop is a scheme-defined small index (signal hop position).
 	Hop int32
-	// Flit is an optional flit payload (popup latch fills); HasFlit
-	// distinguishes "no flit" from a genuine zero value.
+	// Flit is an optional flit payload (popup latch fills, popup
+	// ejection); HasFlit distinguishes "no flit" from a genuine zero value.
 	Flit    message.Flit
 	HasFlit bool
 }
 
-// CallReservationGranted is the one Kind the network defines itself: the
-// call an NI hands straight to OnScheduledCall when a reservation made
-// with NI.RequestReservation is granted, with Node the NI's node, A the
-// popup ID and B the VNet. A pending reservation is therefore data the NI
-// can snapshot whole, not a callback the scheme would have to rebind
-// after a restore. Scheme-private kinds stay below it.
-const CallReservationGranted uint8 = math.MaxUint8
+// The Kinds the network defines itself: calls an NI hands straight to
+// OnScheduledCall, with Node the NI's node. Scheme-private kinds stay below
+// them.
+const (
+	// CallReservationGranted: a reservation made with NI.RequestReservation
+	// is granted, with A the popup ID and B the VNet. A pending reservation
+	// is therefore data the NI can snapshot whole, not a callback the scheme
+	// would have to rebind after a restore.
+	CallReservationGranted uint8 = math.MaxUint8 - iota
+	// CallPopupEjected: a popup packet (Packet.Popup) finished reassembly,
+	// with A its PopupID and Flit the flit that completed it. Normal packets
+	// hand nothing to the scheme when they eject.
+	CallPopupEjected
+)
 
 // Scheme is a deadlock-freedom approach plugged into the network: UPP
 // (internal/core), composable routing (internal/composable), remote
@@ -48,24 +54,29 @@ const CallReservationGranted uint8 = math.MaxUint8
 // A scheme observes and manipulates the datapath through the routers'
 // plugin API and the hooks below; the base datapath itself is identical
 // across schemes, which is what makes the paper's comparisons meaningful.
+// What only one scheme varies is data it installs in Attach rather than a
+// hook: a route override (composable), a boundary policy (UPP), a
+// boundary-crossing delay and an injection gate (remote control). A
+// scheme may also offer `Diagnostic() string`, which the deadlock
+// watchdog's StallDiagnostic includes, and `CheckRetired` (see
+// CheckWakeInvariant); neither is asked for anything that changes a run.
 //
 // Concurrency contract (parallel kernel): every hook runs on the
 // coordinating goroutine, never during a concurrent phase — StartOfCycle
 // between the deliver and step phases, EndOfCycle/OnRouterIdle after the
-// router walk, CanStartPacket during the sequential NI walk,
-// OnPacketEjected from the commit replay of deferred ejections. Hooks may
-// therefore freely touch global state, with one exception: OnFlitArrived
-// fires for every flit of a slot before any of the slot's buffer writes,
-// so it may look at the flit and at static state but not at router
-// occupancy. A future scheme must not add router-initiated scheme calls to
-// Router.Step without routing them through the commit log (see
-// parallel.go and DESIGN.md §9).
+// router walk, the injection gate during the sequential NI walk,
+// CallPopupEjected from the commit replay of deferred ejections. Hooks may
+// therefore freely touch global state. The route override and the
+// boundary-crossing delay are used by the step and deliver phases'
+// workers, so they read only static state and the packet. A future scheme
+// must not add router-initiated scheme calls to Router.Step without
+// routing them through the commit log (see parallel.go and DESIGN.md §9).
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string
-	// Policy selects egress boundary routers at injection time.
-	Policy() routing.BoundaryPolicy
-	// Attach wires the scheme to the network before simulation starts.
+	// Attach wires the scheme to the network before simulation starts:
+	// the scheme keeps the network and installs its data (SetRouteOverride,
+	// SetBoundaryPolicy, SetCrossingDelay, SetInjectionGate).
 	Attach(n *Network)
 	// StartOfCycle runs after event delivery and before router allocation:
 	// schemes move protocol signals and popup flits here and claim
@@ -74,16 +85,6 @@ type Scheme interface {
 	// EndOfCycle runs after routers and NIs: detection counters and
 	// timeout logic live here.
 	EndOfCycle(cycle sim.Cycle)
-	// CanStartPacket gates the injection of a packet's head flit (remote
-	// control's injection control). Called once per cycle for the packet
-	// at the front of an injection queue until it returns true.
-	CanStartPacket(ni *NI, p *message.Packet, cycle sim.Cycle) bool
-	// OnFlitArrived observes every flit delivery at a router input and
-	// returns extra buffer-write delay in cycles (remote control charges
-	// +1 at boundary crossings).
-	OnFlitArrived(node topology.NodeID, port topology.PortID, f message.Flit, cycle sim.Cycle) sim.Cycle
-	// OnPacketEjected observes complete packet reassembly at an NI.
-	OnPacketEjected(ni *NI, p *message.Packet, cycle sim.Cycle)
 	// OnRouterIdle fires when the active-set kernel retires a router from
 	// its per-cycle walk (no buffered flits remain). Schemes that keep
 	// per-router state the naive kernel re-derives every cycle — UPP's
@@ -91,10 +92,6 @@ type Scheme interface {
 	// will not be observed again until a flit arrival wakes it. The naive
 	// kernel never calls this hook.
 	OnRouterIdle(node topology.NodeID, cycle sim.Cycle)
-	// Diagnostic returns a human-readable snapshot of the scheme's live
-	// protocol state (popup FSMs, tokens, control-plane buffers) for the
-	// deadlock watchdog's stall report. Empty means nothing to report.
-	Diagnostic() string
 	// Inert reports that the scheme's StartOfCycle and EndOfCycle hooks
 	// are provably no-ops right now AND will stay no-ops until some
 	// network event re-engages the scheme — no live popup, outstanding
@@ -106,8 +103,9 @@ type Scheme interface {
 	// (true) is only correct for schemes whose hooks are no-ops.
 	Inert() bool
 	// OnScheduledCall delivers a SchemeCall the scheme previously passed
-	// to Network.ScheduleCall, at its scheduled cycle. Schemes that never
-	// call ScheduleCall keep the no-op default.
+	// to Network.ScheduleCall, at its scheduled cycle, and the calls an NI
+	// hands straight to the scheme (CallReservationGranted,
+	// CallPopupEjected). Schemes that see none keep the no-op default.
 	OnScheduledCall(c SchemeCall, cycle sim.Cycle)
 	// Snapshot describes the scheme's live protocol state (popup FSMs,
 	// tokens, control-plane buffers) as one UPWS section to the codec,
@@ -122,9 +120,6 @@ type Scheme interface {
 // the hooks they need.
 type BaseScheme struct{}
 
-// Policy returns the paper's static binding.
-func (BaseScheme) Policy() routing.BoundaryPolicy { return routing.DefaultPolicy{} }
-
 // Attach is a no-op.
 func (BaseScheme) Attach(*Network) {}
 
@@ -134,29 +129,15 @@ func (BaseScheme) StartOfCycle(sim.Cycle) {}
 // EndOfCycle is a no-op.
 func (BaseScheme) EndOfCycle(sim.Cycle) {}
 
-// CanStartPacket admits every packet.
-func (BaseScheme) CanStartPacket(*NI, *message.Packet, sim.Cycle) bool { return true }
-
-// OnFlitArrived adds no delay.
-func (BaseScheme) OnFlitArrived(topology.NodeID, topology.PortID, message.Flit, sim.Cycle) sim.Cycle {
-	return 0
-}
-
-// OnPacketEjected is a no-op.
-func (BaseScheme) OnPacketEjected(*NI, *message.Packet, sim.Cycle) {}
-
 // OnRouterIdle is a no-op.
 func (BaseScheme) OnRouterIdle(topology.NodeID, sim.Cycle) {}
-
-// Diagnostic reports nothing.
-func (BaseScheme) Diagnostic() string { return "" }
 
 // Inert is always true for the no-op hooks: a scheme that overrides
 // StartOfCycle or EndOfCycle with per-cycle state machines must override
 // Inert too (see the interface comment).
 func (BaseScheme) Inert() bool { return true }
 
-// OnScheduledCall is a no-op (only schemes that use ScheduleCall see it).
+// OnScheduledCall is a no-op.
 func (BaseScheme) OnScheduledCall(SchemeCall, sim.Cycle) {}
 
 // Snapshot walks nothing: the base scheme carries no mutable state.

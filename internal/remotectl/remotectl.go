@@ -101,9 +101,13 @@ func New() *Scheme {
 // Name implements network.Scheme.
 func (s *Scheme) Name() string { return "remote_control" }
 
-// Attach implements network.Scheme.
+// Attach implements network.Scheme. Remote control installs its injection
+// control and the extra boundary-crossing cycle the network charges to
+// inter-chiplet flits at boundary routers.
 func (s *Scheme) Attach(n *network.Network) {
 	s.net = n
+	n.SetInjectionGate(s.canStartPacket)
+	n.SetCrossingDelay(crossingDelay)
 	s.boundaries = make(map[topology.NodeID]*boundary)
 	for _, ch := range n.Topo.Chiplets {
 		for _, b := range ch.Boundary {
@@ -145,15 +149,10 @@ func permissionTree(t *topology.Topology, root topology.NodeID, routers []topolo
 	return depth
 }
 
-// interChiplet reports whether p leaves its source chiplet (and therefore
-// needs a boundary slot).
-func (s *Scheme) interChiplet(p *message.Packet) bool {
-	return p.EgressBoundary != topology.InvalidNode
-}
-
-// CanStartPacket implements the injection control.
-func (s *Scheme) CanStartPacket(_ *network.NI, p *message.Packet, cycle sim.Cycle) bool {
-	if !s.interChiplet(p) {
+// canStartPacket is the injection control: an inter-chiplet packet (one
+// that leaves its source chiplet) starts only once it holds a boundary slot.
+func (s *Scheme) canStartPacket(p *message.Packet, cycle sim.Cycle) bool {
+	if p.EgressBoundary == topology.InvalidNode {
 		return true
 	}
 	b := s.boundaries[p.EgressBoundary]
@@ -167,15 +166,6 @@ func (s *Scheme) CanStartPacket(_ *network.NI, p *message.Packet, cycle sim.Cycl
 	}
 	s.net.Stats.InjectionHolds++
 	return false
-}
-
-// OnFlitArrived charges the extra boundary-crossing cycle to inter-chiplet
-// flits.
-func (s *Scheme) OnFlitArrived(node topology.NodeID, _ topology.PortID, f message.Flit, _ sim.Cycle) sim.Cycle {
-	if s.net.Topo.Node(node).Kind == topology.BoundaryRouter && s.interChiplet(f.Pkt) {
-		return crossingDelay
-	}
-	return 0
 }
 
 // StartOfCycle implements network.Scheme: grant reservations, hold and

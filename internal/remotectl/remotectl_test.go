@@ -6,6 +6,7 @@ import (
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
 	"uppnoc/internal/remotectl"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -60,6 +61,50 @@ func TestHandshakeLatency(t *testing.T) {
 	}
 	if hold := p2.InjectCycle - p2.BirthCycle; hold > 1 {
 		t.Fatalf("intra-chiplet packet held %d cycles", hold)
+	}
+}
+
+// TestCrossingDelayPinned pins the network latency of three lone packets:
+// an inter-chiplet packet pays the boundary-crossing delay at each boundary
+// router it enters, an intra-chiplet packet whose route passes a boundary
+// router pays none, and the same inter-chiplet packet under None pays
+// neither the delay nor the slot detour.
+func TestCrossingDelayPinned(t *testing.T) {
+	topo := topology.MustBuild(topology.BaselineConfig())
+	cores := topo.Cores()
+	ch := &topo.Chiplets[0]
+	// XY routing from the boundary router's row neighbour to its column
+	// neighbour turns at the boundary router.
+	b := topo.Node(ch.Boundary[0])
+	step := func(v int) int {
+		if v == 0 {
+			return 1
+		}
+		return v - 1
+	}
+	src, dst := ch.RouterAt(step(b.X), b.Y), ch.RouterAt(b.X, step(b.Y))
+	latency := func(scheme network.Scheme, src, dst topology.NodeID) sim.Cycle {
+		n := network.MustNew(topology.MustBuild(topology.BaselineConfig()), network.DefaultConfig(), scheme)
+		p := &message.Packet{Src: src, Dst: dst, VNet: message.VNetResponse, Size: message.DataPacketFlits}
+		n.NI(src).Enqueue(p, 0)
+		if err := n.Drain(2000, 500); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		return p.EjectCycle - p.InjectCycle
+	}
+	for _, c := range []struct {
+		name     string
+		scheme   network.Scheme
+		src, dst topology.NodeID
+		want     sim.Cycle
+	}{
+		{"inter-chiplet", remotectl.New(), cores[0], cores[len(cores)-1], 31},
+		{"intra-chiplet via boundary", remotectl.New(), src, dst, 13},
+		{"inter-chiplet under none", network.None{}, cores[0], cores[len(cores)-1], 28},
+	} {
+		if got := latency(c.scheme, c.src, c.dst); got != c.want {
+			t.Errorf("%s (%d->%d): network latency %d, want %d", c.name, c.src, c.dst, got, c.want)
+		}
 	}
 }
 
