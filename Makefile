@@ -72,7 +72,11 @@ bench-pairs:
 # internal/, cmd/ and examples/ that name a deleted one-scheme hook
 # (OnFlitArrived, OnPacketEjected, a Policy method, composable's
 # NewScheme): what only one scheme varies is data it installs in Attach or
-# a network-defined SchemeCall, not a Scheme method. Last, BaseScheme's
+# a network-defined SchemeCall, not a Scheme method. Then the non-test
+# lines of internal/, cmd/ and examples/ that name a hand-driven figure
+# runner (RunFullSystem, FullSystemResult, FullSystemSubset, LoadBalance):
+# every figure that simulates is an Experiments() entry whose runs are
+# RunSpecs through experiments.Run. Last, BaseScheme's
 # no-op stubs in scheme.go: the methods every scheme without that hook
 # pads out. The target fails when a count exceeds its ceiling; CI's test
 # job runs it.
@@ -113,6 +117,9 @@ loc:
 		[ $$n -le 0 ]
 	@n=$$(find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'OnFlitArrived\|OnPacketEjected\|) Policy() routing\|NewScheme('); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'one-scheme hooks' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'RunFullSystem\|FullSystemResult\|FullSystemSubset\|LoadBalance('); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'hand-driven figure runners' $$n 0; \
 		[ $$n -le 0 ]
 	@n=$$(grep -c '^func (BaseScheme)' internal/network/scheme.go); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'BaseScheme stubs' $$n 7; \

@@ -98,24 +98,39 @@ func BenchmarkFig7UniformRandom4VCUPP(b *testing.B) {
 	benchScheme(b, experiments.SchemeUPP, traffic.UniformRandom{}, 4, 0.05)
 }
 
+// fullSystemSpec is one full-system run (Figs. 8, 12, 15) of a benchmark
+// profile at 5% of its access quota; the figures binary runs all 18 at
+// 25%.
+func fullSystemSpec(name string, sch experiments.SchemeName) experiments.RunSpec {
+	return experiments.RunSpec{
+		Topo: topology.BaselineConfig(), Scheme: sch, VCsPerVNet: 1, Seed: 8,
+		Workload: coherence.Spec(name, 0.05),
+	}
+}
+
+// runFullSystem runs spec once per benchmark iteration and returns the
+// last point, which must have finished.
+func runFullSystem(b *testing.B, spec experiments.RunSpec) experiments.Point {
+	b.Helper()
+	var last experiments.Point
+	for i := 0; i < b.N; i++ {
+		pt, err := experiments.Run(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !pt.Completed {
+			b.Fatalf("%s did not finish", spec.Workload)
+		}
+		last = pt
+	}
+	return last
+}
+
 // Fig. 8: full-system runtime, one representative network-bound benchmark
 // per scheme (the figures binary runs all 18).
 func benchFullSystem(b *testing.B, name string, sch experiments.SchemeName) {
 	b.Helper()
-	w, err := coherence.BenchmarkByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w = w.Scale(0.05)
-	var runtime int64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFullSystem(w, sch, 1, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runtime = r.Runtime
-	}
-	b.ReportMetric(float64(runtime), "cycles/run")
+	b.ReportMetric(float64(runFullSystem(b, fullSystemSpec(name, sch)).FinishCycle), "cycles/run")
 }
 
 func BenchmarkFig8CannealComposable(b *testing.B) {
@@ -184,20 +199,8 @@ func BenchmarkFig11TenFaultyLinksUPP(b *testing.B) {
 
 // Fig. 12: upward-packet counting on a sharing-heavy benchmark.
 func BenchmarkFig12UpwardPackets(b *testing.B) {
-	w, err := coherence.BenchmarkByName("fft")
-	if err != nil {
-		b.Fatal(err)
-	}
-	w = w.Scale(0.05)
-	var upward uint64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFullSystem(w, experiments.SchemeUPP, 1, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		upward = r.Upward
-	}
-	b.ReportMetric(float64(upward), "upward/run")
+	pt := runFullSystem(b, fullSystemSpec("fft", experiments.SchemeUPP))
+	b.ReportMetric(float64(pt.Upward), "upward/run")
 }
 
 // Fig. 13: detection-threshold sensitivity at a high load.
@@ -242,20 +245,8 @@ func BenchmarkFig14AreaModel(b *testing.B) {
 
 // Fig. 15: energy estimation on a full-system run.
 func BenchmarkFig15EnergyUPP(b *testing.B) {
-	w, err := coherence.BenchmarkByName("radix")
-	if err != nil {
-		b.Fatal(err)
-	}
-	w = w.Scale(0.05)
-	var energy float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFullSystem(w, experiments.SchemeUPP, 1, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		energy = r.EnergyJ
-	}
-	b.ReportMetric(energy*1e6, "uJ/run")
+	spec := fullSystemSpec("radix", experiments.SchemeUPP)
+	b.ReportMetric(experiments.EnergyJ(spec, runFullSystem(b, spec))*1e6, "uJ/run")
 }
 
 // --- Extension benchmarks (beyond the paper's figures) ---------------------

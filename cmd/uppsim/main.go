@@ -19,15 +19,17 @@
 //	uppsim -scale large -rate 0.01       # 2048-router scale-out preset
 //	UPP_KERNEL=parallel UPP_SHARDS=4 uppsim -scale huge -rate 0.005 -cycles 2000
 //
-// Closed-loop collective workloads (see EXPERIMENTS.md for the spec
-// syntax) replace the rate-driven generator; a run can be recorded to a
-// binary trace and replayed open-loop. The machine flags (-scheme, -vcs,
+// Closed-loop workloads — a collective, or a full-system coherence
+// benchmark (see EXPERIMENTS.md for both spec syntaxes) — replace the
+// rate-driven generator; a collective can be recorded to a binary trace
+// and replayed open-loop. The machine flags (-scheme, -vcs,
 // -router, -faults, -fault-plan, -adaptive, -vct, -large, -boundaries,
 // -scale, -trace) describe the system whatever the source; a flag that
 // only configures another source is refused, not ignored:
 //
 //	uppsim -scheme upp -workload ring_allreduce
 //	uppsim -scheme upp -workload "training_step:gap=500,iters=4"
+//	uppsim -scheme upp -workload coherence:canneal,scale=0.25
 //	uppsim -scheme upp -workload all_to_all -record a2a.trace
 //	uppsim -scheme upp -replay a2a.trace
 //
@@ -90,7 +92,7 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		adaptive   = fs.Bool("adaptive", false, "minimal-adaptive odd-even local routing")
 		vct        = fs.Bool("vct", false, "virtual cut-through flow control")
 		asJSON     = fs.Bool("json", false, "emit the result as JSON")
-		wl         = fs.String("workload", "", "closed-loop collective workload spec, e.g. \"ring_allreduce\" or \"training_step:gap=500,iters=4\" (excludes -pattern/-rate/-warmup/-cycles)")
+		wl         = fs.String("workload", "", "closed-loop workload spec: a collective, e.g. \"ring_allreduce\" or \"training_step:gap=500,iters=4\", or a coherence benchmark, e.g. \"coherence:canneal,scale=0.25\" (excludes -pattern/-rate/-warmup/-cycles)")
 		maxCycles  = fs.Int("max-cycles", 400000, "workload completion horizon")
 		record     = fs.String("record", "", "with -workload: write the run's binary message trace to this file")
 		replay     = fs.String("replay", "", "replay a recorded trace open-loop instead of running a workload")
@@ -263,7 +265,7 @@ func printPoint(stdout io.Writer, schemeName, patName string, pt experiments.Poi
 	return nil
 }
 
-// runWorkload drives a closed-loop collective to completion (or the
+// runWorkload drives a closed-loop workload to completion (or the
 // horizon) and prints completion time plus scheme counters.
 func runWorkload(stdout, stderr io.Writer, spec experiments.RunSpec, record string, asJSON bool) error {
 	pt, err := experiments.Run(spec)

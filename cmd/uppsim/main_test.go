@@ -135,6 +135,27 @@ func TestScaleWorkloadKernelIdentical(t *testing.T) {
 	}
 }
 
+// TestCoherenceWorkloadKernelIdentical: a full-system benchmark is a
+// -workload like a collective: it completes and prints the same bytes
+// under every kernel, and -record, which only a collective honours, fails
+// the run naming it.
+func TestCoherenceWorkloadKernelIdentical(t *testing.T) {
+	args := []string{"-workload", "coherence:fft,scale=0.02", "-json"}
+	code, want, stderr := uppsim(t, "naive", args...)
+	if code != 0 || !strings.Contains(want, `"Completed": true`) {
+		t.Fatalf("naive kernel: exit %d: %s\n%s", code, stderr, want)
+	}
+	for _, kernel := range []string{"active", "parallel"} {
+		if code, got, stderr := uppsim(t, kernel, args...); code != 0 || got != want {
+			t.Fatalf("%s kernel: exit %d: %s\n%s\nvs naive\n%s", kernel, code, stderr, got, want)
+		}
+	}
+	code, _, stderr = uppsim(t, "", "-workload", "coherence:fft,scale=0.02", "-record", filepath.Join(t.TempDir(), "x.trace"))
+	if code != 1 || !strings.Contains(stderr, "record") {
+		t.Fatalf("-record of a coherence run: exit %d, stderr %q: want exit 1 naming record", code, stderr)
+	}
+}
+
 // TestSourceFlagsRefusedElsewhere: a flag that configures one traffic
 // source, given to a run with another, is an error that names it.
 func TestSourceFlagsRefusedElsewhere(t *testing.T) {

@@ -67,3 +67,34 @@ func TestShareHeavyWorkloadAllSchemes(t *testing.T) {
 		t.Logf("%s: runtime=%d fwds=%d", name, cycles, s.Forwards)
 	}
 }
+
+// TestParseSpec: a coherence spec names one of the profiles and may scale
+// its access quota; anything else is refused, never read as a default.
+func TestParseSpec(t *testing.T) {
+	canneal, err := coherence.BenchmarkByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for spec, want := range map[string]coherence.Workload{
+		"coherence:canneal":            canneal,
+		"coherence:canneal,scale=1":    canneal,
+		"coherence:canneal,scale=0.25": canneal.Scale(0.25),
+		coherence.Spec("canneal", 0.1): canneal.Scale(0.1),
+	} {
+		if !coherence.IsSpec(spec) {
+			t.Errorf("IsSpec(%q) = false", spec)
+		}
+		if got, err := coherence.ParseSpec(spec); err != nil || got != want {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", spec, got, err, want)
+		}
+	}
+	for _, spec := range []string{
+		"canneal", "coherence:", "coherence:nope", "coherence:canneal,",
+		"coherence:canneal,scale=0", "coherence:canneal,scale=-1", "coherence:canneal,scale=NaN",
+		"coherence:canneal,scale=1e9", "coherence:canneal,quota=2", "coherence:canneal,scale=0.5,scale=2",
+	} {
+		if w, err := coherence.ParseSpec(spec); err == nil {
+			t.Errorf("ParseSpec(%q) accepted: %+v", spec, w)
+		}
+	}
+}

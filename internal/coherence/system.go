@@ -157,9 +157,11 @@ func (s *System) Done() bool {
 	return s.Net.Quiesced()
 }
 
-// Step advances cores, PEs' output queues and the network by one cycle.
-func (s *System) Step() {
-	cycle := s.Net.Cycle()
+// Tick is the PEs' half of one cycle, run before the network steps: each
+// core issues at most one access, then every core and directory drains
+// its output queue into its NI. With Done it makes the system a traffic
+// source for experiments.Drive.
+func (s *System) Tick(cycle sim.Cycle) {
 	for _, c := range s.cores {
 		c.tick(cycle)
 		c.drainOut(cycle)
@@ -167,7 +169,12 @@ func (s *System) Step() {
 	for _, node := range s.dirNodes {
 		s.dirs[node].drainOut(cycle)
 	}
-	s.Net.Step()
+}
+
+// Progress reports the accesses the cores have completed and their total
+// quota.
+func (s *System) Progress() (done, total int) {
+	return int(s.coreProgress()), s.Work.AccessesPerCore * len(s.cores)
 }
 
 // Run executes the workload to completion, returning the runtime in
@@ -193,7 +200,8 @@ func (s *System) Run(maxCycles int) (sim.Cycle, error) {
 			return 0, fmt.Errorf("coherence: workload %s deadlocked (%d/%d cores done)",
 				s.Work.Name, s.doneCores(), len(s.cores))
 		}
-		s.Step()
+		s.Tick(s.Net.Cycle())
+		s.Net.Step()
 	}
 }
 

@@ -2,6 +2,8 @@ package coherence
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"uppnoc/internal/sim"
 )
@@ -88,4 +90,42 @@ func BenchmarkByName(name string) (Workload, error) {
 		}
 	}
 	return Workload{}, fmt.Errorf("coherence: unknown benchmark %q", name)
+}
+
+// specPrefix opens a coherence workload spec.
+const specPrefix = "coherence:"
+
+// IsSpec reports whether s names a coherence workload (ParseSpec's
+// syntax) rather than a collective.
+func IsSpec(s string) bool { return strings.HasPrefix(s, specPrefix) }
+
+// Spec is the workload spec of the named profile at an access-quota
+// scale, as ParseSpec reads it.
+func Spec(benchmark string, scale float64) string {
+	return fmt.Sprintf("%s%s,scale=%g", specPrefix, benchmark, scale)
+}
+
+// ParseSpec parses a coherence workload spec, the form a full-system run
+// takes as RunSpec.Workload or `uppsim -workload`:
+//
+//	coherence:benchmark[,scale=F]
+//
+// benchmark is one of Benchmarks' profiles; scale (0 < F <= 100, default
+// 1) multiplies its access quota as Workload.Scale does.
+func ParseSpec(s string) (Workload, error) {
+	rest, ok := strings.CutPrefix(s, specPrefix)
+	if !ok {
+		return Workload{}, fmt.Errorf("coherence: spec %q does not start with %q", s, specPrefix)
+	}
+	name, opt, scaled := strings.Cut(rest, ",")
+	w, err := BenchmarkByName(name)
+	if err != nil || !scaled {
+		return w, err
+	}
+	val, ok := strings.CutPrefix(opt, "scale=")
+	f, err := strconv.ParseFloat(val, 64)
+	if !ok || err != nil || !(f > 0 && f <= 100) {
+		return Workload{}, fmt.Errorf("coherence: option %q in %q: want scale=F with 0 < F <= 100", opt, s)
+	}
+	return w.Scale(f), nil
 }

@@ -50,18 +50,22 @@ type RunSpec struct {
 	BufferDepth int
 	Pattern     traffic.Pattern
 	Rate        float64 // flits/cycle/node offered
-	// Workload, when non-empty (workload.ParseSpec syntax), names the
-	// closed-loop collective that is the traffic source in place of the
-	// Pattern/Rate generator. Run then ignores Dur: the workload runs to
-	// completion or for MaxCycles cycles (0 = 400 000), and one still
-	// unfinished then is reported as Point.Completed=false — under a scheme
-	// without recovery a closed loop can genuinely deadlock, which is a
-	// result, not an error.
+	// Workload, when non-empty, names the closed-loop traffic source in
+	// place of the Pattern/Rate generator: a collective (workload.ParseSpec
+	// syntax) or a full-system coherence benchmark (coherence.ParseSpec,
+	// "coherence:canneal,scale=0.25"). Run then ignores Dur: the workload
+	// runs to completion or for MaxCycles cycles (0 = 400 000), and one
+	// still unfinished then is reported as Point.Completed=false — under a
+	// scheme without recovery a closed loop can genuinely deadlock, which
+	// is a result, not an error.
 	Workload  string
 	MaxCycles int
-	// Record captures every message the workload injects into Point.Trace
+	// Record captures every message a collective injects into Point.Trace
 	// (the trace record frontend). A recorded run is never cached.
-	Record    bool
+	Record bool
+	// DownLinks reads every boundary router's down-link flit count into
+	// Point.DownLinks when the run ends (the load-balance figure).
+	DownLinks bool
 	Seed      uint64
 	Dur       Durations
 	UseUpDown bool

@@ -106,6 +106,9 @@ type specEnvelope struct {
 	Adaptive       bool                  `json:"adaptive,omitempty"`
 	VCT            bool                  `json:"vct,omitempty"`
 	RouterArch     string                `json:"router"`
+	// DownLinks marks a spec that asks for the load-balance reading; it is
+	// omitted otherwise, so no other key changes.
+	DownLinks bool `json:"down_links,omitempty"`
 	// ChipletGate marks a plan with a killchiplet event. Entries written
 	// before the generator of a RunSpec run honoured chiplet fail-stops
 	// lack it and so miss. (cacheFormatVersion could not be bumped for
@@ -147,6 +150,7 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		Adaptive:       spec.Adaptive,
 		VCT:            spec.VCT,
 		RouterArch:     host.arch(spec.RouterArch),
+		DownLinks:      spec.DownLinks,
 		ChipletGate:    strings.Contains(spec.FaultPlan, "killchiplet="),
 	}
 	if spec.Workload != "" {
@@ -197,6 +201,7 @@ func (e specEnvelope) runSpec() (RunSpec, error) {
 		VCT:            e.VCT,
 		// Stored resolved, so the rebuilt run ignores UPP_ROUTER.
 		RouterArch: e.RouterArch,
+		DownLinks:  e.DownLinks,
 	}, nil
 }
 

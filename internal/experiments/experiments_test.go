@@ -270,18 +270,22 @@ func TestSweepStopsPastSaturation(t *testing.T) {
 	}
 }
 
+// TestRunFullSystemSmoke: a coherence workload spec runs to completion
+// through Run — every access done, runtime, packets and energy read off
+// the Point — and a recorded one is refused, having no message trace.
 func TestRunFullSystemSmoke(t *testing.T) {
-	w, err := coherence.BenchmarkByName("swaptions")
+	spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, VCsPerVNet: 1, Seed: 2,
+		Workload: coherence.Spec("swaptions", 0.03)}
+	pt, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w = w.Scale(0.03)
-	r, err := RunFullSystem(w, SchemeUPP, 1, 3)
-	if err != nil {
-		t.Fatal(err)
+	if !pt.Completed || pt.FinishCycle <= 0 || pt.Packets == 0 || pt.OpsFired != pt.OpsTotal || EnergyJ(spec, pt) <= 0 {
+		t.Fatalf("degenerate result: %+v", pt)
 	}
-	if r.Runtime <= 0 || r.Packets == 0 || r.EnergyJ <= 0 {
-		t.Fatalf("degenerate result: %+v", r)
+	spec.Record = true
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "record") {
+		t.Fatalf("recording a coherence run: err %v, want a refusal", err)
 	}
 }
 

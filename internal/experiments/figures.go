@@ -23,7 +23,8 @@ type Settings struct {
 
 // Experiment is one entry of the evaluation as `figures -exp` names it. A
 // sweep entry is data — its figures run in order through one driver;
-// every other entry drives its simulations in run.
+// every other entry makes its tables in run (the full-system entry builds
+// its figure there, at the settings' access-quota scale).
 type Experiment struct {
 	ID string
 	// InAll reports whether `figures -exp all` runs the entry.
@@ -39,7 +40,7 @@ func (e Experiment) Run(s Settings) ([]Table, error) {
 	}
 	var out []Table
 	for _, f := range e.figs {
-		ts, err := f.sweep(f.curves(s.Dur), s.Opts)
+		ts, err := f.run(s)
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +55,7 @@ func (e Experiment) Run(s Settings) ([]Table, error) {
 // completion. Each of tables has a row
 // per curve or per measured point that opens with the curve's key;
 // reduce, when set, makes further tables from the whole list of curves
-// (a figure that compares across them).
+// (a figure that compares across them), failing on a run it cannot read.
 type figure struct {
 	id       string
 	template RunSpec
@@ -62,7 +63,7 @@ type figure struct {
 	rates    []float64
 	key      func(RunSpec) []any
 	tables   []figTable
-	reduce   func([]swept) []Table
+	reduce   func([]swept) ([]Table, error)
 }
 
 // figTable is one table of a figure: after the key, a row holds either
@@ -135,6 +136,9 @@ func (f figure) curves(dur Durations) []swept {
 	return cs
 }
 
+// run measures the figure at the settings' durations.
+func (f figure) run(s Settings) ([]Table, error) { return f.sweep(f.curves(s.Dur), s.Opts) }
+
 // sweep is the one figure driver: it measures the curves in order, each
 // through SweepRatesWith or, for a figure without rates, all of them at
 // once through RunAll, and reduces them to the figure's tables.
@@ -177,7 +181,11 @@ func (f figure) sweep(cs []swept, opts PoolOptions) ([]Table, error) {
 		out = append(out, t)
 	}
 	if f.reduce != nil {
-		out = append(out, f.reduce(cs)...)
+		ts, err := f.reduce(cs)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f.id, err)
+		}
+		out = append(out, ts...)
 	}
 	return out, nil
 }
@@ -208,9 +216,6 @@ func Experiments() []Experiment {
 	static := func(t func() Table) func(Settings) ([]Table, error) {
 		return func(Settings) ([]Table, error) { return []Table{t()}, nil }
 	}
-	timed := func(run func(Durations, PoolOptions) ([]Table, error)) func(Settings) ([]Table, error) {
-		return func(s Settings) ([]Table, error) { return run(s.Dur, s.Opts) }
-	}
 	with := func(s RunSpec, seed uint64) RunSpec { s.Seed = seed; return s }
 	return []Experiment{
 		{ID: "table1", InAll: true, run: static(Table1)},
@@ -220,7 +225,9 @@ func Experiments() []Experiment {
 		// UPP} x {1,4} VCs and the paper's headline numbers (+18~72%
 		// throughput, -4.5~8.2% latency).
 		one(true, latencyFigure("fig7", base, traffic.Patterns()...)),
-		{ID: "fullsystem", InAll: true, run: func(s Settings) ([]Table, error) { return FullSystem(s.Scale, s.Opts) }},
+		// Figs. 8, 12 and 15: one coherence run per benchmark, VC count and
+		// scheme, at the -scale access quota.
+		{ID: "fullsystem", InAll: true, run: func(s Settings) ([]Table, error) { return fullSystemFigure(s.Scale).run(s) }},
 		// Fig. 9: the 128-core system (4x8 interposer, eight chiplets).
 		one(true, latencyFigure("fig9", topology.LargeConfig(), uniform)),
 		// Fig. 10: 2/4/8 boundary routers per chiplet.
@@ -299,7 +306,14 @@ func Experiments() []Experiment {
 			}},
 		}),
 		{ID: "fig14", InAll: true, run: static(Fig14)},
-		{ID: "load_balance", InAll: true, run: timed(LoadBalance)},
+		// load_balance: Sec. III-B's argument measured on the vertical links
+		// at a sub-saturation uniform load.
+		one(true, figure{
+			id:       "load_balance",
+			template: RunSpec{Topo: base, VCsPerVNet: 1, Pattern: uniform, Rate: 0.04, Seed: 4, DownLinks: true},
+			axes:     []axis{schemeAxis},
+			reduce:   loadBalanceTables,
+		}),
 		// tail_latency: percentiles at moderate loads. A packet that would
 		// wait forever in a wedged network is rescued by a popup, at the
 		// cost of the detection timeout plus the protocol round trip.
@@ -361,7 +375,7 @@ func Experiments() []Experiment {
 				},
 			}},
 		}),
-		{ID: "reconfig", InAll: true, run: timed(Reconfig)},
+		{ID: "reconfig", InAll: true, run: func(s Settings) ([]Table, error) { return Reconfig(s.Dur, s.Opts) }},
 		// scale: UPP against remote control on the small and large
 		// scale-out presets. Not in -exp all: they are 10-100x the paper's
 		// systems. A full sweep of huge is a multi-hour run; the benchmark's
@@ -464,7 +478,7 @@ func latencyFigure(id string, sys topology.SystemConfig, patterns ...traffic.Pat
 				Header: []string{"pattern", "scheme", "vcs", "rate", "latency", "net_lat", "queue_lat", "throughput", "saturated"}},
 			point: func(p Point) []any { return []any{p.Rate, p.TotalLat, p.NetLat, p.QueueLat, p.Throughput, p.Saturated} },
 		}},
-		reduce: func(cs []swept) []Table {
+		reduce: func(cs []swept) ([]Table, error) {
 			summary := Table{ID: id + "_summary", Title: "Saturation throughput and latency summary",
 				Header: []string{"pattern", "vcs", "scheme", "sat_throughput", "vs_composable", "low_load_latency", "lat_vs_composable", "lat_vs_remote_control"},
 				Notes: []string{"paper: UPP improves saturation throughput by 18%~72% over composable routing",
@@ -490,14 +504,14 @@ func latencyFigure(id string, sys topology.SystemConfig, patterns ...traffic.Pat
 				}
 				charts.AddRow("")
 			}
-			return []Table{summary, charts}
+			return []Table{summary, charts}, nil
 		},
 	}
 }
 
 // fig10Tables normalizes each curve's low-load latency and saturation
 // throughput to composable routing with 1 VC and 4 boundary routers.
-func fig10Tables(cs []swept) []Table {
+func fig10Tables(cs []swept) ([]Table, error) {
 	t := Table{ID: "fig10", Title: "Sensitivity to boundary routers per chiplet",
 		Header: []string{"boundaries", "scheme", "vcs", "latency", "norm_latency", "sat_throughput", "norm_throughput"},
 		Notes: []string{"normalized to composable routing, 1 VC, 4 boundary routers (the paper's baseline bar)",
@@ -513,7 +527,7 @@ func fig10Tables(cs []swept) []Table {
 		t.AddRowf(s.Topo.BoundaryPerChiplet, s.Scheme, s.VCsPerVNet, c.ZeroLoadLatency, c.ZeroLoadLatency/base.ZeroLoadLatency,
 			c.SaturationThroughput, c.SaturationThroughput/base.SaturationThroughput)
 	}
-	return []Table{t}
+	return []Table{t}, nil
 }
 
 func ratioPct(a, b float64) float64 {

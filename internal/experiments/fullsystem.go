@@ -1,85 +1,44 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
 	"uppnoc/internal/coherence"
+	"uppnoc/internal/network"
 	"uppnoc/internal/power"
+	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
 
-// FullSystemResult is one coherence run's outcome.
-type FullSystemResult struct {
-	Benchmark string
-	Scheme    SchemeName
-	VCs       int
-	Runtime   int64
-	Upward    uint64
-	Packets   uint64
-	EnergyJ   float64
+// fullSystemFigure is Figs. 8, 12 and 15 from one set of runs: each of
+// the 18 PARSEC + SPLASH-2 profiles x {1,4} VCs x the three schemes, one
+// coherence run each. scale shrinks every profile's access quota (1.0 =
+// the calibrated profile); the normalized comparisons are stable across
+// scales.
+func fullSystemFigure(scale float64) figure {
+	var benches []string
+	for _, w := range coherence.Benchmarks() {
+		benches = append(benches, coherence.Spec(w.Name, scale))
+	}
+	return figure{
+		id: "fullsystem",
+		// Seed 70 (network 71, coherence system 84) made results/fig8.csv,
+		// fig12.csv and fig15.csv. The horizon only stops a run that would
+		// never finish.
+		template: RunSpec{Topo: topology.BaselineConfig(), Seed: 70, MaxCycles: 30_000_000},
+		axes:     []axis{workloadAxis(benches...), vcsAxis, schemeAxis},
+		reduce:   fullSystemTables,
+	}
 }
 
-// RunFullSystem executes one benchmark profile under one scheme.
-func RunFullSystem(bench coherence.Workload, sch SchemeName, vcs int, seed uint64) (FullSystemResult, error) {
-	// Seed seed-1 seeds the network seed, what this runner has always used.
-	sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: sch, VCsPerVNet: vcs, Seed: seed - 1})
-	if err != nil {
-		return FullSystemResult{}, err
-	}
-	n, topo := sm.Net, sm.Net.Topo
-	sys, err := coherence.New(n, bench, seed+13)
-	if err != nil {
-		return FullSystemResult{}, err
-	}
-	runtime, err := sys.Run(30_000_000)
-	if err != nil {
-		return FullSystemResult{}, fmt.Errorf("%s under %s: %w", bench.Name, sch, err)
-	}
-	nChiplet := len(topo.Cores())
-	nInterposer := len(topo.Interposer)
-	breakdown := power.Estimate(power.NetworkDescription{
-		ChipletRouters:    nChiplet,
-		InterposerRouters: nInterposer,
-		VCsPerVNet:        vcs,
-		Scheme:            string(sch),
-	}, int64(runtime), n.RouterStats(), n.Stats.SignalsSent)
-	return FullSystemResult{
-		Benchmark: bench.Name,
-		Scheme:    sch,
-		VCs:       vcs,
-		Runtime:   int64(runtime),
-		Upward:    n.Stats.UpwardPackets,
-		Packets:   n.Stats.EjectedPackets,
-		EnergyJ:   breakdown.Total(),
-	}, nil
-}
-
-// FullSystem reproduces Figs. 8, 12 and 15 in one pass: per-benchmark
-// runtime (normalized to composable), detected upward packets, and
-// normalized energy, for 1 and 4 VCs per VNet.
-//
-// scale shrinks each benchmark's access quota (1.0 = the calibrated full
-// profile); the normalized comparisons are stable across scales.
-func FullSystem(scale float64, opts PoolOptions) ([]Table, error) {
-	return fullSystemOver(coherence.Benchmarks(), scale, opts)
-}
-
-// FullSystemSubset runs the full-system figures over a named subset of
-// benchmarks (tests and quick looks).
-func FullSystemSubset(names []string, scale float64, opts PoolOptions) ([]Table, error) {
-	var benches []coherence.Workload
-	for _, name := range names {
-		w, err := coherence.BenchmarkByName(name)
-		if err != nil {
-			return nil, err
-		}
-		benches = append(benches, w)
-	}
-	return fullSystemOver(benches, scale, opts)
-}
-
-func fullSystemOver(benchmarks []coherence.Workload, scale float64, opts PoolOptions) ([]Table, error) {
+// fullSystemTables reads the runs — per benchmark and VC count, the three
+// schemes in turn — into Fig. 8's runtime and Fig. 15's energy, both
+// normalized to composable with a geomean per VC count, and Fig. 12's
+// upward packets under UPP. A run that did not finish has no runtime and
+// fails the figure.
+func fullSystemTables(cs []swept) ([]Table, error) {
 	fig8 := Table{
 		ID:     "fig8",
 		Title:  "Normalized full-system runtime (PARSEC + SPLASH-2 profiles)",
@@ -104,62 +63,87 @@ func fullSystemOver(benchmarks []coherence.Workload, scale float64, opts PoolOpt
 			"paper: leakage dominates, so normalized energy tracks normalized runtime; UPP lowest on average",
 		},
 	}
-	// Every (benchmark, vcs, scheme) run is self-contained, so the grid
-	// fans across the pool; the tables are then assembled in grid order,
-	// one row per (benchmark, vcs) from its schemes' consecutive results.
-	type job struct {
-		bench coherence.Workload
-		vcs   int
-		sch   SchemeName
-	}
-	vcsList, schemes := []int{1, 4}, ComparedSchemes()
-	var grid []job
-	for _, bench := range benchmarks {
-		for _, vcs := range vcsList {
-			for _, sch := range schemes {
-				grid = append(grid, job{bench.Scale(scale), vcs, sch})
-			}
-		}
-	}
-	results := make([]FullSystemResult, len(grid))
-	errs := make([]error, len(grid))
-	if err := forEachIndex(len(grid), opts, func(i int) {
-		j := grid[i]
-		opts.Progress.log("fullsystem: %s vcs=%d %s", j.bench.Name, j.vcs, j.sch)
-		results[i], errs[i] = RunFullSystem(j.bench, j.sch, j.vcs, 71)
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	vcsList, n := []int{1, 4}, len(ComparedSchemes())
 	// Per VC count and scheme (composable, remote control, UPP), the sums
 	// of log runtime and log energy normalized to composable.
 	var logRuntime, logEnergy [2][3]float64
-	for g := 0; g < len(grid); g += len(schemes) {
-		res, name, vcs := results[g:g+len(schemes)], grid[g].bench.Name, grid[g].vcs
-		vi := g / len(schemes) % len(vcsList)
-		comp, compE := float64(res[0].Runtime), res[0].EnergyJ
-		normUPP := float64(res[2].Runtime) / comp
-		fig8.AddRowf(name, vcs, 1.0, float64(res[1].Runtime)/comp, normUPP, fmtPct(100*(normUPP-1)))
-		up := res[2]
+	for g := 0; g+n <= len(cs); g += n {
+		var runtime, energy [3]float64
+		for si, c := range cs[g : g+n] {
+			p := c.Points[0]
+			if !p.Completed {
+				return nil, fmt.Errorf("%s under %s did not finish in %d cycles", c.Spec.Workload, c.Spec.Scheme, c.Spec.horizon())
+			}
+			runtime[si], energy[si] = float64(p.FinishCycle), EnergyJ(c.Spec, p)
+		}
+		s, up := cs[g].Spec, cs[g+2].Points[0]
+		w, err := coherence.ParseSpec(s.Workload)
+		if err != nil {
+			return nil, err
+		}
+		vi := g / n % len(vcsList)
+		normUPP := runtime[2] / runtime[0]
+		fig8.AddRowf(w.Name, s.VCsPerVNet, 1.0, runtime[1]/runtime[0], normUPP, fmtPct(100*(normUPP-1)))
 		frac := 0.0
 		if up.Packets > 0 {
 			frac = float64(up.Upward) / float64(up.Packets)
 		}
-		fig12.AddRowf(name, vcs, up.Upward, up.Packets, fmt.Sprintf("%.6f%%", 100*frac))
-		fig15.AddRowf(name, vcs, 1.0, res[1].EnergyJ/compE, res[2].EnergyJ/compE)
-		for si, r := range res {
-			logRuntime[vi][si] += math.Log(float64(r.Runtime) / comp)
-			logEnergy[vi][si] += math.Log(r.EnergyJ / compE)
+		fig12.AddRowf(w.Name, s.VCsPerVNet, up.Upward, up.Packets, fmt.Sprintf("%.6f%%", 100*frac))
+		fig15.AddRowf(w.Name, s.VCsPerVNet, 1.0, energy[1]/energy[0], energy[2]/energy[0])
+		for si := range runtime {
+			logRuntime[vi][si] += math.Log(runtime[si] / runtime[0])
+			logEnergy[vi][si] += math.Log(energy[si] / energy[0])
 		}
 	}
-	n := float64(len(benchmarks))
+	benches := float64(len(cs) / (n * len(vcsList)))
 	for vi, vcs := range vcsList {
-		fig8.AddRowf("geomean", vcs, 1.0, math.Exp(logRuntime[vi][1]/n), math.Exp(logRuntime[vi][2]/n), "")
-		fig15.AddRowf("geomean", vcs, 1.0, math.Exp(logEnergy[vi][1]/n), math.Exp(logEnergy[vi][2]/n))
+		fig8.AddRowf("geomean", vcs, 1.0, math.Exp(logRuntime[vi][1]/benches), math.Exp(logRuntime[vi][2]/benches), "")
+		fig15.AddRowf("geomean", vcs, 1.0, math.Exp(logEnergy[vi][1]/benches), math.Exp(logEnergy[vi][2]/benches))
 	}
 	return []Table{fig8, fig12, fig15}, nil
+}
+
+// runCoherence is runWorkload for a coherence spec: the MESI system,
+// seeded Seed+14, driven until every core has finished its access quota
+// and the network has drained, or to the horizon. FinishCycle is the
+// runtime (Fig. 8), OpsFired/OpsTotal count accesses, Messages the
+// protocol messages consumed, and Events keeps the routers' datapath
+// counters for the energy model (EnergyJ).
+func runCoherence(spec RunSpec, n *network.Network) (Point, error) {
+	if spec.Record {
+		return Point{}, fmt.Errorf("experiments: %s: a coherence run has no message trace to record", spec.Workload)
+	}
+	w, err := coherence.ParseSpec(spec.Workload)
+	if err != nil {
+		return Point{}, err
+	}
+	sys, err := coherence.New(n, w, spec.Seed+14)
+	if err != nil {
+		return Point{}, err
+	}
+	Drive(n, sys, sim.Cycle(spec.horizon()), sys.Done)
+	p := measure(spec, n)
+	events := n.RouterStats()
+	p.Completed, p.Messages, p.InjectionHolds, p.Events = sys.Done(), n.Stats.ConsumedPackets, n.Stats.InjectionHolds, &events
+	p.OpsFired, p.OpsTotal = sys.Progress()
+	if p.Completed {
+		p.FinishCycle = n.Cycle()
+	}
+	return p, nil
+}
+
+// EnergyJ is Fig. 15's reading of a finished coherence run on a Topo
+// system: the power model over the Point's datapath events and signal
+// hops for its runtime. It is zero for a Point without events.
+func EnergyJ(spec RunSpec, p Point) float64 {
+	if p.Events == nil {
+		return 0
+	}
+	t := spec.Topo
+	return power.Estimate(power.NetworkDescription{
+		ChipletRouters:    t.ChipletsX * t.ChipletsY * t.ChipletW * t.ChipletH,
+		InterposerRouters: t.InterposerW * t.InterposerH,
+		VCsPerVNet:        cmp.Or(spec.VCsPerVNet, network.DefaultConfig().Router.VCsPerVNet),
+		Scheme:            string(spec.Scheme),
+	}, int64(p.FinishCycle), *p.Events, p.Signals).Total()
 }

@@ -2,20 +2,39 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"uppnoc/internal/sim"
+	"uppnoc/internal/network"
 	"uppnoc/internal/topology"
-	"uppnoc/internal/traffic"
 )
 
-// LoadBalance measures the vertical-link (chiplet egress) utilization per
-// scheme — the quantitative form of Sec. III-B's argument that composable
+// BoundaryLoad is one boundary router's vertical-link reading: the flits
+// its down link carried to the interposer.
+type BoundaryLoad struct {
+	Chiplet int
+	Router  topology.NodeID
+	Flits   uint64
+}
+
+// downLinks reads every boundary router's down-link flits since cycle 0,
+// chiplet by chiplet in Chiplet.Boundary order.
+func downLinks(n *network.Network) *[]BoundaryLoad {
+	var loads []BoundaryLoad
+	for _, ch := range n.Topo.Chiplets {
+		for _, b := range ch.Boundary {
+			down := n.Topo.Node(b).PortTo(topology.Down)
+			loads = append(loads, BoundaryLoad{Chiplet: ch.Index, Router: b, Flits: n.Router(b).PortSent(down)})
+		}
+	}
+	return &loads
+}
+
+// loadBalanceTables measures Sec. III-B's argument that composable
 // routing's turn restrictions unbalance the boundary routers while UPP's
-// static binding spreads the load. Imbalance is max/mean flits per
-// down-link within each chiplet, averaged over chiplets; 1.0 is perfect
-// balance.
-func LoadBalance(dur Durations, opts PoolOptions) ([]Table, error) {
+// static binding spreads the load. Per scheme: the down-link flits, their
+// imbalance — max/mean flits per down link within each chiplet, averaged
+// over chiplets; 1.0 is perfect balance — and the busiest link's share of
+// its chiplet's egress; then every boundary router's flits.
+func loadBalanceTables(cs []swept) ([]Table, error) {
 	t := Table{
 		ID:     "load_balance",
 		Title:  "Vertical-link load balance per scheme (uniform random, sub-saturation)",
@@ -29,77 +48,34 @@ func LoadBalance(dur Durations, opts PoolOptions) ([]Table, error) {
 		Title:  "Per-boundary-router down-link flits",
 		Header: []string{"scheme", "chiplet", "boundary_router", "down_flits"},
 	}
-	// One self-contained simulation per scheme; the measurements drive the
-	// network directly (per-router counters, not a Point), so they fan out
-	// over the pool's index helper and the rows are assembled in scheme
-	// order afterwards.
-	type result struct {
-		summary []interface{}
-		detail  [][]interface{}
-		err     error
-	}
-	const vcs = 1
-	schemes := ComparedSchemes()
-	results := make([]result, len(schemes))
-	err := forEachIndex(len(schemes), opts, func(si int) {
-		sch := schemes[si]
-		opts.Progress.log("load_balance: %s", sch)
-		r := &results[si]
-		// Seed 4 seeds the network 5, the seed this table has always
-		// used for network and generator alike.
-		sm, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: sch, VCsPerVNet: vcs, Seed: 4})
-		if err != nil {
-			r.err = err
-			return
+	for _, c := range cs {
+		var loads []BoundaryLoad
+		if p := c.Points[0]; p.DownLinks != nil {
+			loads = *p.DownLinks
 		}
-		n, topo := sm.Net, sm.Net.Topo
-		g := sm.Generator(traffic.UniformRandom{}, 0.04, 5)
-		Drive(n, g, sim.Cycle(dur.Warmup+dur.Measure), nil)
-
 		var total uint64
-		var imbalanceSum float64
-		var worstShare float64
-		for _, ch := range topo.Chiplets {
-			var counts []uint64
+		var imbalanceSum, worstShare float64
+		chiplets := 0
+		for i := 0; i < len(loads); chiplets++ {
 			var chTotal, chMax uint64
-			for _, b := range ch.Boundary {
-				router := n.Router(b)
-				down := topo.Node(b).PortTo(topology.Down)
-				c := router.PortSent(down)
-				counts = append(counts, c)
-				chTotal += c
-				if c > chMax {
-					chMax = c
-				}
-				r.detail = append(r.detail, []interface{}{string(sch), ch.Index, b, c})
+			j := i
+			for ; j < len(loads) && loads[j].Chiplet == loads[i].Chiplet; j++ {
+				chTotal += loads[j].Flits
+				chMax = max(chMax, loads[j].Flits)
+				detail.AddRowf(string(c.Spec.Scheme), loads[j].Chiplet, loads[j].Router, loads[j].Flits)
 			}
 			total += chTotal
 			if chTotal > 0 {
-				mean := float64(chTotal) / float64(len(counts))
-				imbalanceSum += float64(chMax) / mean
-				if share := float64(chMax) / float64(chTotal); share > worstShare {
-					worstShare = share
-				}
+				imbalanceSum += float64(chMax) / (float64(chTotal) / float64(j-i))
+				worstShare = max(worstShare, float64(chMax)/float64(chTotal))
 			}
+			i = j
 		}
-		imbalance := imbalanceSum / float64(len(topo.Chiplets))
-		if math.IsNaN(imbalance) {
-			imbalance = 0
+		imbalance := 0.0
+		if chiplets > 0 {
+			imbalance = imbalanceSum / float64(chiplets)
 		}
-		r.summary = []interface{}{string(sch), vcs, total,
-			fmt.Sprintf("%.2f", imbalance), fmt.Sprintf("%.0f%%", 100*worstShare)}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		for _, row := range r.detail {
-			detail.AddRowf(row...)
-		}
-		t.AddRowf(r.summary...)
+		t.AddRowf(string(c.Spec.Scheme), c.Spec.VCsPerVNet, total, fmt.Sprintf("%.2f", imbalance), fmt.Sprintf("%.0f%%", 100*worstShare))
 	}
 	return []Table{t, detail}, nil
 }

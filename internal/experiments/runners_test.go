@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -136,18 +137,81 @@ func TestFig2RunnerSmoke(t *testing.T) {
 	}
 }
 
+// TestLoadBalanceRunnerSmoke runs the load-balance figure at microDur:
+// every scheme reads its sixteen boundary routers, composable routing's
+// turn restrictions leave its down links less balanced than UPP's static
+// binding (Sec. III-B), and asking for the reading changes nothing else
+// about the run.
 func TestLoadBalanceRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second smoke")
 	}
-	ts, err := LoadBalance(microDur, poolOpts)
+	fig := sweepFigure(t, "load_balance")
+	cs := fig.curves(microDur)
+	ts, err := fig.sweep(cs, poolOpts)
 	requireTables(t, ts, err, "load_balance", "load_balance_detail")
+	if rows := len(ts[1].Rows); rows != 16*len(ComparedSchemes()) {
+		t.Fatalf("detail has %d rows, want 16 boundary routers per scheme", rows)
+	}
+	imbalance := map[string]float64{}
+	for _, row := range ts[0].Rows {
+		imbalance[row[0]], _ = strconv.ParseFloat(row[3], 64)
+	}
+	if imbalance["composable"] <= imbalance["upp"] {
+		t.Errorf("composable's imbalance %v is not above UPP's %v", imbalance["composable"], imbalance["upp"])
+	}
+	spec := cs[len(cs)-1].Spec // UPP
+	read, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.DownLinks = false
+	plain, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read.DownLinks == nil || plain.DownLinks != nil {
+		t.Fatalf("down-link reading present %v asked, %v not asked; want only when asked", read.DownLinks != nil, plain.DownLinks != nil)
+	}
+	if read.DownLinks = nil; read != plain {
+		t.Fatalf("reading the down links changed the run:\n%+v\n%+v", read, plain)
+	}
 }
 
+// TestFullSystemRunnerSmoke runs the full-system figure on one benchmark
+// at a small quota: uncached, cold and again against one cache directory.
+// The re-run is six hits and no miss, all three print the same tables,
+// and upward packets stay under Fig. 12's 0.01% of packets.
 func TestFullSystemRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second smoke")
 	}
-	ts, err := FullSystemSubset([]string{"blackscholes"}, 0.02, poolOpts)
-	requireTables(t, ts, err, "fig8", "fig12", "fig15")
+	fig := fullSystemFigure(0.02)
+	render := func() string {
+		ts, err := fig.sweep(fig.curves(microDur)[:6], poolOpts) // blackscholes: {1,4} VCs x three schemes
+		requireTables(t, ts, err, "fig8", "fig12", "fig15")
+		var b strings.Builder
+		for _, tb := range ts {
+			for _, row := range tb.Rows {
+				if pct, _ := strconv.ParseFloat(strings.TrimSuffix(row[len(row)-1], "%"), 64); tb.ID == "fig12" && pct >= 0.01 {
+					t.Errorf("%s at %s VCs: %s of packets are upward, want < 0.01%%", row[0], row[1], row[4])
+				}
+			}
+			b.WriteString(tb.Render())
+		}
+		return b.String()
+	}
+	t.Setenv("UPP_CACHE_DIR", "")
+	want := render()
+	t.Setenv("UPP_CACHE_DIR", t.TempDir())
+	var cold, again string
+	if _, misses, _, _ := cacheDelta(func() { cold = render() }); misses != 6 {
+		t.Fatalf("cold run: %d misses, want 6", misses)
+	}
+	if hits, misses, _, _ := cacheDelta(func() { again = render() }); hits != 6 || misses != 0 {
+		t.Fatalf("re-run: %d hits / %d misses, want 6 / 0", hits, misses)
+	}
+	if cold != want || again != want {
+		t.Fatalf("cached tables differ from the uncached run:\nuncached:\n%s\ncold:\n%s\nre-run:\n%s", want, cold, again)
+	}
 }

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"uppnoc/internal/coherence"
 	"uppnoc/internal/network"
+	"uppnoc/internal/router"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/traffic"
 	"uppnoc/internal/workload"
@@ -25,14 +27,23 @@ type Point struct {
 	Saturated              bool
 	// A closed-loop run (RunSpec.Workload) has no offered rate; it reports
 	// whether the workload finished within the horizon and when, the
-	// chunks delivered (all iterations), op progress at the horizon and
-	// remote control's injection holds. A rate-driven run leaves them zero.
+	// messages delivered (a collective's chunks over all iterations, a
+	// coherence run's protocol messages), progress at the horizon (ops, or
+	// a coherence run's accesses) and remote control's injection holds. A
+	// rate-driven run leaves them zero.
 	Completed      bool      `json:",omitempty"`
 	FinishCycle    sim.Cycle `json:",omitempty"`
 	Messages       uint64    `json:",omitempty"`
 	OpsFired       int       `json:",omitempty"`
 	OpsTotal       int       `json:",omitempty"`
 	InjectionHolds uint64    `json:",omitempty"`
+	// Events is a coherence run's datapath event counts summed over its
+	// routers, the energy model's input (EnergyJ); nil for any other run.
+	// It and DownLinks are pointers so that Points stay comparable.
+	Events *router.Stats `json:",omitempty"`
+	// DownLinks is each boundary router's down-link flits over the whole
+	// run, warmup included; nil unless RunSpec.DownLinks.
+	DownLinks *[]BoundaryLoad `json:",omitempty"`
 	// Trace is the recorded message trace; nil unless RunSpec.Record.
 	Trace *workload.Trace `json:"-"`
 }
@@ -147,15 +158,16 @@ func finishRun(spec RunSpec, n *network.Network, g *traffic.Generator, at sim.Cy
 	if err := step(end); err != nil {
 		return Point{}, err
 	}
-	p := measure(n)
+	p := measure(spec, n)
 	p.Rate, p.Throughput = spec.Rate, n.Throughput()
 	p.Saturated = p.TotalLat > latencyCap || p.TotalLat == 0
 	return p, nil
 }
 
-// measure reads the latency and recovery statistics every run reports.
-func measure(n *network.Network) Point {
-	return Point{
+// measure reads the latency and recovery statistics every run reports,
+// and the down-link loads when the spec asks for them.
+func measure(spec RunSpec, n *network.Network) Point {
+	p := Point{
 		NetLat:   n.AvgNetLatency(),
 		QueueLat: n.AvgQueueLatency(),
 		TotalLat: n.AvgTotalLatency(),
@@ -167,10 +179,15 @@ func measure(n *network.Network) Point {
 		Popups:   n.Stats.PopupsCompleted,
 		Signals:  n.Stats.SignalsSent,
 	}
+	if spec.DownLinks {
+		p.DownLinks = downLinks(n)
+	}
+	return p
 }
 
 // runWorkload is the cold path of Run for a closed-loop spec: the
-// workload driven to completion or to the horizon. Completion implies
+// collective driven to completion or to the horizon (a coherence spec
+// runs through runCoherence). Completion implies
 // every injected message was consumed (Program.Validate proves the closed
 // loop is closed), so a completed run needs no drain: the network is
 // empty at FinishCycle, and a packet still in flight is an error.
@@ -180,6 +197,9 @@ func runWorkload(spec RunSpec) (Point, error) {
 		return Point{}, err
 	}
 	n := sm.Net
+	if coherence.IsSpec(spec.Workload) {
+		return runCoherence(spec, n)
+	}
 	eng, ws, err := workloadEngine(n, spec.Workload)
 	if err != nil {
 		return Point{}, err
@@ -191,7 +211,7 @@ func runWorkload(spec RunSpec) (Point, error) {
 		eng.SetRecorder(rec)
 	}
 	Drive(n, eng, sim.Cycle(spec.horizon()), eng.Done)
-	p := measure(n)
+	p := measure(spec, n)
 	p.Completed, p.Messages, p.InjectionHolds = eng.Done(), eng.MessagesDelivered, n.Stats.InjectionHolds
 	p.OpsFired, p.OpsTotal = eng.Progress()
 	if rec != nil {
