@@ -334,13 +334,29 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkComposableSearch measures the design-time restriction search —
-// the cost the paper's flexibility critique is about.
+// the cost the paper's flexibility critique is about — on the baseline, on
+// eight boundary routers per chiplet and on Fig. 9's large system. The
+// topology is built outside the timed loop: the search only reads it.
 func BenchmarkComposableSearch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		topo := topology.MustBuild(topology.BaselineConfig())
-		if _, err := composable.BuildTables(topo); err != nil {
-			b.Fatal(err)
-		}
+	eight := topology.BaselineConfig()
+	eight.BoundaryPerChiplet = 8
+	for _, c := range []struct {
+		name string
+		cfg  topology.SystemConfig
+	}{
+		{"Baseline", topology.BaselineConfig()},
+		{"Boundary8", eight},
+		{"LargeConfig", topology.LargeConfig()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			topo := topology.MustBuild(c.cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := composable.BuildTables(topo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -21,6 +21,8 @@ package composable
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"uppnoc/internal/message"
@@ -45,7 +47,6 @@ type Tables struct {
 	network.BaseScheme
 	topo     *topology.Topology
 	chanBase []int32
-	numChan  int
 	// next[channel*numNodes+dst] is the output port, or InvalidPort.
 	next []topology.PortID
 	// Restrictions lists the placed boundary-router turn restrictions in
@@ -53,47 +54,115 @@ type Tables struct {
 	Restrictions []Turn
 }
 
-const maxRestrictions = 512
+const (
+	maxRestrictions = 512
+	// maxPorts bounds a router's radix: a channel's banned outputs are one
+	// uint32 (the router's switch masks have the same bound).
+	maxPorts = 32
+)
+
+// search is one design-time search over flat per-channel arrays. Channel c
+// is input port port[c] of router node[c]; a router's channels are
+// chanBase[node] up to chanBase[node+1], so the channel an output port o
+// feeds is peer[chanBase[node]+o].
+type search struct {
+	t        *topology.Topology
+	chanBase []int32
+	node     []topology.NodeID
+	port     []topology.PortID
+	// peer is the channel at the other end of a channel's link, -1 for
+	// the local port.
+	peer []int32
+	// chiplet is each router's chiplet index.
+	chiplet []int
+	// banned[c] has bit o set when a packet arriving on channel c may not
+	// leave by output port o: a U-turn, a Y-to-X turn (the XY turn model
+	// within layers), a faulty link or a placed restriction. A faulty
+	// input channel bans every output.
+	banned []uint32
+	placed []Turn
+	dist   []int32
+	queue  []int32
+}
 
 // BuildTables runs the design-time search for topology t.
 func BuildTables(t *topology.Topology) (*Tables, error) {
-	restricted := make(map[Turn]bool)
-	var placed []Turn
+	s, err := newSearch(t)
+	if err != nil {
+		return nil, err
+	}
+	tb, err := s.routes()
+	if err != nil {
+		return nil, fmt.Errorf("composable: routes under current restrictions: %w", err)
+	}
 	for iter := 0; iter <= maxRestrictions; iter++ {
-		tb, err := computeRoutes(t, restricted)
-		if err != nil {
-			return nil, fmt.Errorf("composable: routes under current restrictions: %w", err)
-		}
-		cycle := tb.dependencyCycle()
+		cycle := s.dependencyCycle(tb)
 		if cycle == nil {
-			tb.Restrictions = placed
+			tb.Restrictions = s.placed
 			return tb, nil
 		}
-		turn, err := chooseRestriction(t, restricted, cycle)
-		if err != nil {
+		if tb, err = s.restrict(cycle); err != nil {
 			return nil, err
 		}
-		restricted[turn] = true
-		placed = append(placed, turn)
 	}
 	return nil, fmt.Errorf("composable: no acyclic restriction set within %d restrictions", maxRestrictions)
 }
 
-// chooseRestriction picks a boundary-router turn on the cycle whose
-// removal keeps the network connected, preferring turns that involve a
-// vertical link (the restrictions of the paper's Fig. 2(a)).
-func chooseRestriction(t *topology.Topology, restricted map[Turn]bool, cycle []Turn) (Turn, error) {
+func newSearch(t *topology.Topology) (*search, error) {
+	numNodes := t.NumNodes()
+	s := &search{t: t, chanBase: make([]int32, numNodes+1), chiplet: make([]int, numNodes)}
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		if len(n.Ports) > maxPorts {
+			return nil, fmt.Errorf("composable: node %d has %d ports; the turn masks hold at most %d", i, len(n.Ports), maxPorts)
+		}
+		s.chanBase[i+1] = s.chanBase[i] + int32(len(n.Ports))
+		s.chiplet[i] = n.Chiplet
+	}
+	numChan := s.chanBase[numNodes]
+	s.node, s.port = make([]topology.NodeID, numChan), make([]topology.PortID, numChan)
+	s.peer, s.banned = make([]int32, numChan), make([]uint32, numChan)
+	s.dist, s.queue = make([]int32, numChan), make([]int32, 0, numChan)
+	for i := range t.Nodes {
+		ports := t.Nodes[i].Ports
+		for in := range ports {
+			c := s.chanBase[i] + int32(in)
+			s.node[c], s.port[c], s.peer[c] = topology.NodeID(i), topology.PortID(in), -1
+			if in != int(topology.LocalPort) {
+				s.peer[c] = s.chanBase[ports[in].Neighbor] + int32(ports[in].NeighborPort)
+				if ports[in].Link.Faulty {
+					s.banned[c] = ^uint32(0)
+					continue
+				}
+			}
+			for out := 1; out < len(ports); out++ {
+				xyTurn := in != int(topology.LocalPort) && isY(ports[in].Dir) && isX(ports[out].Dir)
+				if out == in || xyTurn || ports[out].Link.Faulty {
+					s.banned[c] |= 1 << out
+				}
+			}
+		}
+	}
+	return s, nil
+}
+
+// restrict places a boundary-router turn on the cycle whose removal keeps
+// the network connected, preferring turns that involve a vertical link
+// (the restrictions of the paper's Fig. 2(a)). The connectivity check is
+// the route computation under the enlarged set, so its tables are
+// returned.
+func (s *search) restrict(cycle []Turn) (*Tables, error) {
 	var candidates []Turn
 	for _, turn := range cycle {
-		if t.Node(turn.Node).Kind != topology.BoundaryRouter {
+		if s.t.Node(turn.Node).Kind != topology.BoundaryRouter {
 			continue
 		}
 		candidates = append(candidates, turn)
 	}
 	// Vertical-involving turns first, then deterministic order.
 	sort.SliceStable(candidates, func(i, j int) bool {
-		vi := turnVertical(t, candidates[i])
-		vj := turnVertical(t, candidates[j])
+		vi := turnVertical(s.t, candidates[i])
+		vj := turnVertical(s.t, candidates[j])
 		if vi != vj {
 			return vi
 		}
@@ -107,14 +176,15 @@ func chooseRestriction(t *topology.Topology, restricted map[Turn]bool, cycle []T
 		return a.Out < b.Out
 	})
 	for _, turn := range candidates {
-		restricted[turn] = true
-		if _, err := computeRoutes(t, restricted); err == nil {
-			delete(restricted, turn)
-			return turn, nil
+		c, bit := s.chanBase[turn.Node]+int32(turn.In), uint32(1)<<turn.Out
+		s.banned[c] |= bit
+		if tb, err := s.routes(); err == nil {
+			s.placed = append(s.placed, turn)
+			return tb, nil
 		}
-		delete(restricted, turn)
+		s.banned[c] &^= bit
 	}
-	return Turn{}, fmt.Errorf("composable: cycle with no restrictable boundary turn (len %d)", len(cycle))
+	return nil, fmt.Errorf("composable: cycle with no restrictable boundary turn (len %d)", len(cycle))
 }
 
 func turnVertical(t *topology.Topology, turn Turn) bool {
@@ -126,129 +196,75 @@ func turnVertical(t *topology.Topology, turn Turn) bool {
 func isY(d topology.Direction) bool { return d == topology.North || d == topology.South }
 func isX(d topology.Direction) bool { return d == topology.East || d == topology.West }
 
-// turnAllowed applies the XY turn model plus the restriction set.
-func turnAllowed(t *topology.Topology, restricted map[Turn]bool, node topology.NodeID, in, out topology.PortID) bool {
-	if in == out {
-		return false
-	}
-	n := t.Node(node)
-	if in != topology.LocalPort {
-		inDir := n.Ports[in].Dir
-		outDir := n.Ports[out].Dir
-		if isY(inDir) && isX(outDir) {
-			return false // XY turn model within layers
-		}
-		_ = outDir
-	}
-	return !restricted[Turn{node, in, out}]
-}
-
-// computeRoutes builds per-destination shortest routes over the allowed
-// channel graph (backward BFS per destination). It fails if any
-// (injection, destination) pair becomes unreachable.
-func computeRoutes(t *topology.Topology, restricted map[Turn]bool) (*Tables, error) {
-	tb := &Tables{topo: t}
-	tb.chanBase = make([]int32, t.NumNodes()+1)
-	for i := range t.Nodes {
-		tb.chanBase[i+1] = tb.chanBase[i] + int32(len(t.Nodes[i].Ports))
-	}
-	tb.numChan = int(tb.chanBase[t.NumNodes()])
-	numNodes := t.NumNodes()
-	tb.next = make([]topology.PortID, tb.numChan*numNodes)
-	for i := range tb.next {
-		tb.next[i] = topology.InvalidPort
-	}
-	dist := make([]int32, tb.numChan)
-	queue := make([]int32, 0, tb.numChan)
-
+// routes builds per-destination shortest routes over the allowed channel
+// graph (backward BFS per destination). It fails if any (injection,
+// destination) pair becomes unreachable.
+func (s *search) routes() (*Tables, error) {
+	numNodes, numChan := len(s.chiplet), int32(len(s.node))
+	tb := &Tables{topo: s.t, chanBase: s.chanBase, next: make([]topology.PortID, int(numChan)*numNodes)}
+	dist := s.dist
 	for d := 0; d < numNodes; d++ {
 		dst := topology.NodeID(d)
-		dstChiplet := t.Node(dst).Chiplet
+		dstChiplet := s.chiplet[d]
 		for i := range dist {
 			dist[i] = -1
 		}
-		queue = queue[:0]
 		// All channels arriving at dst eject with distance 0.
-		for pi := range t.Node(dst).Ports {
-			c := tb.chanBase[dst] + int32(pi)
+		queue := s.queue[:0]
+		for c := s.chanBase[d]; c < s.chanBase[d+1]; c++ {
 			dist[c] = 0
 			queue = append(queue, c)
 		}
 		for qi := 0; qi < len(queue); qi++ {
 			c := queue[qi]
-			node, in := tb.chanNode(c)
-			// Predecessors: channels (m, mi) that can move into (node, in)
-			// via the link behind input port `in`.
-			if in == topology.LocalPort {
+			// Predecessors: channels of the upstream router m that may
+			// turn into the link m -> node behind channel c, when that
+			// move respects chiplet-entry legality.
+			up := s.peer[c]
+			if up < 0 {
 				continue
 			}
-			n := t.Node(node)
-			pt := &n.Ports[in]
-			if pt.Link.Faulty {
+			m := s.node[up]
+			if !s.moveLegal(m, s.node[c], dstChiplet) {
 				continue
 			}
-			m := pt.Neighbor
-			mOut := pt.NeighborPort
-			// Moving m -> node must respect chiplet-entry legality.
-			if !moveLegal(t, m, node, dst, dstChiplet) {
-				continue
-			}
-			mn := t.Node(m)
-			for mi := range mn.Ports {
-				if !turnAllowed(t, restricted, m, topology.PortID(mi), mOut) {
-					continue
-				}
-				if mi != int(topology.LocalPort) && mn.Ports[mi].Link.Faulty {
-					continue
-				}
-				pc := tb.chanBase[m] + int32(mi)
-				if dist[pc] < 0 {
+			bit := uint32(1) << s.port[up]
+			for pc := s.chanBase[m]; pc < s.chanBase[m+1]; pc++ {
+				if s.banned[pc]&bit == 0 && dist[pc] < 0 {
 					dist[pc] = dist[c] + 1
 					queue = append(queue, pc)
 				}
 			}
 		}
+		s.queue = queue
 		// Next hops: best allowed move per channel.
-		for c := int32(0); c < int32(tb.numChan); c++ {
-			node, in := tb.chanNode(c)
+		for c := int32(0); c < numChan; c++ {
+			node, i := s.node[c], int(c)*numNodes+d
 			if node == dst {
-				tb.next[int(c)*numNodes+d] = topology.LocalPort
+				tb.next[i] = topology.LocalPort
 				continue
 			}
 			if dist[c] < 0 {
+				tb.next[i] = topology.InvalidPort
 				continue
 			}
-			n := t.Node(node)
-			best := topology.InvalidPort
-			var bestD int32 = -1
-			for pi := 1; pi < len(n.Ports); pi++ {
-				out := topology.PortID(pi)
-				if !turnAllowed(t, restricted, node, in, out) || n.Ports[pi].Link.Faulty {
-					continue
-				}
-				nb := n.Ports[pi].Neighbor
-				if !moveLegal(t, node, nb, dst, dstChiplet) {
-					continue
-				}
-				nc := tb.chanBase[nb] + int32(n.Ports[pi].NeighborPort)
-				if dist[nc] < 0 {
+			best, bestD := topology.InvalidPort, int32(-1)
+			for oc := s.chanBase[node] + 1; oc < s.chanBase[node+1]; oc++ {
+				out := topology.PortID(oc - s.chanBase[node])
+				nc := s.peer[oc]
+				if s.banned[c]&(1<<out) != 0 || dist[nc] < 0 || !s.moveLegal(node, s.node[nc], dstChiplet) {
 					continue
 				}
 				if bestD < 0 || dist[nc] < bestD {
-					bestD = dist[nc]
-					best = out
+					best, bestD = out, dist[nc]
 				}
 			}
-			tb.next[int(c)*numNodes+d] = best
+			tb.next[i] = best
 		}
 		// Every injection channel must reach every destination.
-		for s := 0; s < numNodes; s++ {
-			if s == d {
-				continue
-			}
-			c := tb.chanBase[s] + int32(topology.LocalPort)
-			if dist[c] < 0 {
-				return nil, fmt.Errorf("no route %d -> %d", s, d)
+		for src := 0; src < numNodes; src++ {
+			if src != d && dist[s.chanBase[src]] < 0 {
+				return nil, fmt.Errorf("no route %d -> %d", src, d)
 			}
 		}
 	}
@@ -257,9 +273,8 @@ func computeRoutes(t *topology.Topology, restricted map[Turn]bool) (*Tables, err
 
 // moveLegal forbids routes that enter a chiplet other than the
 // destination's, or leave the destination's chiplet.
-func moveLegal(t *topology.Topology, from, to topology.NodeID, dst topology.NodeID, dstChiplet int) bool {
-	fc := t.Node(from).Chiplet
-	tc := t.Node(to).Chiplet
+func (s *search) moveLegal(from, to topology.NodeID, dstChiplet int) bool {
+	fc, tc := s.chiplet[from], s.chiplet[to]
 	if fc == tc {
 		return true
 	}
@@ -270,20 +285,6 @@ func moveLegal(t *topology.Topology, from, to topology.NodeID, dst topology.Node
 		return false // descending out of the destination chiplet
 	}
 	return true
-}
-
-func (tb *Tables) chanNode(c int32) (topology.NodeID, topology.PortID) {
-	// Binary search over chanBase.
-	lo, hi := 0, len(tb.chanBase)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if tb.chanBase[mid] <= c {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return topology.NodeID(lo), topology.PortID(c - tb.chanBase[lo])
 }
 
 // Route implements the run-time table lookup (a router.RouteFunc).
@@ -323,33 +324,34 @@ func (tb *Tables) PathLength(src, dst topology.NodeID) (int, error) {
 // dependencyCycle builds the channel dependency graph from the turns the
 // routes actually use and returns one cycle (as turns), or nil when the
 // CDG is acyclic.
-func (tb *Tables) dependencyCycle() []Turn {
-	t := tb.topo
-	numNodes := t.NumNodes()
+func (s *search) dependencyCycle(tb *Tables) []Turn {
+	numNodes := len(s.chiplet)
 	// Link channels = non-local (node, inPort) channels; a dependency goes
 	// from the arriving channel to the chosen outgoing link's channel on
-	// the far side.
-	adj := make(map[int32]map[int32]bool)
-	for c := int32(0); c < int32(tb.numChan); c++ {
-		node, in := tb.chanNode(c)
-		n := t.Node(node)
-		for d := 0; d < numNodes; d++ {
-			out := tb.next[int(c)*numNodes+d]
-			if out == topology.InvalidPort || out == topology.LocalPort {
-				continue
-			}
-			// The downstream channel this turn feeds.
-			nc := tb.chanBase[n.Ports[out].Neighbor] + int32(n.Ports[out].NeighborPort)
-			if in == topology.LocalPort {
-				continue // injection edges cannot be part of a cycle
-			}
-			if adj[c] == nil {
-				adj[c] = make(map[int32]bool)
-			}
-			adj[c][nc] = true
+	// the far side. Injection edges cannot be part of a cycle.
+	succ := make([][]int32, len(s.node))
+	var roots []int32
+	for c := range s.node {
+		if s.port[c] == topology.LocalPort {
+			continue
 		}
+		var used uint32
+		for _, out := range tb.next[c*numNodes : (c+1)*numNodes] {
+			if out > topology.LocalPort {
+				used |= 1 << out
+			}
+		}
+		if used == 0 {
+			continue
+		}
+		base := s.chanBase[s.node[c]]
+		for ; used != 0; used &= used - 1 {
+			succ[c] = append(succ[c], s.peer[base+int32(bits.TrailingZeros32(used))])
+		}
+		slices.Sort(succ[c])
+		roots = append(roots, int32(c))
 	}
-	cycleChans := routing.FindCycle(routing.SortedKeys(adj), func(c int32) []int32 { return routing.SortedKeys(adj[c]) })
+	cycleChans := routing.FindCycle(roots, func(c int32) []int32 { return succ[c] })
 	if cycleChans == nil {
 		return nil
 	}
@@ -357,16 +359,12 @@ func (tb *Tables) dependencyCycle() []Turn {
 	cycleChans = append(cycleChans[1:], cycleChans[0])
 	// Convert consecutive channel pairs into the turns connecting them.
 	turns := make([]Turn, 0, len(cycleChans))
-	for i := range cycleChans {
-		c := cycleChans[i]
+	for i, c := range cycleChans {
 		nc := cycleChans[(i+1)%len(cycleChans)]
-		node, in := tb.chanNode(c)
-		// Find the output port at node leading to channel nc.
-		n := t.Node(node)
-		for pi := 1; pi < len(n.Ports); pi++ {
-			dc := tb.chanBase[n.Ports[pi].Neighbor] + int32(n.Ports[pi].NeighborPort)
-			if dc == nc {
-				turns = append(turns, Turn{node, in, topology.PortID(pi)})
+		node := s.node[c]
+		for oc := s.chanBase[node] + 1; oc < s.chanBase[node+1]; oc++ {
+			if s.peer[oc] == nc {
+				turns = append(turns, Turn{node, s.port[c], topology.PortID(oc - s.chanBase[node])})
 				break
 			}
 		}

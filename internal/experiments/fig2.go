@@ -19,12 +19,16 @@ func Fig2(opts PoolOptions) ([]Table, error) {
 		Title:  "Composable routing: boundary-router turn restrictions found by the design-time search",
 		Header: []string{"chiplet", "boundary_router", "restricted_turn"},
 	}
-	topo := topology.MustBuild(topology.BaselineConfig())
+	cfg := topology.BaselineConfig()
+	topo := topology.MustBuild(cfg)
 	opts.Progress.log("fig2: running the restriction search")
-	tb, err := composable.BuildTables(topo)
+	// The process-wide cache: the sweeps' composable runs on the baseline
+	// reuse this search instead of running it again.
+	s, err := cachedScheme(cfg, SchemeComposable, topo)
 	if err != nil {
 		return nil, err
 	}
+	tb := s.(*composable.Tables)
 	for _, turn := range tb.Restrictions {
 		n := topo.Node(turn.Node)
 		t.AddRow(

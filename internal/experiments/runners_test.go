@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"uppnoc/internal/network"
+	"uppnoc/internal/topology"
 )
 
 // microDur keeps runner smoke tests fast; the figures binary runs real
@@ -134,6 +137,32 @@ func TestFig2RunnerSmoke(t *testing.T) {
 	}
 	if got := ts[0].CSV(); got != string(want) {
 		t.Fatalf("fig2 diverges from results/fig2.csv:\n%s\ncommitted:\n%s", got, want)
+	}
+}
+
+// TestFig2SharesTheSweepSearch: Fig. 2 reads composable's process-wide
+// table cache, so a figures process that also sweeps the baseline runs the
+// design-time search once.
+func TestFig2SharesTheSweepSearch(t *testing.T) {
+	cfg := topology.BaselineConfig()
+	composableMu.Lock()
+	delete(composableCache, cfg)
+	composableMu.Unlock()
+	if _, err := Fig2(PoolOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	composableMu.Lock()
+	filled := composableCache[cfg]
+	composableMu.Unlock()
+	if filled == nil {
+		t.Fatal("Fig2 ran the search without filling the cache")
+	}
+	s, err := cachedScheme(cfg, SchemeComposable, topology.MustBuild(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s != network.Scheme(filled) {
+		t.Fatal("a baseline composable run searched again after Fig2")
 	}
 }
 

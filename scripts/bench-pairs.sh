@@ -1,7 +1,8 @@
 #!/bin/sh
 # bench-pairs: the choosing-metrics pairing rule as one command.
 #
-#   scripts/bench-pairs.sh BASE WORKLOAD [N] [METRIC]     (make bench-pairs)
+#   scripts/bench-pairs.sh [-json FILE] BASE WORKLOAD [N] [METRIC]
+#                                                         (make bench-pairs)
 #
 # Builds ./bench once from BASE (a temporary checkout of that revision)
 # and once from the working tree, then runs N pairs of `-workload WORKLOAD
@@ -14,9 +15,20 @@
 # base's own interquartile distance. A run that reports correct:false or a
 # failed operation on either side fails the script. SEED (11) and SECS
 # (10) pass through to -seed and -seconds.
+#
+# -json FILE appends the outcome as one record to the JSON array in FILE
+# (created when missing): workload, metric, pairs and pairs won, seed,
+# seconds, num_cpu, both commits, and per side the q1 / median / q3 of the
+# five metrics. BENCH_trajectory.json collects one such record per claim.
 set -eu
-base=${1:?usage: bench-pairs.sh BASE WORKLOAD [N] [METRIC]}
-workload=${2:?usage: bench-pairs.sh BASE WORKLOAD [N] [METRIC]}
+usage='usage: bench-pairs.sh [-json FILE] BASE WORKLOAD [N] [METRIC]'
+json=
+if [ "${1:-}" = -json ]; then
+	json=${2:?$usage}
+	shift 2
+fi
+base=${1:?$usage}
+workload=${2:?$usage}
 pairs=${3:-10}
 metric=${4:-cycles_per_s}
 root=$(git rev-parse --show-toplevel)
@@ -74,16 +86,46 @@ while [ "$i" -le "$pairs" ]; do
 	i=$((i + 1))
 done
 
-# quartiles FILE: q1, median, q3 by linear interpolation.
+# quartiles FILE FORMAT: q1, median, q3 by linear interpolation, printed
+# with FORMAT (three %g-style conversions).
 quartiles() {
-	sort -g "$1" | awk '
+	sort -g "$1" | awk -v f="$2" '
 		{ v[NR] = $1 }
 		function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
-		END { printf "q1 %-10g median %-10g q3 %g", q(0.25), q(0.5), q(0.75) }'
+		END { printf f, q(0.25), q(0.5), q(0.75) }'
 }
+better=$([ "$lower" -eq 1 ] && echo lower || echo higher)
 echo "$workload, $pairs pairs, seed ${SEED:-11}: q1 / median / q3 per side"
 for m in $metrics; do
-	printf '  %-19s base (%s): %s\n' "$m" "$base" "$(quartiles "$tmp/base.$m.txt")"
-	printf '  %-19s tree:%*s %s\n' "" $((${#base} + 3)) "" "$(quartiles "$tmp/tree.$m.txt")"
+	printf '  %-19s base (%s): %s\n' "$m" "$base" "$(quartiles "$tmp/base.$m.txt" 'q1 %-10g median %-10g q3 %g')"
+	printf '  %-19s tree:%*s %s\n' "" $((${#base} + 3)) "" "$(quartiles "$tmp/tree.$m.txt" 'q1 %-10g median %-10g q3 %g')"
 done
-echo "  tree won $won of $pairs pairs on $metric ($([ "$lower" -eq 1 ] && echo lower || echo higher) is better)"
+echo "  tree won $won of $pairs pairs on $metric ($better is better)"
+
+[ -n "$json" ] || exit 0
+# side SIDE: one side's quartiles as a JSON object keyed by metric.
+side() {
+	sep=
+	for m in $metrics; do
+		printf '%s"%s": %s' "$sep" "$m" "$(quartiles "$tmp/$1.$m.txt" '{"q1": %.6g, "median": %.6g, "q3": %.6g}')"
+		sep=', '
+	done
+}
+dirty=false
+[ -z "$(git -C "$root" status --porcelain --untracked-files=no)" ] || dirty=true
+{
+	if [ -s "$json" ]; then
+		sed '$d' "$json" | sed '$ s/}$/},/'
+	else
+		echo '['
+	fi
+	printf '  {\n'
+	printf '    "workload": "%s", "metric": "%s", "better": "%s",\n' "$workload" "$metric" "$better"
+	printf '    "pairs": %d, "won": %d, "seed": %d, "seconds": %s, "num_cpu": %d,\n' "$pairs" "$won" "${SEED:-11}" "${SECS:-10}" "$(getconf _NPROCESSORS_ONLN)"
+	printf '    "base_commit": "%s",\n' "$(git -C "$root" rev-parse "$base^{commit}")"
+	printf '    "tree_commit": "%s", "tree_dirty": %s,\n' "$(git -C "$root" rev-parse HEAD)" "$dirty"
+	printf '    "base": {%s},\n' "$(side base)"
+	printf '    "tree": {%s}\n' "$(side tree)"
+	printf '  }\n]\n'
+} >"$tmp/json"
+mv "$tmp/json" "$json"
