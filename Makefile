@@ -83,9 +83,14 @@ bench-pairs:
 # and cmd/ that name composable's deleted search structures (a map[Turn]
 # restriction set, turnAllowed, chanNode): the search runs on flat
 # per-channel arrays with one banned-output mask per channel, so a hashed
-# turn lookup grown back shows up as a number. Last, BaseScheme's
+# turn lookup grown back shows up as a number. Then BaseScheme's
 # no-op stubs in scheme.go: the methods every scheme without that hook
-# pads out. The target fails when a count exceeds its ceiling; CI's test
+# pads out. Then the non-test lines of internal/topology that call
+# t.addLink: every system is a chiplet list built by one construction loop
+# (build, which BuildScale and BuildHetero end in), so a second builder
+# shows up as a number. Last, the lines of internal/ and cmd/ that name
+# validateDeep: topology validation is exact at every size, with no size
+# threshold or build tag switching a check off. The target fails when a count exceeds its ceiling; CI's test
 # job runs it.
 SNAPSHOT_LINES = 1544
 DELETED_SETTINGS = \.LinkLatency\b|\.InterTileLatency|\.EjectionDepth|\.SignalTimeout|\.MaxSignalRetries|SlotsPerBoundary|HandshakeRTT|\.MSHRs|remotectl\.Config|coherence\.Config
@@ -134,6 +139,12 @@ loc:
 	@n=$$(grep -c '^func (BaseScheme)' internal/network/scheme.go); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'BaseScheme stubs' $$n 7; \
 		[ $$n -le 7 ]
+	@n=$$(find internal/topology -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 't\.addLink('); \
+		printf 'lines %-28s %d (ceiling %d)\n' 't.addLink( in topology' $$n 1; \
+		[ $$n -le 1 ]
+	@n=$$(find internal cmd -name '*.go' | xargs cat | grep -c 'validateDeep'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'validateDeep' $$n 0; \
+		[ $$n -le 0 ]
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact

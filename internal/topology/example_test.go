@@ -1,9 +1,4 @@
-// Heterogeneous system: the modularity scenario of Sec. III-A — four
-// independently designed chiplets of different sizes (6x4, 4x4, 4x4, 2x2)
-// with different boundary-router budgets (4/4/2/1), composed on one 4x4
-// interposer. No scheme gets global knowledge at design time, yet the
-// system must stay (or recover to) deadlock-free.
-package main
+package topology_test
 
 import (
 	"fmt"
@@ -14,7 +9,12 @@ import (
 	"uppnoc/internal/traffic"
 )
 
-func main() {
+// The modularity scenario of Sec. III-A: four independently designed
+// chiplets of different sizes (6x4, 4x4, 4x4, 2x2) with different
+// boundary-router budgets (4/4/2/1), composed on one 4x4 interposer. No
+// scheme gets global knowledge at design time, yet the system must stay
+// (or recover to) deadlock-free.
+func ExampleBuildHetero() {
 	cfg := topology.HeteroExampleConfig()
 	topo, err := topology.BuildHetero(cfg)
 	if err != nil {
@@ -43,4 +43,17 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("  drained cleanly — modular composition, deadlock recovery intact.")
+	// Output:
+	// heterogeneous chiplet system:
+	//   chiplet 0: 6x4 mesh, 4 boundary routers
+	//   chiplet 1: 4x4 mesh, 4 boundary routers
+	//   chiplet 2: 4x4 mesh, 2 boundary routers
+	//   chiplet 3: 2x2 mesh, 1 boundary routers
+	//   interposer: 4x4, 11 vertical links, 60 cores total
+	//
+	// under UPP at 0.06 flits/cycle/node:
+	//   latency    228.5 cycles
+	//   accepted   0.0585 flits/cycle/node
+	//   popups     173 completed, 17 false positives
+	//   drained cleanly — modular composition, deadlock recovery intact.
 }

@@ -13,10 +13,45 @@ import (
 // mesh fabric). The choice is deterministic in seed. It returns the faulted
 // links.
 func (t *Topology) InjectFaults(n int, seed uint64) ([]*Link, error) {
+	faulted := t.faultLinks(sim.NewRNG(seed), n, func(*Link) bool { return true })
+	if len(faulted) < n {
+		heal(faulted)
+		return nil, fmt.Errorf("topology: could only fault %d of %d links without disconnecting a layer", len(faulted), n)
+	}
+	return faulted, nil
+}
+
+// InjectFaultsPerLayer marks n mesh links faulty in every layer — the
+// interposer and each chiplet — never disconnecting a layer and never
+// touching vertical links (same rules as InjectFaults, applied per layer
+// instead of globally; the fault-sweep robustness figure uses it to put
+// uniform pressure on every mesh). Deterministic in seed. It returns all
+// faulted links; on error no link is left faulty.
+func (t *Topology) InjectFaultsPerLayer(n int, seed uint64) ([]*Link, error) {
+	if n <= 0 {
+		return nil, nil
+	}
 	rng := sim.NewRNG(seed)
+	var all []*Link
+	for layer := InterposerChiplet; layer < len(t.Chiplets); layer++ {
+		faulted := t.faultLinks(rng, n, func(l *Link) bool { return t.Node(l.A).Chiplet == layer })
+		all = append(all, faulted...)
+		if len(faulted) < n {
+			heal(all)
+			return nil, fmt.Errorf("topology: could only fault %d of %d links in layer %d without disconnecting it", len(faulted), n, layer)
+		}
+	}
+	return all, nil
+}
+
+// faultLinks is the one fault-placement loop: it shuffles the healthy mesh
+// links that in accepts with rng, then marks them faulty in that order,
+// keeping each only if its layer stays connected, until n are faulty. It
+// returns the links it faulted, fewer than n if the layers ran out.
+func (t *Topology) faultLinks(rng *sim.RNG, n int, in func(*Link) bool) []*Link {
 	candidates := make([]*Link, 0, len(t.Links))
 	for _, l := range t.Links {
-		if !l.Vertical && !l.Faulty {
+		if !l.Vertical && !l.Faulty && in(l) {
 			candidates = append(candidates, l)
 		}
 	}
@@ -35,71 +70,18 @@ func (t *Topology) InjectFaults(n int, seed uint64) ([]*Link, error) {
 			l.Faulty = false
 		}
 	}
-	if len(faulted) < n {
-		for _, l := range faulted {
-			l.Faulty = false
-		}
-		return nil, fmt.Errorf("topology: could only fault %d of %d links without disconnecting a layer", len(faulted), n)
-	}
-	return faulted, nil
+	return faulted
 }
 
-// InjectFaultsPerLayer marks n mesh links faulty in every layer — the
-// interposer and each chiplet — never disconnecting a layer and never
-// touching vertical links (same rules as InjectFaults, applied per layer
-// instead of globally; the fault-sweep robustness figure uses it to put
-// uniform pressure on every mesh). Deterministic in seed. It returns all
-// faulted links; on error no link is left faulty.
-func (t *Topology) InjectFaultsPerLayer(n int, seed uint64) ([]*Link, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	rng := sim.NewRNG(seed)
-	layers := make([]int, 0, len(t.Chiplets)+1)
-	layers = append(layers, InterposerChiplet)
-	for c := range t.Chiplets {
-		layers = append(layers, c)
-	}
-	var all []*Link
-	for _, layer := range layers {
-		candidates := make([]*Link, 0, len(t.Links))
-		for _, l := range t.Links {
-			if !l.Vertical && !l.Faulty && t.Node(l.A).Chiplet == layer {
-				candidates = append(candidates, l)
-			}
-		}
-		rng.Shuffle(len(candidates), func(i, j int) {
-			candidates[i], candidates[j] = candidates[j], candidates[i]
-		})
-		faulted := 0
-		for _, l := range candidates {
-			if faulted == n {
-				break
-			}
-			l.Faulty = true
-			if t.LayerConnected(layer) {
-				all = append(all, l)
-				faulted++
-			} else {
-				l.Faulty = false
-			}
-		}
-		if faulted < n {
-			for _, l := range all {
-				l.Faulty = false
-			}
-			return nil, fmt.Errorf("topology: could only fault %d of %d links in layer %d without disconnecting it", faulted, n, layer)
-		}
-	}
-	return all, nil
-}
-
-// ClearFaults restores every link to healthy.
-func (t *Topology) ClearFaults() {
-	for _, l := range t.Links {
+// heal marks links healthy.
+func heal(links []*Link) {
+	for _, l := range links {
 		l.Faulty = false
 	}
 }
+
+// ClearFaults restores every link to healthy.
+func (t *Topology) ClearFaults() { heal(t.Links) }
 
 // LayerNodes returns the router IDs of one layer: a chiplet index, or
 // InterposerChiplet for the interposer.

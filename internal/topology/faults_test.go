@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // smallTopo builds the smallest interesting system: every layer a 2x2
 // mesh, so each layer has exactly 4 mesh links and disconnection is easy
@@ -168,4 +171,48 @@ func TestInjectFaultsPerLayerCountsAndDeterminism(t *testing.T) {
 	if same {
 		t.Fatal("seeds 11 and 12 picked identical fault sets")
 	}
+}
+
+// TestFaultPlacementPinned pins the links fig11 (global budget, fault
+// seed 1234) and fault_sweep (per layer, fault seed 4321) fault on the
+// baseline system: the order the RNG is drawn in decides the placement,
+// and the committed figures depend on it.
+func TestFaultPlacementPinned(t *testing.T) {
+	ids := func(ls []*Link) string { return fmt.Sprint(linkIDs(ls)) }
+	cases := []struct {
+		perLayer bool
+		n        int
+		seed     uint64
+		want     string
+	}{
+		{false, 1, 1234, "[23]"},
+		{false, 5, 1234, "[23 52 101 45 12]"},
+		{false, 10, 1234, "[23 52 101 45 12 41 87 119 70 57]"},
+		{false, 15, 1234, "[23 52 101 45 12 41 87 119 70 57 74 69 9 35 96]"},
+		{false, 20, 1234, "[23 52 101 45 12 41 87 119 70 57 74 69 9 35 96 83 44 122 61 36]"},
+		{true, 2, 4321, "[3 15 39 38 73 58 96 82 118 119]"},
+		{true, 4, 4321, "[3 15 12 5 39 38 40 37 73 58 65 72 96 82 87 95 118 119 109 121]"},
+	}
+	for _, tc := range cases {
+		topo := MustBuild(BaselineConfig())
+		inject := topo.InjectFaults
+		if tc.perLayer {
+			inject = topo.InjectFaultsPerLayer
+		}
+		faulted, err := inject(tc.n, tc.seed)
+		if err != nil {
+			t.Fatalf("perLayer=%v n=%d: %v", tc.perLayer, tc.n, err)
+		}
+		if got := ids(faulted); got != tc.want {
+			t.Errorf("perLayer=%v n=%d seed %d: faulted %s, want %s", tc.perLayer, tc.n, tc.seed, got, tc.want)
+		}
+	}
+}
+
+func linkIDs(ls []*Link) []int {
+	out := make([]int, len(ls))
+	for i, l := range ls {
+		out[i] = l.ID
+	}
+	return out
 }

@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"fmt"
-
-	"uppnoc/internal/sim"
-)
+import "fmt"
 
 // ScaleConfig parameterizes the scale-out system builder: a grid of
 // interposer tiles, each an independent TileW x TileH active-interposer
@@ -90,9 +86,7 @@ func (c ScaleConfig) NumCores() int {
 // vertical link per boundary router.
 func (c ScaleConfig) NumLinks() int {
 	w, h := c.InterposerDims()
-	interposer := h*(w-1) + w*(h-1)
-	perChiplet := c.ChipletH*(c.ChipletW-1) + c.ChipletW*(c.ChipletH-1)
-	return interposer + c.NumChiplets()*(perChiplet+c.BoundaryPerChiplet)
+	return meshLinkCount(w, h) + c.NumChiplets()*(meshLinkCount(c.ChipletW, c.ChipletH)+c.BoundaryPerChiplet)
 }
 
 // Validate reports configuration errors before building.
@@ -117,154 +111,31 @@ func (c ScaleConfig) Validate() error {
 	return nil
 }
 
-// BuildScale constructs the scale-out system described by c — the one
-// builder of uniform systems (Build converts and calls it).
-//
-// It is memory-lean: node, port and link storage are counted exactly up
-// front and carved out of three contiguous arenas, so building never
-// reallocates mid-construction and an 8k-router system builds in a few
-// milliseconds with no per-node map allocations.
+// hetero expands c to its chiplet list: the chiplets in global
+// chiplet-grid row-major order, each stacked over its equal region of its
+// tile (regions never straddle a tile border).
+func (c ScaleConfig) hetero() HeteroConfig {
+	w, h := c.InterposerDims()
+	rw, rh := c.TileW/c.ChipletsX, c.TileH/c.ChipletsY
+	hc := HeteroConfig{InterposerW: w, InterposerH: h, Seed: c.Seed, Chiplets: make([]ChipletSpec, 0, c.NumChiplets())}
+	for gy := 0; gy < c.TilesY*c.ChipletsY; gy++ {
+		for gx := 0; gx < c.TilesX*c.ChipletsX; gx++ {
+			hc.Chiplets = append(hc.Chiplets, ChipletSpec{
+				W: c.ChipletW, H: c.ChipletH, Boundary: c.BoundaryPerChiplet,
+				RegionX: gx * rw, RegionY: gy * rh, RegionW: rw, RegionH: rh,
+			})
+		}
+	}
+	return hc
+}
+
+// BuildScale constructs the scale-out system described by c: its chiplet
+// list, built by the one builder (Build converts and calls it).
 func BuildScale(c ScaleConfig) (*Topology, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	gw, gh := c.InterposerDims()
-	numInterposer := gw * gh
-	numChiplets := c.NumChiplets()
-	routersPerChiplet := c.ChipletW * c.ChipletH
-	numNodes := c.NumRouters()
-	numLinks := c.NumLinks()
-	regionW := c.TileW / c.ChipletsX
-	regionH := c.TileH / c.ChipletsY
-	gridW := c.TilesX * c.ChipletsX // chiplet grid width, global
-	gridH := c.TilesY * c.ChipletsY
-	boundaryLocal := boundaryPositions(c.ChipletW, c.ChipletH, c.BoundaryPerChiplet)
-
-	// Exact per-node port counts, so each node's port slice can be carved
-	// at full capacity from one shared arena and appends never reallocate.
-	portCount := make([]int32, numNodes)
-	meshDegree := func(x, y, w, h int) int32 {
-		d := int32(0)
-		if x > 0 {
-			d++
-		}
-		if x+1 < w {
-			d++
-		}
-		if y > 0 {
-			d++
-		}
-		if y+1 < h {
-			d++
-		}
-		return d
-	}
-	for y := 0; y < gh; y++ {
-		for x := 0; x < gw; x++ {
-			portCount[y*gw+x] = 1 + meshDegree(x, y, gw, gh)
-		}
-	}
-	// Up links: replay the attachment rule (spread or round-robin within
-	// the chiplet's region) without building anything.
-	regionSize := regionW * regionH
-	upAt := func(gx, gy, bi int) (ix, iy int) {
-		var ri int
-		if c.BoundaryPerChiplet <= regionSize {
-			ri = bi * regionSize / c.BoundaryPerChiplet
-		} else {
-			ri = bi % regionSize
-		}
-		return gx*regionW + ri%regionW, gy*regionH + ri/regionW
-	}
-	for gy := 0; gy < gridH; gy++ {
-		for gx := 0; gx < gridW; gx++ {
-			for bi := range boundaryLocal {
-				ix, iy := upAt(gx, gy, bi)
-				portCount[iy*gw+ix]++
-			}
-		}
-	}
-	for ci := 0; ci < numChiplets; ci++ {
-		base := numInterposer + ci*routersPerChiplet
-		for y := 0; y < c.ChipletH; y++ {
-			for x := 0; x < c.ChipletW; x++ {
-				portCount[base+y*c.ChipletW+x] = 1 + meshDegree(x, y, c.ChipletW, c.ChipletH)
-			}
-		}
-		for _, pos := range boundaryLocal {
-			portCount[base+pos.y*c.ChipletW+pos.x]++
-		}
-	}
-	totalPorts := 0
-	for _, pc := range portCount {
-		totalPorts += int(pc)
-	}
-
-	t := &Topology{
-		InterposerW: gw, InterposerH: gh,
-		Nodes: make([]Node, 0, numNodes),
-		Links: make([]*Link, 0, numLinks),
-	}
-	t.linkArena = make([]Link, 0, numLinks)
-	portArena := make([]Port, totalPorts)
-	rng := sim.NewRNG(c.Seed)
-
-	nextPort := 0
-	newNode := func(kind NodeKind, chiplet, x, y int) NodeID {
-		id := NodeID(len(t.Nodes))
-		ports := portArena[nextPort : nextPort : nextPort+int(portCount[id])]
-		nextPort += int(portCount[id])
-		t.Nodes = append(t.Nodes, Node{
-			ID: id, Kind: kind, Chiplet: chiplet, X: x, Y: y,
-			Ports:         append(ports, Port{Dir: Local, Neighbor: InvalidNode, NeighborPort: InvalidPort}),
-			BoundBoundary: InvalidNode,
-		})
-		return id
-	}
-
-	// Global interposer mesh, row-major in global coordinates. Mesh edges
-	// that cross a tile border are the inter-tile bridges.
-	t.Interposer = make([]NodeID, 0, numInterposer)
-	for y := 0; y < gh; y++ {
-		for x := 0; x < gw; x++ {
-			t.Interposer = append(t.Interposer, newNode(InterposerRouter, InterposerChiplet, x, y))
-		}
-	}
-	meshLinks(t, t.Interposer, gw, gh)
-
-	// Chiplets, in global chiplet-grid row-major order: chiplet index ci
-	// sits at grid position (ci%gridW, ci/gridW).
-	t.Chiplets = make([]Chiplet, 0, numChiplets)
-	for ci := 0; ci < numChiplets; ci++ {
-		gx, gy := ci%gridW, ci/gridW
-		ch := Chiplet{Index: ci, Width: c.ChipletW, Height: c.ChipletH}
-		ch.Routers = make([]NodeID, 0, routersPerChiplet)
-		for y := 0; y < c.ChipletH; y++ {
-			for x := 0; x < c.ChipletW; x++ {
-				ch.Routers = append(ch.Routers, newNode(ChipletRouter, ci, x, y))
-			}
-		}
-		meshLinks(t, ch.Routers, c.ChipletW, c.ChipletH)
-
-		ch.Boundary = make([]NodeID, 0, c.BoundaryPerChiplet)
-		for bi, pos := range boundaryLocal {
-			b := ch.RouterAt(pos.x, pos.y)
-			t.Nodes[b].Kind = BoundaryRouter
-			ch.Boundary = append(ch.Boundary, b)
-			ix, iy := upAt(gx, gy, bi)
-			ip := t.InterposerAt(ix, iy)
-			t.addLink(ip, b, Up, true)
-			t.Nodes[ip].BoundBoundary = b
-		}
-		t.Chiplets = append(t.Chiplets, ch)
-	}
-
-	bindChipletRouters(t, rng)
-	t.finish()
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("topology: built scale system fails validation: %w", err)
-	}
-	return t, nil
+	return build(c.hetero())
 }
 
 // MustBuildScale is BuildScale for known-good configurations.

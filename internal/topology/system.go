@@ -111,58 +111,45 @@ func MustBuild(c SystemConfig) *Topology {
 	return t
 }
 
-// meshLinks wires a W x H mesh over nodes (row-major).
-func meshLinks(t *Topology, nodes []NodeID, w, h int) {
+// meshLinkCount is the number of links of a w x h mesh.
+func meshLinkCount(w, h int) int { return h*(w-1) + w*(h-1) }
+
+// meshEdges appends the links of a W x H mesh over nodes (row-major).
+func meshEdges(edges []edge, nodes []NodeID, w, h int) []edge {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			n := nodes[y*w+x]
 			if x+1 < w {
-				t.addLink(n, nodes[y*w+x+1], East, false)
+				edges = append(edges, edge{n, nodes[y*w+x+1], East})
 			}
 			if y+1 < h {
 				// Larger y is "north" of smaller y in our convention.
-				t.addLink(n, nodes[(y+1)*w+x], North, false)
+				edges = append(edges, edge{n, nodes[(y+1)*w+x], North})
 			}
 		}
 	}
+	return edges
 }
 
 type xy struct{ x, y int }
 
 // boundaryPositions picks k positions on the chiplet perimeter, evenly
 // spaced along a clockwise perimeter walk starting at the south-west
-// corner. For k=4 on a square chiplet this yields the four corners.
+// corner. For k=4 on a square chiplet this yields the four corners. The
+// positions are distinct because k never exceeds the perimeter (Validate).
 func boundaryPositions(w, h, k int) []xy {
 	perimeter := perimeterWalk(w, h)
-	pos := make([]xy, 0, k)
-	seen := make(map[xy]bool, k)
-	for i := 0; i < k; i++ {
-		p := perimeter[i*len(perimeter)/k]
-		for seen[p] {
-			// Should not happen for k <= perimeter length, but guard
-			// against rounding collisions by sliding forward.
-			idx := (indexOf(perimeter, p) + 1) % len(perimeter)
-			p = perimeter[idx]
-		}
-		seen[p] = true
-		pos = append(pos, p)
+	pos := make([]xy, k)
+	for i := range pos {
+		pos[i] = perimeter[i*len(perimeter)/k]
 	}
 	return pos
-}
-
-func indexOf(ps []xy, p xy) int {
-	for i, q := range ps {
-		if q == p {
-			return i
-		}
-	}
-	return -1
 }
 
 // perimeterWalk lists the perimeter cells of a w x h grid clockwise from
 // (0,0).
 func perimeterWalk(w, h int) []xy {
-	var ps []xy
+	ps := make([]xy, 0, 2*(w+h)-4)
 	for x := 0; x < w; x++ {
 		ps = append(ps, xy{x, 0})
 	}

@@ -205,10 +205,10 @@ type Topology struct {
 	// cores, making CoreIndex O(1) instead of O(chiplets).
 	coreBase []int
 
-	// linkArena, when pre-sized by a builder (BuildScale), backs the Link
-	// values pointed to by Links so an 8k-router system allocates its links
-	// in one block instead of one heap object per link. Builders that leave
-	// it empty fall back to per-link allocation.
+	// linkArena, pre-sized by the builder (build), backs the Link values
+	// pointed to by Links so an 8k-router system allocates its links in one
+	// block instead of one heap object per link. A link added once it is
+	// full falls back to its own allocation.
 	linkArena []Link
 }
 
@@ -264,30 +264,26 @@ func (t *Topology) InterposerUnder(b NodeID) NodeID {
 }
 
 // addLink wires a bidirectional link between a and b with the given
-// directions as seen from a.
-func (t *Topology) addLink(a, b NodeID, dirFromA Direction, vertical bool) *Link {
+// direction as seen from a; Up and Down links are vertical.
+func (t *Topology) addLink(a, b NodeID, dirFromA Direction) {
 	var l *Link
 	if cap(t.linkArena) > len(t.linkArena) {
-		// Arena-backed (BuildScale): the pointer stays valid because the
-		// arena was pre-sized to the exact link count and never regrows.
+		// Arena-backed (build): the pointer stays valid because the arena
+		// was pre-sized to the exact link count and never regrows.
 		t.linkArena = append(t.linkArena, Link{})
 		l = &t.linkArena[len(t.linkArena)-1]
 	} else {
 		l = &Link{}
 	}
-	*l = Link{
-		ID:       len(t.Links),
-		A:        a,
-		B:        b,
-		Vertical: vertical,
-	}
 	na, nb := t.Node(a), t.Node(b)
-	l.APort = PortID(len(na.Ports))
-	l.BPort = PortID(len(nb.Ports))
+	*l = Link{
+		ID: len(t.Links), A: a, B: b,
+		APort: PortID(len(na.Ports)), BPort: PortID(len(nb.Ports)),
+		Vertical: dirFromA == Up || dirFromA == Down,
+	}
 	na.Ports = append(na.Ports, Port{Dir: dirFromA, Neighbor: b, NeighborPort: l.BPort, Link: l})
 	nb.Ports = append(nb.Ports, Port{Dir: dirFromA.Opposite(), Neighbor: a, NeighborPort: l.APort, Link: l})
 	t.Links = append(t.Links, l)
-	return l
 }
 
 // finish populates per-node caches after construction.
@@ -312,17 +308,13 @@ func (t *Topology) finish() {
 	}
 }
 
-// validateDeepMaxNodes bounds the quadratic duplicate-link scan: above this
-// node count Validate skips it unless the uppdebug build tag compiles it
-// back in (validateDeepAlways). The fast per-node checks always run.
-const validateDeepMaxNodes = 1024
-
 // Validate checks structural invariants and returns a descriptive error if
-// any fail. The per-node checks are O(ports) and always run; the pairwise
-// duplicate-link scan is O(links²) and is skipped above validateDeepMaxNodes
-// nodes unless built with -tags uppdebug, so validating a 4k-router scale
-// system stays cheap enough to run on every build.
+// any fail. Every check is per node and exact at every size; since each
+// link is wired into both endpoints' ports, "no two ports of a node share
+// a neighbour" is the same as "no two links join the same pair of nodes".
 func (t *Topology) Validate() error {
+	// reachedFrom[m] is 1 + the last node found with a port to m.
+	reachedFrom := make([]int32, len(t.Nodes))
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
 		if n.ID != NodeID(i) {
@@ -357,11 +349,10 @@ func (t *Topology) Validate() error {
 			if (p.Dir == Up || p.Dir == Down) != p.Link.Vertical {
 				return fmt.Errorf("node %d port %d: vertical flag mismatch", i, pi)
 			}
-		}
-	}
-	if len(t.Nodes) <= validateDeepMaxNodes || validateDeepAlways {
-		if err := t.validateDuplicateLinks(); err != nil {
-			return err
+			if reachedFrom[p.Neighbor] == int32(i)+1 {
+				return fmt.Errorf("node %d: two ports lead to node %d", i, p.Neighbor)
+			}
+			reachedFrom[p.Neighbor] = int32(i) + 1
 		}
 	}
 	for _, c := range t.Chiplets {
@@ -384,24 +375,6 @@ func (t *Topology) Validate() error {
 		}
 		if n.BoundBoundary == InvalidNode {
 			return fmt.Errorf("core node %d has no bound boundary router", id)
-		}
-	}
-	return nil
-}
-
-// validateDuplicateLinks is the deep pairwise scan: no two distinct links
-// may connect the same unordered pair of nodes (every mesh edge and every
-// vertical attachment is a single physical channel). Quadratic in the link
-// count; Validate gates it — see validateDeepMaxNodes.
-func (t *Topology) validateDuplicateLinks() error {
-	for i := range t.Links {
-		a, b := t.Links[i].A, t.Links[i].B
-		for j := i + 1; j < len(t.Links); j++ {
-			c, d := t.Links[j].A, t.Links[j].B
-			if (a == c && b == d) || (a == d && b == c) {
-				return fmt.Errorf("links %d and %d both connect nodes %d and %d",
-					t.Links[i].ID, t.Links[j].ID, a, b)
-			}
 		}
 	}
 	return nil
