@@ -88,10 +88,15 @@ bench-pairs:
 # pads out. Then the non-test lines of internal/topology that call
 # t.addLink: every system is a chiplet list built by one construction loop
 # (build, which BuildScale and BuildHetero end in), so a second builder
-# shows up as a number. Last, the lines of internal/ and cmd/ that name
+# shows up as a number. Then the lines of internal/ and cmd/ that name
 # validateDeep: topology validation is exact at every size, with no size
-# threshold or build tag switching a check off. The target fails when a count exceeds its ceiling; CI's test
-# job runs it.
+# threshold or build tag switching a check off. Then the lines of
+# internal/ and cmd/ that name diagDeep or censusDebug: the network's state
+# checks (CheckConservation, CheckQuiescent) are exact at every size too.
+# Last, the files under internal/ that carry //go:build uppdebug: the tag
+# sets one constant, message.Debug, so a second per-package switch shows
+# up as a number. The target fails when a count exceeds its ceiling; CI's
+# test job runs it.
 SNAPSHOT_LINES = 1544
 DELETED_SETTINGS = \.LinkLatency\b|\.InterTileLatency|\.EjectionDepth|\.SignalTimeout|\.MaxSignalRetries|SlotsPerBoundary|HandshakeRTT|\.MSHRs|remotectl\.Config|coherence\.Config
 loc:
@@ -145,6 +150,12 @@ loc:
 	@n=$$(find internal cmd -name '*.go' | xargs cat | grep -c 'validateDeep'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'validateDeep' $$n 0; \
 		[ $$n -le 0 ]
+	@n=$$(find internal cmd -name '*.go' | xargs cat | grep -c 'diagDeep\|censusDebug'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'diagDeep|censusDebug' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(grep -rlx '//go:build uppdebug' internal | wc -l); \
+		printf 'files %-28s %d (ceiling %d)\n' '//go:build uppdebug' $$n 1; \
+		[ $$n -le 1 ]
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact

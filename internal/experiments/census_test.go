@@ -18,8 +18,8 @@ import (
 // census — route computation in all three microarchitectures, tail
 // release, UPP's PopFront/ForceReleaseVC drains past held VCs,
 // UnrouteFencedHeads under a link kill, and the recount in Restore — and
-// holds census == recount from the VCs (CheckConservation's exhaustive
-// mode) every 50 cycles, on the running system and on a twin restored
+// holds census == recount from the VCs (CheckConservation's census
+// recount) every 50 cycles, on the running system and on a twin restored
 // from a mid-transition snapshot. The twin must also finish identically.
 func TestUpwardCensusTracksVCs(t *testing.T) {
 	links, err := KillableInterposerLinks(topology.BaselineConfig(), 2)

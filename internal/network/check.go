@@ -15,17 +15,8 @@ import (
 // the datapath or a scheme — tests and the verification tooling call this
 // after every workload.
 //
-// Scaling: up to diagDeepMaxNodes nodes (or always under -tags uppdebug)
-// every port and VC is inspected. Above that the per-VC interior checks
-// (idle state, hold bits, credit counts, allocation leaks) are skipped and
-// the check relies on the O(1)-per-node aggregates — buffered-flit counts,
-// staged counts, NI queue depths, ejection bookkeeping and global flit
-// conservation — which still catch any leaked flit or queue entry, though
-// not a silently miscounted credit. uppdebug restores the exhaustive walk.
-// The upward census is one of the O(1) aggregates: a VC routed upward is
-// a VC not idle, so it must read zero at any size.
+// Every port and VC is inspected at every size.
 func (n *Network) CheckQuiescent() error {
-	deep := diagDeepAlways || len(n.Topo.Nodes) <= diagDeepMaxNodes
 	for i := range n.Topo.Nodes {
 		node := &n.Topo.Nodes[i]
 		r := n.Routers[node.ID]
@@ -41,9 +32,6 @@ func (n *Network) CheckQuiescent() error {
 		for pi := range node.Ports {
 			if staged := r.StagedCount(topology.PortID(pi)); staged != 0 {
 				return fmt.Errorf("network: node %d out[%d] still stages %d flits", node.ID, pi, staged)
-			}
-			if !deep {
-				continue
 			}
 			for vi := 0; vi < n.Cfg.Router.NumVCs(); vi++ {
 				vc := r.VCAt(topology.PortID(pi), vi)

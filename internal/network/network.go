@@ -36,7 +36,8 @@ const (
 
 // Config parameterizes a network instance. It is the package's only
 // input: the UPP_* environment variables are resolved into it by
-// experiments.NewNetwork, and nothing at or below this layer reads them.
+// experiments.Assemble (through hostEnv), and nothing at or below this
+// layer reads them.
 type Config struct {
 	Router router.Config
 	// RouterArch selects the router microarchitecture: router.ArchIQ (the
@@ -803,7 +804,7 @@ func (n *Network) Step() {
 	n.foldReconfigStats()
 	p.clock.lap(PhaseEndOfCycle)
 	n.cycle++
-	if diagDeepAlways {
+	if message.Debug {
 		if err := n.CheckWakeInvariant(); err != nil {
 			panic(err)
 		}

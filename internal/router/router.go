@@ -514,10 +514,12 @@ func (r *Router) PortQuiet(p topology.PortID) bool {
 // its VC with a computed route through an Up output — or, with mesh set,
 // through an intra-layer mesh output (UPP's transition-time widening,
 // DESIGN.md §15). It returns the VC's location and front flit, or
-// InvalidPort. A zero upward census answers the Up form without a scan.
+// InvalidPort. A zero upward census answers the Up form without a scan;
+// under message.Debug the scan runs anyway and panics if it finds what the
+// census denies.
 func (r *Router) StalledHead(vnet message.VNet, rrStart int, cycle sim.Cycle, mesh bool) (topology.PortID, int, message.Flit) {
 	censusEmpty := !mesh && r.upRouted[vnet] == 0
-	if censusEmpty && !censusDebug {
+	if censusEmpty && !message.Debug {
 		return topology.InvalidPort, -1, message.Flit{}
 	}
 	want := r.upPorts

@@ -109,7 +109,7 @@ func (v *VC) Scan(fn func(message.Flit)) {
 // push appends a flit. It panics on overflow — arrivals are credit-
 // controlled, so overflow is a flow-control bug worth failing loudly on.
 func (v *VC) push(f message.Flit, ready sim.Cycle) {
-	if message.PoolDebug && f.Pkt.Released() {
+	if message.Debug && f.Pkt.Released() {
 		panic("router: buffering flit of released packet (stale-generation access)")
 	}
 	if int(v.count) > len(v.ring) {

@@ -57,3 +57,46 @@ func ExampleBuildHetero() {
 	//   popups     173 completed, 17 false positives
 	//   drained cleanly — modular composition, deadlock recovery intact.
 }
+
+// Faulty systems, in the spirit of Fig. 11: UPP keeps a chiplet system
+// deadlock-free as mesh links fail, with gracefully degrading
+// performance, because its detection and recovery are
+// topology-independent (the baselines' design-time search and hard-wired
+// tree cannot adapt).
+func ExampleTopology_InjectFaults() {
+	fmt.Println("UPP on faulty systems (uniform random @ 0.03 flits/cycle/node):")
+	fmt.Printf("%8s  %10s  %10s  %8s\n", "faults", "latency", "accepted", "popups")
+	for _, faults := range []int{0, 1, 5, 10, 15, 20} {
+		topo := topology.MustBuild(topology.BaselineConfig())
+		if faults > 0 {
+			if _, err := topo.InjectFaults(faults, 7); err != nil {
+				panic(err)
+			}
+		}
+		cfg := network.DefaultConfig()
+		cfg.UseUpDown = true // up*/down* local routing tolerates missing links
+		net := network.MustNew(topo, cfg, core.New(core.DefaultConfig()))
+		gen := traffic.NewGenerator(net, traffic.UniformRandom{}, 0.03, 11)
+		gen.Run(5000)
+		net.ResetMeasurement()
+		gen.Run(30000)
+		fmt.Printf("%8d  %10.1f  %10.4f  %8d\n",
+			faults, net.AvgTotalLatency(), net.Throughput(), net.Stats.PopupsCompleted)
+		gen.SetRate(0)
+		if err := net.Drain(200000, 50000); err != nil {
+			panic(fmt.Sprintf("faults=%d: %v", faults, err))
+		}
+	}
+	fmt.Println("\nevery configuration drained — deadlock freedom holds on every topology.")
+	// Output:
+	// UPP on faulty systems (uniform random @ 0.03 flits/cycle/node):
+	//   faults     latency    accepted    popups
+	//        0        24.2      0.0296         0
+	//        1        24.2      0.0296         0
+	//        5        25.0      0.0296         0
+	//       10        25.9      0.0296         0
+	//       15        26.5      0.0296         0
+	//       20        35.0      0.0296        10
+	//
+	// every configuration drained — deadlock freedom holds on every topology.
+}
