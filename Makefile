@@ -83,7 +83,10 @@ bench-pairs:
 # and cmd/ that name composable's deleted search structures (a map[Turn]
 # restriction set, turnAllowed, chanNode): the search runs on flat
 # per-channel arrays with one banned-output mask per channel, so a hashed
-# turn lookup grown back shows up as a number. Then BaseScheme's
+# turn lookup grown back shows up as a number. Then the lines that name
+# maxRestrictions: the search ends because every restriction bans a new
+# boundary-router turn, bounded by the topology's turn count, not by a
+# fixed cap that larger systems exceed. Then BaseScheme's
 # no-op stubs in scheme.go: the methods every scheme without that hook
 # pads out. Then the non-test lines of internal/topology that call
 # t.addLink: every system is a chiplet list built by one construction loop
@@ -140,6 +143,9 @@ loc:
 		[ $$n -le 0 ]
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE 'map\[Turn\]|turnAllowed|chanNode\('); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'map[Turn]|turnAllowed|chanNode(' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'maxRestrictions'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'maxRestrictions' $$n 0; \
 		[ $$n -le 0 ]
 	@n=$$(grep -c '^func (BaseScheme)' internal/network/scheme.go); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'BaseScheme stubs' $$n 7; \

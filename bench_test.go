@@ -335,21 +335,23 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkComposableSearch measures the design-time restriction search —
 // the cost the paper's flexibility critique is about — on the baseline, on
-// eight boundary routers per chiplet and on Fig. 9's large system. The
-// topology is built outside the timed loop: the search only reads it.
+// eight boundary routers per chiplet, on Fig. 9's large system and on the
+// 512-router ScaleSmall system. The topology is built outside the timed
+// loop: the search only reads it.
 func BenchmarkComposableSearch(b *testing.B) {
 	eight := topology.BaselineConfig()
 	eight.BoundaryPerChiplet = 8
 	for _, c := range []struct {
-		name string
-		cfg  topology.SystemConfig
+		name  string
+		build func() *topology.Topology
 	}{
-		{"Baseline", topology.BaselineConfig()},
-		{"Boundary8", eight},
-		{"LargeConfig", topology.LargeConfig()},
+		{"Baseline", func() *topology.Topology { return topology.MustBuild(topology.BaselineConfig()) }},
+		{"Boundary8", func() *topology.Topology { return topology.MustBuild(eight) }},
+		{"LargeConfig", func() *topology.Topology { return topology.MustBuild(topology.LargeConfig()) }},
+		{"ScaleSmall", func() *topology.Topology { return topology.MustBuildScale(topology.ScaleSmallConfig()) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			topo := topology.MustBuild(c.cfg)
+			topo := c.build()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := composable.BuildTables(topo); err != nil {

@@ -22,8 +22,10 @@ package composable
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
@@ -54,12 +56,9 @@ type Tables struct {
 	Restrictions []Turn
 }
 
-const (
-	maxRestrictions = 512
-	// maxPorts bounds a router's radix: a channel's banned outputs are one
-	// uint32 (the router's switch masks have the same bound).
-	maxPorts = 32
-)
+// maxPorts bounds a router's radix: a channel's banned outputs are one
+// uint32 (the router's switch masks have the same bound).
+const maxPorts = 32
 
 // search is one design-time search over flat per-channel arrays. Channel c
 // is input port port[c] of router node[c]; a router's channels are
@@ -80,9 +79,34 @@ type search struct {
 	// within layers), a faulty link or a placed restriction. A faulty
 	// input channel bans every output.
 	banned []uint32
+	// legal[(k+1)*numNodes+m] has bit o set when leaving router m by
+	// output port o is legal for a destination in chiplet k (see
+	// moveLegal); row 0 is the interposer's. Computed once per search.
+	legal []uint32
+	// turns bounds the restrictions: the boundary routers' turn count.
+	turns  int
 	placed []Turn
-	dist   []int32
-	queue  []int32
+	// cols[d*numChan+c] is channel c's next hop towards destination d:
+	// the route computation's output, destination-major so that each
+	// worker writes whole rows of its own.
+	cols    []topology.PortID
+	workers []routeWorker
+	// succStart, succ and roots hold the channel dependency graph in
+	// compressed rows: channel c's successors are
+	// succ[succStart[c]:succStart[c+1]].
+	succStart, succ, roots []int32
+}
+
+// routeWorker is one route-computation worker's scratch. It owns a
+// contiguous range of destinations.
+type routeWorker struct {
+	dist, queue []int32
+	// used[c] has bit o set when some next hop of channel c in the
+	// worker's destinations is output o.
+	used []uint32
+	// failDst is the worker's lowest destination that some source cannot
+	// reach (failSrc, the lowest such source), or -1.
+	failDst, failSrc int
 }
 
 // BuildTables runs the design-time search for topology t.
@@ -91,26 +115,27 @@ func BuildTables(t *topology.Topology) (*Tables, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb, err := s.routes()
-	if err != nil {
+	if err := s.routes(); err != nil {
 		return nil, fmt.Errorf("composable: routes under current restrictions: %w", err)
 	}
-	for iter := 0; iter <= maxRestrictions; iter++ {
-		cycle := s.dependencyCycle(tb)
+	// A restriction bans a turn the routes use, and the routes never use
+	// a banned turn, so every iteration places a new boundary-router turn.
+	for range s.turns + 1 {
+		cycle := s.dependencyCycle()
 		if cycle == nil {
-			tb.Restrictions = s.placed
-			return tb, nil
+			return s.tables(), nil
 		}
-		if tb, err = s.restrict(cycle); err != nil {
+		if err := s.restrict(cycle); err != nil {
 			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("composable: no acyclic restriction set within %d restrictions", maxRestrictions)
+	return nil, fmt.Errorf("composable: no acyclic restriction set within %d restrictions", s.turns)
 }
 
 func newSearch(t *topology.Topology) (*search, error) {
 	numNodes := t.NumNodes()
 	s := &search{t: t, chanBase: make([]int32, numNodes+1), chiplet: make([]int, numNodes)}
+	numChiplets := 0
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
 		if len(n.Ports) > maxPorts {
@@ -118,11 +143,15 @@ func newSearch(t *topology.Topology) (*search, error) {
 		}
 		s.chanBase[i+1] = s.chanBase[i] + int32(len(n.Ports))
 		s.chiplet[i] = n.Chiplet
+		numChiplets = max(numChiplets, n.Chiplet+1)
+		if n.Kind == topology.BoundaryRouter {
+			s.turns += len(n.Ports) * (len(n.Ports) - 1)
+		}
 	}
 	numChan := s.chanBase[numNodes]
 	s.node, s.port = make([]topology.NodeID, numChan), make([]topology.PortID, numChan)
 	s.peer, s.banned = make([]int32, numChan), make([]uint32, numChan)
-	s.dist, s.queue = make([]int32, numChan), make([]int32, 0, numChan)
+	s.legal = make([]uint32, (numChiplets+1)*numNodes)
 	for i := range t.Nodes {
 		ports := t.Nodes[i].Ports
 		for in := range ports {
@@ -130,6 +159,11 @@ func newSearch(t *topology.Topology) (*search, error) {
 			s.node[c], s.port[c], s.peer[c] = topology.NodeID(i), topology.PortID(in), -1
 			if in != int(topology.LocalPort) {
 				s.peer[c] = s.chanBase[ports[in].Neighbor] + int32(ports[in].NeighborPort)
+				for k := -1; k < numChiplets; k++ {
+					if s.moveLegal(topology.NodeID(i), ports[in].Neighbor, k) {
+						s.legal[(k+1)*numNodes+i] |= 1 << in
+					}
+				}
 				if ports[in].Link.Faulty {
 					s.banned[c] = ^uint32(0)
 					continue
@@ -143,15 +177,21 @@ func newSearch(t *topology.Topology) (*search, error) {
 			}
 		}
 	}
+	s.cols = make([]topology.PortID, numNodes*int(numChan))
+	s.workers = make([]routeWorker, max(1, min(runtime.GOMAXPROCS(0), numNodes)))
+	for i := range s.workers {
+		s.workers[i] = routeWorker{dist: make([]int32, numChan), queue: make([]int32, 0, numChan), used: make([]uint32, numChan)}
+	}
+	s.succStart = make([]int32, numChan+1)
 	return s, nil
 }
 
 // restrict places a boundary-router turn on the cycle whose removal keeps
 // the network connected, preferring turns that involve a vertical link
 // (the restrictions of the paper's Fig. 2(a)). The connectivity check is
-// the route computation under the enlarged set, so its tables are
-// returned.
-func (s *search) restrict(cycle []Turn) (*Tables, error) {
+// the route computation under the enlarged set, so its routes are left
+// in cols.
+func (s *search) restrict(cycle []Turn) error {
 	var candidates []Turn
 	for _, turn := range cycle {
 		if s.t.Node(turn.Node).Kind != topology.BoundaryRouter {
@@ -178,13 +218,13 @@ func (s *search) restrict(cycle []Turn) (*Tables, error) {
 	for _, turn := range candidates {
 		c, bit := s.chanBase[turn.Node]+int32(turn.In), uint32(1)<<turn.Out
 		s.banned[c] |= bit
-		if tb, err := s.routes(); err == nil {
+		if s.routes() == nil {
 			s.placed = append(s.placed, turn)
-			return tb, nil
+			return nil
 		}
 		s.banned[c] &^= bit
 	}
-	return nil, fmt.Errorf("composable: cycle with no restrictable boundary turn (len %d)", len(cycle))
+	return fmt.Errorf("composable: cycle with no restrictable boundary turn (len %d)", len(cycle))
 }
 
 func turnVertical(t *topology.Topology, turn Turn) bool {
@@ -197,78 +237,121 @@ func isY(d topology.Direction) bool { return d == topology.North || d == topolog
 func isX(d topology.Direction) bool { return d == topology.East || d == topology.West }
 
 // routes builds per-destination shortest routes over the allowed channel
-// graph (backward BFS per destination). It fails if any (injection,
-// destination) pair becomes unreachable.
-func (s *search) routes() (*Tables, error) {
-	numNodes, numChan := len(s.chiplet), int32(len(s.node))
-	tb := &Tables{topo: s.t, chanBase: s.chanBase, next: make([]topology.PortID, int(numChan)*numNodes)}
-	dist := s.dist
-	for d := 0; d < numNodes; d++ {
-		dst := topology.NodeID(d)
-		dstChiplet := s.chiplet[d]
-		for i := range dist {
-			dist[i] = -1
-		}
-		// All channels arriving at dst eject with distance 0.
-		queue := s.queue[:0]
-		for c := s.chanBase[d]; c < s.chanBase[d+1]; c++ {
-			dist[c] = 0
-			queue = append(queue, c)
-		}
-		for qi := 0; qi < len(queue); qi++ {
-			c := queue[qi]
-			// Predecessors: channels of the upstream router m that may
-			// turn into the link m -> node behind channel c, when that
-			// move respects chiplet-entry legality.
-			up := s.peer[c]
-			if up < 0 {
-				continue
-			}
-			m := s.node[up]
-			if !s.moveLegal(m, s.node[c], dstChiplet) {
-				continue
-			}
-			bit := uint32(1) << s.port[up]
-			for pc := s.chanBase[m]; pc < s.chanBase[m+1]; pc++ {
-				if s.banned[pc]&bit == 0 && dist[pc] < 0 {
-					dist[pc] = dist[c] + 1
-					queue = append(queue, pc)
-				}
-			}
-		}
-		s.queue = queue
-		// Next hops: best allowed move per channel.
-		for c := int32(0); c < numChan; c++ {
-			node, i := s.node[c], int(c)*numNodes+d
-			if node == dst {
-				tb.next[i] = topology.LocalPort
-				continue
-			}
-			if dist[c] < 0 {
-				tb.next[i] = topology.InvalidPort
-				continue
-			}
-			best, bestD := topology.InvalidPort, int32(-1)
-			for oc := s.chanBase[node] + 1; oc < s.chanBase[node+1]; oc++ {
-				out := topology.PortID(oc - s.chanBase[node])
-				nc := s.peer[oc]
-				if s.banned[c]&(1<<out) != 0 || dist[nc] < 0 || !s.moveLegal(node, s.node[nc], dstChiplet) {
-					continue
-				}
-				if bestD < 0 || dist[nc] < bestD {
-					best, bestD = out, dist[nc]
-				}
-			}
-			tb.next[i] = best
-		}
-		// Every injection channel must reach every destination.
-		for src := 0; src < numNodes; src++ {
-			if src != d && dist[s.chanBase[src]] < 0 {
-				return nil, fmt.Errorf("no route %d -> %d", src, d)
+// graph (backward BFS per destination) into cols, and each worker's used
+// outputs. The destinations are split into one contiguous range per
+// worker. It fails if any (injection, destination) pair becomes
+// unreachable, naming the lowest such destination and source.
+func (s *search) routes() error {
+	numNodes := len(s.chiplet)
+	per := (numNodes + len(s.workers) - 1) / len(s.workers)
+	run := func(i int) {
+		w := &s.workers[i]
+		clear(w.used)
+		w.failDst, w.failSrc = -1, -1
+		for d := min(i*per, numNodes); d < min((i+1)*per, numNodes); d++ {
+			if src := s.routeTo(w, d); src >= 0 {
+				w.failDst, w.failSrc = d, src
+				return
 			}
 		}
 	}
-	return tb, nil
+	var wg sync.WaitGroup
+	for i := 1; i < len(s.workers); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	// The ranges ascend, so the first failing worker holds the lowest
+	// failing destination.
+	for _, w := range s.workers {
+		if w.failDst >= 0 {
+			return fmt.Errorf("no route %d -> %d", w.failSrc, w.failDst)
+		}
+	}
+	return nil
+}
+
+// routeTo computes every channel's next hop towards destination d into
+// d's row of cols and returns the lowest source that cannot reach d, or
+// -1 (the row is then incomplete).
+//
+// The next hops come out of the BFS itself. A channel's next hop is its
+// first allowed output, in port order, among those of least distance.
+// Every edge into a reached channel c is scanned when c is dequeued, and
+// the channels one hop farther than c are discovered in that scan or an
+// earlier one at c's distance, so keeping the lowest output port over
+// the scans that find a channel at exactly dist[c]+1 yields that output.
+func (s *search) routeTo(w *routeWorker, d int) int {
+	numNodes, numChan := len(s.chiplet), len(s.node)
+	chanBase, node, port, peer, banned := s.chanBase, s.node, s.port, s.peer, s.banned
+	legal := s.legal[(s.chiplet[d]+1)*numNodes:][:numNodes]
+	dist, col := w.dist, s.cols[d*numChan:][:numChan]
+	for c := range dist {
+		dist[c], col[c] = -1, topology.InvalidPort
+	}
+	// All channels arriving at d eject with distance 0.
+	queue := w.queue[:0]
+	for c := chanBase[d]; c < chanBase[d+1]; c++ {
+		dist[c], col[c] = 0, topology.LocalPort
+		queue = append(queue, c)
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		c := queue[qi]
+		// Predecessors: channels of the upstream router m that may turn
+		// into the link m -> node behind channel c, when that move
+		// respects chiplet-entry legality.
+		up := peer[c]
+		if up < 0 {
+			continue
+		}
+		m, out := node[up], port[up]
+		bit := uint32(1) << out
+		if legal[m]&bit == 0 {
+			continue
+		}
+		far := dist[c] + 1
+		for pc := chanBase[m]; pc < chanBase[m+1]; pc++ {
+			if banned[pc]&bit != 0 {
+				continue
+			}
+			switch {
+			case dist[pc] < 0:
+				dist[pc], col[pc] = far, out
+				queue = append(queue, pc)
+			case dist[pc] == far && out < col[pc]:
+				col[pc] = out
+			}
+		}
+	}
+	w.queue = queue
+	// Every injection channel must reach every destination.
+	for src := 0; src < numNodes; src++ {
+		if src != d && dist[chanBase[src]] < 0 {
+			return src
+		}
+	}
+	for c, out := range col {
+		if out > topology.LocalPort {
+			w.used[c] |= 1 << out
+		}
+	}
+	return -1
+}
+
+// tables copies cols into the channel-major table Route reads.
+func (s *search) tables() *Tables {
+	numNodes, numChan := len(s.chiplet), len(s.node)
+	tb := &Tables{topo: s.t, chanBase: s.chanBase, next: make([]topology.PortID, numChan*numNodes), Restrictions: s.placed}
+	for d := range numNodes {
+		for c, out := range s.cols[d*numChan : (d+1)*numChan] {
+			tb.next[c*numNodes+d] = out
+		}
+	}
+	return tb
 }
 
 // moveLegal forbids routes that enter a chiplet other than the
@@ -324,34 +407,31 @@ func (tb *Tables) PathLength(src, dst topology.NodeID) (int, error) {
 // dependencyCycle builds the channel dependency graph from the turns the
 // routes actually use and returns one cycle (as turns), or nil when the
 // CDG is acyclic.
-func (s *search) dependencyCycle(tb *Tables) []Turn {
-	numNodes := len(s.chiplet)
+func (s *search) dependencyCycle() []Turn {
 	// Link channels = non-local (node, inPort) channels; a dependency goes
 	// from the arriving channel to the chosen outgoing link's channel on
 	// the far side. Injection edges cannot be part of a cycle.
-	succ := make([][]int32, len(s.node))
-	var roots []int32
+	used := s.workers[0].used
+	for _, w := range s.workers[1:] {
+		for c, u := range w.used {
+			used[c] |= u
+		}
+	}
+	s.succ, s.roots = s.succ[:0], s.roots[:0]
 	for c := range s.node {
-		if s.port[c] == topology.LocalPort {
-			continue
-		}
-		var used uint32
-		for _, out := range tb.next[c*numNodes : (c+1)*numNodes] {
-			if out > topology.LocalPort {
-				used |= 1 << out
-			}
-		}
-		if used == 0 {
+		s.succStart[c] = int32(len(s.succ))
+		if s.port[c] == topology.LocalPort || used[c] == 0 {
 			continue
 		}
 		base := s.chanBase[s.node[c]]
-		for ; used != 0; used &= used - 1 {
-			succ[c] = append(succ[c], s.peer[base+int32(bits.TrailingZeros32(used))])
+		for u := used[c]; u != 0; u &= u - 1 {
+			s.succ = append(s.succ, s.peer[base+int32(bits.TrailingZeros32(u))])
 		}
-		slices.Sort(succ[c])
-		roots = append(roots, int32(c))
+		slices.Sort(s.succ[s.succStart[c]:])
+		s.roots = append(s.roots, int32(c))
 	}
-	cycleChans := routing.FindCycle(roots, func(c int32) []int32 { return succ[c] })
+	s.succStart[len(s.node)] = int32(len(s.succ))
+	cycleChans := routing.FindCycle(s.roots, func(c int32) []int32 { return s.succ[s.succStart[c]:s.succStart[c+1]] })
 	if cycleChans == nil {
 		return nil
 	}

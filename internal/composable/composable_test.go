@@ -109,27 +109,6 @@ func minimalHops(t *topology.Topology, src, dst topology.NodeID) int {
 	return -1
 }
 
-// TestDeterministicSearch: the design-time search must be reproducible —
-// identical topologies give identical restriction sets.
-func TestDeterministicSearch(t *testing.T) {
-	build := func() []composable.Turn {
-		tb, err := composable.BuildTables(topology.MustBuild(topology.BaselineConfig()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb.Restrictions
-	}
-	a, b := build(), build()
-	if len(a) != len(b) {
-		t.Fatalf("restriction counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("restriction %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestHeteroSearch: the search must handle heterogeneous systems too.
 func TestHeteroSearch(t *testing.T) {
 	topo, err := topology.BuildHetero(topology.HeteroExampleConfig())
