@@ -336,8 +336,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkComposableSearch measures the design-time restriction search —
 // the cost the paper's flexibility critique is about — on the baseline, on
 // eight boundary routers per chiplet, on Fig. 9's large system and on the
-// 512-router ScaleSmall system. The topology is built outside the timed
-// loop: the search only reads it.
+// 512-router ScaleSmall and 2048-router ScaleLarge systems. The topology
+// is built outside the timed loop: the search only reads it.
 func BenchmarkComposableSearch(b *testing.B) {
 	eight := topology.BaselineConfig()
 	eight.BoundaryPerChiplet = 8
@@ -349,6 +349,7 @@ func BenchmarkComposableSearch(b *testing.B) {
 		{"Boundary8", func() *topology.Topology { return topology.MustBuild(eight) }},
 		{"LargeConfig", func() *topology.Topology { return topology.MustBuild(topology.LargeConfig()) }},
 		{"ScaleSmall", func() *topology.Topology { return topology.MustBuildScale(topology.ScaleSmallConfig()) }},
+		{"ScaleLarge", func() *topology.Topology { return topology.MustBuildScale(topology.ScaleLargeConfig()) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			topo := c.build()

@@ -20,12 +20,11 @@
 package composable
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
@@ -69,8 +68,9 @@ type search struct {
 	chanBase []int32
 	node     []topology.NodeID
 	port     []topology.PortID
-	// peer is the channel at the other end of a channel's link, -1 for
-	// the local port.
+	// peer is the channel at the other end of a channel's link. A local
+	// port's is itself: no output is legal into it (legal never has bit 0),
+	// so it has no predecessors.
 	peer []int32
 	// chiplet is each router's chiplet index.
 	chiplet []int
@@ -79,6 +79,9 @@ type search struct {
 	// within layers), a faulty link or a placed restriction. A faulty
 	// input channel bans every output.
 	banned []uint32
+	// allowedIn is banned's transpose: allowedIn[chanBase[m]+o] has bit i
+	// set when channel chanBase[m]+i may leave router m by output o.
+	allowedIn []uint32
 	// legal[(k+1)*numNodes+m] has bit o set when leaving router m by
 	// output port o is legal for a destination in chiplet k (see
 	// moveLegal); row 0 is the interposer's. Computed once per search.
@@ -86,27 +89,36 @@ type search struct {
 	// turns bounds the restrictions: the boundary routers' turn count.
 	turns  int
 	placed []Turn
-	// cols[d*numChan+c] is channel c's next hop towards destination d:
-	// the route computation's output, destination-major so that each
-	// worker writes whole rows of its own.
-	cols    []topology.PortID
-	workers []routeWorker
+	// dist[d*numChan+c] is channel c's BFS distance to destination d over
+	// the allowed channel graph, -1 when c cannot reach d, and cols at the
+	// same index is c's next hop: its lowest allowed output one hop
+	// closer. Both live for the whole search; a placed turn repairs them.
+	dist []int32
+	cols []topology.PortID
+	// count[c*maxPorts+o] is the number of destinations whose next hop at
+	// channel c is output o > LocalPort; used[c] has bit o set while that
+	// count is nonzero. setNext keeps the two in step.
+	count []int32
+	used  []uint32
+	// journal holds every entry the current candidate's repair changed,
+	// with its old values, so that a rejected candidate is rolled back.
+	journal []undo
+	// queue is the BFS queue and the repair's affected set, fifo the
+	// repair's propagation queue, and inSet marks the affected set.
+	queue, fifo []int32
+	inSet       []bool
 	// succStart, succ and roots hold the channel dependency graph in
 	// compressed rows: channel c's successors are
 	// succ[succStart[c]:succStart[c+1]].
 	succStart, succ, roots []int32
 }
 
-// routeWorker is one route-computation worker's scratch. It owns a
-// contiguous range of destinations.
-type routeWorker struct {
-	dist, queue []int32
-	// used[c] has bit o set when some next hop of channel c in the
-	// worker's destinations is output o.
-	used []uint32
-	// failDst is the worker's lowest destination that some source cannot
-	// reach (failSrc, the lowest such source), or -1.
-	failDst, failSrc int
+// undo is one journaled change: the old distance and next hop at index i
+// of dist and cols.
+type undo struct {
+	i    int
+	dist int32
+	next topology.PortID
 }
 
 // BuildTables runs the design-time search for topology t.
@@ -156,7 +168,7 @@ func newSearch(t *topology.Topology) (*search, error) {
 		ports := t.Nodes[i].Ports
 		for in := range ports {
 			c := s.chanBase[i] + int32(in)
-			s.node[c], s.port[c], s.peer[c] = topology.NodeID(i), topology.PortID(in), -1
+			s.node[c], s.port[c], s.peer[c] = topology.NodeID(i), topology.PortID(in), c
 			if in != int(topology.LocalPort) {
 				s.peer[c] = s.chanBase[ports[in].Neighbor] + int32(ports[in].NeighborPort)
 				for k := -1; k < numChiplets; k++ {
@@ -177,11 +189,18 @@ func newSearch(t *topology.Topology) (*search, error) {
 			}
 		}
 	}
-	s.cols = make([]topology.PortID, numNodes*int(numChan))
-	s.workers = make([]routeWorker, max(1, min(runtime.GOMAXPROCS(0), numNodes)))
-	for i := range s.workers {
-		s.workers[i] = routeWorker{dist: make([]int32, numChan), queue: make([]int32, 0, numChan), used: make([]uint32, numChan)}
+	s.allowedIn = make([]uint32, numChan)
+	for c, ban := range s.banned {
+		base, end := s.chanBase[s.node[c]], s.chanBase[s.node[c]+1]
+		for out := int32(1); out < end-base; out++ {
+			if ban&(1<<out) == 0 {
+				s.allowedIn[base+out] |= 1 << (int32(c) - base)
+			}
+		}
 	}
+	s.dist, s.cols = make([]int32, numNodes*int(numChan)), make([]topology.PortID, numNodes*int(numChan))
+	s.count, s.used = make([]int32, numChan*maxPorts), make([]uint32, numChan)
+	s.queue, s.inSet = make([]int32, 0, numChan), make([]bool, numChan)
 	s.succStart = make([]int32, numChan+1)
 	return s, nil
 }
@@ -189,8 +208,8 @@ func newSearch(t *topology.Topology) (*search, error) {
 // restrict places a boundary-router turn on the cycle whose removal keeps
 // the network connected, preferring turns that involve a vertical link
 // (the restrictions of the paper's Fig. 2(a)). The connectivity check is
-// the route computation under the enlarged set, so its routes are left
-// in cols.
+// the repair of the routes under the enlarged set, so the accepted
+// candidate's routes are left in dist and cols.
 func (s *search) restrict(cycle []Turn) error {
 	var candidates []Turn
 	for _, turn := range cycle {
@@ -216,13 +235,10 @@ func (s *search) restrict(cycle []Turn) error {
 		return a.Out < b.Out
 	})
 	for _, turn := range candidates {
-		c, bit := s.chanBase[turn.Node]+int32(turn.In), uint32(1)<<turn.Out
-		s.banned[c] |= bit
-		if s.routes() == nil {
+		if s.place(turn) {
 			s.placed = append(s.placed, turn)
 			return nil
 		}
-		s.banned[c] &^= bit
 	}
 	return fmt.Errorf("composable: cycle with no restrictable boundary turn (len %d)", len(cycle))
 }
@@ -236,48 +252,24 @@ func turnVertical(t *topology.Topology, turn Turn) bool {
 func isY(d topology.Direction) bool { return d == topology.North || d == topology.South }
 func isX(d topology.Direction) bool { return d == topology.East || d == topology.West }
 
-// routes builds per-destination shortest routes over the allowed channel
-// graph (backward BFS per destination) into cols, and each worker's used
-// outputs. The destinations are split into one contiguous range per
-// worker. It fails if any (injection, destination) pair becomes
-// unreachable, naming the lowest such destination and source.
+// routes computes every destination's distances and next hops from
+// scratch, one backward BFS per destination in ascending order, and the
+// counts and used outputs. It fails if any (injection, destination) pair
+// is unreachable, naming the lowest such destination and source.
 func (s *search) routes() error {
-	numNodes := len(s.chiplet)
-	per := (numNodes + len(s.workers) - 1) / len(s.workers)
-	run := func(i int) {
-		w := &s.workers[i]
-		clear(w.used)
-		w.failDst, w.failSrc = -1, -1
-		for d := min(i*per, numNodes); d < min((i+1)*per, numNodes); d++ {
-			if src := s.routeTo(w, d); src >= 0 {
-				w.failDst, w.failSrc = d, src
-				return
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(s.workers); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(i)
-		}()
-	}
-	run(0)
-	wg.Wait()
-	// The ranges ascend, so the first failing worker holds the lowest
-	// failing destination.
-	for _, w := range s.workers {
-		if w.failDst >= 0 {
-			return fmt.Errorf("no route %d -> %d", w.failSrc, w.failDst)
+	clear(s.count)
+	clear(s.used)
+	for d := range s.chiplet {
+		if src := s.routeTo(d); src >= 0 {
+			return fmt.Errorf("no route %d -> %d", src, d)
 		}
 	}
 	return nil
 }
 
-// routeTo computes every channel's next hop towards destination d into
-// d's row of cols and returns the lowest source that cannot reach d, or
-// -1 (the row is then incomplete).
+// routeTo computes every channel's distance and next hop towards
+// destination d into d's rows of dist and cols and returns the lowest
+// source that cannot reach d, or -1 (the rows are then incomplete).
 //
 // The next hops come out of the BFS itself. A channel's next hop is its
 // first allowed output, in port order, among those of least distance.
@@ -285,39 +277,23 @@ func (s *search) routes() error {
 // the channels one hop farther than c are discovered in that scan or an
 // earlier one at c's distance, so keeping the lowest output port over
 // the scans that find a channel at exactly dist[c]+1 yields that output.
-func (s *search) routeTo(w *routeWorker, d int) int {
-	numNodes, numChan := len(s.chiplet), len(s.node)
-	chanBase, node, port, peer, banned := s.chanBase, s.node, s.port, s.peer, s.banned
-	legal := s.legal[(s.chiplet[d]+1)*numNodes:][:numNodes]
-	dist, col := w.dist, s.cols[d*numChan:][:numChan]
+func (s *search) routeTo(d int) int {
+	numChan := len(s.node)
+	legal := s.legalRow(d)
+	dist, col := s.dist[d*numChan:][:numChan], s.cols[d*numChan:][:numChan]
 	for c := range dist {
 		dist[c], col[c] = -1, topology.InvalidPort
 	}
 	// All channels arriving at d eject with distance 0.
-	queue := w.queue[:0]
-	for c := chanBase[d]; c < chanBase[d+1]; c++ {
+	queue := s.queue[:0]
+	for c := s.chanBase[d]; c < s.chanBase[d+1]; c++ {
 		dist[c], col[c] = 0, topology.LocalPort
 		queue = append(queue, c)
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		c := queue[qi]
-		// Predecessors: channels of the upstream router m that may turn
-		// into the link m -> node behind channel c, when that move
-		// respects chiplet-entry legality.
-		up := peer[c]
-		if up < 0 {
-			continue
-		}
-		m, out := node[up], port[up]
-		bit := uint32(1) << out
-		if legal[m]&bit == 0 {
-			continue
-		}
 		far := dist[c] + 1
-		for pc := chanBase[m]; pc < chanBase[m+1]; pc++ {
-			if banned[pc]&bit != 0 {
-				continue
-			}
+		s.preds(legal, c, func(pc int32, out topology.PortID) {
 			switch {
 			case dist[pc] < 0:
 				dist[pc], col[pc] = far, out
@@ -325,21 +301,212 @@ func (s *search) routeTo(w *routeWorker, d int) int {
 			case dist[pc] == far && out < col[pc]:
 				col[pc] = out
 			}
-		}
+		})
 	}
-	w.queue = queue
+	s.queue = queue
 	// Every injection channel must reach every destination.
-	for src := 0; src < numNodes; src++ {
-		if src != d && dist[chanBase[src]] < 0 {
+	for src := range s.chiplet {
+		if src != d && dist[s.chanBase[src]] < 0 {
 			return src
 		}
 	}
 	for c, out := range col {
 		if out > topology.LocalPort {
-			w.used[c] |= 1 << out
+			s.count[c*maxPorts+int(out)]++
+			s.used[c] |= 1 << out
 		}
 	}
 	return -1
+}
+
+// place bans turn and repairs every destination's routes that used it. It
+// keeps the ban and reports true when every injection channel still
+// reaches every destination; otherwise it unplaces turn and reports false.
+//
+// Banning output o of channel x can only change destinations whose next
+// hop at x is o: for every other destination x keeps its next hop, hence
+// its distance, and no channel depends on the banned edge.
+func (s *search) place(turn Turn) bool {
+	x, o := s.chanBase[turn.Node]+int32(turn.In), turn.Out
+	s.banned[x] |= 1 << o
+	s.allowedIn[s.chanBase[turn.Node]+int32(o)] &^= 1 << turn.In
+	s.journal = s.journal[:0]
+	numChan := len(s.node)
+	for d := range s.chiplet {
+		if s.cols[d*numChan+int(x)] == o && !s.repair(d, x) {
+			s.unplace(turn)
+			return false
+		}
+	}
+	return true
+}
+
+// unplace undoes the last place, of turn: it restores the routes from the
+// journal and lifts the ban.
+func (s *search) unplace(turn Turn) {
+	for k := len(s.journal) - 1; k >= 0; k-- {
+		u := s.journal[k]
+		s.dist[u.i] = u.dist
+		s.setNext(u.i, u.next)
+	}
+	s.banned[s.chanBase[turn.Node]+int32(turn.In)] &^= 1 << turn.Out
+	s.allowedIn[s.chanBase[turn.Node]+int32(turn.Out)] |= 1 << turn.In
+}
+
+// repair brings destination d's distances and next hops up to date after
+// the output x's next hop took was banned, journaling every change, and
+// reports false when some injection channel can no longer reach d.
+//
+// A channel's distance is unique and its next hop is a function of the
+// distances, so the repaired rows equal a from-scratch routeTo byte for
+// byte. If x has another allowed output one hop closer, only x's next hop
+// changes. Otherwise the affected set, the channels whose distance grows,
+// is collected layer by layer from x: a channel one hop farther than an
+// affected one is affected when none of its shortest successors is
+// unaffected. Its new distances start from the unaffected successors and
+// spread inside the set by merging the set, sorted, with a FIFO (every
+// edge weighs 1). Last, the next hops of the set, and of the unaffected
+// predecessors whose next hop entered it, are recomputed.
+func (s *search) repair(d int, x int32) bool {
+	numChan := len(s.node)
+	legal, row := s.legalRow(d), d*numChan
+	dist := s.dist[row:][:numChan]
+	if out := s.nextHop(legal, dist, x); out != topology.InvalidPort {
+		s.set(row+int(x), dist[x], out)
+		return true
+	}
+	set := append(s.queue[:0], x)
+	s.inSet[x] = true
+	for i := 0; i < len(set); i++ {
+		a := set[i]
+		s.preds(legal, a, func(p int32, _ topology.PortID) {
+			if !s.inSet[p] && dist[p] == dist[a]+1 && s.nextHop(legal, dist, p) == topology.InvalidPort {
+				s.inSet[p] = true
+				set = append(set, p)
+			}
+		})
+	}
+	for _, a := range set {
+		s.journal = append(s.journal, undo{row + int(a), dist[a], s.cols[row+int(a)]})
+	}
+	for _, a := range set {
+		least := int32(-1)
+		s.succs(legal, a, func(_ topology.PortID, sc int32) {
+			if !s.inSet[sc] && dist[sc] >= 0 && uint32(dist[sc]+1) < uint32(least) {
+				least = dist[sc] + 1
+			}
+		})
+		dist[a] = least
+	}
+	// Unreachable channels (-1) sort last as uint32.
+	slices.SortFunc(set, func(a, b int32) int { return cmp.Compare(uint32(dist[a]), uint32(dist[b])) })
+	fifo := s.fifo[:0]
+	for i, j := 0, 0; ; {
+		var c int32
+		if j < len(fifo) && (i == len(set) || uint32(dist[fifo[j]]) <= uint32(dist[set[i]])) {
+			c, j = fifo[j], j+1
+		} else if i < len(set) && dist[set[i]] >= 0 {
+			c, i = set[i], i+1
+		} else {
+			break
+		}
+		if !s.inSet[c] {
+			continue // settled from the other queue
+		}
+		s.inSet[c] = false
+		s.preds(legal, c, func(p int32, _ topology.PortID) {
+			if s.inSet[p] && uint32(dist[c]+1) < uint32(dist[p]) {
+				dist[p] = dist[c] + 1
+				fifo = append(fifo, p)
+			}
+		})
+	}
+	s.fifo = fifo
+	connected := true
+	for _, a := range set {
+		s.inSet[a] = false
+		connected = connected && (dist[a] >= 0 || s.port[a] != topology.LocalPort)
+	}
+	if !connected {
+		return false
+	}
+	for _, a := range set {
+		s.setNext(row+int(a), s.nextHop(legal, dist, a))
+	}
+	for _, a := range set {
+		s.preds(legal, a, func(p int32, out topology.PortID) {
+			if s.cols[row+int(p)] == out && dist[p] != dist[a]+1 {
+				s.set(row+int(p), dist[p], s.nextHop(legal, dist, p))
+			}
+		})
+	}
+	return true
+}
+
+// legalRow is the chiplet-entry legality row of destination d's chiplet.
+func (s *search) legalRow(d int) []uint32 {
+	numNodes := len(s.chiplet)
+	return s.legal[(s.chiplet[d]+1)*numNodes:][:numNodes]
+}
+
+// preds calls fn for every channel pc from which a packet for a
+// destination with legality row legal may move into channel c, with the
+// output out it leaves pc's router by.
+func (s *search) preds(legal []uint32, c int32, fn func(pc int32, out topology.PortID)) {
+	up := s.peer[c]
+	m, out := s.node[up], s.port[up]
+	// The mask is empty when leaving m by out is illegal for the destination.
+	for u := s.allowedIn[up] & -(legal[m] >> out & 1); u != 0; u &= u - 1 {
+		fn(s.chanBase[m]+int32(bits.TrailingZeros32(u)), out)
+	}
+}
+
+// succs calls fn, in port order, for every output out a packet for a
+// destination with legality row legal may take from channel c, with the
+// channel sc it enters.
+func (s *search) succs(legal []uint32, c int32, fn func(out topology.PortID, sc int32)) {
+	m := s.node[c]
+	for u := legal[m] &^ s.banned[c]; u != 0; u &= u - 1 {
+		out := bits.TrailingZeros32(u)
+		fn(topology.PortID(out), s.peer[s.chanBase[m]+int32(out)])
+	}
+}
+
+// nextHop returns channel c's lowest allowed output into a channel one hop
+// closer under dist that is not in the affected set, or InvalidPort.
+func (s *search) nextHop(legal []uint32, dist []int32, c int32) topology.PortID {
+	next := topology.InvalidPort
+	s.succs(legal, c, func(out topology.PortID, sc int32) {
+		if next < 0 && dist[sc] == dist[c]-1 && !s.inSet[sc] {
+			next = out
+		}
+	})
+	return next
+}
+
+// set journals index i of dist and cols and writes distance dist and next
+// hop next there.
+func (s *search) set(i int, dist int32, next topology.PortID) {
+	s.journal = append(s.journal, undo{i, s.dist[i], s.cols[i]})
+	s.dist[i] = dist
+	s.setNext(i, next)
+}
+
+// setNext writes next hop next at index i of cols, keeping count and used
+// in step.
+func (s *search) setNext(i int, next topology.PortID) {
+	c := i % len(s.node)
+	if old := s.cols[i]; old > topology.LocalPort {
+		if s.count[c*maxPorts+int(old)]--; s.count[c*maxPorts+int(old)] == 0 {
+			s.used[c] &^= 1 << old
+		}
+	}
+	if next > topology.LocalPort {
+		if s.count[c*maxPorts+int(next)]++; s.count[c*maxPorts+int(next)] == 1 {
+			s.used[c] |= 1 << next
+		}
+	}
+	s.cols[i] = next
 }
 
 // tables copies cols into the channel-major table Route reads.
@@ -411,20 +578,14 @@ func (s *search) dependencyCycle() []Turn {
 	// Link channels = non-local (node, inPort) channels; a dependency goes
 	// from the arriving channel to the chosen outgoing link's channel on
 	// the far side. Injection edges cannot be part of a cycle.
-	used := s.workers[0].used
-	for _, w := range s.workers[1:] {
-		for c, u := range w.used {
-			used[c] |= u
-		}
-	}
 	s.succ, s.roots = s.succ[:0], s.roots[:0]
 	for c := range s.node {
 		s.succStart[c] = int32(len(s.succ))
-		if s.port[c] == topology.LocalPort || used[c] == 0 {
+		if s.port[c] == topology.LocalPort || s.used[c] == 0 {
 			continue
 		}
 		base := s.chanBase[s.node[c]]
-		for u := used[c]; u != 0; u &= u - 1 {
+		for u := s.used[c]; u != 0; u &= u - 1 {
 			s.succ = append(s.succ, s.peer[base+int32(bits.TrailingZeros32(u))])
 		}
 		slices.Sort(s.succ[s.succStart[c]:])

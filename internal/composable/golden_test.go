@@ -3,7 +3,6 @@ package composable
 import (
 	"crypto/sha256"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -14,11 +13,12 @@ import (
 // TestSearchGolden pins the design-time search's output beyond the
 // baseline that results/fig2.csv covers: the placed restrictions, in
 // placement order, and a SHA-256 of the channel-indexed next-hop table,
-// for 2/4/8 boundary routers per chiplet, Fig. 9's large system and the
-// heterogeneous example, and the error on a baseline with a faulty link.
-// Any change to the search order, the tie-breaking or the route
-// computation shows up here. Every case runs with one route worker and
-// with four, which must agree byte for byte.
+// for 2/4/8 boundary routers per chiplet, Fig. 9's large system, the
+// heterogeneous example and the 512- and 2048-router scale presets, and
+// the error on a baseline with a faulty link. The scale presets' 144 and
+// 576 restrictions are pinned as a SHA-256 of the list ("sha256:" and the
+// digest). Any change to the search order, the tie-breaking or the route
+// computation shows up here.
 func TestSearchGolden(t *testing.T) {
 	boundaries := func(n int) func() (*topology.Topology, error) {
 		return func() (*topology.Topology, error) {
@@ -34,6 +34,9 @@ func TestSearchGolden(t *testing.T) {
 		}
 		_, err = topo.InjectFaults(1, 1234)
 		return topo, err
+	}
+	scale := func(cfg topology.ScaleConfig) func() (*topology.Topology, error) {
+		return func() (*topology.Topology, error) { return topology.BuildScale(cfg) }
 	}
 	cases := []struct {
 		name         string
@@ -67,47 +70,49 @@ func TestSearchGolden(t *testing.T) {
 			"16:3>1 20:3>4 16:1>3 20:4>1 20:4>2 35:3>4 16:2>3 35:4>3 40:3>1 40:1>3 43:3>1 40:3>2 43:2>3 43:3>2 52:2>3 40:2>3 52:3>2 56:2>3 56:3>1",
 			"39857b189ba41a7010150b6f6afbe8935d811f66b202b1d0df81c458617118db", ""},
 		{"faulty", faulty, "", "", "composable: routes under current restrictions: no route 15 -> 0"},
+		{"scaleSmall", scale(topology.ScaleSmallConfig()),
+			"sha256:16a57717ff0a8b780306fb691f946c31ea37b40f0a0fac2b2b2a24d8f7a6a824",
+			"9ff8cd841147bf4f622497fcee0f37dde37b4b4666301bc341aa52f7689cb033", ""},
+		{"scaleLarge", scale(topology.ScaleLargeConfig()),
+			"sha256:a2f00a5e3173dfb498e3011df05d181f4db3a4dfa22157612381715d2bb764d2",
+			"cb4785d295c9c8009e3487fc289dd70a40e44a69224dd6342faf4ab45ce01000", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var outcomes [2]string
-			for i, procs := range []int{1, 4} {
-				topo, err := tc.build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				prev := runtime.GOMAXPROCS(procs)
-				tb, err := BuildTables(topo)
-				runtime.GOMAXPROCS(prev)
-				if err != nil {
-					if err.Error() != tc.err {
-						t.Fatalf("GOMAXPROCS %d: err = %q, want %q", procs, err, tc.err)
-					}
-					outcomes[i] = err.Error()
-					continue
-				}
-				if tc.err != "" {
-					t.Fatalf("GOMAXPROCS %d: no error, want %q", procs, tc.err)
-				}
-				turns := make([]string, len(tb.Restrictions))
-				for i, r := range tb.Restrictions {
-					turns[i] = fmt.Sprintf("%d:%d>%d", r.Node, r.In, r.Out)
-				}
-				next := make([]byte, len(tb.next))
-				for i, p := range tb.next {
-					next[i] = byte(p)
-				}
-				got, sum := strings.Join(turns, " "), fmt.Sprintf("%x", sha256.Sum256(next))
-				if got != tc.restrictions {
-					t.Errorf("GOMAXPROCS %d: restrictions:\n got %q\nwant %q", procs, got, tc.restrictions)
-				}
-				if sum != tc.nextSHA {
-					t.Errorf("GOMAXPROCS %d: next-hop table SHA-256: got %s, want %s", procs, sum, tc.nextSHA)
-				}
-				outcomes[i] = got + "\n" + string(next)
+			if tc.name == "scaleLarge" && testing.Short() {
+				t.Skip("the 2048-router search takes 2 s, and over 20 s under the race detector")
 			}
-			if outcomes[0] != outcomes[1] {
-				t.Error("one route worker and four give different results")
+			topo, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := BuildTables(topo)
+			if err != nil {
+				if err.Error() != tc.err {
+					t.Fatalf("err = %q, want %q", err, tc.err)
+				}
+				return
+			}
+			if tc.err != "" {
+				t.Fatalf("no error, want %q", tc.err)
+			}
+			turns := make([]string, len(tb.Restrictions))
+			for i, r := range tb.Restrictions {
+				turns[i] = fmt.Sprintf("%d:%d>%d", r.Node, r.In, r.Out)
+			}
+			next := make([]byte, len(tb.next))
+			for i, p := range tb.next {
+				next[i] = byte(p)
+			}
+			got, sum := strings.Join(turns, " "), fmt.Sprintf("%x", sha256.Sum256(next))
+			if strings.HasPrefix(tc.restrictions, "sha256:") {
+				got = fmt.Sprintf("sha256:%x", sha256.Sum256([]byte(got)))
+			}
+			if got != tc.restrictions {
+				t.Errorf("restrictions:\n got %q\nwant %q", got, tc.restrictions)
+			}
+			if sum != tc.nextSHA {
+				t.Errorf("next-hop table SHA-256: got %s, want %s", sum, tc.nextSHA)
 			}
 		})
 	}
@@ -119,9 +124,6 @@ func TestSearchGolden(t *testing.T) {
 // about 2.25 per boundary router, so its 256 boundary routers need 576
 // restrictions, and its tables' channel dependency graph must be acyclic.
 func TestSearchBeyond512Restrictions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("a 512-router search takes seconds")
-	}
 	topo, err := topology.BuildScale(topology.ScaleConfig{
 		TilesX: 2, TilesY: 2, TileW: 8, TileH: 8,
 		ChipletsX: 4, ChipletsY: 4, ChipletW: 2, ChipletH: 2,
