@@ -67,7 +67,12 @@ bench-pairs:
 # colour grey: every dependency graph (the deadlock certificate,
 # composable's CDG, the reconfiguration union CDG) is searched by the one
 # routing.FindCycle, whose three grey lines are the ceiling, so a second
-# cycle search shows up as a number. Then the lines that select a deleted
+# cycle search shows up as a number. Then the lines that name ChannelID,
+# SortedKeys or map[ChannelID]: every channel dependency graph is one
+# routing.CDG, a channel per router input port and a dependency per bit of
+# a flat output mask, built by one whole-system route walk, so a second
+# graph representation (reconfig's deleted map-keyed per-layer CDG) shows
+# up as a number. Then the lines that select a deleted
 # setting: link latency (router.LinkDelay), the ejection depth, UPP's
 # signal hardening (on exactly when a fault injector is attached) and the
 # remote-control and coherence parameters are constants that no run varies,
@@ -132,6 +137,9 @@ loc:
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'grey'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'grey (DFS colour)' $$n 3; \
 		[ $$n -le 3 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'ChannelID\|SortedKeys\|map\[ChannelID\]'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'ChannelID|SortedKeys|map[ChannelID]' $$n 0; \
+		[ $$n -le 0 ]
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '$(DELETED_SETTINGS)'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'deleted settings' $$n 0; \
 		[ $$n -le 0 ]

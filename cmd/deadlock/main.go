@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"uppnoc/internal/core"
@@ -19,13 +21,27 @@ import (
 )
 
 func main() {
-	var (
-		rate = flag.Float64("rate", 0.10, "offered load, flits/cycle/node")
-		seed = flag.Uint64("seed", 42, "workload seed")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	fmt.Println("--- Phase 1: fully adaptive routing, no deadlock handling ---")
+// run is main with its process state passed in: the exit status is the
+// return value (0 ok, 1 a wedge without an upward packet or a failed
+// recovery, 2 bad flags). Everything it reports goes to stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("deadlock", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		rate = fs.Float64("rate", 0.10, "offered load, flits/cycle/node")
+		seed = fs.Uint64("seed", 42, "workload seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package already printed the problem and the usage
+	}
+
+	fmt.Fprintln(stdout, "--- Phase 1: fully adaptive routing, no deadlock handling ---")
 	topo := topology.MustBuild(topology.BaselineConfig())
 	n := network.MustNew(topo, network.DefaultConfig(), network.None{})
 	g := traffic.NewGenerator(n, traffic.UniformRandom{}, *rate, *seed)
@@ -33,18 +49,18 @@ func main() {
 	g.SetRate(0)
 	err := n.Drain(50000, 3000)
 	if err == nil {
-		fmt.Println("no deadlock formed at this load; try a higher -rate")
-		os.Exit(0)
+		fmt.Fprintln(stdout, "no deadlock formed at this load; try a higher -rate")
+		return 0
 	}
-	fmt.Printf("network wedged: %v\n\n", err)
+	fmt.Fprintf(stdout, "network wedged: %v\n\n", err)
 	if c := n.FindDependencyCycle(); c != nil {
-		fmt.Println("extracted buffer dependency cycle (the chain of Fig. 1):")
-		fmt.Printf("  %s\n", c)
-		fmt.Printf("  spans layers: %v, involves an upward packet: %v, chiplets touched: %v\n\n",
+		fmt.Fprintln(stdout, "extracted buffer dependency cycle (the chain of Fig. 1):")
+		fmt.Fprintf(stdout, "  %s\n", c)
+		fmt.Fprintf(stdout, "  spans layers: %v, involves an upward packet: %v, chiplets touched: %v\n\n",
 			c.SpansLayers(), c.InvolvesUpwardPacket(), c.Chiplets())
 	}
-	fmt.Println("stalled upward packets at interposer routers (the paper's key insight —")
-	fmt.Println("every integration-induced deadlock contains at least one):")
+	fmt.Fprintln(stdout, "stalled upward packets at interposer routers (the paper's key insight —")
+	fmt.Fprintln(stdout, "every integration-induced deadlock contains at least one):")
 	upward := 0
 	for _, id := range topo.Interposer {
 		r := n.Router(id)
@@ -62,20 +78,20 @@ func main() {
 					continue
 				}
 				upward++
-				fmt.Printf("  interposer router %2d: packet %d (vnet %s) stalled toward chiplet %d, dst router %d\n",
+				fmt.Fprintf(stdout, "  interposer router %2d: packet %d (vnet %s) stalled toward chiplet %d, dst router %d\n",
 					id, f.Pkt.ID, f.Pkt.VNet, topo.Node(f.Pkt.Dst).Chiplet, f.Pkt.Dst)
 			}
 		}
 	}
-	fmt.Printf("=> %d stalled upward packets found\n\n", upward)
-	fmt.Println(n.RenderOccupancy())
-	fmt.Println(n.RenderUpPorts())
+	fmt.Fprintf(stdout, "=> %d stalled upward packets found\n\n", upward)
+	fmt.Fprintln(stdout, n.RenderOccupancy())
+	fmt.Fprintln(stdout, n.RenderUpPorts())
 	if upward == 0 {
-		fmt.Println("unexpected: wedged without an upward packet (please report)")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "unexpected: wedged without an upward packet (please report)")
+		return 1
 	}
 
-	fmt.Println("--- Phase 2: identical workload under UPP ---")
+	fmt.Fprintln(stdout, "--- Phase 2: identical workload under UPP ---")
 	topo2 := topology.MustBuild(topology.BaselineConfig())
 	u := core.New(core.DefaultConfig())
 	n2 := network.MustNew(topo2, network.DefaultConfig(), u)
@@ -83,17 +99,18 @@ func main() {
 	g2.Run(30000)
 	g2.SetRate(0)
 	if err := n2.Drain(500000, 50000); err != nil {
-		fmt.Printf("UPP failed to recover: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "UPP failed to recover: %v\n", err)
+		return 1
 	}
 	s := n2.Stats
-	fmt.Printf("all %d packets delivered.\n", s.ConsumedPackets)
-	fmt.Printf("  upward packets detected: %d\n", s.UpwardPackets)
-	fmt.Printf("  popups completed:        %d\n", s.PopupsCompleted)
-	fmt.Printf("  false positives (stops): %d\n", s.PopupsCancelled)
-	fmt.Printf("  ejection reservations:   %d\n", s.ReservationsGranted)
-	fmt.Printf("  protocol signal hops:    %d\n", s.SignalsSent)
-	fmt.Println("\nUPP detected every deadlock at the interposer up ports, reserved an")
-	fmt.Println("ejection entry with UPP_req/UPP_ack, and popped the upward packets")
-	fmt.Println("through buffer-bypassing circuits — breaking every dependency cycle.")
+	fmt.Fprintf(stdout, "all %d packets delivered.\n", s.ConsumedPackets)
+	fmt.Fprintf(stdout, "  upward packets detected: %d\n", s.UpwardPackets)
+	fmt.Fprintf(stdout, "  popups completed:        %d\n", s.PopupsCompleted)
+	fmt.Fprintf(stdout, "  false positives (stops): %d\n", s.PopupsCancelled)
+	fmt.Fprintf(stdout, "  ejection reservations:   %d\n", s.ReservationsGranted)
+	fmt.Fprintf(stdout, "  protocol signal hops:    %d\n", s.SignalsSent)
+	fmt.Fprintln(stdout, "\nUPP detected every deadlock at the interposer up ports, reserved an")
+	fmt.Fprintln(stdout, "ejection entry with UPP_req/UPP_ack, and popped the upward packets")
+	fmt.Fprintln(stdout, "through buffer-bypassing circuits — breaking every dependency cycle.")
+	return 0
 }

@@ -55,23 +55,17 @@ type Tables struct {
 	Restrictions []Turn
 }
 
-// maxPorts bounds a router's radix: a channel's banned outputs are one
-// uint32 (the router's switch masks have the same bound).
-const maxPorts = 32
+// maxPorts is count's stride per channel: routing.NewCDG bounds a
+// router's radix so that a channel's outputs fit one uint32 mask.
+const maxPorts = routing.MaxPorts
 
-// search is one design-time search over flat per-channel arrays. Channel c
-// is input port port[c] of router node[c]; a router's channels are
-// chanBase[node] up to chanBase[node+1], so the channel an output port o
-// feeds is peer[chanBase[node]+o].
+// search is one design-time search over flat per-channel arrays. The
+// channel numbering and the used-output masks are the embedded channel
+// dependency graph's: Used[c] has bit o set while some destination's next
+// hop at channel c is output o.
 type search struct {
-	t        *topology.Topology
-	chanBase []int32
-	node     []topology.NodeID
-	port     []topology.PortID
-	// peer is the channel at the other end of a channel's link. A local
-	// port's is itself: no output is legal into it (legal never has bit 0),
-	// so it has no predecessors.
-	peer []int32
+	routing.CDG
+	t *topology.Topology
 	// chiplet is each router's chiplet index.
 	chiplet []int
 	// banned[c] has bit o set when a packet arriving on channel c may not
@@ -79,12 +73,13 @@ type search struct {
 	// within layers), a faulty link or a placed restriction. A faulty
 	// input channel bans every output.
 	banned []uint32
-	// allowedIn is banned's transpose: allowedIn[chanBase[m]+o] has bit i
-	// set when channel chanBase[m]+i may leave router m by output o.
+	// allowedIn is banned's transpose: allowedIn[Base[m]+o] has bit i set
+	// when channel Base[m]+i may leave router m by output o.
 	allowedIn []uint32
 	// legal[(k+1)*numNodes+m] has bit o set when leaving router m by
 	// output port o is legal for a destination in chiplet k (see
 	// moveLegal); row 0 is the interposer's. Computed once per search.
+	// It never has bit 0, so no walk moves into an injection channel.
 	legal []uint32
 	// turns bounds the restrictions: the boundary routers' turn count.
 	turns  int
@@ -96,10 +91,9 @@ type search struct {
 	dist []int32
 	cols []topology.PortID
 	// count[c*maxPorts+o] is the number of destinations whose next hop at
-	// channel c is output o > LocalPort; used[c] has bit o set while that
-	// count is nonzero. setNext keeps the two in step.
+	// channel c is output o > LocalPort. setNext keeps Used in step: a bit
+	// is set while its count is nonzero.
 	count []int32
-	used  []uint32
 	// journal holds every entry the current candidate's repair changed,
 	// with its old values, so that a rejected candidate is rolled back.
 	journal []undo
@@ -107,10 +101,6 @@ type search struct {
 	// repair's propagation queue, and inSet marks the affected set.
 	queue, fifo []int32
 	inSet       []bool
-	// succStart, succ and roots hold the channel dependency graph in
-	// compressed rows: channel c's successors are
-	// succ[succStart[c]:succStart[c+1]].
-	succStart, succ, roots []int32
 }
 
 // undo is one journaled change: the old distance and next hop at index i
@@ -145,32 +135,29 @@ func BuildTables(t *topology.Topology) (*Tables, error) {
 }
 
 func newSearch(t *topology.Topology) (*search, error) {
+	g, err := routing.NewCDG(t)
+	if err != nil {
+		return nil, fmt.Errorf("composable: %w", err)
+	}
 	numNodes := t.NumNodes()
-	s := &search{t: t, chanBase: make([]int32, numNodes+1), chiplet: make([]int, numNodes)}
+	s := &search{CDG: *g, t: t, chiplet: make([]int, numNodes)}
 	numChiplets := 0
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		if len(n.Ports) > maxPorts {
-			return nil, fmt.Errorf("composable: node %d has %d ports; the turn masks hold at most %d", i, len(n.Ports), maxPorts)
-		}
-		s.chanBase[i+1] = s.chanBase[i] + int32(len(n.Ports))
 		s.chiplet[i] = n.Chiplet
 		numChiplets = max(numChiplets, n.Chiplet+1)
 		if n.Kind == topology.BoundaryRouter {
 			s.turns += len(n.Ports) * (len(n.Ports) - 1)
 		}
 	}
-	numChan := s.chanBase[numNodes]
-	s.node, s.port = make([]topology.NodeID, numChan), make([]topology.PortID, numChan)
-	s.peer, s.banned = make([]int32, numChan), make([]uint32, numChan)
+	numChan := len(s.Node)
+	s.banned = make([]uint32, numChan)
 	s.legal = make([]uint32, (numChiplets+1)*numNodes)
 	for i := range t.Nodes {
 		ports := t.Nodes[i].Ports
 		for in := range ports {
-			c := s.chanBase[i] + int32(in)
-			s.node[c], s.port[c], s.peer[c] = topology.NodeID(i), topology.PortID(in), c
+			c := s.Base[i] + int32(in)
 			if in != int(topology.LocalPort) {
-				s.peer[c] = s.chanBase[ports[in].Neighbor] + int32(ports[in].NeighborPort)
 				for k := -1; k < numChiplets; k++ {
 					if s.moveLegal(topology.NodeID(i), ports[in].Neighbor, k) {
 						s.legal[(k+1)*numNodes+i] |= 1 << in
@@ -191,17 +178,16 @@ func newSearch(t *topology.Topology) (*search, error) {
 	}
 	s.allowedIn = make([]uint32, numChan)
 	for c, ban := range s.banned {
-		base, end := s.chanBase[s.node[c]], s.chanBase[s.node[c]+1]
+		base, end := s.Base[s.Node[c]], s.Base[s.Node[c]+1]
 		for out := int32(1); out < end-base; out++ {
 			if ban&(1<<out) == 0 {
 				s.allowedIn[base+out] |= 1 << (int32(c) - base)
 			}
 		}
 	}
-	s.dist, s.cols = make([]int32, numNodes*int(numChan)), make([]topology.PortID, numNodes*int(numChan))
-	s.count, s.used = make([]int32, numChan*maxPorts), make([]uint32, numChan)
+	s.dist, s.cols = make([]int32, numNodes*numChan), make([]topology.PortID, numNodes*numChan)
+	s.count = make([]int32, numChan*maxPorts)
 	s.queue, s.inSet = make([]int32, 0, numChan), make([]bool, numChan)
-	s.succStart = make([]int32, numChan+1)
 	return s, nil
 }
 
@@ -258,7 +244,7 @@ func isX(d topology.Direction) bool { return d == topology.East || d == topology
 // is unreachable, naming the lowest such destination and source.
 func (s *search) routes() error {
 	clear(s.count)
-	clear(s.used)
+	clear(s.Used)
 	for d := range s.chiplet {
 		if src := s.routeTo(d); src >= 0 {
 			return fmt.Errorf("no route %d -> %d", src, d)
@@ -278,7 +264,7 @@ func (s *search) routes() error {
 // earlier one at c's distance, so keeping the lowest output port over
 // the scans that find a channel at exactly dist[c]+1 yields that output.
 func (s *search) routeTo(d int) int {
-	numChan := len(s.node)
+	numChan := len(s.Node)
 	legal := s.legalRow(d)
 	dist, col := s.dist[d*numChan:][:numChan], s.cols[d*numChan:][:numChan]
 	for c := range dist {
@@ -286,7 +272,7 @@ func (s *search) routeTo(d int) int {
 	}
 	// All channels arriving at d eject with distance 0.
 	queue := s.queue[:0]
-	for c := s.chanBase[d]; c < s.chanBase[d+1]; c++ {
+	for c := s.Base[d]; c < s.Base[d+1]; c++ {
 		dist[c], col[c] = 0, topology.LocalPort
 		queue = append(queue, c)
 	}
@@ -306,14 +292,14 @@ func (s *search) routeTo(d int) int {
 	s.queue = queue
 	// Every injection channel must reach every destination.
 	for src := range s.chiplet {
-		if src != d && dist[s.chanBase[src]] < 0 {
+		if src != d && dist[s.Base[src]] < 0 {
 			return src
 		}
 	}
 	for c, out := range col {
 		if out > topology.LocalPort {
 			s.count[c*maxPorts+int(out)]++
-			s.used[c] |= 1 << out
+			s.Used[c] |= 1 << out
 		}
 	}
 	return -1
@@ -327,11 +313,11 @@ func (s *search) routeTo(d int) int {
 // hop at x is o: for every other destination x keeps its next hop, hence
 // its distance, and no channel depends on the banned edge.
 func (s *search) place(turn Turn) bool {
-	x, o := s.chanBase[turn.Node]+int32(turn.In), turn.Out
+	x, o := s.Base[turn.Node]+int32(turn.In), turn.Out
 	s.banned[x] |= 1 << o
-	s.allowedIn[s.chanBase[turn.Node]+int32(o)] &^= 1 << turn.In
+	s.allowedIn[s.Base[turn.Node]+int32(o)] &^= 1 << turn.In
 	s.journal = s.journal[:0]
-	numChan := len(s.node)
+	numChan := len(s.Node)
 	for d := range s.chiplet {
 		if s.cols[d*numChan+int(x)] == o && !s.repair(d, x) {
 			s.unplace(turn)
@@ -349,8 +335,8 @@ func (s *search) unplace(turn Turn) {
 		s.dist[u.i] = u.dist
 		s.setNext(u.i, u.next)
 	}
-	s.banned[s.chanBase[turn.Node]+int32(turn.In)] &^= 1 << turn.Out
-	s.allowedIn[s.chanBase[turn.Node]+int32(turn.Out)] |= 1 << turn.In
+	s.banned[s.Base[turn.Node]+int32(turn.In)] &^= 1 << turn.Out
+	s.allowedIn[s.Base[turn.Node]+int32(turn.Out)] |= 1 << turn.In
 }
 
 // repair brings destination d's distances and next hops up to date after
@@ -368,7 +354,7 @@ func (s *search) unplace(turn Turn) {
 // edge weighs 1). Last, the next hops of the set, and of the unaffected
 // predecessors whose next hop entered it, are recomputed.
 func (s *search) repair(d int, x int32) bool {
-	numChan := len(s.node)
+	numChan := len(s.Node)
 	legal, row := s.legalRow(d), d*numChan
 	dist := s.dist[row:][:numChan]
 	if out := s.nextHop(legal, dist, x); out != topology.InvalidPort {
@@ -425,7 +411,7 @@ func (s *search) repair(d int, x int32) bool {
 	connected := true
 	for _, a := range set {
 		s.inSet[a] = false
-		connected = connected && (dist[a] >= 0 || s.port[a] != topology.LocalPort)
+		connected = connected && (dist[a] >= 0 || s.Port[a] != topology.LocalPort)
 	}
 	if !connected {
 		return false
@@ -453,11 +439,11 @@ func (s *search) legalRow(d int) []uint32 {
 // destination with legality row legal may move into channel c, with the
 // output out it leaves pc's router by.
 func (s *search) preds(legal []uint32, c int32, fn func(pc int32, out topology.PortID)) {
-	up := s.peer[c]
-	m, out := s.node[up], s.port[up]
+	up := s.Peer[c]
+	m, out := s.Node[up], s.Port[up]
 	// The mask is empty when leaving m by out is illegal for the destination.
 	for u := s.allowedIn[up] & -(legal[m] >> out & 1); u != 0; u &= u - 1 {
-		fn(s.chanBase[m]+int32(bits.TrailingZeros32(u)), out)
+		fn(s.Base[m]+int32(bits.TrailingZeros32(u)), out)
 	}
 }
 
@@ -465,10 +451,10 @@ func (s *search) preds(legal []uint32, c int32, fn func(pc int32, out topology.P
 // destination with legality row legal may take from channel c, with the
 // channel sc it enters.
 func (s *search) succs(legal []uint32, c int32, fn func(out topology.PortID, sc int32)) {
-	m := s.node[c]
+	m := s.Node[c]
 	for u := legal[m] &^ s.banned[c]; u != 0; u &= u - 1 {
 		out := bits.TrailingZeros32(u)
-		fn(topology.PortID(out), s.peer[s.chanBase[m]+int32(out)])
+		fn(topology.PortID(out), s.Peer[s.Base[m]+int32(out)])
 	}
 }
 
@@ -492,18 +478,18 @@ func (s *search) set(i int, dist int32, next topology.PortID) {
 	s.setNext(i, next)
 }
 
-// setNext writes next hop next at index i of cols, keeping count and used
+// setNext writes next hop next at index i of cols, keeping count and Used
 // in step.
 func (s *search) setNext(i int, next topology.PortID) {
-	c := i % len(s.node)
+	c := i % len(s.Node)
 	if old := s.cols[i]; old > topology.LocalPort {
 		if s.count[c*maxPorts+int(old)]--; s.count[c*maxPorts+int(old)] == 0 {
-			s.used[c] &^= 1 << old
+			s.Used[c] &^= 1 << old
 		}
 	}
 	if next > topology.LocalPort {
 		if s.count[c*maxPorts+int(next)]++; s.count[c*maxPorts+int(next)] == 1 {
-			s.used[c] |= 1 << next
+			s.Used[c] |= 1 << next
 		}
 	}
 	s.cols[i] = next
@@ -511,8 +497,8 @@ func (s *search) setNext(i int, next topology.PortID) {
 
 // tables copies cols into the channel-major table Route reads.
 func (s *search) tables() *Tables {
-	numNodes, numChan := len(s.chiplet), len(s.node)
-	tb := &Tables{topo: s.t, chanBase: s.chanBase, next: make([]topology.PortID, numChan*numNodes), Restrictions: s.placed}
+	numNodes, numChan := len(s.chiplet), len(s.Node)
+	tb := &Tables{topo: s.t, chanBase: s.Base, next: make([]topology.PortID, numChan*numNodes), Restrictions: s.placed}
 	for d := range numNodes {
 		for c, out := range s.cols[d*numChan : (d+1)*numChan] {
 			tb.next[c*numNodes+d] = out
@@ -571,44 +557,23 @@ func (tb *Tables) PathLength(src, dst topology.NodeID) (int, error) {
 	return hops, nil
 }
 
-// dependencyCycle builds the channel dependency graph from the turns the
-// routes actually use and returns one cycle (as turns), or nil when the
-// CDG is acyclic.
+// dependencyCycle returns one cycle of the channel dependency graph the
+// routes induce, as the turns connecting its channels, or nil when the
+// graph is acyclic.
 func (s *search) dependencyCycle() []Turn {
-	// Link channels = non-local (node, inPort) channels; a dependency goes
-	// from the arriving channel to the chosen outgoing link's channel on
-	// the far side. Injection edges cannot be part of a cycle.
-	s.succ, s.roots = s.succ[:0], s.roots[:0]
-	for c := range s.node {
-		s.succStart[c] = int32(len(s.succ))
-		if s.port[c] == topology.LocalPort || s.used[c] == 0 {
-			continue
-		}
-		base := s.chanBase[s.node[c]]
-		for u := s.used[c]; u != 0; u &= u - 1 {
-			s.succ = append(s.succ, s.peer[base+int32(bits.TrailingZeros32(u))])
-		}
-		slices.Sort(s.succ[s.succStart[c]:])
-		s.roots = append(s.roots, int32(c))
-	}
-	s.succStart[len(s.node)] = int32(len(s.succ))
-	cycleChans := routing.FindCycle(s.roots, func(c int32) []int32 { return s.succ[s.succStart[c]:s.succStart[c+1]] })
+	cycleChans := s.FindCycle()
 	if cycleChans == nil {
 		return nil
 	}
 	// The chain starts after the channel the search closed it on.
 	cycleChans = append(cycleChans[1:], cycleChans[0])
-	// Convert consecutive channel pairs into the turns connecting them.
-	turns := make([]Turn, 0, len(cycleChans))
+	// Convert consecutive channel pairs into the turns connecting them: a
+	// link's two channels are each other's peers, so channel c feeds the
+	// next one, nc, by output Port[Peer[nc]].
+	turns := make([]Turn, len(cycleChans))
 	for i, c := range cycleChans {
 		nc := cycleChans[(i+1)%len(cycleChans)]
-		node := s.node[c]
-		for oc := s.chanBase[node] + 1; oc < s.chanBase[node+1]; oc++ {
-			if s.peer[oc] == nc {
-				turns = append(turns, Turn{node, s.port[c], topology.PortID(oc - s.chanBase[node])})
-				break
-			}
-		}
+		turns[i] = Turn{s.Node[c], s.Port[c], s.Port[s.Peer[nc]]}
 	}
 	return turns
 }

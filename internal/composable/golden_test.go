@@ -146,10 +146,12 @@ func TestSearchBeyond512Restrictions(t *testing.T) {
 
 // tableCycle reads the channel dependency graph off tb's next-hop table —
 // an edge from each link channel to the channel behind every output some
-// destination's next hop takes from it — and returns a cycle, or nil.
+// destination's next hop takes from it — and returns a cycle, or nil. The
+// roots are the channels with a successor, in ascending order.
 func tableCycle(tb *Tables) []int32 {
 	numNodes := tb.topo.NumNodes()
 	succ := map[int32][]int32{}
+	var roots []int32
 	for node := range tb.topo.Nodes {
 		ports := tb.topo.Nodes[node].Ports
 		for in := 1; in < len(ports); in++ {
@@ -165,9 +167,12 @@ func tableCycle(tb *Tables) []int32 {
 					succ[c] = append(succ[c], nc)
 				}
 			}
+			if len(succ[c]) > 0 {
+				roots = append(roots, c)
+			}
 		}
 	}
-	return routing.FindCycle(routing.SortedKeys(succ), func(c int32) []int32 { return succ[c] })
+	return routing.FindCycle(roots, func(c int32) []int32 { return succ[c] })
 }
 
 // TestRadixBound: a router with more ports than a turn mask holds is an

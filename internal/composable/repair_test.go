@@ -29,7 +29,7 @@ func recompute(t *testing.T, s *search) (*search, error) {
 // rollback restores.
 func searchState(s *search) string {
 	var b bytes.Buffer
-	for _, v := range []any{s.dist, s.cols, s.count, s.used, s.banned, s.allowedIn} {
+	for _, v := range []any{s.dist, s.cols, s.count, s.Used, s.banned, s.allowedIn} {
 		binary.Write(&b, binary.LittleEndian, v)
 	}
 	return b.String()
@@ -39,7 +39,7 @@ func searchState(s *search) string {
 func checkTranspose(t *testing.T, s *search) {
 	t.Helper()
 	for c, ban := range s.banned {
-		base, end := s.chanBase[s.node[c]], s.chanBase[s.node[c]+1]
+		base, end := s.Base[s.Node[c]], s.Base[s.Node[c]+1]
 		for out := int32(1); out < end-base; out++ {
 			if allowed := s.allowedIn[base+out]>>(int32(c)-base)&1 == 1; allowed != (ban>>out&1 == 0) {
 				t.Fatalf("channel %d output %d: allowedIn says %v, banned %032b", c, out, allowed, ban)
@@ -52,7 +52,7 @@ func checkTranspose(t *testing.T, s *search) {
 // searches' distances or next hops differ, and whether counts or used
 // outputs differ, or "".
 func diffRoutes(got, want *search) string {
-	numChan := len(got.node)
+	numChan := len(got.Node)
 	for i := range want.dist {
 		if got.dist[i] != want.dist[i] || got.cols[i] != want.cols[i] {
 			return fmt.Sprintf("destination %d channel %d: distance %d next %d, recomputed %d next %d",
@@ -62,7 +62,7 @@ func diffRoutes(got, want *search) string {
 	if !slices.Equal(got.count, want.count) {
 		return "next-hop counts differ"
 	}
-	if !slices.Equal(got.used, want.used) {
+	if !slices.Equal(got.Used, want.Used) {
 		return "used outputs differ"
 	}
 	return ""
@@ -162,8 +162,8 @@ func TestRejectedTurnRollsBack(t *testing.T) {
 				continue
 			}
 			for in := range topo.Nodes[node].Ports {
-				c := s.chanBase[node] + int32(in)
-				for u := s.used[c]; u != 0; u &= u - 1 {
+				c := s.Base[node] + int32(in)
+				for u := s.Used[c]; u != 0; u &= u - 1 {
 					turn := Turn{topology.NodeID(node), topology.PortID(in), topology.PortID(bits.TrailingZeros32(u))}
 					kept := s.place(turn)
 					if kept {
@@ -178,10 +178,10 @@ func TestRejectedTurnRollsBack(t *testing.T) {
 						accepted++
 					} else {
 						s.banned[c] |= 1 << turn.Out
-						s.allowedIn[s.chanBase[node]+int32(turn.Out)] &^= 1 << in
+						s.allowedIn[s.Base[node]+int32(turn.Out)] &^= 1 << in
 						_, err := recompute(t, s)
 						s.banned[c] &^= 1 << turn.Out
-						s.allowedIn[s.chanBase[node]+int32(turn.Out)] |= 1 << in
+						s.allowedIn[s.Base[node]+int32(turn.Out)] |= 1 << in
 						if err == nil {
 							t.Fatalf("%d boundaries, banning %v: the repair rejected it, but a recompute keeps every route", boundaries, turn)
 						}

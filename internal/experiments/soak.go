@@ -139,11 +139,11 @@ func auditReconfig(n *network.Network, cuts []reconfig.CutInfo, oldLocal routing
 				c.Link, c.Cycle, c.SentA, sa, c.SentB, sb)
 		}
 	}
-	newLocal := n.Hier().Local
-	dead := map[int]bool{}
+	newH, oldH := n.Hier(), routing.NewHierarchical(topo, oldLocal)
+	dead := 0
 	for _, l := range topo.Links {
 		if l.Faulty && !l.Vertical {
-			dead[l.ID] = true
+			dead++
 		}
 	}
 	changed := 0
@@ -153,24 +153,23 @@ func auditReconfig(n *network.Network, cuts []reconfig.CutInfo, oldLocal routing
 			if src == dst {
 				continue
 			}
-			pa, err := reconfig.WalkRoute(topo, newLocal, topology.InterposerChiplet, src, dst)
+			pa, err := routing.WalkRoute(newH, routing.DefaultPolicy{}, src, dst)
 			if err != nil {
 				return 0, fmt.Errorf("soak: final tables cannot route %d -> %d: %w", src, dst, err)
 			}
-			for i := 0; i+1 < len(pa); i++ {
-				p := topo.Node(pa[i]).PortToNeighbor(pa[i+1])
-				if l := topo.Node(pa[i]).Ports[p].Link; l != nil && dead[l.ID] {
+			for _, x := range pa {
+				if l := topo.Node(x.Node).Ports[x.Out].Link; l.Faulty && !l.Vertical {
 					return 0, fmt.Errorf("soak: surviving route %d -> %d crosses dead link %d", src, dst, l.ID)
 				}
 			}
 			// Old tables may fail across dead links: that pair changed too.
-			if pb, err := reconfig.WalkRoute(topo, oldLocal, topology.InterposerChiplet, src, dst); err != nil || !slices.Equal(pa, pb) {
+			if pb, err := routing.WalkRoute(oldH, routing.DefaultPolicy{}, src, dst); err != nil || !slices.Equal(pa, pb) {
 				changed++
 			}
 		}
 	}
-	if len(dead) > 0 && changed == 0 {
-		return 0, fmt.Errorf("soak: %d links dead yet no interposer route changed", len(dead))
+	if dead > 0 && changed == 0 {
+		return 0, fmt.Errorf("soak: %d links dead yet no interposer route changed", dead)
 	}
 	return changed, nil
 }

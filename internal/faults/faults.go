@@ -78,8 +78,8 @@ func CompareEvents(a, b Event) int {
 type Mode uint8
 
 const (
-	// ModeAuto picks drainless when the old∪new CDG is acyclic
-	// (CompatibleUnion), epoch-based otherwise. The default.
+	// ModeAuto picks drainless when the old∪new CDG minus its upward
+	// dependencies is acyclic, epoch-based otherwise. The default.
 	ModeAuto Mode = iota
 	// ModeDrainless forces the drainless switch even for incompatible
 	// pairs — injection never stops, and UPP is the only thing standing

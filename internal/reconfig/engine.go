@@ -1,3 +1,13 @@
+// Package reconfig implements deadlock-free dynamic reconfiguration for
+// the chiplet system (DESIGN.md §15): persistent link failures and
+// hot-adds change the topology at run time; routing is recomputed on the
+// surviving graph; and the transition between the old and the new routing
+// function is driven either drainlessly (when the union of their
+// whole-system channel dependency graphs, routing.BuildCDG, is acyclic
+// once its upward dependencies are cut: the UPR condition of arXiv
+// 2006.02332 with the paper's Sec. IV-A theorem standing in for the
+// vertical channels) or through an epoch fence with UPP as the recovery
+// net for the transient cycles a mixed-epoch network can form.
 package reconfig
 
 import (
@@ -30,7 +40,7 @@ type Transition struct {
 	Begin      sim.Cycle
 	Cut        sim.Cycle
 	Finish     sim.Cycle
-	Compatible bool // CDG verdict (old∪new acyclic)
+	Compatible bool // CDG verdict (old∪new acyclic after the upward cut)
 	Hold       bool // epoch fence used (injection stopped)
 }
 
@@ -44,7 +54,8 @@ type Transition struct {
 //     graph (routing.NewUpDown: XY consults Link.Faulty at route time,
 //     but old-epoch packets keep routing under pre-kill tables after the
 //     flags flip, which only a precomputed local supports), walk the new
-//     CDG, and check old∪new acyclicity.
+//     CDG, and check that old∪new is acyclic once its upward
+//     dependencies are cut (routing.CDG.CutUpward).
 //  2. BeginRouteTransition: packets already in flight keep the old
 //     epoch's tables; compatible pairs switch drainlessly (injection
 //     never stops), incompatible pairs raise the injection hold.
@@ -278,8 +289,11 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 	}
 
 	// Old CDG must be walked before the Faulty flips: it describes the
-	// routing function the in-flight packets will keep using.
-	oldCDG, oldErr := BuildCDG(t, e.net.Hier().Local)
+	// routing function the in-flight packets will keep using. Both graphs
+	// are whole-system walks under the static binding: every cycle left
+	// after the upward cut lies in one layer's mesh, where the walk's
+	// dependencies do not depend on the binding.
+	oldCDG, oldErr := routing.BuildCDG(e.net.Hier(), routing.DefaultPolicy{})
 
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
 		switch ev.Kind {
@@ -298,8 +312,10 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 	}
 	compatible := false
 	if oldErr == nil {
-		if newCDG, newErr := BuildCDG(t, newLocal); newErr == nil {
-			compatible, _ = CompatibleUnion(oldCDG, newCDG)
+		if newCDG, newErr := routing.BuildCDG(routing.NewHierarchical(t, newLocal), routing.DefaultPolicy{}); newErr == nil {
+			oldCDG.Or(newCDG)
+			oldCDG.CutUpward()
+			compatible = oldCDG.FindCycle() == nil
 		}
 	}
 	// Any walk failure ⇒ not provably compatible ⇒ the conservative

@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // FindCycle is the one cycle search over a dependency graph: the wait-for
 // graph of a wedged network (the deadlock certificate), composable
@@ -52,15 +49,4 @@ func FindCycle[K comparable](roots []K, succ func(K) []K) []K {
 		}
 	}
 	return nil
-}
-
-// SortedKeys returns m's keys in ascending order: the fixed order that a
-// map-backed graph hands FindCycle its roots and successors in.
-func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
 }
