@@ -9,8 +9,11 @@
 // in the simulated window is attributed — this is how the remaining
 // steady-state allocators were found and eliminated, and how new ones
 // show up.
-// With -kernel parallel it also prints where a cycle's host time went,
-// phase by phase and worker by worker (network.PhaseClock).
+// It also prints where a cycle's host time went, phase by phase under every
+// kernel and worker by worker under the parallel one (network.PhaseClock),
+// and the whole cycle's wall time with the traffic source's. An empty -cpu
+// skips the CPU profiler, whose SIGPROF interrupts perturb the parallel
+// kernel's spinning hand-off; an empty -mem skips the heap profile.
 package main
 
 import (
@@ -42,8 +45,8 @@ func flagSet(name string) bool {
 }
 
 func main() {
-	cpuOut := flag.String("cpu", "profiles/cpu.pprof", "CPU profile output path")
-	memOut := flag.String("mem", "profiles/mem.pprof", "heap profile output path")
+	cpuOut := flag.String("cpu", "profiles/cpu.pprof", "CPU profile output path (empty: no CPU profile)")
+	memOut := flag.String("mem", "profiles/mem.pprof", "heap profile output path (empty: no heap profile)")
 	rate := flag.Float64("rate", 0.20, "offered load (flits/node/cycle); default is saturation")
 	cycles := flag.Int("cycles", 200000, "profiled simulation window in cycles")
 	warmup := flag.Int("warmup", 20000, "warmup cycles before profiling starts")
@@ -107,40 +110,45 @@ func main() {
 	run(*warmup)
 
 	for _, p := range []string{*cpuOut, *memOut} {
-		if dir := filepath.Dir(p); dir != "." {
+		if dir := filepath.Dir(p); p != "" && dir != "." {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				fail(err)
 			}
 		}
 	}
-	cpuF, err := os.Create(*cpuOut)
-	if err != nil {
-		fail(err)
+	var cpuF *os.File
+	if *cpuOut != "" {
+		if cpuF, err = os.Create(*cpuOut); err != nil {
+			fail(err)
+		}
+		if err := pprof.StartCPUProfile(cpuF); err != nil {
+			fail(err)
+		}
 	}
-	if err := pprof.StartCPUProfile(cpuF); err != nil {
-		fail(err)
-	}
-	// The clock costs eight time.Now() a cycle: only the run that prints it pays.
 	var clock network.PhaseClock
-	if *kernel == network.KernelParallel {
-		n.SetPhaseClock(&clock)
-	}
+	n.SetPhaseClock(&clock)
+	start := time.Now()
 	run(*cycles)
-	pprof.StopCPUProfile()
-	if err := cpuF.Close(); err != nil {
-		fail(err)
+	wall := time.Since(start)
+	if cpuF != nil {
+		pprof.StopCPUProfile()
+		if err := cpuF.Close(); err != nil {
+			fail(err)
+		}
 	}
 
-	memF, err := os.Create(*memOut)
-	if err != nil {
-		fail(err)
-	}
-	runtime.GC() // flush outstanding profile records before the snapshot
-	if err := pprof.WriteHeapProfile(memF); err != nil {
-		fail(err)
-	}
-	if err := memF.Close(); err != nil {
-		fail(err)
+	if *memOut != "" {
+		memF, err := os.Create(*memOut)
+		if err != nil {
+			fail(err)
+		}
+		runtime.GC() // flush outstanding profile records before the snapshot
+		if err := pprof.WriteHeapProfile(memF); err != nil {
+			fail(err)
+		}
+		if err := memF.Close(); err != nil {
+			fail(err)
+		}
 	}
 
 	st := n.PacketPool().Stats
@@ -150,25 +158,40 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "profile: %s/%s: %d cycles at rate %.3f; pool gets=%d reuses=%d live=%d\n",
 		sys, *kernel, *cycles, *rate, st.Gets, st.Reuses, st.Live())
-	if *kernel == network.KernelParallel {
-		printPhases(&clock, *cycles)
+	printPhases(&clock, n.Kernel(), wall, *cycles)
+	for _, p := range []string{*cpuOut, *memOut} {
+		if p != "" {
+			fmt.Fprintf(os.Stderr, "profile: wrote %s\n", p)
+		}
 	}
-	fmt.Fprintf(os.Stderr, "profile: wrote %s and %s\n", *cpuOut, *memOut)
-	fmt.Fprintf(os.Stderr, "profile: try `go tool pprof -sample_index=alloc_objects %s`\n", *memOut)
+	if *memOut != "" {
+		fmt.Fprintf(os.Stderr, "profile: try `go tool pprof -sample_index=alloc_objects %s`\n", *memOut)
+	}
 }
 
-// printPhases reports the parallel kernel's phase split in us/cycle: the
-// coordinator's wall time per phase, then each worker's time inside its
-// share of the two concurrent phases against its wait for the others.
-func printPhases(c *network.PhaseClock, cycles int) {
-	us := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(cycles) }
-	fmt.Fprintf(os.Stderr, "profile: parallel kernel, us/cycle over %d cycles:\n", cycles)
-	for ph, name := range [network.NumPhases]string{"pre-pass", "deliver", "StartOfCycle", "compute", "commit", "NI walk + retirement", "EndOfCycle"} {
+// printPhases reports the kernel's phase split in us/cycle: the
+// coordinator's wall time per phase, the rest of the cycle (the traffic
+// source and the driver loop) and the whole; then, under the parallel
+// kernel, each worker's time inside its share of the concurrent phases
+// against the phase's wall time.
+func printPhases(c *network.PhaseClock, kernel string, wall time.Duration, cycles int) {
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 / float64(cycles) }
+	fmt.Fprintf(os.Stderr, "profile: %s kernel, us/cycle over %d cycles:\n", kernel, cycles)
+	var step time.Duration
+	for ph, name := range [network.NumPhases]string{"deliver", "StartOfCycle", "compute", "commit", "NI walk + retirement", "EndOfCycle"} {
 		fmt.Fprintf(os.Stderr, "profile:   %-22s %8.1f\n", name, us(c.Wall[ph]))
+		step += c.Wall[ph]
 	}
-	for w, d := range c.DeliverBusy {
-		s := c.StepBusy[w]
-		fmt.Fprintf(os.Stderr, "profile:   worker %d: deliver busy %.1f wait %.1f, compute busy %.1f wait %.1f\n",
-			w, us(d), us(c.Wall[network.PhaseDeliver]-d), us(s), us(c.Wall[network.PhaseCompute]-s))
+	fmt.Fprintf(os.Stderr, "profile:   %-22s %8.1f\n", "traffic + driver", us(wall-step))
+	fmt.Fprintf(os.Stderr, "profile:   %-22s %8.1f\n", "wall", us(wall))
+	for w := range c.Busy[network.PhaseDeliver] {
+		fmt.Fprintf(os.Stderr, "profile:   worker %d busy:", w)
+		for _, ph := range []struct {
+			name  string
+			phase int
+		}{{"deliver", network.PhaseDeliver}, {"compute", network.PhaseCompute}, {"retirement", network.PhaseNIRetire}, {"EndOfCycle", network.PhaseEndOfCycle}} {
+			fmt.Fprintf(os.Stderr, " %s %.1f of %.1f", ph.name, us(c.Busy[ph.phase][w]), us(c.Wall[ph.phase]))
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 }

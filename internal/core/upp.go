@@ -239,6 +239,16 @@ type nodeState struct {
 	popupLatch [message.NumVNets]flitLatch
 }
 
+// candidate is a host VNet whose timeout counter reached the threshold
+// this cycle: the stalled upward head a popup would select.
+type candidate struct {
+	id    topology.NodeID
+	vnet  message.VNet
+	port  topology.PortID
+	vcIdx int
+	f     message.Flit
+}
+
 // UPP is the scheme. Create with New and pass to network.New.
 type UPP struct {
 	network.BaseScheme
@@ -261,6 +271,12 @@ type UPP struct {
 	// run several passes over the active set; reusing the slice keeps
 	// them allocation-light).
 	sorted []*popup
+	// cands[b] lists the detection scan's candidates of the network's
+	// block b (Network.ForEachBlock) in ascending NodeID order; scanBlock
+	// is scanHosts as a func value, made once in Attach so that handing
+	// it to ForEachBlock every cycle allocates nothing.
+	cands     [][]candidate
+	scanBlock func(b int, awake []int32)
 }
 
 // New returns a UPP scheme instance. It panics on a Binding that
@@ -291,6 +307,8 @@ func (u *UPP) Config() Config { return u.cfg }
 // static binding unless an ablation binding was configured.
 func (u *UPP) Attach(n *network.Network) {
 	u.net = n
+	u.cands = make([][]candidate, n.NumBlocks())
+	u.scanBlock = u.scanHosts
 	n.SetBoundaryPolicy(u.policy)
 	u.destBits = message.DestBits(n.Topo.NumNodes())
 	u.nodes = make([]nodeState, n.Topo.NumNodes())
@@ -396,19 +414,50 @@ func (u *UPP) host(id topology.NodeID) bool { return u.hosts[id>>6]&(1<<(id&63))
 // awake-router list (ascending NodeIDs) filtered down to hosts. A retired
 // router has no buffered flits — so no stalled upward packet — and
 // OnRouterIdle zeroed its counters; under the oracle the list is every
-// router. The ascending order keeps token claims and popup creation
-// bit-identical across kernels, and the walk costs O(awake) instead of
-// O(interposer) per cycle on mostly-idle large systems.
+// router. The walk costs O(awake) instead of O(interposer) per cycle on
+// mostly-idle large systems. It is two passes. The scan reads only each
+// host's own router and writes only its counters and its block's list of
+// hosts past the threshold, so it runs per block on the block's owner
+// (Network.ForEachBlock). The decisions — token claims and popup creation
+// — then run over those lists in ascending NodeID order, which keeps them
+// bit-identical across kernels (a popup started at one host installs
+// circuit entries at later ones). Nothing a decision changes is read by a
+// scan: a host's VC holds, round-robin pointers, counters and popup
+// entries move only with its own scan and decisions.
 func (u *UPP) detect(cycle sim.Cycle) {
-	for _, id32 := range u.net.AwakeRouterIDs() {
+	u.net.ForEachBlock(u.scanBlock)
+	for b, cands := range u.cands {
+		if len(cands) == 0 {
+			continue
+		}
+		for _, c := range cands {
+			// Deadlock declared: serialize with the per-(chiplet, VNet)
+			// popup token before selecting.
+			chiplet := u.net.Topo.Node(c.f.Pkt.Dst).Chiplet
+			if u.tokens[chiplet][c.vnet] != 0 {
+				continue // token busy; retry next cycle
+			}
+			u.startPopup(u.net.Router(c.id), &u.nodes[c.id], c.vnet, c.port, c.vcIdx, c.f, cycle)
+		}
+		clear(cands) // no packet pointer kept
+		u.cands[b] = cands[:0]
+	}
+}
+
+// scanHosts advances the timeout counters of the awake hosts of block b
+// (Network.ForEachBlock).
+func (u *UPP) scanHosts(b int, awake []int32) {
+	cycle := u.net.Cycle()
+	for _, id32 := range awake {
 		if id := topology.NodeID(id32); u.host(id) {
-			u.detectAt(id, cycle)
+			u.scanAt(b, id, cycle)
 		}
 	}
 }
 
-// detectAt advances the timeout counters of one host router.
-func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
+// scanAt advances the timeout counters of one host router and lists its
+// VNets whose counter reached the threshold in u.cands[b].
+func (u *UPP) scanAt(b int, id topology.NodeID, cycle sim.Cycle) {
 	r := u.net.Router(id)
 	ns := &u.nodes[id]
 	upMask := r.UpSentMask(cycle)
@@ -441,16 +490,9 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 			continue
 		}
 		ns.counters[v]++
-		if int(ns.counters[v]) < u.cfg.Threshold {
-			continue
+		if int(ns.counters[v]) >= u.cfg.Threshold {
+			u.cands[b] = append(u.cands[b], candidate{id: id, vnet: vnet, port: port, vcIdx: vcIdx, f: f})
 		}
-		// Deadlock declared: serialize with the per-(chiplet, VNet)
-		// popup token before selecting.
-		chiplet := u.net.Topo.Node(f.Pkt.Dst).Chiplet
-		if u.tokens[chiplet][v] != 0 {
-			continue // token busy; retry next cycle
-		}
-		u.startPopup(r, ns, vnet, port, vcIdx, f, cycle)
 	}
 }
 

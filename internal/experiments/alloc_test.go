@@ -18,8 +18,8 @@ import (
 // allocate at all — any regression (a map rebuilt per cycle, a slice
 // regrown from zero, a closure capture in the hot path) fails this test
 // with a nonzero count.
-// The parallel kernel is held to the same bar: its per-block commit logs
-// and the wheel's slot buffers are reused, so once warmup has established
+// The parallel kernel is held to the same bar: its outboxes, ejection
+// logs, per-block lists and the wheel's slot buffers are reused, so once warmup has established
 // their high-water marks the cycle must not allocate either (the hand-off
 // to the pool workers is an atomic word and a one-token channel).
 func TestSteadyStateZeroAlloc(t *testing.T) {
@@ -62,7 +62,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 // TestSteadyStateZeroAllocScale holds the scale-out systems to the same
 // zero-allocation bar: on the hierarchical 2048-router preset, the awake
-// lists, the NI wake heap, the parallel kernel's commit logs, and the
+// lists, the NI wake heap, the parallel kernel's outboxes and logs, and the
 // idle-cycle fast-forward must all run out of
 // preallocated storage once warmup has established high-water marks. The
 // pool preallocation is larger than the baseline test's because the live

@@ -185,8 +185,11 @@ func TestCheckpointRestoreFaulted(t *testing.T) {
 // another. A UPP checkpoint at cycle 700 on oq routers (which need the
 // most popups: three are in flight there), written under the active
 // kernel resumes under the oracle and under the parallel
-// kernel, and one written under the oracle resumes under the active
-// kernel, each to the uninterrupted run's Point. The oracle restores
+// kernel, one written under the oracle resumes under the active kernel,
+// and ones written under the parallel kernel (2 and 3 workers) resume
+// under the active kernel and the oracle, each to the uninterrupted run's
+// Point. The parallel writer's files are also byte for byte the active
+// kernel's: a checkpoint does not record which kernel wrote it. The oracle restores
 // correctly because it wakes every router and NI at the top of the next
 // cycle, whatever awake sets the writer left.
 func TestCheckpointRestoreAcrossKernels(t *testing.T) {
@@ -198,20 +201,29 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, leg := range []struct{ write, read, shards string }{
-		{network.KernelActive, network.KernelNaive, ""},
-		{network.KernelActive, network.KernelParallel, "2"},
-		{network.KernelNaive, network.KernelActive, ""},
+	var active bytes.Buffer
+	if _, err := RunCheckpointed(spec, 700, &active); err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct{ name, write, writeShards, read, readShards string }{
+		{"active_to_naive", network.KernelActive, "", network.KernelNaive, ""},
+		{"active_to_parallel", network.KernelActive, "", network.KernelParallel, "2"},
+		{"naive_to_active", network.KernelNaive, "", network.KernelActive, ""},
+		{"parallel2_to_active", network.KernelParallel, "2", network.KernelActive, ""},
+		{"parallel3_to_naive", network.KernelParallel, "3", network.KernelNaive, ""},
 	} {
-		t.Run(leg.write+"_to_"+leg.read, func(t *testing.T) {
+		t.Run(leg.name, func(t *testing.T) {
 			t.Setenv("UPP_KERNEL", leg.write)
-			t.Setenv("UPP_SHARDS", "")
+			t.Setenv("UPP_SHARDS", leg.writeShards)
 			var buf bytes.Buffer
 			if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
 				t.Fatal(err)
 			}
+			if leg.write == network.KernelParallel && !bytes.Equal(buf.Bytes(), active.Bytes()) {
+				t.Fatalf("the checkpoint written under %s with %s workers differs from the active kernel's", leg.write, leg.writeShards)
+			}
 			t.Setenv("UPP_KERNEL", leg.read)
-			t.Setenv("UPP_SHARDS", leg.shards)
+			t.Setenv("UPP_SHARDS", leg.readShards)
 			n, _, _, err := ReadCheckpoint(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)

@@ -39,6 +39,7 @@ func (n *Network) CheckConservation() error {
 	}
 	flitsInFlight := map[key]int{}
 	creditsInFlight := map[key]int{}
+	n.flush()
 	for s := range n.wheel {
 		for i := range n.wheel[s] {
 			e := &n.wheel[s][i]

@@ -27,10 +27,11 @@ const (
 	// every cycle. All kernels produce bit-identical simulations.
 	KernelNaive = "naive"
 	// KernelParallel is the active kernel with blocks: the same step
-	// function, whose event delivery and router walk run across a bounded
-	// worker pool, with a serial commit of the walk's cross-component
-	// effects (see parallel.go and DESIGN.md §9). Bit-identical to the
-	// other kernels at any worker count and GOMAXPROCS.
+	// function, whose event delivery, router walk and retirement run
+	// across a bounded worker pool, each block on the worker that owns it,
+	// with a serial replay of the walk's ejections (see parallel.go and
+	// DESIGN.md §9). Bit-identical to the other kernels at any worker
+	// count and GOMAXPROCS.
 	KernelParallel = "parallel"
 )
 
@@ -58,7 +59,7 @@ type Config struct {
 	Adaptive bool
 	// Kernel selects the cycle kernel: KernelActive (the default when
 	// empty), KernelNaive — the oracle — or KernelParallel, which
-	// is KernelActive's step function with its two concurrent phases on.
+	// is KernelActive's step function with its concurrent phases on.
 	Kernel string
 	// Shards is the parallel kernel's worker count: the 64-router blocks
 	// of the node space (the words of the awake bitmap) are dealt
@@ -191,18 +192,22 @@ type Network struct {
 	// set is one bitmap (awakeSet), so the per-cycle walk visits the awake
 	// components in ascending NodeID order. awakeIDs is what AwakeRouterIDs
 	// hands the scheme: the routers that survived this cycle's retirement,
-	// written by retireRouters. The oracle (KernelNaive) wakes everything
-	// at the top of every cycle and retires nothing.
+	// written by retire. retired[b] is the mask of block b's routers the
+	// pass retired, until the scheme has been told (zero between passes).
+	// The oracle (KernelNaive) wakes everything at the top of every cycle
+	// and retires nothing.
 	kernel   string
 	oracle   bool
 	routers  awakeSet
 	nis      awakeSet
 	awakeIDs []int32
+	retired  []uint64
 	inNIWalk bool
 
-	// wheelPending counts events resident in the wheel; when it is zero and
-	// nothing is awake, whole cycles are provably no-ops and Run/Drain skip
-	// them in one jump (see skipIdleCycles).
+	// wheelPending counts events resident in the wheel, the parallel
+	// kernel's outboxes included; when it is zero and nothing is awake,
+	// whole cycles are provably no-ops and Run/Drain skip them in one jump
+	// (see skipIdleCycles).
 	wheelPending int
 
 	// The concurrent phases' state (see parallel.go): blocks and workers
@@ -261,6 +266,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	n.oracle = n.kernel == KernelNaive
 	n.routers = newAwakeSet(t.NumNodes())
 	n.nis = newAwakeSet(t.NumNodes())
+	n.retired = make([]uint64, len(n.routers.words))
 	// Full capacity: retirement's appends never allocate.
 	n.awakeIDs = make([]int32, 0, t.NumNodes())
 	// The free stack can hold every slot's buffer: a push never allocates.
@@ -572,10 +578,21 @@ func (s *awakeSet) has(id topology.NodeID) bool {
 }
 
 func (s *awakeSet) add(id topology.NodeID) {
-	if !s.has(id) {
-		s.words[id>>blockShift] |= 1 << (id & 63)
+	if s.mark(id) {
 		s.count++
 	}
+}
+
+// mark sets id's bit and reports whether it was clear, leaving count to
+// the caller: the parallel kernel's workers set bits in the words of
+// their own blocks and count the new members in their shards.
+func (s *awakeSet) mark(id topology.NodeID) bool {
+	w := &s.words[id>>blockShift]
+	if *w&(1<<(id&63)) != 0 {
+		return false
+	}
+	*w |= 1 << (id & 63)
+	return true
 }
 
 func (s *awakeSet) remove(id topology.NodeID) {
@@ -651,17 +668,21 @@ func (n *Network) wakeAll() {
 	}
 }
 
-// walkRouters steps the awake routers of blocks first, first+stride, …
-// in ascending NodeID order: every awake router from (0, 1), one worker's
-// share of the concurrent step phase from (w, workers). Routers are only
-// woken by a flit at event delivery (or by the oracle's wake-all), before
-// the walk, so the set does not change under it.
-func (n *Network) walkRouters(first, stride int, cycle sim.Cycle) {
-	words := n.routers.words
-	for b := first; b < len(words); b += stride {
-		for m := words[b]; m != 0; m &= m - 1 {
-			n.Routers[b<<blockShift|bits.TrailingZeros64(m)].Step(cycle)
-		}
+// walkRouters steps the awake routers in ascending NodeID order. Routers
+// are only woken by a flit at event delivery (or by the oracle's
+// wake-all), before the walk, so the set does not change under it.
+func (n *Network) walkRouters(cycle sim.Cycle) {
+	for b := range n.routers.words {
+		n.stepBlock(b, cycle)
+	}
+}
+
+// stepBlock steps the awake routers of block b (NodeIDs 64b to 64b+63) in
+// ascending order: one step of the inline walk, or of a worker's share of
+// the concurrent step phase.
+func (n *Network) stepBlock(b int, cycle sim.Cycle) {
+	for m := n.routers.words[b]; m != 0; m &= m - 1 {
+		n.Routers[b<<blockShift|bits.TrailingZeros64(m)].Step(cycle)
 	}
 }
 
@@ -677,35 +698,72 @@ func (n *Network) walkNIs(cycle sim.Cycle) {
 	n.inNIWalk = false
 }
 
-// retireRouters removes routers with no remaining work from the active
-// set, notifying the scheme in ascending NodeID order — the order
-// OnRouterIdle consumers observe — and lists the survivors for
-// AwakeRouterIDs.
-func (n *Network) retireRouters(cycle sim.Cycle) {
+// retire is the retirement pass: it removes the routers and NIs with no
+// remaining work from the awake sets, lists the survivors for
+// AwakeRouterIDs and notifies the scheme of the retired routers in
+// ascending NodeID order — the order OnRouterIdle consumers observe. On a
+// network with blocks the removals run per block on the owners once
+// enough components are awake (parallel.go); the notices stay here.
+func (n *Network) retire(cycle sim.Cycle) {
+	p := &n.par
 	kept := n.awakeIDs[:0]
-	for b, m := range n.routers.words {
-		for ; m != 0; m &= m - 1 {
-			id := topology.NodeID(b<<blockShift | bits.TrailingZeros64(m))
-			if n.Routers[id].Idle() {
-				n.routers.remove(id)
-				n.scheme.OnRouterIdle(id, cycle)
-			} else {
-				kept = append(kept, int32(id))
-			}
+	if p.blocks != nil && n.routers.count+n.nis.count >= parallelMinAwake {
+		p.run(phaseRetire)
+		p.fold()
+		for b := range p.blocks {
+			kept = append(kept, p.blocks[b].awake...)
+		}
+	} else {
+		for b := range n.routers.words {
+			var routers, nis int
+			kept, routers, nis = n.retireBlock(b, kept)
+			n.routers.count -= routers
+			n.nis.count -= nis
 		}
 	}
 	n.awakeIDs = kept
-}
-
-// retireNIs removes idle NIs from the active set.
-func (n *Network) retireNIs() {
-	for b, m := range n.nis.words {
-		for ; m != 0; m &= m - 1 {
-			if id := topology.NodeID(b<<blockShift | bits.TrailingZeros64(m)); n.NIs[id].Idle() {
-				n.nis.remove(id)
-			}
+	for b, r := range n.retired {
+		if r == 0 {
+			continue
+		}
+		n.retired[b] = 0
+		for ; r != 0; r &= r - 1 {
+			n.scheme.OnRouterIdle(topology.NodeID(b<<blockShift|bits.TrailingZeros64(r)), cycle)
 		}
 	}
+}
+
+// retireBlock clears the bits of block b's idle routers and NIs, appends
+// its surviving routers to kept, records the retired ones in retired[b]
+// and returns how many routers and NIs it removed. It touches only block
+// b's components and words, and writes a word only when it changes, so
+// the owners of different blocks can run it at once.
+func (n *Network) retireBlock(b int, kept []int32) (_ []int32, routers, nis int) {
+	var gone uint64
+	for m := n.routers.words[b]; m != 0; m &= m - 1 {
+		id := b<<blockShift | bits.TrailingZeros64(m)
+		if n.Routers[id].Idle() {
+			gone |= m & -m
+		} else {
+			kept = append(kept, int32(id))
+		}
+	}
+	if gone != 0 {
+		n.routers.words[b] &^= gone
+		n.retired[b] = gone
+		routers = bits.OnesCount64(gone)
+	}
+	gone = 0
+	for m := n.nis.words[b]; m != 0; m &= m - 1 {
+		if n.NIs[b<<blockShift|bits.TrailingZeros64(m)].Idle() {
+			gone |= m & -m
+		}
+	}
+	if gone != 0 {
+		n.nis.words[b] &^= gone
+		nis = bits.OnesCount64(gone)
+	}
+	return kept, routers, nis
 }
 
 // deliverEvents drains the current wheel slot. A flit wakes the router it
@@ -758,10 +816,11 @@ func (n *Network) deliverEvents(cycle sim.Cycle) {
 // component every cycle and never calls OnRouterIdle, so it does not depend
 // on the wake rule, retirement or idle fast-forward it checks.
 //
-// A network built with blocks (KernelParallel) runs event delivery and the
-// router walk as concurrent phases when the cycle has enough of either to
-// pay for the hand-off (parallel.go); the other kernels build none and fall
-// through to deliverEvents and the inline walk.
+// A network built with blocks (KernelParallel) runs event delivery, the
+// router walk and the removals of retirement as concurrent phases when the
+// cycle has enough work to pay for the hand-off (parallel.go); the other
+// kernels build none and run deliverEvents, the inline walk and
+// retireBlock on the coordinator.
 func (n *Network) Step() {
 	p, cycle := &n.par, n.cycle
 	p.clock.lap(-1)
@@ -769,8 +828,7 @@ func (n *Network) Step() {
 		n.wakeAll()
 	}
 	n.beginCycleFaults(cycle)
-	slot := cycle % wheelSize
-	if p.blocks == nil || len(n.callWheel[slot]) > 0 || len(n.wheel[slot]) < parallelMinEvents {
+	if p.blocks == nil {
 		n.deliverEvents(cycle)
 	} else {
 		p.deliver(cycle)
@@ -780,15 +838,13 @@ func (n *Network) Step() {
 	p.clock.lap(PhaseStartOfCycle)
 	if p.blocks != nil && n.routers.count >= parallelMinAwake {
 		p.stepPhases++
-		p.inStep = true
-		p.run()
-		p.inStep = false
+		p.run(phaseStep)
 		p.clock.lap(PhaseCompute)
-		p.commit()
+		p.commit(cycle)
 		p.clock.lap(PhaseCommit)
 	} else if n.routers.count > 0 {
 		p.inlinePhases++
-		n.walkRouters(0, 1, cycle)
+		n.walkRouters(cycle)
 		p.clock.lap(PhaseCompute)
 	}
 	n.walkNIs(cycle)
@@ -796,8 +852,7 @@ func (n *Network) Step() {
 	// components with pending work — all of them under the oracle — which
 	// EndOfCycle detection (UPP's AwakeRouterIDs walk) relies on.
 	if !n.oracle {
-		n.retireRouters(cycle)
-		n.retireNIs()
+		n.retire(cycle)
 	}
 	p.clock.lap(PhaseNIRetire)
 	n.scheme.EndOfCycle(cycle)
@@ -849,6 +904,7 @@ func (n *Network) skipIdleCycles(limit sim.Cycle) {
 		n.cycle = limit
 		return
 	}
+	n.flush()
 	for c := n.cycle; c < limit; c++ {
 		if len(n.wheel[c%wheelSize]) > 0 {
 			n.cycle = c

@@ -318,9 +318,9 @@ func (ni *NI) CanAcceptHead(p *message.Packet, _ sim.Cycle) bool {
 // commit replays it; CanAcceptHead stays exact, as ejection state is only
 // written on the coordinator or by this router's own later AcceptFlit.
 func (ni *NI) AcceptFlit(f message.Flit, arrival sim.Cycle) {
-	if par := &ni.net.par; par.inStep {
+	if par := &ni.net.par; par.phase == phaseStep {
 		b := &par.blocks[ni.Node>>blockShift]
-		b.log = append(b.log, commitOp{kind: opEject, to: ni.Node, flit: f, at: arrival})
+		b.ejects = append(b.ejects, ejection{ni: ni.Node, at: arrival, flit: f})
 		return
 	}
 	p := f.Pkt

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -90,13 +91,19 @@ func (c parallelCase) build(t testing.TB, kernel string, shards int) (*network.N
 	return n, traffic.NewGenerator(n, c.pattern, c.rate, 42), buf
 }
 
-// run builds the case, drives it and returns the flit trace, the stats and
-// the network (for engagement telemetry).
-func (c parallelCase) run(t testing.TB, kernel string, shards int) (string, network.Stats, *network.Network) {
+// run builds the case, drives it and returns the flit trace, the stats,
+// the network (for engagement telemetry) and the snapshot bytes written
+// halfway through the run.
+func (c parallelCase) run(t testing.TB, kernel string, shards int) (string, network.Stats, *network.Network, []byte) {
 	t.Helper()
 	n, g, buf := c.build(t, kernel, shards)
-	g.Run(c.cycles)
-	return buf.String(), n.Stats, n
+	g.Run(c.cycles / 2)
+	var snap bytes.Buffer
+	if err := n.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(c.cycles - c.cycles/2)
+	return buf.String(), n.Stats, n, snap.Bytes()
 }
 
 // diffTraces fails the test at the first byte where two traces part.
@@ -117,15 +124,18 @@ func diffTraces(t testing.TB, label, ref, got string) {
 // depend on the worker count or on GOMAXPROCS — only the commit order
 // (ascending NodeID) determines the result. Worker counts that do not
 // divide the block count (3, 7) and ones above it (clamped) are in the
-// grid. Deliberately not skipped in -short mode: this is the core safety
-// net for the concurrent phases and CI runs it under -race.
+// grid. Every cell also writes the active kernel's snapshot bytes halfway
+// through, so the wheel slots it serializes hold the sequential order of
+// events (SchemeCalls included, in the UPP case). Deliberately not skipped
+// in -short mode: this is the core safety net for the concurrent phases
+// and CI runs it under -race.
 func TestParallelShardDeterminism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, c := range parallelCases {
 		t.Run(c.name, func(t *testing.T) {
 			runtime.GOMAXPROCS(prev)
-			refTrace, refStats, ref := c.run(t, network.KernelActive, 0)
+			refTrace, refStats, ref, refSnap := c.run(t, network.KernelActive, 0)
 			if c.popups && refStats.UpwardPackets == 0 {
 				t.Fatal("reference run never detected an upward packet; raise the rate so the popup path is exercised")
 			}
@@ -139,7 +149,7 @@ func TestParallelShardDeterminism(t *testing.T) {
 					if shards > blocks+1 {
 						continue // clamps to the block count like blocks+1 did
 					}
-					trace, stats, n := c.run(t, network.KernelParallel, shards)
+					trace, stats, n, snap := c.run(t, network.KernelParallel, shards)
 					if want := min(shards, blocks); n.Shards() != want {
 						t.Fatalf("procs=%d shards=%d: got %d workers, want %d", procs, shards, n.Shards(), want)
 					}
@@ -168,6 +178,9 @@ func TestParallelShardDeterminism(t *testing.T) {
 							procs, shards, refStats, stats)
 					}
 					diffTraces(t, c.name, refTrace, trace)
+					if !bytes.Equal(snap, refSnap) {
+						t.Errorf("procs=%d shards=%d: the snapshot at cycle %d differs from the active kernel's", procs, shards, c.cycles/2)
+					}
 				}
 			}
 		})
@@ -180,7 +193,7 @@ func TestParallelShardDeterminism(t *testing.T) {
 // finishes with the active kernel's exact result.
 func TestParallelOversubscribed(t *testing.T) {
 	c := parallelCase{topo: smallTopo, scheme: uppScheme, pattern: traffic.UniformRandom{}, rate: 0.02, cycles: 600}
-	refTrace, refStats, _ := c.run(t, network.KernelActive, 0)
+	refTrace, refStats, _, _ := c.run(t, network.KernelActive, 0)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var (
 		wg     sync.WaitGroup
@@ -274,5 +287,37 @@ func TestWheelBuffersRotate(t *testing.T) {
 	t.Logf("%d event buffers", n.WheelBuffers())
 	if got := n.WheelBuffers(); got > 12 || got == 0 {
 		t.Fatalf("wheel and free stack own %d event buffers after 2000 steady cycles; want 1..12", got)
+	}
+}
+
+// TestForEachBlockCoversAwake: ForEachBlock hands every router of
+// AwakeRouterIDs to exactly one call, in ascending order within and across
+// its blocks, under every kernel and worker count — the contract UPP's
+// detection scan relies on.
+func TestForEachBlockCoversAwake(t *testing.T) {
+	for _, l := range []struct {
+		kernel string
+		shards int
+	}{{network.KernelNaive, 0}, {network.KernelActive, 0}, {network.KernelParallel, 1}, {network.KernelParallel, 3}} {
+		c := parallelCase{topo: smallTopo, scheme: uppScheme, pattern: cornerTraffic{}, rate: 0.3}
+		n, g, _ := c.build(t, l.kernel, l.shards)
+		for cycle := 0; cycle < 300; cycle++ {
+			g.Tick(n.Cycle())
+			n.Step()
+			got := make([][]int32, n.NumBlocks())
+			n.ForEachBlock(func(b int, awake []int32) { got[b] = append(got[b], awake...) })
+			var flat []int32
+			for b, ids := range got {
+				for _, id := range ids {
+					if n.NumBlocks() > 1 && int(id)>>6 != b {
+						t.Fatalf("%s/%d cycle %d: block %d handed router %d", l.kernel, l.shards, cycle, b, id)
+					}
+				}
+				flat = append(flat, ids...)
+			}
+			if want := n.AwakeRouterIDs(); !slices.Equal(flat, want) {
+				t.Fatalf("%s/%d cycle %d: blocks hand out %v, AwakeRouterIDs is %v", l.kernel, l.shards, cycle, flat, want)
+			}
+		}
 	}
 }

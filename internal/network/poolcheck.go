@@ -68,6 +68,7 @@ func (n *Network) CheckNoReleasedInFlight() error {
 			}
 		}
 	}
+	n.flush()
 	for s := range n.wheel {
 		for i := range n.wheel[s] {
 			e := &n.wheel[s][i]

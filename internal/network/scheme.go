@@ -63,14 +63,17 @@ const (
 //
 // Concurrency contract (parallel kernel): every hook runs on the
 // coordinating goroutine, never during a concurrent phase — StartOfCycle
-// between the deliver and step phases, EndOfCycle/OnRouterIdle after the
-// router walk, the injection gate during the sequential NI walk,
-// CallPopupEjected from the commit replay of deferred ejections. Hooks may
-// therefore freely touch global state. The route override and the
-// boundary-crossing delay are used by the step and deliver phases'
-// workers, so they read only static state and the packet. A future scheme
-// must not add router-initiated scheme calls to Router.Step without
-// routing them through the commit log (see parallel.go and DESIGN.md §9).
+// between the deliver and step phases, OnRouterIdle after the retirement
+// phase in ascending NodeID order, EndOfCycle after it, the injection gate
+// during the sequential NI walk, CallPopupEjected from the commit replay of
+// deferred ejections. Hooks may therefore freely touch global state. A
+// hook may hand a per-block pass to Network.ForEachBlock, whose calls run
+// concurrently on the blocks' workers under that function's contract (UPP's
+// detection scan). The route override and the boundary-crossing delay are
+// used by the step and deliver phases' workers, so they read only static
+// state and the packet. A future scheme must not add router-initiated
+// scheme calls to Router.Step without routing them through the block's
+// ejection log (see parallel.go and DESIGN.md §9).
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string

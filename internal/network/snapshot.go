@@ -134,28 +134,26 @@ func (n *Network) snapshot(c *snap.Codec, extras []SnapshotExtra) error {
 	// (written ascending; read in any order, a repeated one is corrupt).
 	c.U64("next packet id", &n.nextID)
 	c.I64("last eject", &n.lastEject)
-	for _, set := range []struct {
-		s    *awakeSet
-		what string
-	}{{&n.routers, "router"}, {&n.nis, "NI"}} {
-		count := c.Len(set.what+" awake count", set.s.count, n.Topo.NumNodes())
+	for k, set := range []*awakeSet{&n.routers, &n.nis} {
+		what := []string{"router", "NI"}[k]
+		count := c.Len(what+" awake count", set.count, n.Topo.NumNodes())
 		if c.Decoding() {
-			set.s.clear()
+			set.clear()
 		}
-		id, label := topology.NodeID(-1), "awake "+set.what+" id"
+		id, label := topology.NodeID(-1), "awake "+what+" id"
 		for i := 0; i < count; i++ {
 			if !c.Decoding() {
-				id = set.s.next(id)
+				id = set.next(id)
 			}
 			snap.Int(c, label, &id, 0, int64(n.Topo.NumNodes())-1)
 			if c.Err() != nil {
 				return c.Err()
 			}
 			if c.Decoding() {
-				if set.s.has(id) {
-					return fmt.Errorf("network: duplicate awake %s %d in snapshot", set.what, id)
+				if set.has(id) {
+					return fmt.Errorf("network: duplicate awake %s %d in snapshot", what, id)
 				}
-				set.s.add(id)
+				set.add(id)
 			}
 		}
 	}
@@ -277,10 +275,11 @@ func (n *Network) snapshotHeader(c *snap.Codec, cycle *sim.Cycle) error {
 	return c.Err()
 }
 
-// snapshotWheel walks the event wheel. Slot indices are cycle%wheelSize,
-// and the cycle is restored verbatim, so slots map 1:1; decoding empties
-// each slot and re-schedules what it reads.
+// snapshotWheel walks the event wheel, outboxes merged in first (flush).
+// Slot indices are cycle%wheelSize, and the cycle is restored verbatim, so
+// slots map 1:1; decoding empties each slot and re-schedules what it reads.
 func (n *Network) snapshotWheel(c *snap.Codec) error {
+	n.flush()
 	nodes, nvc := int64(n.Topo.NumNodes()), n.Cfg.Router.NumVCs()
 	for si := range n.wheel {
 		events := n.wheel[si]

@@ -319,9 +319,9 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 func (r *Router) SetLocal(l LocalSink) { r.local = l }
 
 // SetSink replaces the event sink. The parallel cycle kernel installs a
-// per-block recording sink here so that Step's cross-component effects
-// (scheduled flits and credits) can be buffered during the concurrent
-// step phase and replayed in NodeID order by the commit.
+// per-block sink here so that Step's cross-component effects (scheduled
+// flits and credits) go to outboxes during the concurrent step phase,
+// which the receivers' workers apply in the next deliver phases.
 func (r *Router) SetSink(s EventSink) { r.sink = s }
 
 // Buffered returns the number of flits currently held anywhere in the
