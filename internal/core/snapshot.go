@@ -85,6 +85,9 @@ func (u *UPP) Snapshot(c *snap.Codec) error {
 			*ns = nodeState{}
 		}
 		for v := 0; v < message.NumVNets; v++ {
+			if ns.entry[v] == nil && u.net.Routers[i].Idle() {
+				ns.counters[v] = 0 // stale since the router retired (DESIGN.md §7)
+			}
 			snap.Int(c, "upp counter", &ns.counters[v], 0, math.MaxInt32)
 			var id uint64
 			if ns.entry[v] != nil {
@@ -149,12 +152,10 @@ func (u *UPP) Snapshot(c *snap.Codec) error {
 	// index out of range when it next moves.
 	for i := range u.nodes {
 		ns := &u.nodes[i]
-		if ns.reqStop.valid {
-			if p := u.popups[ns.reqStop.popupID]; p != nil && ns.reqStop.hopIdx >= len(p.path) {
-				c.Fail("node %d signal latch hop %d past popup %d path (%d hops)",
-					i, ns.reqStop.hopIdx, p.id, len(p.path))
-				return c.Err()
-			}
+		if p := u.popups[ns.reqStop.popupID]; ns.reqStop.valid && p != nil && ns.reqStop.hopIdx >= len(p.path) {
+			c.Fail("node %d signal latch hop %d past popup %d path (%d hops)",
+				i, ns.reqStop.hopIdx, p.id, len(p.path))
+			return c.Err()
 		}
 		for _, a := range ns.acks {
 			if p := u.popups[a.popupID]; p != nil && a.hopIdx >= len(p.path) {

@@ -412,8 +412,11 @@ func (u *UPP) host(id topology.NodeID) bool { return u.hosts[id>>6]&(1<<(id&63))
 
 // detect runs the timeout counters of the host routers: the network's
 // awake-router list (ascending NodeIDs) filtered down to hosts. A retired
-// router has no buffered flits — so no stalled upward packet — and
-// OnRouterIdle zeroed its counters; under the oracle the list is every
+// router has no buffered flits — so no stalled upward packet — and its
+// counters are stale, not reset, until a flit wakes it: the flit is not
+// ready before the next cycle, so that cycle's scan finds no stalled head
+// and zeroes every counter without a popup, as the oracle's scan of the
+// empty router did (DESIGN.md §7). Under the oracle the list is every
 // router. The walk costs O(awake) instead of O(interposer) per cycle on
 // mostly-idle large systems. It is two passes. The scan reads only each
 // host's own router and writes only its counters and its block's list of
@@ -800,45 +803,15 @@ func (u *UPP) releaseOrigin(p *popup) {
 	}
 }
 
-// OnRouterIdle implements network.Scheme: when the active-set kernel
-// retires a router, its timeout counters reset for VNets with no popup in
-// flight — exactly what the oracle's per-cycle detect would do (an
-// empty router has no stalled upward packet, so StalledHead misses and
-// the counter zeroes). Counters of VNets with an active popup are left
-// alone: detection pauses for those in both kernels. Only a host's counters
-// ever move, so every other router returns before its state is touched.
-func (u *UPP) OnRouterIdle(node topology.NodeID, _ sim.Cycle) {
-	if !u.host(node) {
-		return
-	}
-	ns := &u.nodes[node]
-	for v := range ns.counters {
-		if ns.entry[v] == nil {
-			ns.counters[v] = 0
-		}
-	}
-}
-
-// CheckRetired is the scheme side of network.CheckWakeInvariant: OnRouterIdle
-// and releaseOrigin leave no counter at a retired router without a popup.
-func (u *UPP) CheckRetired(id topology.NodeID) error {
-	ns := &u.nodes[id]
-	for v, c := range ns.counters {
-		if c != 0 && ns.entry[v] == nil {
-			return fmt.Errorf("upp: retired node %d keeps timeout counter %d on %s with no popup in flight", id, c, message.VNet(v))
-		}
-	}
-	return nil
-}
-
 // Inert implements network.Scheme. With no live popup there is no signal,
 // latch, ack, drain FSM, armed retry deadline or held token anywhere
 // (every one of those belongs to a popup, which is only deleted after its
 // path is swept clean), StartOfCycle short-circuits, and the detection
 // counters advance only at awake routers — which the kernel's idle-skip
-// precondition already requires to be none (OnRouterIdle zeroed the
-// counters of every retired router). EndOfCycle is therefore a provable
-// no-op until some event wakes a router.
+// precondition already requires to be none (a retired router's counters
+// are not read again until a flit wakes it, and that cycle's scan zeroes
+// them). EndOfCycle is therefore a provable no-op until some event wakes a
+// router.
 func (u *UPP) Inert() bool { return len(u.popups) == 0 }
 
 // UPP offers the deadlock watchdog its protocol state.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"uppnoc/internal/network"
+	"uppnoc/internal/routing"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -11,7 +12,11 @@ import (
 // TestDeadlockCertificate extracts the buffer dependency cycle from a
 // wedged network and validates the paper's theory (Sec. IV-A): the cycle
 // is integration-induced — it spans the interposer and chiplets — and it
-// contains a stalled upward packet.
+// contains a stalled upward packet. The certificate also lies on the static
+// graph: projected onto channels (node, input port), every wait of one VC
+// on the next is a dependency routing.BuildCDG found for the same routing,
+// and one of them is upward, the kind CutUpward deletes. A router and a
+// route walk that disagree about a hop fail here.
 func TestDeadlockCertificate(t *testing.T) {
 	found := 0
 	for seed := uint64(40); seed < 48 && found < 3; seed++ {
@@ -33,6 +38,27 @@ func TestDeadlockCertificate(t *testing.T) {
 		}
 		if !c.InvolvesUpwardPacket() {
 			t.Fatalf("seed %d: integration-induced cycle without an upward packet — the paper's key observation would be violated: %s", seed, c)
+		}
+		cdg, err := routing.BuildCDG(n.Hier(), routing.DefaultPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		upward := false
+		for i, u := range c.VCs {
+			w := c.VCs[(i+1)%len(c.VCs)]
+			node, base := &topo.Nodes[u.Node], cdg.Base[u.Node]
+			to := cdg.Base[w.Node] + int32(w.Port)
+			o := 0
+			for o < len(node.Ports) && cdg.Peer[base+int32(o)] != to {
+				o++
+			}
+			if o == len(node.Ports) || cdg.Used[base+int32(u.Port)]&(1<<o) == 0 {
+				t.Fatalf("seed %d: certificate edge %s -> %s is no dependency of the static graph: %s", seed, u, w, c)
+			}
+			upward = upward || node.Chiplet == topology.InterposerChiplet && node.Ports[o].Dir == topology.Up
+		}
+		if !upward {
+			t.Fatalf("seed %d: certificate has no upward dependency on the static graph: %s", seed, c)
 		}
 		if len(c.Chiplets()) < 2 {
 			t.Logf("seed %d: cycle touches %v (single chiplet + interposer)", seed, c.Chiplets())

@@ -73,20 +73,16 @@ func (n *Network) CheckQuiescent() error {
 
 // CheckWakeInvariant verifies, between cycles, what the flit-only wake
 // rule rests on (DESIGN.md §7): the routers left awake by retirement are
-// exactly the ones holding flits, the set's population count, its set
-// bits and AwakeRouterIDs agree, and a scheme with per-router detection
-// state (UPP, through an optional CheckRetired method) has it reset at
-// every retired router. It also holds every router's occupancy masks to a
-// recount from its VCs (Router.CheckDerived): allocation trusts them as the
-// kernel trusts the awake set. uppdebug builds run it after every cycle.
-// The oracle retires nothing, so there is nothing to check under it.
+// exactly the ones holding flits, and the set's population count, its set
+// bits and AwakeRouterIDs agree. It also holds every router's occupancy
+// masks to a recount from its VCs (Router.CheckDerived): allocation trusts
+// them as the kernel trusts the awake set. uppdebug builds run it after
+// every cycle. The oracle retires nothing, so there is nothing to check
+// under it.
 func (n *Network) CheckWakeInvariant() error {
 	if n.oracle {
 		return nil
 	}
-	rc, _ := n.scheme.(interface {
-		CheckRetired(id topology.NodeID) error
-	})
 	awake := 0
 	for i, r := range n.Routers {
 		id := topology.NodeID(i)
@@ -98,10 +94,6 @@ func (n *Network) CheckWakeInvariant() error {
 		}
 		if n.routers.has(id) {
 			awake++
-		} else if rc != nil {
-			if err := rc.CheckRetired(id); err != nil {
-				return err
-			}
 		}
 	}
 	if awake != n.routers.count || awake != len(n.AwakeRouterIDs()) {

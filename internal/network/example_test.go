@@ -1,7 +1,4 @@
-// Quickstart: build the paper's baseline chiplet system (Fig. 1), attach
-// the UPP deadlock-recovery framework, drive it with uniform-random
-// traffic and print the numbers you would plot.
-package main
+package network_test
 
 import (
 	"fmt"
@@ -12,7 +9,10 @@ import (
 	"uppnoc/internal/traffic"
 )
 
-func main() {
+// Example builds the paper's baseline chiplet system (Fig. 1), attaches
+// the UPP deadlock-recovery framework, drives it with uniform-random
+// traffic and prints the numbers you would plot.
+func Example() {
 	// 1. The baseline system: a 4x4 interposer mesh with four 4x4-mesh
 	// chiplets, each stacked via four boundary routers.
 	topo := topology.MustBuild(topology.BaselineConfig())
@@ -46,4 +46,12 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("network drained cleanly — every packet delivered exactly once.")
+	// Output:
+	// system: 80 routers (64 cores, 16 interposer), 16 vertical links
+	// offered load:   0.0500 flits/cycle/node
+	// accepted load:  0.0493 flits/cycle/node
+	// avg latency:    25.1 cycles (network 24.9 + queueing 0.2)
+	// packets:        52451 delivered
+	// upward packets: 0 detected, 0 popups completed, 0 false positives
+	// network drained cleanly — every packet delivered exactly once.
 }

@@ -191,10 +191,8 @@ func TestSchedulePast(t *testing.T) {
 // TestWakeInvariant: what the flit-only wake rule rests on holds after
 // every cycle of a UPP run past the knee, under adaptive routing so that
 // origin routers drain and retire while their popup is still in flight:
-// the awake routers are exactly the ones holding flits, and no retired
-// router keeps a timeout counter without a popup in flight (drop the
-// counter reset from UPP.releaseOrigin and this fails within a few hundred
-// cycles). uppdebug builds assert the same inside Step, for every test.
+// the awake routers are exactly the ones holding flits. uppdebug builds
+// assert the same inside Step, for every test.
 func TestWakeInvariant(t *testing.T) {
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		cfg := network.DefaultConfig()
@@ -210,7 +208,7 @@ func TestWakeInvariant(t *testing.T) {
 			}
 		}
 		if n.Stats.PopupsCompleted == 0 {
-			t.Fatalf("%s: no popup completed; the counter half of the invariant was not exercised", kernel)
+			t.Fatalf("%s: no popup completed; the run does not exercise recovery", kernel)
 		}
 	}
 }

@@ -192,8 +192,7 @@ type Network struct {
 	// set is one bitmap (awakeSet), so the per-cycle walk visits the awake
 	// components in ascending NodeID order. awakeIDs is what AwakeRouterIDs
 	// hands the scheme: the routers that survived this cycle's retirement,
-	// written by retire. retired[b] is the mask of block b's routers the
-	// pass retired, until the scheme has been told (zero between passes).
+	// written by retire.
 	// The oracle (KernelNaive) wakes everything at the top of every cycle
 	// and retires nothing.
 	kernel   string
@@ -201,7 +200,6 @@ type Network struct {
 	routers  awakeSet
 	nis      awakeSet
 	awakeIDs []int32
-	retired  []uint64
 	inNIWalk bool
 
 	// wheelPending counts events resident in the wheel, the parallel
@@ -266,7 +264,6 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	n.oracle = n.kernel == KernelNaive
 	n.routers = newAwakeSet(t.NumNodes())
 	n.nis = newAwakeSet(t.NumNodes())
-	n.retired = make([]uint64, len(n.routers.words))
 	// Full capacity: retirement's appends never allocate.
 	n.awakeIDs = make([]int32, 0, t.NumNodes())
 	// The free stack can hold every slot's buffer: a push never allocates.
@@ -647,10 +644,13 @@ func (n *Network) wakeNI(id topology.NodeID) { n.nis.add(id) }
 
 // AwakeRouterIDs returns the ascending IDs of the routers left awake after
 // this cycle's retirement pass — every router under the oracle. A router
-// not listed holds no buffered flits, and the OnRouterIdle hook reset its
-// scheme-side state when it retired. It is valid during the scheme's
-// EndOfCycle hook only — schemes drive detection walks with it so a
-// mostly-idle large system costs O(awake), not O(total-nodes), per cycle.
+// not listed holds no buffered flits. What a scheme keeps for it from
+// before it retired is stale until the router is listed again, and the
+// flit that wakes it is not ready before the next cycle, so the first look
+// at a woken router finds no stalled head (DESIGN.md §7). It is valid
+// during the scheme's EndOfCycle hook only — schemes drive detection walks
+// with it so a mostly-idle large system costs O(awake), not
+// O(total-nodes), per cycle.
 // Callers must not modify the slice.
 func (n *Network) AwakeRouterIDs() []int32 { return n.awakeIDs }
 
@@ -699,12 +699,10 @@ func (n *Network) walkNIs(cycle sim.Cycle) {
 }
 
 // retire is the retirement pass: it removes the routers and NIs with no
-// remaining work from the awake sets, lists the survivors for
-// AwakeRouterIDs and notifies the scheme of the retired routers in
-// ascending NodeID order — the order OnRouterIdle consumers observe. On a
-// network with blocks the removals run per block on the owners once
-// enough components are awake (parallel.go); the notices stay here.
-func (n *Network) retire(cycle sim.Cycle) {
+// remaining work from the awake sets and lists the survivors for
+// AwakeRouterIDs. On a network with blocks the removals run per block on
+// the owners once enough components are awake (parallel.go).
+func (n *Network) retire() {
 	p := &n.par
 	kept := n.awakeIDs[:0]
 	if p.blocks != nil && n.routers.count+n.nis.count >= parallelMinAwake {
@@ -722,22 +720,13 @@ func (n *Network) retire(cycle sim.Cycle) {
 		}
 	}
 	n.awakeIDs = kept
-	for b, r := range n.retired {
-		if r == 0 {
-			continue
-		}
-		n.retired[b] = 0
-		for ; r != 0; r &= r - 1 {
-			n.scheme.OnRouterIdle(topology.NodeID(b<<blockShift|bits.TrailingZeros64(r)), cycle)
-		}
-	}
 }
 
 // retireBlock clears the bits of block b's idle routers and NIs, appends
-// its surviving routers to kept, records the retired ones in retired[b]
-// and returns how many routers and NIs it removed. It touches only block
-// b's components and words, and writes a word only when it changes, so
-// the owners of different blocks can run it at once.
+// its surviving routers to kept and returns how many routers and NIs it
+// removed. It touches only block b's components and words, and writes a
+// word only when it changes, so the owners of different blocks can run it
+// at once.
 func (n *Network) retireBlock(b int, kept []int32) (_ []int32, routers, nis int) {
 	var gone uint64
 	for m := n.routers.words[b]; m != 0; m &= m - 1 {
@@ -750,7 +739,6 @@ func (n *Network) retireBlock(b int, kept []int32) (_ []int32, routers, nis int)
 	}
 	if gone != 0 {
 		n.routers.words[b] &^= gone
-		n.retired[b] = gone
 		routers = bits.OnesCount64(gone)
 	}
 	gone = 0
@@ -770,8 +758,8 @@ func (n *Network) retireBlock(b int, kept []int32) (_ []int32, routers, nis int)
 // lands on and a local-port credit the NI. A credit to a router wakes
 // nothing: one with buffered flits is already awake (only ReceiveFlit
 // adds flits, and delivery wakes first), and an empty one would step to
-// an immediate return and retire with scheme state that retirement
-// already reset (DESIGN.md §7).
+// an immediate return and retire before the scheme's EndOfCycle could
+// read it (DESIGN.md §7).
 func (n *Network) deliverEvents(cycle sim.Cycle) {
 	events := n.takeSlot(cycle)
 	slot := cycle % wheelSize
@@ -807,14 +795,13 @@ func (n *Network) deliverEvents(cycle sim.Cycle) {
 // Step advances the system by one cycle, stepping only awake components.
 // Event delivery wakes the receiver; the walks visit awake components in
 // ascending NodeID order, mid-walk NI wakes included (walkNIs). After the
-// walks, components with no remaining work retire; a retiring router
-// notifies the scheme through OnRouterIdle so per-router timeout state
-// resets once instead of being re-polled every cycle.
+// walks, components with no remaining work retire, and the scheme's
+// per-router state is not read at a retired router until a flit wakes it.
 //
 // The oracle (KernelNaive) is this function with every router and NI woken
-// at the top of the cycle and the retirement passes skipped: it steps every
-// component every cycle and never calls OnRouterIdle, so it does not depend
-// on the wake rule, retirement or idle fast-forward it checks.
+// at the top of the cycle and the retirement passes skipped: it steps and
+// lists every component every cycle, so it does not depend on the wake
+// rule, retirement or idle fast-forward it checks.
 //
 // A network built with blocks (KernelParallel) runs event delivery, the
 // router walk and the removals of retirement as concurrent phases when the
@@ -852,7 +839,7 @@ func (n *Network) Step() {
 	// components with pending work — all of them under the oracle — which
 	// EndOfCycle detection (UPP's AwakeRouterIDs walk) relies on.
 	if !n.oracle {
-		n.retire(cycle)
+		n.retire()
 	}
 	p.clock.lap(PhaseNIRetire)
 	n.scheme.EndOfCycle(cycle)

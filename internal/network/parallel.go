@@ -17,9 +17,9 @@
 // events of the central wheel slot, waking its own routers and NIs. Retire: every worker
 // removes the idle routers and NIs of its blocks from the awake sets and
 // lists each block's survivors (Network.retireBlock); the coordinator then
-// concatenates the lists and notifies the scheme. ForEachBlock runs a
-// scheme's per-block pass (UPP's detection scan) the same way. The NI walk
-// stays on the coordinator.
+// concatenates the lists. ForEachBlock runs a scheme's per-block pass
+// (UPP's detection scan) the same way. The NI walk stays on the
+// coordinator.
 //
 // Whatever reads a wheel slot in order — serial delivery of a slot with a
 // SchemeCall, delivery below the engagement threshold, a snapshot, the idle

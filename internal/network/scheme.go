@@ -58,18 +58,20 @@ const (
 // hook: a route override (composable), a boundary policy (UPP), a
 // boundary-crossing delay and an injection gate (remote control). A
 // scheme may also offer `Diagnostic() string`, which the deadlock
-// watchdog's StallDiagnostic includes, and `CheckRetired` (see
-// CheckWakeInvariant); neither is asked for anything that changes a run.
+// watchdog's StallDiagnostic includes; it is asked for nothing that
+// changes a run. Retirement tells the scheme nothing: per-router state is
+// read only at awake routers (AwakeRouterIDs), and a router wakes with a
+// flit that is not ready before the next cycle, so the first look at it
+// finds no stalled head (DESIGN.md §7).
 //
 // Concurrency contract (parallel kernel): every hook runs on the
 // coordinating goroutine, never during a concurrent phase — StartOfCycle
-// between the deliver and step phases, OnRouterIdle after the retirement
-// phase in ascending NodeID order, EndOfCycle after it, the injection gate
-// during the sequential NI walk, CallPopupEjected from the commit replay of
-// deferred ejections. Hooks may therefore freely touch global state. A
-// hook may hand a per-block pass to Network.ForEachBlock, whose calls run
-// concurrently on the blocks' workers under that function's contract (UPP's
-// detection scan). The route override and the boundary-crossing delay are
+// between the deliver and step phases, EndOfCycle after the retirement
+// phase, the injection gate during the sequential NI walk, CallPopupEjected
+// from the commit replay of deferred ejections. Hooks may therefore freely
+// touch global state. A hook may hand a per-block pass to
+// Network.ForEachBlock, whose calls run concurrently on the blocks' workers
+// under that function's contract (UPP's detection scan). The route override and the boundary-crossing delay are
 // used by the step and deliver phases' workers, so they read only static
 // state and the packet. A future scheme must not add router-initiated
 // scheme calls to Router.Step without routing them through the block's
@@ -88,13 +90,6 @@ type Scheme interface {
 	// EndOfCycle runs after routers and NIs: detection counters and
 	// timeout logic live here.
 	EndOfCycle(cycle sim.Cycle)
-	// OnRouterIdle fires when the active-set kernel retires a router from
-	// its per-cycle walk (no buffered flits remain). Schemes that keep
-	// per-router state the naive kernel re-derives every cycle — UPP's
-	// timeout counters — reset it here once instead of polling; the router
-	// will not be observed again until a flit arrival wakes it. The naive
-	// kernel never calls this hook.
-	OnRouterIdle(node topology.NodeID, cycle sim.Cycle)
 	// Inert reports that the scheme's StartOfCycle and EndOfCycle hooks
 	// are provably no-ops right now AND will stay no-ops until some
 	// network event re-engages the scheme — no live popup, outstanding
@@ -131,9 +126,6 @@ func (BaseScheme) StartOfCycle(sim.Cycle) {}
 
 // EndOfCycle is a no-op.
 func (BaseScheme) EndOfCycle(sim.Cycle) {}
-
-// OnRouterIdle is a no-op.
-func (BaseScheme) OnRouterIdle(topology.NodeID, sim.Cycle) {}
 
 // Inert is always true for the no-op hooks: a scheme that overrides
 // StartOfCycle or EndOfCycle with per-cycle state machines must override
