@@ -29,7 +29,6 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -41,6 +40,7 @@ import (
 
 	"uppnoc/internal/core"
 	"uppnoc/internal/network"
+	"uppnoc/internal/snap"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -263,9 +263,19 @@ func writeAtomic(path string, data []byte) {
 }
 
 // checkpointMagic heads the standalone checkpoint container ("UPWR" for
-// UPward-packet-popup Run): the magic, a little-endian uint32 length, the
-// canonical spec JSON, then the network's UPWS snapshot.
+// UPward-packet-popup Run): the header (checkpointHeader), then the
+// network's UPWS snapshot.
 const checkpointMagic = "UPWR"
+
+// checkpointHeader is the one description of the UPWR header, walked by
+// writeCheckpointTo and splitCheckpoint: the magic, then the canonical
+// spec JSON behind its length as a fixed little-endian uint32.
+func checkpointHeader(c *snap.Codec, spec *[]byte) {
+	c.Magic(checkpointMagic)
+	n := uint32(len(*spec))
+	c.U32("spec length", &n)
+	c.Raw("spec", spec, int(n))
+}
 
 // snapshotExtras assembles the SnapshotExtra list for a BuildRun
 // environment: the generator, plus the fault injector when it carries
@@ -281,13 +291,9 @@ func snapshotExtras(n *network.Network, g *traffic.Generator) []network.Snapshot
 
 // writeCheckpointTo writes the container for an in-flight run.
 func writeCheckpointTo(w io.Writer, canonical []byte, n *network.Network, g *traffic.Generator) error {
-	var hdr bytes.Buffer
-	hdr.WriteString(checkpointMagic)
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(canonical)))
-	hdr.Write(lenBuf[:])
-	hdr.Write(canonical)
-	if _, err := w.Write(hdr.Bytes()); err != nil {
+	c := snap.NewEncoder()
+	checkpointHeader(c, &canonical)
+	if _, err := w.Write(c.Bytes()); err != nil {
 		return err
 	}
 	return n.WriteSnapshot(w, snapshotExtras(n, g)...)
@@ -295,15 +301,11 @@ func writeCheckpointTo(w io.Writer, canonical []byte, n *network.Network, g *tra
 
 // splitCheckpoint separates a container into its spec and snapshot bytes.
 func splitCheckpoint(data []byte) (spec, snapshot []byte, err error) {
-	if len(data) < len(checkpointMagic)+4 || string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, nil, fmt.Errorf("experiments: not a %s checkpoint", checkpointMagic)
+	c := snap.NewDecoder(data)
+	if checkpointHeader(c, &spec); c.Err() != nil {
+		return nil, nil, fmt.Errorf("experiments: not a %s checkpoint: %w", checkpointMagic, c.Err())
 	}
-	n := binary.LittleEndian.Uint32(data[len(checkpointMagic):])
-	rest := data[len(checkpointMagic)+4:]
-	if uint64(len(rest)) < uint64(n) {
-		return nil, nil, fmt.Errorf("experiments: checkpoint truncated (spec claims %d bytes, %d remain)", n, len(rest))
-	}
-	return rest[:n], rest[n:], nil
+	return spec, data[len(data)-c.Remaining():], nil
 }
 
 // ReadCheckpoint rebuilds the environment a checkpoint describes and

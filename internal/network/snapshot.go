@@ -50,11 +50,11 @@ func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 	if n.inNIWalk {
 		return fmt.Errorf("network: snapshot mid-cycle (call between Steps)")
 	}
-	w := snap.NewWriter()
-	if err := n.snapshot(w.Codec(), extras); err != nil {
+	c := snap.NewEncoder()
+	if err := n.snapshot(c, extras); err != nil {
 		return err
 	}
-	_, err := out.Write(w.Bytes())
+	_, err := out.Write(c.Bytes())
 	return err
 }
 
@@ -65,19 +65,19 @@ func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 // the restored cycle.
 func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error) {
 	defer func() {
-		// Backstop: the readers bounds-check everything, but a decode
+		// Backstop: the codec bounds-checks every read, but a decode
 		// path that trips a simulator invariant (e.g. a freelist check)
 		// must still surface as an error for the fuzz contract.
 		if r := recover(); r != nil {
 			err = fmt.Errorf("network: snapshot decode panicked: %v", r)
 		}
 	}()
-	r := snap.NewReader(data)
-	if err := n.snapshot(r.Codec(), extras); err != nil {
+	c := snap.NewDecoder(data)
+	if err := n.snapshot(c, extras); err != nil {
 		return err
 	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("network: %d trailing bytes after snapshot", r.Remaining())
+	if c.Remaining() != 0 {
+		return fmt.Errorf("network: %d trailing bytes after snapshot", c.Remaining())
 	}
 	return nil
 }

@@ -75,19 +75,19 @@ func TestVCFIFOModel(t *testing.T) {
 			const steps = 600
 			for step := 0; step < steps; step++ {
 				if step == steps/3 {
-					w := snap.NewWriter()
-					if err := r.Snapshot(w.Codec()); err != nil {
+					enc := snap.NewEncoder()
+					if err := r.Snapshot(enc); err != nil {
 						t.Fatal(err)
 					}
-					w.WritePacketTable()
-					rd := snap.NewReader(w.Bytes())
+					enc.PacketTable()
+					dec := snap.NewDecoder(enc.Bytes())
 					r = build()
-					if err := r.Snapshot(rd.Codec()); err != nil {
+					if err := r.Snapshot(dec); err != nil {
 						t.Fatal(err)
 					}
-					rd.ReadPacketTable()
-					if rd.Err() != nil || rd.Remaining() != 0 {
-						t.Fatalf("restore: err %v, %d bytes left", rd.Err(), rd.Remaining())
+					dec.PacketTable()
+					if dec.Err() != nil || dec.Remaining() != 0 {
+						t.Fatalf("restore: err %v, %d bytes left", dec.Err(), dec.Remaining())
 					}
 					// The restored side holds a copy of the packet.
 					if len(model) > 0 {

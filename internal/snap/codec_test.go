@@ -56,8 +56,7 @@ func sampleRecord() record {
 func TestCodecRoundTrip(t *testing.T) {
 	src, before := sampleRecord(), sampleRecord()
 	before.pkt, before.flit.Pkt = src.pkt, src.pkt
-	w := NewWriter()
-	enc := w.Codec()
+	enc := NewEncoder()
 	src.walk(enc)
 	enc.PacketTable()
 	if enc.Decoding() || enc.Err() != nil {
@@ -68,12 +67,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 
 	dst := record{id: 7, label: "stale", hops: []int16{1, 1, 1, 1}}
-	r := NewReader(w.Bytes())
-	dec := r.Codec()
+	dec := NewDecoder(enc.Bytes())
 	dst.walk(dec)
 	dec.PacketTable()
-	if !dec.Decoding() || dec.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("decoder: Decoding %v, Err %v, %d bytes left", dec.Decoding(), dec.Err(), r.Remaining())
+	if !dec.Decoding() || dec.Err() != nil || dec.Remaining() != 0 {
+		t.Fatalf("decoder: Decoding %v, Err %v, %d bytes left", dec.Decoding(), dec.Err(), dec.Remaining())
 	}
 	if dst.pkt == nil || dst.pkt == src.pkt || dst.flit.Pkt != dst.pkt {
 		t.Fatal("packet identity: the decoded flit and pointer must share one new packet")
@@ -90,36 +88,36 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecBoundsAreOnTheField(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		write func(w *Writer)
+		write func(w *Codec)
 		read  func(c *Codec, dst *record)
 		want  string
 	}{
-		{"int above max", func(w *Writer) { w.varint(100) },
+		{"int above max", func(w *Codec) { putI(w, 100) },
 			func(c *Codec, dst *record) { Int(c, "node", &dst.node, -1, 99) }, "node = 100 outside [-1, 99]"},
-		{"int below min", func(w *Writer) { w.varint(-2) },
+		{"int below min", func(w *Codec) { putI(w, -2) },
 			func(c *Codec, dst *record) { Int(c, "node", &dst.node, -1, 99) }, "node = -2 outside [-1, 99]"},
-		{"int8 field, value wider than the type", func(w *Writer) { w.varint(256) },
+		{"int8 field, value wider than the type", func(w *Codec) { putI(w, 256) },
 			func(c *Codec, dst *record) { Int(c, "port", &dst.port, 0, 7) }, "port = 256 outside [0, 7]"},
-		{"uint8 field, value wider than the type", func(w *Writer) { w.uvarint(256) },
+		{"uint8 field, value wider than the type", func(w *Codec) { putU(w, 256) },
 			func(c *Codec, dst *record) { Uint(c, "stage", &dst.stage, 2) }, "stage = 256 exceeds limit 2"},
-		{"uint32 field, value wider than the type", func(w *Writer) { w.uvarint(1 << 32) },
+		{"uint32 field, value wider than the type", func(w *Codec) { putU(w, 1<<32) },
 			func(c *Codec, dst *record) { Uint(c, "epoch", &dst.epoch, math.MaxUint32) }, "epoch = 4294967296 exceeds limit 4294967295"},
-		{"slice longer than max", func(w *Writer) { w.uvarint(5) },
+		{"slice longer than max", func(w *Codec) { putU(w, 5) },
 			func(c *Codec, dst *record) {
 				Slice(c, "hops", &dst.hops, 4, func(h *int16) { Int(c, "hop", h, -3, 3) })
 			}, "hops = 5 exceeds limit 4"},
-		{"slice element out of range", func(w *Writer) { w.uvarint(1); w.varint(4) },
+		{"slice element out of range", func(w *Codec) { putU(w, 1); putI(w, 4) },
 			func(c *Codec, dst *record) {
 				Slice(c, "hops", &dst.hops, 4, func(h *int16) { Int(c, "hop", h, -3, 3) })
 			}, "hop = 4 outside [-3, 3]"},
-		{"string longer than max", func(w *Writer) { w.str("reconfig!") },
+		{"string longer than max", func(w *Codec) { s := "reconfig!"; w.String("label", &s, 0) },
 			func(c *Codec, dst *record) { c.String("label", &dst.label, 8) }, "label = 9 exceeds limit 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWriter()
+			w := NewEncoder()
 			tc.write(w)
 			var dst record
-			c := NewReader(w.Bytes()).Codec()
+			c := NewDecoder(w.Bytes())
 			tc.read(c, &dst)
 			if c.Err() == nil || !strings.Contains(c.Err().Error(), tc.want) {
 				t.Fatalf("err = %v, want one mentioning %q", c.Err(), tc.want)
@@ -135,11 +133,11 @@ func TestCodecBoundsAreOnTheField(t *testing.T) {
 // length is 0, and a slice stops at the first element that fails instead
 // of walking its claimed count.
 func TestCodecUntrustedLengthsDriveNoWork(t *testing.T) {
-	w := NewWriter()
-	w.uvarint(1 << 20) // claims a million elements, supplies two
-	w.varint(1)
-	w.varint(2)
-	c := NewReader(w.Bytes()).Codec()
+	w := NewEncoder()
+	putU(w, 1<<20) // claims a million elements, supplies two
+	putI(w, 1)
+	putI(w, 2)
+	c := NewDecoder(w.Bytes())
 	var got []int
 	calls := 0
 	Slice(c, "items", &got, 1<<20, func(v *int) { calls++; Int(c, "item", v, 0, 9) })
@@ -163,17 +161,17 @@ func TestCodecUntrustedLengthsDriveNoWork(t *testing.T) {
 func TestCodecRNG(t *testing.T) {
 	src := sim.NewRNG(42)
 	src.Uint64()
-	w := NewWriter()
-	w.Codec().RNG("rng", src)
+	w := NewEncoder()
+	w.RNG("rng", src)
 	dst := sim.NewRNG(1)
-	c := NewReader(w.Bytes()).Codec()
+	c := NewDecoder(w.Bytes())
 	c.RNG("rng", dst)
 	if c.Err() != nil || dst.State() != src.State() {
 		t.Fatalf("err %v, state %v, want %v", c.Err(), dst.State(), src.State())
 	}
 	short := sim.NewRNG(1)
 	keep := short.State()
-	c = NewReader(w.Bytes()[:len(w.Bytes())-1]).Codec()
+	c = NewDecoder(w.Bytes()[:len(w.Bytes())-1])
 	c.RNG("rng", short)
 	if c.Err() == nil || short.State() != keep {
 		t.Fatalf("err %v; a truncated state was installed: %v", c.Err(), short.State())

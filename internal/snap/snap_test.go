@@ -9,64 +9,87 @@ import (
 	"uppnoc/internal/message"
 )
 
+// The helpers below walk a bare value through a local, so a case can
+// write a value or read one back in a single call.
+func putU(c *Codec, v uint64) { c.U64("u", &v) }
+func putI(c *Codec, v int64)  { c.I64("v", &v) }
+func getU(c *Codec, what string) (v uint64) {
+	c.U64(what, &v)
+	return v
+}
+func getI(c *Codec, what string) (v int64) {
+	c.I64(what, &v)
+	return v
+}
+func getPacket(c *Codec) (p *message.Packet) {
+	c.Packet(&p)
+	return p
+}
+func getFlit(c *Codec) (f message.Flit) {
+	c.Flit(&f)
+	return f
+}
+
 // TestPrimitiveRoundTrip writes every scalar primitive at its edge values
 // and reads the stream back: same values, in order, nothing left over.
 func TestPrimitiveRoundTrip(t *testing.T) {
 	type step struct {
 		name  string
-		write func(w *Writer)
-		read  func(r *Reader) any
+		write func(c *Codec)
+		read  func(c *Codec) any
 		want  any
 	}
 	var steps []step
 	for _, v := range []uint64{0, 1, 127, 128, math.MaxUint32, math.MaxUint64} {
 		steps = append(steps, step{"uvarint",
-			func(w *Writer) { w.uvarint(v) },
-			func(r *Reader) any { return r.uvarint("u") }, v})
+			func(c *Codec) { putU(c, v) },
+			func(c *Codec) any { return getU(c, "u") }, v})
 	}
 	for _, v := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64} {
 		steps = append(steps, step{"varint",
-			func(w *Writer) { w.varint(v) },
-			func(r *Reader) any { return r.varint("v") }, v})
+			func(c *Codec) { putI(c, v) },
+			func(c *Codec) any { return getI(c, "v") }, v})
 	}
 	for _, v := range []int{0, -7, 1 << 20} {
 		steps = append(steps, step{"int",
-			func(w *Writer) { w.varint(int64(v)) },
-			func(r *Reader) any { return r.intIn("i", -7, 1<<20) }, v})
+			func(c *Codec) { putI(c, int64(v)) },
+			func(c *Codec) any { var x int; Int(c, "i", &x, -7, 1<<20); return x }, v})
 	}
 	for _, v := range []int{0, 9} {
 		steps = append(steps, step{"len",
-			func(w *Writer) { w.uvarint(uint64(v)) },
-			func(r *Reader) any { return r.length("n", 9) }, v})
+			func(c *Codec) { putU(c, uint64(v)) },
+			func(c *Codec) any { return c.Len("n", 0, 9) }, v})
 	}
 	for _, v := range []bool{true, false} {
 		steps = append(steps, step{"bool",
-			func(w *Writer) { w.boolean(v) },
-			func(r *Reader) any { return r.boolean("b") }, v})
+			func(c *Codec) { c.Bool("b", &v) },
+			func(c *Codec) any { var x bool; c.Bool("b", &x); return x }, v})
 	}
 	for _, v := range []float64{0, -0.5, math.Pi, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(-1)} {
 		steps = append(steps, step{"f64",
-			func(w *Writer) { w.f64(v) },
-			func(r *Reader) any { return r.f64("f") }, v})
+			func(c *Codec) { c.F64("f", &v) },
+			func(c *Codec) any { var x float64; c.F64("f", &x); return x }, v})
 	}
 	for _, v := range []string{"", "UPWS", strings.Repeat("x", 300)} {
 		steps = append(steps, step{"string",
-			func(w *Writer) { w.str(v) },
-			func(r *Reader) any { return r.str("s", 300) }, v})
+			func(c *Codec) { c.String("s", &v, 300) },
+			func(c *Codec) any { var x string; c.String("s", &x, 300); return x }, v})
 	}
 
-	w := NewWriter()
+	w := NewEncoder()
 	for _, s := range steps {
 		s.write(w)
 	}
-	w.f64(math.NaN()) // NaN != NaN: compared by bit pattern below
-	r := NewReader(w.Bytes())
+	nan := math.NaN() // NaN != NaN: compared by bit pattern below
+	w.F64("nan", &nan)
+	r := NewDecoder(w.Bytes())
 	for i, s := range steps {
 		if got := s.read(r); got != s.want {
 			t.Fatalf("step %d (%s): read %v, want %v", i, s.name, got, s.want)
 		}
 	}
-	if got := r.f64("nan"); math.Float64bits(got) != math.Float64bits(math.NaN()) {
+	var got float64
+	if r.F64("nan", &got); math.Float64bits(got) != math.Float64bits(math.NaN()) {
 		t.Fatalf("NaN bit pattern %x not preserved", math.Float64bits(got))
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
@@ -94,30 +117,31 @@ func samplePacket(id uint64) *message.Packet {
 // including one reachable only through the table — survives.
 func TestPacketInterning(t *testing.T) {
 	a, b, tableOnly := samplePacket(1), samplePacket(2), samplePacket(3)
-	w := NewWriter()
-	w.packet(a)
-	w.packet(nil)
-	w.flit(message.Flit{Pkt: b, Seq: 4})
-	w.flit(message.Flit{Pkt: a, Seq: 0})
-	w.packet(b)
+	w := NewEncoder()
+	w.Packet(&a)
+	var none *message.Packet
+	w.Packet(&none)
+	w.Flit(&message.Flit{Pkt: b, Seq: 4})
+	w.Flit(&message.Flit{Pkt: a, Seq: 0})
+	w.Packet(&b)
 	if w.PacketCount() != 2 {
 		t.Fatalf("writer interned %d packets, want 2", w.PacketCount())
 	}
 	// A packet referenced by no section still gets a body when something
 	// (the pool freelist, in a real snapshot) references it last.
-	w.packet(tableOnly)
-	w.WritePacketTable()
+	w.Packet(&tableOnly)
+	w.PacketTable()
 
-	r := NewReader(w.Bytes())
-	ra := r.packet()
-	if r.packet() != nil {
+	r := NewDecoder(w.Bytes())
+	ra := getPacket(r)
+	if getPacket(r) != nil {
 		t.Fatal("nil packet did not restore to nil")
 	}
-	fb := r.flit()
-	fa := r.flit()
-	rb := r.packet()
-	rt := r.packet()
-	r.ReadPacketTable()
+	fb := getFlit(r)
+	fa := getFlit(r)
+	rb := getPacket(r)
+	rt := getPacket(r)
+	r.PacketTable()
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("err %v, %d bytes remaining", r.Err(), r.Remaining())
 	}
@@ -138,56 +162,66 @@ func TestPacketInterning(t *testing.T) {
 }
 
 // TestReaderRejects: malformed input — truncated, over-length, out of
-// range — must set Err with the field's name, return zero values, and
-// never panic; and the error must be sticky.
+// range — must make the decoding Codec set Err with the field's name,
+// store zero values, and never panic; and the error must be sticky.
 func TestReaderRejects(t *testing.T) {
-	enc := func(f func(w *Writer)) []byte {
-		w := NewWriter()
+	enc := func(f func(w *Codec)) []byte {
+		w := NewEncoder()
 		f(w)
 		return w.Bytes()
 	}
+	str := func(w *Codec, s string) { w.String("s", &s, len(s)) }
 	overlong := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01} // 11-byte varint
 	for _, tc := range []struct {
 		name string
 		data []byte
-		read func(r *Reader)
+		read func(r *Codec)
 		want string
 	}{
-		{"uvarint empty", nil, func(r *Reader) { r.uvarint("count") }, "count"},
-		{"uvarint truncated", []byte{0x80}, func(r *Reader) { r.uvarint("count") }, "count"},
-		{"uvarint overlong", overlong, func(r *Reader) { r.uvarint("count") }, "count"},
-		{"varint truncated", []byte{0xff}, func(r *Reader) { r.varint("delta") }, "delta"},
-		{"varint overlong", overlong, func(r *Reader) { r.varint("delta") }, "delta"},
-		{"int below min", enc(func(w *Writer) { w.varint(int64(-2)) }), func(r *Reader) { r.intIn("port", -1, 7) }, "port"},
-		{"int above max", enc(func(w *Writer) { w.varint(int64(8)) }), func(r *Reader) { r.intIn("port", -1, 7) }, "port"},
-		{"len above max", enc(func(w *Writer) { w.uvarint(10) }), func(r *Reader) { r.length("slots", 9) }, "slots"},
-		{"len huge", enc(func(w *Writer) { w.uvarint(math.MaxUint64) }), func(r *Reader) { r.length("slots", 9) }, "slots"},
-		{"bool empty", nil, func(r *Reader) { r.boolean("flag") }, "flag"},
-		{"bool byte 2", []byte{2}, func(r *Reader) { r.boolean("flag") }, "flag"},
-		{"f64 truncated", make([]byte, 7), func(r *Reader) { r.f64("rate") }, "rate"},
-		{"string over limit", enc(func(w *Writer) { w.str("toolong") }), func(r *Reader) { r.str("label", 3) }, "label"},
-		{"string body truncated", enc(func(w *Writer) { w.str("abcdef") })[:4], func(r *Reader) { r.str("label", 16) }, "label"},
-		{"packet ref past input", enc(func(w *Writer) { w.uvarint(1 << 40) }), func(r *Reader) { r.packet() }, "packet ref"},
-		{"packet ref overflowing int", enc(func(w *Writer) { w.uvarint(math.MaxUint64) }), func(r *Reader) { r.packet() }, "packet ref"},
-		{"flit seq negative", enc(func(w *Writer) { w.uvarint(0); w.varint(-1) }), func(r *Reader) { r.flit() }, "flit seq"},
-		{"flit seq above int32", enc(func(w *Writer) { w.uvarint(0); w.varint(math.MaxInt32 + 1) }), func(r *Reader) { r.flit() }, "flit seq"},
-		{"flit truncated", enc(func(w *Writer) { w.uvarint(0) }), func(r *Reader) { r.flit() }, "flit seq"},
-		{"table shorter than references", enc(func(w *Writer) { w.uvarint(1); w.uvarint(2); w.uvarint(1) }),
-			func(r *Reader) { r.packet(); r.packet(); r.ReadPacketTable() }, "were referenced"},
-		{"table count past input", enc(func(w *Writer) { w.uvarint(1000) }), func(r *Reader) { r.ReadPacketTable() }, "packet table count"},
-		{"table body truncated", enc(func(w *Writer) { w.uvarint(1); w.uvarint(5) }), func(r *Reader) { r.ReadPacketTable() }, "pkt src"},
+		{"uvarint empty", nil, func(r *Codec) { getU(r, "count") }, "count"},
+		{"uvarint truncated", []byte{0x80}, func(r *Codec) { getU(r, "count") }, "count"},
+		{"uvarint overlong", overlong, func(r *Codec) { getU(r, "count") }, "count"},
+		{"varint truncated", []byte{0xff}, func(r *Codec) { getI(r, "delta") }, "delta"},
+		{"varint overlong", overlong, func(r *Codec) { getI(r, "delta") }, "delta"},
+		{"int below min", enc(func(w *Codec) { putI(w, -2) }), func(r *Codec) { var p int; Int(r, "port", &p, -1, 7) }, "port"},
+		{"int above max", enc(func(w *Codec) { putI(w, 8) }), func(r *Codec) { var p int; Int(r, "port", &p, -1, 7) }, "port"},
+		{"len above max", enc(func(w *Codec) { putU(w, 10) }), func(r *Codec) { r.Len("slots", 0, 9) }, "slots"},
+		{"len huge", enc(func(w *Codec) { putU(w, math.MaxUint64) }), func(r *Codec) { r.Len("slots", 0, 9) }, "slots"},
+		{"bool empty", nil, func(r *Codec) { var b bool; r.Bool("flag", &b) }, "flag"},
+		{"bool byte 2", []byte{2}, func(r *Codec) { var b bool; r.Bool("flag", &b) }, "flag"},
+		{"f64 truncated", make([]byte, 7), func(r *Codec) { var f float64; r.F64("rate", &f) }, "rate"},
+		{"string over limit", enc(func(w *Codec) { str(w, "toolong") }), func(r *Codec) { var s string; r.String("label", &s, 3) }, "label"},
+		{"string body truncated", enc(func(w *Codec) { str(w, "abcdef") })[:4], func(r *Codec) { var s string; r.String("label", &s, 16) }, "label"},
+		{"packet ref past input", enc(func(w *Codec) { putU(w, 1<<40) }), func(r *Codec) { getPacket(r) }, "packet ref"},
+		{"packet ref overflowing int", enc(func(w *Codec) { putU(w, math.MaxUint64) }), func(r *Codec) { getPacket(r) }, "packet ref"},
+		{"flit seq negative", enc(func(w *Codec) { putU(w, 0); putI(w, -1) }), func(r *Codec) { getFlit(r) }, "flit seq"},
+		{"flit seq above int32", enc(func(w *Codec) { putU(w, 0); putI(w, math.MaxInt32+1) }), func(r *Codec) { getFlit(r) }, "flit seq"},
+		{"flit truncated", enc(func(w *Codec) { putU(w, 0) }), func(r *Codec) { getFlit(r) }, "flit seq"},
+		{"table shorter than references", enc(func(w *Codec) { putU(w, 1); putU(w, 2); putU(w, 1) }),
+			func(r *Codec) { getPacket(r); getPacket(r); r.PacketTable() }, "were referenced"},
+		{"table count past input", enc(func(w *Codec) { putU(w, 1000) }), func(r *Codec) { r.PacketTable() }, "packet table count"},
+		{"table body truncated", enc(func(w *Codec) { putU(w, 1); putU(w, 5) }), func(r *Codec) { r.PacketTable() }, "pkt src"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewReader(tc.data)
+			r := NewDecoder(tc.data)
 			tc.read(r)
 			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
 				t.Fatalf("err = %v, want one mentioning %q", r.Err(), tc.want)
 			}
 			first := r.Err()
-			// Sticky: every later read is a zero value and the first
-			// error stands.
-			if r.uvarint("x") != 0 || r.varint("x") != 0 || r.boolean("x") || r.f64("x") != 0 ||
-				r.str("x", 8) != "" || r.packet() != nil || r.flit() != (message.Flit{}) || r.Remaining() != 0 {
+			// Sticky: every later read stores a zero value, over
+			// whatever its destination held, and the first error stands.
+			u, i, b, f, s := uint64(1), int64(1), true, 1.0, "x"
+			p := &message.Packet{}
+			fl := message.Flit{Pkt: p, Seq: 1}
+			r.U64("x", &u)
+			r.I64("x", &i)
+			r.Bool("x", &b)
+			r.F64("x", &f)
+			r.String("x", &s, 8)
+			r.Packet(&p)
+			r.Flit(&fl)
+			if u != 0 || i != 0 || b || f != 0 || s != "" || p != nil || fl != (message.Flit{}) || r.Remaining() != 0 {
 				t.Fatal("reads after an error returned non-zero values")
 			}
 			r.Fail("a later failure")
@@ -213,12 +247,12 @@ func TestPacketBodyRejectsOutOfRangeFields(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := samplePacket(9)
 			tc.spoil(p)
-			w := NewWriter()
-			w.packet(p)
-			w.WritePacketTable()
-			r := NewReader(w.Bytes())
-			r.packet()
-			r.ReadPacketTable()
+			w := NewEncoder()
+			w.Packet(&p)
+			w.PacketTable()
+			r := NewDecoder(w.Bytes())
+			getPacket(r)
+			r.PacketTable()
 			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
 				t.Fatalf("err = %v, want one mentioning %q", r.Err(), tc.want)
 			}
@@ -229,24 +263,24 @@ func TestPacketBodyRejectsOutOfRangeFields(t *testing.T) {
 // TestPacketTableGrowthIsBounded: one reference far past the table's
 // current size must not make the reader allocate its way there.
 func TestPacketTableGrowthIsBounded(t *testing.T) {
-	w := NewWriter()
+	w := NewEncoder()
 	for i := 0; i < maxPrealloc; i++ {
-		w.uvarint(uint64(i) + 1)
+		putU(w, uint64(i)+1)
 	}
-	w.uvarint(3 * maxPrealloc) // a jump past double the table
+	putU(w, 3*maxPrealloc) // a jump past double the table
 	// Pad so the reference is not rejected merely for exceeding the input
 	// length.
 	for i := 0; i < 3*maxPrealloc; i++ {
-		w.boolean(false)
+		w.Bool("pad", new(bool))
 	}
-	r := NewReader(w.Bytes())
+	r := NewDecoder(w.Bytes())
 	for i := 0; i < maxPrealloc; i++ {
-		r.packet()
+		getPacket(r)
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if r.packet() != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "grows table too fast") {
+	if getPacket(r) != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "grows table too fast") {
 		t.Fatalf("jumping reference accepted: err %v, table %d", r.Err(), r.PacketCount())
 	}
 	if r.PacketCount() != maxPrealloc {

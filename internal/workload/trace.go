@@ -1,14 +1,14 @@
 package workload
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
 	"uppnoc/internal/sim"
+	"uppnoc/internal/snap"
 	"uppnoc/internal/topology"
 )
 
@@ -16,21 +16,25 @@ import (
 // third-party workload traces loadable:
 //
 //	magic   [4]byte "UPWT"
-//	version byte    (1)
+//	version uvarint (1)
 //	ranks   uvarint (core count the trace was recorded over)
 //	records uvarint (exact record count; trailing bytes are an error)
 //	record* :
 //	    dcycle uvarint (cycle delta vs the previous record; cycles are
-//	                    non-decreasing by construction)
+//	                    non-decreasing by construction, at most MaxTraceCycle)
 //	    src    uvarint (core rank)
 //	    dst    uvarint (core rank, != src)
-//	    vnet   byte
-//	    class  byte
+//	    vnet   uvarint
+//	    class  uvarint
 //	    flits  uvarint (1..MaxTraceFlits)
 //
-// ReadTrace validates every field and returns an error — never panics —
-// on malformed headers, truncated records, out-of-range node IDs or
-// sizes (FuzzTraceReplay holds it to that).
+// The format is one description on a snap.Codec (walk), so WriteTrace
+// and ReadTrace cannot disagree on it. A valid vnet or class is below 128,
+// so its uvarint is the single byte the first version wrote raw. Both
+// directions validate every record: WriteTrace refuses a trace ReadTrace
+// would refuse, and ReadTrace returns an error — never panics — on
+// malformed headers, truncated records, out-of-range node IDs, sizes or
+// cycles (FuzzTraceReplay holds it to that).
 const (
 	traceMagic   = "UPWT"
 	traceVersion = 1
@@ -38,6 +42,10 @@ const (
 	MaxTraceRanks = 1 << 20
 	// MaxTraceFlits bounds a single message's flit count.
 	MaxTraceFlits = 1 << 10
+	// MaxTraceCycle bounds a record's cycle, so the running sum of the
+	// deltas can neither wrap sim.Cycle nor leave a trace that cannot be
+	// written back.
+	MaxTraceCycle = 1 << 40
 )
 
 // TraceRecord is one injected message of a recorded run.
@@ -85,39 +93,73 @@ func (r *TraceRecorder) Write(w io.Writer) error { return WriteTrace(w, &r.trace
 // WriteTrace serializes t. Records must be in non-decreasing cycle order
 // (the order the engine injects in).
 func WriteTrace(w io.Writer, t *Trace) error {
-	if t.Ranks < 2 || t.Ranks > MaxTraceRanks {
-		return fmt.Errorf("workload trace: rank count %d out of range [2, %d]", t.Ranks, MaxTraceRanks)
+	c := snap.NewEncoder()
+	if err := t.walk(c); err != nil {
+		return err
 	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString(traceMagic)
-	bw.WriteByte(traceVersion)
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		bw.Write(buf[:binary.PutUvarint(buf[:], v)])
+	_, err := w.Write(c.Bytes())
+	return err
+}
+
+// ReadTrace parses and validates a binary trace.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("workload trace: %w", err)
 	}
-	put(uint64(t.Ranks))
-	put(uint64(len(t.Records)))
-	prev := sim.Cycle(0)
-	for i, rec := range t.Records {
-		if rec.Cycle < prev {
-			return fmt.Errorf("workload trace: record %d cycle %d precedes record %d cycle %d", i, rec.Cycle, i-1, prev)
+	t := &Trace{}
+	c := snap.NewDecoder(data)
+	if err := t.walk(c); err != nil {
+		return nil, err
+	}
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("workload trace: trailing bytes after %d records", len(t.Records))
+	}
+	return t, nil
+}
+
+// walk is the one description of the UPWT format, walked by WriteTrace
+// and ReadTrace alike.
+func (t *Trace) walk(c *snap.Codec) error {
+	c.Magic(traceMagic)
+	version := traceVersion
+	if snap.Uint(c, "version", &version, math.MaxUint8); c.Err() == nil && version != traceVersion {
+		c.Fail("unsupported version %d (want %d)", version, traceVersion)
+	}
+	if snap.Uint(c, "rank count", &t.Ranks, MaxTraceRanks); c.Err() == nil && (t.Ranks < 2 || t.Ranks > MaxTraceRanks) {
+		c.Fail("rank count %d below 2 or above %d", t.Ranks, MaxTraceRanks)
+	}
+	i, prev := 0, sim.Cycle(0)
+	snap.Slice(c, "record count", &t.Records, 1<<32, func(rec *TraceRecord) {
+		delta := uint64(rec.Cycle - prev)
+		snap.Uint(c, "cycle delta", &delta, MaxTraceCycle)
+		if c.Decoding() {
+			rec.Cycle = prev + sim.Cycle(delta)
 		}
-		if err := validateRecord(rec, t.Ranks); err != nil {
-			return fmt.Errorf("workload trace: record %d: %w", i, err)
+		snap.Uint(c, "src rank", &rec.Src, uint64(t.Ranks))
+		snap.Uint(c, "dst rank", &rec.Dst, uint64(t.Ranks))
+		snap.Uint(c, "vnet", &rec.VNet, math.MaxInt8)
+		snap.Uint(c, "class", &rec.Class, math.MaxInt8)
+		snap.Uint(c, "flit count", &rec.Flits, MaxTraceFlits)
+		if c.Err() == nil {
+			if err := validateRecord(*rec, t.Ranks); err != nil {
+				c.Fail("record %d: %v", i, err)
+			} else if rec.Cycle < prev {
+				c.Fail("record %d cycle %d precedes record %d cycle %d", i, rec.Cycle, i-1, prev)
+			}
 		}
-		put(uint64(rec.Cycle - prev))
-		prev = rec.Cycle
-		put(uint64(rec.Src))
-		put(uint64(rec.Dst))
-		bw.WriteByte(byte(rec.VNet))
-		bw.WriteByte(byte(rec.Class))
-		put(uint64(rec.Flits))
+		i, prev = i+1, rec.Cycle
+	})
+	if c.Err() != nil {
+		return fmt.Errorf("workload trace: %w", c.Err())
 	}
-	return bw.Flush()
+	return nil
 }
 
 func validateRecord(rec TraceRecord, ranks int) error {
 	switch {
+	case rec.Cycle < 0 || rec.Cycle > MaxTraceCycle:
+		return fmt.Errorf("cycle %d out of range [0, %d]", rec.Cycle, MaxTraceCycle)
 	case rec.Src < 0 || rec.Src >= ranks:
 		return fmt.Errorf("src rank %d out of %d", rec.Src, ranks)
 	case rec.Dst < 0 || rec.Dst >= ranks:
@@ -132,87 +174,6 @@ func validateRecord(rec TraceRecord, ranks int) error {
 		return fmt.Errorf("flit count %d out of range [1, %d]", rec.Flits, MaxTraceFlits)
 	}
 	return nil
-}
-
-// ReadTrace parses and validates a binary trace.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("workload trace: short header: %w", err)
-	}
-	if string(magic[:4]) != traceMagic {
-		return nil, fmt.Errorf("workload trace: bad magic %q", magic[:4])
-	}
-	if magic[4] != traceVersion {
-		return nil, fmt.Errorf("workload trace: unsupported version %d (want %d)", magic[4], traceVersion)
-	}
-	get := func(what string, max uint64) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("workload trace: truncated %s: %w", what, err)
-		}
-		if v > max {
-			return 0, fmt.Errorf("workload trace: %s %d exceeds %d", what, v, max)
-		}
-		return v, nil
-	}
-	ranks, err := get("rank count", MaxTraceRanks)
-	if err != nil {
-		return nil, err
-	}
-	if ranks < 2 {
-		return nil, fmt.Errorf("workload trace: rank count %d below 2", ranks)
-	}
-	count, err := get("record count", 1<<32)
-	if err != nil {
-		return nil, err
-	}
-	cap64 := count
-	if cap64 > 4096 {
-		cap64 = 4096 // grow as records actually arrive; the count is untrusted
-	}
-	t := &Trace{Ranks: int(ranks), Records: make([]TraceRecord, 0, cap64)}
-	cycle := sim.Cycle(0)
-	for i := uint64(0); i < count; i++ {
-		d, err := get("cycle delta", 1<<40)
-		if err != nil {
-			return nil, err
-		}
-		cycle += sim.Cycle(d)
-		src, err := get("src rank", uint64(ranks))
-		if err != nil {
-			return nil, err
-		}
-		dst, err := get("dst rank", uint64(ranks))
-		if err != nil {
-			return nil, err
-		}
-		vnet, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("workload trace: truncated vnet: %w", err)
-		}
-		class, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("workload trace: truncated class: %w", err)
-		}
-		flits, err := get("flit count", MaxTraceFlits)
-		if err != nil {
-			return nil, err
-		}
-		rec := TraceRecord{
-			Cycle: cycle, Src: int(src), Dst: int(dst),
-			VNet: message.VNet(vnet), Class: message.Class(class), Flits: int(flits),
-		}
-		if err := validateRecord(rec, t.Ranks); err != nil {
-			return nil, fmt.Errorf("workload trace: record %d: %w", i, err)
-		}
-		t.Records = append(t.Records, rec)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("workload trace: trailing bytes after %d records", count)
-	}
-	return t, nil
 }
 
 // Replayer injects a recorded trace into a network open-loop: each

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -57,6 +58,8 @@ func TestWriteTraceRejects(t *testing.T) {
 			Records: []workload.TraceRecord{rec(0, 2, 2, 5)}}, "self-send"},
 		{"flit_range", workload.Trace{Ranks: 4,
 			Records: []workload.TraceRecord{rec(0, 0, 1, 0)}}, "flit count"},
+		{"cycle_range", workload.Trace{Ranks: 4,
+			Records: []workload.TraceRecord{rec(workload.MaxTraceCycle, 0, 1, 5), rec(workload.MaxTraceCycle+1, 1, 2, 5)}}, "cycle"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,6 +100,15 @@ func TestReadTraceRejects(t *testing.T) {
 		{"one_rank", append([]byte("UPWT\x01\x01"), 0), "below 2"},
 		{"truncated_record", valid[:len(valid)-2], "truncated"},
 		{"trailing_bytes", append(append([]byte{}, valid...), 0xFF), "trailing bytes"},
+		// Each delta is within bounds, but their sum is past MaxTraceCycle.
+		{"cycle_sum", func() []byte {
+			b := []byte("UPWT\x01\x04\x02")
+			for _, delta := range []uint64{workload.MaxTraceCycle, 1} {
+				b = binary.AppendUvarint(b, delta)
+				b = append(b, 0, 1, byte(message.VNetResponse), byte(message.ClassSyntheticData), 5)
+			}
+			return b
+		}(), "cycle"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
