@@ -49,15 +49,10 @@ import (
 // environment variable); empty means caching is disabled.
 func CacheDir() string { return os.Getenv("UPP_CACHE_DIR") }
 
-// warmStartEnabled reports whether cold runs may checkpoint after warmup
-// and later runs may restore those checkpoints. On by default whenever
-// the cache is enabled; UPP_CACHE_WARM=0 opts out (results caching keeps
-// working).
-func warmStartEnabled() bool { return os.Getenv("UPP_CACHE_WARM") != "0" }
-
 // cacheFormatVersion is part of every canonical envelope; bump it when
-// the envelope, Point or UPWS snapshot format changes shape so stale
-// cache entries miss instead of misleading.
+// the envelope or Point changes shape so stale cache entries miss instead
+// of misleading. A UPWS change needs no bump: a warm checkpoint of another
+// snapVersion fails to restore, counts as a warm miss and is rewritten.
 const cacheFormatVersion = 1
 
 // Cache hit/miss counters, process-wide. Hits/Misses count result-cache
@@ -380,11 +375,10 @@ type warmState struct {
 	hash      string
 }
 
-// newWarmState derives the warm key for a cacheable spec; nil when
-// warm-starting is disabled or the spec is a workload's, which has no
-// warmup to skip.
+// newWarmState derives the warm key for a cacheable spec; nil for a
+// workload's, which has no warmup to skip.
 func newWarmState(dir string, env specEnvelope) *warmState {
-	if !warmStartEnabled() || env.Workload != "" {
+	if env.Workload != "" {
 		return nil
 	}
 	env.Measure = 0

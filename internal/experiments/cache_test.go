@@ -39,7 +39,6 @@ func TestResultCacheBitIdentity(t *testing.T) {
 	}
 	tuned := base
 	tuned.UPP = core.Config{Threshold: 100, SignalGap: 12}
-	t.Setenv("UPP_CACHE_WARM", "1")
 	defEnv, _, _ := canonicalSpec(base)
 	tunedEnv, _, ok := canonicalSpec(tuned)
 	if !ok || newWarmState("", defEnv).hash == newWarmState("", tunedEnv).hash {
@@ -100,22 +99,6 @@ func TestResultCacheBitIdentity(t *testing.T) {
 			}
 			if misses != uint64(len(rates)) || warmHits != uint64(len(rates)) {
 				t.Fatalf("warm sweep: %d misses / %d warm hits, want %d of each", misses, warmHits, len(rates))
-			}
-
-			// UPP_CACHE_WARM=0 opts out of warm-starting but keeps result caching:
-			// evict again and the sweep must run fully cold, still bit-identical.
-			if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
-				t.Fatal(err)
-			}
-			t.Setenv("UPP_CACHE_WARM", "0")
-			var optOut Curve
-			_, misses, warmHits, warmMisses = cacheDelta(func() { optOut = sweep() })
-			if !reflect.DeepEqual(optOut, ref) {
-				t.Fatalf("warm-disabled sweep diverged from uncached reference:\nref: %+v\ngot: %+v", ref, optOut)
-			}
-			if misses != uint64(len(rates)) || warmHits != 0 || warmMisses != 0 {
-				t.Fatalf("warm-disabled sweep: %d misses / %d warm hits / %d warm misses, want %d / 0 / 0",
-					misses, warmHits, warmMisses, len(rates))
 			}
 		})
 	}
@@ -259,7 +242,6 @@ func TestWorkloadServedFromCache(t *testing.T) {
 		t.Fatalf("reference run did not complete: %+v", want)
 	}
 	t.Setenv("UPP_CACHE_DIR", t.TempDir())
-	t.Setenv("UPP_CACHE_WARM", "1")
 	var cold, hit Point
 	_, misses, warmHits, warmMisses := cacheDelta(func() { cold = run(spec) })
 	if misses != 1 || warmHits != 0 || warmMisses != 0 {

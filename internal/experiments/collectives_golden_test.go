@@ -1,63 +1,25 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
-
-	"uppnoc/internal/network"
 )
 
-// TestCollectivesGolden is the acceptance gate for the workload engine:
-// regenerating the collectives table must byte-match the committed
-// results/collectives.csv under every cycle kernel and at one and four
-// sweep workers. A mismatch means either a behavior change (regenerate
-// the CSV deliberately with `make collectives-golden`) or a determinism
-// break (fix the code).
+// TestCollectivesGolden is the acceptance gate for the workload engine
+// (goldenTable on results/collectives.csv).
+//
+// Its "completes" subtest pins the table's qualitative shape the way
+// TestGoldenShapes does for Fig. 7: every compared scheme finishes every
+// workload within the horizon, UPP is never slower than composable, and
+// the bursty all-to-all exercises UPP's recovery path while remote control
+// pays injection holds.
 func TestCollectivesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second simulation")
-	}
-	wantBytes, err := os.ReadFile(filepath.Join("..", "..", "results", "collectives.csv"))
-	if err != nil {
-		t.Fatalf("committed golden missing (regenerate with `make collectives-golden`): %v", err)
-	}
-	want := string(wantBytes)
-	for _, kernel := range []string{network.KernelActive, network.KernelNaive, network.KernelParallel} {
-		for _, jobs := range []int{1, 4} {
-			t.Run(kernel+"_jobs"+string(rune('0'+jobs)), func(t *testing.T) {
-				t.Setenv("UPP_KERNEL", kernel)
-				t.Setenv("UPP_CACHE_DIR", "") // simulate under the kernel, not read a result
-				tb := tableByID(t, "collectives", PoolOptions{Jobs: jobs})
-				got := tb.CSV()
-				if got == want {
-					return
-				}
-				gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if gl[i] != wl[i] {
-						t.Fatalf("line %d diverges from the committed golden:\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
-					}
-				}
-				t.Fatalf("line counts differ: got %d, committed %d", len(gl), len(wl))
-			})
-		}
-	}
+	goldenTable(t, "collectives", "collectives-golden", collectivesComplete)
 }
 
-// TestCollectivesCompleteUnderAllSchemes pins the table's qualitative
-// shape the way TestGoldenShapes does for Fig. 7: every compared scheme
-// finishes every workload within the horizon, UPP is never slower than
-// composable, and the bursty all-to-all exercises UPP's recovery path
-// while remote control pays injection holds.
-func TestCollectivesCompleteUnderAllSchemes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second simulation")
-	}
+func collectivesComplete(t *testing.T, tb Table) {
 	rows := map[[2]string][]string{}
-	for _, row := range tableByID(t, "collectives", PoolOptions{Jobs: 4}).Rows {
+	for _, row := range tb.Rows {
 		if row[2] != "true" {
 			t.Fatalf("%s under %s did not complete", row[0], row[1])
 		}

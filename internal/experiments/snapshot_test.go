@@ -188,10 +188,9 @@ func TestCheckpointRestoreFaulted(t *testing.T) {
 // kernel, one written under the oracle resumes under the active kernel,
 // and ones written under the parallel kernel (2 and 3 workers) resume
 // under the active kernel and the oracle, each to the uninterrupted run's
-// Point. The parallel writer's files are also byte for byte the active
-// kernel's: a checkpoint does not record which kernel wrote it. The oracle restores
-// correctly because it wakes every router and NI at the top of the next
-// cycle, whatever awake sets the writer left.
+// Point. Every writer's file, the oracle's included, is also byte for byte
+// the active kernel's: a checkpoint holds simulation state only, and the
+// awake sets a kernel keeps are derived from it on restore.
 func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_CACHE_DIR"} {
 		t.Setenv(env, "")
@@ -219,8 +218,8 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 			if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
 				t.Fatal(err)
 			}
-			if leg.write == network.KernelParallel && !bytes.Equal(buf.Bytes(), active.Bytes()) {
-				t.Fatalf("the checkpoint written under %s with %s workers differs from the active kernel's", leg.write, leg.writeShards)
+			if !bytes.Equal(buf.Bytes(), active.Bytes()) {
+				t.Fatalf("the checkpoint written under %s (UPP_SHARDS=%q) differs from the active kernel's", leg.write, leg.writeShards)
 			}
 			t.Setenv("UPP_KERNEL", leg.read)
 			t.Setenv("UPP_SHARDS", leg.readShards)
@@ -250,20 +249,20 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 // container around a UPWS snapshot) for every router microarchitecture:
 // the result cache keeps warm-start checkpoints across builds and
 // snapVersion only moves when the format does, so a refactor of the
-// datapath must keep writing these bytes. The UPWS payloads are those of
-// commit 944f7a7 (the last one with separate OQ/VOQ router types); the
-// digests last moved when the canonical spec in the header lost the
-// deleted link-latency fields, with the payloads byte-identical. The oq
-// run is checked to hold staged flits at the checkpoint cycle, so its
-// staging section is non-trivially covered.
+// datapath must keep writing these bytes. The digests last moved with
+// UPWS version 3, which writes its magic raw and no longer writes the
+// awake sets: the payloads are version 2's with the magic's length byte
+// and those sets removed and the version byte raised, and nothing else.
+// The oq run is checked to hold staged flits at the checkpoint cycle, so
+// its staging section is non-trivially covered.
 func TestSnapshotBytesPinned(t *testing.T) {
 	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_CACHE_DIR"} {
 		t.Setenv(env, "")
 	}
 	for _, pin := range [][2]string{
-		{"iq", "ba2e731c82bdf629341806c55de76b87e52985d1c7c04940214fce6e47e43f50"},
-		{"oq", "c4bf09e2a4b5d5c59932a3ff65f86d83a2f296080341ce85ccfb08cd935a4ccc"},
-		{"voq", "f1319b51e204b1918a0b623f4ed0a69ffdadf1f0874afd63055489c60a2890b7"},
+		{"iq", "b23cf3013172ac4e501729cb3a6be64b8f0206931e2567171f6e3dd34d86640e"},
+		{"oq", "43b0a6c6ceb7dba0eeb838f7474fd53635a17ba52507ff643817dad5eb0d5b9c"},
+		{"voq", "3aecafff4d7b6779756e1128679babfbb8edbefe8f24c3bebe928acfd7f941b6"},
 	} {
 		arch, want := pin[0], pin[1]
 		var buf bytes.Buffer

@@ -95,7 +95,7 @@ func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
 
 // runMeasured is the cold path of Run: build the environment, warm up
 // (or restore a warm-start checkpoint), measure, summarize. warm may be
-// nil (warm-start disabled, a workload spec or one not canonicalizable).
+// nil (caching off, a workload spec or one not canonicalizable).
 func runMeasured(spec RunSpec, warm *warmState) (Point, error) {
 	if spec.Workload != "" {
 		return runWorkload(spec)

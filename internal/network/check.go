@@ -73,17 +73,19 @@ func (n *Network) CheckQuiescent() error {
 
 // CheckWakeInvariant verifies, between cycles, what the flit-only wake
 // rule rests on (DESIGN.md §7): the routers left awake by retirement are
-// exactly the ones holding flits, and the set's population count, its set
-// bits and AwakeRouterIDs agree. It also holds every router's occupancy
-// masks to a recount from its VCs (Router.CheckDerived): allocation trusts
-// them as the kernel trusts the awake set. uppdebug builds run it after
-// every cycle. The oracle retires nothing, so there is nothing to check
-// under it.
+// exactly the ones holding flits, the NIs left awake exactly the ones that
+// are not Idle, and each set's population count agrees with its set bits
+// (and, for routers, with AwakeRouterIDs). A restore derives both sets from
+// this rule instead of reading them. It also holds every router's
+// occupancy masks to a recount from its VCs (Router.CheckDerived):
+// allocation trusts them as the kernel trusts the awake set. uppdebug
+// builds run it after every cycle. The oracle retires nothing, so there is
+// nothing to check under it.
 func (n *Network) CheckWakeInvariant() error {
 	if n.oracle {
 		return nil
 	}
-	awake := 0
+	routers, nis := 0, 0
 	for i, r := range n.Routers {
 		id := topology.NodeID(i)
 		if err := r.CheckDerived(); err != nil {
@@ -93,11 +95,20 @@ func (n *Network) CheckWakeInvariant() error {
 			return fmt.Errorf("network: node %d awake=%v after retirement but buffers %d flits", id, n.routers.has(id), r.Buffered())
 		}
 		if n.routers.has(id) {
-			awake++
+			routers++
+		}
+		if n.nis.has(id) == n.NIs[i].Idle() {
+			return fmt.Errorf("network: NI %d awake=%v after retirement but idle=%v", id, n.nis.has(id), n.NIs[i].Idle())
+		}
+		if n.nis.has(id) {
+			nis++
 		}
 	}
-	if awake != n.routers.count || awake != len(n.AwakeRouterIDs()) {
-		return fmt.Errorf("network: %d router bits set, population count %d, %d awake router IDs", awake, n.routers.count, len(n.AwakeRouterIDs()))
+	if routers != n.routers.count || routers != len(n.AwakeRouterIDs()) {
+		return fmt.Errorf("network: %d router bits set, population count %d, %d awake router IDs", routers, n.routers.count, len(n.AwakeRouterIDs()))
+	}
+	if nis != n.nis.count {
+		return fmt.Errorf("network: %d NI bits set, population count %d", nis, n.nis.count)
 	}
 	return nil
 }

@@ -23,8 +23,10 @@ const (
 	snapMagic = "UPWS"
 	// Version 2 added the routing-epoch scalars (routeEpoch, injectHold,
 	// epochLive) and the per-packet Epoch field for dynamic
-	// reconfiguration.
-	snapVersion = 2
+	// reconfiguration. Version 3 writes the magic raw, as UPWR and UPWT
+	// do, and drops the router and NI awake sets, which the reader
+	// derives: a snapshot holds simulation state only.
+	snapVersion = 3
 	// snapTrailer closes the stream; ReadSnapshot additionally requires
 	// zero trailing bytes.
 	snapTrailer = 0x5eed
@@ -130,38 +132,23 @@ func (n *Network) snapshot(c *snap.Codec, extras []SnapshotExtra) error {
 	c.U64("pool reuses", &pool.Stats.Reuses)
 	c.U64("pool puts", &pool.Stats.Puts)
 
-	// Network scalars and active sets, each set as a count and its IDs
-	// (written ascending; read in any order, a repeated one is corrupt).
+	// Network scalars. The awake sets are not written: between cycles a
+	// router or NI is awake exactly when it is not Idle (CheckWakeInvariant),
+	// so the reader derives them and every kernel writes the same bytes.
 	c.U64("next packet id", &n.nextID)
 	c.I64("last eject", &n.lastEject)
-	for k, set := range []*awakeSet{&n.routers, &n.nis} {
-		what := []string{"router", "NI"}[k]
-		count := c.Len(what+" awake count", set.count, n.Topo.NumNodes())
-		if c.Decoding() {
-			set.clear()
-		}
-		id, label := topology.NodeID(-1), "awake "+what+" id"
-		for i := 0; i < count; i++ {
-			if !c.Decoding() {
-				id = set.next(id)
-			}
-			snap.Int(c, label, &id, 0, int64(n.Topo.NumNodes())-1)
-			if c.Err() != nil {
-				return c.Err()
-			}
-			if c.Decoding() {
-				if set.has(id) {
-					return fmt.Errorf("network: duplicate awake %s %d in snapshot", what, id)
-				}
-				set.add(id)
-			}
-		}
-	}
 	if c.Decoding() {
-		// AwakeRouterIDs keeps matching the set until the next retirement.
+		n.routers.clear()
+		n.nis.clear()
 		n.awakeIDs = n.awakeIDs[:0]
-		for id := n.routers.next(-1); id >= 0; id = n.routers.next(id) {
-			n.awakeIDs = append(n.awakeIDs, int32(id))
+		for i, r := range n.Routers {
+			if !r.Idle() {
+				n.routers.add(topology.NodeID(i))
+				n.awakeIDs = append(n.awakeIDs, int32(i))
+			}
+			if !n.NIs[i].Idle() {
+				n.nis.add(topology.NodeID(i))
+			}
 		}
 	}
 	c.RNG("network rng", n.rng)
@@ -244,11 +231,11 @@ func (n *Network) snapshot(c *snap.Codec, extras []SnapshotExtra) error {
 // so a restore into a differently-shaped network fails up front: each
 // field is written from this network and, when read, must equal it.
 func (n *Network) snapshotHeader(c *snap.Codec, cycle *sim.Cycle) error {
-	magic, version := snapMagic, uint64(snapVersion)
+	version := uint64(snapVersion)
 	nodes, arch, pooling := n.Topo.NumNodes(), n.RouterArch(), !n.noPool
 	vcs, depth, ejDepth := n.Cfg.Router.NumVCs(), n.Cfg.Router.BufferDepth, ejectionDepth
-	if c.String("magic", &magic, 8); c.Err() == nil && magic != snapMagic {
-		return fmt.Errorf("network: bad snapshot magic %q", magic)
+	if c.Magic(snapMagic); c.Err() != nil {
+		return c.Err()
 	}
 	if c.U64("version", &version); c.Err() == nil && version != snapVersion {
 		return fmt.Errorf("network: unsupported snapshot version %d (want %d)", version, snapVersion)
