@@ -107,9 +107,13 @@ bench-pairs:
 # threshold or build tag switching a check off. Then the lines of
 # internal/ and cmd/ that name diagDeep or censusDebug: the network's state
 # checks (CheckConservation, CheckQuiescent) are exact at every size too.
-# Last, the files under internal/ that carry //go:build uppdebug: the tag
+# Then the files under internal/ that carry //go:build uppdebug: the tag
 # sets one constant, message.Debug, so a second per-package switch shows
-# up as a number. The target fails when a count exceeds its ceiling; CI's
+# up as a number. Last, the non-test lines of internal/ and cmd/ that read
+# the process environment: a run's configuration comes from its RunSpec,
+# the PoolOptions and the binaries' flags, and the one variable is the
+# cache directory (experiments.CacheDir, a deployment path), so a hidden
+# knob grown back shows up as a number. The target fails when a count exceeds its ceiling; CI's
 # test job runs it.
 SNAPSHOT_LINES = 1415
 DELETED_SETTINGS = \.LinkLatency\b|\.InterTileLatency|\.EjectionDepth|\.SignalTimeout|\.MaxSignalRetries|SlotsPerBoundary|HandshakeRTT|\.MSHRs|remotectl\.Config|coherence\.Config
@@ -179,6 +183,9 @@ loc:
 	@n=$$(grep -rlx '//go:build uppdebug' internal | wc -l); \
 		printf 'files %-28s %d (ceiling %d)\n' '//go:build uppdebug' $$n 1; \
 		[ $$n -le 1 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'os\.Getenv\|os\.LookupEnv\|os\.Environ'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'os.Getenv|LookupEnv|Environ' $$n 1; \
+		[ $$n -le 1 ]
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact
@@ -201,7 +208,7 @@ profile:
 	$(GO) run ./cmd/profile -cpu profiles/cpu.pprof -mem profiles/mem.pprof
 
 # Regenerate the paper's evaluation (quick durations). Runs fan out across
-# GOMAXPROCS workers (override with UPP_JOBS or `-jobs`); the output is
+# GOMAXPROCS workers (override with `-jobs`); the output is
 # bit-identical at any worker count. ~30 min single-threaded, divided by
 # roughly the core count otherwise.
 figures:

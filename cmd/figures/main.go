@@ -16,10 +16,10 @@
 // which is opt-in (not in "all") because its systems are 10-100x the
 // paper's.
 //
-// Simulation points fan out across a worker pool (-jobs, or UPP_JOBS,
-// defaulting to GOMAXPROCS); the output is bit-identical at any worker
-// count. UPP_ROUTER=oq|voq selects the router microarchitecture for the
-// experiments that do not sweep it.
+// Simulation points fan out across a worker pool (-jobs, defaulting to
+// GOMAXPROCS); the output is bit-identical at any worker count, and under
+// any -kernel and -shards. -router oq|voq selects the router
+// microarchitecture for the experiments that do not sweep it.
 package main
 
 import (
@@ -33,6 +33,8 @@ import (
 	"strings"
 
 	"uppnoc/internal/experiments"
+	"uppnoc/internal/network"
+	"uppnoc/internal/router"
 )
 
 // entries is every experiment -exp names, in output order: the dispatch and
@@ -93,12 +95,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp   = fs.String("exp", "all", "comma-separated experiment list: "+strings.Join(known(), " "))
-		full  = fs.Bool("full", false, "use the paper's 10k+100k cycle durations (slow)")
-		scale = fs.Float64("scale", 0.25, "full-system benchmark access-quota scale (1.0 = calibrated profile)")
-		csv   = fs.String("csv", "", "directory to also write CSV files into")
-		quiet = fs.Bool("q", false, "suppress progress output")
-		jobs  = fs.Int("jobs", 0, "parallel simulation workers (0 = UPP_JOBS env or GOMAXPROCS); results are bit-identical at any value")
+		exp        = fs.String("exp", "all", "comma-separated experiment list: "+strings.Join(known(), " "))
+		full       = fs.Bool("full", false, "use the paper's 10k+100k cycle durations (slow)")
+		scale      = fs.Float64("scale", 0.25, "full-system benchmark access-quota scale (1.0 = calibrated profile)")
+		csv        = fs.String("csv", "", "directory to also write CSV files into")
+		quiet      = fs.Bool("q", false, "suppress progress output")
+		jobs       = fs.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS); results are bit-identical at any value")
+		kernel     = fs.String("kernel", network.KernelActive, "cycle kernel: active | naive | parallel")
+		shards     = fs.Int("shards", 0, "with -kernel parallel: worker count (0 = GOMAXPROCS)")
+		routerArch = fs.String("router", router.ArchIQ, "router microarchitecture of the experiments that do not sweep it: iq | oq | voq")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -115,8 +120,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "figures: nothing selected (see -h)")
 		return 2
 	}
+	// Checked up front: an experiment that builds no network would not.
+	exec := network.DefaultConfig()
+	exec.Kernel, exec.Shards, exec.RouterArch = *kernel, *shards, *routerArch
+	if err := exec.Validate(); err != nil {
+		fmt.Fprintf(stderr, "figures: %v\n", err)
+		return 2
+	}
 
-	s := experiments.Settings{Dur: experiments.QuickDurations(), Scale: *scale, Opts: experiments.PoolOptions{Jobs: *jobs}}
+	opts := experiments.PoolOptions{Jobs: *jobs, Kernel: *kernel, Shards: *shards, RouterArch: *routerArch}
+	s := experiments.Settings{Dur: experiments.QuickDurations(), Scale: *scale, Opts: opts}
 	if *full {
 		s.Dur = experiments.PaperDurations()
 	}

@@ -76,3 +76,41 @@ func TestSelection(t *testing.T) {
 		t.Errorf("-exp fig7,table1 selects %v, want table order", got)
 	}
 }
+
+// TestBadExecutionFlagsRejected: an unknown -kernel or -router, or a
+// negative -shards, fails the command with exit 2 and a message naming
+// the value before any table is printed — even when the selected
+// experiment builds no network.
+func TestBadExecutionFlagsRejected(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{{"-kernel", "bogus"}, {"-router", "banyan"}, {"-shards", "-1"}} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-exp", "table1", "-q", tc.flag, tc.value}, &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.value) {
+			t.Errorf("%s %s: exit %d, stdout %q, stderr %q: want exit 2 naming %s and no table", tc.flag, tc.value, code, stdout.String(), stderr.String(), tc.value)
+		}
+	}
+}
+
+// TestExecutionFlagsReachRuns: a table is the same under every -kernel
+// and -shards, and -router, which picks the machine, changes it: the
+// flags reach the runs (TestAssembleAppliesHost in internal/experiments
+// has the pool's precedence).
+func TestExecutionFlagsReachRuns(t *testing.T) {
+	t.Setenv("UPP_CACHE_DIR", "")
+	table := func(flags ...string) string {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-exp", "load_balance", "-q"}, flags...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", flags, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	want := table()
+	for _, flags := range [][]string{{"-kernel", "naive"}, {"-kernel", "parallel", "-shards", "2"}} {
+		if got := table(flags...); got != want {
+			t.Errorf("%v changed the table:\n%s\nvs active\n%s", flags, got, want)
+		}
+	}
+	if table("-router", "voq") == want {
+		t.Error("-router voq printed the iq table: the flag does not reach the runs")
+	}
+}

@@ -17,7 +17,10 @@
 //
 //	uppsim -scheme none -rate 0.10       # watch a deadlock wedge the network
 //	uppsim -scale large -rate 0.01       # 2048-router scale-out preset
-//	UPP_KERNEL=parallel UPP_SHARDS=4 uppsim -scale huge -rate 0.005 -cycles 2000
+//	uppsim -kernel parallel -shards 4 -scale huge -rate 0.005 -cycles 2000
+//
+// -kernel and -shards pick how a run executes, never what it computes:
+// every kernel at every worker count prints the same bytes.
 //
 // Closed-loop workloads — a collective, or a full-system coherence
 // benchmark (see EXPERIMENTS.md for both spec syntaxes) — replace the
@@ -34,11 +37,11 @@
 //	uppsim -scheme upp -replay a2a.trace
 //
 // A rate-driven run can be checkpointed mid-flight and resumed
-// bit-identically; the checkpoint embeds its spec, so -restore needs no
-// other flags (DESIGN.md §14):
+// bit-identically; the checkpoint embeds its spec, so -restore takes no
+// other flag but -json, -kernel and -shards (DESIGN.md §14):
 //
 //	uppsim -scheme upp -rate 0.05 -snapshot run.upwr -at 5000
-//	uppsim -restore run.upwr
+//	uppsim -restore run.upwr -kernel parallel -shards 2
 package main
 
 import (
@@ -48,9 +51,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"uppnoc/internal/experiments"
+	"uppnoc/internal/network"
+	"uppnoc/internal/router"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
@@ -58,15 +64,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Getenv, os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is main with its process state passed in: the exit status is the
-// return value (0 ok, 1 failed run, 2 bad flags). getenv supplies the
-// -fault-plan default; the host variables (UPP_KERNEL, UPP_SHARDS,
-// UPP_ROUTER) are not read here but by internal/experiments,
-// from the process environment, when it builds each network.
-func run(args []string, getenv func(string) string, stdout, stderr io.Writer) int {
+// run is main with its output passed in: the exit status is the return
+// value (0 ok, 1 failed run, 2 bad flags). Every setting is a flag.
+func run(args []string, stdout, stderr io.Writer) int {
 	status := func(err error) int {
 		if err == nil {
 			return 0
@@ -84,7 +87,7 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		warmup     = fs.Int("warmup", 10000, "warmup cycles")
 		cycles     = fs.Int("cycles", 100000, "measured cycles")
 		faults     = fs.Int("faults", 0, "faulty links (forces up*/down* routing)")
-		faultPlan  = fs.String("fault-plan", getenv("UPP_FAULTS"), "runtime fault-injection spec, e.g. \"flaps=4,drop=0.2\" (default $UPP_FAULTS; see EXPERIMENTS.md)")
+		faultPlan  = fs.String("fault-plan", "", "runtime fault-injection spec, e.g. \"flaps=4,drop=0.2\" (see EXPERIMENTS.md)")
 		large      = fs.Bool("large", false, "use the 128-core system (fig. 9)")
 		boundaries = fs.Int("boundaries", 4, "boundary routers per chiplet")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
@@ -96,7 +99,9 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		maxCycles  = fs.Int("max-cycles", 400000, "workload completion horizon")
 		record     = fs.String("record", "", "with -workload: write the run's binary message trace to this file")
 		replay     = fs.String("replay", "", "replay a recorded trace open-loop instead of running a workload")
-		routerArch = fs.String("router", "", "router microarchitecture: iq | oq | voq (default $UPP_ROUTER, then iq)")
+		routerArch = fs.String("router", router.ArchIQ, "router microarchitecture: iq | oq | voq")
+		kernel     = fs.String("kernel", network.KernelActive, "cycle kernel: active | naive | parallel")
+		shards     = fs.Int("shards", 0, "with -kernel parallel: worker count (0 = GOMAXPROCS)")
 		scale      = fs.String("scale", "", "scale-out preset: small (512 routers) | large (2048) | huge (8192); excludes -large/-boundaries")
 		snapshot   = fs.String("snapshot", "", "write a checkpoint of the run's state to this file when it reaches -at, then continue")
 		snapAt     = fs.Int64("at", 0, "with -snapshot: absolute cycle to checkpoint at (warmup starts the timeline at 0)")
@@ -122,7 +127,7 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 	fs.Visit(func(f *flag.Flag) {
 		switch of, ok := sourceFlags[f.Name]; {
 		case misplaced != nil:
-		case *restore != "" && f.Name != "restore" && f.Name != "json":
+		case *restore != "" && !slices.Contains([]string{"restore", "json", "kernel", "shards"}, f.Name):
 			misplaced = fmt.Errorf("-restore resumes the run its checkpoint describes; -%s does not apply", f.Name)
 		case *scale != "" && (f.Name == "large" || f.Name == "boundaries"):
 			misplaced = fmt.Errorf("-scale picks the whole system; -%s does not apply", f.Name)
@@ -138,7 +143,7 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		if err != nil {
 			return status(err)
 		}
-		pt, spec, err := experiments.RunRestored(data)
+		pt, spec, err := experiments.RunRestored(data, *kernel, *shards)
 		if err != nil {
 			return status(err)
 		}
@@ -156,6 +161,8 @@ func run(args []string, getenv func(string) string, stdout, stderr io.Writer) in
 		FaultSeed:  *seed * 31,
 		FaultPlan:  *faultPlan,
 		RouterArch: *routerArch,
+		Kernel:     *kernel,
+		Shards:     *shards,
 		TraceLimit: *trace,
 		Adaptive:   *adaptive,
 		VCT:        *vct,

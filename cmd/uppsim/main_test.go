@@ -8,22 +8,22 @@ import (
 	"testing"
 )
 
-// uppsim runs the CLI in-process with UPP_KERNEL set in the process
-// environment, which is where internal/experiments reads it.
+// uppsim runs the CLI in-process, under -kernel kernel unless kernel is
+// empty.
 func uppsim(t *testing.T, kernel string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	t.Setenv("UPP_KERNEL", kernel)
+	if kernel != "" {
+		args = append([]string{"-kernel", kernel}, args...)
+	}
 	var out, errb bytes.Buffer
-	code = run(args, func(string) string { return "" }, &out, &errb)
+	code = run(args, &out, &errb)
 	return code, out.String(), errb.String()
 }
 
-// TestKernelEnvEndToEnd is the proof that moving host resolution out of
-// the libraries kept the environment interface alive: through the CLI,
-// UPP_KERNEL still selects the kernel, and all three kernels print the
-// same statistics on both an input-queued and an output-queued router, at
-// a load where UPP has popups to run.
-func TestKernelEnvEndToEnd(t *testing.T) {
+// TestKernelFlagEndToEnd: through the CLI, -kernel selects the kernel, and
+// all three kernels print the same statistics on both an input-queued and
+// an output-queued router, at a load where UPP has popups to run.
+func TestKernelFlagEndToEnd(t *testing.T) {
 	for _, arch := range []string{"iq", "oq"} {
 		t.Run(arch, func(t *testing.T) {
 			args := []string{"-scheme", "upp", "-router", arch, "-rate", "0.09", "-warmup", "500", "-cycles", "4000", "-json"}
@@ -47,33 +47,48 @@ func TestKernelEnvEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBadKernelEnvRejected: a malformed host variable fails the run with
-// a message that names it, not a silent fallback.
-func TestBadKernelEnvRejected(t *testing.T) {
-	code, stdout, stderr := uppsim(t, "bogus", "-warmup", "10", "-cycles", "10")
-	if code == 0 || stdout != "" {
-		t.Fatalf("exit %d, stdout %q: want a non-zero exit and no result", code, stdout)
+// TestBadExecutionFlagsRejected: an unknown -kernel or a negative -shards
+// fails the run, exit 1 and no result, with a message naming the value —
+// also when the result cache holds the spec's Point, which leaves the
+// kernel and shard count out of its key.
+func TestBadExecutionFlagsRejected(t *testing.T) {
+	t.Setenv("UPP_CACHE_DIR", t.TempDir())
+	base := []string{"-warmup", "10", "-cycles", "10"}
+	if code, _, stderr := uppsim(t, "", base...); code != 0 {
+		t.Fatalf("filling the cache: exit %d: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "UPP_KERNEL") || !strings.Contains(stderr, "bogus") {
-		t.Fatalf("stderr %q does not name UPP_KERNEL and the bad value", stderr)
+	for _, tc := range []struct{ flag, value string }{{"-kernel", "bogus"}, {"-shards", "-1"}} {
+		code, stdout, stderr := uppsim(t, "", append([]string{tc.flag, tc.value}, base...)...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.value) {
+			t.Errorf("%s %s: exit %d, stdout %q, stderr %q: want exit 1 naming %s", tc.flag, tc.value, code, stdout, stderr, tc.value)
+		}
 	}
 }
 
-// TestFaultPlanDefaultFromEnv: -fault-plan defaults to $UPP_FAULTS, and a
-// plan that cannot be parsed fails the run.
-func TestFaultPlanDefaultFromEnv(t *testing.T) {
-	var out, errb bytes.Buffer
-	getenv := func(k string) string {
-		if k == "UPP_FAULTS" {
-			return "nonsense=1"
+// TestBadFaultPlanRejected: a -fault-plan that cannot be parsed fails the
+// run, naming the bad key.
+func TestBadFaultPlanRejected(t *testing.T) {
+	code, stdout, stderr := uppsim(t, "", "-fault-plan", "nonsense=1", "-warmup", "10", "-cycles", "10")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "nonsense") {
+		t.Fatalf("exit %d, stdout %q, stderr %q: want exit 1 naming the bad plan key", code, stdout, stderr)
+	}
+}
+
+// TestRestoreUnderEveryKernel: -kernel and -shards are the flags -restore
+// takes besides -json, and a checkpoint resumed under any kernel prints
+// the uninterrupted run's statistics.
+func TestRestoreUnderEveryKernel(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "run.upwr")
+	args := []string{"-rate", "0.12", "-warmup", "500", "-cycles", "2000", "-json"}
+	code, want, stderr := uppsim(t, "", append(args, "-snapshot", f, "-at", "1005")...)
+	if code != 0 {
+		t.Fatalf("checkpointed run: exit %d: %s", code, stderr)
+	}
+	for _, flags := range [][]string{{"-kernel", "naive"}, {"-kernel", "parallel", "-shards", "2"}, {"-shards", "3"}} {
+		code, got, stderr := uppsim(t, "", append([]string{"-restore", f, "-json"}, flags...)...)
+		if code != 0 || got != want {
+			t.Errorf("-restore %v: exit %d: %s\n%s\nvs uninterrupted\n%s", flags, code, stderr, got, want)
 		}
-		return ""
-	}
-	if code := run([]string{"-warmup", "10", "-cycles", "10"}, getenv, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1; stderr %q", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "nonsense") {
-		t.Fatalf("stderr %q does not mention the bad plan key", errb.String())
 	}
 }
 

@@ -78,11 +78,11 @@ type RunSpec struct {
 	// stderr.
 	TraceLimit int
 	// RouterArch selects the router microarchitecture ("iq", "oq",
-	// "voq"); empty defers to UPP_ROUTER and then the iq default.
+	// "voq"); empty is iq.
 	RouterArch string
-	// Kernel and Shards are network.Config's execution strategy; a zero
-	// value defers to the host settings (UPP_KERNEL, UPP_SHARDS). They
-	// never change a result, so the cache key leaves them out.
+	// Kernel and Shards are network.Config's execution strategy; zero is
+	// network.New's default (active, GOMAXPROCS). They never change a
+	// result, so the cache key leaves them out.
 	Kernel string
 	Shards int
 }
@@ -113,9 +113,9 @@ type TrafficSource interface {
 }
 
 // Assemble builds the machine spec describes — topology (Topo or Scale,
-// static faults), scheme, network.Config, host settings, network, fault
-// plan — and is the only place in this package, uppsim and cmd/profile
-// that does. Two things follow from the spec rather than from the caller:
+// static faults), scheme, network.Config (execution strategy included),
+// network, fault plan — and is the only place in this package, uppsim
+// and cmd/profile that does. Two things follow from the spec rather than from the caller:
 // up*/down* local routing is forced by static faults or a persistent
 // plan, and the network is seeded Seed+1. (UPP hardens its signals
 // itself, exactly when a plan is attached.) The caller attaches
@@ -205,19 +205,7 @@ func Assemble(spec RunSpec) (*Sim, error) {
 	// time and would wedge on a mid-run kill).
 	cfg.UseUpDown = spec.UseUpDown || spec.Faults > 0 || spec.FaultsPerLayer > 0 || plan.Persistent()
 	cfg.Adaptive = spec.Adaptive
-	// An explicit execution-strategy field beats its host variable.
-	host, err := hostEnv()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Kernel, cfg.Shards = spec.Kernel, spec.Shards
-	if cfg.Kernel == "" {
-		cfg.Kernel = host.kernel
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = host.shards
-	}
-	cfg.RouterArch = host.arch(spec.RouterArch)
+	cfg.Kernel, cfg.Shards, cfg.RouterArch = spec.Kernel, spec.Shards, spec.RouterArch
 	n, err := network.New(topo, cfg, scheme)
 	if err != nil {
 		return nil, err

@@ -18,8 +18,8 @@ package experiments
 // kernel and shard count — because every choice is bit-identical by
 // construction (enforced by the kernel equivalence tests), so a Point
 // computed under any of them is valid for all. It deliberately includes
-// the resolved router architecture (UPP_ROUTER applies when the spec
-// leaves RouterArch empty) because that does change results.
+// the router architecture, empty resolved to iq, because that does
+// change results.
 //
 // Entries are written atomically (temp file + rename), so concurrent sweep
 // workers and concurrent processes sharing a cache directory never observe
@@ -28,6 +28,7 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -40,6 +41,7 @@ import (
 
 	"uppnoc/internal/core"
 	"uppnoc/internal/network"
+	"uppnoc/internal/router"
 	"uppnoc/internal/snap"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
@@ -114,16 +116,15 @@ type specEnvelope struct {
 // canonicalSpec canonicalizes a spec for caching. ok is false when the
 // spec cannot be addressed by content: a traffic pattern outside the
 // registered set has no canonical name, the side effects of a traced or
-// recorded run cannot come from a cache, and under malformed host settings
-// the router architecture is unknown (Assemble reports those). The random binding's stream is in no snapshot, so a warm start
-// would restart it and diverge from the cold run: its runs are refused
-// too.
+// recorded run cannot come from a cache, and a kernel or shard count that
+// network.New refuses must fail the run, not be served a result (the key
+// leaves both out). The random binding's stream is in no snapshot, so a
+// warm start would restart it and diverge from the cold run: its runs are
+// refused too.
 func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
-	if spec.TraceLimit > 0 || spec.Record || spec.UPP.Binding == "random" {
-		return specEnvelope{}, nil, false
-	}
-	host, err := hostEnv()
-	if err != nil {
+	exec := network.DefaultConfig()
+	exec.Kernel, exec.Shards = spec.Kernel, spec.Shards
+	if spec.TraceLimit > 0 || spec.Record || spec.UPP.Binding == "random" || exec.Validate() != nil {
 		return specEnvelope{}, nil, false
 	}
 	env = specEnvelope{
@@ -144,7 +145,7 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		UseUpDown:      spec.UseUpDown,
 		Adaptive:       spec.Adaptive,
 		VCT:            spec.VCT,
-		RouterArch:     host.arch(spec.RouterArch),
+		RouterArch:     cmp.Or(spec.RouterArch, router.ArchIQ),
 		DownLinks:      spec.DownLinks,
 		ChipletGate:    strings.Contains(spec.FaultPlan, "killchiplet="),
 	}
@@ -159,7 +160,7 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		}
 		env.Pattern, env.Rate, env.Warmup, env.Measure = spec.Pattern.Name(), spec.Rate, spec.Dur.Warmup, spec.Dur.Measure
 	}
-	canonical, err = json.Marshal(env)
+	canonical, err := json.Marshal(env)
 	if err != nil {
 		return specEnvelope{}, nil, false
 	}
@@ -194,9 +195,8 @@ func (e specEnvelope) runSpec() (RunSpec, error) {
 		UseUpDown:      e.UseUpDown,
 		Adaptive:       e.Adaptive,
 		VCT:            e.VCT,
-		// Stored resolved, so the rebuilt run ignores UPP_ROUTER.
-		RouterArch: e.RouterArch,
-		DownLinks:  e.DownLinks,
+		RouterArch:     e.RouterArch,
+		DownLinks:      e.DownLinks,
 	}, nil
 }
 
@@ -303,10 +303,11 @@ func splitCheckpoint(data []byte) (spec, snapshot []byte, err error) {
 	return spec, data[len(data)-c.Remaining():], nil
 }
 
-// ReadCheckpoint rebuilds the environment a checkpoint describes and
+// ReadCheckpoint rebuilds the environment a checkpoint describes under
+// the given kernel and shard count (zero: network.New's defaults) and
 // restores its state, returning the network, generator and embedded spec
 // positioned at the snapshot cycle.
-func ReadCheckpoint(data []byte) (*network.Network, *traffic.Generator, RunSpec, error) {
+func ReadCheckpoint(data []byte, kernel string, shards int) (*network.Network, *traffic.Generator, RunSpec, error) {
 	canonical, snapBytes, err := splitCheckpoint(data)
 	if err != nil {
 		return nil, nil, RunSpec{}, err
@@ -319,6 +320,7 @@ func ReadCheckpoint(data []byte) (*network.Network, *traffic.Generator, RunSpec,
 	if err != nil {
 		return nil, nil, RunSpec{}, err
 	}
+	spec.Kernel, spec.Shards = kernel, shards
 	n, g, err := BuildRun(spec)
 	if err != nil {
 		return nil, nil, RunSpec{}, err
@@ -353,12 +355,13 @@ func RunCheckpointed(spec RunSpec, at int64, out io.Writer) (Point, error) {
 	})
 }
 
-// RunRestored resumes a checkpoint container and carries the run to the
-// end of its embedded schedule, returning the Point and the embedded
-// spec. The Point is bit-identical to the uninterrupted run's (the
-// checkpoint/restore equivalence tests pin this).
-func RunRestored(data []byte) (Point, RunSpec, error) {
-	n, g, spec, err := ReadCheckpoint(data)
+// RunRestored resumes a checkpoint container under the given kernel and
+// shard count and carries the run to the end of its embedded schedule,
+// returning the Point and the embedded spec. The Point is bit-identical
+// to the uninterrupted run's under any kernel (the checkpoint/restore
+// equivalence tests pin this).
+func RunRestored(data []byte, kernel string, shards int) (Point, RunSpec, error) {
+	n, g, spec, err := ReadCheckpoint(data, kernel, shards)
 	if err != nil {
 		return Point{}, RunSpec{}, err
 	}

@@ -23,8 +23,8 @@ func TestKernelCSVGolden(t *testing.T) {
 	}
 	dur := Durations{Warmup: 500, Measure: 2500}
 	render := func(kernel string) string {
-		t.Setenv("UPP_KERNEL", kernel)
-		tables, err := Fig2(PoolOptions{Jobs: 1})
+		opts := PoolOptions{Jobs: 1, Kernel: kernel}
+		tables, err := Fig2(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestKernelCSVGolden(t *testing.T) {
 				uniform = append(uniform, c)
 			}
 		}
-		fig7, err := fig.sweep(uniform, PoolOptions{Jobs: 1})
+		fig7, err := fig.sweep(uniform, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,9 +71,8 @@ func goldenTable(t *testing.T, id, target string, shape func(*testing.T, Table))
 	for _, kernel := range []string{network.KernelActive, network.KernelNaive, network.KernelParallel} {
 		for _, jobs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s_jobs%d", kernel, jobs), func(t *testing.T) {
-				t.Setenv("UPP_KERNEL", kernel)
 				t.Setenv("UPP_CACHE_DIR", "") // simulate under the kernel, not read a result
-				tb := tableByID(t, id, PoolOptions{Jobs: jobs})
+				tb := tableByID(t, id, PoolOptions{Jobs: jobs, Kernel: kernel})
 				if kernel == network.KernelActive && jobs == 4 {
 					t.Run("completes", func(t *testing.T) { shape(t, tb) })
 				}

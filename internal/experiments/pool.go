@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"strings"
@@ -28,8 +29,14 @@ func (p Progress) log(format string, args ...interface{}) {
 
 // PoolOptions configures RunAll and the runners built on it.
 type PoolOptions struct {
-	// Jobs is the worker count; <= 0 selects UPP_JOBS, then GOMAXPROCS.
+	// Jobs is the worker count; <= 0 selects GOMAXPROCS.
 	Jobs int
+	// Kernel, Shards and RouterArch fill the RunSpec fields of the same
+	// names in every spec handed to a worker that leaves them zero; an
+	// explicit spec field wins (router_compare sweeps RouterArch).
+	Kernel     string
+	Shards     int
+	RouterArch string
 	// Progress receives the runners' status lines (may be nil). Runners
 	// may call it from worker goroutines, so implementations must be safe
 	// for concurrent use (a plain fmt.Fprintf to stderr is).
@@ -42,20 +49,21 @@ type PoolOptions struct {
 	run func(RunSpec) (Point, error)
 }
 
-// jobs resolves the effective worker count: Jobs, else the UPP_JOBS host
-// setting, else GOMAXPROCS.
-func (o PoolOptions) jobs() (int, error) {
+// jobs resolves the effective worker count: Jobs, else GOMAXPROCS.
+func (o PoolOptions) jobs() int {
 	if o.Jobs > 0 {
-		return o.Jobs, nil
+		return o.Jobs
 	}
-	h, err := hostEnv()
-	if err != nil {
-		return 0, err
-	}
-	if h.jobs > 0 {
-		return h.jobs, nil
-	}
-	return runtime.GOMAXPROCS(0), nil
+	return runtime.GOMAXPROCS(0)
+}
+
+// machine fills the kernel, shard count and router arch that spec leaves
+// zero from the options.
+func (o PoolOptions) machine(spec RunSpec) RunSpec {
+	spec.Kernel = cmp.Or(spec.Kernel, o.Kernel)
+	spec.Shards = cmp.Or(spec.Shards, o.Shards)
+	spec.RouterArch = cmp.Or(spec.RouterArch, o.RouterArch)
+	return spec
 }
 
 // RunError records one failed spec within a batch.
@@ -103,21 +111,14 @@ func (e *BatchError) Unwrap() []error {
 
 // forEachIndex runs fn(0..n-1) across at most opts.jobs() concurrent
 // workers and waits for all of them. fn must confine its writes to
-// index-addressed slots (no two workers share an index). The only error
-// is an unresolvable worker count, reported before any fn runs.
-func forEachIndex(n int, opts PoolOptions, fn func(i int)) error {
-	jobs, err := opts.jobs()
-	if err != nil || n == 0 {
-		return err
-	}
-	if jobs > n {
-		jobs = n
-	}
+// index-addressed slots (no two workers share an index).
+func forEachIndex(n int, opts PoolOptions, fn func(i int)) {
+	jobs := min(opts.jobs(), n)
 	if jobs <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		return nil
+		return
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -135,14 +136,14 @@ func forEachIndex(n int, opts PoolOptions, fn func(i int)) error {
 	}
 	close(idx)
 	wg.Wait()
-	return nil
 }
 
 // RunAll executes every spec across a bounded worker pool and returns the
 // Points in input order. A failed run does not abort the batch: its slot
 // holds a zero Point and the failure is reported in the returned
-// *BatchError (nil when every run succeeded). The result is bit-identical
-// at any worker count because each run is self-contained.
+// *BatchError (nil when every run succeeded). Each spec runs with the
+// execution fields it leaves zero taken from opts. The result is
+// bit-identical at any worker count because each run is self-contained.
 func RunAll(specs []RunSpec, opts PoolOptions) ([]Point, error) {
 	points := make([]Point, len(specs))
 	errs := make([]error, len(specs))
@@ -154,17 +155,15 @@ func RunAll(specs []RunSpec, opts PoolOptions) ([]Point, error) {
 	if run == nil {
 		run = Run
 	}
-	if err := forEachIndex(len(specs), opts, func(i int) {
-		points[i], errs[i] = run(specs[i])
+	forEachIndex(len(specs), opts, func(i int) {
+		points[i], errs[i] = run(opts.machine(specs[i]))
 		if opts.OnRun != nil {
 			mu.Lock()
 			done++
 			opts.OnRun(done, len(specs))
 			mu.Unlock()
 		}
-	}); err != nil {
-		return nil, err
-	}
+	})
 	var failed []*RunError
 	for i, err := range errs {
 		if err != nil {

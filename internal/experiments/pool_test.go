@@ -217,28 +217,15 @@ func TestRunAllProgress(t *testing.T) {
 	}
 }
 
-// TestDefaultJobs covers the worker-count chain: explicit Jobs, then
-// UPP_JOBS, then GOMAXPROCS. An unparsable UPP_JOBS is an error that
-// reaches RunAll's caller (TestHostEnv has the parsing table), except
-// under an explicit Jobs, which never consults the environment.
+// TestDefaultJobs: the worker count is Jobs, else GOMAXPROCS.
 func TestDefaultJobs(t *testing.T) {
-	t.Setenv("UPP_JOBS", "3")
-	if got, err := (PoolOptions{}).jobs(); err != nil || got != 3 {
-		t.Fatalf("UPP_JOBS=3 -> %d, %v", got, err)
+	if got := (PoolOptions{Jobs: 5}).jobs(); got != 5 {
+		t.Fatalf("explicit Jobs ignored: %d", got)
 	}
-	if got, err := (PoolOptions{Jobs: 5}).jobs(); err != nil || got != 5 {
-		t.Fatalf("explicit Jobs ignored: %d, %v", got, err)
-	}
-	t.Setenv("UPP_JOBS", "")
-	if got, err := (PoolOptions{}).jobs(); err != nil || got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("unset UPP_JOBS -> %d, %v", got, err)
-	}
-	t.Setenv("UPP_JOBS", "many")
-	if _, err := RunAll(nil, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "UPP_JOBS") {
-		t.Fatalf("RunAll under UPP_JOBS=many: err = %v, want one naming UPP_JOBS", err)
-	}
-	if got, err := (PoolOptions{Jobs: 2}).jobs(); err != nil || got != 2 {
-		t.Fatalf("explicit Jobs under a bad UPP_JOBS -> %d, %v", got, err)
+	for _, jobs := range []int{0, -2} {
+		if got := (PoolOptions{Jobs: jobs}).jobs(); got != runtime.GOMAXPROCS(0) {
+			t.Fatalf("Jobs %d -> %d, want GOMAXPROCS %d", jobs, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }
 

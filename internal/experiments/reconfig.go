@@ -67,27 +67,24 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 		err error
 	}
 	cells := make([]cell, len(modes)*len(rates))
-	err = forEachIndex(len(cells), opts, func(i int) {
+	forEachIndex(len(cells), opts, func(i int) {
 		mode := modes[i/len(rates)]
 		rate := rates[i%len(rates)]
 		opts.Progress.log("reconfig: mode=%s rate=%.2f", mode, rate)
 		cells[i].out, cells[i].err = Soak(SoakSpec{
-			RunSpec: RunSpec{
+			RunSpec: opts.machine(RunSpec{
 				Topo:      topology.BaselineConfig(),
 				Scheme:    SchemeUPP,
 				FaultPlan: fmt.Sprintf("kill=%d@%d,kill=%d@%d,mode=%s", links[0], killCycle, links[1], killCycle, mode),
 				Seed:      5,
 				Pattern:   traffic.UniformRandom{},
 				Rate:      rate,
-			},
+			}),
 			LoadCycles: int(killCycle) + dur.Measure,
 			DrainMax:   200000,
 			StallLimit: 20000,
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
 	for i, c := range cells {
 		if c.err != nil {
 			return nil, c.err

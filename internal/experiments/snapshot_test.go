@@ -42,29 +42,29 @@ func snapSpec(sch SchemeName, arch string) RunSpec {
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	kernels := []struct {
 		name   string
-		shards string
+		shards int
+		label  string // the shard count in the subtest name
 	}{
-		{"active", ""},
-		{"naive", ""},
-		{"parallel", "1"},
-		{"parallel", "4"},
+		{"active", 0, ""},
+		{"naive", 0, ""},
+		{"parallel", 1, "1"},
+		{"parallel", 4, "4"},
 	}
 	var totalPopups uint64
 	for _, k := range kernels {
 		for _, arch := range []string{"iq", "oq", "voq"} {
 			for _, sch := range []SchemeName{SchemeUPP, SchemeRemoteControl} {
-				name := fmt.Sprintf("%s/shards%s/%s/%s", k.name, k.shards, arch, sch)
+				name := fmt.Sprintf("%s/shards%s/%s/%s", k.name, k.label, arch, sch)
 				t.Run(name, func(t *testing.T) {
-					t.Setenv("UPP_KERNEL", k.name)
-					t.Setenv("UPP_SHARDS", k.shards)
 					t.Setenv("UPP_CACHE_DIR", "")
 					spec := snapSpec(sch, arch)
+					spec.Kernel, spec.Shards = k.name, k.shards
 					var buf bytes.Buffer
 					cold, err := RunCheckpointed(spec, 700, &buf)
 					if err != nil {
 						t.Fatal(err)
 					}
-					restored, rspec, err := RunRestored(buf.Bytes())
+					restored, rspec, err := RunRestored(buf.Bytes(), k.name, k.shards)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -105,7 +105,7 @@ func TestCheckpointIsPureObservation(t *testing.T) {
 			if pt != plain {
 				t.Fatalf("%s: checkpoint at %d perturbed the run:\nplain:        %+v\ncheckpointed: %+v", sch, at, pt, plain)
 			}
-			restored, _, err := RunRestored(buf.Bytes())
+			restored, _, err := RunRestored(buf.Bytes(), "", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestCheckpointCarriesUPPConfig(t *testing.T) {
 	if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, rspec, err := RunRestored(buf.Bytes())
+	restored, rspec, err := RunRestored(buf.Bytes(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCheckpointRestoreFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := RunRestored(buf.Bytes())
+	restored, _, err := RunRestored(buf.Bytes(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,7 @@ func TestCheckpointRestoreFaulted(t *testing.T) {
 // the active kernel's: a checkpoint holds simulation state only, and the
 // awake sets a kernel keeps are derived from it on restore.
 func TestCheckpointRestoreAcrossKernels(t *testing.T) {
-	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_CACHE_DIR"} {
-		t.Setenv(env, "")
-	}
+	t.Setenv("UPP_CACHE_DIR", "")
 	spec := snapSpec(SchemeUPP, "oq")
 	plain, err := Run(spec)
 	if err != nil {
@@ -204,26 +202,27 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 	if _, err := RunCheckpointed(spec, 700, &active); err != nil {
 		t.Fatal(err)
 	}
-	for _, leg := range []struct{ name, write, writeShards, read, readShards string }{
-		{"active_to_naive", network.KernelActive, "", network.KernelNaive, ""},
-		{"active_to_parallel", network.KernelActive, "", network.KernelParallel, "2"},
-		{"naive_to_active", network.KernelNaive, "", network.KernelActive, ""},
-		{"parallel2_to_active", network.KernelParallel, "2", network.KernelActive, ""},
-		{"parallel3_to_naive", network.KernelParallel, "3", network.KernelNaive, ""},
+	for _, leg := range []struct {
+		name, write, read       string
+		writeShards, readShards int
+	}{
+		{"active_to_naive", network.KernelActive, network.KernelNaive, 0, 0},
+		{"active_to_parallel", network.KernelActive, network.KernelParallel, 0, 2},
+		{"naive_to_active", network.KernelNaive, network.KernelActive, 0, 0},
+		{"parallel2_to_active", network.KernelParallel, network.KernelActive, 2, 0},
+		{"parallel3_to_naive", network.KernelParallel, network.KernelNaive, 3, 0},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			t.Setenv("UPP_KERNEL", leg.write)
-			t.Setenv("UPP_SHARDS", leg.writeShards)
+			written := spec
+			written.Kernel, written.Shards = leg.write, leg.writeShards
 			var buf bytes.Buffer
-			if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
+			if _, err := RunCheckpointed(written, 700, &buf); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), active.Bytes()) {
-				t.Fatalf("the checkpoint written under %s (UPP_SHARDS=%q) differs from the active kernel's", leg.write, leg.writeShards)
+				t.Fatalf("the checkpoint written under %s (%d shards) differs from the active kernel's", leg.write, leg.writeShards)
 			}
-			t.Setenv("UPP_KERNEL", leg.read)
-			t.Setenv("UPP_SHARDS", leg.readShards)
-			n, _, _, err := ReadCheckpoint(buf.Bytes())
+			n, _, _, err := ReadCheckpoint(buf.Bytes(), leg.read, leg.readShards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +232,7 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 			if live := n.Scheme().(*core.UPP).ActivePopups(); live == 0 {
 				t.Fatal("no popup in flight at the checkpoint: the restore does not cover popup state")
 			}
-			restored, _, err := RunRestored(buf.Bytes())
+			restored, _, err := RunRestored(buf.Bytes(), leg.read, leg.readShards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,9 +255,7 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 // The oq run is checked to hold staged flits at the checkpoint cycle, so
 // its staging section is non-trivially covered.
 func TestSnapshotBytesPinned(t *testing.T) {
-	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_CACHE_DIR"} {
-		t.Setenv(env, "")
-	}
+	t.Setenv("UPP_CACHE_DIR", "")
 	for _, pin := range [][2]string{
 		{"iq", "b23cf3013172ac4e501729cb3a6be64b8f0206931e2567171f6e3dd34d86640e"},
 		{"oq", "43b0a6c6ceb7dba0eeb838f7474fd53635a17ba52507ff643817dad5eb0d5b9c"},
@@ -272,7 +269,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 			t.Errorf("%s: checkpoint at cycle 700 (%d bytes) has sha256 %s, want %s", arch, buf.Len(), got, want)
 		}
-		n, _, _, err := ReadCheckpoint(buf.Bytes())
+		n, _, _, err := ReadCheckpoint(buf.Bytes(), "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,9 +291,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 // container must still restore through ReadCheckpoint and finish to the
 // uninterrupted run's Point.
 func TestCheckpointReadsLinkLatencyKeys(t *testing.T) {
-	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_CACHE_DIR"} {
-		t.Setenv(env, "")
-	}
+	t.Setenv("UPP_CACHE_DIR", "")
 	tiled := snapSpec(SchemeUPP, "iq")
 	tiled.Topo = topology.SystemConfig{}
 	tiled.Scale = &topology.ScaleConfig{TilesX: 2, TilesY: 1, TileW: 4, TileH: 4, ChipletsX: 2, ChipletsY: 2,
@@ -334,12 +329,12 @@ func TestCheckpointReadsLinkLatencyKeys(t *testing.T) {
 			spec = tc.old(spec)
 			container := binary.LittleEndian.AppendUint32([]byte(checkpointMagic), uint32(len(spec)))
 			container = slices.Concat(container, spec, payload)
-			if _, _, rspec, err := ReadCheckpoint(container); err != nil {
+			if _, _, rspec, err := ReadCheckpoint(container, "", 0); err != nil {
 				t.Fatalf("container with header %s: %v", spec, err)
 			} else if rspec.Topo != tc.spec.Topo || (rspec.Scale == nil) != (tc.spec.Scale == nil) {
 				t.Fatalf("header %s read back as topo %+v scale %v", spec, rspec.Topo, rspec.Scale)
 			}
-			restored, _, err := RunRestored(container)
+			restored, _, err := RunRestored(container, "", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,9 +411,7 @@ func snapReconfigSpec() RunSpec {
 // walked in both directions, so this is the check that the decode
 // direction rebuilds everything the encode direction reads.
 func TestSnapshotEverySectionReencodes(t *testing.T) {
-	for _, env := range []string{"UPP_KERNEL", "UPP_SHARDS", "UPP_ROUTER", "UPP_CACHE_DIR"} {
-		t.Setenv(env, "")
-	}
+	t.Setenv("UPP_CACHE_DIR", "")
 	type tcase struct {
 		name   string
 		spec   RunSpec

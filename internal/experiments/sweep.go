@@ -265,10 +265,7 @@ type Curve struct {
 // trading some redundant work for wall-clock).
 func SweepRatesWith(spec RunSpec, rates []float64, label string, opts PoolOptions) (Curve, error) {
 	c := Curve{Label: label}
-	wave, err := opts.jobs()
-	if err != nil {
-		return c, err
-	}
+	wave := opts.jobs()
 	past := 0
 sweep:
 	for start := 0; start < len(rates); start += wave {

@@ -226,8 +226,8 @@ func (in *Injector) EjectionStalled(node topology.NodeID, cycle sim.Cycle) bool 
 	return false
 }
 
-// maxWindows caps a window series: a spec is command-line or $UPP_FAULTS
-// input, and the injector scans every window each cycle.
+// maxWindows caps a window series: a spec is command-line input, and the
+// injector scans every window each cycle.
 const maxWindows = 10000
 
 // series is one kind of transient window as a spec describes it: n windows
@@ -279,7 +279,7 @@ func (s *series) place(rng *sim.RNG, start sim.Cycle, targets int, add func(targ
 }
 
 // ParseSpec builds a Plan from a compact comma-separated key=value spec —
-// the UPP_FAULTS / -fault-plan command-line syntax and RunSpec.FaultPlan,
+// the -fault-plan command-line syntax and RunSpec.FaultPlan,
 // the one way a run names its faults. Keys:
 //
 //	seed=N        hash seed and window-placement seed (default 1)

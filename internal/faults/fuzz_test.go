@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzFaultSpec feeds arbitrary strings to ParseSpec — the decoder of
-// -fault-plan and $UPP_FAULTS input — and installs every plan it accepts
+// -fault-plan input — and installs every plan it accepts
 // with reconfig.Attach on a baseline network. Each input must give an
 // error or a plan, never a panic, and an accepted plan must hold the
 // parser's promises: every window non-empty and inside [0, MaxInt64), the

@@ -118,8 +118,7 @@ func TestValidateShards(t *testing.T) {
 }
 
 // TestNewRejectsBadConfig: New reports a bad Config through Validate, in
-// Validate's words — in particular without blaming an environment
-// variable for a value that came from the Config.
+// Validate's words, naming the value.
 func TestNewRejectsBadConfig(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
 	for _, tc := range []struct {
@@ -129,7 +128,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}{
 		{"kernel", func(c *Config) { c.Kernel = "turbo" }, `unknown kernel "turbo"`},
 		{"router arch", func(c *Config) { c.RouterArch = "banyan" }, `unknown arch "banyan"`},
-		{"shards", func(c *Config) { c.Kernel = KernelParallel; c.Shards = -1 }, "Shards must be >= 0"},
+		{"shards", func(c *Config) { c.Kernel = KernelParallel; c.Shards = -1 }, "Shards is -1"},
 		// One past what the int16 credit counters hold.
 		{"buffer depth", func(c *Config) { c.Router.BufferDepth = 1 << 15 }, "BufferDepth must be <= 32767"},
 	} {
@@ -143,27 +142,23 @@ func TestNewRejectsBadConfig(t *testing.T) {
 			if verr := cfg.Validate(); verr == nil || verr.Error() != err.Error() {
 				t.Fatalf("New says %q, Validate says %v", err, verr)
 			}
-			if !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "UPP_") {
-				t.Fatalf("error %q: want it to contain %q and name no environment variable", err, tc.want)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q: want it to contain %q", err, tc.want)
 			}
 		})
 	}
 }
 
-// TestKernelResolution: Config.Kernel is New's only input — empty means
-// the active-set kernel, and UPP_KERNEL (resolved by internal/experiments
-// for the binaries) is not consulted at this layer, malformed or not.
+// TestKernelResolution: Config.Kernel picks the kernel, and empty means
+// the active-set kernel.
 func TestKernelResolution(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
-	for _, tc := range []struct{ name, env, cfg, want string }{
-		{"default", "", "", KernelActive},
-		{"env", KernelNaive, "", KernelActive},
-		{"config beats env", KernelNaive, KernelParallel, KernelParallel},
-		{"bad env", "turbo", "", KernelActive},
-		{"parallel env", KernelParallel, "", KernelActive},
+	for _, tc := range []struct{ name, cfg, want string }{
+		{"default", "", KernelActive},
+		{"naive", KernelNaive, KernelNaive},
+		{"parallel", KernelParallel, KernelParallel},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Setenv("UPP_KERNEL", tc.env)
 			cfg := DefaultConfig()
 			cfg.Kernel = tc.cfg
 			n, err := New(topo, cfg, None{})
@@ -177,25 +172,22 @@ func TestKernelResolution(t *testing.T) {
 	}
 }
 
-// TestShardResolution: Config.Shards is the parallel kernel's only input
-// — 0 means GOMAXPROCS, the value is clamped to the block count, and
-// UPP_SHARDS is not consulted at this layer.
+// TestShardResolution: Config.Shards is the parallel kernel's worker
+// count — 0 means GOMAXPROCS and the value is clamped to the block count.
 func TestShardResolution(t *testing.T) {
 	topo := topology.MustBuildScale(topology.ScaleSmallConfig())
 	blocks := topo.NumNodes() >> blockShift // 512 routers: 8 blocks
 	auto := min(runtime.GOMAXPROCS(0), blocks)
 	for _, tc := range []struct {
-		name, env, kernel string
-		cfg, want         int
+		name, kernel string
+		cfg, want    int
 	}{
-		{"config wins", "2", KernelParallel, 3, 3},
-		{"env", "5", KernelParallel, 0, auto},
-		{"clamped to block count", "", KernelParallel, 10_000, blocks},
-		{"bad env", "zero", KernelParallel, 0, auto},
-		{"other kernels ignore shards", "", KernelActive, 4, 0},
+		{"config wins", KernelParallel, 3, 3},
+		{"default", KernelParallel, 0, auto},
+		{"clamped to block count", KernelParallel, 10_000, blocks},
+		{"other kernels ignore shards", KernelActive, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Setenv("UPP_SHARDS", tc.env)
 			cfg := DefaultConfig()
 			cfg.Kernel = tc.kernel
 			cfg.Shards = tc.cfg

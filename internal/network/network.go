@@ -36,9 +36,8 @@ const (
 )
 
 // Config parameterizes a network instance. It is the package's only
-// input: the UPP_* environment variables are resolved into it by
-// experiments.Assemble (through hostEnv), and nothing at or below this
-// layer reads them.
+// input: experiments.Assemble fills it from a RunSpec, and no layer reads
+// the process environment for it.
 type Config struct {
 	Router router.Config
 	// RouterArch selects the router microarchitecture: router.ArchIQ (the
@@ -96,7 +95,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("network: Shards must be >= 0")
+		return fmt.Errorf("network: Shards is %d; want >= 0 (0 = GOMAXPROCS)", c.Shards)
 	}
 	return nil
 }

@@ -116,6 +116,48 @@ func TestCancelPendingWaiter(t *testing.T) {
 	}
 }
 
+// TestCancelledReservationGrantsWaiter: an NI whose only work is a
+// reservation waiter, queued behind reservations that fill its ejection
+// queue, stays awake, so when one of those reservations is cancelled —
+// which wakes nothing — the waiter is granted on the NI's next step. The
+// active and parallel kernels grant it in the same cycle as the oracle,
+// which steps every NI every cycle.
+func TestCancelledReservationGrantsWaiter(t *testing.T) {
+	grantCycle := func(kernel string) sim.Cycle {
+		log := &grantLog{}
+		cfg := network.DefaultConfig()
+		cfg.Kernel, cfg.Shards = kernel, 2
+		n := network.MustNew(topology.MustBuild(topology.BaselineConfig()), cfg, log)
+		ni := n.NI(n.Topo.Cores()[5])
+		for id := uint64(1); id <= network.EjectionDepth; id++ {
+			ni.RequestReservation(message.VNetResponse, id, n.Cycle())
+		}
+		ni.RequestReservation(message.VNetResponse, 99, n.Cycle())
+		n.Run(20)
+		if len(log.calls) != network.EjectionDepth {
+			t.Fatalf("%s: %d grants with the queue fully reserved, want %d", kernel, len(log.calls), network.EjectionDepth)
+		}
+		ni.CancelReservation(message.VNetResponse, 1)
+		for i := 0; i < 20; i++ {
+			n.Step()
+			if len(log.calls) > network.EjectionDepth {
+				if last := log.calls[len(log.calls)-1]; last.A != 99 {
+					t.Fatalf("%s: granted popup %d, want the waiter 99", kernel, last.A)
+				}
+				return n.Cycle()
+			}
+		}
+		t.Fatalf("%s: the waiter was not granted within 20 cycles of the cancel", kernel)
+		return 0
+	}
+	want := grantCycle(network.KernelNaive)
+	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
+		if got := grantCycle(kernel); got != want {
+			t.Errorf("%s kernel granted the waiter at cycle %d, the oracle at %d", kernel, got, want)
+		}
+	}
+}
+
 // TestCanAcceptHeadRespectsReservations: a reserved entry is invisible to
 // normal head admission.
 func TestCanAcceptHeadRespectsReservations(t *testing.T) {

@@ -124,20 +124,17 @@ func TestPktRing(t *testing.T) {
 }
 
 // TestPoolingConfigResolution: every network recycles packets — no Config
-// field or host variable (UPP_NOPOOL is gone) turns that off — and the
-// unpooled reference is reachable only through NewUnpooled, this package's
-// test constructor.
+// field turns that off — and the unpooled reference is reachable only
+// through NewUnpooled, this package's test constructor.
 func TestPoolingConfigResolution(t *testing.T) {
 	for _, tc := range []struct {
-		name, env string
-		unpooled  bool
+		name     string
+		unpooled bool
 	}{
-		{"default_on", "", false},
-		{"config_off", "", true},
-		{"env_off", "1", false},
+		{"default_on", false},
+		{"config_off", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Setenv("UPP_NOPOOL", tc.env)
 			build := New
 			if tc.unpooled {
 				build = NewUnpooled

@@ -87,8 +87,8 @@ func (c Config) VCIndex(v message.VNet, k int) int { return int(v)*c.VCsPerVNet 
 // VCVNet recovers the virtual network of a dense VC index.
 func (c Config) VCVNet(vc int) message.VNet { return message.VNet(vc / c.VCsPerVNet) }
 
-// Arch names for New, network.Config.RouterArch and the
-// UPP_ROUTER environment variable.
+// Arch names for New, network.Config.RouterArch and the binaries'
+// -router flags.
 const (
 	// ArchIQ is the paper's 3-stage input-queued wormhole router — the
 	// default, and the reference the golden tests pin bit-identically.
