@@ -127,6 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "figures: %v\n", err)
 		return 2
 	}
+	if *jobs < 0 {
+		fmt.Fprintf(stderr, "figures: -jobs is %d; want >= 0 (0 = GOMAXPROCS)\n", *jobs)
+		return 2
+	}
 
 	opts := experiments.PoolOptions{Jobs: *jobs, Kernel: *kernel, Shards: *shards, RouterArch: *routerArch}
 	s := experiments.Settings{Dur: experiments.QuickDurations(), Scale: *scale, Opts: opts}

@@ -78,11 +78,11 @@ func TestSelection(t *testing.T) {
 }
 
 // TestBadExecutionFlagsRejected: an unknown -kernel or -router, or a
-// negative -shards, fails the command with exit 2 and a message naming
+// negative -shards or -jobs, fails the command with exit 2 and a message naming
 // the value before any table is printed — even when the selected
 // experiment builds no network.
 func TestBadExecutionFlagsRejected(t *testing.T) {
-	for _, tc := range []struct{ flag, value string }{{"-kernel", "bogus"}, {"-router", "banyan"}, {"-shards", "-1"}} {
+	for _, tc := range []struct{ flag, value string }{{"-kernel", "bogus"}, {"-router", "banyan"}, {"-shards", "-1"}, {"-jobs", "-3"}} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-exp", "table1", "-q", tc.flag, tc.value}, &stdout, &stderr)
 		if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.value) {

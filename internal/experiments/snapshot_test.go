@@ -248,18 +248,19 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 // container around a UPWS snapshot) for every router microarchitecture:
 // the result cache keeps warm-start checkpoints across builds and
 // snapVersion only moves when the format does, so a refactor of the
-// datapath must keep writing these bytes. The digests last moved with
-// UPWS version 3, which writes its magic raw and no longer writes the
-// awake sets: the payloads are version 2's with the magic's length byte
-// and those sets removed and the version byte raised, and nothing else.
+// datapath must keep writing these bytes. The digests last moved when
+// the writer began to put each wheel slot in canonical order (flits and
+// credits sorted, then the slot's scheme calls): only the order of the
+// records within a slot moved, and a checkpoint written before reads
+// back and re-writes as these bytes.
 // The oq run is checked to hold staged flits at the checkpoint cycle, so
 // its staging section is non-trivially covered.
 func TestSnapshotBytesPinned(t *testing.T) {
 	t.Setenv("UPP_CACHE_DIR", "")
 	for _, pin := range [][2]string{
-		{"iq", "b23cf3013172ac4e501729cb3a6be64b8f0206931e2567171f6e3dd34d86640e"},
-		{"oq", "43b0a6c6ceb7dba0eeb838f7474fd53635a17ba52507ff643817dad5eb0d5b9c"},
-		{"voq", "3aecafff4d7b6779756e1128679babfbb8edbefe8f24c3bebe928acfd7f941b6"},
+		{"iq", "99c6c6dbfbc3cb56b28ad45ed42ba91a915071df0ed60ff562e5c570dd3b11a9"},
+		{"oq", "5fedc9b5e73d1a938180c23dfaa8a5c53c00945ba7906113e9eb977c42428320"},
+		{"voq", "12e4505aacef1d09a164a7fd9c72a681efae0d2fe689eadc531b450006454988"},
 	} {
 		arch, want := pin[0], pin[1]
 		var buf bytes.Buffer

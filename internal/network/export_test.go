@@ -36,3 +36,12 @@ const EjectionDepth = ejectionDepth
 func (n *Network) StallDiagnosticNow(stallLimit sim.Cycle) *StallDiagnostic {
 	return n.stallDiagnostic(stallLimit)
 }
+
+// DueEvents counts the flits and credits due at the current cycle, the
+// parallel kernel's outboxes included: what its deliver phase engages on.
+func (n *Network) DueEvents() int {
+	return len(n.wheel[n.cycle%wheelSize]) + n.par.queued[n.cycle&1]
+}
+
+// ParallelMinEvents is the deliver phase's engagement threshold.
+const ParallelMinEvents = parallelMinEvents

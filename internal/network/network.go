@@ -109,12 +109,13 @@ func (c Config) arch() string {
 }
 
 // event kinds in the delivery wheel. The values are the UPWS wire
-// encoding: 2 was the retired closure event and stays reserved so
-// snapshots written before its removal still decode.
+// encoding, where a slot's SchemeCalls are records of kind evCall (they
+// are never events); 2 was the retired closure event and stays reserved
+// so snapshots written before its removal still decode.
 const (
-	evFlit       = 0
-	evCredit     = 1
-	evSchemeCall = 3
+	evFlit   = 0
+	evCredit = 1
+	evCall   = 3
 )
 
 type event struct {
@@ -124,10 +125,7 @@ type event struct {
 	vc    int8
 	delta int8
 	free  bool
-	// aux indexes callWheel[slot] for an evSchemeCall event (the payload
-	// stays out so the struct is 32 bytes).
-	aux  int32
-	flit message.Flit
+	flit  message.Flit
 }
 
 // wheelSize bounds the maximum event latency (link latency + pipeline).
@@ -173,8 +171,8 @@ type Network struct {
 	// keeping one grown to the high-water mark.
 	wheel     [wheelSize][]event
 	wheelFree [][]event
-	// callWheel carries the SchemeCall payloads for evSchemeCall events in
-	// the matching wheel slot; event.aux points into it.
+	// callWheel holds the pending SchemeCalls by delivery cycle, in
+	// scheduling order; a slot's calls run after its flits and credits.
 	callWheel [wheelSize][]SchemeCall
 	nextID    uint64
 	tracer    Tracer
@@ -201,10 +199,10 @@ type Network struct {
 	awakeIDs []int32
 	inNIWalk bool
 
-	// wheelPending counts events resident in the wheel, the parallel
-	// kernel's outboxes included; when it is zero and nothing is awake,
-	// whole cycles are provably no-ops and Run/Drain skip them in one jump
-	// (see skipIdleCycles).
+	// wheelPending counts events and calls resident in the wheel, the
+	// parallel kernel's outboxes included; when it is zero and nothing is
+	// awake, whole cycles are provably no-ops and Run/Drain skip them in one
+	// jump (see skipIdleCycles).
 	wheelPending int
 
 	// The concurrent phases' state (see parallel.go): blocks and workers
@@ -478,8 +476,8 @@ func (n *Network) prepare(p *message.Packet) {
 // ScheduleCall delivers c to the scheme's OnScheduledCall hook at the
 // given future cycle (plugins use this for signal and popup-flit
 // timing). Calls are plain data, so a snapshot can carry the pending
-// ones; delivery order within a cycle is append order in the one wheel
-// slot shared with flit and credit events.
+// ones. A cycle's calls run in the order they were scheduled, after all
+// of the cycle's flits and credits are applied.
 func (n *Network) ScheduleCall(cycle sim.Cycle, c SchemeCall) {
 	if cycle <= n.cycle {
 		panic("network: ScheduleCall in the past or present")
@@ -487,9 +485,14 @@ func (n *Network) ScheduleCall(cycle sim.Cycle, c SchemeCall) {
 	if cycle-n.cycle >= wheelSize {
 		panic("network: ScheduleCall beyond event wheel horizon")
 	}
+	n.scheduleCall(cycle, c)
+}
+
+// scheduleCall appends c to the calls of its delivery cycle's slot.
+func (n *Network) scheduleCall(cycle sim.Cycle, c SchemeCall) {
 	slot := cycle % wheelSize
 	n.callWheel[slot] = append(n.callWheel[slot], c)
-	n.schedule(cycle, event{kind: evSchemeCall, aux: int32(len(n.callWheel[slot]) - 1)})
+	n.wheelPending++
 }
 
 // schedule appends e to the wheel slot of its delivery cycle.
@@ -507,13 +510,14 @@ func (n *Network) schedule(cycle sim.Cycle, e event) {
 	n.wheelPending++
 }
 
-// takeSlot empties the wheel slot of cycle and returns its events; the
-// caller hands the buffer back through recycleSlot once they are applied.
+// takeSlot empties the wheel slot of cycle and returns its events, taking
+// them and the slot's calls off the books; the caller hands the buffer back
+// through recycleSlot once they are applied, then runs or drops the calls.
 func (n *Network) takeSlot(cycle sim.Cycle) []event {
 	slot := cycle % wheelSize
 	events := n.wheel[slot]
 	n.wheel[slot] = nil
-	n.wheelPending -= len(events)
+	n.wheelPending -= len(events) + len(n.callWheel[slot])
 	return events
 }
 
@@ -753,7 +757,8 @@ func (n *Network) retireBlock(b int, kept []int32) (_ []int32, routers, nis int)
 	return kept, routers, nis
 }
 
-// deliverEvents drains the current wheel slot. A flit wakes the router it
+// deliverEvents drains the current wheel slot: its flits and credits in
+// any order (DESIGN.md §9), then its calls. A flit wakes the router it
 // lands on and a local-port credit the NI. A credit to a router wakes
 // nothing: one with buffered flits is already awake (only ReceiveFlit
 // adds flits, and delivery wakes first), and an empty one would step to
@@ -761,9 +766,6 @@ func (n *Network) retireBlock(b int, kept []int32) (_ []int32, routers, nis int)
 // read it (DESIGN.md §7).
 func (n *Network) deliverEvents(cycle sim.Cycle) {
 	events := n.takeSlot(cycle)
-	slot := cycle % wheelSize
-	calls := n.callWheel[slot]
-	n.callWheel[slot] = calls[:0]
 	for i := range events {
 		e := &events[i]
 		switch e.kind {
@@ -780,15 +782,23 @@ func (n *Network) deliverEvents(cycle sim.Cycle) {
 			} else {
 				n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
 			}
-		case evSchemeCall:
-			n.scheme.OnScheduledCall(calls[e.aux], cycle)
 		}
 	}
 	n.recycleSlot(events)
-	// Clear the drained call payloads too — they carry flit packet refs.
+	n.runCalls(cycle)
+}
+
+// runCalls hands the current slot's SchemeCalls to the scheme in the
+// order they were scheduled. A call can schedule only later cycles, so
+// the slot does not grow while it runs.
+func (n *Network) runCalls(cycle sim.Cycle) {
+	slot := cycle % wheelSize
+	calls := n.callWheel[slot]
 	for i := range calls {
-		calls[i] = SchemeCall{}
+		n.scheme.OnScheduledCall(calls[i], cycle)
 	}
+	clear(calls) // they carry flit packet refs
+	n.callWheel[slot] = calls[:0]
 }
 
 // Step advances the system by one cycle, stepping only awake components.
@@ -826,7 +836,7 @@ func (n *Network) Step() {
 		p.stepPhases++
 		p.run(phaseStep)
 		p.clock.lap(PhaseCompute)
-		p.commit(cycle)
+		p.commit()
 		p.clock.lap(PhaseCommit)
 	} else if n.routers.count > 0 {
 		p.inlinePhases++
@@ -892,7 +902,7 @@ func (n *Network) skipIdleCycles(limit sim.Cycle) {
 	}
 	n.flush()
 	for c := n.cycle; c < limit; c++ {
-		if len(n.wheel[c%wheelSize]) > 0 {
+		if len(n.wheel[c%wheelSize]) > 0 || len(n.callWheel[c%wheelSize]) > 0 {
 			n.cycle = c
 			return
 		}

@@ -7,29 +7,28 @@
 // from a package-level pool. Every pass over routers and NIs that can
 // run per block runs on the worker that owns the block, which keeps a
 // router's state in one core's cache; the coordinator keeps the work
-// whose order matters. Step: after the scheme's StartOfCycle every worker
-// steps the awake routers of its blocks in ascending NodeID order;
-// Router.Step's concurrency contract keeps a step to the router's own
-// state, its flits and credits go to the stepping worker's outboxes, split
-// by the worker that owns the receiver, and its ejections to the block's
-// log, which the commit replays in ascending block order. Deliver: every
-// worker applies the outboxes addressed to it and its routers' and NIs'
-// events of the central wheel slot, waking its own routers and NIs. Retire: every worker
-// removes the idle routers and NIs of its blocks from the awake sets and
-// lists each block's survivors (Network.retireBlock); the coordinator then
-// concatenates the lists. ForEachBlock runs a scheme's per-block pass
-// (UPP's detection scan) the same way. The NI walk stays on the
-// coordinator.
+// whose order matters. Deliver: every worker applies the outboxes
+// addressed to it and its routers' and NIs' events of the central wheel
+// slot, waking its own routers and NIs; a slot's flits and credits
+// commute, so no worker needs another's order, and the coordinator runs
+// the slot's SchemeCalls after the join. Step: after the scheme's
+// StartOfCycle every worker steps the awake routers of its blocks in
+// ascending NodeID order; Router.Step's concurrency contract keeps a step
+// to the router's own state, its flits and credits go to the stepping
+// worker's outboxes, split by the worker that owns the receiver, and its
+// ejections to the block's log, which the commit replays in ascending
+// block order. Retire: every worker removes the idle routers and NIs of
+// its blocks from the awake sets and lists each block's survivors
+// (Network.retireBlock); the coordinator then concatenates the lists.
+// ForEachBlock runs a scheme's per-block pass (UPP's detection scan) the
+// same way. The NI walk stays on the coordinator.
 //
-// Whatever reads a wheel slot in order — serial delivery of a slot with a
-// SchemeCall, delivery below the engagement threshold, a snapshot, the idle
-// skip, the state checks — first merges the slot's outboxes into it at the
-// merge points the commit recorded, which rebuilds the order the sequential
-// walk appends in, whatever the worker count.
+// Whatever reads a whole wheel slot — a snapshot, the idle skip, the state
+// checks — first appends the slot's outboxes to it (mergeSlot); a snapshot
+// writes the slot in canonical order, so the worker count leaves no trace.
 package network
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -44,8 +43,8 @@ import (
 const (
 	// Engagement thresholds: a cycle with fewer awake routers steps them
 	// and runs ForEachBlock's blocks inline, with fewer awake routers and
-	// NIs it retires inline, and a slot with fewer events is delivered
-	// inline — a hand-off would cost more.
+	// NIs it retires inline, and a slot with fewer flits and credits runs
+	// every worker's delivery share inline — a hand-off would cost more.
 	parallelMinAwake  = 16
 	parallelMinEvents = 64
 	// blockShift sizes the blocks: 64 NodeIDs, one awakeSet word, small
@@ -85,12 +84,6 @@ type ejection struct {
 type block struct {
 	p     *parallel
 	shard *shard // the owner's
-	// seqEnd[at&1][kind] is the owner's sequence number after this
-	// block's routers stepped: the block's events of an outbox list set
-	// are the ones numbered below it and at or above the previous block's.
-	// mergeAt[at&1][kind] is where they join the slot: the slot's length
-	// when the commit reached this block.
-	seqEnd, mergeAt [2][2]int32
 	// ejects is the step phase's ejections in emission order.
 	ejects []ejection
 	// awake is the retirement phase's survivors, this block's part of
@@ -117,26 +110,25 @@ func (b *block) DeliverCredit(to topology.NodeID, port topology.PortID, vc int8,
 }
 
 // emit appends e, due at cycle at, to the owner's outbox for the worker
-// that owns the receiver, numbering it in the owner's emission order.
+// that owns the receiver.
 func (b *block) emit(at sim.Cycle, e event) {
 	s, par := b.shard, at&1
-	e.aux = s.seq[par][e.kind]
-	s.seq[par][e.kind]++
-	l := &s.out[par][e.kind][b.p.owner[e.to>>blockShift]]
+	s.emitted[par]++
+	l := &s.out[par][b.p.owner[e.to>>blockShift]]
 	*l = append(*l, e)
 }
 
 // shard is one worker's state in the concurrent phases.
 type shard struct {
-	// out[at&1][kind][w] holds the flits (kind evFlit) and credits
-	// (evCredit) the worker's routers emitted in a step phase, due at
-	// cycle at, for routers and NIs of worker w; worker w empties its
-	// lists in the deliver phase. A flit emitted at cycle T is due at T+2
-	// and a credit at T+1, so each list holds one step phase's emissions
-	// for one slot. aux numbers the events of a list set in emission
-	// order (seq), which a merge restores.
-	out [2][2][][]event
-	seq [2][2]int32
+	// out[at&1][w] holds the flits and credits the worker's routers
+	// emitted, due at cycle at, for routers and NIs of worker w; worker w
+	// empties its lists in the deliver phase. A flit emitted at cycle T
+	// is due at T+2 and a credit at T+1, so a list holds the events of
+	// one slot: one step phase's flits and the next one's credits.
+	out [2][][]event
+	// emitted[at&1] counts the current step phase's additions to out,
+	// which the commit puts on the wheel's books.
+	emitted [2]int
 	// The worker's change to the awake sets' population counts, folded in
 	// by the coordinator after the join.
 	routers, nis int
@@ -156,11 +148,10 @@ type parallel struct {
 	// share runs on the coordinator.
 	helpers []*poolWorker
 	offered []bool // per worker: its share of this phase went to the helper
-	cursor  []int  // mergeSlot's read positions, per (emitter, receiver)
 
 	// queued counts the outbox events due at the cycles of each parity.
 	// The outboxes are part of the wheel: wheelPending counts queued, and
-	// a slot's reader merges first (mergeSlot).
+	// a reader of a whole slot merges first (mergeSlot).
 	queued [2]int
 
 	// The current phase's inputs, written before the hand-off publishes
@@ -195,14 +186,11 @@ func (n *Network) initParallel(workers int) {
 	p.shards = make([]shard, workers)
 	p.owner = make([]int32, nb)
 	p.offered = make([]bool, workers)
-	p.cursor = make([]int, workers*workers)
 	p.workerPhases = make([]uint64, workers)
 	p.wake = make(chan struct{}, 1)
 	for w := range p.shards {
 		for par := range p.shards[w].out {
-			for kind := range p.shards[w].out[par] {
-				p.shards[w].out[par][kind] = make([][]event, workers)
-			}
+			p.shards[w].out[par] = make([][]event, workers)
 		}
 	}
 	for b := range p.blocks {
@@ -272,31 +260,31 @@ func (p *parallel) eachBlock(first, stride int) {
 	}
 }
 
-// deliver drains the current wheel slot. A slot holding a SchemeCall (those
-// may touch anything) or too few events for a hand-off is merged and
-// delivered serially by deliverEvents; otherwise every worker applies its
-// own events.
+// deliver drains the current wheel slot: every worker applies its own
+// flits and credits, concurrently or, below the engagement threshold,
+// inline; then the coordinator runs the slot's calls.
 func (p *parallel) deliver(cycle sim.Cycle) {
-	n := p.net
-	slot, par := cycle%wheelSize, cycle&1
-	if len(n.callWheel[slot]) > 0 || len(n.wheel[slot])+p.queued[par] < parallelMinEvents {
-		p.mergeSlot(cycle)
-		n.deliverEvents(cycle)
-		return
-	}
+	n, par := p.net, cycle&1
 	events := n.takeSlot(cycle)
 	n.wheelPending -= p.queued[par]
 	p.events = events
-	p.run(phaseDeliver)
+	if len(events)+p.queued[par] < parallelMinEvents {
+		for w := range p.shards {
+			p.deliverShare(w, cycle)
+		}
+	} else {
+		p.run(phaseDeliver)
+	}
 	p.events = nil
+	p.queued[par] = 0
 	p.fold()
-	p.drained(par)
 	// The coordinator drops the slot's packet pointers (see deliverEvents):
 	// a worker writing into the slot would bounce the lines the others read.
 	for i := range events {
 		events[i].flit.Pkt = nil
 	}
 	n.recycleSlot(events)
+	n.runCalls(cycle)
 }
 
 // deliverShare applies worker w's part of the slot being delivered: its
@@ -311,15 +299,13 @@ func (p *parallel) deliverShare(w int, cycle sim.Cycle) {
 			n.apply(e, cycle, s)
 		}
 	}
-	for kind := range 2 {
-		for from := range p.shards {
-			l := p.shards[from].out[par][kind][w]
-			for i := range l {
-				n.apply(&l[i], cycle, s)
-				l[i].flit.Pkt = nil
-			}
-			p.shards[from].out[par][kind][w] = l[:0]
+	for from := range p.shards {
+		l := p.shards[from].out[par][w]
+		for i := range l {
+			n.apply(&l[i], cycle, s)
+			l[i].flit.Pkt = nil
 		}
+		p.shards[from].out[par][w] = l[:0]
 	}
 }
 
@@ -342,76 +328,25 @@ func (n *Network) apply(e *event, cycle sim.Cycle, s *shard) {
 	}
 }
 
-// drained forgets the outboxes of the parity just delivered or merged.
-func (p *parallel) drained(par sim.Cycle) {
-	p.queued[par] = 0
-	for w := range p.shards {
-		p.shards[w].seq[par] = [2]int32{}
-	}
-	for b := range p.blocks {
-		p.blocks[b].mergeAt[par] = [2]int32{}
-	}
-}
-
-// mergeSlot merges the outboxes due at cycle into its wheel slot: block b's
-// part of each list set, in emission order, goes in at its merge point —
-// the order in which the sequential walk appends.
+// mergeSlot appends the outboxes due at cycle to its wheel slot.
 func (p *parallel) mergeSlot(cycle sim.Cycle) {
 	par := cycle & 1
 	if p.queued[par] == 0 {
-		p.drained(par)
 		return
 	}
 	n := p.net
-	slot := cycle % wheelSize
-	events := n.wheel[slot]
-	var merged []event
-	if k := len(n.wheelFree); k > 0 {
-		merged, n.wheelFree = n.wheelFree[k-1], n.wheelFree[:k-1]
-	}
-	k := 0
-	for kind := range 2 {
-		clear(p.cursor)
-		for b := range p.blocks {
-			if mp := int(p.blocks[b].mergeAt[par][kind]); mp > k {
-				merged = append(merged, events[k:mp]...)
-				k = mp
+	for w := range p.shards {
+		lists := p.shards[w].out[par]
+		for to, l := range lists {
+			for i := range l {
+				n.schedule(cycle, l[i])
 			}
-			from := int(p.owner[b])
-			merged = p.appendBlock(merged, p.shards[from].out[par][kind], p.cursor[from*p.workers:][:p.workers], p.blocks[b].seqEnd[par][kind])
-		}
-		for w := range p.shards {
-			lists := p.shards[w].out[par][kind]
-			for to, l := range lists {
-				clear(l) // no packet pointer kept
-				lists[to] = l[:0]
-			}
+			clear(l) // no packet pointer kept
+			lists[to] = l[:0]
 		}
 	}
-	n.wheel[slot] = append(merged, events[k:]...)
-	n.recycleSlot(events)
-	p.drained(par)
-}
-
-// appendBlock appends one block's part of an emitter's list set to dst in
-// emission order — a merge of the per-receiver lists by sequence number,
-// up to end — advancing the read positions cur.
-func (p *parallel) appendBlock(dst []event, lists [][]event, cur []int, end int32) []event {
-	for {
-		best := -1
-		for w, l := range lists {
-			if i := cur[w]; i < len(l) && l[i].aux < end && (best < 0 || l[i].aux < lists[best][cur[best]].aux) {
-				best = w
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		e := lists[best][cur[best]]
-		cur[best]++
-		e.aux = 0
-		dst = append(dst, e)
-	}
+	n.wheelPending -= p.queued[par]
+	p.queued[par] = 0
 }
 
 // flush merges every outbox into the wheel: between cycles they hold the
@@ -423,42 +358,27 @@ func (n *Network) flush() {
 	}
 }
 
-// commit replays the step phase's ejections in ascending block order — the
-// order the sequential walk ejects in — and records where each block's
-// part of the new outbox lists joins its slot: before the block's own
-// replay, so what the replay schedules lands after the block's events and
-// before the next block's. That is the sequential order only while a
-// replay schedules nothing into the outboxes' slots, where the walk would
-// put it among the block's emissions; NI.AcceptFlit schedules nothing
-// there, and Debug builds check it. commit also puts the new outbox events
-// on the wheel's books.
-func (p *parallel) commit(cycle sim.Cycle) {
+// commit replays the step phase's ejections in ascending block order —
+// the order the sequential walk ejects in — and puts the phase's outbox
+// events on the wheel's books.
+func (p *parallel) commit() {
 	n := p.net
-	// A flit emitted at cycle is due at cycle+2, a credit at cycle+1.
-	fp, cp := (cycle+2)&1, (cycle+1)&1
-	fs, cs := (cycle+2)%wheelSize, (cycle+1)%wheelSize
 	for b := range p.blocks {
 		blk := &p.blocks[b]
-		blk.mergeAt[fp][evFlit] = int32(len(n.wheel[fs]))
-		blk.mergeAt[cp][evCredit] = int32(len(n.wheel[cs]))
 		for i := range blk.ejects {
 			e := &blk.ejects[i]
 			n.NIs[e.ni].AcceptFlit(e.flit, e.at)
 			e.flit.Pkt = nil
 		}
-		if message.Debug && (len(n.wheel[fs]) != int(blk.mergeAt[fp][evFlit]) || len(n.wheel[cs]) != int(blk.mergeAt[cp][evCredit])) {
-			panic(fmt.Sprintf("network: cycle %d: block %d's ejection replay scheduled into an outbox slot", cycle, b))
-		}
 		blk.ejects = blk.ejects[:0]
 	}
-	// The lists were empty when the phase began (drained), so the
-	// sequence numbers count this phase's emissions.
 	for w := range p.shards {
 		s := &p.shards[w]
-		flits, credits := int(s.seq[fp][evFlit]), int(s.seq[cp][evCredit])
-		p.queued[fp] += flits
-		p.queued[cp] += credits
-		n.wheelPending += flits + credits
+		for par, k := range s.emitted {
+			p.queued[par] += k
+			n.wheelPending += k
+		}
+		s.emitted = [2]int{}
 	}
 }
 
@@ -505,12 +425,8 @@ func (p *parallel) runShare(w int) {
 	case phaseDeliver:
 		p.deliverShare(w, cycle)
 	case phaseStep:
-		s := &p.shards[w]
-		fp, cp := (cycle+2)&1, (cycle+1)&1
 		for b := w; b < len(p.blocks); b += p.workers {
 			n.stepBlock(b, cycle)
-			p.blocks[b].seqEnd[fp][evFlit] = s.seq[fp][evFlit]
-			p.blocks[b].seqEnd[cp][evCredit] = s.seq[cp][evCredit]
 		}
 	case phaseRetire:
 		s := &p.shards[w]

@@ -30,8 +30,8 @@ func smallTopo() *topology.Topology { return topology.MustBuildScale(topology.Sc
 // parallelCases are the determinism grid.
 var parallelCases = []equivCase{
 	// UPP past the saturation knee: detection, signals, circuit drain and
-	// CallPopupEjected completions (slots with SchemeCalls fall back to
-	// serial delivery in the middle of parallel ones).
+	// CallPopupEjected completions (slots whose SchemeCalls run after a
+	// concurrent deliver phase).
 	{name: "upp", topo: baseline, scheme: "upp", rate: 0.12, cycles: 4000, upward: true},
 	// Remote control's StartOfCycle reads router occupancy between the
 	// deliver and step phases, and the deliver phase's workers charge its
@@ -81,8 +81,8 @@ func engaged(inline bool) func(*testing.T, *equivRun) {
 // (ascending NodeID) determines the result. Worker counts that do not
 // divide the block count (3, 7) and ones above it (clamped) are in the
 // grid. Every run's snapshots, mid-run and final, are the active kernel's
-// bytes, so the wheel slots they serialize hold the sequential order of
-// events (SchemeCalls included, in the UPP case). Deliberately not skipped
+// bytes: the writer puts each wheel slot in canonical order, its
+// SchemeCalls last (in the UPP case). Deliberately not skipped
 // in -short mode: this is the core safety net for the concurrent phases
 // and CI runs it under -race.
 func TestParallelShardDeterminism(t *testing.T) {
@@ -100,6 +100,71 @@ func TestParallelShardDeterminism(t *testing.T) {
 			c.vet = engaged(c.name == "small_corner")
 			c.equivalent(t, variants...)
 		})
+	}
+}
+
+// slotView is a scheme that, from every StartOfCycle, schedules a call
+// two cycles on, and records how many flits one router holds as each of
+// the two hooks sees it, by cycle.
+type slotView struct {
+	network.BaseScheme
+	n           *network.Network
+	watch       topology.NodeID
+	start, call []int
+}
+
+func (*slotView) Name() string                { return "slot_view" }
+func (*slotView) Inert() bool                 { return false }
+func (s *slotView) Attach(n *network.Network) { s.n = n }
+
+func (s *slotView) StartOfCycle(c sim.Cycle) {
+	s.start[c] = s.n.Routers[s.watch].Buffered()
+	s.n.ScheduleCall(c+2, network.SchemeCall{})
+}
+
+func (s *slotView) OnScheduledCall(_ network.SchemeCall, c sim.Cycle) {
+	s.call[c] = s.n.Routers[s.watch].Buffered()
+}
+
+// TestSchemeCallSeesSlotFlits pins the delivery rule (DESIGN.md §9): a
+// wheel slot's scheme calls run after all of its flits and credits, so a
+// call sees a router as the same cycle's StartOfCycle does — under every
+// kernel and worker count, at a load that engages the concurrent deliver
+// phase. The watched router is core 0's boundary router, which every
+// packet leaving core 0's chiplet crosses.
+func TestSchemeCallSeesSlotFlits(t *testing.T) {
+	const cycles = 1500
+	for _, v := range []variant{naive, active, {kernel: network.KernelParallel, shards: 1}, {kernel: network.KernelParallel, shards: 2}} {
+		s := &slotView{start: make([]int, cycles), call: make([]int, cycles)}
+		cfg := network.DefaultConfig()
+		cfg.Kernel, cfg.Shards = v.kernel, v.shards
+		n, err := network.New(baseline(), cfg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.watch = n.Topo.Nodes[0].BoundBoundary
+		g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.08, 42)
+		due := 0
+		for range cycles {
+			due = max(due, n.DueEvents())
+			g.Tick(n.Cycle())
+			n.Step()
+		}
+		if due < network.ParallelMinEvents {
+			t.Fatalf("%s: at most %d flits and credits due in a cycle, under the deliver phase's threshold %d", v, due, network.ParallelMinEvents)
+		}
+		arrivals := 0
+		for c := 2; c < cycles; c++ {
+			if s.call[c] != s.start[c] {
+				t.Fatalf("%s: cycle %d: the scheme call saw %d flits at router %d, StartOfCycle %d", v, c, s.call[c], s.watch, s.start[c])
+			}
+			if s.start[c] > s.start[c-1] {
+				arrivals++
+			}
+		}
+		if arrivals == 0 {
+			t.Fatalf("%s: no flit arrived at router %d", v, s.watch)
+		}
 	}
 }
 

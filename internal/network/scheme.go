@@ -65,10 +65,11 @@ const (
 // finds no stalled head (DESIGN.md §7).
 //
 // Concurrency contract (parallel kernel): every hook runs on the
-// coordinating goroutine, never during a concurrent phase — StartOfCycle
-// between the deliver and step phases, EndOfCycle after the retirement
-// phase, the injection gate during the sequential NI walk, CallPopupEjected
-// from the commit replay of deferred ejections. Hooks may therefore freely
+// coordinating goroutine, never during a concurrent phase — scheduled
+// calls after the deliver phase's join, StartOfCycle between the deliver
+// and step phases, EndOfCycle after the retirement phase, the injection
+// gate during the sequential NI walk, CallPopupEjected from the commit
+// replay of deferred ejections. Hooks may therefore freely
 // touch global state. A hook may hand a per-block pass to
 // Network.ForEachBlock, whose calls run concurrently on the blocks' workers
 // under that function's contract (UPP's detection scan). The route override and the boundary-crossing delay are
@@ -101,7 +102,8 @@ type Scheme interface {
 	// (true) is only correct for schemes whose hooks are no-ops.
 	Inert() bool
 	// OnScheduledCall delivers a SchemeCall the scheme previously passed
-	// to Network.ScheduleCall, at its scheduled cycle, and the calls an NI
+	// to Network.ScheduleCall, at its scheduled cycle once the cycle's flits
+	// and credits are delivered, and the calls an NI
 	// hands straight to the scheme (CallReservationGranted,
 	// CallPopupEjected). Schemes that see none keep the no-op default.
 	OnScheduledCall(c SchemeCall, cycle sim.Cycle)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -262,53 +263,59 @@ func (n *Network) snapshotHeader(c *snap.Codec, cycle *sim.Cycle) error {
 	return c.Err()
 }
 
-// snapshotWheel walks the event wheel, outboxes merged in first (flush).
-// Slot indices are cycle%wheelSize, and the cycle is restored verbatim, so
-// slots map 1:1; decoding empties each slot and re-schedules what it reads.
+// snapshotWheel walks the event wheel, outboxes merged in first (flush), each
+// slot in canonical order (DESIGN.md §14). The cycle is restored verbatim, so
+// decoding empties slot i and re-schedules what it reads into it, in any order.
 func (n *Network) snapshotWheel(c *snap.Codec) error {
 	n.flush()
 	nodes, nvc := int64(n.Topo.NumNodes()), n.Cfg.Router.NumVCs()
 	for si := range n.wheel {
-		events := n.wheel[si]
+		events, calls := n.wheel[si], n.callWheel[si]
 		if c.Decoding() {
 			n.recycleSlot(n.takeSlot(sim.Cycle(si)))
-			n.callWheel[si] = n.callWheel[si][:0]
-		}
-		cnt := c.Len("wheel slot count", len(events), c.InputLen())
-		for ei := 0; ei < cnt; ei++ {
-			var e event
-			var call SchemeCall
-			if !c.Decoding() {
-				if e = events[ei]; e.kind == evSchemeCall {
-					call = n.callWheel[si][e.aux]
+			n.callWheel[si] = calls[:0]
+		} else {
+			slices.SortStableFunc(events, func(a, b event) int {
+				if k := cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.to, b.to), cmp.Compare(a.port, b.port),
+					cmp.Compare(a.vc, b.vc), cmp.Compare(a.delta, b.delta)); k != 0 || a.free == b.free {
+					return k
 				}
+				return map[bool]int{false: -1, true: 1}[a.free]
+			})
+		}
+		for ei := range c.Len("wheel slot count", len(events)+len(calls), c.InputLen()) {
+			e, call := event{kind: evCall}, SchemeCall{}
+			if !c.Decoding() && ei < len(events) {
+				e = events[ei]
+			} else if !c.Decoding() {
+				call = calls[ei-len(events)]
 			}
 			snap.Uint(c, "event kind", &e.kind, math.MaxUint8)
-			if c.Decoding() && e.kind != evFlit && e.kind != evCredit && e.kind != evSchemeCall {
-				c.Fail("event kind %d invalid in a snapshot", e.kind)
-			}
 			snap.Int(c, "event to", &e.to, -1, nodes-1)
 			snap.Int(c, "event port", &e.port, -1, 127)
 			snap.Int(c, "event vc", &e.vc, -128, 127)
 			snap.Int(c, "event delta", &e.delta, -128, 127)
 			c.Bool("event free", &e.free)
 			c.Flit(&e.flit)
-			if c.Decoding() && c.Err() == nil && e.kind != evSchemeCall {
-				// Delivery indexes the target's flat storage unchecked.
-				switch {
-				case e.to < 0:
-					c.Fail("event to %d: a flit or credit needs a target router", e.to)
-				case e.port < 0 || int(e.port) >= len(n.Routers[e.to].In):
-					c.Fail("event port %d: router %d has %d ports", e.port, e.to, len(n.Routers[e.to].In))
-				case e.vc < 0 || int(e.vc) >= nvc:
-					c.Fail("event vc %d: ports have %d VCs", e.vc, nvc)
-				case e.delta < 0 || e.delta > 1:
-					c.Fail("event delta %d: a credit returns 0 or 1 slots", e.delta)
-				case e.kind == evFlit && e.flit.Pkt == nil:
-					c.Fail("event flit: a flit event carries no packet")
-				}
+			// Delivery indexes the target's storage unchecked: schedule only what it can take.
+			switch {
+			case !c.Decoding() || c.Err() != nil || e.kind == evCall:
+			case e.kind != evFlit && e.kind != evCredit:
+				c.Fail("event kind %d invalid in a snapshot", e.kind)
+			case e.to < 0:
+				c.Fail("event to %d: a flit or credit needs a target router", e.to)
+			case e.port < 0 || int(e.port) >= len(n.Routers[e.to].In):
+				c.Fail("event port %d: router %d has %d ports", e.port, e.to, len(n.Routers[e.to].In))
+			case e.vc < 0 || int(e.vc) >= nvc:
+				c.Fail("event vc %d: ports have %d VCs", e.vc, nvc)
+			case e.delta < 0 || e.delta > 1:
+				c.Fail("event delta %d: a credit returns 0 or 1 slots", e.delta)
+			case e.kind == evFlit && e.flit.Pkt == nil:
+				c.Fail("event flit: a flit event carries no packet")
+			default:
+				n.schedule(sim.Cycle(si), e)
 			}
-			if e.kind == evSchemeCall {
+			if e.kind == evCall {
 				snap.Uint(c, "call kind", &call.Kind, math.MaxUint8)
 				snap.Int(c, "call node", &call.Node, -1, nodes-1)
 				c.U64("call a", &call.A)
@@ -317,20 +324,13 @@ func (n *Network) snapshotWheel(c *snap.Codec) error {
 				if c.Bool("call hasflit", &call.HasFlit); call.HasFlit {
 					c.Flit(&call.Flit)
 				}
-			}
-			if c.Err() != nil {
-				return c.Err()
-			}
-			if c.Decoding() {
-				if e.kind == evSchemeCall {
-					n.callWheel[si] = append(n.callWheel[si], call)
-					e.aux = int32(len(n.callWheel[si]) - 1)
+				if c.Decoding() && c.Err() == nil {
+					n.scheduleCall(sim.Cycle(si), call)
 				}
-				n.schedule(sim.Cycle(si), e)
 			}
 		}
 	}
-	return nil
+	return c.Err()
 }
 
 // snapshot walks the NI's injection and ejection state. Reservation

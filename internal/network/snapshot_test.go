@@ -28,13 +28,15 @@ func (c *callLog) OnScheduledCall(sc SchemeCall, cycle sim.Cycle) {
 	c.got = append(c.got, deliveredCall{cycle, sc})
 }
 
-// wheelKinds reports which event kinds are resident in the wheel.
+// wheelKinds reports which event kinds are resident in the wheel, scheme
+// calls under their UPWS record kind, 3.
 func wheelKinds(n *Network) map[uint8]int {
 	kinds := map[uint8]int{}
 	for si := range n.wheel {
 		for _, e := range n.wheel[si] {
 			kinds[e.kind]++
 		}
+		kinds[3] += len(n.callWheel[si])
 	}
 	return kinds
 }
@@ -61,7 +63,7 @@ func loadedWheelNet(t *testing.T) (*Network, *callLog) {
 	n.ScheduleCall(n.Cycle()+9, SchemeCall{Kind: 4, Node: -1, Flit: message.Flit{Pkt: payload, Seq: 2}, HasFlit: true})
 	n.ScheduleCall(n.Cycle()+wheelSize-1, SchemeCall{Kind: 255, Hop: 4 * int32(n.Topo.NumNodes())})
 	kinds := wheelKinds(n)
-	if kinds[evFlit] == 0 || kinds[evCredit] == 0 || kinds[evSchemeCall] != 4 {
+	if kinds[evFlit] == 0 || kinds[evCredit] == 0 || kinds[3] != 4 {
 		t.Fatalf("wheel does not hold all three event kinds: %v", kinds)
 	}
 	return n, log
