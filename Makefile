@@ -99,10 +99,15 @@ bench-pairs:
 # boundary-router turn, bounded by the topology's turn count, not by a
 # fixed cap that larger systems exceed. Then BaseScheme's
 # no-op stubs in scheme.go: the methods every scheme without that hook
-# pads out. Then the non-test lines of internal/topology that call
-# t.addLink: every system is a chiplet list built by one construction loop
-# (build, which BuildScale and BuildHetero end in), so a second builder
-# shows up as a number. Then the lines of internal/ and cmd/ that name
+# pads out. Then the non-test lines of internal/ and cmd/ that name
+# Inert(), skipIdleCycles, canSkipIdleCycles or wheelPending: the clock
+# advances one Step at a time, because no measured run ever reached the
+# deleted idle-cycle fast-forward, and its safety rested on every scheme
+# certifying its own idleness; a jump grown back shows up as a number.
+# Then the non-test lines of internal/topology that call t.addLink:
+# every system is a chiplet list built by one construction loop (build,
+# which BuildScale and BuildHetero end in), so a second builder shows up
+# as a number. Then the lines of internal/ and cmd/ that name
 # validateDeep: topology validation is exact at every size, with no size
 # threshold or build tag switching a check off. Then the lines of
 # internal/ and cmd/ that name diagDeep or censusDebug: the network's state
@@ -169,8 +174,11 @@ loc:
 		printf 'lines %-28s %d (ceiling %d)\n' 'maxRestrictions' $$n 0; \
 		[ $$n -le 0 ]
 	@n=$$(grep -c '^func (BaseScheme)' internal/network/scheme.go); \
-		printf 'lines %-28s %d (ceiling %d)\n' 'BaseScheme stubs' $$n 6; \
-		[ $$n -le 6 ]
+		printf 'lines %-28s %d (ceiling %d)\n' 'BaseScheme stubs' $$n 5; \
+		[ $$n -le 5 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'Inert()\|skipIdleCycles\|canSkipIdleCycles\|wheelPending'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'Inert()|skipIdleCycles|canSkipIdleCycles|wheelPending' $$n 0; \
+		[ $$n -le 0 ]
 	@n=$$(find internal/topology -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 't\.addLink('); \
 		printf 'lines %-28s %d (ceiling %d)\n' 't.addLink( in topology' $$n 1; \
 		[ $$n -le 1 ]

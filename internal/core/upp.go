@@ -803,17 +803,6 @@ func (u *UPP) releaseOrigin(p *popup) {
 	}
 }
 
-// Inert implements network.Scheme. With no live popup there is no signal,
-// latch, ack, drain FSM, armed retry deadline or held token anywhere
-// (every one of those belongs to a popup, which is only deleted after its
-// path is swept clean), StartOfCycle short-circuits, and the detection
-// counters advance only at awake routers — which the kernel's idle-skip
-// precondition already requires to be none (a retired router's counters
-// are not read again until a flit wakes it, and that cycle's scan zeroes
-// them). EndOfCycle is therefore a provable no-op until some event wakes a
-// router.
-func (u *UPP) Inert() bool { return len(u.popups) == 0 }
-
 // UPP offers the deadlock watchdog its protocol state.
 var _ interface{ Diagnostic() string } = (*UPP)(nil)
 

@@ -62,15 +62,15 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 // TestSteadyStateZeroAllocScale holds the scale-out systems to the same
 // zero-allocation bar: on the hierarchical 2048-router preset, the awake
-// lists, the NI wake heap, the parallel kernel's outboxes and logs, and the
-// idle-cycle fast-forward must all run out of
-// preallocated storage once warmup has established high-water marks. The
-// pool preallocation is larger than the baseline test's because the live
-// packet population scales with cores x latency. The offered rate sits
-// below the scale systems' uniform-random saturation (~0.015 accepted
-// flits/cycle/node on the 2048-router preset — the interposer bisection,
-// not the paper baseline's knee, is the limit): past it the injection
-// queues grow without bound and "steady state" does not exist.
+// lists, the NI wake heap and the parallel kernel's outboxes and logs must
+// all run out of preallocated storage once warmup has established
+// high-water marks. The pool preallocation is larger than the baseline
+// test's because the live packet population scales with cores x latency.
+// The offered rate sits below the scale systems' uniform-random
+// saturation (~0.015 accepted flits/cycle/node on the 2048-router preset —
+// the interposer bisection, not the paper baseline's knee, is the limit):
+// past it the injection queues grow without bound and "steady state" does
+// not exist.
 func TestSteadyStateZeroAllocScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warmup")

@@ -203,8 +203,7 @@ func TestShardResolution(t *testing.T) {
 }
 
 // TestCreditDoesNotWakeRouter: a credit gives an idle router nothing to
-// do, so delivering one leaves the active set empty and the following
-// cycles skippable.
+// do, so delivering one leaves the active set empty.
 func TestCreditDoesNotWakeRouter(t *testing.T) {
 	for _, kernel := range []string{KernelActive, KernelParallel} {
 		cfg := DefaultConfig()
@@ -217,8 +216,8 @@ func TestCreditDoesNotWakeRouter(t *testing.T) {
 		if n.Routers[3].Out[1].Busy[0] {
 			t.Fatalf("%s: credit not delivered", kernel)
 		}
-		if n.routers.count != 0 || n.routers.has(3) || !n.canSkipIdleCycles() {
-			t.Fatalf("%s: credit woke a router: %d awake, skippable %v", kernel, n.routers.count, n.canSkipIdleCycles())
+		if n.routers.count != 0 || n.routers.has(3) {
+			t.Fatalf("%s: credit woke a router: %d awake", kernel, n.routers.count)
 		}
 	}
 }

@@ -199,12 +199,6 @@ type Network struct {
 	awakeIDs []int32
 	inNIWalk bool
 
-	// wheelPending counts events and calls resident in the wheel, the
-	// parallel kernel's outboxes included; when it is zero and nothing is
-	// awake, whole cycles are provably no-ops and Run/Drain skip them in one
-	// jump (see skipIdleCycles).
-	wheelPending int
-
 	// The concurrent phases' state (see parallel.go): blocks and workers
 	// under KernelParallel, only telemetry under the other kernels.
 	par parallel
@@ -485,14 +479,8 @@ func (n *Network) ScheduleCall(cycle sim.Cycle, c SchemeCall) {
 	if cycle-n.cycle >= wheelSize {
 		panic("network: ScheduleCall beyond event wheel horizon")
 	}
-	n.scheduleCall(cycle, c)
-}
-
-// scheduleCall appends c to the calls of its delivery cycle's slot.
-func (n *Network) scheduleCall(cycle sim.Cycle, c SchemeCall) {
 	slot := cycle % wheelSize
 	n.callWheel[slot] = append(n.callWheel[slot], c)
-	n.wheelPending++
 }
 
 // schedule appends e to the wheel slot of its delivery cycle.
@@ -507,17 +495,15 @@ func (n *Network) schedule(cycle sim.Cycle, e event) {
 		}
 	}
 	n.wheel[slot] = append(buf, e)
-	n.wheelPending++
 }
 
-// takeSlot empties the wheel slot of cycle and returns its events, taking
-// them and the slot's calls off the books; the caller hands the buffer back
-// through recycleSlot once they are applied, then runs or drops the calls.
+// takeSlot empties the wheel slot of cycle and returns its events; the
+// caller hands the buffer back through recycleSlot once they are applied,
+// then runs or drops the slot's calls.
 func (n *Network) takeSlot(cycle sim.Cycle) []event {
 	slot := cycle % wheelSize
 	events := n.wheel[slot]
 	n.wheel[slot] = nil
-	n.wheelPending -= len(events) + len(n.callWheel[slot])
 	return events
 }
 
@@ -810,7 +796,7 @@ func (n *Network) runCalls(cycle sim.Cycle) {
 // The oracle (KernelNaive) is this function with every router and NI woken
 // at the top of the cycle and the retirement passes skipped: it steps and
 // lists every component every cycle, so it does not depend on the wake
-// rule, retirement or idle fast-forward it checks.
+// rule or retirement it checks.
 //
 // A network built with blocks (KernelParallel) runs event delivery, the
 // router walk and the removals of retirement as concurrent phases when the
@@ -862,52 +848,11 @@ func (n *Network) Step() {
 	}
 }
 
-// Run advances the network by cycles steps, batching event-wheel
-// advancement across provably empty cycles (see skipIdleCycles).
+// Run advances the network by cycles steps.
 func (n *Network) Run(cycles int) {
-	end := n.cycle + sim.Cycle(cycles)
-	for n.cycle < end {
-		if n.canSkipIdleCycles() {
-			n.skipIdleCycles(end)
-			if n.cycle >= end {
-				return
-			}
-		}
+	for range cycles {
 		n.Step()
 	}
-}
-
-// canSkipIdleCycles reports whether the next cycle is provably a complete
-// no-op that the clock can jump over: no component awake (so the walks and
-// retirement passes would do nothing), the scheme inert (so its per-cycle
-// hooks are no-ops — the scheme certifies this itself via Inert), no fault
-// injector (fault plans fire on absolute cycles regardless of activity),
-// and not the oracle (which steps everything every cycle, so that the
-// skip is checked against it). Events already in the wheel don't block
-// skipping — skipIdleCycles stops at the first non-empty slot.
-func (n *Network) canSkipIdleCycles() bool {
-	return !n.oracle && n.faults == nil &&
-		n.routers.count == 0 && n.nis.count == 0 && n.scheme.Inert()
-}
-
-// skipIdleCycles advances the clock to the next cycle with a pending wheel
-// event, or to limit when the wheel is empty. Skipped cycles are exactly
-// the cycles Step would have spent draining an empty slot and running
-// no-op hooks: nothing observable changes, so traces, stats and drain
-// outcomes stay bit-identical to stepping through them one by one.
-func (n *Network) skipIdleCycles(limit sim.Cycle) {
-	if n.wheelPending == 0 {
-		n.cycle = limit
-		return
-	}
-	n.flush()
-	for c := n.cycle; c < limit; c++ {
-		if len(n.wheel[c%wheelSize]) > 0 || len(n.callWheel[c%wheelSize]) > 0 {
-			n.cycle = c
-			return
-		}
-	}
-	n.cycle = limit
 }
 
 // recordEjected updates latency statistics when a packet fully ejects.
@@ -947,22 +892,6 @@ func (n *Network) Drain(maxCycles int, stallLimit sim.Cycle) error {
 			// The watchdog: a structured diagnostic (diag.go) whose first
 			// line keeps the historical message.
 			return n.stallDiagnostic(stallLimit)
-		}
-		if n.canSkipIdleCycles() {
-			// Jump over empty cycles, but never past the point where the
-			// loop's own checks (deadline, stall watchdog) would fire — the
-			// continue re-runs them at the new cycle, so the drain outcome
-			// and the watchdog's trigger cycle are unchanged.
-			limit := deadline
-			if s := n.lastEject + stallLimit + 1; s < limit {
-				limit = s
-			}
-			if before := n.cycle; limit > before {
-				n.skipIdleCycles(limit)
-				if n.cycle != before {
-					continue
-				}
-			}
 		}
 		n.Step()
 	}

@@ -23,8 +23,8 @@
 // ForEachBlock runs a scheme's per-block pass (UPP's detection scan) the
 // same way. The NI walk stays on the coordinator.
 //
-// Whatever reads a whole wheel slot — a snapshot, the idle skip, the state
-// checks — first appends the slot's outboxes to it (mergeSlot); a snapshot
+// Whatever reads a whole wheel slot — a snapshot, the state checks —
+// first appends the slot's outboxes to it (mergeSlot); a snapshot
 // writes the slot in canonical order, so the worker count leaves no trace.
 package network
 
@@ -150,8 +150,8 @@ type parallel struct {
 	offered []bool // per worker: its share of this phase went to the helper
 
 	// queued counts the outbox events due at the cycles of each parity.
-	// The outboxes are part of the wheel: wheelPending counts queued, and
-	// a reader of a whole slot merges first (mergeSlot).
+	// The outboxes are part of the wheel: a reader of a whole slot merges
+	// first (mergeSlot).
 	queued [2]int
 
 	// The current phase's inputs, written before the hand-off publishes
@@ -266,7 +266,6 @@ func (p *parallel) eachBlock(first, stride int) {
 func (p *parallel) deliver(cycle sim.Cycle) {
 	n, par := p.net, cycle&1
 	events := n.takeSlot(cycle)
-	n.wheelPending -= p.queued[par]
 	p.events = events
 	if len(events)+p.queued[par] < parallelMinEvents {
 		for w := range p.shards {
@@ -345,7 +344,6 @@ func (p *parallel) mergeSlot(cycle sim.Cycle) {
 			lists[to] = l[:0]
 		}
 	}
-	n.wheelPending -= p.queued[par]
 	p.queued[par] = 0
 }
 
@@ -359,8 +357,8 @@ func (n *Network) flush() {
 }
 
 // commit replays the step phase's ejections in ascending block order —
-// the order the sequential walk ejects in — and puts the phase's outbox
-// events on the wheel's books.
+// the order the sequential walk ejects in — and counts the phase's outbox
+// events by the parity of their delivery cycle.
 func (p *parallel) commit() {
 	n := p.net
 	for b := range p.blocks {
@@ -376,7 +374,6 @@ func (p *parallel) commit() {
 		s := &p.shards[w]
 		for par, k := range s.emitted {
 			p.queued[par] += k
-			n.wheelPending += k
 		}
 		s.emitted = [2]int{}
 	}

@@ -114,7 +114,6 @@ type slotView struct {
 }
 
 func (*slotView) Name() string                { return "slot_view" }
-func (*slotView) Inert() bool                 { return false }
 func (s *slotView) Attach(n *network.Network) { s.n = n }
 
 func (s *slotView) StartOfCycle(c sim.Cycle) {

@@ -91,16 +91,6 @@ type Scheme interface {
 	// EndOfCycle runs after routers and NIs: detection counters and
 	// timeout logic live here.
 	EndOfCycle(cycle sim.Cycle)
-	// Inert reports that the scheme's StartOfCycle and EndOfCycle hooks
-	// are provably no-ops right now AND will stay no-ops until some
-	// network event re-engages the scheme — no live popup, outstanding
-	// handshake, armed timeout or any other state that advances with the
-	// clock. When everything else is idle too, the kernel uses this to
-	// skip whole cycles in one jump (Network.Run/Drain), so a wrong true
-	// here breaks bit-identity with the naive kernel: stateful schemes
-	// must override it and err towards false. The BaseScheme default
-	// (true) is only correct for schemes whose hooks are no-ops.
-	Inert() bool
 	// OnScheduledCall delivers a SchemeCall the scheme previously passed
 	// to Network.ScheduleCall, at its scheduled cycle once the cycle's flits
 	// and credits are delivered, and the calls an NI
@@ -128,11 +118,6 @@ func (BaseScheme) StartOfCycle(sim.Cycle) {}
 
 // EndOfCycle is a no-op.
 func (BaseScheme) EndOfCycle(sim.Cycle) {}
-
-// Inert is always true for the no-op hooks: a scheme that overrides
-// StartOfCycle or EndOfCycle with per-cycle state machines must override
-// Inert too (see the interface comment).
-func (BaseScheme) Inert() bool { return true }
 
 // OnScheduledCall is a no-op.
 func (BaseScheme) OnScheduledCall(SchemeCall, sim.Cycle) {}

@@ -325,7 +325,7 @@ func (n *Network) snapshotWheel(c *snap.Codec) error {
 					c.Flit(&call.Flit)
 				}
 				if c.Decoding() && c.Err() == nil {
-					n.scheduleCall(sim.Cycle(si), call)
+					n.callWheel[si] = append(n.callWheel[si], call)
 				}
 			}
 		}

@@ -298,26 +298,5 @@ func (s *Scheme) sendDown(b *boundary, cycle sim.Cycle) {
 	}
 }
 
-// Inert implements network.Scheme. StartOfCycle does work only at a
-// boundary with a non-empty request queue, live holds, slots still
-// absorbing/streaming, or buffered flits — and the kernel's idle-skip
-// precondition (empty awake sets) already rules out buffered flits. The
-// granted map alone never matters: a granted-but-unstarted packet sits at
-// the front of an NI injection queue, which keeps that NI awake. Checking
-// the per-boundary queues directly (rather than just the requested map)
-// errs toward false: a slot can still be streaming flits down after every
-// router has retired, and skipping those cycles would stall the stream.
-func (s *Scheme) Inert() bool {
-	if len(s.requested) != 0 {
-		return false
-	}
-	for _, b := range s.boundaries {
-		if len(b.reqQ) != 0 || len(b.held) != 0 || len(b.absorbing) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // SlotsFree reports the free slot count at boundary b (tests).
 func (s *Scheme) SlotsFree(b topology.NodeID) int { return s.boundaries[b].free }
