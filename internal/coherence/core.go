@@ -6,8 +6,10 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// mshrEntry tracks one outstanding miss.
+// mshrEntry tracks the one outstanding miss.
 type mshrEntry struct {
+	addr  uint64
+	valid bool
 	write bool
 	// invalidated: an Inv for this address overtook the (read) fill; the
 	// returning data is already stale and must not be cached.
@@ -26,24 +28,27 @@ type Core struct {
 	rng   *sim.RNG
 
 	completed int
-	mshr      map[uint64]*mshrEntry
+	mshr      mshrEntry
 
 	// outQ holds generated messages until NI injection space frees up.
 	outQ []*message.Packet
 }
 
 func (c *Core) done() bool {
-	return c.completed >= c.sys.Work.AccessesPerCore && len(c.mshr) == 0 && len(c.outQ) == 0
+	return c.completed >= c.sys.Work.AccessesPerCore && !c.mshr.valid && len(c.outQ) == 0
 }
+
+// missing reports whether addr is the outstanding miss.
+func (c *Core) missing(addr uint64) bool { return c.mshr.valid && c.mshr.addr == addr }
 
 // tick issues at most one memory access per cycle according to the
 // workload profile, as long as no miss is outstanding.
 func (c *Core) tick(cycle sim.Cycle) {
-	if c.completed+len(c.mshr) >= c.sys.Work.AccessesPerCore {
-		return // quota covered by completed + in-flight accesses
-	}
-	if len(c.mshr) != 0 {
+	if c.mshr.valid {
 		return // blocked on the outstanding miss
+	}
+	if c.completed >= c.sys.Work.AccessesPerCore {
+		return // quota covered
 	}
 	if len(c.outQ) >= outQueueGate {
 		return // eviction backlog; let it drain first
@@ -79,10 +84,7 @@ func (c *Core) miss(addr uint64, write bool) {
 		class = message.ClassGetM
 	}
 	c.send(c.sys.newPacket(c.node, c.sys.homeDir(addr), class, addr))
-	if c.mshr == nil {
-		c.mshr = make(map[uint64]*mshrEntry)
-	}
-	c.mshr[addr] = &mshrEntry{write: write}
+	c.mshr = mshrEntry{addr: addr, valid: true, write: write}
 }
 
 // send queues a message for injection.
@@ -123,14 +125,14 @@ func (c *Core) consume(p *message.Packet, cycle sim.Cycle) bool {
 		if len(c.outQ) >= outQueueGate {
 			return false
 		}
-		if e, ok := c.mshr[p.Addr]; ok && !e.write {
-			e.invalidated = true
+		if c.missing(p.Addr) && !c.mshr.write {
+			c.mshr.invalidated = true
 		}
 		c.l1.invalidate(p.Addr)
 		c.send(c.sys.newPacket(c.node, p.Src, message.ClassDataAck, p.Addr))
 		return true
 	case message.ClassFwdGetS:
-		if _, ok := c.mshr[p.Addr]; ok {
+		if c.missing(p.Addr) {
 			// The forward raced ahead of our fill on another VNet: we are
 			// about to become the owner the directory is forwarding to.
 			// Defer until the Data lands (responses are never blocked by
@@ -149,7 +151,7 @@ func (c *Core) consume(p *message.Packet, cycle sim.Cycle) bool {
 		// writeback at the directory.
 		return true
 	case message.ClassFwdGetM:
-		if _, ok := c.mshr[p.Addr]; ok {
+		if c.missing(p.Addr) {
 			return false // raced ahead of our fill; see FwdGetS
 		}
 		if len(c.outQ) >= outQueueGate {
@@ -165,13 +167,13 @@ func (c *Core) consume(p *message.Packet, cycle sim.Cycle) bool {
 	panic("coherence: core received unexpected class")
 }
 
-// fill completes one outstanding miss.
+// fill completes the outstanding miss.
 func (c *Core) fill(p *message.Packet) {
-	e, ok := c.mshr[p.Addr]
-	if !ok {
+	if !c.missing(p.Addr) {
 		panic("coherence: unexpected data response")
 	}
-	delete(c.mshr, p.Addr)
+	e := c.mshr
+	c.mshr = mshrEntry{}
 	st := shared
 	switch {
 	case e.write:

@@ -110,7 +110,7 @@ func TestAllCoresComplete(t *testing.T) {
 		if c.completed != s.Work.AccessesPerCore {
 			t.Fatalf("core %d completed %d of %d", c.index, c.completed, s.Work.AccessesPerCore)
 		}
-		if len(c.outQ) != 0 || len(c.mshr) != 0 {
+		if len(c.outQ) != 0 || c.mshr.valid {
 			t.Fatalf("core %d left residual state", c.index)
 		}
 	}

@@ -51,7 +51,6 @@ func (u *UPP) trySendFromOrigin(p *popup, kind sigKind, cycle sim.Cycle) {
 	r.ClaimOutput(out, cycle)
 	r.SendDirect(out)
 	u.net.Stats.SignalsSent++
-	u.assertEncodable(p, kind)
 	ns.nextSignal = cycle + sim.Cycle(u.cfg.SignalGap)
 	if kind == sigReq {
 		p.reqSent = true
@@ -222,25 +221,6 @@ func (u *UPP) deliverReqStop(p *popup, kind sigKind, cycle sim.Cycle) {
 	p.resRequested = true
 	u.net.Trace("upp", p.dst, "popup %d: UPP_req at destination NI (vnet %s)", p.id, p.vnet)
 	ni.RequestReservation(p.vnet, p.id, cycle)
-}
-
-// assertEncodable checks that the signal state being transmitted fits the
-// paper's Fig. 4 wire format (18-bit req/stop, 9-bit ack, 32-bit buffers)
-// — the simulator moves structs, but the hardware budget must hold. On
-// the scale-out systems the destination field widens with the node count
-// (message.DestBits), so the budget scales as ceil(log2(N)) while
-// everything else in the encoding is unchanged.
-func (u *UPP) assertEncodable(p *popup, kind sigKind) {
-	sig := message.Signal{VNet: p.vnet, Dst: p.dst, Origin: p.origin, PopupID: p.id, InputVC: int8(p.vcIdx)}
-	switch kind {
-	case sigReq:
-		sig.Type = message.UPPReq
-	case sigStop:
-		sig.Type = message.UPPStop
-	}
-	if _, err := sig.EncodeSized(u.destBits); err != nil {
-		panic(fmt.Sprintf("upp: signal exceeds the Fig. 4 encoding budget: %v", err))
-	}
 }
 
 // launchAck places the UPP_ack in the destination router's ack buffer,

@@ -261,12 +261,8 @@ type UPP struct {
 	// ones detection visits and whose timeout counters ever move.
 	hosts  []uint64
 	tokens [][message.NumVNets]uint64 // holder popup ID per (chiplet, vnet); 0 = free
-	// destBits is the signal destination-field width the attached system
-	// needs (message.DestBits of its node count): 8 bits on the paper's
-	// systems, wider on the scale-out topologies.
-	destBits int
-	popups   map[uint64]*popup
-	nextID   uint64
+	popups map[uint64]*popup
+	nextID uint64
 	// sorted is sortedPopups' reusable scratch buffer (recovery cycles
 	// run several passes over the active set; reusing the slice keeps
 	// them allocation-light).
@@ -304,13 +300,18 @@ func (u *UPP) Name() string { return "upp" }
 func (u *UPP) Config() Config { return u.cfg }
 
 // Attach implements network.Scheme. UPP installs its boundary policy: the
-// static binding unless an ablation binding was configured.
+// static binding unless an ablation binding was configured. It panics on
+// a system whose UPP_req/UPP_stop, with the destination and input-VC
+// fields widened to its node and VC counts, would not fit the paper's
+// 32-bit signal buffer (Fig. 4).
 func (u *UPP) Attach(n *network.Network) {
+	if w := message.ReqStopBits(n.Topo.NumNodes(), n.Cfg.Router.NumVCs()); w > message.SignalBufferBits {
+		panic(fmt.Sprintf("upp: %d-bit UPP_req/UPP_stop overflows the %d-bit signal buffer (Fig. 4)", w, message.SignalBufferBits))
+	}
 	u.net = n
 	u.cands = make([][]candidate, n.NumBlocks())
 	u.scanBlock = u.scanHosts
 	n.SetBoundaryPolicy(u.policy)
-	u.destBits = message.DestBits(n.Topo.NumNodes())
 	u.nodes = make([]nodeState, n.Topo.NumNodes())
 	u.tokens = make([][message.NumVNets]uint64, len(n.Topo.Chiplets))
 	u.hosts = make([]uint64, (n.Topo.NumNodes()+63)/64)

@@ -86,6 +86,32 @@ func TestUPPHighLoadManySeeds(t *testing.T) {
 	}
 }
 
+// TestUPPManyVCsPerPort: router.Config accepts up to 16 VCs per VNet (48
+// per port), whose input-VC indices overflow Fig. 4's 4-bit field. The
+// req/stop width widens that field with the VC count and is checked once
+// at Attach, so such a network must recover from its deadlocks by popups
+// like any other, not fail mid-run.
+func TestUPPManyVCsPerPort(t *testing.T) {
+	for _, tc := range []struct {
+		vcs  int
+		rate float64
+	}{{6, 0.5}, {8, 0.3}, {16, 0.3}} {
+		n, u := uppNet(t, tc.vcs, 1)
+		g := traffic.NewGenerator(n, traffic.UniformRandom{}, tc.rate, 42)
+		g.Run(6000)
+		g.SetRate(0)
+		if err := n.Drain(400000, 50000); err != nil {
+			t.Fatalf("vcs=%d: %v", tc.vcs, err)
+		}
+		if n.Stats.PopupsCompleted == 0 {
+			t.Fatalf("vcs=%d: no popup completed (stats %+v); the run never exercised recovery", tc.vcs, n.Stats)
+		}
+		if err := u.UPPStateOK(); err != nil {
+			t.Fatalf("vcs=%d: %v", tc.vcs, err)
+		}
+	}
+}
+
 // TestUPPTransparentAtLowLoad: when the network is free of deadlocks, UPP
 // must not perturb packets (recovery frameworks cost nothing when idle).
 func TestUPPTransparentAtLowLoad(t *testing.T) {

@@ -34,30 +34,37 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// buffers) — past saturation the injection queues grow without
 	// bound and "steady state" does not exist.
 	rates := map[string]float64{router.ArchIQ: 0.05, router.ArchOQ: 0.035, router.ArchVOQ: 0.05}
-	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
-		for _, arch := range []string{router.ArchIQ, router.ArchOQ, router.ArchVOQ} {
-			t.Run(kernel+"_"+arch, func(t *testing.T) {
-				spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Kernel: kernel, RouterArch: arch}
-				s, err := Assemble(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n, g := s.Net, s.Generator(traffic.UniformRandom{}, rates[arch], 99)
-				n.PacketPool().Preallocate(4096)
-				Drive(n, g, 20000, nil) // reach steady-state occupancy and buffer high-water marks
-				allocs := testing.AllocsPerRun(10, func() {
-					Drive(n, g, n.Cycle()+500, nil)
-				})
-				if allocs != 0 {
-					t.Fatalf("steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
-				}
-				st := n.PacketPool().Stats
-				if st.Reuses == 0 {
-					t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
-				}
+	leg := func(scheme SchemeName, kernel, arch string) func(*testing.T) {
+		return func(t *testing.T) {
+			spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: scheme, Kernel: kernel, RouterArch: arch}
+			s, err := Assemble(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, g := s.Net, s.Generator(traffic.UniformRandom{}, rates[arch], 99)
+			n.PacketPool().Preallocate(4096)
+			Drive(n, g, 20000, nil) // reach steady-state occupancy and buffer high-water marks
+			allocs := testing.AllocsPerRun(10, func() {
+				Drive(n, g, n.Cycle()+500, nil)
 			})
+			if allocs != 0 {
+				t.Fatalf("steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
+			}
+			st := n.PacketPool().Stats
+			if st.Reuses == 0 {
+				t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
+			}
 		}
 	}
+	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
+		for _, arch := range []string{router.ArchIQ, router.ArchOQ, router.ArchVOQ} {
+			t.Run(kernel+"_"+arch, leg(SchemeUPP, kernel, arch))
+		}
+	}
+	// Composable's restricted routes are data installed at Attach; its
+	// steady state is held to the same bar. Remote control is not: it
+	// allocates per absorbed packet (DESIGN.md §8).
+	t.Run("composable_"+network.KernelActive+"_"+router.ArchIQ, leg(SchemeComposable, network.KernelActive, router.ArchIQ))
 }
 
 // TestSteadyStateZeroAllocScale holds the scale-out systems to the same

@@ -1,7 +1,7 @@
 // Package message defines the units that travel through the network:
 // packets, the flits they are segmented into, virtual networks, and the
-// three UPP protocol signals (UPP_req, UPP_ack, UPP_stop) with the compact
-// encodings of the paper's Fig. 4.
+// field widths of the three UPP protocol signals (UPP_req, UPP_ack,
+// UPP_stop) in the paper's Fig. 4.
 package message
 
 import (
@@ -65,13 +65,6 @@ const (
 	ClassData    // data response, VNet 2, data
 	ClassDataAck // control response (ack/grant), VNet 2, control
 )
-
-// IsTerminating reports whether a class is a terminating message type of
-// the request-response protocol (consumed unconditionally by the PE —
-// the first case of the Sec. V-B4 correctness proof).
-func (c Class) IsTerminating() bool {
-	return c == ClassData || c == ClassDataAck || c == ClassSyntheticCtrl || c == ClassSyntheticData
-}
 
 // Packet is a multi-flit message in flight. Routers and NIs share one
 // Packet value per message; flits carry a pointer to it.
@@ -176,15 +169,6 @@ func (p *Packet) Pooled() bool { return p.pooled }
 // Released reports whether the packet is currently in a freelist. A
 // released packet must not be referenced by live simulation state.
 func (p *Packet) Released() bool { return p.released }
-
-// IsInterChiplet reports whether the packet must cross the interposer:
-// source and destination are on different chiplets, or either endpoint is
-// an interposer router.
-func (p *Packet) IsInterChiplet(t *topology.Topology) bool {
-	sc := t.Node(p.Src).Chiplet
-	dc := t.Node(p.Dst).Chiplet
-	return sc != dc || sc == topology.InterposerChiplet
-}
 
 // Flit is one link-width unit of a packet. Seq 0 is the head flit (it
 // carries the routing information); Seq Size-1 is the tail.

@@ -3,10 +3,8 @@ package message_test
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"uppnoc/internal/message"
-	"uppnoc/internal/topology"
 )
 
 func TestFlitHeadTail(t *testing.T) {
@@ -26,144 +24,34 @@ func TestFlitHeadTail(t *testing.T) {
 	}
 }
 
-func TestSignalEncodeDecodeRoundTrip(t *testing.T) {
-	err := quick.Check(func(typRaw uint8, vnetRaw uint8, dst uint8, inputVC uint8, start uint8) bool {
-		s := message.Signal{
-			Type:      message.SignalType(typRaw % 3),
-			VNet:      message.VNet(vnetRaw % message.NumVNets),
-			Dst:       topology.NodeID(dst),
-			InputVC:   int8(inputVC % 16),
-			StartMask: start % 8,
-		}
-		enc, err := s.Encode()
-		if err != nil {
-			return false
-		}
-		dec, err := message.DecodeSignal(enc)
-		if err != nil {
-			return false
-		}
-		if dec.Type != s.Type || dec.VNet != s.VNet {
-			return false
-		}
-		switch s.Type {
-		case message.UPPReq, message.UPPStop:
-			return dec.Dst == s.Dst && dec.InputVC == s.InputVC
-		default:
-			return dec.StartMask == s.StartMask
-		}
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestSignalEncodingFitsPaperBudget pins Fig. 4's widths: an 18-bit
+// req/stop on the paper's 60- and 208-node systems at 1 and 4 VCs per
+// VNet and a 9-bit ack, and the req/stop's destination and input-VC
+// fields widening past 256 nodes and 16 VCs per port.
 func TestSignalEncodingFitsPaperBudget(t *testing.T) {
-	// Fig. 4: req/stop fit in 18 bits, ack in 9, both within the 32-bit
-	// buffers.
-	if message.ReqStopEncodedBits != 18 {
-		t.Fatalf("req/stop width %d, paper 18", message.ReqStopEncodedBits)
+	if message.AckBits != 9 {
+		t.Fatalf("ack width %d, paper 9", message.AckBits)
 	}
-	if message.AckEncodedBits != 9 {
-		t.Fatalf("ack width %d, paper 9", message.AckEncodedBits)
-	}
-	s := message.Signal{Type: message.UPPReq, VNet: 2, Dst: 255, InputVC: 15}
-	enc, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc>>message.ReqStopEncodedBits != 0 {
-		t.Fatalf("req encoding %#x spills past %d bits", enc, message.ReqStopEncodedBits)
-	}
-	a := message.Signal{Type: message.UPPAck, VNet: 1, StartMask: 7}
-	enc, err = a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc>>message.AckEncodedBits != 0 {
-		t.Fatalf("ack encoding %#x spills past %d bits", enc, message.AckEncodedBits)
-	}
-}
-
-func TestSignalEncodeSized(t *testing.T) {
-	// DestBits never shrinks below the paper's 8-bit field, widens as
-	// ceil(log2(N)) past 256 nodes, and covers the scale presets.
-	for _, tc := range []struct{ nodes, want int }{
-		{60, 8}, {256, 8}, {257, 9}, {3072, 12}, {12288, 14},
+	for _, tc := range []struct{ nodes, vcs, want int }{
+		{60, 1 * message.NumVNets, 18},
+		{60, 4 * message.NumVNets, 18},
+		{208, 1 * message.NumVNets, 18},
+		{208, 4 * message.NumVNets, 18},
+		{256, 16, 18},
+		{257, 16, 19},
+		{3072, 12, 22},
+		{12288, 12, 24},
+		{60, 17, 19},
+		{60, 6 * message.NumVNets, 19},
+		{60, 48, 20},
+		{12288, 48, 26},
 	} {
-		if got := message.DestBits(tc.nodes); got != tc.want {
-			t.Errorf("DestBits(%d) = %d, want %d", tc.nodes, got, tc.want)
+		got := message.ReqStopBits(tc.nodes, tc.vcs)
+		if got != tc.want {
+			t.Errorf("ReqStopBits(%d nodes, %d VCs) = %d, want %d", tc.nodes, tc.vcs, got, tc.want)
 		}
-	}
-	// A widened req round-trips at the matching width and rejects a
-	// destination past it.
-	s := message.Signal{Type: message.UPPReq, VNet: 2, Dst: 3000, InputVC: 15}
-	if _, err := s.Encode(); err == nil {
-		t.Fatal("destination 3000 must not fit the paper's 8-bit field")
-	}
-	enc, err := s.EncodeSized(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := message.DecodeSignalSized(enc, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Dst != s.Dst || dec.VNet != s.VNet || dec.InputVC != s.InputVC {
-		t.Fatalf("sized round trip mangled the signal: %+v -> %+v", s, dec)
-	}
-	if _, err := s.EncodeSized(11); err == nil {
-		t.Fatal("destination 3000 must not fit an 11-bit field")
-	}
-	// The widened encoding still lives inside the 32-bit signal buffer; a
-	// width that would overflow it is rejected outright.
-	if _, err := s.EncodeSized(23); err == nil {
-		t.Fatal("a 23-bit destination field must overflow the 32-bit buffer")
-	}
-}
-
-func TestSignalEncodeRejectsBadFields(t *testing.T) {
-	cases := []message.Signal{
-		{Type: message.UPPReq, VNet: -1},
-		{Type: message.UPPReq, VNet: 0, Dst: 300},
-		{Type: message.UPPReq, VNet: 0, Dst: 1, InputVC: 16},
-		{Type: message.UPPAck, VNet: 0, StartMask: 8},
-		{Type: message.SignalType(9), VNet: 0},
-	}
-	for i, s := range cases {
-		if _, err := s.Encode(); err == nil {
-			t.Errorf("case %d: expected encode error", i)
-		}
-	}
-}
-
-func TestIsInterChiplet(t *testing.T) {
-	topo := topology.MustBuild(topology.BaselineConfig())
-	cores := topo.Cores()
-	sameChiplet := &message.Packet{Src: cores[0], Dst: cores[1]}
-	if sameChiplet.IsInterChiplet(topo) {
-		t.Fatal("same-chiplet packet flagged inter-chiplet")
-	}
-	cross := &message.Packet{Src: cores[0], Dst: cores[len(cores)-1]}
-	if !cross.IsInterChiplet(topo) {
-		t.Fatal("cross-chiplet packet not flagged")
-	}
-	toDir := &message.Packet{Src: cores[0], Dst: topo.Interposer[0]}
-	if !toDir.IsInterChiplet(topo) {
-		t.Fatal("core-to-interposer packet not flagged")
-	}
-}
-
-func TestTerminatingClasses(t *testing.T) {
-	// The Sec. V-B4 proof depends on response classes terminating.
-	for _, c := range []message.Class{message.ClassData, message.ClassDataAck} {
-		if !c.IsTerminating() {
-			t.Fatalf("response class %d must terminate", c)
-		}
-	}
-	for _, c := range []message.Class{message.ClassGetS, message.ClassGetM, message.ClassFwdGetS, message.ClassInv} {
-		if c.IsTerminating() {
-			t.Fatalf("request/forward class %d must not terminate", c)
+		if got > message.SignalBufferBits {
+			t.Errorf("ReqStopBits(%d nodes, %d VCs) = %d overflows the %d-bit buffer", tc.nodes, tc.vcs, got, message.SignalBufferBits)
 		}
 	}
 }
@@ -185,13 +73,6 @@ func TestStringMethods(t *testing.T) {
 	tail := message.Flit{Pkt: p, Seq: 4}
 	if s := tail.String(); !containsAll(s, "tail") {
 		t.Fatalf("tail flit string %q", s)
-	}
-	sig := message.Signal{Type: message.UPPAck, VNet: 1, PopupID: 3}
-	if s := sig.String(); !containsAll(s, "UPP_ack", "fwd", "popup=3") {
-		t.Fatalf("signal string %q", s)
-	}
-	if got := message.SignalType(9).String(); !containsAll(got, "signal(9)") {
-		t.Fatalf("unknown signal type string %q", got)
 	}
 }
 

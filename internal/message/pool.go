@@ -12,7 +12,7 @@ package message
 //     at tail ejection).
 //   - Put bumps the generation, so any holder that kept a pointer past
 //     the release can detect staleness by comparing a snapshotted
-//     Generation() (see PacketRef).
+//     Generation() (UPP's popups do).
 //
 // Put ignores packets the pool does not own (built with &Packet{}), so
 // tests and tools that hand-construct packets and inspect them after a
@@ -118,32 +118,3 @@ type poolError struct {
 func (e poolError) Error() string { return "message: pool: " + e.msg }
 
 func errPool(msg string, idx int) error { return poolError{msg: msg, idx: idx} }
-
-// PacketRef is a generation-stamped weak reference: it remembers the
-// generation at capture time so Alive detects the packet being released
-// (and possibly recycled) afterwards. Long-lived holders that may
-// outlast the packet — UPP popup bookkeeping is the canonical case —
-// snapshot what they need and keep a PacketRef only for identity
-// checks.
-type PacketRef struct {
-	p   *Packet
-	gen uint32
-}
-
-// MakeRef captures a reference to p at its current generation.
-func MakeRef(p *Packet) PacketRef {
-	if p == nil {
-		return PacketRef{}
-	}
-	return PacketRef{p: p, gen: p.gen}
-}
-
-// Alive reports whether the referenced packet still is the incarnation
-// captured by MakeRef.
-func (r PacketRef) Alive() bool { return r.p != nil && !r.p.released && r.p.gen == r.gen }
-
-// Holds reports whether q is exactly the captured incarnation: same
-// pointer, same generation, not released. This is the pooling-safe form
-// of the pointer comparison `q == r.p` — pointer equality alone is
-// ABA-unsafe once packets recycle.
-func (r PacketRef) Holds(q *Packet) bool { return q != nil && q == r.p && r.Alive() }

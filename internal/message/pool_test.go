@@ -81,26 +81,3 @@ func TestPoolStatsAndPreallocate(t *testing.T) {
 		t.Fatalf("Check: %v", err)
 	}
 }
-
-func TestPacketRefDetectsRecycling(t *testing.T) {
-	var pl Pool
-	p := pl.Get()
-	ref := MakeRef(p)
-	if !ref.Alive() || !ref.Holds(p) {
-		t.Fatal("fresh ref not alive")
-	}
-	pl.Put(p)
-	if ref.Alive() {
-		t.Fatal("ref alive after release")
-	}
-	q := pl.Get() // same pointer, next generation
-	if q != p {
-		t.Fatal("expected pointer reuse")
-	}
-	if ref.Holds(q) {
-		t.Fatal("ref claims to hold the recycled incarnation (ABA)")
-	}
-	if (PacketRef{}).Alive() {
-		t.Fatal("zero ref alive")
-	}
-}

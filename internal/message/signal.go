@@ -1,66 +1,12 @@
 package message
 
-import (
-	"fmt"
-	"math/bits"
+import "math/bits"
 
-	"uppnoc/internal/topology"
-)
-
-// SignalType is one of the three UPP protocol signal kinds (Sec. V-B1).
-type SignalType int8
-
-// UPP protocol signals.
-const (
-	// UPPReq asks the destination NI to reserve an ejection queue entry
-	// and installs circuit entries along its path.
-	UPPReq SignalType = iota
-	// UPPAck confirms the reservation; it retraces the req's path in
-	// reverse and starts the popup.
-	UPPAck
-	// UPPStop cancels a reservation after a false positive resolved
-	// itself (the stalled packet moved on normally).
-	UPPStop
-)
-
-// String names the signal type.
-func (s SignalType) String() string {
-	switch s {
-	case UPPReq:
-		return "UPP_req"
-	case UPPAck:
-		return "UPP_ack"
-	case UPPStop:
-		return "UPP_stop"
-	}
-	return fmt.Sprintf("signal(%d)", int8(s))
-}
-
-// Signal is a UPP protocol signal in flight. Signals travel through the
-// normal router datapath like head flits, in two dedicated 32-bit buffers
-// per chiplet router (one for req/stop, one for ack), with priority over
-// normal flits during switch allocation (Sec. V-B2).
-type Signal struct {
-	Type SignalType
-	VNet VNet
-	// Dst is the destination router/NI (req and stop only; acks follow the
-	// reverse circuit path instead of route computation).
-	Dst topology.NodeID
-	// Origin is the interposer router that started the popup; acks
-	// terminate there.
-	Origin topology.NodeID
-	// PopupID matches reqs, acks and stops of one popup instance.
-	PopupID uint64
-	// StartMask is the ack's one-hot "popup started" field: bit v set
-	// means the popup of VNet v already started inside the chiplet
-	// (wormhole partly-transmitted case, Sec. V-B3).
-	StartMask uint8
-	// InputVC is the req's 4-bit field locating the upward packet's input
-	// VC under wormhole flow control (Fig. 4).
-	InputVC int8
-}
-
-// Bit widths of the Fig. 4 encodings.
+// Field widths of the Fig. 4 UPP signal encodings. UPP_req and UPP_stop
+// carry type | dest | one-hot vnet | input VC; UPP_ack carries type |
+// one-hot vnet | start mask. The simulator moves the signal state as
+// fields of the popup, not as wire words: these widths exist to check,
+// once per attached system, that the hardware budget holds.
 const (
 	signalTypeBits = 3
 	destBits       = 8
@@ -68,127 +14,20 @@ const (
 	inputVCBits    = 4
 	startBits      = 3
 
-	// ReqStopEncodedBits is the encoded width of UPP_req/UPP_stop
-	// (3+8+3+4 = 18 bits under wormhole).
-	ReqStopEncodedBits = signalTypeBits + destBits + vnetBits + inputVCBits
-	// AckEncodedBits is the encoded width of UPP_ack (3+3+3 = 9 bits
-	// under wormhole).
-	AckEncodedBits = signalTypeBits + vnetBits + startBits
+	// AckBits is the encoded width of UPP_ack (3+3+3 = 9 bits).
+	AckBits = signalTypeBits + vnetBits + startBits
 	// SignalBufferBits is the conservative buffer width the paper
 	// provisions per signal buffer.
 	SignalBufferBits = 32
 )
 
-// DestBits returns the destination-field width a system of numNodes
-// components needs. The paper's Fig. 4 provisions 8 bits, which addresses
-// its ~60-node evaluation system; the scale-out topologies widen the
-// field to ceil(log2(numNodes)) while the rest of the encoding is
-// unchanged. The widened req/stop must still fit the 32-bit signal
-// buffer, which bounds addressable systems at 2^22 nodes — far above the
-// 8192-router huge preset.
-func DestBits(numNodes int) int {
-	b := bits.Len(uint(numNodes - 1))
-	if b < destBits {
-		return destBits
-	}
-	return b
-}
-
-// Encode packs the signal into the Fig. 4 wire format and returns it in
-// the low bits of a uint32. The layout (LSB first) is:
-//
-//	req/stop: type[3] | dest[8] | vnetOneHot[3] | inputVC[4]
-//	ack:      type[3] | vnetOneHot[3] | start[3]
-//
-// Encode exists to demonstrate that the protocol state fits the paper's
-// 18-/9-bit budgets; the simulator moves Signal structs around.
-func (s *Signal) Encode() (uint32, error) {
-	return s.EncodeSized(destBits)
-}
-
-// EncodeSized is Encode with an explicit destination-field width
-// (DestBits of the system's node count): the layout is the paper's, only
-// the dest field stretches. The widened req/stop encoding must still fit
-// the 32-bit signal buffer; a system too large for that fails here rather
-// than silently truncating addresses.
-func (s *Signal) EncodeSized(dBits int) (uint32, error) {
-	if s.VNet < 0 || int(s.VNet) >= NumVNets {
-		return 0, fmt.Errorf("message: encode signal with invalid vnet %d", s.VNet)
-	}
-	oneHot := uint32(1) << uint(s.VNet)
-	switch s.Type {
-	case UPPReq, UPPStop:
-		if signalTypeBits+dBits+vnetBits+inputVCBits > SignalBufferBits {
-			return 0, fmt.Errorf("message: %d-bit destination field overflows the %d-bit signal buffer", dBits, SignalBufferBits)
-		}
-		if s.Dst < 0 || uint64(s.Dst) >= 1<<uint(dBits) {
-			return 0, fmt.Errorf("message: destination %d does not fit the %d-bit field", s.Dst, dBits)
-		}
-		if s.InputVC < 0 || s.InputVC > 15 {
-			return 0, fmt.Errorf("message: input VC %d does not fit the 4-bit field", s.InputVC)
-		}
-		v := uint32(s.Type)
-		v |= uint32(s.Dst) << signalTypeBits
-		v |= oneHot << uint(signalTypeBits+dBits)
-		v |= uint32(s.InputVC) << uint(signalTypeBits+dBits+vnetBits)
-		return v, nil
-	case UPPAck:
-		if s.StartMask>>startBits != 0 {
-			return 0, fmt.Errorf("message: start mask %#x does not fit 3 bits", s.StartMask)
-		}
-		v := uint32(s.Type)
-		v |= oneHot << signalTypeBits
-		v |= uint32(s.StartMask) << (signalTypeBits + vnetBits)
-		return v, nil
-	}
-	return 0, fmt.Errorf("message: encode unknown signal type %d", s.Type)
-}
-
-// DecodeSignal reverses Encode. PopupID and Origin are simulator-side
-// bookkeeping and are not part of the wire format.
-func DecodeSignal(v uint32) (Signal, error) {
-	return DecodeSignalSized(v, destBits)
-}
-
-// DecodeSignalSized reverses EncodeSized at the given destination-field
-// width.
-func DecodeSignalSized(v uint32, dBits int) (Signal, error) {
-	var s Signal
-	s.Type = SignalType(v & ((1 << signalTypeBits) - 1))
-	oneHotToVNet := func(oh uint32) (VNet, error) {
-		for i := 0; i < NumVNets; i++ {
-			if oh == 1<<uint(i) {
-				return VNet(i), nil
-			}
-		}
-		return 0, fmt.Errorf("message: invalid one-hot vnet field %#x", oh)
-	}
-	switch s.Type {
-	case UPPReq, UPPStop:
-		if signalTypeBits+dBits+vnetBits+inputVCBits > SignalBufferBits {
-			return s, fmt.Errorf("message: %d-bit destination field overflows the %d-bit signal buffer", dBits, SignalBufferBits)
-		}
-		s.Dst = topology.NodeID((v >> signalTypeBits) & ((1 << uint(dBits)) - 1))
-		vn, err := oneHotToVNet((v >> uint(signalTypeBits+dBits)) & ((1 << vnetBits) - 1))
-		if err != nil {
-			return s, err
-		}
-		s.VNet = vn
-		s.InputVC = int8((v >> uint(signalTypeBits+dBits+vnetBits)) & ((1 << inputVCBits) - 1))
-	case UPPAck:
-		vn, err := oneHotToVNet((v >> signalTypeBits) & ((1 << vnetBits) - 1))
-		if err != nil {
-			return s, err
-		}
-		s.VNet = vn
-		s.StartMask = uint8((v >> (signalTypeBits + vnetBits)) & ((1 << startBits) - 1))
-	default:
-		return s, fmt.Errorf("message: decode unknown signal type %d", s.Type)
-	}
-	return s, nil
-}
-
-// String formats the signal for debugging.
-func (s *Signal) String() string {
-	return fmt.Sprintf("%s vnet=%s dst=%d origin=%d popup=%d", s.Type, s.VNet, s.Dst, s.Origin, s.PopupID)
+// ReqStopBits returns the encoded width of UPP_req/UPP_stop on a system
+// of numNodes routers with numVCs input VCs per port: 3+8+3+4 = 18 bits
+// on the paper's systems. The destination field widens to
+// ceil(log2(numNodes)) past 256 nodes and the input-VC field to
+// ceil(log2(numVCs)) past 16 VCs; the rest of the encoding is unchanged.
+// The result must fit SignalBufferBits for the signal to fit its buffer.
+func ReqStopBits(numNodes, numVCs int) int {
+	return signalTypeBits + max(destBits, bits.Len(uint(numNodes-1))) +
+		vnetBits + max(inputVCBits, bits.Len(uint(numVCs-1)))
 }

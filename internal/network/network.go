@@ -436,8 +436,8 @@ func (n *Network) NewPacketID() uint64 {
 // recycled from the pool. Packet producers (the traffic generator, the
 // coherence PEs) allocate through it; the destination NI releases the
 // packet after the PE consumes the reassembled message. Callers that keep a
-// packet pointer past consumption must snapshot what they need or hold
-// a generation-stamped message.PacketRef.
+// packet pointer past consumption must snapshot what they need and its
+// Generation(), as UPP's popups do.
 func (n *Network) AllocPacket() *message.Packet {
 	if n.noPool {
 		return &message.Packet{}

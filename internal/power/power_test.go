@@ -75,33 +75,3 @@ func TestEnergyMonotonicInRuntime(t *testing.T) {
 		t.Fatal("energy not monotonic in runtime")
 	}
 }
-
-// TestDetailedBreakdownConsistent: the component split must sum to the
-// aggregate estimate's static part, with buffers dominating leakage (the
-// paper's DSENT observation).
-func TestDetailedBreakdownConsistent(t *testing.T) {
-	d := power.NetworkDescription{ChipletRouters: 64, InterposerRouters: 16, VCsPerVNet: 1, Scheme: "upp"}
-	var s router.Stats
-	s.BufferWrites, s.BufferReads = 1e6, 1e6
-	s.CrossbarTravs, s.LinkTravs, s.SAGrants = 1e6, 1e6, 1e6
-	parts := power.EstimateDetailed(d, 100000, s, 500)
-	if len(parts) != 5 {
-		t.Fatalf("%d components", len(parts))
-	}
-	sum := power.TotalOf(parts)
-	agg := power.Estimate(d, 100000, s, 500)
-	if math.Abs(sum.StaticJ-agg.StaticJ) > agg.StaticJ*1e-9 {
-		t.Fatalf("static mismatch: %v vs %v", sum.StaticJ, agg.StaticJ)
-	}
-	var buf, rest float64
-	for _, p := range parts {
-		if p.Component == "buffer" {
-			buf = p.StaticJ
-		} else {
-			rest += p.StaticJ
-		}
-	}
-	if buf <= rest {
-		t.Fatalf("buffer leakage %.3e should dominate the rest %.3e", buf, rest)
-	}
-}

@@ -100,27 +100,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	err := quick.Check(func(seed uint64, n8 uint8) bool {
-		n := int(n8%64) + 1
-		p := sim.NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	sum := 0

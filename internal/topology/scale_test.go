@@ -93,13 +93,6 @@ func TestBuildScaleTable(t *testing.T) {
 				}
 			}
 
-			// CoreIndex is dense over Cores, in order.
-			for i, id := range topo.Cores() {
-				if got := topo.CoreIndex(id); got != i {
-					t.Fatalf("CoreIndex(%d) = %d, want %d", id, got, i)
-				}
-			}
-
 			// Routing reachability: the interposer layer and every chiplet
 			// layer are connected meshes.
 			if !topo.LayerConnected(InterposerChiplet) {

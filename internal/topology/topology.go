@@ -201,9 +201,6 @@ type Topology struct {
 	// cores caches the traffic endpoints: every chiplet-layer router has a
 	// core + NI attached (Fig. 1).
 	cores []NodeID
-	// coreBase caches, per chiplet, the index of its first router within
-	// cores, making CoreIndex O(1) instead of O(chiplets).
-	coreBase []int
 
 	// linkArena, pre-sized by the builder (build), backs the Link values
 	// pointed to by Links so an 8k-router system allocates its links in one
@@ -223,18 +220,6 @@ func (t *Topology) NumNodes() int { return len(t.Nodes) }
 // routers including boundary routers), in a stable order. The slice is
 // shared; callers must not modify it.
 func (t *Topology) Cores() []NodeID { return t.cores }
-
-// CoreIndex maps a core node to its dense index within Cores (used by
-// synthetic traffic patterns such as bit complement). Returns -1 for
-// non-core nodes.
-func (t *Topology) CoreIndex(id NodeID) int {
-	n := t.Node(id)
-	if n.Chiplet == InterposerChiplet {
-		return -1
-	}
-	c := &t.Chiplets[n.Chiplet]
-	return t.coreBase[n.Chiplet] + n.Y*c.Width + n.X
-}
 
 // InterposerAt returns the interposer router at (x, y).
 func (t *Topology) InterposerAt(x, y int) NodeID {
@@ -301,9 +286,7 @@ func (t *Topology) finish() {
 		}
 	}
 	t.cores = t.cores[:0]
-	t.coreBase = make([]int, len(t.Chiplets))
 	for ci := range t.Chiplets {
-		t.coreBase[ci] = len(t.cores)
 		t.cores = append(t.cores, t.Chiplets[ci].Routers...)
 	}
 }

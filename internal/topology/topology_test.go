@@ -134,24 +134,6 @@ func TestDirectionOpposite(t *testing.T) {
 	}
 }
 
-func TestCoreIndexBijective(t *testing.T) {
-	topo := topology.MustBuild(topology.BaselineConfig())
-	seen := map[int]bool{}
-	for _, id := range topo.Cores() {
-		idx := topo.CoreIndex(id)
-		if idx < 0 || idx >= len(topo.Cores()) {
-			t.Fatalf("core %d index %d out of range", id, idx)
-		}
-		if seen[idx] {
-			t.Fatalf("core index %d duplicated", idx)
-		}
-		seen[idx] = true
-	}
-	if topo.CoreIndex(topo.Interposer[0]) != -1 {
-		t.Fatal("interposer node has a core index")
-	}
-}
-
 func TestFaultInjection(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
 	faulted, err := topo.InjectFaults(10, 99)
