@@ -2,10 +2,19 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// TestMain runs every test with the result cache off, so a table is
+// simulated under the flags it is given, not read from a developer's
+// UPP_CACHE_DIR.
+func TestMain(m *testing.M) {
+	os.Unsetenv("UPP_CACHE_DIR")
+	m.Run()
+}
 
 func names(t *testing.T, list string) []string {
 	t.Helper()
@@ -96,7 +105,6 @@ func TestBadExecutionFlagsRejected(t *testing.T) {
 // flags reach the runs (TestAssembleAppliesHost in internal/experiments
 // has the pool's precedence).
 func TestExecutionFlagsReachRuns(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
 	table := func(flags ...string) string {
 		var stdout, stderr bytes.Buffer
 		if code := run(append([]string{"-exp", "load_balance", "-q"}, flags...), &stdout, &stderr); code != 0 {

@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// TestMain runs every test with the result cache off, so a run prints
+// what it simulates, not a developer's UPP_CACHE_DIR entry; a test of the
+// cache sets its own t.TempDir().
+func TestMain(m *testing.M) {
+	os.Unsetenv("UPP_CACHE_DIR")
+	m.Run()
+}
+
 // uppsim runs the CLI in-process, under -kernel kernel unless kernel is
 // empty.
 func uppsim(t *testing.T, kernel string, args ...string) (code int, stdout, stderr string) {
@@ -191,8 +199,14 @@ func TestSourceFlagsRefusedElsewhere(t *testing.T) {
 }
 
 // TestNegativeFlagsRejected: a negative count or load fails the run, exit
-// 1, naming the field — it is not read as the default that zero means.
+// 1, naming the field — it is not read as the default that zero means —
+// also when the result cache holds the default-horizon workload run, whose
+// key every horizon <= 0 maps to.
 func TestNegativeFlagsRejected(t *testing.T) {
+	t.Setenv("UPP_CACHE_DIR", t.TempDir())
+	if code, _, stderr := uppsim(t, "", "-workload", "ring_allreduce"); code != 0 {
+		t.Fatalf("filling the cache: exit %d: %s", code, stderr)
+	}
 	for _, tc := range []struct {
 		args  []string
 		field string

@@ -95,6 +95,27 @@ func (s RunSpec) horizon() int {
 	return 400000
 }
 
+// check refuses by name what no run takes: a negative count or load (zero
+// is "the default"), an unknown kernel, a negative shard count.
+func (s RunSpec) check() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"VCsPerVNet", s.VCsPerVNet}, {"BufferDepth", s.BufferDepth},
+		{"Dur.Warmup", s.Dur.Warmup}, {"Dur.Measure", s.Dur.Measure}, {"MaxCycles", s.MaxCycles},
+		{"Faults", s.Faults}, {"FaultsPerLayer", s.FaultsPerLayer},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("experiments: RunSpec.%s is %d; want >= 0 (0 = default)", f.name, f.v)
+		}
+	}
+	if !(s.Rate >= 0) { // negative or NaN
+		return fmt.Errorf("experiments: RunSpec.Rate is %v; want a load >= 0", s.Rate)
+	}
+	return network.Config{Router: network.DefaultConfig().Router, Kernel: s.Kernel, Shards: s.Shards}.Validate()
+}
+
 // Sim is an assembled simulation at cycle 0 with no traffic source yet.
 // Net.Topo is the topology it was built on (static faults applied) and
 // Net.Scheme() its scheme instance.
@@ -122,22 +143,8 @@ type TrafficSource interface {
 // the traffic source (Sim.Generator, workloadEngine, a replayer, a
 // coherence system) and measures.
 func Assemble(spec RunSpec) (*Sim, error) {
-	// Zero means "the default" for every count below; a negative one is a
-	// mistake, never a request for the default.
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"VCsPerVNet", spec.VCsPerVNet}, {"BufferDepth", spec.BufferDepth},
-		{"Dur.Warmup", spec.Dur.Warmup}, {"Dur.Measure", spec.Dur.Measure}, {"MaxCycles", spec.MaxCycles},
-		{"Faults", spec.Faults}, {"FaultsPerLayer", spec.FaultsPerLayer},
-	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("experiments: RunSpec.%s is %d; want >= 0 (0 = default)", f.name, f.v)
-		}
-	}
-	if !(spec.Rate >= 0) { // negative or NaN
-		return nil, fmt.Errorf("experiments: RunSpec.Rate is %v; want a load >= 0", spec.Rate)
+	if err := spec.check(); err != nil {
+		return nil, err
 	}
 	if spec.UPP != (core.Config{}) && spec.Scheme != SchemeUPP {
 		return nil, fmt.Errorf("experiments: UPP settings %+v under scheme %q", spec.UPP, spec.Scheme)

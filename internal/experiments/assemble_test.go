@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 
@@ -36,30 +35,9 @@ func TestKillChipletGatesRunSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.FaultPlan = "killchiplet=1@1500"
-	var ref Point
-	for i, kernel := range []string{network.KernelActive, network.KernelNaive, network.KernelParallel} {
-		spec.Kernel = kernel
-		pt, err := Run(spec)
-		if err != nil {
-			t.Fatalf("kernel %s: %v", kernel, err)
-		}
-		if i == 0 {
-			ref = pt
-		} else if pt != ref {
-			t.Fatalf("kernel %s diverges from active:\n%+v\nvs\n%+v", kernel, pt, ref)
-		}
-	}
-	spec.Kernel = ""
+	ref := equivCase{specs: []RunSpec{spec}, at: 1200, variants: []variant{naive, parallel, active.resumedUnder(active, "")}}.equivalent(t)[0][0].pt
 	if ref.Packets >= plain.Packets {
 		t.Fatalf("killing chiplet %d left %d measured packets, not fewer than the %d without the kill", chiplet, ref.Packets, plain.Packets)
-	}
-
-	var buf bytes.Buffer
-	if _, err := RunCheckpointed(spec, 1200, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if pt, _, err := RunRestored(buf.Bytes(), "", 0); err != nil || pt != ref {
-		t.Fatalf("restored from before the kill: err %v\n%+v\nvs uninterrupted\n%+v", err, pt, ref)
 	}
 
 	n, g, err := BuildRun(spec)

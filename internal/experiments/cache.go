@@ -116,15 +116,12 @@ type specEnvelope struct {
 // canonicalSpec canonicalizes a spec for caching. ok is false when the
 // spec cannot be addressed by content: a traffic pattern outside the
 // registered set has no canonical name, the side effects of a traced or
-// recorded run cannot come from a cache, and a kernel or shard count that
-// network.New refuses must fail the run, not be served a result (the key
-// leaves both out). The random binding's stream is in no snapshot, so a
-// warm start would restart it and diverge from the cold run: its runs are
-// refused too.
+// recorded run cannot come from a cache, and a spec RunSpec.check refuses
+// must fail in Assemble, not be served a result. The random binding's
+// stream is in no snapshot, so a warm start would restart it and diverge
+// from the cold run: its runs are refused too.
 func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
-	exec := network.DefaultConfig()
-	exec.Kernel, exec.Shards = spec.Kernel, spec.Shards
-	if spec.TraceLimit > 0 || spec.Record || spec.UPP.Binding == "random" || exec.Validate() != nil {
+	if spec.TraceLimit > 0 || spec.Record || spec.UPP.Binding == "random" || spec.check() != nil {
 		return specEnvelope{}, nil, false
 	}
 	env = specEnvelope{

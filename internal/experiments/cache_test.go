@@ -60,7 +60,6 @@ func TestResultCacheBitIdentity(t *testing.T) {
 				return c
 			}
 
-			t.Setenv("UPP_CACHE_DIR", "")
 			ref := sweep()
 			if len(ref.Points) != len(rates) {
 				t.Fatalf("reference sweep returned %d points, want %d", len(ref.Points), len(rates))
@@ -224,7 +223,9 @@ func TestCachedFiguresAreCacheable(t *testing.T) {
 // TestWorkloadServedFromCache: a closed-loop spec has a content address
 // like a rate-driven one. The re-run, with durations a workload run never
 // reads, is one hit returning the cold run's Point, which is the uncached
-// run's; neither warm-starts (a workload has no warmup to skip). A
+// run's; neither warm-starts (a workload has no warmup to skip). The key
+// maps every horizon <= 0 to the default and leaves a workload's rate out,
+// yet the spec with a negative MaxCycles or Rate fails naming the field. A
 // recorded run's trace cannot come from a cache, so it is never cached.
 func TestWorkloadServedFromCache(t *testing.T) {
 	spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, Workload: "all_to_all", Seed: 11}
@@ -236,7 +237,6 @@ func TestWorkloadServedFromCache(t *testing.T) {
 		}
 		return pt
 	}
-	t.Setenv("UPP_CACHE_DIR", "")
 	want := run(spec)
 	if !want.Completed || want.FinishCycle == 0 {
 		t.Fatalf("reference run did not complete: %+v", want)
@@ -255,6 +255,13 @@ func TestWorkloadServedFromCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, want) || !reflect.DeepEqual(hit, want) {
 		t.Fatalf("cached runs differ from the uncached one:\nuncached: %+v\ncold:     %+v\nhit:      %+v", want, cold, hit)
+	}
+	neg, rate := spec, spec
+	neg.MaxCycles, rate.Rate = -3, -1
+	for field, bad := range map[string]RunSpec{"MaxCycles": neg, "Rate": rate} {
+		if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "RunSpec."+field+" ") {
+			t.Errorf("%s out of range with the valid spec cached: err %v, want one naming the field", field, err)
+		}
 	}
 
 	spec.Record = true
@@ -286,7 +293,6 @@ func TestTailLatencyServedFromCache(t *testing.T) {
 		}
 		return b.String()
 	}
-	t.Setenv("UPP_CACHE_DIR", "")
 	want := render()
 	t.Setenv("UPP_CACHE_DIR", t.TempDir())
 	var cold, again string

@@ -42,17 +42,9 @@ func requireTables(t *testing.T, ts []Table, err error, want ...string) {
 	}
 	for _, id := range want {
 		if !got[id] {
-			t.Fatalf("missing table %s (got %v)", id, keysOf(got))
+			t.Fatalf("missing table %s (got %v)", id, got)
 		}
 	}
-}
-
-func keysOf(m map[string]bool) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
 }
 
 // sweepFigures is every sweep figure of the experiment list, in order.
@@ -100,7 +92,8 @@ func tableByID(t *testing.T, id string, opts PoolOptions) Table {
 }
 
 // TestSweepFigureSmoke runs a subset of the sweep figures through the
-// pool at microDur and checks the tables each makes.
+// pool at microDur and checks the tables each makes (fig7's render is
+// TestKernelCSVGolden's).
 func TestSweepFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second smoke")
@@ -109,7 +102,6 @@ func TestSweepFigureSmoke(t *testing.T) {
 		id     string
 		tables []string
 	}{
-		{"fig7", []string{"fig7", "fig7_summary", "fig7_charts"}},
 		{"fig9", []string{"fig9", "fig9_summary"}},
 		{"fig10", []string{"fig10"}},
 		{"fig11", []string{"fig11", "fig11_summary"}},
@@ -230,7 +222,6 @@ func TestFullSystemRunnerSmoke(t *testing.T) {
 		}
 		return b.String()
 	}
-	t.Setenv("UPP_CACHE_DIR", "")
 	want := render()
 	t.Setenv("UPP_CACHE_DIR", t.TempDir())
 	var cold, again string

@@ -31,216 +31,88 @@ func snapSpec(sch SchemeName, arch string) RunSpec {
 	}
 }
 
-// TestCheckpointRestoreEquivalence is the tentpole acceptance test: a run
-// checkpointed at cycle C and resumed from the checkpoint must reproduce
-// the uninterrupted run bit-identically, across every cycle kernel, shard
-// count, router microarchitecture and both popup-style schemes. The
-// checkpoint lands mid-measurement (cycle 700 of a 400+800 schedule), so
-// the statistics, latency histogram, event wheel and scheme FSMs are all
-// mid-flight when serialized. Deliberately not skipped under -short: CI
-// runs this matrix under the race detector.
+// restoreMatrix is the restore variants of every spec in the
+// checkpoint/restore tests, by subtest name: a checkpoint written at the
+// case's cycle under the active and naive kernels and under the parallel
+// kernel at one and four workers, resumed under the kernel that wrote it,
+// and the active run that writes one and goes on (writing it perturbs
+// nothing).
+func restoreMatrix() []variant {
+	p1, p4 := variant{kernel: network.KernelParallel, shards: 1}, variant{kernel: network.KernelParallel, shards: 4}
+	return []variant{active.resumedUnder(active, "active/shards"), naive.resumedUnder(naive, "naive/shards"),
+		p1.resumedUnder(p1, "parallel/shards1"), p4.resumedUnder(p4, "parallel/shards4"), active}
+}
+
+// TestCheckpointRestoreEquivalence: a run checkpointed mid-measurement
+// (cycle 700 of 400+800: statistics, event wheel and scheme FSMs all in
+// flight) and resumed reproduces the uninterrupted run under every kernel
+// and shard count, router arch and compared scheme. Not skipped under
+// -short: CI runs this matrix under the race detector.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
-	kernels := []struct {
-		name   string
-		shards int
-		label  string // the shard count in the subtest name
-	}{
-		{"active", 0, ""},
-		{"naive", 0, ""},
-		{"parallel", 1, "1"},
-		{"parallel", 4, "4"},
-	}
-	var totalPopups uint64
-	for _, k := range kernels {
-		for _, arch := range []string{"iq", "oq", "voq"} {
-			for _, sch := range []SchemeName{SchemeUPP, SchemeRemoteControl} {
-				name := fmt.Sprintf("%s/shards%s/%s/%s", k.name, k.label, arch, sch)
-				t.Run(name, func(t *testing.T) {
-					t.Setenv("UPP_CACHE_DIR", "")
-					spec := snapSpec(sch, arch)
-					spec.Kernel, spec.Shards = k.name, k.shards
-					var buf bytes.Buffer
-					cold, err := RunCheckpointed(spec, 700, &buf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					restored, rspec, err := RunRestored(buf.Bytes(), k.name, k.shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if restored != cold {
-						t.Fatalf("restored run diverged from uninterrupted run:\ncold:     %+v\nrestored: %+v", cold, restored)
-					}
-					if rspec.Scheme != spec.Scheme || rspec.RouterArch != spec.RouterArch {
-						t.Fatalf("checkpoint spec round-trip: got scheme=%s arch=%s", rspec.Scheme, rspec.RouterArch)
-					}
-					totalPopups += cold.Popups
-				})
-			}
+	c := equivCase{at: 700, variants: restoreMatrix(), sub: func(s RunSpec) string { return s.RouterArch + "/" + string(s.Scheme) }}
+	for _, arch := range []string{"iq", "oq", "voq"} {
+		for _, sch := range ComparedSchemes() {
+			c.specs = append(c.specs, snapSpec(sch, arch))
 		}
 	}
-	if totalPopups == 0 {
+	var popups uint64
+	for _, d := range c.equivalent(t) {
+		popups += d[0].pt.Popups
+	}
+	if popups == 0 {
 		t.Fatal("no popups completed anywhere in the matrix — the checkpoint never exercised scheme FSM state")
 	}
 }
 
-// TestCheckpointIsPureObservation pins that writing a checkpoint does not
-// perturb the run: RunCheckpointed's Point equals plain Run's, for both a
-// mid-measurement and an end-of-warmup checkpoint cycle (the latter is
-// the warm-start capture point, before the measurement reset).
-func TestCheckpointIsPureObservation(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
-	for _, sch := range []SchemeName{SchemeUPP, SchemeRemoteControl} {
-		spec := snapSpec(sch, "iq")
-		plain, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, at := range []int64{400, 700} {
-			var buf bytes.Buffer
-			pt, err := RunCheckpointed(spec, at, &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pt != plain {
-				t.Fatalf("%s: checkpoint at %d perturbed the run:\nplain:        %+v\ncheckpointed: %+v", sch, at, pt, plain)
-			}
-			restored, _, err := RunRestored(buf.Bytes(), "", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored != plain {
-				t.Fatalf("%s: restore from cycle %d diverged:\nplain:    %+v\nrestored: %+v", sch, at, restored, plain)
-			}
-		}
-	}
-}
-
 // TestCheckpointCarriesUPPConfig: a checkpoint of a run with RunSpec.UPP
-// set embeds the setting, so the restored run rebuilds the same scheme
-// and returns Run's Point — which differs from the default threshold's,
-// so a container that dropped the field would fail here.
+// set resumes as that spec to its Point under the restore matrix, and
+// that Point differs from the default threshold's, so a container that
+// dropped the field would fail here.
 func TestCheckpointCarriesUPPConfig(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
-	spec := snapSpec(SchemeUPP, "iq")
-	def, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.UPP.Threshold = 1000
-	plain, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain == def {
-		t.Fatalf("threshold 1000 runs as the default does (%+v): the test cannot see the field", plain)
-	}
-	var buf bytes.Buffer
-	if _, err := RunCheckpointed(spec, 700, &buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, rspec, err := RunRestored(buf.Bytes(), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != plain || rspec.UPP != spec.UPP {
-		t.Fatalf("restore of a threshold-1000 checkpoint: UPP %+v\nrestored: %+v\nwant:     %+v", rspec.UPP, restored, plain)
+	def, tuned := snapSpec(SchemeUPP, "iq"), snapSpec(SchemeUPP, "iq")
+	tuned.UPP.Threshold = 1000
+	ds := equivCase{specs: []RunSpec{tuned}, at: 700, variants: restoreMatrix()}.equivalent(t)
+	if d := active.run(def, 0); d.err != nil || d.pt == ds[0][0].pt {
+		t.Fatalf("threshold 1000 runs as the default does (%v): the test cannot see RunSpec.UPP", d.err)
 	}
 }
 
-// TestCheckpointRestoreFaulted checkpoints a run with the runtime fault
-// engine active — link flaps in progress, signal drops and delays armed —
-// in the middle of a flap window, and requires bit-identical resumption.
-// The fault engine's signal fates are stateless hashes of the cycle, but
-// the retry/timeout state they induce in the hardened UPP scheme is not;
-// this pins that that state survives serialization.
+// TestCheckpointRestoreFaulted: a UPP run under the runtime fault engine,
+// checkpointed mid-flap with signal drops and delays armed, resumes under
+// the restore matrix to the uninterrupted run. The signal fates are
+// stateless hashes of the cycle, but the hardened UPP's retry and timeout
+// state they induce is not.
 func TestCheckpointRestoreFaulted(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
-	spec := snapSpec(SchemeUPP, "iq")
-	spec.Rate = 0.05
-	spec.FaultPlan = "seed=9,flaps=4,flapevery=200,drop=0.15,delayprob=0.1"
-	var buf bytes.Buffer
-	cold, err := RunCheckpointed(spec, 700, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := RunRestored(buf.Bytes(), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != cold {
-		t.Fatalf("faulted restore diverged:\ncold:     %+v\nrestored: %+v", cold, restored)
-	}
-	plain, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != cold {
-		t.Fatalf("faulted checkpoint perturbed the run:\nplain:        %+v\ncheckpointed: %+v", plain, cold)
-	}
+	faulted := snapSpec(SchemeUPP, "iq")
+	faulted.Rate, faulted.FaultPlan = 0.05, "seed=9,flaps=4,flapevery=200,drop=0.15,delayprob=0.1"
+	equivCase{specs: []RunSpec{faulted}, at: 700, variants: restoreMatrix()}.equivalent(t)
 }
 
-// TestCheckpointRestoreAcrossKernels: the kernel is not part of the cache
-// key, so a warm checkpoint written under one kernel is resumed under
-// another. A UPP checkpoint at cycle 700 on oq routers (which need the
-// most popups: three are in flight there), written under the active
-// kernel resumes under the oracle and under the parallel
-// kernel, one written under the oracle resumes under the active kernel,
-// and ones written under the parallel kernel (2 and 3 workers) resume
-// under the active kernel and the oracle, each to the uninterrupted run's
-// Point. Every writer's file, the oracle's included, is also byte for byte
-// the active kernel's: a checkpoint holds simulation state only, and the
-// awake sets a kernel keeps are derived from it on restore.
+// TestCheckpointIsPureObservation: a checkpoint at the end of warmup, the
+// warm-start capture point (before the measurement reset), neither
+// perturbs the run that writes it nor the one that resumes it.
+func TestCheckpointIsPureObservation(t *testing.T) {
+	equivCase{specs: []RunSpec{snapSpec(SchemeUPP, "iq"), snapSpec(SchemeRemoteControl, "iq")}, at: 400,
+		variants: []variant{active, active.resumedUnder(active, "")}}.equivalent(t)
+}
+
+// TestCheckpointRestoreAcrossKernels: the kernel is not in the cache key,
+// so a warm checkpoint written under one kernel resumes under another. On
+// oq routers (where UPP has popups in flight at cycle 700), checkpoints
+// written under the active, naive and parallel (2 and 3 workers) kernels
+// resume under another to the uninterrupted run, and every writer's bytes
+// are the active kernel's: a checkpoint holds simulation state only.
 func TestCheckpointRestoreAcrossKernels(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
-	spec := snapSpec(SchemeUPP, "oq")
-	plain, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	p2, p3 := variant{kernel: network.KernelParallel, shards: 2}, variant{kernel: network.KernelParallel, shards: 3}
+	c := equivCase{at: 700, variants: []variant{active.resumedUnder(naive, "active_to_naive"), active.resumedUnder(p2, "active_to_parallel"),
+		naive.resumedUnder(active, "naive_to_active"), p2.resumedUnder(active, "parallel2_to_active"), p3.resumedUnder(naive, "parallel3_to_naive")},
+		sub: func(s RunSpec) string { return string(s.Scheme) }}
+	for _, sch := range ComparedSchemes() {
+		c.specs = append(c.specs, snapSpec(sch, "oq"))
 	}
-	var active bytes.Buffer
-	if _, err := RunCheckpointed(spec, 700, &active); err != nil {
-		t.Fatal(err)
-	}
-	for _, leg := range []struct {
-		name, write, read       string
-		writeShards, readShards int
-	}{
-		{"active_to_naive", network.KernelActive, network.KernelNaive, 0, 0},
-		{"active_to_parallel", network.KernelActive, network.KernelParallel, 0, 2},
-		{"naive_to_active", network.KernelNaive, network.KernelActive, 0, 0},
-		{"parallel2_to_active", network.KernelParallel, network.KernelActive, 2, 0},
-		{"parallel3_to_naive", network.KernelParallel, network.KernelNaive, 3, 0},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			written := spec
-			written.Kernel, written.Shards = leg.write, leg.writeShards
-			var buf bytes.Buffer
-			if _, err := RunCheckpointed(written, 700, &buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), active.Bytes()) {
-				t.Fatalf("the checkpoint written under %s (%d shards) differs from the active kernel's", leg.write, leg.writeShards)
-			}
-			n, _, _, err := ReadCheckpoint(buf.Bytes(), leg.read, leg.readShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n.Kernel() != leg.read {
-				t.Fatalf("restored under kernel %q, want %q", n.Kernel(), leg.read)
-			}
-			if live := n.Scheme().(*core.UPP).ActivePopups(); live == 0 {
-				t.Fatal("no popup in flight at the checkpoint: the restore does not cover popup state")
-			}
-			restored, _, err := RunRestored(buf.Bytes(), leg.read, leg.readShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored != plain {
-				t.Fatalf("written under %s, resumed under %s: diverged from the uninterrupted run:\nplain:    %+v\nrestored: %+v",
-					leg.write, leg.read, plain, restored)
-			}
-		})
+	upp := c.equivalent(t)[slices.Index(ComparedSchemes(), SchemeUPP)]
+	if n, _, _, err := ReadCheckpoint(upp[1].mid.Bytes(), "", 0); err != nil || n.Scheme().(*core.UPP).ActivePopups() == 0 {
+		t.Fatalf("no popup in flight at UPP's checkpoint (%v): the restore does not cover popup state", err)
 	}
 }
 
@@ -256,7 +128,6 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 // The oq run is checked to hold staged flits at the checkpoint cycle, so
 // its staging section is non-trivially covered.
 func TestSnapshotBytesPinned(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
 	for _, pin := range [][2]string{
 		{"iq", "99c6c6dbfbc3cb56b28ad45ed42ba91a915071df0ed60ff562e5c570dd3b11a9"},
 		{"oq", "5fedc9b5e73d1a938180c23dfaa8a5c53c00945ba7906113e9eb977c42428320"},
@@ -292,7 +163,6 @@ func TestSnapshotBytesPinned(t *testing.T) {
 // container must still restore through ReadCheckpoint and finish to the
 // uninterrupted run's Point.
 func TestCheckpointReadsLinkLatencyKeys(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
 	tiled := snapSpec(SchemeUPP, "iq")
 	tiled.Topo = topology.SystemConfig{}
 	tiled.Scale = &topology.ScaleConfig{TilesX: 2, TilesY: 1, TileW: 4, TileH: 4, ChipletsX: 2, ChipletsY: 2,
@@ -412,7 +282,6 @@ func snapReconfigSpec() RunSpec {
 // walked in both directions, so this is the check that the decode
 // direction rebuilds everything the encode direction reads.
 func TestSnapshotEverySectionReencodes(t *testing.T) {
-	t.Setenv("UPP_CACHE_DIR", "")
 	type tcase struct {
 		name   string
 		spec   RunSpec
