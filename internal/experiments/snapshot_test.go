@@ -10,6 +10,7 @@ import (
 
 	"uppnoc/internal/core"
 	"uppnoc/internal/network"
+	"uppnoc/internal/remotectl"
 	"uppnoc/internal/topology"
 	"uppnoc/internal/traffic"
 )
@@ -117,8 +118,9 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 }
 
 // TestSnapshotBytesPinned pins the on-disk checkpoint encoding (the UPWR
-// container around a UPWS snapshot) for every router microarchitecture:
-// the result cache keeps warm-start checkpoints across builds and
+// container around a UPWS snapshot) for every router microarchitecture
+// under UPP, and for remote control's control-plane section on iq: the
+// result cache keeps warm-start checkpoints across builds and
 // snapVersion only moves when the format does, so a refactor of the
 // datapath must keep writing these bytes. The digests last moved when
 // the writer began to put each wheel slot in canonical order (flits and
@@ -126,24 +128,36 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 // records within a slot moved, and a checkpoint written before reads
 // back and re-writes as these bytes.
 // The oq run is checked to hold staged flits at the checkpoint cycle, so
-// its staging section is non-trivially covered.
+// its staging section is non-trivially covered, and the remote-control run
+// to hold a queued reservation request, a grant and a live boundary slot,
+// so its control-plane section is.
 func TestSnapshotBytesPinned(t *testing.T) {
-	for _, pin := range [][2]string{
-		{"iq", "99c6c6dbfbc3cb56b28ad45ed42ba91a915071df0ed60ff562e5c570dd3b11a9"},
-		{"oq", "5fedc9b5e73d1a938180c23dfaa8a5c53c00945ba7906113e9eb977c42428320"},
-		{"voq", "12e4505aacef1d09a164a7fd9c72a681efae0d2fe689eadc531b450006454988"},
+	for _, pin := range []struct {
+		name string
+		spec RunSpec
+		want string
+	}{
+		{"iq", snapSpec(SchemeUPP, "iq"), "99c6c6dbfbc3cb56b28ad45ed42ba91a915071df0ed60ff562e5c570dd3b11a9"},
+		{"oq", snapSpec(SchemeUPP, "oq"), "5fedc9b5e73d1a938180c23dfaa8a5c53c00945ba7906113e9eb977c42428320"},
+		{"voq", snapSpec(SchemeUPP, "voq"), "12e4505aacef1d09a164a7fd9c72a681efae0d2fe689eadc531b450006454988"},
+		{"remote_control", snapSpec(SchemeRemoteControl, "iq"), "4b24009ff9f2a669a2dc7026f25935cf40fd8547c1f2ff5dc835bc3b92169ab9"},
 	} {
-		arch, want := pin[0], pin[1]
 		var buf bytes.Buffer
-		if _, err := RunCheckpointed(snapSpec(SchemeUPP, arch), 700, &buf); err != nil {
+		if _, err := RunCheckpointed(pin.spec, 700, &buf); err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-			t.Errorf("%s: checkpoint at cycle 700 (%d bytes) has sha256 %s, want %s", arch, buf.Len(), got, want)
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != pin.want {
+			t.Errorf("%s: checkpoint at cycle 700 (%d bytes) has sha256 %s, want %s", pin.name, buf.Len(), got, pin.want)
 		}
 		n, _, _, err := ReadCheckpoint(buf.Bytes(), "", 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rc, ok := n.Scheme().(*remotectl.Scheme); ok {
+			if queued, granted, live := rc.Load(); queued == 0 || granted == 0 || live == 0 {
+				t.Errorf("%s: %d requests queued, %d grants, %d live slots at the checkpoint cycle", pin.name, queued, granted, live)
+			}
+			continue
 		}
 		staged := 0
 		for i, r := range n.Routers {
@@ -151,8 +165,8 @@ func TestSnapshotBytesPinned(t *testing.T) {
 				staged += r.StagedCount(topology.PortID(pi))
 			}
 		}
-		if (arch == "oq") != (staged > 0) {
-			t.Errorf("%s: %d flits staged at the checkpoint cycle", arch, staged)
+		if (pin.name == "oq") != (staged > 0) {
+			t.Errorf("%s: %d flits staged at the checkpoint cycle", pin.name, staged)
 		}
 	}
 }

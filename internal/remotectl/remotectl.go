@@ -300,3 +300,14 @@ func (s *Scheme) sendDown(b *boundary, cycle sim.Cycle) {
 
 // SlotsFree reports the free slot count at boundary b (tests).
 func (s *Scheme) SlotsFree(b topology.NodeID) int { return s.boundaries[b].free }
+
+// Load counts, over every boundary, the reservation requests queued, the
+// grants held and the slots absorbing a packet (tests).
+func (s *Scheme) Load() (queued, granted, live int) {
+	for _, b := range s.boundaries {
+		queued += len(b.reqQ)
+		granted += len(b.granted)
+		live += len(b.absorbing)
+	}
+	return queued, granted, live
+}
