@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"uppnoc/internal/network"
@@ -34,14 +35,14 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// buffers) — past saturation the injection queues grow without
 	// bound and "steady state" does not exist.
 	rates := map[string]float64{router.ArchIQ: 0.05, router.ArchOQ: 0.035, router.ArchVOQ: 0.05}
-	leg := func(scheme SchemeName, kernel, arch string) func(*testing.T) {
+	leg := func(scheme SchemeName, kernel, arch string, rate float64) func(*testing.T) {
 		return func(t *testing.T) {
 			spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: scheme, Kernel: kernel, RouterArch: arch}
 			s, err := Assemble(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, g := s.Net, s.Generator(traffic.UniformRandom{}, rates[arch], 99)
+			n, g := s.Net, s.Generator(traffic.UniformRandom{}, rate, 99)
 			n.PacketPool().Preallocate(4096)
 			Drive(n, g, 20000, nil) // reach steady-state occupancy and buffer high-water marks
 			allocs := testing.AllocsPerRun(10, func() {
@@ -58,13 +59,18 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
 		for _, arch := range []string{router.ArchIQ, router.ArchOQ, router.ArchVOQ} {
-			t.Run(kernel+"_"+arch, leg(SchemeUPP, kernel, arch))
+			t.Run(kernel+"_"+arch, leg(SchemeUPP, kernel, arch, rates[arch]))
 		}
 	}
-	// Composable's restricted routes are data installed at Attach; its
-	// steady state is held to the same bar. Remote control is not: it
-	// allocates per absorbed packet (DESIGN.md §8).
-	t.Run("composable_"+network.KernelActive+"_"+router.ArchIQ, leg(SchemeComposable, network.KernelActive, router.ArchIQ))
+	// Composable's restricted routes are data installed at Attach, and
+	// remote control's control plane runs on fixed slots and reused queues:
+	// both steady states are held to the same bar, remote control's at two
+	// loads so that its request queues and grants are exercised.
+	t.Run("composable_"+network.KernelActive+"_"+router.ArchIQ, leg(SchemeComposable, network.KernelActive, router.ArchIQ, rates[router.ArchIQ]))
+	for _, rate := range []float64{0.03, 0.05} {
+		t.Run(fmt.Sprintf("remote_control_%s_%s_%v", network.KernelActive, router.ArchIQ, rate),
+			leg(SchemeRemoteControl, network.KernelActive, router.ArchIQ, rate))
+	}
 }
 
 // TestSteadyStateZeroAllocScale holds the scale-out systems to the same

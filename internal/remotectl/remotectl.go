@@ -24,8 +24,12 @@
 package remotectl
 
 import (
+	"math/bits"
+	"slices"
+
 	"uppnoc/internal/message"
 	"uppnoc/internal/network"
+	"uppnoc/internal/router"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -43,9 +47,12 @@ const (
 	crossingDelay = 1
 )
 
-// slot buffers one absorbed inter-chiplet packet at a boundary router.
+// slot buffers one absorbed inter-chiplet packet at a boundary router. It
+// is live while pkt is set: from the packet's first absorbed flit to its
+// tail's departure down the vertical link. The flit buffer is reused.
 type slot struct {
 	pkt   *message.Packet
+	id    uint64 // pkt's ID, which a restore knows before pkt's body
 	flits []message.Flit
 	next  int // next flit index to send down
 	outVC int8
@@ -60,21 +67,24 @@ type request struct {
 // boundary is the per-boundary-router state.
 type boundary struct {
 	node topology.NodeID
-	// treeDepth is each chiplet router's hop depth in this boundary's
-	// hard-wired permission tree (BFS over the chiplet mesh, Fig. 2(b));
-	// the reservation round trip is 2 x depth.
-	treeDepth map[topology.NodeID]int
-	free      int
-	reqQ      []request
-	granted   map[uint64]bool
-	// absorbing maps packet ID to its slot once flits start arriving.
-	absorbing map[uint64]*slot
-	// sendQ holds slots in absorption order per VNet (wormhole ordering on
-	// the down link).
-	sendQ  [message.NumVNets][]*slot
+	r    *router.Router
+	down topology.PortID // the down vertical port, or InvalidPort
+	ch   *topology.Chiplet
+	// treeDepth is each chiplet router's depth (row-major, 0 off the tree)
+	// in this boundary's permission tree, Fig. 2(b): the round trip is 2x.
+	treeDepth []int32
+	// reqQ holds the queued reservation requests, oldest first.
+	reqQ []request
+	// granted holds the IDs of the packets holding a slot, ascending;
+	// with the free slots they always number boundarySlots.
+	granted []uint64
+	slots   [boundarySlots]slot
+	live    int // live slots
+	// sendQ holds the live slots' indices in absorption order per VNet
+	// (wormhole ordering on the down link).
+	sendQ  [message.NumVNets][]int8
 	vnetRR int
-	// held tracks the VCs we put on Hold last cycle so they can be
-	// recomputed.
+	// held lists the VCs the last walk put on Hold.
 	held []heldVC
 }
 
@@ -87,16 +97,18 @@ type heldVC struct {
 type Scheme struct {
 	network.BaseScheme
 	net *network.Network
-
-	boundaries map[topology.NodeID]*boundary
-	// requested remembers packets whose reservation request is queued.
-	requested map[uint64]bool
+	// boundaries are in Attach's order (chiplet, then boundary), and
+	// index[node] is a boundary router's position in it.
+	boundaries []boundary
+	index      []int32
+	// pending is, per (source, VNet), the ID of the packet whose request is
+	// queued, or 0: a gated packet stays at the front of its NI's queue on
+	// its VNet until it is granted, so a source has at most one per VNet.
+	pending []uint64
 }
 
 // New returns a remote-control scheme.
-func New() *Scheme {
-	return &Scheme{requested: make(map[uint64]bool)}
-}
+func New() *Scheme { return &Scheme{} }
 
 // Name implements network.Scheme.
 func (s *Scheme) Name() string { return "remote_control" }
@@ -108,42 +120,38 @@ func (s *Scheme) Attach(n *network.Network) {
 	s.net = n
 	n.SetInjectionGate(s.canStartPacket)
 	n.SetCrossingDelay(crossingDelay)
-	s.boundaries = make(map[topology.NodeID]*boundary)
-	for _, ch := range n.Topo.Chiplets {
-		for _, b := range ch.Boundary {
-			s.boundaries[b] = &boundary{
-				node:      b,
-				treeDepth: permissionTree(n.Topo, b, ch.Routers),
-				free:      boundarySlots,
-				granted:   make(map[uint64]bool),
-				absorbing: make(map[uint64]*slot),
+	s.index = make([]int32, n.Topo.NumNodes())
+	s.pending = make([]uint64, n.Topo.NumNodes()*message.NumVNets)
+	for ci := range n.Topo.Chiplets {
+		ch := &n.Topo.Chiplets[ci]
+		for _, bn := range ch.Boundary {
+			s.index[bn] = int32(len(s.boundaries))
+			b := boundary{node: bn, r: n.Router(bn), down: n.Topo.Node(bn).PortTo(topology.Down), ch: ch,
+				treeDepth: permissionTree(n.Topo, ch, bn), granted: make([]uint64, 0, boundarySlots)}
+			for v := range b.sendQ {
+				b.sendQ[v] = make([]int8, 0, boundarySlots)
 			}
+			for k := range b.slots {
+				b.slots[k].flits = make([]message.Flit, 0, message.DataPacketFlits)
+			}
+			s.boundaries = append(s.boundaries, b)
 		}
 	}
 }
 
 // permissionTree computes each chiplet router's depth in the BFS tree the
 // permission subnetwork is hard-wired as, rooted at the boundary router.
-func permissionTree(t *topology.Topology, root topology.NodeID, routers []topology.NodeID) map[topology.NodeID]int {
-	inLayer := make(map[topology.NodeID]bool, len(routers))
-	for _, r := range routers {
-		inLayer[r] = true
-	}
-	depth := map[topology.NodeID]int{root: 0}
-	queue := []topology.NodeID{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		n := t.Node(cur)
-		for pi := 1; pi < len(n.Ports); pi++ {
-			nb := n.Ports[pi].Neighbor
-			if !inLayer[nb] || n.Ports[pi].Link.Vertical {
+func permissionTree(t *topology.Topology, ch *topology.Chiplet, root topology.NodeID) []int32 {
+	depth := make([]int32, len(ch.Routers))
+	at := func(id topology.NodeID) *int32 { return &depth[t.Node(id).Y*ch.Width+t.Node(id).X] }
+	for queue := []topology.NodeID{root}; len(queue) > 0; queue = queue[1:] {
+		n := t.Node(queue[0])
+		for _, pt := range n.Ports[1:] {
+			if t.Node(pt.Neighbor).Chiplet != ch.Index || pt.Link.Vertical || pt.Neighbor == root || *at(pt.Neighbor) > 0 {
 				continue
 			}
-			if _, ok := depth[nb]; !ok {
-				depth[nb] = depth[cur] + 1
-				queue = append(queue, nb)
-			}
+			*at(pt.Neighbor) = *at(n.ID) + 1
+			queue = append(queue, pt.Neighbor)
 		}
 	}
 	return depth
@@ -155,114 +163,107 @@ func (s *Scheme) canStartPacket(p *message.Packet, cycle sim.Cycle) bool {
 	if p.EgressBoundary == topology.InvalidNode {
 		return true
 	}
-	b := s.boundaries[p.EgressBoundary]
-	if b.granted[p.ID] {
+	b := &s.boundaries[s.index[p.EgressBoundary]]
+	if slices.Contains(b.granted, p.ID) {
 		return true
 	}
-	if !s.requested[p.ID] {
-		s.requested[p.ID] = true
-		rtt := max(2*b.treeDepth[p.Src], minRoundTrip)
-		b.reqQ = append(b.reqQ, request{pkt: p, ready: cycle + sim.Cycle(rtt)})
+	if pending := &s.pending[int(p.Src)*message.NumVNets+int(p.VNet)]; *pending != p.ID {
+		*pending = p.ID
+		rtt := sim.Cycle(minRoundTrip)
+		if src := s.net.Topo.Node(p.Src); src.Chiplet == b.ch.Index {
+			rtt = max(2*sim.Cycle(b.treeDepth[src.Y*b.ch.Width+src.X]), minRoundTrip)
+		}
+		b.reqQ = append(b.reqQ, request{pkt: p, ready: cycle + rtt})
 	}
 	s.net.Stats.InjectionHolds++
 	return false
 }
 
-// StartOfCycle implements network.Scheme: grant reservations, hold and
-// absorb egress packets, and stream slots down the vertical links.
+// StartOfCycle implements network.Scheme: at each boundary, grant
+// reservations, hold and absorb egress packets, and stream live slots down
+// the vertical link. Each step runs only when it has something to do.
 func (s *Scheme) StartOfCycle(cycle sim.Cycle) {
-	for _, ch := range s.net.Topo.Chiplets {
-		for _, bn := range ch.Boundary {
-			b := s.boundaries[bn]
-			if len(b.reqQ) == 0 && len(b.held) == 0 && len(b.absorbing) == 0 &&
-				s.net.Router(bn).Buffered() == 0 {
-				// Fully quiescent boundary: nothing to grant (reqQ empty),
-				// no holds to refresh, nothing absorbed to stream down
-				// (sendQ is non-empty only while absorbing is), and an
-				// empty router can hold no egress flit to hold or absorb.
-				continue
-			}
+	for i := range s.boundaries {
+		b := &s.boundaries[i]
+		if len(b.reqQ) > 0 {
 			s.grantRequests(b, cycle)
-			s.refreshHolds(b, cycle)
-			s.absorb(b, cycle)
-			s.sendDown(b, cycle)
+		}
+		if len(b.held) > 0 || b.r.OccupiedPorts() != 0 {
+			b.holdAndAbsorb(cycle)
+		}
+		if b.live > 0 {
+			b.sendDown(cycle)
 		}
 	}
 }
 
 func (s *Scheme) grantRequests(b *boundary, cycle sim.Cycle) {
-	for len(b.reqQ) > 0 && b.free > 0 && b.reqQ[0].ready <= cycle {
-		req := b.reqQ[0]
-		b.reqQ = b.reqQ[1:]
-		b.free--
-		b.granted[req.pkt.ID] = true
-		delete(s.requested, req.pkt.ID)
+	for len(b.reqQ) > 0 && len(b.granted) < boundarySlots && b.reqQ[0].ready <= cycle {
+		p := b.reqQ[0].pkt
+		b.reqQ = slices.Delete(b.reqQ, 0, 1)
+		i, _ := slices.BinarySearch(b.granted, p.ID)
+		b.granted = slices.Insert(b.granted, i, p.ID)
+		s.pending[int(p.Src)*message.NumVNets+int(p.VNet)] = 0
 	}
 }
 
-// refreshHolds marks every VC whose front flit belongs to an egress packet
-// of this boundary: those packets leave through the boundary buffer, never
-// through switch allocation.
-func (s *Scheme) refreshHolds(b *boundary, _ sim.Cycle) {
-	r := s.net.Router(b.node)
+// holdAndAbsorb walks the occupied input VCs once. A VC whose front flit
+// belongs to an egress packet of this boundary is held: that packet leaves
+// through its slot, never through switch allocation. Per input port, the
+// first held VC whose front flit is ready moves it into the slot, claiming
+// the input like a crossbar pass-through. Holds are set from the front
+// flits before any pop and stay until the next walk.
+func (b *boundary) holdAndAbsorb(cycle sim.Cycle) {
+	r := b.r
 	for _, h := range b.held {
 		r.VCAt(h.port, h.vc).Hold = false
 	}
 	b.held = b.held[:0]
-	nvc := s.net.Cfg.Router.NumVCs()
-	for pi := 0; pi < len(r.In); pi++ {
-		for vi := 0; vi < nvc; vi++ {
-			vc := r.VCAt(topology.PortID(pi), vi)
-			f, _, ok := vc.Front()
-			if !ok || !s.isEgressHere(b, f.Pkt) {
+	for ports := r.OccupiedPorts(); ports != 0; ports &= ports - 1 {
+		port := topology.PortID(bits.TrailingZeros32(ports))
+		tried := false
+		for vcs := r.OccupiedVCs(port); vcs != 0; vcs &= vcs - 1 {
+			vi := bits.TrailingZeros64(vcs)
+			vc := r.VCAt(port, vi)
+			f, ready, _ := vc.Front()
+			if f.Pkt.EgressBoundary != b.node {
 				continue
 			}
 			vc.Hold = true
-			b.held = append(b.held, heldVC{topology.PortID(pi), vi})
-		}
-	}
-}
-
-func (s *Scheme) isEgressHere(b *boundary, p *message.Packet) bool {
-	return p.EgressBoundary == b.node
-}
-
-// absorb moves egress flits from input VCs into their boundary slots —
-// one flit per input port per cycle, claiming the input like a crossbar
-// pass-through.
-func (s *Scheme) absorb(b *boundary, cycle sim.Cycle) {
-	r := s.net.Router(b.node)
-	nvc := s.net.Cfg.Router.NumVCs()
-	for pi := 0; pi < len(r.In); pi++ {
-		port := topology.PortID(pi)
-		for vi := 0; vi < nvc; vi++ {
-			vc := r.VCAt(port, vi)
-			f, ok := vc.FrontReady(cycle)
-			if !ok || !s.isEgressHere(b, f.Pkt) {
+			b.held = append(b.held, heldVC{port, vi})
+			if tried || ready > cycle {
 				continue
 			}
-			if !r.ClaimInput(port, cycle) {
-				break
+			if tried = true; r.ClaimInput(port, cycle) {
+				b.absorb(r.PopFront(port, vi, cycle))
 			}
-			f = r.PopFront(port, vi, cycle)
-			sl := b.absorbing[f.Pkt.ID]
-			if sl == nil {
-				sl = &slot{pkt: f.Pkt, outVC: -1}
-				b.absorbing[f.Pkt.ID] = sl
-				b.sendQ[f.Pkt.VNet] = append(b.sendQ[f.Pkt.VNet], sl)
-			}
-			sl.flits = append(sl.flits, f)
-			break // one flit per input port per cycle
 		}
 	}
+}
+
+// absorb appends f to its packet's live slot, or makes a free slot live
+// for it behind its VNet's earlier slots (its grant kept one free).
+func (b *boundary) absorb(f message.Flit) {
+	free := -1
+	for i := range b.slots {
+		if sl := &b.slots[i]; sl.pkt != nil && sl.id == f.Pkt.ID {
+			sl.flits = append(sl.flits, f)
+			return
+		} else if sl.pkt == nil && free < 0 {
+			free = i
+		}
+	}
+	sl := &b.slots[free]
+	*sl = slot{pkt: f.Pkt, id: f.Pkt.ID, flits: append(sl.flits[:0], f), outVC: -1}
+	b.sendQ[f.Pkt.VNet] = append(b.sendQ[f.Pkt.VNet], int8(free))
+	b.live++
 }
 
 // sendDown streams one flit per cycle from the boundary buffers onto the
 // down vertical link, keeping wormhole ordering per VNet.
-func (s *Scheme) sendDown(b *boundary, cycle sim.Cycle) {
-	r := s.net.Router(b.node)
-	down := r.Node.PortTo(topology.Down)
-	if down == topology.InvalidPort || r.OutputClaimed(down, cycle) {
+func (b *boundary) sendDown(cycle sim.Cycle) {
+	r := b.r
+	if b.down == topology.InvalidPort || r.OutputClaimed(b.down, cycle) {
 		return
 	}
 	for k := 0; k < message.NumVNets; k++ {
@@ -270,44 +271,40 @@ func (s *Scheme) sendDown(b *boundary, cycle sim.Cycle) {
 		if len(b.sendQ[v]) == 0 {
 			continue
 		}
-		sl := b.sendQ[v][0]
+		sl := &b.slots[b.sendQ[v][0]]
 		if sl.next >= len(sl.flits) {
 			continue // waiting for more flits to be absorbed
 		}
 		if sl.outVC < 0 {
-			sl.outVC = r.AllocateOutputVC(down, message.VNet(v))
-			if sl.outVC < 0 {
-				continue
-			}
+			sl.outVC = r.AllocateOutputVC(b.down, message.VNet(v))
 		}
-		if !r.CreditsAvailable(down, sl.outVC) {
+		if sl.outVC < 0 || !r.CreditsAvailable(b.down, sl.outVC) {
 			continue
 		}
 		f := sl.flits[sl.next]
 		sl.next++
-		r.ClaimOutput(down, cycle)
-		r.SendOnOutput(down, sl.outVC, f, cycle)
+		r.ClaimOutput(b.down, cycle)
+		r.SendOnOutput(b.down, sl.outVC, f, cycle)
 		b.vnetRR = v
 		if f.IsTail() {
-			b.sendQ[v] = b.sendQ[v][1:]
-			delete(b.absorbing, sl.pkt.ID)
-			delete(b.granted, sl.pkt.ID)
-			b.free++
+			b.sendQ[v] = slices.Delete(b.sendQ[v], 0, 1)
+			i, _ := slices.BinarySearch(b.granted, sl.id)
+			b.granted = slices.Delete(b.granted, i, i+1)
+			sl.pkt = nil
+			b.live--
 		}
 		return
 	}
 }
 
-// SlotsFree reports the free slot count at boundary b (tests).
-func (s *Scheme) SlotsFree(b topology.NodeID) int { return s.boundaries[b].free }
-
 // Load counts, over every boundary, the reservation requests queued, the
-// grants held and the slots absorbing a packet (tests).
+// grants held and the live slots (tests).
 func (s *Scheme) Load() (queued, granted, live int) {
-	for _, b := range s.boundaries {
+	for i := range s.boundaries {
+		b := &s.boundaries[i]
 		queued += len(b.reqQ)
 		granted += len(b.granted)
-		live += len(b.absorbing)
+		live += b.live
 	}
 	return queued, granted, live
 }

@@ -108,8 +108,8 @@ func TestCrossingDelayPinned(t *testing.T) {
 	}
 }
 
-// TestSlotsReturn: all four slots of every boundary router are free after
-// the network drains.
+// TestSlotsReturn: every slot of every boundary router is free after the
+// network drains: no request queued, no grant held, no slot live.
 func TestSlotsReturn(t *testing.T) {
 	n, s := rcNet(t, 4)
 	g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.08, 3)
@@ -118,12 +118,8 @@ func TestSlotsReturn(t *testing.T) {
 	if err := n.Drain(100000, 20000); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	for _, ch := range n.Topo.Chiplets {
-		for _, b := range ch.Boundary {
-			if got := s.SlotsFree(b); got != 4 {
-				t.Fatalf("boundary %d: %d slots free after drain", b, got)
-			}
-		}
+	if queued, granted, live := s.Load(); queued+granted+live != 0 {
+		t.Fatalf("after drain: %d requests queued, %d grants, %d live slots", queued, granted, live)
 	}
 }
 

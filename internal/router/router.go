@@ -331,6 +331,12 @@ func (r *Router) Buffered() int { return int(r.buffered + r.staged) }
 // VCAt returns the VC for inspection by plugins and tests.
 func (r *Router) VCAt(port topology.PortID, vc int) *VC { return &r.vcs[int(port)*r.nvc+vc] }
 
+// OccupiedPorts returns the mask of input ports holding a flit.
+func (r *Router) OccupiedPorts() uint32 { return r.occ }
+
+// OccupiedVCs returns the mask of input port p's VCs holding a flit.
+func (r *Router) OccupiedVCs(p topology.PortID) uint64 { return r.ports[p].vcMask }
+
 // PortSent returns the number of flits sent through output port p.
 func (r *Router) PortSent(p topology.PortID) uint64 { return r.ports[p].sent }
 

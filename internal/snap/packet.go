@@ -82,7 +82,14 @@ func (c *Codec) PacketTable() {
 		}
 		c.packetBody(c.pkts[i])
 	}
+	for i := 0; i < len(c.after) && c.err == nil; i++ {
+		c.after[i]()
+	}
 }
+
+// AfterPackets defers fn, restore work that reads decoded packets' fields,
+// until PacketTable has filled in every body; fn runs unless decoding failed.
+func (c *Codec) AfterPackets(fn func()) { c.after = append(c.after, fn) }
 
 // PacketCount returns the number of table entries so far.
 func (c *Codec) PacketCount() int { return len(c.pkts) }

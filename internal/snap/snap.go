@@ -54,6 +54,7 @@ type Codec struct {
 	// encoding.
 	pkts  []*message.Packet
 	index map[*message.Packet]uint64
+	after []func() // AfterPackets' work, in registration order
 }
 
 // NewEncoder returns a Codec that appends to an empty buffer.
