@@ -44,8 +44,8 @@ bench-pairs:
 
 # Non-test lines of Go in internal/ and cmd/ — the tracked size of the
 # simulator (ROADMAP aim 2) — per package, then the total. Then the lines
-# that assemble a simulation in the non-test files of internal/experiments,
-# cmd/uppsim and cmd/profile: experiments.Assemble is the one place (its
+# that assemble a simulation in the non-test files of internal/experiments
+# and cmd/uppsim: experiments.Assemble is the one place (its
 # topology.Build / BuildScale pair, plus KillableInterposerLinks' scratch
 # topology), so a second hand-rolled assembly shows up as a number. Then
 # the non-test lines of internal/snap and every internal/*/snapshot.go:
@@ -130,6 +130,10 @@ bench-pairs:
 # is flat (boundaries in a slice indexed per node, a fixed set of grants
 # and slots per boundary, one pending request per source and VNet), so a
 # hashed lookup grown back into its control plane shows up as a number.
+# Then the non-test lines of internal/ and cmd/ that import runtime/pprof:
+# profiling is go test's (-cpuprofile, -memprofile on BenchmarkStep, see
+# the profile target), so a profiling binary grown back shows up as a
+# number.
 # The target fails when a count exceeds its ceiling; CI's
 # test job runs it.
 SNAPSHOT_LINES = 1415
@@ -140,7 +144,7 @@ loc:
 		printf '%-22s %6d\n' "$$d" $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done | sed 's/^internal cmd /total        /'
 	@set -- 1 1 3; for pat in 'network\.New(\|NewNetwork(' 'reconfig\.Attach(' 'topology\.Build'; do \
-		n=$$(find internal/experiments cmd/uppsim cmd/profile -name '*.go' ! -name '*_test.go' | xargs cat | grep -c "$$pat"); \
+		n=$$(find internal/experiments cmd/uppsim -name '*.go' ! -name '*_test.go' | xargs cat | grep -c "$$pat"); \
 		printf 'calls %-28s %d (ceiling %d)\n' "$$pat" $$n $$1; \
 		[ $$n -le $$1 ] || fail=1; shift; \
 	done; [ -z "$$fail" ]
@@ -213,6 +217,9 @@ loc:
 	@n=$$(find internal/remotectl -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'map\['); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'map[ in remotectl' $$n 0; \
 		[ $$n -le 0 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c '"runtime/pprof"'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'runtime/pprof' $$n 0; \
+		[ $$n -le 0 ]
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact
@@ -228,11 +235,18 @@ collectives-golden:
 router-golden:
 	$(GO) run ./cmd/figures -exp router_compare -csv results -q
 
-# CPU + heap pprof of the saturation workload (every allocation
-# attributed). Inspect with `go tool pprof -sample_index=alloc_objects
-# profiles/mem.pprof`.
+# CPU + heap pprof of BenchmarkStep's saturation row (UPP on the baseline
+# at 0.2 flits/cycle/node, active kernel) over a 200 000-cycle window, every
+# allocation attributed (-memprofilerate 1). The profiles cover the whole
+# test binary, so the row's assembly and 2 000 warm-up cycles are in them
+# too (~1 % of the CPU samples). Inspect with `go tool pprof
+# -sample_index=alloc_objects profiles/mem.pprof` and `go tool pprof
+# profiles/cpu.pprof`; profile another row by changing -bench. go test
+# leaves its binary behind as uppnoc.test.
 profile:
-	$(GO) run ./cmd/profile -cpu profiles/cpu.pprof -mem profiles/mem.pprof
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'Step/baseline/rate=0.2/active$$' -benchtime 200000x \
+		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -memprofilerate 1 .
 
 # Regenerate the paper's evaluation (quick durations). Runs fan out across
 # GOMAXPROCS workers (override with `-jobs`); the output is

@@ -3,12 +3,14 @@
 // corresponding experiment (the cmd/figures binary runs the full-length
 // ones) and reports the domain metrics via b.ReportMetric, so
 // `go test -bench=. -benchmem` regenerates the whole evaluation in
-// miniature.
+// miniature. BenchmarkStep times the cycle kernel itself.
 package main
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"uppnoc/internal/coherence"
 	"uppnoc/internal/composable"
@@ -321,18 +323,6 @@ func BenchmarkRunAllMixedBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed (cycles/sec)
-// at a moderate load — the practical cost of running experiments.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	topo := topology.MustBuild(topology.BaselineConfig())
-	for i := 0; i < b.N; i++ {
-		n := network.MustNew(topo, network.DefaultConfig(), network.None{})
-		g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.04, 5)
-		g.Run(5000)
-	}
-	b.ReportMetric(float64(5000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
 // BenchmarkComposableSearch measures the design-time restriction search —
 // the cost the paper's flexibility critique is about — on the baseline, on
 // eight boundary routers per chiplet, on Fig. 9's large system and on the
@@ -363,55 +353,104 @@ func BenchmarkComposableSearch(b *testing.B) {
 	}
 }
 
-// benchKernel measures the cycle kernel itself: the warmed-up UPP system
-// advances b.N simulated cycles, so ns/op reads directly as ns per
-// simulated cycle. Active/naive pairs at the same rate quantify the
-// active-set kernel's win (large at low load, where most components are
-// idle; ~neutral at saturation, where everything is awake anyway).
-// allocs/op and B/op are reported per cycle: stable loads settle at ~0
-// once buffers reach their high-water marks.
-func benchKernel(b *testing.B, kernel string, rate float64) {
-	b.Helper()
-	s, err := experiments.Assemble(experiments.RunSpec{
-		Topo: topology.BaselineConfig(), Scheme: experiments.SchemeUPP, Kernel: kernel,
-	})
+// BenchmarkStep measures the cycle kernel: one op is one simulated cycle,
+// so ns/op reads as ns per cycle. Each row runs UPP under uniform random
+// traffic (generator seed 99): on the 80-router baseline at a low, a mid
+// and a past-saturation load under every kernel, and on the 512-, 2048- and
+// 8192-router scale presets below their saturation under the active and
+// parallel kernels. A row assembles its system, preallocates 4096 pooled
+// packets and runs 2000 warm-up cycles (steady-state occupancy, not a cold
+// network) before the timer starts. Profile a row with go test's
+// profilers (`make profile`).
+//
+// Besides ns/op, B/op and allocs/op (per cycle: ~0 below saturation once
+// buffers reach their high-water marks; past it the sources' backlog keeps
+// growing), a row reports
+//   - ns/flit-hop: the window's wall time over its crossbar traversals
+//     (the bench's router.flit_hops);
+//   - <phase>-ns/cycle: the coordinator's wall time in each phase of
+//     Step (network.PhaseClock), and traffic-ns/cycle, the rest of the
+//     cycle (the traffic source and experiments.Drive's loop);
+//   - under the parallel kernel, w<i>-<phase>-busy-ns/cycle: worker i's
+//     time inside its share of deliver, compute, retirement and EndOfCycle;
+//   - pool-gets, pool-reuses, pool-live: the packet pool's counters at the
+//     end of the run, warm-up included.
+//
+// The clock reads the time six or seven times a cycle, and ns/op pays for
+// those reads.
+func BenchmarkStep(b *testing.B) {
+	all := []string{network.KernelActive, network.KernelNaive, network.KernelParallel}
+	scaled := []string{network.KernelActive, network.KernelParallel}
+	small, large, huge := topology.ScaleSmallConfig(), topology.ScaleLargeConfig(), topology.ScaleHugeConfig()
+	for _, row := range []struct {
+		system  string
+		scale   *topology.ScaleConfig
+		rate    float64
+		kernels []string
+	}{
+		{"baseline", nil, 0.02, all},
+		{"baseline", nil, 0.05, all},
+		{"baseline", nil, 0.20, all},
+		{"small", &small, 0.01, scaled},
+		{"large", &large, 0.01, scaled},
+		// 0.01 is past this mesh's saturation (bench/README.md).
+		{"huge", &huge, 0.005, scaled},
+	} {
+		for _, kernel := range row.kernels {
+			b.Run(fmt.Sprintf("%s/rate=%g/%s", row.system, row.rate, kernel), func(b *testing.B) {
+				benchStep(b, experiments.RunSpec{
+					Topo: topology.BaselineConfig(), Scale: row.scale, Scheme: experiments.SchemeUPP, Kernel: kernel,
+				}, row.rate)
+			})
+		}
+	}
+}
+
+// stepPhases names network.PhaseClock's phases in BenchmarkStep's units.
+var stepPhases = [network.NumPhases]string{"deliver", "start-of-cycle", "compute", "commit", "retire", "end-of-cycle"}
+
+// benchStep is one BenchmarkStep row. On a single-CPU machine a parallel
+// row self-skips: the two-phase kernel can only lose there (same work plus
+// hand-off overhead), and a number from such a box would read as a
+// parallel regression when it is a hardware limit (bench/ records num_cpu
+// in its result file for the same reason).
+func benchStep(b *testing.B, spec experiments.RunSpec, rate float64) {
+	if spec.Kernel == network.KernelParallel && runtime.NumCPU() == 1 {
+		b.Skip("parallel kernel: runtime.NumCPU() == 1, no concurrency available; run on a multi-core machine")
+	}
+	s, err := experiments.Assemble(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	n, g := s.Net, s.Generator(traffic.UniformRandom{}, rate, 99)
-	experiments.Drive(n, g, 2000, nil) // steady-state occupancy, not a cold, empty network
+	n.PacketPool().Preallocate(4096)
+	experiments.Drive(n, g, 2000, nil)
+	var clock network.PhaseClock
+	n.SetPhaseClock(&clock)
+	hops0 := n.RouterStats().CrossbarTravs
 	b.ReportAllocs()
 	b.ResetTimer()
 	experiments.Drive(n, g, n.Cycle()+sim.Cycle(b.N), nil)
-}
+	b.StopTimer()
 
-func BenchmarkKernelActiveLowLoad(b *testing.B) { benchKernel(b, network.KernelActive, 0.02) }
-func BenchmarkKernelNaiveLowLoad(b *testing.B)  { benchKernel(b, network.KernelNaive, 0.02) }
-func BenchmarkKernelActiveMidLoad(b *testing.B) { benchKernel(b, network.KernelActive, 0.05) }
-func BenchmarkKernelNaiveMidLoad(b *testing.B)  { benchKernel(b, network.KernelNaive, 0.05) }
-func BenchmarkKernelActiveSaturation(b *testing.B) {
-	benchKernel(b, network.KernelActive, 0.20)
-}
-func BenchmarkKernelNaiveSaturation(b *testing.B) {
-	benchKernel(b, network.KernelNaive, 0.20)
-}
-
-// benchKernelParallel measures the sharded parallel kernel. On a
-// single-CPU machine the benchmark self-skips: the two-phase kernel can
-// only lose there (same work plus handoff overhead), and a committed
-// number from such a box would read as a parallel regression when it is
-// really a hardware limitation — bench/ records num_cpu in its result
-// file for the same reason.
-func benchKernelParallel(b *testing.B, rate float64) {
-	b.Helper()
-	if runtime.NumCPU() == 1 {
-		b.Skipf("parallel kernel benchmark skipped: runtime.NumCPU() == 1, no concurrency available "+
-			"(the compute phase would serialize behind %d-way handoff overhead); run on a multi-core machine",
-			runtime.GOMAXPROCS(0))
+	wall := b.Elapsed()
+	perCycle := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) }
+	if hops := n.RouterStats().CrossbarTravs - hops0; hops > 0 {
+		b.ReportMetric(float64(wall.Nanoseconds())/float64(hops), "ns/flit-hop")
 	}
-	benchKernel(b, network.KernelParallel, rate)
+	step := time.Duration(0)
+	for ph, name := range stepPhases {
+		b.ReportMetric(perCycle(clock.Wall[ph]), name+"-ns/cycle")
+		step += clock.Wall[ph]
+	}
+	b.ReportMetric(perCycle(wall-step), "traffic-ns/cycle")
+	for w := range clock.Busy[network.PhaseDeliver] {
+		for _, ph := range []int{network.PhaseDeliver, network.PhaseCompute, network.PhaseNIRetire, network.PhaseEndOfCycle} {
+			b.ReportMetric(perCycle(clock.Busy[ph][w]), fmt.Sprintf("w%d-%s-busy-ns/cycle", w, stepPhases[ph]))
+		}
+	}
+	st := n.PacketPool().Stats
+	b.ReportMetric(float64(st.Gets), "pool-gets")
+	b.ReportMetric(float64(st.Reuses), "pool-reuses")
+	b.ReportMetric(float64(st.Live()), "pool-live")
 }
-
-func BenchmarkKernelParallelLowLoad(b *testing.B)    { benchKernelParallel(b, 0.02) }
-func BenchmarkKernelParallelMidLoad(b *testing.B)    { benchKernelParallel(b, 0.05) }
-func BenchmarkKernelParallelSaturation(b *testing.B) { benchKernelParallel(b, 0.20) }

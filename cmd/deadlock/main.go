@@ -84,8 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	fmt.Fprintf(stdout, "=> %d stalled upward packets found\n\n", upward)
-	fmt.Fprintln(stdout, n.RenderOccupancy())
-	fmt.Fprintln(stdout, n.RenderUpPorts())
 	if upward == 0 {
 		fmt.Fprintln(stdout, "unexpected: wedged without an upward packet (please report)")
 		return 1

@@ -144,9 +144,13 @@ func TestMachineFlagsReachEverySource(t *testing.T) {
 
 // TestScaleWorkloadKernelIdentical: a collective on a scale-out preset —
 // a combination uppsim used to refuse — completes and prints the same
-// bytes under every kernel.
+// bytes under every kernel. The all-to-all's 65280 single-flit messages
+// contend for outputs across the 512-router system, so a router whose
+// idle Step changed state (only the oracle steps idle routers) moves the
+// finish cycle; a ring all-reduce's lone chains never contend and would
+// hide it.
 func TestScaleWorkloadKernelIdentical(t *testing.T) {
-	args := []string{"-scale", "small", "-workload", "ring_allreduce", "-json"}
+	args := []string{"-scale", "small", "-workload", "all_to_all:flits=1", "-json"}
 	code, want, stderr := uppsim(t, "naive", args...)
 	if code != 0 || !strings.Contains(want, `"Completed": true`) {
 		t.Fatalf("naive kernel: exit %d: %s\n%s", code, stderr, want)

@@ -19,7 +19,7 @@ import (
 
 // RunSpec is the one description of a simulated machine and of the
 // traffic offered to it. Every runner, soak and benchmark of this package,
-// uppsim and cmd/profile describe their system with it and build it with
+// uppsim and the root BenchmarkStep describe their system with it and build it with
 // Assemble, so two runs that differ in one field differ in nothing else.
 type RunSpec struct {
 	Topo topology.SystemConfig
@@ -136,7 +136,7 @@ type TrafficSource interface {
 // Assemble builds the machine spec describes — topology (Topo or Scale,
 // static faults), scheme, network.Config (execution strategy included),
 // network, fault plan — and is the only place in this package, uppsim
-// and cmd/profile that does. Two things follow from the spec rather than from the caller:
+// and the root benchmarks that does. Two things follow from the spec rather than from the caller:
 // up*/down* local routing is forced by static faults or a persistent
 // plan, and the network is seeded Seed+1. (UPP hardens its signals
 // itself, exactly when a plan is attached.) The caller attaches

@@ -559,8 +559,8 @@ func latencyReductionPct(c, base Curve) float64 {
 func fmtPct(v float64) string { return fmt.Sprintf("%+.1f%%", v) }
 
 // ScaleSystem pairs a label with a scale-out topology configuration. The
-// three presets are shared by the `figures -exp scale` entry, uppsim and
-// cmd/profile's -scale flags and the CI scale-smoke job, so every scale
+// three presets are shared by the `figures -exp scale` entry, uppsim's
+// -scale flag, the root BenchmarkStep and the CI scale-smoke job, so every scale
 // artifact talks about the same systems.
 type ScaleSystem struct {
 	Label  string
