@@ -165,3 +165,27 @@ func TestSplitStreamsIndependent(t *testing.T) {
 		t.Fatalf("split streams collide %d times", same)
 	}
 }
+
+// TestIntnPinned holds Intn's output for one seed: a draw at each bound
+// 1..64, then two at each of three bounds wide enough to need the high
+// words of the 128-bit product. Every sampled route, binding and fault
+// placement reads this sequence, so a change to Intn's arithmetic must
+// leave it as it is.
+func TestIntnPinned(t *testing.T) {
+	r := sim.NewRNG(2022)
+	want := []int{0, 1, 1, 1, 0, 1, 3, 5, 0, 0, 5, 0, 2, 9, 11, 15, 6, 15, 3, 7, 6, 5, 9, 17, 14, 20, 19, 6, 2, 8, 0, 13,
+		29, 21, 20, 29, 4, 9, 1, 8, 34, 40, 42, 35, 3, 17, 35, 30, 20, 48, 35, 25, 12, 35, 43, 5, 40, 11, 41, 56, 41, 42, 40, 31}
+	for n := 1; n <= 64; n++ {
+		if got := r.Intn(n); got != want[n-1] {
+			t.Fatalf("Intn(%d) = %d, want %d", n, got, want[n-1])
+		}
+	}
+	wide := []int{880185950, 715379140, 3056026096422802153, 90056882612146922, 6807013340064672041, 867602905072456280}
+	for i, n := range []int{1<<32 + 15, 1<<62 + 3, 1<<63 - 1} {
+		for k := range 2 {
+			if got := r.Intn(n); got != wide[2*i+k] {
+				t.Fatalf("draw %d at Intn(%d) = %d, want %d", k, n, got, wide[2*i+k])
+			}
+		}
+	}
+}
