@@ -235,17 +235,20 @@ collectives-golden:
 router-golden:
 	$(GO) run ./cmd/figures -exp router_compare -csv results -q
 
-# CPU + heap pprof of BenchmarkStep's saturation row (UPP on the baseline
-# at 0.2 flits/cycle/node, active kernel) over a 200 000-cycle window, every
-# allocation attributed (-memprofilerate 1). The profiles cover the whole
-# test binary, so the row's assembly and 2 000 warm-up cycles are in them
-# too (~1 % of the CPU samples). Inspect with `go tool pprof
+# CPU + heap pprof of BenchmarkStep's below-saturation row (UPP on the
+# baseline at 0.05 flits/cycle/node, active kernel) over a 200 000-cycle
+# window, every allocation attributed (-memprofilerate 1). The 0.2 row is
+# past saturation: its sources' backlog grows for the whole window, so its
+# profile is the backlog's (Pool.Get ~79 % of alloc_objects, and
+# runtime.pcvalue ~13 % of CPU under -memprofilerate 1), not the cycle's.
+# The profiles cover the whole test binary, so the row's assembly and
+# 2 000 warm-up cycles are in them too. Inspect with `go tool pprof
 # -sample_index=alloc_objects profiles/mem.pprof` and `go tool pprof
 # profiles/cpu.pprof`; profile another row by changing -bench. go test
 # leaves its binary behind as uppnoc.test.
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'Step/baseline/rate=0.2/active$$' -benchtime 200000x \
+	$(GO) test -run '^$$' -bench 'Step/baseline/rate=0.05/active$$' -benchtime 200000x \
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -memprofilerate 1 .
 
 # Regenerate the paper's evaluation (quick durations). Runs fan out across

@@ -98,7 +98,7 @@ func TestAssembleAppliesHost(t *testing.T) {
 			spec := tc.spec
 			spec.Scale, spec.Scheme = &sc, SchemeNone
 			var n *network.Network
-			tc.opts.run = func(s RunSpec) (Point, error) {
+			tc.opts.run = func(s RunSpec, _ func() bool) (Point, error) {
 				sm, err := Assemble(s)
 				if err == nil {
 					n = sm.Net

@@ -349,7 +349,7 @@ func RunCheckpointed(spec RunSpec, at int64, out io.Writer) (Point, error) {
 	}
 	return finishRun(spec, n, g, at, func() error {
 		return writeCheckpointTo(out, canonical, n, g)
-	})
+	}, nil)
 }
 
 // RunRestored resumes a checkpoint container under the given kernel and
@@ -362,7 +362,7 @@ func RunRestored(data []byte, kernel string, shards int) (Point, RunSpec, error)
 	if err != nil {
 		return Point{}, RunSpec{}, err
 	}
-	pt, err := finishRun(spec, n, g, 0, nil)
+	pt, err := finishRun(spec, n, g, 0, nil, nil)
 	return pt, spec, err
 }
 

@@ -196,7 +196,7 @@ func TestCachedFiguresAreCacheable(t *testing.T) {
 		t.Run(fig.id, func(t *testing.T) {
 			var mu sync.Mutex
 			seen, refused := 0, 0
-			opts := PoolOptions{Jobs: 2, run: func(spec RunSpec) (Point, error) {
+			opts := PoolOptions{Jobs: 2, run: func(spec RunSpec, _ func() bool) (Point, error) {
 				_, _, ok := canonicalSpec(spec)
 				random := fig.id == "ablation_binding" && spec.UPP.Binding == "random"
 				mu.Lock()

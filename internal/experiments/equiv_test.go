@@ -60,7 +60,7 @@ var errCheckpointed = errors.New("checkpoint written")
 func (v variant) run(spec RunSpec, at int64) (d digest) {
 	spec.Kernel, spec.Shards = v.kernel, v.shards
 	if spec.Workload != "" {
-		d.pt, d.err = runMeasured(spec, nil)
+		d.pt, d.err = runMeasured(spec, nil, nil)
 		return d
 	}
 	n, g, err := BuildRun(spec)
@@ -71,7 +71,7 @@ func (v variant) run(spec RunSpec, at int64) (d digest) {
 		checkpoint = func() error { return write(&d.mid) }
 	}
 	if err == nil && v.restore {
-		if _, err = finishRun(spec, n, g, sim.Cycle(at), func() error { return cmp.Or(write(&d.mid), errCheckpointed) }); errors.Is(err, errCheckpointed) {
+		if _, err = finishRun(spec, n, g, sim.Cycle(at), func() error { return cmp.Or(write(&d.mid), errCheckpointed) }, nil); errors.Is(err, errCheckpointed) {
 			n, g, spec, err = ReadCheckpoint(d.mid.Bytes(), v.read, v.readShards)
 		} else if err == nil {
 			err = fmt.Errorf("the run never reached cycle %d", at)
@@ -82,7 +82,7 @@ func (v variant) run(spec RunSpec, at int64) (d digest) {
 		at, checkpoint = 0, nil
 	}
 	if err == nil {
-		d.pt, err = finishRun(spec, n, g, sim.Cycle(at), checkpoint)
+		d.pt, err = finishRun(spec, n, g, sim.Cycle(at), checkpoint, nil)
 	}
 	if err == nil {
 		err = write(&d.last)
@@ -129,9 +129,9 @@ func specKey(s RunSpec) string {
 
 // equivCase is a list of specs and the variants each must match the
 // default variant (the active kernel, no checkpoint) under. refs holds
-// default-variant digests a render already made (record). A named
-// variant's comparisons run as subtest v.name, each spec's as a subtest
-// sub(spec) of that when sub is set.
+// default-variant digests a render already made (record), by spec key. A
+// named variant's comparisons run as subtest v.name, each spec's as a
+// subtest sub(spec) of that when sub is set.
 type equivCase struct {
 	specs    []RunSpec
 	at       int64 // the cycle every other variant checkpoints at; 0 for none
@@ -141,16 +141,18 @@ type equivCase struct {
 }
 
 // record returns pool options at jobs sweep workers whose runs execute
-// under the default variant and add their spec and digest to c: a render
-// makes the refs.
+// under the default variant and add their digest to c.refs: a render
+// makes the refs. It leaves c.specs alone: which points past a sweep's
+// stop start before the stop is known depends on timing, so the caller
+// lists the specs the render kept.
 func (c *equivCase) record(jobs int) PoolOptions {
 	var mu sync.Mutex
 	c.refs = map[string]digest{}
-	return PoolOptions{Jobs: jobs, run: func(spec RunSpec) (Point, error) {
+	return PoolOptions{Jobs: jobs, run: func(spec RunSpec, _ func() bool) (Point, error) {
 		d := active.run(spec, 0)
 		mu.Lock()
 		defer mu.Unlock()
-		c.specs, c.refs[specKey(spec)] = append(c.specs, spec), d
+		c.refs[specKey(spec)] = d
 		return d.pt, d.err
 	}}
 }
@@ -175,14 +177,14 @@ func (c equivCase) equivalent(t *testing.T) [][]digest {
 			}
 		}
 	}
-	forEachIndex(len(pairs), PoolOptions{Jobs: 2}, func(j int) {
+	dispatch(len(pairs), PoolOptions{Jobs: 2}, func(j int, _ func() bool) {
 		i, k := pairs[j][0], pairs[j][1]
 		at := c.at
 		if k == 0 { // the default variant writes no checkpoint
 			at = 0
 		}
 		got[i][k] = vs[k].run(c.specs[i], at)
-	})
+	}, nil)
 	in := func(t *testing.T, name string, f func(*testing.T)) { // f in subtest name, or in t
 		if name == "" {
 			f(t)
@@ -230,7 +232,6 @@ func TestKernelCSVGolden(t *testing.T) {
 	}) {
 		return
 	}
-	c.specs = nil
 	for _, curve := range cs {
 		for _, pt := range curve.Points {
 			if spec := curve.Spec; spec.Pattern.Name() == "uniform_random" {

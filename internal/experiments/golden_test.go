@@ -114,6 +114,9 @@ func goldenTable(t *testing.T, id, target string, shape func(*testing.T, Table))
 	}) {
 		return
 	}
+	for _, cv := range sweepFigure(t, id).curves(QuickDurations()) { // a figure without rates keeps every run
+		c.specs = append(c.specs, cv.Spec)
+	}
 	ds := c.equivalent(t)
 	for k, kernel := range []string{network.KernelActive, network.KernelNaive, network.KernelParallel} {
 		served := map[string]digest{}
@@ -123,7 +126,7 @@ func goldenTable(t *testing.T, id, target string, shape func(*testing.T, Table))
 		for _, jobs := range []int{1, 4} {
 			if k > 0 || jobs == 1 {
 				t.Run(fmt.Sprintf("%s_jobs%d", kernel, jobs), func(t *testing.T) {
-					match(t, tableByID(t, id, PoolOptions{Jobs: jobs, run: func(spec RunSpec) (Point, error) {
+					match(t, tableByID(t, id, PoolOptions{Jobs: jobs, run: func(spec RunSpec, _ func() bool) (Point, error) {
 						d := served[specKey(spec)] // a spec the render never ran: a zero Point
 						return d.pt, d.err
 					}}))

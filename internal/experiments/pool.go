@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the parallel sweep engine. Every run described by a RunSpec
@@ -42,11 +44,14 @@ type PoolOptions struct {
 	// for concurrent use (a plain fmt.Fprintf to stderr is).
 	Progress Progress
 	// OnRun, when non-nil, is called after each run completes with the
-	// number of finished runs and the batch size. Calls are serialized.
+	// number of completed runs and the batch size (a sweep's: its rates).
+	// A run the pool cancels (a sweep's point past its stop) does not
+	// complete and is not counted. Calls are serialized.
 	OnRun func(done, total int)
-	// run stands in for Run when set: a test collects the specs a runner
+	// run stands in for the pool's every run when set (it receives the
+	// run's stop check, see dispatch): a test collects the specs a runner
 	// would simulate without simulating them.
-	run func(RunSpec) (Point, error)
+	run func(spec RunSpec, stop func() bool) (Point, error)
 }
 
 // jobs resolves the effective worker count: Jobs, else GOMAXPROCS.
@@ -109,33 +114,80 @@ func (e *BatchError) Unwrap() []error {
 	return errs
 }
 
-// forEachIndex runs fn(0..n-1) across at most opts.jobs() concurrent
-// workers and waits for all of them. fn must confine its writes to
-// index-addressed slots (no two workers share an index).
-func forEachIndex(n int, opts PoolOptions, fn func(i int)) {
-	jobs := min(opts.jobs(), n)
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+// errCancelled is the error of a run the pool stopped because no caller
+// wanted its result any more; it reaches no caller.
+var errCancelled = errors.New("experiments: run cancelled")
+
+// dispatch runs fn(0..n-1) on at most opts.jobs() workers, the calling
+// goroutine among them. A worker takes the next index as soon as it is
+// free, so no index waits for a slower one. After each fn returns, settle
+// (when non-nil) is called with its index, serialized, and returns how
+// many leading indices are still wanted: no index at or past that bound
+// starts afterwards, and the stop func handed to one already running past
+// it reports true. fn must confine its writes to index-addressed slots.
+func dispatch(n int, opts PoolOptions, fn func(i int, stop func() bool), settle func(i int) int) {
+	var (
+		mu     sync.Mutex
+		next   int
+		wanted atomic.Int64
+		wg     sync.WaitGroup
+	)
+	wanted.Store(int64(n))
+	work := func() {
+		for {
+			mu.Lock()
+			i := next
+			if int64(i) >= wanted.Load() {
+				mu.Unlock()
+				return
+			}
+			next++
+			mu.Unlock()
+			fn(i, func() bool { return int64(i) >= wanted.Load() })
+			if settle != nil {
+				mu.Lock()
+				wanted.Store(min(wanted.Load(), int64(settle(i))))
+				mu.Unlock()
+			}
 		}
-		return
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
+	workers := min(opts.jobs(), n)
+	wg.Add(max(workers-1, 0))
+	for range workers - 1 {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
+}
+
+// runEach runs every spec through the pool's run entry (Run, unless a
+// test set run) into points and errs. After each run the pool did not
+// cancel, OnRun is called and then keep (when non-nil), which returns how
+// many leading specs are still wanted, as dispatch's settle does.
+func (o PoolOptions) runEach(specs []RunSpec, points []Point, errs []error, keep func(i int) int) {
+	run := o.run
+	if run == nil {
+		run = runPoint
+	}
+	done := 0
+	dispatch(len(specs), o, func(i int, stop func() bool) {
+		points[i], errs[i] = run(o.machine(specs[i]), stop)
+	}, func(i int) int {
+		if errors.Is(errs[i], errCancelled) {
+			return len(specs)
+		}
+		done++
+		if o.OnRun != nil {
+			o.OnRun(done, len(specs))
+		}
+		if keep == nil {
+			return len(specs)
+		}
+		return keep(i)
+	})
 }
 
 // RunAll executes every spec across a bounded worker pool and returns the
@@ -147,23 +199,7 @@ func forEachIndex(n int, opts PoolOptions, fn func(i int)) {
 func RunAll(specs []RunSpec, opts PoolOptions) ([]Point, error) {
 	points := make([]Point, len(specs))
 	errs := make([]error, len(specs))
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	run := opts.run
-	if run == nil {
-		run = Run
-	}
-	forEachIndex(len(specs), opts, func(i int) {
-		points[i], errs[i] = run(opts.machine(specs[i]))
-		if opts.OnRun != nil {
-			mu.Lock()
-			done++
-			opts.OnRun(done, len(specs))
-			mu.Unlock()
-		}
-	})
+	opts.runEach(specs, points, errs, nil)
 	var failed []*RunError
 	for i, err := range errs {
 		if err != nil {

@@ -163,8 +163,10 @@ func TestRunAllPartialFailure(t *testing.T) {
 }
 
 // TestSweepRatesWithPartialFailure pins the serial error semantics of the
-// wave-parallel sweep: the curve keeps the points before the failing rate
-// and the error wraps the failing rate's cause.
+// rolling sweep: the curve keeps the points before the failing rate and
+// the error wraps the failing rate's cause, and a failure at a rate past
+// the stop, which a serial sweep never runs, is not reported even when
+// it happens before the points that fix the stop finish.
 func TestSweepRatesWithPartialFailure(t *testing.T) {
 	spec := RunSpec{
 		Topo:       topology.BaselineConfig(),
@@ -187,6 +189,109 @@ func TestSweepRatesWithPartialFailure(t *testing.T) {
 	}
 	if len(c.Points) != 0 {
 		t.Fatalf("curve kept %d points from failed runs", len(c.Points))
+	}
+
+	// synthetic stands in for every run: rates from 0.30 up saturate and
+	// rate fail fails. At more than one job every other run waits until
+	// the failing one has started, so it runs in any case.
+	synthetic := func(jobs int, fail float64) PoolOptions {
+		failing := make(chan struct{})
+		return PoolOptions{Jobs: jobs, run: func(spec RunSpec, _ func() bool) (Point, error) {
+			if spec.Rate == fail {
+				close(failing)
+				return Point{}, errors.New("injected failure")
+			}
+			if jobs > 1 {
+				<-failing
+			}
+			return Point{Rate: spec.Rate, TotalLat: 10, Saturated: spec.Rate >= 0.30}, nil
+		}}
+	}
+	for _, jobs := range []int{1, 4} {
+		c, err := SweepRatesWith(spec, []float64{0.02, 0.30, 0.35, 0.40}, "past", synthetic(jobs, 0.40))
+		if err != nil {
+			t.Fatalf("jobs=%d: a failure past the stop was reported: %v", jobs, err)
+		}
+		if len(c.Points) != 3 || c.SaturationRate != 0.02 {
+			t.Fatalf("jobs=%d: curve %+v, want the three points up to the stop", jobs, c)
+		}
+		c, err = SweepRatesWith(spec, []float64{0.02, 0.03, 0.30, 0.35}, "before", synthetic(jobs, 0.03))
+		if err == nil || !strings.Contains(err.Error(), "sweep before rate 0.0300: injected failure") {
+			t.Fatalf("jobs=%d: error %v, want the failure at rate 0.03", jobs, err)
+		}
+		if len(c.Points) != 1 || c.Points[0].Rate != 0.02 {
+			t.Fatalf("jobs=%d: curve kept %+v, want the one point before the failure", jobs, c.Points)
+		}
+	}
+}
+
+// TestSweepCancelsPastStop gives a sweep a point past its stop that would
+// run for a million cycles (tens of seconds). Every point before it waits
+// until it has started, so it is running when the stop is fixed: the pool
+// cancels it without counting it in OnRun, the sweep returns, and the
+// curve is the one-worker sweep's (which never starts it). With the
+// result cache on, the cancelled point stores no Point, and the warm-start
+// checkpoint it may have written before the cancel still gives the point
+// its uncached result.
+func TestSweepCancelsPastStop(t *testing.T) {
+	spec := RunSpec{
+		Topo:       topology.BaselineConfig(),
+		Scheme:     SchemeUPP,
+		VCsPerVNet: 1,
+		Pattern:    traffic.UniformRandom{},
+		Seed:       1,
+		Dur:        Durations{Warmup: 500, Measure: 2000},
+	}
+	rates := []float64{0.02, 0.15, 0.20, 0.30}
+	want, err := SweepRatesWith(spec, rates, "cancel", PoolOptions{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Points) != 3 {
+		t.Fatalf("serial sweep kept %d points, want 3 (it must stop before rate 0.30)", len(want.Points))
+	}
+	long := spec
+	long.Rate, long.Dur.Measure = rates[3], 1_000_000
+	dir := t.TempDir()
+	t.Setenv("UPP_CACHE_DIR", dir)
+	started := make(chan struct{})
+	var longErr error
+	completed := 0
+	got, err := SweepRatesWith(spec, rates, "cancel", PoolOptions{Jobs: len(rates), OnRun: func(done, _ int) { completed = done }, run: func(s RunSpec, stop func() bool) (Point, error) {
+		if s.Rate != long.Rate {
+			<-started
+			return runPoint(s, stop)
+		}
+		close(started)
+		var pt Point
+		pt, longErr = runPoint(long, stop)
+		return pt, longErr
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(longErr, errCancelled) || completed != 3 {
+		t.Fatalf("the point past the stop ended with %v and OnRun counted %d runs, want it cancelled and 3", longErr, completed)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("cancelling sweep differs:\nserial  %+v\nrolling %+v", want, got)
+	}
+	kept := spec
+	kept.Rate = rates[0]
+	for _, s := range []RunSpec{long, kept} {
+		_, canonical, _ := canonicalSpec(s)
+		if _, cached := loadCachedPoint(dir, cacheHash(canonical), canonical); cached != (s.Rate == kept.Rate) {
+			t.Fatalf("rate %v: cached %v, want only the kept point cached", s.Rate, cached)
+		}
+	}
+	spec.Rate = long.Rate
+	warm, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("UPP_CACHE_DIR", "")
+	if cold, err := Run(spec); err != nil || cold != warm {
+		t.Fatalf("after the cancel, rate %v gives %+v; uncached %+v (%v)", spec.Rate, warm, cold, err)
 	}
 }
 

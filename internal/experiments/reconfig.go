@@ -67,7 +67,7 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 		err error
 	}
 	cells := make([]cell, len(modes)*len(rates))
-	forEachIndex(len(cells), opts, func(i int) {
+	dispatch(len(cells), opts, func(i int, _ func() bool) {
 		mode := modes[i/len(rates)]
 		rate := rates[i%len(rates)]
 		opts.Progress.log("reconfig: mode=%s rate=%.2f", mode, rate)
@@ -84,7 +84,7 @@ func Reconfig(dur Durations, opts PoolOptions) ([]Table, error) {
 			DrainMax:   200000,
 			StallLimit: 20000,
 		})
-	})
+	}, nil)
 	for i, c := range cells {
 		if c.err != nil {
 			return nil, c.err

@@ -59,11 +59,22 @@ const latencyCap = 100.0
 // without simulating, and a cold rate-driven run may restore a warm-start
 // checkpoint to skip the warmup phase; both reproduce the uncached run
 // bit-identically.
-func Run(spec RunSpec) (Point, error) {
+func Run(spec RunSpec) (Point, error) { return runPoint(spec, nil) }
+
+// stopEvery is how many cycles a rate-driven run goes between reads of
+// its stop check.
+const stopEvery = 256
+
+// runPoint is Run as the pool calls it. stop, when non-nil, is read every
+// stopEvery cycles of a rate-driven run; once it reports true the run
+// ends with errCancelled and stores no Point. A warm-start checkpoint it
+// wrote before that stays valid: it holds the state at the end of the
+// warmup, whatever came after.
+func runPoint(spec RunSpec, stop func() bool) (Point, error) {
 	dir := CacheDir()
 	env, canonical, cacheable := canonicalSpec(spec)
 	if dir == "" || !cacheable {
-		return runMeasured(spec, nil)
+		return runMeasured(spec, nil, stop)
 	}
 	hash := cacheHash(canonical)
 	if pt, ok := loadCachedPoint(dir, hash, canonical); ok {
@@ -71,7 +82,7 @@ func Run(spec RunSpec) (Point, error) {
 		return pt, nil
 	}
 	cacheMisses.Add(1)
-	pt, err := runMeasured(spec, newWarmState(dir, env))
+	pt, err := runMeasured(spec, newWarmState(dir, env), stop)
 	if err == nil {
 		storeCachedPoint(dir, hash, canonical, pt)
 	}
@@ -95,8 +106,9 @@ func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
 
 // runMeasured is the cold path of Run: build the environment, warm up
 // (or restore a warm-start checkpoint), measure, summarize. warm may be
-// nil (caching off, a workload spec or one not canonicalizable).
-func runMeasured(spec RunSpec, warm *warmState) (Point, error) {
+// nil (caching off, a workload spec or one not canonicalizable); stop is
+// runPoint's (a workload spec does not read it).
+func runMeasured(spec RunSpec, warm *warmState, stop func() bool) (Point, error) {
 	if spec.Workload != "" {
 		return runWorkload(spec)
 	}
@@ -124,7 +136,7 @@ func runMeasured(spec RunSpec, warm *warmState) (Point, error) {
 			checkpoint = func() error { warm.store(n, g); return nil }
 		}
 	}
-	return finishRun(spec, n, g, at, checkpoint)
+	return finishRun(spec, n, g, at, checkpoint, stop)
 }
 
 // finishRun advances a simulation from its current cycle (0 for a cold
@@ -133,21 +145,33 @@ func runMeasured(spec RunSpec, warm *warmState) (Point, error) {
 // non-nil, fires once when the run reaches cycle at, which the caller
 // keeps inside the schedule (RunCheckpointed checks it); at == Warmup fires
 // after the warmup cycles but before the measurement reset, matching the
-// warm-start capture point.
-func finishRun(spec RunSpec, n *network.Network, g *traffic.Generator, at sim.Cycle, checkpoint func() error) (Point, error) {
+// warm-start capture point. stop, when non-nil, is read every stopEvery
+// cycles, and the run ends with errCancelled once it reports true.
+func finishRun(spec RunSpec, n *network.Network, g *traffic.Generator, at sim.Cycle, checkpoint func() error, stop func() bool) (Point, error) {
 	warmEnd := sim.Cycle(spec.Dur.Warmup)
 	end := warmEnd + sim.Cycle(spec.Dur.Measure)
+	var done func() bool
+	if stop != nil {
+		done = func() bool { return n.Cycle()%stopEvery == 0 && stop() }
+	}
+	drive := func(target sim.Cycle) error {
+		if Drive(n, g, target, done); n.Cycle() < target {
+			return errCancelled
+		}
+		return nil
+	}
 	fired := checkpoint == nil
 	step := func(target sim.Cycle) error {
 		if !fired && at >= n.Cycle() && at <= target {
-			Drive(n, g, at, nil)
+			if err := drive(at); err != nil {
+				return err
+			}
 			fired = true
 			if err := checkpoint(); err != nil {
 				return err
 			}
 		}
-		Drive(n, g, target, nil)
-		return nil
+		return drive(target)
 	}
 	if n.Cycle() <= warmEnd {
 		if err := step(warmEnd); err != nil {
@@ -256,52 +280,51 @@ type Curve struct {
 
 // SweepRatesWith runs spec across the given offered rates and summarizes
 // the curve. The sweep stops two points after saturation (the paper's
-// plots end shortly past the knee). The rates run through RunAll in waves
-// of opts.Jobs, and the stopping rule is applied to each wave's points in
-// rate order. Because every point is an independent deterministic run and
-// the truncation walks points in the order a one-worker sweep visits
-// them, the resulting Curve is bit-identical at any worker count (points
-// a jobs>1 wave computes beyond the serial stopping index are discarded,
-// trading some redundant work for wall-clock).
+// plots end shortly past the knee), or at the first failed rate. The
+// rates roll through the pool (see dispatch): a worker takes the next
+// rate as soon as it is free, and the stopping rule walks the finished
+// points in rate order, as a one-worker sweep visits them. Once it fixes
+// the stop, no later rate starts and those already running are cancelled
+// and discarded. Because every point is an independent deterministic run
+// and the curve keeps exactly the serial sweep's points, the Curve is
+// bit-identical at any worker count, and a failure at a rate a serial
+// sweep never reaches is not reported.
 func SweepRatesWith(spec RunSpec, rates []float64, label string, opts PoolOptions) (Curve, error) {
-	c := Curve{Label: label}
-	wave := opts.jobs()
-	past := 0
-sweep:
-	for start := 0; start < len(rates); start += wave {
-		end := min(start+wave, len(rates))
-		specs := make([]RunSpec, 0, end-start)
-		for _, r := range rates[start:end] {
-			s := spec
-			s.Rate = r
-			specs = append(specs, s)
-		}
-		pts, err := RunAll(specs, opts)
-		batch, _ := err.(*BatchError)
-		if err != nil && batch == nil {
-			return c, err
-		}
-		failed := map[int]error{}
-		if batch != nil {
-			for _, re := range batch.Failed {
-				failed[re.Index] = re.Err
-			}
-		}
-		for i, pt := range pts {
-			if ferr := failed[i]; ferr != nil {
-				return c, fmt.Errorf("sweep %s rate %.4f: %w", label, rates[start+i], ferr)
-			}
-			c.Points = append(c.Points, pt)
-			if !pt.Saturated {
-				c.SaturationRate = pt.Rate
-				c.SaturationThroughput = pt.Throughput
+	specs := make([]RunSpec, len(rates))
+	for i, r := range rates {
+		specs[i], specs[i].Rate = spec, r
+	}
+	pts := make([]Point, len(rates))
+	errs := make([]error, len(rates))
+	finished := make([]bool, len(rates))
+	// end is the serial sweep's length once the walk fixes it; walked is
+	// the finished prefix the stopping rule has read.
+	end, walked, past := len(rates), 0, 0
+	opts.runEach(specs, pts, errs, func(i int) int {
+		finished[i] = true
+		for ; walked < end && finished[walked]; walked++ {
+			switch {
+			case errs[walked] != nil:
+				end = walked + 1
+			case !pts[walked].Saturated:
 				past = 0
-			} else {
-				past++
-				if past >= 2 {
-					break sweep
+			default:
+				if past++; past >= 2 {
+					end = walked + 1
 				}
 			}
+		}
+		return end
+	})
+	c := Curve{Label: label}
+	for i, pt := range pts[:end] {
+		if errs[i] != nil {
+			return c, fmt.Errorf("sweep %s rate %.4f: %w", label, rates[i], errs[i])
+		}
+		c.Points = append(c.Points, pt)
+		if !pt.Saturated {
+			c.SaturationRate = pt.Rate
+			c.SaturationThroughput = pt.Throughput
 		}
 	}
 	if len(c.Points) > 0 {

@@ -8,6 +8,8 @@
 // master seed.
 package sim
 
+import "math/bits"
+
 // Cycle is a simulation timestamp in clock cycles.
 type Cycle = int64
 
@@ -75,28 +77,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		x := r.Uint64()
-		hi, lo := mul128(x, bound)
+		hi, lo := bits.Mul64(x, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask
-	hi = t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	hi += t >> 32
-	hi += aHi * bHi
-	return hi, lo
 }
 
 // Float64 returns a uniform float in [0, 1).
