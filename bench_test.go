@@ -301,12 +301,12 @@ func BenchmarkSweepJobsMax(b *testing.B) {
 	benchSweepJobs(b, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkRunAllMixedBatch fans a mixed scheme batch across the pool —
-// the RunAll fast path the figure runners sit on.
-func BenchmarkRunAllMixedBatch(b *testing.B) {
-	var specs []experiments.RunSpec
+// BenchmarkSweepMixedBatch fans a mixed scheme batch of one-run curves
+// across the pool — the Sweep the figure runners sit on.
+func BenchmarkSweepMixedBatch(b *testing.B) {
+	var cs []experiments.SweepCurve
 	for _, sch := range experiments.ComparedSchemes() {
-		specs = append(specs, experiments.RunSpec{
+		cs = append(cs, experiments.SweepCurve{Spec: experiments.RunSpec{
 			Topo:       topology.BaselineConfig(),
 			Scheme:     sch,
 			VCsPerVNet: 1,
@@ -314,10 +314,10 @@ func BenchmarkRunAllMixedBatch(b *testing.B) {
 			Rate:       0.03,
 			Seed:       3,
 			Dur:        benchDur,
-		})
+		}})
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAll(specs, experiments.PoolOptions{}); err != nil {
+		if err := experiments.Sweep(cs, experiments.PoolOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

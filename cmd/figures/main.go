@@ -37,8 +37,8 @@ import (
 	"uppnoc/internal/router"
 )
 
-// entries is every experiment -exp names, in output order: the dispatch and
-// the usage list.
+// entries is every experiment -exp names, in output order: the selection
+// and the usage list.
 var entries = experiments.Experiments()
 
 // fullSystemFigures come out of one set of simulations: each name selects
@@ -54,10 +54,10 @@ func known() []string {
 	return append(names, fullSystemFigures...)
 }
 
-// selectExperiments resolves an -exp list to indices into entries, each
-// at most once and in their order. A name it does not know is an error — a
-// typo must not silently shrink a paper-length run.
-func selectExperiments(list string) ([]int, error) {
+// selectExperiments resolves an -exp list to entries, each at most once
+// and in their order. A name it does not know is an error — a typo must
+// not silently shrink a paper-length run.
+func selectExperiments(list string) ([]experiments.Experiment, error) {
 	want := map[string]bool{}
 	for _, name := range strings.Split(list, ",") {
 		if name = strings.TrimSpace(name); slices.Contains(fullSystemFigures, name) {
@@ -69,10 +69,10 @@ func selectExperiments(list string) ([]int, error) {
 	}
 	all := want["all"]
 	delete(want, "all")
-	var picked []int
-	for i, e := range entries {
+	var picked []experiments.Experiment
+	for _, e := range entries {
 		if want[e.ID] || all && e.InAll {
-			picked = append(picked, i)
+			picked = append(picked, e)
 		}
 		delete(want, e.ID)
 	}
@@ -142,14 +142,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
-	var out []experiments.Table
-	for _, i := range picked {
-		ts, err := entries[i].Run(s)
-		if err != nil {
-			fmt.Fprintf(stderr, "figures: %v\n", err)
-			return 1
-		}
-		out = append(out, ts...)
+	out, err := experiments.Tables(picked, s)
+	if err != nil {
+		fmt.Fprintf(stderr, "figures: %v\n", err)
+		return 1
 	}
 
 	for i := range out {
@@ -168,10 +164,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if experiments.CacheDir() != "" {
 		// Machine-greppable cache summary (CI's cache-smoke job asserts a
-		// re-run reports misses=0).
+		// re-run reports misses=0). cancelled counts the runs past a
+		// curve's stop the pool discarded, which count in no other field.
 		hits, misses, warmHits, warmMisses := experiments.CacheCounters()
-		fmt.Fprintf(stderr, "figures: result cache hits=%d misses=%d warm_hits=%d warm_misses=%d\n",
-			hits, misses, warmHits, warmMisses)
+		fmt.Fprintf(stderr, "figures: result cache hits=%d misses=%d warm_hits=%d warm_misses=%d cancelled=%d\n",
+			hits, misses, warmHits, warmMisses, experiments.CancelledRuns())
 	}
 	return 0
 }

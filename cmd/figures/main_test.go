@@ -23,8 +23,8 @@ func names(t *testing.T, list string) []string {
 		t.Fatalf("-exp %s: %v", list, err)
 	}
 	var out []string
-	for _, i := range picked {
-		out = append(out, entries[i].ID)
+	for _, e := range picked {
+		out = append(out, e.ID)
 	}
 	return out
 }

@@ -105,7 +105,7 @@ func TestAssembleAppliesHost(t *testing.T) {
 				}
 				return Point{}, err
 			}
-			if _, err := RunAll([]RunSpec{spec}, tc.opts); err != nil {
+			if err := Sweep(oneShot(spec), tc.opts); err != nil {
 				t.Fatal(err)
 			}
 			if n.Kernel() != tc.kernel || n.Shards() != tc.shards || n.RouterArch() != tc.arch {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -188,7 +189,7 @@ func TestCacheRejectsMismatchedEntry(t *testing.T) {
 }
 
 // TestCachedFiguresAreCacheable: every spec the sweep figures build, the
-// closed-loop tables' included, has a content address, so a re-run of the
+// closed-loop tables' and the full-system figure's included, has a content address, so a re-run of the
 // figure is served from the cache — all but the random binding's curve of
 // ablation_binding, and exactly its specs.
 func TestCachedFiguresAreCacheable(t *testing.T) {
@@ -210,7 +211,7 @@ func TestCachedFiguresAreCacheable(t *testing.T) {
 				}
 				return Point{Rate: spec.Rate, TotalLat: 1, Throughput: spec.Rate}, nil
 			}}
-			if _, err := fig.sweep(fig.curves(microDur), opts); err != nil {
+			if err := Sweep(fig.curves(microDur), opts); err != nil {
 				t.Fatal(err)
 			}
 			if seen == 0 || fig.id == "ablation_binding" && refused == 0 {
@@ -283,7 +284,7 @@ func TestTailLatencyServedFromCache(t *testing.T) {
 	dur := Durations{Warmup: 200, Measure: 400}
 	render := func() string {
 		fig := sweepFigure(t, "tail_latency")
-		ts, err := fig.sweep(fig.curves(dur), poolOpts)
+		ts, err := figureTables(fig, fig.curves(dur), poolOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,5 +307,59 @@ func TestTailLatencyServedFromCache(t *testing.T) {
 	}
 	if cold != want || again != want {
 		t.Fatalf("cached tables differ from the uncached run:\nuncached:\n%s\ncold:\n%s\nre-run:\n%s", want, cold, again)
+	}
+}
+
+// TestSweepRerunServedFromCache: a two-worker sweep of three curves, run
+// cold into a cache, is then served entirely from it five times over, and
+// with the results evicted, three times more, every point warm-starts;
+// every run's curves are the cold run's. A re-run starts points past a
+// curve's stop that the cold run cancelled and so never stored; the pool
+// cancels them again, and a cancelled run counts in no counter.
+func TestSweepRerunServedFromCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulation")
+	}
+	spec := RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP, VCsPerVNet: 1,
+		Pattern: traffic.UniformRandom{}, Dur: Durations{Warmup: 500, Measure: 2000}}
+	sweep := func() []SweepCurve {
+		t.Helper()
+		var cs []SweepCurve
+		for i, rates := range [][]float64{{0.02, 0.15, 0.20, 0.30, 0.35}, {0.02, 0.03, 0.15, 0.20, 0.30}, {0.01, 0.02, 0.15, 0.20, 0.30}} {
+			spec.Seed = uint64(i + 1)
+			cs = append(cs, SweepCurve{Spec: spec, Rates: rates, Curve: Curve{Label: fmt.Sprint(i)}})
+		}
+		if err := Sweep(cs, PoolOptions{Jobs: 2}); err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	dir := t.TempDir()
+	t.Setenv("UPP_CACHE_DIR", dir)
+	cold := sweep()
+	kept := uint64(0)
+	for _, c := range cold {
+		kept += uint64(len(c.Points))
+	}
+	var again []SweepCurve
+	for i := range 5 {
+		// A point past a stop the cold run finished is a hit too.
+		if hits, misses, _, _ := cacheDelta(func() { again = sweep() }); hits < kept || misses != 0 {
+			t.Fatalf("re-run %d: %d hits / %d misses, want at least %d / 0", i, hits, misses, kept)
+		}
+		if !reflect.DeepEqual(again, cold) {
+			t.Fatalf("re-run %d differs from the cold run:\ncold %+v\nnow  %+v", i, cold, again)
+		}
+	}
+	for i := range 3 {
+		if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, warmHits, warmMisses := cacheDelta(func() { again = sweep() }); warmHits < kept || warmMisses != 0 {
+			t.Fatalf("warm re-run %d: %d warm hits / %d warm misses, want at least %d / 0", i, warmHits, warmMisses, kept)
+		}
+		if !reflect.DeepEqual(again, cold) {
+			t.Fatalf("warm re-run %d differs from the cold run:\ncold %+v\nnow  %+v", i, cold, again)
+		}
 	}
 }

@@ -227,7 +227,7 @@ func TestKernelCSVGolden(t *testing.T) {
 	fig := sweepFigure(t, "fig7")
 	cs := fig.curves(microDur)
 	if !t.Run("fig7", func(t *testing.T) {
-		ts, err := fig.sweep(cs, c.record(2))
+		ts, err := figureTables(fig, cs, c.record(2))
 		requireTables(t, ts, err, "fig7", "fig7_summary", "fig7_charts")
 	}) {
 		return

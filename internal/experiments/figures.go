@@ -22,25 +22,43 @@ type Settings struct {
 }
 
 // Experiment is one entry of the evaluation as `figures -exp` names it. A
-// sweep entry is data — its figures run in order through one driver;
-// every other entry makes its tables in run (the full-system entry builds
-// its figure there, at the settings' access-quota scale).
+// sweep entry is data — its figures, which Tables measures together; every
+// other entry makes its tables in run.
 type Experiment struct {
 	ID string
 	// InAll reports whether `figures -exp all` runs the entry.
 	InAll bool
-	figs  []figure
-	run   func(Settings) ([]Table, error)
+	// figs lists a sweep entry's figures at the full-system access-quota
+	// scale (only the full-system figure reads it).
+	figs func(scale float64) []figure
+	run  func(Settings) ([]Table, error)
 }
 
-// Run makes the entry's tables.
-func (e Experiment) Run(s Settings) ([]Table, error) {
-	if e.run != nil {
-		return e.run(s)
+// Tables makes the tables of the entries es, in their order. Every curve
+// of every sweep figure among them goes through one Sweep, so one curve's
+// last point does not idle the workers other curves can use; then each
+// figure reduces its curves, and each other entry runs.
+func Tables(es []Experiment, s Settings) ([]Table, error) {
+	var cs []SweepCurve
+	var pending []func() ([]Table, error)
+	for _, e := range es {
+		if e.run != nil {
+			pending = append(pending, func() ([]Table, error) { return e.run(s) })
+			continue
+		}
+		for _, f := range e.figs(s.Scale) {
+			lo := len(cs)
+			cs = append(cs, f.curves(s.Dur)...)
+			hi := len(cs)
+			pending = append(pending, func() ([]Table, error) { return f.fromCurves(cs[lo:hi]) })
+		}
+	}
+	if err := Sweep(cs, s.Opts); err != nil {
+		return nil, err
 	}
 	var out []Table
-	for _, f := range e.figs {
-		ts, err := f.run(s)
+	for _, tables := range pending {
+		ts, err := tables()
 		if err != nil {
 			return nil, err
 		}
@@ -52,10 +70,10 @@ func (e Experiment) Run(s Settings) ([]Table, error) {
 // A figure is a sweep figure as data. The template at every point of the
 // axes' product (first axis outermost) is one curve, swept over rates or,
 // when rates is nil, run once: at its own Rate, or its Workload to
-// completion. Each of tables has a row
-// per curve or per measured point that opens with the curve's key;
-// reduce, when set, makes further tables from the whole list of curves
-// (a figure that compares across them), failing on a run it cannot read.
+// completion. Each of tables has a row per curve or per measured point
+// that opens with the curve's key; reduce, when set, makes further tables
+// from the whole list of curves (a figure that compares across them),
+// failing on a run it cannot read.
 type figure struct {
 	id       string
 	template RunSpec
@@ -63,7 +81,7 @@ type figure struct {
 	rates    []float64
 	key      func(RunSpec) []any
 	tables   []figTable
-	reduce   func([]swept) ([]Table, error)
+	reduce   func([]SweepCurve) ([]Table, error)
 }
 
 // figTable is one table of a figure: after the key, a row holds either
@@ -72,13 +90,6 @@ type figTable struct {
 	Table
 	point func(Point) []any
 	curve func(Curve) []any
-}
-
-// swept is one curve of a figure: the spec it swept and what it measured
-// (one point for a figure without rates).
-type swept struct {
-	Spec RunSpec
-	Curve
 }
 
 // An axis is one parameter a figure varies: its name and, per value, the
@@ -116,19 +127,19 @@ func workloadAxis(ws ...string) axis {
 	return along("workload", func(s *RunSpec, w string) { s.Workload = w }, ws...)
 }
 
-// curves lists the figure's curves at dur, each labelled by its axis
-// values.
-func (f figure) curves(dur Durations) []swept {
-	cs := []swept{{Spec: f.template}}
+// curves lists the figure's curves at dur, each labelled by the figure
+// and its axis values.
+func (f figure) curves(dur Durations) []SweepCurve {
+	cs := []SweepCurve{{Spec: f.template, Rates: f.rates, Curve: Curve{Label: f.id}}}
 	cs[0].Spec.Dur = dur
 	for _, a := range f.axes {
-		var next []swept
+		var next []SweepCurve
 		for _, c := range cs {
 			for i, set := range a.set {
-				s := c.Spec
-				set(&s)
-				label := strings.TrimSpace(c.Label + " " + a.name + "=" + a.labels[i])
-				next = append(next, swept{Spec: s, Curve: Curve{Label: label}})
+				c := c
+				set(&c.Spec)
+				c.Label += " " + a.name + "=" + a.labels[i]
+				next = append(next, c)
 			}
 		}
 		cs = next
@@ -136,36 +147,8 @@ func (f figure) curves(dur Durations) []swept {
 	return cs
 }
 
-// run measures the figure at the settings' durations.
-func (f figure) run(s Settings) ([]Table, error) { return f.sweep(f.curves(s.Dur), s.Opts) }
-
-// sweep is the one figure driver: it measures the curves in order, each
-// through SweepRatesWith or, for a figure without rates, all of them at
-// once through RunAll, and reduces them to the figure's tables.
-func (f figure) sweep(cs []swept, opts PoolOptions) ([]Table, error) {
-	if f.rates == nil {
-		specs := make([]RunSpec, len(cs))
-		for i, c := range cs {
-			specs[i] = c.Spec
-		}
-		opts.Progress.log("%s: %d runs", f.id, len(specs))
-		pts, err := RunAll(specs, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f.id, err)
-		}
-		for i := range cs {
-			cs[i].Points = pts[i : i+1]
-		}
-	} else {
-		for i := range cs {
-			opts.Progress.log("%s: sweeping %s", f.id, cs[i].Label)
-			c, err := SweepRatesWith(cs[i].Spec, f.rates, cs[i].Label, opts)
-			if err != nil {
-				return nil, err
-			}
-			cs[i].Curve = c
-		}
-	}
+// fromCurves reduces the figure's measured curves to its tables.
+func (f figure) fromCurves(cs []SweepCurve) ([]Table, error) {
 	var out []Table
 	for _, ft := range f.tables {
 		t := ft.Table
@@ -212,7 +195,8 @@ func upwardCurve(c Curve) []any {
 func Experiments() []Experiment {
 	base, uniform, rates := topology.BaselineConfig(), traffic.UniformRandom{}, DefaultRates()
 	ablation := RunSpec{Topo: base, Scheme: SchemeUPP, VCsPerVNet: 1, Pattern: uniform}
-	one := func(inAll bool, f figure) Experiment { return Experiment{ID: f.id, InAll: inAll, figs: []figure{f}} }
+	figs := func(fs ...figure) func(float64) []figure { return func(float64) []figure { return fs } }
+	one := func(inAll bool, f figure) Experiment { return Experiment{ID: f.id, InAll: inAll, figs: figs(f)} }
 	static := func(t func() Table) func(Settings) ([]Table, error) {
 		return func(Settings) ([]Table, error) { return []Table{t()}, nil }
 	}
@@ -227,7 +211,7 @@ func Experiments() []Experiment {
 		one(true, latencyFigure("fig7", base, traffic.Patterns()...)),
 		// Figs. 8, 12 and 15: one coherence run per benchmark, VC count and
 		// scheme, at the -scale access quota.
-		{ID: "fullsystem", InAll: true, run: func(s Settings) ([]Table, error) { return fullSystemFigure(s.Scale).run(s) }},
+		{ID: "fullsystem", InAll: true, figs: func(scale float64) []figure { return []figure{fullSystemFigure(scale)} }},
 		// Fig. 9: the 128-core system (4x8 interposer, eight chiplets).
 		one(true, latencyFigure("fig9", topology.LargeConfig(), uniform)),
 		// Fig. 10: 2/4/8 boundary routers per chiplet.
@@ -403,7 +387,7 @@ func Experiments() []Experiment {
 		}),
 		// The ablations quantify design choices the paper argues for
 		// qualitatively, each on UPP with 1 VC.
-		{ID: "ablation", InAll: true, figs: []figure{{
+		{ID: "ablation", InAll: true, figs: figs(figure{
 			// Sec. V-D: static closest binding is minimal; any other binding
 			// lengthens paths and costs latency and throughput.
 			id:       "ablation_binding",
@@ -417,7 +401,7 @@ func Experiments() []Experiment {
 					Notes:  []string{"static closest binding should dominate: lowest latency and highest (or tied) throughput"}},
 				curve: upwardCurve,
 			}},
-		}, {
+		}, figure{
 			// Sec. IV-B's full path diversity: UPP over minimal-adaptive
 			// odd-even local routing against XY.
 			id:       "ablation_adaptive",
@@ -434,7 +418,7 @@ func Experiments() []Experiment {
 						"at 1 VC, odd-even's restricted turn set costs saturation throughput vs XY on these patterns — the classic DOR-vs-odd-even result; the point of the ablation is correctness under adaptivity, not a win"}},
 				curve: upwardCurve,
 			}},
-		}, {
+		}, figure{
 			id:       "ablation_depth",
 			template: with(ablation, 67),
 			axes:     []axis{along("depth", func(s *RunSpec, d int) { s.BufferDepth = d }, 2, 4, 8)},
@@ -445,7 +429,7 @@ func Experiments() []Experiment {
 					Notes: []string{"deeper buffers raise saturation throughput with diminishing returns"}},
 				curve: func(c Curve) []any { return []any{c.ZeroLoadLatency, c.SaturationThroughput} },
 			}},
-		}, {
+		}, figure{
 			// Sec. V-B5 prescribes data-packet-size + 1 cycles between the
 			// protocol signals of one interposer router.
 			id:       "ablation_gap",
@@ -459,7 +443,7 @@ func Experiments() []Experiment {
 					Notes:  []string{"recovery traffic is tiny, so the gap barely moves throughput — matching the paper's bandwidth-waste analysis"}},
 				curve: func(c Curve) []any { return []any{c.SaturationThroughput, atSat(c).Upward, atSat(c).Signals} },
 			}},
-		}}},
+		})},
 	}
 }
 
@@ -478,7 +462,7 @@ func latencyFigure(id string, sys topology.SystemConfig, patterns ...traffic.Pat
 				Header: []string{"pattern", "scheme", "vcs", "rate", "latency", "net_lat", "queue_lat", "throughput", "saturated"}},
 			point: func(p Point) []any { return []any{p.Rate, p.TotalLat, p.NetLat, p.QueueLat, p.Throughput, p.Saturated} },
 		}},
-		reduce: func(cs []swept) ([]Table, error) {
+		reduce: func(cs []SweepCurve) ([]Table, error) {
 			summary := Table{ID: id + "_summary", Title: "Saturation throughput and latency summary",
 				Header: []string{"pattern", "vcs", "scheme", "sat_throughput", "vs_composable", "low_load_latency", "lat_vs_composable", "lat_vs_remote_control"},
 				Notes: []string{"paper: UPP improves saturation throughput by 18%~72% over composable routing",
@@ -511,7 +495,7 @@ func latencyFigure(id string, sys topology.SystemConfig, patterns ...traffic.Pat
 
 // fig10Tables normalizes each curve's low-load latency and saturation
 // throughput to composable routing with 1 VC and 4 boundary routers.
-func fig10Tables(cs []swept) ([]Table, error) {
+func fig10Tables(cs []SweepCurve) ([]Table, error) {
 	t := Table{ID: "fig10", Title: "Sensitivity to boundary routers per chiplet",
 		Header: []string{"boundaries", "scheme", "vcs", "latency", "norm_latency", "sat_throughput", "norm_throughput"},
 		Notes: []string{"normalized to composable routing, 1 VC, 4 boundary routers (the paper's baseline bar)",

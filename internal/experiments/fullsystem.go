@@ -38,7 +38,7 @@ func fullSystemFigure(scale float64) figure {
 // normalized to composable with a geomean per VC count, and Fig. 12's
 // upward packets under UPP. A run that did not finish has no runtime and
 // fails the figure.
-func fullSystemTables(cs []swept) ([]Table, error) {
+func fullSystemTables(cs []SweepCurve) ([]Table, error) {
 	fig8 := Table{
 		ID:     "fig8",
 		Title:  "Normalized full-system runtime (PARSEC + SPLASH-2 profiles)",

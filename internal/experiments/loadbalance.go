@@ -34,7 +34,7 @@ func downLinks(n *network.Network) *[]BoundaryLoad {
 // imbalance — max/mean flits per down link within each chiplet, averaged
 // over chiplets; 1.0 is perfect balance — and the busiest link's share of
 // its chiplet's egress; then every boundary router's flits.
-func loadBalanceTables(cs []swept) ([]Table, error) {
+func loadBalanceTables(cs []SweepCurve) ([]Table, error) {
 	t := Table{
 		ID:     "load_balance",
 		Title:  "Vertical-link load balance per scheme (uniform random, sub-saturation)",

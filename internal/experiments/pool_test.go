@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -42,8 +43,17 @@ func mixedSpecs() []RunSpec {
 	}
 }
 
+// oneShot makes each spec a curve of one run, labelled by its index.
+func oneShot(specs ...RunSpec) []SweepCurve {
+	cs := make([]SweepCurve, len(specs))
+	for i, spec := range specs {
+		cs[i] = SweepCurve{Spec: spec, Curve: Curve{Label: fmt.Sprint(i)}}
+	}
+	return cs
+}
+
 // TestParallelSweepDeterminism is the headline guarantee of the sweep
-// engine: a serial loop over Run and RunAll at 1, 4 and 16 workers must
+// engine: a serial loop over Run and Sweep at 1, 4 and 16 workers must
 // produce bit-identical Points for the same specs. It runs in -short mode
 // on purpose — CI's race-detector step runs `go test -race -short ./...`
 // and this test is the one that pushes concurrent runs through every
@@ -59,26 +69,22 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		serial[i] = pt
 	}
 	for _, jobs := range []int{1, 4, 16} {
-		got, err := RunAll(specs, PoolOptions{Jobs: jobs})
-		if err != nil {
+		cs := oneShot(specs...)
+		if err := Sweep(cs, PoolOptions{Jobs: jobs}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		if !reflect.DeepEqual(serial, got) {
-			for i := range serial {
-				if serial[i] != got[i] {
-					t.Errorf("jobs=%d spec %d diverges:\nserial   %+v\nparallel %+v",
-						jobs, i, serial[i], got[i])
-				}
+		for i, c := range cs {
+			if len(c.Points) != 1 || c.Points[0] != serial[i] {
+				t.Errorf("jobs=%d spec %d diverges:\nserial   %+v\nparallel %+v", jobs, i, serial[i], c.Points)
 			}
-			t.Fatalf("jobs=%d: parallel points differ from serial", jobs)
 		}
 	}
 }
 
-// TestSweepRatesWithMatchesSerial checks that the wave-parallel sweep
+// TestSweepRatesWithMatchesSerial checks that the rolling sweep
 // reproduces the serial sweep exactly, including the stop-two-points-past
-// -saturation truncation (points a wave computes beyond the serial
-// stopping index must be discarded).
+// -saturation truncation (points computed beyond the serial stopping index
+// must be discarded).
 func TestSweepRatesWithMatchesSerial(t *testing.T) {
 	spec := RunSpec{
 		Topo:       topology.BaselineConfig(),
@@ -104,10 +110,10 @@ func TestSweepRatesWithMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunAllPartialFailure: one bad spec must not poison the batch — the
-// other runs' Points are still returned and the aggregate error names the
-// failed index.
-func TestRunAllPartialFailure(t *testing.T) {
+// TestSweepPartialFailure: one bad run of a figure without rates must not
+// poison the other curves — their Points are still measured — and the
+// error, which fails the figure, names the failed curve.
+func TestSweepPartialFailure(t *testing.T) {
 	base := topology.BaselineConfig()
 	good := RunSpec{Topo: base, Scheme: SchemeUPP, VCsPerVNet: 1,
 		Pattern: traffic.UniformRandom{}, Rate: 0.02, Seed: 1, Dur: poolDur}
@@ -132,31 +138,24 @@ func TestRunAllPartialFailure(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			specs := []RunSpec{good, tc.bad, good}
-			pts, err := RunAll(specs, PoolOptions{Jobs: 2})
+			cs := oneShot(good, tc.bad, good)
+			err := Sweep(cs, PoolOptions{Jobs: 2})
 			if err == nil {
 				t.Fatal("bad spec did not surface an error")
 			}
-			var batch *BatchError
-			if !errors.As(err, &batch) {
-				t.Fatalf("error is %T, want *BatchError: %v", err, err)
+			if !strings.HasPrefix(err.Error(), "sweep 1: ") || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not name curve 1 and mention %q", err, tc.wantErr)
 			}
-			if batch.Total != 3 || len(batch.Failed) != 1 || batch.Failed[0].Index != 1 {
-				t.Fatalf("aggregation wrong: %+v", batch)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-			if pts[1] != (Point{}) {
-				t.Fatalf("failed slot holds a non-zero point: %+v", pts[1])
+			if len(cs[1].Points) != 0 {
+				t.Fatalf("failed curve holds points: %+v", cs[1].Points)
 			}
 			for _, i := range []int{0, 2} {
-				if pts[i].Packets == 0 || pts[i].TotalLat <= 0 {
-					t.Fatalf("healthy run %d poisoned by the failure: %+v", i, pts[i])
+				if len(cs[i].Points) != 1 || cs[i].Points[0].Packets == 0 || cs[i].Points[0].TotalLat <= 0 {
+					t.Fatalf("healthy curve %d poisoned by the failure: %+v", i, cs[i].Points)
 				}
 			}
-			if pts[0] != pts[2] {
-				t.Fatalf("identical specs diverged within the batch: %+v vs %+v", pts[0], pts[2])
+			if cs[0].Points[0] != cs[2].Points[0] {
+				t.Fatalf("identical specs diverged within the sweep: %+v vs %+v", cs[0].Points, cs[2].Points)
 			}
 		})
 	}
@@ -191,36 +190,61 @@ func TestSweepRatesWithPartialFailure(t *testing.T) {
 		t.Fatalf("curve kept %d points from failed runs", len(c.Points))
 	}
 
-	// synthetic stands in for every run: rates from 0.30 up saturate and
-	// rate fail fails. At more than one job every other run waits until
-	// the failing one has started, so it runs in any case.
-	synthetic := func(jobs int, fail float64) PoolOptions {
+	// synthetic stands in for every run: rates from 0.30 up saturate, and
+	// rate fail of the curve seeded 1 fails. At more than one job that
+	// curve's run at rate wait, which fixes its stop, waits until the
+	// failing one has started, so the failing one runs in any case.
+	synthetic := func(jobs int, fail, wait float64) PoolOptions {
 		failing := make(chan struct{})
 		return PoolOptions{Jobs: jobs, run: func(spec RunSpec, _ func() bool) (Point, error) {
-			if spec.Rate == fail {
+			if spec.Seed == 1 && spec.Rate == fail {
 				close(failing)
 				return Point{}, errors.New("injected failure")
 			}
-			if jobs > 1 {
+			if jobs > 1 && spec.Seed == 1 && spec.Rate == wait {
 				<-failing
 			}
 			return Point{Rate: spec.Rate, TotalLat: 10, Saturated: spec.Rate >= 0.30}, nil
 		}}
 	}
-	for _, jobs := range []int{1, 4} {
-		c, err := SweepRatesWith(spec, []float64{0.02, 0.30, 0.35, 0.40}, "past", synthetic(jobs, 0.40))
-		if err != nil {
-			t.Fatalf("jobs=%d: a failure past the stop was reported: %v", jobs, err)
+	// other stops a point later than either curve of the cases, and beside
+	// them it still completes.
+	other, otherRates := spec, []float64{0.02, 0.03, 0.30, 0.35, 0.40}
+	other.Seed = 2
+	for _, tc := range []struct {
+		label      string
+		rates      []float64
+		fail, wait float64
+		err        string // the reported failure, empty for none
+		kept       int
+	}{
+		{"past", []float64{0.02, 0.30, 0.35, 0.40}, 0.40, 0.35, "", 3},
+		{"before", []float64{0.02, 0.03, 0.30, 0.35}, 0.03, 0, "sweep before rate 0.0300: injected failure", 1},
+	} {
+		failed := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			return err.Error()
 		}
-		if len(c.Points) != 3 || c.SaturationRate != 0.02 {
-			t.Fatalf("jobs=%d: curve %+v, want the three points up to the stop", jobs, c)
+		want, err := SweepRatesWith(spec, tc.rates, tc.label, synthetic(1, tc.fail, tc.wait))
+		if failed(err) != tc.err || len(want.Points) != tc.kept {
+			t.Fatalf("%s, serial: error %v and %d points, want %q and %d", tc.label, err, len(want.Points), tc.err, tc.kept)
 		}
-		c, err = SweepRatesWith(spec, []float64{0.02, 0.03, 0.30, 0.35}, "before", synthetic(jobs, 0.03))
-		if err == nil || !strings.Contains(err.Error(), "sweep before rate 0.0300: injected failure") {
-			t.Fatalf("jobs=%d: error %v, want the failure at rate 0.03", jobs, err)
+		wantOther, err := SweepRatesWith(other, otherRates, "other", synthetic(1, tc.fail, tc.wait))
+		if err != nil || len(wantOther.Points) != 4 || wantOther.SaturationRate != 0.03 {
+			t.Fatalf("%s, serial: the other curve is %+v (%v), want four points", tc.label, wantOther, err)
 		}
-		if len(c.Points) != 1 || c.Points[0].Rate != 0.02 {
-			t.Fatalf("jobs=%d: curve kept %+v, want the one point before the failure", jobs, c.Points)
+		for _, jobs := range []int{1, 2, 4} {
+			c, err := SweepRatesWith(spec, tc.rates, tc.label, synthetic(jobs, tc.fail, tc.wait))
+			if failed(err) != tc.err || !reflect.DeepEqual(c, want) {
+				t.Fatalf("%s, jobs=%d: curve %+v (error %v), want the serial %+v (error %q)", tc.label, jobs, c, err, want, tc.err)
+			}
+			cs := []SweepCurve{{Spec: spec, Rates: tc.rates, Curve: Curve{Label: tc.label}}, {Spec: other, Rates: otherRates, Curve: Curve{Label: "other"}}}
+			err = Sweep(cs, synthetic(jobs, tc.fail, tc.wait))
+			if failed(err) != tc.err || !reflect.DeepEqual(cs[0].Curve, want) || !reflect.DeepEqual(cs[1].Curve, wantOther) {
+				t.Fatalf("%s beside other, jobs=%d: curves %+v and %+v (error %v), want the serial ones (error %q)", tc.label, jobs, cs[0].Curve, cs[1].Curve, err, tc.err)
+			}
 		}
 	}
 }
@@ -228,11 +252,14 @@ func TestSweepRatesWithPartialFailure(t *testing.T) {
 // TestSweepCancelsPastStop gives a sweep a point past its stop that would
 // run for a million cycles (tens of seconds). Every point before it waits
 // until it has started, so it is running when the stop is fixed: the pool
-// cancels it without counting it in OnRun, the sweep returns, and the
-// curve is the one-worker sweep's (which never starts it). With the
-// result cache on, the cancelled point stores no Point, and the warm-start
-// checkpoint it may have written before the cancel still gives the point
-// its uncached result.
+// cancels it without counting it in OnRun or in any cache counter, the
+// sweep returns, and the curve is the one-worker sweep's (which never
+// starts it). With the result cache on, the cancelled point stores no
+// Point, and the warm-start checkpoint it may have written before the
+// cancel still gives the point its uncached result. Then two curves whose
+// stops differ, each with such a point, sweep together at 1, 2 and 4
+// workers: each curve is its own serial sweep, and past one worker both
+// long points are cancelled.
 func TestSweepCancelsPastStop(t *testing.T) {
 	spec := RunSpec{
 		Topo:       topology.BaselineConfig(),
@@ -256,22 +283,26 @@ func TestSweepCancelsPastStop(t *testing.T) {
 	t.Setenv("UPP_CACHE_DIR", dir)
 	started := make(chan struct{})
 	var longErr error
+	var got Curve
 	completed := 0
-	got, err := SweepRatesWith(spec, rates, "cancel", PoolOptions{Jobs: len(rates), OnRun: func(done, _ int) { completed = done }, run: func(s RunSpec, stop func() bool) (Point, error) {
-		if s.Rate != long.Rate {
-			<-started
-			return runPoint(s, stop)
-		}
-		close(started)
-		var pt Point
-		pt, longErr = runPoint(long, stop)
-		return pt, longErr
-	}})
+	_, misses, _, warmMisses := cacheDelta(func() {
+		got, err = SweepRatesWith(spec, rates, "cancel", PoolOptions{Jobs: len(rates), OnRun: func(done, _ int) { completed = done }, run: func(s RunSpec, stop func() bool) (Point, error) {
+			if s.Rate != long.Rate {
+				<-started
+				return runPoint(s, stop)
+			}
+			close(started)
+			var pt Point
+			pt, longErr = runPoint(long, stop)
+			return pt, longErr
+		}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(longErr, errCancelled) || completed != 3 {
-		t.Fatalf("the point past the stop ended with %v and OnRun counted %d runs, want it cancelled and 3", longErr, completed)
+	if !errors.Is(longErr, errCancelled) || completed != 3 || misses != 3 || warmMisses != 3 {
+		t.Fatalf("the point past the stop ended with %v; OnRun counted %d runs, the cache %d misses and %d warm misses: want it cancelled and 3 each",
+			longErr, completed, misses, warmMisses)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cancelling sweep differs:\nserial  %+v\nrolling %+v", want, got)
@@ -293,14 +324,52 @@ func TestSweepCancelsPastStop(t *testing.T) {
 	if cold, err := Run(spec); err != nil || cold != warm {
 		t.Fatalf("after the cancel, rate %v gives %+v; uncached %+v (%v)", spec.Rate, warm, cold, err)
 	}
+
+	other, otherRates := spec, []float64{0.02, 0.03, 0.15, 0.20, 0.30}
+	other.Seed = 2
+	wantOther, err := SweepRatesWith(other, otherRates, "other", PoolOptions{Jobs: 1})
+	if err != nil || len(wantOther.Points) != 4 {
+		t.Fatalf("serial sweep of the other curve kept %d points (%v), want 4 (it must stop before rate 0.30)", len(wantOther.Points), err)
+	}
+	for _, jobs := range []int{1, 2, 4} {
+		// Each curve's point at 0.30 is the long one; past one worker its
+		// point at 0.20, which fixes the stop, waits until it has started.
+		started := map[uint64]chan struct{}{spec.Seed: make(chan struct{}), other.Seed: make(chan struct{})}
+		cs := []SweepCurve{{Spec: spec, Rates: rates, Curve: Curve{Label: "cancel"}}, {Spec: other, Rates: otherRates, Curve: Curve{Label: "other"}}}
+		completed, cancelled := 0, CancelledRuns()
+		err := Sweep(cs, PoolOptions{Jobs: jobs, OnRun: func(done, _ int) { completed = done }, run: func(s RunSpec, stop func() bool) (Point, error) {
+			switch {
+			case s.Rate == long.Rate:
+				close(started[s.Seed])
+				s.Dur.Measure = long.Dur.Measure
+			case s.Rate == 0.20 && jobs > 1:
+				<-started[s.Seed]
+			}
+			return runPoint(s, stop)
+		}})
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		wantCancelled := uint64(0)
+		if jobs > 1 {
+			wantCancelled = 2
+		}
+		if cancelled = CancelledRuns() - cancelled; completed != 7 || cancelled != wantCancelled {
+			t.Fatalf("jobs=%d: OnRun counted %d runs and the pool cancelled %d, want 7 and %d", jobs, completed, cancelled, wantCancelled)
+		}
+		if !reflect.DeepEqual(cs[0].Curve, want) || !reflect.DeepEqual(cs[1].Curve, wantOther) {
+			t.Fatalf("jobs=%d: the two curves differ from their serial sweeps:\nserial  %+v\n        %+v\nrolling %+v\n        %+v", jobs, want, wantOther, cs[0].Curve, cs[1].Curve)
+		}
+	}
 }
 
-// TestRunAllProgress checks the completion callback: called once per run,
-// serialized, with a monotonically increasing done count.
-func TestRunAllProgress(t *testing.T) {
+// TestSweepProgress checks the completion callback: called once per
+// completed point, serialized, with a monotonically increasing done count
+// and the sweep's point count as the total.
+func TestSweepProgress(t *testing.T) {
 	specs := mixedSpecs()[:4]
 	var calls []int
-	_, err := RunAll(specs, PoolOptions{
+	err := Sweep(oneShot(specs...), PoolOptions{
 		Jobs: 4,
 		OnRun: func(done, total int) {
 			if total != len(specs) {

@@ -47,13 +47,25 @@ func requireTables(t *testing.T, ts []Table, err error, want ...string) {
 	}
 }
 
-// sweepFigures is every sweep figure of the experiment list, in order.
+// sweepFigures is every sweep figure of the experiment list, in order
+// (the full-system figure at figures' default -scale).
 func sweepFigures() []figure {
 	var figs []figure
 	for _, e := range Experiments() {
-		figs = append(figs, e.figs...)
+		if e.figs != nil {
+			figs = append(figs, e.figs(0.25)...)
+		}
 	}
 	return figs
+}
+
+// figureTables measures the curves cs of fig in one Sweep and reduces
+// them to the figure's tables, leaving the measured curves in cs.
+func figureTables(fig figure, cs []SweepCurve, opts PoolOptions) ([]Table, error) {
+	if err := Sweep(cs, opts); err != nil {
+		return nil, err
+	}
+	return fig.fromCurves(cs)
 }
 
 // sweepFigure is the sweep figure id of the experiment list.
@@ -77,7 +89,7 @@ func tableByID(t *testing.T, id string, opts PoolOptions) Table {
 		if e.ID != id {
 			continue
 		}
-		ts, err := e.Run(Settings{Dur: QuickDurations(), Opts: opts})
+		ts, err := Tables([]Experiment{e}, Settings{Dur: QuickDurations(), Opts: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,14 +103,14 @@ func tableByID(t *testing.T, id string, opts PoolOptions) Table {
 	return Table{}
 }
 
-// TestSweepFigureSmoke runs a subset of the sweep figures through the
-// pool at microDur and checks the tables each makes (fig7's render is
-// TestKernelCSVGolden's).
+// TestSweepFigureSmoke runs a subset of the sweep figures through one
+// Tables call, and so one Sweep, at microDur and checks the tables each
+// makes (fig7's render is TestKernelCSVGolden's).
 func TestSweepFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second smoke")
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		id     string
 		tables []string
 	}{
@@ -109,12 +121,15 @@ func TestSweepFigureSmoke(t *testing.T) {
 		{"tail_latency", []string{"tail_latency"}},
 		{"ablation_depth", []string{"ablation_depth"}},
 		{"ablation_gap", []string{"ablation_gap"}},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			fig := sweepFigure(t, tc.id)
-			ts, err := fig.sweep(fig.curves(microDur), poolOpts)
-			requireTables(t, ts, err, tc.tables...)
-		})
+	}
+	var figs []figure
+	for _, tc := range cases {
+		figs = append(figs, sweepFigure(t, tc.id))
+	}
+	entry := Experiment{figs: func(float64) []figure { return figs }}
+	ts, err := Tables([]Experiment{entry}, Settings{Dur: microDur, Opts: poolOpts})
+	for _, tc := range cases {
+		t.Run(tc.id, func(t *testing.T) { requireTables(t, ts, err, tc.tables...) })
 	}
 }
 
@@ -169,7 +184,7 @@ func TestLoadBalanceRunnerSmoke(t *testing.T) {
 	}
 	fig := sweepFigure(t, "load_balance")
 	cs := fig.curves(microDur)
-	ts, err := fig.sweep(cs, poolOpts)
+	ts, err := figureTables(fig, cs, poolOpts)
 	requireTables(t, ts, err, "load_balance", "load_balance_detail")
 	if rows := len(ts[1].Rows); rows != 16*len(ComparedSchemes()) {
 		t.Fatalf("detail has %d rows, want 16 boundary routers per scheme", rows)
@@ -209,7 +224,7 @@ func TestFullSystemRunnerSmoke(t *testing.T) {
 	}
 	fig := fullSystemFigure(0.02)
 	render := func() string {
-		ts, err := fig.sweep(fig.curves(microDur)[:6], poolOpts) // blackscholes: {1,4} VCs x three schemes
+		ts, err := figureTables(fig, fig.curves(microDur)[:6], poolOpts) // blackscholes: {1,4} VCs x three schemes
 		requireTables(t, ts, err, "fig8", "fig12", "fig15")
 		var b strings.Builder
 		for _, tb := range ts {

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"uppnoc/internal/coherence"
 	"uppnoc/internal/network"
@@ -67,9 +70,9 @@ const stopEvery = 256
 
 // runPoint is Run as the pool calls it. stop, when non-nil, is read every
 // stopEvery cycles of a rate-driven run; once it reports true the run
-// ends with errCancelled and stores no Point. A warm-start checkpoint it
-// wrote before that stays valid: it holds the state at the end of the
-// warmup, whatever came after.
+// ends with errCancelled, stores no Point and counts in no cache counter.
+// A warm-start checkpoint it wrote before that stays valid: it holds the
+// state at the end of the warmup, whatever came after.
 func runPoint(spec RunSpec, stop func() bool) (Point, error) {
 	dir := CacheDir()
 	env, canonical, cacheable := canonicalSpec(spec)
@@ -81,8 +84,11 @@ func runPoint(spec RunSpec, stop func() bool) (Point, error) {
 		cacheHits.Add(1)
 		return pt, nil
 	}
-	cacheMisses.Add(1)
 	pt, err := runMeasured(spec, newWarmState(dir, env), stop)
+	if errors.Is(err, errCancelled) {
+		return pt, err
+	}
+	cacheMisses.Add(1)
 	if err == nil {
 		storeCachedPoint(dir, hash, canonical, pt)
 	}
@@ -118,11 +124,11 @@ func runMeasured(spec RunSpec, warm *warmState, stop func() bool) (Point, error)
 	}
 	at := sim.Cycle(spec.Dur.Warmup)
 	var checkpoint func() error
+	var counter *atomic.Uint64 // the warm-start lookup's, counted unless the run is cancelled
 	if warm != nil {
+		counter = &warmHits
 		snapBytes, found := warm.load()
-		if found && n.ReadSnapshot(snapBytes, snapshotExtras(n, g)...) == nil && n.Cycle() == at {
-			warmHits.Add(1)
-		} else {
+		if !found || n.ReadSnapshot(snapBytes, snapshotExtras(n, g)...) != nil || n.Cycle() != at {
 			if found {
 				// A stale or corrupt checkpoint may have partially
 				// overwritten the network before failing: rebuild and run
@@ -132,11 +138,15 @@ func runMeasured(spec RunSpec, warm *warmState, stop func() bool) (Point, error)
 					return Point{}, err
 				}
 			}
-			warmMisses.Add(1)
+			counter = &warmMisses
 			checkpoint = func() error { warm.store(n, g); return nil }
 		}
 	}
-	return finishRun(spec, n, g, at, checkpoint, stop)
+	pt, err := finishRun(spec, n, g, at, checkpoint, stop)
+	if counter != nil && !errors.Is(err, errCancelled) {
+		counter.Add(1)
+	}
+	return pt, err
 }
 
 // finishRun advances a simulation from its current cycle (0 for a cold
@@ -278,59 +288,131 @@ type Curve struct {
 	ZeroLoadLatency float64
 }
 
-// SweepRatesWith runs spec across the given offered rates and summarizes
-// the curve. The sweep stops two points after saturation (the paper's
-// plots end shortly past the knee), or at the first failed rate. The
-// rates roll through the pool (see dispatch): a worker takes the next
-// rate as soon as it is free, and the stopping rule walks the finished
-// points in rate order, as a one-worker sweep visits them. Once it fixes
-// the stop, no later rate starts and those already running are cancelled
-// and discarded. Because every point is an independent deterministic run
-// and the curve keeps exactly the serial sweep's points, the Curve is
+// A SweepCurve is one curve of a sweep: Spec at each of Rates in order
+// or, when Rates is nil, once (at its own Rate, or its Workload to
+// completion). Sweep fills in its Curve; the Label names it.
+type SweepCurve struct {
+	Spec  RunSpec
+	Rates []float64
+	Curve
+}
+
+// Sweep measures every curve, all their points rolling through one pool
+// (see dispatch): a worker takes the next point as soon as it is free,
+// whichever curve it belongs to, so no curve's last point idles the
+// other workers. A curve stops two points after saturation (the paper's
+// plots end shortly past the knee), or at its first failed point. The
+// stopping rule walks each curve's finished points in rate order, as a
+// one-worker sweep visits them; once it fixes a curve's stop, none of the
+// curve's later rates starts and those already running are cancelled and
+// discarded. Because every point is an independent deterministic run and
+// each curve keeps exactly the serial sweep's points, every Curve is
 // bit-identical at any worker count, and a failure at a rate a serial
-// sweep never reaches is not reported.
-func SweepRatesWith(spec RunSpec, rates []float64, label string, opts PoolOptions) (Curve, error) {
-	specs := make([]RunSpec, len(rates))
-	for i, r := range rates {
-		specs[i], specs[i].Rate = spec, r
+// sweep never reaches is not reported. A failed curve keeps its points
+// before the failure and does not stop the others; the error is the
+// first failed curve's, naming it.
+func Sweep(cs []SweepCurve, opts PoolOptions) error {
+	run := opts.run
+	if run == nil {
+		run = runPoint
 	}
-	pts := make([]Point, len(rates))
-	errs := make([]error, len(rates))
-	finished := make([]bool, len(rates))
-	// end is the serial sweep's length once the walk fixes it; walked is
-	// the finished prefix the stopping rule has read.
-	end, walked, past := len(rates), 0, 0
-	opts.runEach(specs, pts, errs, func(i int) int {
-		finished[i] = true
-		for ; walked < end && finished[walked]; walked++ {
-			switch {
-			case errs[walked] != nil:
-				end = walked + 1
-			case !pts[walked].Saturated:
-				past = 0
+	// Point k is curve curve[k] at rate rate[k], and curve c's points are
+	// at[c], ordered round by round: every curve's first rate, then every
+	// second rate, and so on, so a curve's next rate mostly starts after
+	// its earlier ones have finished and few points run past a stop. end
+	// is each curve's serial length once the walk fixes it, walked the
+	// finished prefix the stopping rule has read, and past the saturated
+	// points at its end.
+	var curve []int
+	var rate []float64
+	rates, at, end := make([][]float64, len(cs)), make([][]int, len(cs)), make([]int, len(cs))
+	n := 0
+	for c := range cs {
+		if rates[c] = cs[c].Rates; rates[c] == nil {
+			rates[c] = []float64{cs[c].Spec.Rate}
+		}
+		end[c] = len(rates[c])
+		n += end[c]
+	}
+	for r := 0; len(curve) < n; r++ {
+		for c := range cs {
+			if r < end[c] {
+				at[c] = append(at[c], len(curve))
+				curve, rate = append(curve, c), append(rate, rates[c][r])
+			}
+		}
+	}
+	pts := make([]Point, len(curve))
+	errs := make([]error, len(curve))
+	finished := make([]bool, len(curve))
+	walked, past := make([]int, len(cs)), make([]int, len(cs))
+	done := 0
+	dispatch(len(curve), opts, func(k int, stop func() bool) {
+		c := &cs[curve[k]]
+		if k == at[curve[k]][0] {
+			opts.Progress.log("sweeping %s", c.Label)
+		}
+		spec := c.Spec
+		spec.Rate = rate[k]
+		pts[k], errs[k] = run(opts.machine(spec), stop)
+	}, func(k int) []int {
+		if errors.Is(errs[k], errCancelled) {
+			cancelledRuns.Add(1)
+			return nil
+		}
+		if done++; opts.OnRun != nil {
+			opts.OnRun(done, len(curve))
+		}
+		finished[k] = true
+		c := curve[k]
+		for ; walked[c] < end[c] && finished[at[c][walked[c]]]; walked[c]++ {
+			switch i := at[c][walked[c]]; {
+			case errs[i] != nil:
+				end[c] = walked[c] + 1
+			case !pts[i].Saturated:
+				past[c] = 0
 			default:
-				if past++; past >= 2 {
-					end = walked + 1
+				if past[c]++; past[c] >= 2 {
+					end[c] = walked[c] + 1
 				}
 			}
 		}
-		return end
+		return at[c][end[c]:]
 	})
-	c := Curve{Label: label}
-	for i, pt := range pts[:end] {
-		if errs[i] != nil {
-			return c, fmt.Errorf("sweep %s rate %.4f: %w", label, rates[i], errs[i])
+	var failed error
+	for c := range cs {
+		sc := &cs[c]
+		sc.Curve = Curve{Label: sc.Label}
+		for _, k := range at[c][:end[c]] {
+			pt := pts[k]
+			if err := errs[k]; err != nil {
+				if sc.Rates != nil {
+					err = fmt.Errorf("sweep %s rate %.4f: %w", sc.Label, rate[k], err)
+				} else {
+					err = fmt.Errorf("sweep %s: %w", sc.Label, err)
+				}
+				failed = cmp.Or(failed, err)
+				break
+			}
+			sc.Points = append(sc.Points, pt)
+			if !pt.Saturated {
+				sc.SaturationRate = pt.Rate
+				sc.SaturationThroughput = pt.Throughput
+			}
 		}
-		c.Points = append(c.Points, pt)
-		if !pt.Saturated {
-			c.SaturationRate = pt.Rate
-			c.SaturationThroughput = pt.Throughput
+		if len(sc.Points) > 0 {
+			sc.ZeroLoadLatency = sc.Points[0].TotalLat
 		}
 	}
-	if len(c.Points) > 0 {
-		c.ZeroLoadLatency = c.Points[0].TotalLat
-	}
-	return c, nil
+	return failed
+}
+
+// SweepRatesWith sweeps spec across the given offered rates: one curve
+// of Sweep.
+func SweepRatesWith(spec RunSpec, rates []float64, label string, opts PoolOptions) (Curve, error) {
+	cs := []SweepCurve{{Spec: spec, Rates: rates, Curve: Curve{Label: label}}}
+	err := Sweep(cs, opts)
+	return cs[0].Curve, err
 }
 
 // DefaultRates returns the offered-load grid used by the latency figures.
