@@ -1,10 +1,14 @@
 package traffic_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"uppnoc/internal/message"
 	"uppnoc/internal/network"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
@@ -273,5 +277,50 @@ func TestBitPatternsOnNonPowerOfTwo(t *testing.T) {
 		if n.Stats.BornPackets == 0 {
 			t.Fatalf("%s generated nothing", pat.Name())
 		}
+	}
+}
+
+// TestBirthsPinned digests every packet the generator births over 2 000
+// cycles, in birth order: its cycle, source, destination, size and VNet.
+// Births are open loop, so the network is never stepped; no packet returns
+// to the pool, and the preallocated spares come out of it in birth order
+// (Pool.Get takes from the tail). A change to the per-core streams, the
+// Bernoulli decision or the draw order shows up as a new digest.
+func TestBirthsPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		topo *topology.Topology
+		rate float64
+		born int
+		want string
+	}{
+		{"baseline/0.02", topology.MustBuild(topology.BaselineConfig()), 0.02, 850, "94ceca6d4852d94d9769b2e46d2deacb31f02cf6c60ed02b6165708aef93985a"},
+		{"baseline/0.2", topology.MustBuild(topology.BaselineConfig()), 0.2, 8525, "e9b5c06daeed8a293933d901181297260263a02b7502fa90391778716085a45c"},
+		{"small/0.01", topology.MustBuildScale(topology.ScaleSmallConfig()), 0.01, 1716, "75910f3210ae77e1e9bc5e0932e82ecccacb71d36ce9acf235b20861c5eb1613"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := network.MustNew(tc.topo, network.DefaultConfig(), network.None{})
+			pool := n.PacketPool()
+			pool.Preallocate(20000)
+			var spares []*message.Packet
+			pool.ForEachFree(func(p *message.Packet) { spares = append(spares, p) })
+			g := traffic.NewGenerator(n, traffic.UniformRandom{}, tc.rate, 11)
+			for c := range 2000 {
+				g.Tick(sim.Cycle(c))
+			}
+			born := int(n.Stats.BornPackets)
+			if born != tc.born || born > len(spares) {
+				t.Fatalf("%d births for %d spares, want %d", born, len(spares), tc.born)
+			}
+			h := sha256.New()
+			for k := range born {
+				p := spares[len(spares)-1-k]
+				fmt.Fprintf(h, "%d %d %d %d %d\n", p.BirthCycle, p.Src, p.Dst, p.Size, p.VNet)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("births digest to %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
