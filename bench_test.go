@@ -370,9 +370,12 @@ func BenchmarkComposableSearch(b *testing.B) {
 //     (the bench's router.flit_hops);
 //   - <phase>-ns/cycle: the coordinator's wall time in each phase of
 //     Step (network.PhaseClock), and traffic-ns/cycle, the rest of the
-//     cycle (the traffic source and experiments.Drive's loop);
+//     cycle (the traffic source and experiments.Drive's loop); routers
+//     retire in the walk that steps them, so compute includes their
+//     retirement and retire-ns/cycle covers only the NI walk and NI
+//     retirement;
 //   - under the parallel kernel, w<i>-<phase>-busy-ns/cycle: worker i's
-//     time inside its share of deliver, compute, retirement and EndOfCycle;
+//     time inside its share of deliver, compute and EndOfCycle;
 //   - pool-gets, pool-reuses, pool-live: the packet pool's counters at the
 //     end of the run, warm-up included.
 //
@@ -445,7 +448,7 @@ func benchStep(b *testing.B, spec experiments.RunSpec, rate float64) {
 	}
 	b.ReportMetric(perCycle(wall-step), "traffic-ns/cycle")
 	for w := range clock.Busy[network.PhaseDeliver] {
-		for _, ph := range []int{network.PhaseDeliver, network.PhaseCompute, network.PhaseNIRetire, network.PhaseEndOfCycle} {
+		for _, ph := range []int{network.PhaseDeliver, network.PhaseCompute, network.PhaseEndOfCycle} {
 			b.ReportMetric(perCycle(clock.Busy[ph][w]), fmt.Sprintf("w%d-%s-busy-ns/cycle", w, stepPhases[ph]))
 		}
 	}

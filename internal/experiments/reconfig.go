@@ -25,11 +25,11 @@ func KillableInterposerLinks(cfg topology.SystemConfig, n int) ([]int, error) {
 		if l.Vertical || l.Faulty || topo.Node(l.A).Chiplet != topology.InterposerChiplet {
 			continue
 		}
-		l.Faulty = true
+		topo.SetFaulty(l, true)
 		if _, err := routing.NewUpDown(topo); err == nil {
 			ids = append(ids, l.ID)
 		} else {
-			l.Faulty = false
+			topo.SetFaulty(l, false)
 		}
 	}
 	if len(ids) < n {

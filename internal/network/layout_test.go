@@ -6,11 +6,13 @@ import (
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/router"
+	"uppnoc/internal/topology"
 )
 
 // TestLayoutPins holds the hot-state layout of DESIGN.md §8: a VC is one
 // cache line, everything a router or a route function reads of a packet per
-// hop sits in the packet's first line, and a wheel event is half a line.
+// hop sits in the packet's first line, a wheel event is half a line and a
+// node's routing record at most a quarter of one.
 func TestLayoutPins(t *testing.T) {
 	const line = 64
 	if got := unsafe.Sizeof(router.VC{}); got != line {
@@ -18,6 +20,9 @@ func TestLayoutPins(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(event{}); got != line/2 {
 		t.Errorf("network.event is %d bytes, want %d", got, line/2)
+	}
+	if got := unsafe.Sizeof(topology.RouteNode{}); got > line/4 {
+		t.Errorf("topology.RouteNode is %d bytes, want at most %d", got, line/4)
 	}
 	var p message.Packet
 	for _, f := range []struct {

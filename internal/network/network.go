@@ -185,11 +185,11 @@ type Network struct {
 	noPool bool
 
 	// Active-set scheduling state: a component is awake from the wake
-	// event that gave it work until the retirement pass finds it idle. Each
+	// event that gave it work until retirement finds it idle — a router in
+	// the walk that steps it, an NI in the pass after the NI walk. Each
 	// set is one bitmap (awakeSet), so the per-cycle walk visits the awake
 	// components in ascending NodeID order. awakeIDs is what AwakeRouterIDs
-	// hands the scheme: the routers that survived this cycle's retirement,
-	// written by retire.
+	// hands the scheme: the routers that survived this cycle's walk.
 	// The oracle (KernelNaive) wakes everything at the top of every cycle
 	// and retires nothing.
 	kernel   string
@@ -255,7 +255,7 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	n.oracle = n.kernel == KernelNaive
 	n.routers = newAwakeSet(t.NumNodes())
 	n.nis = newAwakeSet(t.NumNodes())
-	// Full capacity: retirement's appends never allocate.
+	// Full capacity: the walk's appends never allocate.
 	n.awakeIDs = make([]int32, 0, t.NumNodes())
 	// The free stack can hold every slot's buffer: a push never allocates.
 	n.wheelFree = make([][]event, 0, wheelSize)
@@ -547,9 +547,9 @@ func (n *Network) RouterArch() string { return n.Cfg.arch() }
 // awakeSet is a set of NodeIDs held as a bitmap. Word b covers NodeIDs
 // 64b to 64b+63 — the parallel kernel's block b — and the members come out
 // in ascending order by TrailingZeros64, so no walk ever sorts. The
-// per-cycle walks that nothing adds to (the router walk, both retirement
-// passes) consume a copy of each word; next is the walk for a set that
-// grows under it (the NI walk) and for everything off the cycle's path.
+// per-cycle walks that nothing adds to (the router walk, NI retirement)
+// consume a copy of each word; next is the walk for a set that grows
+// under it (the NI walk) and for everything off the cycle's path.
 type awakeSet struct {
 	words []uint64
 	count int
@@ -632,7 +632,7 @@ func (s *awakeSet) next(after topology.NodeID) topology.NodeID {
 func (n *Network) wakeNI(id topology.NodeID) { n.nis.add(id) }
 
 // AwakeRouterIDs returns the ascending IDs of the routers left awake after
-// this cycle's retirement pass — every router under the oracle. A router
+// this cycle's router walk — every router under the oracle. A router
 // not listed holds no buffered flits. What a scheme keeps for it from
 // before it retired is stale until the router is listed again, and the
 // flit that wakes it is not ready before the next cycle, so the first look
@@ -657,22 +657,64 @@ func (n *Network) wakeAll() {
 	}
 }
 
-// walkRouters steps the awake routers in ascending NodeID order. Routers
-// are only woken by a flit at event delivery (or by the oracle's
-// wake-all), before the walk, so the set does not change under it.
+// walkRouters is the inline router walk. It steps the awake routers in
+// ascending NodeID order, retires each one its step left idle and lists
+// the others for AwakeRouterIDs — on a network with blocks block by block,
+// into the lists ForEachBlock hands out. Routers are only woken by a flit
+// at event delivery (or by the oracle's wake-all), before the walk, so the
+// set does not change under it. The oracle steps every router and retires
+// none.
 func (n *Network) walkRouters(cycle sim.Cycle) {
-	for b := range n.routers.words {
-		n.stepBlock(b, cycle)
+	if n.oracle {
+		for _, id := range n.awakeIDs {
+			n.Routers[id].Step(cycle)
+		}
+		return
 	}
+	if blocks := n.par.blocks; blocks != nil {
+		for b := range blocks {
+			var gone int
+			blocks[b].awake, gone = n.stepBlock(b, cycle, blocks[b].awake[:0])
+			n.routers.count -= gone
+		}
+		n.par.listAwake()
+		return
+	}
+	kept := n.awakeIDs[:0]
+	for b := range n.routers.words {
+		var gone int
+		kept, gone = n.stepBlock(b, cycle, kept)
+		n.routers.count -= gone
+	}
+	n.awakeIDs = kept
 }
 
 // stepBlock steps the awake routers of block b (NodeIDs 64b to 64b+63) in
 // ascending order: one step of the inline walk, or of a worker's share of
-// the concurrent step phase.
-func (n *Network) stepBlock(b int, cycle sim.Cycle) {
+// the concurrent step phase. A router its Step left idle leaves the awake
+// set; the others are appended to kept. It returns kept and the number of
+// routers retired. Retiring here is exact: nothing between a router's Step
+// and the scheme's EndOfCycle — later routers' steps, the ejection replay,
+// the NI walk — adds a flit to it or takes one away. It touches only block
+// b's routers and bitmap word, and writes the word only when it changes,
+// so the owners of different blocks can run it at once.
+func (n *Network) stepBlock(b int, cycle sim.Cycle, kept []int32) ([]int32, int) {
+	var gone uint64
 	for m := n.routers.words[b]; m != 0; m &= m - 1 {
-		n.Routers[b<<blockShift|bits.TrailingZeros64(m)].Step(cycle)
+		id := b<<blockShift | bits.TrailingZeros64(m)
+		r := n.Routers[id]
+		r.Step(cycle)
+		if r.Idle() {
+			gone |= m & -m
+		} else {
+			kept = append(kept, int32(id))
+		}
 	}
+	if gone == 0 {
+		return kept, 0
+	}
+	n.routers.words[b] &^= gone
+	return kept, bits.OnesCount64(gone)
 }
 
 // walkNIs steps the awake NIs in ascending NodeID order. An NI can be
@@ -687,60 +729,22 @@ func (n *Network) walkNIs(cycle sim.Cycle) {
 	n.inNIWalk = false
 }
 
-// retire is the retirement pass: it removes the routers and NIs with no
-// remaining work from the awake sets and lists the survivors for
-// AwakeRouterIDs. On a network with blocks the removals run per block on
-// the owners once enough components are awake (parallel.go).
-func (n *Network) retire() {
-	p := &n.par
-	kept := n.awakeIDs[:0]
-	if p.blocks != nil && n.routers.count+n.nis.count >= parallelMinAwake {
-		p.run(phaseRetire)
-		p.fold()
-		for b := range p.blocks {
-			kept = append(kept, p.blocks[b].awake...)
+// retireNIs removes the NIs with no remaining work from the awake set. It
+// is a pass of its own after the NI walk, not part of it, because a PE's
+// Consume during the walk can give work to an NI below the walk's cursor.
+func (n *Network) retireNIs() {
+	for b, w := range n.nis.words {
+		var gone uint64
+		for m := w; m != 0; m &= m - 1 {
+			if n.NIs[b<<blockShift|bits.TrailingZeros64(m)].Idle() {
+				gone |= m & -m
+			}
 		}
-	} else {
-		for b := range n.routers.words {
-			var routers, nis int
-			kept, routers, nis = n.retireBlock(b, kept)
-			n.routers.count -= routers
-			n.nis.count -= nis
+		if gone != 0 {
+			n.nis.words[b] &^= gone
+			n.nis.count -= bits.OnesCount64(gone)
 		}
 	}
-	n.awakeIDs = kept
-}
-
-// retireBlock clears the bits of block b's idle routers and NIs, appends
-// its surviving routers to kept and returns how many routers and NIs it
-// removed. It touches only block b's components and words, and writes a
-// word only when it changes, so the owners of different blocks can run it
-// at once.
-func (n *Network) retireBlock(b int, kept []int32) (_ []int32, routers, nis int) {
-	var gone uint64
-	for m := n.routers.words[b]; m != 0; m &= m - 1 {
-		id := b<<blockShift | bits.TrailingZeros64(m)
-		if n.Routers[id].Idle() {
-			gone |= m & -m
-		} else {
-			kept = append(kept, int32(id))
-		}
-	}
-	if gone != 0 {
-		n.routers.words[b] &^= gone
-		routers = bits.OnesCount64(gone)
-	}
-	gone = 0
-	for m := n.nis.words[b]; m != 0; m &= m - 1 {
-		if n.NIs[b<<blockShift|bits.TrailingZeros64(m)].Idle() {
-			gone |= m & -m
-		}
-	}
-	if gone != 0 {
-		n.nis.words[b] &^= gone
-		nis = bits.OnesCount64(gone)
-	}
-	return kept, routers, nis
 }
 
 // deliverEvents drains the current wheel slot: its flits and credits in
@@ -789,20 +793,20 @@ func (n *Network) runCalls(cycle sim.Cycle) {
 
 // Step advances the system by one cycle, stepping only awake components.
 // Event delivery wakes the receiver; the walks visit awake components in
-// ascending NodeID order, mid-walk NI wakes included (walkNIs). After the
-// walks, components with no remaining work retire, and the scheme's
-// per-router state is not read at a retired router until a flit wakes it.
+// ascending NodeID order, mid-walk NI wakes included (walkNIs). Components
+// with no remaining work retire — a router in the walk that steps it, an
+// NI in the pass after the NI walk — and the scheme's per-router state is
+// not read at a retired router until a flit wakes it.
 //
 // The oracle (KernelNaive) is this function with every router and NI woken
-// at the top of the cycle and the retirement passes skipped: it steps and
-// lists every component every cycle, so it does not depend on the wake
-// rule or retirement it checks.
+// at the top of the cycle and retirement skipped: it steps and lists every
+// component every cycle, so it does not depend on the wake rule or
+// retirement it checks.
 //
-// A network built with blocks (KernelParallel) runs event delivery, the
-// router walk and the removals of retirement as concurrent phases when the
-// cycle has enough work to pay for the hand-off (parallel.go); the other
-// kernels build none and run deliverEvents, the inline walk and
-// retireBlock on the coordinator.
+// A network built with blocks (KernelParallel) runs event delivery and the
+// router walk as concurrent phases when the cycle has enough work to pay
+// for the hand-off (parallel.go); the other kernels build none and run
+// deliverEvents and the inline walk on the coordinator.
 func (n *Network) Step() {
 	p, cycle := &n.par, n.cycle
 	p.clock.lap(-1)
@@ -824,17 +828,19 @@ func (n *Network) Step() {
 		p.clock.lap(PhaseCompute)
 		p.commit()
 		p.clock.lap(PhaseCommit)
-	} else if n.routers.count > 0 {
-		p.inlinePhases++
+	} else {
+		if n.routers.count > 0 {
+			p.inlinePhases++
+		}
 		n.walkRouters(cycle)
 		p.clock.lap(PhaseCompute)
 	}
 	n.walkNIs(cycle)
-	// Retirement pass: afterwards the awake sets hold exactly the
-	// components with pending work — all of them under the oracle — which
-	// EndOfCycle detection (UPP's AwakeRouterIDs walk) relies on.
+	// Afterwards the awake sets hold exactly the components with pending
+	// work — all of them under the oracle — which EndOfCycle detection
+	// (UPP's AwakeRouterIDs walk) relies on.
 	if !n.oracle {
-		n.retire()
+		n.retireNIs()
 	}
 	p.clock.lap(PhaseNIRetire)
 	n.scheme.EndOfCycle(cycle)

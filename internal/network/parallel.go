@@ -17,11 +17,11 @@
 // to the router's own state, its flits and credits go to the stepping
 // worker's outboxes, split by the worker that owns the receiver, and its
 // ejections to the block's log, which the commit replays in ascending
-// block order. Retire: every worker removes the idle routers and NIs of
-// its blocks from the awake sets and lists each block's survivors
-// (Network.retireBlock); the coordinator then concatenates the lists.
+// block order. The step retires each router it leaves idle and lists its
+// block's survivors (Network.stepBlock); the commit concatenates the lists.
 // ForEachBlock runs a scheme's per-block pass (UPP's detection scan) the
-// same way. The NI walk stays on the coordinator.
+// same way, over those lists. The NI walk and NI retirement stay on the
+// coordinator.
 //
 // Whatever reads a whole wheel slot — a snapshot, the state checks —
 // first appends the slot's outboxes to it (mergeSlot); a snapshot
@@ -30,7 +30,6 @@ package network
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,9 +41,9 @@ import (
 
 const (
 	// Engagement thresholds: a cycle with fewer awake routers steps them
-	// and runs ForEachBlock's blocks inline, with fewer awake routers and
-	// NIs it retires inline, and a slot with fewer flits and credits runs
-	// every worker's delivery share inline — a hand-off would cost more.
+	// and runs ForEachBlock's blocks inline, and a slot with fewer flits
+	// and credits runs every worker's delivery share inline — a hand-off
+	// would cost more.
 	parallelMinAwake  = 16
 	parallelMinEvents = 64
 	// blockShift sizes the blocks: 64 NodeIDs, one awakeSet word, small
@@ -64,7 +63,6 @@ const (
 	phaseNone = iota
 	phaseDeliver
 	phaseStep
-	phaseRetire
 	phaseBlocks
 )
 
@@ -86,7 +84,7 @@ type block struct {
 	shard *shard // the owner's
 	// ejects is the step phase's ejections in emission order.
 	ejects []ejection
-	// awake is the retirement phase's survivors, this block's part of
+	// awake is the routers the walk left awake, this block's part of
 	// AwakeRouterIDs.
 	awake []int32
 }
@@ -250,14 +248,21 @@ func (n *Network) ForEachBlock(f func(b int, awake []int32)) {
 }
 
 // eachBlock calls p.fn for blocks first, first+stride, … with each
-// block's run of the ascending AwakeRouterIDs.
+// block's survivor list from the walk.
 func (p *parallel) eachBlock(first, stride int) {
-	ids := p.net.awakeIDs
 	for b := first; b < len(p.blocks); b += stride {
-		lo, _ := slices.BinarySearch(ids, int32(b<<blockShift))
-		k, _ := slices.BinarySearch(ids[lo:], int32((b+1)<<blockShift))
-		p.fn(b, ids[lo:lo+k])
+		p.fn(b, p.blocks[b].awake)
 	}
+}
+
+// listAwake makes AwakeRouterIDs the concatenation of the blocks' survivor
+// lists, in ascending block order.
+func (p *parallel) listAwake() {
+	kept := p.net.awakeIDs[:0]
+	for b := range p.blocks {
+		kept = append(kept, p.blocks[b].awake...)
+	}
+	p.net.awakeIDs = kept
 }
 
 // deliver drains the current wheel slot: every worker applies its own
@@ -357,8 +362,9 @@ func (n *Network) flush() {
 }
 
 // commit replays the step phase's ejections in ascending block order —
-// the order the sequential walk ejects in — and counts the phase's outbox
-// events by the parity of their delivery cycle.
+// the order the sequential walk ejects in — counts the phase's outbox
+// events by the parity of their delivery cycle, folds in its retirements
+// and lists its survivors.
 func (p *parallel) commit() {
 	n := p.net
 	for b := range p.blocks {
@@ -377,9 +383,12 @@ func (p *parallel) commit() {
 		}
 		s.emitted = [2]int{}
 	}
+	p.fold()
+	p.listAwake()
 }
 
-// fold adds the workers' wakes and retirements to the awake sets' counts.
+// fold adds the workers' wakes and router retirements to the awake sets'
+// counts.
 func (p *parallel) fold() {
 	for w := range p.shards {
 		s := &p.shards[w]
@@ -422,17 +431,12 @@ func (p *parallel) runShare(w int) {
 	case phaseDeliver:
 		p.deliverShare(w, cycle)
 	case phaseStep:
-		for b := w; b < len(p.blocks); b += p.workers {
-			n.stepBlock(b, cycle)
-		}
-	case phaseRetire:
 		s := &p.shards[w]
 		for b := w; b < len(p.blocks); b += p.workers {
 			blk := &p.blocks[b]
-			var routers, nis int
-			blk.awake, routers, nis = n.retireBlock(b, blk.awake[:0])
-			s.routers -= routers
-			s.nis -= nis
+			var gone int
+			blk.awake, gone = n.stepBlock(b, cycle, blk.awake[:0])
+			s.routers -= gone
 		}
 	case phaseBlocks:
 		p.eachBlock(w, p.workers)
@@ -554,7 +558,7 @@ const (
 
 // clockPhase is the PhaseClock phase a concurrent phase's busy time goes
 // to (ForEachBlock runs in EndOfCycle).
-var clockPhase = [...]int{phaseDeliver: PhaseDeliver, phaseStep: PhaseCompute, phaseRetire: PhaseNIRetire, phaseBlocks: PhaseEndOfCycle}
+var clockPhase = [...]int{phaseDeliver: PhaseDeliver, phaseStep: PhaseCompute, phaseBlocks: PhaseEndOfCycle}
 
 // PhaseClock accumulates where the host time of Step's cycles goes, under
 // every kernel. A network has none unless a profiler installs one: Step
@@ -563,8 +567,8 @@ type PhaseClock struct {
 	// Wall is the coordinator's time per phase, hand-off and join included.
 	Wall [NumPhases]time.Duration
 	// Busy[phase][w] is worker w's time inside its share of the phase's
-	// concurrent part (deliver, compute, retirement, UPP's detection scan
-	// in EndOfCycle); the rest of the phase's Wall is the worker waiting
+	// concurrent part (deliver, compute, UPP's detection scan in
+	// EndOfCycle); the rest of the phase's Wall is the worker waiting
 	// for the hand-off or at the barrier, or the phase's serial part.
 	// Empty without workers.
 	Busy [NumPhases][]time.Duration

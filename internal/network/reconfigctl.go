@@ -113,7 +113,7 @@ func (n *Network) LinkQuiet(l *topology.Link) bool {
 // link first; any fence stays up so stale old-epoch lookups keep
 // migrating instead of wedging against the closed port.
 func (n *Network) KillLink(l *topology.Link) {
-	l.Faulty = true
+	n.Topo.SetFaulty(l, true)
 	l.Down = true
 	n.Routers[l.A].SetPortDown(l.APort, true)
 	n.Routers[l.B].SetPortDown(l.BPort, true)
@@ -123,7 +123,7 @@ func (n *Network) KillLink(l *topology.Link) {
 // ReviveLink heals a Faulty link (the hot-add event): the link carries
 // traffic again once a routing transition installs tables that use it.
 func (n *Network) ReviveLink(l *topology.Link) {
-	l.Faulty = false
+	n.Topo.SetFaulty(l, false)
 	l.Down = false
 	n.Routers[l.A].SetPortDown(l.APort, false)
 	n.Routers[l.B].SetPortDown(l.BPort, false)

@@ -181,7 +181,7 @@ func (e *Engine) dryRun() error {
 	}
 	defer func() {
 		for i, l := range t.Links {
-			l.Faulty = saved[i]
+			t.SetFaulty(l, saved[i])
 		}
 	}()
 	for s := 0; s < len(e.events); {
@@ -193,10 +193,10 @@ func (e *Engine) dryRun() error {
 		for _, ev := range e.events[s:end] {
 			switch ev.Kind {
 			case faults.KillLink:
-				t.Links[ev.Target].Faulty = true
+				t.SetFaulty(t.Links[ev.Target], true)
 				topoChange = true
 			case faults.AddLink:
-				t.Links[ev.Target].Faulty = false
+				t.SetFaulty(t.Links[ev.Target], false)
 				topoChange = true
 			}
 		}
@@ -298,7 +298,7 @@ func (e *Engine) beginBatch(cycle sim.Cycle) {
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
 		switch ev.Kind {
 		case faults.KillLink:
-			t.Links[ev.Target].Faulty = true
+			t.SetFaulty(t.Links[ev.Target], true)
 		case faults.AddLink:
 			e.net.ReviveLink(t.Links[ev.Target])
 		}
@@ -472,7 +472,7 @@ func (e *Engine) SnapshotState(c *snap.Codec) error {
 		switch ev.Kind {
 		case faults.KillLink:
 			l := t.Links[ev.Target]
-			l.Faulty = true
+			t.SetFaulty(l, true)
 			// The Down flag follows the cut, not the batch: a kill
 			// mid-fencing is Faulty (tables exclude it) but not yet cut.
 			if cutSet[ev.Target] {
@@ -481,7 +481,7 @@ func (e *Engine) SnapshotState(c *snap.Codec) error {
 			topoApplied = true
 		case faults.AddLink:
 			l := t.Links[ev.Target]
-			l.Faulty = false
+			t.SetFaulty(l, false)
 			l.Down = false
 			topoApplied = true
 		case faults.KillChiplet:
@@ -521,9 +521,9 @@ func (e *Engine) flipBatch(invert bool) {
 	for _, ev := range e.events[e.batchStart:e.batchEnd] {
 		switch ev.Kind {
 		case faults.KillLink:
-			t.Links[ev.Target].Faulty = !invert
+			t.SetFaulty(t.Links[ev.Target], !invert)
 		case faults.AddLink:
-			t.Links[ev.Target].Faulty = invert
+			t.SetFaulty(t.Links[ev.Target], invert)
 		}
 	}
 }

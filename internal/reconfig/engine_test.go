@@ -33,11 +33,11 @@ func pickKillable(t *testing.T, n int) []int {
 		if l.Vertical || l.Faulty || topo.Node(l.A).Chiplet != topology.InterposerChiplet {
 			continue
 		}
-		l.Faulty = true
+		topo.SetFaulty(l, true)
 		if _, err := routing.NewUpDown(topo); err == nil {
 			ids = append(ids, l.ID)
 		} else {
-			l.Faulty = false
+			topo.SetFaulty(l, false)
 		}
 	}
 	if len(ids) < n {
@@ -184,7 +184,7 @@ func TestReconfigKillSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range links {
-		topo.Links[id].Faulty = true
+		topo.SetFaulty(topo.Links[id], true)
 	}
 	after, err := routing.NewUpDown(topo)
 	if err != nil {

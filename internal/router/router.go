@@ -122,6 +122,9 @@ type Router struct {
 	occ uint32
 	// alloc indexes allocators by Arch.
 	alloc uint8
+	// chiplet is Node.Chiplet, beside the hot fields for requestOf's popup
+	// check.
+	chiplet int16
 
 	Stats Stats
 
@@ -267,8 +270,9 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 		credits: carve(&a.credits, nports*nvc),
 		busy:    carve(&a.busy, nports*nvc),
 
-		nvc:   nvc,
-		alloc: archAlloc[arch],
+		nvc:     nvc,
+		alloc:   archAlloc[arch],
+		chiplet: int16(n.Chiplet),
 
 		sink:  sink,
 		local: local,
@@ -752,7 +756,7 @@ func (r *Router) requestOf(pi topology.PortID, vi int, outs uint32, cycle sim.Cy
 	if !ok {
 		return noRequest
 	}
-	if f.Pkt.Popup && int16(r.Node.Chiplet) == f.Pkt.DstChiplet {
+	if f.Pkt.Popup && r.chiplet == f.Pkt.DstChiplet {
 		// Inside the destination chiplet, popup flits bypass switch
 		// allocation and drain through the circuit (Sec. V-C). Upstream —
 		// the interposer mesh and the source chiplet — the packet's

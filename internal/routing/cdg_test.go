@@ -190,12 +190,12 @@ func TestCDGUpDownSurvivesKill(t *testing.T) {
 		if l.Vertical || l.Faulty || topo.Node(l.A).Chiplet != topology.InterposerChiplet {
 			continue
 		}
-		l.Faulty = true
+		topo.SetFaulty(l, true)
 		if _, err := NewUpDown(topo); err == nil {
 			killed = l
 			break
 		}
-		l.Faulty = false
+		topo.SetFaulty(l, false)
 	}
 	if killed == nil {
 		t.Fatal("no killable interposer mesh link found")

@@ -83,32 +83,32 @@ func Prepare(t *topology.Topology, p *message.Packet, policy BoundaryPolicy) {
 }
 
 // Hierarchical is the full system router: it composes a Local per-layer
-// algorithm with the vertical crossing rules.
+// algorithm with the vertical crossing rules, which it reads from the
+// topology's dense routing records (topology.RouteNode).
 type Hierarchical struct {
 	Topo  *topology.Topology
 	Local Local
+	nodes []topology.RouteNode
 }
 
 // NewHierarchical builds the system routing function.
 func NewHierarchical(t *topology.Topology, local Local) *Hierarchical {
-	return &Hierarchical{Topo: t, Local: local}
+	return &Hierarchical{Topo: t, Local: local, nodes: t.RouteNodes()}
 }
 
 // NextPort computes the output port for packet p at router cur.
 func (h *Hierarchical) NextPort(cur topology.NodeID, p *message.Packet) (topology.PortID, error) {
-	t := h.Topo
 	if cur == p.Dst {
 		return topology.LocalPort, nil
 	}
-	n := t.Node(cur)
-	dn := t.Node(p.Dst)
+	n, dn := &h.nodes[cur], &h.nodes[p.Dst]
 
-	if n.Chiplet == dn.Chiplet && n.Chiplet != topology.InterposerChiplet {
+	if n.Layer == dn.Layer && n.Layer != topology.InterposerChiplet {
 		// Case 1a: inside the destination chiplet.
 		return h.Local.NextPort(cur, p.Dst, p)
 	}
-	if n.Chiplet == topology.InterposerChiplet {
-		if dn.Chiplet == topology.InterposerChiplet {
+	if n.Layer == topology.InterposerChiplet {
+		if dn.Layer == topology.InterposerChiplet {
 			// Case 1b: interposer to interposer.
 			return h.Local.NextPort(cur, p.Dst, p)
 		}
@@ -119,26 +119,24 @@ func (h *Hierarchical) NextPort(cur topology.NodeID, p *message.Packet) (topolog
 			return topology.InvalidPort, fmt.Errorf("routing: packet %d to %d has no ingress interposer", p.ID, p.Dst)
 		}
 		if cur == ii {
-			up := n.PortToNeighbor(dn.BoundBoundary)
-			if up == topology.InvalidPort {
-				return topology.InvalidPort, fmt.Errorf("routing: interposer %d has no up link to boundary %d", cur, dn.BoundBoundary)
+			if dn.Ingress == topology.InvalidPort {
+				return topology.InvalidPort, fmt.Errorf("routing: interposer %d has no up link to boundary %d", cur, h.Topo.Node(p.Dst).BoundBoundary)
 			}
-			return up, nil
+			return dn.Ingress, nil
 		}
 		return h.Local.NextPort(cur, ii, p)
 	}
 	// Case 2: in a chiplet that is not the destination's — descend through
 	// the egress boundary chosen at injection.
 	eb := p.EgressBoundary
-	if eb == topology.InvalidNode || t.Node(eb).Chiplet != n.Chiplet {
-		return topology.InvalidPort, fmt.Errorf("routing: packet %d at %d (chiplet %d) has no egress boundary here", p.ID, cur, n.Chiplet)
+	if eb == topology.InvalidNode || h.nodes[eb].Layer != n.Layer {
+		return topology.InvalidPort, fmt.Errorf("routing: packet %d at %d (chiplet %d) has no egress boundary here", p.ID, cur, n.Layer)
 	}
 	if cur == eb {
-		down := n.PortTo(topology.Down)
-		if down == topology.InvalidPort {
+		if n.Down == topology.InvalidPort {
 			return topology.InvalidPort, fmt.Errorf("routing: boundary %d has no down link", cur)
 		}
-		return down, nil
+		return n.Down, nil
 	}
 	return h.Local.NextPort(cur, eb, p)
 }

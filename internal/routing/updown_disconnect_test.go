@@ -15,7 +15,7 @@ func isolateNode(topo *topology.Topology, node topology.NodeID) int {
 	cut := 0
 	for _, p := range topo.Node(node).Ports {
 		if p.Link != nil && !p.Link.Vertical && !p.Link.Faulty {
-			p.Link.Faulty = true
+			topo.SetFaulty(p.Link, true)
 			cut++
 		}
 	}

@@ -8,7 +8,10 @@
 // master seed.
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Cycle is a simulation timestamp in clock cycles.
 type Cycle = int64
@@ -53,18 +56,18 @@ func (r *RNG) State() [4]uint64 { return r.s }
 // all-zero state would make the generator emit zeros forever.
 func (r *RNG) SetState(s [4]uint64) { r.s = s }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. It works on local copies of the
+// state words, which keeps it within the compiler's inlining budget.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -98,6 +101,41 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Threshold is Bernoulli(p) with its comparison done once: Hit draws the
+// same value Bernoulli(p) would and decides with an integer compare.
+type Threshold uint64
+
+// The Thresholds of the p that Bernoulli decides without a draw. Every
+// other p maps to at most 1<<53.
+const (
+	thresholdNever  Threshold = 1<<53 + 1
+	thresholdAlways Threshold = 1<<53 + 2
+)
+
+// NewThreshold returns p's Threshold: ceil(p·2^53) for 0 < p < 1. A draw's
+// top 53 bits k give Float64() = k/2^53 exactly, and k/2^53 < p holds
+// exactly when the integer k is below ceil(p·2^53), so Hit and Bernoulli
+// agree on every draw.
+func NewThreshold(p float64) Threshold {
+	switch {
+	case p <= 0:
+		return thresholdNever
+	case p >= 1:
+		return thresholdAlways
+	case p > 0:
+		return Threshold(math.Ceil(p * (1 << 53)))
+	}
+	return 0 // NaN: Bernoulli draws, and nothing is below NaN
+}
+
+// Hit returns Bernoulli(p) for t = NewThreshold(p), from the same draws.
+func (r *RNG) Hit(t Threshold) bool {
+	if t <= 1<<53 {
+		return Threshold(r.Uint64()>>11) < t
+	}
+	return t == thresholdAlways
 }
 
 // Shuffle permutes xs in place.

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,50 @@ func TestBernoulliRate(t *testing.T) {
 	got := float64(hits) / n
 	if got < p-0.02 || got > p+0.02 {
 		t.Fatalf("Bernoulli(%v) rate %.4f", p, got)
+	}
+}
+
+// TestThresholdMatchesBernoulli holds Hit to Bernoulli: for each p, two
+// generators of one seed draw 10^5 decisions, one through Hit and one
+// through Float64() < p, and must agree on every decision and end in one
+// state. At p <= 0 and p >= 1 neither draws. The integer compare is also
+// checked on the draws next to the threshold, which random draws almost
+// never reach: k/2^53 and its two float neighbours sit on either side of
+// a rounding edge.
+func TestThresholdMatchesBernoulli(t *testing.T) {
+	k := float64(3<<50 + 12345)
+	ps := []float64{-1, 0, 0x1p-53, 1e-9, math.Nextafter(k/(1<<53), 0), k / (1 << 53), math.Nextafter(k/(1<<53), 1),
+		0.5, 1 - 0x1p-53, 1, 1.5}
+	for _, p := range ps {
+		th := sim.NewThreshold(p)
+		hit, ref := sim.NewRNG(5), sim.NewRNG(5)
+		draws := p > 0 && p < 1
+		for i := range 100000 {
+			want := p >= 1
+			if draws {
+				want = ref.Float64() < p
+			}
+			if got := hit.Hit(th); got != want {
+				t.Fatalf("p=%v draw %d: Hit = %v, Float64() < p = %v", p, i, got, want)
+			}
+		}
+		if hit.State() != ref.State() {
+			t.Fatalf("p=%v: Hit and Float64 left the streams in different states", p)
+		}
+		if !draws {
+			if hit.State() != sim.NewRNG(5).State() {
+				t.Fatalf("p=%v: Hit drew", p)
+			}
+			continue
+		}
+		for j := max(uint64(th), 2) - 2; j <= uint64(th)+1; j++ {
+			if j >= 1<<53 {
+				continue
+			}
+			if below, want := sim.Threshold(j) < th, float64(j)/(1<<53) < p; below != want {
+				t.Fatalf("p=%v draw bits %d: below threshold %d = %v, k/2^53 < p = %v", p, j, th, below, want)
+			}
+		}
 	}
 }
 

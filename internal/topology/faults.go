@@ -15,7 +15,7 @@ import (
 func (t *Topology) InjectFaults(n int, seed uint64) ([]*Link, error) {
 	faulted := t.faultLinks(sim.NewRNG(seed), n, func(*Link) bool { return true })
 	if len(faulted) < n {
-		heal(faulted)
+		t.heal(faulted)
 		return nil, fmt.Errorf("topology: could only fault %d of %d links without disconnecting a layer", len(faulted), n)
 	}
 	return faulted, nil
@@ -37,7 +37,7 @@ func (t *Topology) InjectFaultsPerLayer(n int, seed uint64) ([]*Link, error) {
 		faulted := t.faultLinks(rng, n, func(l *Link) bool { return t.Node(l.A).Chiplet == layer })
 		all = append(all, faulted...)
 		if len(faulted) < n {
-			heal(all)
+			t.heal(all)
 			return nil, fmt.Errorf("topology: could only fault %d of %d links in layer %d without disconnecting it", len(faulted), n, layer)
 		}
 	}
@@ -63,25 +63,25 @@ func (t *Topology) faultLinks(rng *sim.RNG, n int, in func(*Link) bool) []*Link 
 		if len(faulted) == n {
 			break
 		}
-		l.Faulty = true
+		t.SetFaulty(l, true)
 		if t.LayerConnected(t.Node(l.A).Chiplet) {
 			faulted = append(faulted, l)
 		} else {
-			l.Faulty = false
+			t.SetFaulty(l, false)
 		}
 	}
 	return faulted
 }
 
 // heal marks links healthy.
-func heal(links []*Link) {
+func (t *Topology) heal(links []*Link) {
 	for _, l := range links {
-		l.Faulty = false
+		t.SetFaulty(l, false)
 	}
 }
 
 // ClearFaults restores every link to healthy.
-func (t *Topology) ClearFaults() { heal(t.Links) }
+func (t *Topology) ClearFaults() { t.heal(t.Links) }
 
 // LayerNodes returns the router IDs of one layer: a chiplet index, or
 // InterposerChiplet for the interposer.

@@ -43,7 +43,7 @@ func TestLayerConnectedDetectsDisconnection(t *testing.T) {
 	var cut []*Link
 	for _, l := range layerMeshLinks(topo, 0) {
 		if l.A == corner || l.B == corner {
-			l.Faulty = true
+			topo.SetFaulty(l, true)
 			cut = append(cut, l)
 		}
 	}
@@ -54,7 +54,7 @@ func TestLayerConnectedDetectsDisconnection(t *testing.T) {
 		t.Fatal("LayerConnected should report the isolated corner")
 	}
 	// Restoring one of the two reconnects.
-	cut[0].Faulty = false
+	topo.SetFaulty(cut[0], false)
 	if !topo.LayerConnected(0) {
 		t.Fatal("layer should reconnect after restoring one link")
 	}

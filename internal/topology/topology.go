@@ -115,7 +115,8 @@ func (k NodeKind) String() string {
 const InterposerChiplet = -1
 
 // Link is a bidirectional physical channel between two routers. A faulty
-// link carries no traffic in either direction.
+// link carries no traffic in either direction. Faulty changes only through
+// Topology.SetFaulty, which keeps the endpoints' RouteNode masks in step.
 type Link struct {
 	ID       int
 	A, B     NodeID
@@ -175,6 +176,27 @@ func (n *Node) PortToNeighbor(neighbor NodeID) PortID {
 	return InvalidPort
 }
 
+// RouteNode is a node's routing record: what XY and the hierarchical
+// crossing rules read about a node at every hop, packed in 14 bytes so a
+// route computation loads one record per node it asks about instead of
+// the Node, its Port and the Port's Link.
+type RouteNode struct {
+	// Layer is the node's Chiplet; X and Y its coordinates in that layer.
+	Layer, X, Y int16
+	// Mesh is the output port toward East, West, North and South (indexed
+	// by Direction-East), InvalidPort where the node has none.
+	Mesh [4]PortID
+	// Down is the node's Down port, or InvalidPort.
+	Down PortID
+	// Ingress is, for a chiplet node, the port of the interposer router
+	// under its bound boundary router that leads up to that boundary: where
+	// every packet to the node leaves the interposer (Sec. V-D).
+	// InvalidPort for an interposer node.
+	Ingress PortID
+	// Faulty has bit d-East set while the link behind Mesh[d] is faulty.
+	Faulty uint8
+}
+
 // Chiplet describes one chiplet stacked on the interposer.
 type Chiplet struct {
 	Index         int
@@ -201,6 +223,8 @@ type Topology struct {
 	// cores caches the traffic endpoints: every chiplet-layer router has a
 	// core + NI attached (Fig. 1).
 	cores []NodeID
+	// route holds every node's RouteNode, indexed by NodeID.
+	route []RouteNode
 
 	// linkArena, pre-sized by the builder (build), backs the Link values
 	// pointed to by Links so an 8k-router system allocates its links in one
@@ -215,6 +239,33 @@ func (t *Topology) Node(id NodeID) *Node { return &t.Nodes[id] }
 
 // NumNodes returns the number of routers in the system.
 func (t *Topology) NumNodes() int { return len(t.Nodes) }
+
+// RouteNodes returns every node's routing record, indexed by NodeID. The
+// slice is shared and follows SetFaulty; callers must not modify it.
+func (t *Topology) RouteNodes() []RouteNode { return t.route }
+
+// SetFaulty marks l faulty or healthy. It is the one writer of
+// Link.Faulty: it also sets or clears the link's bit in both endpoints'
+// RouteNode.Faulty, which XY reads instead of the link.
+func (t *Topology) SetFaulty(l *Link, faulty bool) {
+	l.Faulty = faulty
+	t.markFaulty(l.A, l.APort, faulty)
+	t.markFaulty(l.B, l.BPort, faulty)
+}
+
+// markFaulty sets or clears the mesh-direction bit of port p of node id.
+func (t *Topology) markFaulty(id NodeID, p PortID, faulty bool) {
+	d := t.Nodes[id].Ports[p].Dir
+	if d < East || d > South {
+		return
+	}
+	bit := uint8(1) << (d - East)
+	if faulty {
+		t.route[id].Faulty |= bit
+	} else {
+		t.route[id].Faulty &^= bit
+	}
+}
 
 // Cores returns the IDs of all routers with a core attached (all chiplet
 // routers including boundary routers), in a stable order. The slice is
@@ -271,7 +322,8 @@ func (t *Topology) addLink(a, b NodeID, dirFromA Direction) {
 	t.Links = append(t.Links, l)
 }
 
-// finish populates per-node caches after construction.
+// finish populates per-node caches after construction: the direction
+// ports, the core list and the routing records.
 func (t *Topology) finish() {
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
@@ -289,6 +341,23 @@ func (t *Topology) finish() {
 	for ci := range t.Chiplets {
 		t.cores = append(t.cores, t.Chiplets[ci].Routers...)
 	}
+	t.route = make([]RouteNode, len(t.Nodes))
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		rn := RouteNode{Layer: int16(n.Chiplet), X: int16(n.X), Y: int16(n.Y), Down: n.dirPort[Down], Ingress: InvalidPort}
+		copy(rn.Mesh[:], n.dirPort[East:South+1])
+		if n.Chiplet != InterposerChiplet && n.BoundBoundary != InvalidNode {
+			if ii := t.InterposerUnder(n.BoundBoundary); ii != InvalidNode {
+				rn.Ingress = t.Node(ii).PortToNeighbor(n.BoundBoundary)
+			}
+		}
+		t.route[i] = rn
+	}
+	for _, l := range t.Links {
+		if l.Faulty {
+			t.SetFaulty(l, true)
+		}
+	}
 }
 
 // Validate checks structural invariants and returns a descriptive error if
@@ -305,6 +374,9 @@ func (t *Topology) Validate() error {
 		}
 		if len(n.Ports) == 0 || n.Ports[0].Dir != Local {
 			return fmt.Errorf("node %d: port 0 must be the local port", i)
+		}
+		if rn := &t.route[i]; int(rn.Layer) != n.Chiplet || int(rn.X) != n.X || int(rn.Y) != n.Y {
+			return fmt.Errorf("node %d: chiplet %d at (%d, %d) does not fit its 16-bit routing record", i, n.Chiplet, n.X, n.Y)
 		}
 		var seen [NumDirections]uint8
 		for pi := 1; pi < len(n.Ports); pi++ {

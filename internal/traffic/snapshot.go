@@ -31,8 +31,8 @@ func (g *Generator) SnapshotState(c *snap.Codec) error {
 		c.Fail("traffic snapshot has %d core streams, generator has %d", n, len(g.rngs))
 		return c.Err()
 	}
-	for _, rng := range g.rngs {
-		if c.RNG("traffic rng word", rng); c.Err() != nil {
+	for i := range g.rngs {
+		if c.RNG("traffic rng word", &g.rngs[i]); c.Err() != nil {
 			return c.Err()
 		}
 	}

@@ -90,7 +90,9 @@ type Generator struct {
 	net     *network.Network
 	pattern Pattern
 	cores   []topology.NodeID
-	rngs    []*sim.RNG
+	// rngs holds every core's stream by value, in one array the tick
+	// walks front to back.
+	rngs []sim.RNG
 
 	// Rate is the offered load in flits/cycle/node.
 	Rate float64
@@ -105,7 +107,9 @@ type Generator struct {
 	// traffic streams are identical with and without deaths.
 	CoreAlive func(topology.NodeID) bool
 
-	pktProb float64
+	// inject is a core's per-cycle chance of starting a packet, as the
+	// integer compare the tick makes on each core's draw.
+	inject sim.Threshold
 }
 
 // NewGenerator builds a generator for net using pattern at the given
@@ -119,9 +123,9 @@ func NewGenerator(net *network.Network, pattern Pattern, rate float64, seed uint
 		CtrlFraction: 0.5,
 	}
 	master := sim.NewRNG(seed)
-	g.rngs = make([]*sim.RNG, len(g.cores))
+	g.rngs = make([]sim.RNG, len(g.cores))
 	for i := range g.rngs {
-		g.rngs[i] = master.Split(uint64(i))
+		g.rngs[i] = *master.Split(uint64(i))
 	}
 	g.updateProb()
 	return g
@@ -130,7 +134,7 @@ func NewGenerator(net *network.Network, pattern Pattern, rate float64, seed uint
 func (g *Generator) updateProb() {
 	avgFlits := g.CtrlFraction*float64(message.ControlPacketFlits) +
 		(1-g.CtrlFraction)*float64(message.DataPacketFlits)
-	g.pktProb = g.Rate / avgFlits
+	g.inject = sim.NewThreshold(g.Rate / avgFlits)
 }
 
 // SetRate changes the offered load.
@@ -144,8 +148,8 @@ func (g *Generator) SetRate(rate float64) {
 func (g *Generator) Tick(cycle sim.Cycle) {
 	n := len(g.cores)
 	for i, src := range g.cores {
-		rng := g.rngs[i]
-		if !rng.Bernoulli(g.pktProb) {
+		rng := &g.rngs[i]
+		if !rng.Hit(g.inject) {
 			continue
 		}
 		d := g.pattern.Dest(i, n, rng)
