@@ -323,7 +323,8 @@ func (t *Topology) addLink(a, b NodeID, dirFromA Direction) {
 }
 
 // finish populates per-node caches after construction: the direction
-// ports, the core list and the routing records.
+// ports, the core list and the routing records, whose faulty-port masks
+// start clear because every link is built healthy.
 func (t *Topology) finish() {
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
@@ -352,11 +353,6 @@ func (t *Topology) finish() {
 			}
 		}
 		t.route[i] = rn
-	}
-	for _, l := range t.Links {
-		if l.Faulty {
-			t.SetFaulty(l, true)
-		}
 	}
 }
 
