@@ -57,18 +57,14 @@ func (r *RNG) State() [4]uint64 { return r.s }
 func (r *RNG) SetState(s [4]uint64) { r.s = s }
 
 // Uint64 returns the next 64 random bits. It works on local copies of the
-// state words, which keeps it within the compiler's inlining budget.
+// state words and writes the new state in one store, which keeps it, and
+// Hit around it, within the compiler's inlining budget.
 func (r *RNG) Uint64() uint64 {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	result := bits.RotateLeft64(s1*5, 7) * 9
-	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
-	return result
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniform integer in [0, n). n must be > 0.
