@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	upward := 0
 	for _, id := range topo.Interposer {
 		r := n.Router(id)
-		for pi := 0; pi < len(r.In); pi++ {
+		for pi := 0; pi < r.NumPorts(); pi++ {
 			for vi := 0; vi < n.Cfg.Router.NumVCs(); vi++ {
 				vc := r.VCAt(topology.PortID(pi), vi)
 				if vc.State == router.VCIdle || vc.OutPort == topology.InvalidPort {

@@ -24,11 +24,11 @@ func findBusyLeaks(n *network.Network) []string {
 			nbPort := node.Ports[pi].NeighborPort
 			dr := n.Router(nb)
 			for vi := 0; vi < nvc; vi++ {
-				if !r.Out[p].Busy[vi] {
+				if !r.OutBusy(p)[vi] {
 					continue
 				}
 				dvc := dr.VCAt(nbPort, vi)
-				if dvc.State == router.VCIdle && dvc.Empty() && r.Out[p].Credits[vi] == int16(dr.Cfg.BufferDepth) {
+				if dvc.State == router.VCIdle && dvc.Empty() && r.OutCredits(p)[vi] == int16(dr.Cfg.BufferDepth) {
 					leaks = append(leaks, fmt.Sprintf("node%d out[%d](%s)->node%d vc%d", node.ID, pi, node.Ports[pi].Dir, nb, vi))
 				}
 			}

@@ -51,8 +51,8 @@ func TestDataPacketPopups(t *testing.T) {
 	topo := topology.MustBuild(topology.BaselineConfig())
 	u := core.New(core.DefaultConfig())
 	n := network.MustNew(topo, network.DefaultConfig(), u)
-	g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.12, 29)
-	g.CtrlFraction = 0 // all data packets
+	g := traffic.NewGenerator(n, traffic.UniformRandom{}, 0.2, 29)
+	g.SetCtrlFraction(0) // all data packets
 	g.Run(20000)
 	g.SetRate(0)
 	if err := n.Drain(500000, 50000); err != nil {

@@ -136,13 +136,14 @@ func (n *Network) FindDependencyCycle() *DependencyCycle {
 				var waitsOn []key
 				switch vc.State {
 				case router.VCActive:
-					if r.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+					if r.OutCredits(vc.OutPort)[vc.OutVC] <= 0 {
 						waitsOn = append(waitsOn, key{nb, nbPort, int(vc.OutVC)})
 					}
 				case router.VCWaiting:
+					credits, busy := r.OutCredits(vc.OutPort), r.OutBusy(vc.OutPort)
 					for k := 0; k < n.Cfg.Router.VCsPerVNet; k++ {
 						dv := n.Cfg.Router.VCIndex(f.Pkt.VNet, k)
-						if r.Out[vc.OutPort].Busy[dv] || r.Out[vc.OutPort].Credits[dv] <= 0 {
+						if busy[dv] || credits[dv] <= 0 {
 							waitsOn = append(waitsOn, key{nb, nbPort, dv})
 						}
 					}

@@ -44,10 +44,10 @@ func (n *Network) CheckQuiescent() error {
 				if pi == 0 {
 					continue
 				}
-				if c := r.Out[pi].Credits[vi]; c != depth {
+				if c := r.OutCredits(topology.PortID(pi))[vi]; c != depth {
 					return fmt.Errorf("network: node %d out[%d] vc%d credits %d != %d", node.ID, pi, vi, c, depth)
 				}
-				if r.Out[pi].Busy[vi] {
+				if r.OutBusy(topology.PortID(pi))[vi] {
 					return fmt.Errorf("network: node %d out[%d] vc%d allocation leaked", node.ID, pi, vi)
 				}
 			}

@@ -62,7 +62,7 @@ func (n *Network) CheckConservation() error {
 			// depth (the effective config, not the budget config).
 			depth := down.Cfg.BufferDepth
 			for vi := 0; vi < nvc; vi++ {
-				credits := int(r.Out[pi].Credits[vi])
+				credits := int(r.OutCredits(topology.PortID(pi))[vi])
 				staged := r.StagedFor(topology.PortID(pi), vi)
 				buffered := down.VCAt(pt.NeighborPort, vi).Len()
 				inFlight := flitsInFlight[key{pt.Neighbor, pt.NeighborPort, int8(vi)}]

@@ -210,10 +210,10 @@ func TestCreditDoesNotWakeRouter(t *testing.T) {
 		cfg.Kernel = kernel
 		n := MustNew(topology.MustBuild(topology.BaselineConfig()), cfg, None{})
 		// A zero-delta free credit, as ForceReleaseVC sends.
-		n.Routers[3].Out[1].Busy[0] = true
+		n.Routers[3].OutBusy(1)[0] = true
 		n.DeliverCredit(3, 1, 0, 0, true, n.Cycle()+1)
 		n.Run(2)
-		if n.Routers[3].Out[1].Busy[0] {
+		if n.Routers[3].OutBusy(1)[0] {
 			t.Fatalf("%s: credit not delivered", kernel)
 		}
 		if n.routers.count != 0 || n.routers.has(3) {

@@ -280,10 +280,11 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 			r := n.Routers[cur]
 			for _, cand := range candidates {
 				credits := 0
+				free, busy := r.OutCredits(cand), r.OutBusy(cand)
 				for k := 0; k < cfg.Router.VCsPerVNet; k++ {
 					dv := cfg.Router.VCIndex(p.VNet, k)
-					if !r.Out[cand].Busy[dv] {
-						credits += int(r.Out[cand].Credits[dv])
+					if !busy[dv] {
+						credits += int(free[dv])
 					}
 				}
 				if credits > bestCredits {

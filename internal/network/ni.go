@@ -88,20 +88,31 @@ func newNI(net *Network, node topology.NodeID, r *router.Router, cfg router.Conf
 		ejCap:   ejCap,
 		credits: make([]int16, cfg.NumVCs()),
 		busy:    make([]bool, cfg.NumVCs()),
-		// Reassembly and completion backlogs are bounded by ejCap packets
-		// per VNet (an ejection entry is held until the PE consumes the
-		// message), so both lists are carved at their maximum up front: on
-		// systems with thousands of NIs the lazy growth would otherwise
-		// trickle steady-state allocations for as long as some NI
-		// somewhere has yet to see its worst case.
-		asm:      make([]asmSlot, 0, ejCap*message.NumVNets),
-		complete: make([]completed, 0, ejCap*message.NumVNets),
 	}
 	for i := range ni.credits {
 		ni.credits[i] = int16(cfg.BufferDepth)
 	}
 	ni.Consume = func(*message.Packet, sim.Cycle) bool { return true }
 	return ni
+}
+
+// carveEjectionLists gives the reassembly and completion lists their full
+// capacity n, keeping what they hold. Both backlogs are bounded by ejCap
+// packets per VNet (an ejection entry is held until the PE consumes the
+// message), so each list is carved once, at its maximum: on systems with
+// thousands of NIs growth an entry at a time would otherwise trickle
+// steady-state allocations for as long as some NI somewhere has yet to see
+// its worst case. AcceptFlit carves them, on the NI's first ejection (or
+// its first after a restore left them short), not construction: a node
+// that is never a destination — half of a large system's NIs have no core
+// — keeps no lists.
+func (ni *NI) carveEjectionLists(n int) {
+	if cap(ni.asm) < n {
+		ni.asm = append(make([]asmSlot, 0, max(n, len(ni.asm))), ni.asm...)
+	}
+	if cap(ni.complete) < n {
+		ni.complete = append(make([]completed, 0, max(n, len(ni.complete))), ni.complete...)
+	}
 }
 
 // Enqueue places a message in the injection queue of its VNet. The
@@ -342,6 +353,9 @@ func (ni *NI) AcceptFlit(f message.Flit, arrival sim.Cycle) {
 	}
 	if f.IsHead() {
 		ni.ejOccupied[p.VNet]++
+	}
+	if n := ni.ejCap * message.NumVNets; cap(ni.asm) < n || cap(ni.complete) < n {
+		ni.carveEjectionLists(n)
 	}
 	ni.net.Stats.EjectedFlits++
 	if int(ni.asmAdd(p)) != p.Size {

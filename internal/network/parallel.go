@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"uppnoc/internal/message"
+	"uppnoc/internal/router"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/topology"
 )
@@ -48,8 +49,9 @@ const (
 	parallelMinEvents = 64
 	// blockShift sizes the blocks: 64 NodeIDs, one awakeSet word, small
 	// enough that dealing them round-robin balances the workers whatever
-	// region is busy.
-	blockShift = 6
+	// region is busy. A block's routers share one slot pool, which is why
+	// it is the router's PoolShift.
+	blockShift = router.PoolShift
 	// spinBound is how long a waiter polls before it parks: longer than
 	// the serial stretch between two concurrent phases of a large
 	// system's cycle (the traffic source, the NI walk and the scheme

@@ -304,8 +304,8 @@ func (n *Network) snapshotWheel(c *snap.Codec) error {
 				c.Fail("event kind %d invalid in a snapshot", e.kind)
 			case e.to < 0:
 				c.Fail("event to %d: a flit or credit needs a target router", e.to)
-			case e.port < 0 || int(e.port) >= len(n.Routers[e.to].In):
-				c.Fail("event port %d: router %d has %d ports", e.port, e.to, len(n.Routers[e.to].In))
+			case e.port < 0 || int(e.port) >= n.Routers[e.to].NumPorts():
+				c.Fail("event port %d: router %d has %d ports", e.port, e.to, n.Routers[e.to].NumPorts())
 			case e.vc < 0 || int(e.vc) >= nvc:
 				c.Fail("event vc %d: ports have %d VCs", e.vc, nvc)
 			case e.delta < 0 || e.delta > 1:

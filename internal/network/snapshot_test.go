@@ -171,7 +171,7 @@ func TestSnapshotRejectsUndeliverableEvents(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			n, _ := loadedWheelNet(t)
 			e := firstEvent(n, c.kind)
-			c.mutate(e, len(n.Routers[e.to].In))
+			c.mutate(e, n.Routers[e.to].NumPorts())
 			var buf bytes.Buffer
 			if err := n.WriteSnapshot(&buf); err != nil {
 				t.Fatal(err)

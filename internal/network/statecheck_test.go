@@ -61,7 +61,7 @@ func TestStateChecksExactAtScale(t *testing.T) {
 			if node == nil {
 				t.Fatal("no link with both routers retired")
 			}
-			n.Routers[node.ID].Out[port].Credits[0]--
+			n.Routers[node.ID].OutCredits(topology.PortID(port))[0]--
 			if err := n.CheckConservation(); err == nil {
 				t.Errorf("CheckConservation missed a credit dropped on node%d.out[%d].vc0", node.ID, port)
 			}

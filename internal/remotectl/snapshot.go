@@ -63,7 +63,7 @@ func (s *Scheme) Snapshot(c *snap.Codec) error {
 		}
 		snap.Int(c, "rc vnet rr", &b.vnetRR, 0, message.NumVNets-1)
 		snap.Slice(c, "rc held count", &b.held, 1<<20, func(h *heldVC) {
-			snap.Int(c, "rc held port", &h.port, 0, int64(len(b.r.In))-1)
+			snap.Int(c, "rc held port", &h.port, 0, int64(b.r.NumPorts())-1)
 			snap.Int(c, "rc held vc", &h.vc, 0, nvc-1)
 		})
 	}

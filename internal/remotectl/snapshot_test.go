@@ -66,7 +66,7 @@ func TestSnapshotRejectsWhatSlotsCannotHold(t *testing.T) {
 			func(d []byte) { d[1] = 8 }, "rc requested packets [8], queued [7]"},
 		{"two requests from one source", func(b *boundary) { b.reqQ = []request{{pkt: pkt(7)}, {pkt: pkt(8)}} },
 			nil, "already requesting"},
-		{"held VC outside the router", func(b *boundary) { b.held = []heldVC{{port: topology.PortID(len(b.r.In)), vc: 0}} },
+		{"held VC outside the router", func(b *boundary) { b.held = []heldVC{{port: topology.PortID(b.r.NumPorts()), vc: 0}} },
 			nil, "rc held port"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 	if r.buffered == 0 {
 		return
 	}
-	nports := len(r.In)
+	nports := r.NumPorts()
 	type nominee struct {
 		port topology.PortID
 		vc   int
@@ -51,7 +51,7 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 			pi := (int(out.outRR) + k) % nports
 			for ni := 0; ni < nn; ni++ {
 				if int(nominees[ni].port) == pi &&
-					r.In[pi].VCs[nominees[ni].vc].OutPort == topology.PortID(oi) {
+					r.InVCs(topology.PortID(pi))[nominees[ni].vc].OutPort == topology.PortID(oi) {
 					granted = ni
 					break
 				}
@@ -85,7 +85,7 @@ func oracleStep(r *Router, cycle sim.Cycle) {
 // not change in the merge.
 
 func oraclePickInputVC(r *Router, pi topology.PortID, cycle sim.Cycle) int {
-	vcs := r.In[pi].VCs
+	vcs := r.InVCs(pi)
 	vi := int(r.ports[pi].inRR)
 	for range vcs {
 		if vi++; vi >= len(vcs) {
@@ -127,7 +127,7 @@ func oraclePickInputVC(r *Router, pi topology.PortID, cycle sim.Cycle) int {
 				continue
 			}
 		case VCActive:
-			if vc.OutPort != topology.LocalPort && r.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+			if vc.OutPort != topology.LocalPort && r.OutCredits(vc.OutPort)[vc.OutVC] <= 0 {
 				continue
 			}
 		default:
@@ -140,13 +140,13 @@ func oraclePickInputVC(r *Router, pi topology.PortID, cycle sim.Cycle) int {
 }
 
 func oracleGrant(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &r.In[pi].VCs[vi]
+	vc := &r.InVCs(pi)[vi]
 	f, _, _ := vc.Front()
 	if vc.State == VCWaiting {
 		if vc.OutPort != topology.LocalPort {
 			// VC selection: pick a random free downstream VC of the
 			// packet's VNet (the paper's randomized VCS stage).
-			out := &r.Out[vc.OutPort]
+			credits, busy := r.OutCredits(vc.OutPort), r.OutBusy(vc.OutPort)
 			vnet := f.Pkt.VNet
 			need := int16(1)
 			if r.Cfg.VCT {
@@ -159,13 +159,13 @@ func oracleGrant(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 			nf := 0
 			for k := 0; k < r.Cfg.VCsPerVNet; k++ {
 				dv := int8(r.Cfg.VCIndex(vnet, k))
-				if !out.Busy[dv] && out.Credits[dv] >= need {
+				if !busy[dv] && credits[dv] >= need {
 					free[nf] = dv
 					nf++
 				}
 			}
 			vc.OutVC = free[r.rng.Intn(nf)]
-			out.Busy[vc.OutVC] = true
+			busy[vc.OutVC] = true
 		}
 		vc.State = VCActive
 	}
@@ -177,8 +177,8 @@ func oracleGrant(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 // crossbar to the VC's allocated output. Credits flow upstream; tail flits
 // release the VC.
 func oracleSendFront(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &r.In[pi].VCs[vi]
-	f := vc.pop()
+	vc := &r.InVCs(pi)[vi]
+	f := vc.pop(r.pool)
 	r.ports[pi].buffered--
 	r.buffered--
 	r.Stats.BufferReads++
@@ -203,9 +203,9 @@ func oracleSendFront(r *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 		r.Stats.UpFlits++
 		r.MarkUpSent(f.Pkt.VNet, cycle)
 	}
-	o := &r.Out[out]
-	o.Credits[outVC]--
-	if o.Credits[outVC] < 0 {
+	credits := r.OutCredits(out)
+	credits[outVC]--
+	if credits[outVC] < 0 {
 		panic("router: sent flit without credit")
 	}
 	nb, nbPort := r.Neighbor(out)
@@ -216,7 +216,7 @@ func oracleStepVOQ(q *Router, cycle sim.Cycle) {
 	if q.buffered == 0 {
 		return
 	}
-	nports := len(q.In)
+	nports := q.NumPorts()
 	var inputUsed uint32
 	for oi := 0; oi < nports; oi++ {
 		if q.ports[oi].outClaimedAt > cycle || q.downOut&(1<<uint(oi)) != 0 {
@@ -245,7 +245,7 @@ func oracleStepVOQ(q *Router, cycle sim.Cycle) {
 }
 
 func oraclePickVCFor(q *Router, pi, oi topology.PortID, cycle sim.Cycle) int {
-	vcs := q.In[pi].VCs
+	vcs := q.InVCs(pi)
 	vi := int(q.ports[pi].inRR)
 	for range vcs {
 		if vi++; vi >= len(vcs) {
@@ -283,7 +283,7 @@ func oraclePickVCFor(q *Router, pi, oi topology.PortID, cycle sim.Cycle) int {
 				continue
 			}
 		case VCActive:
-			if vc.OutPort != topology.LocalPort && q.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+			if vc.OutPort != topology.LocalPort && q.OutCredits(vc.OutPort)[vc.OutVC] <= 0 {
 				continue
 			}
 		default:
@@ -299,7 +299,7 @@ func oracleStepOQ(q *Router, cycle sim.Cycle) {
 	if q.buffered == 0 && q.staged == 0 {
 		return
 	}
-	nports := len(q.In)
+	nports := q.NumPorts()
 	// Output drain. Plugin claims (UPP popup circuits, signal hops) and
 	// down links pause the port; claiming it ourselves keeps the link at
 	// one flit per cycle against same-cycle out-of-band senders.
@@ -331,7 +331,7 @@ func oracleStepOQ(q *Router, cycle sim.Cycle) {
 		if q.ports[pi].inClaimedAt > cycle || q.ports[pi].buffered == 0 {
 			continue
 		}
-		vcs := q.In[pi].VCs
+		vcs := q.InVCs(topology.PortID(pi))
 		for vi := range vcs {
 			vc := &vcs[vi]
 			if vc.Hold {
@@ -383,9 +383,9 @@ func oracleStepOQ(q *Router, cycle sim.Cycle) {
 					continue
 				}
 				vc.OutVC = int8(dv)
-				q.Out[vc.OutPort].Busy[dv] = true
+				q.OutBusy(vc.OutPort)[dv] = true
 				vc.State = VCActive
-			} else if q.Out[vc.OutPort].Credits[vc.OutVC] <= 0 {
+			} else if q.OutCredits(vc.OutPort)[vc.OutVC] <= 0 {
 				continue
 			}
 			q.Stats.SAGrants++
@@ -397,10 +397,10 @@ func oracleStepOQ(q *Router, cycle sim.Cycle) {
 // firstFreeOutVC returns the first unallocated downstream VC of vnet on
 // output out that holds a credit, or -1.
 func oracleFirstFreeOutVC(q *Router, out topology.PortID, vnet message.VNet) int {
-	o := &q.Out[out]
+	credits, busy := q.OutCredits(out), q.OutBusy(out)
 	for k := 0; k < q.Cfg.VCsPerVNet; k++ {
 		dv := q.Cfg.VCIndex(vnet, k)
-		if !o.Busy[dv] && o.Credits[dv] > 0 {
+		if !busy[dv] && credits[dv] > 0 {
 			return dv
 		}
 	}
@@ -410,8 +410,8 @@ func oracleFirstFreeOutVC(q *Router, out topology.PortID, vnet message.VNet) int
 // ejectFront pops the front flit of (pi, vi) and hands it to the NI —
 // the local port has no staging FIFO.
 func oracleEjectFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &q.In[pi].VCs[vi]
-	f := vc.pop()
+	vc := &q.InVCs(pi)[vi]
+	f := vc.pop(q.pool)
 	q.ports[pi].buffered--
 	q.buffered--
 	q.Stats.BufferReads++
@@ -428,8 +428,8 @@ func oracleEjectFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 // stageFront pops the front flit of (pi, vi), consumes its downstream
 // credit and writes it into the output's staging FIFO.
 func oracleStageFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
-	vc := &q.In[pi].VCs[vi]
-	f := vc.pop()
+	vc := &q.InVCs(pi)[vi]
+	f := vc.pop(q.pool)
 	q.ports[pi].buffered--
 	q.buffered--
 	q.Stats.BufferReads++
@@ -440,9 +440,9 @@ func oracleStageFront(q *Router, pi topology.PortID, vi int, cycle sim.Cycle) {
 		q.releaseVC(vc, vi)
 	}
 	q.creditUpstream(pi, int8(vi), 1, tail, cycle)
-	o := &q.Out[out]
-	o.Credits[outVC]--
-	if o.Credits[outVC] < 0 {
+	credits := q.OutCredits(out)
+	credits[outVC]--
+	if credits[outVC] < 0 {
 		panic("router: staged flit without credit")
 	}
 	q.stage[out].push(stagedFlit{f: f, outVC: outVC})
@@ -507,7 +507,7 @@ func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (
 	cfg = r.Cfg // oq's input VCs are shallower than the budget depth
 	id := uint64(0)
 	for pi := 0; pi < nports; pi++ {
-		out := &r.Out[pi]
+		credits, busy := r.OutCredits(topology.PortID(pi)), r.OutBusy(topology.PortID(pi))
 		r.ports[pi].outRR = int8(g.Intn(nports))
 		r.ports[pi].inRR = int8(g.Intn(nvc))
 		if g.Intn(5) == 0 {
@@ -525,15 +525,15 @@ func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (
 			r.fencedOut |= 1 << uint(pi)
 		}
 		for vi := 0; vi < nvc; vi++ {
-			out.Credits[vi] = int16(g.Intn(cfg.BufferDepth + 1))
-			out.Busy[vi] = g.Intn(3) == 0
+			credits[vi] = int16(g.Intn(cfg.BufferDepth + 1))
+			busy[vi] = g.Intn(3) == 0
 			if g.Intn(3) == 0 {
 				continue // empty VC
 			}
 			id++
 			p := &message.Packet{ID: id, Size: 1 + g.Intn(5), VNet: cfg.VCVNet(vi)}
 			routes[id] = topology.PortID(g.Intn(nports))
-			vc := &r.In[pi].VCs[vi]
+			vc := r.VCAt(topology.PortID(pi), vi)
 			first := int32(0)
 			if p.Size > 1 && g.Intn(2) == 0 {
 				// Mid-packet: the head already left through an allocated
@@ -565,13 +565,13 @@ func randomRouter(t testing.TB, arch string, node *topology.Node, seed uint64) (
 // allocState is everything switch allocation may write.
 func allocState(r *Router) string {
 	var b strings.Builder
-	for pi := range r.In {
+	for pi := range r.ports {
 		p := &r.ports[pi]
 		fmt.Fprintf(&b, "p%d rr=%d inRR=%d sent=%d claims=%d/%d |", pi, p.outRR, p.inRR, p.sent, p.outClaimedAt, p.inClaimedAt)
-		for vi := range r.In[pi].VCs {
-			vc := &r.In[pi].VCs[vi]
+		port := topology.PortID(pi)
+		for vi, vc := range r.InVCs(port) {
 			fmt.Fprintf(&b, " %d:%d/%d/%d/%d c%d b%v", vi, vc.count, vc.State, vc.OutPort, vc.OutVC,
-				r.Out[pi].Credits[vi], r.Out[pi].Busy[vi])
+				r.OutCredits(port)[vi], r.OutBusy(port)[vi])
 		}
 		if r.stage != nil {
 			b.WriteString(" staged")
@@ -673,7 +673,7 @@ func TestCensusFollowsRouteAndRelease(t *testing.T) {
 		}
 	}
 	r.ReceiveFlit(1, vi, message.Flit{Pkt: p}, 0)
-	r.Out[up].Busy[vi] = true // no free downstream VC: the head routes, then waits
+	r.OutBusy(up)[vi] = true // no free downstream VC: the head routes, then waits
 	r.Step(1)
 	want("routed upward", 1)
 	if port, vc, _ := r.StalledHead(p.VNet, 0, 1, false); port != 1 || vc != int(vi) {
@@ -690,7 +690,7 @@ func TestCensusFollowsRouteAndRelease(t *testing.T) {
 	r.SetPortFenced(up, false)
 	r.Step(2)
 	want("re-routed", 1)
-	r.Out[up].Busy[vi] = false
+	r.OutBusy(up)[vi] = false
 	r.Step(3)
 	want("tail left", 0)
 }

@@ -45,8 +45,8 @@ func TestSwitchAllocationFairness(t *testing.T) {
 		}
 		sink.credits = sink.credits[:0]
 		r.ReceiveCredit(1, 0, 0, false)
-		r.Out[1].Credits[0] = 4
-		r.Out[1].Busy[0] = false
+		r.OutCredits(1)[0] = 4
+		r.OutBusy(1)[0] = false
 	}
 	a, b := sent[1], sent[2]
 	if a == 0 || b == 0 {
@@ -97,7 +97,7 @@ func TestVCTHeadGating(t *testing.T) {
 	for i := int32(0); i < 5; i++ {
 		r.ReceiveFlit(2, 0, message.Flit{Pkt: p, Seq: i}, 10)
 	}
-	r.Out[1].Credits[0] = 4 // space for 4 of 5 flits
+	r.OutCredits(1)[0] = 4 // space for 4 of 5 flits
 	for c := sim.Cycle(10); c < 16; c++ {
 		r.Step(c)
 	}

@@ -32,8 +32,8 @@ func TestNewMicroarchDispatch(t *testing.T) {
 		if m.ID != 0 {
 			t.Errorf("%s: ID %d, want 0", arch, m.ID)
 		}
-		if len(m.In) != len(m.Node.Ports) || len(m.Out) != len(m.Node.Ports) {
-			t.Errorf("%s: %d inputs, %d outputs, want %d of each", arch, len(m.In), len(m.Out), len(m.Node.Ports))
+		if m.NumPorts() != len(m.Node.Ports) {
+			t.Errorf("%s: %d ports, want %d", arch, m.NumPorts(), len(m.Node.Ports))
 		}
 		// Cfg reports the effective (credit-counted) input depth: the
 		// full budget depth for iq/voq, the split depth for oq.
@@ -76,7 +76,7 @@ func TestOQStageAndDrainTiming(t *testing.T) {
 	}
 	// The staging write is the credit consumption: 1 of the effective
 	// depth-2 downstream credits remains.
-	if got := m.Out[1].Credits[0]; got != 1 {
+	if got := m.OutCredits(1)[0]; got != 1 {
 		t.Fatalf("credits %d after staging, want 1", got)
 	}
 	if m.Idle() || m.Buffered() != 1 {
@@ -156,7 +156,7 @@ func TestOQWormholeBody(t *testing.T) {
 // input VC (where UPP's stall detection can see it) instead of staging.
 func TestOQNoCreditNoStage(t *testing.T) {
 	m, sink, _ := testMicroarch(t, router.ArchOQ, 1)
-	m.Out[1].Credits[0] = 0
+	m.OutCredits(1)[0] = 0
 	p := pkt(1)
 	m.ReceiveFlit(2, 0, message.Flit{Pkt: p}, 10)
 	for c := sim.Cycle(10); c < 20; c++ {

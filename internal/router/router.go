@@ -51,22 +51,6 @@ type Stats struct {
 	UpFlits uint64
 }
 
-// InPort is one input port's virtual channels: a view of the router's
-// port-major VC storage for schemes, checkers and tests. The datapath
-// indexes the flat storage itself.
-type InPort struct {
-	VCs []VC
-}
-
-// OutPort is the credit and allocation state of the downstream input port
-// an output feeds — views of the router's flat credit and busy storage.
-type OutPort struct {
-	// Credits per downstream VC.
-	Credits []int16
-	// Busy marks downstream VCs currently allocated to a packet.
-	Busy []bool
-}
-
 // port is everything else the datapath keeps per port, both directions of
 // it in one record so a hop reads one line for its input and one for its
 // output.
@@ -103,12 +87,16 @@ type port struct {
 // on every hop comes first so it shares the struct's leading cache lines.
 type Router struct {
 	// The flat port-major storage: VC vc of input port p is vcs[p*nvc+vc],
-	// its upstream credit and busy bit credits[p*nvc+vc] and busy[p*nvc+vc].
-	// In and Out are per-port views of the same memory. What a flit's
-	// delivery touches — vcs, ports, the counters and masks below, the head
-	// of Stats — is declared together.
+	// the credits and busy bit of downstream VC vc behind output p
+	// credits[p*nvc+vc] and busy[p*nvc+vc]; InVCs, OutCredits and OutBusy
+	// slice them per port. What a flit's delivery touches — vcs, ports, the
+	// pool, the counters and masks below, the head of Stats — is declared
+	// together.
 	vcs   []VC
 	ports []port
+	// pool lends the VCs their ring chunks; the routers of one block share
+	// it.
+	pool *slotPool
 	// nvc is Cfg.NumVCs(), the stride of the flat storage.
 	nvc int
 	// buffered counts flits currently held in this router's VCs and staged
@@ -180,9 +168,6 @@ type Router struct {
 	Node *topology.Node
 	// Arch names the microarchitecture (ArchIQ, ArchOQ or ArchVOQ).
 	Arch string
-
-	In  []InPort
-	Out []OutPort
 }
 
 // allocators are the three switch allocators Step chooses between.
@@ -195,23 +180,34 @@ var (
 // the occ/downOut/fencedOut/upPorts/meshPorts port masks are 32 bits wide.
 const maxPorts = 32
 
+// PoolShift sizes the blocks of routers that share a slot pool: NodeIDs
+// b<<PoolShift to (b+1)<<PoolShift - 1, the parallel kernel's block.
+const PoolShift = 6
+
 // Arena is the backing storage of many routers, one slab per kind, so a
 // router's state is a handful of runs adjacent to its neighbours' rather
-// than a dozen objects in as many size-class spans. New carves from it and
-// falls back to plain allocation when a slab is short or the arena is nil
-// (standalone routers).
+// than a dozen objects in as many size-class spans. It also holds one slot
+// pool per block, each starting with one chunk per router it serves. New
+// carves from it and falls back to plain allocation when a slab is short or
+// the arena is nil (standalone routers, each with a pool of its own).
 type Arena struct {
 	routers []Router
 	ports   []port
-	in      []InPort
-	out     []OutPort
 	vcs     []VC
-	rings   []bufFlit
 	credits []int16
 	busy    []bool
+	// pools is indexed by NodeID>>PoolShift; poolRouters backs their router
+	// lists.
+	pools       []slotPool
+	poolRouters []*Router
+	// stages and staged back oq's staging FIFOs: one per port, and the
+	// slots of every port but the local one.
+	stages []stageFIFO
+	staged []stagedFlit
 }
 
-// NewArena sizes the slabs for one arch router per node.
+// NewArena sizes the slabs for one arch router per node; the nodes are
+// those of a topology, in NodeID order.
 func NewArena(arch string, cfg Config, nodes []topology.Node) (*Arena, error) {
 	lay, err := LayoutFor(arch, cfg)
 	if err != nil {
@@ -222,16 +218,46 @@ func NewArena(arch string, cfg Config, nodes []topology.Node) (*Arena, error) {
 		ports += len(nodes[i].Ports)
 	}
 	vcs := ports * cfg.NumVCs()
-	return &Arena{
-		routers: make([]Router, len(nodes)),
-		ports:   make([]port, ports),
-		in:      make([]InPort, ports),
-		out:     make([]OutPort, ports),
-		vcs:     make([]VC, vcs),
-		rings:   make([]bufFlit, vcs*(lay.InputDepth-1)),
-		credits: make([]int16, vcs),
-		busy:    make([]bool, vcs),
-	}, nil
+	a := &Arena{
+		routers:     make([]Router, len(nodes)),
+		ports:       make([]port, ports),
+		vcs:         make([]VC, vcs),
+		credits:     make([]int16, vcs),
+		busy:        make([]bool, vcs),
+		pools:       make([]slotPool, (len(nodes)+1<<PoolShift-1)>>PoolShift),
+		poolRouters: make([]*Router, len(nodes)),
+	}
+	size := lay.InputDepth - 1
+	chunks := make([]bufFlit, len(nodes)*size)
+	for b := range a.pools {
+		n := min(1<<PoolShift, len(nodes)-b<<PoolShift)
+		a.pools[b] = newSlotPool(size, n, chunks[:n*size])
+		a.pools[b].routers = carve(&a.poolRouters, n)[:0]
+		chunks = chunks[n*size:]
+	}
+	if lay.StageSlots > 0 {
+		a.stages = make([]stageFIFO, ports)
+		a.staged = make([]stagedFlit, (ports-len(nodes))*lay.StageSlots)
+	}
+	return a, nil
+}
+
+// newSlotPool builds a pool of chunks of size slots, n of them cut from
+// slab, growing n at a time.
+func newSlotPool(size, n int, slab []bufFlit) slotPool {
+	p := slotPool{size: size, batch: n, free: make([][]bufFlit, 0, n)}
+	p.grow(n, slab)
+	return p
+}
+
+// pool returns the slot pool of node id's block, or a pool of its own for
+// a router the arena was not sized for.
+func (a *Arena) pool(id topology.NodeID, size int) *slotPool {
+	if b := int(id) >> PoolShift; id >= 0 && b < len(a.pools) {
+		return &a.pools[b]
+	}
+	p := newSlotPool(size, 1, nil)
+	return &p
 }
 
 // carve takes n elements off the front of slab, or allocates them when the
@@ -267,6 +293,7 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 	*r = Router{
 		vcs:     carve(&a.vcs, nports*nvc),
 		ports:   carve(&a.ports, nports),
+		pool:    a.pool(n.ID, cfg.BufferDepth-1),
 		credits: carve(&a.credits, nports*nvc),
 		busy:    carve(&a.busy, nports*nvc),
 
@@ -283,20 +310,14 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 		Node: n,
 		Cfg:  cfg,
 		Arch: arch,
-		In:   carve(&a.in, nports),
-		Out:  carve(&a.out, nports),
 	}
-	rings := carve(&a.rings, len(r.vcs)*(cfg.BufferDepth-1))
+	r.pool.routers = append(r.pool.routers, r)
 	for i := range r.vcs {
-		lo, hi := i*(cfg.BufferDepth-1), (i+1)*(cfg.BufferDepth-1)
-		r.vcs[i].ring = rings[lo:hi:hi]
+		r.vcs[i].depth = uint16(cfg.BufferDepth)
 		r.vcs[i].reset()
 		r.credits[i] = int16(cfg.BufferDepth)
 	}
 	for pi := range r.ports {
-		lo, hi := pi*nvc, (pi+1)*nvc
-		r.In[pi].VCs = r.vcs[lo:hi:hi]
-		r.Out[pi] = OutPort{Credits: r.credits[lo:hi:hi], Busy: r.busy[lo:hi:hi]}
 		pt := &n.Ports[pi]
 		r.ports[pi] = port{nb: pt.Neighbor, nbPort: pt.NeighborPort}
 		switch pt.Dir {
@@ -310,9 +331,9 @@ func New(arch string, n *topology.Node, cfg Config, sink EventSink, local LocalS
 	if lay.StageSlots > 0 {
 		// The local port ejects directly to the NI (no link to drain
 		// onto), so only real outputs get staging storage.
-		r.stage = make([]stageFIFO, nports)
+		r.stage = carve(&a.stages, nports)
 		for pi := 1; pi < nports; pi++ {
-			r.stage[pi].buf = make([]stagedFlit, lay.StageSlots)
+			r.stage[pi].buf = carve(&a.staged, lay.StageSlots)
 		}
 	}
 	return r, nil
@@ -335,6 +356,22 @@ func (r *Router) Buffered() int { return int(r.buffered + r.staged) }
 // VCAt returns the VC for inspection by plugins and tests.
 func (r *Router) VCAt(port topology.PortID, vc int) *VC { return &r.vcs[int(port)*r.nvc+vc] }
 
+// NumPorts returns the router's port count, both directions alike.
+func (r *Router) NumPorts() int { return len(r.ports) }
+
+// InVCs returns input port p's VCs, a slice of the router's own storage.
+func (r *Router) InVCs(p topology.PortID) []VC { return r.vcs[int(p)*r.nvc : int(p+1)*r.nvc] }
+
+// OutCredits returns the credits output p holds for each downstream VC; a
+// write through the slice lands in the router.
+func (r *Router) OutCredits(p topology.PortID) []int16 {
+	return r.credits[int(p)*r.nvc : int(p+1)*r.nvc]
+}
+
+// OutBusy returns which downstream VCs behind output p are allocated to a
+// packet; a write through the slice lands in the router.
+func (r *Router) OutBusy(p topology.PortID) []bool { return r.busy[int(p)*r.nvc : int(p+1)*r.nvc] }
+
 // OccupiedPorts returns the mask of input ports holding a flit.
 func (r *Router) OccupiedPorts() uint32 { return r.occ }
 
@@ -347,7 +384,7 @@ func (r *Router) PortSent(p topology.PortID) uint64 { return r.ports[p].sent }
 // ReceiveFlit performs the buffer write of a flit arriving on (port, vc).
 // The flit becomes pipeline-eligible the following cycle.
 func (r *Router) ReceiveFlit(port topology.PortID, vc int8, f message.Flit, cycle sim.Cycle) {
-	r.VCAt(port, int(vc)).push(f, cycle+1)
+	r.VCAt(port, int(vc)).push(f, cycle+1, r.pool)
 	p := &r.ports[port]
 	p.buffered++
 	p.vcMask |= 1 << uint(vc)
@@ -585,7 +622,10 @@ func (r *Router) RecountUpRouted() (n [message.NumVNets]int32) {
 
 // CheckDerived holds the derived occupancy state to a recount: occ, the
 // per-port VC masks and flit counts and the router's total from the VCs,
-// claimedAt from the per-port stamps.
+// claimedAt from the per-port stamps. A VC must hold a chunk of its pool
+// exactly when it holds two or more flits, and the pool's first router
+// audits the whole pool (slotPool.audit), so a check of every router
+// audits every pool once.
 func (r *Router) CheckDerived() error {
 	var (
 		occ       uint32
@@ -596,10 +636,15 @@ func (r *Router) CheckDerived() error {
 		p := &r.ports[pi]
 		var mask uint64
 		var n int32
-		for vi := range r.In[pi].VCs {
-			if c := r.In[pi].VCs[vi].count; c != 0 {
+		vcs := r.InVCs(topology.PortID(pi))
+		for vi := range vcs {
+			vc := &vcs[vi]
+			if (vc.ring != nil) != (vc.count >= 2) {
+				return fmt.Errorf("router %d in[%d] vc%d: holds %d flits and a chunk: %v", r.ID, pi, vi, vc.count, vc.ring != nil)
+			}
+			if vc.count != 0 {
 				mask |= 1 << uint(vi)
-				n += int32(c)
+				n += int32(vc.count)
 			}
 		}
 		if mask != p.vcMask || n != p.buffered {
@@ -616,6 +661,9 @@ func (r *Router) CheckDerived() error {
 	}
 	if claimedAt != r.claimedAt {
 		return fmt.Errorf("router %d: claimedAt %d, latest port claim %d", r.ID, r.claimedAt, claimedAt)
+	}
+	if r.pool.routers[0] == r {
+		return r.pool.audit()
 	}
 	return nil
 }
@@ -927,7 +975,7 @@ func (r *Router) creditUpstream(pi topology.PortID, vc int8, delta int, free boo
 // boundary-buffer absorption) with identical credit bookkeeping.
 func (r *Router) PopFront(port topology.PortID, vcIdx int, cycle sim.Cycle) message.Flit {
 	vc := r.VCAt(port, vcIdx)
-	f := vc.pop()
+	f := vc.pop(r.pool)
 	p := &r.ports[port]
 	p.buffered--
 	if vc.count == 0 {
@@ -979,7 +1027,7 @@ func (r *Router) AllocateOutputVC(out topology.PortID, vnet message.VNet) int8 {
 // CreditsAvailable reports whether output out has a credit for downstream
 // VC outVC.
 func (r *Router) CreditsAvailable(out topology.PortID, outVC int8) bool {
-	return r.Out[out].Credits[outVC] > 0
+	return r.credits[int(out)*r.nvc+int(outVC)] > 0
 }
 
 // SendOnOutput sends f through output out into downstream VC outVC,

@@ -113,19 +113,19 @@ func TestCreditAndVCLifecycle(t *testing.T) {
 		t.Fatal("packet split across downstream VCs")
 	}
 	// Credits consumed: 2 of 4.
-	if got := r.Out[1].Credits[sink.flits[0].vc]; got != 2 {
+	if got := r.OutCredits(1)[sink.flits[0].vc]; got != 2 {
 		t.Fatalf("credits %d, want 2", got)
 	}
 	// Downstream VC still allocated until its free credit returns.
-	if !r.Out[1].Busy[sink.flits[0].vc] {
+	if !r.OutBusy(1)[sink.flits[0].vc] {
 		t.Fatal("downstream VC not held")
 	}
 	r.ReceiveCredit(1, sink.flits[0].vc, 1, false)
 	r.ReceiveCredit(1, sink.flits[0].vc, 1, true)
-	if r.Out[1].Busy[sink.flits[0].vc] {
+	if r.OutBusy(1)[sink.flits[0].vc] {
 		t.Fatal("free credit did not release the VC")
 	}
-	if got := r.Out[1].Credits[sink.flits[0].vc]; got != 4 {
+	if got := r.OutCredits(1)[sink.flits[0].vc]; got != 4 {
 		t.Fatalf("credits %d after return, want 4", got)
 	}
 	// Upstream credits: one per flit, free on the tail.
@@ -140,7 +140,7 @@ func TestCreditAndVCLifecycle(t *testing.T) {
 func TestNoCreditNoSend(t *testing.T) {
 	r, sink, _ := testRouter(t, 1)
 	// Exhaust all VNet-0 credits on output 1.
-	r.Out[1].Credits[0] = 0
+	r.OutCredits(1)[0] = 0
 	p := pkt(1)
 	r.ReceiveFlit(2, 0, message.Flit{Pkt: p}, 10)
 	for c := sim.Cycle(10); c < 20; c++ {
@@ -159,7 +159,7 @@ func TestNoCreditNoSend(t *testing.T) {
 
 func TestBusyVCBlocksNewHead(t *testing.T) {
 	r, sink, _ := testRouter(t, 1)
-	r.Out[1].Busy[0] = true // vnet0's only VC taken downstream
+	r.OutBusy(1)[0] = true // vnet0's only VC taken downstream
 	p := pkt(1)
 	r.ReceiveFlit(2, 0, message.Flit{Pkt: p}, 10)
 	for c := sim.Cycle(10); c < 15; c++ {
@@ -342,7 +342,7 @@ func TestAllocateOutputVC(t *testing.T) {
 	if vc < 0 {
 		t.Fatal("allocation failed on idle output")
 	}
-	if !r.Out[1].Busy[vc] {
+	if !r.OutBusy(1)[vc] {
 		t.Fatal("allocation did not mark busy")
 	}
 	if again := r.AllocateOutputVC(1, message.VNetRequest); again >= 0 {
@@ -390,7 +390,7 @@ func TestSendOnOutput(t *testing.T) {
 	if len(sink.flits) != 1 || sink.flits[0].vc != vc {
 		t.Fatalf("send wrong: %+v", sink.flits)
 	}
-	if got := r.Out[1].Credits[vc]; got != 3 {
+	if got := r.OutCredits(1)[vc]; got != 3 {
 		t.Fatalf("credits %d after send", got)
 	}
 	if sink.flits[0].cycle != 22 {

@@ -13,26 +13,25 @@ import (
 // counters and the router's split RNG stream. The immutable parts —
 // topology node, config, route function, sinks — are rebuilt by network
 // construction before a restore runs, on an identically-configured router
-// of the same arch. Decoding re-pushes flits into freshly reset VCs — the
-// ring's head position is unobservable, so only FIFO order matters — and
+// of the same arch. Decoding re-pushes flits into freshly emptied VCs —
+// a VC's chunk and ring position are unobservable: only FIFO order is — and
 // rebuilds the derived state (occupancy masks, claimedAt, the upward
 // census, the staged count) from what was read.
 func (r *Router) Snapshot(c *snap.Codec) error {
-	nports := len(r.In)
+	nports := len(r.ports)
 	if c.Decoding() {
 		r.buffered, r.occ, r.claimedAt = 0, 0, 0
 	}
 	for pi := 0; pi < nports; pi++ {
-		in := &r.In[pi]
 		p := &r.ports[pi]
 		if c.Decoding() {
 			p.buffered, p.vcMask = 0, 0
 		}
-		for vi := range in.VCs {
-			vc := &in.VCs[vi]
+		for vi := range r.nvc {
+			vc := &r.vcs[pi*r.nvc+vi]
 			n := c.Len("vc flit count", vc.Len(), r.Cfg.BufferDepth)
 			if c.Decoding() {
-				vc.reset()
+				vc.empty(r.pool)
 			}
 			for i := 0; i < n; i++ {
 				var b bufFlit
@@ -45,7 +44,7 @@ func (r *Router) Snapshot(c *snap.Codec) error {
 					return c.Err()
 				}
 				if c.Decoding() {
-					vc.push(b.flit, b.ready)
+					vc.push(b.flit, b.ready, r.pool)
 				}
 			}
 			if c.Decoding() && n > 0 {
@@ -56,14 +55,13 @@ func (r *Router) Snapshot(c *snap.Codec) error {
 			}
 			snap.Uint(c, "vc state", &vc.State, uint64(VCActive))
 			snap.Int(c, "vc outport", &vc.OutPort, -1, int64(nports)-1)
-			snap.Int(c, "vc outvc", &vc.OutVC, -1, int64(len(r.Out[pi].Credits))-1)
+			snap.Int(c, "vc outvc", &vc.OutVC, -1, int64(r.nvc)-1)
 			c.Bool("vc routed", &vc.routed)
 			c.Bool("vc hold", &vc.Hold)
 		}
-		out := &r.Out[pi]
-		for vi := range out.Credits {
-			snap.Int(c, "out credits", &out.Credits[vi], 0, int64(r.Cfg.BufferDepth))
-			c.Bool("out busy", &out.Busy[vi])
+		for i := pi * r.nvc; i < (pi+1)*r.nvc; i++ {
+			snap.Int(c, "out credits", &r.credits[i], 0, int64(r.Cfg.BufferDepth))
+			c.Bool("out busy", &r.busy[i])
 		}
 		snap.Int(c, "out rr", &p.outRR, 0, int64(nports)-1)
 		c.I64("out claim", &p.outClaimedAt)
@@ -71,7 +69,7 @@ func (r *Router) Snapshot(c *snap.Codec) error {
 		if c.Decoding() {
 			r.claimedAt = max(r.claimedAt, p.outClaimedAt, p.inClaimedAt)
 		}
-		snap.Int(c, "in rr", &p.inRR, 0, int64(len(in.VCs))-1)
+		snap.Int(c, "in rr", &p.inRR, 0, int64(r.nvc)-1)
 		c.U64("port sent", &p.sent)
 	}
 	snap.Uint(c, "upsent mask", &r.upSent, math.MaxUint8)

@@ -7,15 +7,17 @@ import (
 	"uppnoc/internal/message"
 	"uppnoc/internal/sim"
 	"uppnoc/internal/snap"
+	"uppnoc/internal/topology"
 )
 
 // TestVCFIFOModel drives one VC of a standalone router through random
 // ReceiveFlit (push) and PopFront (pop) calls against a slice model, for
 // every depth from 1 (no ring at all) to 8, long enough for the ring to wrap
-// many times. After every operation Front, FrontReady, Scan, Len and Free
-// must agree with the model and the router's derived masks with a recount;
-// a third of the way in the router is snapshotted and the sequence carries
-// on in a restored copy.
+// many times and the VC to borrow and return a chunk many times. After
+// every operation Front, FrontReady, Scan, Len and Free must agree with the
+// model and the router's derived state with a recount (CheckDerived, which
+// also audits the slot pool); a third of the way in the router is
+// snapshotted and the sequence carries on in a restored copy.
 func TestVCFIFOModel(t *testing.T) {
 	const port, vi = 1, 2
 	node := widestNode(t)
@@ -31,8 +33,8 @@ func TestVCFIFOModel(t *testing.T) {
 				return r
 			}
 			r := build()
-			if got := len(r.VCAt(port, vi).ring); got != depth-1 {
-				t.Fatalf("ring has %d slots, want BufferDepth-1 = %d", got, depth-1)
+			if vc := r.VCAt(port, vi); vc.ring != nil || vc.Free() != depth {
+				t.Fatalf("empty VC: chunk %v, %d free, want no chunk and BufferDepth = %d free", vc.ring != nil, vc.Free(), depth)
 			}
 			g := sim.NewRNG(uint64(depth))
 			var model []bufFlit
@@ -131,11 +133,87 @@ func TestVCOverflowAndUnderflowPanic(t *testing.T) {
 	}
 	pkt := &message.Packet{ID: 1, Size: 8}
 	for _, depth := range []int{1, 2, 4} {
-		vc := VC{ring: make([]bufFlit, depth-1)}
-		mustPanic("pop from an empty VC", func() { vc.pop() })
+		vc, pl := VC{depth: uint16(depth)}, newSlotPool(depth-1, 1, nil)
+		mustPanic("pop from an empty VC", func() { vc.pop(&pl) })
 		for i := 0; i < depth; i++ {
-			vc.push(message.Flit{Pkt: pkt, Seq: int32(i)}, 0)
+			vc.push(message.Flit{Pkt: pkt, Seq: int32(i)}, 0, &pl)
 		}
-		mustPanic(fmt.Sprintf("push into a full depth-%d VC", depth), func() { vc.push(message.Flit{Pkt: pkt}, 0) })
+		mustPanic(fmt.Sprintf("push into a full depth-%d VC", depth), func() { vc.push(message.Flit{Pkt: pkt}, 0, &pl) })
 	}
+}
+
+// TestSlotPoolGrowsAndDrains fills every VC of every port of a standalone
+// router to BufferDepth at once — far more multi-flit VCs than the one chunk
+// its pool starts with, so the pool must grow — then drains them all. Every
+// VC must give its flits back in FIFO order and return every credit
+// upstream, and every chunk must be back in the pool.
+func TestSlotPoolGrowsAndDrains(t *testing.T) {
+	node := widestNode(t)
+	for _, depth := range []int{2, 4, 7} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := Config{VCsPerVNet: 2, BufferDepth: depth}
+			credits := &creditTally{}
+			r, err := New(ArchIQ, node, cfg, credits, &eventLog{}, nil, sim.NewRNG(1), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := r.pool.chunks
+			nvc := cfg.NumVCs()
+			pkts := make([]*message.Packet, r.NumPorts()*nvc)
+			for i := range pkts {
+				pkts[i] = &message.Packet{ID: uint64(i + 1), Size: depth}
+			}
+			for seq := range depth {
+				for i, p := range pkts {
+					r.ReceiveFlit(topology.PortID(i/nvc), int8(i%nvc), message.Flit{Pkt: p, Seq: int32(seq)}, 0)
+				}
+				if err := r.CheckDerived(); err != nil {
+					t.Fatalf("after filling to %d: %v", seq+1, err)
+				}
+			}
+			if lent := len(pkts); r.pool.chunks < lent || start >= lent {
+				t.Fatalf("pool started with %d chunks and owns %d with %d lent", start, r.pool.chunks, lent)
+			}
+			for seq := range depth {
+				for i, p := range pkts {
+					if f := r.PopFront(topology.PortID(i/nvc), i%nvc, 1); f.Pkt != p || f.Seq != int32(seq) {
+						t.Fatalf("in[%d] vc%d pop %d: pkt%d flit %d, want pkt%d flit %d", i/nvc, i%nvc, seq, f.Pkt.ID, f.Seq, p.ID, seq)
+					}
+				}
+				if err := r.CheckDerived(); err != nil {
+					t.Fatalf("after draining %d: %v", seq+1, err)
+				}
+			}
+			if !r.Idle() || len(r.pool.free) != r.pool.chunks {
+				t.Fatalf("drained router: idle %v, %d of %d chunks free", r.Idle(), len(r.pool.free), r.pool.chunks)
+			}
+			for i := range pkts {
+				pt := &r.ports[i/nvc]
+				if n := credits.slots[creditKey{pt.nb, pt.nbPort, int8(i % nvc)}]; n != depth {
+					t.Fatalf("in[%d] vc%d returned %d credits, want %d", i/nvc, i%nvc, n, depth)
+				}
+			}
+		})
+	}
+}
+
+// creditTally is an EventSink that counts the buffer slots returned to
+// each upstream output VC.
+type creditTally struct {
+	slots map[creditKey]int
+}
+
+type creditKey struct {
+	to   topology.NodeID
+	port topology.PortID
+	vc   int8
+}
+
+func (*creditTally) DeliverFlit(topology.NodeID, topology.PortID, int8, message.Flit, sim.Cycle) {}
+
+func (c *creditTally) DeliverCredit(to topology.NodeID, port topology.PortID, vc int8, delta int, _ bool, _ sim.Cycle) {
+	if c.slots == nil {
+		c.slots = map[creditKey]int{}
+	}
+	c.slots[creditKey{to, port, vc}] += delta
 }

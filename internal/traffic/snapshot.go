@@ -14,7 +14,7 @@ func (g *Generator) SnapshotLabel() string { return "traffic" }
 // Bernoulli stream, so a restored run draws the exact injection sequence
 // the uninterrupted run would have (DESIGN.md §14).
 func (g *Generator) SnapshotState(c *snap.Codec) error {
-	rate, ctrl := g.Rate, g.CtrlFraction
+	rate, ctrl := g.Rate, g.ctrlFraction
 	c.F64("traffic rate", &rate)
 	c.F64("traffic ctrl fraction", &ctrl)
 	if c.Decoding() && c.Err() == nil && (math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0) {
@@ -37,7 +37,7 @@ func (g *Generator) SnapshotState(c *snap.Codec) error {
 		}
 	}
 	if c.Decoding() {
-		g.Rate, g.CtrlFraction = rate, ctrl
+		g.Rate, g.ctrlFraction = rate, ctrl
 		g.updateProb()
 	}
 	return nil

@@ -96,9 +96,11 @@ type Generator struct {
 
 	// Rate is the offered load in flits/cycle/node.
 	Rate float64
-	// CtrlFraction is the fraction of packets that are 1-flit control
-	// packets; the rest are 5-flit data packets (Table II's mix).
-	CtrlFraction float64
+	// ctrlFraction is the fraction of packets that are 1-flit control
+	// packets; the rest are 5-flit data packets (Table II's mix unless
+	// SetCtrlFraction changed it). The injection threshold is derived from
+	// it, so only SetCtrlFraction and a restore write it.
+	ctrlFraction float64
 
 	// CoreAlive, when set, gates injection on both endpoints' compute
 	// being alive (the reconfiguration engine's chiplet fail-stop): a
@@ -120,7 +122,7 @@ func NewGenerator(net *network.Network, pattern Pattern, rate float64, seed uint
 		pattern:      pattern,
 		cores:        net.Topo.Cores(),
 		Rate:         rate,
-		CtrlFraction: 0.5,
+		ctrlFraction: 0.5,
 	}
 	master := sim.NewRNG(seed)
 	g.rngs = make([]sim.RNG, len(g.cores))
@@ -132,14 +134,21 @@ func NewGenerator(net *network.Network, pattern Pattern, rate float64, seed uint
 }
 
 func (g *Generator) updateProb() {
-	avgFlits := g.CtrlFraction*float64(message.ControlPacketFlits) +
-		(1-g.CtrlFraction)*float64(message.DataPacketFlits)
+	avgFlits := g.ctrlFraction*float64(message.ControlPacketFlits) +
+		(1-g.ctrlFraction)*float64(message.DataPacketFlits)
 	g.inject = sim.NewThreshold(g.Rate / avgFlits)
 }
 
 // SetRate changes the offered load.
 func (g *Generator) SetRate(rate float64) {
 	g.Rate = rate
+	g.updateProb()
+}
+
+// SetCtrlFraction changes the share of packets that are 1-flit control
+// packets, keeping the offered load in flits.
+func (g *Generator) SetCtrlFraction(f float64) {
+	g.ctrlFraction = f
 	g.updateProb()
 }
 
@@ -162,7 +171,7 @@ func (g *Generator) Tick(cycle sim.Cycle) {
 		if d == i {
 			continue
 		}
-		ctrl := rng.Bernoulli(g.CtrlFraction)
+		ctrl := rng.Bernoulli(g.ctrlFraction)
 		reqVNet := ctrl && rng.Bernoulli(0.5)
 		if g.CoreAlive != nil && (!g.CoreAlive(src) || !g.CoreAlive(g.cores[d])) {
 			continue
