@@ -108,10 +108,10 @@ func newNI(net *Network, node topology.NodeID, r *router.Router, cfg router.Conf
 // — keeps no lists.
 func (ni *NI) carveEjectionLists(n int) {
 	if cap(ni.asm) < n {
-		ni.asm = append(make([]asmSlot, 0, max(n, len(ni.asm))), ni.asm...)
+		ni.asm = append(make([]asmSlot, 0, n), ni.asm...)
 	}
 	if cap(ni.complete) < n {
-		ni.complete = append(make([]completed, 0, max(n, len(ni.complete))), ni.complete...)
+		ni.complete = append(make([]completed, 0, n), ni.complete...)
 	}
 }
 

@@ -360,17 +360,24 @@ func (r *Router) VCAt(port topology.PortID, vc int) *VC { return &r.vcs[int(port
 func (r *Router) NumPorts() int { return len(r.ports) }
 
 // InVCs returns input port p's VCs, a slice of the router's own storage.
-func (r *Router) InVCs(p topology.PortID) []VC { return r.vcs[int(p)*r.nvc : int(p+1)*r.nvc] }
+func (r *Router) InVCs(p topology.PortID) []VC {
+	lo, hi := int(p)*r.nvc, int(p+1)*r.nvc
+	return r.vcs[lo:hi:hi]
+}
 
 // OutCredits returns the credits output p holds for each downstream VC; a
 // write through the slice lands in the router.
 func (r *Router) OutCredits(p topology.PortID) []int16 {
-	return r.credits[int(p)*r.nvc : int(p+1)*r.nvc]
+	lo, hi := int(p)*r.nvc, int(p+1)*r.nvc
+	return r.credits[lo:hi:hi]
 }
 
 // OutBusy returns which downstream VCs behind output p are allocated to a
 // packet; a write through the slice lands in the router.
-func (r *Router) OutBusy(p topology.PortID) []bool { return r.busy[int(p)*r.nvc : int(p+1)*r.nvc] }
+func (r *Router) OutBusy(p topology.PortID) []bool {
+	lo, hi := int(p)*r.nvc, int(p+1)*r.nvc
+	return r.busy[lo:hi:hi]
+}
 
 // OccupiedPorts returns the mask of input ports holding a flit.
 func (r *Router) OccupiedPorts() uint32 { return r.occ }

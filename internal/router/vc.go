@@ -59,9 +59,8 @@ type VC struct {
 	depth uint16
 }
 
-// reset empties the VC and returns it to Idle. It drops the ring without
-// returning it: a caller resetting a VC that may hold a chunk returns it to
-// the pool first.
+// reset returns an empty VC to Idle. It keeps no chunk and returns none: a
+// VC that may still hold flits is emptied with empty instead.
 func (v *VC) reset() {
 	*v = VC{OutPort: topology.InvalidPort, OutVC: -1, depth: v.depth}
 }
@@ -182,12 +181,11 @@ func (v *VC) pop(pl *slotPool) message.Flit {
 // a batch of as many chunks as it started with, a high-water mark that
 // steady state then never passes again.
 type slotPool struct {
-	free    [][]bufFlit       // chunks not lent, the next to lend last
-	chunks  int               // chunks owned, lent or free
-	size    int               // slots per chunk: BufferDepth-1
-	batch   int               // chunks a dry pool grows by
-	routers []*Router         // the routers it serves, which the audit walks
-	seen    map[*bufFlit]bool // the audit's scratch, kept across audits
+	free    [][]bufFlit // chunks not lent, the next to lend last
+	chunks  int         // chunks owned, lent or free
+	size    int         // slots per chunk: BufferDepth-1
+	batch   int         // chunks a dry pool grows by
+	routers []*Router   // the routers it serves, which the audit walks
 }
 
 // grow adds n chunks cut from slab, or from a new slab when slab is nil.
@@ -207,7 +205,6 @@ func (p *slotPool) take() []bufFlit {
 		p.grow(p.batch, nil)
 	}
 	c := p.free[len(p.free)-1]
-	p.free[len(p.free)-1] = nil
 	p.free = p.free[:len(p.free)-1]
 	return c
 }
@@ -220,11 +217,7 @@ func (p *slotPool) put(c []bufFlit) { p.free = append(p.free, c) }
 // VC holds a chunk exactly when it holds two or more flits is each router's
 // own check, Router.CheckDerived.)
 func (p *slotPool) audit() error {
-	if p.seen == nil {
-		p.seen = make(map[*bufFlit]bool, p.chunks)
-	}
-	seen := p.seen
-	clear(seen)
+	seen := make(map[*bufFlit]bool, p.chunks)
 	// fresh reports whether c is a whole chunk not met before, and marks it.
 	fresh := func(c []bufFlit) bool {
 		if len(c) != p.size || p.size > 0 && seen[&c[0]] {
