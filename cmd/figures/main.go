@@ -166,9 +166,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Machine-greppable cache summary (CI's cache-smoke job asserts a
 		// re-run reports misses=0). cancelled counts the runs past a
 		// curve's stop the pool discarded, which count in no other field.
-		hits, misses, warmHits, warmMisses := experiments.CacheCounters()
-		fmt.Fprintf(stderr, "figures: result cache hits=%d misses=%d warm_hits=%d warm_misses=%d cancelled=%d\n",
-			hits, misses, warmHits, warmMisses, experiments.CancelledRuns())
+		hits, misses, _, _ := experiments.CacheCounters()
+		fmt.Fprintf(stderr, "figures: result cache hits=%d misses=%d cancelled=%d\n",
+			hits, misses, experiments.CancelledRuns())
 	}
 	return 0
 }

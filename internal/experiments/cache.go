@@ -4,15 +4,10 @@ package experiments
 // whose inputs are fully canonicalizable — one of the registered traffic
 // patterns or a workload, no random binding, no tracer or trace recorder —
 // maps to a canonical JSON envelope; the SHA-256 of those bytes addresses
-// two on-disk artifacts under UPP_CACHE_DIR:
+// the one on-disk artifact under UPP_CACHE_DIR:
 //
 //	results/<hash>.json  the finished Point (exact-match verified
 //	                     against the stored spec, not just the hash)
-//	warm/<hash>.upws     a warm-start checkpoint of a rate-driven run:
-//	                     the full simulation state after the warmup
-//	                     phase, keyed on the envelope with Measure zeroed
-//	                     so runs that differ only in measurement length
-//	                     share warmups (a workload run has no warmup)
 //
 // The cache key deliberately excludes the execution strategy — cycle
 // kernel and shard count — because every choice is bit-identical by
@@ -24,7 +19,9 @@ package experiments
 // Entries are written atomically (temp file + rename), so concurrent sweep
 // workers and concurrent processes sharing a cache directory never observe
 // torn files; a corrupt or stale entry is treated as a miss, never an
-// error.
+// error. The same envelope heads the UPWR checkpoint container that
+// uppsim's -snapshot and -restore write and read (RunCheckpointed,
+// RunRestored).
 
 import (
 	"bytes"
@@ -53,23 +50,22 @@ func CacheDir() string { return os.Getenv("UPP_CACHE_DIR") }
 
 // cacheFormatVersion is part of every canonical envelope; bump it when
 // the envelope or Point changes shape so stale cache entries miss instead
-// of misleading. A UPWS change needs no bump: a warm checkpoint of another
-// snapVersion fails to restore, counts as a warm miss and is rewritten.
+// of misleading. A UPWS change needs no bump: the cache stores no
+// snapshot, and a checkpoint file of another snapVersion fails to restore.
 const cacheFormatVersion = 1
 
-// Cache hit/miss counters, process-wide. Hits/Misses count result-cache
-// lookups; WarmHits/WarmMisses count warm-start checkpoint lookups on the
-// miss path.
-var cacheHits, cacheMisses, warmHits, warmMisses atomic.Uint64
+// Result-cache hit/miss counters, process-wide.
+var cacheHits, cacheMisses atomic.Uint64
 
-// CacheCounters reports the process-wide cache statistics: result-cache
-// hits and misses, and warm-start checkpoint hits and misses among the
-// result misses. A run the pool cancels (CancelledRuns) counts in none of
-// them: a miss or a warm-start lookup is counted when its run ends
-// otherwise. The figures binary prints these so CI can assert a re-run
-// was served from cache.
+// CacheCounters reports the process-wide result-cache hits and misses. A
+// run the pool cancels (CancelledRuns) counts in neither: a miss is
+// counted when its run ends otherwise. The figures binary prints these so
+// CI can assert a re-run was served from cache. warmStartHits and
+// warmStartMisses always read 0: the cache keeps no warm-start
+// checkpoints. They stay for the benchmark's reader and go with its warm
+// leg (ROADMAP item 25).
 func CacheCounters() (hits, misses, warmStartHits, warmStartMisses uint64) {
-	return cacheHits.Load(), cacheMisses.Load(), warmHits.Load(), warmMisses.Load()
+	return cacheHits.Load(), cacheMisses.Load(), 0, 0
 }
 
 // specEnvelope is the canonical form of a RunSpec: plain data, fixed
@@ -120,13 +116,13 @@ type specEnvelope struct {
 // registered set has no canonical name, the side effects of a traced or
 // recorded run cannot come from a cache, and a spec RunSpec.check refuses
 // must fail in Assemble, not be served a result. The random binding's
-// stream is in no snapshot, so a warm start would restart it and diverge
-// from the cold run: its runs are refused too.
-func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
+// stream is in no snapshot, so a checkpoint of its run could not resume
+// it (RunCheckpointed refuses such a spec): its runs are refused too.
+func canonicalSpec(spec RunSpec) (canonical []byte, ok bool) {
 	if spec.TraceLimit > 0 || spec.Record || spec.UPP.Binding == "random" || spec.check() != nil {
-		return specEnvelope{}, nil, false
+		return nil, false
 	}
-	env = specEnvelope{
+	env := specEnvelope{
 		Format:         cacheFormatVersion,
 		Topo:           spec.Topo,
 		Scale:          spec.Scale,
@@ -152,18 +148,18 @@ func canonicalSpec(spec RunSpec) (env specEnvelope, canonical []byte, ok bool) {
 		env.Workload, env.Horizon = spec.Workload, spec.horizon()
 	} else {
 		if spec.Pattern == nil {
-			return specEnvelope{}, nil, false
+			return nil, false
 		}
 		if _, err := traffic.PatternByName(spec.Pattern.Name()); err != nil {
-			return specEnvelope{}, nil, false
+			return nil, false
 		}
 		env.Pattern, env.Rate, env.Warmup, env.Measure = spec.Pattern.Name(), spec.Rate, spec.Dur.Warmup, spec.Dur.Measure
 	}
 	canonical, err := json.Marshal(env)
 	if err != nil {
-		return specEnvelope{}, nil, false
+		return nil, false
 	}
-	return env, canonical, true
+	return canonical, true
 }
 
 // runSpec rebuilds the RunSpec a canonical envelope describes — the
@@ -345,7 +341,7 @@ func RunCheckpointed(spec RunSpec, at int64, out io.Writer) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	_, canonical, ok := canonicalSpec(spec)
+	canonical, ok := canonicalSpec(spec)
 	if !ok {
 		return Point{}, fmt.Errorf("experiments: spec is not checkpointable (random binding, unregistered pattern or tracing)")
 	}
@@ -366,55 +362,4 @@ func RunRestored(data []byte, kernel string, shards int) (Point, RunSpec, error)
 	}
 	pt, err := finishRun(spec, n, g, 0, nil, nil)
 	return pt, spec, err
-}
-
-// warmState carries the warm-start checkpoint identity through one cold
-// run: the canonical spec with Measure zeroed, so every measurement
-// length shares one post-warmup snapshot.
-type warmState struct {
-	dir       string
-	canonical []byte
-	hash      string
-}
-
-// newWarmState derives the warm key for a cacheable spec; nil for a
-// workload's, which has no warmup to skip.
-func newWarmState(dir string, env specEnvelope) *warmState {
-	if env.Workload != "" {
-		return nil
-	}
-	env.Measure = 0
-	canonical, err := json.Marshal(env)
-	if err != nil {
-		return nil
-	}
-	return &warmState{dir: dir, canonical: canonical, hash: cacheHash(canonical)}
-}
-
-func (ws *warmState) path() string {
-	return filepath.Join(ws.dir, "warm", ws.hash+".upws")
-}
-
-// load returns the stored snapshot bytes when a matching warm checkpoint
-// exists.
-func (ws *warmState) load() ([]byte, bool) {
-	data, err := os.ReadFile(ws.path())
-	if err != nil {
-		return nil, false
-	}
-	spec, snapshot, err := splitCheckpoint(data)
-	if err != nil || !bytes.Equal(spec, ws.canonical) {
-		return nil, false
-	}
-	return snapshot, true
-}
-
-// store checkpoints the post-warmup state. Failures (e.g. an unwritable
-// cache directory) are swallowed; the run proceeds unaffected.
-func (ws *warmState) store(n *network.Network, g *traffic.Generator) {
-	var buf bytes.Buffer
-	if writeCheckpointTo(&buf, ws.canonical, n, g) != nil {
-		return
-	}
-	writeAtomic(ws.path(), buf.Bytes())
 }

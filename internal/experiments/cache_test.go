@@ -14,21 +14,20 @@ import (
 	"uppnoc/internal/traffic"
 )
 
-// cacheDelta runs f and returns how much each cache counter moved.
-func cacheDelta(f func()) (hits, misses, warmHits, warmMisses uint64) {
-	h0, m0, wh0, wm0 := CacheCounters()
+// cacheDelta runs f and returns how much each result-cache counter moved.
+func cacheDelta(f func()) (hits, misses uint64) {
+	h0, m0, _, _ := CacheCounters()
 	f()
-	h1, m1, wh1, wm1 := CacheCounters()
-	return h1 - h0, m1 - m0, wh1 - wh0, wm1 - wm0
+	h1, m1, _, _ := CacheCounters()
+	return h1 - h0, m1 - m0
 }
 
 // TestResultCacheBitIdentity is the cache acceptance test: with
-// UPP_CACHE_DIR set, a cold sweep populates the cache, a repeat sweep is
-// served entirely from it, and a warm-started sweep (results evicted,
-// post-warmup checkpoints kept) re-measures from the checkpoints — all
-// three producing the exact Curve an uncached sweep produces. It runs for
-// the paper's UPP and for one with RunSpec.UPP set, whose warm key must
-// differ from the default's.
+// UPP_CACHE_DIR set, a cold sweep populates the cache with results only
+// (no warm/ directory, nothing but results/), and a repeat sweep is served
+// entirely from it — both producing the exact Curve an uncached sweep
+// produces. It runs for the paper's UPP and for one with RunSpec.UPP set,
+// whose result key must differ from the default's.
 func TestResultCacheBitIdentity(t *testing.T) {
 	base := RunSpec{
 		Topo:       topology.BaselineConfig(),
@@ -40,10 +39,10 @@ func TestResultCacheBitIdentity(t *testing.T) {
 	}
 	tuned := base
 	tuned.UPP = core.Config{Threshold: 100, SignalGap: 12}
-	defEnv, _, _ := canonicalSpec(base)
-	tunedEnv, _, ok := canonicalSpec(tuned)
-	if !ok || newWarmState("", defEnv).hash == newWarmState("", tunedEnv).hash {
-		t.Fatalf("UPP settings do not reach the warm key (canonicalizable %v)", ok)
+	defKey, _ := canonicalSpec(base)
+	tunedKey, ok := canonicalSpec(tuned)
+	if !ok || cacheHash(defKey) == cacheHash(tunedKey) {
+		t.Fatalf("UPP settings do not reach the result key (canonicalizable %v)", ok)
 	}
 	rates := []float64{0.02, 0.05, 0.08}
 	for _, tc := range []struct {
@@ -70,35 +69,24 @@ func TestResultCacheBitIdentity(t *testing.T) {
 			t.Setenv("UPP_CACHE_DIR", dir)
 
 			var cold Curve
-			_, misses, _, warmMisses := cacheDelta(func() { cold = sweep() })
+			_, misses := cacheDelta(func() { cold = sweep() })
 			if !reflect.DeepEqual(cold, ref) {
 				t.Fatalf("cold cached sweep diverged from uncached reference:\nref:  %+v\ncold: %+v", ref, cold)
 			}
-			if misses != uint64(len(rates)) || warmMisses != uint64(len(rates)) {
-				t.Fatalf("cold sweep: %d misses / %d warm misses, want %d of each", misses, warmMisses, len(rates))
+			if misses != uint64(len(rates)) {
+				t.Fatalf("cold sweep: %d misses, want %d", misses, len(rates))
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "results" {
+				t.Fatalf("cold sweep left %v in the cache (%v), want results/ only (no warm/)", entries, err)
 			}
 
 			var hit Curve
-			hits, misses, _, _ := cacheDelta(func() { hit = sweep() })
+			hits, misses := cacheDelta(func() { hit = sweep() })
 			if !reflect.DeepEqual(hit, ref) {
 				t.Fatalf("cache-hit sweep diverged from uncached reference:\nref: %+v\nhit: %+v", ref, hit)
 			}
 			if hits != uint64(len(rates)) || misses != 0 {
 				t.Fatalf("repeat sweep: %d hits / %d misses, want %d / 0", hits, misses, len(rates))
-			}
-
-			// Evict the results but keep the warm-start checkpoints: the sweep
-			// must re-measure from the post-warmup snapshots and still match.
-			if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
-				t.Fatal(err)
-			}
-			var warm Curve
-			_, misses, warmHits, _ := cacheDelta(func() { warm = sweep() })
-			if !reflect.DeepEqual(warm, ref) {
-				t.Fatalf("warm-started sweep diverged from uncached reference:\nref:  %+v\nwarm: %+v", ref, warm)
-			}
-			if misses != uint64(len(rates)) || warmHits != uint64(len(rates)) {
-				t.Fatalf("warm sweep: %d misses / %d warm hits, want %d of each", misses, warmHits, len(rates))
 			}
 		})
 	}
@@ -133,12 +121,12 @@ func TestCacheUncacheableSpecs(t *testing.T) {
 		spec := base
 		tc.edit(&spec)
 		var err error
-		hits, _, warmHits, warmMisses := cacheDelta(func() { _, err = Run(spec) })
+		hits, _ := cacheDelta(func() { _, err = Run(spec) })
 		if tc.wantErr == nil {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if _, _, ok := canonicalSpec(spec); ok {
+			if _, ok := canonicalSpec(spec); ok {
 				t.Fatalf("%s: canonicalSpec accepted the spec", tc.name)
 			}
 		}
@@ -147,15 +135,15 @@ func TestCacheUncacheableSpecs(t *testing.T) {
 				t.Fatalf("%s: Run error %v does not name %s", tc.name, err, want)
 			}
 		}
-		if hits != 0 || warmHits != 0 || warmMisses != 0 {
-			t.Fatalf("%s touched the cache: hits=%d warmHits=%d warmMisses=%d", tc.name, hits, warmHits, warmMisses)
+		if hits != 0 {
+			t.Fatalf("%s was served from the cache: hits=%d", tc.name, hits)
 		}
 	}
 	if entries, _ := os.ReadDir(filepath.Join(dir, "results")); len(entries) != 0 {
 		t.Fatalf("uncacheable specs stored %d results", len(entries))
 	}
 	base.TraceLimit = 1
-	if _, _, ok := canonicalSpec(base); ok {
+	if _, ok := canonicalSpec(base); ok {
 		t.Fatal("canonicalSpec accepted a traced spec")
 	}
 }
@@ -166,7 +154,7 @@ func TestCacheUncacheableSpecs(t *testing.T) {
 // answer.
 func TestCacheRejectsMismatchedEntry(t *testing.T) {
 	dir := t.TempDir()
-	_, canonical, ok := canonicalSpec(RunSpec{
+	canonical, ok := canonicalSpec(RunSpec{
 		Topo:    topology.BaselineConfig(),
 		Scheme:  SchemeUPP,
 		Pattern: traffic.UniformRandom{},
@@ -198,7 +186,7 @@ func TestCachedFiguresAreCacheable(t *testing.T) {
 			var mu sync.Mutex
 			seen, refused := 0, 0
 			opts := PoolOptions{Jobs: 2, run: func(spec RunSpec, _ func() bool) (Point, error) {
-				_, _, ok := canonicalSpec(spec)
+				_, ok := canonicalSpec(spec)
 				random := fig.id == "ablation_binding" && spec.UPP.Binding == "random"
 				mu.Lock()
 				defer mu.Unlock()
@@ -224,7 +212,7 @@ func TestCachedFiguresAreCacheable(t *testing.T) {
 // TestWorkloadServedFromCache: a closed-loop spec has a content address
 // like a rate-driven one. The re-run, with durations a workload run never
 // reads, is one hit returning the cold run's Point, which is the uncached
-// run's; neither warm-starts (a workload has no warmup to skip). The key
+// run's. The key
 // maps every horizon <= 0 to the default and leaves a workload's rate out,
 // yet the spec with a negative MaxCycles or Rate fails naming the field. A
 // recorded run's trace cannot come from a cache, so it is never cached.
@@ -244,15 +232,15 @@ func TestWorkloadServedFromCache(t *testing.T) {
 	}
 	t.Setenv("UPP_CACHE_DIR", t.TempDir())
 	var cold, hit Point
-	_, misses, warmHits, warmMisses := cacheDelta(func() { cold = run(spec) })
-	if misses != 1 || warmHits != 0 || warmMisses != 0 {
-		t.Fatalf("cold run: %d misses / %d warm hits / %d warm misses, want 1 / 0 / 0", misses, warmHits, warmMisses)
+	_, misses := cacheDelta(func() { cold = run(spec) })
+	if misses != 1 {
+		t.Fatalf("cold run: %d misses, want 1", misses)
 	}
 	timed := spec
 	timed.Dur = QuickDurations()
-	hits, misses, warmHits, warmMisses := cacheDelta(func() { hit = run(timed) })
-	if hits != 1 || misses != 0 || warmHits != 0 || warmMisses != 0 {
-		t.Fatalf("re-run: %d hits / %d misses / %d warm hits / %d warm misses, want 1 / 0 / 0 / 0", hits, misses, warmHits, warmMisses)
+	hits, misses := cacheDelta(func() { hit = run(timed) })
+	if hits != 1 || misses != 0 {
+		t.Fatalf("re-run: %d hits / %d misses, want 1 / 0", hits, misses)
 	}
 	if !reflect.DeepEqual(cold, want) || !reflect.DeepEqual(hit, want) {
 		t.Fatalf("cached runs differ from the uncached one:\nuncached: %+v\ncold:     %+v\nhit:      %+v", want, cold, hit)
@@ -267,7 +255,7 @@ func TestWorkloadServedFromCache(t *testing.T) {
 
 	spec.Record = true
 	var rec Point
-	hits, misses, _, _ = cacheDelta(func() { rec = run(spec) })
+	hits, misses = cacheDelta(func() { rec = run(spec) })
 	if hits != 0 || misses != 0 || rec.Trace == nil || len(rec.Trace.Records) == 0 {
 		t.Fatalf("recorded run: %d hits / %d misses, trace %v: want an uncached run with its trace", hits, misses, rec.Trace)
 	}
@@ -297,11 +285,11 @@ func TestTailLatencyServedFromCache(t *testing.T) {
 	want := render()
 	t.Setenv("UPP_CACHE_DIR", t.TempDir())
 	var cold, again string
-	_, misses, _, _ := cacheDelta(func() { cold = render() })
+	_, misses := cacheDelta(func() { cold = render() })
 	if misses != 12 {
 		t.Fatalf("cold run: %d misses, want 12", misses)
 	}
-	hits, misses, _, _ := cacheDelta(func() { again = render() })
+	hits, misses := cacheDelta(func() { again = render() })
 	if hits != 12 || misses != 0 {
 		t.Fatalf("re-run: %d hits / %d misses, want 12 / 0", hits, misses)
 	}
@@ -311,8 +299,7 @@ func TestTailLatencyServedFromCache(t *testing.T) {
 }
 
 // TestSweepRerunServedFromCache: a two-worker sweep of three curves, run
-// cold into a cache, is then served entirely from it five times over, and
-// with the results evicted, three times more, every point warm-starts;
+// cold into a cache, is then served entirely from it five times over;
 // every run's curves are the cold run's. A re-run starts points past a
 // curve's stop that the cold run cancelled and so never stored; the pool
 // cancels them again, and a cancelled run counts in no counter.
@@ -334,8 +321,7 @@ func TestSweepRerunServedFromCache(t *testing.T) {
 		}
 		return cs
 	}
-	dir := t.TempDir()
-	t.Setenv("UPP_CACHE_DIR", dir)
+	t.Setenv("UPP_CACHE_DIR", t.TempDir())
 	cold := sweep()
 	kept := uint64(0)
 	for _, c := range cold {
@@ -344,22 +330,11 @@ func TestSweepRerunServedFromCache(t *testing.T) {
 	var again []SweepCurve
 	for i := range 5 {
 		// A point past a stop the cold run finished is a hit too.
-		if hits, misses, _, _ := cacheDelta(func() { again = sweep() }); hits < kept || misses != 0 {
+		if hits, misses := cacheDelta(func() { again = sweep() }); hits < kept || misses != 0 {
 			t.Fatalf("re-run %d: %d hits / %d misses, want at least %d / 0", i, hits, misses, kept)
 		}
 		if !reflect.DeepEqual(again, cold) {
 			t.Fatalf("re-run %d differs from the cold run:\ncold %+v\nnow  %+v", i, cold, again)
-		}
-	}
-	for i := range 3 {
-		if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, warmHits, warmMisses := cacheDelta(func() { again = sweep() }); warmHits < kept || warmMisses != 0 {
-			t.Fatalf("warm re-run %d: %d warm hits / %d warm misses, want at least %d / 0", i, warmHits, warmMisses, kept)
-		}
-		if !reflect.DeepEqual(again, cold) {
-			t.Fatalf("warm re-run %d differs from the cold run:\ncold %+v\nnow  %+v", i, cold, again)
 		}
 	}
 }

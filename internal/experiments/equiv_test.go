@@ -60,11 +60,11 @@ var errCheckpointed = errors.New("checkpoint written")
 func (v variant) run(spec RunSpec, at int64) (d digest) {
 	spec.Kernel, spec.Shards = v.kernel, v.shards
 	if spec.Workload != "" {
-		d.pt, d.err = runMeasured(spec, nil, nil)
+		d.pt, d.err = runMeasured(spec, nil)
 		return d
 	}
 	n, g, err := BuildRun(spec)
-	_, canonical, _ := canonicalSpec(spec)
+	canonical, _ := canonicalSpec(spec)
 	write := func(b *bytes.Buffer) error { return writeCheckpointTo(b, canonical, n, g) }
 	var checkpoint func() error
 	if at > 0 {
@@ -76,7 +76,7 @@ func (v variant) run(spec RunSpec, at int64) (d digest) {
 		} else if err == nil {
 			err = fmt.Errorf("the run never reached cycle %d", at)
 		}
-		if _, c, _ := canonicalSpec(spec); err == nil && (!bytes.Equal(c, canonical) || n.Kernel() != cmp.Or(v.read, network.KernelActive)) {
+		if c, _ := canonicalSpec(spec); err == nil && (!bytes.Equal(c, canonical) || n.Kernel() != cmp.Or(v.read, network.KernelActive)) {
 			err = fmt.Errorf("resumed as %s under kernel %s", c, n.Kernel())
 		}
 		at, checkpoint = 0, nil
@@ -123,7 +123,7 @@ func firstDiff(a, b []byte) int {
 
 // specKey is a spec's content address, which no variant changes.
 func specKey(s RunSpec) string {
-	_, c, _ := canonicalSpec(s)
+	c, _ := canonicalSpec(s)
 	return string(c)
 }
 

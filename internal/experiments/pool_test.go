@@ -3,6 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -254,9 +256,9 @@ func TestSweepRatesWithPartialFailure(t *testing.T) {
 // until it has started, so it is running when the stop is fixed: the pool
 // cancels it without counting it in OnRun or in any cache counter, the
 // sweep returns, and the curve is the one-worker sweep's (which never
-// starts it). With the result cache on, the cancelled point stores no
-// Point, and the warm-start checkpoint it may have written before the
-// cancel still gives the point its uncached result. Then two curves whose
+// starts it). With the result cache on, the cancelled point leaves nothing
+// in the cache, so a later run of its rate is a plain miss that gives the
+// uncached result. Then two curves whose
 // stops differ, each with such a point, sweep together at 1, 2 and 4
 // workers: each curve is its own serial sweep, and past one worker both
 // long points are cancelled.
@@ -285,7 +287,7 @@ func TestSweepCancelsPastStop(t *testing.T) {
 	var longErr error
 	var got Curve
 	completed := 0
-	_, misses, _, warmMisses := cacheDelta(func() {
+	_, misses := cacheDelta(func() {
 		got, err = SweepRatesWith(spec, rates, "cancel", PoolOptions{Jobs: len(rates), OnRun: func(done, _ int) { completed = done }, run: func(s RunSpec, stop func() bool) (Point, error) {
 			if s.Rate != long.Rate {
 				<-started
@@ -300,9 +302,9 @@ func TestSweepCancelsPastStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(longErr, errCancelled) || completed != 3 || misses != 3 || warmMisses != 3 {
-		t.Fatalf("the point past the stop ended with %v; OnRun counted %d runs, the cache %d misses and %d warm misses: want it cancelled and 3 each",
-			longErr, completed, misses, warmMisses)
+	if !errors.Is(longErr, errCancelled) || completed != 3 || misses != 3 {
+		t.Fatalf("the point past the stop ended with %v; OnRun counted %d runs, the cache %d misses: want it cancelled and 3 each",
+			longErr, completed, misses)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cancelling sweep differs:\nserial  %+v\nrolling %+v", want, got)
@@ -310,19 +312,25 @@ func TestSweepCancelsPastStop(t *testing.T) {
 	kept := spec
 	kept.Rate = rates[0]
 	for _, s := range []RunSpec{long, kept} {
-		_, canonical, _ := canonicalSpec(s)
+		canonical, _ := canonicalSpec(s)
 		if _, cached := loadCachedPoint(dir, cacheHash(canonical), canonical); cached != (s.Rate == kept.Rate) {
 			t.Fatalf("rate %v: cached %v, want only the kept point cached", s.Rate, cached)
 		}
 	}
+	top, _ := os.ReadDir(dir)
+	results, _ := os.ReadDir(filepath.Join(dir, "results"))
+	if len(top) != 1 || top[0].Name() != "results" || len(results) != 3 {
+		t.Fatalf("the cache holds %v and %d results, want results/ with the 3 kept points only", top, len(results))
+	}
 	spec.Rate = long.Rate
-	warm, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	var cached Point
+	hits, misses := cacheDelta(func() { cached, err = Run(spec) })
+	if err != nil || hits != 0 || misses != 1 {
+		t.Fatalf("after the cancel, rate %v: %d hits / %d misses (%v), want a plain miss", spec.Rate, hits, misses, err)
 	}
 	t.Setenv("UPP_CACHE_DIR", "")
-	if cold, err := Run(spec); err != nil || cold != warm {
-		t.Fatalf("after the cancel, rate %v gives %+v; uncached %+v (%v)", spec.Rate, warm, cold, err)
+	if cold, err := Run(spec); err != nil || cold != cached {
+		t.Fatalf("after the cancel, rate %v gives %+v; uncached %+v (%v)", spec.Rate, cached, cold, err)
 	}
 
 	other, otherRates := spec, []float64{0.02, 0.03, 0.15, 0.20, 0.30}

@@ -240,10 +240,10 @@ func TestFullSystemRunnerSmoke(t *testing.T) {
 	want := render()
 	t.Setenv("UPP_CACHE_DIR", t.TempDir())
 	var cold, again string
-	if _, misses, _, _ := cacheDelta(func() { cold = render() }); misses != 6 {
+	if _, misses := cacheDelta(func() { cold = render() }); misses != 6 {
 		t.Fatalf("cold run: %d misses, want 6", misses)
 	}
-	if hits, misses, _, _ := cacheDelta(func() { again = render() }); hits != 6 || misses != 0 {
+	if hits, misses := cacheDelta(func() { again = render() }); hits != 6 || misses != 0 {
 		t.Fatalf("re-run: %d hits / %d misses, want 6 / 0", hits, misses)
 	}
 	if cold != want || again != want {

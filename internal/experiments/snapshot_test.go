@@ -89,16 +89,17 @@ func TestCheckpointRestoreFaulted(t *testing.T) {
 	equivCase{specs: []RunSpec{faulted}, at: 700, variants: restoreMatrix()}.equivalent(t)
 }
 
-// TestCheckpointIsPureObservation: a checkpoint at the end of warmup, the
-// warm-start capture point (before the measurement reset), neither
-// perturbs the run that writes it nor the one that resumes it.
+// TestCheckpointIsPureObservation: a checkpoint at the end of warmup
+// (before the measurement reset), as uppsim -snapshot -at <warmup> writes
+// it, neither perturbs the run that writes it nor the one that resumes it.
 func TestCheckpointIsPureObservation(t *testing.T) {
 	equivCase{specs: []RunSpec{snapSpec(SchemeUPP, "iq"), snapSpec(SchemeRemoteControl, "iq")}, at: 400,
 		variants: []variant{active, active.resumedUnder(active, "")}}.equivalent(t)
 }
 
-// TestCheckpointRestoreAcrossKernels: the kernel is not in the cache key,
-// so a warm checkpoint written under one kernel resumes under another. On
+// TestCheckpointRestoreAcrossKernels: the kernel is not in a checkpoint
+// file's embedded spec, so an uppsim -snapshot file written under one
+// kernel resumes under another (uppsim -restore -kernel). On
 // oq routers (where UPP has popups in flight at cycle 700), checkpoints
 // written under the active, naive and parallel (2 and 3 workers) kernels
 // resume under another to the uninterrupted run, and every writer's bytes
@@ -119,9 +120,9 @@ func TestCheckpointRestoreAcrossKernels(t *testing.T) {
 
 // TestSnapshotBytesPinned pins the on-disk checkpoint encoding (the UPWR
 // container around a UPWS snapshot) for every router microarchitecture
-// under UPP, and for remote control's control-plane section on iq: the
-// result cache keeps warm-start checkpoints across builds and
-// snapVersion only moves when the format does, so a refactor of the
+// under UPP, and for remote control's control-plane section on iq: an
+// uppsim -snapshot file is kept across builds and restored by later ones,
+// and snapVersion only moves when the format does, so a refactor of the
 // datapath must keep writing these bytes. The digests last moved when
 // the writer began to put each wheel slot in canonical order (flits and
 // credits sorted, then the slot's scheme calls): only the order of the

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"uppnoc/internal/coherence"
 	"uppnoc/internal/network"
@@ -59,9 +58,8 @@ const latencyCap = 100.0
 // warmup and measurement, or the closed-loop Workload to completion or
 // the horizon. When the result cache is enabled (UPP_CACHE_DIR, see
 // cache.go) and the spec is canonicalizable, a cached Point is returned
-// without simulating, and a cold rate-driven run may restore a warm-start
-// checkpoint to skip the warmup phase; both reproduce the uncached run
-// bit-identically.
+// without simulating, bit-identical to the uncached run's; a miss
+// simulates cold and stores its Point.
 func Run(spec RunSpec) (Point, error) { return runPoint(spec, nil) }
 
 // stopEvery is how many cycles a rate-driven run goes between reads of
@@ -70,21 +68,20 @@ const stopEvery = 256
 
 // runPoint is Run as the pool calls it. stop, when non-nil, is read every
 // stopEvery cycles of a rate-driven run; once it reports true the run
-// ends with errCancelled, stores no Point and counts in no cache counter.
-// A warm-start checkpoint it wrote before that stays valid: it holds the
-// state at the end of the warmup, whatever came after.
+// ends with errCancelled, stores no Point and counts in no cache counter,
+// so it leaves nothing in the cache.
 func runPoint(spec RunSpec, stop func() bool) (Point, error) {
 	dir := CacheDir()
-	env, canonical, cacheable := canonicalSpec(spec)
+	canonical, cacheable := canonicalSpec(spec)
 	if dir == "" || !cacheable {
-		return runMeasured(spec, nil, stop)
+		return runMeasured(spec, stop)
 	}
 	hash := cacheHash(canonical)
 	if pt, ok := loadCachedPoint(dir, hash, canonical); ok {
 		cacheHits.Add(1)
 		return pt, nil
 	}
-	pt, err := runMeasured(spec, newWarmState(dir, env), stop)
+	pt, err := runMeasured(spec, stop)
 	if errors.Is(err, errCancelled) {
 		return pt, err
 	}
@@ -97,8 +94,7 @@ func runPoint(spec RunSpec, stop func() bool) (Point, error) {
 
 // BuildRun assembles the machine of one rate-driven spec and attaches its
 // generator (seeded Seed+7777), without running a cycle. Run drives this;
-// uppsim's checkpoint flags and the warm-start machinery rebuild identical
-// environments from it.
+// uppsim's checkpoint flags rebuild identical environments from it.
 func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
 	if spec.Workload != "" {
 		return nil, nil, fmt.Errorf("experiments: spec names workload %q; a rate-driven run takes Pattern and Rate", spec.Workload)
@@ -110,11 +106,10 @@ func BuildRun(spec RunSpec) (*network.Network, *traffic.Generator, error) {
 	return s.Net, s.Generator(spec.Pattern, spec.Rate, spec.Seed+7777), nil
 }
 
-// runMeasured is the cold path of Run: build the environment, warm up
-// (or restore a warm-start checkpoint), measure, summarize. warm may be
-// nil (caching off, a workload spec or one not canonicalizable); stop is
-// runPoint's (a workload spec does not read it).
-func runMeasured(spec RunSpec, warm *warmState, stop func() bool) (Point, error) {
+// runMeasured is the cold path of Run: build the environment, warm up,
+// measure, summarize. stop is runPoint's (a workload spec does not read
+// it).
+func runMeasured(spec RunSpec, stop func() bool) (Point, error) {
 	if spec.Workload != "" {
 		return runWorkload(spec)
 	}
@@ -122,31 +117,7 @@ func runMeasured(spec RunSpec, warm *warmState, stop func() bool) (Point, error)
 	if err != nil {
 		return Point{}, err
 	}
-	at := sim.Cycle(spec.Dur.Warmup)
-	var checkpoint func() error
-	var counter *atomic.Uint64 // the warm-start lookup's, counted unless the run is cancelled
-	if warm != nil {
-		counter = &warmHits
-		snapBytes, found := warm.load()
-		if !found || n.ReadSnapshot(snapBytes, snapshotExtras(n, g)...) != nil || n.Cycle() != at {
-			if found {
-				// A stale or corrupt checkpoint may have partially
-				// overwritten the network before failing: rebuild and run
-				// the warmup cold.
-				n, g, err = BuildRun(spec)
-				if err != nil {
-					return Point{}, err
-				}
-			}
-			counter = &warmMisses
-			checkpoint = func() error { warm.store(n, g); return nil }
-		}
-	}
-	pt, err := finishRun(spec, n, g, at, checkpoint, stop)
-	if counter != nil && !errors.Is(err, errCancelled) {
-		counter.Add(1)
-	}
-	return pt, err
+	return finishRun(spec, n, g, 0, nil, stop)
 }
 
 // finishRun advances a simulation from its current cycle (0 for a cold
@@ -154,9 +125,9 @@ func runMeasured(spec RunSpec, warm *warmState, stop func() bool) (Point, error)
 // warmup+measurement schedule and assembles the Point. checkpoint, when
 // non-nil, fires once when the run reaches cycle at, which the caller
 // keeps inside the schedule (RunCheckpointed checks it); at == Warmup fires
-// after the warmup cycles but before the measurement reset, matching the
-// warm-start capture point. stop, when non-nil, is read every stopEvery
-// cycles, and the run ends with errCancelled once it reports true.
+// after the warmup cycles but before the measurement reset. stop, when
+// non-nil, is read every stopEvery cycles, and the run ends with
+// errCancelled once it reports true.
 func finishRun(spec RunSpec, n *network.Network, g *traffic.Generator, at sim.Cycle, checkpoint func() error, stop func() bool) (Point, error) {
 	warmEnd := sim.Cycle(spec.Dur.Warmup)
 	end := warmEnd + sim.Cycle(spec.Dur.Measure)

@@ -145,8 +145,8 @@ type Network struct {
 	Cfg  Config
 	// Routers holds the router of every node, indexed by NodeID. There is
 	// one router type whatever Cfg.RouterArch says; schemes, checkers and
-	// tools read its exported state (ID, Node, Cfg, Stats, In, Out)
-	// directly.
+	// tools read its exported state (ID, Node, Cfg, Stats) directly, and
+	// its ports through NumPorts, InVCs, OutCredits and OutBusy.
 	Routers []*router.Router
 	NIs     []*NI
 

@@ -126,8 +126,8 @@ func (ni *NI) Enqueue(p *message.Packet, cycle sim.Cycle) {
 	ni.net.wakeNI(ni.Node)
 }
 
-// InjQueueLen returns the injection queue depth of a VNet (coherence PEs
-// use it to decide whether a request can be processed — proof case 2).
+// InjQueueLen returns the injection queue depth of a VNet (tests read
+// it; coherence PEs ask InjSpace whether a packet fits under their cap).
 func (ni *NI) InjQueueLen(v message.VNet) int { return ni.injQ[v].Len() }
 
 // InjSpace reports whether the injection queue of v has room under cap

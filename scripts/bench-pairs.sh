@@ -18,8 +18,9 @@
 #
 # -json FILE appends the outcome as one record to the JSON array in FILE
 # (created when missing): workload, metric, pairs and pairs won, seed,
-# seconds, num_cpu, both commits, and per side the q1 / median / q3 of the
-# five metrics. BENCH_trajectory.json collects one such record per claim.
+# seconds, num_cpu, both commits, whether the tree was dirty and a SHA-256
+# of its uncommitted sources (both taken when it was built), and per side
+# the q1 / median / q3 of the five metrics. BENCH_trajectory.json collects one such record per claim.
 set -eu
 usage='usage: bench-pairs.sh [-json FILE] BASE WORKLOAD [N] [METRIC]'
 json=
@@ -38,6 +39,19 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$base" | tar -x -C "$tmp/base"
 (cd "$tmp/base" && go build -o "$tmp/bench-base" ./bench)
+# The tree's sources as built, taken right before its build: whether
+# tracked files differ from HEAD, and a SHA-256 of that difference under
+# the built directories plus every untracked .go file there (path, then
+# contents). A clean tree hashes the empty input.
+dirty=false
+[ -z "$(git -C "$root" status --porcelain --untracked-files=no)" ] || dirty=true
+sources=$(cd "$root" && {
+	git diff HEAD -- internal cmd bench go.mod
+	git ls-files --others --exclude-standard -- internal cmd bench | grep '\.go$' | sort | while read -r f; do
+		echo "$f"
+		cat "$f"
+	done
+} | sha256sum | cut -d ' ' -f 1)
 (cd "$root" && go build -o "$tmp/bench-tree" ./bench)
 
 lower=0
@@ -111,8 +125,6 @@ side() {
 		sep=', '
 	done
 }
-dirty=false
-[ -z "$(git -C "$root" status --porcelain --untracked-files=no)" ] || dirty=true
 {
 	if [ -s "$json" ]; then
 		sed '$d' "$json" | sed '$ s/}$/},/'
@@ -124,6 +136,7 @@ dirty=false
 	printf '    "pairs": %d, "won": %d, "seed": %d, "seconds": %s, "num_cpu": %d,\n' "$pairs" "$won" "${SEED:-11}" "${SECS:-10}" "$(getconf _NPROCESSORS_ONLN)"
 	printf '    "base_commit": "%s",\n' "$(git -C "$root" rev-parse "$base^{commit}")"
 	printf '    "tree_commit": "%s", "tree_dirty": %s,\n' "$(git -C "$root" rev-parse HEAD)" "$dirty"
+	printf '    "tree_sources": "%s",\n' "$sources"
 	printf '    "base": {%s},\n' "$(side base)"
 	printf '    "tree": {%s}\n' "$(side tree)"
 	printf '  }\n]\n'
