@@ -121,10 +121,10 @@ func TestCacheUncacheableSpecs(t *testing.T) {
 		spec := base
 		tc.edit(&spec)
 		var err error
-		hits, _ := cacheDelta(func() { _, err = Run(spec) })
+		hits, misses := cacheDelta(func() { _, err = Run(spec) })
 		if tc.wantErr == nil {
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+			if err != nil || misses != 0 {
+				t.Fatalf("%s: %v, %d misses: want an uncached run", tc.name, err, misses)
 			}
 			if _, ok := canonicalSpec(spec); ok {
 				t.Fatalf("%s: canonicalSpec accepted the spec", tc.name)
