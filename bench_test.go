@@ -375,7 +375,10 @@ func BenchmarkComposableSearch(b *testing.B) {
 //     retirement and retire-ns/cycle covers only the NI walk and NI
 //     retirement;
 //   - under the parallel kernel, w<i>-<phase>-busy-ns/cycle: worker i's
-//     time inside its share of deliver, compute and EndOfCycle;
+//     time inside its share of deliver, compute and EndOfCycle, and
+//     cross-share: the share of the window's outbox flits and credits
+//     that a worker other than their emitter delivered
+//     (Network.ParallelEvents);
 //   - pool-gets, pool-reuses, pool-live: the packet pool's counters at the
 //     end of the run, warm-up included.
 //
@@ -431,6 +434,7 @@ func benchStep(b *testing.B, spec experiments.RunSpec, rate float64) {
 	var clock network.PhaseClock
 	n.SetPhaseClock(&clock)
 	hops0 := n.RouterStats().CrossbarTravs
+	local0, cross0 := n.ParallelEvents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	experiments.Drive(n, g, n.Cycle()+sim.Cycle(b.N), nil)
@@ -450,6 +454,12 @@ func benchStep(b *testing.B, spec experiments.RunSpec, rate float64) {
 	for w := range clock.Busy[network.PhaseDeliver] {
 		for _, ph := range []int{network.PhaseDeliver, network.PhaseCompute, network.PhaseEndOfCycle} {
 			b.ReportMetric(perCycle(clock.Busy[ph][w]), fmt.Sprintf("w%d-%s-busy-ns/cycle", w, stepPhases[ph]))
+		}
+	}
+	if n.Shards() > 0 {
+		local, cross := n.ParallelEvents()
+		if all := local - local0 + cross - cross0; all > 0 {
+			b.ReportMetric(float64(cross-cross0)/float64(all), "cross-share")
 		}
 	}
 	st := n.PacketPool().Stats

@@ -96,7 +96,8 @@ func (s RunSpec) horizon() int {
 }
 
 // check refuses by name what no run takes: a negative count or load (zero
-// is "the default"), an unknown kernel, a negative shard count.
+// is "the default"), UPP settings under another scheme, an unknown
+// kernel, a negative shard count.
 func (s RunSpec) check() error {
 	for _, f := range []struct {
 		name string
@@ -112,6 +113,9 @@ func (s RunSpec) check() error {
 	}
 	if !(s.Rate >= 0) { // negative or NaN
 		return fmt.Errorf("experiments: RunSpec.Rate is %v; want a load >= 0", s.Rate)
+	}
+	if s.UPP != (core.Config{}) && s.Scheme != SchemeUPP {
+		return fmt.Errorf("experiments: UPP settings %+v under scheme %q", s.UPP, s.Scheme)
 	}
 	return network.Config{Router: network.DefaultConfig().Router, Kernel: s.Kernel, Shards: s.Shards}.Validate()
 }
@@ -145,9 +149,6 @@ type TrafficSource interface {
 func Assemble(spec RunSpec) (*Sim, error) {
 	if err := spec.check(); err != nil {
 		return nil, err
-	}
-	if spec.UPP != (core.Config{}) && spec.Scheme != SchemeUPP {
-		return nil, fmt.Errorf("experiments: UPP settings %+v under scheme %q", spec.UPP, spec.Scheme)
 	}
 	if _, err := routing.BindingPolicy(spec.UPP.Binding); err != nil {
 		return nil, err

@@ -45,3 +45,12 @@ func (n *Network) DueEvents() int {
 
 // ParallelMinEvents is the deliver phase's engagement threshold.
 const ParallelMinEvents = parallelMinEvents
+
+// DealBlocks is the parallel kernel's block map at workers workers, already
+// clamped to the block count: each block's owner and each worker's blocks.
+func DealBlocks(t *topology.Topology, workers int) (owner []int32, mine [][]int32) {
+	return dealBlocks(t, workers)
+}
+
+// BlockShift is log2 of the parallel kernel's block size.
+const BlockShift = blockShift

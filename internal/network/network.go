@@ -61,9 +61,9 @@ type Config struct {
 	// is KernelActive's step function with its concurrent phases on.
 	Kernel string
 	// Shards is the parallel kernel's worker count: the 64-router blocks
-	// of the node space (the words of the awake bitmap) are dealt
-	// round-robin to that many workers, the coordinating goroutine being
-	// one of them. 0 means GOMAXPROCS; the value is clamped to the block
+	// of the node space (the words of the awake bitmap) are dealt to that
+	// many workers in bands of interposer rows, each with the chiplets
+	// above it, the coordinating goroutine being one of the workers. 0 means GOMAXPROCS; the value is clamped to the block
 	// count. The simulation is bit-identical at every count — workers only
 	// trade sync overhead against compute overlap. Ignored by the other
 	// kernels, which build no blocks.

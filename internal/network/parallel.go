@@ -2,12 +2,14 @@
 // blocks (KernelParallel); DESIGN.md §9 has the argument.
 //
 // The node space is cut into fixed 64-router blocks — block b is word b of
-// the awake bitmaps — owned by worker b mod Config.Shards for the life of
-// the network; worker 0 is the coordinating goroutine, the others come
-// from a package-level pool. Every pass over routers and NIs that can
-// run per block runs on the worker that owns the block, which keeps a
-// router's state in one core's cache; the coordinator keeps the work
-// whose order matters. Deliver: every worker applies the outboxes
+// the awake bitmaps — dealt for the life of the network to Config.Shards
+// workers in bands of interposer rows, each band with the chiplets above
+// it (dealBlocks), so most links join two routers of one worker; worker 0
+// is the coordinating goroutine, the others come from a package-level
+// pool. Every pass over routers and NIs that can run per block runs on
+// the worker that owns the block, walking its ascending list of blocks,
+// which keeps a router's state in one core's cache; the coordinator keeps
+// the work whose order matters. Deliver: every worker applies the outboxes
 // addressed to it and its routers' and NIs' events of the central wheel
 // slot, waking its own routers and NIs; a slot's flits and credits
 // commute, so no worker needs another's order, and the coordinator runs
@@ -29,7 +31,9 @@
 package network
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,9 +52,9 @@ const (
 	parallelMinAwake  = 16
 	parallelMinEvents = 64
 	// blockShift sizes the blocks: 64 NodeIDs, one awakeSet word, small
-	// enough that dealing them round-robin balances the workers whatever
-	// region is busy. A block's routers share one slot pool, which is why
-	// it is the router's PoolShift.
+	// enough that a band of them follows the system's rows closely. A
+	// block's routers share one slot pool, which is why it is the
+	// router's PoolShift.
 	blockShift = router.PoolShift
 	// spinBound is how long a waiter polls before it parks: longer than
 	// the serial stretch between two concurrent phases of a large
@@ -132,6 +136,9 @@ type shard struct {
 	// The worker's change to the awake sets' population counts, folded in
 	// by the coordinator after the join.
 	routers, nis int
+	// blocks lists the blocks the worker owns, ascending: the ones its
+	// shares of the step phase and of ForEachBlock walk.
+	blocks []int32
 	// Keeps two workers' hot fields off one cache line.
 	_ [64]byte
 }
@@ -142,7 +149,7 @@ type parallel struct {
 	workers int
 	blocks  []block
 	shards  []shard
-	owner   []int32 // block -> worker: b mod workers, asked once per event
+	owner   []int32 // block -> worker (dealBlocks), asked once per event
 	// helpers are the pool goroutines behind workers 1..workers-1; nil
 	// when the network was built with one worker or on one P, where every
 	// share runs on the coordinator.
@@ -168,6 +175,7 @@ type parallel struct {
 	// Telemetry for tests, benchmarks and profiles; not part of Stats,
 	// which is compared bit for bit across kernels.
 	stepPhases, inlinePhases uint64
+	localEvents, crossEvents uint64
 	workerPhases             []uint64
 	clock                    *PhaseClock
 }
@@ -184,7 +192,6 @@ func (n *Network) initParallel(workers int) {
 	p.net, p.workers = n, workers
 	p.blocks = make([]block, nb)
 	p.shards = make([]shard, workers)
-	p.owner = make([]int32, nb)
 	p.offered = make([]bool, workers)
 	p.workerPhases = make([]uint64, workers)
 	p.wake = make(chan struct{}, 1)
@@ -193,8 +200,12 @@ func (n *Network) initParallel(workers int) {
 			p.shards[w].out[par] = make([][]event, workers)
 		}
 	}
+	var mine [][]int32
+	p.owner, mine = dealBlocks(n.Topo, workers)
+	for w := range p.shards {
+		p.shards[w].blocks = mine[w]
+	}
 	for b := range p.blocks {
-		p.owner[b] = int32(b % workers)
 		p.blocks[b].p = p
 		p.blocks[b].shard = &p.shards[p.owner[b]]
 	}
@@ -206,6 +217,56 @@ func (n *Network) initParallel(workers int) {
 	}
 }
 
+// dealBlocks maps each block to one of workers workers by its place in
+// the system. A block's key is the mean interposer row of its routers: an
+// interposer router's own Y, a chiplet router's the Y of the interposer
+// router under the Down link of its bound boundary router. The blocks,
+// sorted by key and then by index, are cut into workers contiguous runs
+// whose sizes differ by at most one, so each worker gets a band of
+// interposer rows with the chiplets above them: a link joins two workers'
+// routers only at a band's edge. Round-robin by index, the previous
+// deal, split every north-south interposer link and about half of the
+// vertical ones. The map depends only on the topology and the count. It
+// returns each block's owner and each worker's blocks in ascending order.
+func dealBlocks(t *topology.Topology, workers int) (owner []int32, mine [][]int32) {
+	nb := (t.NumNodes() + 1<<blockShift - 1) >> blockShift
+	sum, count := make([]int, nb), make([]int, nb)
+	for id := range t.Nodes {
+		nd := &t.Nodes[id]
+		y := nd.Y
+		if nd.Chiplet != topology.InterposerChiplet {
+			if nd.BoundBoundary == topology.InvalidNode {
+				continue
+			}
+			under := t.InterposerUnder(nd.BoundBoundary)
+			if under == topology.InvalidNode {
+				continue
+			}
+			y = t.Nodes[under].Y
+		}
+		sum[id>>blockShift] += y
+		count[id>>blockShift]++
+	}
+	order := make([]int, nb)
+	for b := range order {
+		order[b] = b
+	}
+	// Means compare exactly as cross products; a block with no router
+	// placed counts at row 0. The sort is stable: ties stay in index order.
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(sum[a]*max(count[b], 1), sum[b]*max(count[a], 1))
+	})
+	owner = make([]int32, nb)
+	for k, b := range order {
+		owner[b] = int32(k * workers / nb)
+	}
+	mine = make([][]int32, workers)
+	for b, w := range owner {
+		mine[w] = append(mine[w], int32(b))
+	}
+	return owner, mine
+}
+
 // Shards returns the parallel kernel's resolved worker count (else 0).
 func (n *Network) Shards() int { return n.par.workers }
 
@@ -214,6 +275,16 @@ func (n *Network) Shards() int { return n.par.workers }
 // network without blocks).
 func (n *Network) ParallelPhases() (compute, inline uint64) {
 	return n.par.stepPhases, n.par.inlinePhases
+}
+
+// ParallelEvents counts the flits and credits the step phases' outboxes
+// delivered, split by whether the receiver's worker is the one that
+// emitted them (local) or another (cross). The deliver phase reads the
+// counts off the outbox lists' lengths before it drains them, so they
+// cost no per-event work; events a snapshot or state check merged into
+// the wheel first are not counted.
+func (n *Network) ParallelEvents() (local, cross uint64) {
+	return n.par.localEvents, n.par.crossEvents
 }
 
 // WorkerPhases counts the phase shares each worker executed: [0] is the
@@ -240,21 +311,15 @@ func (n *Network) ForEachBlock(f func(b int, awake []int32)) {
 		f(0, n.awakeIDs)
 		return
 	}
+	if len(n.awakeIDs) < parallelMinAwake {
+		for b := range p.blocks {
+			f(b, p.blocks[b].awake)
+		}
+		return
+	}
 	p.fn = f
-	if len(n.awakeIDs) >= parallelMinAwake {
-		p.run(phaseBlocks)
-	} else {
-		p.eachBlock(0, 1)
-	}
+	p.run(phaseBlocks)
 	p.fn = nil
-}
-
-// eachBlock calls p.fn for blocks first, first+stride, … with each
-// block's survivor list from the walk.
-func (p *parallel) eachBlock(first, stride int) {
-	for b := first; b < len(p.blocks); b += stride {
-		p.fn(b, p.blocks[b].awake)
-	}
 }
 
 // listAwake makes AwakeRouterIDs the concatenation of the blocks' survivor
@@ -274,6 +339,14 @@ func (p *parallel) deliver(cycle sim.Cycle) {
 	n, par := p.net, cycle&1
 	events := n.takeSlot(cycle)
 	p.events = events
+	if q := p.queued[par]; q > 0 {
+		var local int
+		for w := range p.shards {
+			local += len(p.shards[w].out[par][w])
+		}
+		p.localEvents += uint64(local)
+		p.crossEvents += uint64(q - local)
+	}
 	if len(events)+p.queued[par] < parallelMinEvents {
 		for w := range p.shards {
 			p.deliverShare(w, cycle)
@@ -421,10 +494,11 @@ func (p *parallel) run(phase int) {
 	p.phase = phaseNone
 }
 
-// runShare does worker w's part of the current phase: its blocks are
-// w, w+workers, ….
+// runShare does worker w's part of the current phase. Its step and
+// ForEachBlock shares walk only the blocks it owns: a block's emissions go
+// to its owner's outboxes, which no other worker may write.
 func (p *parallel) runShare(w int) {
-	n := p.net
+	n, s := p.net, &p.shards[w]
 	cycle := n.cycle
 	if c := p.clock; c != nil {
 		defer func(busy []time.Duration, t0 time.Time) { busy[w] += time.Since(t0) }(c.Busy[clockPhase[p.phase]], time.Now())
@@ -433,15 +507,16 @@ func (p *parallel) runShare(w int) {
 	case phaseDeliver:
 		p.deliverShare(w, cycle)
 	case phaseStep:
-		s := &p.shards[w]
-		for b := w; b < len(p.blocks); b += p.workers {
+		for _, b := range s.blocks {
 			blk := &p.blocks[b]
 			var gone int
-			blk.awake, gone = n.stepBlock(b, cycle, blk.awake[:0])
+			blk.awake, gone = n.stepBlock(int(b), cycle, blk.awake[:0])
 			s.routers -= gone
 		}
 	case phaseBlocks:
-		p.eachBlock(w, p.workers)
+		for _, b := range s.blocks {
+			p.fn(int(b), p.blocks[b].awake)
+		}
 	}
 }
 

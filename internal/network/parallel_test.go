@@ -284,3 +284,69 @@ func TestForEachBlockCoversAwake(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockOwnership holds the parallel kernel's block map on the systems
+// the benchmarks run: every block has one owner, the workers' block counts
+// differ by at most one, each worker's list is ascending and is exactly
+// the blocks it owns, and on the 8192-router preset a band deal keeps
+// nearly every link inside one worker (round-robin split 29.8 % of the
+// directed router-to-router links at 2 workers and 31.5 % at 4).
+func TestBlockOwnership(t *testing.T) {
+	huge := topology.ScaleHugeConfig()
+	maxCross := map[int]float64{2: 0.02, 4: 0.05}
+	for _, sys := range []struct {
+		name string
+		topo func() *topology.Topology
+	}{
+		{"baseline", baseline},
+		{"small", smallTopo},
+		{"large", func() *topology.Topology { return topology.MustBuildScale(topology.ScaleLargeConfig()) }},
+		{"huge", func() *topology.Topology { return topology.MustBuildScale(huge) }},
+	} {
+		topo := sys.topo()
+		nb := (topo.NumNodes() + 1<<network.BlockShift - 1) >> network.BlockShift
+		for _, asked := range []int{1, 2, 3, 4, 7} {
+			workers := min(asked, nb)
+			owner, mine := network.DealBlocks(topo, workers)
+			if len(owner) != nb || len(mine) != workers {
+				t.Fatalf("%s/%d: %d owners, %d lists; want %d and %d", sys.name, workers, len(owner), len(mine), nb, workers)
+			}
+			seen := make([]int, nb)
+			for w, blocks := range mine {
+				if !slices.IsSorted(blocks) {
+					t.Errorf("%s/%d: worker %d's blocks %v are not ascending", sys.name, workers, w, blocks)
+				}
+				if d := len(blocks) - nb/workers; d < 0 || d > 1 {
+					t.Errorf("%s/%d: worker %d owns %d of %d blocks", sys.name, workers, w, len(blocks), nb)
+				}
+				for _, b := range blocks {
+					seen[b]++
+					if owner[b] != int32(w) {
+						t.Errorf("%s/%d: block %d is on worker %d's list but owned by %d", sys.name, workers, b, w, owner[b])
+					}
+				}
+			}
+			for b, k := range seen {
+				if k != 1 {
+					t.Errorf("%s/%d: block %d is on %d lists", sys.name, workers, b, k)
+				}
+			}
+			limit, ok := maxCross[workers]
+			if sys.name != "huge" || !ok {
+				continue
+			}
+			var cross int
+			for _, l := range topo.Links {
+				if owner[l.A>>network.BlockShift] != owner[l.B>>network.BlockShift] {
+					cross += 2
+				}
+			}
+			if share := float64(cross) / float64(2*len(topo.Links)); share >= limit {
+				t.Errorf("huge/%d: %d of %d directed links (%.1f %%) join two workers; want under %.0f %%",
+					workers, cross, 2*len(topo.Links), 100*share, 100*limit)
+			} else {
+				t.Logf("huge/%d: %d of %d directed links (%.2f %%) join two workers", workers, cross, 2*len(topo.Links), 100*share)
+			}
+		}
+	}
+}
