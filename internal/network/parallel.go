@@ -224,9 +224,8 @@ func (n *Network) initParallel(workers int) {
 // sorted by key and then by index, are cut into workers contiguous runs
 // whose sizes differ by at most one, so each worker gets a band of
 // interposer rows with the chiplets above them: a link joins two workers'
-// routers only at a band's edge. Round-robin by index, the previous
-// deal, split every north-south interposer link and about half of the
-// vertical ones. The map depends only on the topology and the count. It
+// routers, and its flits and credits cross cores, only at a band's edge
+// (DESIGN.md §9). The map depends only on the topology and the count. It
 // returns each block's owner and each worker's blocks in ascending order.
 func dealBlocks(t *topology.Topology, workers int) (owner []int32, mine [][]int32) {
 	nb := (t.NumNodes() + 1<<blockShift - 1) >> blockShift
@@ -235,14 +234,7 @@ func dealBlocks(t *topology.Topology, workers int) (owner []int32, mine [][]int3
 		nd := &t.Nodes[id]
 		y := nd.Y
 		if nd.Chiplet != topology.InterposerChiplet {
-			if nd.BoundBoundary == topology.InvalidNode {
-				continue
-			}
-			under := t.InterposerUnder(nd.BoundBoundary)
-			if under == topology.InvalidNode {
-				continue
-			}
-			y = t.Nodes[under].Y
+			y = t.Nodes[t.InterposerUnder(nd.BoundBoundary)].Y
 		}
 		sum[id>>blockShift] += y
 		count[id>>blockShift]++
@@ -251,10 +243,10 @@ func dealBlocks(t *topology.Topology, workers int) (owner []int32, mine [][]int3
 	for b := range order {
 		order[b] = b
 	}
-	// Means compare exactly as cross products; a block with no router
-	// placed counts at row 0. The sort is stable: ties stay in index order.
+	// Means compare exactly as cross products. The sort is stable: ties
+	// stay in index order.
 	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(sum[a]*max(count[b], 1), sum[b]*max(count[a], 1))
+		return cmp.Compare(sum[a]*count[b], sum[b]*count[a])
 	})
 	owner = make([]int32, nb)
 	for k, b := range order {
