@@ -11,8 +11,9 @@ import (
 
 // TestLayoutPins holds the hot-state layout of DESIGN.md §8: a VC is one
 // cache line, everything a router or a route function reads of a packet per
-// hop sits in the packet's first line, a wheel event is half a line and a
-// node's routing record at most a quarter of one.
+// hop sits in the packet's first line, a wheel event is half a line, an
+// outbox list's header strides a whole one and a node's routing record is
+// at most a quarter of one.
 func TestLayoutPins(t *testing.T) {
 	const line = 64
 	if got := unsafe.Sizeof(router.VC{}); got != line {
@@ -20,6 +21,9 @@ func TestLayoutPins(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(event{}); got != line/2 {
 		t.Errorf("network.event is %d bytes, want %d", got, line/2)
+	}
+	if got := unsafe.Sizeof(outbox{}); got != line {
+		t.Errorf("network.outbox is %d bytes, want %d: two workers' outbox headers could share a cache line", got, line)
 	}
 	if got := unsafe.Sizeof(topology.RouteNode{}); got > line/4 {
 		t.Errorf("topology.RouteNode is %d bytes, want at most %d", got, line/4)

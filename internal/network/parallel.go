@@ -118,8 +118,16 @@ func (b *block) DeliverCredit(to topology.NodeID, port topology.PortID, vc int8,
 func (b *block) emit(at sim.Cycle, e event) {
 	s, par := b.shard, at&1
 	s.emitted[par]++
-	l := &s.out[par][b.p.owner[e.to>>blockShift]]
+	l := &s.out[par][b.p.owner[e.to>>blockShift]].events
 	*l = append(*l, e)
+}
+
+// outbox is one list of shard.out. Every append writes the list's length,
+// so each list's header has a 64-byte stride of its own: two workers'
+// appends never write one cache line.
+type outbox struct {
+	events []event
+	_      [40]byte
 }
 
 // shard is one worker's state in the concurrent phases.
@@ -129,7 +137,7 @@ type shard struct {
 	// empties its lists in the deliver phase. A flit emitted at cycle T
 	// is due at T+2 and a credit at T+1, so a list holds the events of
 	// one slot: one step phase's flits and the next one's credits.
-	out [2][][]event
+	out [2][]outbox
 	// emitted[at&1] counts the current step phase's additions to out,
 	// which the commit puts on the wheel's books.
 	emitted [2]int
@@ -197,7 +205,7 @@ func (n *Network) initParallel(workers int) {
 	p.wake = make(chan struct{}, 1)
 	for w := range p.shards {
 		for par := range p.shards[w].out {
-			p.shards[w].out[par] = make([][]event, workers)
+			p.shards[w].out[par] = make([]outbox, workers)
 		}
 	}
 	var mine [][]int32
@@ -334,7 +342,7 @@ func (p *parallel) deliver(cycle sim.Cycle) {
 	if q := p.queued[par]; q > 0 {
 		var local int
 		for w := range p.shards {
-			local += len(p.shards[w].out[par][w])
+			local += len(p.shards[w].out[par][w].events)
 		}
 		p.localEvents += uint64(local)
 		p.crossEvents += uint64(q - local)
@@ -371,12 +379,12 @@ func (p *parallel) deliverShare(w int, cycle sim.Cycle) {
 		}
 	}
 	for from := range p.shards {
-		l := p.shards[from].out[par][w]
-		for i := range l {
-			n.apply(&l[i], cycle, s)
-			l[i].flit.Pkt = nil
+		o := &p.shards[from].out[par][w]
+		for i := range o.events {
+			n.apply(&o.events[i], cycle, s)
+			o.events[i].flit.Pkt = nil
 		}
-		p.shards[from].out[par][w] = l[:0]
+		o.events = o.events[:0]
 	}
 }
 
@@ -407,13 +415,13 @@ func (p *parallel) mergeSlot(cycle sim.Cycle) {
 	}
 	n := p.net
 	for w := range p.shards {
-		lists := p.shards[w].out[par]
-		for to, l := range lists {
-			for i := range l {
-				n.schedule(cycle, l[i])
+		for to := range p.shards[w].out[par] {
+			o := &p.shards[w].out[par][to]
+			for i := range o.events {
+				n.schedule(cycle, o.events[i])
 			}
-			clear(l) // no packet pointer kept
-			lists[to] = l[:0]
+			clear(o.events) // no packet pointer kept
+			o.events = o.events[:0]
 		}
 	}
 	p.queued[par] = 0
