@@ -63,10 +63,11 @@ type Config struct {
 	// Shards is the parallel kernel's worker count: the 64-router blocks
 	// of the node space (the words of the awake bitmap) are dealt to that
 	// many workers in bands of interposer rows, each with the chiplets
-	// above it, the coordinating goroutine being one of the workers. 0 means GOMAXPROCS; the value is clamped to the block
-	// count. The simulation is bit-identical at every count — workers only
-	// trade sync overhead against compute overlap. Ignored by the other
-	// kernels, which build no blocks.
+	// above it, the coordinating goroutine being one of the workers. 0
+	// means GOMAXPROCS; the value is clamped to the block count. The
+	// simulation is bit-identical at every count — workers only trade sync
+	// overhead against compute overlap. Ignored by the other kernels, which
+	// build no blocks.
 	Shards int
 }
 
