@@ -119,11 +119,12 @@ bench-pairs:
 # EncodeSized, PacketRef, EstimateDetailed, IsTerminating,
 # IsInterChiplet, CoreIndex, assertEncodable) or a pass the kernel
 # folded away (retireBlock, phaseRetire: routers retire in the walk that
-# steps them): UPP checks its Fig. 4 signal widths once at Attach
+# steps them; deliverEvents: every kernel delivers through the blocks'
+# one delivery path): UPP checks its Fig. 4 signal widths once at Attach
 # (message.ReqStopBits), popup.holds is the one packet-generation check,
 # and power.Estimate the one energy model, so a wire codec, a second
-# model or a separate router-retirement pass grown back shows up as a
-# number.
+# model, a separate router-retirement pass or a second delivery function
+# grown back shows up as a number.
 # Then the non-test lines of internal/ and cmd/ that read
 # the process environment: a run's configuration comes from its RunSpec,
 # the PoolOptions and the binaries' flags, and the one variable is the
@@ -150,10 +151,15 @@ bench-pairs:
 # finished Points only (results/<hash>.json), because every figure
 # measures a point on one schedule and no warm-start checkpoint it wrote
 # was ever read back, so a warm store grown back shows up as a number.
+# Last, the non-test lines of internal/ and cmd/ that test whether a
+# network has blocks (blocks == nil, blocks != nil): one layout of
+# 64-router blocks serves every kernel, one worker under the active
+# kernel and the oracle, so a second layout, and the fork that picks it,
+# grown back shows up as a number.
 # The target fails when a count exceeds its ceiling; CI's
 # test job runs it.
 SNAPSHOT_LINES = 1415
-DELETED_API = DecodeSignal|EncodeSized|PacketRef|EstimateDetailed|IsTerminating|IsInterChiplet|CoreIndex|assertEncodable|retireBlock|phaseRetire
+DELETED_API = DecodeSignal|EncodeSized|PacketRef|EstimateDetailed|IsTerminating|IsInterChiplet|CoreIndex|assertEncodable|retireBlock|phaseRetire|deliverEvents
 DELETED_SETTINGS = \.LinkLatency\b|\.InterTileLatency|\.EjectionDepth|\.SignalTimeout|\.MaxSignalRetries|SlotsPerBoundary|HandshakeRTT|\.MSHRs|remotectl\.Config|coherence\.Config
 loc:
 	@for d in internal/* cmd 'internal cmd'; do \
@@ -244,6 +250,9 @@ loc:
 		[ $$n -le 0 ]
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE 'warmState|warmHits|warmMisses|"warm"'); \
 		printf 'lines %-28s %d (ceiling %d)\n' 'warm-start cache store' $$n 0; \
+		[ $$n -le 0 ]
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE 'blocks [!=]= nil'); \
+		printf 'lines %-28s %d (ceiling %d)\n' 'blocks == nil|blocks != nil' $$n 0; \
 		[ $$n -le 0 ]
 
 # Regenerate the committed collective-workload golden CSV

@@ -456,7 +456,7 @@ func benchStep(b *testing.B, spec experiments.RunSpec, rate float64) {
 			b.ReportMetric(perCycle(clock.Busy[ph][w]), fmt.Sprintf("w%d-%s-busy-ns/cycle", w, stepPhases[ph]))
 		}
 	}
-	if n.Shards() > 0 {
+	if n.Shards() > 1 {
 		local, cross := n.ParallelEvents()
 		if all := local - local0 + cross - cross0; all > 0 {
 			b.ReportMetric(float64(cross-cross0)/float64(all), "cross-share")

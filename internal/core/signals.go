@@ -219,7 +219,9 @@ func (u *UPP) deliverReqStop(p *popup, kind sigKind, cycle sim.Cycle) {
 		return
 	}
 	p.resRequested = true
-	u.net.Trace("upp", p.dst, "popup %d: UPP_req at destination NI (vnet %s)", p.id, p.vnet)
+	if u.net.Tracing() {
+		u.net.Trace("upp", p.dst, "popup %d: UPP_req at destination NI (vnet %s)", p.id, p.vnet)
+	}
 	ni.RequestReservation(p.vnet, p.id, cycle)
 }
 
@@ -373,5 +375,7 @@ func (u *UPP) ackAtOrigin(popupID uint64, cycle sim.Cycle) {
 	lp.PopupID = p.id
 	vc.Hold = true
 	u.net.Stats.PopupsStarted++
-	u.net.Trace("upp", p.origin, "popup %d: UPP_ack received; draining pkt%d through the circuit", p.id, p.pktID)
+	if u.net.Tracing() {
+		u.net.Trace("upp", p.origin, "popup %d: UPP_ack received; draining pkt%d through the circuit", p.id, p.pktID)
+	}
 }

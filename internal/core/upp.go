@@ -553,8 +553,10 @@ func (u *UPP) startPopup(r *router.Router, ns *nodeState, vnet message.VNet, por
 	u.tokens[chiplet][vnet] = p.id
 	u.popups[p.id] = p
 	u.net.Stats.UpwardPackets++
-	u.net.Trace("upp", r.ID, "popup %d: selected upward pkt%d (%s) toward %d",
-		p.id, f.Pkt.ID, vnet, f.Pkt.Dst)
+	if u.net.Tracing() {
+		u.net.Trace("upp", r.ID, "popup %d: selected upward pkt%d (%s) toward %d",
+			p.id, f.Pkt.ID, vnet, f.Pkt.Dst)
+	}
 }
 
 // chasePath builds the popup path the way the paper's UPP_req does
@@ -659,7 +661,9 @@ func (u *UPP) checkProceeded(cycle sim.Cycle) {
 		}
 		p.cancelled = true
 		u.net.Stats.PopupsCancelled++
-		u.net.Trace("upp", p.origin, "popup %d: pkt%d proceeded normally; cancelling", p.id, p.pktID)
+		if u.net.Tracing() {
+			u.net.Trace("upp", p.origin, "popup %d: pkt%d proceeded normally; cancelling", p.id, p.pktID)
+		}
 		if !p.reqSent {
 			// The req never left; nothing to clean up remotely.
 			u.finishCancelled(p)
@@ -709,7 +713,9 @@ func (u *UPP) checkSignalTimeouts(cycle sim.Cycle) {
 			p.resendReq = true
 			u.armDeadline(p, cycle)
 			u.net.Stats.SignalRetries++
-			u.net.Trace("upp", p.origin, "popup %d: signal timeout; re-sending UPP_req (retry %d)", p.id, p.retries)
+			if u.net.Tracing() {
+				u.net.Trace("upp", p.origin, "popup %d: signal timeout; re-sending UPP_req (retry %d)", p.id, p.retries)
+			}
 		case !p.stopDelivered:
 			// Cancelled, and the stop went missing on its way down.
 			if p.retries >= maxSignalRetries {
@@ -720,7 +726,9 @@ func (u *UPP) checkSignalTimeouts(cycle sim.Cycle) {
 			p.stopPending = true
 			u.armDeadline(p, cycle)
 			u.net.Stats.SignalRetries++
-			u.net.Trace("upp", p.origin, "popup %d: signal timeout; re-arming UPP_stop (retry %d)", p.id, p.retries)
+			if u.net.Tracing() {
+				u.net.Trace("upp", p.origin, "popup %d: signal timeout; re-arming UPP_stop (retry %d)", p.id, p.retries)
+			}
 		case p.ackLaunched && !p.ackDone:
 			// Stop delivered but the to-be-discarded ack never came home:
 			// it was lost on the wire; nothing is left to wait for.
@@ -771,7 +779,9 @@ func (u *UPP) abortPopup(p *popup) {
 	u.releaseOrigin(p)
 	delete(u.popups, p.id)
 	u.net.Stats.PopupsAborted++
-	u.net.Trace("upp", p.origin, "popup %d: retries exhausted; aborted (pkt%d falls back to re-detection)", p.id, p.pktID)
+	if u.net.Tracing() {
+		u.net.Trace("upp", p.origin, "popup %d: retries exhausted; aborted (pkt%d falls back to re-detection)", p.id, p.pktID)
+	}
 }
 
 // finishCancelled releases everything held by a cancelled popup once no
@@ -925,5 +935,7 @@ func (u *UPP) completePopup(p *popup, cycle sim.Cycle) {
 	u.releaseOrigin(p)
 	delete(u.popups, p.id)
 	u.net.Stats.PopupsCompleted++
-	u.net.Trace("upp", p.dst, "popup %d: pkt%d fully ejected; recovery complete", p.id, p.pktID)
+	if u.net.Tracing() {
+		u.net.Trace("upp", p.dst, "popup %d: pkt%d fully ejected; recovery complete", p.id, p.pktID)
+	}
 }

@@ -150,3 +150,40 @@ func TestSteadyStateZeroAllocCollective(t *testing.T) {
 		})
 	}
 }
+
+// TestSteadyStateAllocPopups holds a popup-bearing steady state to a
+// pinned allocation count: a looping all-to-all under UPP completes popups
+// in every measured window. The untraced popup path allocates nothing for
+// its trace narration (every Trace call is guarded by Tracing); what it
+// still allocates is UPP's popup record (startPopup) and the path
+// chasePath traces for it, so maxPopupAllocs drops to 0 once those are
+// pooled.
+func TestSteadyStateAllocPopups(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 000-cycle warmup")
+	}
+	const maxPopupAllocs = 23
+	s, err := Assemble(RunSpec{Topo: topology.BaselineConfig(), Scheme: SchemeUPP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.Net
+	eng, _, err := workloadEngine(n, "all_to_all:flits=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Iterations = 1 << 30 // effectively unbounded: the loop never finishes
+	n.PacketPool().Preallocate(4096)
+	Drive(n, eng, 20000, nil)
+	popups := n.Stats.PopupsCompleted
+	allocs := testing.AllocsPerRun(10, func() {
+		Drive(n, eng, n.Cycle()+500, nil)
+	})
+	if n.Stats.PopupsCompleted == popups {
+		t.Fatal("no popup completed in the measured windows — the pin is vacuous")
+	}
+	t.Logf("%.2f objects per 500 cycles, %d popups completed", allocs, n.Stats.PopupsCompleted-popups)
+	if allocs > maxPopupAllocs {
+		t.Fatalf("popup steady-state window allocated %.2f objects per 500 cycles; want at most %d", allocs, maxPopupAllocs)
+	}
+}

@@ -78,17 +78,17 @@ func TestAssembleAppliesHost(t *testing.T) {
 		spec   RunSpec // its Kernel, Shards and RouterArch
 		opts   PoolOptions
 		kernel string
-		shards int // as Network.Shards reports it: 0 off the parallel kernel
+		shards int // as Network.Shards reports it: 1 off the parallel kernel
 		arch   string
 	}{
-		{"defaults", RunSpec{}, PoolOptions{}, network.KernelActive, 0, router.ArchIQ},
+		{"defaults", RunSpec{}, PoolOptions{}, network.KernelActive, 1, router.ArchIQ},
 		{"spec", RunSpec{Kernel: network.KernelParallel, Shards: 3, RouterArch: router.ArchVOQ}, PoolOptions{},
 			network.KernelParallel, 3, router.ArchVOQ},
 		{"pool", RunSpec{}, PoolOptions{Kernel: network.KernelParallel, Shards: 5, RouterArch: router.ArchOQ},
 			network.KernelParallel, 5, router.ArchOQ},
 		{"spec beats pool", RunSpec{Kernel: network.KernelNaive, Shards: 2, RouterArch: router.ArchVOQ},
 			PoolOptions{Kernel: network.KernelParallel, Shards: 5, RouterArch: router.ArchOQ},
-			network.KernelNaive, 0, router.ArchVOQ},
+			network.KernelNaive, 1, router.ArchVOQ},
 		{"pool fills what the spec leaves", RunSpec{Shards: 3}, PoolOptions{Kernel: network.KernelParallel, Shards: 5},
 			network.KernelParallel, 3, router.ArchIQ},
 		{"parallel without a count", RunSpec{Kernel: network.KernelParallel}, PoolOptions{},

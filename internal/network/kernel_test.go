@@ -173,7 +173,8 @@ func TestKernelResolution(t *testing.T) {
 }
 
 // TestShardResolution: Config.Shards is the parallel kernel's worker
-// count — 0 means GOMAXPROCS and the value is clamped to the block count.
+// count — 0 means GOMAXPROCS and the value is clamped to the block count;
+// the other kernels run one worker whatever it says.
 func TestShardResolution(t *testing.T) {
 	topo := topology.MustBuildScale(topology.ScaleSmallConfig())
 	blocks := topo.NumNodes() >> blockShift // 512 routers: 8 blocks
@@ -185,7 +186,7 @@ func TestShardResolution(t *testing.T) {
 		{"config wins", KernelParallel, 3, 3},
 		{"default", KernelParallel, 0, auto},
 		{"clamped to block count", KernelParallel, 10_000, blocks},
-		{"other kernels ignore shards", KernelActive, 4, 0},
+		{"other kernels ignore shards", KernelActive, 4, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()

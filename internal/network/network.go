@@ -26,11 +26,12 @@ const (
 	// cycle and nothing ever retired or skipped, so every component steps
 	// every cycle. All kernels produce bit-identical simulations.
 	KernelNaive = "naive"
-	// KernelParallel is the active kernel with blocks: the same step
-	// function, whose event delivery, router walk and retirement run
-	// across a bounded worker pool, each block on the worker that owns it,
-	// with a serial replay of the walk's ejections (see parallel.go and
-	// DESIGN.md §9). Bit-identical to the other kernels at any worker
+	// KernelParallel is the active kernel at Config.Shards workers: the
+	// same step function, whose event delivery, router walk and retirement
+	// run across a bounded worker pool at two or more workers, each block
+	// on the worker that owns it, with a serial replay of the walk's
+	// ejections (see parallel.go and DESIGN.md §9). At one worker it is
+	// the active kernel. Bit-identical to the other kernels at any worker
 	// count and GOMAXPROCS.
 	KernelParallel = "parallel"
 )
@@ -57,8 +58,10 @@ type Config struct {
 	// scheme). Mutually exclusive with UseUpDown.
 	Adaptive bool
 	// Kernel selects the cycle kernel: KernelActive (the default when
-	// empty), KernelNaive — the oracle — or KernelParallel, which
-	// is KernelActive's step function with its concurrent phases on.
+	// empty), KernelNaive — the oracle — or KernelParallel. All three run
+	// one step function over one layout of 64-router blocks; they differ
+	// only in the worker count and, for the oracle, in waking everything
+	// and retiring nothing.
 	Kernel string
 	// Shards is the parallel kernel's worker count: the 64-router blocks
 	// of the node space (the words of the awake bitmap) are dealt to that
@@ -66,8 +69,8 @@ type Config struct {
 	// above it, the coordinating goroutine being one of the workers. 0
 	// means GOMAXPROCS; the value is clamped to the block count. The
 	// simulation is bit-identical at every count — workers only trade sync
-	// overhead against compute overlap. Ignored by the other kernels, which
-	// build no blocks.
+	// overhead against compute overlap — and one worker runs exactly the
+	// active kernel. The other kernels ignore it and run one worker.
 	Shards int
 }
 
@@ -200,8 +203,8 @@ type Network struct {
 	awakeIDs []int32
 	inNIWalk bool
 
-	// The concurrent phases' state (see parallel.go): blocks and workers
-	// under KernelParallel, only telemetry under the other kernels.
+	// The blocks and workers (see parallel.go): one worker under
+	// KernelActive and KernelNaive, Config.Shards under KernelParallel.
 	par parallel
 
 	Stats   Stats
@@ -323,9 +326,11 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 		n.Routers[i] = r
 		n.NIs[i] = ni
 	}
+	workers := 1
 	if n.kernel == KernelParallel {
-		n.initParallel(cfg.Shards)
+		workers = cfg.Shards
 	}
+	n.initParallel(workers)
 	scheme.Attach(n)
 	return n, nil
 }
@@ -646,67 +651,45 @@ func (n *Network) wakeNI(id topology.NodeID) { n.nis.add(id) }
 func (n *Network) AwakeRouterIDs() []int32 { return n.awakeIDs }
 
 // wakeAll is the oracle's top of cycle: every router and NI joins the
-// active set and AwakeRouterIDs lists every router.
+// active set, and the walk, which retires none, lists every router.
 func (n *Network) wakeAll() {
 	n.routers.fill(len(n.Routers))
 	n.nis.fill(len(n.NIs))
-	// The list is ascending and duplicate-free: full length is every ID.
-	if len(n.awakeIDs) < len(n.Routers) {
-		n.awakeIDs = n.awakeIDs[:len(n.Routers)]
-		for i := range n.awakeIDs {
-			n.awakeIDs[i] = int32(i)
-		}
-	}
 }
 
-// walkRouters is the inline router walk. It steps the awake routers in
-// ascending NodeID order, retires each one its step left idle and lists
-// the others for AwakeRouterIDs — on a network with blocks block by block,
-// into the lists ForEachBlock hands out. Routers are only woken by a flit
-// at event delivery (or by the oracle's wake-all), before the walk, so the
-// set does not change under it. The oracle steps every router and retires
-// none.
+// walkRouters is the inline router walk. It steps the awake routers block
+// by block in ascending NodeID order, retires each one its step left idle
+// and lists the others in their block's list, which ForEachBlock hands out
+// and AwakeRouterIDs concatenates. Routers are only woken by a flit at
+// event delivery (or by the oracle's wake-all), before the walk, so the set
+// does not change under it.
 func (n *Network) walkRouters(cycle sim.Cycle) {
-	if n.oracle {
-		for _, id := range n.awakeIDs {
-			n.Routers[id].Step(cycle)
-		}
-		return
-	}
-	if blocks := n.par.blocks; blocks != nil {
-		for b := range blocks {
-			var gone int
-			blocks[b].awake, gone = n.stepBlock(b, cycle, blocks[b].awake[:0])
-			n.routers.count -= gone
-		}
-		n.par.listAwake()
-		return
-	}
-	kept := n.awakeIDs[:0]
-	for b := range n.routers.words {
+	blocks := n.par.blocks
+	for b := range blocks {
 		var gone int
-		kept, gone = n.stepBlock(b, cycle, kept)
+		blocks[b].awake, gone = n.stepBlock(b, cycle, blocks[b].awake[:0])
 		n.routers.count -= gone
 	}
-	n.awakeIDs = kept
+	n.par.listAwake()
 }
 
 // stepBlock steps the awake routers of block b (NodeIDs 64b to 64b+63) in
 // ascending order: one step of the inline walk, or of a worker's share of
 // the concurrent step phase. A router its Step left idle leaves the awake
-// set; the others are appended to kept. It returns kept and the number of
-// routers retired. Retiring here is exact: nothing between a router's Step
-// and the scheme's EndOfCycle — later routers' steps, the ejection replay,
-// the NI walk — adds a flit to it or takes one away. It touches only block
-// b's routers and bitmap word, and writes the word only when it changes,
-// so the owners of different blocks can run it at once.
+// set, except under the oracle, which retires none; the others are
+// appended to kept. It returns kept and the number of routers retired.
+// Retiring here is exact: nothing between a router's Step and the scheme's
+// EndOfCycle — later routers' steps, the ejection replay, the NI walk —
+// adds a flit to it or takes one away. It touches only block b's routers
+// and bitmap word, and writes the word only when it changes, so the owners
+// of different blocks can run it at once.
 func (n *Network) stepBlock(b int, cycle sim.Cycle, kept []int32) ([]int32, int) {
 	var gone uint64
 	for m := n.routers.words[b]; m != 0; m &= m - 1 {
 		id := b<<blockShift | bits.TrailingZeros64(m)
 		r := n.Routers[id]
 		r.Step(cycle)
-		if r.Idle() {
+		if r.Idle() && !n.oracle {
 			gone |= m & -m
 		} else {
 			kept = append(kept, int32(id))
@@ -749,37 +732,6 @@ func (n *Network) retireNIs() {
 	}
 }
 
-// deliverEvents drains the current wheel slot: its flits and credits in
-// any order (DESIGN.md §9), then its calls. A flit wakes the router it
-// lands on and a local-port credit the NI. A credit to a router wakes
-// nothing: one with buffered flits is already awake (only ReceiveFlit
-// adds flits, and delivery wakes first), and an empty one would step to
-// an immediate return and retire before the scheme's EndOfCycle could
-// read it (DESIGN.md §7).
-func (n *Network) deliverEvents(cycle sim.Cycle) {
-	events := n.takeSlot(cycle)
-	for i := range events {
-		e := &events[i]
-		switch e.kind {
-		case evFlit:
-			n.routers.add(e.to)
-			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+n.arrivalDelay(e.to, e.flit.Pkt))
-			// Drop the packet pointer: the buffer is reused at its grown
-			// capacity, and a retained entry would pin a released packet.
-			e.flit.Pkt = nil
-		case evCredit:
-			if e.port == topology.LocalPort {
-				n.wakeNI(e.to)
-				n.NIs[e.to].receiveCredit(e.vc, int(e.delta), e.free)
-			} else {
-				n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
-			}
-		}
-	}
-	n.recycleSlot(events)
-	n.runCalls(cycle)
-}
-
 // runCalls hands the current slot's SchemeCalls to the scheme in the
 // order they were scheduled. A call can schedule only later cycles, so
 // the slot does not grow while it runs.
@@ -805,10 +757,11 @@ func (n *Network) runCalls(cycle sim.Cycle) {
 // component every cycle, so it does not depend on the wake rule or
 // retirement it checks.
 //
-// A network built with blocks (KernelParallel) runs event delivery and the
-// router walk as concurrent phases when the cycle has enough work to pay
-// for the hand-off (parallel.go); the other kernels build none and run
-// deliverEvents and the inline walk on the coordinator.
+// Every kernel runs on the same 64-router blocks (parallel.go). At two or
+// more workers (KernelParallel) event delivery and the router walk run as
+// concurrent phases when the cycle has enough work to pay for the
+// hand-off; at one worker every cycle delivers and walks on the
+// coordinator.
 func (n *Network) Step() {
 	p, cycle := &n.par, n.cycle
 	p.clock.lap(-1)
@@ -816,15 +769,11 @@ func (n *Network) Step() {
 		n.wakeAll()
 	}
 	n.beginCycleFaults(cycle)
-	if p.blocks == nil {
-		n.deliverEvents(cycle)
-	} else {
-		p.deliver(cycle)
-	}
+	p.deliver(cycle)
 	p.clock.lap(PhaseDeliver)
 	n.scheme.StartOfCycle(cycle)
 	p.clock.lap(PhaseStartOfCycle)
-	if p.blocks != nil && n.routers.count >= parallelMinAwake {
+	if p.concurrent(n.routers.count, parallelMinAwake) {
 		p.stepPhases++
 		p.run(phaseStep)
 		p.clock.lap(PhaseCompute)

@@ -1,12 +1,17 @@
-// The concurrent phases of Network.Step, engaged on a network built with
-// blocks (KernelParallel); DESIGN.md §9 has the argument.
+// The blocks every network is built on, and the concurrent phases of
+// Network.Step they carry at two or more workers (KernelParallel); DESIGN.md
+// §9 has the argument.
 //
 // The node space is cut into fixed 64-router blocks — block b is word b of
-// the awake bitmaps — dealt for the life of the network to Config.Shards
-// workers in bands of interposer rows, each band with the chiplets above
-// it (dealBlocks), so most links join two routers of one worker; worker 0
-// is the coordinating goroutine, the others come from a package-level
-// pool. Every pass over routers and NIs that can run per block runs on
+// the awake bitmaps — dealt for the life of the network to the workers
+// (one under KernelActive and KernelNaive, Config.Shards under
+// KernelParallel) in bands of interposer rows, each band with the chiplets
+// above it (dealBlocks), so most links join two routers of one worker;
+// worker 0 is the coordinating goroutine, the others come from a
+// package-level pool. One worker runs every phase inline, its routers
+// emitting straight to the wheel: that is the active kernel, and the
+// oracle is the same walk with everything woken and nothing retired.
+// Every pass over routers and NIs that can run per block runs on
 // the worker that owns the block, walking its ascending list of blocks,
 // which keeps a router's state in one core's cache; the coordinator keeps
 // the work whose order matters. Deliver: every worker applies the outboxes
@@ -45,10 +50,10 @@ import (
 )
 
 const (
-	// Engagement thresholds: a cycle with fewer awake routers steps them
-	// and runs ForEachBlock's blocks inline, and a slot with fewer flits
-	// and credits runs every worker's delivery share inline — a hand-off
-	// would cost more.
+	// Engagement thresholds at two or more workers: a cycle with fewer
+	// awake routers steps them and runs ForEachBlock's blocks inline, and a
+	// slot with fewer flits and credits runs every worker's delivery share
+	// inline — a hand-off would cost more.
 	parallelMinAwake  = 16
 	parallelMinEvents = 64
 	// blockShift sizes the blocks: 64 NodeIDs, one awakeSet word, small
@@ -81,10 +86,11 @@ type ejection struct {
 
 // block is the per-cycle state of 64 consecutive NodeIDs, written during
 // the concurrent phases only by the worker that owns them and read by the
-// coordinator after the join. It is its routers' EventSink: during the step
-// phase emissions go to the owner's outboxes, outside it (scheme plugin
-// API, inline walk) straight to the network. NI.AcceptFlit logs the step
-// phase's ejections the same way.
+// coordinator after the join. At two or more workers it is its routers'
+// EventSink: during the step phase emissions go to the owner's outboxes,
+// outside it (scheme plugin API, inline walk) straight to the network; at
+// one worker the routers keep the network as their sink. NI.AcceptFlit logs
+// the step phase's ejections the same way.
 type block struct {
 	p     *parallel
 	shard *shard // the owner's
@@ -189,7 +195,8 @@ type parallel struct {
 }
 
 // initParallel resolves the worker count (0 = GOMAXPROCS, clamped to the
-// block count), deals the blocks and installs the blocks as sinks.
+// block count), deals the blocks and, at two or more workers, installs the
+// blocks as sinks and takes the pool workers.
 func (n *Network) initParallel(workers int) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -217,12 +224,21 @@ func (n *Network) initParallel(workers int) {
 		p.blocks[b].p = p
 		p.blocks[b].shard = &p.shards[p.owner[b]]
 	}
+	if workers == 1 {
+		return
+	}
 	for id, r := range n.Routers {
 		r.SetSink(&p.blocks[id>>blockShift])
 	}
-	if workers > 1 && runtime.GOMAXPROCS(0) > 1 {
+	if runtime.GOMAXPROCS(0) > 1 {
 		p.helpers = poolWorkers(workers - 1)
 	}
+}
+
+// concurrent reports whether a phase with work items to do runs across the
+// workers: only at two or more of them, and only with at least min items.
+func (p *parallel) concurrent(work, min int) bool {
+	return p.workers > 1 && work >= min
 }
 
 // dealBlocks maps each block to one of workers workers by its place in
@@ -267,12 +283,13 @@ func dealBlocks(t *topology.Topology, workers int) (owner []int32, mine [][]int3
 	return owner, mine
 }
 
-// Shards returns the parallel kernel's resolved worker count (else 0).
+// Shards returns the resolved worker count: 1 under KernelActive and
+// KernelNaive.
 func (n *Network) Shards() int { return n.par.workers }
 
 // ParallelPhases counts the cycles that engaged the concurrent step phase
-// and the ones that walked their awake routers inline (all of them on a
-// network without blocks).
+// and the ones that walked their awake routers inline (all of them at one
+// worker).
 func (n *Network) ParallelPhases() (compute, inline uint64) {
 	return n.par.stepPhases, n.par.inlinePhases
 }
@@ -291,27 +308,21 @@ func (n *Network) ParallelEvents() (local, cross uint64) {
 // coordinator (its own plus any it kept or took back), [w] pool worker w.
 func (n *Network) WorkerPhases() []uint64 { return n.par.workerPhases }
 
-// NumBlocks is the number of blocks ForEachBlock visits: the parallel
-// kernel's 64-router blocks, or one under the other kernels.
-func (n *Network) NumBlocks() int { return max(len(n.par.blocks), 1) }
+// NumBlocks is the number of 64-router blocks ForEachBlock visits.
+func (n *Network) NumBlocks() int { return len(n.par.blocks) }
 
-// ForEachBlock calls f(b, awake) for every block b of the node space, with
-// awake the block's part of AwakeRouterIDs; it is for EndOfCycle, where
-// that list is valid. Under the parallel kernel the blocks are its
-// 64-router blocks and each call runs on the worker that owns the block,
-// concurrently with the others (inline, in ascending block order, when
-// fewer than parallelMinAwake routers are awake); under the other kernels
-// there is one block, 0, holding every router. f may therefore read only
-// the routers in awake and state nothing writes during the call, and
+// ForEachBlock calls f(b, awake) for every 64-router block b of the node
+// space, with awake the block's part of AwakeRouterIDs; it is for
+// EndOfCycle, where that list is valid. At two or more workers each call
+// runs on the worker that owns the block, concurrently with the others;
+// at one worker, or when fewer than parallelMinAwake routers are awake,
+// the calls run inline in ascending block order. f may therefore read
+// only the routers in awake and state nothing writes during the call, and
 // write only state indexed by their NodeIDs or by b (UPP's detection
 // scan).
 func (n *Network) ForEachBlock(f func(b int, awake []int32)) {
 	p := &n.par
-	if p.blocks == nil {
-		f(0, n.awakeIDs)
-		return
-	}
-	if len(n.awakeIDs) < parallelMinAwake {
+	if !p.concurrent(len(n.awakeIDs), parallelMinAwake) {
 		for b := range p.blocks {
 			f(b, p.blocks[b].awake)
 		}
@@ -332,9 +343,10 @@ func (p *parallel) listAwake() {
 	p.net.awakeIDs = kept
 }
 
-// deliver drains the current wheel slot: every worker applies its own
-// flits and credits, concurrently or, below the engagement threshold,
-// inline; then the coordinator runs the slot's calls.
+// deliver drains the current wheel slot — Step's one delivery call:
+// every worker applies its own flits and credits, concurrently or, at one
+// worker or below the engagement threshold, inline; then the coordinator
+// runs the slot's calls.
 func (p *parallel) deliver(cycle sim.Cycle) {
 	n, par := p.net, cycle&1
 	events := n.takeSlot(cycle)
@@ -347,20 +359,23 @@ func (p *parallel) deliver(cycle sim.Cycle) {
 		p.localEvents += uint64(local)
 		p.crossEvents += uint64(q - local)
 	}
-	if len(events)+p.queued[par] < parallelMinEvents {
+	if p.concurrent(len(events)+p.queued[par], parallelMinEvents) {
+		p.run(phaseDeliver)
+	} else {
 		for w := range p.shards {
 			p.deliverShare(w, cycle)
 		}
-	} else {
-		p.run(phaseDeliver)
 	}
 	p.events = nil
 	p.queued[par] = 0
 	p.fold()
-	// The coordinator drops the slot's packet pointers (see deliverEvents):
-	// a worker writing into the slot would bounce the lines the others read.
-	for i := range events {
-		events[i].flit.Pkt = nil
+	if p.workers > 1 {
+		// The coordinator drops the slot's packet pointers (applyEvents): a
+		// worker writing into the slot would bounce the lines the others
+		// read.
+		for i := range events {
+			events[i].flit.Pkt = nil
+		}
 	}
 	n.recycleSlot(events)
 	n.runCalls(cycle)
@@ -372,38 +387,51 @@ func (p *parallel) deliver(cycle sim.Cycle) {
 // receives at most one flit a cycle, credits add and wakes set bits — so
 // the share needs no merge; DESIGN.md §9 has the argument.
 func (p *parallel) deliverShare(w int, cycle sim.Cycle) {
-	n, par, s := p.net, cycle&1, &p.shards[w]
-	for i := range p.events {
-		if e := &p.events[i]; int(p.owner[e.to>>blockShift]) == w {
-			n.apply(e, cycle, s)
-		}
-	}
+	par := cycle & 1
+	p.applyEvents(p.events, w, p.workers > 1, cycle)
 	for from := range p.shards {
 		o := &p.shards[from].out[par][w]
-		for i := range o.events {
-			n.apply(&o.events[i], cycle, s)
-			o.events[i].flit.Pkt = nil
-		}
+		p.applyEvents(o.events, w, false, cycle)
 		o.events = o.events[:0]
 	}
 }
 
-// apply delivers one flit or credit on the worker that owns its receiver,
-// waking the router or NI in its own bitmap word and counting the wake in
-// the worker's shard: deliverEvents' rule.
-func (n *Network) apply(e *event, cycle sim.Cycle, s *shard) {
-	if e.kind == evFlit {
-		if n.routers.mark(e.to) {
-			s.routers++
+// applyEvents delivers the flits and credits of l on worker w. A flit
+// wakes the router it lands on and a local-port credit the NI, each in its
+// own bitmap word, the wake counted in w's shard. A credit to a router
+// wakes nothing: one with buffered flits is already awake (only
+// ReceiveFlit adds flits, and delivery wakes first), and an empty one
+// would step to an immediate return and retire before the scheme's
+// EndOfCycle could read it (DESIGN.md §7). With shared set, l is the
+// central slot, which every worker reads: only the events for w's
+// receivers apply, and their packet pointers stay for the coordinator to
+// drop. Otherwise every event applies and its packet pointer is dropped:
+// the buffer is reused at its grown capacity, and a retained entry would
+// pin a released packet.
+func (p *parallel) applyEvents(l []event, w int, shared bool, cycle sim.Cycle) {
+	n, s := p.net, &p.shards[w]
+	for i := range l {
+		e := &l[i]
+		if shared && int(p.owner[e.to>>blockShift]) != w {
+			continue
 		}
-		n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+n.arrivalDelay(e.to, e.flit.Pkt))
-	} else if e.port == topology.LocalPort {
-		if n.nis.mark(e.to) {
-			s.nis++
+		switch {
+		case e.kind == evFlit:
+			if n.routers.mark(e.to) {
+				s.routers++
+			}
+			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+n.arrivalDelay(e.to, e.flit.Pkt))
+			if !shared {
+				e.flit.Pkt = nil
+			}
+		case e.port == topology.LocalPort:
+			if n.nis.mark(e.to) {
+				s.nis++
+			}
+			n.NIs[e.to].receiveCredit(e.vc, int(e.delta), e.free)
+		default:
+			n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
 		}
-		n.NIs[e.to].receiveCredit(e.vc, int(e.delta), e.free)
-	} else {
-		n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
 	}
 }
 
@@ -430,10 +458,8 @@ func (p *parallel) mergeSlot(cycle sim.Cycle) {
 // flush merges every outbox into the wheel: between cycles they hold the
 // events due at the current cycle and the next.
 func (n *Network) flush() {
-	if n.par.blocks != nil {
-		n.par.mergeSlot(n.cycle)
-		n.par.mergeSlot(n.cycle + 1)
-	}
+	n.par.mergeSlot(n.cycle)
+	n.par.mergeSlot(n.cycle + 1)
 }
 
 // commit replays the step phase's ejections in ascending block order —
@@ -647,14 +673,14 @@ type PhaseClock struct {
 	// concurrent part (deliver, compute, UPP's detection scan in
 	// EndOfCycle); the rest of the phase's Wall is the worker waiting
 	// for the hand-off or at the barrier, or the phase's serial part.
-	// Empty without workers.
+	// Empty at one worker, which runs every phase inline.
 	Busy [NumPhases][]time.Duration
 	last time.Time
 }
 
 // SetPhaseClock installs c (nil removes it).
 func (n *Network) SetPhaseClock(c *PhaseClock) {
-	if c != nil {
+	if c != nil && n.par.workers > 1 {
 		for _, ph := range clockPhase[phaseDeliver:] {
 			c.Busy[ph] = make([]time.Duration, n.par.workers)
 		}

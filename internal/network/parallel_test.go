@@ -44,10 +44,11 @@ var parallelCases = []equivCase{
 }
 
 // engaged vets a parallel run's hand-off: the worker count clamps to the
-// block count and the step phase engaged; with inline set, some cycle fell
-// under the engagement threshold. On one P every share runs on the
-// coordinator; on four, distinct pool workers really execute phases
-// (which ones the coordinator took back is up to the scheduler).
+// block count and the step phase engaged, except at one worker, where it
+// never does; with inline set, some cycle fell under the engagement
+// threshold. On one P every share runs on the coordinator; on four,
+// distinct pool workers really execute phases (which ones the coordinator
+// took back is up to the scheduler).
 func engaged(inline bool) func(*testing.T, *equivRun) {
 	return func(t *testing.T, r *equivRun) {
 		n, v := r.n, r.v
@@ -58,7 +59,10 @@ func engaged(inline bool) func(*testing.T, *equivRun) {
 			t.Fatalf("%s: got %d workers, want %d", v, n.Shards(), want)
 		}
 		compute, inlined := n.ParallelPhases()
-		if compute == 0 {
+		if n.Shards() == 1 && compute != 0 {
+			t.Errorf("%s: step phase engaged %d times at one worker", v, compute)
+		}
+		if n.Shards() > 1 && compute == 0 {
 			t.Errorf("%s: step phase never engaged (all cycles fell back inline)", v)
 		}
 		if inline && inlined == 0 {

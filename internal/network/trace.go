@@ -9,7 +9,8 @@ import (
 )
 
 // TraceEvent is one observable simulator event. Tracing is off by default
-// and costs one nil check per event when off.
+// and costs one nil check per event when off: every call site guards its
+// Trace call with Tracing, since boxing Trace's arguments allocates.
 type TraceEvent struct {
 	Cycle  sim.Cycle
 	Kind   string // "inject", "eject", "consume", "flit", "popup", ...
@@ -37,8 +38,9 @@ func (n *Network) Trace(kind string, node topology.NodeID, format string, args .
 	n.tracer(TraceEvent{Cycle: n.cycle, Kind: kind, Node: node, Detail: fmt.Sprintf(format, args...)})
 }
 
-// Tracing reports whether a tracer is installed (callers can skip
-// expensive detail formatting when not).
+// Tracing reports whether a tracer is installed. Callers test it before
+// calling Trace, whose variadic arguments are boxed, and may allocate,
+// before Trace can look.
 func (n *Network) Tracing() bool { return n.tracer != nil }
 
 // WriteTracer returns a Tracer that writes one line per event to w,

@@ -39,19 +39,22 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$base" | tar -x -C "$tmp/base"
 (cd "$tmp/base" && go build -o "$tmp/bench-base" ./bench)
-# The tree's sources as built, taken right before its build: whether
-# tracked files differ from HEAD, and a SHA-256 of that difference under
-# the built directories plus every untracked .go file there (path, then
-# contents). A clean tree hashes the empty input.
-dirty=false
-[ -z "$(git -C "$root" status --porcelain --untracked-files=no)" ] || dirty=true
-sources=$(cd "$root" && {
+# The tree's sources as built, taken right before its build: the
+# difference from HEAD under the built directories plus every untracked .go
+# file there (path, then contents), and its SHA-256. The tree is dirty
+# exactly when that difference is not empty, so a change elsewhere (a
+# record appended to BENCH_trajectory.json) leaves it clean; a clean tree
+# hashes the empty input.
+(cd "$root" && {
 	git diff HEAD -- internal cmd bench go.mod
 	git ls-files --others --exclude-standard -- internal cmd bench | grep '\.go$' | sort | while read -r f; do
 		echo "$f"
 		cat "$f"
 	done
-} | sha256sum | cut -d ' ' -f 1)
+}) >"$tmp/sources"
+dirty=false
+[ ! -s "$tmp/sources" ] || dirty=true
+sources=$(sha256sum <"$tmp/sources" | cut -d ' ' -f 1)
 (cd "$root" && go build -o "$tmp/bench-tree" ./bench)
 
 lower=0
