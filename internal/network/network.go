@@ -650,27 +650,22 @@ func (n *Network) wakeNI(id topology.NodeID) { n.nis.add(id) }
 // Callers must not modify the slice.
 func (n *Network) AwakeRouterIDs() []int32 { return n.awakeIDs }
 
-// wakeAll is the oracle's top of cycle: every router and NI joins the
-// active set, and the walk, which retires none, lists every router.
-func (n *Network) wakeAll() {
-	n.routers.fill(len(n.Routers))
-	n.nis.fill(len(n.NIs))
-}
-
 // walkRouters is the inline router walk. It steps the awake routers block
 // by block in ascending NodeID order, retires each one its step left idle
-// and lists the others in their block's list, which ForEachBlock hands out
-// and AwakeRouterIDs concatenates. Routers are only woken by a flit at
-// event delivery (or by the oracle's wake-all), before the walk, so the set
-// does not change under it.
+// and lists the others for AwakeRouterIDs, marking where each block's part
+// begins for ForEachBlock. Routers are only woken by a flit at event
+// delivery (or by the oracle's wake-all), before the walk, so the set does
+// not change under it.
 func (n *Network) walkRouters(cycle sim.Cycle) {
-	blocks := n.par.blocks
-	for b := range blocks {
+	kept, at := n.awakeIDs[:0], n.par.awakeAt
+	for b := range n.par.blocks {
+		at[b] = int32(len(kept))
 		var gone int
-		blocks[b].awake, gone = n.stepBlock(b, cycle, blocks[b].awake[:0])
+		kept, gone = n.stepBlock(b, cycle, kept)
 		n.routers.count -= gone
 	}
-	n.par.listAwake()
+	at[len(at)-1] = int32(len(kept))
+	n.awakeIDs = kept
 }
 
 // stepBlock steps the awake routers of block b (NodeIDs 64b to 64b+63) in
@@ -766,7 +761,8 @@ func (n *Network) Step() {
 	p, cycle := &n.par, n.cycle
 	p.clock.lap(-1)
 	if n.oracle {
-		n.wakeAll()
+		n.routers.fill(len(n.Routers))
+		n.nis.fill(len(n.NIs))
 	}
 	n.beginCycleFaults(cycle)
 	p.deliver(cycle)

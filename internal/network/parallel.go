@@ -14,20 +14,22 @@
 // Every pass over routers and NIs that can run per block runs on
 // the worker that owns the block, walking its ascending list of blocks,
 // which keeps a router's state in one core's cache; the coordinator keeps
-// the work whose order matters. Deliver: every worker applies the outboxes
-// addressed to it and its routers' and NIs' events of the central wheel
-// slot, waking its own routers and NIs; a slot's flits and credits
-// commute, so no worker needs another's order, and the coordinator runs
-// the slot's SchemeCalls after the join. Step: after the scheme's
+// the work whose order matters. Deliver: the coordinator adds the central
+// wheel slot's flits and credits to its outboxes for their receivers'
+// workers, and every worker applies the outboxes addressed to it, waking
+// its own routers and NIs; a slot's flits and credits commute, so no
+// worker needs another's order, and the coordinator runs the slot's
+// SchemeCalls after the join. Step: after the scheme's
 // StartOfCycle every worker steps the awake routers of its blocks in
 // ascending NodeID order; Router.Step's concurrency contract keeps a step
 // to the router's own state, its flits and credits go to the stepping
 // worker's outboxes, split by the worker that owns the receiver, and its
 // ejections to the block's log, which the commit replays in ascending
 // block order. The step retires each router it leaves idle and lists its
-// block's survivors (Network.stepBlock); the commit concatenates the lists.
-// ForEachBlock runs a scheme's per-block pass (UPP's detection scan) the
-// same way, over those lists. The NI walk and NI retirement stay on the
+// block's survivors (Network.stepBlock); the commit concatenates the lists
+// into AwakeRouterIDs, as the inline walk builds it. ForEachBlock runs a
+// scheme's per-block pass (UPP's detection scan) the same way, over each
+// block's part of that list. The NI walk and NI retirement stay on the
 // coordinator.
 //
 // Whatever reads a whole wheel slot — a snapshot, the state checks —
@@ -96,8 +98,8 @@ type block struct {
 	shard *shard // the owner's
 	// ejects is the step phase's ejections in emission order.
 	ejects []ejection
-	// awake is the routers the walk left awake, this block's part of
-	// AwakeRouterIDs.
+	// awake is the routers the concurrent step phase left awake, which
+	// the commit copies into AwakeRouterIDs.
 	awake []int32
 }
 
@@ -164,6 +166,10 @@ type parallel struct {
 	blocks  []block
 	shards  []shard
 	owner   []int32 // block -> worker (dealBlocks), asked once per event
+	// awakeAt[b] is where block b's part of AwakeRouterIDs begins, and
+	// awakeAt[len(blocks)] where the list ends: the walk and the commit
+	// set them, ForEachBlock hands out the parts.
+	awakeAt []int32
 	// helpers are the pool goroutines behind workers 1..workers-1; nil
 	// when the network was built with one worker or on one P, where every
 	// share runs on the coordinator.
@@ -176,11 +182,9 @@ type parallel struct {
 	queued [2]int
 
 	// The current phase's inputs, written before the hand-off publishes
-	// them: what the shares do, the wheel slot being delivered, the
-	// ForEachBlock function.
-	phase  int
-	events []event
-	fn     func(b int, awake []int32)
+	// them: what the shares do and the ForEachBlock function.
+	phase int
+	fn    func(b int, awake []int32)
 	// pending counts the shares on offer to or running on helpers; the
 	// coordinator waits for zero, blocked on wake past spinBound.
 	pending atomic.Int32
@@ -206,6 +210,7 @@ func (n *Network) initParallel(workers int) {
 	p := &n.par
 	p.net, p.workers = n, workers
 	p.blocks = make([]block, nb)
+	p.awakeAt = make([]int32, nb+1)
 	p.shards = make([]shard, workers)
 	p.offered = make([]bool, workers)
 	p.workerPhases = make([]uint64, workers)
@@ -324,7 +329,7 @@ func (n *Network) ForEachBlock(f func(b int, awake []int32)) {
 	p := &n.par
 	if !p.concurrent(len(n.awakeIDs), parallelMinAwake) {
 		for b := range p.blocks {
-			f(b, p.blocks[b].awake)
+			f(b, p.blockAwake(b))
 		}
 		return
 	}
@@ -333,24 +338,22 @@ func (n *Network) ForEachBlock(f func(b int, awake []int32)) {
 	p.fn = nil
 }
 
-// listAwake makes AwakeRouterIDs the concatenation of the blocks' survivor
-// lists, in ascending block order.
-func (p *parallel) listAwake() {
-	kept := p.net.awakeIDs[:0]
-	for b := range p.blocks {
-		kept = append(kept, p.blocks[b].awake...)
-	}
-	p.net.awakeIDs = kept
+// blockAwake is block b's part of AwakeRouterIDs.
+func (p *parallel) blockAwake(b int) []int32 {
+	lo, hi := p.awakeAt[b], p.awakeAt[b+1]
+	return p.net.awakeIDs[lo:hi:hi]
 }
 
-// deliver drains the current wheel slot — Step's one delivery call:
-// every worker applies its own flits and credits, concurrently or, at one
-// worker or below the engagement threshold, inline; then the coordinator
-// runs the slot's calls.
+// deliver drains the current wheel slot — Step's one delivery call — and
+// then runs the slot's calls on the coordinator. At one worker the
+// coordinator applies the slot. At more, the slot's own flits and credits
+// (the NIs' injections and credits, scheme sends, restored events) join
+// the coordinator's outboxes for their receivers' workers, and every worker
+// applies the outboxes addressed to it, concurrently or, below the
+// engagement threshold, inline.
 func (p *parallel) deliver(cycle sim.Cycle) {
 	n, par := p.net, cycle&1
 	events := n.takeSlot(cycle)
-	p.events = events
 	if q := p.queued[par]; q > 0 {
 		var local int
 		for w := range p.shards {
@@ -359,71 +362,61 @@ func (p *parallel) deliver(cycle sim.Cycle) {
 		p.localEvents += uint64(local)
 		p.crossEvents += uint64(q - local)
 	}
-	if p.concurrent(len(events)+p.queued[par], parallelMinEvents) {
-		p.run(phaseDeliver)
+	if p.workers == 1 {
+		n.applyEvents(events, cycle, &p.shards[0])
 	} else {
-		for w := range p.shards {
-			p.deliverShare(w, cycle)
-		}
-	}
-	p.events = nil
-	p.queued[par] = 0
-	p.fold()
-	if p.workers > 1 {
-		// The coordinator drops the slot's packet pointers (applyEvents): a
-		// worker writing into the slot would bounce the lines the others
-		// read.
+		out := p.shards[0].out[par]
 		for i := range events {
+			o := &out[p.owner[events[i].to>>blockShift]]
+			o.events = append(o.events, events[i])
 			events[i].flit.Pkt = nil
 		}
+		if p.concurrent(len(events)+p.queued[par], parallelMinEvents) {
+			p.run(phaseDeliver)
+		} else {
+			for w := range p.shards {
+				p.deliverShare(w, cycle)
+			}
+		}
 	}
+	p.queued[par] = 0
+	p.fold()
 	n.recycleSlot(events)
 	n.runCalls(cycle)
 }
 
-// deliverShare applies worker w's part of the slot being delivered: its
-// receivers' events of the central slot, then the outboxes addressed to
-// it. Within a slot the order of delivery is not observable — a VC
-// receives at most one flit a cycle, credits add and wakes set bits — so
-// the share needs no merge; DESIGN.md §9 has the argument.
+// deliverShare applies the outboxes addressed to worker w. Within a slot
+// the order of delivery is not observable — a VC receives at most one flit
+// a cycle, credits add and wakes set bits — so the share needs no merge;
+// DESIGN.md §9 has the argument.
 func (p *parallel) deliverShare(w int, cycle sim.Cycle) {
 	par := cycle & 1
-	p.applyEvents(p.events, w, p.workers > 1, cycle)
 	for from := range p.shards {
 		o := &p.shards[from].out[par][w]
-		p.applyEvents(o.events, w, false, cycle)
+		p.net.applyEvents(o.events, cycle, &p.shards[w])
 		o.events = o.events[:0]
 	}
 }
 
-// applyEvents delivers the flits and credits of l on worker w. A flit
-// wakes the router it lands on and a local-port credit the NI, each in its
-// own bitmap word, the wake counted in w's shard. A credit to a router
-// wakes nothing: one with buffered flits is already awake (only
-// ReceiveFlit adds flits, and delivery wakes first), and an empty one
-// would step to an immediate return and retire before the scheme's
-// EndOfCycle could read it (DESIGN.md §7). With shared set, l is the
-// central slot, which every worker reads: only the events for w's
-// receivers apply, and their packet pointers stay for the coordinator to
-// drop. Otherwise every event applies and its packet pointer is dropped:
-// the buffer is reused at its grown capacity, and a retained entry would
-// pin a released packet.
-func (p *parallel) applyEvents(l []event, w int, shared bool, cycle sim.Cycle) {
-	n, s := p.net, &p.shards[w]
+// applyEvents delivers the flits and credits of l, all of them for routers
+// and NIs of the worker whose shard s is. A flit wakes the router it lands
+// on and a local-port credit the NI, each in its own bitmap word, the wake
+// counted in s. A credit to a router wakes nothing: one with buffered
+// flits is already awake (only ReceiveFlit adds flits, and delivery wakes
+// first), and an empty one would step to an immediate return and retire
+// before the scheme's EndOfCycle could read it (DESIGN.md §7). A delivered
+// flit's packet pointer is dropped: the list is reused at its grown
+// capacity, and a retained entry would pin a released packet.
+func (n *Network) applyEvents(l []event, cycle sim.Cycle, s *shard) {
 	for i := range l {
 		e := &l[i]
-		if shared && int(p.owner[e.to>>blockShift]) != w {
-			continue
-		}
 		switch {
 		case e.kind == evFlit:
 			if n.routers.mark(e.to) {
 				s.routers++
 			}
 			n.Routers[e.to].ReceiveFlit(e.port, e.vc, e.flit, cycle+n.arrivalDelay(e.to, e.flit.Pkt))
-			if !shared {
-				e.flit.Pkt = nil
-			}
+			e.flit.Pkt = nil
 		case e.port == topology.LocalPort:
 			if n.nis.mark(e.to) {
 				s.nis++
@@ -468,6 +461,7 @@ func (n *Network) flush() {
 // and lists its survivors.
 func (p *parallel) commit() {
 	n := p.net
+	kept := n.awakeIDs[:0]
 	for b := range p.blocks {
 		blk := &p.blocks[b]
 		for i := range blk.ejects {
@@ -476,7 +470,11 @@ func (p *parallel) commit() {
 			e.flit.Pkt = nil
 		}
 		blk.ejects = blk.ejects[:0]
+		p.awakeAt[b] = int32(len(kept))
+		kept = append(kept, blk.awake...)
 	}
+	p.awakeAt[len(p.blocks)] = int32(len(kept))
+	n.awakeIDs = kept
 	for w := range p.shards {
 		s := &p.shards[w]
 		for par, k := range s.emitted {
@@ -485,7 +483,6 @@ func (p *parallel) commit() {
 		s.emitted = [2]int{}
 	}
 	p.fold()
-	p.listAwake()
 }
 
 // fold adds the workers' wakes and router retirements to the awake sets'
@@ -541,7 +538,7 @@ func (p *parallel) runShare(w int) {
 		}
 	case phaseBlocks:
 		for _, b := range s.blocks {
-			p.fn(int(b), p.blocks[b].awake)
+			p.fn(int(b), p.blockAwake(int(b)))
 		}
 	}
 }
