@@ -144,7 +144,9 @@ type shard struct {
 	// emitted, due at cycle at, for routers and NIs of worker w; worker w
 	// empties its lists in the deliver phase. A flit emitted at cycle T
 	// is due at T+2 and a credit at T+1, so a list holds the events of
-	// one slot: one step phase's flits and the next one's credits.
+	// one slot: one step phase's flits and the next one's credits, and,
+	// in the coordinator's lists, the wheel slot's own events, which
+	// deliver adds.
 	out [2][]outbox
 	// emitted[at&1] counts the current step phase's additions to out,
 	// which the commit puts on the wheel's books.
